@@ -89,6 +89,11 @@ pub enum JobState {
 }
 
 impl JobState {
+    /// Whether the job is past admission and still live.
+    pub fn is_admitted(self) -> bool {
+        matches!(self, JobState::Waiting | JobState::Running)
+    }
+
     /// Whether the job can never run again.
     pub fn is_terminal(self) -> bool {
         matches!(

@@ -42,4 +42,6 @@ pub use binpack::ReliablePool;
 pub use job::{FleetJobSpec, JobId, JobState, JobSummary};
 pub use scheduler::{FairnessConfig, RankEntry};
 pub use sim::{FleetConfig, FleetOutcome, FleetSim, FleetTiming};
-pub use sweep::{promote_winner, run_sweep, SweepConfig, SweepOutcome, TrialResult};
+pub use sweep::{
+    promote_winner, run_sweep, run_sweep_on, RungCutoff, SweepConfig, SweepOutcome, TrialResult,
+};

@@ -23,7 +23,7 @@
 //! Every job ends in a typed terminal state; an impossible market
 //! yields [`JobState::Unfinished`], never a hang or a panic.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proteus_bidbrain::{AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig, Objective};
@@ -131,6 +131,29 @@ struct JobRec {
     reliable_idx: Option<usize>,
 }
 
+impl JobRec {
+    /// Accrues φ-scaled work up to `upto`.
+    fn accrue(&mut self, upto: SimTime) {
+        if self.state == JobState::Running && self.alloc.is_some() {
+            let from = self.accrued_until.max(self.usable_from);
+            if upto > from {
+                let cores = f64::from(self.spec.min_gang)
+                    * self
+                        .alloc_market
+                        .map_or(0.0, |m| f64::from(m.instance_type().vcpus));
+                let phi = AppParams {
+                    phi_per_doubling: self.spec.phi_per_doubling,
+                    sigma: SimDuration::ZERO,
+                    lambda: SimDuration::ZERO,
+                }
+                .phi(cores);
+                self.work_done += upto.since(from).as_hours_f64() * cores * phi;
+            }
+        }
+        self.accrued_until = upto.max(self.accrued_until);
+    }
+}
+
 /// Deterministic fleet outcome. Compares bit-for-bit across thread
 /// counts; wall-clock scheduler timing lives in [`FleetTiming`], kept
 /// out of this struct on purpose.
@@ -182,14 +205,18 @@ pub struct FleetTiming {
     pub rounds: u64,
 }
 
-/// An Eq. 4 evaluation task: pending gang or running victim.
+/// An Eq. 4 evaluation task: pending gang or running victim. Floats
+/// are held as bits so tasks order and compare exactly: within a round
+/// the evaluation is a pure function of the task, so equal tasks are
+/// evaluated once.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EvalTask {
     gang: u32,
-    phi: f64,
-    /// `Some((market, delta))` pins the evaluation to a live gang's
-    /// current footprint (victim valuation); `None` sweeps every
+    phi_bits: u64,
+    /// `Some((market, delta bits))` pins the evaluation to a live
+    /// gang's current footprint (victim valuation); `None` sweeps every
     /// `(market, delta)` candidate (pending gang).
-    pinned: Option<(MarketKey, f64)>,
+    pinned: Option<(MarketKey, u64)>,
 }
 
 /// The best acquisition candidate for a pending gang.
@@ -221,12 +248,18 @@ pub struct FleetSim<'a> {
     /// Jobs awaiting admission, FIFO by (submission time, id). Entries
     /// are lazily discarded if the job was killed while queued, so the
     /// admission pass costs O(admitted) per round, not O(all jobs).
-    admission_queue: std::collections::BTreeSet<(SimTime, usize)>,
-    /// Jobs currently past admission (`Waiting` or `Running`),
-    /// maintained incrementally by [`Self::set_state`]. Transitions
-    /// *within* {Waiting, Running} (launch, eviction) don't move it, so
-    /// those sites may write `state` directly.
-    active: usize,
+    admission_queue: BTreeSet<(SimTime, usize)>,
+    /// Jobs currently past admission (`Waiting` or `Running`), in
+    /// ascending id order, maintained by [`Self::set_state`]. Every
+    /// per-round pass iterates this, not `jobs`. Transitions *within*
+    /// {Waiting, Running} (launch, eviction) don't move it, so those
+    /// sites may write `state` directly.
+    admitted: BTreeSet<usize>,
+    /// Jobs that turned terminal (or completed a re-set target without
+    /// reopening) since the last [`Self::drain_departed`]. Grows by one
+    /// entry per such job until drained: a caller that never drains
+    /// holds at most one `usize` per job it submitted.
+    departed: BTreeSet<usize>,
     sched_nanos: u128,
     /// Time spent inside provider calls (gang acquisition, revocation,
     /// reliable-pool requests) while a scheduler timer was running.
@@ -253,8 +286,9 @@ impl<'a> FleetSim<'a> {
             rounds: 0,
             evictions: 0,
             preemptions: 0,
-            admission_queue: std::collections::BTreeSet::new(),
-            active: 0,
+            admission_queue: BTreeSet::new(),
+            admitted: BTreeSet::new(),
+            departed: BTreeSet::new(),
             sched_nanos: 0,
             market_credit_nanos: 0,
         }
@@ -279,6 +313,29 @@ impl<'a> FleetSim<'a> {
         self.provider.advance_to(start)?;
         self.started_at = start;
         Ok(())
+    }
+
+    /// The fleet's configuration.
+    pub fn config(&self) -> &FleetConfig {
+        &self.cfg
+    }
+
+    /// Jobs past admission and not terminal (`Waiting` or `Running`),
+    /// in ascending id order.
+    pub fn active_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.admitted.iter().map(|&idx| JobId(idx as u64))
+    }
+
+    /// Jobs that turned terminal since the last call, ascending, each
+    /// once. With [`Self::active_jobs`] this is every job whose state a
+    /// driver has not yet seen settle, so it never needs to poll the
+    /// rest. A completed job given a new target by [`Self::set_target`]
+    /// is either active again (and reported when it next turns
+    /// terminal) or, if already past that target, reported again here.
+    /// Departures accumulate until drained; not draining is harmless.
+    pub fn drain_departed(&mut self) -> Vec<JobId> {
+        let departed = std::mem::take(&mut self.departed);
+        departed.into_iter().map(|idx| JobId(idx as u64)).collect()
     }
 
     /// Current simulated time.
@@ -339,28 +396,30 @@ impl<'a> FleetSim<'a> {
 
     /// Raises (or lowers) a job's work target. Raising the target of a
     /// `Completed` job reopens it: it rejoins the gang queue and runs to
-    /// the new target (the sweep's rung-promotion primitive).
+    /// the new target (the sweep's rung-promotion primitive). A
+    /// `Completed` job already past the new target (one step's accrual
+    /// can overshoot a close target) stays `Completed` and is reported
+    /// by [`Self::drain_departed`] again: it completed the new target
+    /// too, and its owner has not seen that yet.
     pub fn set_target(&mut self, id: JobId, target: f64) {
         let now = self.now();
-        let reopened = {
-            let Some(job) = self.jobs.get_mut(id.0 as usize) else {
-                return;
-            };
-            job.target = target;
-            if job.state == JobState::Completed && job.work_done < target {
-                job.queued_since = now;
-                job.rounds_waiting = 0;
-                true
-            } else {
-                false
-            }
+        let idx = id.0 as usize;
+        let Some(job) = self.jobs.get_mut(idx) else {
+            return;
         };
-        if reopened {
-            let idx = id.0 as usize;
+        job.target = target;
+        if job.state != JobState::Completed {
+            return;
+        }
+        if job.work_done < target {
+            job.queued_since = now;
+            job.rounds_waiting = 0;
             self.set_state(idx, JobState::Waiting);
             if self.jobs[idx].reliable_idx.is_none() {
                 self.assign_reliable_slot(idx);
             }
+        } else {
+            self.departed.insert(idx);
         }
     }
 
@@ -372,13 +431,13 @@ impl<'a> FleetSim<'a> {
     pub fn kill(&mut self, id: JobId) {
         let idx = id.0 as usize;
         let now = self.now();
-        self.accrue(idx, now);
-        let Some(job) = self.jobs.get(idx) else {
+        let Some(job) = self.jobs.get_mut(idx) else {
             return;
         };
         if matches!(job.state, JobState::Killed | JobState::Unfinished) {
             return;
         }
+        job.accrue(now);
         if let Some(alloc) = job.alloc {
             let _ = self.provider.terminate(alloc);
             self.alloc_to_job.remove(&alloc);
@@ -419,8 +478,8 @@ impl<'a> FleetSim<'a> {
         for (t, ev) in events {
             self.route_event(t, &ev);
         }
-        for idx in 0..self.jobs.len() {
-            self.accrue(idx, target);
+        for &idx in &self.admitted {
+            self.jobs[idx].accrue(target);
         }
         self.settle_completions();
         self.schedule_round(exec);
@@ -435,9 +494,8 @@ impl<'a> FleetSim<'a> {
     pub fn finish(mut self) -> (FleetOutcome, FleetTiming) {
         let now = self.now();
         for idx in 0..self.jobs.len() {
-            self.accrue(idx, now);
-            let state = self.jobs[idx].state;
-            if state.is_terminal() {
+            self.jobs[idx].accrue(now);
+            if self.jobs[idx].state.is_terminal() {
                 continue;
             }
             if let Some(alloc) = self.jobs[idx].alloc {
@@ -448,7 +506,7 @@ impl<'a> FleetSim<'a> {
                 self.jobs[idx].alloc = None;
             }
             self.release_reliable_slot(idx);
-            self.jobs[idx].state = JobState::Unfinished;
+            self.set_state(idx, JobState::Unfinished);
         }
         let pool_credit = self.pool.teardown(&mut self.provider, now);
 
@@ -505,8 +563,8 @@ impl<'a> FleetSim<'a> {
                 let Some(idx) = self.alloc_to_job.remove(allocation) else {
                     return;
                 };
-                self.accrue(idx, t);
                 let job = &mut self.jobs[idx];
+                job.accrue(t);
                 job.alloc = None;
                 job.alloc_market = None;
                 job.state = JobState::Waiting;
@@ -536,35 +594,15 @@ impl<'a> FleetSim<'a> {
         }
     }
 
-    /// Accrues φ-scaled work for job `idx` up to `upto`.
-    fn accrue(&mut self, idx: usize, upto: SimTime) {
-        let job = &mut self.jobs[idx];
-        if job.state != JobState::Running || job.alloc.is_none() {
-            job.accrued_until = upto.max(job.accrued_until);
-            return;
-        }
-        let from = job.accrued_until.max(job.usable_from);
-        if upto > from {
-            let cores = f64::from(job.spec.min_gang)
-                * job
-                    .alloc_market
-                    .map_or(0.0, |m| f64::from(m.instance_type().vcpus));
-            let phi = AppParams {
-                phi_per_doubling: job.spec.phi_per_doubling,
-                sigma: SimDuration::ZERO,
-                lambda: SimDuration::ZERO,
-            }
-            .phi(cores);
-            job.work_done += upto.since(from).as_hours_f64() * cores * phi;
-        }
-        job.accrued_until = upto.max(job.accrued_until);
-    }
-
     /// Completes every running job that reached its target: the gang
     /// terminates with the unused fraction of its current billing hour
     /// credited (the paper's "final partial hours not charged" rule).
     fn settle_completions(&mut self) {
-        for idx in 0..self.jobs.len() {
+        // A cursor, not an iterator: completing a job removes it from
+        // the index being walked.
+        let mut cursor = 0;
+        while let Some(&idx) = self.admitted.range(cursor..).next() {
+            cursor = idx + 1;
             let job = &self.jobs[idx];
             if job.state != JobState::Running || job.work_done < job.target {
                 continue;
@@ -626,33 +664,35 @@ impl<'a> FleetSim<'a> {
         }
     }
 
-    /// Jobs currently past admission and not terminal (recount; the
-    /// scheduler itself uses the incremental `active` field).
-    fn active_count(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| matches!(j.state, JobState::Waiting | JobState::Running))
-            .count()
-    }
-
-    /// Writes a job's state, keeping the incremental active count in
-    /// sync. Every transition that can cross the admitted/terminal
-    /// boundary must go through here.
+    /// Writes a job's state, keeping the admitted index and the
+    /// departure list in sync. Every transition that can cross the
+    /// admitted or terminal boundary must go through here.
     fn set_state(&mut self, idx: usize, to: JobState) {
-        let was = matches!(self.jobs[idx].state, JobState::Waiting | JobState::Running);
-        let is = matches!(to, JobState::Waiting | JobState::Running);
-        self.jobs[idx].state = to;
-        match (was, is) {
-            (false, true) => self.active += 1,
-            (true, false) => self.active = self.active.saturating_sub(1),
+        let was = std::mem::replace(&mut self.jobs[idx].state, to);
+        match (was.is_admitted(), to.is_admitted()) {
+            (false, true) => {
+                self.admitted.insert(idx);
+            }
+            (true, false) => {
+                self.admitted.remove(&idx);
+            }
             _ => {}
+        }
+        if to.is_terminal() && !was.is_terminal() {
+            self.departed.insert(idx);
         }
     }
 
     /// One admission + evaluation + ranking + launch pass.
     fn schedule_round(&mut self, exec: &StudyExecutor) {
         let now = self.now();
-        debug_assert_eq!(self.active, self.active_count(), "active counter drifted");
+        debug_assert!(
+            self.admitted
+                .iter()
+                .copied()
+                .eq((0..self.jobs.len()).filter(|&idx| self.jobs[idx].state.is_admitted())),
+            "admitted index drifted"
+        );
 
         // --- Admission (timed bookkeeping). ---
         let t0 = std::time::Instant::now();
@@ -663,7 +703,7 @@ impl<'a> FleetSim<'a> {
             .first()
             .is_some_and(|&(at, _)| at <= now)
         {
-            while self.active < self.cfg.max_active_jobs {
+            while self.admitted.len() < self.cfg.max_active_jobs {
                 let Some(&(at, idx)) = self.admission_queue.first() else {
                     break;
                 };
@@ -706,7 +746,10 @@ impl<'a> FleetSim<'a> {
             .filter_map(|&m| self.provider.spot_price(m).ok().map(|p| (m, p)))
             .collect();
 
-        let pending: Vec<usize> = (0..self.jobs.len())
+        let pending: Vec<usize> = self
+            .admitted
+            .iter()
+            .copied()
             .filter(|&i| self.jobs[i].state == JobState::Waiting && self.jobs[i].usable_from <= now)
             .collect();
         // Preemption can only trigger where a capacity rule can refuse a
@@ -717,7 +760,9 @@ impl<'a> FleetSim<'a> {
             .fault_plan()
             .is_some_and(|p| !p.capacity.is_empty());
         let victims: Vec<usize> = if capacity_limited {
-            (0..self.jobs.len())
+            self.admitted
+                .iter()
+                .copied()
                 .filter(|&i| {
                     self.jobs[i].state == JobState::Running
                         && self.jobs[i].spec.preemptible
@@ -731,38 +776,43 @@ impl<'a> FleetSim<'a> {
             return;
         }
 
+        let task_of = |i: usize, pinned: Option<(MarketKey, u64)>| EvalTask {
+            gang: self.jobs[i].spec.min_gang,
+            phi_bits: self.jobs[i].spec.phi_per_doubling.to_bits(),
+            pinned,
+        };
         let tasks: Vec<EvalTask> = pending
             .iter()
-            .map(|&i| EvalTask {
-                gang: self.jobs[i].spec.min_gang,
-                phi: self.jobs[i].spec.phi_per_doubling,
-                pinned: None,
-            })
+            .map(|&i| task_of(i, None))
             .chain(victims.iter().map(|&i| {
-                EvalTask {
-                    gang: self.jobs[i].spec.min_gang,
-                    phi: self.jobs[i].spec.phi_per_doubling,
-                    pinned: self.jobs[i]
-                        .alloc_market
-                        .map(|m| (m, self.jobs[i].alloc_delta)),
-                }
+                let job = &self.jobs[i];
+                task_of(i, job.alloc_market.map(|m| (m, job.alloc_delta.to_bits())))
             }))
             .collect();
+        // Sweep trials share one gang shape, so most rounds hold one
+        // distinct task however many gangs are pending: evaluate each
+        // distinct task once and let every job look its result up.
+        let mut distinct = tasks.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
         let beta = self.beta;
-        let deltas = self.cfg.bid_deltas.clone();
+        let deltas = &self.cfg.bid_deltas;
         let sigma = self.cfg.scale_pause;
         let lambda = self.cfg.eviction_pause;
-        let evals: Vec<Option<Candidate>> = exec.run_indexed(tasks.len(), |ti| {
-            let task = &tasks[ti];
-            evaluate_task(task, beta, &prices, &deltas, sigma, lambda)
+        let results: Vec<Option<Candidate>> = exec.run_indexed(distinct.len(), |ti| {
+            evaluate_task(&distinct[ti], beta, &prices, deltas, sigma, lambda)
         });
+        let evals = |slot: usize| {
+            let found = distinct.binary_search(&tasks[slot]).ok()?;
+            results[found]
+        };
 
         // --- Ranking + launch walk (timed bookkeeping). ---
         let t1 = std::time::Instant::now();
         let mut entries: Vec<RankEntry> = Vec::with_capacity(pending.len());
         let mut candidates: BTreeMap<usize, Candidate> = BTreeMap::new();
         for (slot, &idx) in pending.iter().enumerate() {
-            let Some(cand) = evals[slot] else {
+            let Some(cand) = evals(slot) else {
                 self.queue_gang(idx, now);
                 continue;
             };
@@ -785,7 +835,7 @@ impl<'a> FleetSim<'a> {
         // score — what the fleet gives up by revoking it.
         let mut victim_value: BTreeMap<usize, f64> = BTreeMap::new();
         for (slot, &idx) in victims.iter().enumerate() {
-            if let Some(c) = evals[pending.len() + slot] {
+            if let Some(c) = evals(pending.len() + slot) {
                 if c.cost_per_work.is_finite() && c.cost_per_work > 0.0 {
                     let weight = self
                         .cfg
@@ -910,7 +960,7 @@ impl<'a> FleetSim<'a> {
             let Some(alloc) = self.jobs[v_idx].alloc else {
                 continue;
             };
-            self.accrue(v_idx, now);
+            self.jobs[v_idx].accrue(now);
             let m = std::time::Instant::now();
             let revoked = self.provider.revoke(alloc);
             self.market_credit_nanos += m.elapsed().as_nanos();
@@ -1012,7 +1062,7 @@ fn evaluate_task(
     lambda: SimDuration,
 ) -> Option<Candidate> {
     let params = AppParams {
-        phi_per_doubling: task.phi,
+        phi_per_doubling: f64::from_bits(task.phi_bits),
         sigma,
         lambda,
     };
@@ -1033,7 +1083,8 @@ fn evaluate_task(
         work_rate: f64::from(market.instance_type().vcpus),
     };
     match task.pinned {
-        Some((market, delta)) => {
+        Some((market, delta_bits)) => {
+            let delta = f64::from_bits(delta_bits);
             let price = prices.iter().find(|(m, _)| *m == market).map(|(_, p)| *p)?;
             let eval = brain.evaluate(&[view(market, price, delta)], false);
             Some(Candidate {
@@ -1177,6 +1228,18 @@ mod tests {
         // The kill forfeited the paid hour: cost stays positive.
         assert!(out.jobs[0].spot_cost > 0.0);
         assert!(out.jobs[0].work_done > 0.0);
+    }
+
+    #[test]
+    fn killing_an_unknown_job_is_ignored() {
+        let traces = traces();
+        let beta = BetaEstimator::new();
+        let mut fleet = FleetSim::new(&traces, &beta, cfg());
+        let id = fleet.submit(FleetJobSpec::trial(1.0, 2, 0), SimTime::EPOCH);
+        fleet.kill(JobId(7)); // no such job: ignored like state()/set_target()
+        assert_eq!(fleet.state(JobId(7)), None);
+        assert_eq!(fleet.state(id), Some(JobState::Submitted));
+        assert!(fleet.drain_departed().is_empty());
     }
 
     #[test]

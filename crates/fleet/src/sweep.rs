@@ -15,6 +15,9 @@
 //! thread counts. The winning configuration can be handed to a real
 //! [`proteus::Proteus`] training session via [`promote_winner`].
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
 use proteus_bidbrain::{AppParams, BetaEstimator};
 use proteus_costsim::StudyExecutor;
 use proteus_market::{MarketError, TraceSet};
@@ -103,6 +106,70 @@ struct TrialState {
     done: bool,
 }
 
+/// An `f64` ordered by [`f64::total_cmp`], so it can live in a heap.
+#[derive(Debug, Clone, Copy)]
+struct Total(f64);
+
+impl PartialEq for Total {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Total {}
+impl PartialOrd for Total {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Total {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// One rung's promotion cutoff, kept incrementally: after `n` scores
+/// the cutoff is the `keep`-th smallest under [`f64::total_cmp`], with
+/// `keep = ceil(n × keep_fraction)` clamped to `1..=n` — bit-for-bit
+/// what sorting all `n` scores and indexing `keep - 1` gives. `keep`
+/// never shrinks as `n` grows, so the `keep` smallest sit in a max-heap
+/// whose top is the cutoff and the rest wait in a min-heap.
+#[derive(Debug, Clone)]
+pub struct RungCutoff {
+    keep_fraction: f64,
+    kept: BinaryHeap<Total>,
+    rest: BinaryHeap<Reverse<Total>>,
+}
+
+impl RungCutoff {
+    /// An empty rung promoting `keep_fraction` of what it sees.
+    pub fn new(keep_fraction: f64) -> Self {
+        RungCutoff {
+            keep_fraction,
+            kept: BinaryHeap::new(),
+            rest: BinaryHeap::new(),
+        }
+    }
+
+    /// Records `score` and returns the cutoff over everything recorded.
+    pub fn push(&mut self, score: f64) -> f64 {
+        let n = self.kept.len() + self.rest.len() + 1;
+        let keep = ((n as f64 * self.keep_fraction).ceil() as usize).clamp(1, n);
+        // Through `rest`, so `kept` only ever takes the smallest outside
+        // it: a full `kept` first gives its top back to compete.
+        self.rest.push(Reverse(Total(score)));
+        if self.kept.len() >= keep {
+            self.rest.extend(self.kept.pop().map(Reverse));
+        }
+        while self.kept.len() < keep {
+            let Some(Reverse(low)) = self.rest.pop() else {
+                break;
+            };
+            self.kept.push(low);
+        }
+        self.kept.peek().map_or(score, |top| top.0)
+    }
+}
+
 /// The score trial `trial` reports at rung `rung`: a trial-intrinsic
 /// base quality plus rung-shrinking noise, all derived from the sweep
 /// seed (lower is better). Pure, so replays are exact.
@@ -126,10 +193,21 @@ pub fn run_sweep(
     cfg: &SweepConfig,
     exec: &StudyExecutor,
 ) -> Result<(SweepOutcome, FleetTiming), MarketError> {
-    let step = fleet_cfg.step;
+    run_sweep_on(FleetSim::new(traces, beta, fleet_cfg), cfg, exec)
+}
+
+/// Runs a full sweep through a fleet the caller prepared (recorder,
+/// fault plan, start time). The fleet must hold no jobs yet: trial `i`
+/// is job `i`.
+pub fn run_sweep_on(
+    mut fleet: FleetSim<'_>,
+    cfg: &SweepConfig,
+    exec: &StudyExecutor,
+) -> Result<(SweepOutcome, FleetTiming), MarketError> {
+    let step = fleet.config().step;
     let nominal_rate = {
         // Work a healthy gang produces per hour on the first market.
-        let vcpus = f64::from(fleet_cfg.markets[0].instance_type().vcpus);
+        let vcpus = f64::from(fleet.config().markets[0].instance_type().vcpus);
         let cores = f64::from(cfg.gang) * vcpus;
         let params = AppParams {
             phi_per_doubling: 0.97,
@@ -138,7 +216,6 @@ pub fn run_sweep(
         };
         cores * params.phi(cores)
     };
-    let mut fleet = FleetSim::new(traces, beta, fleet_cfg);
     let first_rung = cfg.rungs.first().copied().unwrap_or(1.0);
     let ids: Vec<JobId> = (0..cfg.trials)
         .map(|i| {
@@ -148,6 +225,10 @@ pub fn run_sweep(
             )
         })
         .collect();
+    debug_assert!(
+        ids.first().is_none_or(|id| id.0 == 0),
+        "the sweep needs a fleet with no jobs of its own"
+    );
     let mut trials: Vec<TrialState> = (0..cfg.trials)
         .map(|_| TrialState {
             rung: 0,
@@ -156,8 +237,10 @@ pub fn run_sweep(
             done: false,
         })
         .collect();
-    // Scores seen at each rung, in completion order (the ASHA ledger).
-    let mut rung_scores: Vec<Vec<f64>> = vec![Vec::new(); cfg.rungs.len()];
+    // The ASHA ledger: each rung's cutoff over the scores seen so far,
+    // in completion order.
+    let mut cutoffs = vec![RungCutoff::new(cfg.keep_fraction); cfg.rungs.len()];
+    let mut remaining = cfg.trials;
 
     let end = SimTime::EPOCH + cfg.horizon;
     while fleet.now() < end {
@@ -165,56 +248,58 @@ pub fn run_sweep(
         fleet.run_to(target, exec)?;
         let now = fleet.now();
 
-        for (i, &id) in ids.iter().enumerate() {
+        // Only live trials and trials that just turned terminal can
+        // need a decision. Ascending id order is the ledger's order.
+        let mut visit = fleet.drain_departed();
+        visit.extend(fleet.active_jobs());
+        visit.sort_unstable();
+        visit.dedup();
+        for id in visit {
+            let i = id.0 as usize;
             if trials[i].done {
                 continue;
             }
             let Some(state) = fleet.state(id) else {
                 continue;
             };
-            match state {
+            let done = match state {
                 JobState::Running => {
                     let first = *trials[i].first_ran_at.get_or_insert(now);
                     let elapsed = now.since(first).as_hours_f64();
-                    if now.since(first) > cfg.lag_grace
-                        && fleet.work_done(id) < cfg.lag_factor * nominal_rate * elapsed
-                    {
+                    let lagging = now.since(first) > cfg.lag_grace
+                        && fleet.work_done(id) < cfg.lag_factor * nominal_rate * elapsed;
+                    if lagging {
                         fleet.kill(id);
-                        trials[i].done = true;
                     }
+                    lagging
                 }
                 JobState::Completed => {
                     let rung = trials[i].rung;
                     let observed = trial_score(cfg.seed, i as u64, rung);
                     trials[i].score = observed.min(trials[i].score);
-                    let seen = &mut rung_scores[rung];
-                    seen.push(observed);
                     trials[i].rung = rung + 1;
                     if rung + 1 >= cfg.rungs.len() {
                         // The final rung has no promotion gate: every
                         // completer is a finisher; selection happens at
                         // the end.
-                        trials[i].done = true;
-                        continue;
-                    }
-                    let keep = ((seen.len() as f64 * cfg.keep_fraction).ceil() as usize).max(1);
-                    let mut sorted = seen.clone();
-                    sorted.sort_by(f64::total_cmp);
-                    let cutoff = sorted[keep - 1];
-                    if observed <= cutoff {
+                        true
+                    } else if observed <= cutoffs[rung].push(observed) {
                         fleet.set_target(id, cfg.rungs[rung + 1]);
+                        false
                     } else {
                         fleet.kill(id);
-                        trials[i].done = true;
+                        true
                     }
                 }
-                JobState::Killed | JobState::Unfinished => {
-                    trials[i].done = true;
-                }
-                JobState::Submitted | JobState::Waiting => {}
+                JobState::Killed | JobState::Unfinished => true,
+                JobState::Submitted | JobState::Waiting => false,
+            };
+            if done {
+                trials[i].done = true;
+                remaining -= 1;
             }
         }
-        if trials.iter().all(|t| t.done) {
+        if remaining == 0 {
             break;
         }
     }
