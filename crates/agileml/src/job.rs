@@ -46,7 +46,15 @@ impl ModelSnapshot {
     /// A [`ParamReader`] over this snapshot, falling back to zeros of the
     /// app's declared dimension for unmaterialized keys.
     pub fn reader<'a, A: MlApp>(&'a self, app: &'a A) -> SnapshotReader<'a, A> {
-        SnapshotReader { snap: self, app }
+        let widest = (0..app.key_count())
+            .map(|k| app.value_dim(ParamKey(k)))
+            .max()
+            .unwrap_or(0);
+        SnapshotReader {
+            snap: self,
+            app,
+            zeros: vec![0.0; widest],
+        }
     }
 }
 
@@ -54,15 +62,16 @@ impl ModelSnapshot {
 pub struct SnapshotReader<'a, A: MlApp> {
     snap: &'a ModelSnapshot,
     app: &'a A,
+    /// As long as the app's widest row: what unmaterialized keys read as.
+    zeros: Vec<f32>,
 }
 
 impl<'a, A: MlApp> ParamReader for SnapshotReader<'a, A> {
-    fn get(&self, key: ParamKey) -> DenseVec {
-        self.snap
-            .params
-            .get(&key)
-            .cloned()
-            .unwrap_or_else(|| DenseVec::zeros(self.app.value_dim(key)))
+    fn row(&self, key: ParamKey) -> &[f32] {
+        match self.snap.params.get(&key) {
+            Some(v) => v.as_slice(),
+            None => &self.zeros[..self.app.value_dim(key).min(self.zeros.len())],
+        }
     }
 }
 

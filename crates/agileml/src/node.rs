@@ -49,7 +49,6 @@ pub fn run_node<A: MlApp>(
             cfg.slack,
             rng,
             controller,
-            me,
         ),
         topology: None,
         forward: BTreeMap::new(),

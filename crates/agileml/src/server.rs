@@ -183,9 +183,12 @@ impl ServerState {
     /// its serving store (missing keys omitted). The cloned values share
     /// their buffers with the store (zero-copy until someone writes).
     pub fn handle_read(&self, keys: &KeySet) -> Values {
-        keys.iter()
-            .filter_map(|k| self.serving.read(k).map(|v| (k, v.clone())))
-            .collect()
+        let mut values = Vec::with_capacity(keys.len());
+        values.extend(
+            keys.iter()
+                .filter_map(|k| self.serving.read(k).map(|v| (k, v.clone()))),
+        );
+        values.into()
     }
 
     /// Applies an update batch to a served partition in one store pass.

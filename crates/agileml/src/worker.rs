@@ -15,8 +15,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use proteus_mlapps::app::{MlApp, ParamReader};
-use proteus_ps::{DenseVec, KeySet, ParamKey, PartitionId, PartitionMap, WorkerCache};
+use proteus_mlapps::app::MlApp;
+use proteus_ps::{KeySet, ParamKey, PartitionId, PartitionMap, WorkerCache};
 use proteus_simnet::NodeId;
 use rand::rngs::StdRng;
 
@@ -70,8 +70,13 @@ pub struct WorkerState<A: MlApp> {
     ranges: Vec<(usize, usize)>,
     /// Loaded blocks with their (mutable, scratch-bearing) data.
     local: BTreeMap<BlockId, Vec<A::Datum>>,
+    /// Sorted union of `keys_for` over `local` — what every clock reads.
+    /// A function of the loaded blocks alone, so only `assign_blocks`
+    /// rebuilds it.
+    read_keys: Vec<ParamKey>,
     layout: PartitionMap,
-    cache: WorkerCache<DenseVec>,
+    cache: WorkerCache,
+    scratch: A::Scratch,
     rng: StdRng,
     /// Completed iteration count.
     clock: u64,
@@ -90,25 +95,8 @@ pub struct WorkerState<A: MlApp> {
     controller: NodeId,
 }
 
-/// Cache-backed parameter reader with a zero fallback of the app's
-/// declared dimension.
-struct CacheReader<'a, A: MlApp> {
-    app: &'a A,
-    cache: &'a WorkerCache<DenseVec>,
-}
-
-impl<'a, A: MlApp> ParamReader for CacheReader<'a, A> {
-    fn get(&self, key: ParamKey) -> DenseVec {
-        self.cache
-            .read(key)
-            .cloned()
-            .unwrap_or_else(|| DenseVec::zeros(self.app.value_dim(key)))
-    }
-}
-
 impl<A: MlApp> WorkerState<A> {
     /// Creates an idle worker.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         app: Arc<A>,
         dataset: Arc<Vec<A::Datum>>,
@@ -117,7 +105,6 @@ impl<A: MlApp> WorkerState<A> {
         slack: u64,
         rng: StdRng,
         controller: NodeId,
-        _me: NodeId,
     ) -> Self {
         let ranges = block_ranges(dataset.len(), data_blocks);
         WorkerState {
@@ -125,8 +112,10 @@ impl<A: MlApp> WorkerState<A> {
             dataset,
             ranges,
             local: BTreeMap::new(),
+            read_keys: Vec::new(),
             layout,
             cache: WorkerCache::new(layout),
+            scratch: A::Scratch::default(),
             rng,
             clock: 0,
             global_min: 0,
@@ -165,15 +154,35 @@ impl<A: MlApp> WorkerState<A> {
     /// of retained blocks).
     pub fn assign_blocks(&mut self, blocks: &[BlockId]) {
         let wanted: std::collections::BTreeSet<BlockId> = blocks.iter().copied().collect();
+        let loaded = self.local.len();
         self.local.retain(|b, _| wanted.contains(b));
+        let mut changed = self.local.len() != loaded;
         for b in blocks {
             if !self.local.contains_key(b) {
                 let (lo, hi) = self.ranges.get(b.0 as usize).copied().unwrap_or((0, 0));
                 self.local.insert(*b, self.dataset[lo..hi].to_vec());
+                changed = true;
             }
+        }
+        if changed {
+            self.read_keys.clear();
+            for datum in self.local.values().flatten() {
+                self.read_keys.extend(self.app.keys_for(datum));
+            }
+            self.read_keys.sort_unstable();
+            self.read_keys.dedup();
+            self.reserve_rows();
         }
         if self.local.is_empty() && matches!(self.phase, WorkerPhase::WaitBarrier) {
             self.phase = WorkerPhase::Idle;
+        }
+    }
+
+    /// Gives every key this worker reads a row of the app's dimension,
+    /// so a key no server answers for still reads as zeros of that length.
+    fn reserve_rows(&mut self) {
+        for &key in &self.read_keys {
+            self.cache.reserve(key, self.app.value_dim(key));
         }
     }
 
@@ -217,6 +226,7 @@ impl<A: MlApp> WorkerState<A> {
     /// `clock`, enters the new epoch, and pauses until `Start`.
     pub fn restart_from(&mut self, clock: u64, epoch: u64) {
         self.cache.clear();
+        self.reserve_rows();
         self.clock = clock;
         self.global_min = clock;
         self.epoch = epoch;
@@ -261,18 +271,9 @@ impl<A: MlApp> WorkerState<A> {
 
     /// Issues the read requests for this iteration.
     fn begin_reads(&mut self, topology: &Topology) -> Outbox {
-        // Union of keys needed by all local data, grouped by owner.
-        let mut keys: Vec<ParamKey> = Vec::new();
-        for data in self.local.values() {
-            for datum in data {
-                keys.extend(self.app.keys_for(datum));
-            }
-        }
-        keys.sort();
-        keys.dedup();
-
+        // The keys all local data needs, grouped by owner.
         let mut by_owner: BTreeMap<NodeId, Vec<ParamKey>> = BTreeMap::new();
-        for k in keys {
+        for &k in &self.read_keys {
             let p = self.layout.partition_of(k);
             let owner = topology.owner_of(PartitionId(p.0));
             by_owner.entry(owner).or_default().push(k);
@@ -318,8 +319,8 @@ impl<A: MlApp> WorkerState<A> {
                     // a sender we never asked): nothing new to count.
                     return Vec::new();
                 }
-                for (k, v) in values {
-                    self.cache.refresh(k, v);
+                for (k, v) in values.iter() {
+                    self.cache.refresh(*k, v.as_slice());
                 }
                 let left = self.read_sources.len();
                 self.phase = WorkerPhase::WaitReads {
@@ -345,23 +346,11 @@ impl<A: MlApp> WorkerState<A> {
 
     /// Processes all local data and emits update batches + `ClockDone`.
     fn finish_iteration(&mut self, topology: &Topology) -> Outbox {
-        // Process every datum, buffering updates in the cache.
-        let mut local = std::mem::take(&mut self.local);
-        for data in local.values_mut() {
-            for datum in data.iter_mut() {
-                let updates = {
-                    let reader = CacheReader {
-                        app: self.app.as_ref(),
-                        cache: &self.cache,
-                    };
-                    self.app.process(datum, &reader, &mut self.rng)
-                };
-                for (k, d) in updates {
-                    self.cache.update(k, &d);
-                }
-            }
+        // Process every datum in place, buffering updates in the cache.
+        for datum in self.local.values_mut().flatten() {
+            self.app
+                .process(datum, &mut self.scratch, &mut self.cache, &mut self.rng);
         }
-        self.local = local;
 
         // Flush coalesced batches to partition owners. Each batch moves
         // into a shared `Values` buffer once; every downstream clone of
@@ -455,7 +444,6 @@ mod tests {
             0,
             seeded(1),
             NodeId(0),
-            NodeId(5),
         )
     }
 
@@ -598,5 +586,83 @@ mod tests {
         assert!(w.has_data());
         w.assign_blocks(&[]);
         assert!(!w.has_data());
+    }
+
+    /// The union `begin_reads` rebuilt every clock before it was kept.
+    fn recomputed_keys(w: &WorkerState<MatrixFactorization>) -> Vec<ParamKey> {
+        let mut keys: Vec<ParamKey> = w
+            .local
+            .values()
+            .flatten()
+            .flat_map(|d| w.app.keys_for(d))
+            .collect();
+        keys.sort();
+        keys.dedup();
+        keys
+    }
+
+    /// Every key the outbox's `ReadReq`s ask for, sorted.
+    fn requested_keys(out: &Outbox) -> Vec<ParamKey> {
+        let mut keys: Vec<ParamKey> = out
+            .iter()
+            .filter_map(|(_, m)| match m {
+                AgileMsg::ReadReq { keys, .. } => Some(keys.to_vec()),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        keys.sort();
+        keys
+    }
+
+    /// Runs one clock against owners that answer with no values.
+    fn one_clock(w: &mut WorkerState<MatrixFactorization>, t: &Topology) -> Vec<ParamKey> {
+        let reads = w.poll(t);
+        let asked = requested_keys(&reads);
+        let before = w.clock();
+        for (dst, msg) in &reads {
+            if let AgileMsg::ReadReq { token, .. } = msg {
+                let out = w.on_read_resp(*dst, *token, Values::new(), t);
+                for (_, m) in out {
+                    if let AgileMsg::ClockDone { clock, epoch } = m {
+                        w.on_global_clock(clock, epoch);
+                    }
+                }
+            }
+        }
+        assert_eq!(w.clock(), before + 1);
+        asked
+    }
+
+    #[test]
+    fn read_keys_follow_block_assignment_and_survive_restart() {
+        let mut w = worker();
+        // Two owners, so the union is also split across `ReadReq`s.
+        let t = Topology {
+            partition_owner: vec![NodeId(1), NodeId(2)],
+            ..topo(NodeId(1))
+        };
+        w.assign_blocks(&[BlockId(0), BlockId(1)]);
+        w.start();
+        let all = one_clock(&mut w, &t);
+        assert_eq!(all.len(), 8, "four ratings, distinct rows and columns");
+        assert_eq!(all, recomputed_keys(&w));
+        assert_eq!(one_clock(&mut w, &t), all, "same blocks, same keys");
+
+        w.assign_blocks(&[BlockId(1)]);
+        let fewer = one_clock(&mut w, &t);
+        assert_eq!(fewer.len(), 4, "rebuilt for the one block left");
+        assert_eq!(fewer, recomputed_keys(&w));
+
+        w.assign_blocks(&[BlockId(1), BlockId(0)]);
+        assert_eq!(one_clock(&mut w, &t), all, "rebuilt when a block returns");
+
+        // A rollback clears the cache, not the assignment: the union and
+        // the zero rows reserved for it must both still be there, or the
+        // unanswered reads below would hand `process` rows of no length.
+        w.restart_from(0, 1);
+        w.start();
+        assert_eq!(one_clock(&mut w, &t), all);
+        assert_eq!(all, recomputed_keys(&w));
     }
 }

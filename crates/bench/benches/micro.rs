@@ -9,6 +9,10 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use proteus_bidbrain::{AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig};
 use proteus_market::{catalog, CloudProvider, MarketKey, MarketModel, TraceGenerator, Zone};
+use proteus_mlapps::data::{imagenet_like, netflix_like, MfDataConfig, MlrDataConfig};
+use proteus_mlapps::mf::{MatrixFactorization, MfConfig};
+use proteus_mlapps::mlr::{Mlr, MlrConfig};
+use proteus_mlapps::MlApp;
 use proteus_perfmodel::{presets, time_per_iteration, ClusterSpec, Layout};
 use proteus_ps::{DenseVec, ParamKey, PartitionMap, PsValue, ShardStore, WorkerCache};
 use proteus_simtime::{SimDuration, SimTime};
@@ -96,6 +100,64 @@ fn bench_ps_batch(c: &mut Criterion) {
         // across measurement batches.
         let _ = store.take_dirty();
     }
+}
+
+/// One `process` call over a warmed worker cache — the per-datum cost
+/// of a training clock, at the shapes `train_mf` (many rank-16 rows) and
+/// `train_mlr` (sixteen 512-wide rows) use.
+fn bench_process<A: MlApp>(c: &mut Criterion, id: &str, app: A, mut data: Vec<A::Datum>) {
+    let mut rng = proteus_simtime::rng::seeded(7);
+    let mut params = WorkerCache::new(PartitionMap::new(32).expect("nonzero"));
+    for k in (0..app.key_count()).map(ParamKey) {
+        params.refresh(k, app.init_value(k, &mut rng).as_slice());
+    }
+    let mut scratch = A::Scratch::default();
+    let mut i = 0;
+    c.bench_function(id, |b| {
+        b.iter(|| {
+            app.process(&mut data[i], &mut scratch, &mut params, &mut rng);
+            i = (i + 1) % data.len();
+        });
+    });
+}
+
+fn bench_mlapps(c: &mut Criterion) {
+    let (rows, cols) = (600, 400);
+    let mf = MatrixFactorization::new(MfConfig {
+        rows,
+        cols,
+        rank: 16,
+        ..MfConfig::default()
+    });
+    let ratings = netflix_like(
+        &MfDataConfig {
+            rows,
+            cols,
+            true_rank: 4,
+            observed: 10_000,
+            noise: 0.02,
+        },
+        7,
+    );
+    bench_process(c, "mlapps/mf_process_in_place", mf, ratings);
+
+    let (dim, classes) = (512, 16);
+    let mlr = Mlr::new(MlrConfig {
+        dim,
+        classes,
+        ..MlrConfig::default()
+    });
+    let examples = imagenet_like(
+        &MlrDataConfig {
+            examples: 200,
+            dim,
+            classes,
+            separation: 2.0,
+            noise: 0.4,
+        },
+        7,
+    );
+    bench_process(c, "mlapps/mlr_process_in_place", mlr, examples);
 }
 
 fn bench_market(c: &mut Criterion) {
@@ -197,6 +259,7 @@ criterion_group!(
     bench_ps_shard,
     bench_ps_rows,
     bench_ps_batch,
+    bench_mlapps,
     bench_market,
     bench_bidbrain,
     bench_perfmodel

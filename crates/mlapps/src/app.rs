@@ -1,21 +1,46 @@
 //! The contract between an ML application and the training runtime.
 
-use proteus_ps::{DenseVec, ParamKey};
+use proteus_ps::{DenseVec, ParamKey, WorkerCache};
 use rand::rngs::StdRng;
 
 /// A read-only view of the current parameter state, supplied by whichever
-/// runtime is executing the application (the sequential trainer or an
-/// AgileML worker backed by its cache).
+/// runtime is executing the application (the sequential trainer, an
+/// AgileML worker's cache, or a model snapshot).
 pub trait ParamReader {
-    /// The current value of `key`, or its initial value if the runtime has
-    /// not materialized it yet.
-    fn get(&self, key: ParamKey) -> DenseVec;
+    /// The current row of `key` — zeros of the app's
+    /// [`value_dim`](MlApp::value_dim) if the runtime holds no value for
+    /// it yet.
+    fn row(&self, key: ParamKey) -> &[f32];
 }
 
-/// Blanket implementation so closures can serve as readers in tests.
-impl<F: Fn(ParamKey) -> DenseVec> ParamReader for F {
-    fn get(&self, key: ParamKey) -> DenseVec {
-        self(key)
+/// In-place access to the parameter state during
+/// [`process`](MlApp::process): reads see every delta added so far, and
+/// the runtime buffers the deltas for write-back.
+pub trait ParamAccess: ParamReader {
+    /// Adds `delta` to the row of `key`.
+    fn add(&mut self, key: ParamKey, delta: &[f32]);
+
+    /// Adds `s·x + t·row(key)` to the row of `key` without a temporary
+    /// (an SGD step with L2 regularization).
+    fn add_lincomb(&mut self, key: ParamKey, s: f32, x: &[f32], t: f32);
+}
+
+/// Both runtimes keep parameters in a worker cache whose rows were
+/// reserved at the app's dimensions, which is what makes an unrefreshed
+/// row read as zeros.
+impl ParamReader for WorkerCache {
+    fn row(&self, key: ParamKey) -> &[f32] {
+        WorkerCache::row(self, key)
+    }
+}
+
+impl ParamAccess for WorkerCache {
+    fn add(&mut self, key: ParamKey, delta: &[f32]) {
+        self.update(key, delta);
+    }
+
+    fn add_lincomb(&mut self, key: ParamKey, s: f32, x: &[f32], t: f32) {
+        WorkerCache::add_lincomb(self, key, s, x, t);
     }
 }
 
@@ -31,6 +56,11 @@ pub trait MlApp: Send + Sync + 'static {
     /// their loaded copies.
     type Datum: Clone + Send + Sync + 'static;
 
+    /// Reusable buffers for [`process`](MlApp::process): one per
+    /// executing runtime, carrying no meaning from one datum to the next,
+    /// so steady-state processing need not allocate.
+    type Scratch: Default + Send + 'static;
+
     /// Total number of parameter keys used by the model.
     fn key_count(&self) -> u64;
 
@@ -43,17 +73,18 @@ pub trait MlApp: Send + Sync + 'static {
     /// The parameter keys needed to process `datum`.
     fn keys_for(&self, datum: &Self::Datum) -> Vec<ParamKey>;
 
-    /// Processes one datum against the current parameters, returning the
-    /// (commutative, additive) updates to apply.
+    /// Processes one datum against the current parameters, adding its
+    /// (commutative, additive) updates through `params`.
     ///
     /// `rng` supplies any sampling the algorithm needs (Gibbs sampling,
     /// dropout, ...); `datum` is mutable for per-datum scratch state.
     fn process(
         &self,
         datum: &mut Self::Datum,
-        params: &dyn ParamReader,
+        scratch: &mut Self::Scratch,
+        params: &mut dyn ParamAccess,
         rng: &mut StdRng,
-    ) -> Vec<(ParamKey, DenseVec)>;
+    );
 
     /// The goodness-of-solution objective over a dataset — *lower is
     /// better* for every bundled app (loss or negative log-likelihood).

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::app::{MlApp, ParamReader};
+use crate::app::{MlApp, ParamAccess, ParamReader};
 
 /// One data point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -68,25 +68,24 @@ impl KMeans {
 
     /// The centroid encoded in a stored value (`None` when the cluster
     /// has no accumulated mass yet).
-    pub fn centroid(value: &DenseVec) -> Option<Vec<f32>> {
-        let s = value.as_slice();
-        let count = *s.last()?;
-        if count <= f32::EPSILON {
+    pub fn centroid(value: &[f32]) -> Option<Vec<f32>> {
+        let (count, sums) = value.split_last()?;
+        if *count <= f32::EPSILON {
             return None;
         }
-        Some(s[..s.len() - 1].iter().map(|x| x / count).collect())
+        Some(sums.iter().map(|x| x / count).collect())
     }
 
     /// Index of the nearest cluster to `coords` under the parameters.
     pub fn assign(&self, coords: &[f32], params: &dyn ParamReader) -> u32 {
         let mut best = (0u32, f64::INFINITY);
         for k in 0..self.config.clusters {
-            let value = params.get(ParamKey(u64::from(k)));
-            let center = match Self::centroid(&value) {
+            let value = params.row(ParamKey(u64::from(k)));
+            let center = match Self::centroid(value) {
                 Some(c) => c,
                 // Empty cluster: treat its (implicit) random-init sum as
                 // a unit-count centroid so it can attract points.
-                None => value.as_slice()[..self.config.dim].to_vec(),
+                None => value[..self.config.dim].to_vec(),
             };
             let d2 = kernels::dist_sq(coords, &center);
             if d2 < best.1 {
@@ -99,6 +98,8 @@ impl KMeans {
 
 impl MlApp for KMeans {
     type Datum = Point;
+    /// The accumulation delta `[coords.., 1]` of the datum in hand.
+    type Scratch = Vec<f32>;
 
     fn key_count(&self) -> u64 {
         u64::from(self.config.clusters)
@@ -123,18 +124,19 @@ impl MlApp for KMeans {
     fn process(
         &self,
         datum: &mut Point,
-        params: &dyn ParamReader,
+        delta: &mut Vec<f32>,
+        params: &mut dyn ParamAccess,
         _rng: &mut StdRng,
-    ) -> Vec<(ParamKey, DenseVec)> {
-        let k = self.assign(&datum.coords, params);
-        let key = ParamKey(u64::from(k));
+    ) {
+        let k = self.assign(&datum.coords, &*params);
 
         // Pure accumulation: add the point to its cluster's running sum
         // and bump the count. The centroid sum/count then tracks the
         // mean of every assignment so far (an implicit 1/n step size).
-        let mut delta: Vec<f32> = datum.coords.clone();
+        delta.clear();
+        delta.extend_from_slice(&datum.coords);
         delta.push(1.0);
-        vec![(key, DenseVec::from(delta))]
+        params.add(ParamKey(u64::from(k)), delta);
     }
 
     /// Mean squared distance of each point to its assigned centroid
@@ -147,9 +149,9 @@ impl MlApp for KMeans {
             .iter()
             .map(|p| {
                 let k = self.assign(&p.coords, params);
-                let value = params.get(ParamKey(u64::from(k)));
-                let center = KMeans::centroid(&value)
-                    .unwrap_or_else(|| value.as_slice()[..self.config.dim].to_vec());
+                let value = params.row(ParamKey(u64::from(k)));
+                let center =
+                    KMeans::centroid(value).unwrap_or_else(|| value[..self.config.dim].to_vec());
                 kernels::dist_sq(&p.coords, &center)
             })
             .sum();
@@ -194,26 +196,22 @@ pub fn blobs(
 mod tests {
     use super::*;
     use crate::SequentialTrainer;
+    use proteus_ps::{PartitionMap, WorkerCache};
     use proteus_simtime::rng::seeded;
-    use std::collections::HashMap;
 
-    struct MapReader(HashMap<ParamKey, DenseVec>, usize);
-
-    impl ParamReader for MapReader {
-        fn get(&self, key: ParamKey) -> DenseVec {
-            self.0
-                .get(&key)
-                .cloned()
-                .unwrap_or_else(|| DenseVec::zeros(self.1))
+    fn params_of(rows: &[&[f32]]) -> WorkerCache {
+        let mut params = WorkerCache::new(PartitionMap::new(1).expect("nonzero"));
+        for (k, row) in rows.iter().enumerate() {
+            params.refresh(ParamKey(k as u64), row);
         }
+        params
     }
 
     #[test]
     fn centroid_decoding() {
         // Sum (2, 4) with count 2 → centroid (1, 2).
-        let v = DenseVec::from(vec![2.0, 4.0, 2.0]);
-        assert_eq!(KMeans::centroid(&v), Some(vec![1.0, 2.0]));
-        assert_eq!(KMeans::centroid(&DenseVec::from(vec![1.0, 1.0, 0.0])), None);
+        assert_eq!(KMeans::centroid(&[2.0, 4.0, 2.0]), Some(vec![1.0, 2.0]));
+        assert_eq!(KMeans::centroid(&[1.0, 1.0, 0.0]), None);
     }
 
     #[test]
@@ -223,11 +221,8 @@ mod tests {
             clusters: 2,
             ..KmConfig::default()
         });
-        let mut map = HashMap::new();
         // Cluster 0 at −1, cluster 1 at +1 (count 1 each).
-        map.insert(ParamKey(0), DenseVec::from(vec![-1.0, 1.0]));
-        map.insert(ParamKey(1), DenseVec::from(vec![1.0, 1.0]));
-        let reader = MapReader(map, 2);
+        let reader = params_of(&[&[-1.0, 1.0], &[1.0, 1.0]]);
         assert_eq!(app.assign(&[-0.9], &reader), 0);
         assert_eq!(app.assign(&[0.7], &reader), 1);
     }
@@ -266,10 +261,9 @@ mod tests {
         // Points generated round-robin: i % 3 is the true blob. Check
         // that learned assignments respect the true partition (up to
         // label permutation): points of the same blob share a label.
-        let reader = |key: ParamKey| t.read_param(key);
         let labels: Vec<u32> = data
             .iter()
-            .map(|p| t.app().assign(&p.coords, &reader))
+            .map(|p| t.app().assign(&p.coords, t.params()))
             .collect();
         for blob in 0..3usize {
             let blob_labels: Vec<u32> = labels
@@ -297,17 +291,18 @@ mod tests {
     fn updates_are_single_key() {
         let app = KMeans::new(KmConfig::default());
         let mut rng = seeded(1);
-        let mut map = HashMap::new();
-        for k in 0..app.key_count() {
-            map.insert(ParamKey(k), app.init_value(ParamKey(k), &mut rng));
+        let mut params = WorkerCache::new(PartitionMap::new(1).expect("nonzero"));
+        for k in (0..app.key_count()).map(ParamKey) {
+            params.refresh(k, app.init_value(k, &mut rng).as_slice());
         }
-        let reader = MapReader(map, app.value_dim(ParamKey(0)));
         let mut p = Point {
             coords: vec![0.5; 4],
         };
-        let updates = app.process(&mut p, &reader, &mut rng);
-        assert_eq!(updates.len(), 1, "one point updates one cluster");
-        assert_eq!(updates[0].1.dim(), 5);
+        app.process(&mut p, &mut Vec::new(), &mut params, &mut rng);
+        let flushed = params.flush();
+        assert_eq!(flushed.len(), 1);
+        assert_eq!(flushed[0].1.len(), 1, "one point updates one cluster");
+        assert_eq!(flushed[0].1[0].1.as_slice(), &[0.5, 0.5, 0.5, 0.5, 1.0]);
     }
 
     #[test]

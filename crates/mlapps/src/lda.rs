@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::app::{MlApp, ParamReader};
+use crate::app::{MlApp, ParamAccess, ParamReader};
 
 /// One document: its tokens and their current topic assignments.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -120,6 +120,7 @@ impl Lda {
 
 impl MlApp for Lda {
     type Datum = LdaDoc;
+    type Scratch = ();
 
     fn key_count(&self) -> u64 {
         u64::from(self.config.vocab) + 1
@@ -145,18 +146,20 @@ impl MlApp for Lda {
     fn process(
         &self,
         doc: &mut LdaDoc,
-        params: &dyn ParamReader,
+        _scratch: &mut (),
+        params: &mut dyn ParamAccess,
         rng: &mut StdRng,
-    ) -> Vec<(ParamKey, DenseVec)> {
+    ) {
         let k_topics = self.config.topics;
         let alpha = self.config.alpha;
         let beta = self.config.beta;
         let v = f64::from(self.config.vocab);
 
         // Local mutable copies of the counts this document touches; deltas
-        // are emitted at the end so the update stays additive.
-        let totals = params.get(self.totals_key());
-        let mut totals_now: Vec<f64> = totals.as_slice().iter().map(|&x| f64::from(x)).collect();
+        // are added at the end, so every read below sees the counts as
+        // they stood when the document was picked up.
+        let totals = params.row(self.totals_key());
+        let mut totals_now: Vec<f64> = totals.iter().map(|&x| f64::from(x)).collect();
         let mut delta_totals = vec![0.0f32; k_topics];
         let mut word_deltas: std::collections::HashMap<u32, Vec<f32>> =
             std::collections::HashMap::new();
@@ -168,8 +171,7 @@ impl MlApp for Lda {
 
         for t in 0..doc.words.len() {
             let w = doc.words[t];
-            let wk = params.get(self.word_key(w));
-            for (b, &x) in base.iter_mut().zip(wk.as_slice()) {
+            for (b, &x) in base.iter_mut().zip(params.row(self.word_key(w))) {
                 *b = f64::from(x);
             }
             let wd = word_deltas.entry(w).or_insert_with(|| vec![0.0; k_topics]);
@@ -201,16 +203,17 @@ impl MlApp for Lda {
             totals_now[k] += 1.0;
         }
 
-        let mut updates: Vec<(ParamKey, DenseVec)> = word_deltas
+        let mut changed: Vec<(u32, Vec<f32>)> = word_deltas
             .into_iter()
             .filter(|(_, d)| d.iter().any(|&x| x != 0.0))
-            .map(|(w, d)| (self.word_key(w), DenseVec::from(d)))
             .collect();
-        if delta_totals.iter().any(|&x| x != 0.0) {
-            updates.push((self.totals_key(), DenseVec::from(delta_totals)));
+        changed.sort_by_key(|(w, _)| *w);
+        for (w, d) in &changed {
+            params.add(self.word_key(*w), d);
         }
-        updates.sort_by_key(|(k, _)| *k);
-        updates
+        if delta_totals.iter().any(|&x| x != 0.0) {
+            params.add(self.totals_key(), &delta_totals);
+        }
     }
 
     /// Per-token negative log-likelihood of the corpus under the current
@@ -220,20 +223,19 @@ impl MlApp for Lda {
         let alpha = self.config.alpha;
         let beta = self.config.beta;
         let v = f64::from(self.config.vocab);
-        let totals = params.get(self.totals_key());
+        let totals = params.row(self.totals_key());
 
         let mut nll = 0.0f64;
         let mut tokens = 0usize;
         for doc in data {
             let doc_len: f64 = doc.doc_topics.iter().map(|&c| f64::from(c)).sum();
             for &w in &doc.words {
-                let wk = params.get(self.word_key(w));
+                let wk = params.row(self.word_key(w));
                 let mut p = 0.0f64;
                 for k in 0..k_topics {
                     let theta = (f64::from(doc.doc_topics[k]) + alpha)
                         / (doc_len + alpha * k_topics as f64);
-                    let phi = (f64::from(wk.as_slice()[k]) + beta)
-                        / (f64::from(totals.as_slice()[k]) + v * beta);
+                    let phi = (f64::from(wk[k]) + beta) / (f64::from(totals[k]) + v * beta);
                     p += theta * phi;
                 }
                 nll -= p.max(1e-300).ln();
@@ -251,48 +253,29 @@ impl MlApp for Lda {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_ps::PsValue;
+    use proteus_ps::{PartitionMap, WorkerCache};
     use proteus_simtime::rng::seeded;
-    use std::collections::HashMap;
 
-    struct MapReader(HashMap<ParamKey, DenseVec>, usize);
-
-    impl ParamReader for MapReader {
-        fn get(&self, key: ParamKey) -> DenseVec {
-            self.0
-                .get(&key)
-                .cloned()
-                .unwrap_or_else(|| DenseVec::zeros(self.1))
+    /// All-zero counts, every row reserved at the app's dimension.
+    fn zero_counts(app: &Lda) -> WorkerCache {
+        let mut params = WorkerCache::new(PartitionMap::new(1).expect("nonzero"));
+        for k in (0..app.key_count()).map(ParamKey) {
+            params.reserve(k, app.value_dim(k));
         }
+        params
     }
 
-    fn sweep(
-        app: &Lda,
-        docs: &mut [LdaDoc],
-        map: &mut HashMap<ParamKey, DenseVec>,
-        rng: &mut StdRng,
-    ) {
+    fn sweep(app: &Lda, docs: &mut [LdaDoc], params: &mut WorkerCache, rng: &mut StdRng) {
         for doc in docs.iter_mut() {
-            let reader = MapReader(map.clone(), app.config().topics);
-            for (k, d) in app.process(doc, &reader, rng) {
-                map.entry(k)
-                    .or_insert_with(|| DenseVec::zeros(app.config().topics))
-                    .merge(&d);
-            }
+            app.process(doc, &mut (), params, rng);
         }
     }
 
-    fn count_state(map: &HashMap<ParamKey, DenseVec>, app: &Lda) -> (Vec<f32>, f32) {
-        let totals = map
-            .get(&app.totals_key())
-            .cloned()
-            .unwrap_or_else(|| DenseVec::zeros(app.config().topics));
-        let word_sum: f32 = map
-            .iter()
-            .filter(|(k, _)| **k != app.totals_key())
-            .flat_map(|(_, v)| v.as_slice().iter().copied())
+    fn count_state(params: &WorkerCache, app: &Lda) -> (Vec<f32>, f32) {
+        let word_sum: f32 = (0..app.config().vocab)
+            .flat_map(|w| params.row(app.word_key(w)).iter().copied())
             .sum();
-        (totals.as_slice().to_vec(), word_sum)
+        (params.row(app.totals_key()).to_vec(), word_sum)
     }
 
     #[test]
@@ -307,11 +290,11 @@ mod tests {
             LdaDoc::new(vec![0, 1, 2, 3, 0, 1], 3),
             LdaDoc::new(vec![10, 11, 12, 10], 3),
         ];
-        let mut map = HashMap::new();
+        let mut params = zero_counts(&app);
         for _ in 0..5 {
-            sweep(&app, &mut docs, &mut map, &mut rng);
+            sweep(&app, &mut docs, &mut params, &mut rng);
         }
-        let (totals, word_sum) = count_state(&map, &app);
+        let (totals, word_sum) = count_state(&params, &app);
         let total_tokens: usize = docs.iter().map(|d| d.words.len()).sum();
         // Topic totals sum to the token count, and equal the sum over
         // word-topic counts.
@@ -349,9 +332,9 @@ mod tests {
             let words: Vec<u32> = (0..20).map(|j| 10 + (i + j) % 5).collect();
             docs.push(LdaDoc::new(words, 2));
         }
-        let mut map = HashMap::new();
+        let mut params = zero_counts(&app);
         for _ in 0..30 {
-            sweep(&app, &mut docs, &mut map, &mut rng);
+            sweep(&app, &mut docs, &mut params, &mut rng);
         }
         let dominant = |d: &LdaDoc| -> usize {
             d.doc_topics
@@ -384,13 +367,13 @@ mod tests {
                 LdaDoc::new((0..15).map(|j| base + j % 10).collect(), 3)
             })
             .collect();
-        let mut map = HashMap::new();
-        sweep(&app, &mut docs, &mut map, &mut rng);
-        let early = app.objective(&docs, &MapReader(map.clone(), 3));
+        let mut params = zero_counts(&app);
+        sweep(&app, &mut docs, &mut params, &mut rng);
+        let early = app.objective(&docs, &params);
         for _ in 0..20 {
-            sweep(&app, &mut docs, &mut map, &mut rng);
+            sweep(&app, &mut docs, &mut params, &mut rng);
         }
-        let late = app.objective(&docs, &MapReader(map, 3));
+        let late = app.objective(&docs, &params);
         assert!(
             late < early,
             "Gibbs sweeps should improve likelihood: {late} >= {early}"

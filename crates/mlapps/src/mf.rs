@@ -7,12 +7,12 @@
 //! L2 regularization. `L` rows occupy keys `0..rows` and `R` columns keys
 //! `rows..rows+cols`.
 
-use proteus_ps::{DenseVec, ParamKey};
+use proteus_ps::{kernels, DenseVec, ParamKey};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::app::{MlApp, ParamReader};
+use crate::app::{MlApp, ParamAccess, ParamReader};
 
 /// One observed matrix entry.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -84,14 +84,14 @@ impl MatrixFactorization {
 
     /// The prediction for one entry under the given parameters.
     pub fn predict(&self, row: u32, col: u32, params: &dyn ParamReader) -> f32 {
-        params
-            .get(self.row_key(row))
-            .dot(&params.get(self.col_key(col)))
+        kernels::dot(params.row(self.row_key(row)), params.row(self.col_key(col)))
     }
 }
 
 impl MlApp for MatrixFactorization {
     type Datum = Rating;
+    /// `L_i` then `R_j` as read, before either step lands.
+    type Scratch = Vec<f32>;
 
     fn key_count(&self) -> u64 {
         u64::from(self.config.rows) + u64::from(self.config.cols)
@@ -117,21 +117,25 @@ impl MlApp for MatrixFactorization {
     fn process(
         &self,
         datum: &mut Rating,
-        params: &dyn ParamReader,
+        read: &mut Vec<f32>,
+        params: &mut dyn ParamAccess,
         _rng: &mut StdRng,
-    ) -> Vec<(ParamKey, DenseVec)> {
-        let li = params.get(self.row_key(datum.row));
-        let rj = params.get(self.col_key(datum.col));
-        let err = li.dot(&rj) - datum.value;
+    ) {
+        let (row_key, col_key) = (self.row_key(datum.row), self.col_key(datum.col));
+        // Both steps are functions of the rows as read; the first one
+        // changes L_i under the second, so work from copies.
+        read.clear();
+        read.extend_from_slice(params.row(row_key));
+        read.extend_from_slice(params.row(col_key));
+        let (li, rj) = read.split_at(self.config.rank);
+        let err = kernels::dot(li, rj) - datum.value;
         let lr = self.config.learning_rate;
         let reg = self.config.reg;
 
-        // dL_i = -lr (err · R_j + reg · L_i), fused into one pass.
-        let dl = DenseVec::lincomb(-lr * err, &rj, -lr * reg, &li);
+        // dL_i = -lr (err · R_j + reg · L_i)
+        params.add_lincomb(row_key, -lr * err, rj, -lr * reg);
         // dR_j = -lr (err · L_i + reg · R_j)
-        let dr = DenseVec::lincomb(-lr * err, &li, -lr * reg, &rj);
-
-        vec![(self.row_key(datum.row), dl), (self.col_key(datum.col), dr)]
+        params.add_lincomb(col_key, -lr * err, li, -lr * reg);
     }
 
     fn objective(&self, data: &[Rating], params: &dyn ParamReader) -> f64 {
@@ -152,21 +156,11 @@ impl MlApp for MatrixFactorization {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proteus_ps::{PartitionMap, WorkerCache};
     use proteus_simtime::rng::seeded;
-    use std::collections::HashMap;
 
-    struct MapReader {
-        map: HashMap<ParamKey, DenseVec>,
-        dim: usize,
-    }
-
-    impl ParamReader for MapReader {
-        fn get(&self, key: ParamKey) -> DenseVec {
-            self.map
-                .get(&key)
-                .cloned()
-                .unwrap_or_else(|| DenseVec::zeros(self.dim))
-        }
+    fn empty_params() -> WorkerCache {
+        WorkerCache::new(PartitionMap::new(1).expect("nonzero"))
     }
 
     #[test]
@@ -198,31 +192,21 @@ mod tests {
             init_scale: 0.5,
         });
         let mut rng = seeded(1);
-        let mut map = HashMap::new();
-        map.insert(ParamKey(0), app.init_value(ParamKey(0), &mut rng));
-        map.insert(ParamKey(1), app.init_value(ParamKey(1), &mut rng));
+        let mut params = empty_params();
+        for k in [ParamKey(0), ParamKey(1)] {
+            params.refresh(k, app.init_value(k, &mut rng).as_slice());
+        }
         let mut datum = Rating {
             row: 0,
             col: 0,
             value: 1.0,
         };
 
+        let mut scratch = Vec::new();
         let mut last = f64::INFINITY;
         for _ in 0..200 {
-            let reader = MapReader {
-                map: map.clone(),
-                dim: 2,
-            };
-            let updates = app.process(&mut datum, &reader, &mut rng);
-            for (k, d) in updates {
-                use proteus_ps::PsValue;
-                map.get_mut(&k).unwrap().merge(&d);
-            }
-            let reader = MapReader {
-                map: map.clone(),
-                dim: 2,
-            };
-            let obj = app.objective(&[datum], &reader);
+            app.process(&mut datum, &mut scratch, &mut params, &mut rng);
+            let obj = app.objective(&[datum], &params);
             assert!(
                 obj <= last + 1e-6,
                 "objective must not increase: {obj} > {last}"
@@ -230,6 +214,33 @@ mod tests {
             last = obj;
         }
         assert!(last < 1e-3, "single entry should fit well, got {last}");
+    }
+
+    #[test]
+    fn both_steps_use_the_rows_as_read() {
+        // With reg = 0 the two deltas are err·R_j and err·L_i of the
+        // *old* rows; an in-place first step must not leak into the
+        // second.
+        let app = MatrixFactorization::new(MfConfig {
+            rows: 1,
+            cols: 1,
+            rank: 2,
+            learning_rate: 1.0,
+            reg: 0.0,
+            init_scale: 0.5,
+        });
+        let mut params = empty_params();
+        params.refresh(ParamKey(0), &[1.0, 2.0]);
+        params.refresh(ParamKey(1), &[3.0, 4.0]);
+        let mut datum = Rating {
+            row: 0,
+            col: 0,
+            value: 10.0,
+        };
+        // err = 1·3 + 2·4 − 10 = 1.
+        app.process(&mut datum, &mut Vec::new(), &mut params, &mut seeded(1));
+        assert_eq!(params.row(ParamKey(0)), &[1.0 - 3.0, 2.0 - 4.0]);
+        assert_eq!(params.row(ParamKey(1)), &[3.0 - 1.0, 4.0 - 2.0]);
     }
 
     #[test]
@@ -247,10 +258,6 @@ mod tests {
     #[test]
     fn objective_of_empty_dataset_is_zero() {
         let app = MatrixFactorization::new(MfConfig::default());
-        let reader = MapReader {
-            map: HashMap::new(),
-            dim: 8,
-        };
-        assert_eq!(app.objective(&[], &reader), 0.0);
+        assert_eq!(app.objective(&[], &empty_params()), 0.0);
     }
 }

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::app::{MlApp, ParamReader};
+use crate::app::{MlApp, ParamAccess, ParamReader};
 
 /// One labelled observation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -66,16 +66,26 @@ impl Mlr {
 
     /// Class probabilities for one example under the given parameters.
     pub fn softmax(&self, features: &[f32], params: &dyn ParamReader) -> Vec<f64> {
-        let logits: Vec<f64> = (0..self.config.classes)
-            .map(|k| {
-                let w = params.get(ParamKey(u64::from(k)));
-                f64::from(kernels::dot(w.as_slice(), features))
-            })
-            .collect();
-        let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
-        let sum: f64 = exps.iter().sum();
-        exps.into_iter().map(|e| e / sum).collect()
+        let mut probs = Vec::new();
+        self.softmax_into(features, params, &mut probs);
+        probs
+    }
+
+    /// [`Mlr::softmax`] into a caller-owned buffer.
+    fn softmax_into(&self, features: &[f32], params: &dyn ParamReader, probs: &mut Vec<f64>) {
+        probs.clear();
+        probs.extend((0..self.config.classes).map(|k| {
+            let w = params.row(ParamKey(u64::from(k)));
+            f64::from(kernels::dot(w, features))
+        }));
+        let max = probs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        for p in probs.iter_mut() {
+            *p = (*p - max).exp();
+        }
+        let sum: f64 = probs.iter().sum();
+        for p in probs.iter_mut() {
+            *p /= sum;
+        }
     }
 
     /// The predicted class (argmax probability).
@@ -92,6 +102,8 @@ impl Mlr {
 
 impl MlApp for Mlr {
     type Datum = Example;
+    /// The class probabilities of the datum in hand.
+    type Scratch = Vec<f64>;
 
     fn key_count(&self) -> u64 {
         u64::from(self.config.classes)
@@ -116,34 +128,37 @@ impl MlApp for Mlr {
     fn process(
         &self,
         datum: &mut Example,
-        params: &dyn ParamReader,
+        probs: &mut Vec<f64>,
+        params: &mut dyn ParamAccess,
         _rng: &mut StdRng,
-    ) -> Vec<(ParamKey, DenseVec)> {
-        let probs = self.softmax(&datum.features, params);
-        let x = DenseVec::from(datum.features.clone());
+    ) {
+        self.softmax_into(&datum.features, &*params, probs);
         let lr = self.config.learning_rate;
         let reg = self.config.reg;
-        (0..self.config.classes)
-            .map(|k| {
-                let key = ParamKey(u64::from(k));
-                let indicator = if k == datum.label { 1.0 } else { 0.0 };
-                // Gradient of cross-entropy: (p_k − 1{k=y}) x + reg·w_k,
-                // scaled by −lr — fused into one pass over the operands.
-                let coeff = (probs[k as usize] as f32) - indicator;
-                let d = DenseVec::lincomb(-lr * coeff, &x, -lr * reg, &params.get(key));
-                (key, d)
-            })
-            .collect()
+        for k in 0..self.config.classes {
+            let indicator = if k == datum.label { 1.0 } else { 0.0 };
+            // Gradient of cross-entropy: (p_k − 1{k=y}) x + reg·w_k,
+            // scaled by −lr. Each step reads only its own w_k, so the
+            // in-place order cannot matter.
+            let coeff = (probs[k as usize] as f32) - indicator;
+            params.add_lincomb(
+                ParamKey(u64::from(k)),
+                -lr * coeff,
+                &datum.features,
+                -lr * reg,
+            );
+        }
     }
 
     fn objective(&self, data: &[Example], params: &dyn ParamReader) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
+        let mut probs = Vec::new();
         let nll: f64 = data
             .iter()
             .map(|e| {
-                let probs = self.softmax(&e.features, params);
+                self.softmax_into(&e.features, params, &mut probs);
                 -(probs[e.label as usize].max(1e-12)).ln()
             })
             .sum();
@@ -154,19 +169,17 @@ impl MlApp for Mlr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_ps::PsValue;
+    use proteus_ps::{PartitionMap, WorkerCache};
     use proteus_simtime::rng::seeded;
-    use std::collections::HashMap;
 
-    struct MapReader(HashMap<ParamKey, DenseVec>, usize);
-
-    impl ParamReader for MapReader {
-        fn get(&self, key: ParamKey) -> DenseVec {
-            self.0
-                .get(&key)
-                .cloned()
-                .unwrap_or_else(|| DenseVec::zeros(self.1))
+    /// Parameters at the app's seeded initial values.
+    fn init_params(app: &Mlr, seed: u64) -> WorkerCache {
+        let mut rng = seeded(seed);
+        let mut params = WorkerCache::new(PartitionMap::new(1).expect("nonzero"));
+        for k in (0..app.key_count()).map(ParamKey) {
+            params.refresh(k, app.init_value(k, &mut rng).as_slice());
         }
+        params
     }
 
     fn two_blob_data() -> Vec<Example> {
@@ -206,8 +219,7 @@ mod tests {
             classes: 3,
             ..MlrConfig::default()
         });
-        let reader = MapReader(HashMap::new(), 2);
-        let p = app.softmax(&[0.3, -0.7], &reader);
+        let p = app.softmax(&[0.3, -0.7], &init_params(&app, 1));
         assert_eq!(p.len(), 3);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
@@ -221,24 +233,18 @@ mod tests {
             reg: 0.0,
         });
         let mut rng = seeded(3);
-        let mut map = HashMap::new();
-        for k in 0..2u64 {
-            map.insert(ParamKey(k), app.init_value(ParamKey(k), &mut rng));
-        }
+        let mut params = init_params(&app, 3);
         let mut data = two_blob_data();
+        let mut probs = Vec::new();
         for _ in 0..50 {
             for datum in &mut data {
-                let reader = MapReader(map.clone(), 2);
-                for (k, d) in app.process(datum, &reader, &mut rng) {
-                    map.get_mut(&k).unwrap().merge(&d);
-                }
+                app.process(datum, &mut probs, &mut params, &mut rng);
             }
         }
-        let reader = MapReader(map.clone(), 2);
         for e in &data {
-            assert_eq!(app.predict(&e.features, &reader), e.label);
+            assert_eq!(app.predict(&e.features, &params), e.label);
         }
-        assert!(app.objective(&data, &reader) < 0.2);
+        assert!(app.objective(&data, &params) < 0.2);
     }
 
     #[test]
@@ -265,21 +271,16 @@ mod tests {
             reg: 0.0,
         });
         let mut rng = seeded(4);
-        let mut map = HashMap::new();
-        for k in 0..2u64 {
-            map.insert(ParamKey(k), app.init_value(ParamKey(k), &mut rng));
-        }
+        let mut params = init_params(&app, 4);
         let mut data = two_blob_data();
-        let before = app.objective(&data, &MapReader(map.clone(), 2));
+        let before = app.objective(&data, &params);
+        let mut probs = Vec::new();
         for _ in 0..20 {
             for datum in &mut data {
-                let reader = MapReader(map.clone(), 2);
-                for (k, d) in app.process(datum, &reader, &mut rng) {
-                    map.get_mut(&k).unwrap().merge(&d);
-                }
+                app.process(datum, &mut probs, &mut params, &mut rng);
             }
         }
-        let after = app.objective(&data, &MapReader(map, 2));
+        let after = app.objective(&data, &params);
         assert!(
             after < before,
             "training should reduce loss: {after} >= {before}"

@@ -1,40 +1,28 @@
 //! A sequential reference trainer.
 //!
-//! Runs any [`MlApp`] single-threaded against a plain
-//! [`ShardStore`], with no networking, caching, elasticity, or staleness.
-//! This is the convergence oracle: the distributed AgileML runtime is
-//! validated by showing it reaches comparable objective values on the
-//! same data and seeds.
+//! Runs any [`MlApp`] single-threaded over one in-memory copy of the
+//! model, with no networking, elasticity, or staleness. This is the
+//! convergence oracle: the distributed AgileML runtime is validated by
+//! showing it reaches comparable objective values on the same data and
+//! seeds.
 
-use proteus_ps::{DenseVec, ParamKey, PartitionMap, ShardStore};
+use proteus_ps::{ParamKey, PartitionMap, WorkerCache};
 use proteus_simtime::rng::seeded_stream;
 use rand::rngs::StdRng;
 
 use crate::app::{MlApp, ParamReader};
 
-/// Single-threaded trainer over an in-memory shard.
+/// Single-threaded trainer over an in-memory model.
 pub struct SequentialTrainer<A: MlApp> {
     app: A,
-    store: ShardStore<DenseVec>,
+    /// The model, in the row store the distributed workers use (so both
+    /// runtimes run the same in-place `process`). Its write-back buffer
+    /// has no server to go to and is simply never flushed.
+    params: WorkerCache,
     data: Vec<A::Datum>,
+    scratch: A::Scratch,
     rng: StdRng,
     iterations_done: u64,
-}
-
-/// Reader over a `ShardStore` that falls back to a zero of the right
-/// dimension for unmaterialized keys.
-struct StoreReader<'a, A: MlApp> {
-    app: &'a A,
-    store: &'a ShardStore<DenseVec>,
-}
-
-impl<'a, A: MlApp> ParamReader for StoreReader<'a, A> {
-    fn get(&self, key: ParamKey) -> DenseVec {
-        self.store
-            .read(key)
-            .cloned()
-            .unwrap_or_else(|| DenseVec::zeros(self.app.value_dim(key)))
-    }
 }
 
 impl<A: MlApp> SequentialTrainer<A> {
@@ -44,17 +32,17 @@ impl<A: MlApp> SequentialTrainer<A> {
         // One partition is always a valid layout (only zero is rejected).
         #[allow(clippy::expect_used)]
         let layout = PartitionMap::new(1).expect("one partition is valid");
-        let mut store = ShardStore::new(layout);
+        let mut params = WorkerCache::new(layout);
         let mut init_rng = seeded_stream(seed, 1);
         for k in 0..app.key_count() {
             let key = ParamKey(k);
-            let v = app.init_value(key, &mut init_rng);
-            store.install(key, v);
+            params.refresh(key, app.init_value(key, &mut init_rng).as_slice());
         }
         SequentialTrainer {
             app,
-            store,
+            params,
             data,
+            scratch: A::Scratch::default(),
             rng: seeded_stream(seed, 2),
             iterations_done: 0,
         }
@@ -62,20 +50,10 @@ impl<A: MlApp> SequentialTrainer<A> {
 
     /// Runs one full pass over the data.
     pub fn run_iteration(&mut self) {
-        let mut data = std::mem::take(&mut self.data);
-        for datum in &mut data {
-            let updates = {
-                let reader = StoreReader {
-                    app: &self.app,
-                    store: &self.store,
-                };
-                self.app.process(datum, &reader, &mut self.rng)
-            };
-            for (k, d) in updates {
-                self.store.apply_update(k, &d);
-            }
+        for datum in &mut self.data {
+            self.app
+                .process(datum, &mut self.scratch, &mut self.params, &mut self.rng);
         }
-        self.data = data;
         self.iterations_done += 1;
     }
 
@@ -93,20 +71,12 @@ impl<A: MlApp> SequentialTrainer<A> {
 
     /// The current objective value over the training data.
     pub fn objective(&self) -> f64 {
-        let reader = StoreReader {
-            app: &self.app,
-            store: &self.store,
-        };
-        self.app.objective(&self.data, &reader)
+        self.app.objective(&self.data, &self.params)
     }
 
-    /// Reads one parameter (diagnostics/tests).
-    pub fn read_param(&self, key: ParamKey) -> DenseVec {
-        StoreReader {
-            app: &self.app,
-            store: &self.store,
-        }
-        .get(key)
+    /// The current model (diagnostics/tests).
+    pub fn params(&self) -> &dyn ParamReader {
+        &self.params
     }
 
     /// The application being trained.
@@ -184,10 +154,7 @@ mod tests {
         // Accuracy check on the training set.
         let correct = data
             .iter()
-            .filter(|e| {
-                let reader = |key: ParamKey| t.read_param(key);
-                t.app().predict(&e.features, &reader) == e.label
-            })
+            .filter(|e| t.app().predict(&e.features, t.params()) == e.label)
             .count();
         assert!(
             correct as f64 / data.len() as f64 > 0.9,
@@ -229,9 +196,6 @@ mod tests {
         a.run(3);
         b.run(3);
         assert_eq!(a.objective(), b.objective());
-        assert_eq!(
-            a.read_param(ParamKey(0)).as_slice(),
-            b.read_param(ParamKey(0)).as_slice()
-        );
+        assert_eq!(a.params().row(ParamKey(0)), b.params().row(ParamKey(0)));
     }
 }

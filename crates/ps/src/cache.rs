@@ -2,113 +2,254 @@
 //!
 //! To reduce cross-machine traffic, parameter-server implementations ship
 //! a worker-side library that caches parameter values and buffers updates
-//! (Sec. 2.1). Worker threads call `read` and `update`; updates apply to
+//! (Sec. 2.1). Worker threads read rows and add deltas; deltas apply to
 //! the local cached copy immediately (so the worker sees its own writes)
 //! and accumulate in a write-back buffer that is flushed to the server
 //! shards once per clock.
+//!
+//! # Layout: two flat slabs behind one index
+//!
+//! Every key the cache has seen owns a *slot*: the same `start..start +
+//! dim` range of two flat `f32` vectors, `cached` (server value as of the
+//! last refresh plus this worker's own unflushed deltas) and `buffer`
+//! (those unflushed deltas alone). Keys index a dense slot table (a hash
+//! spill takes keys past `ShardStore`'s dense limit), so the per-datum
+//! path is an array index and an in-place kernel — no hashing, no
+//! allocation.
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
 
+use crate::kernels;
 use crate::partition::{ParamKey, PartitionId, PartitionMap};
-use crate::value::PsValue;
+use crate::shard::DENSE_SLOT_LIMIT;
+use crate::value::DenseVec;
 
-/// A worker's local view of the parameter state.
+const NO_SLOT: usize = usize::MAX;
+
+/// One key's place in the slabs.
 #[derive(Debug, Clone)]
-pub struct WorkerCache<V> {
-    layout: PartitionMap,
-    /// Locally cached values (server value as of last refresh, plus this
-    /// worker's own buffered updates).
-    cached: HashMap<ParamKey, V>,
-    /// Coalesced updates not yet flushed to the servers.
-    buffer: HashMap<ParamKey, V>,
+struct Slot {
+    /// Destination partition, then key: the order `flush` emits in.
+    order: (PartitionId, ParamKey),
+    start: usize,
+    dim: usize,
+    /// Whether `cached` holds a value. A reserved row reads as zeros
+    /// until its first refresh or delta, which is *copied* in.
+    present: bool,
+    /// Whether `buffer` holds an unflushed delta (then `present` too).
+    dirty: bool,
 }
 
-impl<V: PsValue> WorkerCache<V> {
+/// A worker's local view of the parameter state. `V` is the value type
+/// [`WorkerCache::flush`] ships; the rows themselves are stored flat.
+#[derive(Debug, Clone)]
+pub struct WorkerCache<V = DenseVec> {
+    layout: PartitionMap,
+    /// `key → slot` for keys below `DENSE_SLOT_LIMIT`.
+    index: Vec<usize>,
+    /// `key → slot` for the rest.
+    spill: HashMap<u64, usize>,
+    slots: Vec<Slot>,
+    cached: Vec<f32>,
+    buffer: Vec<f32>,
+    /// Slots with `dirty` set, in first-touch order.
+    dirty: Vec<usize>,
+    _wire: PhantomData<fn() -> V>,
+}
+
+impl WorkerCache<DenseVec> {
     /// Creates an empty cache over the job's partition layout.
     pub fn new(layout: PartitionMap) -> Self {
         WorkerCache {
             layout,
-            cached: HashMap::new(),
-            buffer: HashMap::new(),
+            index: Vec::new(),
+            spill: HashMap::new(),
+            slots: Vec::new(),
+            cached: Vec::new(),
+            buffer: Vec::new(),
+            dirty: Vec::new(),
+            _wire: PhantomData,
         }
     }
 
-    /// Reads a parameter if cached.
-    pub fn read(&self, key: ParamKey) -> Option<&V> {
-        self.cached.get(&key)
+    fn slot(&self, key: ParamKey) -> Option<usize> {
+        let slot = if key.0 < DENSE_SLOT_LIMIT {
+            *self.index.get(key.0 as usize)?
+        } else {
+            *self.spill.get(&key.0)?
+        };
+        (slot != NO_SLOT).then_some(slot)
     }
 
-    /// Whether `key` is materialized locally.
-    pub fn contains(&self, key: ParamKey) -> bool {
-        self.cached.contains_key(&key)
+    fn slot_or_reserve(&mut self, key: ParamKey, dim: usize) -> usize {
+        if let Some(slot) = self.slot(key) {
+            return slot;
+        }
+        let slot = self.slots.len();
+        if key.0 < DENSE_SLOT_LIMIT {
+            let k = key.0 as usize;
+            if k >= self.index.len() {
+                self.index.resize(k + 1, NO_SLOT);
+            }
+            self.index[k] = slot;
+        } else {
+            self.spill.insert(key.0, slot);
+        }
+        let start = self.cached.len();
+        self.cached.resize(start + dim, 0.0);
+        self.buffer.resize(start + dim, 0.0);
+        self.slots.push(Slot {
+            order: (self.layout.partition_of(key), key),
+            start,
+            dim,
+            present: false,
+            dirty: false,
+        });
+        slot
+    }
+
+    /// Marks `slot` as holding a value and a pending delta; returns
+    /// whether it held each before.
+    fn touch(&mut self, slot: usize) -> (bool, bool) {
+        let s = &mut self.slots[slot];
+        let was = (s.present, s.dirty);
+        s.present = true;
+        if !s.dirty {
+            s.dirty = true;
+            self.dirty.push(slot);
+        }
+        was
+    }
+
+    /// The cached and buffered rows of `slot`.
+    fn rows_mut(&mut self, slot: usize) -> (&mut [f32], &mut [f32]) {
+        let s = &self.slots[slot];
+        let range = s.start..s.start + s.dim;
+        (&mut self.cached[range.clone()], &mut self.buffer[range])
+    }
+
+    /// Gives `key` a zero row of `dim` components without marking it
+    /// cached, so [`WorkerCache::row`] has a row of the right shape to
+    /// return before the first refresh. A key already seen is left alone.
+    pub fn reserve(&mut self, key: ParamKey, dim: usize) {
+        self.slot_or_reserve(key, dim);
+    }
+
+    /// The local view of `key`: its cached row, zeros for a key only
+    /// reserved so far, and the empty slice for a key never seen.
+    pub fn row(&self, key: ParamKey) -> &[f32] {
+        match self.slot(key) {
+            Some(slot) => {
+                let s = &self.slots[slot];
+                &self.cached[s.start..s.start + s.dim]
+            }
+            None => &[],
+        }
     }
 
     /// Applies an update: visible locally at once, buffered for write-back.
     ///
-    /// Unknown keys materialize as zero-plus-delta, mirroring
-    /// [`ShardStore::apply_update`](crate::ShardStore::apply_update).
-    pub fn update(&mut self, key: ParamKey, delta: &V) {
-        match self.cached.get_mut(&key) {
-            Some(v) => v.merge(delta),
-            None => {
-                self.cached.insert(key, delta.clone());
-            }
+    /// Unknown keys materialize as the delta itself, mirroring
+    /// [`ShardStore::apply_update`](crate::ShardStore::apply_update); so
+    /// does the first delta buffered since a flush — copied, not added
+    /// to zero, so a `-0.0` component reaches the server as `-0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delta`'s dimension differs from the key's row.
+    pub fn update(&mut self, key: ParamKey, delta: &(impl AsRef<[f32]> + ?Sized)) {
+        let delta = delta.as_ref();
+        let slot = self.slot_or_reserve(key, delta.len());
+        let (was_present, was_dirty) = self.touch(slot);
+        let (row, acc) = self.rows_mut(slot);
+        if was_present {
+            kernels::add_assign(row, delta);
+        } else {
+            row.copy_from_slice(delta);
         }
-        match self.buffer.get_mut(&key) {
-            Some(b) => b.merge(delta),
-            None => {
-                self.buffer.insert(key, delta.clone());
+        if was_dirty {
+            kernels::add_assign(acc, delta);
+        } else {
+            acc.copy_from_slice(delta);
+        }
+    }
+
+    /// [`WorkerCache::update`] with the delta `s·x + t·row(key)`, fused:
+    /// the SGD step every bundled gradient app emits, with no temporary
+    /// row. Bit-identical to computing that delta with
+    /// [`kernels::lincomb`] and passing it to `update`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x`'s dimension differs from the key's row.
+    pub fn add_lincomb(&mut self, key: ParamKey, s: f32, x: &[f32], t: f32) {
+        let slot = self.slot_or_reserve(key, x.len());
+        let (was_present, was_dirty) = self.touch(slot);
+        let (row, acc) = self.rows_mut(slot);
+        if was_dirty {
+            kernels::lincomb_step(row, acc, s, x, t);
+        } else {
+            kernels::lincomb(acc, s, x, t, row);
+            if was_present {
+                kernels::add_assign(row, acc);
+            } else {
+                row.copy_from_slice(acc);
             }
         }
     }
 
     /// Installs a fresh server value, *preserving* any still-buffered local
     /// updates on top (so the worker continues to see its own writes).
-    pub fn refresh(&mut self, key: ParamKey, mut server_value: V) {
-        if let Some(pending) = self.buffer.get(&key) {
-            server_value.merge(pending);
+    ///
+    /// # Panics
+    ///
+    /// Panics if `server_row`'s dimension differs from the key's row.
+    pub fn refresh(&mut self, key: ParamKey, server_row: &[f32]) {
+        let slot = self.slot_or_reserve(key, server_row.len());
+        self.slots[slot].present = true;
+        let dirty = self.slots[slot].dirty;
+        let (row, acc) = self.rows_mut(slot);
+        row.copy_from_slice(server_row);
+        if dirty {
+            kernels::add_assign(row, acc);
         }
-        self.cached.insert(key, server_value);
     }
 
     /// Drains the write-back buffer, grouped by destination partition and
     /// sorted by key within each group.
-    pub fn flush(&mut self) -> Vec<(PartitionId, Vec<(ParamKey, V)>)> {
-        let mut grouped: HashMap<PartitionId, Vec<(ParamKey, V)>> = HashMap::new();
-        for (k, v) in self.buffer.drain() {
-            grouped
-                .entry(self.layout.partition_of(k))
-                .or_default()
-                .push((k, v));
+    pub fn flush(&mut self) -> Vec<(PartitionId, Vec<(ParamKey, DenseVec)>)> {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable_by_key(|&slot| self.slots[slot].order);
+        let mut out: Vec<(PartitionId, Vec<(ParamKey, DenseVec)>)> = Vec::new();
+        for slot in dirty.drain(..) {
+            let s = &mut self.slots[slot];
+            s.dirty = false;
+            let (partition, key) = s.order;
+            let delta = DenseVec::from(self.buffer[s.start..s.start + s.dim].to_vec());
+            match out.last_mut() {
+                Some((p, batch)) if *p == partition => batch.push((key, delta)),
+                _ => out.push((partition, vec![(key, delta)])),
+            }
         }
-        let mut out: Vec<(PartitionId, Vec<(ParamKey, V)>)> = grouped.into_iter().collect();
-        for (_, batch) in &mut out {
-            batch.sort_by_key(|(k, _)| *k);
-        }
-        out.sort_by_key(|(p, _)| *p);
+        self.dirty = dirty; // Emptied; handed back for its allocation.
         out
     }
 
     /// Whether unflushed updates exist.
     pub fn has_pending(&self) -> bool {
-        !self.buffer.is_empty()
+        !self.dirty.is_empty()
     }
 
     /// Drops all cached values and pending updates (used when a worker's
     /// assignment is rolled back to a recovered snapshot).
     pub fn clear(&mut self) {
+        self.index.clear();
+        self.spill.clear();
+        self.slots.clear();
         self.cached.clear();
         self.buffer.clear();
-    }
-
-    /// Number of cached keys.
-    pub fn len(&self) -> usize {
-        self.cached.len()
-    }
-
-    /// Whether the cache holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.cached.is_empty()
+        self.dirty.clear();
     }
 }
 
@@ -130,21 +271,21 @@ mod tests {
     #[test]
     fn worker_sees_own_writes_immediately() {
         let mut c = cache(2);
-        c.refresh(ParamKey(0), dv(&[1.0]));
+        c.refresh(ParamKey(0), &[1.0]);
         c.update(ParamKey(0), &dv(&[0.5]));
-        assert_eq!(c.read(ParamKey(0)).unwrap().as_slice(), &[1.5]);
+        assert_eq!(c.row(ParamKey(0)), &[1.5]);
         assert!(c.has_pending());
     }
 
     #[test]
     fn refresh_preserves_pending_local_updates() {
         let mut c = cache(2);
-        c.refresh(ParamKey(0), dv(&[1.0]));
+        c.refresh(ParamKey(0), &[1.0]);
         c.update(ParamKey(0), &dv(&[10.0]));
         // Server meanwhile advanced to 5.0 (others' updates included).
-        c.refresh(ParamKey(0), dv(&[5.0]));
+        c.refresh(ParamKey(0), &[5.0]);
         // Local view = fresh server value + our unflushed delta.
-        assert_eq!(c.read(ParamKey(0)).unwrap().as_slice(), &[15.0]);
+        assert_eq!(c.row(ParamKey(0)), &[15.0]);
     }
 
     #[test]
@@ -167,9 +308,19 @@ mod tests {
         let mut c = cache(2);
         c.update(ParamKey(0), &dv(&[1.0]));
         c.clear();
-        assert!(c.is_empty());
         assert!(!c.has_pending());
-        assert!(!c.contains(ParamKey(0)));
+        assert!(c.row(ParamKey(0)).is_empty());
+    }
+
+    #[test]
+    fn reserved_rows_read_as_zeros_until_touched() {
+        let mut c = cache(2);
+        c.reserve(ParamKey(3), 2);
+        assert_eq!(c.row(ParamKey(3)), &[0.0, 0.0]);
+        assert!(!c.has_pending());
+        // The first delta is copied in, sign of zero included.
+        c.update(ParamKey(3), &[-0.0, 1.0]);
+        assert_eq!(c.row(ParamKey(3))[0].to_bits(), (-0.0f32).to_bits());
     }
 
     proptest! {

@@ -1,21 +1,22 @@
 //! Explicit-width chunked slice kernels for the dense hot paths.
 //!
-//! Every routine walks its operands in fixed-width chunks (`LANES`
-//! elements) with an index loop whose bound is a compile-time constant,
+//! Every routine but `lincomb_step` (see there) walks its operands in
+//! fixed-width chunks (`LANES` elements) with an index loop whose
+//! bound is a compile-time constant,
 //! which is the shape LLVM reliably turns into packed SIMD (`f32x8` on
 //! AVX2, two `f32x4` ops on NEON/SSE) on stable Rust — no nightly
 //! features, no intrinsics, no `unsafe`. The scalar remainder handles
 //! the final `len % LANES` elements.
 //!
-//! Element-wise kernels (`add_assign`, `axpy`, `scale`, `lincomb`)
-//! compute bit-identical results to their scalar loops: each output
-//! lane depends only on the same input lane, so chunking changes
-//! nothing about rounding. Reductions (`dot`, `norm_sq`, `dist_sq`)
-//! use `LANES` parallel accumulators folded with a fixed pairwise tree,
-//! which *does* reorder the floating-point sum relative to a sequential
-//! fold — deterministically, the same way on every run and thread
-//! count, so simulation reproducibility is preserved even though the
-//! low bits differ from a naive loop.
+//! Element-wise kernels (`add_assign`, `axpy`, `scale`, `lincomb`,
+//! `lincomb_step`) compute bit-identical results to their scalar
+//! loops: each output lane depends only on the same input lane, so
+//! chunking changes nothing about rounding. Reductions (`dot`,
+//! `norm_sq`, `dist_sq`) use `LANES` parallel accumulators folded with
+//! a fixed pairwise tree, which *does* reorder the floating-point sum
+//! relative to a sequential fold — deterministically, the same way on
+//! every run and thread count, so simulation reproducibility is
+//! preserved even though the low bits differ from a naive loop.
 
 /// Chunk width for `f32` kernels: 8 lanes = one AVX2 register.
 const LANES: usize = 8;
@@ -71,35 +72,53 @@ pub fn scale(a: &mut [f32], s: f32) {
     }
 }
 
-/// The fused linear combination `out[i] = s * x[i] + t * y[i]`,
-/// returning a fresh vector — one pass where `clone` + `scale` + `axpy`
-/// would take three.
+/// The fused linear combination `out[i] = s * x[i] + t * y[i]`, written
+/// into `out` — one pass where `clone` + `scale` + `axpy` would take
+/// three, and no temporary.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-pub fn lincomb(s: f32, x: &[f32], t: f32, y: &[f32]) -> Vec<f32> {
+pub fn lincomb(out: &mut [f32], s: f32, x: &[f32], t: f32, y: &[f32]) {
     assert_eq!(x.len(), y.len(), "length mismatch in lincomb");
-    let mut out = vec![0.0f32; x.len()];
-    {
-        let mut co = out.chunks_exact_mut(LANES);
-        let mut cx = x.chunks_exact(LANES);
-        let mut cy = y.chunks_exact(LANES);
-        for ((xo, xx), xy) in co.by_ref().zip(cx.by_ref()).zip(cy.by_ref()) {
-            for i in 0..LANES {
-                xo[i] = s * xx[i] + t * xy[i];
-            }
-        }
-        for ((o, xv), yv) in co
-            .into_remainder()
-            .iter_mut()
-            .zip(cx.remainder())
-            .zip(cy.remainder())
-        {
-            *o = s * xv + t * yv;
+    assert_eq!(out.len(), x.len(), "length mismatch in lincomb");
+    let mut co = out.chunks_exact_mut(LANES);
+    let mut cx = x.chunks_exact(LANES);
+    let mut cy = y.chunks_exact(LANES);
+    for ((xo, xx), xy) in co.by_ref().zip(cx.by_ref()).zip(cy.by_ref()) {
+        for i in 0..LANES {
+            xo[i] = s * xx[i] + t * xy[i];
         }
     }
-    out
+    for ((o, xv), yv) in co
+        .into_remainder()
+        .iter_mut()
+        .zip(cx.remainder())
+        .zip(cy.remainder())
+    {
+        *o = s * xv + t * yv;
+    }
+}
+
+/// The in-place SGD step: with `d[i] = s * x[i] + t * row[i]`, adds `d`
+/// to both `row` and `acc` in one pass. Bit-identical to [`lincomb`]
+/// into a temporary followed by two [`add_assign`]s.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn lincomb_step(row: &mut [f32], acc: &mut [f32], s: f32, x: &[f32], t: f32) {
+    assert_eq!(row.len(), x.len(), "length mismatch in lincomb_step");
+    assert_eq!(acc.len(), x.len(), "length mismatch in lincomb_step");
+    // Not chunked like its neighbours: with two read-modify-write
+    // streams LLVM vectorizes the chunked shape *across* chunks,
+    // gathering lanes one scalar load at a time (3x slower at 512
+    // wide); the plain zip becomes straight packed loads and stores.
+    for ((r, a), xv) in row.iter_mut().zip(acc.iter_mut()).zip(x) {
+        let d = s * xv + t * *r;
+        *r += d;
+        *a += d;
+    }
 }
 
 /// Folds `LANES` partial accumulators with a fixed pairwise tree so the
@@ -210,9 +229,24 @@ mod tests {
         let expect: Vec<f32> = a0.iter().map(|x| x * -1.5).collect();
         assert_eq!(a, expect, "scale must be bit-identical to scalar");
 
-        let out = lincomb(0.5, &a0, -2.0, &b);
+        let mut out = vec![0.0f32; 19];
+        lincomb(&mut out, 0.5, &a0, -2.0, &b);
         let expect: Vec<f32> = a0.iter().zip(&b).map(|(x, y)| 0.5 * x + -2.0 * y).collect();
         assert_eq!(out, expect, "lincomb must be bit-identical to scalar");
+
+        // The fused step equals lincomb into a temporary + two adds.
+        let (mut row, mut acc) = (a0.clone(), b.clone());
+        lincomb_step(&mut row, &mut acc, 0.5, &b, -2.0);
+        let mut d = vec![0.0f32; 19];
+        lincomb(&mut d, 0.5, &b, -2.0, &a0);
+        let (mut row2, mut acc2) = (a0.clone(), b.clone());
+        add_assign(&mut row2, &d);
+        add_assign(&mut acc2, &d);
+        assert_eq!(
+            (row, acc),
+            (row2, acc2),
+            "lincomb_step must equal its parts"
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::value::PsValue;
 /// beyond ~4 billion × partition-count, which no bundled app produces)
 /// spill to a hash map so arbitrary `u64` keys still work without
 /// unbounded allocation.
-const DENSE_SLOT_LIMIT: u64 = 1 << 22;
+pub(crate) const DENSE_SLOT_LIMIT: u64 = 1 << 22;
 
 /// Dense-first storage for one partition: a slot-indexed vector with a
 /// hash spill for slots past [`DENSE_SLOT_LIMIT`].

@@ -105,17 +105,6 @@ impl DenseVec {
         kernels::scale(Arc::make_mut(&mut self.0).as_mut_slice(), factor);
     }
 
-    /// The fused linear combination `s * x + t * y` as a fresh vector —
-    /// one pass over the operands where `clone` + `scale` + `axpy`
-    /// would take three.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn lincomb(s: f32, x: &DenseVec, t: f32, y: &DenseVec) -> DenseVec {
-        DenseVec(Arc::new(kernels::lincomb(s, &x.0, t, &y.0)))
-    }
-
     /// The dot product with another vector.
     ///
     /// # Panics
@@ -134,6 +123,12 @@ impl DenseVec {
 impl From<Vec<f32>> for DenseVec {
     fn from(v: Vec<f32>) -> Self {
         DenseVec(Arc::new(v))
+    }
+}
+
+impl AsRef<[f32]> for DenseVec {
+    fn as_ref(&self) -> &[f32] {
+        &self.0
     }
 }
 
@@ -190,14 +185,6 @@ mod tests {
         assert_eq!(a.as_slice(), &[7.0, 10.0]);
         assert_eq!(a.dot(&b), 61.0);
         assert_eq!(b.norm_sq(), 25.0);
-    }
-
-    #[test]
-    fn lincomb_fuses_scale_and_axpy() {
-        let x = DenseVec::from(vec![1.0, 2.0, 3.0]);
-        let y = DenseVec::from(vec![10.0, 20.0, 30.0]);
-        let z = DenseVec::lincomb(2.0, &x, 0.5, &y);
-        assert_eq!(z.as_slice(), &[7.0, 14.0, 21.0]);
     }
 
     #[test]

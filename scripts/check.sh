@@ -13,18 +13,17 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
-# Bounded fault-injection pass: one fixed seed keeps the wall-clock cost
+# The three training-path crates, which root `cargo test -q` does not
+# reach: ps (slab cache vs hash-map model, batch and snapshot
+# properties), mlapps (sequential goldens, allocation guard) and
+# agileml (one-worker goldens, elasticity, and the chaos, predrain and
+# reliable-tier chaos suites). One fixed seed keeps the wall-clock cost
 # small; nightly/deep runs set PROTEUS_CHAOS_FULL=1 instead.
-echo "==> chaos suite (fixed seed)"
-PROTEUS_CHAOS_SEEDS=3 cargo test -q -p proteus-agileml --test chaos
+echo "==> ps + mlapps + agileml crate tests + chaos suites (fixed seed)"
+PROTEUS_CHAOS_SEEDS=3 cargo test -q -p proteus-ps -p proteus-mlapps -p proteus-agileml
 
 echo "==> market chaos suite (fixed seed)"
 PROTEUS_CHAOS_SEEDS=3 cargo test -q -p proteus --test market_chaos
-
-# Reliable-tier chaos: one fixed seed bounds the wall clock like the
-# other chaos passes; PROTEUS_CHAOS_FULL=1 widens the sweep nightly.
-echo "==> reliable-tier chaos suite (fixed seed)"
-PROTEUS_CHAOS_SEEDS=3 cargo test -q -p proteus-agileml --test reliable_chaos
 
 # The whole fleet crate, which root `cargo test -q` does not reach:
 # unit tests, fairness, gang billing, thread-count determinism, the
@@ -39,6 +38,14 @@ PROTEUS_CHAOS_SEEDS=3 cargo test -q -p proteus-fleet
 # seed sweep: each run is already a full kill-and-relaunch).
 echo "==> restart-from-checkpoint chaos suite"
 cargo test -q -p proteus --test restart_chaos
+
+# benchmark/ is a package of its own that a gain-claiming change may not
+# edit, and the micro-benches are no test target: build both, so a
+# public-API change that breaks either fails here and not at the next
+# benchmark run.
+echo "==> benchmark/ and micro-benches still build"
+cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
+cargo bench -q -p proteus-bench --bench micro --no-run
 
 # Library crates report through the obs recorder, not stdout. The only
 # allowed direct prints are doc-comment examples and the two
