@@ -201,30 +201,42 @@ fn bench_bidbrain(c: &mut Criterion) {
         });
     });
 
+    // The cost study's decision shape: every paper market trained, the
+    // serving-only on-demand tier plus three spot holdings, and a core
+    // target the footprint has not reached — so the sweep runs (eight
+    // markets × nine deltas) rather than returning early.
+    let keys = catalog::paper_markets();
+    let traces = gen.generate_set(&keys, horizon);
     let mut est = BetaEstimator::new();
-    est.train(
-        market_key(),
-        &trace,
-        SimTime::EPOCH,
-        SimTime::EPOCH + horizon,
-        SimDuration::from_mins(60),
-        &BetaEstimator::default_deltas(),
+    for k in &keys {
+        est.train(
+            *k,
+            traces.get(k).expect("generated"),
+            SimTime::EPOCH,
+            SimTime::EPOCH + horizon,
+            SimDuration::from_mins(60),
+            &BetaEstimator::default_deltas(),
+        );
+    }
+    let brain = BidBrain::new(
+        AppParams::default(),
+        est,
+        BidBrainConfig {
+            target_cores: 1_536,
+            ..BidBrainConfig::default()
+        },
     );
-    let brain = BidBrain::new(AppParams::default(), est, BidBrainConfig::default());
-    let footprint: Vec<AllocView> = (0..6)
-        .map(|i| AllocView {
-            market: market_key(),
-            count: 16,
-            hourly_price: 0.05 + 0.001 * f64::from(i),
+    let footprint: Vec<AllocView> = std::iter::once(AllocView::on_demand(keys[0], 3, 0.0))
+        .chain([1usize, 2, 5].into_iter().map(|i| AllocView {
+            market: keys[i],
+            count: 64,
+            hourly_price: 0.05 + 0.001 * i as f64,
             bid_delta: Some(0.01),
             time_remaining: SimDuration::from_mins(40),
-            work_rate: 4.0,
-        })
+            work_rate: f64::from(keys[i].instance_type().vcpus),
+        }))
         .collect();
-    let prices: Vec<(MarketKey, f64)> = catalog::paper_markets()
-        .into_iter()
-        .map(|m| (m, 0.05))
-        .collect();
+    let prices: Vec<(MarketKey, f64)> = keys.iter().map(|m| (*m, 0.05)).collect();
     c.bench_function("bidbrain/consider_acquisition_8_markets", |b| {
         b.iter(|| {
             black_box(brain.consider_acquisition(
@@ -233,6 +245,9 @@ fn bench_bidbrain(c: &mut Criterion) {
                 SimTime::EPOCH,
             ))
         });
+    });
+    c.bench_function("bidbrain/evaluate_4_allocs", |b| {
+        b.iter(|| black_box(brain.evaluate(black_box(&footprint), false)));
     });
 }
 

@@ -2,9 +2,10 @@
 //! the paper-scale four-scheme comparison, verifying the parallel path
 //! is a pure speedup (identical results) and recording the numbers in
 //! `BENCH_costsim.json` — plus an observability overhead comparison
-//! (recorder attached vs detached, best-of-2) written to
-//! `BENCH_obs.json`, guarding the "< 5% when on, free when off"
-//! contract.
+//! (recorder attached vs detached, interleaved best-of-5) written to
+//! `BENCH_obs.json`, guarding the "cheap when on, free when off"
+//! contract as wall nanoseconds per recorded event against the budget
+//! written beside it.
 //!
 //! ```text
 //! cargo run --release -p proteus-bench --bin bench_costsim
@@ -16,6 +17,10 @@ use std::time::Instant;
 use proteus_bench::header;
 use proteus_costsim::{StudyConfig, StudyEnv, StudyExecutor};
 use proteus_market::MarketModel;
+
+/// Wall nanoseconds one recorded event may add to a study (see the
+/// gate's comment in `main`).
+const OBS_BUDGET_NS_PER_EVENT: f64 = 150.0;
 
 fn main() {
     header("BENCH", "cost-study engine: serial vs parallel");
@@ -118,15 +123,29 @@ fn main() {
     }
     let export_secs = t2.elapsed().as_secs_f64();
     let events = jsonl.lines().count();
-    let overhead_pct = 100.0 * (on_secs - off_secs).max(0.0) / off_secs.max(1e-9);
-    println!("obs off  : {obs_runs} runs (20h jobs) in {off_secs:.2}s (best of 5)");
-    println!("obs on   : {obs_runs} runs (20h jobs) in {on_secs:.2}s (best of 5, {events} events)");
-    println!("overhead : {overhead_pct:.2}%  (+ one-shot JSONL export: {export_secs:.3}s)");
+    let overhead_secs = (on_secs - off_secs).max(0.0);
+    let overhead_pct = 100.0 * overhead_secs / off_secs.max(1e-9);
+    // The gate is absolute. As a share of the study's wall clock the
+    // same recording cost reads 3 % of a 0.07 s study and 10 % of a
+    // 0.025 s one, so the share fails whenever the simulation it
+    // instruments gets faster. A record is one lock and one push
+    // (~70 ns, `obs.record_ns_per_event` in `benchmark/`); the budget
+    // is about twice that, so a format or an allocation per event
+    // still fails it.
+    let ns_per_event = overhead_secs * 1e9 / events.max(1) as f64;
+    println!("obs off  : {obs_runs} runs (20h jobs) in {off_secs:.3}s (best of 5)");
+    println!("obs on   : {obs_runs} runs (20h jobs) in {on_secs:.3}s (best of 5, {events} events)");
+    println!(
+        "overhead : {ns_per_event:.1} ns/event (budget {OBS_BUDGET_NS_PER_EVENT}), \
+         {overhead_pct:.2}% of this study  (+ one-shot JSONL export: {export_secs:.3}s)"
+    );
 
     let json = format!(
         "{{\n  \"runs\": {obs_runs},\n  \"job_hours\": 20.0,\n  \
          \"obs_off_secs\": {off_secs:.3},\n  \
          \"obs_on_secs\": {on_secs:.3},\n  \"overhead_pct\": {overhead_pct:.2},\n  \
+         \"ns_per_event\": {ns_per_event:.1},\n  \
+         \"budget_ns_per_event\": {OBS_BUDGET_NS_PER_EVENT:.1},\n  \
          \"export_secs\": {export_secs:.3},\n  \
          \"events\": {events},\n  \"passive\": {passive}\n}}\n"
     );

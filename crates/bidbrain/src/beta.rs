@@ -81,6 +81,10 @@ impl BetaTable {
     }
 }
 
+/// `(β, median time-to-eviction)` assumed for a market with no trained
+/// table: a coin flip, half an hour in.
+const UNTRAINED: (f64, SimDuration) = (0.5, SimDuration::from_mins(30));
+
 /// Builds β tables per market by replaying historical traces.
 #[derive(Debug, Clone, Default)]
 pub struct BetaEstimator {
@@ -168,15 +172,22 @@ impl BetaEstimator {
     /// β for `market` at `delta`; conservative default (0.5) for
     /// untrained markets.
     pub fn beta(&self, market: MarketKey, delta: f64) -> f64 {
-        self.tables.get(&market).map_or(0.5, |t| t.beta(delta))
+        self.table(market).map_or(UNTRAINED.0, |t| t.beta(delta))
     }
 
     /// Median time-to-eviction for `market` at `delta`; half an hour for
     /// untrained markets.
     pub fn median_tte(&self, market: MarketKey, delta: f64) -> SimDuration {
-        self.tables
-            .get(&market)
-            .map_or(SimDuration::from_mins(30), |t| t.median_tte(delta))
+        self.table(market)
+            .map_or(UNTRAINED.1, |t| t.median_tte(delta))
+    }
+
+    /// `(β, median time-to-eviction)` at `delta` in an already resolved
+    /// [`table`](Self::table) — the untrained defaults for `None` — so
+    /// a caller sweeping many deltas of one market pays the market
+    /// lookup once.
+    pub fn point(table: Option<&BetaTable>, delta: f64) -> (f64, SimDuration) {
+        table.map_or(UNTRAINED, |t| (t.beta(delta), t.median_tte(delta)))
     }
 
     /// The trained table for `market`, if any.

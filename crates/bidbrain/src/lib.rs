@@ -43,5 +43,5 @@ pub use forecast::{
 };
 pub use objective::Objective;
 pub use params::AppParams;
-pub use policy::{AllocView, AllocationRequest, BidBrain, BidBrainConfig, FootprintEval};
+pub use policy::{AllocView, AllocationRequest, BidBrain, BidBrainConfig, Expiring, FootprintEval};
 pub use standard::StandardStrategy;

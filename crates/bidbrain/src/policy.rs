@@ -1,12 +1,12 @@
 //! BidBrain's cost-per-work objective and allocation decisions
 //! (Eqs. 1–4 of the paper).
 
-use proteus_market::MarketKey;
+use proteus_market::{AllocationId, MarketKey};
 use proteus_obs::{BidEvent, Event, Recorder};
 use proteus_simtime::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::beta::BetaEstimator;
+use crate::beta::{BetaEstimator, BetaTable};
 use crate::objective::Objective;
 use crate::params::AppParams;
 
@@ -80,6 +80,23 @@ pub struct AllocationRequest {
     pub delta: f64,
 }
 
+/// A spot holding whose billing hour is about to end: renew or release.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Expiring {
+    /// The allocation in question.
+    pub id: AllocationId,
+    /// Its market.
+    pub market: MarketKey,
+    /// Instance count.
+    pub count: u32,
+    /// Its immutable bid per instance-hour.
+    pub bid: f64,
+    /// The market price now — what the next hour would be billed at.
+    pub renew_price: f64,
+    /// Time left in the current billing hour.
+    pub time_remaining: SimDuration,
+}
+
 /// Tuning knobs for the decision policy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BidBrainConfig {
@@ -107,6 +124,38 @@ impl Default for BidBrainConfig {
             objective: Objective::CostPerWork,
         }
     }
+}
+
+/// One allocation's share of Eqs. 1–3 that depends on nothing but the
+/// allocation itself.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    /// `1 − β`.
+    survive: f64,
+    /// Its Eq. 1 summand.
+    cost: f64,
+    /// `ω`: expected useful hours.
+    omega: f64,
+    /// Instance count `k`.
+    count: f64,
+    /// Work per instance-hour `ν`.
+    work_rate: f64,
+    /// `k ·` vCPUs.
+    cores: f64,
+}
+
+/// A standing footprint's [`Term`]s with their running survival
+/// product, cost sum and core sum, and λ and σ in hours: everything in
+/// Eqs. 1–3 that one more allocation cannot change. Built once per
+/// decision and dropped with it.
+#[derive(Debug)]
+struct Terms {
+    each: Vec<Term>,
+    survive: f64,
+    cost: f64,
+    cores: f64,
+    lambda: f64,
+    sigma: f64,
 }
 
 /// The allocation policy engine.
@@ -152,11 +201,81 @@ impl<'a> BidBrain<'a> {
         &self.config
     }
 
-    /// β for one allocation view.
-    fn beta_of(&self, a: &AllocView) -> f64 {
-        match a.bid_delta {
-            None => 0.0,
-            Some(delta) => self.beta.beta(a.market, delta),
+    /// The part of Eqs. 1–3 that `a` contributes whatever else is held:
+    /// `1 − β`, its Eq. 1 cost and `ω`. `table` is `a`'s market's β
+    /// table, resolved by the caller.
+    fn term(&self, a: &AllocView, table: Option<&BetaTable>) -> Term {
+        let tr = a.time_remaining.as_hours_f64();
+        // ωᵢ: expected useful time, shortened to the median eviction
+        // time when eviction is the likely outcome.
+        let (beta, tte) = match a.bid_delta {
+            None => (0.0, a.time_remaining),
+            Some(delta) => {
+                let (beta, tte) = BetaEstimator::point(table, delta);
+                (beta, tte.min(a.time_remaining))
+            }
+        };
+        let count = f64::from(a.count);
+        Term {
+            survive: 1.0 - beta,
+            // Eq. 1: evicted hours are refunded, so only the survival
+            // branch costs money.
+            cost: (1.0 - beta) * a.hourly_price * count * tr,
+            omega: (1.0 - beta) * tr + beta * tte.as_hours_f64(),
+            count,
+            work_rate: a.work_rate,
+            cores: count * f64::from(a.market.instance_type().vcpus),
+        }
+    }
+
+    /// The candidate-independent half of an evaluation: every
+    /// allocation's [`Term`], folded in footprint order.
+    fn terms(&self, footprint: &[AllocView]) -> Terms {
+        let mut terms = Terms {
+            each: Vec::with_capacity(footprint.len()),
+            survive: 1.0,
+            cost: 0.0,
+            cores: 0.0,
+            lambda: self.params.lambda.as_hours_f64(),
+            sigma: self.params.sigma.as_hours_f64(),
+        };
+        for a in footprint {
+            let t = self.term(a, self.beta.table(a.market));
+            terms.survive *= t.survive;
+            terms.cost += t.cost;
+            terms.cores += t.cores;
+            terms.each.push(t);
+        }
+        terms
+    }
+
+    /// Finishes an evaluation of `terms` plus an optional `candidate`,
+    /// folded in **last** — the order [`evaluate`](Self::evaluate)
+    /// walks a footprint that ends in the candidate, so both produce
+    /// the same bits. `phi` is Eq. 3's φ at the combined core count.
+    fn finish(
+        &self,
+        terms: &Terms,
+        candidate: Option<&Term>,
+        phi: f64,
+        changing: bool,
+    ) -> FootprintEval {
+        // Group eviction probability: 1 − Π(1 − βj).
+        let survive_all = candidate.map_or(terms.survive, |c| terms.survive * c.survive);
+        let p_any_eviction = 1.0 - survive_all;
+        let mut raw_work = 0.0;
+        for t in terms.each.iter().chain(candidate) {
+            // Eq. 2: Δtᵢ = ωᵢ − P(any eviction)·λ − σ.
+            let mut dt = t.omega - p_any_eviction * terms.lambda;
+            if changing {
+                dt -= terms.sigma;
+            }
+            raw_work += t.count * dt.max(0.0) * t.work_rate;
+        }
+        FootprintEval {
+            expected_cost: candidate.map_or(terms.cost, |c| terms.cost + c.cost),
+            // Eq. 3: scale by the application's scalability coefficient φ.
+            expected_work: raw_work * phi,
         }
     }
 
@@ -167,50 +286,12 @@ impl<'a> BidBrain<'a> {
     /// resources, BidBrain subtracts this overhead σ from the expected
     /// compute time for each allocation".
     pub fn evaluate(&self, footprint: &[AllocView], changing: bool) -> FootprintEval {
-        if footprint.is_empty() {
-            return FootprintEval {
-                expected_cost: 0.0,
-                expected_work: 0.0,
-            };
-        }
-        // Group eviction probability: 1 − Π(1 − βj).
-        let survive_all: f64 = footprint.iter().map(|a| 1.0 - self.beta_of(a)).product();
-        let p_any_eviction = 1.0 - survive_all;
+        self.finish_as_held(&self.terms(footprint), changing)
+    }
 
-        let mut cost = 0.0;
-        let mut raw_work = 0.0;
-        let mut total_cores = 0.0;
-        for a in footprint {
-            let beta = self.beta_of(a);
-            let tr = a.time_remaining.as_hours_f64();
-            // Eq. 1: evicted hours are refunded, so only the survival
-            // branch costs money.
-            cost += (1.0 - beta) * a.hourly_price * f64::from(a.count) * tr;
-
-            // ωᵢ: expected useful time, shortened to the median eviction
-            // time when eviction is the likely outcome.
-            let tte = match a.bid_delta {
-                None => a.time_remaining,
-                Some(delta) => self.beta.median_tte(a.market, delta).min(a.time_remaining),
-            };
-            let omega = (1.0 - beta) * tr + beta * tte.as_hours_f64();
-
-            // Eq. 2: Δtᵢ = ωᵢ − P(any eviction)·λ − σ.
-            let mut dt = omega - p_any_eviction * self.params.lambda.as_hours_f64();
-            if changing {
-                dt -= self.params.sigma.as_hours_f64();
-            }
-            let dt = dt.max(0.0);
-
-            raw_work += f64::from(a.count) * dt * a.work_rate;
-            total_cores += f64::from(a.count) * f64::from(a.market.instance_type().vcpus);
-        }
-        // Eq. 3: scale by the application's scalability coefficient φ.
-        let phi = self.params.phi(total_cores);
-        FootprintEval {
-            expected_cost: cost,
-            expected_work: raw_work * phi,
-        }
+    /// [`finish`](Self::finish) with no candidate.
+    fn finish_as_held(&self, terms: &Terms, changing: bool) -> FootprintEval {
+        self.finish(terms, None, self.params.phi(terms.cores), changing)
     }
 
     /// Total vCPUs in a footprint.
@@ -273,18 +354,16 @@ impl<'a> BidBrain<'a> {
         if current_cores >= self.config.target_cores {
             return Vec::new();
         }
+        // Terms once per decision, β table and φ once per market (the
+        // candidate's count, hence the combined core count, does not
+        // depend on δ); only the finish runs per (market, δ).
+        let terms = self.terms(footprint);
         let current_score = self
             .config
             .objective
-            .score(&self.evaluate(footprint, false));
+            .score(&self.finish_as_held(&terms, false));
 
         let mut ranked: Vec<(f64, AllocationRequest, FootprintEval)> = Vec::new();
-        // One reusable footprint+candidate buffer for the whole
-        // (market × delta) sweep: only the last slot changes per
-        // candidate, so the footprint prefix is copied once, not once
-        // per candidate.
-        let mut with: Vec<AllocView> = Vec::with_capacity(footprint.len() + 1);
-        with.extend_from_slice(footprint);
         for &(market, price) in markets {
             let vcpus = market.instance_type().vcpus;
             let headroom = (self.config.target_cores - current_cores) / vcpus;
@@ -292,6 +371,10 @@ impl<'a> BidBrain<'a> {
             if count == 0 {
                 continue;
             }
+            let table = self.beta.table(market);
+            let phi = self
+                .params
+                .phi(terms.cores + f64::from(count) * f64::from(vcpus));
             let mut best: Option<(f64, AllocationRequest, FootprintEval)> = None;
             for &delta in &self.config.bid_deltas {
                 let candidate = AllocView {
@@ -302,9 +385,7 @@ impl<'a> BidBrain<'a> {
                     time_remaining: SimDuration::from_hours(1),
                     work_rate: f64::from(vcpus),
                 };
-                with.truncate(footprint.len());
-                with.push(candidate);
-                let eval = self.evaluate(&with, true);
+                let eval = self.finish(&terms, Some(&self.term(&candidate, table)), phi, true);
                 let score = self.config.objective.score(&eval);
                 if best.as_ref().is_none_or(|(b, _, _)| score < *b) {
                     best = Some((
@@ -378,11 +459,53 @@ impl<'a> BidBrain<'a> {
             time_remaining: SimDuration::from_hours(1),
             ..alloc.clone()
         };
-        let mut with: Vec<AllocView> = rest.to_vec();
-        with.push(renewed);
-        let ea_with = self.evaluate(&with, false).cost_per_work();
-        let ea_without = self.evaluate(rest, true).cost_per_work();
+        let terms = self.terms(rest);
+        let renewed = self.term(&renewed, self.beta.table(alloc.market));
+        let phi_with = self.params.phi(terms.cores + renewed.cores);
+        let ea_with = self
+            .finish(&terms, Some(&renewed), phi_with, false)
+            .cost_per_work();
+        let ea_without = self.finish_as_held(&terms, true).cost_per_work();
         ea_with <= ea_without
+    }
+
+    /// The hour-end renewal pass: decides every `expiring` holding in
+    /// turn against the rest of `holdings` and returns the ones to
+    /// release (not worth their next hour, or outbid by the market).
+    ///
+    /// `holdings` is the whole footprint, each view with the allocation
+    /// it describes (`None` for on-demand tiers). "The rest" excludes a
+    /// holding by id — two holdings of one market and size are still
+    /// two holdings — and a released holding stays out for the
+    /// decisions after it.
+    pub fn renewals(
+        &self,
+        holdings: impl IntoIterator<Item = (Option<AllocationId>, AllocView)>,
+        expiring: &[Expiring],
+    ) -> Vec<AllocationId> {
+        let (mut ids, mut rest): (Vec<_>, Vec<_>) = holdings.into_iter().unzip();
+        let mut release = Vec::new();
+        for e in expiring {
+            let Some(at) = ids.iter().position(|id| *id == Some(e.id)) else {
+                continue;
+            };
+            let held = rest.remove(at);
+            let view = AllocView {
+                market: e.market,
+                count: e.count,
+                hourly_price: e.renew_price,
+                bid_delta: Some((e.bid - e.renew_price).max(0.0001)),
+                time_remaining: e.time_remaining,
+                work_rate: f64::from(e.market.instance_type().vcpus),
+            };
+            if self.should_renew(&view, &rest, e.renew_price) && e.renew_price <= e.bid {
+                rest.insert(at, held);
+            } else {
+                ids.remove(at);
+                release.push(e.id);
+            }
+        }
+        release
     }
 }
 
@@ -583,6 +706,50 @@ mod tests {
         assert!(brain.should_renew(&doomed, std::slice::from_ref(&keeper), 0.04));
         // …renewing at 20× is not.
         assert!(!brain.should_renew(&doomed, &[keeper], 0.80));
+    }
+
+    /// Two holdings of one market and one size are two holdings: "the
+    /// rest" of the footprint loses the expiring one only. Matching on
+    /// `(market, count)` dropped the sibling too, left a footprint
+    /// that produces no work, and renewed at any price.
+    #[test]
+    fn renewal_pass_excludes_by_id_not_by_shape() {
+        let brain = ideal();
+        let market = mk(catalog::c4_xlarge());
+        let held = AllocView {
+            market,
+            count: 8,
+            hourly_price: 0.04,
+            bid_delta: Some(0.4),
+            time_remaining: SimDuration::from_mins(2),
+            work_rate: 4.0,
+        };
+        let (doomed, sibling) = (AllocationId(1), AllocationId(2));
+        let holdings = vec![
+            (None, AllocView::on_demand(market, 3, 0.0)),
+            (Some(doomed), held.clone()),
+            (Some(sibling), held),
+        ];
+        let expiring = |id, renew_price| Expiring {
+            id,
+            market,
+            count: 8,
+            bid: 10.0,
+            renew_price,
+            time_remaining: SimDuration::from_mins(2),
+        };
+        // 150× the sibling's price: not worth the next hour while the
+        // sibling still works at $0.04 — and the sibling, decided next
+        // against a footprint that no longer holds the doomed one, is
+        // all the work there is and stays.
+        let release = brain.renewals(
+            holdings.clone(),
+            &[expiring(doomed, 6.0), expiring(sibling, 0.04)],
+        );
+        assert_eq!(release, [doomed]);
+        // Outbid by the market: released whatever Eq. 4 says.
+        let release = brain.renewals(holdings, &[expiring(sibling, 12.0)]);
+        assert_eq!(release, [sibling]);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use proteus_agileml::{AgileMlJob, JobError};
 use proteus_bidbrain::{
-    adaptive_interval, hazard_to_rate, AllocView, BetaEstimator, BidBrain, MarketBackoff,
+    adaptive_interval, hazard_to_rate, AllocView, BetaEstimator, BidBrain, Expiring, MarketBackoff,
     PreemptionForecaster,
 };
 use proteus_market::{
@@ -562,42 +562,47 @@ impl<A: MlApp> Proteus<A> {
         Ok(())
     }
 
-    /// BidBrain's footprint view of current holdings.
-    fn footprint(&self) -> Vec<AllocView> {
+    /// BidBrain's view of current holdings, each spot view with the
+    /// allocation it describes (`None` for the on-demand tiers).
+    fn holdings(&self) -> impl Iterator<Item = (Option<AllocationId>, AllocView)> + '_ {
         let now = self.provider.now();
-        let mut views = vec![AllocView::on_demand(
-            self.config.on_demand_market,
-            self.config.reliable_machines,
-            0.0,
-        )];
+        let market = self.config.on_demand_market;
+        let reliable = AllocView::on_demand(market, self.config.reliable_machines, 0.0);
         // Degraded-mode fallback machines compute, unlike the reliable
         // tier's serving-only role.
-        for &(_, count) in &self.fallback_allocs {
-            views.push(AllocView::on_demand(
-                self.config.on_demand_market,
-                count,
-                f64::from(self.config.on_demand_market.instance_type().vcpus),
-            ));
-        }
-        for a in self.provider.spot_allocations() {
-            if a.booting {
-                // Not billed and not computing until launch.
-                continue;
-            }
-            let paid = self
-                .provider
-                .spot_price_at(a.market, a.hour_start)
-                .unwrap_or(a.bid);
-            views.push(AllocView {
-                market: a.market,
-                count: a.count,
-                hourly_price: paid,
-                bid_delta: Some((a.bid - paid).max(0.0001)),
-                time_remaining: (a.hour_start + SimDuration::from_hours(1)).since(now),
-                work_rate: f64::from(a.market.instance_type().vcpus),
+        let fallback = self.fallback_allocs.iter().map(move |&(_, count)| {
+            AllocView::on_demand(market, count, f64::from(market.instance_type().vcpus))
+        });
+        // Booting instances are not billed and not computing until
+        // launch.
+        let spot = self
+            .provider
+            .live_spot()
+            .filter(|a| !a.booting)
+            .map(move |a| {
+                let paid = self
+                    .provider
+                    .spot_price_at(a.market, a.hour_start)
+                    .unwrap_or(a.bid);
+                let view = AllocView {
+                    market: a.market,
+                    count: a.count,
+                    hourly_price: paid,
+                    bid_delta: Some((a.bid - paid).max(0.0001)),
+                    time_remaining: (a.hour_start + SimDuration::from_hours(1)).since(now),
+                    work_rate: f64::from(a.market.instance_type().vcpus),
+                };
+                (Some(a.id), view)
             });
-        }
-        views
+        std::iter::once(reliable)
+            .chain(fallback)
+            .map(|view| (None, view))
+            .chain(spot)
+    }
+
+    /// BidBrain's footprint view of current holdings.
+    fn footprint(&self) -> Vec<AllocView> {
+        self.holdings().map(|(_, view)| view).collect()
     }
 
     /// One acquisition sweep: walk BidBrain's ranked candidates until a
@@ -887,32 +892,28 @@ impl<A: MlApp> Proteus<A> {
     /// released (machines leave gracefully — a voluntary drain).
     fn renewals(&mut self) -> Result<(), ProteusError> {
         let now = self.provider.now();
-        for a in self.provider.spot_allocations() {
-            let to_end = (a.hour_start + SimDuration::from_hours(1)).since(now);
-            if to_end > STEP || a.warned || a.booting {
-                continue;
-            }
-            let renew_price = self.provider.spot_price(a.market).unwrap_or(a.bid);
-            let view = AllocView {
+        let to_end = |hour_start: SimTime| (hour_start + SimDuration::from_hours(1)).since(now);
+        let expiring: Vec<Expiring> = self
+            .provider
+            .live_spot()
+            .filter(|a| to_end(a.hour_start) <= STEP && !a.warned && !a.booting)
+            .map(|a| Expiring {
+                id: a.id,
                 market: a.market,
                 count: a.count,
-                hourly_price: renew_price,
-                bid_delta: Some((a.bid - renew_price).max(0.0001)),
-                time_remaining: to_end,
-                work_rate: f64::from(a.market.instance_type().vcpus),
-            };
-            let rest: Vec<AllocView> = self
-                .footprint()
-                .into_iter()
-                .filter(|v| v.bid_delta.is_none() || v.market != a.market || v.count != a.count)
-                .collect();
-            let keep = self.brain.should_renew(&view, &rest, renew_price) && renew_price <= a.bid;
-            if !keep {
-                if let Some(nodes) = self.alloc_nodes.remove(&a.id) {
-                    self.job.evict_with_warning(&nodes)?;
-                }
-                let _ = self.provider.terminate(a.id);
+                bid: a.bid,
+                renew_price: self.provider.spot_price(a.market).unwrap_or(a.bid),
+                time_remaining: to_end(a.hour_start),
+            })
+            .collect();
+        if expiring.is_empty() {
+            return Ok(());
+        }
+        for id in self.brain.renewals(self.holdings(), &expiring) {
+            if let Some(nodes) = self.alloc_nodes.remove(&id) {
+                self.job.evict_with_warning(&nodes)?;
             }
+            let _ = self.provider.terminate(id);
         }
         Ok(())
     }

@@ -9,14 +9,14 @@
 
 use proteus_bidbrain::{
     adaptive_interval, hazard_to_rate, AllocView, AppParams, BetaEstimator, BidBrain,
-    BidBrainConfig, ForecastConfig, PreemptionForecaster, StandardStrategy,
+    BidBrainConfig, Expiring, ForecastConfig, PreemptionForecaster, StandardStrategy,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proteus_market::{
-    catalog, CloudProvider, MarketError, MarketFaultPlan, MarketKey, ProviderEvent, TraceSet,
-    UsageBreakdown,
+    catalog, AllocationId, CloudProvider, MarketError, MarketFaultPlan, MarketKey, ProviderEvent,
+    TraceSet, UsageBreakdown,
 };
 use proteus_obs::{CostEvent, Event, MarketEvent, Recorder};
 use proteus_simtime::{SimDuration, SimTime};
@@ -133,17 +133,18 @@ pub(crate) struct JobSim<'a> {
     /// Markets of allocations currently under eviction warning (their
     /// replacement is deferred until the eviction lands).
     pending_evictions: usize,
-    /// Spot instances acquired per market.
-    market_mix: BTreeMap<String, u32>,
+    /// Spot instances acquired per market; rendered to names once, in
+    /// the outcome.
+    market_mix: BTreeMap<MarketKey, u32>,
     /// Credits applied by queue accounting (terminated fresh hours).
     credits: f64,
     /// The on-demand allocation, when provisioned.
-    od_alloc: Option<proteus_market::AllocationId>,
+    od_alloc: Option<AllocationId>,
     /// Degraded-mode on-demand machines, provisioned when every spot
     /// market refuses capacity and the footprint produces no work;
     /// released the moment usable spot capacity returns. Only a fault
     /// plan can refuse capacity, so this stays `None` fault-free.
-    fallback_alloc: Option<proteus_market::AllocationId>,
+    fallback_alloc: Option<AllocationId>,
     fallback_count: u32,
     fallback_since: SimTime,
     /// Cumulative degraded-mode fallback provisionings over the run.
@@ -153,11 +154,13 @@ pub(crate) struct JobSim<'a> {
     forecaster: Option<PreemptionForecaster>,
     /// Holdings the forecaster is watching, so an eviction or
     /// termination frees its per-(market, bid) state.
-    fc_tracked: BTreeMap<proteus_market::AllocationId, (MarketKey, f64)>,
+    fc_tracked: BTreeMap<AllocationId, (MarketKey, f64)>,
     /// Current Young's-rule interval from the forecasted hazard.
     adaptive_tau: SimDuration,
     /// Next scheduled adaptive checkpoint commit.
     next_checkpoint: SimTime,
+    /// The per-step price list's buffer, parked here between steps.
+    prices: Vec<(MarketKey, f64)>,
     /// Observability recorder; `None` keeps every step allocation-free.
     obs: Option<Arc<Recorder>>,
     /// Last prices emitted, in `current_prices` order, for change-only
@@ -240,6 +243,7 @@ impl<'a> JobSim<'a> {
             fc_tracked: BTreeMap::new(),
             adaptive_tau: ADAPTIVE_CKPT_MAX,
             next_checkpoint: start + ADAPTIVE_CKPT_MAX,
+            prices: Vec::new(),
             obs: None,
             obs_last_prices: Vec::new(),
             obs_market_names: Vec::new(),
@@ -297,8 +301,7 @@ impl<'a> JobSim<'a> {
             self.obs_last_prices.extend_from_slice(prices);
             let spot: u64 = self
                 .provider
-                .spot_allocations()
-                .iter()
+                .live_spot()
                 .filter(|a| !a.booting)
                 .map(|a| u64::from(a.count))
                 .sum();
@@ -380,15 +383,14 @@ impl<'a> JobSim<'a> {
 
     /// Records a granted spot allocation in the market mix.
     fn note_acquisition(&mut self, market: MarketKey, count: u32) {
-        *self.market_mix.entry(market.to_string()).or_insert(0) += count;
+        *self.market_mix.entry(market).or_insert(0) += count;
     }
 
     /// Current total vCPUs across live spot allocations (booting
     /// instances produce no work yet).
     fn spot_cores(&self) -> u32 {
         self.provider
-            .spot_allocations()
-            .iter()
+            .live_spot()
             .filter(|a| !a.booting)
             .map(|a| a.count * a.market.instance_type().vcpus)
             .sum()
@@ -494,12 +496,14 @@ impl<'a> JobSim<'a> {
         }
     }
 
-    /// Builds BidBrain's view of the current footprint.
-    fn footprint(&self) -> Vec<AllocView> {
+    /// BidBrain's view of the current holdings, each spot view with the
+    /// allocation it describes (`None` for the on-demand tier).
+    fn holdings(&self) -> impl Iterator<Item = (Option<AllocationId>, AllocView)> + '_ {
         let now = self.provider.now();
-        let mut views = Vec::new();
-        if self.job.on_demand_count > 0 && !matches!(self.kind, SchemeKind::AllOnDemand { .. }) {
-            views.push(AllocView::on_demand(
+        let on_demand = (self.job.on_demand_count > 0
+            && !matches!(self.kind, SchemeKind::AllOnDemand { .. }))
+        .then(|| {
+            let view = AllocView::on_demand(
                 self.job.on_demand_market,
                 self.job.on_demand_count,
                 if self.job.on_demand_works {
@@ -507,38 +511,50 @@ impl<'a> JobSim<'a> {
                 } else {
                     0.0
                 },
-            ));
-        }
-        for a in self.provider.spot_allocations() {
-            if a.booting {
-                // Not billed and not computing until launch.
-                continue;
-            }
-            let paid = self
-                .provider
-                .spot_price_at(a.market, a.hour_start)
-                .unwrap_or(a.bid);
-            let delta = (a.bid - paid).max(0.0001);
-            views.push(AllocView {
-                market: a.market,
-                count: a.count,
-                hourly_price: paid,
-                bid_delta: Some(delta),
-                time_remaining: (a.hour_start + SimDuration::from_hours(1)).since(now),
-                work_rate: f64::from(a.market.instance_type().vcpus),
+            );
+            (None, view)
+        });
+        // Booting instances are not billed and not computing until
+        // launch.
+        let spot = self
+            .provider
+            .live_spot()
+            .filter(|a| !a.booting)
+            .map(move |a| {
+                let paid = self
+                    .provider
+                    .spot_price_at(a.market, a.hour_start)
+                    .unwrap_or(a.bid);
+                let delta = (a.bid - paid).max(0.0001);
+                let view = AllocView {
+                    market: a.market,
+                    count: a.count,
+                    hourly_price: paid,
+                    bid_delta: Some(delta),
+                    time_remaining: (a.hour_start + SimDuration::from_hours(1)).since(now),
+                    work_rate: f64::from(a.market.instance_type().vcpus),
+                };
+                (Some(a.id), view)
             });
-        }
-        views
+        on_demand.into_iter().chain(spot)
     }
 
-    /// Spot prices of every market at the current instant, computed once
-    /// per decision step and shared by the renewal and acquisition
-    /// passes (each price is a trace lookup).
-    fn current_prices(&self) -> Vec<(MarketKey, f64)> {
-        self.markets
-            .iter()
-            .filter_map(|m| self.provider.spot_price(*m).ok().map(|p| (*m, p)))
-            .collect()
+    /// Builds BidBrain's view of the current footprint.
+    fn footprint(&self) -> Vec<AllocView> {
+        self.holdings().map(|(_, view)| view).collect()
+    }
+
+    /// Refills `prices` with every market's spot price at the current
+    /// instant: computed once per decision step and shared by the
+    /// renewal and acquisition passes (each price is a trace lookup),
+    /// into a buffer the steps reuse.
+    fn current_prices(&self, prices: &mut Vec<(MarketKey, f64)>) {
+        prices.clear();
+        prices.extend(
+            self.markets
+                .iter()
+                .filter_map(|m| self.provider.spot_price(*m).ok().map(|p| (*m, p))),
+        );
     }
 
     /// Looks a market's price up in a memoized per-step price list.
@@ -609,45 +625,34 @@ impl<'a> JobSim<'a> {
 
     /// Renewal decisions shortly before billing-hour ends.
     fn renewals(&mut self, prices: &[(MarketKey, f64)]) {
+        // Standard strategies hold until evicted; renewal is automatic
+        // while the bid covers the market.
+        if !matches!(
+            self.kind,
+            SchemeKind::Proteus { .. } | SchemeKind::Fleet { .. }
+        ) {
+            return;
+        }
         let now = self.provider.now();
-        let allocs = self.provider.spot_allocations();
-        for a in &allocs {
-            let to_end = (a.hour_start + SimDuration::from_hours(1)).since(now);
-            if to_end > STEP || a.warned || a.booting {
-                continue;
-            }
-            let keep = match self.kind {
-                SchemeKind::Proteus { .. } | SchemeKind::Fleet { .. } => {
-                    let rest: Vec<AllocView> = self
-                        .footprint()
-                        .into_iter()
-                        .filter(|v| {
-                            v.bid_delta.is_none()
-                                || v.market != a.market
-                                || v.count != a.count
-                                || (v.time_remaining.as_millis() as i64 - to_end.as_millis() as i64)
-                                    .abs()
-                                    > 1
-                        })
-                        .collect();
-                    let renew_price = Self::price_in(prices, a.market).unwrap_or(a.bid);
-                    let view = AllocView {
-                        market: a.market,
-                        count: a.count,
-                        hourly_price: renew_price,
-                        bid_delta: Some((a.bid - renew_price).max(0.0001)),
-                        time_remaining: to_end,
-                        work_rate: f64::from(a.market.instance_type().vcpus),
-                    };
-                    self.brain.should_renew(&view, &rest, renew_price) && renew_price <= a.bid
-                }
-                // Standard strategies hold until evicted; renewal is
-                // automatic while the bid covers the market.
-                _ => true,
-            };
-            if !keep {
-                let _ = self.provider.terminate(a.id);
-            }
+        let to_end = |hour_start: SimTime| (hour_start + SimDuration::from_hours(1)).since(now);
+        let expiring: Vec<Expiring> = self
+            .provider
+            .live_spot()
+            .filter(|a| to_end(a.hour_start) <= STEP && !a.warned && !a.booting)
+            .map(|a| Expiring {
+                id: a.id,
+                market: a.market,
+                count: a.count,
+                bid: a.bid,
+                renew_price: Self::price_in(prices, a.market).unwrap_or(a.bid),
+                time_remaining: to_end(a.hour_start),
+            })
+            .collect();
+        if expiring.is_empty() {
+            return;
+        }
+        for id in self.brain.renewals(self.holdings(), &expiring) {
+            let _ = self.provider.terminate(id);
         }
     }
 
@@ -668,7 +673,7 @@ impl<'a> JobSim<'a> {
                 // spot_cores stays zero, so the next step asks again.
                 if self.spot_cores() == 0
                     && self.pending_evictions == 0
-                    && !self.provider.spot_allocations().iter().any(|a| a.booting)
+                    && !self.provider.live_spot().any(|a| a.booting)
                 {
                     if let Some(req) = self.standard.acquire(prices) {
                         if let Ok(grant) =
@@ -724,7 +729,7 @@ impl<'a> JobSim<'a> {
             }
             return;
         }
-        let booting = self.provider.spot_allocations().iter().any(|a| a.booting);
+        let booting = self.provider.live_spot().any(|a| a.booting);
         if capacity_refused && !booting && self.fallback_alloc.is_none() && self.work_rate() <= 0.0
         {
             let vcpus = self.job.on_demand_market.instance_type().vcpus.max(1);
@@ -755,11 +760,13 @@ impl<'a> JobSim<'a> {
         while now < deadline {
             // One trace lookup per market per step, shared by both
             // decision passes.
-            let prices = self.current_prices();
+            let mut prices = std::mem::take(&mut self.prices);
+            self.current_prices(&mut prices);
             self.obs_step(now, &prices);
             self.forecast_step(now, &prices);
             self.renewals(&prices);
             self.acquisitions(&prices);
+            self.prices = prices;
 
             let rate = self.work_rate();
             let next = (now + STEP).min(deadline);
@@ -876,7 +883,10 @@ impl<'a> JobSim<'a> {
             usage: *self.provider.account().usage(),
             evictions: self.evictions,
             completed,
-            market_mix: std::mem::take(&mut self.market_mix),
+            market_mix: std::mem::take(&mut self.market_mix)
+                .into_iter()
+                .map(|(market, count)| (market.to_string(), count))
+                .collect(),
         };
         if let Some(rec) = self.obs.as_deref() {
             rec.set_now(now);

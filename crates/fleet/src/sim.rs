@@ -1074,7 +1074,19 @@ fn evaluate_task(
         objective: Objective::CostPerWork,
     };
     let brain = BidBrain::new(params, beta, config);
-    let view = |market: MarketKey, price: f64, delta: f64| AllocView {
+    // A pending gang takes the head of BidBrain's own (market × delta)
+    // sweep over an empty footprint: nothing to improve on, so every
+    // market passes the gate and the strict-< first-wins best is ranked
+    // first. Either way the task's score is Eq. 4 of that one gang.
+    let (market, delta, changing) = match task.pinned {
+        Some((market, delta_bits)) => (market, f64::from_bits(delta_bits), false),
+        None => {
+            let req = brain.consider_acquisition(&[], prices, SimTime::EPOCH)?;
+            (req.market, req.delta, true)
+        }
+    };
+    let price = prices.iter().find(|(m, _)| *m == market).map(|(_, p)| *p)?;
+    let view = AllocView {
         market,
         count: task.gang,
         hourly_price: price,
@@ -1082,37 +1094,12 @@ fn evaluate_task(
         time_remaining: SimDuration::from_hours(1),
         work_rate: f64::from(market.instance_type().vcpus),
     };
-    match task.pinned {
-        Some((market, delta_bits)) => {
-            let delta = f64::from_bits(delta_bits);
-            let price = prices.iter().find(|(m, _)| *m == market).map(|(_, p)| *p)?;
-            let eval = brain.evaluate(&[view(market, price, delta)], false);
-            Some(Candidate {
-                market,
-                price,
-                delta,
-                cost_per_work: eval.cost_per_work(),
-            })
-        }
-        None => {
-            let mut best: Option<Candidate> = None;
-            for &(market, price) in prices {
-                for &delta in deltas {
-                    let eval = brain.evaluate(&[view(market, price, delta)], true);
-                    let e = eval.cost_per_work();
-                    if best.as_ref().is_none_or(|b| e < b.cost_per_work) {
-                        best = Some(Candidate {
-                            market,
-                            price,
-                            delta,
-                            cost_per_work: e,
-                        });
-                    }
-                }
-            }
-            best
-        }
-    }
+    Some(Candidate {
+        market,
+        price,
+        delta,
+        cost_per_work: brain.evaluate(&[view], changing).cost_per_work(),
+    })
 }
 
 #[cfg(test)]

@@ -279,6 +279,14 @@ impl<'a> CloudProvider<'a> {
 
     /// Read-only views of all live spot allocations, in id order.
     pub fn spot_allocations(&self) -> Vec<SpotAllocation> {
+        self.live_spot().collect()
+    }
+
+    /// [`spot_allocations`](Self::spot_allocations) without the `Vec`:
+    /// the views are built as the caller walks the live leases, so a
+    /// decision step that only scans or sums its holdings allocates
+    /// nothing.
+    pub fn live_spot(&self) -> impl Iterator<Item = SpotAllocation> + '_ {
         self.spot
             .values()
             .filter(|l| l.is_live())
@@ -297,12 +305,11 @@ impl<'a> CloudProvider<'a> {
                 booting: l.is_booting(),
                 usable_at: l.usable_at,
             })
-            .collect()
     }
 
     /// Look up one live spot allocation.
     pub fn spot_allocation(&self, id: AllocationId) -> Option<SpotAllocation> {
-        self.spot_allocations().into_iter().find(|a| a.id == id)
+        self.live_spot().find(|a| a.id == id)
     }
 
     /// Total instances currently live across spot and on-demand.

@@ -22,6 +22,16 @@ cargo test -q
 echo "==> ps + mlapps + agileml crate tests + chaos suites (fixed seed)"
 PROTEUS_CHAOS_SEEDS=3 cargo test -q -p proteus-ps -p proteus-mlapps -p proteus-agileml
 
+# The three market-side crates, which root `cargo test -q` does not
+# reach either (ROADMAP item 0's per-crate stopgap): bidbrain (Eq. 1–4
+# units, the sweep-vs-brute-force property, forecast passivity), market
+# (billing and fault-billing invariants) and costsim (scheme semantics,
+# droughts, thread-count equivalence, the study golden fingerprints and
+# obs determinism — the JSONL export must be byte-identical across runs
+# and thread counts).
+echo "==> bidbrain + market + costsim crate tests (fixed seed)"
+PROTEUS_CHAOS_SEEDS=3 cargo test -q -p proteus-bidbrain -p proteus-market -p proteus-costsim
+
 echo "==> market chaos suite (fixed seed)"
 PROTEUS_CHAOS_SEEDS=3 cargo test -q -p proteus --test market_chaos
 
@@ -60,27 +70,28 @@ if grep -rn "println!\|eprintln!" crates/*/src --include="*.rs" \
   exit 1
 fi
 
-# The JSONL export must be byte-identical across runs and thread counts.
-echo "==> obs determinism"
-cargo test -q -p proteus-costsim --test obs_determinism
-
 # Recording overhead guard: bench_costsim writes BENCH_obs.json with the
-# recorder-on vs recorder-off comparison (< 5% required). Wall-clock
-# noise on a loaded CI box can push a passing build over the line, so
-# one retry is allowed; two consecutive failures mean a real regression.
-echo "==> obs overhead smoke (< 5%)"
+# recorder-on vs recorder-off comparison as wall nanoseconds per
+# recorded event, beside the budget it must stay under (absolute, so a
+# faster study cannot fail it; the share of wall clock is still
+# reported). Wall-clock noise on a loaded CI box can push a passing
+# build over the line, so one retry is allowed; two consecutive
+# failures mean a real regression.
+echo "==> obs overhead smoke (ns/event within budget)"
 obs_ok=0
 for attempt in 1 2; do
   PROTEUS_BENCH_STARTS=25 cargo run -q --release -p proteus-bench --bin bench_costsim >/dev/null
+  ons=$(sed -n 's/.*"ns_per_event": \([0-9.]*\).*/\1/p' BENCH_obs.json)
+  obudget=$(sed -n 's/.*"budget_ns_per_event": \([0-9.]*\).*/\1/p' BENCH_obs.json)
   pct=$(sed -n 's/.*"overhead_pct": \([0-9.]*\).*/\1/p' BENCH_obs.json)
-  echo "    attempt ${attempt}: overhead ${pct}%"
-  if awk -v p="$pct" 'BEGIN { exit !(p <= 5.0) }'; then
+  echo "    attempt ${attempt}: ${ons} ns/event (budget ${obudget}), ${pct}% of the study"
+  if awk -v n="$ons" -v b="$obudget" 'BEGIN { exit !(b > 0 && n <= b) }'; then
     obs_ok=1
     break
   fi
 done
 if [ "$obs_ok" -ne 1 ]; then
-  echo "error: obs recording overhead exceeded 5% twice (see BENCH_obs.json)" >&2
+  echo "error: obs recording cost per event exceeded its budget twice (see BENCH_obs.json)" >&2
   exit 1
 fi
 
