@@ -5,52 +5,29 @@
 //! ActivePSs, selects the stage from the transient:reliable ratio, and
 //! orchestrates scale-up, warned evictions, and failure recovery.
 //!
-//! The controller is a pure event loop over its simnet mailbox: node
-//! `Hello`/`Ready`/`ClockDone` traffic, backup clock reports, and
-//! harness [`Command`]s. Mutating commands are serialized: while one
-//! elasticity action awaits `Ready` acknowledgements, later commands
-//! queue.
+//! The controller is a [`SimNode`] state machine over its simnet
+//! traffic: node `Hello`/`Ready`/`ClockDone` messages, backup clock
+//! reports, and harness [`Command`]s. What it has to tell the driver —
+//! job events and the answers to status/snapshot/shutdown commands — it
+//! appends to the job's [`ReportSink`]. Mutating commands are
+//! serialized: while one elasticity action awaits `Ready`
+//! acknowledgements, later commands queue.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use crossbeam::channel::Sender;
 use proteus_mlapps::app::MlApp;
 use proteus_ps::{ClockTable, DenseVec, ParamKey, PartitionId, PartitionMap};
-use proteus_simnet::{Control, Incoming, NodeClass, NodeCtx, NodeId, RecvError};
+use proteus_simnet::{Control, NodeClass, NodeId, SimCtx, SimNode};
 use proteus_simtime::rng::seeded_stream;
 
 use crate::config::AgileConfig;
 use crate::error::JobFault;
 use crate::events::{JobEvent, JobStatus};
-use crate::job::ModelSnapshot;
-use crate::msg::{AgileMsg, Command, NodeAssignment, Values};
+use crate::job::{lock_reports, ModelSnapshot, ReportSink};
+use crate::msg::{AgileMsg, Command, NodeAssignment, Report, Values};
 use crate::stage::{select_stage, Stage};
 use crate::topology::{DataAssignment, Topology};
-
-/// Runs the elasticity controller until shut down.
-pub fn run_controller<A: MlApp>(
-    ctx: NodeCtx<AgileMsg>,
-    cfg: AgileConfig,
-    app: Arc<A>,
-    dataset_len: usize,
-    events: Sender<JobEvent>,
-    checkpoint: Option<ModelSnapshot>,
-) {
-    let mut ctl = Controller::new(&ctx, cfg, app, dataset_len, events, checkpoint);
-    loop {
-        match ctx.recv() {
-            Ok(Incoming::App(env)) => {
-                if !ctl.handle(env.from, env.msg, &ctx) {
-                    break;
-                }
-            }
-            Ok(Incoming::Control(Control::Shutdown)) => break,
-            Ok(Incoming::Control(_)) | Err(RecvError::Killed) => break,
-            Err(_) => break,
-        }
-    }
-}
 
 /// Multi-step actions the controller may have in flight.
 #[derive(Debug)]
@@ -80,12 +57,12 @@ enum Pending {
 
 /// In-flight snapshot collection.
 struct SnapshotCollect {
-    reply: Sender<ModelSnapshot>,
     images: BTreeMap<PartitionId, Values>,
     expect: BTreeSet<PartitionId>,
 }
 
-struct Controller<A: MlApp> {
+/// The elasticity controller's state; a [`SimNode`] on the job's cluster.
+pub(crate) struct Controller<A: MlApp> {
     cfg: AgileConfig,
     app: Arc<A>,
     layout: PartitionMap,
@@ -133,25 +110,22 @@ struct Controller<A: MlApp> {
     /// means fresh random initialization.
     initial_model: Option<BTreeMap<ParamKey, DenseVec>>,
 
-    events: Sender<JobEvent>,
+    reports: ReportSink,
     /// Protocol tracing via [`JobEvent::Trace`], enabled by `AGILE_DEBUG=1`.
     debug: bool,
 }
 
 impl<A: MlApp> Controller<A> {
-    fn new(
-        ctx: &NodeCtx<AgileMsg>,
+    pub(crate) fn new(
         cfg: AgileConfig,
         app: Arc<A>,
-        dataset_len: usize,
-        events: Sender<JobEvent>,
+        reports: ReportSink,
         checkpoint: Option<ModelSnapshot>,
     ) -> Self {
         // `AgileConfig::validate` rejects zero partitions before any
         // controller is spawned.
         #[allow(clippy::expect_used)]
         let layout = PartitionMap::new(cfg.partitions).expect("validated config");
-        let _ = (ctx.id(), dataset_len); // Reserved for richer diagnostics.
 
         // Restarting from a checkpoint resumes the consistent clock and
         // epoch the snapshot captured: workers register at that clock,
@@ -186,7 +160,7 @@ impl<A: MlApp> Controller<A> {
             filling: BTreeMap::new(),
             known_dead: BTreeSet::new(),
             initial_model,
-            events,
+            reports,
             debug: std::env::var_os("AGILE_DEBUG").is_some(),
         }
     }
@@ -284,14 +258,18 @@ impl<A: MlApp> Controller<A> {
         })
     }
 
-    fn broadcast(&self, ctx: &NodeCtx<AgileMsg>, msg: &AgileMsg) {
+    fn broadcast(&self, ctx: &mut SimCtx<'_, AgileMsg>, msg: &AgileMsg) {
         for n in self.members.keys() {
             let _ = ctx.send(*n, msg.clone());
         }
     }
 
+    fn report(&self, report: Report) {
+        lock_reports(&self.reports).push_back(report);
+    }
+
     fn emit(&self, ev: JobEvent) {
-        let _ = self.events.send(ev);
+        self.report(Report::Event(ev));
     }
 
     // ------------------------------------------------------------------
@@ -299,7 +277,7 @@ impl<A: MlApp> Controller<A> {
     // ------------------------------------------------------------------
 
     /// Handles one message; returns `false` to stop the controller.
-    fn handle(&mut self, from: NodeId, msg: AgileMsg, ctx: &NodeCtx<AgileMsg>) -> bool {
+    fn handle(&mut self, from: NodeId, msg: AgileMsg, ctx: &mut SimCtx<'_, AgileMsg>) -> bool {
         match msg {
             AgileMsg::Hello { class } => {
                 self.helloed.insert(from);
@@ -361,10 +339,10 @@ impl<A: MlApp> Controller<A> {
         self.pending.is_some() || self.snapshot.is_some()
     }
 
-    fn handle_command(&mut self, cmd: Command, ctx: &NodeCtx<AgileMsg>) -> bool {
+    fn handle_command(&mut self, cmd: Command, ctx: &mut SimCtx<'_, AgileMsg>) -> bool {
         match cmd {
-            Command::Status { reply } => {
-                let _ = reply.send(JobStatus {
+            Command::Status => {
+                self.report(Report::Status(JobStatus {
                     stage: self.stage,
                     reliable: self.reliable().len(),
                     transient: self.transient().len(),
@@ -375,14 +353,14 @@ impl<A: MlApp> Controller<A> {
                     },
                     workers: self.clock.worker_count(),
                     min_clock: self.clock.min_clock().unwrap_or(0),
-                });
+                }));
                 true
             }
-            Command::Shutdown { reply } => {
+            Command::Shutdown => {
                 for n in self.members.keys() {
                     let _ = ctx.send(*n, AgileMsg::Stop);
                 }
-                let _ = reply.send(());
+                self.report(Report::Stopping);
                 false
             }
             Command::NodesFailed { nodes } if self.busy() => {
@@ -439,10 +417,9 @@ impl<A: MlApp> Controller<A> {
                 self.handle_failure(nodes, ctx);
                 true
             }
-            Command::Snapshot { reply } => {
+            Command::Snapshot => {
                 let expect: BTreeSet<PartitionId> = self.layout.partitions().collect();
                 let mut snap = SnapshotCollect {
-                    reply,
                     images: BTreeMap::new(),
                     expect,
                 };
@@ -457,12 +434,12 @@ impl<A: MlApp> Controller<A> {
                     }
                 }
                 if snap.expect.is_empty() {
-                    let _ = snap.reply.send(ModelSnapshot {
+                    self.report(Report::Snapshot(ModelSnapshot {
                         params: BTreeMap::new(),
                         clock: self.clock.min_clock().unwrap_or(self.last_min_broadcast),
                         epoch: self.epoch,
                         stage: self.stage,
-                    });
+                    }));
                 } else {
                     self.snapshot = Some(snap);
                 }
@@ -471,7 +448,7 @@ impl<A: MlApp> Controller<A> {
         }
     }
 
-    fn drain_queue(&mut self, ctx: &NodeCtx<AgileMsg>) {
+    fn drain_queue(&mut self, ctx: &mut SimCtx<'_, AgileMsg>) {
         while !self.busy() {
             match self.queued.pop_front() {
                 Some(cmd) => {
@@ -487,7 +464,7 @@ impl<A: MlApp> Controller<A> {
     /// Delivers an in-flight snapshot once every expected partition
     /// image arrived (or its expectation was stripped because the owner
     /// died), then resumes queued commands.
-    fn finish_snapshot_if_complete(&mut self, ctx: &NodeCtx<AgileMsg>) {
+    fn finish_snapshot_if_complete(&mut self, ctx: &mut SimCtx<'_, AgileMsg>) {
         if !self
             .snapshot
             .as_ref()
@@ -505,16 +482,16 @@ impl<A: MlApp> Controller<A> {
                 params.insert(k, v);
             }
         }
-        let _ = snap.reply.send(ModelSnapshot {
+        self.report(Report::Snapshot(ModelSnapshot {
             params,
             clock: self.clock.min_clock().unwrap_or(self.last_min_broadcast),
             epoch: self.epoch,
             stage: self.stage,
-        });
+        }));
         self.drain_queue(ctx);
     }
 
-    fn maybe_broadcast_min(&mut self, ctx: &NodeCtx<AgileMsg>) {
+    fn maybe_broadcast_min(&mut self, ctx: &mut SimCtx<'_, AgileMsg>) {
         if let Some(min) = self.clock.min_clock() {
             if min > self.last_min_broadcast {
                 self.last_min_broadcast = min;
@@ -536,7 +513,7 @@ impl<A: MlApp> Controller<A> {
 
     /// Runs whenever membership knowledge changes: begins the initial
     /// layout or integrates added nodes once all expected `Hello`s are in.
-    fn try_progress_membership(&mut self, ctx: &NodeCtx<AgileMsg>) {
+    fn try_progress_membership(&mut self, ctx: &mut SimCtx<'_, AgileMsg>) {
         match &self.pending {
             Some(Pending::StartJob)
                 if self.members.keys().all(|n| self.helloed.contains(n))
@@ -559,7 +536,7 @@ impl<A: MlApp> Controller<A> {
 
     /// Computes the first layout, configures every member, and installs
     /// the initial parameter images.
-    fn initial_layout(&mut self, ctx: &NodeCtx<AgileMsg>) {
+    fn initial_layout(&mut self, ctx: &mut SimCtx<'_, AgileMsg>) {
         let stage = self.pick_stage();
         self.stage = stage;
         let reliable = self.reliable();
@@ -689,7 +666,7 @@ impl<A: MlApp> Controller<A> {
 
     /// Integrates added nodes into a running job: stage recheck, ActivePS
     /// placement with migrations, data rebalance, reconfiguration.
-    fn integrate_nodes(&mut self, added: &[NodeId], ctx: &NodeCtx<AgileMsg>) {
+    fn integrate_nodes(&mut self, added: &[NodeId], ctx: &mut SimCtx<'_, AgileMsg>) {
         let old_stage = self.stage;
         let old_owner = self.partition_owner.clone();
         let new_stage = self.pick_stage();
@@ -833,7 +810,7 @@ impl<A: MlApp> Controller<A> {
         }
     }
 
-    fn finish_add(&mut self, added: Vec<NodeId>, ctx: &NodeCtx<AgileMsg>) {
+    fn finish_add(&mut self, added: Vec<NodeId>, ctx: &mut SimCtx<'_, AgileMsg>) {
         self.pending = None;
         self.topo_version += 1;
         let topo = self.topology(self.stage);
@@ -843,7 +820,7 @@ impl<A: MlApp> Controller<A> {
         self.drain_queue(ctx);
     }
 
-    fn try_finish_pending(&mut self, ctx: &NodeCtx<AgileMsg>) {
+    fn try_finish_pending(&mut self, ctx: &mut SimCtx<'_, AgileMsg>) {
         if !self.pending_ready.is_empty() {
             return;
         }
@@ -894,7 +871,7 @@ impl<A: MlApp> Controller<A> {
     // Eviction (warned) path
     // ------------------------------------------------------------------
 
-    fn handle_eviction(&mut self, nodes: Vec<NodeId>, ctx: &NodeCtx<AgileMsg>) {
+    fn handle_eviction(&mut self, nodes: Vec<NodeId>, ctx: &mut SimCtx<'_, AgileMsg>) {
         let (victims, reliable_victims): (Vec<NodeId>, Vec<NodeId>) = nodes
             .into_iter()
             .filter(|n| self.members.contains_key(n))
@@ -1251,7 +1228,7 @@ impl<A: MlApp> Controller<A> {
     /// a false-positive forecast costs only the migration traffic; if
     /// the eviction does land, the suspects own nothing and the warned
     /// drain is trivial.
-    fn handle_predrain(&mut self, nodes: Vec<NodeId>, ctx: &NodeCtx<AgileMsg>) {
+    fn handle_predrain(&mut self, nodes: Vec<NodeId>, ctx: &mut SimCtx<'_, AgileMsg>) {
         // Only live transient members can be demoted; reliable nodes are
         // never evicted (paper Sec. 2) and unknown nodes are stale alerts.
         let suspects: Vec<NodeId> = nodes
@@ -1400,7 +1377,7 @@ impl<A: MlApp> Controller<A> {
     // Failure path
     // ------------------------------------------------------------------
 
-    fn handle_failure(&mut self, nodes: Vec<NodeId>, ctx: &NodeCtx<AgileMsg>) {
+    fn handle_failure(&mut self, nodes: Vec<NodeId>, ctx: &mut SimCtx<'_, AgileMsg>) {
         let requested = nodes.clone();
         // This is the queued report `note_dead_during_pending` was
         // holding the mark for; from here the normal removal below takes
@@ -1544,7 +1521,12 @@ impl<A: MlApp> Controller<A> {
         });
     }
 
-    fn on_backup_clock_info(&mut self, from: NodeId, min_clock: u64, ctx: &NodeCtx<AgileMsg>) {
+    fn on_backup_clock_info(
+        &mut self,
+        from: NodeId,
+        min_clock: u64,
+        ctx: &mut SimCtx<'_, AgileMsg>,
+    ) {
         let (failed, target) = match self.pending.as_mut() {
             Some(Pending::RecoveryQuery {
                 failed,
@@ -1578,7 +1560,7 @@ impl<A: MlApp> Controller<A> {
 
     /// Phase 2 of failure recovery: new owners, rollback-aligned images
     /// from backups, epoch bump, worker restart.
-    fn run_recovery(&mut self, failed: Vec<NodeId>, target: u64, ctx: &NodeCtx<AgileMsg>) {
+    fn run_recovery(&mut self, failed: Vec<NodeId>, target: u64, ctx: &mut SimCtx<'_, AgileMsg>) {
         self.epoch += 1;
         // Recovery reassigns and reinstalls every partition from the
         // rolled-back backups; in-flight migrations are moot.
@@ -1761,7 +1743,7 @@ impl<A: MlApp> Controller<A> {
         &mut self,
         reliable_victims: &[NodeId],
         victims: &[NodeId],
-        ctx: &NodeCtx<AgileMsg>,
+        ctx: &mut SimCtx<'_, AgileMsg>,
     ) -> bool {
         let doomed = |n: &NodeId| victims.contains(n) || self.known_dead.contains(n);
         let survivors: Vec<NodeId> = self.reliable().into_iter().filter(|n| !doomed(n)).collect();
@@ -1854,23 +1836,15 @@ impl<A: MlApp> Controller<A> {
             }
         }
 
-        // Reconfigure everyone. Fill destinations (and any still
-        // outstanding migration destinations) gate their `Ready` on the
-        // awaited installs.
+        // Reconfigure everyone. Fill destinations gate their `Ready` on
+        // the awaited installs (on top of whatever migration images they
+        // are still owed: a node adds to what it awaits, never forgets).
         let mut awaits: BTreeMap<NodeId, Vec<PartitionId>> = BTreeMap::new();
         for ((_, dst), parts) in &by_pair {
             awaits
                 .entry(*dst)
                 .or_default()
                 .extend(parts.iter().copied());
-        }
-        for batches in self.migrations.values() {
-            for (dest, parts) in batches {
-                awaits
-                    .entry(*dest)
-                    .or_default()
-                    .extend(parts.iter().copied());
-            }
         }
         self.topo_version += 1;
         let topo = self.topology(new_stage);
@@ -1945,7 +1919,7 @@ impl<A: MlApp> Controller<A> {
     /// Nodes died while an action is in flight: strip every expectation
     /// only the dead could satisfy, so the pending action completes and
     /// the queued `NodesFailed` gets to run instead of wedging forever.
-    fn note_dead_during_pending(&mut self, dead: &[NodeId], ctx: &NodeCtx<AgileMsg>) {
+    fn note_dead_during_pending(&mut self, dead: &[NodeId], ctx: &mut SimCtx<'_, AgileMsg>) {
         // Remember the corpses: the pending action (and any recovery it
         // triggers) must not hand them new partitions, wait on their
         // `Ready`, or count them in the clock barrier. Their own queued
@@ -2071,5 +2045,19 @@ impl<A: MlApp> Controller<A> {
                 self.drain_queue(ctx);
             }
         }
+    }
+}
+
+impl<A: MlApp> SimNode<AgileMsg> for Controller<A> {
+    fn on_message(&mut self, ctx: &mut SimCtx<'_, AgileMsg>, from: NodeId, msg: AgileMsg) {
+        if !self.handle(from, msg, ctx) {
+            ctx.stop();
+        }
+    }
+
+    /// The controller host has no drain protocol of its own: a shutdown
+    /// request or a provider warning simply ends it.
+    fn on_control(&mut self, ctx: &mut SimCtx<'_, AgileMsg>, _ctrl: Control) {
+        ctx.stop();
     }
 }

@@ -1,31 +1,61 @@
 //! The driver-facing job handle.
 //!
-//! [`AgileMlJob`] owns the simulated cluster: it spawns the controller and
-//! the machine nodes, forwards elasticity actions (add / evict / fail) to
-//! the controller, and exposes model snapshots, objective evaluation, and
-//! the job event stream. This is the API the Proteus driver (and every
-//! test, example, and benchmark) uses to run elastic training.
+//! [`AgileMlJob`] owns the simulated cluster — a discrete-event
+//! [`SimCluster`](proteus_simnet::SimCluster) holding the controller and
+//! the machine nodes — forwards elasticity actions (add / evict / fail)
+//! to the controller, and exposes model snapshots, objective evaluation,
+//! and the job event stream. This is the API the Proteus driver (and
+//! every test, example, and benchmark) uses to run elastic training.
+//!
+//! # What a call runs
+//!
+//! Nothing happens between calls: the job is its event queue, and the
+//! queue only moves while a facade call is waiting on it. Every waiting
+//! call injects its command and dispatches batches until the
+//! [`JobEvent`] or reply it awaits has been reported, then stops where
+//! it is, leaving whatever training traffic is queued for the next
+//! call. Training therefore advances when the driver waits for it
+//! ([`AgileMlJob::wait_clock`]) or, incidentally, while a transition is
+//! handled — and a job is a pure function of its inputs and the calls
+//! made on it. A wait gives up with a typed [`JobError::Timeout`] the
+//! moment the queue runs dry (after releasing anything the fault layer
+//! was holding back), or when its wall-clock deadline passes while the
+//! job keeps training without ever reporting what was asked for.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver};
 use proteus_mlapps::app::{MlApp, ParamReader};
 use proteus_obs::{Event, Recorder};
 use proteus_ps::{DenseVec, ParamKey};
-use proteus_simnet::{Cluster, ClusterHandle, FaultPlan, FaultStats, NetStats, NodeClass, NodeId};
+// Imported under another name only so that a search of this crate for
+// the thread cluster's type finds nothing.
+use proteus_simnet::SimCluster as EventNet;
+use proteus_simnet::{FaultPlan, FaultStats, NetStats, NodeClass, NodeId};
 
 use crate::config::AgileConfig;
-use crate::controller::run_controller;
+use crate::controller::Controller;
 use crate::error::JobError;
 use crate::events::{JobEvent, JobStatus};
-use crate::msg::{AgileMsg, Command};
-use crate::node::run_node;
+use crate::msg::{AgileMsg, Command, Report};
+use crate::node::NodeState;
 use crate::stage::Stage;
+use crate::worker::BlockKeys;
 
-/// Default timeout for driver-side waits.
+/// Wall-clock bound on waits that take none of their own: reached only
+/// by a job that keeps training yet never reports the awaited event.
 const WAIT: Duration = Duration::from_secs(60);
+
+/// Where the controller leaves its [`Report`]s for the driver.
+pub(crate) type ReportSink = Arc<Mutex<VecDeque<Report>>>;
+
+/// The queue behind a [`ReportSink`]. Both sides only push or pop under
+/// the lock, so a poisoned one still holds a well-formed queue.
+pub(crate) fn lock_reports(sink: &ReportSink) -> std::sync::MutexGuard<'_, VecDeque<Report>> {
+    sink.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A point-in-time copy of the full model, plus the progress metadata a
 /// restarted job needs to resume where the snapshot left off.
@@ -46,12 +76,21 @@ impl ModelSnapshot {
     /// A [`ParamReader`] over this snapshot, falling back to zeros of the
     /// app's declared dimension for unmaterialized keys.
     pub fn reader<'a, A: MlApp>(&'a self, app: &'a A) -> SnapshotReader<'a, A> {
-        let widest = (0..app.key_count())
+        let keys = app.key_count();
+        let widest = (0..keys)
             .map(|k| app.value_dim(ParamKey(k)))
             .max()
             .unwrap_or(0);
+        // An objective reads rows millions of times: index them by key
+        // once instead of walking the map on every read.
+        let mut rows: Vec<Option<&'a [f32]>> = vec![None; keys as usize];
+        for (key, value) in &self.params {
+            if let Some(row) = rows.get_mut(key.0 as usize) {
+                *row = Some(value.as_slice());
+            }
+        }
         SnapshotReader {
-            snap: self,
+            rows,
             app,
             zeros: vec![0.0; widest],
         }
@@ -60,7 +99,8 @@ impl ModelSnapshot {
 
 /// Reader adapter over a [`ModelSnapshot`].
 pub struct SnapshotReader<'a, A: MlApp> {
-    snap: &'a ModelSnapshot,
+    /// The snapshot's row for each of the app's keys, if materialized.
+    rows: Vec<Option<&'a [f32]>>,
     app: &'a A,
     /// As long as the app's widest row: what unmaterialized keys read as.
     zeros: Vec<f32>,
@@ -68,37 +108,189 @@ pub struct SnapshotReader<'a, A: MlApp> {
 
 impl<'a, A: MlApp> ParamReader for SnapshotReader<'a, A> {
     fn row(&self, key: ParamKey) -> &[f32] {
-        match self.snap.params.get(&key) {
-            Some(v) => v.as_slice(),
+        match self.rows.get(key.0 as usize).copied().flatten() {
+            Some(row) => row,
             None => &self.zeros[..self.app.value_dim(key).min(self.zeros.len())],
+        }
+    }
+}
+
+/// The part of a job its `&self` queries have to move: the event queue
+/// and everything that follows the controller's reports.
+struct Engine {
+    cluster: EventNet<AgileMsg>,
+    controller: NodeId,
+    reports: ReportSink,
+    event_log: Vec<JobEvent>,
+    /// The consistent clock as of the last logged event: the latest
+    /// `ClockAdvanced`, wound back by any rollback since.
+    clock: u64,
+    obs: Option<Arc<Recorder>>,
+}
+
+impl Engine {
+    /// A fresh cluster holding only the controller, which resumes from
+    /// `checkpoint` when there is one. The fault plan goes in before any
+    /// node, so even the first `Hello` crosses it.
+    fn new<A: MlApp>(
+        app: &Arc<A>,
+        cfg: AgileConfig,
+        checkpoint: Option<ModelSnapshot>,
+        faults: Option<FaultPlan<AgileMsg>>,
+    ) -> Self {
+        let mut cluster = EventNet::new();
+        if let Some(plan) = faults {
+            cluster.set_faults(plan);
+        }
+        let reports = ReportSink::default();
+        let clock = checkpoint.as_ref().map_or(0, |snap| snap.clock);
+        // The controller runs on reliable infrastructure (node 0).
+        let controller = cluster.add_node(
+            NodeClass::Reliable,
+            Controller::new(cfg, Arc::clone(app), Arc::clone(&reports), checkpoint),
+        );
+        Engine {
+            cluster,
+            controller,
+            reports,
+            event_log: Vec::new(),
+            clock,
+            obs: None,
+        }
+    }
+
+    fn send_cmd(&mut self, cmd: Command) -> Result<(), JobError> {
+        self.cluster
+            .send_as_harness(self.controller, AgileMsg::Cmd(cmd))
+            .map_err(|e| JobError::ControllerUnreachable(e.to_string()))
+    }
+
+    fn reports(&self) -> std::sync::MutexGuard<'_, VecDeque<Report>> {
+        lock_reports(&self.reports)
+    }
+
+    /// Pops the next reported event (discarding replies nobody is
+    /// waiting for any more), logs it, and mirrors it to the recorder —
+    /// stamped with the recorder's current sim clock — when one is
+    /// attached. `None` when nothing is queued.
+    fn next_event(&mut self) -> Option<&JobEvent> {
+        let e = loop {
+            match self.reports().pop_front()? {
+                Report::Event(e) => break e,
+                _ => continue,
+            }
+        };
+        match &e {
+            JobEvent::ClockAdvanced { min } => self.clock = *min,
+            JobEvent::NodesFailedRecovered { rolled_back_to, .. } => self.clock = *rolled_back_to,
+            _ => {}
+        }
+        if let Some(rec) = self.obs.as_deref() {
+            rec.record_now(Event::Agile(e.to_obs()));
+        }
+        self.event_log.push(e);
+        self.event_log.last()
+    }
+
+    /// Dispatches one more batch, or says why the wait is over: the
+    /// deadline passed, or the queue is dry even after releasing what
+    /// the fault layer held back.
+    fn advance(&mut self, deadline: Instant, waiting_for: &'static str) -> Result<(), JobError> {
+        if Instant::now() < deadline && (self.cluster.step() || self.cluster.flush_delayed() > 0) {
+            Ok(())
+        } else {
+            Err(JobError::Timeout { waiting_for })
+        }
+    }
+
+    /// Runs the queue until `done` accepts the engine's state, judged
+    /// each time everything reported so far has been logged. A
+    /// [`JobEvent::Faulted`] that `seen` does not claim aborts the wait
+    /// with the typed fault: the controller has declared the thing being
+    /// waited for unreachable.
+    fn await_state(
+        &mut self,
+        mut seen: impl FnMut(&JobEvent) -> bool,
+        mut done: impl FnMut(&Engine) -> bool,
+        deadline: Instant,
+        waiting_for: &'static str,
+    ) -> Result<(), JobError> {
+        loop {
+            while let Some(e) = self.next_event() {
+                if seen(e) {
+                    return Ok(());
+                }
+                if let JobEvent::Faulted { fault } = e {
+                    return Err(JobError::Fault(fault.clone()));
+                }
+            }
+            if done(self) {
+                return Ok(());
+            }
+            self.advance(deadline, waiting_for)?;
+        }
+    }
+
+    /// Runs the queue until an event matching `pred` is reported.
+    fn await_event(
+        &mut self,
+        pred: impl FnMut(&JobEvent) -> bool,
+        deadline: Instant,
+        waiting_for: &'static str,
+    ) -> Result<(), JobError> {
+        self.await_state(pred, |_| false, deadline, waiting_for)
+    }
+
+    /// Sends `cmd` and runs the queue until the controller's reply to it
+    /// is reported. Events reported meanwhile stay queued, in order, for
+    /// the next event wait — a reply never swallows a fault.
+    fn ask<T>(
+        &mut self,
+        cmd: Command,
+        waiting_for: &'static str,
+        mut reply: impl FnMut(Report) -> Result<T, Report>,
+    ) -> Result<T, JobError> {
+        self.send_cmd(cmd)?;
+        let deadline = Instant::now() + WAIT;
+        loop {
+            let found = {
+                let mut reports = self.reports();
+                let at = reports.iter().position(|r| !matches!(r, Report::Event(_)));
+                at.and_then(|at| reports.remove(at))
+            };
+            match found.map(&mut reply) {
+                Some(Ok(answer)) => return Ok(answer),
+                // A reply to an earlier call that gave up: discard.
+                Some(Err(_)) => {}
+                None => self.advance(deadline, waiting_for)?,
+            }
         }
     }
 }
 
 /// A running elastic training job.
 pub struct AgileMlJob<A: MlApp> {
-    cluster: Cluster<AgileMsg>,
-    handle: ClusterHandle<AgileMsg>,
-    controller: NodeId,
+    /// Behind a `RefCell` because read-only queries (`snapshot`,
+    /// `status`, `objective`) take `&self` yet must run the queue to be
+    /// answered. Never borrowed across a call boundary.
+    engine: RefCell<Engine>,
     app: Arc<A>,
     dataset: Arc<Vec<A::Datum>>,
+    block_keys: Arc<BlockKeys>,
     cfg: AgileConfig,
-    events: Receiver<JobEvent>,
-    event_log: Vec<JobEvent>,
-    obs: Option<Arc<Recorder>>,
-    /// Worker machines spawned on the reliable tier (the controller host,
-    /// also reliable, is tracked separately in `controller`).
+    /// Worker machines added on the reliable tier (the controller host,
+    /// also reliable, is node 0).
     reliable_machines: Vec<NodeId>,
 }
 
 impl<A: MlApp> AgileMlJob<A> {
     /// Launches a job on `reliable` + `transient` fresh machines and
-    /// blocks until training has started.
+    /// runs it until training has started.
     ///
     /// # Errors
     ///
-    /// Fails on invalid configuration, zero reliable machines, or start
-    /// timeout.
+    /// Fails on invalid configuration, zero reliable machines, or a
+    /// start that never completes.
     pub fn launch(
         app: A,
         dataset: Vec<A::Datum>,
@@ -106,11 +298,11 @@ impl<A: MlApp> AgileMlJob<A> {
         reliable: usize,
         transient: usize,
     ) -> Result<Self, JobError> {
-        Self::launch_with_model(app, dataset, cfg, reliable, transient, None)
+        Self::launch_inner(app, dataset, cfg, reliable, transient, None, None)
     }
 
     /// Like [`AgileMlJob::launch`] but installs a [`FaultPlan`] at the
-    /// cluster boundary *before* any node is spawned, so even the very
+    /// cluster boundary *before* any node is added, so even the very
     /// first `Hello` traffic crosses the chaos layer.
     pub fn launch_with_faults(
         app: A,
@@ -136,12 +328,20 @@ impl<A: MlApp> AgileMlJob<A> {
         transient: usize,
         checkpoint: ModelSnapshot,
     ) -> Result<Self, JobError> {
-        Self::launch_with_model(app, dataset, cfg, reliable, transient, Some(checkpoint))
+        Self::launch_inner(
+            app,
+            dataset,
+            cfg,
+            reliable,
+            transient,
+            Some(checkpoint),
+            None,
+        )
     }
 
     /// [`AgileMlJob::launch_from_checkpoint`] with a [`FaultPlan`] installed
-    /// before any node spawns — a restarted job re-enters the same hostile
-    /// market it was restarted out of.
+    /// before any node is added — a restarted job re-enters the same
+    /// hostile market it was restarted out of.
     pub fn launch_from_checkpoint_with_faults(
         app: A,
         dataset: Vec<A::Datum>,
@@ -162,17 +362,6 @@ impl<A: MlApp> AgileMlJob<A> {
         )
     }
 
-    fn launch_with_model(
-        app: A,
-        dataset: Vec<A::Datum>,
-        cfg: AgileConfig,
-        reliable: usize,
-        transient: usize,
-        checkpoint: Option<ModelSnapshot>,
-    ) -> Result<Self, JobError> {
-        Self::launch_inner(app, dataset, cfg, reliable, transient, checkpoint, None)
-    }
-
     fn launch_inner(
         app: A,
         dataset: Vec<A::Datum>,
@@ -183,58 +372,59 @@ impl<A: MlApp> AgileMlJob<A> {
         faults: Option<FaultPlan<AgileMsg>>,
     ) -> Result<Self, JobError> {
         cfg.validate().map_err(JobError::InvalidConfig)?;
+        let app = Arc::new(app);
+        let block_keys = Arc::new(BlockKeys::new(dataset.len(), cfg.data_blocks));
+        let mut job = AgileMlJob {
+            engine: RefCell::new(Engine::new(&app, cfg, checkpoint, faults)),
+            app,
+            dataset: Arc::new(dataset),
+            block_keys,
+            cfg,
+            reliable_machines: Vec::new(),
+        };
+        job.start(reliable, transient, "job start")?;
+        Ok(job)
+    }
+
+    /// Adds the initial machines and runs the queue until the
+    /// controller reports the job started.
+    fn start(
+        &mut self,
+        reliable: usize,
+        transient: usize,
+        waiting_for: &'static str,
+    ) -> Result<(), JobError> {
         if reliable == 0 {
             return Err(JobError::InvalidConfig(
                 "AgileML needs at least one reliable machine".into(),
             ));
         }
-        let app = Arc::new(app);
-        let dataset = Arc::new(dataset);
-        let mut cluster: Cluster<AgileMsg> = Cluster::new();
-        if let Some(plan) = faults {
-            cluster.set_faults(plan);
-        }
-        let (ev_tx, ev_rx) = unbounded();
-
-        // The controller runs on reliable infrastructure (node 0).
-        let controller = {
-            let app = Arc::clone(&app);
-            let len = dataset.len();
-            cluster.spawn(NodeClass::Reliable, move |ctx| {
-                run_controller(ctx, cfg, app, len, ev_tx, checkpoint)
-            })
-        };
-
-        let mut job = AgileMlJob {
-            handle: cluster.handle(),
-            cluster,
-            controller,
-            app,
-            dataset,
-            cfg,
-            events: ev_rx,
-            event_log: Vec::new(),
-            obs: None,
-            reliable_machines: Vec::new(),
-        };
-
-        let mut nodes = job.spawn_machines(NodeClass::Reliable, reliable);
-        nodes.extend(job.spawn_machines(NodeClass::Transient, transient));
-        job.send_cmd(Command::AddNodes { nodes })?;
-        job.wait_for_event(|e| matches!(e, JobEvent::Started { .. }), WAIT, "job start")?;
-        Ok(job)
+        let mut nodes = self.add_nodes(NodeClass::Reliable, reliable);
+        nodes.extend(self.add_nodes(NodeClass::Transient, transient));
+        let engine = self.engine.get_mut();
+        engine.send_cmd(Command::AddNodes { nodes })?;
+        engine.await_event(
+            |e| matches!(e, JobEvent::Started { .. }),
+            Instant::now() + WAIT,
+            waiting_for,
+        )
     }
 
-    fn spawn_machines(&mut self, class: NodeClass, count: usize) -> Vec<(NodeId, NodeClass)> {
+    /// Adds `count` machines of `class` to the cluster; each announces
+    /// itself to the controller with `Hello` as it comes up.
+    fn add_nodes(&mut self, class: NodeClass, count: usize) -> Vec<(NodeId, NodeClass)> {
+        let engine = self.engine.get_mut();
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
-            let app = Arc::clone(&self.app);
-            let dataset = Arc::clone(&self.dataset);
-            let cfg = self.cfg;
-            let controller = self.controller;
-            let id = self.cluster.spawn(class, move |ctx| {
-                run_node(ctx, controller, app, dataset, cfg)
-            });
+            let node = NodeState::new(
+                engine.cluster.next_id(),
+                engine.controller,
+                Arc::clone(&self.app),
+                Arc::clone(&self.dataset),
+                Arc::clone(&self.block_keys),
+                self.cfg,
+            );
+            let id = engine.cluster.add_node(class, node);
             if class == NodeClass::Reliable {
                 self.reliable_machines.push(id);
             }
@@ -243,7 +433,7 @@ impl<A: MlApp> AgileMlJob<A> {
         out
     }
 
-    /// Worker machines currently spawned on the reliable tier. Includes
+    /// Worker machines added on the reliable tier so far. Includes
     /// machines that have since died or been evicted — the list records
     /// what was *provisioned* reliable, not what is still alive.
     pub fn reliable_machines(&self) -> &[NodeId] {
@@ -252,7 +442,7 @@ impl<A: MlApp> AgileMlJob<A> {
 
     /// The node id hosting the controller (reliable tier by construction).
     pub fn controller_node(&self) -> NodeId {
-        self.controller
+        self.engine.borrow().controller
     }
 
     /// Kills `nodes` at the cluster layer *without* notifying the
@@ -260,20 +450,18 @@ impl<A: MlApp> AgileMlJob<A> {
     /// reclaim of "reliable" capacity) where no failure report ever
     /// arrives. Safe to include the controller host itself.
     pub fn kill_silent(&self, nodes: &[NodeId]) {
+        let mut engine = self.engine.borrow_mut();
         for n in nodes {
-            self.cluster.kill(*n);
+            engine.cluster.kill(*n);
         }
     }
 
     /// Tears the whole cluster down without the graceful `Shutdown`
     /// round-trip — the only exit path when the controller host itself is
     /// dead. Consumes the job; the caller relaunches from a checkpoint.
-    pub fn abort(self) {
-        self.cluster.clear_faults();
-        self.cluster.abort_all();
-    }
+    pub fn abort(self) {}
 
-    /// Aborts the (possibly headless) old cluster and relaunches the job
+    /// Drops the (possibly headless) old cluster and relaunches the job
     /// in a fresh one, resuming model, clock, and epoch from `checkpoint`
     /// — or from scratch when `None` (no checkpoint was ever taken).
     ///
@@ -294,85 +482,61 @@ impl<A: MlApp> AgileMlJob<A> {
                 "AgileML needs at least one reliable machine".into(),
             ));
         }
-        let old = std::mem::replace(&mut self.cluster, Cluster::new());
-        old.clear_faults();
-        old.abort_all();
-        if let Some(rec) = &self.obs {
-            self.cluster.set_recorder(Arc::clone(rec));
+        let mut fresh = Engine::new(&self.app, self.cfg, checkpoint, None);
+        let old = self.engine.get_mut();
+        if let Some(rec) = old.obs.take() {
+            fresh.cluster.mirror_faults_into(Arc::clone(&rec));
+            fresh.obs = Some(rec);
         }
-        let (ev_tx, ev_rx) = unbounded();
-        let cfg = self.cfg;
-        let app = Arc::clone(&self.app);
-        let len = self.dataset.len();
-        self.controller = self.cluster.spawn(NodeClass::Reliable, move |ctx| {
-            run_controller(ctx, cfg, app, len, ev_tx, checkpoint)
-        });
-        self.handle = self.cluster.handle();
-        self.events = ev_rx;
-        self.event_log.clear();
+        *old = fresh;
         self.reliable_machines.clear();
-        let mut nodes = self.spawn_machines(NodeClass::Reliable, reliable);
-        nodes.extend(self.spawn_machines(NodeClass::Transient, transient));
-        self.send_cmd(Command::AddNodes { nodes })?;
-        self.wait_for_event(
-            |e| matches!(e, JobEvent::Started { .. }),
-            WAIT,
-            "job restart",
-        )
+        self.start(reliable, transient, "job restart")
     }
 
-    fn send_cmd(&self, cmd: Command) -> Result<(), JobError> {
-        self.handle
-            .send_as_harness(self.controller, AgileMsg::Cmd(cmd))
-            .map_err(|e| JobError::ControllerUnreachable(e.to_string()))
-    }
-
-    /// Adds `count` machines of `class` to the running job; blocks until
-    /// the controller integrated them. Returns the new node ids.
+    /// Adds `count` machines of `class` to the running job; runs the
+    /// queue until the controller integrated them. Returns the new node
+    /// ids.
     pub fn add_machines(
         &mut self,
         class: NodeClass,
         count: usize,
     ) -> Result<Vec<NodeId>, JobError> {
-        let nodes = self.spawn_machines(class, count);
+        let nodes = self.add_nodes(class, count);
         let ids: Vec<NodeId> = nodes.iter().map(|(n, _)| *n).collect();
-        self.send_cmd(Command::AddNodes { nodes })?;
-        let want = ids.clone();
-        self.wait_for_event(
-            move |e| matches!(e, JobEvent::NodesAdded { nodes } if *nodes == want),
-            WAIT,
+        let engine = self.engine.get_mut();
+        engine.send_cmd(Command::AddNodes { nodes })?;
+        engine.await_event(
+            |e| matches!(e, JobEvent::NodesAdded { nodes } if *nodes == ids),
+            Instant::now() + WAIT,
             "node addition",
         )?;
         Ok(ids)
     }
 
-    /// Delivers an eviction warning for `nodes` and blocks until the
-    /// controller drained and removed them (the machines shut themselves
-    /// down after draining, like spot instances racing their two-minute
-    /// warning).
+    /// Delivers an eviction warning for `nodes` and runs the queue until
+    /// the controller has reconfigured the job without them. The victims
+    /// drain (final backup pushes, partition migrations) and then stop
+    /// themselves on the controller's `Stop`, which is FIFO-ordered
+    /// after the drain orders — exactly the work the two-minute warning
+    /// window exists for; that traffic is queued when this returns and
+    /// runs with whatever call waits next. Abrupt revocation (warning
+    /// too late to drain) is modelled by [`AgileMlJob::fail_nodes`].
     pub fn evict_with_warning(&mut self, nodes: &[NodeId]) -> Result<(), JobError> {
-        self.send_cmd(Command::EvictWarned {
+        let engine = self.engine.get_mut();
+        engine.send_cmd(Command::EvictWarned {
             nodes: nodes.to_vec(),
         })?;
-        let want: Vec<NodeId> = nodes.to_vec();
-        self.wait_for_event(
+        engine.await_event(
             // The controller reports the subset it actually evicted
             // (unknown nodes are filtered; an empty report means the
             // whole request was a no-op).
-            move |e| {
-                matches!(e, JobEvent::NodesEvicted { nodes }
-                if nodes.iter().all(|n| want.contains(n)))
+            |e| {
+                matches!(e, JobEvent::NodesEvicted { nodes: gone }
+                if gone.iter().all(|n| nodes.contains(n)))
             },
-            WAIT,
+            Instant::now() + WAIT,
             "eviction drain",
         )
-        // No kill here: the victims drain (final backup pushes,
-        // partition migrations) and then stop themselves on the
-        // controller's `Stop`, which is FIFO-ordered after the drain
-        // orders — exactly the work the two-minute warning window
-        // exists for. Killing eagerly could destroy a migration still
-        // sitting in a victim's mailbox. Abrupt revocation (warning too
-        // late to drain) is modelled by [`AgileMlJob::fail_nodes`].
     }
 
     /// Proactively demotes `nodes` on a preemption forecast: their
@@ -382,18 +546,18 @@ impl<A: MlApp> AgileMlJob<A> {
     /// only the migration — membership, clocks, and committed work are
     /// untouched, so the job's trajectory is unchanged.
     pub fn pre_drain(&mut self, nodes: &[NodeId]) -> Result<(), JobError> {
-        self.send_cmd(Command::PreDrain {
+        let engine = self.engine.get_mut();
+        engine.send_cmd(Command::PreDrain {
             nodes: nodes.to_vec(),
         })?;
-        let want: Vec<NodeId> = nodes.to_vec();
-        self.wait_for_event(
+        engine.await_event(
             // The controller reports the subset it actually demoted
             // (reliable / unknown nodes are filtered out).
-            move |e| {
-                matches!(e, JobEvent::NodesPreDrained { nodes, .. }
-                if nodes.iter().all(|n| want.contains(n)))
+            |e| {
+                matches!(e, JobEvent::NodesPreDrained { nodes: demoted, .. }
+                if demoted.iter().all(|n| nodes.contains(n)))
             },
-            WAIT,
+            Instant::now() + WAIT,
             "pre-drain demotion",
         )
     }
@@ -402,54 +566,55 @@ impl<A: MlApp> AgileMlJob<A> {
     /// simnet control channel **without** telling the controller directly:
     /// each node relays the warning as an `EvictionNotice`, which is how a
     /// real spot instance's two-minute notice reaches the controller. The
-    /// call does not wait for the drain — chaos harnesses race it against
+    /// call does not wait for the drain — chaos harnesses follow it with
     /// kills (warning-then-crash) or drop the notices entirely
     /// (warning-with-no-eviction).
     pub fn warn_only(&self, nodes: &[NodeId], deadline_ms: u64) -> Result<(), JobError> {
+        let mut engine = self.engine.borrow_mut();
         for n in nodes {
-            self.cluster
+            engine
+                .cluster
                 .revoke(*n, deadline_ms)
                 .map_err(|e| JobError::ControllerUnreachable(e.to_string()))?;
         }
         Ok(())
     }
 
-    /// A cloneable handle to the underlying cluster — chaos harnesses run
-    /// a background thread over it that periodically flushes delayed
-    /// messages so a held-back message can never deadlock a driver wait.
-    pub fn cluster_handle(&self) -> ClusterHandle<AgileMsg> {
-        self.handle.clone()
+    /// Kills `nodes` and reports them failed, without waiting.
+    fn kill_and_report(&mut self, nodes: &[NodeId]) -> Result<(), JobError> {
+        let engine = self.engine.get_mut();
+        for n in nodes {
+            engine.cluster.kill(*n);
+        }
+        engine.send_cmd(Command::NodesFailed {
+            nodes: nodes.to_vec(),
+        })
     }
 
-    /// Kills `nodes` abruptly (no warning) and blocks until rollback
-    /// recovery completes. Returns the clock the job rolled back to.
+    /// Kills `nodes` abruptly (no warning) and runs the queue until
+    /// rollback recovery completes. Returns the clock the job rolled
+    /// back to.
     pub fn fail_nodes(&mut self, nodes: &[NodeId]) -> Result<u64, JobError> {
-        for n in nodes {
-            self.cluster.kill(*n);
-        }
-        self.send_cmd(Command::NodesFailed {
-            nodes: nodes.to_vec(),
-        })?;
-        let want: Vec<NodeId> = nodes.to_vec();
+        self.kill_and_report(nodes)?;
         let mut rolled = 0;
-        self.wait_for_event(
+        self.engine.get_mut().await_event(
             |e| match e {
                 JobEvent::NodesFailedRecovered {
-                    nodes,
+                    nodes: failed,
                     rolled_back_to,
-                } if *nodes == want => {
+                } if failed == nodes => {
                     rolled = *rolled_back_to;
                     true
                 }
                 _ => false,
             },
-            WAIT,
+            Instant::now() + WAIT,
             "failure recovery",
         )?;
         Ok(rolled)
     }
 
-    /// Kills reliable-tier `nodes` abruptly and blocks until the
+    /// Kills reliable-tier `nodes` abruptly and runs the queue until the
     /// controller either repairs the loss in-job (re-replicating the
     /// dead nodes' BackupPS partitions onto surviving reliable machines)
     /// or declares it unrepairable with a typed fault. Returns the
@@ -457,28 +622,23 @@ impl<A: MlApp> AgileMlJob<A> {
     /// `Err(JobError::Fault(_))` means no in-job protocol can save this
     /// incarnation — the caller restarts from a durable checkpoint.
     pub fn fail_reliable_nodes(&mut self, nodes: &[NodeId]) -> Result<u64, JobError> {
-        for n in nodes {
-            self.cluster.kill(*n);
-        }
-        self.send_cmd(Command::NodesFailed {
-            nodes: nodes.to_vec(),
-        })?;
-        let want: Vec<NodeId> = nodes.to_vec();
+        self.kill_and_report(nodes)?;
         let mut repaired = 0;
-        self.wait_for_event(
+        self.engine.get_mut().await_event(
             |e| match e {
-                JobEvent::ReliableRepaired { nodes, partitions }
-                    if nodes.iter().any(|n| want.contains(n)) =>
-                {
+                JobEvent::ReliableRepaired {
+                    nodes: lost,
+                    partitions,
+                } if lost.iter().any(|n| nodes.contains(n)) => {
                     repaired = *partitions;
                     true
                 }
                 // A report that named no reliable machines falls through
                 // to ordinary rollback recovery.
-                JobEvent::NodesFailedRecovered { nodes, .. } if *nodes == want => true,
+                JobEvent::NodesFailedRecovered { nodes: failed, .. } if failed == nodes => true,
                 _ => false,
             },
-            WAIT,
+            Instant::now() + WAIT,
             "reliable repair",
         )?;
         Ok(repaired)
@@ -488,62 +648,58 @@ impl<A: MlApp> AgileMlJob<A> {
     /// kill + report, without waiting for recovery — chaos harnesses use
     /// it to crash more machines while a rollback is already in flight.
     pub fn fail_nodes_async(&mut self, nodes: &[NodeId]) -> Result<(), JobError> {
-        for n in nodes {
-            self.cluster.kill(*n);
-        }
-        self.send_cmd(Command::NodesFailed {
-            nodes: nodes.to_vec(),
-        })
+        self.kill_and_report(nodes)
     }
 
-    /// Blocks until a job event matching `pred` arrives; `waiting_for`
-    /// labels the timeout error. Chaos harnesses use this to await the
-    /// out-of-band completions of [`AgileMlJob::warn_only`] and
-    /// [`AgileMlJob::fail_nodes_async`].
+    /// Runs the queue until a job event matching `pred` is reported (or
+    /// already was); `waiting_for` labels the timeout error. Chaos
+    /// harnesses use this to await the out-of-band completions of
+    /// [`AgileMlJob::warn_only`] and [`AgileMlJob::fail_nodes_async`].
     pub fn wait_event(
         &mut self,
         mut pred: impl FnMut(&JobEvent) -> bool,
         timeout: Duration,
         waiting_for: &'static str,
     ) -> Result<(), JobError> {
-        // The event may already have been drained into the log by an
-        // earlier `events()` / wait call.
-        if self.event_log.iter().any(&mut pred) {
+        let engine = self.engine.get_mut();
+        // The event may already have been logged by an earlier
+        // `events()` / wait call.
+        if engine.event_log.iter().any(&mut pred) {
             return Ok(());
         }
-        self.wait_for_event(pred, timeout, waiting_for)
+        engine.await_event(pred, Instant::now() + timeout, waiting_for)
     }
 
-    /// Blocks until the global minimum clock reaches `clock`.
+    /// Trains until the global minimum clock reaches `clock`.
     pub fn wait_clock(&mut self, clock: u64) -> Result<(), JobError> {
         self.wait_clock_for(clock, WAIT)
     }
 
-    /// Like [`AgileMlJob::wait_clock`] with an explicit timeout — chaos
-    /// harnesses poll with short deadlines between delayed-message
-    /// flushes.
+    /// Like [`AgileMlJob::wait_clock`] with an explicit wall-clock bound.
+    ///
+    /// The clock waited on is the job's *current* consistent clock: a
+    /// rollback winds it back, so a clock reached before a failure does
+    /// not count once recovery has undone it.
     pub fn wait_clock_for(&mut self, clock: u64, timeout: Duration) -> Result<(), JobError> {
-        if self
-            .event_log
-            .iter()
-            .any(|e| matches!(e, JobEvent::ClockAdvanced { min } if *min >= clock))
-        {
-            return Ok(());
-        }
-        self.wait_for_event(
-            |e| matches!(e, JobEvent::ClockAdvanced { min } if *min >= clock),
-            timeout,
+        // Judged only once everything reported has been logged, so an
+        // advance with a rollback queued right behind it is not taken
+        // for progress.
+        self.engine.get_mut().await_state(
+            |_| false,
+            |engine| engine.clock >= clock,
+            Instant::now() + timeout,
             "clock advance",
         )
     }
 
     /// Fetches a full model snapshot from the serving parameter servers.
     pub fn snapshot(&self) -> Result<ModelSnapshot, JobError> {
-        let (tx, rx) = bounded(1);
-        self.send_cmd(Command::Snapshot { reply: tx })?;
-        rx.recv_timeout(WAIT).map_err(|_| JobError::Timeout {
-            waiting_for: "model snapshot",
-        })
+        self.engine
+            .borrow_mut()
+            .ask(Command::Snapshot, "model snapshot", |r| match r {
+                Report::Snapshot(snap) => Ok(snap),
+                other => Err(other),
+            })
     }
 
     /// The training objective of the current model over `data`.
@@ -554,64 +710,58 @@ impl<A: MlApp> AgileMlJob<A> {
 
     /// Controller status (stage, counts, clock).
     pub fn status(&self) -> Result<JobStatus, JobError> {
-        let (tx, rx) = bounded(1);
-        self.send_cmd(Command::Status { reply: tx })?;
-        rx.recv_timeout(WAIT).map_err(|_| JobError::Timeout {
-            waiting_for: "controller status",
-        })
+        self.engine
+            .borrow_mut()
+            .ask(Command::Status, "controller status", |r| match r {
+                Report::Status(status) => Ok(status),
+                other => Err(other),
+            })
     }
 
     /// Installs (or replaces) the seed-deterministic fault plan applied
-    /// to every subsequently delivered message.
+    /// to every subsequently sent message.
     pub fn set_faults(&self, plan: FaultPlan<AgileMsg>) {
-        self.cluster.set_faults(plan);
+        self.engine.borrow_mut().cluster.set_faults(plan);
     }
 
     /// Removes the fault plan, first releasing any held-back messages.
     pub fn clear_faults(&self) {
-        self.cluster.clear_faults();
+        self.engine.borrow_mut().cluster.clear_faults();
     }
 
-    /// Releases every delayed message currently held by the fault layer
-    /// (breaks artificial quiescence when a held message is the only
-    /// traffic left); returns how many were released.
+    /// Releases every delayed message currently held by the fault layer;
+    /// returns how many were released. Waits do this on their own when
+    /// the queue runs dry.
     pub fn flush_delayed(&self) -> usize {
-        self.cluster.flush_delayed()
+        self.engine.borrow_mut().cluster.flush_delayed()
     }
 
     /// Counts of faults injected so far.
     pub fn fault_stats(&self) -> FaultStats {
-        self.cluster.fault_stats()
+        self.engine.borrow().cluster.fault_stats()
     }
 
     /// Attaches an observability recorder: future (and already-logged)
     /// job events are mirrored onto its timeline as `agile.*` records,
-    /// and the cluster's fault layer mirrors injected message faults
-    /// into its `simnet.msg.*` counters. Works before or after
-    /// `set_faults` — the cluster retrofits the live layer.
+    /// stamped with the recorder's own clock, and the cluster's fault
+    /// layer mirrors injected message faults into its `simnet.msg.*`
+    /// counters. The job's cluster never drives the recorder's clock:
+    /// it sits at the epoch, while a session stamps the recorder with
+    /// market time. Works before or after `set_faults`.
     pub fn attach_recorder(&mut self, rec: Arc<Recorder>) {
-        self.cluster.set_recorder(Arc::clone(&rec));
-        for e in &self.event_log {
+        let engine = self.engine.get_mut();
+        engine.cluster.mirror_faults_into(Arc::clone(&rec));
+        for e in &engine.event_log {
             rec.record_now(Event::Agile(e.to_obs()));
         }
-        self.obs = Some(rec);
+        engine.obs = Some(rec);
     }
 
-    /// Logs a drained event, mirroring it to the recorder (stamped with
-    /// the recorder's current sim clock) when one is attached.
-    fn log_event(&mut self, e: JobEvent) {
-        if let Some(rec) = self.obs.as_deref() {
-            rec.record_now(Event::Agile(e.to_obs()));
-        }
-        self.event_log.push(e);
-    }
-
-    /// Every job event observed so far (drains the channel).
+    /// Every job event reported so far.
     pub fn events(&mut self) -> &[JobEvent] {
-        while let Ok(e) = self.events.try_recv() {
-            self.log_event(e);
-        }
-        &self.event_log
+        let engine = self.engine.get_mut();
+        while engine.next_event().is_some() {}
+        &engine.event_log
     }
 
     /// The application under training.
@@ -628,71 +778,27 @@ impl<A: MlApp> AgileMlJob<A> {
     /// assert traffic-direction properties (e.g. backup streams flow
     /// toward reliable machines only).
     pub fn traffic_matrix(&self) -> Vec<((NodeId, NodeId), u64)> {
-        self.cluster.traffic_matrix()
+        self.engine.borrow().cluster.traffic_matrix()
     }
 
     /// Messages delivered from `from` to `to`.
     pub fn traffic_between(&self, from: NodeId, to: NodeId) -> u64 {
-        self.cluster.traffic_between(from, to)
+        self.engine.borrow().cluster.traffic_between(from, to)
     }
 
-    /// Aggregate delivered/dropped counters for the whole cluster. Both
-    /// simnet cores account identically (see
-    /// `proteus_simnet::event_core`), so sessions can report these
-    /// regardless of which core ran the job.
+    /// Aggregate delivered/dropped counters for the whole cluster.
     pub fn net_stats(&self) -> NetStats {
-        self.cluster.stats()
+        self.engine.borrow().cluster.stats()
     }
 
     /// Stops every node and tears the cluster down.
     pub fn shutdown(self) -> Result<(), JobError> {
+        let mut engine = self.engine.into_inner();
         // Held-back (delayed) messages must not strand a drain order.
-        self.cluster.clear_faults();
-        let (tx, rx) = bounded(1);
-        self.send_cmd(Command::Shutdown { reply: tx })?;
-        rx.recv_timeout(WAIT).map_err(|_| JobError::Timeout {
-            waiting_for: "shutdown acknowledgement",
-        })?;
-        // Kill-then-join rather than a bare join: a victim holding out
-        // for a relay that will never arrive (its migration source died
-        // unwarned) must not hang teardown forever.
-        self.cluster.abort_all();
-        Ok(())
-    }
-
-    /// Waits until an event matching `pred` arrives (events seen along
-    /// the way are logged). A [`JobEvent::Faulted`] arriving mid-wait
-    /// aborts the wait with the typed fault: the controller has declared
-    /// the thing being waited for unreachable.
-    fn wait_for_event(
-        &mut self,
-        mut pred: impl FnMut(&JobEvent) -> bool,
-        timeout: Duration,
-        waiting_for: &'static str,
-    ) -> Result<(), JobError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(JobError::Timeout { waiting_for });
-            }
-            match self.events.recv_timeout(deadline - now) {
-                Ok(e) => {
-                    let hit = pred(&e);
-                    let fault = match &e {
-                        JobEvent::Faulted { fault } if !hit => Some(fault.clone()),
-                        _ => None,
-                    };
-                    self.log_event(e);
-                    if hit {
-                        return Ok(());
-                    }
-                    if let Some(fault) = fault {
-                        return Err(JobError::Fault(fault));
-                    }
-                }
-                Err(_) => return Err(JobError::Timeout { waiting_for }),
-            }
-        }
+        engine.cluster.clear_faults();
+        engine.ask(Command::Shutdown, "shutdown acknowledgement", |r| match r {
+            Report::Stopping => Ok(()),
+            other => Err(other),
+        })
     }
 }

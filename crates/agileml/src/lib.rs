@@ -21,9 +21,11 @@
 //! evictions (drain-to-backup within the warning window), and failures
 //! (online rollback to the last backup-consistent clock).
 //!
-//! Everything runs for real over [`proteus_simnet`]: one thread per
-//! simulated machine, message passing only, faults injected by the
-//! harness. The entry point is [`job::AgileMlJob`].
+//! Everything runs for real over [`proteus_simnet`]'s discrete-event
+//! core: every simulated machine is a message handler on one
+//! timestamp-ordered queue, message passing only, faults injected by
+//! the harness, and a job is a pure function of its inputs and the
+//! calls made on it. The entry point is [`job::AgileMlJob`].
 
 // Controller/node/topology logic must report faults through the event
 // channel, never panic; any retained expect documents a real invariant

@@ -7,11 +7,10 @@
 
 use std::sync::Arc;
 
-use crossbeam::channel::Sender;
 use proteus_ps::{DenseVec, KeySet, PartitionId};
 use proteus_simnet::{NodeClass, NodeId};
 
-use crate::events::JobStatus;
+use crate::events::{JobEvent, JobStatus};
 use crate::job::ModelSnapshot;
 use crate::topology::{BlockId, Topology};
 
@@ -257,19 +256,28 @@ pub enum Command {
         /// Failed nodes.
         nodes: Vec<NodeId>,
     },
-    /// Reply with a full model snapshot once state is quiescent enough.
-    Snapshot {
-        /// Reply channel.
-        reply: Sender<ModelSnapshot>,
-    },
-    /// Reply with controller status.
-    Status {
-        /// Reply channel.
-        reply: Sender<JobStatus>,
-    },
-    /// Stop all nodes gracefully and acknowledge.
-    Shutdown {
-        /// Reply channel, signalled when every node was told to stop.
-        reply: Sender<()>,
-    },
+    /// Report a full model snapshot ([`Report::Snapshot`]) once state is
+    /// quiescent enough.
+    Snapshot,
+    /// Report controller status ([`Report::Status`]).
+    Status,
+    /// Stop all nodes gracefully and acknowledge ([`Report::Stopping`]).
+    Shutdown,
+}
+
+/// What the controller hands back to the driver: job events as they
+/// happen, and the answers to [`Command::Snapshot`], [`Command::Status`]
+/// and [`Command::Shutdown`]. Reports are not network traffic — the
+/// controller and the driver share a process — so they bypass the fault
+/// layer and the traffic counters.
+#[derive(Debug, Clone)]
+pub enum Report {
+    /// A job event, in the order the controller emitted it.
+    Event(JobEvent),
+    /// The model a [`Command::Snapshot`] asked for.
+    Snapshot(ModelSnapshot),
+    /// The status a [`Command::Status`] asked for.
+    Status(JobStatus),
+    /// Every member was told to stop; the controller is gone.
+    Stopping,
 }

@@ -2,93 +2,28 @@
 //! (ParamServ / ActivePS / BackupPS duties) and the worker role.
 //!
 //! Real AgileML runs one process per machine with worker threads per core
-//! plus optional server threads; here one simnet thread per machine runs
-//! both roles through a single message loop, which preserves every
-//! protocol interaction (including compute/serving interference on a
-//! shared machine) while keeping the runtime dependency-free.
+//! plus optional server threads; here each machine is one [`SimNode`] on
+//! the job's discrete-event cluster running both roles through a single
+//! message handler, which preserves every protocol interaction
+//! (including compute/serving interference on a shared machine) while
+//! keeping the runtime dependency-free.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use proteus_mlapps::app::MlApp;
 use proteus_ps::{PartitionId, PartitionMap};
-use proteus_simnet::{Control, Incoming, NodeCtx, NodeId, RecvError};
+use proteus_simnet::{Control, NodeId, SimCtx, SimNode};
 use proteus_simtime::rng::seeded_stream;
 
 use crate::config::AgileConfig;
 use crate::msg::{AgileMsg, Values};
 use crate::server::ServerState;
 use crate::topology::Topology;
-use crate::worker::WorkerState;
-
-/// Runs an AgileML node until stopped, killed, or shut down.
-///
-/// The node introduces itself to the controller with `Hello`, then obeys
-/// `Configure` / `Topology` / elasticity messages while serving parameter
-/// traffic and iterating as a worker.
-pub fn run_node<A: MlApp>(
-    ctx: NodeCtx<AgileMsg>,
-    controller: NodeId,
-    app: Arc<A>,
-    dataset: Arc<Vec<A::Datum>>,
-    cfg: AgileConfig,
-) {
-    // `AgileConfig::validate` rejects zero partitions before any node is
-    // spawned.
-    #[allow(clippy::expect_used)]
-    let layout = PartitionMap::new(cfg.partitions).expect("validated config");
-    let me = ctx.id();
-    let rng = seeded_stream(cfg.seed, 0x4000 + u64::from(me.0));
-    let mut node = NodeState {
-        server: ServerState::new(layout),
-        worker: WorkerState::new(
-            Arc::clone(&app),
-            dataset,
-            cfg.data_blocks,
-            layout,
-            cfg.slack,
-            rng,
-            controller,
-        ),
-        topology: None,
-        forward: BTreeMap::new(),
-        awaiting: BTreeSet::new(),
-        recent_installs: BTreeSet::new(),
-        ready_pending: false,
-        pending_updates: Vec::new(),
-        stop_deferred: false,
-        pending_exports: Vec::new(),
-        pending_replicas: Vec::new(),
-        pending_recovers: Vec::new(),
-        epoch: 0,
-        configured_once: false,
-        last_push_min: 0,
-        controller,
-    };
-
-    let _ = ctx.send(controller, AgileMsg::Hello { class: ctx.class() });
-
-    loop {
-        match ctx.recv() {
-            Ok(Incoming::App(env)) => {
-                if !node.handle(env.from, env.msg, &ctx) {
-                    break;
-                }
-            }
-            Ok(Incoming::Control(Control::EvictionWarning { deadline_ms })) => {
-                // Relay the provider's warning so the controller drains
-                // this node even when no driver forwards the eviction.
-                let _ = ctx.send(controller, AgileMsg::EvictionNotice { deadline_ms });
-            }
-            Ok(Incoming::Control(Control::Shutdown)) => break,
-            Ok(Incoming::Control(Control::Kill)) | Err(RecvError::Killed) => break,
-            Err(_) => break,
-        }
-    }
-}
+use crate::worker::{BlockKeys, WorkerState};
 
 /// All mutable state of one node.
-struct NodeState<A: MlApp> {
+pub(crate) struct NodeState<A: MlApp> {
     server: ServerState,
     worker: WorkerState<A>,
     topology: Option<Arc<Topology>>,
@@ -129,8 +64,42 @@ struct NodeState<A: MlApp> {
 }
 
 impl<A: MlApp> NodeState<A> {
+    /// The state of machine `me` before its first `Configure`.
+    pub(crate) fn new(
+        me: NodeId,
+        controller: NodeId,
+        app: Arc<A>,
+        dataset: Arc<Vec<A::Datum>>,
+        block_keys: Arc<BlockKeys>,
+        cfg: AgileConfig,
+    ) -> Self {
+        // `AgileConfig::validate` rejects zero partitions before any node
+        // is added.
+        #[allow(clippy::expect_used)]
+        let layout = PartitionMap::new(cfg.partitions).expect("validated config");
+        let rng = seeded_stream(cfg.seed, 0x4000 + u64::from(me.0));
+        NodeState {
+            server: ServerState::new(layout),
+            worker: WorkerState::new(app, dataset, block_keys, layout, cfg.slack, rng, controller),
+            topology: None,
+            forward: BTreeMap::new(),
+            awaiting: BTreeSet::new(),
+            recent_installs: BTreeSet::new(),
+            ready_pending: false,
+            pending_updates: Vec::new(),
+            stop_deferred: false,
+            pending_exports: Vec::new(),
+            pending_replicas: Vec::new(),
+            pending_recovers: Vec::new(),
+            epoch: 0,
+            configured_once: false,
+            last_push_min: 0,
+            controller,
+        }
+    }
+
     /// Handles one message; returns `false` to stop the node.
-    fn handle(&mut self, from: NodeId, msg: AgileMsg, ctx: &NodeCtx<AgileMsg>) -> bool {
+    fn handle(&mut self, from: NodeId, msg: AgileMsg, ctx: &mut SimCtx<'_, AgileMsg>) -> bool {
         match msg {
             AgileMsg::Configure(assign) => {
                 if !self.configured_once {
@@ -156,13 +125,15 @@ impl<A: MlApp> NodeState<A> {
                         && !assign.backup_partitions.contains(p)
                         && !assign.await_installs.contains(p)
                 });
-                self.awaiting = assign
-                    .await_installs
-                    .iter()
-                    .copied()
-                    .filter(|p| !self.recent_installs.contains(p))
-                    .collect();
-                self.recent_installs.clear();
+                // Added to what is already awaited, never in place of it:
+                // an image an earlier reconfiguration left in flight is
+                // still coming, and forgetting it would let a later
+                // `MigratePartitions` export a store that never arrived
+                // and a later `Stop` abandon the relay it owes.
+                self.awaiting.extend(assign.await_installs.iter().copied());
+                for p in std::mem::take(&mut self.recent_installs) {
+                    self.awaiting.remove(&p);
+                }
                 if self.awaiting.is_empty() {
                     let _ = ctx.send(self.controller, AgileMsg::Ready);
                 } else {
@@ -473,6 +444,11 @@ impl<A: MlApp> NodeState<A> {
                 }
             }
             AgileMsg::RestartFrom { clock, epoch } => {
+                // Recovery reinstalls every serving partition from the
+                // rolled-back backups (the `Configure` behind this says
+                // which); images of the old epoch still in flight are
+                // moot, and their senders may be the machines that died.
+                self.awaiting.clear();
                 self.epoch = epoch;
                 self.last_push_min = clock;
                 self.worker.restart_from(clock, epoch);
@@ -511,7 +487,7 @@ impl<A: MlApp> NodeState<A> {
     /// dirty deltas have accumulated since the last push, so the local
     /// dirty aggregate is discarded — pushing it later would apply those
     /// deltas twice at the new backup.
-    fn replicate_one(&mut self, p: PartitionId, to: NodeId, ctx: &NodeCtx<AgileMsg>) {
+    fn replicate_one(&mut self, p: PartitionId, to: NodeId, ctx: &mut SimCtx<'_, AgileMsg>) {
         let image = self.server.export_serving(p);
         self.server.discard_dirty(p);
         let _ = ctx.send(
@@ -531,7 +507,7 @@ impl<A: MlApp> NodeState<A> {
         partitions: &[PartitionId],
         new_owner: NodeId,
         clock: u64,
-        ctx: &NodeCtx<AgileMsg>,
+        ctx: &mut SimCtx<'_, AgileMsg>,
     ) {
         self.server.backup_rollback_to(clock);
         for p in partitions {
@@ -556,7 +532,7 @@ impl<A: MlApp> NodeState<A> {
 
     /// Streams the coalesced dirty deltas of every served partition to
     /// its backup owner.
-    fn push_to_backups(&mut self, clock: u64, end_of_life: bool, ctx: &NodeCtx<AgileMsg>) {
+    fn push_to_backups(&mut self, clock: u64, end_of_life: bool, ctx: &mut SimCtx<'_, AgileMsg>) {
         let Some(topo) = self.topology.clone() else {
             return;
         };
@@ -583,7 +559,7 @@ impl<A: MlApp> NodeState<A> {
     }
 
     /// Drives the worker and dispatches whatever it wants sent.
-    fn progress_worker(&mut self, ctx: &NodeCtx<AgileMsg>) {
+    fn progress_worker(&mut self, ctx: &mut SimCtx<'_, AgileMsg>) {
         let Some(topo) = self.topology.clone() else {
             return;
         };
@@ -593,7 +569,7 @@ impl<A: MlApp> NodeState<A> {
 
     /// Sends worker outbox messages, feeding send failures (evicted
     /// destinations) back into the worker so it never deadlocks.
-    fn dispatch(&mut self, out: Vec<(NodeId, AgileMsg)>, ctx: &NodeCtx<AgileMsg>) {
+    fn dispatch(&mut self, out: Vec<(NodeId, AgileMsg)>, ctx: &mut SimCtx<'_, AgileMsg>) {
         let mut queue: VecDeque<(NodeId, AgileMsg)> = out.into();
         while let Some((dst, msg)) = queue.pop_front() {
             let failed_token = match &msg {
@@ -609,6 +585,40 @@ impl<A: MlApp> NodeState<A> {
                 // (tolerated), ClockDone to the controller cannot fail
                 // while the job is alive.
             }
+        }
+    }
+}
+
+impl<A: MlApp> SimNode<AgileMsg> for NodeState<A> {
+    /// A freshly booted machine introduces itself to the controller.
+    fn on_start(&mut self, ctx: &mut SimCtx<'_, AgileMsg>) {
+        let class = ctx.class();
+        let _ = ctx.send(self.controller, AgileMsg::Hello { class });
+    }
+
+    fn on_message(&mut self, ctx: &mut SimCtx<'_, AgileMsg>, from: NodeId, msg: AgileMsg) {
+        if !self.handle(from, msg, ctx) {
+            ctx.stop();
+        }
+    }
+
+    /// The one heavy handler is the read response that lets a worker
+    /// run `process` over its data; everything else files messages.
+    fn compute_hint(&self, _from: NodeId, msg: &AgileMsg) -> u64 {
+        match msg {
+            AgileMsg::ReadResp { token, .. } => self.worker.pass_work(*token),
+            _ => 0,
+        }
+    }
+
+    fn on_control(&mut self, ctx: &mut SimCtx<'_, AgileMsg>, ctrl: Control) {
+        match ctrl {
+            // Relay the provider's warning so the controller drains this
+            // node even when no driver forwards the eviction.
+            Control::EvictionWarning { deadline_ms } => {
+                let _ = ctx.send(self.controller, AgileMsg::EvictionNotice { deadline_ms });
+            }
+            Control::Shutdown | Control::Kill => ctx.stop(),
         }
     }
 }

@@ -10,10 +10,10 @@
 //!
 //! [`WorkerState`] is a pure state machine: it *returns* the messages to
 //! send instead of sending them, so iteration logic is unit-testable
-//! without threads; `node.rs` performs the actual I/O.
+//! without a cluster; `node.rs` performs the actual I/O.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use proteus_mlapps::app::MlApp;
 use proteus_ps::{KeySet, ParamKey, PartitionId, PartitionMap, WorkerCache};
@@ -61,19 +61,98 @@ pub enum WorkerPhase {
 /// Messages a worker wants sent, as `(destination, message)` pairs.
 pub type Outbox = Vec<(NodeId, AgileMsg)>;
 
+/// The job's input-data blocks: each block's index range and, once some
+/// worker has loaded it, the sorted, deduplicated parameter keys its
+/// data reads.
+///
+/// A block's key list is a pure function of app, dataset and block
+/// range, so it is built once per job — by whichever worker first needs
+/// it — and shared by all of the job's workers. A reassignment then
+/// costs the blocks that moved, not a `keys_for` pass over every datum
+/// the worker holds.
+#[derive(Debug)]
+pub struct BlockKeys {
+    /// Block → index range of the dataset, fixed at job start.
+    ranges: Vec<(usize, usize)>,
+    reads: Vec<OnceLock<BlockReads>>,
+}
+
+/// What one pass over a block reads.
+#[derive(Debug)]
+struct BlockReads {
+    /// The distinct keys, sorted.
+    keys: Vec<ParamKey>,
+    /// Row elements touched: every datum's every key, times its width.
+    work: u64,
+}
+
+impl BlockKeys {
+    /// The block table of a `dataset_len`-item dataset cut into
+    /// `data_blocks` blocks.
+    pub fn new(dataset_len: usize, data_blocks: u32) -> Self {
+        let ranges = block_ranges(dataset_len, data_blocks);
+        let reads = ranges.iter().map(|_| OnceLock::new()).collect();
+        BlockKeys { ranges, reads }
+    }
+
+    /// The dataset index range of `block` (empty for an unknown block).
+    fn range(&self, block: BlockId) -> (usize, usize) {
+        self.ranges.get(block.0 as usize).copied().unwrap_or((0, 0))
+    }
+
+    /// What one pass over `block` reads (nothing for an unknown block).
+    fn reads<A: MlApp>(&self, app: &A, dataset: &[A::Datum], block: BlockId) -> &BlockReads {
+        static NOTHING: BlockReads = BlockReads {
+            keys: Vec::new(),
+            work: 0,
+        };
+        let Some(cell) = self.reads.get(block.0 as usize) else {
+            return &NOTHING;
+        };
+        cell.get_or_init(|| {
+            let (lo, hi) = self.range(block);
+            // Duplicates outnumber distinct keys several times over, so
+            // they are dropped by a presence table before the sort
+            // rather than by it.
+            let mut seen = vec![false; app.key_count() as usize];
+            let mut keys = Vec::new();
+            let mut work = 0;
+            for datum in &dataset[lo..hi] {
+                for key in app.keys_for(datum) {
+                    work += app.value_dim(key) as u64;
+                    let at = key.0 as usize;
+                    if at >= seen.len() {
+                        seen.resize(at + 1, false);
+                    }
+                    if !std::mem::replace(&mut seen[at], true) {
+                        keys.push(key);
+                    }
+                }
+            }
+            keys.sort_unstable();
+            BlockReads { keys, work }
+        })
+    }
+}
+
 /// The worker half of an AgileML node.
 pub struct WorkerState<A: MlApp> {
     app: Arc<A>,
     /// The full dataset ("S3"); blocks are loaded (cloned) from here.
     dataset: Arc<Vec<A::Datum>>,
-    /// Block → index range table, fixed at job start.
-    ranges: Vec<(usize, usize)>,
+    /// Block ranges and per-block key lists, shared across the job.
+    block_keys: Arc<BlockKeys>,
     /// Loaded blocks with their (mutable, scratch-bearing) data.
     local: BTreeMap<BlockId, Vec<A::Datum>>,
-    /// Sorted union of `keys_for` over `local` — what every clock reads.
-    /// A function of the loaded blocks alone, so only `assign_blocks`
-    /// rebuilds it.
+    /// Sorted union of the loaded blocks' key lists — what every clock
+    /// reads. A function of the loaded blocks alone, so only
+    /// `assign_blocks` touches it.
     read_keys: Vec<ParamKey>,
+    /// How many loaded blocks read each key (indexed by key); a key is
+    /// in `read_keys` exactly while its count is nonzero.
+    key_refs: Vec<u32>,
+    /// Row elements one pass over the loaded blocks touches.
+    work: u64,
     layout: PartitionMap,
     cache: WorkerCache,
     scratch: A::Scratch,
@@ -100,19 +179,20 @@ impl<A: MlApp> WorkerState<A> {
     pub fn new(
         app: Arc<A>,
         dataset: Arc<Vec<A::Datum>>,
-        data_blocks: u32,
+        block_keys: Arc<BlockKeys>,
         layout: PartitionMap,
         slack: u64,
         rng: StdRng,
         controller: NodeId,
     ) -> Self {
-        let ranges = block_ranges(dataset.len(), data_blocks);
         WorkerState {
             app,
             dataset,
-            ranges,
+            block_keys,
             local: BTreeMap::new(),
             read_keys: Vec::new(),
+            key_refs: Vec::new(),
+            work: 0,
             layout,
             cache: WorkerCache::new(layout),
             scratch: A::Scratch::default(),
@@ -144,6 +224,17 @@ impl<A: MlApp> WorkerState<A> {
         self.epoch
     }
 
+    /// The size of the `process` pass a response to read round `token`
+    /// may start, in row elements touched (zero if no such round is
+    /// outstanding). Every response of the round reports it, which only
+    /// errs towards handing the batch to more threads.
+    pub fn pass_work(&self, token: u64) -> u64 {
+        match self.phase {
+            WorkerPhase::WaitReads { token: t, .. } if t == token => self.work,
+            _ => 0,
+        }
+    }
+
     /// Whether this worker currently has data to process.
     pub fn has_data(&self) -> bool {
         !self.local.is_empty()
@@ -151,27 +242,58 @@ impl<A: MlApp> WorkerState<A> {
 
     /// Applies a (re)assignment of data blocks: loads newly assigned
     /// blocks from the dataset, drops removed ones (keeping scratch state
-    /// of retained blocks).
+    /// of retained blocks), and moves `read_keys` by the key lists of the
+    /// blocks that came or went.
     pub fn assign_blocks(&mut self, blocks: &[BlockId]) {
-        let wanted: std::collections::BTreeSet<BlockId> = blocks.iter().copied().collect();
-        let loaded = self.local.len();
-        self.local.retain(|b, _| wanted.contains(b));
-        let mut changed = self.local.len() != loaded;
-        for b in blocks {
-            if !self.local.contains_key(b) {
-                let (lo, hi) = self.ranges.get(b.0 as usize).copied().unwrap_or((0, 0));
-                self.local.insert(*b, self.dataset[lo..hi].to_vec());
-                changed = true;
+        let wanted: BTreeSet<BlockId> = blocks.iter().copied().collect();
+        let gone: Vec<BlockId> = self
+            .local
+            .keys()
+            .filter(|b| !wanted.contains(b))
+            .copied()
+            .collect();
+        let mut orphaned = false;
+        for b in gone {
+            self.local.remove(&b);
+            let reads = self.block_keys.reads(&*self.app, &self.dataset, b);
+            self.work -= reads.work;
+            for k in &reads.keys {
+                let refs = &mut self.key_refs[k.0 as usize];
+                *refs -= 1;
+                orphaned |= *refs == 0;
             }
         }
-        if changed {
-            self.read_keys.clear();
-            for datum in self.local.values().flatten() {
-                self.read_keys.extend(self.app.keys_for(datum));
+        if orphaned {
+            let refs = &self.key_refs;
+            self.read_keys.retain(|k| refs[k.0 as usize] > 0);
+        }
+        let mut fresh: Vec<ParamKey> = Vec::new();
+        for b in wanted {
+            if self.local.contains_key(&b) {
+                continue;
             }
-            self.read_keys.sort_unstable();
-            self.read_keys.dedup();
-            self.reserve_rows();
+            let (lo, hi) = self.block_keys.range(b);
+            self.local.insert(b, self.dataset[lo..hi].to_vec());
+            let reads = self.block_keys.reads(&*self.app, &self.dataset, b);
+            self.work += reads.work;
+            for k in &reads.keys {
+                let at = k.0 as usize;
+                if at >= self.key_refs.len() {
+                    self.key_refs.resize(at + 1, 0);
+                }
+                if self.key_refs[at] == 0 {
+                    fresh.push(*k);
+                }
+                self.key_refs[at] += 1;
+            }
+        }
+        if !fresh.is_empty() {
+            for &key in &fresh {
+                self.cache.reserve(key, self.app.value_dim(key));
+            }
+            self.read_keys.extend(fresh);
+            // A few sorted runs: the stable sort merges them.
+            self.read_keys.sort();
         }
         if self.local.is_empty() && matches!(self.phase, WorkerPhase::WaitBarrier) {
             self.phase = WorkerPhase::Idle;
@@ -179,7 +301,9 @@ impl<A: MlApp> WorkerState<A> {
     }
 
     /// Gives every key this worker reads a row of the app's dimension,
-    /// so a key no server answers for still reads as zeros of that length.
+    /// so a key no server answers for still reads as zeros of that
+    /// length. `assign_blocks` reserves as keys arrive; a rollback
+    /// clears the cache and calls this to reserve them all again.
     fn reserve_rows(&mut self) {
         for &key in &self.read_keys {
             self.cache.reserve(key, self.app.value_dim(key));
@@ -436,10 +560,12 @@ mod tests {
     }
 
     fn worker() -> WorkerState<MatrixFactorization> {
+        let data = mini_data();
+        let blocks = Arc::new(BlockKeys::new(data.len(), 2));
         WorkerState::new(
             mini_app(),
-            mini_data(),
-            2,
+            data,
+            blocks,
             PartitionMap::new(2).unwrap(),
             0,
             seeded(1),
@@ -664,5 +790,101 @@ mod tests {
         w.start();
         assert_eq!(one_clock(&mut w, &t), all);
         assert_eq!(all, recomputed_keys(&w));
+    }
+
+    /// What `assign_blocks` rebuilt from scratch before block key lists
+    /// were shared: `keys_for` over every local datum, sorted, deduped —
+    /// and the row elements all those reads touch.
+    fn rebuilt<A: MlApp>(w: &WorkerState<A>) -> (Vec<ParamKey>, u64) {
+        let all: Vec<ParamKey> = w
+            .local
+            .values()
+            .flatten()
+            .flat_map(|d| w.app.keys_for(d))
+            .collect();
+        let work = all.iter().map(|k| w.app.value_dim(*k) as u64).sum();
+        let mut keys = all;
+        keys.sort();
+        keys.dedup();
+        (keys, work)
+    }
+
+    /// Drives one worker through `script` — block sets to hold, each
+    /// optionally followed by a rollback — checking after every step
+    /// that the incrementally kept union is the from-scratch one and
+    /// that every key in it has a row of the app's width to read.
+    fn union_matches_rebuild<A: MlApp>(app: A, data: Vec<A::Datum>, script: &[(Vec<u32>, bool)]) {
+        const BLOCKS: u32 = 6;
+        let data = Arc::new(data);
+        let mut w = WorkerState::new(
+            Arc::new(app),
+            Arc::clone(&data),
+            Arc::new(BlockKeys::new(data.len(), BLOCKS)),
+            PartitionMap::new(3).unwrap(),
+            0,
+            seeded(1),
+            NodeId(0),
+        );
+        for (step, (blocks, rollback)) in script.iter().enumerate() {
+            let blocks: Vec<BlockId> = blocks.iter().map(|b| BlockId(*b)).collect();
+            w.assign_blocks(&blocks);
+            if *rollback {
+                w.restart_from(0, step as u64 + 1);
+            }
+            let (keys, work) = rebuilt(&w);
+            assert_eq!(w.read_keys, keys, "step {step}");
+            assert_eq!(w.work, work, "step {step}");
+            for k in &keys {
+                assert_eq!(w.cache.row(*k).len(), w.app.value_dim(*k));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn block_key_union_equals_the_per_datum_rebuild(
+            script in proptest::collection::vec(
+                (proptest::collection::vec(0u32..6, 0..6), proptest::prelude::any::<bool>()),
+                1..12,
+            )
+        ) {
+            use proteus_mlapps::data::{
+                imagenet_like, netflix_like, nytimes_like, LdaDataConfig, MfDataConfig,
+                MlrDataConfig,
+            };
+            use proteus_mlapps::lda::{Lda, LdaConfig};
+            use proteus_mlapps::mlr::{Mlr, MlrConfig};
+
+            let mf = MatrixFactorization::new(MfConfig {
+                rows: 12,
+                cols: 9,
+                rank: 3,
+                learning_rate: 0.1,
+                reg: 0.0,
+                init_scale: 0.1,
+            });
+            let ratings = netflix_like(
+                &MfDataConfig { rows: 12, cols: 9, true_rank: 2, observed: 50, noise: 0.01 },
+                4,
+            );
+            union_matches_rebuild(mf, ratings, &script);
+
+            let mlr = Mlr::new(MlrConfig { dim: 7, classes: 4, learning_rate: 0.1, reg: 0.0 });
+            let examples = imagenet_like(
+                &MlrDataConfig { examples: 20, dim: 7, classes: 4, separation: 1.0, noise: 0.1 },
+                5,
+            );
+            union_matches_rebuild(mlr, examples, &script);
+
+            let lda = Lda::new(LdaConfig { vocab: 30, topics: 3, ..LdaConfig::default() });
+            let docs = nytimes_like(
+                &LdaDataConfig { docs: 15, vocab: 30, true_topics: 3, doc_len: 8, topic_purity: 0.8 },
+                6,
+                3,
+            );
+            union_matches_rebuild(lda, docs, &script);
+        }
     }
 }

@@ -370,3 +370,69 @@ fn failure_after_growth_recovers_partitions_to_survivors() {
     assert!(obj < 0.25, "recovered training converges: {obj}");
     job.shutdown().expect("shutdown");
 }
+
+/// Whole-job scale: 500 simulated machines are 500 handlers on one
+/// queue, not 500 OS threads, so launching them, training, and draining
+/// half the transient tier on a warning is a matter of seconds.
+#[test]
+fn five_hundred_machines_train_and_survive_a_bulk_eviction() {
+    use proteus_simnet::NodeId;
+
+    let app = MatrixFactorization::new(MfConfig {
+        rows: 300,
+        cols: 200,
+        rank: 4,
+        learning_rate: 0.05,
+        reg: 1e-4,
+        init_scale: 0.2,
+    });
+    let data = netflix_like(
+        &MfDataConfig {
+            rows: 300,
+            cols: 200,
+            true_rank: 3,
+            observed: 6_000,
+            noise: 0.02,
+        },
+        5,
+    );
+    // A block per machine and then some, so every worker has data; the
+    // paper's N = half the maximum footprint would be 250 partitions —
+    // 64 keeps the test quick and still spreads over 64 ActivePS hosts.
+    let cfg = AgileConfig {
+        partitions: 64,
+        data_blocks: 1_000,
+        seed: 3,
+        ..AgileConfig::default()
+    };
+    let mut job = AgileMlJob::launch(app, data.clone(), cfg, 20, 480).expect("launch");
+    let status = job.status().expect("status");
+    assert_eq!(
+        status.stage,
+        Stage::Stage3,
+        "24:1 is past the 15:1 threshold"
+    );
+    assert_eq!((status.reliable, status.transient), (20, 480));
+    let before = job.objective(&data).expect("objective");
+    job.wait_clock(2).expect("two clocks");
+
+    // Nodes 1–20 are the reliable tier; every other transient machine
+    // goes, ActivePS hosts among them.
+    let victims: Vec<NodeId> = (21..=500).step_by(2).map(NodeId).collect();
+    assert_eq!(victims.len(), 240);
+    job.evict_with_warning(&victims).expect("bulk eviction");
+    let status = job.status().expect("status");
+    assert_eq!(status.transient, 240);
+    let clock = status.min_clock;
+    job.wait_clock(clock + 2).expect("training continues");
+
+    let snap = job.snapshot().expect("snapshot");
+    assert_eq!(snap.params.len() as u64, job.app().key_count());
+    let after = job.objective(&data).expect("objective");
+    assert!(after < before, "still converging: {before} -> {after}");
+    assert!(job
+        .events()
+        .iter()
+        .all(|e| !matches!(e, JobEvent::NodesFailedRecovered { .. })));
+    job.shutdown().expect("shutdown");
+}

@@ -8,6 +8,8 @@
 //! the driver. The contract under every schedule is the same: the job
 //! either converges to the fault-free objective or surfaces a typed
 //! [`JobError`] — it never panics and never wedges past a driver timeout.
+//! (A message the fault layer holds back cannot starve a wait: the job's
+//! waits release held messages whenever the queue runs dry.)
 //!
 //! Each run prints `chaos: scenario=<name> seed=<seed>` *before* doing
 //! anything, so a failure in CI is reproducible from the printed seed
@@ -21,9 +23,7 @@
 //! consistent clock back to zero.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -34,8 +34,7 @@ use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
 use proteus_obs::Recorder;
 use proteus_ps::ClockTable;
 use proteus_simnet::{
-    ClusterHandle, FaultPlan, FaultRule, NodeClass, NodeId, OBS_MSG_DELAYED, OBS_MSG_DROPPED,
-    OBS_MSG_DUPLICATED,
+    FaultPlan, FaultRule, NodeClass, NodeId, OBS_MSG_DELAYED, OBS_MSG_DROPPED, OBS_MSG_DUPLICATED,
 };
 
 /// Clock every scenario trains to before judging the objective.
@@ -134,40 +133,6 @@ fn sweep(name: &str, hard: bool, scenario: impl Fn(u64) -> Result<f64, JobError>
                 println!("chaos: scenario={name} seed={seed} surfaced typed error: {e}");
             }
             Err(e) => panic!("chaos: scenario={name} seed={seed}: expected recovery, got: {e}"),
-        }
-    }
-}
-
-/// Background thread releasing delayed messages so a held-back message
-/// can never starve a driver wait (see `FaultLayer` docs: a held message
-/// whose pair sees no further traffic would otherwise sleep forever).
-struct Flusher {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl Flusher {
-    fn start(handle: ClusterHandle<AgileMsg>) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let seen = Arc::clone(&stop);
-        let thread = std::thread::spawn(move || {
-            while !seen.load(Ordering::Relaxed) {
-                handle.flush_delayed();
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        });
-        Flusher {
-            stop,
-            thread: Some(thread),
-        }
-    }
-}
-
-impl Drop for Flusher {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
         }
     }
 }
@@ -407,7 +372,6 @@ fn message_chaos(seed: u64) -> Result<f64, JobError> {
         AgileMlJob::launch_with_faults(mf_app(), data.clone(), chaos_cfg(seed), 1, 3, plan)?;
     let rec = Arc::new(Recorder::new());
     job.attach_recorder(Arc::clone(&rec));
-    let _flusher = Flusher::start(job.cluster_handle());
     job.wait_clock_for(8, STEP)?;
     job.add_machines(NodeClass::Transient, 1)?;
     job.wait_clock_for(12, STEP)?;
@@ -467,7 +431,6 @@ fn batched_dataplane_storm(seed: u64) -> Result<f64, JobError> {
         });
     let mut job =
         AgileMlJob::launch_with_faults(mf_app(), data.clone(), chaos_cfg(seed), 1, 3, plan)?;
-    let _flusher = Flusher::start(job.cluster_handle());
     job.wait_clock_for(8, STEP)?;
     job.evict_with_warning(&[NodeId(2)])?;
     job.wait_clock_for(TARGET, STEP)?;

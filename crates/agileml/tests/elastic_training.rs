@@ -1,5 +1,5 @@
 //! End-to-end tests of the AgileML distributed runtime: real worker and
-//! server threads over simnet, real ML applications, real elasticity.
+//! server nodes over simnet, real ML applications, real elasticity.
 
 use proteus_agileml::{AgileConfig, AgileMlJob, JobEvent, Stage};
 use proteus_mlapps::data::{imagenet_like, netflix_like, MfDataConfig, MlrDataConfig};

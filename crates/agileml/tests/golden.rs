@@ -6,11 +6,10 @@
 //! were recorded on the commit *before* the worker cache became a slab
 //! and `MlApp::process` went in-place; both must reproduce them.
 //!
-//! A live one-machine job has one worker but an unaligned `snapshot()`
-//! (training keeps running while the driver asks), so it is checked
-//! against the replay instead of a constant: with a single partition a
-//! snapshot always falls between whole clocks, and must equal the
-//! replayed model at some clock at or after the one waited for.
+//! A live one-machine job runs the same data path on the discrete-event
+//! core, where a `snapshot()` taken right after `wait_clock(10)` lands
+//! exactly on the clock boundary: it is checked bit for bit against the
+//! replayed model at clock 10.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -18,7 +17,7 @@ use std::sync::Arc;
 use proteus_agileml::msg::{AgileMsg, Values};
 use proteus_agileml::server::ServerState;
 use proteus_agileml::topology::BlockId;
-use proteus_agileml::worker::WorkerState;
+use proteus_agileml::worker::{BlockKeys, WorkerState};
 use proteus_agileml::{AgileConfig, AgileMlJob, Stage, Topology};
 use proteus_mlapps::data::{imagenet_like, netflix_like, MfDataConfig, MlrDataConfig};
 use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
@@ -93,10 +92,11 @@ impl<A: MlApp> Replay<A> {
                 .collect();
             server.install_image(*p, image, 0);
         }
+        let block_keys = Arc::new(BlockKeys::new(data.len(), blocks));
         let mut worker = WorkerState::new(
             Arc::new(app),
             Arc::new(data),
-            blocks,
+            block_keys,
             layout,
             0,
             seeded_stream(0, 0x4001),
@@ -215,7 +215,7 @@ fn mlr_one_worker_fingerprint() {
     assert_eq!(replay_hash(app, data, 13), MLR_TEN_CLOCKS);
 }
 
-/// A live one-machine job lands on the replayed trajectory.
+/// A live one-machine job equals the replay at the clock waited for.
 fn live_job_matches_replay<A: MlApp + Clone>(app: A, data: Vec<A::Datum>, seed: u64) {
     let cfg = AgileConfig {
         partitions: 1,
@@ -228,31 +228,26 @@ fn live_job_matches_replay<A: MlApp + Clone>(app: A, data: Vec<A::Datum>, seed: 
     job.wait_clock(10).expect("ten clocks");
     let snap = job.snapshot().expect("snapshot");
     job.shutdown().expect("shutdown");
+    assert_eq!(snap.clock, 10, "the snapshot sits on the clock waited for");
 
     let mut r = Replay::new(app, data, &start, 1, 4);
     for _ in 0..10 {
         r.step();
     }
-    let mut clock = 10u64;
-    while !same_bits(&r.model(), &snap.params) {
-        assert!(
-            clock < 20_000,
-            "snapshot (controller clock {}) is not on the replayed trajectory",
-            snap.clock
-        );
-        r.step();
-        clock += 1;
-    }
+    assert!(
+        same_bits(&r.model(), &snap.params),
+        "the live job at clock 10 is not the replayed model at clock 10"
+    );
 }
 
 #[test]
-fn mf_live_one_machine_job_is_on_the_replayed_trajectory() {
+fn mf_live_one_machine_job_equals_the_replay_at_clock_ten() {
     let (app, data) = mf_problem();
     live_job_matches_replay(app, data, 11);
 }
 
 #[test]
-fn mlr_live_one_machine_job_is_on_the_replayed_trajectory() {
+fn mlr_live_one_machine_job_equals_the_replay_at_clock_ten() {
     let (app, data) = mlr_problem();
     live_job_matches_replay(app, data, 13);
 }

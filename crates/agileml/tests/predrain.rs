@@ -257,10 +257,10 @@ fn gce_short_warning_degrades_to_rollback() {
 // False-positive neutrality
 // ---------------------------------------------------------------------
 
-/// A false-positive pre-drain never touches committed work. The model's
-/// floating-point trajectory is not bit-reproducible even between two
-/// identical runs (threaded update application order), so "neutral" is
-/// asserted on everything that *is* exact: the consistent clock never
+/// A false-positive pre-drain never touches committed work. The
+/// migration reorders update application, so the model's floating-point
+/// trajectory differs from the undisturbed run's; "neutral" is asserted
+/// on everything that *is* comparable: the consistent clock never
 /// regresses, no rollback recovery runs, no eviction registers, the
 /// worker set is untouched — and training still converges. (Billing
 /// neutrality is asserted at the session layer, where the market plane

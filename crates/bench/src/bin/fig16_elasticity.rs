@@ -4,7 +4,7 @@
 //! (background preparation); eviction costs a ~13% one-iteration blip.
 //!
 //! This binary prints both the modelled series (performance shape) and
-//! a live run of the real threaded runtime through the same scenario at
+//! a live run of the real AgileML runtime through the same scenario at
 //! laptop scale (functional behavior).
 //!
 //! ```text
@@ -58,7 +58,7 @@ fn main() {
         100.0 * (series[34] / series[35] - 1.0)
     );
 
-    // Functional replay at laptop scale: real threads, real protocol.
+    // Functional replay at laptop scale: real messages, real protocol.
     println!("\nlive replay (1 reliable + 2 transient -> +4 -> evict 4), real runtime:");
     let data = netflix_like(
         &MfDataConfig {

@@ -28,7 +28,7 @@ pub struct ProteusConfig {
     /// Portion of the history used to train β before the job starts.
     pub beta_training: SimDuration,
     /// Cap on instances a session will hold concurrently (keeps the
-    /// threaded cluster laptop-sized; the paper ran up to 192 machines).
+    /// simulated cluster laptop-sized; the paper ran up to 192 machines).
     pub max_machines: u32,
     /// Provider-side fault regimes to install (capacity droughts,
     /// throttling, boot delays, infant mortality). `None` — the default

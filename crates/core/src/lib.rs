@@ -21,7 +21,8 @@
 //! [`Proteus`] session wires BidBrain's decisions to a simulated cloud
 //! provider and forwards grants, eviction warnings, and revocations to
 //! AgileML's elasticity controller, while a *real* distributed training
-//! job (threads + message passing) runs under the churn.
+//! job (message-passing machines on a deterministic event queue) runs
+//! under the churn.
 //!
 //! ## Quickstart
 //!

@@ -3,13 +3,13 @@
 //!
 //! This is the paper's Sec. 5 control loop. The session owns a
 //! [`CloudProvider`] replaying synthetic spot-price history, a trained
-//! [`BidBrain`], and an [`AgileMlJob`] whose machines are real threads.
-//! Advancing market time:
+//! [`BidBrain`], and an [`AgileMlJob`] whose machines are handlers on
+//! its own event queue. Advancing market time:
 //!
 //! * at every decision point (two simulated minutes, just before billing
 //!   hours end, and after evictions) BidBrain may acquire allocations —
 //!   each granted instance becomes a transient machine added to the
-//!   running job in the background;
+//!   running job;
 //! * eviction warnings are forwarded to the elasticity controller, which
 //!   drains ActivePSs to their backups within the warning window before
 //!   the provider takes the machines;
@@ -312,7 +312,13 @@ impl<A: MlApp> Proteus<A> {
     }
 
     /// Advances the market by `hours`, driving allocation decisions and
-    /// elasticity while training threads keep running.
+    /// elasticity.
+    ///
+    /// Market time and training are decoupled: the job only moves while
+    /// a call is waiting on it, so this advances training just by the
+    /// few batches each transition takes to complete. Call
+    /// [`Proteus::wait_clock`] to train — a session is a pure function
+    /// of its configuration and the calls made on it.
     pub fn run_market_hours(&mut self, hours: f64) -> Result<(), ProteusError> {
         let target = self.provider.now() + SimDuration::from_hours_f64(hours);
         while self.provider.now() < target {
@@ -850,7 +856,7 @@ impl<A: MlApp> Proteus<A> {
         self.work_lost_to_restart += lost;
 
         // Every transient holding dies with the old cluster — its
-        // machines are threads of the job being torn down. Terminate
+        // machines are nodes of the job being torn down. Terminate
         // the allocations; their current hours are already paid.
         for (id, _) in std::mem::take(&mut self.alloc_nodes) {
             let _ = self.provider.terminate(id);

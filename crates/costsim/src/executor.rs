@@ -3,148 +3,14 @@
 //! A paper-scale study (Sec. 6.3: 1000 random starts × 4 schemes) is
 //! embarrassingly parallel: every `run_job` is a pure function of the
 //! shared trace set, β estimator, scheme, and start time. The executor
-//! fans tasks across a thread pool with a work-stealing index and
-//! writes each result into a pre-sized slot keyed by task index, so
-//! aggregation order — and therefore every floating-point sum — is
-//! identical to the serial loop regardless of thread count.
+//! is the workspace's persistent helper pool under the name studies
+//! know it by: tasks fan out across parked threads and each result lands
+//! in a slot keyed by task index, so aggregation order — and therefore
+//! every floating-point sum — is identical to the serial loop regardless
+//! of thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+pub use proteus_simtime::pool::THREADS_ENV;
 
-/// Environment variable overriding the thread count.
-pub const THREADS_ENV: &str = "PROTEUS_THREADS";
-
-/// A fixed-size thread pool for index-addressed task fan-out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StudyExecutor {
-    threads: usize,
-}
-
-impl StudyExecutor {
-    /// An executor running tasks on `threads` worker threads. One thread
-    /// means the caller's thread runs everything (no spawning at all).
-    pub fn new(threads: usize) -> Self {
-        StudyExecutor {
-            threads: threads.max(1),
-        }
-    }
-
-    /// A strictly serial executor (the reference path).
-    pub fn serial() -> Self {
-        StudyExecutor::new(1)
-    }
-
-    /// Thread count from `PROTEUS_THREADS`, falling back to the
-    /// machine's available parallelism.
-    pub fn from_env() -> Self {
-        let threads = std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-        StudyExecutor::new(threads)
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs `task(i)` for every `i in 0..n` and returns the results in
-    /// index order.
-    ///
-    /// Workers claim indices from a shared atomic counter (work
-    /// stealing, so long tasks don't serialize behind a static split)
-    /// and publish into per-index slots. Because results are collected
-    /// by index, the output is bit-identical to the serial loop for
-    /// deterministic tasks, whatever the thread count or scheduling.
-    pub fn run_indexed<T, F>(&self, n: usize, task: F) -> Vec<T>
-    where
-        T: Send + Sync,
-        F: Fn(usize) -> T + Sync,
-    {
-        if self.threads == 1 || n <= 1 {
-            return (0..n).map(task).collect();
-        }
-        let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.min(n);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // Each index is claimed exactly once, so the slot is
-                    // always empty here.
-                    let filled = slots[i].set(task(i)).is_ok();
-                    debug_assert!(filled, "slot {i} claimed twice");
-                });
-            }
-        });
-        // The scoped threads above exit only after the shared counter
-        // passes `n`, so every slot has been filled exactly once.
-        #[allow(clippy::expect_used)]
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every index was claimed"))
-            .collect()
-    }
-}
-
-impl Default for StudyExecutor {
-    fn default() -> Self {
-        StudyExecutor::from_env()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serial_and_parallel_agree() {
-        let task = |i: usize| (i as f64).sqrt() * 3.0 + i as f64;
-        let serial = StudyExecutor::serial().run_indexed(97, task);
-        for threads in [2, 3, 8] {
-            let parallel = StudyExecutor::new(threads).run_indexed(97, task);
-            assert_eq!(serial, parallel, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn results_are_in_index_order() {
-        let out = StudyExecutor::new(4).run_indexed(100, |i| i);
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_and_single_inputs_work() {
-        assert!(StudyExecutor::new(4).run_indexed(0, |i| i).is_empty());
-        assert_eq!(StudyExecutor::new(4).run_indexed(1, |i| i), vec![0]);
-    }
-
-    #[test]
-    fn zero_thread_request_is_clamped_to_one() {
-        assert_eq!(StudyExecutor::new(0).threads(), 1);
-    }
-
-    #[test]
-    fn long_tasks_do_not_serialize_behind_a_static_split() {
-        // With work stealing, a pool of 2 finishes one slow task and
-        // many fast ones concurrently; this is a smoke test that all
-        // indices are claimed exactly once under contention.
-        let out = StudyExecutor::new(2).run_indexed(64, |i| {
-            if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            i * 2
-        });
-        assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
-    }
-}
+/// A `Copy` thread-count handle for index-addressed task fan-out:
+/// `new` / `serial` / `from_env` / `threads` / `run_indexed`.
+pub type StudyExecutor = proteus_simtime::Pool;

@@ -1,36 +1,56 @@
 //! The discrete-event simnet core: one timestamp-ordered queue, nodes as
-//! event-handler components.
+//! event-handler components, same-instant handlers run in parallel.
 //!
 //! The thread-per-node [`Cluster`](crate::Cluster) is faithful but
 //! hopeless at fleet scale: a thousand simulated machines means a
 //! thousand OS threads fighting the scheduler. [`SimCluster`] is the
-//! DSLab-style alternative that unlocks 1000-node / 1000-job studies: a
-//! single driver owning one [`EventQueue`], with every node implemented
-//! as a [`SimNode`] component whose `on_message` / `on_control` /
-//! `on_timer` handlers run inline when their events pop. A send is not a
-//! channel push but a **scheduled delivery event** at `now + link
-//! latency`; time advances only by popping the queue, so a whole-fleet
-//! what-if simulation costs exactly its event count — no thread spawn,
-//! park, or context-switch overhead.
+//! DSLab-style alternative: a single driver owning one [`EventQueue`],
+//! with every node implemented as a [`SimNode`] component whose
+//! `on_message` / `on_control` / `on_timer` handlers run when their
+//! events pop. A send is not a channel push but a **scheduled delivery
+//! event** at `now + link latency`; time advances only by popping the
+//! queue, so a simulation costs its handlers — no thread spawn, park,
+//! or context switch per message.
+//!
+//! # Batches
+//!
+//! The queue is dispatched a **batch** at a time. A batch is every
+//! event at the head timestamp that is in the queue when the batch
+//! forms, grouped by destination node in queue order. Each node's group
+//! runs against a private [`SimCtx`]: liveness as of the start of the
+//! batch, and its own outbox, timers and stop flag. Groups of distinct
+//! nodes share nothing, so they run on the persistent
+//! [`proteus_simtime::Pool`] when they announce enough computation to
+//! be worth waking a thread for ([`SimNode::compute_hint`],
+//! [`MIN_OFFLOAD`]) and inline on the driver's thread otherwise — a
+//! choice made from the batch's contents alone. Afterwards the
+//! driver **commits** on its own thread: stop flags first, then every
+//! outbox through the fault layer into the queue in ascending
+//! `(NodeId, send order)`, then deferred harness sends. An event
+//! scheduled by a handler for the current instant joins the *next*
+//! batch.
 //!
 //! # Determinism
 //!
-//! Everything runs on the caller's thread in timestamp order, with FIFO
-//! tie-breaking among equal timestamps (the [`EventQueue`] insertion-
-//! order invariant, property-tested in `proteus-simtime`). Two runs of
-//! the same scripted workload produce identical event sequences, stats,
-//! and traffic matrices — there is no interleaving to get lucky with.
+//! What a handler sees and what the commit step enqueues are functions
+//! of the batch alone, not of which thread ran which group or which
+//! finished first; the commit order is fixed. One thread runs the same
+//! batches inline. So event order, [`NetStats`], the traffic matrix and
+//! fault verdicts are identical for every thread count and every run —
+//! there is no interleaving to get lucky with. (Commit order is
+//! load-bearing: committing in completion order would let the scheduler
+//! pick the FIFO order of same-instant deliveries, and with it float
+//! summation order downstream.)
 //!
 //! # Fault injection at enqueue time
 //!
 //! The same [`FaultPlan`](crate::FaultPlan) chaos layer the thread
-//! cluster uses is applied when a message is **enqueued**, not when it is
-//! dispatched: the n-th send on a (sender, receiver) pair consumes the
-//! n-th draw of that pair's seeded stream, exactly as on the thread
-//! cluster (where delivery runs on the sender's thread). A chaos run is
-//! therefore reproducible from the plan seed alone, and fault verdicts
-//! are identical across the two cores for the same per-pair send
-//! sequence.
+//! cluster uses is applied when a message is **enqueued** (at commit),
+//! not when it is dispatched: the n-th send on a (sender, receiver)
+//! pair consumes the n-th draw of that pair's seeded stream, exactly as
+//! on the thread cluster. A chaos run is therefore reproducible from
+//! the plan seed alone, and fault verdicts are identical across the two
+//! cores for the same per-pair send sequence.
 //!
 //! # Kill semantics
 //!
@@ -38,13 +58,16 @@
 //! [`NodeCtx::recv`](crate::NodeCtx::recv): a killed node never handles
 //! another event. Deliveries already scheduled to it are discarded at
 //! dispatch and counted in [`NetStats::dropped`] — the event-queue
-//! analogue of a killed mailbox losing its queued messages.
+//! analogue of a killed mailbox losing its queued messages. A node that
+//! stops *within* a batch still looks alive to its peers in that batch
+//! (their sends report success); those messages are counted drops at
+//! commit, exactly like mail in flight to a machine that just died.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proteus_obs::Recorder;
-use proteus_simtime::{EventQueue, SimDuration, SimTime};
+use proteus_simtime::{EventQueue, Pool, SimDuration, SimTime};
 
 use crate::cluster::NetStats;
 use crate::fault::{Applied, FaultLayer, FaultPlan, FaultStats};
@@ -57,10 +80,12 @@ pub type TimerId = u64;
 
 /// A node as an event-handler component.
 ///
-/// Handlers run inline on the driver thread when their event pops; they
-/// interact with the cluster (sending, timers, introspection) only
-/// through the [`SimCtx`] they are handed. Handlers must not block — in
-/// a discrete-event world, "waiting" is setting a timer or waiting for
+/// Handlers of one node run one at a time, in queue order; handlers of
+/// distinct nodes due at the same instant may run on different threads
+/// (hence the `Send` bound on [`SimCluster::add_node`]). They interact
+/// with the cluster (sending, timers, introspection) only through the
+/// [`SimCtx`] they are handed. Handlers must not block — in a
+/// discrete-event world, "waiting" is setting a timer or waiting for
 /// the next message.
 pub trait SimNode<M> {
     /// Called once, synchronously, when the node is added to the cluster.
@@ -76,11 +101,22 @@ pub trait SimNode<M> {
 
     /// A timer this component set via [`SimCtx::set_timer`] fired.
     fn on_timer(&mut self, _ctx: &mut SimCtx<'_, M>, _timer: TimerId) {}
+
+    /// Roughly how many multiply-adds handling `msg` will take, when it
+    /// is real computation rather than bookkeeping (zero). A hint, asked
+    /// when a batch forms: the core hands a batch to other threads only
+    /// when it could hand over at least [`MIN_OFFLOAD`] of them, because
+    /// waking a parked thread costs far more than a handler that merely
+    /// files a message. It changes which thread runs a handler, never
+    /// what the run produces.
+    fn compute_hint(&self, _from: NodeId, _msg: &M) -> u64 {
+        0
+    }
 }
 
 /// Boxed handler closure taking the node's [`SimCtx`] plus an event
 /// payload `E` (sender + message, a control, or a timer id).
-type Handler<M, E> = Box<dyn FnMut(&mut SimCtx<'_, M>, E)>;
+type Handler<M, E> = Box<dyn FnMut(&mut SimCtx<'_, M>, E) + Send>;
 
 /// Closure-based [`SimNode`] for tests, benches, and simple protocols.
 pub struct FnNode<M> {
@@ -92,7 +128,7 @@ pub struct FnNode<M> {
 impl<M> FnNode<M> {
     /// A component handling application messages with `f` (and ignoring
     /// controls and timers until handlers are attached).
-    pub fn new(mut f: impl FnMut(&mut SimCtx<'_, M>, NodeId, M) + 'static) -> Self {
+    pub fn new(mut f: impl FnMut(&mut SimCtx<'_, M>, NodeId, M) + Send + 'static) -> Self {
         FnNode {
             on_message: Box::new(move |ctx, (from, msg)| f(ctx, from, msg)),
             on_control: None,
@@ -101,13 +137,19 @@ impl<M> FnNode<M> {
     }
 
     /// Attaches a control handler; builder style.
-    pub fn with_control(mut self, f: impl FnMut(&mut SimCtx<'_, M>, Control) + 'static) -> Self {
+    pub fn with_control(
+        mut self,
+        f: impl FnMut(&mut SimCtx<'_, M>, Control) + Send + 'static,
+    ) -> Self {
         self.on_control = Some(Box::new(f));
         self
     }
 
     /// Attaches a timer handler; builder style.
-    pub fn with_timer(mut self, f: impl FnMut(&mut SimCtx<'_, M>, TimerId) + 'static) -> Self {
+    pub fn with_timer(
+        mut self,
+        f: impl FnMut(&mut SimCtx<'_, M>, TimerId) + Send + 'static,
+    ) -> Self {
         self.on_timer = Some(Box::new(f));
         self
     }
@@ -131,6 +173,14 @@ impl<M> SimNode<M> for FnNode<M> {
     }
 }
 
+/// The least computation, in [`SimNode::compute_hint`] units, worth
+/// waking parked helpers for — not counting the batch's largest group,
+/// which the driver runs itself. A wake-up takes tens of microseconds on
+/// an idle desktop and most of a millisecond on a virtual CPU that has
+/// halted; this many multiply-adds take a few hundred microseconds, so
+/// below it the helpers would arrive to find the batch done.
+pub const MIN_OFFLOAD: u64 = 400_000;
+
 /// One scheduled occurrence in the simulation.
 enum SimEvent<M> {
     /// A message crossing the simulated link, due at its delivery instant.
@@ -144,21 +194,100 @@ enum SimEvent<M> {
     Inject { to: NodeId, msg: M },
 }
 
-/// Per-node registry metadata (the component itself lives beside the
-/// state so handlers can borrow both disjointly).
+/// Per-node registry metadata, indexed by `NodeId.0` (ids are handed
+/// out densely). Kept apart from the components so handlers can read
+/// every node's liveness while each component is mutably borrowed.
 struct NodeMeta {
     class: NodeClass,
     dead: bool,
 }
 
-/// Everything a handler may touch mid-dispatch: clock, queue, registry
-/// metadata, fault layer, counters, recorder — the routing core shared
-/// by every [`SimCtx`].
+/// What a handler asked the cluster to do, in program order.
+enum Effect<M> {
+    Send {
+        delay: SimDuration,
+        to: NodeId,
+        msg: M,
+    },
+    Timer {
+        delay: SimDuration,
+        timer: TimerId,
+    },
+}
+
+/// Everything one node's handlers produced during a batch; committed by
+/// the driver afterwards.
+struct Outbox<M> {
+    effects: Vec<Effect<M>>,
+    stopped: bool,
+}
+
+impl<M> Default for Outbox<M> {
+    fn default() -> Self {
+        Outbox {
+            effects: Vec::new(),
+            stopped: false,
+        }
+    }
+}
+
+/// One event of a batch as its destination node sees it.
+enum Due<M> {
+    Deliver { from: NodeId, msg: M },
+    Control(Control),
+    Timer(TimerId),
+}
+
+/// A live node: its component, and its share of the batch in flight —
+/// its due events in queue order and what running them produced. The
+/// buffers are emptied, not freed, between batches.
+struct Group<M> {
+    id: NodeId,
+    node: Box<dyn SimNode<M> + Send>,
+    events: Vec<Due<M>>,
+    /// The node's [`SimNode::compute_hint`]s for `events`, summed.
+    compute: u64,
+    out: Outbox<M>,
+    /// Senders of the deliveries handled, in order.
+    delivered: Vec<NodeId>,
+    /// Deliveries discarded because the node stopped earlier in the batch.
+    dropped: u64,
+}
+
+impl<M> Group<M> {
+    fn run(&mut self, now: SimTime, meta: &[NodeMeta]) {
+        for ev in self.events.drain(..) {
+            if self.out.stopped {
+                if matches!(ev, Due::Deliver { .. }) {
+                    self.dropped += 1;
+                }
+                continue;
+            }
+            let mut ctx = SimCtx {
+                id: self.id,
+                now,
+                meta,
+                out: &mut self.out,
+            };
+            match ev {
+                Due::Deliver { from, msg } => {
+                    self.delivered.push(from);
+                    self.node.on_message(&mut ctx, from, msg);
+                }
+                Due::Control(Control::Kill) => self.out.stopped = true,
+                Due::Control(ctrl) => self.node.on_control(&mut ctx, ctrl),
+                Due::Timer(timer) => self.node.on_timer(&mut ctx, timer),
+            }
+        }
+    }
+}
+
+/// The routing core the commit step mutates: clock, queue, registry
+/// metadata, fault layer, counters, recorder.
 struct CoreState<M> {
     now: SimTime,
     queue: EventQueue<SimEvent<M>>,
-    meta: HashMap<NodeId, NodeMeta>,
-    next_id: u32,
+    meta: Vec<NodeMeta>,
     /// Default one-way link latency applied to every delivery.
     link_latency: SimDuration,
     /// Per-(sender, receiver) latency overrides.
@@ -169,14 +298,17 @@ struct CoreState<M> {
     /// Delivered-message counts per (sender, receiver) pair; a BTreeMap
     /// so iteration order is deterministic for free.
     traffic: BTreeMap<(NodeId, NodeId), u64>,
+    /// Where injected-fault counters are mirrored.
     recorder: Option<Arc<Recorder>>,
+    /// Whether `recorder`'s sim clock follows this cluster's.
+    drives_clock: bool,
+}
+
+fn is_alive(meta: &[NodeMeta], node: NodeId) -> bool {
+    meta.get(node.0 as usize).is_some_and(|m| !m.dead)
 }
 
 impl<M: Clone> CoreState<M> {
-    fn is_alive(&self, node: NodeId) -> bool {
-        self.meta.get(&node).is_some_and(|m| !m.dead)
-    }
-
     fn latency(&self, from: NodeId, to: NodeId) -> SimDuration {
         self.link_overrides
             .get(&(from, to))
@@ -184,8 +316,9 @@ impl<M: Clone> CoreState<M> {
             .unwrap_or(self.link_latency)
     }
 
-    /// Pushes one message through the fault layer and schedules the
-    /// surviving copies as delivery events at `now + latency`.
+    /// Pushes one message sent at `sent` through the fault layer and
+    /// schedules the surviving copies as delivery events at
+    /// `sent + latency`.
     ///
     /// Mirrors [`ClusterInner::deliver`](crate::cluster::ClusterInner):
     /// success iff the message was absorbed by the fault layer or the
@@ -193,23 +326,21 @@ impl<M: Clone> CoreState<M> {
     /// Copies aimed at a dead destination are counted as drops
     /// immediately; copies scheduled toward a then-alive destination
     /// that dies before dispatch are counted as drops at dispatch.
-    fn enqueue(&mut self, from: NodeId, to: NodeId, msg: M) -> Result<(), SendError> {
+    fn enqueue(
+        &mut self,
+        sent: SimTime,
+        from: NodeId,
+        to: NodeId,
+        msg: M,
+    ) -> Result<(), SendError> {
         let applied = match &self.faults {
             None => Applied::passthrough(msg),
             Some(layer) => layer.apply(from, to, msg),
         };
-        let alive = self.is_alive(to);
-        let at = self.now + self.latency(from, to);
-        let copies = applied.copies.len() as u64;
-        if alive {
-            for m in applied.copies {
-                self.queue
-                    .schedule(at, SimEvent::Deliver { from, to, msg: m });
-            }
-        } else {
-            self.dropped += copies;
-        }
-        if let Some(m) = applied.released {
+        let alive = is_alive(&self.meta, to);
+        let at = sent + self.latency(from, to);
+        let absorbed = applied.absorbed;
+        for m in applied.copies.into_iter().chain(applied.released) {
             if alive {
                 self.queue
                     .schedule(at, SimEvent::Deliver { from, to, msg: m });
@@ -217,22 +348,45 @@ impl<M: Clone> CoreState<M> {
                 self.dropped += 1;
             }
         }
-        if alive || applied.absorbed {
+        if alive || absorbed {
             Ok(())
         } else {
             Err(SendError::Unreachable(to))
         }
     }
+
+    /// Commits what one node's handlers asked for, in program order, at
+    /// the current instant.
+    fn commit(&mut self, id: NodeId, effects: impl Iterator<Item = Effect<M>>) {
+        let now = self.now;
+        for effect in effects {
+            match effect {
+                Effect::Send { delay, to, msg } => {
+                    let _ = self.enqueue(now + delay, id, to, msg);
+                }
+                Effect::Timer { delay, timer } => {
+                    self.queue
+                        .schedule(now + delay, SimEvent::Timer { node: id, timer });
+                }
+            }
+        }
+    }
 }
 
-/// The per-dispatch handle a [`SimNode`] interacts with the cluster
+/// The per-handler handle a [`SimNode`] interacts with the cluster
 /// through — the event-core analogue of [`NodeCtx`](crate::NodeCtx).
+///
+/// Private to the node for the length of a batch: it reads liveness as
+/// of the start of the batch and collects sends, timers and the stop
+/// flag for the driver to commit afterwards.
 pub struct SimCtx<'a, M> {
     id: NodeId,
-    state: &'a mut CoreState<M>,
+    now: SimTime,
+    meta: &'a [NodeMeta],
+    out: &'a mut Outbox<M>,
 }
 
-impl<M: Clone> SimCtx<'_, M> {
+impl<M> SimCtx<'_, M> {
     /// This node's identity.
     pub fn id(&self) -> NodeId {
         self.id
@@ -240,69 +394,60 @@ impl<M: Clone> SimCtx<'_, M> {
 
     /// This node's reliability class.
     pub fn class(&self) -> NodeClass {
-        self.state
-            .meta
-            .get(&self.id)
+        self.meta
+            .get(self.id.0 as usize)
             .map(|m| m.class)
             .unwrap_or(NodeClass::Transient)
     }
 
     /// The current simulated instant.
     pub fn now(&self) -> SimTime {
-        self.state.now
+        self.now
     }
 
     /// Sends an application message to `to`: a delivery event scheduled
-    /// at `now + link latency`, after the fault layer has had its say.
+    /// at `now + link latency`, after the fault layer has had its say
+    /// (both at commit).
     ///
-    /// Fails with [`SendError::SelfDead`] if this node has been killed
-    /// mid-dispatch and [`SendError::Unreachable`] if the target is
-    /// already gone (it may still die before the delivery fires, in
-    /// which case the copy is dropped silently — exactly a packet in
-    /// flight to a revoked machine).
+    /// Fails with [`SendError::SelfDead`] if this node has stopped and
+    /// [`SendError::Unreachable`] if the target was already gone when
+    /// the batch began. A target that dies later — even within this
+    /// batch — reports success here and the copy is dropped and counted
+    /// instead: exactly a packet in flight to a revoked machine.
     pub fn send(&mut self, to: NodeId, msg: M) -> Result<(), SendError> {
-        if !self.state.is_alive(self.id) {
-            return Err(SendError::SelfDead);
-        }
-        self.state.enqueue(self.id, to, msg)
+        self.send_after(SimDuration::ZERO, to, msg)
     }
 
     /// Like [`SimCtx::send`] with an extra sender-side delay before the
-    /// message enters the link (faults still apply now, at enqueue).
+    /// message enters the link.
     pub fn send_after(&mut self, delay: SimDuration, to: NodeId, msg: M) -> Result<(), SendError> {
-        if !self.state.is_alive(self.id) {
+        if self.out.stopped {
             return Err(SendError::SelfDead);
         }
-        let saved = self.state.now;
-        self.state.now = saved + delay;
-        let result = self.state.enqueue(self.id, to, msg);
-        self.state.now = saved;
-        result
+        // Queued even toward a dead target, so the commit step counts
+        // the drop where the thread core's router would have.
+        self.out.effects.push(Effect::Send { delay, to, msg });
+        if self.peer_alive(to) {
+            Ok(())
+        } else {
+            Err(SendError::Unreachable(to))
+        }
     }
 
     /// Schedules [`SimNode::on_timer`] for this node at `now + delay`.
     pub fn set_timer(&mut self, delay: SimDuration, timer: TimerId) {
-        let at = self.state.now + delay;
-        self.state.queue.schedule(
-            at,
-            SimEvent::Timer {
-                node: self.id,
-                timer,
-            },
-        );
+        self.out.effects.push(Effect::Timer { delay, timer });
     }
 
-    /// Whether a peer node is currently alive.
+    /// Whether a peer node was alive when the current batch began.
     pub fn peer_alive(&self, node: NodeId) -> bool {
-        self.state.is_alive(node)
+        is_alive(self.meta, node)
     }
 
     /// Retires this node cooperatively: no further events are dispatched
     /// to it and subsequent sends toward it count as drops.
     pub fn stop(&mut self) {
-        if let Some(m) = self.state.meta.get_mut(&self.id) {
-            m.dead = true;
-        }
+        self.out.stopped = true;
     }
 }
 
@@ -335,25 +480,38 @@ impl<M: Clone> SimCtx<'_, M> {
 /// ```
 pub struct SimCluster<M> {
     state: CoreState<M>,
-    components: HashMap<NodeId, Box<dyn SimNode<M>>>,
+    /// Indexed like `state.meta`; `None` once the node is dead (its
+    /// state is dropped, as a thread's would be on exit) and while it is
+    /// out running a batch.
+    components: Vec<Option<Group<M>>>,
+    pool: Pool,
+    /// `group_at[node]` is the node's group in the batch being formed.
+    group_at: Vec<Option<u32>>,
 }
 
-impl<M: Clone> Default for SimCluster<M> {
+impl<M: Clone + Send> Default for SimCluster<M> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M: Clone> SimCluster<M> {
+impl<M: Clone + Send> SimCluster<M> {
     /// Creates an empty cluster at the simulation epoch with zero link
-    /// latency.
+    /// latency, dispatching on as many threads as `PROTEUS_THREADS` (or,
+    /// unset, the machine) allows.
     pub fn new() -> Self {
+        Self::with_pool(Pool::from_env())
+    }
+
+    /// Like [`SimCluster::new`] with an explicit thread cap. The cap
+    /// changes which thread runs a handler, never what any handler sees
+    /// or what the run produces.
+    pub fn with_pool(pool: Pool) -> Self {
         SimCluster {
             state: CoreState {
                 now: SimTime::EPOCH,
                 queue: EventQueue::new(),
-                meta: HashMap::new(),
-                next_id: 0,
+                meta: Vec::new(),
                 link_latency: SimDuration::ZERO,
                 link_overrides: HashMap::new(),
                 faults: None,
@@ -361,8 +519,11 @@ impl<M: Clone> SimCluster<M> {
                 dropped: 0,
                 traffic: BTreeMap::new(),
                 recorder: None,
+                drives_clock: false,
             },
-            components: HashMap::new(),
+            components: Vec::new(),
+            pool,
+            group_at: Vec::new(),
         }
     }
 
@@ -378,29 +539,57 @@ impl<M: Clone> SimCluster<M> {
 
     /// Adds a node of the given reliability class, returning its id. The
     /// component's [`SimNode::on_start`] runs synchronously before this
-    /// returns (at the current sim instant).
-    pub fn add_node(&mut self, class: NodeClass, node: impl SimNode<M> + 'static) -> NodeId {
+    /// returns (at the current sim instant), and what it sent is already
+    /// in the queue.
+    pub fn add_node(&mut self, class: NodeClass, node: impl SimNode<M> + Send + 'static) -> NodeId {
         // `NodeId::HARNESS` (u32::MAX) is reserved for harness-attributed
         // traffic; an added node must never collide with it.
+        let id = self.next_id();
         assert!(
-            self.state.next_id < NodeId::HARNESS.0,
+            id < NodeId::HARNESS,
             "simnet event core exhausted the spawnable NodeId space"
         );
-        let id = NodeId(self.state.next_id);
-        self.state.next_id += 1;
-        self.state.meta.insert(id, NodeMeta { class, dead: false });
-        let mut node: Box<dyn SimNode<M>> = Box::new(node);
-        let mut ctx = SimCtx {
+        self.state.meta.push(NodeMeta { class, dead: false });
+        self.group_at.push(None);
+        let mut group = Group {
             id,
-            state: &mut self.state,
+            node: Box::new(node),
+            events: Vec::new(),
+            compute: 0,
+            out: Outbox::default(),
+            delivered: Vec::new(),
+            dropped: 0,
         };
-        node.on_start(&mut ctx);
-        self.components.insert(id, node);
+        group.node.on_start(&mut SimCtx {
+            id,
+            now: self.state.now,
+            meta: &self.state.meta,
+            out: &mut group.out,
+        });
+        self.components.push(None);
+        self.state.meta[id.0 as usize].dead = group.out.stopped;
+        self.settle(group);
         id
     }
 
+    /// Commits a group's outbox and files the node back for the next
+    /// batch unless it stopped (the caller has marked it dead by then).
+    fn settle(&mut self, mut group: Group<M>) {
+        self.state.commit(group.id, group.out.effects.drain(..));
+        if !group.out.stopped {
+            let slot = group.id.0 as usize;
+            self.components[slot] = Some(group);
+        }
+    }
+
+    /// The id the next [`SimCluster::add_node`] will hand out — for
+    /// components that need to know their own id when constructed.
+    pub fn next_id(&self) -> NodeId {
+        NodeId(u32::try_from(self.components.len()).unwrap_or(u32::MAX))
+    }
+
     /// The current simulated instant (the timestamp of the last
-    /// dispatched event, or where [`SimCluster::run_until`] left it).
+    /// dispatched batch, or where [`SimCluster::run_until`] left it).
     pub fn now(&self) -> SimTime {
         self.state.now
     }
@@ -408,16 +597,16 @@ impl<M: Clone> SimCluster<M> {
     /// Sends an application message on behalf of the harness, attributed
     /// to the reserved [`NodeId::HARNESS`].
     pub fn send_as_harness(&mut self, to: NodeId, msg: M) -> Result<(), SendError> {
-        self.state.enqueue(NodeId::HARNESS, to, msg)
+        self.state.enqueue(self.state.now, NodeId::HARNESS, to, msg)
     }
 
     /// Sends an application message attributed to `from` (which must be
     /// alive) — lets a harness script traffic between specific nodes.
     pub fn send_from(&mut self, from: NodeId, to: NodeId, msg: M) -> Result<(), SendError> {
-        if !self.state.is_alive(from) {
+        if !self.alive(from) {
             return Err(SendError::SelfDead);
         }
-        self.state.enqueue(from, to, msg)
+        self.state.enqueue(self.state.now, from, to, msg)
     }
 
     /// Schedules a harness send to be pushed through the fault layer at
@@ -430,7 +619,7 @@ impl<M: Clone> SimCluster<M> {
 
     /// Delivers a control signal to `to` at the current instant.
     pub fn send_control(&mut self, to: NodeId, ctrl: Control) -> Result<(), SendError> {
-        if !self.state.is_alive(to) {
+        if !self.alive(to) {
             return Err(SendError::Unreachable(to));
         }
         self.state
@@ -466,8 +655,9 @@ impl<M: Clone> SimCluster<M> {
     ///
     /// Idempotent; killing an unknown node is a no-op.
     pub fn kill(&mut self, node: NodeId) {
-        if let Some(m) = self.state.meta.get_mut(&node) {
+        if let Some(m) = self.state.meta.get_mut(node.0 as usize) {
             m.dead = true;
+            self.components[node.0 as usize] = None;
         }
     }
 
@@ -497,7 +687,7 @@ impl<M: Clone> SimCluster<M> {
         let n = held.len();
         for (from, to, msg) in held {
             let at = self.state.now + self.state.latency(from, to);
-            if self.state.is_alive(to) {
+            if self.alive(to) {
                 self.state
                     .queue
                     .schedule(at, SimEvent::Deliver { from, to, msg });
@@ -518,11 +708,20 @@ impl<M: Clone> SimCluster<M> {
     }
 
     /// Attaches an observability recorder: its sim clock is driven to
-    /// each event's timestamp before dispatch (so component-recorded
+    /// each batch's timestamp before dispatch (so component-recorded
     /// events are sim-time stamped), and the fault layer mirrors
     /// injected faults into its `simnet.msg.*` counters.
     pub fn set_recorder(&mut self, rec: Arc<Recorder>) {
         rec.set_now(self.state.now);
+        self.state.drives_clock = true;
+        self.mirror_faults_into(rec);
+    }
+
+    /// Mirrors injected-fault counters into `rec` (now and across plan
+    /// changes) **without** driving its clock — for a cluster whose sim
+    /// time is not the recorder's, such as a training job pinned at the
+    /// epoch inside a session that stamps its recorder with market time.
+    pub fn mirror_faults_into(&mut self, rec: Arc<Recorder>) {
         if let Some(layer) = self.state.faults.as_ref() {
             layer.set_recorder(Arc::clone(&rec));
         }
@@ -531,25 +730,21 @@ impl<M: Clone> SimCluster<M> {
 
     /// Whether `node` is alive (added and not killed or stopped).
     pub fn alive(&self, node: NodeId) -> bool {
-        self.state.is_alive(node)
+        is_alive(&self.state.meta, node)
     }
 
     /// The reliability class `node` was added with, if it exists.
     pub fn class_of(&self, node: NodeId) -> Option<NodeClass> {
-        self.state.meta.get(&node).map(|m| m.class)
+        self.state.meta.get(node.0 as usize).map(|m| m.class)
     }
 
     /// Ids of all currently-alive nodes, sorted.
     pub fn live_nodes(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self
-            .state
-            .meta
-            .iter()
+        (0u32..)
+            .zip(&self.state.meta)
             .filter(|(_, m)| !m.dead)
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort();
-        ids
+            .map(|(id, _)| NodeId(id))
+            .collect()
     }
 
     /// Aggregate traffic counters.
@@ -575,12 +770,12 @@ impl<M: Clone> SimCluster<M> {
         self.state.queue.len()
     }
 
-    /// Dispatches the earliest pending event; returns `false` when the
-    /// queue is empty.
+    /// Dispatches the next batch — every event at the earliest pending
+    /// timestamp; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        match self.state.queue.pop() {
-            Some((at, ev)) => {
-                self.dispatch(at, ev);
+        match self.state.queue.peek_time() {
+            Some(at) => {
+                self.dispatch(at);
                 true
             }
             None => false,
@@ -593,73 +788,114 @@ impl<M: Clone> SimCluster<M> {
         self.state.now
     }
 
-    /// Dispatches every event due at or before `t`, then advances the
+    /// Dispatches every batch due at or before `t`, then advances the
     /// clock to exactly `t` (if it is not already past it).
     pub fn run_until(&mut self, t: SimTime) -> SimTime {
-        while let Some((at, ev)) = self.state.queue.pop_due(t) {
-            self.dispatch(at, ev);
+        while let Some(at) = self.state.queue.peek_time().filter(|at| *at <= t) {
+            self.dispatch(at);
         }
         self.state.now = self.state.now.max(t);
-        if let Some(rec) = self.state.recorder.as_deref() {
-            rec.set_now(self.state.now);
-        }
+        self.drive_recorder_clock();
         self.state.now
     }
 
-    fn dispatch(&mut self, at: SimTime, ev: SimEvent<M>) {
-        self.state.now = at;
-        if let Some(rec) = self.state.recorder.as_deref() {
-            rec.set_now(at);
-        }
-        match ev {
-            SimEvent::Deliver { from, to, msg } => {
-                if !self.state.is_alive(to) {
-                    // The destination died after this delivery was
-                    // scheduled: the pinned kill semantic — in-flight
-                    // messages to a killed node are lost, and counted.
-                    self.state.dropped += 1;
-                    return;
-                }
-                self.state.messages += 1;
-                *self.state.traffic.entry((from, to)).or_insert(0) += 1;
-                self.with_component(to, |node, ctx| node.on_message(ctx, from, msg));
-            }
-            SimEvent::Control { to, ctrl } => {
-                if !self.state.is_alive(to) {
-                    return;
-                }
-                if ctrl == Control::Kill {
-                    self.kill(to);
-                    return;
-                }
-                self.with_component(to, |node, ctx| node.on_control(ctx, ctrl));
-            }
-            SimEvent::Timer { node, timer } => {
-                if !self.state.is_alive(node) {
-                    return;
-                }
-                self.with_component(node, |n, ctx| n.on_timer(ctx, timer));
-            }
-            SimEvent::Inject { to, msg } => {
-                let _ = self.state.enqueue(NodeId::HARNESS, to, msg);
-            }
+    fn drive_recorder_clock(&self) {
+        if let (true, Some(rec)) = (self.state.drives_clock, self.state.recorder.as_deref()) {
+            rec.set_now(self.state.now);
         }
     }
 
-    /// Runs `f` with `id`'s component temporarily removed from the map so
-    /// the handler can mutably borrow both itself and the core state.
-    fn with_component(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut dyn SimNode<M>, &mut SimCtx<'_, M>),
-    ) {
-        if let Some(mut node) = self.components.remove(&id) {
-            let mut ctx = SimCtx {
-                id,
-                state: &mut self.state,
+    /// Forms, runs and commits the batch at `at` (see the module docs).
+    fn dispatch(&mut self, at: SimTime) {
+        self.state.now = at;
+        self.drive_recorder_clock();
+
+        // Form: every event at `at` that is queued right now.
+        let mut groups: Vec<Group<M>> = Vec::new();
+        let mut injects: Vec<(NodeId, M)> = Vec::new();
+        while let Some((_, ev)) = self.state.queue.pop_due(at) {
+            let (to, due) = match ev {
+                SimEvent::Deliver { from, to, msg } => (to, Due::Deliver { from, msg }),
+                SimEvent::Control { to, ctrl } => (to, Due::Control(ctrl)),
+                SimEvent::Timer { node, timer } => (node, Due::Timer(timer)),
+                SimEvent::Inject { to, msg } => {
+                    injects.push((to, msg));
+                    continue;
+                }
             };
-            f(node.as_mut(), &mut ctx);
-            self.components.insert(id, node);
+            let slot = to.0 as usize;
+            let group = match self.group_at.get(slot).copied().flatten() {
+                Some(g) => &mut groups[g as usize],
+                None => {
+                    let Some(group) = self.components.get_mut(slot).and_then(Option::take) else {
+                        // The destination died after this event was
+                        // scheduled: the pinned kill semantic — in-flight
+                        // messages to a killed node are lost, and counted.
+                        if matches!(due, Due::Deliver { .. }) {
+                            self.state.dropped += 1;
+                        }
+                        continue;
+                    };
+                    self.group_at[slot] = Some(groups.len() as u32);
+                    groups.push(group);
+                    let last = groups.len() - 1;
+                    &mut groups[last]
+                }
+            };
+            if let Due::Deliver { from, msg } = &due {
+                group.compute += group.node.compute_hint(*from, msg);
+            }
+            group.events.push(due);
+        }
+
+        // Run: one group per node, sharing only the liveness snapshot;
+        // on the pool when there is enough computation to hand over.
+        let meta = &self.state.meta[..];
+        let total: u64 = groups.iter().map(|g| g.compute).sum();
+        let largest = groups.iter().map(|g| g.compute).max().unwrap_or(0);
+        if total - largest >= MIN_OFFLOAD && self.pool.threads() > 1 {
+            // Claims go in index order: the longest groups first, so the
+            // small ones fill in around them.
+            groups.sort_by_key(|g| std::cmp::Reverse(g.compute));
+            let shared: Vec<Mutex<Group<M>>> = groups.into_iter().map(Mutex::new).collect();
+            self.pool.run_indexed(shared.len(), |i| {
+                // Each index is claimed once, so the lock is uncontended
+                // and, as a panic would have left this call, unpoisoned.
+                if let Ok(mut group) = shared[i].lock() {
+                    group.run(at, meta);
+                }
+            });
+            groups = shared
+                .into_iter()
+                .filter_map(|group| group.into_inner().ok())
+                .collect();
+        } else {
+            for group in &mut groups {
+                group.run(at, meta);
+            }
+        }
+
+        // Commit, in ascending node order whatever order groups formed
+        // or finished in: counters and stop flags first, then outboxes.
+        groups.sort_unstable_by_key(|g| g.id);
+        for group in &mut groups {
+            let slot = group.id.0 as usize;
+            self.group_at[slot] = None;
+            self.state.messages += group.delivered.len() as u64;
+            for from in group.delivered.drain(..) {
+                *self.state.traffic.entry((from, group.id)).or_insert(0) += 1;
+            }
+            self.state.dropped += std::mem::take(&mut group.dropped);
+            group.compute = 0;
+            if group.out.stopped {
+                self.state.meta[slot].dead = true;
+            }
+        }
+        for group in groups {
+            self.settle(group);
+        }
+        for (to, msg) in injects {
+            let _ = self.state.enqueue(at, NodeId::HARNESS, to, msg);
         }
     }
 }
@@ -688,17 +924,17 @@ mod tests {
     #[test]
     fn same_timestamp_events_dispatch_fifo() {
         let mut sim: SimCluster<u32> = SimCluster::new();
-        let log: std::rc::Rc<std::cell::RefCell<Vec<u32>>> = Default::default();
-        let sink_log = std::rc::Rc::clone(&log);
+        let log: Arc<Mutex<Vec<u32>>> = Default::default();
+        let sink_log = Arc::clone(&log);
         let sink = sim.add_node(
             NodeClass::Reliable,
-            FnNode::new(move |_, _, msg| sink_log.borrow_mut().push(msg)),
+            FnNode::new(move |_, _, msg| sink_log.lock().unwrap().push(msg)),
         );
         for i in 0..50 {
             sim.send_as_harness(sink, i).unwrap();
         }
         sim.run_until_idle();
-        assert_eq!(*log.borrow(), (0..50).collect::<Vec<_>>());
+        assert_eq!(*log.lock().unwrap(), (0..50).collect::<Vec<_>>());
     }
 
     #[test]
@@ -725,10 +961,10 @@ mod tests {
     #[test]
     fn timers_fire_at_their_instant() {
         let mut sim: SimCluster<u32> = SimCluster::new();
-        let fired: std::rc::Rc<std::cell::RefCell<Vec<(u64, u64)>>> = Default::default();
-        let f = std::rc::Rc::clone(&fired);
+        let fired: Arc<Mutex<Vec<(u64, u64)>>> = Default::default();
+        let f = Arc::clone(&fired);
         struct Ticker {
-            fired: std::rc::Rc<std::cell::RefCell<Vec<(u64, u64)>>>,
+            fired: Arc<Mutex<Vec<(u64, u64)>>>,
         }
         impl SimNode<u32> for Ticker {
             fn on_start(&mut self, ctx: &mut SimCtx<'_, u32>) {
@@ -737,12 +973,15 @@ mod tests {
             }
             fn on_message(&mut self, _: &mut SimCtx<'_, u32>, _: NodeId, _: u32) {}
             fn on_timer(&mut self, ctx: &mut SimCtx<'_, u32>, timer: TimerId) {
-                self.fired.borrow_mut().push((ctx.now().as_millis(), timer));
+                self.fired
+                    .lock()
+                    .unwrap()
+                    .push((ctx.now().as_millis(), timer));
             }
         }
         sim.add_node(NodeClass::Reliable, Ticker { fired: f });
         sim.run_until_idle();
-        assert_eq!(*fired.borrow(), vec![(2, 2), (5, 1)]);
+        assert_eq!(*fired.lock().unwrap(), vec![(2, 2), (5, 1)]);
     }
 
     #[test]

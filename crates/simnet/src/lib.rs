@@ -7,34 +7,32 @@
 //! appearing and disappearing as the spot market moves. This crate
 //! provides the substrate those components run on in this reproduction:
 //!
-//! * every simulated machine is a [`NodeId`] with a mailbox and its own OS
-//!   thread running a user-supplied behavior;
-//! * nodes exchange typed messages through [`NodeCtx::send`] /
-//!   [`NodeCtx::recv`];
+//! * every simulated machine is a [`NodeId`] running a user-supplied
+//!   behavior and exchanging typed messages with its peers;
 //! * the harness can **revoke** a node (deliver an eviction warning, like
-//!   EC2's two-minute notice) or **kill** it abruptly (a failure: the
-//!   mailbox is torn down and in-flight messages are lost);
+//!   EC2's two-minute notice) or **kill** it abruptly (a failure:
+//!   in-flight messages to it are lost);
 //! * per-node traffic counters support asserting network behavior in
-//!   tests (e.g. that backup streams flow reliable-ward only).
+//!   tests (e.g. that backup streams flow reliable-ward only);
+//! * a seeded [`FaultPlan`] drops, duplicates and reorders messages.
 //!
 //! Two execution cores share the same routing, chaos, and accounting
 //! semantics:
 //!
-//! * the **thread-per-node** [`Cluster`] — every node is an OS thread
-//!   with a blocking mailbox; faithful to real concurrency, fine for
-//!   ~10–100 nodes, and the substrate the AgileML suites run on today;
 //! * the **discrete-event** [`SimCluster`] — one timestamp-ordered
 //!   [`proteus_simtime::EventQueue`] drives [`SimNode`] components via
 //!   `on_message` / `on_control` / `on_timer` handlers, with link
-//!   latency as scheduled delivery events. This is the fleet-scale core:
-//!   1000-node chaos sweeps cost their event count, not a thousand OS
-//!   threads.
-//!
-//! Determinism note: under the thread core, threads interleave freely, so
-//! *message order between different senders* is nondeterministic exactly
-//! as on a real network; protocol tests must assert convergence
-//! properties, not exact schedules. The event core is fully
-//! deterministic: same script, same event sequence, byte-identical obs.
+//!   latency as scheduled delivery events and same-instant handlers of
+//!   distinct nodes dispatched in parallel under a fixed commit order.
+//!   AgileML, and everything above it, runs here: a job costs its
+//!   handlers, not a thread per machine, and is fully deterministic —
+//!   same script, same event sequence, byte-identical obs, at any
+//!   thread count.
+//! * the **thread-per-node** [`Cluster`] — every node is an OS thread
+//!   with a blocking mailbox ([`NodeCtx::send`] / [`NodeCtx::recv`]).
+//!   Kept only as the yardstick the benchmarks time a hop against; under
+//!   it, message order between different senders is nondeterministic
+//!   exactly as on a real network.
 
 // Fault- and teardown-reachable paths must return typed errors; any
 // retained expect must document a real invariant at its use site.

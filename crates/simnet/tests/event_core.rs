@@ -2,9 +2,7 @@
 //! enqueue time, run-to-run determinism, obs sim-clock driving, and
 //! semantic parity with the thread-per-node cluster.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proteus_obs::Recorder;
 use proteus_simnet::{
@@ -101,11 +99,11 @@ fn faults_apply_at_enqueue_with_the_same_seeded_streams_as_the_thread_core() {
 #[test]
 fn delayed_messages_reorder_by_one_and_flush_releases_the_tail() {
     let mut sim: SimCluster<u64> = SimCluster::new();
-    let got: Rc<RefCell<Vec<u64>>> = Default::default();
-    let sink_got = Rc::clone(&got);
+    let got: Arc<Mutex<Vec<u64>>> = Default::default();
+    let sink_got = Arc::clone(&got);
     let sink = sim.add_node(
         NodeClass::Reliable,
-        FnNode::new(move |_, _, msg| sink_got.borrow_mut().push(msg)),
+        FnNode::new(move |_, _, msg| sink_got.lock().unwrap().push(msg)),
     );
     sim.set_faults(FaultPlan::new(5).delay_between(NodeId::HARNESS, sink, 1.0));
     for i in [1u64, 2, 3] {
@@ -115,17 +113,17 @@ fn delayed_messages_reorder_by_one_and_flush_releases_the_tail() {
     // Each send released the previous held message; 3 is still held.
     assert_eq!(sim.flush_delayed(), 1);
     sim.run_until_idle();
-    assert_eq!(*got.borrow(), vec![1, 2, 3]);
+    assert_eq!(*got.lock().unwrap(), vec![1, 2, 3]);
 }
 
 #[test]
 fn replacing_fault_plan_flushes_held_messages_into_the_queue() {
     let mut sim: SimCluster<u64> = SimCluster::new();
-    let got: Rc<RefCell<Vec<u64>>> = Default::default();
-    let sink_got = Rc::clone(&got);
+    let got: Arc<Mutex<Vec<u64>>> = Default::default();
+    let sink_got = Arc::clone(&got);
     let sink = sim.add_node(
         NodeClass::Reliable,
-        FnNode::new(move |_, _, msg| sink_got.borrow_mut().push(msg)),
+        FnNode::new(move |_, _, msg| sink_got.lock().unwrap().push(msg)),
     );
     sim.set_faults(FaultPlan::new(5).delay_between(NodeId::HARNESS, sink, 1.0));
     sim.send_as_harness(sink, 7).unwrap();
@@ -133,19 +131,19 @@ fn replacing_fault_plan_flushes_held_messages_into_the_queue() {
     sim.set_faults(FaultPlan::new(6));
     sim.send_as_harness(sink, 8).unwrap();
     sim.run_until_idle();
-    assert_eq!(*got.borrow(), vec![7, 8]);
+    assert_eq!(*got.lock().unwrap(), vec![7, 8]);
     assert_eq!(sim.stats().dropped, 0);
 }
 
 #[test]
 fn eviction_warning_and_shutdown_reach_handlers_kill_does_not() {
     let mut sim: SimCluster<u64> = SimCluster::new();
-    let seen: Rc<RefCell<Vec<Control>>> = Default::default();
-    let node_seen = Rc::clone(&seen);
+    let seen: Arc<Mutex<Vec<Control>>> = Default::default();
+    let node_seen = Arc::clone(&seen);
     let node = sim.add_node(
         NodeClass::Transient,
         FnNode::new(|_, _, _: u64| {}).with_control(move |_, ctrl| {
-            node_seen.borrow_mut().push(ctrl);
+            node_seen.lock().unwrap().push(ctrl);
         }),
     );
     sim.revoke(node, 120_000).unwrap();
@@ -153,7 +151,7 @@ fn eviction_warning_and_shutdown_reach_handlers_kill_does_not() {
     sim.schedule_control(SimTime::from_millis(10), node, Control::Kill);
     sim.run_until_idle();
     assert_eq!(
-        *seen.borrow(),
+        *seen.lock().unwrap(),
         vec![
             Control::EvictionWarning {
                 deadline_ms: 120_000
@@ -199,19 +197,19 @@ fn recorder_clock_tracks_event_time() {
 #[test]
 fn stopped_node_stops_handling_but_keeps_its_class() {
     let mut sim: SimCluster<u64> = SimCluster::new();
-    let count: Rc<RefCell<u64>> = Default::default();
-    let node_count = Rc::clone(&count);
+    let count: Arc<Mutex<u64>> = Default::default();
+    let node_count = Arc::clone(&count);
     let node = sim.add_node(
         NodeClass::Reliable,
         FnNode::new(move |ctx, _, _| {
-            *node_count.borrow_mut() += 1;
+            *node_count.lock().unwrap() += 1;
             ctx.stop();
         }),
     );
     sim.send_as_harness(node, 1).unwrap();
     sim.send_as_harness(node, 2).unwrap();
     sim.run_until_idle();
-    assert_eq!(*count.borrow(), 1);
+    assert_eq!(*count.lock().unwrap(), 1);
     assert!(!sim.alive(node));
     assert_eq!(sim.class_of(node), Some(NodeClass::Reliable));
     assert_eq!(sim.stats().dropped, 1);
@@ -264,4 +262,134 @@ fn thread_shim_and_event_core_agree_on_a_simple_protocol() {
     assert_eq!(sim.stats(), cluster.stats());
     assert_eq!(sim.traffic_matrix(), cluster.traffic_matrix());
     cluster.join();
+}
+
+/// A node that folds every message into its state, records what it saw,
+/// and gossips on to peers picked by that state — so any difference in
+/// per-node delivery order snowballs. It claims enough computation for
+/// every batch with two busy nodes to be handed to the pool.
+struct Gossip {
+    nodes: u32,
+    state: u64,
+    seen: Arc<Mutex<Vec<(NodeId, NodeId, u64)>>>,
+}
+
+impl proteus_simnet::SimNode<u64> for Gossip {
+    fn on_message(&mut self, ctx: &mut proteus_simnet::SimCtx<'_, u64>, from: NodeId, msg: u64) {
+        self.state = (self.state ^ msg)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(17);
+        self.seen.lock().unwrap().push((ctx.id(), from, msg));
+        let ttl = msg & 0xff;
+        if ttl > 0 {
+            for salt in 0..2 {
+                let peer = NodeId(((self.state >> (8 * salt)) % u64::from(self.nodes)) as u32);
+                let _ = ctx.send(peer, (self.state & !0xff) | (ttl - 1));
+            }
+        }
+    }
+
+    fn compute_hint(&self, _from: NodeId, _msg: &u64) -> u64 {
+        proteus_simnet::event_core::MIN_OFFLOAD
+    }
+}
+
+#[test]
+fn a_run_is_identical_at_any_thread_count() {
+    let run = |threads: usize| {
+        let mut sim: SimCluster<u64> = SimCluster::with_pool(proteus_simtime::Pool::new(threads));
+        let seen: Arc<Mutex<Vec<(NodeId, NodeId, u64)>>> = Default::default();
+        for i in 0..8u64 {
+            sim.add_node(
+                NodeClass::Transient,
+                Gossip {
+                    nodes: 8,
+                    state: i,
+                    seen: Arc::clone(&seen),
+                },
+            );
+        }
+        sim.set_faults(FaultPlan::new(3).with_rule(proteus_simnet::FaultRule {
+            from: None,
+            to: None,
+            drop: 0.05,
+            duplicate: 0.05,
+            delay: 0.05,
+            filter: None,
+        }));
+        for i in 0..8 {
+            sim.send_as_harness(NodeId(i), 0xabcd_0000 | 9).unwrap();
+        }
+        sim.run_until_idle();
+        // Per node, what it saw in the order it saw it (the shared log
+        // interleaves nodes in whatever order threads ran them).
+        let mut seen = std::mem::take(&mut *seen.lock().unwrap());
+        seen.sort_by_key(|(node, _, _)| *node);
+        (seen, sim.stats(), sim.traffic_matrix(), sim.fault_stats())
+    };
+    let serial = run(1);
+    assert!(serial.1.messages > 500, "the gossip must fan out");
+    for threads in [2, 4, 2] {
+        assert!(run(threads) == serial, "threads={threads}");
+    }
+}
+
+#[test]
+fn a_node_that_stops_within_a_batch_still_looks_alive_to_that_batch() {
+    let mut sim: SimCluster<u64> = SimCluster::new();
+    // Node 0 stops on its first message; node 1 sends to it on its own.
+    let quitter = sim.add_node(NodeClass::Transient, FnNode::new(|ctx, _, _| ctx.stop()));
+    let results: Arc<Mutex<Vec<Result<(), proteus_simnet::SendError>>>> = Default::default();
+    let sender_results = Arc::clone(&results);
+    let sender = sim.add_node(
+        NodeClass::Transient,
+        FnNode::new(move |ctx, _, _| {
+            let sent = ctx.send(NodeId(0), 1);
+            sender_results.lock().unwrap().push(sent);
+        }),
+    );
+    sim.send_as_harness(quitter, 0).unwrap();
+    sim.send_as_harness(sender, 0).unwrap();
+    assert!(sim.step(), "one batch holds both deliveries");
+    // Liveness is as of the start of the batch: the send succeeded...
+    assert_eq!(*results.lock().unwrap(), vec![Ok(())]);
+    assert!(!sim.alive(quitter));
+    // ...and the message was a counted drop at commit, never queued.
+    assert_eq!(sim.pending_events(), 0);
+    assert_eq!(sim.stats().dropped, 1);
+    assert_eq!(sim.stats().messages, 2);
+    // From the next batch on, the sender is told.
+    sim.send_as_harness(sender, 0).unwrap();
+    sim.run_until_idle();
+    assert_eq!(
+        results.lock().unwrap()[1],
+        Err(proteus_simnet::SendError::Unreachable(quitter))
+    );
+}
+
+#[test]
+fn same_instant_sends_join_the_next_batch_in_node_order() {
+    // Nodes 2 and 1 each forward their trigger to node 0. Whatever
+    // order the triggers were queued in, node 0 hears from node 1 first.
+    let mut sim: SimCluster<u64> = SimCluster::new();
+    let heard: Arc<Mutex<Vec<NodeId>>> = Default::default();
+    let sink_heard = Arc::clone(&heard);
+    let sink = sim.add_node(
+        NodeClass::Reliable,
+        FnNode::new(move |_, from, _| sink_heard.lock().unwrap().push(from)),
+    );
+    let forward = || {
+        FnNode::new(move |ctx: &mut proteus_simnet::SimCtx<'_, u64>, _, msg| {
+            let _ = ctx.send(NodeId(0), msg);
+        })
+    };
+    let a = sim.add_node(NodeClass::Transient, forward());
+    let b = sim.add_node(NodeClass::Transient, forward());
+    sim.send_as_harness(b, 7).unwrap();
+    sim.send_as_harness(a, 7).unwrap();
+    assert!(sim.step());
+    assert!(heard.lock().unwrap().is_empty(), "forwards wait a batch");
+    assert!(sim.step());
+    assert_eq!(*heard.lock().unwrap(), vec![a, b]);
+    assert_eq!(sim.traffic_between(a, sink), 1);
 }

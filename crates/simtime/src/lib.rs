@@ -11,6 +11,8 @@
 //! * [`EventQueue`] — a stable discrete-event priority queue.
 //! * [`rng`] — seeded RNG construction helpers so that independent
 //!   subsystems can derive decorrelated-but-reproducible random streams.
+//! * [`Pool`] — the persistent helper-thread pool that cost studies and
+//!   the discrete-event network core fan deterministic work out on.
 
 // Time primitives sit under every simulator loop; they return typed
 // values, never panic; any retained expect documents a real invariant
@@ -18,8 +20,10 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod event;
+pub mod pool;
 pub mod rng;
 pub mod time;
 
 pub use event::EventQueue;
+pub use pool::Pool;
 pub use time::{SimDuration, SimTime};

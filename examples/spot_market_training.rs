@@ -8,6 +8,11 @@
 //! Uses a deliberately turbulent market so the run shows acquisitions,
 //! eviction warnings, drains, and free compute within a few simulated
 //! hours.
+//!
+//! Market time and training are decoupled: `run_market_hours` moves the
+//! market (and the job only by the few batches each transition needs),
+//! `wait_clock` trains. The loop below does an hour of market and five
+//! clocks of training per step.
 
 use proteus::market::MarketModel;
 use proteus::{Proteus, ProteusConfig};
@@ -43,6 +48,7 @@ fn main() -> Result<(), String> {
 
     for hour in 1..=8 {
         session.run_market_hours(1.0)?;
+        session.wait_clock(5 * hour)?;
         let status = session.job().status()?;
         println!(
             "market hour {hour}: {} transient machines, stage {:?}, clock {}",
