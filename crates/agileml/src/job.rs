@@ -30,10 +30,7 @@ use std::time::{Duration, Instant};
 use proteus_mlapps::app::{MlApp, ParamReader};
 use proteus_obs::{Event, Recorder};
 use proteus_ps::{DenseVec, ParamKey};
-// Imported under another name only so that a search of this crate for
-// the thread cluster's type finds nothing.
-use proteus_simnet::SimCluster as EventNet;
-use proteus_simnet::{FaultPlan, FaultStats, NetStats, NodeClass, NodeId};
+use proteus_simnet::{FaultPlan, FaultStats, NetStats, NodeClass, NodeId, SimCluster};
 
 use crate::config::AgileConfig;
 use crate::controller::Controller;
@@ -118,7 +115,7 @@ impl<'a, A: MlApp> ParamReader for SnapshotReader<'a, A> {
 /// The part of a job its `&self` queries have to move: the event queue
 /// and everything that follows the controller's reports.
 struct Engine {
-    cluster: EventNet<AgileMsg>,
+    cluster: SimCluster<AgileMsg>,
     controller: NodeId,
     reports: ReportSink,
     event_log: Vec<JobEvent>,
@@ -138,7 +135,7 @@ impl Engine {
         checkpoint: Option<ModelSnapshot>,
         faults: Option<FaultPlan<AgileMsg>>,
     ) -> Self {
-        let mut cluster = EventNet::new();
+        let mut cluster = SimCluster::new();
         if let Some(plan) = faults {
             cluster.set_faults(plan);
         }

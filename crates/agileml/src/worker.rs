@@ -58,6 +58,9 @@ pub enum WorkerPhase {
     },
 }
 
+/// The widest [`KeyRefs`] table: 4 MiB of counts per worker.
+const DENSE_KEY_REFS: u64 = 1 << 20;
+
 /// Messages a worker wants sent, as `(destination, message)` pairs.
 pub type Outbox = Vec<(NodeId, AgileMsg)>;
 
@@ -111,27 +114,36 @@ impl BlockKeys {
         };
         cell.get_or_init(|| {
             let (lo, hi) = self.range(block);
-            // Duplicates outnumber distinct keys several times over, so
-            // they are dropped by a presence table before the sort
-            // rather than by it.
-            let mut seen = vec![false; app.key_count() as usize];
             let mut keys = Vec::new();
             let mut work = 0;
             for datum in &dataset[lo..hi] {
                 for key in app.keys_for(datum) {
                     work += app.value_dim(key) as u64;
-                    let at = key.0 as usize;
-                    if at >= seen.len() {
-                        seen.resize(at + 1, false);
-                    }
-                    if !std::mem::replace(&mut seen[at], true) {
-                        keys.push(key);
-                    }
+                    keys.push(key);
                 }
             }
             keys.sort_unstable();
+            keys.dedup();
+            keys.shrink_to_fit();
             BlockReads { keys, work }
         })
+    }
+}
+
+/// A count per parameter key: a table over the app's declared key space
+/// (what every key of the in-repo apps falls in) and a map for any key
+/// beyond it, so memory follows the keys held, never the largest key id.
+struct KeyRefs {
+    dense: Vec<u32>,
+    spilled: BTreeMap<ParamKey, u32>,
+}
+
+impl KeyRefs {
+    fn of(&mut self, key: ParamKey) -> &mut u32 {
+        match self.dense.get_mut(key.0 as usize) {
+            Some(refs) => refs,
+            None => self.spilled.entry(key).or_insert(0),
+        }
     }
 }
 
@@ -148,9 +160,9 @@ pub struct WorkerState<A: MlApp> {
     /// reads. A function of the loaded blocks alone, so only
     /// `assign_blocks` touches it.
     read_keys: Vec<ParamKey>,
-    /// How many loaded blocks read each key (indexed by key); a key is
-    /// in `read_keys` exactly while its count is nonzero.
-    key_refs: Vec<u32>,
+    /// How many loaded blocks read each key; a key is in `read_keys`
+    /// exactly while its count is nonzero.
+    key_refs: KeyRefs,
     /// Row elements one pass over the loaded blocks touches.
     work: u64,
     layout: PartitionMap,
@@ -186,12 +198,15 @@ impl<A: MlApp> WorkerState<A> {
         controller: NodeId,
     ) -> Self {
         WorkerState {
+            key_refs: KeyRefs {
+                dense: vec![0; app.key_count().min(DENSE_KEY_REFS) as usize],
+                spilled: BTreeMap::new(),
+            },
             app,
             dataset,
             block_keys,
             local: BTreeMap::new(),
             read_keys: Vec::new(),
-            key_refs: Vec::new(),
             work: 0,
             layout,
             cache: WorkerCache::new(layout),
@@ -258,16 +273,17 @@ impl<A: MlApp> WorkerState<A> {
             let reads = self.block_keys.reads(&*self.app, &self.dataset, b);
             self.work -= reads.work;
             for k in &reads.keys {
-                let refs = &mut self.key_refs[k.0 as usize];
+                let refs = self.key_refs.of(*k);
                 *refs -= 1;
                 orphaned |= *refs == 0;
             }
         }
         if orphaned {
-            let refs = &self.key_refs;
-            self.read_keys.retain(|k| refs[k.0 as usize] > 0);
+            let refs = &mut self.key_refs;
+            self.read_keys.retain(|k| *refs.of(*k) > 0);
+            refs.spilled.retain(|_, refs| *refs > 0);
         }
-        let mut fresh: Vec<ParamKey> = Vec::new();
+        let held = self.read_keys.len();
         for b in wanted {
             if self.local.contains_key(&b) {
                 continue;
@@ -276,22 +292,16 @@ impl<A: MlApp> WorkerState<A> {
             self.local.insert(b, self.dataset[lo..hi].to_vec());
             let reads = self.block_keys.reads(&*self.app, &self.dataset, b);
             self.work += reads.work;
-            for k in &reads.keys {
-                let at = k.0 as usize;
-                if at >= self.key_refs.len() {
-                    self.key_refs.resize(at + 1, 0);
+            for &k in &reads.keys {
+                let refs = self.key_refs.of(k);
+                if *refs == 0 {
+                    self.cache.reserve(k, self.app.value_dim(k));
+                    self.read_keys.push(k);
                 }
-                if self.key_refs[at] == 0 {
-                    fresh.push(*k);
-                }
-                self.key_refs[at] += 1;
+                *refs += 1;
             }
         }
-        if !fresh.is_empty() {
-            for &key in &fresh {
-                self.cache.reserve(key, self.app.value_dim(key));
-            }
-            self.read_keys.extend(fresh);
+        if self.read_keys.len() > held {
             // A few sorted runs: the stable sort merges them.
             self.read_keys.sort();
         }
@@ -790,6 +800,21 @@ mod tests {
         w.start();
         assert_eq!(one_clock(&mut w, &t), all);
         assert_eq!(all, recomputed_keys(&w));
+    }
+
+    #[test]
+    fn key_refs_past_the_table_cost_an_entry_not_a_resize() {
+        let mut refs = KeyRefs {
+            dense: vec![0; 2],
+            spilled: BTreeMap::new(),
+        };
+        *refs.of(ParamKey(1)) += 1;
+        *refs.of(ParamKey(u64::MAX)) += 2;
+        assert_eq!((refs.dense.len(), refs.spilled.len()), (2, 1));
+        assert_eq!(
+            (*refs.of(ParamKey(1)), *refs.of(ParamKey(u64::MAX))),
+            (1, 2)
+        );
     }
 
     /// What `assign_blocks` rebuilt from scratch before block key lists

@@ -15,8 +15,8 @@ use proteus_agileml::msg::AgileMsg;
 use proteus_agileml::{AgileConfig, AgileMlJob, JobEvent};
 use proteus_mlapps::data::{netflix_like, MfDataConfig};
 use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
-use proteus_simnet::event_core::MIN_OFFLOAD;
 use proteus_simnet::{FaultPlan, FaultRule, FaultStats, NetStats, NodeClass, NodeId};
+use proteus_simtime::Pool;
 
 const RATINGS: usize = 9_000;
 const RANK: usize = 32;
@@ -130,12 +130,6 @@ fn run(faulted: bool) -> Outcome {
 /// One test function, because the thread count is process-wide state.
 #[test]
 fn a_job_is_the_same_at_any_thread_count_and_on_every_run() {
-    // Four workers at launch: three of them can be handed to helpers.
-    let offloadable = (RATINGS * 2 * RANK) as u64 / 4 * 3;
-    assert!(
-        offloadable >= MIN_OFFLOAD,
-        "the job is too small to ever leave the driver's thread"
-    );
     for faulted in [false, true] {
         std::env::set_var("PROTEUS_THREADS", "1");
         let serial = run(faulted);
@@ -151,6 +145,11 @@ fn a_job_is_the_same_at_any_thread_count_and_on_every_run() {
             assert!(
                 again == serial,
                 "faulted={faulted}: the run on {threads} thread(s) differs from the serial one"
+            );
+            assert_eq!(
+                Pool::helpers_started() > 0,
+                faulted || threads != "1",
+                "the job's `process` batches must reach the pool, and only off one thread"
             );
         }
     }

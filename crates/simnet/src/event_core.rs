@@ -21,9 +21,9 @@
 //! batch, and its own outbox, timers and stop flag. Groups of distinct
 //! nodes share nothing, so they run on the persistent
 //! [`proteus_simtime::Pool`] when they announce enough computation to
-//! be worth waking a thread for ([`SimNode::compute_hint`],
-//! [`MIN_OFFLOAD`]) and inline on the driver's thread otherwise — a
-//! choice made from the batch's contents alone. Afterwards the
+//! be worth waking a thread for ([`SimNode::compute_hint`]) and inline
+//! on the driver's thread otherwise — a choice made from the batch's
+//! contents alone. Afterwards the
 //! driver **commits** on its own thread: stop flags first, then every
 //! outbox through the fault layer into the queue in ascending
 //! `(NodeId, send order)`, then deferred harness sends. An event
@@ -105,7 +105,7 @@ pub trait SimNode<M> {
     /// Roughly how many multiply-adds handling `msg` will take, when it
     /// is real computation rather than bookkeeping (zero). A hint, asked
     /// when a batch forms: the core hands a batch to other threads only
-    /// when it could hand over at least [`MIN_OFFLOAD`] of them, because
+    /// when it could hand over a few hundred thousand of them, because
     /// waking a parked thread costs far more than a handler that merely
     /// files a message. It changes which thread runs a handler, never
     /// what the run produces.
@@ -179,7 +179,7 @@ impl<M> SimNode<M> for FnNode<M> {
 /// an idle desktop and most of a millisecond on a virtual CPU that has
 /// halted; this many multiply-adds take a few hundred microseconds, so
 /// below it the helpers would arrive to find the batch done.
-pub const MIN_OFFLOAD: u64 = 400_000;
+const MIN_OFFLOAD: u64 = 400_000;
 
 /// One scheduled occurrence in the simulation.
 enum SimEvent<M> {
@@ -498,15 +498,10 @@ impl<M: Clone + Send> Default for SimCluster<M> {
 impl<M: Clone + Send> SimCluster<M> {
     /// Creates an empty cluster at the simulation epoch with zero link
     /// latency, dispatching on as many threads as `PROTEUS_THREADS` (or,
-    /// unset, the machine) allows.
+    /// unset, the machine) allows. The thread count changes which thread
+    /// runs a handler, never what any handler sees or what the run
+    /// produces.
     pub fn new() -> Self {
-        Self::with_pool(Pool::from_env())
-    }
-
-    /// Like [`SimCluster::new`] with an explicit thread cap. The cap
-    /// changes which thread runs a handler, never what any handler sees
-    /// or what the run produces.
-    pub fn with_pool(pool: Pool) -> Self {
         SimCluster {
             state: CoreState {
                 now: SimTime::EPOCH,
@@ -522,7 +517,7 @@ impl<M: Clone + Send> SimCluster<M> {
                 drives_clock: false,
             },
             components: Vec::new(),
-            pool,
+            pool: Pool::from_env(),
             group_at: Vec::new(),
         }
     }

@@ -264,76 +264,6 @@ fn thread_shim_and_event_core_agree_on_a_simple_protocol() {
     cluster.join();
 }
 
-/// A node that folds every message into its state, records what it saw,
-/// and gossips on to peers picked by that state — so any difference in
-/// per-node delivery order snowballs. It claims enough computation for
-/// every batch with two busy nodes to be handed to the pool.
-struct Gossip {
-    nodes: u32,
-    state: u64,
-    seen: Arc<Mutex<Vec<(NodeId, NodeId, u64)>>>,
-}
-
-impl proteus_simnet::SimNode<u64> for Gossip {
-    fn on_message(&mut self, ctx: &mut proteus_simnet::SimCtx<'_, u64>, from: NodeId, msg: u64) {
-        self.state = (self.state ^ msg)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .rotate_left(17);
-        self.seen.lock().unwrap().push((ctx.id(), from, msg));
-        let ttl = msg & 0xff;
-        if ttl > 0 {
-            for salt in 0..2 {
-                let peer = NodeId(((self.state >> (8 * salt)) % u64::from(self.nodes)) as u32);
-                let _ = ctx.send(peer, (self.state & !0xff) | (ttl - 1));
-            }
-        }
-    }
-
-    fn compute_hint(&self, _from: NodeId, _msg: &u64) -> u64 {
-        proteus_simnet::event_core::MIN_OFFLOAD
-    }
-}
-
-#[test]
-fn a_run_is_identical_at_any_thread_count() {
-    let run = |threads: usize| {
-        let mut sim: SimCluster<u64> = SimCluster::with_pool(proteus_simtime::Pool::new(threads));
-        let seen: Arc<Mutex<Vec<(NodeId, NodeId, u64)>>> = Default::default();
-        for i in 0..8u64 {
-            sim.add_node(
-                NodeClass::Transient,
-                Gossip {
-                    nodes: 8,
-                    state: i,
-                    seen: Arc::clone(&seen),
-                },
-            );
-        }
-        sim.set_faults(FaultPlan::new(3).with_rule(proteus_simnet::FaultRule {
-            from: None,
-            to: None,
-            drop: 0.05,
-            duplicate: 0.05,
-            delay: 0.05,
-            filter: None,
-        }));
-        for i in 0..8 {
-            sim.send_as_harness(NodeId(i), 0xabcd_0000 | 9).unwrap();
-        }
-        sim.run_until_idle();
-        // Per node, what it saw in the order it saw it (the shared log
-        // interleaves nodes in whatever order threads ran them).
-        let mut seen = std::mem::take(&mut *seen.lock().unwrap());
-        seen.sort_by_key(|(node, _, _)| *node);
-        (seen, sim.stats(), sim.traffic_matrix(), sim.fault_stats())
-    };
-    let serial = run(1);
-    assert!(serial.1.messages > 500, "the gossip must fan out");
-    for threads in [2, 4, 2] {
-        assert!(run(threads) == serial, "threads={threads}");
-    }
-}
-
 #[test]
 fn a_node_that_stops_within_a_batch_still_looks_alive_to_that_batch() {
     let mut sim: SimCluster<u64> = SimCluster::new();

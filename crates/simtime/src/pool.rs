@@ -155,6 +155,12 @@ impl Pool {
         self.threads
     }
 
+    /// Helper threads started so far, process-wide: zero until some call
+    /// was wide enough to leave its caller's thread.
+    pub fn helpers_started() -> usize {
+        lock().helpers
+    }
+
     /// Runs `task(i)` for every `i in 0..n` and returns the results in
     /// index order.
     ///
