@@ -2,7 +2,7 @@
 //! text summary plus optional CSV of the Fig. 9/10 axes.
 //!
 //! ```text
-//! PROTEUS_OBS_OUT=obs.jsonl cargo run --release -p proteus-bench --bin fig08_cost_2hr
+//! PROTEUS_OBS_OUT=obs.jsonl cargo run --release -p proteus-bench --bin figs -- fig08
 //! cargo run --release -p proteus-bench --bin obs_timeline -- obs.jsonl samples.csv
 //! ```
 //!
@@ -38,7 +38,8 @@ fn field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
 }
 
 fn main() {
-    header("OBS", "timeline summary from a JSONL export");
+    let out = &mut std::io::stdout();
+    header(out, "OBS: timeline summary from a JSONL export").expect("stdout");
 
     let mut args = std::env::args().skip(1);
     let path = args

@@ -30,7 +30,8 @@
 //! hysteresis (alert / re-arm thresholds) keeps one approach from
 //! emitting an alert storm. Calibration is validated empirically: the
 //! [`ForecastScorer`] replays traces and reports precision / recall /
-//! lead time against ground-truth evictions (gated in `bench_forecast`).
+//! lead time against ground-truth evictions (gated by the replay test at
+//! the bottom of this file).
 
 use proteus_market::MarketKey;
 use proteus_simtime::{SimDuration, SimTime};
@@ -41,7 +42,7 @@ use std::collections::BTreeMap;
 ///
 /// Defaults are calibrated against the synthetic generator's regimes
 /// (calm ±10 % multiplicative jitter, spikes ≥ 1.1× on-demand) and
-/// validated by the `bench_forecast` replay gate.
+/// validated by the replay test at the bottom of this file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ForecastConfig {
     /// Price samples retained per holding (sliding window).
@@ -756,50 +757,59 @@ mod tests {
 
     #[test]
     fn scorer_on_generator_trace_has_useful_accuracy() {
-        // Replay a volatile trace: sample every 2 min, feed the
+        // Replay volatile traces: sample every 2 min, feed the
         // forecaster, and score against ground-truth bid crossings.
-        let gen = TraceGenerator::new(2016, MarketModel::volatile());
         let horizon = SimDuration::from_hours(24 * 4);
-        let trace = gen.generate(key(), horizon);
-        let mut fc = PreemptionForecaster::new(ForecastConfig::default());
-        let mut sc = ForecastScorer::new(SimDuration::from_mins(30));
-        let bid = trace.price_at(SimTime::EPOCH) + 0.02;
-        let mut t = SimTime::EPOCH;
-        let mut above = false;
-        while t < SimTime::EPOCH + horizon {
-            let p = trace.price_at(t);
-            if p >= bid {
-                if !above {
-                    // The crossing sample is still observable before the
-                    // eviction lands: the provider gives a 2-minute
-                    // warning lead after the price crosses the bid.
+        let (mut hits, mut misses) = (0, 0);
+        for seed in [2016, 7, 42, 101] {
+            let trace = TraceGenerator::new(seed, MarketModel::volatile()).generate(key(), horizon);
+            let mut fc = PreemptionForecaster::new(ForecastConfig::default());
+            let mut sc = ForecastScorer::new(SimDuration::from_mins(30));
+            let bid = trace.price_at(SimTime::EPOCH) + 0.02;
+            let mut t = SimTime::EPOCH;
+            let mut above = false;
+            while t < SimTime::EPOCH + horizon {
+                let p = trace.price_at(t);
+                if p >= bid {
+                    if !above {
+                        // The crossing sample is still observable before
+                        // the eviction lands: the provider gives a
+                        // 2-minute warning lead after the price crosses
+                        // the bid. After it the holding is gone, so the
+                        // forecaster restarts cold as a session would.
+                        if let Some(a) = fc.observe(key(), bid, t, p) {
+                            sc.record_alert(key(), a.at);
+                        }
+                        sc.record_eviction(key(), t + SimDuration::from_mins(2));
+                        fc.clear(key(), bid);
+                    }
+                    above = true;
+                } else {
+                    above = false;
                     if let Some(a) = fc.observe(key(), bid, t, p) {
                         sc.record_alert(key(), a.at);
                     }
-                    sc.record_eviction(key(), t + SimDuration::from_mins(2));
-                    fc.clear(key(), bid);
                 }
-                above = true;
-            } else {
-                above = false;
-                if let Some(a) = fc.observe(key(), bid, t, p) {
-                    sc.record_alert(key(), a.at);
-                }
+                t += step();
             }
-            t += step();
+            let s = sc.score();
+            assert!(s.evictions > 0, "volatile trace {seed} must evict");
+            assert!(
+                s.recall >= 0.7,
+                "seed {seed}: recall {} too low over {} evictions",
+                s.recall,
+                s.evictions
+            );
+            assert!(
+                s.mean_lead >= SimDuration::from_mins(2),
+                "seed {seed}: lead {} must cover at least the provider warning",
+                s.mean_lead
+            );
+            hits += s.true_positives;
+            misses += s.misses;
         }
-        let s = sc.score();
-        assert!(s.evictions > 0, "volatile trace must evict");
-        assert!(
-            s.recall >= 0.7,
-            "recall {} too low over {} evictions",
-            s.recall,
-            s.evictions
-        );
-        assert!(
-            s.mean_lead >= SimDuration::from_mins(2),
-            "lead {} must cover at least the provider warning",
-            s.mean_lead
-        );
+        // A forecaster that misses evictions defends nothing.
+        let recall = hits as f64 / (hits + misses) as f64;
+        assert!(recall >= 0.7, "pooled recall {recall} over four traces");
     }
 }

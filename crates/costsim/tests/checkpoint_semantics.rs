@@ -1,10 +1,11 @@
 //! Direct checks of the checkpoint baseline's semantics on scripted
 //! markets: work rollback on eviction and restart delays — the
-//! mechanisms whose absence is AgileML's advantage.
+//! mechanisms whose absence is AgileML's advantage — and, on a generated
+//! volatile market, that forecasting when to checkpoint pays.
 
 use proteus_bidbrain::BetaEstimator;
-use proteus_costsim::{run_job, JobSpec, Scheme, SchemeKind};
-use proteus_market::{PriceTrace, TraceSet};
+use proteus_costsim::{run_job, JobSpec, Scheme, SchemeKind, StudyConfig, StudyEnv};
+use proteus_market::{MarketModel, PriceTrace, TraceSet};
 use proteus_simtime::{SimDuration, SimTime};
 
 fn on_demand_market() -> proteus_market::MarketKey {
@@ -137,4 +138,33 @@ fn all_on_demand_is_immune_to_spikes() {
     assert!(od.completed);
     assert_eq!(od.evictions, 0);
     assert!((od.runtime.as_hours_f64() - 2.0).abs() < 0.05);
+}
+
+#[test]
+fn forecast_driven_checkpoints_beat_the_fixed_cadence_on_a_volatile_market() {
+    // Parcae's argument (PAPERS.md), on the figures' own study shape:
+    // the reactive baseline checkpoints on a fixed MTTF-derived cadence
+    // and rolls back on every eviction; the proactive scheme floats its
+    // cadence on live hazard and checkpoints at once on an alert, so a
+    // predicted eviction loses at most one step. Runtime above the
+    // eviction-free two hours is recomputed or taxed work, and both
+    // sides are sim-time deterministic (measured: 2.37 h vs 3.03 h).
+    let env = StudyEnv::new(StudyConfig {
+        seed: 2016,
+        train_days: 14,
+        eval_days: 28,
+        starts: 50,
+        job_hours: 2.0,
+        market_model: MarketModel::volatile(),
+        max_job_hours: 72.0,
+        market_faults: None,
+    });
+    let reactive = env.run_scheme(SchemeKind::paper_checkpoint());
+    let proactive = env.run_scheme(SchemeKind::paper_adaptive_checkpoint());
+    assert!(
+        proactive.mean_runtime_hours < reactive.mean_runtime_hours,
+        "proactive {} h must save work over reactive {} h",
+        proactive.mean_runtime_hours,
+        reactive.mean_runtime_hours
+    );
 }
