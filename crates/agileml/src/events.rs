@@ -69,14 +69,6 @@ pub enum JobEvent {
         /// What went wrong.
         fault: JobFault,
     },
-    /// A protocol trace line (`AGILE_DEBUG=1`). Routed through the event
-    /// channel instead of stderr so traces land on the observability
-    /// timeline with sim-time stamps rather than interleaving wall-clock
-    /// terminal output.
-    Trace {
-        /// The trace message.
-        msg: String,
-    },
 }
 
 impl JobEvent {
@@ -118,7 +110,6 @@ impl JobEvent {
             JobEvent::Faulted { fault } => O::Faulted {
                 fault: fault.to_string(),
             },
-            JobEvent::Trace { msg } => O::Trace { msg: msg.clone() },
         }
     }
 }

@@ -156,3 +156,32 @@ fn a_reconfiguration_keeps_awaiting_images_still_in_flight() {
     job.wait_clock(clock + 2).expect("training continues");
     job.shutdown().expect("shutdown");
 }
+
+/// A forced stage 2 with no transient machine to host an ActivePS: the
+/// guard "nothing can host an ActivePS, serve from the reliable tier"
+/// used to live only in the eviction handler, so the same membership
+/// reached at launch panicked the controller ("cannot place partitions
+/// on zero nodes") — and a `Proteus` session always launches with zero
+/// transient machines. The job now starts in stage 1 exactly as it ends
+/// up there after an eviction storm, and flips to the forced stage when
+/// the first transient machines join.
+#[test]
+fn forced_stage_without_a_transient_machine_starts_in_stage_one() {
+    let forced = AgileConfig {
+        force_stage: Some(Stage::Stage2),
+        ..cfg()
+    };
+    let mut job = AgileMlJob::launch(mf_app(), mf_data(), forced, 2, 0).expect("launch");
+    assert_eq!(job.status().expect("status").stage, Stage::Stage1);
+    job.wait_clock(2).expect("two clocks in stage 1");
+
+    job.add_machines(NodeClass::Transient, 2).expect("grow");
+    assert!(job.events().contains(&JobEvent::StageChanged {
+        from: Stage::Stage1,
+        to: Stage::Stage2,
+    }));
+    let status = job.status().expect("status");
+    assert_eq!((status.stage, status.active_ps), (Stage::Stage2, 1));
+    job.wait_clock(4).expect("training continues in stage 2");
+    job.shutdown().expect("shutdown");
+}

@@ -15,7 +15,9 @@
 //!
 //! The constants were recorded on the commit *before*
 //! `controller.rs` was split into `controller/` over one placement
-//! layer; the split must reproduce them.
+//! layer; the split must reproduce them. The one exception is
+//! `forced_stage_without_a_transient_machine`, which panicked the
+//! controller on that commit and is recorded as new.
 
 use std::collections::BTreeMap;
 
@@ -314,6 +316,17 @@ fn failure_reported_while_an_add_is_pending() -> Result<String, JobError> {
     fingerprint(job)
 }
 
+/// Stage 2 is forced but the job launches on reliable machines alone,
+/// as every `Proteus` session does: stage 1 until the first transient
+/// machines join, the forced stage from then on.
+fn forced_stage_without_a_transient_machine() -> Result<String, JobError> {
+    let mut job = AgileMlJob::launch(mf_app(), mf_data(), all_active(), 2, 0)?;
+    train(&mut job, 2)?;
+    job.add_machines(NodeClass::Transient, 2)?;
+    train(&mut job, 3)?;
+    fingerprint(job)
+}
+
 #[test]
 fn grow_through_the_stages_replays() {
     check(
@@ -404,6 +417,15 @@ fn failure_reported_while_an_add_is_pending_replays() {
     );
 }
 
+#[test]
+fn forced_stage_without_a_transient_machine_replays() {
+    check(
+        "forced_stage_without_a_transient_machine",
+        forced_stage_without_a_transient_machine,
+        FORCED_STAGE_WITHOUT_TRANSIENT,
+    );
+}
+
 const GROW_THROUGH_THE_STAGES: &str = "\
     events: start(2) c1 c2 Stage1>Stage2 added[3,4] c3 c4 Stage2>Stage3 added[5] c5 c6 c7\n\
     status: Stage3 reliable=1 transient=4 active_ps=2 workers=4 clock=7\n\
@@ -454,3 +476,8 @@ const FAILURE_WHILE_ADD_PENDING: &str = "\
     status: Stage2 reliable=1 transient=4 active_ps=3 workers=5 clock=9\n\
     net: messages=688 dropped=18 traffic=0xeb2a2639af0e0dd1\n\
     model: 0x76cc40ab9e0614e4 keys=50 clock=8 epoch=1";
+const FORCED_STAGE_WITHOUT_TRANSIENT: &str = "\
+    events: start(2) c1 c2 Stage1>Stage2 added[3,4] c3 c4 c5 c6 c7\n\
+    status: Stage2 reliable=2 transient=2 active_ps=2 workers=4 clock=7\n\
+    net: messages=330 dropped=0 traffic=0xf04e93efa02d3787\n\
+    model: 0x349053f4cc610f5b keys=50 clock=6 epoch=0";

@@ -102,6 +102,28 @@ fn session_survives_injected_failure() {
     );
 }
 
+/// A session always launches on its reliable machines alone and buys
+/// transient capacity afterwards, so a forced serving stage meets "no
+/// transient machine" on every launch: the job starts in stage 1 and
+/// takes up the forced stage with the first allocation (the controller
+/// used to panic placing ActivePSs on zero machines).
+#[test]
+fn session_with_a_forced_serving_stage_launches_and_runs() {
+    use proteus::agileml::Stage;
+
+    let mut config = ProteusConfig {
+        max_machines: 8,
+        ..ProteusConfig::default()
+    };
+    config.agile.force_stage = Some(Stage::Stage2);
+    let mut session = Proteus::launch(app(), data(), config).expect("launch");
+    assert!(session.transient_machines() > 0);
+    session.run_market_hours(6.0).expect("market run");
+    session.wait_clock(10).expect("training progress");
+    let report = session.finish().expect("finish");
+    assert!(report.clocks >= 10);
+}
+
 #[test]
 fn session_rejects_invalid_config() {
     let bad = ProteusConfig {

@@ -231,12 +231,6 @@ pub enum AgileEvent {
         /// The fault, rendered via `Display`.
         fault: String,
     },
-    /// A protocol trace line (`AGILE_DEBUG=1`), routed through the
-    /// event channel instead of stderr.
-    Trace {
-        /// The trace message.
-        msg: String,
-    },
 }
 
 /// Session state-machine events.
@@ -421,7 +415,6 @@ impl Event {
                 AgileEvent::ReliableRepaired { .. } => "agile.reliable_repaired",
                 AgileEvent::NodesFailedRecovered { .. } => "agile.recovered",
                 AgileEvent::Faulted { .. } => "agile.faulted",
-                AgileEvent::Trace { .. } => "agile.trace",
             },
             Event::Session(e) => match e {
                 SessionEvent::Launched { .. } => "session.launched",
@@ -584,7 +577,6 @@ impl Event {
                     push_u64(out, "rolled_back_to", *rolled_back_to);
                 }
                 AgileEvent::Faulted { fault } => push_str(out, "fault", fault),
-                AgileEvent::Trace { msg } => push_str(out, "msg", msg),
             },
             Event::Session(e) => match e {
                 SessionEvent::Launched { reliable } => push_u64(out, "reliable", *reliable),

@@ -43,4 +43,14 @@ if grep -rn "println!\|eprintln!" crates/*/src --include="*.rs" \
   exit 1
 fi
 
+# A manifest edge must name a crate the owning package's sources mention.
+echo "==> no [dependencies] edge onto a crate the package never names"
+for m in Cargo.toml crates/*/Cargo.toml; do
+  d=$(dirname "$m")
+  for dep in $(awk '/^\[/{on=($0=="[dependencies]"||$0=="[dev-dependencies]")} on&&/^[a-z]/{sub(/[. =].*/,"");print}' "$m"); do
+    grep -rqw --include="*.rs" "${dep//-/_}" "$d/src" $(ls -d "$d/tests" "$d/examples" 2>/dev/null) \
+      || { echo "error: $m lists $dep but $d never mentions it" >&2; exit 1; }
+  done
+done
+
 echo "==> all checks passed"
