@@ -1,11 +1,9 @@
 //! Job configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stage::Stage;
 
 /// Configuration of an AgileML training job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgileConfig {
     /// SSP staleness slack in clocks (0 = bulk-synchronous).
     pub slack: u64,

@@ -1,7 +1,6 @@
 //! Observable job events and status, surfaced to the driver.
 
 use proteus_simnet::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::error::JobFault;
 use crate::stage::Stage;
@@ -115,7 +114,7 @@ impl JobEvent {
 }
 
 /// A point-in-time status snapshot of the controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobStatus {
     /// Current stage.
     pub stage: Stage,

@@ -336,29 +336,6 @@ impl<A: MlApp> AgileMlJob<A> {
         )
     }
 
-    /// [`AgileMlJob::launch_from_checkpoint`] with a [`FaultPlan`] installed
-    /// before any node is added — a restarted job re-enters the same
-    /// hostile market it was restarted out of.
-    pub fn launch_from_checkpoint_with_faults(
-        app: A,
-        dataset: Vec<A::Datum>,
-        cfg: AgileConfig,
-        reliable: usize,
-        transient: usize,
-        checkpoint: ModelSnapshot,
-        faults: FaultPlan<AgileMsg>,
-    ) -> Result<Self, JobError> {
-        Self::launch_inner(
-            app,
-            dataset,
-            cfg,
-            reliable,
-            transient,
-            Some(checkpoint),
-            Some(faults),
-        )
-    }
-
     fn launch_inner(
         app: A,
         dataset: Vec<A::Datum>,
@@ -452,11 +429,6 @@ impl<A: MlApp> AgileMlJob<A> {
             engine.cluster.kill(*n);
         }
     }
-
-    /// Tears the whole cluster down without the graceful `Shutdown`
-    /// round-trip — the only exit path when the controller host itself is
-    /// dead. Consumes the job; the caller relaunches from a checkpoint.
-    pub fn abort(self) {}
 
     /// Drops the (possibly headless) old cluster and relaunches the job
     /// in a fresh one, resuming model, clock, and epoch from `checkpoint`

@@ -231,12 +231,6 @@ impl ServerState {
         self.serving.export_partition(partition).into()
     }
 
-    /// Removes `partition` from the serving role (after migrating away).
-    pub fn stop_serving(&mut self, partition: PartitionId) {
-        self.serve_set.remove(&partition);
-        self.serving.drop_partition(partition);
-    }
-
     /// Rolls the serving store back to the last push boundary by
     /// subtracting pending dirty deltas (survivor side of failure
     /// recovery).

@@ -1,9 +1,7 @@
 //! The three functionality-partitioning stages and the selection rule.
 
-use serde::{Deserialize, Serialize};
-
 /// AgileML's stage of functionality partitioning (paper Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Parameter servers only on reliable machines; transient machines
     /// run only workers.

@@ -5,7 +5,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proteus_ps::PartitionId;
 use proteus_simnet::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::stage::Stage;
 
@@ -15,11 +14,11 @@ use crate::stage::Stage;
 /// elasticity moves whole blocks between workers, and an evicted worker's
 /// blocks fall back to their previous owner, who has already seen the
 /// data (paper Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u32);
 
 /// A versioned snapshot of who-serves-what, broadcast by the controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Monotonic version; receivers ignore stale snapshots.
     pub version: u64,
@@ -103,19 +102,6 @@ impl DataAssignment {
             .filter(|(_, h)| h.last() == Some(&worker))
             .map(|(b, _)| *b)
             .collect()
-    }
-
-    /// All workers that currently own at least one block.
-    pub fn active_workers(&self) -> BTreeSet<NodeId> {
-        self.history
-            .values()
-            .filter_map(|h| h.last().copied())
-            .collect()
-    }
-
-    /// Total number of blocks.
-    pub fn block_count(&self) -> u32 {
-        self.history.len() as u32
     }
 
     /// Rebalances blocks across `workers` so loads differ by at most one,

@@ -16,10 +16,9 @@ use std::collections::BTreeMap;
 
 use proteus_bench::header;
 
-/// Pulls `"field":value` out of one JSONL line without a JSON parser
-/// (the workspace's serde is an offline stub). Fields are rendered by
-/// `proteus-obs` in a fixed order with no embedded spaces, so a string
-/// scan is exact.
+/// Pulls `"field":value` out of one JSONL line without a JSON parser.
+/// Fields are rendered by `proteus-obs` in a fixed order with no
+/// embedded spaces, so a string scan is exact.
 fn field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
     let needle = format!("\"{name}\":");
     let rest = &line[line.find(&needle)? + needle.len()..];

@@ -3,6 +3,7 @@
 
 use std::io;
 
+use proteus_bidbrain::AppParams;
 use proteus_costsim::{run_job, run_study, Scheme, SchemeKind, StudyEnv, StudyResult};
 use proteus_market::gce::{GceMarket, PreemptionModel, GCE_DISCOUNT};
 use proteus_market::MarketModel;
@@ -213,11 +214,11 @@ pub fn ablate_gce(out: Out) -> io::Result<()> {
     // β for a one-hour horizon comes straight from the model — the
     // analogue the paper sketches in Sec. 7.
     let beta_hour = gce.preemption_probability(SimDuration::from_hours(1));
-    let phi = 0.97f64;
+    let phi = AppParams::default(); // φ = 0.97 per doubling.
     let fleet = 384.0f64;
     let cores: f64 = fleet * 4.0 + 12.0;
-    let rate = cores * phi.powf(cores.log2()); // φ-scaled core-hours/hour.
-    let work_needed = 512.0 * 2.0 * phi.powf(512f64.log2());
+    let rate = cores * phi.phi(cores); // φ-scaled core-hours/hour.
+    let work_needed = 512.0 * 2.0 * phi.phi(512.0);
     let fleet_rate_per_hour = fleet * PreemptionModel::default().preemptions_per_day / 24.0;
 
     let mut rng = proteus_simtime::rng::seeded(2016);

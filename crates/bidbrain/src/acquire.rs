@@ -9,11 +9,66 @@
 //! markets in the [`ranked_acquisitions`](crate::BidBrain::ranked_acquisitions)
 //! list remain fair game. Throttling (a provider-wide signal) blocks all
 //! markets until the provider's suggested retry time.
+//!
+//! [`BidBrain::acquire`] is the walk itself: request the ranked
+//! candidates in order until one grants, and report what happened for
+//! the caller to apply to its own counters and backoff.
 
 use std::collections::BTreeMap;
 
-use proteus_market::MarketKey;
+use proteus_market::{CloudProvider, MarketError, MarketKey, SpotGrant};
+use proteus_obs::Recorder;
 use proteus_simtime::{SimDuration, SimTime};
+
+use crate::policy::{AllocView, AllocationRequest, BidBrain};
+
+/// What one walk down the ranked acquisitions came to.
+#[derive(Debug, Default)]
+pub struct Acquisition {
+    /// The grant that ended the walk, with the request that won it.
+    pub granted: Option<(AllocationRequest, SpotGrant)>,
+    /// Markets that refused for capacity, in walk order; the walk fell
+    /// through each to the next-best candidate.
+    pub refused: Vec<MarketKey>,
+    /// What stopped the walk short: a provider-wide throttle, or any
+    /// refusal other than capacity and a bid the market overtook.
+    pub stopped: Option<MarketError>,
+}
+
+impl BidBrain<'_> {
+    /// Walks [`ranked_acquisitions`](BidBrain::ranked_acquisitions) for
+    /// `footprint` at the provider's current time, requesting each
+    /// candidate's count capped at `cap` (at least 1): a grant stops the
+    /// walk; a capacity refusal or a bid the price moved past between
+    /// ranking and requesting falls through to the next-best market; any
+    /// other refusal — a throttle is provider-wide — stops it.
+    pub fn acquire(
+        &self,
+        provider: &mut CloudProvider<'_>,
+        footprint: &[AllocView],
+        prices: &[(MarketKey, f64)],
+        cap: u32,
+        obs: Option<&Recorder>,
+    ) -> Acquisition {
+        let ranked = self.ranked_acquisitions_obs(footprint, prices, provider.now(), obs);
+        let mut out = Acquisition::default();
+        for req in ranked {
+            match provider.request_spot(req.market, req.count.min(cap), req.bid) {
+                Ok(grant) => {
+                    out.granted = Some((req, grant));
+                    break;
+                }
+                Err(MarketError::InsufficientCapacity { .. }) => out.refused.push(req.market),
+                Err(MarketError::BidBelowMarket { .. }) => {}
+                Err(e) => {
+                    out.stopped = Some(e);
+                    break;
+                }
+            }
+        }
+        out
+    }
+}
 
 /// Tracks refusal history and computes when each market may be retried.
 #[derive(Debug, Clone, PartialEq, Eq)]

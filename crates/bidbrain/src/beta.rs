@@ -10,11 +10,10 @@
 
 use proteus_market::{MarketKey, PriceTrace};
 use proteus_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// β and median time-to-eviction at one bid delta.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BetaPoint {
     /// Bid delta in dollars above the market price.
     pub delta: f64,
@@ -25,7 +24,7 @@ pub struct BetaPoint {
 }
 
 /// The β curve for one market.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BetaTable {
     /// Points ordered by increasing delta.
     points: Vec<BetaPoint>,
@@ -193,11 +192,6 @@ impl BetaEstimator {
     /// The trained table for `market`, if any.
     pub fn table(&self, market: MarketKey) -> Option<&BetaTable> {
         self.tables.get(&market)
-    }
-
-    /// Markets trained so far.
-    pub fn trained_markets(&self) -> impl Iterator<Item = &MarketKey> {
-        self.tables.keys()
     }
 }
 

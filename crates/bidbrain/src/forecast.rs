@@ -35,7 +35,6 @@
 
 use proteus_market::MarketKey;
 use proteus_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Tuning knobs for the online forecaster.
@@ -43,7 +42,7 @@ use std::collections::BTreeMap;
 /// Defaults are calibrated against the synthetic generator's regimes
 /// (calm ±10 % multiplicative jitter, spikes ≥ 1.1× on-demand) and
 /// validated by the replay test at the bottom of this file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForecastConfig {
     /// Price samples retained per holding (sliding window).
     pub window: usize,
@@ -249,6 +248,24 @@ impl PreemptionForecaster {
         self.states.values().map(|s| s.hazard).fold(0.0, f64::max)
     }
 
+    /// Young's-rule checkpoint interval for the current fleet-wide
+    /// pressure: [`adaptive_interval`] at the rate [`hazard_to_rate`]
+    /// derives from [`max_hazard`](Self::max_hazard) over the forecast
+    /// horizon, clamped to `[min, max]`.
+    pub fn checkpoint_interval(
+        &self,
+        cost: SimDuration,
+        min: SimDuration,
+        max: SimDuration,
+    ) -> SimDuration {
+        adaptive_interval(
+            cost,
+            hazard_to_rate(self.max_hazard(), self.cfg.horizon),
+            min,
+            max,
+        )
+    }
+
     /// Drops the trajectory state for a released or evicted holding.
     pub fn clear(&mut self, market: MarketKey, bid: f64) {
         self.states.remove(&(market, bid.to_bits()));
@@ -429,7 +446,7 @@ pub struct ForecastScorer {
 }
 
 /// Aggregate forecast accuracy over one replay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForecastScore {
     /// Alerts emitted.
     pub alerts: usize,

@@ -35,7 +35,7 @@ pub mod params;
 pub mod policy;
 pub mod standard;
 
-pub use acquire::MarketBackoff;
+pub use acquire::{Acquisition, MarketBackoff};
 pub use beta::{BetaEstimator, BetaPoint, BetaTable};
 pub use forecast::{
     adaptive_interval, hazard_to_rate, EvictionAlert, ForecastConfig, ForecastScore,
@@ -45,3 +45,11 @@ pub use objective::Objective;
 pub use params::AppParams;
 pub use policy::{AllocView, AllocationRequest, BidBrain, BidBrainConfig, Expiring, FootprintEval};
 pub use standard::StandardStrategy;
+
+use proteus_simtime::SimDuration;
+
+/// BidBrain's decision cadence (Sec. 5: decisions "every two minutes
+/// and just before billing hours end"). Every lifecycle loop steps by
+/// it, and a holding whose hour has no more than this left is due for
+/// its renewal decision ([`Expiring::due`]).
+pub const DECISION_STEP: SimDuration = SimDuration::from_secs(120);

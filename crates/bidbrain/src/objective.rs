@@ -9,12 +9,10 @@
 //! a spend-rate cap), and budget-capped exploration (maximize work for a
 //! fixed budget).
 
-use serde::{Deserialize, Serialize};
-
 use crate::policy::FootprintEval;
 
 /// How BidBrain ranks candidate footprints.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum Objective {
     /// Minimize expected cost per unit work (Eq. 4) — the paper's
     /// default, right for batch training.

@@ -1,7 +1,6 @@
 //! Application parameters consumed by BidBrain (paper Table 2).
 
 use proteus_simtime::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The application characteristics BidBrain's formulas need (Table 2).
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// * `ν` (nu) — work produced per instance per unit time, proportional to
 ///   the instance's virtual core count (footnote 7); BidBrain takes ν
 ///   directly from the instance catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppParams {
     /// First-order scalability coefficient: each doubling of core count
     /// retains this fraction of per-core efficiency. 1.0 = perfect

@@ -1,10 +1,9 @@
 //! BidBrain's cost-per-work objective and allocation decisions
 //! (Eqs. 1–4 of the paper).
 
-use proteus_market::{AllocationId, MarketKey};
+use proteus_market::{AllocationId, MarketKey, SpotAllocation};
 use proteus_obs::{BidEvent, Event, Recorder};
 use proteus_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::beta::{BetaEstimator, BetaTable};
 use crate::objective::Objective;
@@ -44,10 +43,24 @@ impl AllocView {
             work_rate,
         }
     }
+
+    /// BidBrain's view of a held, launched spot allocation at `now`:
+    /// billed at the price its current hour was charged, with the rest
+    /// of that hour to run.
+    pub fn held(a: &SpotAllocation, now: SimTime) -> Self {
+        AllocView {
+            market: a.market,
+            count: a.count,
+            hourly_price: a.hour_price,
+            bid_delta: Some((a.bid - a.hour_price).max(0.0001)),
+            time_remaining: a.time_to_hour_end(now),
+            work_rate: f64::from(a.market.instance_type().vcpus),
+        }
+    }
 }
 
 /// Evaluation of a footprint: Eqs. 1–4 combined.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FootprintEval {
     /// Expected cost `C_A` in dollars (Eq. 1 summed).
     pub expected_cost: f64,
@@ -68,7 +81,7 @@ impl FootprintEval {
 }
 
 /// An acquisition decision: buy `count` instances in `market` at `bid`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllocationRequest {
     /// Target market.
     pub market: MarketKey,
@@ -97,8 +110,29 @@ pub struct Expiring {
     pub time_remaining: SimDuration,
 }
 
+impl Expiring {
+    /// `a` up for renewal at `renew_price`, if its billing hour ends
+    /// within one [`DECISION_STEP`](crate::DECISION_STEP) of `now` — the
+    /// last decision before the next hour is charged. A warned holding
+    /// is leaving anyway and a booting one has no hour open yet, so
+    /// neither is due.
+    pub fn due(a: &SpotAllocation, now: SimTime, renew_price: f64) -> Option<Expiring> {
+        let time_remaining = a.time_to_hour_end(now);
+        (time_remaining <= crate::DECISION_STEP && !a.is_warned() && !a.is_booting()).then_some(
+            Expiring {
+                id: a.id,
+                market: a.market,
+                count: a.count,
+                bid: a.bid,
+                renew_price,
+                time_remaining,
+            },
+        )
+    }
+}
+
 /// Tuning knobs for the decision policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BidBrainConfig {
     /// Total vCPU budget BidBrain provisions toward.
     pub target_cores: u32,

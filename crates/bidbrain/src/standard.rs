@@ -8,12 +8,11 @@
 //! and what Flint-style systems use; Proteus is evaluated against it.
 
 use proteus_market::MarketKey;
-use serde::{Deserialize, Serialize};
 
 use crate::policy::AllocationRequest;
 
 /// The standard strategy: cheapest market per core, bid = on-demand.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StandardStrategy {
     /// Total vCPUs to (re-)acquire whenever holdings are empty.
     pub target_cores: u32,

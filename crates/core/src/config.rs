@@ -112,7 +112,7 @@ impl ProteusConfig {
         if self.max_machines <= self.reliable_machines {
             return Err("max_machines must leave room for transient machines".into());
         }
-        if self.watchdog_window < crate::session::STEP {
+        if self.watchdog_window < proteus_bidbrain::DECISION_STEP {
             return Err("watchdog window must cover at least one decision step".into());
         }
         if self.backoff_base > self.backoff_cap {

@@ -2,11 +2,10 @@
 
 use proteus_market::UsageBreakdown;
 use proteus_simtime::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// What a finished [`Proteus`](crate::Proteus) session spent and
 /// achieved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProteusReport {
     /// Net dollars billed (hour charges minus eviction refunds).
     pub cost: f64,

@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use proteus_agileml::{AgileMlJob, JobError};
 use proteus_bidbrain::{
-    adaptive_interval, hazard_to_rate, AllocView, BetaEstimator, BidBrain, Expiring, MarketBackoff,
-    PreemptionForecaster,
+    AllocView, BetaEstimator, BidBrain, Expiring, MarketBackoff, PreemptionForecaster,
+    DECISION_STEP,
 };
 use proteus_market::{
     AllocationId, CloudProvider, MarketError, MarketKey, ProviderEvent, TraceGenerator,
@@ -36,9 +36,6 @@ use crate::checkpoint::CheckpointStore;
 use crate::config::ProteusConfig;
 use crate::error::ProteusError;
 use crate::report::ProteusReport;
-
-/// BidBrain's decision cadence (Sec. 5: "every two minutes").
-pub(crate) const STEP: SimDuration = SimDuration::from_secs(120);
 
 /// Metric name for the 0/1 degraded-mode gauge. Its time-weighted
 /// histogram's time at `1.0` equals the report's `degraded_time`.
@@ -305,12 +302,6 @@ impl<A: MlApp> Proteus<A> {
         self.alloc_nodes.values().map(Vec::len).sum()
     }
 
-    /// Whether the watchdog has degraded the loop to reliable-only
-    /// (plus any on-demand fallback) because spot acquisition wedged.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded_since.is_some()
-    }
-
     /// Advances the market by `hours`, driving allocation decisions and
     /// elasticity.
     ///
@@ -331,7 +322,7 @@ impl<A: MlApp> Proteus<A> {
             self.forecast_step()?;
             self.maybe_checkpoint()?;
             self.consider_acquisition()?;
-            let next = (self.provider.now() + STEP).min(target);
+            let next = (self.provider.now() + DECISION_STEP).min(target);
             let events = self.provider.advance_to(next)?;
             if let Some(rec) = self.obs.as_deref() {
                 // The provider stamped its own events at their exact
@@ -422,7 +413,7 @@ impl<A: MlApp> Proteus<A> {
             return Ok(());
         }
         let now = self.provider.now();
-        let allocs = self.provider.spot_allocations();
+        let allocs: Vec<_> = self.provider.live_spot().collect();
 
         // Holdings released or reclaimed since the last sweep stop
         // being tracked; their outstanding alerts are moot (a voluntary
@@ -443,8 +434,8 @@ impl<A: MlApp> Proteus<A> {
             self.alerted.remove(&id);
         }
 
-        for a in &allocs {
-            if a.booting {
+        for a in allocs {
+            if a.is_booting() {
                 continue;
             }
             let Ok(price) = self.provider.spot_price(a.market) else {
@@ -458,7 +449,7 @@ impl<A: MlApp> Proteus<A> {
                 continue;
             };
             self.forecast_alerts += 1;
-            let expiry = now + fc.config().horizon + self.config.warning_lead + STEP;
+            let expiry = now + fc.config().horizon + self.config.warning_lead + DECISION_STEP;
             if let Some(rec) = self.obs.as_deref() {
                 rec.record(
                     now,
@@ -521,13 +512,8 @@ impl<A: MlApp> Proteus<A> {
             return Ok(());
         };
         let now = self.provider.now();
-        let rate = hazard_to_rate(fc.max_hazard(), fc.config().horizon);
-        let interval = adaptive_interval(
-            self.config.checkpoint_cost,
-            rate,
-            CHECKPOINT_MIN,
-            CHECKPOINT_MAX,
-        );
+        let interval =
+            fc.checkpoint_interval(self.config.checkpoint_cost, CHECKPOINT_MIN, CHECKPOINT_MAX);
         if now.since(self.last_checkpoint) < interval {
             return Ok(());
         }
@@ -584,22 +570,8 @@ impl<A: MlApp> Proteus<A> {
         let spot = self
             .provider
             .live_spot()
-            .filter(|a| !a.booting)
-            .map(move |a| {
-                let paid = self
-                    .provider
-                    .spot_price_at(a.market, a.hour_start)
-                    .unwrap_or(a.bid);
-                let view = AllocView {
-                    market: a.market,
-                    count: a.count,
-                    hourly_price: paid,
-                    bid_delta: Some((a.bid - paid).max(0.0001)),
-                    time_remaining: (a.hour_start + SimDuration::from_hours(1)).since(now),
-                    work_rate: f64::from(a.market.instance_type().vcpus),
-                };
-                (Some(a.id), view)
-            });
+            .filter(|a| !a.is_booting())
+            .map(move |a| (Some(a.id), AllocView::held(a, now)));
         std::iter::once(reliable)
             .chain(fallback)
             .map(|view| (None, view))
@@ -645,62 +617,48 @@ impl<A: MlApp> Proteus<A> {
             .filter_map(|m| self.provider.spot_price(*m).ok().map(|p| (*m, p)))
             .collect();
         let footprint = self.footprint();
-        let ranked =
-            self.brain
-                .ranked_acquisitions_obs(&footprint, &prices, now, self.obs.as_deref());
-        let mut granted = false;
-        for req in ranked {
-            let count = req.count.min(headroom);
-            if count == 0 {
-                continue;
-            }
-            match self.provider.request_spot(req.market, count, req.bid) {
-                Ok(grant) => {
-                    self.backoff.on_success(req.market);
-                    self.allocations += 1;
-                    if grant.is_partial() {
-                        self.partial_grants += 1;
-                    }
-                    self.last_grant = now;
-                    self.refusals_since_grant = 0;
-                    if grant.usable_at > now {
-                        // Machines join the job when the provider
-                        // reports the launch.
-                        self.pending_launches.insert(grant.id, grant.granted);
-                    } else {
-                        let nodes = self
-                            .job
-                            .add_machines(NodeClass::Transient, grant.granted as usize)?;
-                        self.alloc_nodes.insert(grant.id, nodes);
-                    }
-                    self.exit_degraded(now)?;
-                    granted = true;
-                    break;
-                }
-                Err(MarketError::RequestLimitExceeded { retry_after }) => {
-                    // Provider-wide: no point trying the next market.
-                    self.throttles += 1;
-                    self.refusals_since_grant += 1;
-                    self.backoff.on_throttle(now, retry_after);
-                    break;
-                }
-                Err(MarketError::InsufficientCapacity { .. }) => {
-                    // Market-local: back it off, fall to the next-best.
-                    self.refusals += 1;
-                    self.refusals_since_grant += 1;
-                    self.backoff.on_refusal(req.market, now);
-                }
-                Err(MarketError::BidBelowMarket { .. }) => {
-                    // The price moved between ranking and requesting;
-                    // the next candidate market may still be good.
-                }
-                Err(e) => return Err(e.into()),
-            }
+        let walk = self.brain.acquire(
+            &mut self.provider,
+            &footprint,
+            &prices,
+            headroom,
+            self.obs.as_deref(),
+        );
+        // Capacity refusals are market-local: back each market off.
+        for &market in &walk.refused {
+            self.refusals += 1;
+            self.refusals_since_grant += 1;
+            self.backoff.on_refusal(market, now);
         }
-        if !granted {
-            self.maybe_degrade(now)?;
+        match walk.stopped {
+            None => {}
+            Some(MarketError::RequestLimitExceeded { retry_after }) => {
+                self.throttles += 1;
+                self.refusals_since_grant += 1;
+                self.backoff.on_throttle(now, retry_after);
+            }
+            Some(e) => return Err(e.into()),
         }
-        Ok(())
+        let Some((req, grant)) = walk.granted else {
+            return self.maybe_degrade(now);
+        };
+        self.backoff.on_success(req.market);
+        self.allocations += 1;
+        if grant.is_partial() {
+            self.partial_grants += 1;
+        }
+        self.last_grant = now;
+        self.refusals_since_grant = 0;
+        if grant.usable_at > now {
+            // Machines join the job when the provider reports the launch.
+            self.pending_launches.insert(grant.id, grant.granted);
+        } else {
+            let nodes = self
+                .job
+                .add_machines(NodeClass::Transient, grant.granted as usize)?;
+            self.alloc_nodes.insert(grant.id, nodes);
+        }
+        self.exit_degraded(now)
     }
 
     /// Watchdog: if refusals have kept the loop grantless for a full
@@ -778,10 +736,12 @@ impl<A: MlApp> Proteus<A> {
             return Ok(None);
         };
         let nodes = self.alloc_nodes.remove(&alloc).unwrap_or_default();
-        // The provider still refunds the hour (it evicted the machines);
-        // terminate bills nothing further since we model the provider's
-        // own revocation as an immediate teardown.
-        let _ = self.provider.terminate(alloc);
+        // The provider took the machines, so it settles as an eviction:
+        // the current hour is refunded and its usage was free. An
+        // on-demand fallback is never revoked; it is released instead.
+        if self.provider.revoke(alloc).is_err() {
+            let _ = self.provider.terminate(alloc);
+        }
         self.evictions += 1;
         let rolled = self.job.fail_nodes(&nodes)?;
         Ok(Some(rolled))
@@ -898,18 +858,11 @@ impl<A: MlApp> Proteus<A> {
     /// released (machines leave gracefully — a voluntary drain).
     fn renewals(&mut self) -> Result<(), ProteusError> {
         let now = self.provider.now();
-        let to_end = |hour_start: SimTime| (hour_start + SimDuration::from_hours(1)).since(now);
         let expiring: Vec<Expiring> = self
             .provider
             .live_spot()
-            .filter(|a| to_end(a.hour_start) <= STEP && !a.warned && !a.booting)
-            .map(|a| Expiring {
-                id: a.id,
-                market: a.market,
-                count: a.count,
-                bid: a.bid,
-                renew_price: self.provider.spot_price(a.market).unwrap_or(a.bid),
-                time_remaining: to_end(a.hour_start),
+            .filter_map(|a| {
+                Expiring::due(a, now, self.provider.spot_price(a.market).unwrap_or(a.bid))
             })
             .collect();
         if expiring.is_empty() {

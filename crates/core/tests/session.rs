@@ -74,19 +74,38 @@ fn full_session_trains_under_market_churn() {
 
 #[test]
 fn session_survives_injected_failure() {
+    use proteus::market::obs_keys::EVICTIONS;
+    use proteus::obs::Recorder;
+    use std::sync::Arc;
+
     let config = ProteusConfig {
         max_machines: 8,
         ..ProteusConfig::default()
     };
-    let mut session = Proteus::launch(app(), data(), config).expect("launch");
+    let rec = Arc::new(Recorder::new());
+    let mut session =
+        Proteus::launch_observed(app(), data(), config, Arc::clone(&rec)).expect("launch");
     assert!(session.transient_machines() > 0);
     session.wait_clock(5).expect("warm-up");
 
     // An allocation disappears with no usable warning.
+    let seen = rec.timeline().len();
+    let evictions = rec.counter(EVICTIONS);
     let rolled = session
         .inject_failure()
         .expect("failure path")
         .expect("an allocation was live");
+
+    // The provider took the machines, so the bill settles an eviction
+    // (the counter only moves on a refunded hour), not a walk-away that
+    // forfeits the paid hour.
+    let settled: Vec<&str> = rec.timeline().events[seen..]
+        .iter()
+        .map(|e| e.event.kind())
+        .filter(|k| k.starts_with("market."))
+        .collect();
+    assert_eq!(settled, ["market.evicted"]);
+    assert_eq!(rec.counter(EVICTIONS), evictions + 1);
 
     // Training recovers and keeps converging.
     session

@@ -8,17 +8,17 @@
 //! short pause rather than a restart. This module simulates such a job
 //! so the EC2-vs-GCE comparison is a tested library capability.
 
+use proteus_bidbrain::AppParams;
 use proteus_market::gce::{GceMarket, PreemptionModel};
 use proteus_market::MarketKey;
 use proteus_simtime::rng::seeded_stream;
 use proteus_simtime::SimDuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::scheme::JobSpec;
 
 /// Parameters of a GCE run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GceRunConfig {
     /// Preemptible instances held (replaced immediately on preemption).
     pub fleet: u32,
@@ -45,7 +45,7 @@ impl Default for GceRunConfig {
 }
 
 /// Outcome of a GCE preemptible run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GceOutcome {
     /// Dollars billed (fixed discount price × machine-hours).
     pub cost: f64,
@@ -71,7 +71,11 @@ pub fn run_gce_job(job: &JobSpec, market: MarketKey, config: &GceRunConfig) -> G
     if job.on_demand_works {
         cores += f64::from(job.on_demand_count) * vcpus;
     }
-    let phi = job.phi_per_doubling.powf(cores.log2()).clamp(0.0, 1.0);
+    let phi = AppParams {
+        phi_per_doubling: job.phi_per_doubling,
+        ..AppParams::default()
+    }
+    .phi(cores);
     let rate = cores * phi; // φ-scaled core-hours per hour.
 
     let fleet_rate_per_hour = fleet * config.preemption.preemptions_per_day / 24.0;

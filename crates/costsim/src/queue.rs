@@ -15,15 +15,14 @@
 //! allocations to their billing-hour ends hoping for eviction refunds.
 
 use proteus_bidbrain::BetaEstimator;
-use proteus_market::{ProviderEvent, TraceSet, UsageBreakdown};
+use proteus_market::{AllocationId, ProviderEvent, TraceSet, UsageBreakdown};
 use proteus_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::scheme::Scheme;
 use crate::sim::JobSim;
 
 /// Outcome of a queue of sequentially executed jobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueueOutcome {
     /// Wall-clock runtime of each job (start of its work to completion).
     pub job_runtimes: Vec<SimDuration>,
@@ -96,22 +95,16 @@ impl JobSim<'_> {
         self.release_on_demand();
         // Idle each spot allocation to its billing-hour end; the
         // provider evicts (and refunds) any whose market spikes first.
-        loop {
-            let allocs = self.provider_mut().spot_allocations();
-            // A warned allocation stops billing new hours (its hour
-            // boundary never moves), so wait for its eviction instead —
-            // otherwise a warning issued just before an hour end pins
-            // `next_end` in place and the loop never advances.
-            let Some(next_end) = allocs
-                .iter()
-                .map(|a| {
-                    a.evict_at
-                        .unwrap_or(a.hour_start + SimDuration::from_hours(1))
-                })
-                .min()
-            else {
-                break;
-            };
+        // A warned allocation stops billing new hours (its hour boundary
+        // never moves), so wait for its eviction instead — otherwise a
+        // warning issued just before an hour end pins `next_end` in
+        // place and the loop never advances.
+        while let Some(next_end) = self
+            .provider_mut()
+            .live_spot()
+            .map(|a| a.evict_at().unwrap_or(a.hour_end()))
+            .min()
+        {
             // `next_end` is a future hour boundary or eviction instant;
             // `advance_to` only errors on time moving backwards.
             #[allow(clippy::expect_used)]
@@ -126,23 +119,20 @@ impl JobSim<'_> {
                 }
             }
             self.add_evictions(evicted_now);
-            // Terminate every allocation whose hour just ended (before
-            // it gets recharged the provider charges at the boundary —
-            // we advanced exactly to the boundary, so the recharge has
-            // happened; terminate and strip that fresh unused hour).
-            for a in self.provider_mut().spot_allocations() {
-                if a.hour_start >= next_end {
-                    // The boundary recharge just hit: refund it by
-                    // terminating immediately (zero usage this hour) and
-                    // crediting the fresh charge like the per-job
-                    // accounting does.
-                    let paid = self
-                        .provider_mut()
-                        .spot_price_at(a.market, a.hour_start)
-                        .unwrap_or(0.0);
-                    self.credit(paid * f64::from(a.count));
-                    let _ = self.provider_mut().terminate(a.id);
-                }
+            // Terminate every allocation whose hour just ended: we
+            // advanced exactly to the boundary, so its recharge has hit.
+            // Terminating at once uses none of that fresh hour, which is
+            // credited whole like the per-job accounting does.
+            let renewed: Vec<AllocationId> = self
+                .provider_mut()
+                .live_spot()
+                .filter(|a| a.hour_start >= next_end)
+                .map(|a| a.id)
+                .collect();
+            for id in renewed {
+                let credit = self.provider_mut().unused_hour_credit(id);
+                self.credit(credit);
+                let _ = self.provider_mut().terminate(id);
             }
         }
         self.evictions_so_far()

@@ -1,11 +1,11 @@
 //! Job specifications and the four evaluated schemes.
 
+use proteus_bidbrain::AppParams;
 use proteus_market::MarketKey;
 use proteus_simtime::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// What the job needs and which reliable base it keeps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSpec {
     /// Useful work required, in core-hours at perfect scaling (φ = 1).
     pub work_core_hours: f64,
@@ -38,7 +38,13 @@ impl JobSpec {
         let cores = 512.0;
         JobSpec {
             // Work the 128-machine on-demand fleet finishes in `hours`.
-            work_core_hours: cores * hours * phi.powf(cores.log2()),
+            work_core_hours: cores
+                * hours
+                * AppParams {
+                    phi_per_doubling: phi,
+                    ..AppParams::default()
+                }
+                .phi(cores),
             on_demand_market,
             on_demand_count: 3,
             on_demand_works: false,
@@ -50,7 +56,7 @@ impl JobSpec {
 }
 
 /// Which policy stack runs the job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SchemeKind {
     /// All on-demand machines, no spot (the 100 % cost baseline).
     AllOnDemand {
@@ -214,7 +220,7 @@ pub fn youngs_interval(checkpoint_cost: SimDuration, mttf: SimDuration) -> (SimD
 }
 
 /// A scheme bound to a job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scheme {
     /// The policy stack.
     pub kind: SchemeKind,

@@ -8,24 +8,23 @@
 //! hurt cost-per-work, and considers acquisitions.
 
 use proteus_bidbrain::{
-    adaptive_interval, hazard_to_rate, AllocView, AppParams, BetaEstimator, BidBrain,
-    BidBrainConfig, Expiring, ForecastConfig, PreemptionForecaster, StandardStrategy,
+    AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig, Expiring, ForecastConfig,
+    PreemptionForecaster, StandardStrategy, DECISION_STEP,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proteus_market::{
-    catalog, AllocationId, CloudProvider, MarketError, MarketFaultPlan, MarketKey, ProviderEvent,
-    TraceSet, UsageBreakdown,
+    catalog, AllocationId, CloudProvider, MarketFaultPlan, MarketKey, ProviderEvent, TraceSet,
+    UsageBreakdown,
 };
 use proteus_obs::{CostEvent, Event, MarketEvent, Recorder};
 use proteus_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::scheme::{JobSpec, Scheme, SchemeKind};
 
 /// Outcome of one simulated job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimOutcome {
     /// Dollars charged to this job (final partial billing hours are
     /// credited back, per the paper's accounting).
@@ -43,9 +42,6 @@ pub struct SimOutcome {
     /// "multiple instance types, which move relatively independently").
     pub market_mix: BTreeMap<String, u32>,
 }
-
-/// BidBrain's decision cadence.
-const STEP: SimDuration = SimDuration::from_secs(120);
 
 /// Tightest cadence adaptive checkpointing will accept — below this the
 /// `C/τ` throughput tax exceeds what any plausible eviction would lose.
@@ -130,9 +126,6 @@ pub(crate) struct JobSim<'a> {
     /// restart delays).
     paused_until: SimTime,
     evictions: u32,
-    /// Markets of allocations currently under eviction warning (their
-    /// replacement is deferred until the eviction lands).
-    pending_evictions: usize,
     /// Spot instances acquired per market; rendered to names once, in
     /// the outcome.
     market_mix: BTreeMap<MarketKey, u32>,
@@ -146,7 +139,6 @@ pub(crate) struct JobSim<'a> {
     /// plan can refuse capacity, so this stays `None` fault-free.
     fallback_alloc: Option<AllocationId>,
     fallback_count: u32,
-    fallback_since: SimTime,
     /// Cumulative degraded-mode fallback provisionings over the run.
     fallback_launches: u32,
     /// Live preemption forecaster (adaptive-checkpoint scheme only);
@@ -231,13 +223,11 @@ impl<'a> JobSim<'a> {
             checkpointed_work: 0.0,
             paused_until: start,
             evictions: 0,
-            pending_evictions: 0,
             market_mix: BTreeMap::new(),
             credits: 0.0,
             od_alloc: None,
             fallback_alloc: None,
             fallback_count: 0,
-            fallback_since: start,
             fallback_launches: 0,
             forecaster,
             fc_tracked: BTreeMap::new(),
@@ -302,7 +292,7 @@ impl<'a> JobSim<'a> {
             let spot: u64 = self
                 .provider
                 .live_spot()
-                .filter(|a| !a.booting)
+                .filter(|a| !a.is_booting())
                 .map(|a| u64::from(a.count))
                 .sum();
             let on_demand = match self.kind {
@@ -391,7 +381,7 @@ impl<'a> JobSim<'a> {
     fn spot_cores(&self) -> u32 {
         self.provider
             .live_spot()
-            .filter(|a| !a.booting)
+            .filter(|a| !a.is_booting())
             .map(|a| a.count * a.market.instance_type().vcpus)
             .sum()
     }
@@ -412,8 +402,7 @@ impl<'a> JobSim<'a> {
         if cores <= 0.0 {
             return 0.0;
         }
-        let phi = self.job.phi_per_doubling.powf(cores.log2()).clamp(0.0, 1.0);
-        let mut rate = cores * phi;
+        let mut rate = cores * self.brain.params().phi(cores);
         if let SchemeKind::StandardCheckpoint {
             checkpoint_overhead,
             ..
@@ -448,7 +437,7 @@ impl<'a> JobSim<'a> {
         else {
             return;
         };
-        let allocs = self.provider.spot_allocations();
+        let allocs: Vec<_> = self.provider.live_spot().collect();
         let Some(fc) = self.forecaster.as_mut() else {
             return;
         };
@@ -470,7 +459,7 @@ impl<'a> JobSim<'a> {
         }
         let mut alerted = false;
         for a in &allocs {
-            if a.booting {
+            if a.is_booting() {
                 continue;
             }
             let Some(price) = Self::price_in(prices, a.market) else {
@@ -481,9 +470,8 @@ impl<'a> JobSim<'a> {
                 alerted = true;
             }
         }
-        let rate = hazard_to_rate(fc.max_hazard(), fc.config().horizon);
         self.adaptive_tau =
-            adaptive_interval(checkpoint_cost, rate, ADAPTIVE_CKPT_MIN, ADAPTIVE_CKPT_MAX);
+            fc.checkpoint_interval(checkpoint_cost, ADAPTIVE_CKPT_MIN, ADAPTIVE_CKPT_MAX);
         if alerted {
             // Proactive save: everything accrued so far survives the
             // predicted eviction; one checkpoint write is paid now.
@@ -519,23 +507,8 @@ impl<'a> JobSim<'a> {
         let spot = self
             .provider
             .live_spot()
-            .filter(|a| !a.booting)
-            .map(move |a| {
-                let paid = self
-                    .provider
-                    .spot_price_at(a.market, a.hour_start)
-                    .unwrap_or(a.bid);
-                let delta = (a.bid - paid).max(0.0001);
-                let view = AllocView {
-                    market: a.market,
-                    count: a.count,
-                    hourly_price: paid,
-                    bid_delta: Some(delta),
-                    time_remaining: (a.hour_start + SimDuration::from_hours(1)).since(now),
-                    work_rate: f64::from(a.market.instance_type().vcpus),
-                };
-                (Some(a.id), view)
-            });
+            .filter(|a| !a.is_booting())
+            .map(move |a| (Some(a.id), AllocView::held(a, now)));
         on_demand.into_iter().chain(spot)
     }
 
@@ -573,11 +546,7 @@ impl<'a> JobSim<'a> {
     fn handle_events(&mut self, events: Vec<(SimTime, ProviderEvent)>) {
         for (_, ev) in events {
             match ev {
-                ProviderEvent::EvictionWarning { .. } => {
-                    self.pending_evictions += 1;
-                }
                 ProviderEvent::Evicted { .. } => {
-                    self.pending_evictions = self.pending_evictions.saturating_sub(1);
                     self.evictions += 1;
                     match self.kind {
                         SchemeKind::StandardCheckpoint { restart_delay, .. }
@@ -595,11 +564,13 @@ impl<'a> JobSim<'a> {
                         SchemeKind::AllOnDemand { .. } => {}
                     }
                 }
-                ProviderEvent::HourCharged { .. } => {}
-                // Launch state is read from the allocation views each
-                // step; a failed launch billed nothing and computed
-                // nothing, so neither event needs bookkeeping here.
-                ProviderEvent::Launched { .. } | ProviderEvent::LaunchFailed { .. } => {}
+                // Warning and launch state are read from the allocation
+                // views each step; a failed launch billed nothing and
+                // computed nothing, so none of these need bookkeeping.
+                ProviderEvent::EvictionWarning { .. }
+                | ProviderEvent::HourCharged { .. }
+                | ProviderEvent::Launched { .. }
+                | ProviderEvent::LaunchFailed { .. } => {}
             }
         }
     }
@@ -634,18 +605,11 @@ impl<'a> JobSim<'a> {
             return;
         }
         let now = self.provider.now();
-        let to_end = |hour_start: SimTime| (hour_start + SimDuration::from_hours(1)).since(now);
         let expiring: Vec<Expiring> = self
             .provider
             .live_spot()
-            .filter(|a| to_end(a.hour_start) <= STEP && !a.warned && !a.booting)
-            .map(|a| Expiring {
-                id: a.id,
-                market: a.market,
-                count: a.count,
-                bid: a.bid,
-                renew_price: Self::price_in(prices, a.market).unwrap_or(a.bid),
-                time_remaining: to_end(a.hour_start),
+            .filter_map(|a| {
+                Expiring::due(a, now, Self::price_in(prices, a.market).unwrap_or(a.bid))
             })
             .collect();
         if expiring.is_empty() {
@@ -669,12 +633,10 @@ impl<'a> JobSim<'a> {
             | SchemeKind::AdaptiveCheckpoint { .. }
             | SchemeKind::StandardAgileML { .. } => {
                 // Re-acquire the full fleet whenever empty (initially and
-                // after evictions complete). A refusal retries naturally:
+                // after evictions complete — a warned allocation still
+                // counts its cores). A refusal retries naturally:
                 // spot_cores stays zero, so the next step asks again.
-                if self.spot_cores() == 0
-                    && self.pending_evictions == 0
-                    && !self.provider.live_spot().any(|a| a.booting)
-                {
+                if self.spot_cores() == 0 && !self.provider.live_spot().any(|a| a.is_booting()) {
                     if let Some(req) = self.standard.acquire(prices) {
                         if let Ok(grant) =
                             self.provider.request_spot(req.market, req.count, req.bid)
@@ -685,32 +647,21 @@ impl<'a> JobSim<'a> {
                 }
             }
             SchemeKind::Proteus { scale_pause, .. } | SchemeKind::Fleet { scale_pause, .. } => {
-                // Walk the ranked candidates: a capacity refusal falls
-                // through to the next-best market per Eq. 4; a throttle
-                // is provider-wide, so stop and retry next step.
+                // Uncapped: BidBrain's own target bounds the request. A
+                // refusal that stops the walk retries next step.
                 let footprint = self.footprint();
-                let ranked = self.brain.ranked_acquisitions_obs(
+                let walk = self.brain.acquire(
+                    &mut self.provider,
                     &footprint,
                     prices,
-                    self.provider.now(),
+                    u32::MAX,
                     self.obs.as_deref(),
                 );
-                let mut capacity_refused = false;
-                for req in ranked {
-                    match self.provider.request_spot(req.market, req.count, req.bid) {
-                        Ok(grant) => {
-                            self.note_acquisition(req.market, grant.granted);
-                            self.pause(scale_pause);
-                            break;
-                        }
-                        Err(MarketError::InsufficientCapacity { .. }) => {
-                            capacity_refused = true;
-                        }
-                        Err(MarketError::BidBelowMarket { .. }) => {}
-                        Err(_) => break,
-                    }
+                if let Some((req, grant)) = walk.granted {
+                    self.note_acquisition(req.market, grant.granted);
+                    self.pause(scale_pause);
                 }
-                self.manage_fallback(capacity_refused);
+                self.manage_fallback(!walk.refused.is_empty());
             }
         }
     }
@@ -729,13 +680,12 @@ impl<'a> JobSim<'a> {
             }
             return;
         }
-        let booting = self.provider.live_spot().any(|a| a.booting);
+        let booting = self.provider.live_spot().any(|a| a.is_booting());
         if capacity_refused && !booting && self.fallback_alloc.is_none() && self.work_rate() <= 0.0
         {
             let vcpus = self.job.on_demand_market.instance_type().vcpus.max(1);
             let count = self.job.standard_cores.div_ceil(vcpus);
             if count > 0 {
-                self.fallback_since = self.provider.now();
                 self.fallback_alloc = self
                     .provider
                     .request_on_demand(self.job.on_demand_market, count)
@@ -769,7 +719,7 @@ impl<'a> JobSim<'a> {
             self.prices = prices;
 
             let rate = self.work_rate();
-            let next = (now + STEP).min(deadline);
+            let next = (now + DECISION_STEP).min(deadline);
             // `next > now` by construction; `advance_to` only errors on
             // time moving backwards.
             #[allow(clippy::expect_used)]
@@ -835,44 +785,22 @@ impl<'a> JobSim<'a> {
         // Job done: release everything. The paper's accounting does not
         // charge a job for the unused remainder of its final billing
         // hours (the next job in the sequence uses them), so credit the
-        // unused fraction of each live allocation's current hour back.
+        // unused fraction of each live allocation's current hour back
+        // (a booting one was billed nothing and cancels free).
         let mut refund = 0.0;
-        for a in self.provider.spot_allocations() {
-            if a.booting {
-                // Nothing billed yet; cancelling the boot is free.
-                let _ = self.provider.terminate(a.id);
-                continue;
-            }
-            let unused = (a.hour_start + SimDuration::from_hours(1))
-                .since(now)
-                .as_hours_f64();
-            let paid = self
-                .provider
-                .spot_price_at(a.market, a.hour_start)
-                .unwrap_or(0.0);
-            refund += paid * f64::from(a.count) * unused;
-            let _ = self.provider.terminate(a.id);
+        let spot: Vec<AllocationId> = self.provider.live_spot().map(|a| a.id).collect();
+        for id in spot {
+            refund += self.provider.unused_hour_credit(id);
+            let _ = self.provider.terminate(id);
         }
-        // On-demand final-hour credit.
-        let od_price = self.job.on_demand_market.instance_type().on_demand_price;
-        let od_count = match self.kind {
-            SchemeKind::AllOnDemand { machines } => machines,
-            _ => self.job.on_demand_count,
-        };
-        if od_count > 0 && now > self.start {
-            // `time_into_billing_hour == 0` means a fresh hour was just
-            // charged and is entirely unused.
-            let into_hour = now.time_into_billing_hour(self.start).as_hours_f64();
-            let unused = 1.0 - into_hour;
-            refund += od_price * f64::from(od_count) * unused;
+        // The on-demand tier stays held; it earns the same credit once
+        // the run has moved past its start.
+        if let Some(id) = self.od_alloc.filter(|_| now > self.start) {
+            refund += self.provider.unused_hour_credit(id);
         }
-        // Degraded-mode fallback still held at the end: same final-hour
-        // credit, anchored at its own billing epoch.
+        // Degraded-mode fallback still held at the end.
         if let Some(id) = self.fallback_alloc.take() {
-            let into_hour = now
-                .time_into_billing_hour(self.fallback_since)
-                .as_hours_f64();
-            refund += od_price * f64::from(self.fallback_count) * (1.0 - into_hour);
+            refund += self.provider.unused_hour_credit(id);
             let _ = self.provider.terminate(id);
             self.fallback_count = 0;
         }

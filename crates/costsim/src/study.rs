@@ -15,7 +15,6 @@ use proteus_market::{
 use proteus_simtime::rng::seeded_stream;
 use proteus_simtime::{SimDuration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use proteus_obs::{CostEvent, Event, Recorder};
 
@@ -25,7 +24,7 @@ use crate::sim::{run_job_observed, run_job_with_faults, SimOutcome};
 use std::sync::{Arc, OnceLock};
 
 /// Study parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyConfig {
     /// Experiment seed (traces, start sampling).
     pub seed: u64,
@@ -45,7 +44,6 @@ pub struct StudyConfig {
     /// Provider-side fault regimes installed in every job simulation.
     /// `None` (the default, and what absent-field deserialization
     /// yields) keeps the study bit-identical to the pristine market.
-    #[serde(default)]
     pub market_faults: Option<MarketFaultPlan>,
 }
 
@@ -65,7 +63,7 @@ impl Default for StudyConfig {
 }
 
 /// Aggregated result of one scheme across all starts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyResult {
     /// Scheme label.
     pub scheme: String,

@@ -9,15 +9,13 @@
 //! machines the moment they empty.
 
 use proteus_market::{AllocationId, CloudProvider, MarketError, MarketKey};
-use proteus_simtime::{SimDuration, SimTime};
+use proteus_simtime::SimDuration;
 
 /// One shared on-demand machine and its slot occupancy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Machine {
     alloc: AllocationId,
     used: u32,
-    /// Billing-hour anchor (grant time) for the final-hour credit.
-    granted_at: SimTime,
 }
 
 /// The shared reliable pool.
@@ -62,7 +60,6 @@ impl ReliablePool {
         &mut self,
         provider: &mut CloudProvider<'_>,
         slots: u32,
-        now: SimTime,
     ) -> Result<usize, MarketError> {
         if slots == 0 || slots > self.slots_per_machine {
             return Err(MarketError::EmptyRequest);
@@ -76,11 +73,7 @@ impl ReliablePool {
             }
         }
         let alloc = provider.request_on_demand(self.market, 1)?;
-        let machine = Machine {
-            alloc,
-            used: slots,
-            granted_at: now,
-        };
+        let machine = Machine { alloc, used: slots };
         // Reuse a vacated index if one exists, else append.
         let idx = match self.machines.iter().position(Option::is_none) {
             Some(i) => {
@@ -117,19 +110,11 @@ impl ReliablePool {
     /// credit for the unused fraction of each machine's current billing
     /// hour (a fleet that ends mid-hour is not charged for the
     /// remainder).
-    pub fn teardown(&mut self, provider: &mut CloudProvider<'_>, now: SimTime) -> f64 {
-        let price = self.market.instance_type().on_demand_price;
+    pub fn teardown(&mut self, provider: &mut CloudProvider<'_>) -> f64 {
         let mut credit = 0.0;
-        for slot in self.machines.iter_mut() {
-            if let Some(m) = slot.take() {
-                if now > m.granted_at {
-                    let into_hour = now.time_into_billing_hour(m.granted_at).as_hours_f64();
-                    credit += price * (1.0 - into_hour);
-                } else {
-                    credit += price;
-                }
-                let _ = provider.terminate(m.alloc);
-            }
+        for m in self.machines.iter_mut().filter_map(Option::take) {
+            credit += provider.unused_hour_credit(m.alloc);
+            let _ = provider.terminate(m.alloc);
         }
         credit
     }
@@ -145,6 +130,7 @@ impl ReliablePool {
 mod tests {
     use super::*;
     use proteus_market::{catalog, PriceTrace, TraceSet, Zone};
+    use proteus_simtime::SimTime;
 
     fn key() -> MarketKey {
         MarketKey::new(catalog::c4_xlarge(), Zone(0))
@@ -163,11 +149,11 @@ mod tests {
     fn first_fit_shares_one_machine_until_full() {
         let mut p = provider();
         let mut pool = ReliablePool::new(key(), 4);
-        let a = pool.assign(&mut p, 2, SimTime::EPOCH).expect("assign");
-        let b = pool.assign(&mut p, 2, SimTime::EPOCH).expect("assign");
+        let a = pool.assign(&mut p, 2).expect("assign");
+        let b = pool.assign(&mut p, 2).expect("assign");
         assert_eq!(a, b, "both jobs share the first machine");
         assert_eq!(pool.machine_count(), 1);
-        let c = pool.assign(&mut p, 1, SimTime::EPOCH).expect("assign");
+        let c = pool.assign(&mut p, 1).expect("assign");
         assert_ne!(a, c, "the full machine overflows to a second");
         assert_eq!(pool.machine_count(), 2);
     }
@@ -176,11 +162,11 @@ mod tests {
     fn release_terminates_emptied_machines_and_reuses_indices() {
         let mut p = provider();
         let mut pool = ReliablePool::new(key(), 2);
-        let a = pool.assign(&mut p, 2, SimTime::EPOCH).expect("assign");
-        let b = pool.assign(&mut p, 1, SimTime::EPOCH).expect("assign");
+        let a = pool.assign(&mut p, 2).expect("assign");
+        let b = pool.assign(&mut p, 1).expect("assign");
         pool.release(&mut p, a, 2);
         assert_eq!(pool.machine_count(), 1);
-        let c = pool.assign(&mut p, 2, SimTime::EPOCH).expect("assign");
+        let c = pool.assign(&mut p, 2).expect("assign");
         assert_eq!(c, a, "vacated index is reused");
         assert_ne!(b, c);
         assert_eq!(pool.peak_machines(), 2);
@@ -190,8 +176,8 @@ mod tests {
     fn oversized_and_zero_requests_are_refused() {
         let mut p = provider();
         let mut pool = ReliablePool::new(key(), 2);
-        assert!(pool.assign(&mut p, 3, SimTime::EPOCH).is_err());
-        assert!(pool.assign(&mut p, 0, SimTime::EPOCH).is_err());
+        assert!(pool.assign(&mut p, 3).is_err());
+        assert!(pool.assign(&mut p, 0).is_err());
         assert_eq!(pool.machine_count(), 0);
     }
 
@@ -199,11 +185,10 @@ mod tests {
     fn teardown_credits_unused_hour_fraction() {
         let mut p = provider();
         let mut pool = ReliablePool::new(key(), 4);
-        pool.assign(&mut p, 1, SimTime::EPOCH).expect("assign");
+        pool.assign(&mut p, 1).expect("assign");
         p.advance_to(SimTime::EPOCH + SimDuration::from_mins(15))
             .expect("advance");
-        let now = p.now();
-        let credit = pool.teardown(&mut p, now);
+        let credit = pool.teardown(&mut p);
         let price = key().instance_type().on_demand_price;
         assert!((credit - 0.75 * price).abs() < 1e-9, "credit={credit}");
         assert_eq!(pool.machine_count(), 0);

@@ -3,10 +3,9 @@
 use std::fmt;
 
 use proteus_market::TenantId;
-use serde::{Deserialize, Serialize};
 
 /// Identifies one job within a fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -29,7 +28,7 @@ impl JobId {
 }
 
 /// What one fleet job needs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetJobSpec {
     /// Useful work required, in φ-scaled core-hours. The sweep driver
     /// extends this target rung by rung.
@@ -70,7 +69,7 @@ impl FleetJobSpec {
 /// Where a job is in its lifecycle. Every job ends in one of the three
 /// terminal states — `Completed`, `Killed`, or `Unfinished` — never a
 /// panic: an impossible market yields `Unfinished`, not a hang.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// Submitted, waiting to pass admission control.
     Submitted,
@@ -104,7 +103,7 @@ impl JobState {
 }
 
 /// Per-job accounting the fleet reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSummary {
     /// The job.
     pub id: JobId,

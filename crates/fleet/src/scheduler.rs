@@ -8,10 +8,8 @@
 //! *starved* and jumps to the front of the launch walk regardless of
 //! value, with preemption rights over any preemptible gang.
 
-use serde::{Deserialize, Serialize};
-
 /// Tuning for the weighted fair queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FairnessConfig {
     /// Weight ratio between adjacent tiers: tier `t` has base weight
     /// `tier_base^-t`.

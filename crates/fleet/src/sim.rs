@@ -26,7 +26,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use proteus_bidbrain::{AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig, Objective};
+use proteus_bidbrain::{
+    AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig, Objective, DECISION_STEP,
+};
 use proteus_costsim::StudyExecutor;
 use proteus_market::{
     AllocationId, CloudProvider, MarketError, MarketFaultPlan, MarketKey, ProviderEvent, TraceSet,
@@ -34,7 +36,6 @@ use proteus_market::{
 };
 use proteus_obs::{Event, FleetEvent, Recorder};
 use proteus_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::binpack::ReliablePool;
 use crate::job::{FleetJobSpec, JobId, JobState, JobSummary};
@@ -57,10 +58,8 @@ pub mod obs_keys {
 }
 
 /// Fleet-wide tuning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// Scheduling cadence (the paper's 2-minute decision loop).
-    pub step: SimDuration,
     /// Most jobs allowed past admission at once (Waiting + Running).
     pub max_active_jobs: usize,
     /// Reliable-slot density per shared on-demand machine.
@@ -87,7 +86,6 @@ impl FleetConfig {
     /// market anchoring the reliable pool.
     pub fn paper_defaults(markets: Vec<MarketKey>) -> Self {
         FleetConfig {
-            step: SimDuration::from_secs(120),
             max_active_jobs: 64,
             slots_per_machine: 8,
             fairness: FairnessConfig::default(),
@@ -157,7 +155,7 @@ impl JobRec {
 /// Deterministic fleet outcome. Compares bit-for-bit across thread
 /// counts; wall-clock scheduler timing lives in [`FleetTiming`], kept
 /// out of this struct on purpose.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetOutcome {
     /// Per-job summaries, in job-id order.
     pub jobs: Vec<JobSummary>,
@@ -241,7 +239,6 @@ pub struct FleetSim<'a> {
     /// Every gang ever → job index (ledger attribution; never pruned).
     alloc_owner: BTreeMap<u64, usize>,
     obs: Option<Arc<Recorder>>,
-    started_at: SimTime,
     rounds: u64,
     evictions: u64,
     preemptions: u64,
@@ -282,7 +279,6 @@ impl<'a> FleetSim<'a> {
             alloc_to_job: BTreeMap::new(),
             alloc_owner: BTreeMap::new(),
             obs: None,
-            started_at: SimTime::EPOCH,
             rounds: 0,
             evictions: 0,
             preemptions: 0,
@@ -305,14 +301,6 @@ impl<'a> FleetSim<'a> {
     /// fate independent of the others' request patterns.
     pub fn set_fault_plan(&mut self, plan: MarketFaultPlan) {
         self.provider.set_fault_plan(plan);
-    }
-
-    /// Moves the fleet clock to `start` before any scheduling happens
-    /// (studies start mid-history). Must precede the first round.
-    pub fn start_at(&mut self, start: SimTime) -> Result<(), MarketError> {
-        self.provider.advance_to(start)?;
-        self.started_at = start;
-        Ok(())
     }
 
     /// The fleet's configuration.
@@ -462,10 +450,11 @@ impl<'a> FleetSim<'a> {
         }
     }
 
-    /// Runs scheduling rounds until the clock reaches `until`.
+    /// Runs scheduling rounds, one per [`DECISION_STEP`], until the
+    /// clock reaches `until`.
     pub fn run_to(&mut self, until: SimTime, exec: &StudyExecutor) -> Result<(), MarketError> {
         while self.now() < until {
-            let target = (self.now() + self.cfg.step).min(until);
+            let target = (self.now() + DECISION_STEP).min(until);
             self.step_to(target, exec)?;
         }
         Ok(())
@@ -499,7 +488,7 @@ impl<'a> FleetSim<'a> {
                 continue;
             }
             if let Some(alloc) = self.jobs[idx].alloc {
-                let credit = self.gang_credit(alloc);
+                let credit = self.provider.unused_hour_credit(alloc);
                 let _ = self.provider.terminate(alloc);
                 self.alloc_to_job.remove(&alloc);
                 self.jobs[idx].credits += credit;
@@ -508,7 +497,7 @@ impl<'a> FleetSim<'a> {
             self.release_reliable_slot(idx);
             self.set_state(idx, JobState::Unfinished);
         }
-        let pool_credit = self.pool.teardown(&mut self.provider, now);
+        let pool_credit = self.pool.teardown(&mut self.provider);
 
         // Ledger attribution: every entry carries its allocation id, and
         // `alloc_owner` remembers which job minted each gang.
@@ -608,7 +597,7 @@ impl<'a> FleetSim<'a> {
                 continue;
             }
             if let Some(alloc) = job.alloc {
-                let credit = self.gang_credit(alloc);
+                let credit = self.provider.unused_hour_credit(alloc);
                 let _ = self.provider.terminate(alloc);
                 self.alloc_to_job.remove(&alloc);
                 self.jobs[idx].credits += credit;
@@ -621,25 +610,6 @@ impl<'a> FleetSim<'a> {
         }
     }
 
-    /// The unused-hour credit a gang earns if terminated right now.
-    fn gang_credit(&self, id: AllocationId) -> f64 {
-        let Some(view) = self.provider.spot_allocation(id) else {
-            return 0.0;
-        };
-        if view.booting {
-            return 0.0;
-        }
-        let Ok(paid) = self.provider.spot_price_at(view.market, view.hour_start) else {
-            return 0.0;
-        };
-        let hour_end = view.hour_start + SimDuration::from_hours(1);
-        if hour_end > self.now() {
-            paid * f64::from(view.count) * hour_end.since(self.now()).as_hours_f64()
-        } else {
-            0.0
-        }
-    }
-
     /// Assigns job `idx` its reliable slot; an impossible request (wider
     /// than a machine) ends the job as `Unfinished` instead of looping.
     fn assign_reliable_slot(&mut self, idx: usize) {
@@ -647,9 +617,8 @@ impl<'a> FleetSim<'a> {
         if slots == 0 {
             return;
         }
-        let now = self.now();
         let m = std::time::Instant::now();
-        let assigned = self.pool.assign(&mut self.provider, slots, now);
+        let assigned = self.pool.assign(&mut self.provider, slots);
         self.market_credit_nanos += m.elapsed().as_nanos();
         match assigned {
             Ok(machine) => self.jobs[idx].reliable_idx = Some(machine),

@@ -18,18 +18,17 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use proteus_bidbrain::{AppParams, BetaEstimator};
+use proteus_bidbrain::{AppParams, BetaEstimator, DECISION_STEP};
 use proteus_costsim::StudyExecutor;
 use proteus_market::{MarketError, TraceSet};
 use proteus_simtime::rng::derive_seed;
 use proteus_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::job::{FleetJobSpec, JobId, JobState};
 use crate::sim::{FleetConfig, FleetOutcome, FleetSim, FleetTiming};
 
 /// Sweep parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// Number of trials to generate.
     pub trials: usize,
@@ -73,7 +72,7 @@ impl Default for SweepConfig {
 }
 
 /// One trial's final record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialResult {
     /// The fleet job backing the trial.
     pub job: JobId,
@@ -88,7 +87,7 @@ pub struct TrialResult {
 }
 
 /// The whole sweep's result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepOutcome {
     /// Per-trial records, in trial order.
     pub trials: Vec<TrialResult>,
@@ -197,14 +196,13 @@ pub fn run_sweep(
 }
 
 /// Runs a full sweep through a fleet the caller prepared (recorder,
-/// fault plan, start time). The fleet must hold no jobs yet: trial `i`
+/// fault plan). The fleet must hold no jobs yet: trial `i`
 /// is job `i`.
 pub fn run_sweep_on(
     mut fleet: FleetSim<'_>,
     cfg: &SweepConfig,
     exec: &StudyExecutor,
 ) -> Result<(SweepOutcome, FleetTiming), MarketError> {
-    let step = fleet.config().step;
     let nominal_rate = {
         // Work a healthy gang produces per hour on the first market.
         let vcpus = f64::from(fleet.config().markets[0].instance_type().vcpus);
@@ -244,7 +242,7 @@ pub fn run_sweep_on(
 
     let end = SimTime::EPOCH + cfg.horizon;
     while fleet.now() < end {
-        let target = (fleet.now() + step).min(end);
+        let target = (fleet.now() + DECISION_STEP).min(end);
         fleet.run_to(target, exec)?;
         let now = fleet.now();
 

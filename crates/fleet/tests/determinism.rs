@@ -43,8 +43,8 @@ fn run(traces: &TraceSet, beta: &BetaEstimator, threads: usize) -> (String, Stri
     let exec = StudyExecutor::new(threads);
     fleet.run_to(SimTime::from_hours(12), &exec).expect("run");
     let (out, _) = fleet.finish();
-    // The vendored serde stub has no serde_json; Debug formatting is
-    // total over FleetOutcome's plain data and serves the same purpose.
+    // Debug formatting is total over FleetOutcome's plain data, so it
+    // compares every field without a serializer.
     (format!("{out:?}"), rec.to_jsonl())
 }
 

@@ -7,7 +7,7 @@
 //! margin. This test pins that bound under the worst case — a
 //! capacity-capped market under sustained high-priority arrivals.
 
-use proteus_bidbrain::BetaEstimator;
+use proteus_bidbrain::{BetaEstimator, DECISION_STEP};
 use proteus_costsim::StudyExecutor;
 use proteus_fleet::{FleetConfig, FleetJobSpec, FleetSim, JobState};
 use proteus_market::{catalog, MarketFaultPlan, MarketKey, PriceTrace, TraceSet, Zone};
@@ -34,7 +34,7 @@ fn low_tier_gang_launches_within_the_starvation_bound() {
     let beta = BetaEstimator::new();
     let cfg = FleetConfig::paper_defaults(vec![key()]);
     let max_wait = cfg.fairness.max_wait_rounds;
-    let step = cfg.step;
+    let step = DECISION_STEP;
     let mut fleet = FleetSim::new(&traces, &beta, cfg);
     // Cap the market at exactly one 2-wide gang, forever.
     fleet.set_fault_plan(MarketFaultPlan::new(7).with_drought(

@@ -7,12 +7,11 @@
 //! calibration, and market-selection diagnostics.
 
 use proteus_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::trace::PriceTrace;
 
 /// One contiguous interval during which the price exceeded a level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spike {
     /// When the price first exceeded the level.
     pub start: SimTime,
@@ -30,7 +29,7 @@ impl Spike {
 }
 
 /// Summary statistics of a trace over a window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarketStats {
     /// Time-weighted mean price.
     pub mean_price: f64,

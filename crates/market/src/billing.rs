@@ -16,12 +16,11 @@
 //! paper's Fig. 10.
 
 use proteus_simtime::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::provider::AllocationId;
 
 /// The kind of a ledger entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LedgerKind {
     /// An hour of on-demand capacity charged in advance.
     OnDemandHour,
@@ -32,7 +31,7 @@ pub enum LedgerKind {
 }
 
 /// One billing event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEntry {
     /// When the charge or refund was applied.
     pub time: SimTime,
@@ -50,7 +49,7 @@ pub struct LedgerEntry {
 ///
 /// "Free" hours are spot hours whose billing hour was refunded because the
 /// provider evicted the allocation (Fig. 10's third category).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct UsageBreakdown {
     /// Machine-hours on on-demand (reliable) instances.
     pub on_demand_hours: f64,
@@ -87,7 +86,7 @@ impl UsageBreakdown {
 }
 
 /// Accumulates ledger entries and usage for one simulated customer.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BillingAccount {
     entries: Vec<LedgerEntry>,
     usage: UsageBreakdown,

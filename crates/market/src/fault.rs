@@ -42,7 +42,6 @@
 use std::collections::BTreeMap;
 
 use proteus_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::instance::MarketKey;
 
@@ -51,9 +50,7 @@ use crate::instance::MarketKey;
 /// The fleet scheduler maps each job onto a distinct tenant so fault
 /// streams split per job id; everything else uses
 /// [`TenantId::DEFAULT`], which draws from the plan's root stream.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TenantId(pub u64);
 
 impl TenantId {
@@ -63,7 +60,7 @@ impl TenantId {
 
 /// SplitMix64 — tiny, seedable, and identical to the stream generator
 /// used by simnet's message-fault plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SplitMix64 {
     state: u64,
 }
@@ -93,10 +90,9 @@ impl SplitMix64 {
 /// instances in the matching market(s): a request that fits is granted
 /// in full, a request that partially fits is granted partially, and a
 /// request arriving with zero headroom is refused.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacityRule {
     /// Market the cap applies to (`None` = every market).
-    #[serde(default)]
     pub market: Option<MarketKey>,
     /// Window start (inclusive).
     pub from: SimTime,
@@ -115,17 +111,15 @@ impl CapacityRule {
 /// Transient API throttling: spot requests fail with
 /// [`MarketError::RequestLimitExceeded`](crate::MarketError) with
 /// probability `probability` while the (optional) window is active.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThrottleRule {
     /// Probability a spot request is rejected.
     pub probability: f64,
     /// Retry delay the error suggests to the caller.
     pub retry_after: SimDuration,
     /// Window start (`None` = from the epoch).
-    #[serde(default)]
     pub from: Option<SimTime>,
     /// Window end (`None` = forever).
-    #[serde(default)]
     pub until: Option<SimTime>,
 }
 
@@ -137,7 +131,7 @@ impl ThrottleRule {
 
 /// Delayed instance launch: a granted allocation becomes usable a
 /// uniform draw in `[min, max]` after the grant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BootDelayRule {
     /// Minimum boot delay.
     pub min: SimDuration,
@@ -148,7 +142,7 @@ pub struct BootDelayRule {
 /// Launch-then-die: with probability `probability` a granted allocation
 /// dies — warning-less, current hour refunded — a uniform draw in
 /// `(0, max_lifetime]` after it becomes usable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InfantMortalityRule {
     /// Probability a grant is fated to die young.
     pub probability: f64,
@@ -160,22 +154,18 @@ pub struct InfantMortalityRule {
 ///
 /// Every regime defaults to off; an empty plan behaves exactly like no
 /// plan at all.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarketFaultPlan {
     /// Root seed for every probabilistic draw; printed by chaos
     /// harnesses so failures replay.
     pub seed: u64,
     /// Capacity caps (all matching active rules apply; tightest wins).
-    #[serde(default)]
     pub capacity: Vec<CapacityRule>,
     /// API throttling.
-    #[serde(default)]
     pub throttle: Option<ThrottleRule>,
     /// Launch delay.
-    #[serde(default)]
     pub boot: Option<BootDelayRule>,
     /// Launch-then-die failures.
-    #[serde(default)]
     pub infant: Option<InfantMortalityRule>,
 }
 
@@ -247,7 +237,7 @@ impl MarketFaultPlan {
 }
 
 /// Counters of fault-regime activity, for reports and assertions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MarketFaultStats {
     /// Requests rejected by the throttle regime.
     pub throttled: u64,
@@ -266,7 +256,7 @@ pub struct MarketFaultStats {
 /// Live fault state a provider carries: the plan, its draw streams
 /// (the root stream plus lazily-split per-tenant streams), and
 /// activity counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FaultState {
     pub(crate) plan: MarketFaultPlan,
     rng: SplitMix64,

@@ -15,7 +15,6 @@
 use proteus_simtime::rng::seeded_stream;
 use proteus_simtime::{SimDuration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::instance::MarketKey;
 
@@ -27,7 +26,7 @@ pub const GCE_WARNING: SimDuration = SimDuration::from_secs(30);
 pub const GCE_MAX_LIFETIME: SimDuration = SimDuration::from_hours(24);
 
 /// Parameters of the exogenous preemption process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreemptionModel {
     /// Mean preemptions per instance per 24 hours.
     pub preemptions_per_day: f64,
@@ -44,7 +43,7 @@ impl Default for PreemptionModel {
 }
 
 /// A granted preemptible allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreemptibleLease {
     /// Market (the zone is ignored for pricing; GCE prices are regional).
     pub market: MarketKey,

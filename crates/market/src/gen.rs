@@ -19,13 +19,12 @@
 use proteus_simtime::rng::seeded_stream;
 use proteus_simtime::{SimDuration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::instance::MarketKey;
 use crate::trace::{PriceTrace, TraceSet};
 
 /// Statistical parameters of one market's synthetic price process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarketModel {
     /// Calm-regime price as a fraction of the on-demand price
     /// (EC2 spot discounts are typically 70–80 %, so 0.2–0.3).

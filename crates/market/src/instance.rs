@@ -7,14 +7,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A purchasable machine type.
 ///
 /// `work_rate` follows the paper's ν convention: the work an instance
 /// produces per unit time is proportional to its virtual core count
 /// (Sec. 4.1, footnote 7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceType {
     /// EC2-style type name, e.g. `"c4.2xlarge"`.
     pub name: &'static str,
@@ -44,7 +42,7 @@ impl fmt::Display for InstanceType {
 ///
 /// Spot prices for the same instance type move independently per zone,
 /// which is what makes multi-market bidding profitable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Zone(pub u8);
 
 impl Zone {
@@ -63,7 +61,7 @@ impl fmt::Display for Zone {
 ///
 /// The instance type is referenced by catalog index so the key stays
 /// `Copy` and hashable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MarketKey {
     /// Index into [`catalog::all`].
     pub type_index: usize,

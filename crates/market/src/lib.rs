@@ -55,9 +55,8 @@ pub use fault::{
 pub use gen::{MarketModel, TraceGenerator};
 pub use instance::{catalog, InstanceType, MarketKey, Zone};
 pub use io::{trace_from_csv, trace_to_csv, TraceCsvError};
-pub use provider::{
-    obs_keys, AllocationId, CloudProvider, ProviderEvent, SpotAllocation, SpotGrant,
-};
+pub use provider::{obs_keys, AllocationId, CloudProvider, ProviderEvent, SpotGrant};
+pub use spot::SpotAllocation;
 pub use trace::{PriceTrace, TraceSet};
 
 use proteus_simtime::SimDuration;

@@ -17,13 +17,12 @@ use std::sync::Arc;
 
 use proteus_obs::{Event, MarketEvent, Recorder};
 use proteus_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::billing::{BillingAccount, LedgerEntry, LedgerKind};
 use crate::error::MarketError;
 use crate::fault::{FaultState, MarketFaultPlan, MarketFaultStats, TenantId};
 use crate::instance::MarketKey;
-use crate::spot::{SpotLease, SpotState};
+use crate::spot::{billing_hour_end, SpotAllocation, SpotState};
 use crate::trace::TraceSet;
 
 /// Metrics-registry counters mirroring [`MarketFaultStats`], so chaos
@@ -49,7 +48,7 @@ pub mod obs_keys {
 }
 
 /// Identifies one allocation (spot or on-demand).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AllocationId(pub u64);
 
 impl fmt::Display for AllocationId {
@@ -58,31 +57,14 @@ impl fmt::Display for AllocationId {
     }
 }
 
-/// A read-only view of a live spot allocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpotAllocation {
-    /// Stable identifier.
-    pub id: AllocationId,
-    /// Market the instances belong to.
-    pub market: MarketKey,
-    /// Instance count.
-    pub count: u32,
-    /// Immutable bid per instance-hour.
-    pub bid: f64,
-    /// Grant instant (billing anchor).
-    pub granted_at: SimTime,
-    /// Start of the current billing hour.
-    pub hour_start: SimTime,
-    /// Whether an eviction warning is outstanding.
-    pub warned: bool,
-    /// When the outstanding warning will evict the instances, if warned.
-    pub evict_at: Option<SimTime>,
-    /// Whether the instances are still booting (granted, not yet
-    /// usable, nothing billed) — only under a boot-delay fault regime.
-    pub booting: bool,
-    /// When the instances become (or became) usable; equals
-    /// `granted_at` unless the launch was delayed.
-    pub usable_at: SimTime,
+/// The provider's own record of a spot allocation: the tenant-visible
+/// view plus its fault fate, which a tenant must never see.
+#[derive(Debug)]
+struct SpotLease {
+    alloc: SpotAllocation,
+    /// Scheduled warning-less death (the infant-mortality fault
+    /// regime), if this grant is doomed.
+    dies_at: Option<SimTime>,
 }
 
 /// What a successful [`CloudProvider::request_spot`] granted.
@@ -91,7 +73,7 @@ pub struct SpotAllocation {
 /// requested`, a capacity cap bound) or **delayed** (`usable_at` after
 /// the request time; billing starts at launch). With no fault plan
 /// installed every grant is full and immediate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotGrant {
     /// The allocation created.
     pub id: AllocationId,
@@ -112,7 +94,7 @@ impl SpotGrant {
 }
 
 /// An on-demand allocation (never evicted by the provider).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct OnDemandLease {
     id: AllocationId,
     market: MarketKey,
@@ -277,49 +259,42 @@ impl<'a> CloudProvider<'a> {
         &self.account
     }
 
-    /// Read-only views of all live spot allocations, in id order.
+    /// Copies of all live spot allocations, in id order.
     pub fn spot_allocations(&self) -> Vec<SpotAllocation> {
-        self.live_spot().collect()
+        self.live_spot().cloned().collect()
     }
 
-    /// [`spot_allocations`](Self::spot_allocations) without the `Vec`:
-    /// the views are built as the caller walks the live leases, so a
-    /// decision step that only scans or sums its holdings allocates
-    /// nothing.
-    pub fn live_spot(&self) -> impl Iterator<Item = SpotAllocation> + '_ {
-        self.spot
-            .values()
-            .filter(|l| l.is_live())
-            .map(|l| SpotAllocation {
-                id: l.id,
-                market: l.market,
-                count: l.count,
-                bid: l.bid,
-                granted_at: l.granted_at,
-                hour_start: l.hour_start,
-                warned: l.is_warned(),
-                evict_at: match l.state {
-                    SpotState::WarningIssued { evict_at } => Some(evict_at),
-                    _ => None,
-                },
-                booting: l.is_booting(),
-                usable_at: l.usable_at,
-            })
+    /// Every live spot allocation, in id order, borrowed: a decision
+    /// step that only scans or sums its holdings copies nothing.
+    pub fn live_spot(&self) -> impl Iterator<Item = &SpotAllocation> + '_ {
+        self.spot.values().map(|l| &l.alloc)
     }
 
     /// Look up one live spot allocation.
-    pub fn spot_allocation(&self, id: AllocationId) -> Option<SpotAllocation> {
-        self.live_spot().find(|a| a.id == id)
+    pub fn spot_allocation(&self, id: AllocationId) -> Option<&SpotAllocation> {
+        self.spot.get(&id).map(|l| &l.alloc)
+    }
+
+    /// Dollars of `id`'s current billing hour paid for but not yet used
+    /// at `now` — the paper's accounting does not charge a job for the
+    /// unused rest of its final hours. A spot allocation credits its
+    /// hour's charge pro rata to the hour end (zero while booting:
+    /// nothing was charged); an on-demand one credits its price for the
+    /// fraction of the hour not yet elapsed (a full hour at its grant
+    /// instant). Zero for an unknown allocation.
+    pub fn unused_hour_credit(&self, id: AllocationId) -> f64 {
+        if let Some(l) = self.spot.get(&id) {
+            return l.alloc.hour_charge() * l.alloc.time_to_hour_end(self.now).as_hours_f64();
+        }
+        self.on_demand.get(&id).map_or(0.0, |l| {
+            let into_hour = self.now.since(l.hour_start).as_hours_f64();
+            l.market.instance_type().on_demand_price * f64::from(l.count) * (1.0 - into_hour)
+        })
     }
 
     /// Total instances currently live across spot and on-demand.
     pub fn live_instance_count(&self) -> u32 {
-        let spot: u32 = self
-            .spot
-            .values()
-            .filter(|l| l.is_live())
-            .map(|l| l.count)
-            .sum();
+        let spot: u32 = self.live_spot().map(|a| a.count).sum();
         let od: u32 = self.on_demand.values().map(|l| l.count).sum();
         spot + od
     }
@@ -427,10 +402,9 @@ impl<'a> CloudProvider<'a> {
             .and_then(|fs| fs.plan.capacity_limit(market, self.now));
         if let Some(cap) = cap {
             let live: u32 = self
-                .spot
-                .values()
-                .filter(|l| l.is_live() && l.market == market)
-                .map(|l| l.count)
+                .live_spot()
+                .filter(|a| a.market == market)
+                .map(|a| a.count)
                 .sum();
             let available = cap.saturating_sub(live);
             if available == 0 || (atomic && available < count) {
@@ -477,24 +451,34 @@ impl<'a> CloudProvider<'a> {
             }
         };
         let id = self.fresh_id();
-        let mut lease = if usable_at > self.now {
-            // Nothing billed until the instances come up; the Launch
-            // happening charges the first hour at the price then.
-            SpotLease::new(id, market, granted, bid, self.now, 0.0).booting_until(usable_at)
-        } else {
-            let charge = price * f64::from(granted);
+        // A delayed launch bills nothing until the instances come up;
+        // the Launch happening charges the first hour at the price then.
+        let booting = usable_at > self.now;
+        if !booting {
             self.account.record(LedgerEntry {
                 time: self.now,
                 allocation: id,
                 kind: LedgerKind::SpotHour,
-                amount: charge,
+                amount: price * f64::from(granted),
                 instances: granted,
             });
-            SpotLease::new(id, market, granted, bid, self.now, charge)
-        };
-        if let Some(dies_at) = dies_at {
-            lease = lease.doomed_at(dies_at);
         }
+        let alloc = SpotAllocation {
+            id,
+            market,
+            count: granted,
+            bid,
+            granted_at: self.now,
+            usable_at,
+            hour_start: self.now,
+            hour_price: if booting { 0.0 } else { price },
+            state: if booting {
+                SpotState::Booting
+            } else {
+                SpotState::Running
+            },
+        };
+        let lease = SpotLease { alloc, dies_at };
         self.spot.insert(id, lease);
         self.obs_count(obs_keys::SPOT_GRANTS);
         self.obs_event(
@@ -560,20 +544,13 @@ impl<'a> CloudProvider<'a> {
     /// The current billing hour has already been paid and is forfeited;
     /// usage up to `now` is recorded as paid.
     pub fn terminate(&mut self, id: AllocationId) -> Result<(), MarketError> {
-        if let Some(lease) = self.spot.remove(&id) {
-            if !lease.is_live() {
-                return Err(MarketError::UnknownAllocation(id));
+        if let Some(SpotLease { alloc: a, .. }) = self.spot.remove(&id) {
+            // Cancelling a boot is free: nothing was billed and no
+            // compute happened. Otherwise usage up to now was paid for.
+            if !a.is_booting() {
+                let used = self.now.since(a.hour_start).as_hours_f64();
+                self.account.add_spot_usage(used * f64::from(a.count));
             }
-            if lease.is_booting() {
-                // Nothing was billed and no compute happened; cancelling
-                // a boot is free.
-                self.obs_event(self.now, MarketEvent::Terminated { allocation: id.0 });
-                return Ok(());
-            }
-            // Removal from the registry is the terminal state; usage up
-            // to now was paid for.
-            let used = self.now.since(lease.hour_start).as_hours_f64();
-            self.account.add_spot_usage(used * f64::from(lease.count));
             self.obs_event(self.now, MarketEvent::Terminated { allocation: id.0 });
             return Ok(());
         }
@@ -598,30 +575,57 @@ impl<'a> CloudProvider<'a> {
     /// hold identically for market evictions and fleet preemptions.
     /// Revoking a still-booting allocation is free (nothing was billed).
     pub fn revoke(&mut self, id: AllocationId) -> Result<(), MarketError> {
-        match self.spot.get(&id) {
-            Some(lease) if lease.is_live() => {}
-            _ => return Err(MarketError::UnknownAllocation(id)),
-        }
-        // The lookup above proved the lease is present and live.
-        #[allow(clippy::expect_used)]
-        let lease = self.spot.remove(&id).expect("lease exists");
-        if lease.is_booting() {
+        let Some(SpotLease { alloc: a, .. }) = self.spot.remove(&id) else {
+            return Err(MarketError::UnknownAllocation(id));
+        };
+        if a.is_booting() {
             // Nothing billed, nothing computed: a free cancel.
             self.obs_event(self.now, MarketEvent::Evicted { allocation: id.0 });
             return Ok(());
         }
-        self.account.record(LedgerEntry {
-            time: self.now,
-            allocation: id,
-            kind: LedgerKind::EvictionRefund,
-            amount: -lease.current_hour_charge,
-            instances: lease.count,
-        });
-        let used = self.now.since(lease.hour_start).as_hours_f64();
-        self.account.add_free_usage(used * f64::from(lease.count));
-        self.obs_count(obs_keys::EVICTIONS);
-        self.obs_event(self.now, MarketEvent::Evicted { allocation: id.0 });
+        self.settle_eviction(self.now, &a);
         Ok(())
+    }
+
+    /// Eviction settlement of a removed, launched allocation at `t`:
+    /// the current billing hour is refunded and its usage was free.
+    fn settle_eviction(&mut self, t: SimTime, a: &SpotAllocation) {
+        self.account.record(LedgerEntry {
+            time: t,
+            allocation: a.id,
+            kind: LedgerKind::EvictionRefund,
+            amount: -a.hour_charge(),
+            instances: a.count,
+        });
+        let used = t.since(a.hour_start).as_hours_f64();
+        self.account.add_free_usage(used * f64::from(a.count));
+        self.obs_count(obs_keys::EVICTIONS);
+        self.obs_event(t, MarketEvent::Evicted { allocation: a.id.0 });
+    }
+
+    /// Opens a billing hour at `t` for spot allocation `id`: anchors it,
+    /// prices it at the market price then, and charges it. Returns the
+    /// charge.
+    // Every caller holds the id of a live lease, and traces are never
+    // unregistered, so any market that granted still prices.
+    #[allow(clippy::expect_used)]
+    fn open_spot_hour(&mut self, t: SimTime, id: AllocationId) -> f64 {
+        let a = &mut self.spot.get_mut(&id).expect("lease exists").alloc;
+        a.hour_start = t;
+        a.hour_price = self
+            .traces
+            .get(&a.market)
+            .expect("trace existed at grant time")
+            .price_at(t);
+        let charge = a.hour_charge();
+        self.account.record(LedgerEntry {
+            time: t,
+            allocation: id,
+            kind: LedgerKind::SpotHour,
+            amount: charge,
+            instances: a.count,
+        });
+        charge
     }
 
     /// Advances simulated time to `target`, processing hour boundaries,
@@ -672,23 +676,24 @@ impl<'a> CloudProvider<'a> {
             }
         };
 
-        for lease in self.spot.values().filter(|l| l.is_live()) {
+        for lease in self.spot.values() {
+            let a = &lease.alloc;
             // Scheduled eviction (if warned).
-            if let SpotState::WarningIssued { evict_at } = lease.state {
-                consider(evict_at, Happening::Evict(lease.id));
+            if let Some(evict_at) = a.evict_at() {
+                consider(evict_at, Happening::Evict(a.id));
                 // A warned lease no longer bills new hours or crosses.
                 continue;
             }
-            if lease.is_booting() {
+            if a.is_booting() {
                 // Launch is considered before a same-instant crossing
                 // (`consider` keeps the first happening at equal times):
                 // the instances come up, then the crossing warns them.
-                consider(lease.usable_at, Happening::Launch(lease.id));
+                consider(a.usable_at, Happening::Launch(a.id));
                 // A crossing during boot aborts the launch (unbilled).
-                if let Some(trace) = self.traces.get(&lease.market) {
-                    let horizon = target.min(lease.usable_at);
-                    if let Some(ct) = trace.first_crossing_above(lease.bid, self.now, horizon) {
-                        consider(ct, Happening::Crossing(lease.id));
+                if let Some(trace) = self.traces.get(&a.market) {
+                    let horizon = target.min(a.usable_at);
+                    if let Some(ct) = trace.first_crossing_above(a.bid, self.now, horizon) {
+                        consider(ct, Happening::Crossing(a.id));
                     }
                 }
                 continue;
@@ -697,31 +702,32 @@ impl<'a> CloudProvider<'a> {
             // before a same-instant hour boundary so a dying lease never
             // opens a fresh billing hour first.
             if let Some(dies_at) = lease.dies_at {
-                consider(dies_at, Happening::InfantDeath(lease.id));
+                consider(dies_at, Happening::InfantDeath(a.id));
             }
             // Next hour boundary.
-            consider(lease.hour_end(), Happening::SpotHour(lease.id));
+            consider(a.hour_end(), Happening::SpotHour(a.id));
             // Next bid crossing. Search from `now` up to the earlier of
             // the target and the hour end (crossings after the hour end
             // are found after the hour boundary is processed).
-            if let Some(trace) = self.traces.get(&lease.market) {
-                let horizon = target.min(lease.hour_end());
-                if let Some(ct) = trace.first_crossing_above(lease.bid, self.now, horizon) {
-                    consider(ct, Happening::Crossing(lease.id));
+            if let Some(trace) = self.traces.get(&a.market) {
+                let horizon = target.min(a.hour_end());
+                if let Some(ct) = trace.first_crossing_above(a.bid, self.now, horizon) {
+                    consider(ct, Happening::Crossing(a.id));
                 }
             }
         }
         for lease in self.on_demand.values() {
-            let hour_end = lease.hour_start + SimDuration::from_hours(1);
-            consider(hour_end, Happening::OnDemandHour(lease.id));
+            consider(
+                billing_hour_end(lease.hour_start),
+                Happening::OnDemandHour(lease.id),
+            );
         }
         best
     }
 
     // Invariant: every `Happening` carries the id of a lease that was
     // live when `next_happening` built it, and nothing removes leases
-    // between building and applying — the lookups cannot fail. Traces
-    // are never unregistered, so any market that granted still prices.
+    // between building and applying — the lookups cannot fail.
     #[allow(clippy::expect_used)]
     fn apply_happening(
         &mut self,
@@ -731,30 +737,10 @@ impl<'a> CloudProvider<'a> {
     ) {
         match h {
             Happening::SpotHour(id) => {
-                let market;
-                let count;
-                {
-                    let lease = self.spot.get_mut(&id).expect("lease exists");
-                    // The completed hour was fully used and paid.
-                    self.account.add_spot_usage(f64::from(lease.count));
-                    lease.hour_start = t;
-                    market = lease.market;
-                    count = lease.count;
-                }
-                let price = self
-                    .spot_price_at(market, t)
-                    .expect("trace existed at grant time");
-                let charge = price * f64::from(count);
-                self.account.record(LedgerEntry {
-                    time: t,
-                    allocation: id,
-                    kind: LedgerKind::SpotHour,
-                    amount: charge,
-                    instances: count,
-                });
-                if let Some(lease) = self.spot.get_mut(&id) {
-                    lease.current_hour_charge = charge;
-                }
+                // The completed hour was fully used and paid.
+                let count = self.spot.get(&id).expect("lease exists").alloc.count;
+                self.account.add_spot_usage(f64::from(count));
+                let charge = self.open_spot_hour(t, id);
                 self.obs_event(
                     t,
                     MarketEvent::HourCharged {
@@ -800,37 +786,17 @@ impl<'a> CloudProvider<'a> {
                 ));
             }
             Happening::Launch(id) => {
-                let market;
-                let count;
-                {
-                    let lease = self.spot.get_mut(&id).expect("lease exists");
-                    lease.state = SpotState::Running;
-                    // Billing hours re-anchor at the actual launch.
-                    lease.hour_start = t;
-                    market = lease.market;
-                    count = lease.count;
-                }
-                let price = self
-                    .spot_price_at(market, t)
-                    .expect("trace existed at grant time");
-                let charge = price * f64::from(count);
-                self.account.record(LedgerEntry {
-                    time: t,
-                    allocation: id,
-                    kind: LedgerKind::SpotHour,
-                    amount: charge,
-                    instances: count,
-                });
-                if let Some(lease) = self.spot.get_mut(&id) {
-                    lease.current_hour_charge = charge;
-                }
-                // Like the immediate-grant charge, the first hour is not
-                // reported as HourCharged; Launched marks it.
+                self.spot.get_mut(&id).expect("lease exists").alloc.state = SpotState::Running;
+                // Billing hours re-anchor at the actual launch. Like the
+                // immediate-grant charge, the first hour is not reported
+                // as HourCharged; Launched marks it.
+                self.open_spot_hour(t, id);
                 self.obs_event(t, MarketEvent::Launched { allocation: id.0 });
                 events.push((t, ProviderEvent::Launched { allocation: id }));
             }
             Happening::Crossing(id) => {
-                if self.spot.get(&id).expect("lease exists").is_booting() {
+                let a = &mut self.spot.get_mut(&id).expect("lease exists").alloc;
+                if a.is_booting() {
                     // The market moved above the bid before the instances
                     // came up: the launch silently fails. Nothing was
                     // billed, nothing computed.
@@ -843,9 +809,8 @@ impl<'a> CloudProvider<'a> {
                     events.push((t, ProviderEvent::LaunchFailed { allocation: id }));
                     return;
                 }
-                let lease = self.spot.get_mut(&id).expect("lease exists");
                 let evict_at = t + self.warning_lead;
-                lease.state = SpotState::WarningIssued { evict_at };
+                a.state = SpotState::WarningIssued { evict_at };
                 self.obs_event(
                     t,
                     MarketEvent::EvictionWarning {
@@ -862,40 +827,18 @@ impl<'a> CloudProvider<'a> {
                 ));
             }
             Happening::InfantDeath(id) => {
+                // A warning-less death settles exactly like an eviction.
                 let lease = self.spot.remove(&id).expect("lease exists");
-                // A warning-less death settles exactly like an eviction:
-                // the current hour is refunded and its usage was free.
-                self.account.record(LedgerEntry {
-                    time: t,
-                    allocation: id,
-                    kind: LedgerKind::EvictionRefund,
-                    amount: -lease.current_hour_charge,
-                    instances: lease.count,
-                });
-                let used = t.since(lease.hour_start).as_hours_f64();
-                self.account.add_free_usage(used * f64::from(lease.count));
+                self.settle_eviction(t, &lease.alloc);
                 if let Some(fs) = self.faults.as_mut() {
                     fs.stats.infant_deaths += 1;
                 }
                 self.obs_count(obs_keys::INFANT_DEATHS);
-                self.obs_count(obs_keys::EVICTIONS);
-                self.obs_event(t, MarketEvent::Evicted { allocation: id.0 });
                 events.push((t, ProviderEvent::Evicted { allocation: id }));
             }
             Happening::Evict(id) => {
                 let lease = self.spot.remove(&id).expect("lease exists");
-                // Refund the current billing hour; its usage was free.
-                self.account.record(LedgerEntry {
-                    time: t,
-                    allocation: id,
-                    kind: LedgerKind::EvictionRefund,
-                    amount: -lease.current_hour_charge,
-                    instances: lease.count,
-                });
-                let used = t.since(lease.hour_start).as_hours_f64();
-                self.account.add_free_usage(used * f64::from(lease.count));
-                self.obs_count(obs_keys::EVICTIONS);
-                self.obs_event(t, MarketEvent::Evicted { allocation: id.0 });
+                self.settle_eviction(t, &lease.alloc);
                 events.push((t, ProviderEvent::Evicted { allocation: id }));
             }
         }
@@ -1161,7 +1104,7 @@ mod tests {
         // Nothing billed while booting.
         assert_eq!(p.account().total_cost(), 0.0);
         let view = p.spot_allocation(grant.id).expect("live");
-        assert!(view.booting);
+        assert!(view.is_booting());
 
         let events = p.advance_to(SimTime::from_hours(2)).expect("advance");
         assert!(matches!(
@@ -1171,7 +1114,7 @@ mod tests {
         // Billing hours anchor at launch: the next boundary is 10 min
         // past the first wall-clock hour.
         let view = p.spot_allocation(grant.id).expect("live");
-        assert!(!view.booting);
+        assert!(!view.is_booting());
         assert_eq!(
             view.hour_start,
             grant.usable_at + SimDuration::from_hours(1)

@@ -1,18 +1,20 @@
-//! Spot allocation state machine.
+//! The tenant-visible spot allocation record.
 //!
 //! An *allocation* (the paper's atomic unit, Sec. 4) is a set of instances
 //! of the same type acquired at the same time with the same bid. This
-//! module tracks one allocation's lifecycle: running, warned (the
-//! two-minute eviction notice has been issued), and terminated.
+//! module holds one live allocation's state — booting, running, or warned
+//! (the two-minute eviction notice has been issued) — and the billing-hour
+//! rules every lifecycle loop reads from it: when the current hour ends,
+//! what it was billed at, and how much of it is left.
 
 use proteus_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::instance::MarketKey;
 use crate::provider::AllocationId;
 
-/// Lifecycle state of a spot allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Lifecycle state of a live spot allocation (a revoked or terminated
+/// allocation is no longer held at all).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpotState {
     /// The request was granted but the instances have not booted yet
     /// (the boot-delay fault regime); nothing is billed until launch,
@@ -26,13 +28,20 @@ pub enum SpotState {
         /// When the instances will actually be revoked.
         evict_at: SimTime,
     },
-    /// Instances have been revoked or voluntarily terminated.
-    Terminated,
 }
 
-/// One live spot allocation held by the customer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpotLease {
+/// End of a billing hour that started at `hour_start` — for spot and
+/// on-demand allocations alike.
+pub(crate) fn billing_hour_end(hour_start: SimTime) -> SimTime {
+    hour_start + SimDuration::from_hours(1)
+}
+
+/// One live spot allocation as its tenant sees it. The provider keeps
+/// this record current; [`CloudProvider::live_spot`] lends it out.
+///
+/// [`CloudProvider::live_spot`]: crate::CloudProvider::live_spot
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpotAllocation {
     /// Stable identifier.
     pub id: AllocationId,
     /// Which market the instances were bought in.
@@ -41,67 +50,27 @@ pub struct SpotLease {
     pub count: u32,
     /// The immutable bid price per instance-hour.
     pub bid: f64,
-    /// When the allocation was granted (billing hours anchor here).
+    /// When the allocation was granted.
     pub granted_at: SimTime,
     /// When the instances become (or became) usable. Equals
     /// `granted_at` unless a boot-delay fault regime is active; for a
     /// delayed launch, billing hours re-anchor here when the instances
     /// come up.
     pub usable_at: SimTime,
-    /// Scheduled warning-less death (the infant-mortality fault
-    /// regime), if this grant is doomed.
-    pub dies_at: Option<SimTime>,
     /// Start of the current billing hour.
     pub hour_start: SimTime,
-    /// Dollars charged for the current billing hour (refunded if evicted).
-    pub current_hour_charge: f64,
+    /// Per-instance price the provider charged for the current billing
+    /// hour — the market price at `hour_start` — or zero while booting
+    /// (nothing is billed before launch).
+    pub hour_price: f64,
     /// Lifecycle state.
     pub state: SpotState,
 }
 
-impl SpotLease {
-    /// Creates a freshly granted lease; the caller is responsible for
-    /// recording the first hour's charge.
-    pub fn new(
-        id: AllocationId,
-        market: MarketKey,
-        count: u32,
-        bid: f64,
-        granted_at: SimTime,
-        first_hour_charge: f64,
-    ) -> Self {
-        SpotLease {
-            id,
-            market,
-            count,
-            bid,
-            granted_at,
-            usable_at: granted_at,
-            dies_at: None,
-            hour_start: granted_at,
-            current_hour_charge: first_hour_charge,
-            state: SpotState::Running,
-        }
-    }
-
-    /// Marks the lease as boot-delayed: not usable (and not billed)
-    /// until `usable_at`.
-    pub fn booting_until(mut self, usable_at: SimTime) -> Self {
-        self.usable_at = usable_at;
-        self.state = SpotState::Booting;
-        self.current_hour_charge = 0.0;
-        self
-    }
-
-    /// Schedules a warning-less death at `dies_at`.
-    pub fn doomed_at(mut self, dies_at: SimTime) -> Self {
-        self.dies_at = Some(dies_at);
-        self
-    }
-
+impl SpotAllocation {
     /// End of the current billing hour.
     pub fn hour_end(&self) -> SimTime {
-        self.hour_start + SimDuration::from_hours(1)
+        billing_hour_end(self.hour_start)
     }
 
     /// Time remaining in the current billing hour at `now` (the paper's
@@ -110,9 +79,15 @@ impl SpotLease {
         self.hour_end().since(now.max(self.hour_start))
     }
 
-    /// Whether the allocation is still running (possibly under warning).
-    pub fn is_live(&self) -> bool {
-        !matches!(self.state, SpotState::Terminated)
+    /// Dollars charged for the current billing hour across all
+    /// instances (what an eviction refunds).
+    pub fn hour_charge(&self) -> f64 {
+        self.hour_price * f64::from(self.count)
+    }
+
+    /// Whether the instances are granted but not yet usable.
+    pub fn is_booting(&self) -> bool {
+        matches!(self.state, SpotState::Booting)
     }
 
     /// Whether an eviction warning is pending.
@@ -120,9 +95,12 @@ impl SpotLease {
         matches!(self.state, SpotState::WarningIssued { .. })
     }
 
-    /// Whether the lease is granted but not yet usable.
-    pub fn is_booting(&self) -> bool {
-        matches!(self.state, SpotState::Booting)
+    /// When the outstanding warning will evict the instances, if warned.
+    pub fn evict_at(&self) -> Option<SimTime> {
+        match self.state {
+            SpotState::WarningIssued { evict_at } => Some(evict_at),
+            _ => None,
+        }
     }
 }
 
@@ -131,15 +109,19 @@ mod tests {
     use super::*;
     use crate::instance::{catalog, Zone};
 
-    fn lease(granted_ms: u64) -> SpotLease {
-        SpotLease::new(
-            AllocationId(1),
-            MarketKey::new(catalog::c4_xlarge(), Zone(0)),
-            4,
-            0.10,
-            SimTime::from_millis(granted_ms),
-            0.20,
-        )
+    fn lease(granted_ms: u64) -> SpotAllocation {
+        let granted_at = SimTime::from_millis(granted_ms);
+        SpotAllocation {
+            id: AllocationId(1),
+            market: MarketKey::new(catalog::c4_xlarge(), Zone(0)),
+            count: 4,
+            bid: 0.10,
+            granted_at,
+            usable_at: granted_at,
+            hour_start: granted_at,
+            hour_price: 0.05,
+            state: SpotState::Running,
+        }
     }
 
     #[test]
@@ -151,6 +133,7 @@ mod tests {
         );
         let mid = SimTime::from_millis(500) + SimDuration::from_mins(40);
         assert_eq!(l.time_to_hour_end(mid), SimDuration::from_mins(20));
+        assert_eq!(l.hour_charge(), 0.05 * 4.0);
     }
 
     #[test]
@@ -166,14 +149,15 @@ mod tests {
     #[test]
     fn liveness_tracks_state() {
         let mut l = lease(0);
-        assert!(l.is_live());
+        l.state = SpotState::Booting;
+        assert!(l.is_booting());
         assert!(!l.is_warned());
-        l.state = SpotState::WarningIssued {
-            evict_at: SimTime::from_millis(120_000),
-        };
-        assert!(l.is_live());
+        l.state = SpotState::Running;
+        assert!(!l.is_booting());
+        assert_eq!(l.evict_at(), None);
+        let evict_at = SimTime::from_millis(120_000);
+        l.state = SpotState::WarningIssued { evict_at };
         assert!(l.is_warned());
-        l.state = SpotState::Terminated;
-        assert!(!l.is_live());
+        assert_eq!(l.evict_at(), Some(evict_at));
     }
 }

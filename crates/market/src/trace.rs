@@ -7,7 +7,6 @@
 use std::collections::BTreeMap;
 
 use proteus_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::instance::MarketKey;
 
@@ -30,7 +29,7 @@ use crate::instance::MarketKey;
 /// assert_eq!(trace.price_at(SimTime::from_hours(1)), 0.05);
 /// assert_eq!(trace.price_at(SimTime::from_hours(3)), 0.50);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PriceTrace {
     /// (change time in ms, price) pairs, strictly increasing in time.
     points: Vec<(SimTime, f64)>,
@@ -111,14 +110,6 @@ impl PriceTrace {
         &self.points
     }
 
-    /// The last instant covered by an explicit change point.
-    pub fn last_change(&self) -> SimTime {
-        self.points
-            .last()
-            .map(|(t, _)| *t)
-            .unwrap_or(SimTime::EPOCH)
-    }
-
     /// Samples the trace every `step` over `[from, to]` — convenient for
     /// plotting (Fig. 3) and for the β-estimation simulations.
     pub fn sample(&self, from: SimTime, to: SimTime, step: SimDuration) -> Vec<(SimTime, f64)> {
@@ -175,7 +166,7 @@ impl PriceTrace {
 }
 
 /// One price trace per market.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceSet {
     traces: BTreeMap<MarketKey, PriceTrace>,
 }

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use proteus_market::{
-    catalog, CloudProvider, LedgerKind, MarketKey, MarketModel, PriceTrace, TraceGenerator,
-    TraceSet, Zone,
+    catalog, AllocationId, CloudProvider, LedgerKind, MarketFaultPlan, MarketKey, MarketModel,
+    PriceTrace, TraceGenerator, TraceSet, Zone,
 };
 use proteus_simtime::{SimDuration, SimTime};
 
@@ -143,4 +143,134 @@ proptest! {
         prop_assert!((p.account().total_cost() - expect).abs() < 1e-9,
             "cost {} vs {}", p.account().total_cost(), expect);
     }
+
+    /// The tenant-visible record states the provider's bill: under any
+    /// script of grants, advances, terminations and revocations — with
+    /// boot delays, infant deaths and market evictions — every live
+    /// launched allocation's `hour_price` is the market price at its
+    /// `hour_start` bit for bit, its `hour_charge` is the last amount
+    /// the ledger charged it, and its hour ends one hour after it
+    /// started. A booting allocation was charged nothing.
+    #[test]
+    fn spot_record_matches_what_was_billed(
+        seed in 0u64..300,
+        fault_seed in 0u64..300,
+        boot_max_mins in 1u64..30,
+        infant_p in 0.0f64..0.5,
+        script in proptest::collection::vec(
+            ((0u8..5, 0usize..8), 1u32..5, 0.0005f64..0.2, 1u64..90),
+            1..40,
+        ),
+    ) {
+        let mut p = provider(seed, true);
+        p.set_fault_plan(
+            MarketFaultPlan::new(fault_seed)
+                .with_boot_delay(SimDuration::ZERO, SimDuration::from_mins(boot_max_mins))
+                .with_infant_mortality(infant_p, SimDuration::from_mins(45)),
+        );
+        for ((kind, pick), count, delta, mins) in script {
+            let live: Vec<AllocationId> = p.live_spot().map(|a| a.id).collect();
+            let picked = (!live.is_empty()).then(|| live[pick % live.len()]);
+            match kind {
+                0 => {
+                    let price = p.spot_price(market()).expect("covered");
+                    let _ = p.request_spot(market(), count, price + delta);
+                }
+                1 | 2 => {
+                    let to = p.now() + SimDuration::from_mins(mins);
+                    p.advance_to(to).expect("forward");
+                }
+                3 => {
+                    if let Some(id) = picked {
+                        p.terminate(id).expect("live allocation terminates");
+                    }
+                }
+                _ => {
+                    if let Some(id) = picked {
+                        p.revoke(id).expect("live allocation revokes");
+                    }
+                }
+            }
+            for a in p.live_spot() {
+                prop_assert_eq!(a.hour_end(), a.hour_start + SimDuration::from_hours(1));
+                if a.is_booting() {
+                    prop_assert_eq!(a.hour_price, 0.0);
+                    continue;
+                }
+                let billed = p.spot_price_at(a.market, a.hour_start).expect("traced");
+                prop_assert_eq!(a.hour_price.to_bits(), billed.to_bits(), "{:?}", a);
+                let charged = p
+                    .account()
+                    .entries()
+                    .iter()
+                    .rev()
+                    .find(|e| e.allocation == a.id && e.kind == LedgerKind::SpotHour)
+                    .map(|e| e.amount);
+                prop_assert_eq!(charged.map(f64::to_bits), Some(a.hour_charge().to_bits()));
+                if !a.is_warned() {
+                    prop_assert!(a.hour_start <= p.now() && p.now() < a.hour_end());
+                }
+            }
+        }
+    }
+}
+
+/// `unused_hour_credit` row by row: what a tenant walking away now has
+/// paid for and not used.
+#[test]
+fn unused_hour_credit_table() {
+    let min = SimDuration::from_mins;
+    let od = market().instance_type().on_demand_price;
+    // The price moves mid-hour: a credit prices the hour as billed.
+    let trace = || {
+        let mut set = TraceSet::new();
+        set.insert(
+            market(),
+            PriceTrace::from_points(vec![
+                (SimTime::EPOCH, 0.05),
+                (SimTime::EPOCH + min(10), 0.08),
+                (SimTime::EPOCH + min(150), 0.50),
+            ])
+            .expect("ordered points"),
+        );
+        CloudProvider::new(set)
+    };
+    let at = |p: &mut CloudProvider<'_>, m: u64| {
+        p.advance_to(SimTime::EPOCH + min(m)).expect("forward");
+    };
+
+    // Spot, mid-hour: three quarters of the 0.05 hour, not of 0.08.
+    let mut p = trace();
+    let id = p.request_spot(market(), 2, 0.20).expect("granted").id;
+    at(&mut p, 15);
+    assert_eq!(p.unused_hour_credit(id), 0.05 * 2.0 * 0.75);
+
+    // Spot, exactly on a boundary: the fresh hour is wholly unused.
+    at(&mut p, 60);
+    assert_eq!(p.unused_hour_credit(id), 0.08 * 2.0 * 1.0);
+
+    // Spot, warned: still credits the rest of its paid hour.
+    at(&mut p, 151);
+    assert!(p.spot_allocation(id).expect("still live").is_warned());
+    assert_eq!(p.unused_hour_credit(id), 0.08 * 2.0 * (29.0 / 60.0));
+
+    // Spot, booting: nothing was charged, nothing is credited.
+    let mut p = trace();
+    p.set_fault_plan(MarketFaultPlan::new(1).with_boot_delay(min(10), min(10)));
+    let id = p.request_spot(market(), 2, 0.20).expect("granted").id;
+    at(&mut p, 5);
+    assert!(p.spot_allocation(id).expect("live").is_booting());
+    assert_eq!(p.unused_hour_credit(id), 0.0);
+
+    // On-demand at its grant instant: one full hour; later, the rest.
+    let mut p = trace();
+    let id = p.request_on_demand(market(), 3).expect("granted");
+    assert_eq!(p.unused_hour_credit(id), od * 3.0 * 1.0);
+    at(&mut p, 75);
+    assert_eq!(p.unused_hour_credit(id), od * 3.0 * (1.0 - 0.25));
+
+    // Gone or never granted: nothing.
+    p.terminate(id).expect("terminates");
+    assert_eq!(p.unused_hour_credit(id), 0.0);
+    assert_eq!(p.unused_hour_credit(AllocationId(99)), 0.0);
 }

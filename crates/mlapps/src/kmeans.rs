@@ -17,19 +17,18 @@
 use proteus_ps::{kernels, DenseVec, ParamKey};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::app::{MlApp, ParamAccess, ParamReader};
 
 /// One data point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     /// Coordinates of dimension `KmConfig::dim`.
     pub coords: Vec<f32>,
 }
 
 /// Configuration for [`KMeans`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KmConfig {
     /// Point dimension `d`.
     pub dim: usize,

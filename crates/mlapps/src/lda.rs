@@ -19,12 +19,11 @@
 use proteus_ps::{DenseVec, ParamKey};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::app::{MlApp, ParamAccess, ParamReader};
 
 /// One document: its tokens and their current topic assignments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LdaDoc {
     /// Word id of each token.
     pub words: Vec<u32>,
@@ -54,7 +53,7 @@ impl LdaDoc {
 }
 
 /// Configuration for [`Lda`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LdaConfig {
     /// Vocabulary size `V`.
     pub vocab: u32,

@@ -10,12 +10,11 @@
 use proteus_ps::{kernels, DenseVec, ParamKey};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::app::{MlApp, ParamAccess, ParamReader};
 
 /// One observed matrix entry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rating {
     /// Row (user) index.
     pub row: u32,
@@ -26,7 +25,7 @@ pub struct Rating {
 }
 
 /// Configuration for [`MatrixFactorization`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MfConfig {
     /// Number of rows (users) in `X`.
     pub rows: u32,

@@ -10,12 +10,11 @@
 use proteus_ps::{kernels, DenseVec, ParamKey};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::app::{MlApp, ParamAccess, ParamReader};
 
 /// One labelled observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Example {
     /// Dense feature vector of dimension `MlrConfig::dim`.
     pub features: Vec<f32>,
@@ -24,7 +23,7 @@ pub struct Example {
 }
 
 /// Configuration for [`Mlr`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MlrConfig {
     /// Feature dimension `d`.
     pub dim: usize,

@@ -1,6 +1,6 @@
-//! Hand-rolled JSONL export (the workspace's serde is an offline stub,
+//! Hand-rolled JSONL export: the workspace has no serialization crate,
 //! so serialization is explicit `format!` work, as in the bench JSON
-//! reports).
+//! reports.
 //!
 //! One event per line:
 //!

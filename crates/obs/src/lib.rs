@@ -20,8 +20,8 @@
 //!   components that cannot thread a `SimTime` through their call path.
 //! - [`Timeline`] — an owned snapshot queryable from tests, replacing
 //!   brittle stdout assertions.
-//! - [`jsonl`] — a hand-rolled JSONL exporter (this workspace has no
-//!   real serde); `PROTEUS_OBS_OUT` names the export file.
+//! - [`jsonl`] — a hand-rolled JSONL exporter; `PROTEUS_OBS_OUT` names
+//!   the export file.
 //!
 //! # Zero cost when off
 //!

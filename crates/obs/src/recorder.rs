@@ -4,8 +4,8 @@
 //! plane, for instance).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use proteus_simtime::{SimDuration, SimTime};
 
 use crate::event::Event;
@@ -37,8 +37,14 @@ impl Recorder {
     /// early emissions don't pay repeated growth-realloc copies.
     pub fn new() -> Self {
         let rec = Recorder::default();
-        rec.inner.lock().events.reserve(64);
+        rec.inner().events.reserve(64);
         rec
+    }
+
+    /// The locked log and registry. A recorder only ever appends, so a
+    /// panic mid-emission leaves it usable: a poisoned lock is recovered.
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Advances the embedded sim clock (monotone by convention; the
@@ -54,7 +60,7 @@ impl Recorder {
 
     /// Appends `event` stamped `t`.
     pub fn record(&self, t: SimTime, event: Event) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         let seq = inner.events.len() as u64;
         inner.events.push(TimedEvent { t, seq, event });
     }
@@ -66,13 +72,12 @@ impl Recorder {
 
     /// Increments a counter.
     pub fn counter_add(&self, name: &'static str, by: u64) {
-        self.inner.lock().metrics.counter_add(name, by);
+        self.inner().metrics.counter_add(name, by);
     }
 
     /// Reads a counter (zero if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner
-            .lock()
+        self.inner()
             .metrics
             .counters
             .get(name)
@@ -83,42 +88,42 @@ impl Recorder {
     /// Sets a sim-time-weighted gauge at `t`; elapsed time since the
     /// previous set is credited to the previous value.
     pub fn gauge_set(&self, name: &'static str, t: SimTime, value: f64) {
-        self.inner.lock().metrics.gauge_set(name, t, value);
+        self.inner().metrics.gauge_set(name, t, value);
     }
 
     /// Adds a direct observation to a sim-time-weighted histogram.
     pub fn hist_add(&self, name: &'static str, value: f64, duration: SimDuration) {
-        self.inner.lock().metrics.hist_add(name, value, duration);
+        self.inner().metrics.hist_add(name, value, duration);
     }
 
     /// Records a completed span.
     pub fn span(&self, name: &'static str, start: SimTime, end: SimTime) {
-        self.inner.lock().metrics.span(name, start, end);
+        self.inner().metrics.span(name, start, end);
     }
 
     /// Folds open gauge intervals up to `t` — call when a run ends so
     /// time-at-value reads cover the full horizon.
     pub fn close_gauges(&self, t: SimTime) {
-        self.inner.lock().metrics.close_gauges(t);
+        self.inner().metrics.close_gauges(t);
     }
 
     /// An owned snapshot of the event log.
     pub fn timeline(&self) -> Timeline {
         Timeline {
-            events: self.inner.lock().events.clone(),
+            events: self.inner().events.clone(),
         }
     }
 
     /// An owned snapshot of the metrics registry.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.lock().metrics.snapshot()
+        self.inner().metrics.snapshot()
     }
 
     /// Serializes the current timeline to JSONL. Renders under the lock
     /// rather than snapshotting first — cloning every event (and its
     /// strings) just to serialize them would dominate export cost.
     pub fn to_jsonl(&self) -> String {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         let mut out = String::with_capacity(inner.events.len() * 96);
         crate::jsonl::write_events(&inner.events, &mut out);
         out
@@ -128,7 +133,7 @@ impl Recorder {
     /// shy form of [`Self::to_jsonl`] for merging many recorders into
     /// one export.
     pub fn append_jsonl(&self, out: &mut String) {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         out.reserve(inner.events.len() * 96);
         crate::jsonl::write_events(&inner.events, out);
     }
@@ -136,7 +141,7 @@ impl Recorder {
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         f.debug_struct("Recorder")
             .field("events", &inner.events.len())
             .field("now_ms", &self.clock.load(Ordering::Relaxed))

@@ -1,11 +1,9 @@
 //! Layouts and the bottleneck time-per-iteration model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::workload::AppTraffic;
 
 /// Homogeneous cluster hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// Worker cores per machine.
     pub cores_per_machine: u32,
@@ -21,19 +19,11 @@ impl ClusterSpec {
             bw_mbps: 125.0,
         }
     }
-
-    /// The paper's Cluster-B: c4.xlarge (4 vCPUs), ~1 Gbps.
-    pub fn cluster_b() -> Self {
-        ClusterSpec {
-            cores_per_machine: 4,
-            bw_mbps: 125.0,
-        }
-    }
 }
 
 /// A functional layout of the cluster (who serves, who works, who backs
 /// up) — the paper's Fig. 4 plus the traditional baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
     /// Traditional parameter server: every machine is reliable and runs
     /// both a PS shard and workers.

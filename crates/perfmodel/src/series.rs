@@ -1,14 +1,12 @@
 //! Iteration-series simulations: scaling curves and elasticity
 //! timelines (paper Figs. 14–16).
 
-use serde::{Deserialize, Serialize};
-
 use crate::layout::{time_per_iteration, ClusterSpec, Layout};
 use crate::workload::AppTraffic;
 
 /// One phase of an elasticity timeline: a layout held for a number of
 /// iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelinePhase {
     /// The layout during this phase.
     pub layout: Layout,

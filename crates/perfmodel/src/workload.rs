@@ -1,7 +1,5 @@
 //! Per-iteration workload characterization.
 
-use serde::{Deserialize, Serialize};
-
 /// The per-iteration resource demands of one ML application + dataset.
 ///
 /// All volumes are totals across the whole job for one full pass
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// * `backup_mb` — coalesced delta bytes ActivePS → BackupPS (bounded by
 ///   the model size since deltas aggregate per key; typically a fraction
 ///   of it because not every key changes every iteration).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppTraffic {
     /// Total compute per iteration (core-seconds).
     pub compute_core_secs: f64,

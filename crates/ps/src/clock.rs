@@ -9,8 +9,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Tracks per-worker clocks and derives SSP admission and the globally
 /// consistent clock.
 ///
@@ -30,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!clocks.may_proceed(2));
 /// assert_eq!(clocks.consistent_clock(), Some(0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClockTable {
     slack: u64,
     clocks: BTreeMap<u32, u64>,

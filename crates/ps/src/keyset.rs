@@ -12,12 +12,10 @@
 //! equivalent per-key list would ship (`len × 8`), so switching the
 //! read path to ranged requests cannot shift network-volume counters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::partition::ParamKey;
 
 /// One arithmetic run of keys: `start, start+stride, …` (`count` keys).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct KeyRun {
     start: u64,
     stride: u64,
@@ -46,7 +44,7 @@ impl KeyRun {
 /// assert!(set.iter().eq(keys.iter().copied()));
 /// assert_eq!(set.wire_bytes(), 100 * 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct KeySet {
     runs: Vec<KeyRun>,
     len: usize,

@@ -6,14 +6,12 @@
 //! then re-assigns whole *partitions* between servers instead of
 //! re-sharding keys, which is what makes bulk addition and eviction cheap.
 
-use serde::{Deserialize, Serialize};
-
 /// A parameter key (e.g. a row index of the factor matrix `L`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamKey(pub u64);
 
 /// A partition of the key space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PartitionId(pub u32);
 
 /// The immutable key→partition layout fixed at job start.
@@ -30,7 +28,7 @@ pub struct PartitionId(pub u32);
 /// assert_eq!(map.partition_of(ParamKey(13)).0, 5);
 /// assert_eq!(map.partitions().count(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionMap {
     count: u32,
 }

@@ -12,8 +12,6 @@
 //! a batch reports the bytes the equivalent per-key traffic would ship,
 //! so network-volume counters do not shift when batching lands.
 
-use serde::{Deserialize, Serialize};
-
 use crate::keyset::KeySet;
 use crate::partition::PartitionId;
 use crate::value::PsValue;
@@ -23,7 +21,7 @@ use crate::values::Values;
 /// sending worker's clock. The payload is a shared [`Values`] buffer:
 /// cloning the batch (every simnet hop does) bumps a reference count
 /// instead of copying every `(key, delta)` pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateBatch<V> {
     /// Destination partition.
     pub partition: PartitionId,
@@ -45,7 +43,7 @@ impl<V: PsValue> UpdateBatch<V> {
 }
 
 /// Requests a worker (or peer server) sends to a parameter-server shard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PsRequest<V> {
     /// Read a set of keys (compressed; contiguous/strided ranges ship as
     /// runs).
@@ -69,7 +67,7 @@ pub enum PsRequest<V> {
 }
 
 /// Responses a shard sends back.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PsResponse<V> {
     /// Values for a `Read` (missing keys are omitted).
     Values(Values<V>),

@@ -7,8 +7,6 @@
 //! and merges by index union — still commutative and associative, so it
 //! satisfies the [`PsValue`] contract.
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::PsValue;
 
 /// A sparse vector: sorted `(index, value)` pairs over a logical
@@ -28,7 +26,7 @@ use crate::value::PsValue;
 /// assert_eq!(a.get(5), 1.0);
 /// assert_eq!(a.nnz(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseVec {
     dim: usize,
     /// Sorted by index, indices strictly increasing, no explicit zeros

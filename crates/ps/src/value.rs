@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernels;
 
 /// A value storable in the parameter server.
@@ -53,7 +51,7 @@ pub trait PsValue: Clone + Send + 'static {
 /// assert!(!row.shares_buffer(&snapshot));
 /// assert_eq!(snapshot.as_slice(), &[1.5, 2.0, 2.0]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DenseVec(Arc<Vec<f32>>);
 
 impl DenseVec {

@@ -15,8 +15,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::partition::ParamKey;
 use crate::value::PsValue;
 
@@ -34,7 +32,7 @@ use crate::value::PsValue;
 /// assert_eq!(on_the_wire.len(), 1);
 /// assert_eq!(on_the_wire[0].0, ParamKey(3));
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Values<V>(Arc<Vec<(ParamKey, V)>>);
 
 impl<V> Values<V> {

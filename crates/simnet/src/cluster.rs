@@ -2,17 +2,17 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Sender};
-use parking_lot::RwLock;
 
 use proteus_obs::Recorder;
 
 use crate::fault::{FaultLayer, FaultPlan, FaultStats};
 use crate::message::{Control, Envelope, Incoming, SendError};
 use crate::node::{NodeClass, NodeCtx, NodeId};
+use crate::{read, write};
 
 /// Aggregate traffic counters for the whole cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,7 +55,7 @@ impl<M: Send + Clone + 'static> ClusterInner<M> {
     /// the current sender's result (its failures are still counted as
     /// drops by [`ClusterInner::route`]).
     pub(crate) fn deliver(&self, from: NodeId, to: NodeId, msg: M) -> Result<(), SendError> {
-        let layer = self.faults.read().clone();
+        let layer = read(&self.faults).clone();
         match layer {
             None => self.route(from, to, msg),
             Some(layer) => {
@@ -85,13 +85,13 @@ impl<M: Send + Clone + 'static> ClusterInner<M> {
     /// Delivers one message to its destination mailbox, bypassing the
     /// fault layer.
     fn route(&self, from: NodeId, to: NodeId, msg: M) -> Result<(), SendError> {
-        let nodes = self.nodes.read();
+        let nodes = read(&self.nodes);
         if let Some(entry) = nodes.get(&to).filter(|e| !e.dead) {
             // A send only fails if the receiver was torn down between
             // the liveness check and the send; treat it as a drop.
             if entry.tx.send(Incoming::App(Envelope { from, msg })).is_ok() {
                 self.messages.fetch_add(1, Ordering::Relaxed);
-                *self.traffic.write().entry((from, to)).or_insert(0) += 1;
+                *write(&self.traffic).entry((from, to)).or_insert(0) += 1;
                 return Ok(());
             }
         }
@@ -108,29 +108,29 @@ impl<M: Send + Clone + 'static> ClusterInner<M> {
     /// by [`ClusterInner::route`].
     pub(crate) fn set_faults(&self, plan: FaultPlan<M>) {
         self.flush_delayed();
-        let obs = self.recorder.read().clone();
-        *self.faults.write() = Some(Arc::new(FaultLayer::new(plan, obs)));
+        let obs = read(&self.recorder).clone();
+        *write(&self.faults) = Some(Arc::new(FaultLayer::new(plan, obs)));
     }
 
     /// Attaches an observability recorder; the current fault layer (if
     /// any) and every future one mirror their counters into it.
     pub(crate) fn set_recorder(&self, rec: Arc<Recorder>) {
-        if let Some(layer) = self.faults.read().as_deref() {
+        if let Some(layer) = read(&self.faults).as_deref() {
             layer.set_recorder(Arc::clone(&rec));
         }
-        *self.recorder.write() = Some(rec);
+        *write(&self.recorder) = Some(rec);
     }
 
     /// Removes the message-fault layer, first flushing held messages.
     pub(crate) fn clear_faults(&self) {
         self.flush_delayed();
-        *self.faults.write() = None;
+        *write(&self.faults) = None;
     }
 
     /// Releases every delayed (held-back) message to its destination.
     /// Returns how many were flushed.
     pub(crate) fn flush_delayed(&self) -> usize {
-        let layer = self.faults.read().clone();
+        let layer = read(&self.faults).clone();
         let Some(layer) = layer else { return 0 };
         let held = layer.drain_held();
         let n = held.len();
@@ -142,15 +142,14 @@ impl<M: Send + Clone + 'static> ClusterInner<M> {
 
     /// Counters of message faults injected so far.
     pub(crate) fn fault_stats(&self) -> FaultStats {
-        self.faults
-            .read()
+        read(&self.faults)
             .as_ref()
             .map(|l| l.stats())
             .unwrap_or_default()
     }
 
     pub(crate) fn is_dead(&self, node: NodeId) -> bool {
-        self.nodes.read().get(&node).is_none_or(|e| e.dead)
+        read(&self.nodes).get(&node).is_none_or(|e| e.dead)
     }
 
     pub(crate) fn is_alive(&self, node: NodeId) -> bool {
@@ -177,7 +176,7 @@ impl<M: Send + Clone + 'static> Clone for ClusterHandle<M> {
 impl<M: Send + Clone + 'static> ClusterHandle<M> {
     /// Sends a control signal to a node.
     pub fn send_control(&self, to: NodeId, ctrl: Control) -> Result<(), SendError> {
-        let nodes = self.inner.nodes.read();
+        let nodes = read(&self.inner.nodes);
         match nodes.get(&to) {
             Some(entry) if !entry.dead => entry
                 .tx
@@ -331,7 +330,7 @@ impl<M: Send + Clone + 'static> Cluster<M> {
         let id = NodeId(self.next_id);
         self.next_id += 1;
         let (tx, rx) = unbounded();
-        self.inner.nodes.write().insert(
+        write(&self.inner.nodes).insert(
             id,
             NodeEntry {
                 tx,
@@ -369,7 +368,7 @@ impl<M: Send + Clone + 'static> Cluster<M> {
     ///
     /// Idempotent; killing an unknown node is a no-op.
     pub fn kill(&self, node: NodeId) {
-        let mut nodes = self.inner.nodes.write();
+        let mut nodes = write(&self.inner.nodes);
         if let Some(entry) = nodes.get_mut(&node) {
             if !entry.dead {
                 entry.dead = true;
@@ -392,15 +391,12 @@ impl<M: Send + Clone + 'static> Cluster<M> {
 
     /// The reliability class `node` was spawned with, if it exists.
     pub fn class_of(&self, node: NodeId) -> Option<NodeClass> {
-        self.inner.nodes.read().get(&node).map(|e| e.class)
+        read(&self.inner.nodes).get(&node).map(|e| e.class)
     }
 
     /// Ids of all currently-alive nodes, sorted.
     pub fn live_nodes(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self
-            .inner
-            .nodes
-            .read()
+        let mut ids: Vec<NodeId> = read(&self.inner.nodes)
             .iter()
             .filter(|(_, e)| !e.dead)
             .map(|(id, _)| *id)
@@ -415,10 +411,7 @@ impl<M: Send + Clone + 'static> Cluster<M> {
     /// that AgileML's backup streams flow from transient ActivePSs
     /// toward reliable BackupPSs only.
     pub fn traffic_matrix(&self) -> Vec<((NodeId, NodeId), u64)> {
-        let mut rows: Vec<((NodeId, NodeId), u64)> = self
-            .inner
-            .traffic
-            .read()
+        let mut rows: Vec<((NodeId, NodeId), u64)> = read(&self.inner.traffic)
             .iter()
             .map(|(k, v)| (*k, *v))
             .collect();
@@ -428,9 +421,7 @@ impl<M: Send + Clone + 'static> Cluster<M> {
 
     /// Messages delivered from `from` to `to`.
     pub fn traffic_between(&self, from: NodeId, to: NodeId) -> u64 {
-        self.inner
-            .traffic
-            .read()
+        read(&self.inner.traffic)
             .get(&(from, to))
             .copied()
             .unwrap_or(0)
@@ -456,7 +447,7 @@ impl<M: Send + Clone + 'static> Cluster<M> {
 
     /// Kills every node and then joins all threads — a hard teardown.
     pub fn abort_all(mut self) {
-        let ids: Vec<NodeId> = self.inner.nodes.read().keys().copied().collect();
+        let ids: Vec<NodeId> = read(&self.inner.nodes).keys().copied().collect();
         for id in ids {
             self.kill(id);
         }

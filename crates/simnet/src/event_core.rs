@@ -63,7 +63,7 @@
 //! (their sends report success); those messages are counted drops at
 //! commit, exactly like mail in flight to a machine that just died.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use proteus_obs::Recorder;
@@ -122,17 +122,16 @@ type Handler<M, E> = Box<dyn FnMut(&mut SimCtx<'_, M>, E) + Send>;
 pub struct FnNode<M> {
     on_message: Handler<M, (NodeId, M)>,
     on_control: Option<Handler<M, Control>>,
-    on_timer: Option<Handler<M, TimerId>>,
 }
 
 impl<M> FnNode<M> {
-    /// A component handling application messages with `f` (and ignoring
-    /// controls and timers until handlers are attached).
+    /// A component handling application messages with `f`. It ignores
+    /// timers, and controls until [`with_control`](Self::with_control)
+    /// attaches a handler.
     pub fn new(mut f: impl FnMut(&mut SimCtx<'_, M>, NodeId, M) + Send + 'static) -> Self {
         FnNode {
             on_message: Box::new(move |ctx, (from, msg)| f(ctx, from, msg)),
             on_control: None,
-            on_timer: None,
         }
     }
 
@@ -142,15 +141,6 @@ impl<M> FnNode<M> {
         f: impl FnMut(&mut SimCtx<'_, M>, Control) + Send + 'static,
     ) -> Self {
         self.on_control = Some(Box::new(f));
-        self
-    }
-
-    /// Attaches a timer handler; builder style.
-    pub fn with_timer(
-        mut self,
-        f: impl FnMut(&mut SimCtx<'_, M>, TimerId) + Send + 'static,
-    ) -> Self {
-        self.on_timer = Some(Box::new(f));
         self
     }
 }
@@ -163,12 +153,6 @@ impl<M> SimNode<M> for FnNode<M> {
     fn on_control(&mut self, ctx: &mut SimCtx<'_, M>, ctrl: Control) {
         if let Some(f) = self.on_control.as_mut() {
             f(ctx, ctrl);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut SimCtx<'_, M>, timer: TimerId) {
-        if let Some(f) = self.on_timer.as_mut() {
-            f(ctx, timer);
         }
     }
 }
@@ -189,9 +173,6 @@ enum SimEvent<M> {
     Control { to: NodeId, ctrl: Control },
     /// A component timer firing.
     Timer { node: NodeId, timer: TimerId },
-    /// A deferred harness send, pushed through the fault layer (and the
-    /// link) at its fire time.
-    Inject { to: NodeId, msg: M },
 }
 
 /// Per-node registry metadata, indexed by `NodeId.0` (ids are handed
@@ -288,10 +269,8 @@ struct CoreState<M> {
     now: SimTime,
     queue: EventQueue<SimEvent<M>>,
     meta: Vec<NodeMeta>,
-    /// Default one-way link latency applied to every delivery.
+    /// One-way link latency applied to every delivery.
     link_latency: SimDuration,
-    /// Per-(sender, receiver) latency overrides.
-    link_overrides: HashMap<(NodeId, NodeId), SimDuration>,
     faults: Option<FaultLayer<M>>,
     messages: u64,
     dropped: u64,
@@ -309,13 +288,6 @@ fn is_alive(meta: &[NodeMeta], node: NodeId) -> bool {
 }
 
 impl<M: Clone> CoreState<M> {
-    fn latency(&self, from: NodeId, to: NodeId) -> SimDuration {
-        self.link_overrides
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.link_latency)
-    }
-
     /// Pushes one message sent at `sent` through the fault layer and
     /// schedules the surviving copies as delivery events at
     /// `sent + latency`.
@@ -338,7 +310,7 @@ impl<M: Clone> CoreState<M> {
             Some(layer) => layer.apply(from, to, msg),
         };
         let alive = is_alive(&self.meta, to);
-        let at = sent + self.latency(from, to);
+        let at = sent + self.link_latency;
         let absorbed = applied.absorbed;
         for m in applied.copies.into_iter().chain(applied.released) {
             if alive {
@@ -508,7 +480,6 @@ impl<M: Clone + Send> SimCluster<M> {
                 queue: EventQueue::new(),
                 meta: Vec::new(),
                 link_latency: SimDuration::ZERO,
-                link_overrides: HashMap::new(),
                 faults: None,
                 messages: 0,
                 dropped: 0,
@@ -522,14 +493,9 @@ impl<M: Clone + Send> SimCluster<M> {
         }
     }
 
-    /// Sets the default one-way link latency applied to every delivery.
+    /// Sets the one-way link latency applied to every delivery.
     pub fn set_link_latency(&mut self, latency: SimDuration) {
         self.state.link_latency = latency;
-    }
-
-    /// Overrides the link latency for messages from `from` to `to`.
-    pub fn set_link_latency_between(&mut self, from: NodeId, to: NodeId, latency: SimDuration) {
-        self.state.link_overrides.insert((from, to), latency);
     }
 
     /// Adds a node of the given reliability class, returning its id. The
@@ -604,14 +570,6 @@ impl<M: Clone + Send> SimCluster<M> {
         self.state.enqueue(self.state.now, from, to, msg)
     }
 
-    /// Schedules a harness send to be pushed through the fault layer at
-    /// the absolute instant `at` (clamped to no earlier than now).
-    pub fn schedule_harness_send(&mut self, at: SimTime, to: NodeId, msg: M) {
-        self.state
-            .queue
-            .schedule(at.max(self.state.now), SimEvent::Inject { to, msg });
-    }
-
     /// Delivers a control signal to `to` at the current instant.
     pub fn send_control(&mut self, to: NodeId, ctrl: Control) -> Result<(), SendError> {
         if !self.alive(to) {
@@ -681,7 +639,7 @@ impl<M: Clone + Send> SimCluster<M> {
         let held = layer.drain_held();
         let n = held.len();
         for (from, to, msg) in held {
-            let at = self.state.now + self.state.latency(from, to);
+            let at = self.state.now + self.state.link_latency;
             if self.alive(to) {
                 self.state
                     .queue
@@ -807,16 +765,11 @@ impl<M: Clone + Send> SimCluster<M> {
 
         // Form: every event at `at` that is queued right now.
         let mut groups: Vec<Group<M>> = Vec::new();
-        let mut injects: Vec<(NodeId, M)> = Vec::new();
         while let Some((_, ev)) = self.state.queue.pop_due(at) {
             let (to, due) = match ev {
                 SimEvent::Deliver { from, to, msg } => (to, Due::Deliver { from, msg }),
                 SimEvent::Control { to, ctrl } => (to, Due::Control(ctrl)),
                 SimEvent::Timer { node, timer } => (node, Due::Timer(timer)),
-                SimEvent::Inject { to, msg } => {
-                    injects.push((to, msg));
-                    continue;
-                }
             };
             let slot = to.0 as usize;
             let group = match self.group_at.get(slot).copied().flatten() {
@@ -888,9 +841,6 @@ impl<M: Clone + Send> SimCluster<M> {
         }
         for group in groups {
             self.settle(group);
-        }
-        for (to, msg) in injects {
-            let _ = self.state.enqueue(at, NodeId::HARNESS, to, msg);
         }
     }
 }

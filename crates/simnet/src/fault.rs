@@ -33,12 +33,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
-use parking_lot::{Mutex, RwLock};
 use proteus_obs::Recorder;
 
 use crate::node::NodeId;
+use crate::{lock, read, write};
 
 /// Metrics-registry counter mirroring [`FaultStats::dropped`]. Unlike
 /// the per-layer atomics, recorder counters survive
@@ -264,12 +264,12 @@ impl<M: Clone> FaultLayer<M> {
     /// Attaches (or replaces) the mirror recorder after construction —
     /// drivers often install fault plans before observability.
     pub(crate) fn set_recorder(&self, rec: Arc<Recorder>) {
-        *self.obs.write() = Some(rec);
+        *write(&self.obs) = Some(rec);
     }
 
     /// Bumps the persistent mirror counter for one injected fault.
     fn mirror(&self, name: &'static str) {
-        if let Some(rec) = self.obs.read().as_deref() {
+        if let Some(rec) = read(&self.obs).as_deref() {
             rec.counter_add(name, 1);
         }
     }
@@ -299,7 +299,7 @@ impl<M: Clone> FaultLayer<M> {
             }
         };
         let (drop_p, dup_p, delay_p) = (rule.drop, rule.duplicate, rule.delay);
-        let mut pairs = self.pairs.lock();
+        let mut pairs = lock(&self.pairs);
         let pair = pairs.entry((from, to)).or_insert_with(|| PairState {
             rng: SplitMix64(
                 self.plan.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -358,8 +358,7 @@ impl<M: Clone> FaultLayer<M> {
     }
 
     fn take_held(&self, from: NodeId, to: NodeId) -> Option<M> {
-        self.pairs
-            .lock()
+        lock(&self.pairs)
             .get_mut(&(from, to))
             .and_then(|p| p.held.take())
     }
@@ -367,7 +366,7 @@ impl<M: Clone> FaultLayer<M> {
     /// Drains every held-back message, returning them with their pair so
     /// the cluster can deliver them directly (bypassing re-injection).
     pub(crate) fn drain_held(&self) -> Vec<(NodeId, NodeId, M)> {
-        let mut pairs = self.pairs.lock();
+        let mut pairs = lock(&self.pairs);
         let mut out: Vec<(NodeId, NodeId, M)> = pairs
             .iter_mut()
             .filter_map(|(&(f, t), p)| p.held.take().map(|m| (f, t, m)))

@@ -52,3 +52,21 @@ pub use fault::{
 };
 pub use message::{Control, Envelope, Incoming, RecvError, SendError};
 pub use node::{NodeClass, NodeCtx, NodeId};
+
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+// The cluster's locks guard plain tables that stay consistent whatever
+// a panicking node handler did, so a poisoned lock is recovered, never
+// propagated into every other node.
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::NodeId;
 
 /// An application message together with its sender.
@@ -16,7 +14,7 @@ pub struct Envelope<M> {
 }
 
 /// Control signals injected by the harness (never by peer nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Control {
     /// The provider announced this node will be revoked — the analogue of
     /// EC2's two-minute warning. `deadline_ms` is the wall-clock budget

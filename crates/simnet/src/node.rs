@@ -3,13 +3,11 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cluster::ClusterInner;
 use crate::message::{Control, Incoming, RecvError, SendError};
 
 /// Identifies one simulated machine in a [`Cluster`](crate::Cluster).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -32,7 +30,7 @@ impl fmt::Display for NodeId {
 ///
 /// Reliable machines (EC2 on-demand) are never revoked by the provider;
 /// transient machines (spot) can be evicted at any time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeClass {
     /// Non-transient, e.g. an on-demand instance.
     Reliable,

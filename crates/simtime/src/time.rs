@@ -9,8 +9,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Milliseconds in one second.
 pub const MILLIS_PER_SEC: u64 = 1_000;
 /// Milliseconds in one minute.
@@ -29,9 +27,7 @@ pub const MILLIS_PER_HOUR: u64 = 60 * MILLIS_PER_MIN;
 /// assert_eq!(warning.as_secs(), 120);
 /// assert!(warning < SimDuration::from_hours(1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -220,9 +216,7 @@ impl fmt::Display for SimDuration {
 /// assert_eq!(t.billing_hour_index(SimTime::EPOCH), 1);
 /// assert_eq!(t.time_into_billing_hour(SimTime::EPOCH).as_mins(), 35);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -53,4 +53,12 @@ for m in Cargo.toml crates/*/Cargo.toml; do
   done
 done
 
+# A [workspace.dependencies] entry must be inherited by some manifest:
+# a vendored stub must not outlive its last edge.
+echo "==> no [workspace.dependencies] entry that no manifest inherits"
+for dep in $(awk '/^\[/{on=($0=="[workspace.dependencies]")} on&&/^[a-z]/{sub(/[ =].*/,"");print}' Cargo.toml); do
+  grep -qE "^$dep(\.workspace| = \{ *workspace)" Cargo.toml crates/*/Cargo.toml \
+    || { echo "error: [workspace.dependencies] lists $dep but no manifest inherits it" >&2; exit 1; }
+done
+
 echo "==> all checks passed"
