@@ -28,21 +28,68 @@ pub struct BetaPoint {
 pub struct BetaTable {
     /// Points ordered by increasing delta.
     points: Vec<BetaPoint>,
+    /// Per point, [`hour_row`](Self::hour_row) at its delta, resolved
+    /// once: what a bid-delta sweep reads for an on-grid delta.
+    rows: Vec<(f64, f64)>,
 }
 
 impl BetaTable {
     /// Builds a table from sample points (sorted by delta internally).
     ///
-    /// Returns `None` if `points` is empty.
+    /// Returns `None` if `points` is empty or a delta is not finite.
     pub fn new(mut points: Vec<BetaPoint>) -> Option<Self> {
-        if points.is_empty() {
+        if points.is_empty() || points.iter().any(|p| !p.delta.is_finite()) {
             return None;
         }
-        // Deltas are caller-supplied configuration constants, validated
-        // finite before any table is built.
-        #[allow(clippy::expect_used)]
-        points.sort_by(|a, b| a.delta.partial_cmp(&b.delta).expect("finite deltas"));
-        Some(BetaTable { points })
+        points.sort_by(|a, b| a.delta.total_cmp(&b.delta));
+        let mut table = BetaTable {
+            points,
+            rows: Vec::new(),
+        };
+        table.rows = table
+            .points
+            .iter()
+            .map(|p| table.interpolate_hour_row(p.delta))
+            .collect();
+        Some(table)
+    }
+
+    /// `(β, min(median time-to-eviction, 1 h) in hours)` at `delta`:
+    /// what Eqs. 1–2 read for a holding with a whole billing hour ahead.
+    /// A sampled delta reads the row resolved when the table was built
+    /// (matched by value; duplicates resolve alike); any other delta is
+    /// interpolated. Either way the bits are those of
+    /// [`beta`](Self::beta) and [`median_tte`](Self::median_tte).
+    pub fn hour_row(&self, delta: f64) -> (f64, f64) {
+        let mut row = [(0.0, 0.0)];
+        self.hour_rows(&[delta], &mut row);
+        row[0]
+    }
+
+    /// [`hour_row`](Self::hour_row) of each of `deltas` into the same
+    /// place of `rows`. The match walks the grid: an ascending list
+    /// (every configured sweep) passes over it once, and a step back
+    /// starts the walk over.
+    pub(crate) fn hour_rows(&self, deltas: &[f64], rows: &mut [(f64, f64)]) {
+        let pts = &self.points;
+        let mut i = 0;
+        for (&delta, row) in deltas.iter().zip(rows) {
+            if pts.get(i).is_none_or(|p| p.delta > delta) {
+                i = 0;
+            }
+            while pts.get(i).is_some_and(|p| p.delta < delta) {
+                i += 1;
+            }
+            *row = match pts.get(i) {
+                Some(p) if p.delta == delta => self.rows[i],
+                _ => self.interpolate_hour_row(delta),
+            };
+        }
+    }
+
+    fn interpolate_hour_row(&self, delta: f64) -> (f64, f64) {
+        let tte = self.median_tte(delta).min(HOUR);
+        (self.beta(delta), tte.as_hours_f64())
     }
 
     /// β at an arbitrary delta (nearest-point lookup with linear
@@ -84,6 +131,9 @@ impl BetaTable {
 /// table: a coin flip, half an hour in.
 const UNTRAINED: (f64, SimDuration) = (0.5, SimDuration::from_mins(30));
 
+/// One billing hour.
+pub(crate) const HOUR: SimDuration = SimDuration::from_hours(1);
+
 /// Builds β tables per market by replaying historical traces.
 #[derive(Debug, Clone, Default)]
 pub struct BetaEstimator {
@@ -102,7 +152,13 @@ impl BetaEstimator {
     }
 
     /// Trains the β table for `market` by simulating hour-long holdings
-    /// started every `stride` across `[from, to]` of `trace`.
+    /// started every `stride` across `[from, to]` of `trace`, one point
+    /// per distinct delta.
+    ///
+    /// # Panics
+    ///
+    /// If `deltas` is empty or holds a delta that is not finite and
+    /// positive, or if `stride` is zero.
     pub fn train(
         &mut self,
         market: MarketKey,
@@ -113,17 +169,25 @@ impl BetaEstimator {
         deltas: &[f64],
     ) {
         assert!(!stride.is_zero(), "training stride must be positive");
-        let hour = SimDuration::from_hours(1);
+        assert!(
+            !deltas.is_empty() && deltas.iter().all(|d| d.is_finite() && *d > 0.0),
+            "bid deltas must be finite and positive: {deltas:?}"
+        );
+        // In delta order, so the monotone pass below runs along the
+        // curve, and each once: a duplicate would train an identical point.
+        let mut deltas = deltas.to_vec();
+        deltas.sort_by(f64::total_cmp);
+        deltas.dedup();
         let mut points = Vec::with_capacity(deltas.len());
-        for &delta in deltas {
+        for delta in deltas {
             let mut evictions = 0usize;
             let mut trials = 0usize;
             let mut ttes: Vec<SimDuration> = Vec::new();
             let mut t = from;
-            while t + hour <= to {
+            while t + HOUR <= to {
                 let bid = trace.price_at(t) + delta;
                 trials += 1;
-                if let Some(cross) = trace.first_crossing_above(bid, t, t + hour) {
+                if let Some(cross) = trace.first_crossing_above(bid, t, t + HOUR) {
                     if cross > t {
                         evictions += 1;
                         ttes.push(cross - t);
@@ -144,7 +208,7 @@ impl BetaEstimator {
             };
             ttes.sort();
             let median_tte = if ttes.is_empty() {
-                hour
+                HOUR
             } else {
                 ttes[ttes.len() / 2]
             };
@@ -161,8 +225,8 @@ impl BetaEstimator {
             run_min = run_min.min(p.beta);
             p.beta = run_min;
         }
-        // `points` mirrors the non-empty delta grid iterated just above,
-        // so the table constructor cannot see an empty input.
+        // `points` mirrors the non-empty, finite delta grid asserted
+        // above, so the table constructor cannot refuse it.
         #[allow(clippy::expect_used)]
         self.tables
             .insert(market, BetaTable::new(points).expect("non-empty deltas"));
@@ -187,6 +251,15 @@ impl BetaEstimator {
     /// lookup once.
     pub fn point(table: Option<&BetaTable>, delta: f64) -> (f64, SimDuration) {
         table.map_or(UNTRAINED, |t| (t.beta(delta), t.median_tte(delta)))
+    }
+
+    /// [`BetaTable::hour_rows`] in an already resolved table, with the
+    /// untrained defaults for `None`.
+    pub(crate) fn hour_rows(table: Option<&BetaTable>, deltas: &[f64], rows: &mut [(f64, f64)]) {
+        match table {
+            Some(t) => t.hour_rows(deltas, rows),
+            None => rows[..deltas.len()].fill((UNTRAINED.0, UNTRAINED.1.min(HOUR).as_hours_f64())),
+        }
     }
 
     /// The trained table for `market`, if any.
@@ -266,6 +339,79 @@ mod tests {
         let mid = table.beta(0.055);
         assert!((mid - 0.5).abs() < 1e-9, "midpoint interpolates: {mid}");
         assert_eq!(table.median_tte(0.055).as_mins(), 25);
+    }
+
+    /// A row is the interpolation it stands for, bit for bit: at the
+    /// first, middle and last sampled deltas, in a one-point table
+    /// (whose median time-to-eviction is past the hour, so capped), and
+    /// where two points share a delta; off the grid it interpolates.
+    /// A walk over an unsorted list with a repeat matches by value.
+    #[test]
+    fn hour_rows_are_the_interpolation() {
+        let pt = |delta, beta, mins| BetaPoint {
+            delta,
+            beta,
+            median_tte: SimDuration::from_mins(mins),
+        };
+        let interpolated = |t: &BetaTable, d: f64| {
+            let tte = t.median_tte(d).min(HOUR).as_hours_f64();
+            (t.beta(d).to_bits(), tte.to_bits())
+        };
+        let bits = |(beta, tte): (f64, f64)| (beta.to_bits(), tte.to_bits());
+        let tables = [
+            vec![pt(0.01, 0.8, 10), pt(0.05, 0.5, 25), pt(0.10, 0.2, 40)],
+            vec![pt(0.02, 0.3, 90)],
+            vec![pt(0.01, 0.8, 10), pt(0.01, 0.6, 20), pt(0.10, 0.2, 40)],
+        ];
+        for points in &tables {
+            let table = BetaTable::new(points.clone()).expect("non-empty");
+            for d in points.iter().map(|p| p.delta).chain([0.001, 0.03, 0.5]) {
+                assert_eq!(bits(table.hour_row(d)), interpolated(&table, d), "δ {d}");
+            }
+        }
+        let table = BetaTable::new(tables[0].clone()).expect("non-empty");
+        let deltas = [0.10, 0.01, 0.10, 0.03, 0.05, 0.001];
+        let mut rows = [(0.0, 0.0); 6];
+        table.hour_rows(&deltas, &mut rows);
+        for (&d, &row) in deltas.iter().zip(&rows) {
+            assert_eq!(bits(row), interpolated(&table, d), "δ {d}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bid deltas must be finite and positive")]
+    fn training_rejects_a_non_finite_delta() {
+        BetaEstimator::new().train(
+            key(),
+            &PriceTrace::constant(0.05),
+            SimTime::EPOCH,
+            SimTime::from_hours(10),
+            SimDuration::from_mins(30),
+            &[0.01, f64::NAN],
+        );
+    }
+
+    /// A repeated delta trains the one point it names, in any order.
+    #[test]
+    fn duplicate_deltas_train_one_point() {
+        let horizon = SimDuration::from_hours(72);
+        let trace = TraceGenerator::new(5, MarketModel::volatile()).generate(key(), horizon);
+        let train = |deltas: &[f64]| {
+            let mut est = BetaEstimator::new();
+            est.train(
+                key(),
+                &trace,
+                SimTime::EPOCH,
+                SimTime::EPOCH + horizon,
+                SimDuration::from_mins(30),
+                deltas,
+            );
+            est
+        };
+        let once = train(&[0.001, 0.05]);
+        let twice = train(&[0.05, 0.001, 0.05, 0.001]);
+        assert_eq!(twice.table(key()), once.table(key()));
+        assert_eq!(twice.table(key()).map(|t| t.points().len()), Some(2));
     }
 
     #[test]

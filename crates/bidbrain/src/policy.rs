@@ -5,7 +5,7 @@ use proteus_market::{AllocationId, MarketKey, SpotAllocation};
 use proteus_obs::{BidEvent, Event, Recorder};
 use proteus_simtime::{SimDuration, SimTime};
 
-use crate::beta::{BetaEstimator, BetaTable};
+use crate::beta::{BetaEstimator, BetaTable, HOUR};
 use crate::objective::Objective;
 use crate::params::AppParams;
 
@@ -69,6 +69,12 @@ pub struct FootprintEval {
 }
 
 impl FootprintEval {
+    /// A lane [`BidBrain::finish`] has not written yet.
+    const UNWRITTEN: FootprintEval = FootprintEval {
+        expected_cost: 0.0,
+        expected_work: 0.0,
+    };
+
     /// Expected cost per unit work `E_A = C_A / W_A` (Eq. 4); infinite
     /// when the footprint produces no work.
     pub fn cost_per_work(&self) -> f64 {
@@ -162,7 +168,7 @@ impl Default for BidBrainConfig {
 
 /// One allocation's share of Eqs. 1–3 that depends on nothing but the
 /// allocation itself.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Term {
     /// `1 − β`.
     survive: f64,
@@ -177,6 +183,10 @@ struct Term {
     /// `k ·` vCPUs.
     cores: f64,
 }
+
+/// Candidates [`BidBrain::finish`] scores in one pass: a market's
+/// bid-delta row is swept in chunks of this many.
+const LANES: usize = 16;
 
 /// A standing footprint's [`Term`]s with their running survival
 /// product, cost sum and core sum, and λ and σ in hours: everything in
@@ -235,27 +245,33 @@ impl<'a> BidBrain<'a> {
         &self.config
     }
 
-    /// The part of Eqs. 1–3 that `a` contributes whatever else is held:
-    /// `1 − β`, its Eq. 1 cost and `ω`. `table` is `a`'s market's β
-    /// table, resolved by the caller.
-    fn term(&self, a: &AllocView, table: Option<&BetaTable>) -> Term {
-        let tr = a.time_remaining.as_hours_f64();
-        // ωᵢ: expected useful time, shortened to the median eviction
-        // time when eviction is the likely outcome.
-        let (beta, tte) = match a.bid_delta {
-            None => (0.0, a.time_remaining),
+    /// `a`'s eviction inputs to Eqs. 1–2 — `β`, and the median time to
+    /// eviction in hours capped at the time left — from `table`, `a`'s
+    /// market's β table, resolved by the caller. On-demand never evicts.
+    fn eviction(a: &AllocView, table: Option<&BetaTable>) -> (f64, f64) {
+        match a.bid_delta {
+            None => (0.0, a.time_remaining.as_hours_f64()),
             Some(delta) => {
                 let (beta, tte) = BetaEstimator::point(table, delta);
-                (beta, tte.min(a.time_remaining))
+                (beta, tte.min(a.time_remaining).as_hours_f64())
             }
-        };
+        }
+    }
+
+    /// The part of Eqs. 1–3 that `a` contributes whatever else is held:
+    /// `1 − β`, its Eq. 1 cost and `ω`, given its
+    /// [`eviction`](Self::eviction) inputs.
+    fn term(a: &AllocView, (beta, tte): (f64, f64)) -> Term {
+        let tr = a.time_remaining.as_hours_f64();
         let count = f64::from(a.count);
         Term {
             survive: 1.0 - beta,
             // Eq. 1: evicted hours are refunded, so only the survival
             // branch costs money.
             cost: (1.0 - beta) * a.hourly_price * count * tr,
-            omega: (1.0 - beta) * tr + beta * tte.as_hours_f64(),
+            // ωᵢ: expected useful time, shortened to the median eviction
+            // time when eviction is the likely outcome.
+            omega: (1.0 - beta) * tr + beta * tte,
             count,
             work_rate: a.work_rate,
             cores: count * f64::from(a.market.instance_type().vcpus),
@@ -274,7 +290,7 @@ impl<'a> BidBrain<'a> {
             sigma: self.params.sigma.as_hours_f64(),
         };
         for a in footprint {
-            let t = self.term(a, self.beta.table(a.market));
+            let t = Self::term(a, Self::eviction(a, self.beta.table(a.market)));
             terms.survive *= t.survive;
             terms.cost += t.cost;
             terms.cores += t.cores;
@@ -283,33 +299,52 @@ impl<'a> BidBrain<'a> {
         terms
     }
 
-    /// Finishes an evaluation of `terms` plus an optional `candidate`,
-    /// folded in **last** — the order [`evaluate`](Self::evaluate)
-    /// walks a footprint that ends in the candidate, so both produce
-    /// the same bits. `phi` is Eq. 3's φ at the combined core count.
+    /// Finishes an evaluation of `terms` plus each of `candidates` (at
+    /// most [`LANES`]) into the same lane of `evals`; with no
+    /// candidates, `terms` alone into lane 0. Lane `l` is `footprint +
+    /// [candidates[l]]` with the candidate folded in **last** — the
+    /// order [`evaluate`](Self::evaluate) walks such a footprint — so
+    /// every lane has exactly those bits: lanes share the walk over the
+    /// held terms, never an operation. `phi` is Eq. 3's φ at the
+    /// combined core count, the same in every lane.
     fn finish(
         &self,
         terms: &Terms,
-        candidate: Option<&Term>,
+        candidates: &[Term],
         phi: f64,
         changing: bool,
-    ) -> FootprintEval {
+        evals: &mut [FootprintEval],
+    ) {
+        debug_assert!(candidates.len() <= LANES, "one chunk of a δ row");
+        let evals = &mut evals[..candidates.len().max(1)];
         // Group eviction probability: 1 − Π(1 − βj).
-        let survive_all = candidate.map_or(terms.survive, |c| terms.survive * c.survive);
-        let p_any_eviction = 1.0 - survive_all;
-        let mut raw_work = 0.0;
-        for t in terms.each.iter().chain(candidate) {
-            // Eq. 2: Δtᵢ = ωᵢ − P(any eviction)·λ − σ.
-            let mut dt = t.omega - p_any_eviction * terms.lambda;
-            if changing {
-                dt -= terms.sigma;
-            }
-            raw_work += t.count * dt.max(0.0) * t.work_rate;
+        let mut p_any_eviction = [0.0; LANES];
+        for (l, (p, eval)) in p_any_eviction.iter_mut().zip(&mut *evals).enumerate() {
+            let c = candidates.get(l);
+            *p = 1.0 - c.map_or(terms.survive, |c| terms.survive * c.survive);
+            *eval = FootprintEval {
+                expected_cost: c.map_or(terms.cost, |c| terms.cost + c.cost),
+                expected_work: 0.0,
+            };
         }
-        FootprintEval {
-            expected_cost: candidate.map_or(terms.cost, |c| terms.cost + c.cost),
+        // Eq. 2: Δtᵢ = ωᵢ − P(any eviction)·λ − σ, σ only while
+        // changing (`x − 0.0` is `x`, bit for bit); as work, `k·Δt·ν`.
+        let sigma = if changing { terms.sigma } else { 0.0 };
+        let work = |t: &Term, p_any_eviction: f64| {
+            let dt = t.omega - p_any_eviction * terms.lambda - sigma;
+            t.count * dt.max(0.0) * t.work_rate
+        };
+        for t in &terms.each {
+            for (eval, &p) in evals.iter_mut().zip(&p_any_eviction) {
+                eval.expected_work += work(t, p);
+            }
+        }
+        for ((eval, &p), c) in evals.iter_mut().zip(&p_any_eviction).zip(candidates) {
+            eval.expected_work += work(c, p);
+        }
+        for eval in evals {
             // Eq. 3: scale by the application's scalability coefficient φ.
-            expected_work: raw_work * phi,
+            eval.expected_work *= phi;
         }
     }
 
@@ -325,7 +360,15 @@ impl<'a> BidBrain<'a> {
 
     /// [`finish`](Self::finish) with no candidate.
     fn finish_as_held(&self, terms: &Terms, changing: bool) -> FootprintEval {
-        self.finish(terms, None, self.params.phi(terms.cores), changing)
+        let mut eval = [FootprintEval::UNWRITTEN];
+        self.finish(
+            terms,
+            &[],
+            self.params.phi(terms.cores),
+            changing,
+            &mut eval,
+        );
+        eval[0]
     }
 
     /// Total vCPUs in a footprint.
@@ -390,14 +433,21 @@ impl<'a> BidBrain<'a> {
         }
         // Terms once per decision, β table and φ once per market (the
         // candidate's count, hence the combined core count, does not
-        // depend on δ); only the finish runs per (market, δ).
+        // depend on δ); per market, one finish scores the δ row.
         let terms = self.terms(footprint);
         let current_score = self
             .config
             .objective
             .score(&self.finish_as_held(&terms, false));
 
-        let mut ranked: Vec<(f64, AllocationRequest, FootprintEval)> = Vec::new();
+        let mut ranked: Vec<(f64, AllocationRequest, FootprintEval)> =
+            Vec::with_capacity(markets.len());
+        let mut rows = [(0.0, 0.0); LANES];
+        let mut candidates = [Term::default(); LANES];
+        let mut evals = [FootprintEval::UNWRITTEN; LANES];
+        // φ of the last market's combined core count: markets of one
+        // instance type at one count share it.
+        let mut phi_at = (f64::NAN, f64::NAN);
         for &(market, price) in markets {
             let vcpus = market.instance_type().vcpus;
             let headroom = (self.config.target_cores - current_cores) / vcpus;
@@ -406,32 +456,42 @@ impl<'a> BidBrain<'a> {
                 continue;
             }
             let table = self.beta.table(market);
-            let phi = self
-                .params
-                .phi(terms.cores + f64::from(count) * f64::from(vcpus));
+            let cores = terms.cores + f64::from(count) * f64::from(vcpus);
+            if cores != phi_at.0 {
+                phi_at = (cores, self.params.phi(cores));
+            }
+            let phi = phi_at.1;
             let mut best: Option<(f64, AllocationRequest, FootprintEval)> = None;
-            for &delta in &self.config.bid_deltas {
-                let candidate = AllocView {
-                    market,
-                    count,
-                    hourly_price: price,
-                    bid_delta: Some(delta),
-                    time_remaining: SimDuration::from_hours(1),
-                    work_rate: f64::from(vcpus),
-                };
-                let eval = self.finish(&terms, Some(&self.term(&candidate, table)), phi, true);
-                let score = self.config.objective.score(&eval);
-                if best.as_ref().is_none_or(|(b, _, _)| score < *b) {
-                    best = Some((
-                        score,
-                        AllocationRequest {
-                            market,
-                            count,
-                            bid: price + delta,
-                            delta,
-                        },
-                        eval,
-                    ));
+            for deltas in self.config.bid_deltas.chunks(LANES) {
+                // A fresh hour-long holding at each δ reads the table's
+                // row: the `eviction` inputs, resolved once per table.
+                BetaEstimator::hour_rows(table, deltas, &mut rows);
+                for ((c, &delta), &row) in candidates.iter_mut().zip(deltas).zip(&rows) {
+                    let view = AllocView {
+                        market,
+                        count,
+                        hourly_price: price,
+                        bid_delta: Some(delta),
+                        time_remaining: HOUR,
+                        work_rate: f64::from(vcpus),
+                    };
+                    *c = Self::term(&view, row);
+                }
+                self.finish(&terms, &candidates[..deltas.len()], phi, true, &mut evals);
+                for (&delta, &eval) in deltas.iter().zip(&evals) {
+                    let score = self.config.objective.score(&eval);
+                    if best.as_ref().is_none_or(|(b, _, _)| score < *b) {
+                        best = Some((
+                            score,
+                            AllocationRequest {
+                                market,
+                                count,
+                                bid: price + delta,
+                                delta,
+                            },
+                            eval,
+                        ));
+                    }
                 }
             }
             // The improvement gate is monotone in the score, so
@@ -490,15 +550,18 @@ impl<'a> BidBrain<'a> {
         }
         let renewed = AllocView {
             hourly_price: renew_price,
-            time_remaining: SimDuration::from_hours(1),
+            time_remaining: HOUR,
             ..alloc.clone()
         };
         let terms = self.terms(rest);
-        let renewed = self.term(&renewed, self.beta.table(alloc.market));
+        let renewed = Self::term(
+            &renewed,
+            Self::eviction(&renewed, self.beta.table(alloc.market)),
+        );
         let phi_with = self.params.phi(terms.cores + renewed.cores);
-        let ea_with = self
-            .finish(&terms, Some(&renewed), phi_with, false)
-            .cost_per_work();
+        let mut with = [FootprintEval::UNWRITTEN];
+        self.finish(&terms, &[renewed], phi_with, false, &mut with);
+        let ea_with = with[0].cost_per_work();
         let ea_without = self.finish_as_held(&terms, true).cost_per_work();
         ea_with <= ea_without
     }

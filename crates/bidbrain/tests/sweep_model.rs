@@ -107,10 +107,14 @@ fn scenario(raw: u64) -> (BidBrain<'static>, Vec<(MarketKey, f64)>) {
     let config = BidBrainConfig {
         target_cores: [64, 256, 1536, u32::MAX][(raw >> 21) as usize % 4],
         max_alloc_instances: [1, 8, 64][(raw >> 24) as usize % 3],
-        bid_deltas: if (raw >> 2) & 1 == 0 {
-            BetaEstimator::default_deltas()
-        } else {
-            vec![0.00005, 0.003, 0.07, 0.33, 0.9]
+        // The training grid; fleet's on-grid subset (a row aligned by
+        // position, not value, misreads it); off the grid; unsorted
+        // with a duplicate.
+        bid_deltas: match (raw >> 2) & 1 | (raw >> 61) & 2 {
+            0 => BetaEstimator::default_deltas(),
+            1 => vec![0.00005, 0.003, 0.07, 0.33, 0.9],
+            2 => vec![0.0001, 0.01, 0.05, 0.4],
+            _ => vec![0.4, 0.0001, 0.4, 0.02],
         },
         min_improvement: [0.0, 0.02][(raw >> 23) as usize % 2],
         objective: match (raw >> 12) % 3 {

@@ -155,7 +155,7 @@ pub(crate) struct JobSim<'a> {
     prices: Vec<(MarketKey, f64)>,
     /// Observability recorder; `None` keeps every step allocation-free.
     obs: Option<Arc<Recorder>>,
-    /// Last prices emitted, in `current_prices` order, for change-only
+    /// Last prices emitted, in market order, for change-only
     /// `PriceMove` events; a slice compare keeps the no-change step on a
     /// branch-only fast path.
     obs_last_prices: Vec<(MarketKey, f64)>,
@@ -517,19 +517,6 @@ impl<'a> JobSim<'a> {
         self.holdings().map(|(_, view)| view).collect()
     }
 
-    /// Refills `prices` with every market's spot price at the current
-    /// instant: computed once per decision step and shared by the
-    /// renewal and acquisition passes (each price is a trace lookup),
-    /// into a buffer the steps reuse.
-    fn current_prices(&self, prices: &mut Vec<(MarketKey, f64)>) {
-        prices.clear();
-        prices.extend(
-            self.markets
-                .iter()
-                .filter_map(|m| self.provider.spot_price(*m).ok().map(|p| (*m, p))),
-        );
-    }
-
     /// Looks a market's price up in a memoized per-step price list.
     fn price_in(prices: &[(MarketKey, f64)], market: MarketKey) -> Option<f64> {
         prices.iter().find(|(m, _)| *m == market).map(|(_, p)| *p)
@@ -708,10 +695,11 @@ impl<'a> JobSim<'a> {
         let mut now = self.provider.now().max(self.start);
         let mut completed = false;
         while now < deadline {
-            // One trace lookup per market per step, shared by both
-            // decision passes.
+            // The provider's prices at `now`, copied once per step so
+            // the decision passes can hold them while they move it.
             let mut prices = std::mem::take(&mut self.prices);
-            self.current_prices(&mut prices);
+            prices.clear();
+            prices.extend_from_slice(self.provider.spot_prices());
             self.obs_step(now, &prices);
             self.forecast_step(now, &prices);
             self.renewals(&prices);

@@ -23,7 +23,7 @@ use crate::error::MarketError;
 use crate::fault::{FaultState, MarketFaultPlan, MarketFaultStats, TenantId};
 use crate::instance::MarketKey;
 use crate::spot::{billing_hour_end, SpotAllocation, SpotState};
-use crate::trace::TraceSet;
+use crate::trace::{PriceCursor, TraceSet};
 
 /// Metrics-registry counters mirroring [`MarketFaultStats`], so chaos
 /// suites can assert on recorded totals instead of re-deriving them
@@ -152,6 +152,8 @@ pub enum ProviderEvent {
 pub struct CloudProvider<'a> {
     traces: std::borrow::Cow<'a, TraceSet>,
     now: SimTime,
+    /// Every market's price at `now`; moves whenever `now` does.
+    cursor: PriceCursor,
     next_id: u64,
     spot: BTreeMap<AllocationId, SpotLease>,
     on_demand: BTreeMap<AllocationId, OnDemandLease>,
@@ -179,8 +181,10 @@ impl<'a> CloudProvider<'a> {
         traces: impl Into<std::borrow::Cow<'a, TraceSet>>,
         warning_lead: SimDuration,
     ) -> Self {
+        let traces = traces.into();
         CloudProvider {
-            traces: traces.into(),
+            cursor: PriceCursor::new(&traces),
+            traces,
             now: SimTime::EPOCH,
             next_id: 0,
             spot: BTreeMap::new(),
@@ -238,7 +242,16 @@ impl<'a> CloudProvider<'a> {
 
     /// The spot price of `market` at the current time.
     pub fn spot_price(&self, market: MarketKey) -> Result<f64, MarketError> {
-        self.spot_price_at(market, self.now)
+        self.traces
+            .slot(&market)
+            .map(|slot| self.cursor.prices()[slot].1)
+            .map_err(|_| MarketError::UnknownMarket(market))
+    }
+
+    /// Every registered market's spot price at the current time, in
+    /// market order.
+    pub fn spot_prices(&self) -> &[(MarketKey, f64)] {
+        self.cursor.prices()
     }
 
     /// The spot price of `market` at an arbitrary instant.
@@ -603,20 +616,21 @@ impl<'a> CloudProvider<'a> {
         self.obs_event(t, MarketEvent::Evicted { allocation: a.id.0 });
     }
 
-    /// Opens a billing hour at `t` for spot allocation `id`: anchors it,
-    /// prices it at the market price then, and charges it. Returns the
+    /// Opens a billing hour now for spot allocation `id`: anchors it,
+    /// prices it at the market price now, and charges it. Returns the
     /// charge.
     // Every caller holds the id of a live lease, and traces are never
     // unregistered, so any market that granted still prices.
     #[allow(clippy::expect_used)]
-    fn open_spot_hour(&mut self, t: SimTime, id: AllocationId) -> f64 {
+    fn open_spot_hour(&mut self, id: AllocationId) -> f64 {
+        let t = self.now;
+        let market = self.spot.get(&id).expect("lease exists").alloc.market;
+        let price = self
+            .spot_price(market)
+            .expect("trace existed at grant time");
         let a = &mut self.spot.get_mut(&id).expect("lease exists").alloc;
         a.hour_start = t;
-        a.hour_price = self
-            .traces
-            .get(&a.market)
-            .expect("trace existed at grant time")
-            .price_at(t);
+        a.hour_price = price;
         let charge = a.hour_charge();
         self.account.record(LedgerEntry {
             time: t,
@@ -647,14 +661,33 @@ impl<'a> CloudProvider<'a> {
             let next = self.next_happening(target);
             match next {
                 Some((t, h)) => {
-                    self.now = t;
+                    self.set_now(t);
                     self.apply_happening(t, h, &mut events);
                 }
                 None => break,
             }
         }
-        self.now = target;
+        self.set_now(target);
         Ok(events)
+    }
+
+    /// Moves the clock, and every market's price with it.
+    fn set_now(&mut self, t: SimTime) {
+        self.now = t;
+        self.cursor.advance(&self.traces, t);
+    }
+
+    /// The first instant in `(now, horizon]` at which `market`'s price
+    /// exceeds `bid` (`now` if it already does).
+    fn first_crossing_above(
+        &self,
+        market: MarketKey,
+        bid: f64,
+        horizon: SimTime,
+    ) -> Option<SimTime> {
+        let slot = self.traces.slot(&market).ok()?;
+        self.cursor
+            .first_crossing_above(&self.traces, slot, bid, horizon)
     }
 
     fn fresh_id(&mut self) -> AllocationId {
@@ -690,11 +723,9 @@ impl<'a> CloudProvider<'a> {
                 // the instances come up, then the crossing warns them.
                 consider(a.usable_at, Happening::Launch(a.id));
                 // A crossing during boot aborts the launch (unbilled).
-                if let Some(trace) = self.traces.get(&a.market) {
-                    let horizon = target.min(a.usable_at);
-                    if let Some(ct) = trace.first_crossing_above(a.bid, self.now, horizon) {
-                        consider(ct, Happening::Crossing(a.id));
-                    }
+                let horizon = target.min(a.usable_at);
+                if let Some(ct) = self.first_crossing_above(a.market, a.bid, horizon) {
+                    consider(ct, Happening::Crossing(a.id));
                 }
                 continue;
             }
@@ -709,11 +740,9 @@ impl<'a> CloudProvider<'a> {
             // Next bid crossing. Search from `now` up to the earlier of
             // the target and the hour end (crossings after the hour end
             // are found after the hour boundary is processed).
-            if let Some(trace) = self.traces.get(&a.market) {
-                let horizon = target.min(a.hour_end());
-                if let Some(ct) = trace.first_crossing_above(a.bid, self.now, horizon) {
-                    consider(ct, Happening::Crossing(a.id));
-                }
+            let horizon = target.min(a.hour_end());
+            if let Some(ct) = self.first_crossing_above(a.market, a.bid, horizon) {
+                consider(ct, Happening::Crossing(a.id));
             }
         }
         for lease in self.on_demand.values() {
@@ -740,7 +769,7 @@ impl<'a> CloudProvider<'a> {
                 // The completed hour was fully used and paid.
                 let count = self.spot.get(&id).expect("lease exists").alloc.count;
                 self.account.add_spot_usage(f64::from(count));
-                let charge = self.open_spot_hour(t, id);
+                let charge = self.open_spot_hour(id);
                 self.obs_event(
                     t,
                     MarketEvent::HourCharged {
@@ -790,7 +819,7 @@ impl<'a> CloudProvider<'a> {
                 // Billing hours re-anchor at the actual launch. Like the
                 // immediate-grant charge, the first hour is not reported
                 // as HourCharged; Launched marks it.
-                self.open_spot_hour(t, id);
+                self.open_spot_hour(id);
                 self.obs_event(t, MarketEvent::Launched { allocation: id.0 });
                 events.push((t, ProviderEvent::Launched { allocation: id }));
             }

@@ -4,8 +4,6 @@
 //! constant between changes (exactly how AWS publishes spot price
 //! history). [`TraceSet`] bundles one trace per [`MarketKey`].
 
-use std::collections::BTreeMap;
-
 use proteus_simtime::{SimDuration, SimTime};
 
 use crate::instance::MarketKey;
@@ -65,10 +63,27 @@ impl PriceTrace {
 
     /// The price in effect at instant `t`.
     pub fn price_at(&self, t: SimTime) -> f64 {
-        match self.points.binary_search_by(|(pt, _)| pt.cmp(&t)) {
-            Ok(i) => self.points[i].1,
-            Err(0) => self.points[0].1,
-            Err(i) => self.points[i - 1].1,
+        self.points[self.index_at(t)].1
+    }
+
+    /// Index of the change point in effect at `t`: the last one at or
+    /// before it (the first point sits at the epoch).
+    fn index_at(&self, t: SimTime) -> usize {
+        self.points
+            .partition_point(|(pt, _)| *pt <= t)
+            .saturating_sub(1)
+    }
+
+    /// [`index_at`](Self::index_at) for a `t` no earlier than point
+    /// `from`: one compare while the price has not changed since, two
+    /// when it changed once, a binary search over the rest of the trace
+    /// when it changed more often (a multi-day jump).
+    fn seek(&self, from: usize, t: SimTime) -> usize {
+        let rest = &self.points[from + 1..];
+        match rest {
+            [(next, _), ..] if *next > t => from,
+            [_, (after, _), ..] if *after > t => from + 1,
+            _ => from + rest.partition_point(|(pt, _)| *pt <= t),
         }
     }
 
@@ -89,20 +104,26 @@ impl PriceTrace {
         after: SimTime,
         horizon: SimTime,
     ) -> Option<SimTime> {
-        if self.price_at(after) > bid {
+        self.crossing_from(self.index_at(after), bid, after, horizon)
+    }
+
+    /// [`first_crossing_above`](Self::first_crossing_above) with the
+    /// search already done: point `from` is the one in effect at `after`.
+    pub(crate) fn crossing_from(
+        &self,
+        from: usize,
+        bid: f64,
+        after: SimTime,
+        horizon: SimTime,
+    ) -> Option<SimTime> {
+        if self.points[from].1 > bid {
             return Some(after);
         }
-        let mut t = after;
-        while let Some((ct, price)) = self.next_change_after(t) {
-            if ct > horizon {
-                return None;
-            }
-            if price > bid {
-                return Some(ct);
-            }
-            t = ct;
-        }
-        None
+        self.points[from + 1..]
+            .iter()
+            .take_while(|(ct, _)| *ct <= horizon)
+            .find(|(_, price)| *price > bid)
+            .map(|(ct, _)| *ct)
     }
 
     /// All change points (including the initial price at the epoch).
@@ -128,11 +149,8 @@ impl PriceTrace {
         assert!(to > from, "mean_price needs a non-empty interval");
         let mut acc = 0.0f64;
         let mut t = from;
-        let mut price = self.price_at(from);
-        while let Some((ct, next_price)) = self.next_change_after(t) {
-            if ct >= to {
-                break;
-            }
+        let (mut price, changes) = self.segments(from, to);
+        for &(ct, next_price) in changes {
             acc += price * (ct - t).as_hours_f64();
             t = ct;
             price = next_price;
@@ -146,29 +164,38 @@ impl PriceTrace {
         assert!(to > from, "fraction_above needs a non-empty interval");
         let mut above = SimDuration::ZERO;
         let mut t = from;
-        let mut price = self.price_at(from);
-        loop {
-            let seg_end = match self.next_change_after(t) {
-                Some((ct, _)) if ct < to => ct,
-                _ => to,
-            };
+        let (mut price, changes) = self.segments(from, to);
+        for &(ct, next_price) in changes {
             if price > level {
-                above += seg_end - t;
+                above += ct - t;
             }
-            if seg_end == to {
-                break;
-            }
-            price = self.price_at(seg_end);
-            t = seg_end;
+            t = ct;
+            price = next_price;
+        }
+        if price > level {
+            above += to - t;
         }
         above.as_hours_f64() / (to - from).as_hours_f64()
+    }
+
+    /// The price in effect at `from` and the changes strictly inside
+    /// `(from, to)`: two searches, not one per change.
+    fn segments(&self, from: SimTime, to: SimTime) -> (f64, &[(SimTime, f64)]) {
+        let i = self.index_at(from);
+        let rest = &self.points[i + 1..];
+        (
+            self.points[i].1,
+            &rest[..rest.partition_point(|(ct, _)| *ct < to)],
+        )
     }
 }
 
 /// One price trace per market.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSet {
-    traces: BTreeMap<MarketKey, PriceTrace>,
+    /// Sorted by market, one entry per market: a market's position is
+    /// its slot in a `PriceCursor`.
+    traces: Vec<(MarketKey, PriceTrace)>,
 }
 
 impl TraceSet {
@@ -179,17 +206,25 @@ impl TraceSet {
 
     /// Registers (or replaces) the trace for `key`.
     pub fn insert(&mut self, key: MarketKey, trace: PriceTrace) {
-        self.traces.insert(key, trace);
+        match self.slot(&key) {
+            Ok(i) => self.traces[i].1 = trace,
+            Err(i) => self.traces.insert(i, (key, trace)),
+        }
     }
 
     /// The trace for `key`, if registered.
     pub fn get(&self, key: &MarketKey) -> Option<&PriceTrace> {
-        self.traces.get(key)
+        self.slot(key).ok().map(|i| &self.traces[i].1)
     }
 
-    /// Every registered market key.
+    /// `key`'s position in market order, or where it would go.
+    pub(crate) fn slot(&self, key: &MarketKey) -> Result<usize, usize> {
+        self.traces.binary_search_by(|(k, _)| k.cmp(key))
+    }
+
+    /// Every registered market key, in market order.
     pub fn markets(&self) -> impl Iterator<Item = &MarketKey> {
-        self.traces.keys()
+        self.traces.iter().map(|(k, _)| k)
     }
 
     /// Number of registered markets.
@@ -200,6 +235,67 @@ impl TraceSet {
     /// Whether no markets are registered.
     pub fn is_empty(&self) -> bool {
         self.traces.is_empty()
+    }
+}
+
+/// Every market's price at one instant, with the trace point each came
+/// from, moved forward with that instant: a caller stepping time in
+/// small increments reads prices and scans for crossings without
+/// searching a trace.
+///
+/// Slot `i` is market `i` of the [`TraceSet`] the cursor was built
+/// over, which every call must pass unchanged.
+#[derive(Debug, Clone)]
+pub(crate) struct PriceCursor {
+    at: SimTime,
+    /// Each market with its price at `at`, in market order.
+    prices: Vec<(MarketKey, f64)>,
+    /// Per slot, the index of the trace point `prices` holds.
+    points: Vec<usize>,
+}
+
+impl PriceCursor {
+    /// A cursor at the epoch.
+    pub(crate) fn new(set: &TraceSet) -> Self {
+        PriceCursor {
+            at: SimTime::EPOCH,
+            prices: set
+                .traces
+                .iter()
+                .map(|(k, t)| (*k, t.points[0].1))
+                .collect(),
+            points: vec![0; set.traces.len()],
+        }
+    }
+
+    /// Moves every market forward to `t` (not earlier than the cursor).
+    pub(crate) fn advance(&mut self, set: &TraceSet, t: SimTime) {
+        debug_assert!(t >= self.at, "a price cursor only moves forward");
+        self.at = t;
+        let slots = self.prices.iter_mut().zip(&mut self.points);
+        for ((_, trace), ((_, price), point)) in set.traces.iter().zip(slots) {
+            *point = trace.seek(*point, t);
+            *price = trace.points[*point].1;
+        }
+    }
+
+    /// Every market's price at the cursor, in market order.
+    pub(crate) fn prices(&self) -> &[(MarketKey, f64)] {
+        &self.prices
+    }
+
+    /// [`PriceTrace::first_crossing_above`] of market `slot` from the
+    /// cursor's instant.
+    pub(crate) fn first_crossing_above(
+        &self,
+        set: &TraceSet,
+        slot: usize,
+        bid: f64,
+        horizon: SimTime,
+    ) -> Option<SimTime> {
+        set.traces[slot]
+            .1
+            .crossing_from(self.points[slot], bid, self.at, horizon)
     }
 }
 

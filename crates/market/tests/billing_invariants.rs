@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use proteus_market::{
-    catalog, AllocationId, CloudProvider, LedgerKind, MarketFaultPlan, MarketKey, MarketModel,
-    PriceTrace, TraceGenerator, TraceSet, Zone,
+    catalog, AllocationId, CloudProvider, LedgerKind, MarketError, MarketFaultPlan, MarketKey,
+    MarketModel, PriceTrace, ProviderEvent, TraceGenerator, TraceSet, Zone,
 };
 use proteus_simtime::{SimDuration, SimTime};
 
@@ -27,6 +27,15 @@ fn provider(seed: u64, volatile: bool) -> CloudProvider<'static> {
         gen.generate(market(), SimDuration::from_hours(24 * 3)),
     );
     CloudProvider::new(set)
+}
+
+/// Three volatile markets over ten days, so multi-day jumps stay inside
+/// the generated history.
+fn three_markets(seed: u64) -> (Vec<MarketKey>, CloudProvider<'static>) {
+    let markets: Vec<MarketKey> = catalog::paper_markets().into_iter().step_by(3).collect();
+    let traces = TraceGenerator::new(seed, MarketModel::volatile())
+        .generate_set(&markets, SimDuration::from_hours(24 * 10));
+    (markets, CloudProvider::new(traces))
 }
 
 proptest! {
@@ -213,6 +222,100 @@ proptest! {
             }
         }
     }
+    /// The provider's price cursor is the trace read at `now()`. Under
+    /// any script of grants, advances (two-minute steps, longer moves,
+    /// jumps landing exactly on a price change, multi-day jumps),
+    /// terminations and revocations — with boot delays, infant deaths
+    /// and warned evictions — `spot_price` and `spot_prices` equal
+    /// `spot_price_at(m, now())` bit for bit after every call; every
+    /// hour the ledger charged was priced at its own instant (the
+    /// cursor read mid-advance); and every warning or failed launch
+    /// fired at a price above its bid.
+    #[test]
+    fn price_cursor_is_the_trace_at_now(
+        seed in 0u64..300,
+        fault_seed in 0u64..300,
+        boot_max_mins in 1u64..30,
+        infant_p in 0.0f64..0.5,
+        script in proptest::collection::vec(
+            ((0u8..8, 0usize..8), 1u32..5, 0.0005f64..0.2, 1u64..90),
+            1..60,
+        ),
+    ) {
+        let (markets, mut p) = three_markets(seed);
+        p.set_fault_plan(
+            MarketFaultPlan::new(fault_seed)
+                .with_boot_delay(SimDuration::ZERO, SimDuration::from_mins(boot_max_mins))
+                .with_infant_mortality(infant_p, SimDuration::from_mins(45)),
+        );
+        let mut granted: Vec<(AllocationId, MarketKey, f64)> = Vec::new();
+        for ((kind, pick), count, delta, mins) in script {
+            let m = markets[pick % markets.len()];
+            let live: Vec<AllocationId> = p.live_spot().map(|a| a.id).collect();
+            let picked = (!live.is_empty()).then(|| live[pick % live.len()]);
+            let to = match kind {
+                2 => Some(p.now() + SimDuration::from_mins(2)),
+                3 => Some(p.now() + SimDuration::from_mins(mins)),
+                4 => p.traces().get(&m).and_then(|t| t.next_change_after(p.now())).map(|(t, _)| t),
+                5 => Some(p.now() + SimDuration::from_hours(24 * (1 + mins % 3))),
+                _ => None,
+            };
+            match (kind, to) {
+                (0 | 1, _) => {
+                    let bid = p.spot_price(m).expect("registered") + delta;
+                    if let Ok(grant) = p.request_spot(m, count, bid) {
+                        granted.push((grant.id, m, bid));
+                    }
+                }
+                (2..=5, Some(to)) => {
+                    for (t, e) in p.advance_to(to).expect("forward") {
+                        let (ProviderEvent::EvictionWarning { allocation, .. }
+                        | ProviderEvent::LaunchFailed { allocation }) = e else {
+                            continue;
+                        };
+                        let &(_, m, bid) = granted
+                            .iter()
+                            .find(|(id, _, _)| *id == allocation)
+                            .expect("granted here");
+                        prop_assert!(p.spot_price_at(m, t).expect("registered") > bid);
+                    }
+                }
+                (6, _) => {
+                    if let Some(id) = picked {
+                        p.terminate(id).expect("live allocation terminates");
+                    }
+                }
+                (7, _) => {
+                    if let Some(id) = picked {
+                        p.revoke(id).expect("live allocation revokes");
+                    }
+                }
+                _ => {}
+            }
+            let want: Vec<(MarketKey, u64)> = markets
+                .iter()
+                .map(|&m| (m, p.spot_price_at(m, p.now()).expect("registered").to_bits()))
+                .collect();
+            let got: Vec<(MarketKey, u64)> =
+                p.spot_prices().iter().map(|&(m, price)| (m, price.to_bits())).collect();
+            prop_assert_eq!(&got, &want);
+            for &(m, bits) in &want {
+                prop_assert_eq!(p.spot_price(m).map(f64::to_bits), Ok(bits));
+            }
+        }
+        for e in p.account().entries().iter().filter(|e| e.kind == LedgerKind::SpotHour) {
+            let &(_, m, _) = granted
+                .iter()
+                .find(|(id, _, _)| *id == e.allocation)
+                .expect("granted here");
+            let price = p.spot_price_at(m, e.time).expect("registered");
+            prop_assert_eq!(e.amount.to_bits(), (price * f64::from(e.instances)).to_bits());
+        }
+        let unknown = MarketKey::new(catalog::c4_2xlarge(), Zone(3));
+        prop_assert!(!markets.contains(&unknown));
+        prop_assert_eq!(p.spot_price(unknown), Err(MarketError::UnknownMarket(unknown)));
+    }
+
 }
 
 /// `unused_hour_credit` row by row: what a tenant walking away now has

@@ -30,6 +30,19 @@ PROTEUS_CHAOS_SEEDS=3 cargo test -q
 echo "==> benchmark/ still builds"
 cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
 
+# Its quick pass (every workload once, plain and traced, on tiny inputs,
+# well under a second) runs the benchmark's own correctness checks:
+# study results bit-equal on 1 and 2 executor threads, exact results
+# repeating across reps, recording leaving results unchanged. It exits
+# non-zero when any of them fails.
+echo "==> benchmark/ quick pass"
+if ! quick=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --quick --seconds 0 2>&1); then
+  echo "$quick" >&2
+  echo "error: the benchmark's quick pass failed" >&2
+  exit 1
+fi
+
 # Library crates report through the obs recorder, not stdout. The only
 # allowed direct prints are doc-comment examples and the two
 # export-write-failure warnings (a failed PROTEUS_OBS_OUT write has no
