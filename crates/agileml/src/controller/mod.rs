@@ -9,7 +9,7 @@
 //! traffic: node `Hello`/`Ready`/`ClockDone` messages, backup clock
 //! reports, and harness [`Command`]s. What it has to tell the driver —
 //! job events and the answers to status/snapshot/shutdown commands — it
-//! appends to the job's [`ReportSink`]. Mutating commands are
+//! appends to the job's `ReportSink`. Mutating commands are
 //! serialized: while one elasticity action awaits `Ready`
 //! acknowledgements, later commands queue.
 //!

@@ -1,7 +1,7 @@
 //! The driver-facing job handle.
 //!
 //! [`AgileMlJob`] owns the simulated cluster — a discrete-event
-//! [`SimCluster`](proteus_simnet::SimCluster) holding the controller and
+//! [`SimCluster`] holding the controller and
 //! the machine nodes — forwards elasticity actions (add / evict / fail)
 //! to the controller, and exposes model snapshots, objective evaluation,
 //! and the job event stream. This is the API the Proteus driver (and

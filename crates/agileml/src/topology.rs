@@ -48,21 +48,6 @@ impl Topology {
     pub fn backup_of(&self, partition: PartitionId) -> Option<NodeId> {
         self.backup_owner[partition.0 as usize]
     }
-
-    /// Partitions served by `node`.
-    pub fn partitions_owned_by(&self, node: NodeId) -> Vec<PartitionId> {
-        self.partition_owner
-            .iter()
-            .enumerate()
-            .filter(|(_, owner)| **owner == node)
-            .map(|(i, _)| PartitionId(i as u32))
-            .collect()
-    }
-
-    /// Number of partitions.
-    pub fn partition_count(&self) -> u32 {
-        self.partition_owner.len() as u32
-    }
 }
 
 /// Tracks block→worker assignment with previous-owner history.
@@ -336,11 +321,6 @@ mod tests {
         };
         assert_eq!(topo.owner_of(PartitionId(1)), n(6));
         assert_eq!(topo.backup_of(PartitionId(2)), Some(n(1)));
-        assert_eq!(
-            topo.partitions_owned_by(n(5)),
-            vec![PartitionId(0), PartitionId(2)]
-        );
-        assert_eq!(topo.partition_count(), 3);
     }
 
     proptest! {

@@ -3,9 +3,11 @@
 
 use std::io;
 
-use proteus_bidbrain::AppParams;
-use proteus_costsim::{run_job, run_study, Scheme, SchemeKind, StudyEnv, StudyResult};
-use proteus_market::gce::{GceMarket, PreemptionModel, GCE_DISCOUNT};
+use proteus_costsim::{
+    run_gce_job, run_job, run_study, GceRunConfig, JobSpec, Scheme, SchemeKind, StudyEnv,
+    StudyResult,
+};
+use proteus_market::gce::{GceMarket, GCE_DISCOUNT};
 use proteus_market::MarketModel;
 use proteus_simtime::SimDuration;
 
@@ -199,48 +201,24 @@ pub fn ablate_gce(out: Out) -> io::Result<()> {
     let od_baseline = env.on_demand_baseline().cost;
 
     // GCE side: a fixed 70 % discount (no bidding, no free-compute
-    // refunds) and β from an exogenous Poisson preemption process. Cost
-    // is deterministic given machine-hours; preemptions cost λ pauses
-    // exactly as on EC2.
-    let gce = GceMarket::new(2016, PreemptionModel::default());
-    let market = env.on_demand_market;
-    let od_price = market.instance_type().on_demand_price;
-    let gce_price = gce.price(market);
-    let lambda = SimDuration::from_secs(240);
-
-    // Keep 384 preemptible instances (1536 cores / 4) plus 3 on-demand.
-    // Fleet-wide preemptions are Poisson at 384 × the per-instance rate;
-    // each costs a λ pause and is replaced at once (no bidding on GCE).
-    // β for a one-hour horizon comes straight from the model — the
-    // analogue the paper sketches in Sec. 7.
-    let beta_hour = gce.preemption_probability(SimDuration::from_hours(1));
-    let phi = AppParams::default(); // φ = 0.97 per doubling.
-    let fleet = 384.0f64;
-    let cores: f64 = fleet * 4.0 + 12.0;
-    let rate = cores * phi.phi(cores); // φ-scaled core-hours/hour.
-    let work_needed = 512.0 * 2.0 * phi.phi(512.0);
-    let fleet_rate_per_hour = fleet * PreemptionModel::default().preemptions_per_day / 24.0;
-
-    let mut rng = proteus_simtime::rng::seeded(2016);
-    let exp_interval = |rng: &mut rand::rngs::StdRng| -> f64 {
-        let u: f64 = rand::Rng::gen_range(rng, 1e-12..1.0);
-        -u.ln() / fleet_rate_per_hour
+    // refunds) and β from an exogenous Poisson preemption process. 384
+    // preemptible instances (1536 cores / 4) plus the 3 on-demand ones,
+    // which compute too; each preemption costs a λ pause and is replaced
+    // at once (no bidding on GCE). β for a one-hour horizon comes
+    // straight from the model — the analogue the paper sketches in
+    // Sec. 7.
+    let config = GceRunConfig {
+        seed: 2016,
+        max_hours: 48.0,
+        ..GceRunConfig::default()
     };
-    let step = 1.0 / 30.0; // Two-minute steps.
-    let (mut preemptions, mut t_hours, mut work, mut paused_until) = (0u32, 0.0f64, 0.0, 0.0f64);
-    let mut next_preempt = exp_interval(&mut rng);
-    while work < work_needed && t_hours < 48.0 {
-        if t_hours >= next_preempt {
-            preemptions += 1;
-            paused_until = t_hours + lambda.as_hours_f64();
-            next_preempt = t_hours + exp_interval(&mut rng);
-        }
-        if t_hours >= paused_until {
-            work += rate * step;
-        }
-        t_hours += step;
-    }
-    let gce_cost = fleet * gce_price * t_hours + 3.0 * od_price * t_hours;
+    let beta_hour =
+        GceMarket::new(config.preemption).preemption_probability(SimDuration::from_hours(1));
+    let job = JobSpec {
+        on_demand_works: true,
+        ..env.job()
+    };
+    let gce = run_gce_job(&job, env.on_demand_market, &config);
     writeln!(
         out,
         "per-instance one-hour preemption probability β = {beta_hour:.4}\n"
@@ -252,7 +230,8 @@ pub fn ablate_gce(out: Out) -> io::Result<()> {
     let (cost, hours, evicted) = (ec2.mean_cost, ec2.mean_runtime_hours, ec2.mean_evictions);
     t.row(&[&"EC2 spot (Proteus)", &cost, &pct(cost), &hours, &evicted])?;
     let label = format!("GCE preemptible ({:.0}% off)", GCE_DISCOUNT * 100.0);
-    t.row(&[&label, &gce_cost, &pct(gce_cost), &t_hours, &preemptions])?;
+    let (cost, hours, preempted) = (gce.cost, gce.runtime_hours, gce.preemptions);
+    t.row(&[&label, &cost, &pct(cost), &hours, &preempted])?;
     writeln!(
         out,
         "\nEC2 refund farming contributes the gap between the two rows; the bulk of\n\

@@ -33,13 +33,6 @@ pub struct DurableCheckpoint {
     pub taken_at: SimTime,
 }
 
-impl DurableCheckpoint {
-    /// Size of the encoded model in bytes (what the obs event reports).
-    pub fn size_bytes(&self) -> u64 {
-        self.bytes.len() as u64
-    }
-}
-
 /// Holds the most recent durable checkpoint, if any.
 ///
 /// A single slot suffices: restart always resumes from the *latest*
@@ -125,7 +118,6 @@ mod tests {
         let meta = store.latest().unwrap();
         assert_eq!(meta.clock, 17);
         assert_eq!(meta.epoch, 2);
-        assert_eq!(meta.size_bytes(), bytes);
         let restored = store.restore().unwrap().unwrap();
         assert_eq!(restored, original);
     }

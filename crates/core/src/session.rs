@@ -828,6 +828,10 @@ impl<A: MlApp> Proteus<A> {
         self.warned.clear();
         self.alerted.clear();
         self.tracked_bids.clear();
+        // No holding survives, so no trajectory may either: a stale one
+        // would keep its hazard in `max_hazard` and the checkpoint
+        // cadence for the rest of the session.
+        self.forecaster = self.config.forecast.clone().map(PreemptionForecaster::new);
         self.dead_reliable.clear();
 
         // The reliable hosts are dead too: release the old allocation
@@ -944,5 +948,73 @@ impl<A: MlApp> Proteus<A> {
             restarts: self.restarts,
             work_lost_to_restart: self.work_lost_to_restart,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proteus_bidbrain::ForecastConfig;
+    use proteus_mlapps::data::{netflix_like, MfDataConfig};
+    use proteus_mlapps::mf::{MatrixFactorization, MfConfig};
+
+    /// The forecaster holds a trajectory for exactly the distinct
+    /// `(market, bid)` pairs of the holdings the session tracks, and
+    /// every tracked holding is live.
+    fn assert_tracks_only_live(s: &Proteus<MatrixFactorization>) {
+        let live: BTreeSet<AllocationId> = s.provider.live_spot().map(|a| a.id).collect();
+        assert!(s.tracked_bids.keys().all(|id| live.contains(id)));
+        let pairs: BTreeSet<(MarketKey, u64)> = s
+            .tracked_bids
+            .values()
+            .map(|&(market, bid)| (market, bid.to_bits()))
+            .collect();
+        let fc = s.forecaster.as_ref().expect("forecasting on");
+        assert_eq!(fc.tracked(), pairs.len(), "trajectories of dead holdings");
+    }
+
+    #[test]
+    fn restart_forgets_the_trajectories_of_terminated_holdings() {
+        let app = MatrixFactorization::new(MfConfig {
+            rows: 30,
+            cols: 20,
+            rank: 3,
+            learning_rate: 0.05,
+            reg: 1e-4,
+            init_scale: 0.2,
+        });
+        let data = netflix_like(
+            &MfDataConfig {
+                rows: 30,
+                cols: 20,
+                true_rank: 2,
+                observed: 500,
+                noise: 0.02,
+            },
+            7,
+        );
+        let config = ProteusConfig {
+            max_machines: 8,
+            forecast: Some(ForecastConfig::default()),
+            ..ProteusConfig::default()
+        };
+        let mut session = Proteus::launch(app, data, config).expect("launch");
+        for _ in 0..30 {
+            if !session.tracked_bids.is_empty() {
+                break;
+            }
+            session
+                .run_market_hours(DECISION_STEP.as_hours_f64())
+                .expect("market step");
+        }
+        assert!(!session.tracked_bids.is_empty(), "no holding was tracked");
+        assert_tracks_only_live(&session);
+
+        session.inject_total_reliable_failure().expect("restart");
+        assert_tracks_only_live(&session);
+        session
+            .run_market_hours(DECISION_STEP.as_hours_f64())
+            .expect("market step");
+        assert_tracks_only_live(&session);
     }
 }

@@ -11,7 +11,7 @@
 use proteus_bidbrain::AppParams;
 use proteus_market::gce::{GceMarket, PreemptionModel};
 use proteus_market::MarketKey;
-use proteus_simtime::rng::seeded_stream;
+use proteus_simtime::rng::seeded;
 use proteus_simtime::SimDuration;
 use rand::Rng;
 
@@ -61,7 +61,7 @@ pub struct GceOutcome {
 /// plus the job's on-demand tier, Poisson preemptions, immediate
 /// replacement (no bidding), λ pauses.
 pub fn run_gce_job(job: &JobSpec, market: MarketKey, config: &GceRunConfig) -> GceOutcome {
-    let gce = GceMarket::new(config.seed, config.preemption);
+    let gce = GceMarket::new(config.preemption);
     let od_price = market.instance_type().on_demand_price;
     let preemptible_price = gce.price(market);
     let vcpus = f64::from(market.instance_type().vcpus);
@@ -79,7 +79,7 @@ pub fn run_gce_job(job: &JobSpec, market: MarketKey, config: &GceRunConfig) -> G
     let rate = cores * phi; // φ-scaled core-hours per hour.
 
     let fleet_rate_per_hour = fleet * config.preemption.preemptions_per_day / 24.0;
-    let mut rng = seeded_stream(config.seed, 0x6CE);
+    let mut rng = seeded(config.seed);
     let mut exp_interval = || -> f64 {
         if fleet_rate_per_hour <= 0.0 {
             return f64::INFINITY;
@@ -118,13 +118,6 @@ pub fn run_gce_job(job: &JobSpec, market: MarketKey, config: &GceRunConfig) -> G
         preemptions,
         completed,
     }
-}
-
-/// The β analogue for a GCE fleet: probability at least one preemption
-/// hits within `window` (used by cost-per-work reasoning on GCE).
-pub fn gce_fleet_beta(fleet: u32, model: &PreemptionModel, window: SimDuration) -> f64 {
-    let per_instance = GceMarket::new(0, *model).preemption_probability(window);
-    1.0 - (1.0 - per_instance).powi(fleet as i32)
 }
 
 #[cfg(test)]
@@ -178,15 +171,6 @@ mod tests {
         assert_eq!(calm.preemptions, 0);
         assert!(stormy.preemptions > 0);
         assert!(stormy.runtime_hours > calm.runtime_hours);
-    }
-
-    #[test]
-    fn fleet_beta_grows_with_fleet_size() {
-        let model = PreemptionModel::default();
-        let one = gce_fleet_beta(1, &model, SimDuration::from_hours(1));
-        let many = gce_fleet_beta(384, &model, SimDuration::from_hours(1));
-        assert!(one < many);
-        assert!(many < 1.0);
     }
 
     #[test]

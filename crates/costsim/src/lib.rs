@@ -35,7 +35,7 @@ pub mod sim;
 pub mod study;
 
 pub use executor::StudyExecutor;
-pub use gce::{gce_fleet_beta, run_gce_job, GceOutcome, GceRunConfig};
+pub use gce::{run_gce_job, GceOutcome, GceRunConfig};
 pub use queue::{run_job_queue, QueueOutcome};
 pub use scheme::{youngs_interval, JobSpec, Scheme, SchemeKind};
 pub use sim::{run_job, run_job_observed, run_job_with_faults, SimOutcome};

@@ -7,13 +7,13 @@
 //! competing for the same markets and the same reliable tier. This
 //! crate schedules that fleet:
 //!
-//! - [`FleetSim`](sim::FleetSim) — admission control, weighted-fair
+//! - [`FleetSim`] — admission control, weighted-fair
 //!   priority tiers with aging (low tiers can be delayed, never
 //!   starved), **gang acquisition** (a job's minimum worker set acquires
 //!   atomically or queues whole — never a half-launched, money-bleeding
 //!   gang), and **global** Eq. 4 ranking across jobs with value-ordered
 //!   preemption of low-value preemptible gangs.
-//! - [`ReliablePool`](binpack::ReliablePool) — bin-packs every job's
+//! - [`ReliablePool`] — bin-packs every job's
 //!   reliable (parameter-server) slots onto shared on-demand machines,
 //!   amortizing the reliable tier the paper pays per job.
 //! - [`sweep`] — a SpotTune-style hyperparameter sweep driver:

@@ -123,15 +123,6 @@ impl BillingAccount {
         self.entries.iter().map(|e| e.amount).sum()
     }
 
-    /// Dollars spent on a specific allocation.
-    pub fn cost_of(&self, allocation: AllocationId) -> f64 {
-        self.entries
-            .iter()
-            .filter(|e| e.allocation == allocation)
-            .map(|e| e.amount)
-            .sum()
-    }
-
     /// Total refunds received (a non-negative number).
     pub fn total_refunds(&self) -> f64 {
         -self
@@ -175,22 +166,6 @@ mod tests {
         acct.record(entry(LedgerKind::EvictionRefund, -0.10));
         assert!((acct.total_cost() - 0.10).abs() < 1e-12);
         assert!((acct.total_refunds() - 0.10).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cost_of_filters_by_allocation() {
-        let mut acct = BillingAccount::new();
-        acct.record(LedgerEntry {
-            allocation: AllocationId(1),
-            ..entry(LedgerKind::SpotHour, 0.10)
-        });
-        acct.record(LedgerEntry {
-            allocation: AllocationId(2),
-            ..entry(LedgerKind::OnDemandHour, 0.42)
-        });
-        assert!((acct.cost_of(AllocationId(1)) - 0.10).abs() < 1e-12);
-        assert!((acct.cost_of(AllocationId(2)) - 0.42).abs() < 1e-12);
-        assert_eq!(acct.cost_of(AllocationId(3)), 0.0);
     }
 
     #[test]

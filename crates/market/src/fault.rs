@@ -24,7 +24,7 @@
 //! # Determinism
 //!
 //! The plan owns one root SplitMix64 stream (the same generator simnet's
-//! message [`FaultPlan`](proteus_simnet::FaultPlan) uses) seeded from
+//! message `FaultPlan` uses) seeded from
 //! `plan.seed`. The provider is single-threaded and requests arrive in
 //! program order, so the n-th spot request always consumes the same
 //! draws: a chaos failure replays from the printed seed alone. Every

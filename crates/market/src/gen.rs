@@ -282,6 +282,31 @@ mod tests {
     }
 
     #[test]
+    fn generated_traces_match_their_model_statistics() {
+        let model = MarketModel::default();
+        let days = 30;
+        let horizon = SimDuration::from_hours(24 * days);
+        let trace = TraceGenerator::new(31, model.clone()).generate(key(), horizon);
+        let od = key().instance_type().on_demand_price;
+        // An excursion starts at every point that lifts the price above
+        // on-demand. The generator draws spikes at `spikes_per_day`, but
+        // only those whose peak clears the on-demand level count here.
+        let mut excursions = 0u32;
+        let mut above = false;
+        for &(_, price) in trace.points() {
+            excursions += u32::from(price > od && !above);
+            above = price > od;
+        }
+        let per_day = f64::from(excursions) / days as f64;
+        assert!(
+            per_day > model.spikes_per_day * 0.5 && per_day < model.spikes_per_day * 1.5,
+            "spike rate {per_day} vs model {}",
+            model.spikes_per_day
+        );
+        assert!(trace.mean_price(SimTime::EPOCH, SimTime::EPOCH + horizon) < od * 0.8);
+    }
+
+    #[test]
     fn generate_set_covers_all_keys() {
         let g = TraceGenerator::new(3, MarketModel::default());
         let keys = catalog::paper_markets();

@@ -178,17 +178,6 @@ pub mod catalog {
         1
     }
 
-    /// Every (type, zone) market key over the whole catalog.
-    pub fn all_markets() -> Vec<MarketKey> {
-        let mut keys = Vec::new();
-        for (i, _) in CATALOG.iter().enumerate() {
-            for zone in Zone::ALL {
-                keys.push(MarketKey::new(i, zone));
-            }
-        }
-        keys
-    }
-
     /// Market keys restricted to the two c4 types the paper evaluates.
     pub fn paper_markets() -> Vec<MarketKey> {
         let mut keys = Vec::new();
@@ -226,11 +215,5 @@ mod tests {
     fn market_key_display_names_type_and_zone() {
         let key = MarketKey::new(catalog::c4_xlarge(), Zone(2));
         assert_eq!(key.to_string(), "c4.xlarge@us-east-1c");
-    }
-
-    #[test]
-    fn all_markets_covers_catalog_times_zones() {
-        assert_eq!(catalog::all_markets().len(), catalog::all().len() * 4);
-        assert_eq!(catalog::paper_markets().len(), 8);
     }
 }

@@ -22,8 +22,8 @@
 //! [`trace`] module also supports fully scripted traces for tests.
 //!
 //! [`gce`] models Google Compute Engine preemptible instances (fixed 70 %
-//! discount, 30-second warning, 24-hour lifetime) to demonstrate that the
-//! allocation machinery is not EC2-specific.
+//! discount, Poisson preemptions) to demonstrate that the allocation
+//! machinery is not EC2-specific.
 //!
 //! The [`fault`] module adds seed-deterministic provider-side fault
 //! regimes (capacity droughts, API throttling, boot delays, infant
@@ -33,19 +33,16 @@
 // retained `expect`s document real invariants at their use sites.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod analytics;
 pub mod billing;
 pub mod error;
 pub mod fault;
 pub mod gce;
 pub mod gen;
 pub mod instance;
-pub mod io;
 pub mod provider;
 pub mod spot;
 pub mod trace;
 
-pub use analytics::{find_spikes, market_stats, MarketStats, Spike};
 pub use billing::{BillingAccount, LedgerEntry, LedgerKind, UsageBreakdown};
 pub use error::MarketError;
 pub use fault::{
@@ -54,7 +51,6 @@ pub use fault::{
 };
 pub use gen::{MarketModel, TraceGenerator};
 pub use instance::{catalog, InstanceType, MarketKey, Zone};
-pub use io::{trace_from_csv, trace_to_csv, TraceCsvError};
 pub use provider::{obs_keys, AllocationId, CloudProvider, ProviderEvent, SpotGrant};
 pub use spot::SpotAllocation;
 pub use trace::{PriceTrace, TraceSet};

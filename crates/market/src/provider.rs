@@ -332,29 +332,17 @@ impl<'a> CloudProvider<'a> {
         self.request_spot_inner(TenantId::DEFAULT, market, count, bid, false)
     }
 
-    /// [`request_spot`](Self::request_spot) on behalf of a tenant: fault
-    /// draws (throttle, boot delay, infant mortality) come from that
-    /// tenant's own seed-split stream, so one tenant's request pattern
-    /// never perturbs another's fate. `TenantId::DEFAULT` reproduces
-    /// `request_spot` bit-for-bit.
-    pub fn request_spot_for(
-        &mut self,
-        tenant: TenantId,
-        market: MarketKey,
-        count: u32,
-        bid: f64,
-    ) -> Result<SpotGrant, MarketError> {
-        self.request_spot_inner(tenant, market, count, bid, false)
-    }
-
-    /// All-or-nothing spot request: either every one of the `count`
-    /// instances is granted as a single allocation, or the request is
-    /// refused and **nothing is billed**. Capacity shortfalls that
-    /// would partially grant a plain request instead return
-    /// [`MarketError::InsufficientCapacity`] carrying the available
-    /// headroom. This is the gang-scheduling primitive: a job's minimum
-    /// worker set launches atomically or not at all, so a half-launched
-    /// gang can never bleed money.
+    /// All-or-nothing spot request on behalf of a tenant: either every
+    /// one of the `count` instances is granted as a single allocation,
+    /// or the request is refused and **nothing is billed**. Capacity
+    /// shortfalls that would partially grant a plain request instead
+    /// return [`MarketError::InsufficientCapacity`] carrying the
+    /// available headroom. This is the gang-scheduling primitive: a
+    /// job's minimum worker set launches atomically or not at all, so a
+    /// half-launched gang can never bleed money. Fault draws (throttle,
+    /// boot delay, infant mortality) come from the tenant's own
+    /// seed-split stream, so one tenant's request pattern never perturbs
+    /// another's fate.
     pub fn request_spot_gang(
         &mut self,
         tenant: TenantId,
@@ -1308,7 +1296,7 @@ mod tests {
             let mut p = provider_with(vec![(SimTime::EPOCH, 0.05)]);
             p.set_fault_plan(plan());
             (0..10)
-                .map(|_| p.request_spot_for(TenantId(5), key(), 1, 0.10))
+                .map(|_| p.request_spot_gang(TenantId(5), key(), 1, 0.10))
                 .collect::<Vec<_>>()
         };
         let interleaved = {
@@ -1317,8 +1305,8 @@ mod tests {
             let mut out = Vec::new();
             for _ in 0..10 {
                 let _ = p.request_spot(key(), 1, 0.10);
-                let _ = p.request_spot_for(TenantId(9), key(), 1, 0.10);
-                out.push(p.request_spot_for(TenantId(5), key(), 1, 0.10));
+                let _ = p.request_spot_gang(TenantId(9), key(), 1, 0.10);
+                out.push(p.request_spot_gang(TenantId(5), key(), 1, 0.10));
             }
             out
         };

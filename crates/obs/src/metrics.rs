@@ -35,34 +35,11 @@ impl TimeWeightedHist {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// Total sim time spent at values satisfying `pred`.
-    pub fn time_where(&self, mut pred: impl FnMut(f64) -> bool) -> SimDuration {
-        self.weights
-            .iter()
-            .filter(|(bits, _)| pred(f64::from_bits(**bits)))
-            .map(|(_, d)| *d)
-            .fold(SimDuration::ZERO, |acc, d| acc + d)
-    }
-
     /// Total accumulated sim time across all values.
     pub fn total(&self) -> SimDuration {
         self.weights
             .values()
             .fold(SimDuration::ZERO, |acc, d| acc + *d)
-    }
-
-    /// Time-weighted mean value, or `None` if nothing was recorded.
-    pub fn weighted_mean(&self) -> Option<f64> {
-        let total = self.total();
-        if total.is_zero() {
-            return None;
-        }
-        let sum: f64 = self
-            .weights
-            .iter()
-            .map(|(bits, d)| f64::from_bits(*bits) * d.as_millis() as f64)
-            .sum();
-        Some(sum / total.as_millis() as f64)
     }
 
     /// Distinct values observed, in ascending bit order.
@@ -226,25 +203,6 @@ mod tests {
         assert_eq!(h.time_at(1.0), SimDuration::from_secs(12));
         assert_eq!(h.time_at(2.5), SimDuration::ZERO);
         assert_eq!(h.total(), SimDuration::from_secs(22));
-    }
-
-    #[test]
-    fn hist_weighted_mean() {
-        let mut h = TimeWeightedHist::default();
-        assert_eq!(h.weighted_mean(), None);
-        h.add(0.0, SimDuration::from_secs(30));
-        h.add(1.0, SimDuration::from_secs(10));
-        let mean = h.weighted_mean().unwrap();
-        assert!((mean - 0.25).abs() < 1e-12, "mean {mean}");
-    }
-
-    #[test]
-    fn hist_time_where_predicate() {
-        let mut h = TimeWeightedHist::default();
-        h.add(1.0, SimDuration::from_secs(3));
-        h.add(4.0, SimDuration::from_secs(5));
-        h.add(9.0, SimDuration::from_secs(7));
-        assert_eq!(h.time_where(|v| v >= 4.0), SimDuration::from_secs(12));
     }
 
     #[test]

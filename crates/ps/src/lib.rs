@@ -19,10 +19,9 @@
 //! * [`ClockTable`] — Stale-Synchronous-Parallel progress tracking;
 //! * [`cache::WorkerCache`] — the worker-side cache with write-back
 //!   update buffering;
-//! * [`protocol`] — the request/response message vocabulary exchanged
-//!   between workers and servers (transport-agnostic);
 //! * [`Values`] / [`KeySet`] — the zero-copy shared payload buffer and
-//!   the compressed key-range set the batched data plane ships;
+//!   the compressed key-range set the batched data plane ships (the
+//!   messages carrying them are AgileML's);
 //! * [`kernels`] — explicit-width chunked slice kernels (the
 //!   autovectorized hot loops behind [`DenseVec`] and the ML apps);
 //! * [`snapshot`] — the durable, bit-exact checkpoint encoding of a
@@ -41,10 +40,8 @@ pub mod clock;
 pub mod kernels;
 pub mod keyset;
 pub mod partition;
-pub mod protocol;
 pub mod shard;
 pub mod snapshot;
-pub mod sparse;
 pub mod value;
 pub mod values;
 
@@ -52,9 +49,7 @@ pub use cache::WorkerCache;
 pub use clock::ClockTable;
 pub use keyset::KeySet;
 pub use partition::{ParamKey, PartitionId, PartitionMap};
-pub use protocol::{PsRequest, PsResponse, UpdateBatch};
 pub use shard::ShardStore;
 pub use snapshot::{decode_model, encode_model, SnapshotError};
-pub use sparse::SparseVec;
 pub use value::{DenseVec, PsValue};
 pub use values::Values;

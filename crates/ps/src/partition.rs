@@ -57,23 +57,6 @@ impl PartitionMap {
     pub fn partitions(&self) -> impl Iterator<Item = PartitionId> {
         (0..self.count).map(PartitionId)
     }
-
-    /// Splits the partition set as evenly as possible across `servers`
-    /// slots, returning for each slot the list of partitions it owns.
-    ///
-    /// Returns `None` when `servers` is zero. Slot `i` receives partitions
-    /// `{p : p ≡ i (mod servers)}` so that growing or shrinking the server
-    /// count moves a minimal, predictable subset.
-    pub fn assign_round_robin(&self, servers: u32) -> Option<Vec<Vec<PartitionId>>> {
-        if servers == 0 {
-            return None;
-        }
-        let mut out = vec![Vec::new(); servers as usize];
-        for p in self.partitions() {
-            out[(p.0 % servers) as usize].push(p);
-        }
-        Some(out)
-    }
 }
 
 #[cfg(test)]
@@ -84,26 +67,6 @@ mod tests {
     #[test]
     fn zero_partitions_rejected() {
         assert!(PartitionMap::new(0).is_none());
-    }
-
-    #[test]
-    fn round_robin_assignment_covers_all_partitions() {
-        let map = PartitionMap::new(10).unwrap();
-        let assign = map.assign_round_robin(3).unwrap();
-        let mut seen: Vec<u32> = assign.iter().flatten().map(|p| p.0).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        // Balance: sizes differ by at most one.
-        let sizes: Vec<usize> = assign.iter().map(Vec::len).collect();
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-    }
-
-    #[test]
-    fn round_robin_with_zero_servers_is_none() {
-        assert!(PartitionMap::new(4)
-            .unwrap()
-            .assign_round_robin(0)
-            .is_none());
     }
 
     proptest! {

@@ -15,7 +15,7 @@
 //! partition's keys form the arithmetic progression `p, p+count,
 //! p+2·count, …`, so `key / count` is a dense slot index within the
 //! partition. The store exploits this: instead of one global hash map,
-//! it keeps a [`Slab`] per partition — a dense `Vec` indexed by slot
+//! it keeps a `Slab` per partition — a dense `Vec` indexed by slot
 //! (with a hash-map spill for pathologically large keys). Batched
 //! updates hit a direct array index instead of two hash probes per key,
 //! partition export/drop walk exactly one slab instead of filtering

@@ -44,7 +44,7 @@
 //!
 //! # Fault injection at enqueue time
 //!
-//! The same [`FaultPlan`](crate::FaultPlan) chaos layer the thread
+//! The same [`FaultPlan`] chaos layer the thread
 //! cluster uses is applied when a message is **enqueued** (at commit),
 //! not when it is dispatched: the n-th send on a (sender, receiver)
 //! pair consumes the n-th draw of that pair's seeded stream, exactly as

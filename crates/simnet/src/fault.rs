@@ -120,18 +120,6 @@ impl<M> FaultPlan<M> {
         self
     }
 
-    /// Drops messages from `from` to `to` with probability `p`.
-    pub fn drop_between(self, from: NodeId, to: NodeId, p: f64) -> Self {
-        self.with_rule(FaultRule {
-            from: Some(from),
-            to: Some(to),
-            drop: p,
-            duplicate: 0.0,
-            delay: 0.0,
-            filter: None,
-        })
-    }
-
     /// Duplicates messages from `from` to `to` with probability `p`.
     pub fn duplicate_between(self, from: NodeId, to: NodeId, p: f64) -> Self {
         self.with_rule(FaultRule {
@@ -501,7 +489,14 @@ mod tests {
 
     #[test]
     fn wildcard_and_specific_pair_matching() {
-        let plan = FaultPlan::new(0).drop_between(NodeId(1), NodeId(2), 1.0);
+        let plan = FaultPlan::new(0).with_rule(FaultRule {
+            from: Some(NodeId(1)),
+            to: Some(NodeId(2)),
+            drop: 1.0,
+            duplicate: 0.0,
+            delay: 0.0,
+            filter: None,
+        });
         let layer = FaultLayer::new(plan, None);
         assert!(layer.apply(NodeId(1), NodeId(2), 1).absorbed);
         assert_eq!(layer.apply(NodeId(2), NodeId(1), 1).in_order(), vec![1]);

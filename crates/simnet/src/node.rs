@@ -12,8 +12,9 @@ pub struct NodeId(pub u32);
 
 impl NodeId {
     /// The reserved synthetic id harness-originated traffic is attributed
-    /// to (see [`ClusterHandle::send_as_harness`]
-    /// [`crate::ClusterHandle::send_as_harness`]). Never allocated by
+    /// to (see
+    /// [`ClusterHandle::send_as_harness`](crate::ClusterHandle::send_as_harness)).
+    /// Never allocated by
     /// [`Cluster::spawn`](crate::Cluster::spawn) or
     /// [`SimCluster::add_node`](crate::SimCluster::add_node), so a harness
     /// message can never be mistaken for (or collide with) a real node's.

@@ -131,15 +131,6 @@ impl SimDuration {
             other
         }
     }
-
-    /// Scales the duration by a non-negative factor, rounding to the
-    /// nearest millisecond. Negative factors saturate to zero.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        if factor <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
 }
 
 impl Add for SimDuration {
@@ -212,9 +203,9 @@ impl fmt::Display for SimDuration {
 /// use proteus_simtime::{SimDuration, SimTime};
 ///
 /// let t = SimTime::EPOCH + SimDuration::from_mins(95);
-/// // 95 minutes in: we are 35 minutes into billing hour 1.
-/// assert_eq!(t.billing_hour_index(SimTime::EPOCH), 1);
-/// assert_eq!(t.time_into_billing_hour(SimTime::EPOCH).as_mins(), 35);
+/// assert_eq!((t - SimTime::from_hours(1)).as_mins(), 35);
+/// // `since` saturates instead of running before the epoch.
+/// assert_eq!(SimTime::EPOCH.since(t), SimDuration::ZERO);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
@@ -247,28 +238,6 @@ impl SimTime {
     /// `earlier` is in the future.
     pub const fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration::from_millis(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Index of the billing hour containing this instant, for an allocation
-    /// whose billing started at `start` (hour 0 covers `[start, start+1h)`).
-    pub fn billing_hour_index(self, start: SimTime) -> u64 {
-        self.since(start).as_millis() / MILLIS_PER_HOUR
-    }
-
-    /// How far into the current billing hour this instant is, for billing
-    /// that started at `start`.
-    pub fn time_into_billing_hour(self, start: SimTime) -> SimDuration {
-        SimDuration::from_millis(self.since(start).as_millis() % MILLIS_PER_HOUR)
-    }
-
-    /// Time remaining until the end of the current billing hour, for
-    /// billing that started at `start`.
-    ///
-    /// At an exact hour boundary the *next* full hour is returned, matching
-    /// EC2 semantics where a new billing hour begins the instant the
-    /// previous one ends.
-    pub fn time_to_billing_hour_end(self, start: SimTime) -> SimDuration {
-        SimDuration::from_millis(MILLIS_PER_HOUR) - self.time_into_billing_hour(start)
     }
 
     /// The earlier of two instants.
@@ -351,7 +320,6 @@ mod tests {
     fn negative_fractional_inputs_saturate() {
         assert_eq!(SimDuration::from_hours_f64(-3.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(-0.1), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs(5).mul_f64(-1.0), SimDuration::ZERO);
     }
 
     #[test]
@@ -360,26 +328,6 @@ mod tests {
         let b = SimDuration::from_secs(2);
         assert_eq!(a.saturating_sub(b), SimDuration::ZERO);
         assert_eq!(b.saturating_sub(a), SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn billing_hour_arithmetic() {
-        let start = SimTime::from_millis(500);
-        let t = start + SimDuration::from_mins(125);
-        assert_eq!(t.billing_hour_index(start), 2);
-        assert_eq!(t.time_into_billing_hour(start).as_mins(), 5);
-        assert_eq!(t.time_to_billing_hour_end(start).as_mins(), 55);
-    }
-
-    #[test]
-    fn billing_hour_boundary_returns_full_hour() {
-        let start = SimTime::EPOCH;
-        let t = start + SimDuration::from_hours(3);
-        assert_eq!(t.time_into_billing_hour(start), SimDuration::ZERO);
-        assert_eq!(
-            t.time_to_billing_hour_end(start),
-            SimDuration::from_hours(1)
-        );
     }
 
     #[test]

@@ -12,6 +12,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# A doc link to a deleted, renamed or private item fails here instead of
+# rotting in the rendered docs.
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+
 # The root manifest's `default-members` is the whole workspace, so this
 # is every crate's unit, integration, property, golden and chaos suite,
 # the same set the Tier-1 `cargo test -q` runs. One fixed chaos seed
