@@ -14,8 +14,8 @@ use crate::events::{JobEvent, JobStatus};
 use crate::job::ModelSnapshot;
 use crate::topology::{BlockId, Topology};
 
-/// `(key, value)` pairs on the wire — an [`Arc`]-backed shared buffer,
-/// so every message clone (simnet hops, fault-injected duplicates,
+/// `(key, row)` pairs on the wire — one flat, [`Arc`]-backed buffer per
+/// message, so every message clone (simnet hops, fault-injected duplicates,
 /// delayed redelivery) bumps a reference count instead of deep-copying
 /// the payload.
 pub type Values = proteus_ps::Values<DenseVec>;
@@ -144,9 +144,6 @@ pub enum AgileMsg {
     /// Controller → evicted ActivePS: push all remaining deltas to the
     /// backups with the end-of-life flag and stop serving.
     DrainToBackup,
-    /// Controller → surviving ActivePS after a failure: roll local state
-    /// back to the last backup-consistent push boundary.
-    RollbackDirty,
     /// Controller → BackupPS: roll partition states back to `clock` and
     /// send recovery images for `partitions` to `new_owner`.
     RecoverPartitions {

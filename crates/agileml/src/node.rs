@@ -393,9 +393,6 @@ impl<A: MlApp> NodeState<A> {
                 self.push_to_backups(self.last_push_min, true, ctx);
                 self.server.reconfigure(&[], &[], false);
             }
-            AgileMsg::RollbackDirty => {
-                self.server.rollback_dirty();
-            }
             AgileMsg::BackupClockQuery => {
                 let min_clock = self
                     .server

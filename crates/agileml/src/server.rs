@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use proteus_ps::{DenseVec, KeySet, ParamKey, PartitionId, PartitionMap, ShardStore};
+use proteus_ps::{DenseVec, KeySet, ParamKey, PartitionId, PartitionMap, RowRef, ShardStore};
 
 use crate::msg::Values;
 
@@ -180,15 +180,10 @@ impl ServerState {
     }
 
     /// Answers a read: values for the requested keys this node holds in
-    /// its serving store (missing keys omitted). The cloned values share
-    /// their buffers with the store (zero-copy until someone writes).
+    /// its serving store (missing keys omitted), copied into one reply
+    /// buffer.
     pub fn handle_read(&self, keys: &KeySet) -> Values {
-        let mut values = Vec::with_capacity(keys.len());
-        values.extend(
-            keys.iter()
-                .filter_map(|k| self.serving.read(k).map(|v| (k, v.clone()))),
-        );
-        values.into()
+        self.serving.read_rows(keys)
     }
 
     /// Applies an update batch to a served partition in one store pass.
@@ -201,7 +196,7 @@ impl ServerState {
         debug_assert!(
             updates
                 .iter()
-                .all(|(k, _)| self.layout.partition_of(*k) == partition),
+                .all(|(k, _)| self.layout.partition_of(k) == partition),
             "batch crosses partition boundary"
         );
         self.serving.apply_batch(updates);
@@ -220,7 +215,7 @@ impl ServerState {
             // longer served are discarded (their new owner streams them).
             let dirty = self.serving.take_dirty_partition(p);
             if self.serve_set.contains(&p) && !dirty.is_empty() {
-                out.push((p, dirty.into()));
+                out.push((p, dirty));
             }
         }
         out
@@ -228,18 +223,7 @@ impl ServerState {
 
     /// Exports a full serving-side image of `partition`.
     pub fn export_serving(&self, partition: PartitionId) -> Values {
-        self.serving.export_partition(partition).into()
-    }
-
-    /// Rolls the serving store back to the last push boundary by
-    /// subtracting pending dirty deltas (survivor side of failure
-    /// recovery).
-    pub fn rollback_dirty(&mut self) {
-        self.serving.rollback_dirty(|d| {
-            let mut n = d.clone();
-            n.scale(-1.0);
-            n
-        });
+        self.serving.export_partition(partition)
     }
 
     // ------------------------------------------------------------------
@@ -257,14 +241,10 @@ impl ServerState {
         end_of_life: bool,
     ) {
         if self.serve_set.contains(&partition) {
-            for (k, d) in &deltas {
-                self.serving.apply_update(*k, d);
-            }
+            self.serving.apply_batch(&deltas);
             return;
         }
-        for (k, d) in &deltas {
-            self.backup.apply_update(*k, d);
-        }
+        self.backup.apply_batch(&deltas);
         let meta = self.backup_meta.entry(partition).or_default();
         meta.last_clock = meta.last_clock.max(clock);
         meta.pushes.push_back((clock, deltas));
@@ -291,11 +271,7 @@ impl ServerState {
                 if *c <= clock {
                     break;
                 }
-                for (k, d) in deltas {
-                    let mut neg = d.clone();
-                    neg.scale(-1.0);
-                    self.backup.apply_update(*k, &neg);
-                }
+                self.backup.apply_batch(&deltas.scaled(-1.0));
                 meta.last_clock = clock;
                 meta.pushes.pop_back();
             }
@@ -307,16 +283,16 @@ impl ServerState {
 
     /// Exports a full backup-side image of `partition` (recovery source).
     pub fn export_backup(&self, partition: PartitionId) -> Values {
-        self.backup.export_partition(partition).into()
+        self.backup.export_partition(partition)
     }
 
     /// Test/diagnostic helper: a serving-side value.
-    pub fn read_serving(&self, key: ParamKey) -> Option<&DenseVec> {
+    pub fn read_serving(&self, key: ParamKey) -> Option<RowRef<'_>> {
         self.serving.read(key)
     }
 
     /// Test/diagnostic helper: a backup-side value.
-    pub fn read_backup(&self, key: ParamKey) -> Option<&DenseVec> {
+    pub fn read_backup(&self, key: ParamKey) -> Option<RowRef<'_>> {
         self.backup.read(key)
     }
 }
@@ -350,7 +326,7 @@ mod tests {
         let keys = KeySet::from_sorted(&[ParamKey(0), ParamKey(1), ParamKey(4)]);
         let vals = s.handle_read(&keys);
         assert_eq!(vals.len(), 2);
-        assert_eq!(vals[0].1.as_slice(), &[1.5]);
+        assert_eq!(vals.iter().next().unwrap().1, &[1.5]);
         // Updates for unserved partitions are refused.
         assert!(!s.handle_updates(PartitionId(1), &image(&[(1, 9.0)])));
     }
@@ -382,7 +358,7 @@ mod tests {
         assert_eq!(b.read_backup(ParamKey(0)).unwrap().as_slice(), &[11.0]);
         assert_eq!(b.backup_consistent_clock(), Some(1));
         let img = b.export_backup(PartitionId(0));
-        assert_eq!(img[0].1.as_slice(), &[11.0]);
+        assert_eq!(img.iter().next().unwrap().1, &[11.0]);
     }
 
     #[test]
@@ -412,18 +388,6 @@ mod tests {
         assert!(s.backs_up(PartitionId(1)));
         assert_eq!(s.read_backup(ParamKey(1)).unwrap().as_slice(), &[3.0]);
         assert!(s.read_serving(ParamKey(1)).is_none());
-    }
-
-    #[test]
-    fn rollback_dirty_realigns_active_with_backup() {
-        let mut a = ServerState::new(layout());
-        a.reconfigure(&[PartitionId(0)], &[], true);
-        a.install_image(PartitionId(0), image(&[(0, 5.0)]), 0);
-        a.handle_updates(PartitionId(0), &image(&[(0, 1.0)]));
-        let _pushed = a.take_push(1); // State 6.0 pushed at clock 1.
-        a.handle_updates(PartitionId(0), &image(&[(0, 2.0)])); // 8.0, unpushed.
-        a.rollback_dirty();
-        assert_eq!(a.read_serving(ParamKey(0)).unwrap().as_slice(), &[6.0]);
     }
 
     #[test]
@@ -509,8 +473,7 @@ mod tests {
             src.handle_updates(PartitionId(0), &deltas);
 
             let exported = src.export_serving(PartitionId(0));
-            let model: BTreeMap<ParamKey, DenseVec> =
-                exported.iter().cloned().collect();
+            let model: BTreeMap<ParamKey, DenseVec> = exported.clone().into_iter().collect();
             let decoded = decode_model(&encode_model(&model)).expect("decode");
 
             let mut dst = ServerState::new(one());
@@ -519,7 +482,7 @@ mod tests {
             let restored = dst.export_serving(PartitionId(0));
             let bits = |v: &Values| -> Vec<(u64, Vec<u32>)> {
                 v.iter()
-                    .map(|(k, x)| (k.0, x.as_slice().iter().map(|f| f.to_bits()).collect()))
+                    .map(|(k, x)| (k.0, x.iter().map(|f| f.to_bits()).collect()))
                     .collect()
             };
             prop_assert_eq!(bits(&exported), bits(&restored));

@@ -453,8 +453,8 @@ impl<A: MlApp> WorkerState<A> {
                     // a sender we never asked): nothing new to count.
                     return Vec::new();
                 }
-                for (k, v) in values.iter() {
-                    self.cache.refresh(*k, v.as_slice());
+                for (k, v) in &values {
+                    self.cache.refresh(k, v);
                 }
                 let left = self.read_sources.len();
                 self.phase = WorkerPhase::WaitReads {
@@ -486,8 +486,8 @@ impl<A: MlApp> WorkerState<A> {
                 .process(datum, &mut self.scratch, &mut self.cache, &mut self.rng);
         }
 
-        // Flush coalesced batches to partition owners. Each batch moves
-        // into a shared `Values` buffer once; every downstream clone of
+        // Flush coalesced batches to partition owners. Each batch is one
+        // flat `Values` buffer, written once; every downstream clone of
         // the message (simnet hop, fault duplicate) is an Arc bump.
         let mut out: Outbox = Vec::new();
         for (partition, updates) in self.cache.flush() {
@@ -498,7 +498,7 @@ impl<A: MlApp> WorkerState<A> {
                     partition,
                     clock: self.clock,
                     epoch: self.epoch,
-                    updates: updates.into(),
+                    updates,
                 },
             ));
         }

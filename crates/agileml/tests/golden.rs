@@ -146,7 +146,7 @@ impl<A: MlApp> Replay<A> {
 
     fn model(&self) -> Model {
         (0..self.partitions)
-            .flat_map(|p| self.server.export_serving(PartitionId(p)).into_vec())
+            .flat_map(|p| self.server.export_serving(PartitionId(p)))
             .collect()
     }
 }

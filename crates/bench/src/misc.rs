@@ -8,7 +8,7 @@ use proteus_agileml::server::ServerState;
 use proteus_bidbrain::{AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig};
 use proteus_costsim::{run_job, Scheme, SchemeKind, StudyEnv};
 use proteus_market::{catalog, MarketKey, MarketModel, TraceGenerator, Zone};
-use proteus_ps::{DenseVec, ParamKey, PartitionId, PartitionMap};
+use proteus_ps::{ParamKey, PartitionId, PartitionMap};
 use proteus_simtime::{SimDuration, SimTime};
 
 use crate::{standard_study, Out, Table};
@@ -76,11 +76,11 @@ pub fn tab01(out: Out) -> io::Result<()> {
     // Live check of the role mechanics via ServerState.
     let layout = PartitionMap::new(2).ok_or_else(|| io::Error::other("zero partitions"))?;
     let p0 = PartitionId(0);
-    let image = || vec![(ParamKey(0), DenseVec::from(vec![1.0]))].into();
+    let image = || std::iter::once((ParamKey(0), [1.0])).collect();
     let mut active = ServerState::new(layout);
     active.reconfigure(&[p0], &[], true);
     active.install_image(p0, image(), 0);
-    active.handle_updates(p0, &vec![(ParamKey(0), DenseVec::from(vec![0.5]))].into());
+    active.handle_updates(p0, &std::iter::once((ParamKey(0), [0.5])).collect());
     let push = active.take_push(1);
 
     let mut backup = ServerState::new(layout);

@@ -301,7 +301,8 @@ mod tests {
         let flushed = params.flush();
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].1.len(), 1, "one point updates one cluster");
-        assert_eq!(flushed[0].1[0].1.as_slice(), &[0.5, 0.5, 0.5, 0.5, 1.0]);
+        let (_, row) = flushed[0].1.iter().next().expect("one row");
+        assert_eq!(row, &[0.5, 0.5, 0.5, 0.5, 1.0]);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::kernels;
 use crate::partition::{ParamKey, PartitionId, PartitionMap};
 use crate::shard::DENSE_SLOT_LIMIT;
 use crate::value::DenseVec;
+use crate::values::{Rows, Values};
 
 const NO_SLOT: usize = usize::MAX;
 
@@ -53,8 +54,9 @@ pub struct WorkerCache<V = DenseVec> {
     slots: Vec<Slot>,
     cached: Vec<f32>,
     buffer: Vec<f32>,
-    /// Slots with `dirty` set, in first-touch order.
-    dirty: Vec<usize>,
+    /// `(order, slot)` of the slots with `dirty` set, in first-touch
+    /// order.
+    dirty: Vec<((PartitionId, ParamKey), usize)>,
     _wire: PhantomData<fn() -> V>,
 }
 
@@ -117,7 +119,7 @@ impl WorkerCache<DenseVec> {
         s.present = true;
         if !s.dirty {
             s.dirty = true;
-            self.dirty.push(slot);
+            self.dirty.push((s.order, slot));
         }
         was
     }
@@ -216,22 +218,24 @@ impl WorkerCache<DenseVec> {
         }
     }
 
-    /// Drains the write-back buffer, grouped by destination partition and
-    /// sorted by key within each group.
-    pub fn flush(&mut self) -> Vec<(PartitionId, Vec<(ParamKey, DenseVec)>)> {
+    /// Drains the write-back buffer: one payload per destination
+    /// partition, sorted by key, each sized exactly and written in one
+    /// copy per row.
+    pub fn flush(&mut self) -> Vec<(PartitionId, Values)> {
         let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.sort_unstable_by_key(|&slot| self.slots[slot].order);
-        let mut out: Vec<(PartitionId, Vec<(ParamKey, DenseVec)>)> = Vec::new();
-        for slot in dirty.drain(..) {
-            let s = &mut self.slots[slot];
-            s.dirty = false;
-            let (partition, key) = s.order;
-            let delta = DenseVec::from(self.buffer[s.start..s.start + s.dim].to_vec());
-            match out.last_mut() {
-                Some((p, batch)) if *p == partition => batch.push((key, delta)),
-                _ => out.push((partition, vec![(key, delta)])),
+        dirty.sort_unstable_by_key(|&(order, _)| order);
+        let mut out = Vec::new();
+        for batch in dirty.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+            let floats = batch.iter().map(|&(_, slot)| self.slots[slot].dim).sum();
+            let mut rows = Rows::with_capacity(batch.len(), floats);
+            for &((_, key), slot) in batch {
+                let s = &mut self.slots[slot];
+                s.dirty = false;
+                rows.push(key, &self.buffer[s.start..s.start + s.dim]);
             }
+            out.push((batch[0].0 .0, Values::from_rows(rows)));
         }
+        dirty.clear();
         self.dirty = dirty; // Emptied; handed back for its allocation.
         out
     }
@@ -298,6 +302,7 @@ mod tests {
         assert_eq!(flushed.len(), 2);
         assert_eq!(flushed[0].0, PartitionId(0));
         assert_eq!(flushed[0].1.len(), 2);
+        assert_eq!(flushed[0].1.floats(), 2, "one buffer, sized exactly");
         assert_eq!(flushed[1].0, PartitionId(1));
         assert!(!c.has_pending());
         assert!(c.flush().is_empty());
@@ -342,8 +347,8 @@ mod tests {
                 c.update(ParamKey(*k), &delta);
             }
             for (_, batch) in c.flush() {
-                for (k, v) in batch {
-                    via_cache.apply_update(k, &v);
+                for (k, v) in &batch {
+                    via_cache.apply_update(k, v);
                 }
             }
             for k in direct.keys() {

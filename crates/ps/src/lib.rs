@@ -10,18 +10,19 @@
 //!
 //! This crate provides those building blocks free of any networking:
 //!
-//! * [`PsValue`] / [`DenseVec`] — the value contract and the dense-vector
-//!   instance every bundled application uses;
+//! * [`DenseVec`] — the dense parameter row every bundled application
+//!   uses;
 //! * [`PartitionMap`] — the fixed-`N`-partition key layout AgileML uses so
 //!   elasticity re-assigns *partitions* instead of re-sharding keys;
-//! * [`ShardStore`] — one server shard's state, with partition-granular
-//!   export/import for migration and backup;
+//! * [`ShardStore`] — one server shard's state in flat per-partition
+//!   slabs, with partition-granular export/import for migration and
+//!   backup;
 //! * [`ClockTable`] — Stale-Synchronous-Parallel progress tracking;
 //! * [`cache::WorkerCache`] — the worker-side cache with write-back
 //!   update buffering;
-//! * [`Values`] / [`KeySet`] — the zero-copy shared payload buffer and
-//!   the compressed key-range set the batched data plane ships (the
-//!   messages carrying them are AgileML's);
+//! * [`Values`] / [`KeySet`] — the flat, shared payload buffer and the
+//!   compressed key-range set the batched data plane ships (the messages
+//!   carrying them are AgileML's);
 //! * [`kernels`] — explicit-width chunked slice kernels (the
 //!   autovectorized hot loops behind [`DenseVec`] and the ML apps);
 //! * [`snapshot`] — the durable, bit-exact checkpoint encoding of a
@@ -49,7 +50,7 @@ pub use cache::WorkerCache;
 pub use clock::ClockTable;
 pub use keyset::KeySet;
 pub use partition::{ParamKey, PartitionId, PartitionMap};
-pub use shard::ShardStore;
+pub use shard::{KeyedRow, RowRef, ShardStore};
 pub use snapshot::{decode_model, encode_model, SnapshotError};
-pub use value::{DenseVec, PsValue};
+pub use value::DenseVec;
 pub use values::Values;

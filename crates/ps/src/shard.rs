@@ -6,171 +6,222 @@
 //! partition-granular export/import — the primitive behind partition
 //! migration, active→backup streaming, and recovery — and *delta
 //! tracking*: the aggregate of updates applied since the last push to the
-//! backup, which is what lets an ActivePS roll back to a state consistent
-//! with its BackupPS after a partial failure (Sec. 3.3).
+//! backup, which is what an ActivePS streams to its BackupPS (Sec. 3.3).
 //!
-//! # Internal layout: one slab per partition
+//! # Internal layout: one flat slab per partition
 //!
 //! Under the modulo key layout (`partition = key % count`) each
 //! partition's keys form the arithmetic progression `p, p+count,
 //! p+2·count, …`, so `key / count` is a dense slot index within the
-//! partition. The store exploits this: instead of one global hash map,
-//! it keeps a `Slab` per partition — a dense `Vec` indexed by slot
-//! (with a hash-map spill for pathologically large keys). Batched
-//! updates hit a direct array index instead of two hash probes per key,
-//! partition export/drop walk exactly one slab instead of filtering
-//! every key in the store, and independent partitions never contend on
-//! shared bucket state.
+//! partition. The store keeps a `Slab` per partition: a slot-indexed
+//! row table (with a hash-map spill for pathologically large keys) over
+//! two flat `f32` vectors, the live values and the dirty aggregate, in
+//! which each row owns the same `start..start + dim` range — the layout
+//! `WorkerCache` uses. Applying a delta is an in-place add into a slice
+//! (or a copy, the first time), reads and exports copy rows into one
+//! payload buffer in key order, and partition export/drop walk exactly
+//! one slab.
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
+use std::ops::Range;
 
+use crate::kernels;
+use crate::keyset::KeySet;
 use crate::partition::{ParamKey, PartitionId, PartitionMap};
-use crate::value::PsValue;
+use crate::value::DenseVec;
+use crate::values::{Rows, Values};
 
-/// Slots below this index live in the dense vector; larger ones (keys
+/// Slots below this index live in the dense table; larger ones (keys
 /// beyond ~4 billion × partition-count, which no bundled app produces)
 /// spill to a hash map so arbitrary `u64` keys still work without
 /// unbounded allocation.
 pub(crate) const DENSE_SLOT_LIMIT: u64 = 1 << 22;
 
-/// Dense-first storage for one partition: a slot-indexed vector with a
-/// hash spill for slots past [`DENSE_SLOT_LIMIT`].
+const NO_ROW: usize = usize::MAX;
+
+/// One row's range in its slab's two vectors.
 #[derive(Debug, Clone)]
-struct Slab<V> {
-    dense: Vec<Option<V>>,
-    /// Entries with `slot >= DENSE_SLOT_LIMIT` only — keeping the two
-    /// ranges disjoint means "dense in slot order, then spill sorted"
-    /// enumerates all keys in increasing order.
-    spill: HashMap<u64, V>,
-    live: usize,
+struct Row {
+    start: usize,
+    dim: usize,
+    /// Whether `deltas` holds an aggregate not yet taken.
+    dirty: bool,
 }
 
-impl<V> Default for Slab<V> {
-    fn default() -> Self {
-        Slab {
-            dense: Vec::new(),
-            spill: HashMap::new(),
-            live: 0,
-        }
-    }
+/// One partition: a slot table over the values and the dirty aggregate.
+#[derive(Debug, Clone, Default)]
+struct Slab {
+    /// `slot → row` for slots below [`DENSE_SLOT_LIMIT`].
+    index: Vec<usize>,
+    /// `slot → row` for the rest only — keeping the two ranges disjoint
+    /// means "dense in slot order, then spill sorted" enumerates all
+    /// keys in increasing order.
+    spill: HashMap<u64, usize>,
+    rows: Vec<Row>,
+    values: Vec<f32>,
+    deltas: Vec<f32>,
+    /// Rows with `dirty` set, and their components in all: the exact
+    /// size of the next drain.
+    dirty_rows: usize,
+    dirty_floats: usize,
 }
 
-impl<V> Slab<V> {
-    fn get(&self, slot: u64) -> Option<&V> {
-        if slot < DENSE_SLOT_LIMIT {
-            self.dense.get(slot as usize).and_then(|o| o.as_ref())
+impl Slab {
+    #[inline]
+    fn row(&self, slot: u64) -> Option<usize> {
+        let row = if slot < DENSE_SLOT_LIMIT {
+            *self.index.get(slot as usize)?
         } else {
-            self.spill.get(&slot)
-        }
+            *self.spill.get(&slot)?
+        };
+        (row != NO_ROW).then_some(row)
     }
 
-    fn get_mut(&mut self, slot: u64) -> Option<&mut V> {
-        if slot < DENSE_SLOT_LIMIT {
-            self.dense.get_mut(slot as usize).and_then(|o| o.as_mut())
-        } else {
-            self.spill.get_mut(&slot)
-        }
+    #[inline]
+    fn range(&self, row: usize) -> Range<usize> {
+        let r = &self.rows[row];
+        r.start..r.start + r.dim
     }
 
-    fn insert(&mut self, slot: u64, value: V) -> Option<V> {
-        let old = if slot < DENSE_SLOT_LIMIT {
-            let idx = slot as usize;
-            if idx >= self.dense.len() {
-                self.dense.resize_with(idx + 1, || None);
+    /// Stores `value` as a fresh range for `slot` — a new key, or a
+    /// reinstall at another width, whose old range then sits unused
+    /// until the partition drops. Returns the row, clean.
+    fn place(&mut self, slot: u64, value: &[f32]) -> usize {
+        let start = self.values.len();
+        self.values.extend_from_slice(value);
+        self.deltas.resize(self.values.len(), 0.0);
+        let fresh = Row {
+            start,
+            dim: value.len(),
+            dirty: false,
+        };
+        if let Some(row) = self.row(slot) {
+            self.clean(row);
+            self.rows[row] = fresh;
+            return row;
+        }
+        let row = self.rows.len();
+        self.rows.push(fresh);
+        if slot < DENSE_SLOT_LIMIT {
+            let i = slot as usize;
+            if i >= self.index.len() {
+                self.index.resize(i + 1, NO_ROW);
             }
-            self.dense[idx].replace(value)
+            self.index[i] = row;
         } else {
-            self.spill.insert(slot, value)
-        };
-        if old.is_none() {
-            self.live += 1;
+            self.spill.insert(slot, row);
         }
-        old
+        row
     }
 
-    fn remove(&mut self, slot: u64) -> Option<V> {
-        let old = if slot < DENSE_SLOT_LIMIT {
-            self.dense.get_mut(slot as usize).and_then(|o| o.take())
+    /// Forgets `row`'s dirty aggregate.
+    fn clean(&mut self, row: usize) {
+        let r = &mut self.rows[row];
+        if std::mem::take(&mut r.dirty) {
+            self.dirty_rows -= 1;
+            self.dirty_floats -= r.dim;
+        }
+    }
+
+    fn install(&mut self, slot: u64, value: &[f32]) {
+        match self.row(slot).filter(|&r| self.rows[r].dim == value.len()) {
+            Some(row) => {
+                self.clean(row);
+                let range = self.range(row);
+                self.values[range].copy_from_slice(value);
+            }
+            None => {
+                self.place(slot, value);
+            }
+        }
+    }
+
+    /// Adds `delta` to the row and to its dirty aggregate. A row's first
+    /// delta — and the aggregate's first since a drain — is *copied*,
+    /// not added to zeros, so a `-0.0` component survives.
+    fn apply(&mut self, slot: u64, delta: &[f32]) {
+        let row = match self.row(slot) {
+            Some(row) => {
+                let range = self.range(row);
+                kernels::add_assign(&mut self.values[range], delta);
+                row
+            }
+            None => self.place(slot, delta),
+        };
+        let range = self.range(row);
+        let r = &mut self.rows[row];
+        if r.dirty {
+            kernels::add_assign(&mut self.deltas[range], delta);
         } else {
-            self.spill.remove(&slot)
-        };
-        if old.is_some() {
-            self.live -= 1;
+            self.deltas[range].copy_from_slice(delta);
+            r.dirty = true;
+            self.dirty_rows += 1;
+            self.dirty_floats += r.dim;
         }
-        old
     }
 
-    fn clear(&mut self) -> usize {
-        let n = self.live;
-        self.dense.clear();
-        self.spill.clear();
-        self.live = 0;
-        n
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Iterates `(slot, value)` in increasing slot order.
-    fn iter_sorted(&self) -> impl Iterator<Item = (u64, &V)> {
-        let mut spill_slots: Vec<u64> = self.spill.keys().copied().collect();
-        spill_slots.sort_unstable();
-        self.dense
+    /// `(slot, row)` of every row, in increasing slot order.
+    fn sorted(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        let mut spilled: Vec<(u64, usize)> = self.spill.iter().map(|(&s, &r)| (s, r)).collect();
+        spilled.sort_unstable();
+        self.index
             .iter()
             .enumerate()
-            .filter_map(|(i, o)| o.as_ref().map(|v| (i as u64, v)))
-            .chain(
-                spill_slots
-                    .into_iter()
-                    .filter_map(move |s| self.spill.get(&s).map(|v| (s, v))),
-            )
+            .filter(|&(_, &r)| r != NO_ROW)
+            .map(|(s, &r)| (s as u64, r))
+            .chain(spilled)
     }
+}
 
-    /// Drains every entry in increasing slot order.
-    fn drain_sorted(&mut self) -> Vec<(u64, V)> {
-        let mut out: Vec<(u64, V)> = Vec::with_capacity(self.live);
-        for (i, o) in self.dense.iter_mut().enumerate() {
-            if let Some(v) = o.take() {
-                out.push((i as u64, v));
-            }
-        }
-        let mut spilled: Vec<(u64, V)> = self.spill.drain().collect();
-        spilled.sort_unstable_by_key(|(s, _)| *s);
-        out.extend(spilled);
-        self.dense.clear();
-        self.live = 0;
-        out
+/// A `(key, row)` pair as a batch yields it: borrowed from a [`Values`]
+/// payload, or a reference to an owned pair.
+pub trait KeyedRow {
+    /// The pair's key and components.
+    fn key_row(&self) -> (ParamKey, &[f32]);
+}
+
+impl KeyedRow for (ParamKey, &[f32]) {
+    fn key_row(&self) -> (ParamKey, &[f32]) {
+        *self
+    }
+}
+
+impl<R: AsRef<[f32]>> KeyedRow for &(ParamKey, R) {
+    fn key_row(&self) -> (ParamKey, &[f32]) {
+        (self.0, self.1.as_ref())
+    }
+}
+
+/// A row borrowed from a store, as [`ShardStore::read`] returns it.
+#[derive(Debug, Clone, Copy)]
+pub struct RowRef<'a>(&'a [f32]);
+
+impl<'a> RowRef<'a> {
+    /// The row's components.
+    pub fn as_slice(&self) -> &'a [f32] {
+        self.0
     }
 }
 
 /// Parameter state held by one server shard, stored slab-per-partition.
+/// `V` is the value type the rows stand for; they are stored flat.
 #[derive(Debug, Clone)]
-pub struct ShardStore<V> {
+pub struct ShardStore<V = DenseVec> {
     layout: PartitionMap,
-    /// Live parameter values, one slab per partition.
-    values: Vec<Slab<V>>,
-    /// Aggregate of deltas applied since the last `take_dirty` — keyed
-    /// the same way, merged commutatively.
-    dirty: Vec<Slab<V>>,
+    slabs: Vec<Slab>,
+    _value: PhantomData<fn() -> V>,
 }
 
-impl<V: PsValue> ShardStore<V> {
+impl ShardStore<DenseVec> {
     /// Creates an empty shard using the job's partition layout.
     pub fn new(layout: PartitionMap) -> Self {
-        let n = layout.count() as usize;
-        let mut values = Vec::with_capacity(n);
-        let mut dirty = Vec::with_capacity(n);
-        values.resize_with(n, Slab::default);
-        dirty.resize_with(n, Slab::default);
+        let mut slabs = Vec::new();
+        slabs.resize_with(layout.count() as usize, Slab::default);
         ShardStore {
             layout,
-            values,
-            dirty,
+            slabs,
+            _value: PhantomData,
         }
     }
 
@@ -194,16 +245,33 @@ impl<V: PsValue> ShardStore<V> {
 
     /// Installs an initial value for `key`, replacing any existing one and
     /// clearing its dirty delta.
-    pub fn install(&mut self, key: ParamKey, value: V) {
+    pub fn install(&mut self, key: ParamKey, value: impl AsRef<[f32]>) {
         let (p, slot) = self.locate(key);
-        self.values[p].insert(slot, value);
-        self.dirty[p].remove(slot);
+        self.slabs[p].install(slot, value.as_ref());
     }
 
     /// Reads the current value of `key`.
-    pub fn read(&self, key: ParamKey) -> Option<&V> {
+    #[inline]
+    pub fn read(&self, key: ParamKey) -> Option<RowRef<'_>> {
         let (p, slot) = self.locate(key);
-        self.values[p].get(slot)
+        let slab = &self.slabs[p];
+        slab.row(slot)
+            .map(|row| RowRef(&slab.values[slab.range(row)]))
+    }
+
+    /// Answers a batched read in one pass: the rows of `keys` this shard
+    /// holds, copied into one payload in key order (missing keys
+    /// omitted). The buffer is sized from the first row found, exactly
+    /// when every key is present at one width.
+    pub fn read_rows(&self, keys: &KeySet) -> Values {
+        let mut out = Rows::with_capacity(keys.len(), 0);
+        for key in keys.iter() {
+            if let Some(row) = self.read(key) {
+                out.reserve_floats(keys.len() * row.0.len());
+                out.push(key, row.0);
+            }
+        }
+        Values::from_rows(out)
     }
 
     /// Applies a commutative delta to `key` and tracks it in the dirty
@@ -211,160 +279,122 @@ impl<V: PsValue> ShardStore<V> {
     ///
     /// Unknown keys are initialized to the delta (zero plus delta), which
     /// lets workers lazily materialize rows.
-    pub fn apply_update(&mut self, key: ParamKey, delta: &V) {
+    pub fn apply_update(&mut self, key: ParamKey, delta: &(impl AsRef<[f32]> + ?Sized)) {
         let (p, slot) = self.locate(key);
-        match self.values[p].get_mut(slot) {
-            Some(v) => v.merge(delta),
-            None => {
-                self.values[p].insert(slot, delta.clone());
-            }
-        }
-        match self.dirty[p].get_mut(slot) {
-            Some(d) => d.merge(delta),
-            None => {
-                self.dirty[p].insert(slot, delta.clone());
-            }
-        }
+        self.slabs[p].apply(slot, delta.as_ref());
     }
 
     /// Applies a whole batch of `(key, delta)` pairs in one pass over
     /// the slabs — the batched data plane's entry point. Equivalent to
     /// calling [`ShardStore::apply_update`] per pair (bit-identical
-    /// resulting state), without re-resolving partition slabs per key.
-    pub fn apply_batch(&mut self, updates: &[(ParamKey, V)]) {
+    /// resulting state).
+    pub fn apply_batch<R: KeyedRow>(&mut self, updates: impl IntoIterator<Item = R>) {
         let count = u64::from(self.layout.count());
-        for (key, delta) in updates {
-            let p = (key.0 % count) as usize;
-            let slot = key.0 / count;
-            match self.values[p].get_mut(slot) {
-                Some(v) => v.merge(delta),
-                None => {
-                    self.values[p].insert(slot, delta.clone());
-                }
-            }
-            match self.dirty[p].get_mut(slot) {
-                Some(d) => d.merge(delta),
-                None => {
-                    self.dirty[p].insert(slot, delta.clone());
-                }
-            }
+        for pair in updates {
+            let (key, delta) = pair.key_row();
+            self.slabs[(key.0 % count) as usize].apply(key.0 / count, delta);
         }
     }
 
     /// Number of materialized keys.
     pub fn len(&self) -> usize {
-        self.values.iter().map(Slab::len).sum()
+        self.slabs.iter().map(|s| s.rows.len()).sum()
     }
 
     /// Whether the shard holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.values.iter().all(Slab::is_empty)
+        self.slabs.iter().all(|s| s.rows.is_empty())
     }
 
-    /// Exports every `(key, value)` belonging to `partition`, sorted by
-    /// key for deterministic wire images. Walks exactly one slab.
-    pub fn export_partition(&self, partition: PartitionId) -> Vec<(ParamKey, V)> {
+    /// Exports every `(key, value)` belonging to `partition` as one
+    /// payload, sorted by key for deterministic wire images. Walks
+    /// exactly one slab.
+    pub fn export_partition(&self, partition: PartitionId) -> Values {
         let p = partition.0 as usize;
-        match self.values.get(p) {
-            Some(slab) => slab
-                .iter_sorted()
-                .map(|(slot, v)| (self.key_at(p, slot), v.clone()))
-                .collect(),
-            None => Vec::new(),
+        let Some(slab) = self.slabs.get(p) else {
+            return Values::new();
+        };
+        let mut out = Rows::with_capacity(slab.rows.len(), slab.values.len());
+        for (slot, row) in slab.sorted() {
+            out.push(self.key_at(p, slot), &slab.values[slab.range(row)]);
         }
+        Values::from_rows(out)
     }
 
     /// Installs an exported partition image, replacing any existing values
     /// for those keys (used on migration targets and during recovery).
-    pub fn import_partition<I: IntoIterator<Item = (ParamKey, V)>>(&mut self, image: I) {
-        for (k, v) in image {
-            self.install(k, v);
+    pub fn import_partition(&mut self, image: Values) {
+        if let Some((key, _)) = image.iter().next() {
+            // An image is one partition's: size its slab once.
+            let (p, _) = self.locate(key);
+            let slab = &mut self.slabs[p];
+            slab.rows.reserve_exact(image.len());
+            slab.values.reserve_exact(image.floats());
+            slab.deltas.reserve_exact(image.floats());
+        }
+        for (key, row) in &image {
+            self.install(key, row);
         }
     }
 
     /// Removes every key belonging to `partition` (after the partition has
-    /// migrated elsewhere), returning how many keys were dropped. O(slab),
+    /// migrated elsewhere), returning how many keys were dropped. O(1),
     /// touching no other partition's state.
     pub fn drop_partition(&mut self, partition: PartitionId) -> usize {
-        let p = partition.0 as usize;
-        let dropped = match self.values.get_mut(p) {
-            Some(slab) => slab.clear(),
-            None => 0,
-        };
-        if let Some(slab) = self.dirty.get_mut(p) {
-            slab.clear();
-        }
-        dropped
+        self.slabs
+            .get_mut(partition.0 as usize)
+            .map_or(0, |slab| std::mem::take(slab).rows.len())
     }
 
     /// Takes and clears the dirty aggregate: the coalesced updates applied
-    /// since the previous call, sorted by key. This is what an ActivePS
-    /// streams to its BackupPS in the background.
-    pub fn take_dirty(&mut self) -> Vec<(ParamKey, V)> {
-        let mut out: Vec<(ParamKey, V)> = Vec::new();
-        for p in 0..self.dirty.len() {
-            for (slot, v) in self.dirty[p].drain_sorted() {
-                out.push((self.key_at(p, slot), v));
-            }
-        }
+    /// since the previous call, sorted by key.
+    pub fn take_dirty(&mut self) -> Vec<(ParamKey, DenseVec)> {
+        let layout = self.layout;
+        let mut out: Vec<(ParamKey, DenseVec)> = layout
+            .partitions()
+            .flat_map(|p| self.take_dirty_partition(p))
+            .collect();
         out.sort_by_key(|(k, _)| *k);
         out
     }
 
-    /// Takes and clears the dirty aggregate of one partition, sorted by
-    /// key — the per-partition fast path for backup pushes (no global
-    /// drain-and-regroup).
-    pub fn take_dirty_partition(&mut self, partition: PartitionId) -> Vec<(ParamKey, V)> {
+    /// Takes and clears the dirty aggregate of one partition as one
+    /// payload, sorted by key — what an ActivePS streams to its BackupPS.
+    pub fn take_dirty_partition(&mut self, partition: PartitionId) -> Values {
         let p = partition.0 as usize;
-        match self.dirty.get_mut(p) {
-            Some(slab) => slab
-                .drain_sorted()
-                .into_iter()
-                .map(|(slot, v)| (self.key_at(p, slot), v))
-                .collect(),
-            None => Vec::new(),
+        let Some(slab) = self.slabs.get(p).filter(|s| s.dirty_rows > 0) else {
+            return Values::new();
+        };
+        let mut out = Rows::with_capacity(slab.dirty_rows, slab.dirty_floats);
+        for (slot, row) in slab.sorted() {
+            if slab.rows[row].dirty {
+                out.push(self.key_at(p, slot), &slab.deltas[slab.range(row)]);
+            }
         }
+        let slab = &mut self.slabs[p];
+        for row in &mut slab.rows {
+            row.dirty = false;
+        }
+        (slab.dirty_rows, slab.dirty_floats) = (0, 0);
+        Values::from_rows(out)
     }
 
     /// Partitions with pending dirty deltas, sorted.
     pub fn dirty_partitions(&self) -> Vec<PartitionId> {
-        self.dirty
-            .iter()
-            .enumerate()
-            .filter(|(_, slab)| !slab.is_empty())
-            .map(|(p, _)| PartitionId(p as u32))
+        (self.layout.partitions())
+            .filter(|p| self.slabs[p.0 as usize].dirty_rows > 0)
             .collect()
     }
 
     /// Whether any updates are pending since the last `take_dirty`.
     pub fn has_dirty(&self) -> bool {
-        self.dirty.iter().any(|slab| !slab.is_empty())
-    }
-
-    /// Rolls the shard back to the state it had at the last `take_dirty`
-    /// boundary by *subtracting* the pending dirty aggregate.
-    ///
-    /// This requires the value's merge to have an inverse under the dirty
-    /// delta — true for component-wise addition, where subtracting means
-    /// merging the negation. The negation is produced by `negate`.
-    pub fn rollback_dirty(&mut self, negate: impl Fn(&V) -> V) {
-        for p in 0..self.dirty.len() {
-            for (slot, d) in self.dirty[p].drain_sorted() {
-                if let Some(v) = self.values[p].get_mut(slot) {
-                    v.merge(&negate(&d));
-                }
-            }
-        }
+        self.slabs.iter().any(|s| s.dirty_rows > 0)
     }
 
     /// Every key currently materialized, sorted (test/diagnostic helper).
     pub fn keys(&self) -> Vec<ParamKey> {
-        let mut ks: Vec<ParamKey> = (0..self.values.len())
-            .flat_map(|p| {
-                self.values[p]
-                    .iter_sorted()
-                    .map(move |(slot, _)| self.key_at(p, slot))
-            })
+        let mut ks: Vec<ParamKey> = (self.slabs.iter().enumerate())
+            .flat_map(|(p, slab)| slab.sorted().map(move |(slot, _)| self.key_at(p, slot)))
             .collect();
         ks.sort();
         ks
@@ -413,6 +443,7 @@ mod tests {
         }
         let image = src.export_partition(PartitionId(0));
         assert_eq!(image.len(), 3);
+        assert_eq!(image.floats(), 3, "one buffer, sized exactly");
 
         let mut dst = store(4);
         dst.import_partition(image);
@@ -456,8 +487,8 @@ mod tests {
         assert_eq!(s.dirty_partitions(), vec![PartitionId(0), PartitionId(1)]);
         let d0 = s.take_dirty_partition(PartitionId(0));
         assert_eq!(d0.len(), 2);
-        assert_eq!(d0[0].0, ParamKey(0));
-        assert_eq!(d0[1].0, ParamKey(2));
+        let keys: Vec<ParamKey> = d0.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![ParamKey(0), ParamKey(2)]);
         assert!(s.has_dirty(), "partition 1 still dirty");
         assert_eq!(s.dirty_partitions(), vec![PartitionId(1)]);
         assert_eq!(s.take_dirty_partition(PartitionId(1)).len(), 1);
@@ -487,26 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn rollback_dirty_restores_last_pushed_state() {
-        let mut s = store(2);
-        s.install(ParamKey(1), dv(&[10.0]));
-        // Simulate a push boundary.
-        let _ = s.take_dirty();
-        // Updates since the push.
-        s.apply_update(ParamKey(1), &dv(&[2.5]));
-        s.apply_update(ParamKey(1), &dv(&[0.5]));
-        assert_eq!(s.read(ParamKey(1)).unwrap().as_slice(), &[13.0]);
-        // A failure elsewhere forces this shard back to the backup state.
-        s.rollback_dirty(|d| {
-            let mut n = d.clone();
-            n.scale(-1.0);
-            n
-        });
-        assert_eq!(s.read(ParamKey(1)).unwrap().as_slice(), &[10.0]);
-        assert!(!s.has_dirty());
-    }
-
-    #[test]
     fn exported_images_are_sorted_by_key() {
         let mut s = store(1);
         for k in [9u64, 3, 7, 1] {
@@ -532,8 +543,8 @@ mod tests {
         assert_eq!(s.len(), 2);
         // Exports keep global key order across the dense/spill boundary.
         let image = s.export_partition(PartitionId(0));
-        assert_eq!(image[0].0, ParamKey(0));
-        assert_eq!(image[1].0, huge);
+        let keys: Vec<ParamKey> = image.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![ParamKey(0), huge]);
         assert_eq!(s.drop_partition(PartitionId(0)), 2);
         assert!(s.is_empty());
     }

@@ -1,35 +1,16 @@
-//! The parameter-value contract and the dense-vector implementation.
+//! The dense parameter row: an `f32` vector with component-wise-add
+//! aggregation.
 
 use std::sync::Arc;
 
 use crate::kernels;
 
-/// A value storable in the parameter server.
-///
-/// The merge operation must be **commutative and associative** so that
-/// updates from different workers can be applied in any order — the
-/// correctness foundation of asynchronous parameter-server training. For
-/// the bundled ML applications the values are [`DenseVec`]s and merge is
-/// component-wise addition.
-pub trait PsValue: Clone + Send + 'static {
-    /// Folds another value (typically a delta) into this one.
-    fn merge(&mut self, delta: &Self);
-
-    /// The additive identity with the same shape as `self`.
-    fn zero_like(&self) -> Self;
-
-    /// Logical wire size in bytes: what shipping this value over a real
-    /// network would cost, **independent of in-memory representation**.
-    /// Network-volume accounting sums these, so sharing a buffer between
-    /// messages (zero-copy) must not change the reported volume.
-    fn wire_bytes(&self) -> usize;
-}
-
 /// A dense `f32` vector with component-wise-add aggregation.
 ///
-/// The components live behind an [`Arc`], so cloning a `DenseVec` — the
-/// operation every simnet hop, fault-injected duplicate, and read
-/// response performs — is a reference-count bump, not a buffer copy.
+/// This is the owned row of a model snapshot, an app's initial values
+/// and the checkpoint codec; the data plane ships rows flat, in
+/// [`Values`](crate::Values). The components live behind an [`Arc`], so
+/// cloning a `DenseVec` is a reference-count bump, not a buffer copy.
 /// Mutation goes through [`Arc::make_mut`] (copy-on-write): a uniquely
 /// owned vector mutates in place; a shared one is copied exactly once
 /// and is unique from then on.
@@ -37,7 +18,7 @@ pub trait PsValue: Clone + Send + 'static {
 /// # Examples
 ///
 /// ```
-/// use proteus_ps::{DenseVec, PsValue};
+/// use proteus_ps::DenseVec;
 ///
 /// let mut row = DenseVec::zeros(3);
 /// row.merge(&DenseVec::from(vec![1.0, 2.0, 3.0]));
@@ -116,6 +97,27 @@ impl DenseVec {
     pub fn norm_sq(&self) -> f32 {
         kernels::norm_sq(&self.0)
     }
+
+    /// Folds a delta into this row: component-wise addition, so updates
+    /// from different workers may be applied in any order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    pub fn merge(&mut self, delta: &DenseVec) {
+        kernels::add_assign(Arc::make_mut(&mut self.0).as_mut_slice(), &delta.0);
+    }
+
+    /// The additive identity with the same shape as `self`.
+    pub fn zero_like(&self) -> Self {
+        DenseVec::zeros(self.0.len())
+    }
+
+    /// Logical wire size in bytes: what shipping this row over a real
+    /// network would cost, independent of in-memory representation.
+    pub fn wire_bytes(&self) -> usize {
+        self.0.len() * std::mem::size_of::<f32>()
+    }
 }
 
 impl From<Vec<f32>> for DenseVec {
@@ -133,20 +135,6 @@ impl AsRef<[f32]> for DenseVec {
 impl PartialEq for DenseVec {
     fn eq(&self, other: &Self) -> bool {
         self.shares_buffer(other) || self.0 == other.0
-    }
-}
-
-impl PsValue for DenseVec {
-    fn merge(&mut self, delta: &Self) {
-        kernels::add_assign(Arc::make_mut(&mut self.0).as_mut_slice(), &delta.0);
-    }
-
-    fn zero_like(&self) -> Self {
-        DenseVec::zeros(self.0.len())
-    }
-
-    fn wire_bytes(&self) -> usize {
-        self.0.len() * std::mem::size_of::<f32>()
     }
 }
 

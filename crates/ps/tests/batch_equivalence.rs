@@ -10,7 +10,7 @@
 //! the obs determinism suite.
 
 use proptest::prelude::*;
-use proteus_ps::{DenseVec, KeySet, ParamKey, PartitionId, PartitionMap, PsValue, ShardStore};
+use proteus_ps::{DenseVec, KeySet, ParamKey, PartitionId, PartitionMap, ShardStore};
 
 /// An update op: `(key, scalar seed)` expanded to a dim-4 delta.
 fn delta(seed: f32) -> DenseVec {
@@ -54,7 +54,7 @@ fn observe(
     partitions: u32,
 ) -> (Vec<Vec<(ParamKey, DenseVec)>>, Vec<(ParamKey, DenseVec)>) {
     let images = (0..partitions)
-        .map(|p| store.export_partition(PartitionId(p)))
+        .map(|p| store.export_partition(PartitionId(p)).into_iter().collect())
         .collect();
     (images, store.take_dirty())
 }
@@ -121,22 +121,28 @@ proptest! {
         keys.sort_unstable();
         keys.dedup();
 
+        let owned = |k: ParamKey, v: &[f32]| (k, DenseVec::from(v.to_vec()));
         // Per-key reference read (misses omitted).
         let direct: Vec<(ParamKey, DenseVec)> = keys
             .iter()
-            .filter_map(|&k| s.read(k).map(|v| (k, v.clone())))
+            .filter_map(|&k| s.read(k).map(|v| owned(k, v.as_slice())))
             .collect();
         // Batched read: the compressed KeySet drives the same lookups.
         let set = KeySet::from_sorted(&keys);
         let via_set: Vec<(ParamKey, DenseVec)> = set
             .iter()
-            .filter_map(|k| s.read(k).map(|v| (k, v.clone())))
+            .filter_map(|k| s.read(k).map(|v| owned(k, v.as_slice())))
             .collect();
         prop_assert_eq!(&direct, &via_set);
+        // The one-pass reply a server ships carries the same pairs.
+        let reply = s.read_rows(&set);
+        let via_reply: Vec<(ParamKey, DenseVec)> = reply.iter().map(|(k, v)| owned(k, v)).collect();
+        prop_assert_eq!(&direct, &via_reply);
         // Logical wire accounting matches the per-key request exactly.
         prop_assert_eq!(set.wire_bytes(), keys.len() * 8);
         let value_bytes: usize = direct.iter().map(|(_, v)| v.wire_bytes() + 8).sum();
         let per_key_bytes: usize = via_set.iter().map(|(_, v)| v.wire_bytes() + 8).sum();
         prop_assert_eq!(value_bytes, per_key_bytes);
+        prop_assert_eq!(reply.wire_bytes(), value_bytes);
     }
 }

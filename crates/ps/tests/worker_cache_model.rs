@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use proteus_ps::{DenseVec, ParamKey, PartitionId, PartitionMap, WorkerCache};
+use proteus_ps::{ParamKey, PartitionId, PartitionMap, Values, WorkerCache};
 
 /// Keys on both sides of the dense-index limit (`1 << 22`), with gaps.
 /// The last dense key itself costs a 32 MB index per case, so it gets a
@@ -103,14 +103,11 @@ impl Model {
     }
 }
 
-fn flushed_bits(batches: Vec<(PartitionId, Vec<(ParamKey, DenseVec)>)>) -> Batches {
+fn flushed_bits(batches: Vec<(PartitionId, Values)>) -> Batches {
     batches
         .into_iter()
         .map(|(p, batch)| {
-            let batch = batch
-                .into_iter()
-                .map(|(k, v)| (k, bits(v.as_slice())))
-                .collect();
+            let batch = batch.iter().map(|(k, v)| (k, bits(v))).collect();
             (p, batch)
         })
         .collect()

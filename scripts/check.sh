@@ -27,6 +27,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 echo "==> cargo test -q (whole workspace, fixed chaos seed)"
 PROTEUS_CHAOS_SEEDS=3 cargo test -q
 
+# The data-plane goldens claim "same bits in debug and release", and an
+# offset or length overflow only wraps silently in release: run the
+# parameter server, AgileML and the apps' suites optimised as well.
+echo "==> cargo test -q --release (ps, agileml, mlapps)"
+PROTEUS_CHAOS_SEEDS=3 cargo test -q --release -p proteus-ps -p proteus-agileml -p proteus-mlapps
+
 # benchmark/ is a package of its own that a gain-claiming change may not
 # edit: build it, so a public-API change that breaks it fails here and
 # not at the next benchmark run. (The build rewrites the tracked
