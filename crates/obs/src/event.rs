@@ -265,6 +265,18 @@ pub enum SessionEvent {
         /// Allocation id.
         allocation: u64,
     },
+    /// A provider warning or eviction confirmed an outstanding forecast
+    /// alert: the forecaster called this allocation's end in time.
+    ForecastHit {
+        /// Allocation id.
+        allocation: u64,
+    },
+    /// Reliable-tier machines died; the job repairs in place or the
+    /// session restarts from its last checkpoint.
+    ReliableLost {
+        /// Reliable machines lost.
+        machines: u64,
+    },
     /// An adaptive checkpoint was taken at the hazard-chosen interval.
     CheckpointTaken {
         /// The interval that scheduled this checkpoint, in sim millis.
@@ -423,6 +435,8 @@ impl Event {
                 SessionEvent::FallbackLaunched { .. } => "session.fallback_launched",
                 SessionEvent::PreDrained { .. } => "session.pre_drain",
                 SessionEvent::ForecastFalseAlert { .. } => "session.false_alert",
+                SessionEvent::ForecastHit { .. } => "session.forecast_hit",
+                SessionEvent::ReliableLost { .. } => "session.reliable_lost",
                 SessionEvent::CheckpointTaken { .. } => "session.checkpoint",
                 SessionEvent::CheckpointRestored { .. } => "session.checkpoint_restored",
                 SessionEvent::Finished { .. } => "session.finished",
@@ -586,9 +600,11 @@ impl Event {
                 }
                 SessionEvent::FallbackLaunched { allocation }
                 | SessionEvent::PreDrained { allocation }
-                | SessionEvent::ForecastFalseAlert { allocation } => {
+                | SessionEvent::ForecastFalseAlert { allocation }
+                | SessionEvent::ForecastHit { allocation } => {
                     push_u64(out, "allocation", *allocation);
                 }
+                SessionEvent::ReliableLost { machines } => push_u64(out, "machines", *machines),
                 SessionEvent::CheckpointTaken {
                     interval_ms,
                     bytes,
