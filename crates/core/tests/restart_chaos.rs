@@ -15,6 +15,8 @@
 //!   never a panic, and the report's `reliable_failures` / `restarts` /
 //!   `work_lost_to_restart` counters account for what happened.
 
+mod common;
+
 use std::sync::Arc;
 
 use proteus::bidbrain::ForecastConfig;
@@ -111,15 +113,10 @@ fn total_reliable_loss_restarts_from_last_checkpoint() {
         "converged after the restart: {}",
         report.final_objective
     );
-    let timeline = rec.to_jsonl();
-    assert!(
-        timeline.contains("session.checkpoint_restored"),
-        "restore must be on the obs timeline"
-    );
-    assert!(
-        timeline.contains("session.checkpoint"),
-        "the checkpoint itself must be on the obs timeline"
-    );
+    let timeline = rec.timeline();
+    assert_eq!(timeline.count("session.checkpoint_restored"), 1);
+    assert_eq!(timeline.count("session.reliable_lost"), 1);
+    common::assert_report_matches_export(&report, &timeline);
 }
 
 /// Total loss before any checkpoint was ever taken: the restart falls

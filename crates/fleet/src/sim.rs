@@ -41,22 +41,6 @@ use crate::binpack::ReliablePool;
 use crate::job::{FleetJobSpec, JobId, JobState, JobSummary};
 use crate::scheduler::{rank, FairnessConfig, RankEntry};
 
-/// Metrics-registry keys the fleet scheduler maintains.
-pub mod obs_keys {
-    /// Jobs that passed admission control.
-    pub const JOBS_ADMITTED: &str = "fleet.jobs_admitted";
-    /// Gang acquisition attempts that queued instead of launching.
-    pub const GANGS_QUEUED: &str = "fleet.gangs_queued";
-    /// Gangs launched (first launch plus relaunches).
-    pub const GANGS_LAUNCHED: &str = "fleet.gangs_launched";
-    /// Trials killed early by their owner (lag or successive halving).
-    pub const TRIALS_EARLY_KILLED: &str = "fleet.trials_early_killed";
-    /// Running gangs preempted for a higher-value gang.
-    pub const PREEMPTIONS: &str = "fleet.preemptions";
-    /// Histogram of time spent queued before each launch, in hours.
-    pub const QUEUE_WAIT_HOURS: &str = "fleet.queue_wait_hours";
-}
-
 /// Fleet-wide tuning.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
@@ -439,7 +423,6 @@ impl<'a> FleetSim<'a> {
         self.set_state(idx, JobState::Killed);
         self.release_reliable_slot(idx);
         if let Some(rec) = self.obs.as_deref() {
-            rec.counter_add(obs_keys::TRIALS_EARLY_KILLED, 1);
             rec.record(
                 now,
                 Event::Fleet(FleetEvent::TrialEarlyKilled {
@@ -691,7 +674,6 @@ impl<'a> FleetSim<'a> {
                     continue; // the slot request refused: typed Unfinished
                 }
                 if let Some(rec) = self.obs.as_deref() {
-                    rec.counter_add(obs_keys::JOBS_ADMITTED, 1);
                     rec.record(
                         now,
                         Event::Fleet(FleetEvent::JobAdmitted {
@@ -947,7 +929,6 @@ impl<'a> FleetSim<'a> {
             job.queued_since = now;
             job.rounds_waiting = 0;
             if let Some(rec) = self.obs.as_deref() {
-                rec.counter_add(obs_keys::PREEMPTIONS, 1);
                 rec.record(
                     now,
                     Event::Fleet(FleetEvent::PreemptedByPriority {
@@ -983,12 +964,6 @@ impl<'a> FleetSim<'a> {
         job.accrued_until = now;
         job.usable_from = usable_at.max(now) + self.cfg.scale_pause;
         if let Some(rec) = self.obs.as_deref() {
-            rec.counter_add(obs_keys::GANGS_LAUNCHED, 1);
-            rec.hist_add(
-                obs_keys::QUEUE_WAIT_HOURS,
-                waited.as_hours_f64(),
-                SimDuration::from_mins(1),
-            );
             rec.record(
                 now,
                 Event::Fleet(FleetEvent::GangLaunched {
@@ -1008,7 +983,6 @@ impl<'a> FleetSim<'a> {
         job.rounds_waiting += 1;
         job.max_rounds_waited = job.max_rounds_waited.max(job.rounds_waiting);
         if let Some(rec) = self.obs.as_deref() {
-            rec.counter_add(obs_keys::GANGS_QUEUED, 1);
             rec.record(
                 now,
                 Event::Fleet(FleetEvent::GangQueued {

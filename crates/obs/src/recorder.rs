@@ -1,21 +1,21 @@
 //! The shared recorder: one cheap mutex around an append-only event log
-//! and the metrics registry, plus an embedded sim clock for components
+//! and a few named counters, plus an embedded sim clock for components
 //! whose call paths do not carry a `SimTime` (the wall-clock training
 //! plane, for instance).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use proteus_simtime::{SimDuration, SimTime};
+use proteus_simtime::SimTime;
 
 use crate::event::Event;
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::timeline::{TimedEvent, Timeline};
 
 #[derive(Default)]
 struct Inner {
     events: Vec<TimedEvent>,
-    metrics: MetricsRegistry,
+    counters: BTreeMap<&'static str, u64>,
 }
 
 /// The recorder. Clone an `Arc<Recorder>` into every subsystem that
@@ -41,7 +41,7 @@ impl Recorder {
         rec
     }
 
-    /// The locked log and registry. A recorder only ever appends, so a
+    /// The locked log and counters. A recorder only ever appends, so a
     /// panic mid-emission leaves it usable: a poisoned lock is recovered.
     fn inner(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
@@ -70,41 +70,16 @@ impl Recorder {
         self.record(self.now(), event);
     }
 
-    /// Increments a counter.
+    /// Increments a counter. A count of some happening belongs in an
+    /// event (a fold over the stream counts it); a counter is for what
+    /// no event records.
     pub fn counter_add(&self, name: &'static str, by: u64) {
-        self.inner().metrics.counter_add(name, by);
+        *self.inner().counters.entry(name).or_default() += by;
     }
 
     /// Reads a counter (zero if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner()
-            .metrics
-            .counters
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Sets a sim-time-weighted gauge at `t`; elapsed time since the
-    /// previous set is credited to the previous value.
-    pub fn gauge_set(&self, name: &'static str, t: SimTime, value: f64) {
-        self.inner().metrics.gauge_set(name, t, value);
-    }
-
-    /// Adds a direct observation to a sim-time-weighted histogram.
-    pub fn hist_add(&self, name: &'static str, value: f64, duration: SimDuration) {
-        self.inner().metrics.hist_add(name, value, duration);
-    }
-
-    /// Records a completed span.
-    pub fn span(&self, name: &'static str, start: SimTime, end: SimTime) {
-        self.inner().metrics.span(name, start, end);
-    }
-
-    /// Folds open gauge intervals up to `t` — call when a run ends so
-    /// time-at-value reads cover the full horizon.
-    pub fn close_gauges(&self, t: SimTime) {
-        self.inner().metrics.close_gauges(t);
+        self.inner().counters.get(name).copied().unwrap_or(0)
     }
 
     /// An owned snapshot of the event log.
@@ -112,11 +87,6 @@ impl Recorder {
         Timeline {
             events: self.inner().events.clone(),
         }
-    }
-
-    /// An owned snapshot of the metrics registry.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner().metrics.snapshot()
     }
 
     /// Serializes the current timeline to JSONL. Renders under the lock
@@ -181,19 +151,11 @@ mod tests {
 
     #[test]
     fn metrics_are_shared_and_snapshotted() {
-        let rec = Recorder::new();
+        let rec = std::sync::Arc::new(Recorder::new());
+        let shared = std::sync::Arc::clone(&rec);
         rec.counter_add("x", 2);
-        rec.counter_add("x", 1);
-        rec.gauge_set("g", SimTime::EPOCH, 1.0);
-        rec.close_gauges(SimTime::from_millis(500));
-        rec.span("s", SimTime::EPOCH, SimTime::from_millis(100));
+        shared.counter_add("x", 1);
         assert_eq!(rec.counter("x"), 3);
-        let snap = rec.metrics();
-        assert_eq!(snap.counter("x"), 3);
-        assert_eq!(
-            snap.gauge_hist("g").time_at(1.0),
-            SimDuration::from_millis(500)
-        );
-        assert_eq!(snap.span("s").count, 1);
+        assert_eq!(rec.counter("missing"), 0);
     }
 }
