@@ -266,9 +266,24 @@ impl PreemptionForecaster {
         )
     }
 
-    /// Drops the trajectory state for a released or evicted holding.
+    /// Drops the trajectory state of a `(market, bid)` pair.
     pub fn clear(&mut self, market: MarketKey, bid: f64) {
         self.states.remove(&(market, bid.to_bits()));
+    }
+
+    /// The forget rule for a holding that was released or evicted: its
+    /// `(market, bid)` trajectory is dropped only when none of the
+    /// `live` holdings' pairs shares it — a sibling at the same market
+    /// and bid keeps observing the same price against the same bid.
+    pub fn forget(
+        &mut self,
+        market: MarketKey,
+        bid: f64,
+        mut live: impl Iterator<Item = (MarketKey, f64)>,
+    ) {
+        if !live.any(|(m, b)| m == market && b.to_bits() == bid.to_bits()) {
+            self.clear(market, bid);
+        }
     }
 
     /// Number of holdings currently tracked.
@@ -684,6 +699,24 @@ mod tests {
         fc.clear(other, 0.20);
         assert_eq!(fc.tracked(), 1);
         assert_eq!(fc.hazard(other, 0.20), 0.0);
+    }
+
+    #[test]
+    fn forgetting_a_holding_keeps_a_pair_a_live_sibling_shares() {
+        let mut fc = PreemptionForecaster::new(ForecastConfig::default());
+        let (bid, other) = (0.10, MarketKey::new(catalog::c4_xlarge(), Zone(1)));
+        fc.observe(key(), bid, SimTime::EPOCH, 0.099);
+        let hazard = fc.hazard(key(), bid);
+        assert!(hazard > 0.0);
+        // Two holdings share `(key(), bid)`; the first goes, the second
+        // and one elsewhere stay live.
+        fc.forget(key(), bid, [(key(), bid), (other, bid)].into_iter());
+        assert_eq!(fc.tracked(), 1, "the sibling's trajectory survives");
+        assert_eq!(fc.hazard(key(), bid), hazard);
+        // The sibling goes too. What stays shares the market or the bid,
+        // never both.
+        fc.forget(key(), bid, [(key(), 0.11), (other, bid)].into_iter());
+        assert_eq!(fc.tracked(), 0, "no live holding shares the pair");
     }
 
     #[test]
