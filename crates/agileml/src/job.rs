@@ -453,10 +453,7 @@ impl<A: MlApp> AgileMlJob<A> {
         }
         let mut fresh = Engine::new(&self.app, self.cfg, checkpoint, None);
         let old = self.engine.get_mut();
-        if let Some(rec) = old.obs.take() {
-            fresh.cluster.mirror_faults_into(Arc::clone(&rec));
-            fresh.obs = Some(rec);
-        }
+        fresh.obs = old.obs.take();
         *old = fresh;
         self.reliable_machines.clear();
         self.start(reliable, transient, "job restart")
@@ -705,21 +702,19 @@ impl<A: MlApp> AgileMlJob<A> {
         self.engine.borrow_mut().cluster.flush_delayed()
     }
 
-    /// Counts of faults injected so far.
+    /// Counts of faults injected so far by every plan this incarnation
+    /// of the job ran, a replaced or cleared one's included.
     pub fn fault_stats(&self) -> FaultStats {
         self.engine.borrow().cluster.fault_stats()
     }
 
     /// Attaches an observability recorder: future (and already-logged)
     /// job events are mirrored onto its timeline as `agile.*` records,
-    /// stamped with the recorder's own clock, and the cluster's fault
-    /// layer mirrors injected message faults into its `simnet.msg.*`
-    /// counters. The job's cluster never drives the recorder's clock:
-    /// it sits at the epoch, while a session stamps the recorder with
-    /// market time. Works before or after `set_faults`.
+    /// stamped with the recorder's own clock. The job's cluster never
+    /// drives the recorder's clock: it sits at the epoch, while a
+    /// session stamps the recorder with market time.
     pub fn attach_recorder(&mut self, rec: Arc<Recorder>) {
         let engine = self.engine.get_mut();
-        engine.cluster.mirror_faults_into(Arc::clone(&rec));
         for e in &engine.event_log {
             rec.record_now(Event::Agile(e.to_obs()));
         }

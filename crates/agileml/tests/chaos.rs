@@ -31,11 +31,8 @@ use proteus_agileml::msg::AgileMsg;
 use proteus_agileml::{AgileConfig, AgileMlJob, JobError, JobEvent, JobFault, Stage};
 use proteus_mlapps::data::{netflix_like, MfDataConfig};
 use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
-use proteus_obs::Recorder;
 use proteus_ps::ClockTable;
-use proteus_simnet::{
-    FaultPlan, FaultRule, NodeClass, NodeId, OBS_MSG_DELAYED, OBS_MSG_DROPPED, OBS_MSG_DUPLICATED,
-};
+use proteus_simnet::{FaultPlan, FaultRule, NodeClass, NodeId};
 
 /// Clock every scenario trains to before judging the objective.
 const TARGET: u64 = 20;
@@ -234,8 +231,6 @@ fn warning_no_eviction(seed: u64) -> Result<f64, JobError> {
     });
     let mut job =
         AgileMlJob::launch_with_faults(mf_app(), data.clone(), chaos_cfg(seed), 1, 3, plan)?;
-    let rec = Arc::new(Recorder::new());
-    job.attach_recorder(Arc::clone(&rec));
     job.wait_clock_for(6, STEP)?;
     job.warn_only(&[NodeId(4)], 120_000)?;
     // The warning is lost; the job keeps training at full membership.
@@ -248,13 +243,6 @@ fn warning_no_eviction(seed: u64) -> Result<f64, JobError> {
     );
     assert_eq!(job.status()?.transient, 3);
     assert!(job.fault_stats().dropped >= 1, "the notice was dropped");
-    // The drop must also surface through the metrics registry — the
-    // recorder-side counter is the persistent view that survives fault
-    // plan swaps, so a silent drop here is an observability bug.
-    assert!(
-        rec.counter(OBS_MSG_DROPPED) >= 1,
-        "dropped notice missing from the recorded counters"
-    );
     job.fail_nodes(&[NodeId(4)])?;
     job.wait_clock_for(TARGET, STEP)?;
     let obj = job.objective(&data)?;
@@ -370,8 +358,6 @@ fn message_chaos(seed: u64) -> Result<f64, JobError> {
         });
     let mut job =
         AgileMlJob::launch_with_faults(mf_app(), data.clone(), chaos_cfg(seed), 1, 3, plan)?;
-    let rec = Arc::new(Recorder::new());
-    job.attach_recorder(Arc::clone(&rec));
     job.wait_clock_for(8, STEP)?;
     job.add_machines(NodeClass::Transient, 1)?;
     job.wait_clock_for(12, STEP)?;
@@ -384,12 +370,11 @@ fn message_chaos(seed: u64) -> Result<f64, JobError> {
     );
     // Quiesce: release everything still held before judging the model.
     job.clear_faults();
-    // The per-layer stats above die with the plan; the recorder-side
-    // counters persist across the `clear_faults` swap. Everything the
-    // layer injected after the recorder attached is still visible here.
-    assert!(
-        rec.counter(OBS_MSG_DUPLICATED) + rec.counter(OBS_MSG_DELAYED) > 0,
-        "injected message faults missing from the recorded counters"
+    // The totals outlive the plan they were injected under.
+    assert_eq!(
+        job.fault_stats(),
+        stats,
+        "clearing the plan lost its fault totals"
     );
     let obj = job.objective(&data)?;
     job.shutdown()?;

@@ -33,22 +33,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
-use proteus_obs::Recorder;
-
+use crate::lock;
 use crate::node::NodeId;
-use crate::{lock, read, write};
-
-/// Metrics-registry counter mirroring [`FaultStats::dropped`]. Unlike
-/// the per-layer atomics, recorder counters survive
-/// [`Cluster::set_faults`](crate::Cluster::set_faults) replacing the
-/// layer mid-run, so chaos totals are never silently lost.
-pub const OBS_MSG_DROPPED: &str = "simnet.msg.dropped";
-/// Metrics-registry counter mirroring [`FaultStats::duplicated`].
-pub const OBS_MSG_DUPLICATED: &str = "simnet.msg.duplicated";
-/// Metrics-registry counter mirroring [`FaultStats::delayed`].
-pub const OBS_MSG_DELAYED: &str = "simnet.msg.delayed";
 
 /// Predicate selecting which payloads a rule applies to.
 pub type MsgFilter<M> = Arc<dyn Fn(&M) -> bool + Send + Sync>;
@@ -157,6 +145,18 @@ pub struct FaultStats {
     pub delayed: u64,
 }
 
+impl std::ops::Add for FaultStats {
+    type Output = FaultStats;
+
+    fn add(self, o: FaultStats) -> FaultStats {
+        FaultStats {
+            dropped: self.dropped + o.dropped,
+            duplicated: self.duplicated + o.duplicated,
+            delayed: self.delayed + o.delayed,
+        }
+    }
+}
+
 /// SplitMix64 — tiny, seedable, and good enough for fault coin flips.
 #[derive(Clone, Copy, Debug)]
 struct SplitMix64(u64);
@@ -231,34 +231,16 @@ pub(crate) struct FaultLayer<M> {
     dropped: AtomicU64,
     duplicated: AtomicU64,
     delayed: AtomicU64,
-    /// Mirror sink: every injected fault also bumps a persistent
-    /// recorder counter (`simnet.msg.*`) so totals survive layer
-    /// replacement. Purely additive — never read back by the layer.
-    obs: RwLock<Option<Arc<Recorder>>>,
 }
 
 impl<M: Clone> FaultLayer<M> {
-    pub(crate) fn new(plan: FaultPlan<M>, obs: Option<Arc<Recorder>>) -> Self {
+    pub(crate) fn new(plan: FaultPlan<M>) -> Self {
         FaultLayer {
             plan,
             pairs: Mutex::new(HashMap::new()),
             dropped: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
             delayed: AtomicU64::new(0),
-            obs: RwLock::new(obs),
-        }
-    }
-
-    /// Attaches (or replaces) the mirror recorder after construction —
-    /// drivers often install fault plans before observability.
-    pub(crate) fn set_recorder(&self, rec: Arc<Recorder>) {
-        *write(&self.obs) = Some(rec);
-    }
-
-    /// Bumps the persistent mirror counter for one injected fault.
-    fn mirror(&self, name: &'static str) {
-        if let Some(rec) = read(&self.obs).as_deref() {
-            rec.counter_add(name, 1);
         }
     }
 
@@ -313,7 +295,6 @@ impl<M: Clone> FaultLayer<M> {
             },
             Verdict::Drop => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
-                self.mirror(OBS_MSG_DROPPED);
                 Applied {
                     copies: Vec::new(),
                     absorbed: true,
@@ -322,7 +303,6 @@ impl<M: Clone> FaultLayer<M> {
             }
             Verdict::Duplicate => {
                 self.duplicated.fetch_add(1, Ordering::Relaxed);
-                self.mirror(OBS_MSG_DUPLICATED);
                 Applied {
                     copies: vec![msg.clone(), msg],
                     absorbed: false,
@@ -331,7 +311,6 @@ impl<M: Clone> FaultLayer<M> {
             }
             Verdict::Delay => {
                 self.delayed.fetch_add(1, Ordering::Relaxed);
-                self.mirror(OBS_MSG_DELAYED);
                 // Release anything already held first so at most one
                 // message per pair is ever in flight "late".
                 let released = pair.held.take();
@@ -392,8 +371,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_verdicts() {
-        let a = FaultLayer::new(plan_all(42, 0.3, 0.3, 0.3), None);
-        let b = FaultLayer::new(plan_all(42, 0.3, 0.3, 0.3), None);
+        let a = FaultLayer::new(plan_all(42, 0.3, 0.3, 0.3));
+        let b = FaultLayer::new(plan_all(42, 0.3, 0.3, 0.3));
         for i in 0..200u32 {
             assert_eq!(
                 a.apply(NodeId(1), NodeId(2), i).in_order(),
@@ -404,8 +383,8 @@ mod tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let a = FaultLayer::new(plan_all(1, 0.5, 0.0, 0.0), None);
-        let b = FaultLayer::new(plan_all(2, 0.5, 0.0, 0.0), None);
+        let a = FaultLayer::new(plan_all(1, 0.5, 0.0, 0.0));
+        let b = FaultLayer::new(plan_all(2, 0.5, 0.0, 0.0));
         let va: Vec<_> = (0..100u32)
             .map(|i| a.apply(NodeId(1), NodeId(2), i).in_order())
             .collect();
@@ -419,8 +398,8 @@ mod tests {
     fn pairs_are_independent_streams() {
         // Interleaving traffic on another pair must not perturb the
         // verdicts on this one.
-        let a = FaultLayer::new(plan_all(7, 0.4, 0.2, 0.2), None);
-        let b = FaultLayer::new(plan_all(7, 0.4, 0.2, 0.2), None);
+        let a = FaultLayer::new(plan_all(7, 0.4, 0.2, 0.2));
+        let b = FaultLayer::new(plan_all(7, 0.4, 0.2, 0.2));
         let mut va = Vec::new();
         let mut vb = Vec::new();
         for i in 0..100u32 {
@@ -433,7 +412,7 @@ mod tests {
 
     #[test]
     fn drop_absorbs_the_message() {
-        let layer = FaultLayer::new(plan_all(0, 1.0, 0.0, 0.0), None);
+        let layer = FaultLayer::new(plan_all(0, 1.0, 0.0, 0.0));
         let applied = layer.apply(NodeId(1), NodeId(2), 9);
         assert!(applied.copies.is_empty());
         assert!(applied.absorbed);
@@ -442,7 +421,7 @@ mod tests {
 
     #[test]
     fn duplicate_delivers_twice() {
-        let layer = FaultLayer::new(plan_all(0, 0.0, 1.0, 0.0), None);
+        let layer = FaultLayer::new(plan_all(0, 0.0, 1.0, 0.0));
         let applied = layer.apply(NodeId(1), NodeId(2), 9);
         assert_eq!(applied.copies, vec![9, 9]);
         assert!(!applied.absorbed);
@@ -460,7 +439,7 @@ mod tests {
             delay: 1.0,
             filter: None,
         });
-        let layer = FaultLayer::new(plan, None);
+        let layer = FaultLayer::new(plan);
         let first = layer.apply(NodeId(1), NodeId(2), 1);
         assert!(first.copies.is_empty() && first.absorbed);
         // Second message is also "delayed": releases the first, holds self.
@@ -482,7 +461,7 @@ mod tests {
             delay: 0.0,
             filter: Some(Arc::new(|m: &u32| m.is_multiple_of(2))),
         });
-        let layer = FaultLayer::new(plan, None);
+        let layer = FaultLayer::new(plan);
         assert!(layer.apply(NodeId(1), NodeId(2), 4).absorbed); // dropped
         assert_eq!(layer.apply(NodeId(1), NodeId(2), 5).in_order(), vec![5]); // untouched
     }
@@ -497,7 +476,7 @@ mod tests {
             delay: 0.0,
             filter: None,
         });
-        let layer = FaultLayer::new(plan, None);
+        let layer = FaultLayer::new(plan);
         assert!(layer.apply(NodeId(1), NodeId(2), 1).absorbed);
         assert_eq!(layer.apply(NodeId(2), NodeId(1), 1).in_order(), vec![1]);
         assert_eq!(layer.apply(NodeId(1), NodeId(3), 1).in_order(), vec![1]);

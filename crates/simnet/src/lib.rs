@@ -46,10 +46,7 @@ pub mod node;
 
 pub use cluster::{Cluster, ClusterHandle, NetStats};
 pub use event_core::{FnNode, SimCluster, SimCtx, SimNode, TimerId};
-pub use fault::{
-    FaultPlan, FaultRule, FaultStats, MsgFilter, OBS_MSG_DELAYED, OBS_MSG_DROPPED,
-    OBS_MSG_DUPLICATED,
-};
+pub use fault::{FaultPlan, FaultRule, FaultStats, MsgFilter};
 pub use message::{Control, Envelope, Incoming, RecvError, SendError};
 pub use node::{NodeClass, NodeCtx, NodeId};
 

@@ -97,6 +97,52 @@ fn faults_apply_at_enqueue_with_the_same_seeded_streams_as_the_thread_core() {
 }
 
 #[test]
+fn set_faults_mid_run_keeps_the_earlier_drops_duplicates_and_delays() {
+    let plan = |seed| {
+        FaultPlan::new(seed).with_rule(proteus_simnet::FaultRule {
+            from: Some(NodeId::HARNESS),
+            to: Some(NodeId(0)),
+            drop: 0.3,
+            duplicate: 0.3,
+            delay: 0.2,
+            filter: None,
+        })
+    };
+    let mut sim: SimCluster<u64> = SimCluster::new();
+    let sink = sim.add_node(NodeClass::Reliable, FnNode::new(|_, _, _| {}));
+    let mut cluster: Cluster<u64> = Cluster::new();
+    assert_eq!(
+        cluster.spawn(NodeClass::Reliable, |ctx| while ctx.recv().is_ok() {}),
+        sink
+    );
+    let h = cluster.handle();
+    let mut totals = Vec::new();
+    for seed in [42, 43] {
+        sim.set_faults(plan(seed));
+        cluster.set_faults(plan(seed));
+        for i in 0..100 {
+            let _ = sim.send_as_harness(sink, i);
+            let _ = h.send_as_harness(sink, i);
+        }
+        totals.push(sim.fault_stats());
+        assert_eq!(cluster.fault_stats(), sim.fault_stats(), "cores agree");
+    }
+    let (first, both) = (totals[0], totals[1]);
+    assert!(first.dropped > 0 && first.duplicated > 0 && first.delayed > 0);
+    assert!(
+        both.dropped > first.dropped
+            && both.duplicated > first.duplicated
+            && both.delayed > first.delayed,
+        "the second plan's faults add to the first's: {first:?} then {both:?}"
+    );
+    sim.clear_faults();
+    cluster.clear_faults();
+    assert_eq!(sim.fault_stats(), both, "clearing keeps the totals");
+    assert_eq!(cluster.fault_stats(), both);
+    cluster.abort_all();
+}
+
+#[test]
 fn delayed_messages_reorder_by_one_and_flush_releases_the_tail() {
     let mut sim: SimCluster<u64> = SimCluster::new();
     let got: Arc<Mutex<Vec<u64>>> = Default::default();
