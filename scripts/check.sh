@@ -67,6 +67,15 @@ if grep -rn "println!\|eprintln!" crates/*/src --include="*.rs" \
   exit 1
 fi
 
+# A happening is counted by the event it emits: a fold over the stream
+# (a report, a tally) counts it. A recorder counter bumped beside the
+# event would be a second tally of the same happening.
+echo "==> no recorder counter_add( in library crates outside crates/obs"
+if grep -rn "counter_add(" crates/*/src --include="*.rs" | grep -v "^crates/obs/"; then
+  echo "error: counter_add( outside crates/obs (emit an event and fold it instead)" >&2
+  exit 1
+fi
+
 # A manifest edge must name a crate the owning package's sources mention.
 echo "==> no [dependencies] edge onto a crate the package never names"
 for m in Cargo.toml crates/*/Cargo.toml; do
