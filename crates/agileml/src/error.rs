@@ -107,21 +107,3 @@ impl From<JobError> for String {
         e.to_string()
     }
 }
-
-/// A protocol-shape violation: an expected message never appeared in a
-/// batch of traffic (after tolerating interleaved or duplicated ones).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProtocolError {
-    /// The message kind that was required.
-    pub expected: &'static str,
-    /// Debug rendering of what was actually observed.
-    pub got: String,
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "expected {}, got {}", self.expected, self.got)
-    }
-}
-
-impl std::error::Error for ProtocolError {}

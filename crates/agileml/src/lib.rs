@@ -45,9 +45,8 @@ pub mod topology;
 pub mod worker;
 
 pub use config::AgileConfig;
-pub use error::{JobError, JobFault, ProtocolError};
+pub use error::{JobError, JobFault};
 pub use events::JobEvent;
 pub use job::{AgileMlJob, ModelSnapshot};
 pub use stage::Stage;
 pub use topology::Topology;
-pub use worker::find_read_req;

@@ -52,8 +52,6 @@ pub struct ServerState {
     backup: ShardStore<DenseVec>,
     /// Backup bookkeeping per backed-up partition.
     backup_meta: BTreeMap<PartitionId, BackupPartition>,
-    /// Clock of the last dirty push taken from the serving store.
-    last_push_clock: u64,
 }
 
 impl ServerState {
@@ -66,7 +64,6 @@ impl ServerState {
             is_active: false,
             backup: ShardStore::new(layout),
             backup_meta: BTreeMap::new(),
-            last_push_clock: 0,
         }
     }
 
@@ -204,11 +201,10 @@ impl ServerState {
     }
 
     /// Takes the coalesced dirty deltas per served partition for a push
-    /// aligned to `clock` (an ActivePS calls this when the global clock
-    /// advances). Returns one `(partition, deltas)` entry per served
-    /// partition with pending changes.
-    pub fn take_push(&mut self, clock: u64) -> Vec<(PartitionId, Values)> {
-        self.last_push_clock = clock;
+    /// (an ActivePS calls this when the global clock advances). Returns
+    /// one `(partition, deltas)` entry per served partition with pending
+    /// changes.
+    pub fn take_push(&mut self) -> Vec<(PartitionId, Values)> {
         let mut out = Vec::new();
         for p in self.serving.dirty_partitions() {
             // Drain every dirty partition; deltas for partitions no
@@ -339,10 +335,10 @@ mod tests {
         s.install_image(PartitionId(1), image(&[(1, 0.0)]), 0);
         s.handle_updates(PartitionId(0), &image(&[(0, 1.0)]));
         s.handle_updates(PartitionId(1), &image(&[(1, 2.0)]));
-        let push = s.take_push(5);
+        let push = s.take_push();
         assert_eq!(push.len(), 2);
         assert_eq!(push[0].0, PartitionId(0));
-        assert!(s.take_push(6).is_empty(), "second take is empty");
+        assert!(s.take_push().is_empty(), "second take is empty");
     }
 
     #[test]
@@ -443,7 +439,7 @@ mod tests {
         // Serving state keeps the applied update; the push aggregate
         // does not resend it.
         assert_eq!(s.read_serving(ParamKey(0)).unwrap().as_slice(), &[4.0]);
-        assert!(s.take_push(1).is_empty());
+        assert!(s.take_push().is_empty());
     }
 
     proptest! {

@@ -20,43 +20,8 @@ use proteus_ps::{KeySet, ParamKey, PartitionId, PartitionMap, WorkerCache};
 use proteus_simnet::NodeId;
 use rand::rngs::StdRng;
 
-use crate::error::ProtocolError;
 use crate::msg::{AgileMsg, Values};
 use crate::topology::{block_ranges, BlockId, Topology};
-
-/// Finds the first `ReadReq` in an outbox as `(destination, token)`,
-/// tolerating interleaved or duplicated traffic around it.
-///
-/// Returns a typed [`ProtocolError`] instead of panicking when no read
-/// request is present, so harnesses report protocol-shape violations as
-/// failures with context rather than aborting the process.
-pub fn find_read_req(out: &[(NodeId, AgileMsg)]) -> Result<(NodeId, u64), ProtocolError> {
-    for (dst, msg) in out {
-        if let AgileMsg::ReadReq { token, .. } = msg {
-            return Ok((*dst, *token));
-        }
-    }
-    Err(ProtocolError {
-        expected: "ReadReq",
-        got: format!("{:?}", out.iter().map(|(_, m)| m).collect::<Vec<_>>()),
-    })
-}
-
-/// Where the worker is within its iteration cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerPhase {
-    /// Not iterating (before `Start`, after `Stop`, or no data assigned).
-    Idle,
-    /// Gated on the SSP barrier.
-    WaitBarrier,
-    /// Waiting for `pending` read responses with the given token.
-    WaitReads {
-        /// Read token outstanding.
-        token: u64,
-        /// Responses still missing.
-        pending: usize,
-    },
-}
 
 /// The widest [`KeyRefs`] table: 4 MiB of counts per worker.
 const DENSE_KEY_REFS: u64 = 1 << 20;
@@ -175,8 +140,12 @@ pub struct WorkerState<A: MlApp> {
     global_min: u64,
     slack: u64,
     epoch: u64,
+    /// Iterating: `Start` came and no rollback paused it since. With
+    /// data loaded and no read round in flight, the next iteration
+    /// waits only on the SSP barrier.
     started: bool,
-    phase: WorkerPhase,
+    /// The token of the read round in flight, if any.
+    reading: Option<u64>,
     /// Owners that still owe a response for the current read round.
     /// Responses are counted per *owner*, not per message, so a
     /// duplicated `ReadResp` (fault injection) cannot complete a round
@@ -217,7 +186,7 @@ impl<A: MlApp> WorkerState<A> {
             slack,
             epoch: 0,
             started: false,
-            phase: WorkerPhase::Idle,
+            reading: None,
             read_sources: BTreeSet::new(),
             next_token: 0,
             controller,
@@ -227,11 +196,6 @@ impl<A: MlApp> WorkerState<A> {
     /// Completed iterations.
     pub fn clock(&self) -> u64 {
         self.clock
-    }
-
-    /// Current phase (diagnostics).
-    pub fn phase(&self) -> WorkerPhase {
-        self.phase
     }
 
     /// Current epoch.
@@ -244,9 +208,10 @@ impl<A: MlApp> WorkerState<A> {
     /// outstanding). Every response of the round reports it, which only
     /// errs towards handing the batch to more threads.
     pub fn pass_work(&self, token: u64) -> u64 {
-        match self.phase {
-            WorkerPhase::WaitReads { token: t, .. } if t == token => self.work,
-            _ => 0,
+        if self.reading == Some(token) {
+            self.work
+        } else {
+            0
         }
     }
 
@@ -305,9 +270,6 @@ impl<A: MlApp> WorkerState<A> {
             // A few sorted runs: the stable sort merges them.
             self.read_keys.sort();
         }
-        if self.local.is_empty() && matches!(self.phase, WorkerPhase::WaitBarrier) {
-            self.phase = WorkerPhase::Idle;
-        }
     }
 
     /// Gives every key this worker reads a row of the app's dimension,
@@ -338,15 +300,6 @@ impl<A: MlApp> WorkerState<A> {
     /// Marks the worker started (controller `Start`).
     pub fn start(&mut self) {
         self.started = true;
-        if matches!(self.phase, WorkerPhase::Idle) && self.has_data() {
-            self.phase = WorkerPhase::WaitBarrier;
-        }
-    }
-
-    /// Stops iterating (stage-3 reliable nodes, job end).
-    pub fn stop(&mut self) {
-        self.started = false;
-        self.phase = WorkerPhase::Idle;
     }
 
     /// Handles a `GlobalClock` broadcast.
@@ -365,7 +318,7 @@ impl<A: MlApp> WorkerState<A> {
         self.global_min = clock;
         self.epoch = epoch;
         self.started = false;
-        self.phase = WorkerPhase::Idle;
+        self.reading = None;
     }
 
     /// Aborts an in-flight read round (no updates were flushed yet), so
@@ -373,10 +326,8 @@ impl<A: MlApp> WorkerState<A> {
     /// changes: a pending response may be owed by a machine that just
     /// left the computation.
     pub fn abort_inflight_reads(&mut self) {
-        if matches!(self.phase, WorkerPhase::WaitReads { .. }) {
-            self.phase = WorkerPhase::WaitBarrier;
-            self.read_sources.clear();
-        }
+        self.reading = None;
+        self.read_sources.clear();
     }
 
     /// Whether the SSP condition admits starting the next iteration.
@@ -389,15 +340,8 @@ impl<A: MlApp> WorkerState<A> {
     /// Call after any event that may unblock the worker (start, clock
     /// broadcast, block assignment).
     pub fn poll(&mut self, topology: &Topology) -> Outbox {
-        if !self.started || !self.has_data() || self.phase != WorkerPhase::WaitBarrier {
-            // WaitReads progresses via `on_read_resp`; Idle via `start`.
-            if self.started && self.has_data() && self.phase == WorkerPhase::Idle {
-                self.phase = WorkerPhase::WaitBarrier;
-            } else {
-                return Vec::new();
-            }
-        }
-        if !self.may_proceed() {
+        // A round in flight progresses via `on_read_resp`.
+        if self.reading.is_some() || !self.started || !self.has_data() || !self.may_proceed() {
             return Vec::new();
         }
         self.begin_reads(topology)
@@ -415,15 +359,12 @@ impl<A: MlApp> WorkerState<A> {
 
         let token = self.next_token;
         self.next_token += 1;
-        let pending = by_owner.len();
-        if pending == 0 {
+        self.read_sources = by_owner.keys().copied().collect();
+        if self.read_sources.is_empty() {
             // No parameters needed (degenerate); complete immediately.
-            self.phase = WorkerPhase::WaitReads { token, pending: 0 };
-            self.read_sources.clear();
             return self.finish_iteration(topology);
         }
-        self.phase = WorkerPhase::WaitReads { token, pending };
-        self.read_sources = by_owner.keys().copied().collect();
+        self.reading = Some(token);
         by_owner
             .into_iter()
             .map(|(owner, keys)| {
@@ -446,28 +387,19 @@ impl<A: MlApp> WorkerState<A> {
         values: Values,
         topology: &Topology,
     ) -> Outbox {
-        match self.phase {
-            WorkerPhase::WaitReads { token: t, .. } if t == token => {
-                if !self.read_sources.remove(&from) {
-                    // Duplicate from an owner that already answered (or
-                    // a sender we never asked): nothing new to count.
-                    return Vec::new();
-                }
-                for (k, v) in &values {
-                    self.cache.refresh(k, v);
-                }
-                let left = self.read_sources.len();
-                self.phase = WorkerPhase::WaitReads {
-                    token,
-                    pending: left,
-                };
-                if left == 0 {
-                    self.finish_iteration(topology)
-                } else {
-                    Vec::new()
-                }
-            }
-            _ => Vec::new(), // Stale response from a previous iteration.
+        // A response to an earlier round, a duplicate from an owner that
+        // already answered, or one from a sender never asked: nothing
+        // new to count.
+        if self.reading != Some(token) || !self.read_sources.remove(&from) {
+            return Vec::new();
+        }
+        for (k, v) in &values {
+            self.cache.refresh(k, v);
+        }
+        if self.read_sources.is_empty() {
+            self.finish_iteration(topology)
+        } else {
+            Vec::new()
         }
     }
 
@@ -511,7 +443,7 @@ impl<A: MlApp> WorkerState<A> {
                 epoch: self.epoch,
             },
         ));
-        self.phase = WorkerPhase::WaitBarrier;
+        self.reading = None;
         out
     }
 }
@@ -522,6 +454,34 @@ mod tests {
     use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
     use proteus_simtime::rng::seeded;
     use std::sync::Arc;
+
+    /// An expected message never appeared in an outbox.
+    struct ProtocolError {
+        /// The message kind that was required.
+        expected: &'static str,
+        /// Debug rendering of what was actually observed.
+        got: String,
+    }
+
+    impl std::fmt::Debug for ProtocolError {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "expected {}, got {}", self.expected, self.got)
+        }
+    }
+
+    /// Finds the first `ReadReq` in an outbox as `(destination, token)`,
+    /// tolerating interleaved or duplicated traffic around it.
+    fn find_read_req(out: &[(NodeId, AgileMsg)]) -> Result<(NodeId, u64), ProtocolError> {
+        for (dst, msg) in out {
+            if let AgileMsg::ReadReq { token, .. } = msg {
+                return Ok((*dst, *token));
+            }
+        }
+        Err(ProtocolError {
+            expected: "ReadReq",
+            got: format!("{:?}", out.iter().map(|(_, m)| m).collect::<Vec<_>>()),
+        })
+    }
 
     fn mini_app() -> Arc<MatrixFactorization> {
         Arc::new(MatrixFactorization::new(MfConfig {
@@ -593,7 +553,7 @@ mod tests {
         w.assign_blocks(&[BlockId(0), BlockId(1)]);
         let out = w.poll(&t);
         assert!(!out.is_empty(), "reads should be issued");
-        assert!(matches!(w.phase(), WorkerPhase::WaitReads { .. }));
+        assert!(w.reading.is_some());
     }
 
     #[test]

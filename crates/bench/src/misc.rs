@@ -81,7 +81,7 @@ pub fn tab01(out: Out) -> io::Result<()> {
     active.reconfigure(&[p0], &[], true);
     active.install_image(p0, image(), 0);
     active.handle_updates(p0, &std::iter::once((ParamKey(0), [0.5])).collect());
-    let push = active.take_push(1);
+    let push = active.take_push();
 
     let mut backup = ServerState::new(layout);
     backup.reconfigure(&[], &[p0], false);
