@@ -105,20 +105,6 @@ pub enum SchemeKind {
         /// bidding just above market ran 3–4× slower).
         bid_deltas: Vec<f64>,
     },
-    /// One fleet-managed trial run as an *independent* job: the same
-    /// BidBrain policy stack as [`SchemeKind::Proteus`] but with the
-    /// trial's own dedicated reliable machines. This is the baseline the
-    /// fleet scheduler is judged against — a fleet that bin-packs many
-    /// trials onto a shared reliable pool must beat a per-job-independent
-    /// run of the same trials on $/work.
-    Fleet {
-        /// Progress pause per eviction (AgileML λ).
-        eviction_pause: SimDuration,
-        /// Progress pause per footprint change (AgileML σ).
-        scale_pause: SimDuration,
-        /// Candidate bid deltas BidBrain sweeps.
-        bid_deltas: Vec<f64>,
-    },
 }
 
 impl SchemeKind {
@@ -176,16 +162,6 @@ impl SchemeKind {
         }
     }
 
-    /// A fleet trial run independently (the per-job baseline the fleet
-    /// scheduler must beat), with the paper's Proteus overheads.
-    pub fn fleet_trial() -> Self {
-        SchemeKind::Fleet {
-            eviction_pause: SimDuration::from_secs(240),
-            scale_pause: SimDuration::from_secs(30),
-            bid_deltas: crate::default_bid_deltas(),
-        }
-    }
-
     /// Short label used in result tables.
     pub fn label(&self) -> &'static str {
         match self {
@@ -194,7 +170,6 @@ impl SchemeKind {
             SchemeKind::AdaptiveCheckpoint { .. } => "Adaptive+Checkpoint",
             SchemeKind::StandardAgileML { .. } => "Standard+AgileML",
             SchemeKind::Proteus { .. } => "Proteus",
-            SchemeKind::Fleet { .. } => "Fleet",
         }
     }
 }
@@ -270,9 +245,8 @@ mod tests {
             SchemeKind::paper_adaptive_checkpoint().label(),
             SchemeKind::paper_standard_agileml().label(),
             SchemeKind::paper_proteus().label(),
-            SchemeKind::fleet_trial().label(),
         ];
         let set: std::collections::BTreeSet<&str> = labels.into_iter().collect();
-        assert_eq!(set.len(), 6);
+        assert_eq!(set.len(), 5);
     }
 }

@@ -176,16 +176,13 @@ impl<'a> JobSim<'a> {
         let params = AppParams {
             phi_per_doubling: scheme.job.phi_per_doubling,
             sigma: match scheme.kind {
-                SchemeKind::Proteus { scale_pause, .. } | SchemeKind::Fleet { scale_pause, .. } => {
-                    scale_pause
-                }
+                SchemeKind::Proteus { scale_pause, .. } => scale_pause,
                 SchemeKind::StandardCheckpoint { restart_delay, .. }
                 | SchemeKind::AdaptiveCheckpoint { restart_delay, .. } => restart_delay,
                 _ => SimDuration::from_secs(30),
             },
             lambda: match scheme.kind {
-                SchemeKind::Proteus { eviction_pause, .. }
-                | SchemeKind::Fleet { eviction_pause, .. } => eviction_pause,
+                SchemeKind::Proteus { eviction_pause, .. } => eviction_pause,
                 SchemeKind::StandardAgileML { eviction_pause } => eviction_pause,
                 SchemeKind::StandardCheckpoint { restart_delay, .. }
                 | SchemeKind::AdaptiveCheckpoint { restart_delay, .. } => restart_delay,
@@ -193,9 +190,7 @@ impl<'a> JobSim<'a> {
             },
         };
         let bid_deltas = match &scheme.kind {
-            SchemeKind::Proteus { bid_deltas, .. } | SchemeKind::Fleet { bid_deltas, .. } => {
-                bid_deltas.clone()
-            }
+            SchemeKind::Proteus { bid_deltas, .. } => bid_deltas.clone(),
             _ => BidBrainConfig::default().bid_deltas,
         };
         let brain = BidBrain::new(
@@ -534,8 +529,7 @@ impl<'a> JobSim<'a> {
                             self.pause(restart_delay);
                         }
                         SchemeKind::StandardAgileML { eviction_pause }
-                        | SchemeKind::Proteus { eviction_pause, .. }
-                        | SchemeKind::Fleet { eviction_pause, .. } => {
+                        | SchemeKind::Proteus { eviction_pause, .. } => {
                             self.pause(eviction_pause);
                         }
                         SchemeKind::AllOnDemand { .. } => {}
@@ -575,10 +569,7 @@ impl<'a> JobSim<'a> {
     fn renewals(&mut self, prices: &[(MarketKey, f64)]) {
         // Standard strategies hold until evicted; renewal is automatic
         // while the bid covers the market.
-        if !matches!(
-            self.kind,
-            SchemeKind::Proteus { .. } | SchemeKind::Fleet { .. }
-        ) {
+        if !matches!(self.kind, SchemeKind::Proteus { .. }) {
             return;
         }
         let now = self.provider.now();
@@ -623,7 +614,7 @@ impl<'a> JobSim<'a> {
                     }
                 }
             }
-            SchemeKind::Proteus { scale_pause, .. } | SchemeKind::Fleet { scale_pause, .. } => {
+            SchemeKind::Proteus { scale_pause, .. } => {
                 // Uncapped: BidBrain's own target bounds the request. A
                 // refusal that stops the walk retries next step.
                 let footprint = self.footprint();

@@ -20,7 +20,7 @@ use proteus_obs::{CostEvent, Event, Recorder};
 
 use crate::executor::StudyExecutor;
 use crate::scheme::{JobSpec, Scheme, SchemeKind};
-use crate::sim::{run_job_observed, run_job_with_faults, SimOutcome};
+use crate::sim::{run_job_observed, SimOutcome};
 use std::sync::{Arc, OnceLock};
 
 /// Study parameters.
@@ -164,14 +164,7 @@ impl StudyEnv {
                 kind: SchemeKind::AllOnDemand { machines: 128 },
                 job: self.job(),
             };
-            run_job_with_faults(
-                &scheme,
-                &self.traces,
-                &self.beta,
-                self.starts[0],
-                self.horizon(),
-                self.config.market_faults.as_ref(),
-            )
+            self.run_one(&scheme, self.starts[0], None)
         })
     }
 
@@ -223,64 +216,20 @@ impl StudyEnv {
     /// start order, so the output is identical to [`Self::run_scheme`]
     /// whatever the thread count.
     pub fn run_scheme_with(&self, kind: SchemeKind, exec: &StudyExecutor) -> StudyResult {
-        // Warm the shared baseline before fanning out so workers never
-        // race to simulate it.
-        let _ = self.on_demand_baseline();
-        let job = self.job();
-        let horizon = self.horizon();
-        let scheme = Scheme {
-            kind: kind.clone(),
-            job,
-        };
-        let outcomes = exec.run_indexed(self.starts.len(), |i| {
-            run_job_with_faults(
-                &scheme,
-                &self.traces,
-                &self.beta,
-                self.starts[i],
-                horizon,
-                self.config.market_faults.as_ref(),
-            )
+        let (mut results, ()) = self.fan_out(&[kind], exec, |scheme, start, _| {
+            (self.run_one(scheme, start, None), ())
         });
-        self.aggregate(&kind, &outcomes)
+        results.remove(0)
     }
 
     /// Runs the four-scheme comparison, fanning every `(scheme, start)`
     /// pair over `exec`'s pool as one flat task set so the pool stays
     /// saturated across scheme boundaries.
     pub fn run_comparison_with(&self, exec: &StudyExecutor) -> Vec<StudyResult> {
-        let kinds = [
-            SchemeKind::AllOnDemand { machines: 128 },
-            SchemeKind::paper_checkpoint(),
-            SchemeKind::paper_standard_agileml(),
-            SchemeKind::paper_proteus(),
-        ];
-        let _ = self.on_demand_baseline();
-        let job = self.job();
-        let horizon = self.horizon();
-        let schemes: Vec<Scheme> = kinds
-            .iter()
-            .map(|kind| Scheme {
-                kind: kind.clone(),
-                job,
-            })
-            .collect();
-        let n = self.starts.len();
-        let outcomes = exec.run_indexed(kinds.len() * n, |t| {
-            run_job_with_faults(
-                &schemes[t / n],
-                &self.traces,
-                &self.beta,
-                self.starts[t % n],
-                horizon,
-                self.config.market_faults.as_ref(),
-            )
+        let (results, ()) = self.fan_out(&paper_schemes(), exec, |scheme, start, _| {
+            (self.run_one(scheme, start, None), ())
         });
-        kinds
-            .iter()
-            .enumerate()
-            .map(|(s, kind)| self.aggregate(kind, &outcomes[s * n..(s + 1) * n]))
-            .collect()
+        results
     }
 
     /// Like [`Self::run_comparison_with`], but every `(scheme, start)`
@@ -292,26 +241,7 @@ impl StudyEnv {
         &self,
         exec: &StudyExecutor,
     ) -> (Vec<StudyResult>, Vec<Arc<Recorder>>) {
-        let kinds = [
-            SchemeKind::AllOnDemand { machines: 128 },
-            SchemeKind::paper_checkpoint(),
-            SchemeKind::paper_standard_agileml(),
-            SchemeKind::paper_proteus(),
-        ];
-        let _ = self.on_demand_baseline();
-        let job = self.job();
-        let horizon = self.horizon();
-        let schemes: Vec<Scheme> = kinds
-            .iter()
-            .map(|kind| Scheme {
-                kind: kind.clone(),
-                job,
-            })
-            .collect();
-        let n = self.starts.len();
-        let tasks = exec.run_indexed(kinds.len() * n, |t| {
-            let scheme = &schemes[t / n];
-            let start = self.starts[t % n];
+        self.fan_out(&paper_schemes(), exec, |scheme, start, t| {
             let rec = Arc::new(Recorder::new());
             rec.record(
                 start,
@@ -321,29 +251,53 @@ impl StudyEnv {
                     start_ms: start.as_millis(),
                 }),
             );
-            let out = run_job_observed(
-                scheme,
-                &self.traces,
-                &self.beta,
-                start,
-                horizon,
-                self.config.market_faults.as_ref(),
-                Some(Arc::clone(&rec)),
-            );
-            (out, rec)
+            (self.run_one(scheme, start, Some(Arc::clone(&rec))), rec)
+        })
+    }
+
+    /// Simulates every `(scheme, start)` pair over `exec`'s pool as one
+    /// flat task set, task `t` being scheme `t / starts` from start
+    /// `t % starts`, and aggregates each scheme's outcomes in start
+    /// order. `run` simulates one task; what it returns beside the
+    /// outcome comes back in task order.
+    fn fan_out<T: Send + Sync, C: Default + Extend<T>>(
+        &self,
+        kinds: &[SchemeKind],
+        exec: &StudyExecutor,
+        run: impl Fn(&Scheme, SimTime, usize) -> (SimOutcome, T) + Sync,
+    ) -> (Vec<StudyResult>, C) {
+        // Warm the shared baseline before fanning out so workers never
+        // race to simulate it.
+        let _ = self.on_demand_baseline();
+        let job = self.job();
+        let schemes: Vec<Scheme> = (kinds.iter())
+            .map(|kind| Scheme {
+                kind: kind.clone(),
+                job,
+            })
+            .collect();
+        let n = self.starts.len();
+        let tasks = exec.run_indexed(kinds.len() * n, |t| {
+            run(&schemes[t / n], self.starts[t % n], t)
         });
-        let mut recorders = Vec::with_capacity(tasks.len());
-        let mut outcomes = Vec::with_capacity(tasks.len());
-        for (out, rec) in tasks {
-            recorders.push(rec);
-            outcomes.push(out);
-        }
-        let results = kinds
-            .iter()
-            .enumerate()
+        let (outcomes, kept): (Vec<SimOutcome>, C) = tasks.into_iter().unzip();
+        let results = (kinds.iter().enumerate())
             .map(|(s, kind)| self.aggregate(kind, &outcomes[s * n..(s + 1) * n]))
             .collect();
-        (results, recorders)
+        (results, kept)
+    }
+
+    /// Simulates one job of this study, recording onto `rec` if given.
+    fn run_one(&self, scheme: &Scheme, start: SimTime, rec: Option<Arc<Recorder>>) -> SimOutcome {
+        run_job_observed(
+            scheme,
+            &self.traces,
+            &self.beta,
+            start,
+            self.horizon(),
+            self.config.market_faults.as_ref(),
+            rec,
+        )
     }
 
     /// [`Self::run_comparison_recorders`] plus the export: the per-job
@@ -362,6 +316,16 @@ impl StudyEnv {
         }
         (results, jsonl)
     }
+}
+
+/// The paper's four-scheme comparison (Figs. 8/9), in table order.
+fn paper_schemes() -> [SchemeKind; 4] {
+    [
+        SchemeKind::AllOnDemand { machines: 128 },
+        SchemeKind::paper_checkpoint(),
+        SchemeKind::paper_standard_agileml(),
+        SchemeKind::paper_proteus(),
+    ]
 }
 
 /// Runs the full four-scheme comparison (the paper's Figs. 8/9 setup)

@@ -45,11 +45,11 @@ fn a_500_trial_sweep_beats_per_job_trials_on_cost_per_work() {
         run_sweep(&traces, &beta, fleet_cfg, &cfg, &StudyExecutor::new(1)).expect("sweep runs");
     assert_eq!(sweep.trials.len(), 500, "every trial is accounted for");
 
-    // The per-job baseline: each trial reruns as its own
-    // `SchemeKind::fleet_trial` job sized to the work the fleet accrued
-    // for it, holding one dedicated reliable machine for its whole life,
-    // over the same start and window so neither side gets a cheaper
-    // stretch of the price history.
+    // The per-job baseline: each trial reruns as its own Proteus job
+    // (the same BidBrain stack and AgileML overheads) sized to the work
+    // the fleet accrued for it, holding one dedicated reliable machine
+    // for its whole life, over the same start and window so neither side
+    // gets a cheaper stretch of the price history.
     let od = markets[0];
     let gang_cores = cfg.gang * od.instance_type().vcpus;
     let (mut per_job_cost, mut per_job_work) = (0.0, 0.0);
@@ -66,7 +66,7 @@ fn a_500_trial_sweep_beats_per_job_trials_on_cost_per_work() {
             standard_cores: gang_cores,
             phi_per_doubling: 0.97,
         };
-        let kind = SchemeKind::fleet_trial();
+        let kind = SchemeKind::paper_proteus();
         let scheme = Scheme { kind, job };
         per_job_cost += run_job(&scheme, &traces, &beta, SimTime::EPOCH, horizon).cost;
         per_job_work += work;
