@@ -238,6 +238,30 @@ fn drought_past_the_last_step_counts_the_open_episode() {
     common::assert_report_matches_export(&report, &tl);
 }
 
+/// In a drought with no spot holding, the on-demand fallback holds the
+/// only transient machines. A chaos kill takes spot holdings alone, so
+/// it finds no victim and the fallback keeps computing.
+#[test]
+fn injected_failure_spares_the_on_demand_fallback() {
+    let start = SimTime::EPOCH + ProteusConfig::default().beta_training;
+    let plan = MarketFaultPlan::new(3).with_drought(start, start + SimDuration::from_hours(4), 0);
+    let (mut session, rec) = launch(plan).expect("launch");
+    session.run_market_hours(1.0).expect("market run");
+    let fallback = session.transient_machines();
+    assert!(fallback > 0, "the watchdog provisioned no fallback");
+
+    assert_eq!(session.inject_failure().expect("failure path"), None);
+    assert_eq!(session.transient_machines(), fallback);
+
+    session.run_market_hours(1.0).expect("market run");
+    session
+        .wait_clock(TARGET)
+        .expect("training on the fallback");
+    let report = session.finish().expect("finish");
+    assert_eq!(report.evictions, 0, "nothing was evicted: {report:?}");
+    common::assert_report_matches_export(&report, &rec.timeline());
+}
+
 // ---------------------------------------------------------------------
 // The sweep
 // ---------------------------------------------------------------------
