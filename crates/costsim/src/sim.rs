@@ -135,9 +135,9 @@ pub(crate) struct JobSim<'a> {
     /// Degraded-mode on-demand machines, provisioned when every spot
     /// market refuses capacity and the footprint produces no work;
     /// released the moment usable spot capacity returns. Only a fault
-    /// plan can refuse capacity, so this stays `None` fault-free.
-    fallback_alloc: Option<AllocationId>,
-    fallback_count: u32,
+    /// plan can refuse capacity, so this stays `None` fault-free. Holds
+    /// the allocation and its instance count.
+    fallback: Option<(AllocationId, u32)>,
     /// Cumulative degraded-mode fallback provisionings over the run.
     fallback_launches: u32,
     /// Live preemption forecaster (adaptive-checkpoint scheme only);
@@ -219,8 +219,7 @@ impl<'a> JobSim<'a> {
             market_mix: BTreeMap::new(),
             credits: 0.0,
             od_alloc: None,
-            fallback_alloc: None,
-            fallback_count: 0,
+            fallback: None,
             fallback_launches: 0,
             forecaster,
             fc_tracked: BTreeMap::new(),
@@ -299,7 +298,7 @@ impl<'a> JobSim<'a> {
                     cum_work: self.work_done,
                     spot,
                     on_demand,
-                    fallback: u64::from(self.fallback_count),
+                    fallback: u64::from(self.fallback.map_or(0, |(_, count)| count)),
                 }),
             );
             while self.obs_next_sample <= now {
@@ -383,7 +382,9 @@ impl<'a> JobSim<'a> {
         if self.job.on_demand_works {
             cores += od_cores;
         }
-        cores += f64::from(self.fallback_count * self.job.on_demand_market.instance_type().vcpus);
+        if let Some((_, count)) = self.fallback {
+            cores += f64::from(count * self.job.on_demand_market.instance_type().vcpus);
+        }
         if let SchemeKind::AllOnDemand { machines } = self.kind {
             cores = f64::from(machines * self.job.on_demand_market.instance_type().vcpus);
         }
@@ -642,24 +643,19 @@ impl<'a> JobSim<'a> {
     /// out of BidBrain's footprint so the brain keeps probing spot.
     fn manage_fallback(&mut self, capacity_refused: bool) {
         if self.spot_cores() > 0 {
-            if let Some(id) = self.fallback_alloc.take() {
+            if let Some((id, _)) = self.fallback.take() {
                 let _ = self.provider.terminate(id);
-                self.fallback_count = 0;
             }
             return;
         }
         let booting = self.provider.live_spot().any(|a| a.is_booting());
-        if capacity_refused && !booting && self.fallback_alloc.is_none() && self.work_rate() <= 0.0
-        {
+        if capacity_refused && !booting && self.fallback.is_none() && self.work_rate() <= 0.0 {
             let vcpus = self.job.on_demand_market.instance_type().vcpus.max(1);
             let count = self.job.standard_cores.div_ceil(vcpus);
             if count > 0 {
-                self.fallback_alloc = self
-                    .provider
-                    .request_on_demand(self.job.on_demand_market, count)
-                    .ok();
-                if self.fallback_alloc.is_some() {
-                    self.fallback_count = count;
+                let market = self.job.on_demand_market;
+                if let Ok(id) = self.provider.request_on_demand(market, count) {
+                    self.fallback = Some((id, count));
                     self.fallback_launches += 1;
                 }
             }
@@ -739,9 +735,8 @@ impl<'a> JobSim<'a> {
         if let Some(id) = self.od_alloc.take() {
             let _ = self.provider.terminate(id);
         }
-        if let Some(id) = self.fallback_alloc.take() {
+        if let Some((id, _)) = self.fallback.take() {
             let _ = self.provider.terminate(id);
-            self.fallback_count = 0;
         }
     }
 
@@ -768,10 +763,9 @@ impl<'a> JobSim<'a> {
             refund += self.provider.unused_hour_credit(id);
         }
         // Degraded-mode fallback still held at the end.
-        if let Some(id) = self.fallback_alloc.take() {
+        if let Some((id, _)) = self.fallback.take() {
             refund += self.provider.unused_hour_credit(id);
             let _ = self.provider.terminate(id);
-            self.fallback_count = 0;
         }
 
         let evictions = self.provider.tally().evictions;
