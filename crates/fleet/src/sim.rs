@@ -224,8 +224,6 @@ pub struct FleetSim<'a> {
     alloc_owner: BTreeMap<u64, usize>,
     obs: Option<Arc<Recorder>>,
     rounds: u64,
-    evictions: u64,
-    preemptions: u64,
     /// Jobs awaiting admission, FIFO by (submission time, id). Entries
     /// are lazily discarded if the job was killed while queued, so the
     /// admission pass costs O(admitted) per round, not O(all jobs).
@@ -264,8 +262,6 @@ impl<'a> FleetSim<'a> {
             alloc_owner: BTreeMap::new(),
             obs: None,
             rounds: 0,
-            evictions: 0,
-            preemptions: 0,
             admission_queue: BTreeSet::new(),
             admitted: BTreeSet::new(),
             departed: BTreeSet::new(),
@@ -510,8 +506,8 @@ impl<'a> FleetSim<'a> {
         let outcome = FleetOutcome {
             total_cost: (self.provider.account().total_cost() - credits).max(0.0),
             total_work: self.jobs.iter().map(|j| j.work_done).sum(),
-            evictions: self.evictions,
-            preemptions: self.preemptions,
+            evictions: jobs.iter().map(|j| u64::from(j.evictions)).sum(),
+            preemptions: jobs.iter().map(|j| u64::from(j.preemptions)).sum(),
             completed: jobs
                 .iter()
                 .filter(|j| j.state == JobState::Completed)
@@ -541,7 +537,6 @@ impl<'a> FleetSim<'a> {
                 job.alloc_market = None;
                 job.state = JobState::Waiting;
                 job.evictions += 1;
-                self.evictions += 1;
                 job.usable_from = t + self.cfg.eviction_pause;
                 job.queued_since = t;
                 job.rounds_waiting = 0;
@@ -924,7 +919,6 @@ impl<'a> FleetSim<'a> {
             job.alloc_market = None;
             job.state = JobState::Waiting;
             job.preemptions += 1;
-            self.preemptions += 1;
             job.usable_from = now + self.cfg.eviction_pause;
             job.queued_since = now;
             job.rounds_waiting = 0;
