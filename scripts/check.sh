@@ -39,6 +39,13 @@ cargo test -q --release -p proteus-ps -p proteus-mlapps
 echo "==> cargo test -q --release (agileml, full chaos seed sweep)"
 PROTEUS_CHAOS_FULL=1 cargo test -q --release -p proteus-agileml
 
+# The session's market chaos suite over its whole seed sweep (3-23):
+# droughts, throttling, slow boots and launch-then-die, each ending in
+# the report-against-export check. Optimised, it takes about 0.3 s once
+# built on a 2-core host.
+echo "==> cargo test -q --release (proteus market_chaos, full chaos seed sweep)"
+PROTEUS_CHAOS_FULL=1 cargo test -q --release -p proteus --test market_chaos
+
 # benchmark/ is a package of its own that a gain-claiming change may not
 # edit: build it, so a public-API change that breaks it fails here and
 # not at the next benchmark run. (The build rewrites the tracked
