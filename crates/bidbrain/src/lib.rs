@@ -42,7 +42,7 @@ pub use forecast::{
     ForecastScorer, PreemptionForecaster,
 };
 pub use objective::Objective;
-pub use params::AppParams;
+pub use params::{phi, AppParams};
 pub use policy::{AllocView, AllocationRequest, BidBrain, BidBrainConfig, Expiring, FootprintEval};
 pub use standard::StandardStrategy;
 

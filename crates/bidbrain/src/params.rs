@@ -50,14 +50,10 @@ impl AppParams {
         }
     }
 
-    /// The scaling efficiency φ for a footprint of `cores` total cores,
-    /// relative to a single instance: `phi_per_doubling ^ log2(cores)`,
-    /// clamped to (0, 1].
+    /// The scaling efficiency φ for a footprint of `cores` total cores
+    /// ([`phi`] of this application's `phi_per_doubling`).
     pub fn phi(&self, cores: f64) -> f64 {
-        if cores <= 1.0 {
-            return 1.0;
-        }
-        self.phi_per_doubling.powf(cores.log2()).clamp(0.0, 1.0)
+        phi(self.phi_per_doubling, cores)
     }
 
     /// Renders the Table 2 glossary (used by the `tab02_params` bench
@@ -75,6 +71,16 @@ impl AppParams {
             ("EA", "Expected cost per work of a set of allocations"),
         ]
     }
+}
+
+/// The scaling efficiency φ of `cores` total cores relative to a single
+/// instance, when each doubling keeps `per_doubling` of the per-core
+/// efficiency: `per_doubling ^ log2(cores)`, clamped to (0, 1].
+pub fn phi(per_doubling: f64, cores: f64) -> f64 {
+    if cores <= 1.0 {
+        return 1.0;
+    }
+    per_doubling.powf(cores.log2()).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]

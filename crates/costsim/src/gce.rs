@@ -8,7 +8,7 @@
 //! short pause rather than a restart. This module simulates such a job
 //! so the EC2-vs-GCE comparison is a tested library capability.
 
-use proteus_bidbrain::AppParams;
+use proteus_bidbrain::phi;
 use proteus_market::gce::{GceMarket, PreemptionModel};
 use proteus_market::MarketKey;
 use proteus_simtime::rng::seeded;
@@ -71,12 +71,7 @@ pub fn run_gce_job(job: &JobSpec, market: MarketKey, config: &GceRunConfig) -> G
     if job.on_demand_works {
         cores += f64::from(job.on_demand_count) * vcpus;
     }
-    let phi = AppParams {
-        phi_per_doubling: job.phi_per_doubling,
-        ..AppParams::default()
-    }
-    .phi(cores);
-    let rate = cores * phi; // φ-scaled core-hours per hour.
+    let rate = cores * phi(job.phi_per_doubling, cores); // φ-scaled core-hours per hour.
 
     let fleet_rate_per_hour = fleet * config.preemption.preemptions_per_day / 24.0;
     let mut rng = seeded(config.seed);

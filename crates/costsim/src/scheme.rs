@@ -1,6 +1,5 @@
 //! Job specifications and the four evaluated schemes.
 
-use proteus_bidbrain::AppParams;
 use proteus_market::MarketKey;
 use proteus_simtime::SimDuration;
 
@@ -38,13 +37,7 @@ impl JobSpec {
         let cores = 512.0;
         JobSpec {
             // Work the 128-machine on-demand fleet finishes in `hours`.
-            work_core_hours: cores
-                * hours
-                * AppParams {
-                    phi_per_doubling: phi,
-                    ..AppParams::default()
-                }
-                .phi(cores),
+            work_core_hours: cores * hours * proteus_bidbrain::phi(phi, cores),
             on_demand_market,
             on_demand_count: 3,
             on_demand_works: false,

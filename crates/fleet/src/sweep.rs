@@ -18,7 +18,7 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use proteus_bidbrain::{AppParams, BetaEstimator, DECISION_STEP};
+use proteus_bidbrain::{phi, BetaEstimator, DECISION_STEP};
 use proteus_costsim::StudyExecutor;
 use proteus_market::{MarketError, TraceSet};
 use proteus_simtime::rng::derive_seed;
@@ -207,12 +207,7 @@ pub fn run_sweep_on(
         // Work a healthy gang produces per hour on the first market.
         let vcpus = f64::from(fleet.config().markets[0].instance_type().vcpus);
         let cores = f64::from(cfg.gang) * vcpus;
-        let params = AppParams {
-            phi_per_doubling: 0.97,
-            sigma: SimDuration::ZERO,
-            lambda: SimDuration::ZERO,
-        };
-        cores * params.phi(cores)
+        cores * phi(0.97, cores)
     };
     let first_rung = cfg.rungs.first().copied().unwrap_or(1.0);
     let ids: Vec<JobId> = (0..cfg.trials)
