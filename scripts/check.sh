@@ -46,6 +46,13 @@ PROTEUS_CHAOS_FULL=1 cargo test -q --release -p proteus-agileml
 echo "==> cargo test -q --release (proteus market_chaos, full chaos seed sweep)"
 PROTEUS_CHAOS_FULL=1 cargo test -q --release -p proteus --test market_chaos
 
+# The fleet's chaos suite over its whole seed sweep (3, 5, 7, 11, 13, 17,
+# 19, 23): 120 jobs through eviction storms, droughts and the full fault
+# stack, each ending with every job typed. Optimised, it takes about
+# 0.1 s once built on a 2-core host.
+echo "==> cargo test -q --release (fleet_chaos, full chaos seed sweep)"
+PROTEUS_CHAOS_FULL=1 cargo test -q --release -p proteus-fleet --test fleet_chaos
+
 # benchmark/ is a package of its own that a gain-claiming change may not
 # edit: build it, so a public-API change that breaks it fails here and
 # not at the next benchmark run. (The build rewrites the tracked
