@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::ops::Range;
 
 use crate::kernels;
 use crate::partition::{ParamKey, PartitionId, PartitionMap};
@@ -75,6 +76,7 @@ impl WorkerCache<DenseVec> {
         }
     }
 
+    #[inline]
     fn slot(&self, key: ParamKey) -> Option<usize> {
         let slot = if key.0 < DENSE_SLOT_LIMIT {
             *self.index.get(key.0 as usize)?
@@ -84,10 +86,18 @@ impl WorkerCache<DenseVec> {
         (slot != NO_SLOT).then_some(slot)
     }
 
+    #[inline]
     fn slot_or_reserve(&mut self, key: ParamKey, dim: usize) -> usize {
-        if let Some(slot) = self.slot(key) {
-            return slot;
+        match self.slot(key) {
+            Some(slot) => slot,
+            None => self.new_slot(key, dim),
         }
+    }
+
+    /// A zeroed slot of `dim` components for `key`, which has none: once
+    /// per key, so kept out of the per-datum path.
+    #[cold]
+    fn new_slot(&mut self, key: ParamKey, dim: usize) -> usize {
         let slot = self.slots.len();
         if key.0 < DENSE_SLOT_LIMIT {
             let k = key.0 as usize;
@@ -113,6 +123,7 @@ impl WorkerCache<DenseVec> {
 
     /// Marks `slot` as holding a value and a pending delta; returns
     /// whether it held each before.
+    #[inline]
     fn touch(&mut self, slot: usize) -> (bool, bool) {
         let s = &mut self.slots[slot];
         let was = (s.present, s.dirty);
@@ -124,10 +135,17 @@ impl WorkerCache<DenseVec> {
         was
     }
 
-    /// The cached and buffered rows of `slot`.
-    fn rows_mut(&mut self, slot: usize) -> (&mut [f32], &mut [f32]) {
+    /// Where `slot`'s rows sit in the slabs.
+    #[inline]
+    fn range(&self, slot: usize) -> Range<usize> {
         let s = &self.slots[slot];
-        let range = s.start..s.start + s.dim;
+        s.start..s.start + s.dim
+    }
+
+    /// The cached and buffered rows of `slot`.
+    #[inline]
+    fn rows_mut(&mut self, slot: usize) -> (&mut [f32], &mut [f32]) {
+        let range = self.range(slot);
         (&mut self.cached[range.clone()], &mut self.buffer[range])
     }
 
@@ -140,12 +158,10 @@ impl WorkerCache<DenseVec> {
 
     /// The local view of `key`: its cached row, zeros for a key only
     /// reserved so far, and the empty slice for a key never seen.
+    #[inline]
     pub fn row(&self, key: ParamKey) -> &[f32] {
         match self.slot(key) {
-            Some(slot) => {
-                let s = &self.slots[slot];
-                &self.cached[s.start..s.start + s.dim]
-            }
+            Some(slot) => &self.cached[self.range(slot)],
             None => &[],
         }
     }
@@ -160,6 +176,7 @@ impl WorkerCache<DenseVec> {
     /// # Panics
     ///
     /// Panics if `delta`'s dimension differs from the key's row.
+    #[inline]
     pub fn update(&mut self, key: ParamKey, delta: &(impl AsRef<[f32]> + ?Sized)) {
         let delta = delta.as_ref();
         let slot = self.slot_or_reserve(key, delta.len());
@@ -185,6 +202,7 @@ impl WorkerCache<DenseVec> {
     /// # Panics
     ///
     /// Panics if `x`'s dimension differs from the key's row.
+    #[inline]
     pub fn add_lincomb(&mut self, key: ParamKey, s: f32, x: &[f32], t: f32) {
         let slot = self.slot_or_reserve(key, x.len());
         let (was_present, was_dirty) = self.touch(slot);
@@ -199,6 +217,47 @@ impl WorkerCache<DenseVec> {
                 row.copy_from_slice(acc);
             }
         }
+    }
+
+    /// Two SGD steps that read each other's row, in one pass: with `A`
+    /// and `B` the rows of `a` and `b` as read and `(s, t) = coeffs(A,
+    /// B)`, adds `s·B + t·A` to `a` and `s·A + t·B` to `b` (matrix
+    /// factorization's step on `L_i` and `R_j`). Bit-identical to
+    /// copying both rows and calling [`WorkerCache::add_lincomb`] on `a`
+    /// with `B`, then on `b` with `A` — and `a` is touched first, as
+    /// there — but each key is looked up once and nothing is copied.
+    ///
+    /// Each key's first-delta rule (a delta is copied into a row never
+    /// refreshed and into a buffer flushed since, so a `-0.0` survives)
+    /// is a select inside the one loop. Branching on the flags outside
+    /// it would take one loop per combination of them, each to be kept
+    /// bit-equal to the others by hand. A key not seen before gets a
+    /// row of `dim` zeros first, as under [`WorkerCache::reserve`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a == b` or if either row is not `dim` wide.
+    #[inline]
+    pub fn add_lincomb_pair(
+        &mut self,
+        a: ParamKey,
+        b: ParamKey,
+        dim: usize,
+        coeffs: impl FnOnce(&[f32], &[f32]) -> (f32, f32),
+    ) {
+        assert_ne!(a, b, "add_lincomb_pair needs two distinct keys");
+        let (slot_a, slot_b) = (self.slot_or_reserve(a, dim), self.slot_or_reserve(b, dim));
+        let (range_a, range_b) = (self.range(slot_a), self.range(slot_b));
+        assert!(
+            range_a.len() == dim && range_b.len() == dim,
+            "width mismatch in add_lincomb_pair"
+        );
+        let st = coeffs(&self.cached[range_a.clone()], &self.cached[range_b.clone()]);
+        let was_a = self.touch(slot_a);
+        let was_b = self.touch(slot_b);
+        let (row_a, row_b) = disjoint_mut(&mut self.cached, range_a.clone(), range_b.clone());
+        let (acc_a, acc_b) = disjoint_mut(&mut self.buffer, range_a, range_b);
+        lincomb_pair_step(row_a, row_b, acc_a, acc_b, st, was_a, was_b);
     }
 
     /// Installs a fresh server value, *preserving* any still-buffered local
@@ -254,6 +313,49 @@ impl WorkerCache<DenseVec> {
         self.cached.clear();
         self.buffer.clear();
         self.dirty.clear();
+    }
+}
+
+/// The loop of [`WorkerCache::add_lincomb_pair`], given the two keys'
+/// cached and buffered rows and what `touch` returned for each. Kept
+/// out of line on purpose: as a call's four `&mut` arguments the rows
+/// are known not to overlap, so LLVM vectorizes the loop without the
+/// run-time overlap checks it emits once the body is inlined — about
+/// 8 % of `train_mf`'s time at rank 16.
+#[inline(never)]
+fn lincomb_pair_step(
+    row_a: &mut [f32],
+    row_b: &mut [f32],
+    acc_a: &mut [f32],
+    acc_b: &mut [f32],
+    (s, t): (f32, f32),
+    (present_a, dirty_a): (bool, bool),
+    (present_b, dirty_b): (bool, bool),
+) {
+    let rows = row_a.iter_mut().zip(row_b).zip(acc_a).zip(acc_b);
+    for (((ra, rb), aa), ab) in rows {
+        let (x, y) = (*ra, *rb);
+        let (dx, dy) = (s * y + t * x, s * x + t * y);
+        *ra = if present_a { x + dx } else { dx };
+        *rb = if present_b { y + dy } else { dy };
+        *aa = if dirty_a { *aa + dx } else { dx };
+        *ab = if dirty_b { *ab + dy } else { dy };
+    }
+}
+
+/// Mutable views of two non-overlapping ranges of `v`. Which range
+/// comes first is a coin flip per call (slots are in first-touch
+/// order), so the order is picked with selects, not a branch.
+#[inline]
+fn disjoint_mut(v: &mut [f32], a: Range<usize>, b: Range<usize>) -> (&mut [f32], &mut [f32]) {
+    let swap = b.start < a.start;
+    let (first, second) = if swap { (b, a) } else { (a, b) };
+    let (lo, hi) = v.split_at_mut(second.start);
+    let (x, y) = (&mut lo[first], &mut hi[..second.len()]);
+    if swap {
+        (y, x)
+    } else {
+        (x, y)
     }
 }
 

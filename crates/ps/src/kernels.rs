@@ -26,6 +26,7 @@ const LANES: usize = 8;
 /// # Panics
 ///
 /// Panics if the slices differ in length.
+#[inline]
 pub fn add_assign(a: &mut [f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "length mismatch in add_assign");
     let mut ca = a.chunks_exact_mut(LANES);
@@ -45,6 +46,7 @@ pub fn add_assign(a: &mut [f32], b: &[f32]) {
 /// # Panics
 ///
 /// Panics if the slices differ in length.
+#[inline]
 pub fn axpy(a: &mut [f32], s: f32, b: &[f32]) {
     assert_eq!(a.len(), b.len(), "length mismatch in axpy");
     let mut ca = a.chunks_exact_mut(LANES);
@@ -60,6 +62,7 @@ pub fn axpy(a: &mut [f32], s: f32, b: &[f32]) {
 }
 
 /// `a[i] *= s` for all `i`.
+#[inline]
 pub fn scale(a: &mut [f32], s: f32) {
     let mut ca = a.chunks_exact_mut(LANES);
     for xa in ca.by_ref() {
@@ -79,6 +82,7 @@ pub fn scale(a: &mut [f32], s: f32) {
 /// # Panics
 ///
 /// Panics if the slices differ in length.
+#[inline]
 pub fn lincomb(out: &mut [f32], s: f32, x: &[f32], t: f32, y: &[f32]) {
     assert_eq!(x.len(), y.len(), "length mismatch in lincomb");
     assert_eq!(out.len(), x.len(), "length mismatch in lincomb");
@@ -107,6 +111,7 @@ pub fn lincomb(out: &mut [f32], s: f32, x: &[f32], t: f32, y: &[f32]) {
 /// # Panics
 ///
 /// Panics if the slices differ in length.
+#[inline]
 pub fn lincomb_step(row: &mut [f32], acc: &mut [f32], s: f32, x: &[f32], t: f32) {
     assert_eq!(row.len(), x.len(), "length mismatch in lincomb_step");
     assert_eq!(acc.len(), x.len(), "length mismatch in lincomb_step");
@@ -139,6 +144,7 @@ fn reduce(acc: [f32; LANES]) -> f32 {
 /// # Panics
 ///
 /// Panics if the slices differ in length.
+#[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "length mismatch in dot");
     let mut acc = [0.0f32; LANES];
@@ -157,6 +163,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// The squared L2 norm `Σ a[i]²`.
+#[inline]
 pub fn norm_sq(a: &[f32]) -> f32 {
     let mut acc = [0.0f32; LANES];
     let mut ca = a.chunks_exact(LANES);

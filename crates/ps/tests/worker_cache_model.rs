@@ -1,9 +1,10 @@
 //! Property: the slab [`WorkerCache`] is *bit-identical* to the
 //! hash-map cache it replaced. `Model` below is that old implementation
 //! (two `HashMap`s of owned rows, scalar loops), kept only here as the
-//! reference; any interleaving of update / add_lincomb / refresh /
-//! flush / clear must leave both with the same reads and hand the
-//! servers the same batches, down to the sign of a zero.
+//! reference; any interleaving of update / add_lincomb /
+//! add_lincomb_pair / refresh / flush / clear must leave both with the
+//! same reads and hand the servers the same batches, down to the sign of
+//! a zero.
 
 use std::collections::HashMap;
 
@@ -12,8 +13,23 @@ use proteus_ps::{ParamKey, PartitionId, PartitionMap, Values, WorkerCache};
 
 /// Keys on both sides of the dense-index limit (`1 << 22`), with gaps.
 /// The last dense key itself costs a 32 MB index per case, so it gets a
-/// test of its own below.
-const KEYS: [u64; 10] = [0, 1, 2, 3, 8, 21, 500, 1 << 22, (1 << 22) + 7, u64::MAX / 3];
+/// test of its own below. Widths 5, 8, 11 and 17 have two keys or more
+/// (11 and 17 on both sides of the limit), so the two-key step has
+/// partners to pair.
+const KEYS: [u64; 12] = [
+    0,
+    1,
+    2,
+    3,
+    5,
+    8,
+    21,
+    40,
+    500,
+    1 << 22,
+    (1 << 22) + 7,
+    u64::MAX / 3,
+];
 
 /// Per-key dimensions (K-means rows are `dim + 1`, so nothing may assume
 /// one width): below, at and past the kernels' 8-lane chunk.
@@ -79,6 +95,24 @@ impl Model {
         self.update(key, &delta);
     }
 
+    /// What matrix factorization did before the two-key step: copy both
+    /// rows as read, then `add_lincomb` on `a` with `b`'s copy and on `b`
+    /// with `a`'s. Returns the copies.
+    fn add_lincomb_pair(
+        &mut self,
+        a: ParamKey,
+        b: ParamKey,
+        dim: usize,
+        s: f32,
+        t: f32,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let read = |key| self.cached.get(&key).cloned().unwrap_or(vec![0.0; dim]);
+        let (row_a, row_b) = (read(a), read(b));
+        self.add_lincomb(a, s, &row_b, t);
+        self.add_lincomb(b, s, &row_a, t);
+        (row_a, row_b)
+    }
+
     fn refresh(&mut self, key: ParamKey, mut server: Vec<f32>) {
         if let Some(pending) = self.buffer.get(&key) {
             server.iter_mut().zip(pending).for_each(|(a, b)| *a += b);
@@ -103,6 +137,25 @@ impl Model {
     }
 }
 
+/// Runs the two-key step on `slab` and on `model` with coefficients
+/// `(s, t)`, and checks that the slab's closure saw the rows the model
+/// copied.
+fn pair_step(
+    slab: &mut WorkerCache,
+    model: &mut Model,
+    (a, b): (ParamKey, ParamKey),
+    dim: usize,
+    (s, t): (f32, f32),
+) {
+    let mut seen = None;
+    slab.add_lincomb_pair(a, b, dim, |row_a, row_b| {
+        seen = Some((bits(row_a), bits(row_b)));
+        (s, t)
+    });
+    let (row_a, row_b) = model.add_lincomb_pair(a, b, dim, s, t);
+    assert_eq!(seen, Some((bits(&row_a), bits(&row_b))), "rows as read");
+}
+
 fn flushed_bits(batches: Vec<(PartitionId, Values)>) -> Batches {
     batches
         .into_iter()
@@ -119,7 +172,7 @@ proptest! {
         partitions in 1u32..5,
         reserved in 0usize..KEYS.len(),
         ops in proptest::collection::vec(
-            (0u8..16, 0usize..KEYS.len(), any::<u64>(), -2.0f32..2.0),
+            (0u8..19, 0usize..KEYS.len(), any::<u64>(), -2.0f32..2.0),
             0..80,
         ),
     ) {
@@ -155,6 +208,19 @@ proptest! {
                 13 | 14 => {
                     prop_assert_eq!(flushed_bits(slab.flush()), model.flush());
                     prop_assert!(!slab.has_pending());
+                }
+                16..=18 => {
+                    // Pairs `key` with a key of its width (none for the
+                    // two narrowest), picked by `seed`.
+                    let partners: Vec<u64> = KEYS
+                        .iter()
+                        .copied()
+                        .filter(|&p| p != k && dim_of(p) == dim_of(k))
+                        .collect();
+                    if let Some(&p) = partners.get(seed as usize % partners.len().max(1)) {
+                        let t = POOL[(seed % POOL.len() as u64) as usize];
+                        pair_step(&mut slab, &mut model, (key, ParamKey(p)), dim_of(k), (scalar, t));
+                    }
                 }
                 _ => {
                     slab.clear();
@@ -195,4 +261,152 @@ fn keys_either_side_of_the_dense_limit_keep_separate_rows() {
     assert_eq!(slab.row(first_spilled), &[2.0, 3.0]);
     let flushed: usize = slab.flush().iter().map(|(_, batch)| batch.len()).sum();
     assert_eq!(flushed, 2);
+}
+
+/// How a key stands just before a two-key step: each (present, dirty)
+/// pair of the slab's flags, by every route to it.
+#[derive(Debug, Clone, Copy)]
+enum Before {
+    /// No slot at all: the step reserves one (not present, not dirty).
+    Unseen,
+    /// Not present, not dirty.
+    Reserved,
+    /// Present, not dirty, its buffer never written.
+    Refreshed,
+    /// Present, not dirty, its buffer holding a flushed delta.
+    Flushed,
+    /// Present through a delta alone, not dirty, buffer flushed.
+    FlushedUnrefreshed,
+    /// Present and dirty.
+    Dirty,
+    /// Present through a delta alone, and dirty.
+    DirtyUnrefreshed,
+}
+
+const BEFORE: [Before; 7] = [
+    Before::Unseen,
+    Before::Reserved,
+    Before::Refreshed,
+    Before::Flushed,
+    Before::FlushedUnrefreshed,
+    Before::Dirty,
+    Before::DirtyUnrefreshed,
+];
+
+/// Coefficients with a signed zero or an extreme among them: a delta
+/// of `-0.0` into a zero row or an unwritten buffer tells a copy from an
+/// add, and a `1e30` or a subnormal one tells an add of the stale
+/// buffer from none.
+const COEFFS: [(f32, f32); 6] = [
+    (1.0, -1.0),
+    (-0.0, -0.1),
+    (3.25, 0.0),
+    (-1.0, -0.0),
+    (1.0e30, 1.0e-40),
+    (-0.1, f32::MIN_POSITIVE / 2.0),
+];
+
+/// Dense with dense, dense with spilled either way, spilled with spilled.
+const PAIRS: [(u64, u64); 4] = [
+    (3, 500),
+    (3, (1 << 22) + 7),
+    ((1 << 22) + 7, 3),
+    ((1 << 22) + 7, u64::MAX / 3),
+];
+
+/// Brings `key` to `before` on both sides; `flushing` is the phase
+/// before the one flush, which the `Flushed*` states need.
+fn set_up(
+    slab: &mut WorkerCache,
+    model: &mut Model,
+    (key, dim, seed): (ParamKey, usize, u64),
+    before: Before,
+    flushing: bool,
+) {
+    let value = |salt: u64| -> Vec<f32> {
+        (0..dim as u64)
+            .map(|i| POOL[((seed + salt).wrapping_mul(31).wrapping_add(i * 7) % 10) as usize])
+            .collect()
+    };
+    let (refresh, reserve, delta) = match (before, flushing) {
+        (Before::Flushed, true) | (Before::Dirty, false) => (true, false, true),
+        (Before::FlushedUnrefreshed, true) | (Before::DirtyUnrefreshed, false) => {
+            (false, true, true)
+        }
+        (Before::Refreshed, false) => (true, false, false),
+        (Before::Reserved, false) => (false, true, false),
+        _ => return,
+    };
+    if reserve {
+        slab.reserve(key, dim);
+    }
+    if refresh {
+        slab.refresh(key, &value(1));
+        model.refresh(key, value(1));
+    }
+    if delta {
+        slab.update(key, &value(2));
+        model.update(key, &value(2));
+    }
+}
+
+#[test]
+fn pair_step_matches_two_add_lincombs_in_every_state() {
+    let layout = PartitionMap::new(3).expect("nonzero");
+    for dim in 1..=17 {
+        for (p, &(a, b)) in PAIRS.iter().enumerate() {
+            let (a, b) = (ParamKey(a), ParamKey(b));
+            for (i, &before_a) in BEFORE.iter().enumerate() {
+                for (j, &before_b) in BEFORE.iter().enumerate() {
+                    for (c, &st) in COEFFS.iter().enumerate() {
+                        let case =
+                            format!("dim {dim}, {a:?} {before_a:?}, {b:?} {before_b:?}, {st:?}");
+                        let seed = (dim * 131 + p * 37 + i * 11 + j * 5 + c) as u64;
+                        let mut slab: WorkerCache = WorkerCache::new(layout);
+                        let mut model = Model {
+                            layout,
+                            cached: HashMap::new(),
+                            buffer: HashMap::new(),
+                        };
+                        for flushing in [true, false] {
+                            set_up(&mut slab, &mut model, (a, dim, seed), before_a, flushing);
+                            set_up(
+                                &mut slab,
+                                &mut model,
+                                (b, dim, seed + 3),
+                                before_b,
+                                flushing,
+                            );
+                            if flushing {
+                                assert_eq!(flushed_bits(slab.flush()), model.flush(), "{case}");
+                            }
+                        }
+                        pair_step(&mut slab, &mut model, (a, b), dim, st);
+                        for key in [a, b] {
+                            let expect = bits(&model.cached[&key]);
+                            assert_eq!(bits(slab.row(key)), expect, "{case}: {key:?}");
+                        }
+                        assert_eq!(flushed_bits(slab.flush()), model.flush(), "{case}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "two distinct keys")]
+fn pair_step_rejects_one_key_twice() {
+    let mut slab: WorkerCache = WorkerCache::new(PartitionMap::new(2).expect("nonzero"));
+    slab.refresh(ParamKey(3), &[1.0, 2.0]);
+    slab.add_lincomb_pair(ParamKey(3), ParamKey(3), 2, |_, _| (1.0, 1.0));
+}
+
+#[test]
+#[should_panic(expected = "width mismatch")]
+fn pair_step_rejects_rows_of_two_widths() {
+    let mut slab: WorkerCache = WorkerCache::new(PartitionMap::new(2).expect("nonzero"));
+    slab.refresh(ParamKey(3), &[1.0, 2.0]);
+    slab.refresh(ParamKey(5), &[1.0, 2.0, 3.0]);
+    slab.add_lincomb_pair(ParamKey(3), ParamKey(5), 2, |_, _| (1.0, 1.0));
 }
