@@ -13,34 +13,12 @@ pub trait ParamReader {
     fn row(&self, key: ParamKey) -> &[f32];
 }
 
-/// In-place access to the parameter state during
-/// [`process`](MlApp::process): reads see every delta added so far, and
-/// the runtime buffers the deltas for write-back.
-pub trait ParamAccess: ParamReader {
-    /// Adds `delta` to the row of `key`.
-    fn add(&mut self, key: ParamKey, delta: &[f32]);
-
-    /// Adds `s·x + t·row(key)` to the row of `key` without a temporary
-    /// (an SGD step with L2 regularization).
-    fn add_lincomb(&mut self, key: ParamKey, s: f32, x: &[f32], t: f32);
-}
-
 /// Both runtimes keep parameters in a worker cache whose rows were
 /// reserved at the app's dimensions, which is what makes an unrefreshed
 /// row read as zeros.
 impl ParamReader for WorkerCache {
     fn row(&self, key: ParamKey) -> &[f32] {
         WorkerCache::row(self, key)
-    }
-}
-
-impl ParamAccess for WorkerCache {
-    fn add(&mut self, key: ParamKey, delta: &[f32]) {
-        self.update(key, delta);
-    }
-
-    fn add_lincomb(&mut self, key: ParamKey, s: f32, x: &[f32], t: f32) {
-        WorkerCache::add_lincomb(self, key, s, x, t);
     }
 }
 
@@ -74,7 +52,11 @@ pub trait MlApp: Send + Sync + 'static {
     fn keys_for(&self, datum: &Self::Datum) -> Vec<ParamKey>;
 
     /// Processes one datum against the current parameters, adding its
-    /// (commutative, additive) updates through `params`.
+    /// (commutative, additive) updates to `params` in place: reads see
+    /// every delta added so far, and the cache buffers the deltas for
+    /// write-back. Both runtimes keep their parameters in a
+    /// [`WorkerCache`], so the call is static and the app's steps inline
+    /// into the cache's loops.
     ///
     /// `rng` supplies any sampling the algorithm needs (Gibbs sampling,
     /// dropout, ...); `datum` is mutable for per-datum scratch state.
@@ -82,7 +64,7 @@ pub trait MlApp: Send + Sync + 'static {
         &self,
         datum: &mut Self::Datum,
         scratch: &mut Self::Scratch,
-        params: &mut dyn ParamAccess,
+        params: &mut WorkerCache,
         rng: &mut StdRng,
     );
 

@@ -14,11 +14,11 @@
 //! no combination of concurrent updates can drive a cluster's mass
 //! negative.
 
-use proteus_ps::{kernels, DenseVec, ParamKey};
+use proteus_ps::{kernels, DenseVec, ParamKey, WorkerCache};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::app::{MlApp, ParamAccess, ParamReader};
+use crate::app::{MlApp, ParamReader};
 
 /// One data point.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,7 +124,7 @@ impl MlApp for KMeans {
         &self,
         datum: &mut Point,
         delta: &mut Vec<f32>,
-        params: &mut dyn ParamAccess,
+        params: &mut WorkerCache,
         _rng: &mut StdRng,
     ) {
         let k = self.assign(&datum.coords, &*params);
@@ -135,7 +135,7 @@ impl MlApp for KMeans {
         delta.clear();
         delta.extend_from_slice(&datum.coords);
         delta.push(1.0);
-        params.add(ParamKey(u64::from(k)), delta);
+        params.update(ParamKey(u64::from(k)), delta);
     }
 
     /// Mean squared distance of each point to its assigned centroid

@@ -16,11 +16,11 @@
 //! data partition rebuilds after an eviction, keeping workers stateless
 //! with respect to *solution* state.
 
-use proteus_ps::{DenseVec, ParamKey};
+use proteus_ps::{DenseVec, ParamKey, WorkerCache};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::app::{MlApp, ParamAccess, ParamReader};
+use crate::app::{MlApp, ParamReader};
 
 /// One document: its tokens and their current topic assignments.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,7 +146,7 @@ impl MlApp for Lda {
         &self,
         doc: &mut LdaDoc,
         _scratch: &mut (),
-        params: &mut dyn ParamAccess,
+        params: &mut WorkerCache,
         rng: &mut StdRng,
     ) {
         let k_topics = self.config.topics;
@@ -208,10 +208,10 @@ impl MlApp for Lda {
             .collect();
         changed.sort_by_key(|(w, _)| *w);
         for (w, d) in &changed {
-            params.add(self.word_key(*w), d);
+            params.update(self.word_key(*w), d);
         }
         if delta_totals.iter().any(|&x| x != 0.0) {
-            params.add(self.totals_key(), &delta_totals);
+            params.update(self.totals_key(), &delta_totals);
         }
     }
 

@@ -7,11 +7,11 @@
 //! L2 regularization. `L` rows occupy keys `0..rows` and `R` columns keys
 //! `rows..rows+cols`.
 
-use proteus_ps::{kernels, DenseVec, ParamKey};
+use proteus_ps::{kernels, DenseVec, ParamKey, WorkerCache};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::app::{MlApp, ParamAccess, ParamReader};
+use crate::app::{MlApp, ParamReader};
 
 /// One observed matrix entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,8 +89,7 @@ impl MatrixFactorization {
 
 impl MlApp for MatrixFactorization {
     type Datum = Rating;
-    /// `L_i` then `R_j` as read, before either step lands.
-    type Scratch = Vec<f32>;
+    type Scratch = ();
 
     fn key_count(&self) -> u64 {
         u64::from(self.config.rows) + u64::from(self.config.cols)
@@ -116,25 +115,23 @@ impl MlApp for MatrixFactorization {
     fn process(
         &self,
         datum: &mut Rating,
-        read: &mut Vec<f32>,
-        params: &mut dyn ParamAccess,
+        _scratch: &mut (),
+        params: &mut WorkerCache,
         _rng: &mut StdRng,
     ) {
-        let (row_key, col_key) = (self.row_key(datum.row), self.col_key(datum.col));
-        // Both steps are functions of the rows as read; the first one
-        // changes L_i under the second, so work from copies.
-        read.clear();
-        read.extend_from_slice(params.row(row_key));
-        read.extend_from_slice(params.row(col_key));
-        let (li, rj) = read.split_at(self.config.rank);
-        let err = kernels::dot(li, rj) - datum.value;
         let lr = self.config.learning_rate;
         let reg = self.config.reg;
-
-        // dL_i = -lr (err · R_j + reg · L_i)
-        params.add_lincomb(row_key, -lr * err, rj, -lr * reg);
-        // dR_j = -lr (err · L_i + reg · R_j)
-        params.add_lincomb(col_key, -lr * err, li, -lr * reg);
+        // dL_i = -lr (err · R_j + reg · L_i) and
+        // dR_j = -lr (err · L_i + reg · R_j), both of the rows as read.
+        params.add_lincomb_pair(
+            self.row_key(datum.row),
+            self.col_key(datum.col),
+            self.config.rank,
+            |li, rj| {
+                let err = kernels::dot(li, rj) - datum.value;
+                (-lr * err, -lr * reg)
+            },
+        );
     }
 
     fn objective(&self, data: &[Rating], params: &dyn ParamReader) -> f64 {
@@ -201,10 +198,9 @@ mod tests {
             value: 1.0,
         };
 
-        let mut scratch = Vec::new();
         let mut last = f64::INFINITY;
         for _ in 0..200 {
-            app.process(&mut datum, &mut scratch, &mut params, &mut rng);
+            app.process(&mut datum, &mut (), &mut params, &mut rng);
             let obj = app.objective(&[datum], &params);
             assert!(
                 obj <= last + 1e-6,
@@ -237,7 +233,7 @@ mod tests {
             value: 10.0,
         };
         // err = 1·3 + 2·4 − 10 = 1.
-        app.process(&mut datum, &mut Vec::new(), &mut params, &mut seeded(1));
+        app.process(&mut datum, &mut (), &mut params, &mut seeded(1));
         assert_eq!(params.row(ParamKey(0)), &[1.0 - 3.0, 2.0 - 4.0]);
         assert_eq!(params.row(ParamKey(1)), &[3.0 - 1.0, 4.0 - 2.0]);
     }

@@ -7,11 +7,11 @@
 //! every gradient step updates the **full model** — all `K` vectors — as
 //! in the paper's MLR setup, which is what makes MLR network-heavy.
 
-use proteus_ps::{kernels, DenseVec, ParamKey};
+use proteus_ps::{kernels, DenseVec, ParamKey, WorkerCache};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::app::{MlApp, ParamAccess, ParamReader};
+use crate::app::{MlApp, ParamReader};
 
 /// One labelled observation.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,7 +128,7 @@ impl MlApp for Mlr {
         &self,
         datum: &mut Example,
         probs: &mut Vec<f64>,
-        params: &mut dyn ParamAccess,
+        params: &mut WorkerCache,
         _rng: &mut StdRng,
     ) {
         self.softmax_into(&datum.features, &*params, probs);
