@@ -61,6 +61,12 @@ PROTEUS_CHAOS_FULL=1 cargo test -q --release -p proteus-fleet --test fleet_chaos
 echo "==> benchmark/ still builds"
 cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
 
+# Its own tests (14, under a second once built), among them contract.rs's
+# check that BENCHMARK.json is spec.rs rendered. The workspace's
+# `cargo test` above does not reach a package outside the workspace.
+echo "==> benchmark/ tests"
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 # Its quick pass (every workload once, plain and traced, on tiny inputs,
 # well under a second) runs the benchmark's own correctness checks:
 # study results bit-equal on 1 and 2 executor threads, exact results
