@@ -321,7 +321,7 @@ impl WorkerCache<DenseVec> {
 /// out of line on purpose: as a call's four `&mut` arguments the rows
 /// are known not to overlap, so LLVM vectorizes the loop without the
 /// run-time overlap checks it emits once the body is inlined — about
-/// 8 % of `train_mf`'s time at rank 16.
+/// 8 % of `train_mf`'s time at rank 16 on a 2-core x86-64 host.
 #[inline(never)]
 fn lincomb_pair_step(
     row_a: &mut [f32],
