@@ -1,25 +1,89 @@
-//! Explicit-width chunked slice kernels for the dense hot paths.
+//! Chunked slice kernels for the dense hot paths, with AVX2 twins
+//! picked at run time.
 //!
-//! Every routine but `lincomb_step` (see there) walks its operands in
-//! fixed-width chunks (`LANES` elements) with an index loop whose
-//! bound is a compile-time constant,
-//! which is the shape LLVM reliably turns into packed SIMD (`f32x8` on
-//! AVX2, two `f32x4` ops on NEON/SSE) on stable Rust — no nightly
-//! features, no intrinsics, no `unsafe`. The scalar remainder handles
-//! the final `len % LANES` elements.
+//! # What runs where
 //!
-//! Element-wise kernels (`add_assign`, `axpy`, `scale`, `lincomb`,
-//! `lincomb_step`) compute bit-identical results to their scalar
-//! loops: each output lane depends only on the same input lane, so
-//! chunking changes nothing about rounding. Reductions (`dot`,
-//! `norm_sq`, `dist_sq`) use `LANES` parallel accumulators folded with
-//! a fixed pairwise tree, which *does* reorder the floating-point sum
-//! relative to a sequential fold — deterministically, the same way on
-//! every run and thread count, so simulation reproducibility is
-//! preserved even though the low bits differ from a naive loop.
+//! Every kernel has a *portable* body in safe Rust. Most walk their
+//! operands in fixed-width chunks (`LANES` = 8 elements) with a
+//! compile-time loop bound, then a scalar remainder for the last `len %
+//! LANES`; `lincomb_step` is a plain zipped loop (see there). The build
+//! targets the architecture's baseline only, so on the default `x86_64`
+//! target (SSE2) a chunk compiles to two 4-wide SSE ops and on `aarch64`
+//! to two NEON ops.
+//!
+//! The two kernels MLR's worker pass is made of — [`dot`] (the logits)
+//! and [`lincomb_step`] (the step) — also have an *AVX2 twin* on
+//! `x86_64`, written with `std::arch::x86_64` intrinsics: one 256-bit
+//! register per chunk. On a row of at least `TWIN_MIN_LEN` (64) floats,
+//! each asks `is_x86_feature_detected!("avx2")` (std detects once per
+//! process and caches the answer) and calls the twin when the CPU has
+//! AVX2. Shorter rows, CPUs without AVX2 and other architectures run
+//! the portable body; other architectures compile no twin. No build
+//! flag, cargo feature or environment variable is involved.
+//!
+//! The length floor exists because a twin is an out-of-line call: code
+//! compiled for the baseline cannot inline an AVX2 function. At MLR's
+//! 512-wide rows the wider chunks repay the call many times over; at
+//! MF's 16-wide rows they do not, so those keep the inlined portable
+//! loop they had. The two twinned kernels are `#[inline(always)]` for
+//! the same reason: with the dispatch in its body LLVM stopped inlining
+//! `dot` into MF's step, which cost `train_mf` about 3 %. Every other
+//! kernel, and the worker cache's two-key step, is portable only: off
+//! MLR's pass, or measured no faster end to end as a twin (`lincomb`;
+//! `add_assign`, whose twin sped the server's 512-wide apply up but
+//! slowed `train_mf`; the two-key step at MF's rank 16).
+//!
+//! # Why both paths give the same bits
+//!
+//! The twins multiply and add, never fuse: Rust does not contract `a *
+//! b + c` into an FMA, the twins call no FMA intrinsic, and
+//! `scripts/check.sh` fails on one in `ps` or `mlapps`. Each output lane
+//! of an element-wise kernel is then the same IEEE computation on the
+//! same inputs, whatever the register width. The reductions keep `LANES`
+//! accumulators (lane `i` sums elements `i`, `i + 8`, … in order) folded
+//! by the one `reduce` tree; a twin holds the same eight accumulators in
+//! one register and calls the same `reduce`. The unit tests compare each
+//! twin with its portable body bit for bit (every `len % 8`, signed
+//! zeros, subnormals, huge magnitudes, NaN payloads). The one exception
+//! is a NaN's payload where two NaNs meet in one operation: Rust leaves
+//! it unspecified, for the portable loop alone too.
+//!
+//! The element-wise kernels are bit-identical to plain scalar loops. The
+//! reductions reorder the sum relative to a sequential fold —
+//! deterministically, the same on every run, thread count and CPU — so
+//! simulations replay bit for bit although the low bits differ from a
+//! naive loop.
+//!
+//! # `unsafe`
+//!
+//! The one `unsafe` dispatch site is the private `dispatch!` macro every
+//! twinned kernel expands: it calls an AVX2 function only after
+//! `is_x86_feature_detected!("avx2")` returned true, which is all such a
+//! call requires. The twins' only other `unsafe` is one unaligned load
+//! from and one store to an `[f32; 8]` they borrow.
 
 /// Chunk width for `f32` kernels: 8 lanes = one AVX2 register.
 const LANES: usize = 8;
+
+/// The shortest row that takes a twin: below it the out-of-line call
+/// costs more than the wider chunks save (measured on `dot` and
+/// `lincomb_step` from 16 to 512 floats).
+const TWIN_MIN_LEN: usize = 64;
+
+/// Evaluates `$twin` (a call into `avx2`) when the row is `$len >=
+/// TWIN_MIN_LEN` floats long and the CPU has AVX2, and `$portable`
+/// otherwise.
+macro_rules! dispatch {
+    ($len:expr, $twin:expr, $portable:expr) => {{
+        #[cfg(target_arch = "x86_64")]
+        if $len >= TWIN_MIN_LEN && std::is_x86_feature_detected!("avx2") {
+            // SAFETY: the twins need AVX2 and nothing else, and the CPU
+            // running this has it (checked just above).
+            return unsafe { $twin };
+        }
+        $portable
+    }};
+}
 
 /// `a[i] += b[i]` for all `i`.
 ///
@@ -111,19 +175,15 @@ pub fn lincomb(out: &mut [f32], s: f32, x: &[f32], t: f32, y: &[f32]) {
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-#[inline]
+#[inline(always)]
 pub fn lincomb_step(row: &mut [f32], acc: &mut [f32], s: f32, x: &[f32], t: f32) {
     assert_eq!(row.len(), x.len(), "length mismatch in lincomb_step");
     assert_eq!(acc.len(), x.len(), "length mismatch in lincomb_step");
-    // Not chunked like its neighbours: with two read-modify-write
-    // streams LLVM vectorizes the chunked shape *across* chunks,
-    // gathering lanes one scalar load at a time (3x slower at 512
-    // wide); the plain zip becomes straight packed loads and stores.
-    for ((r, a), xv) in row.iter_mut().zip(acc.iter_mut()).zip(x) {
-        let d = s * xv + t * *r;
-        *r += d;
-        *a += d;
-    }
+    dispatch!(
+        row.len(),
+        avx2::lincomb_step(row, acc, s, x, t),
+        portable::lincomb_step(row, acc, s, x, t)
+    )
 }
 
 /// Folds `LANES` partial accumulators with a fixed pairwise tree so the
@@ -144,22 +204,10 @@ fn reduce(acc: [f32; LANES]) -> f32 {
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-#[inline]
+#[inline(always)]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "length mismatch in dot");
-    let mut acc = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-        for i in 0..LANES {
-            acc[i] += xa[i] * xb[i];
-        }
-    }
-    let mut tail = 0.0f32;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += x * y;
-    }
-    reduce(acc) + tail
+    dispatch!(a.len(), avx2::dot(a, b), portable::dot(a, b))
 }
 
 /// The squared L2 norm `Σ a[i]²`.
@@ -206,10 +254,109 @@ pub fn dist_sq(a: &[f32], b: &[f32]) -> f64 {
     (acc[0] + acc[2]) + (acc[1] + acc[3]) + tail
 }
 
+/// The portable bodies of the twinned kernels: the fallback off AVX2,
+/// and the reference each twin is tested against. Lengths are checked
+/// by the public kernels.
+mod portable {
+    use super::{reduce, LANES};
+
+    #[inline]
+    pub fn lincomb_step(row: &mut [f32], acc: &mut [f32], s: f32, x: &[f32], t: f32) {
+        // Not chunked like its neighbours: with two read-modify-write
+        // streams LLVM vectorizes the chunked shape *across* chunks,
+        // gathering lanes one scalar load at a time (3x slower at 512
+        // wide); the plain zip becomes straight packed loads and stores.
+        for ((r, a), xv) in row.iter_mut().zip(acc.iter_mut()).zip(x) {
+            let d = s * xv + t * *r;
+            *r += d;
+            *a += d;
+        }
+    }
+
+    #[inline]
+    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+        let mut acc = [0.0f32; LANES];
+        let mut ca = a.chunks_exact(LANES);
+        let mut cb = b.chunks_exact(LANES);
+        for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
+            for i in 0..LANES {
+                acc[i] += xa[i] * xb[i];
+            }
+        }
+        let mut tail = 0.0f32;
+        for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
+            tail += x * y;
+        }
+        reduce(acc) + tail
+    }
+}
+
+/// The AVX2 twins: each is its portable body with one 256-bit register
+/// per chunk and the same scalar remainder. Safe functions, but only
+/// callable through `dispatch!` outside an AVX2 function.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+
+    use super::{reduce, LANES};
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load(c: &[f32; LANES]) -> __m256 {
+        // SAFETY: reads the eight floats `c` borrows; no alignment needed.
+        unsafe { _mm256_loadu_ps(c.as_ptr()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store(c: &mut [f32; LANES], v: __m256) {
+        // SAFETY: writes the eight floats `c` borrows mutably.
+        unsafe { _mm256_storeu_ps(c.as_mut_ptr(), v) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn lincomb_step(row: &mut [f32], acc: &mut [f32], s: f32, x: &[f32], t: f32) {
+        let (vs, vt) = (_mm256_set1_ps(s), _mm256_set1_ps(t));
+        let (cr, rr) = row.as_chunks_mut::<LANES>();
+        let (ca, ra) = acc.as_chunks_mut::<LANES>();
+        let (cx, rx) = x.as_chunks::<LANES>();
+        for ((xr, xa), xx) in cr.iter_mut().zip(ca.iter_mut()).zip(cx) {
+            let r = load(xr);
+            let d = _mm256_add_ps(_mm256_mul_ps(vs, load(xx)), _mm256_mul_ps(vt, r));
+            store(xr, _mm256_add_ps(r, d));
+            store(xa, _mm256_add_ps(load(xa), d));
+        }
+        super::portable::lincomb_step(rr, ra, s, rx, t);
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+        let (ca, ra) = a.as_chunks::<LANES>();
+        let (cb, rb) = b.as_chunks::<LANES>();
+        let mut acc = _mm256_setzero_ps();
+        for (xa, xb) in ca.iter().zip(cb) {
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(load(xa), load(xb)));
+        }
+        let mut tail = 0.0f32;
+        for (x, y) in ra.iter().zip(rb) {
+            tail += x * y;
+        }
+        let mut lanes = [0.0f32; LANES];
+        store(&mut lanes, acc);
+        reduce(lanes) + tail
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn slice_strategy(max: usize) -> impl Strategy<Value = Vec<f32>> {
         proptest::collection::vec(-100.0f32..100.0, 0..max)
@@ -281,6 +428,146 @@ mod tests {
         let _ = dot(&[1.0, 2.0], &[1.0]);
     }
 
+    /// Components that stress bit-identity: signed zeros, subnormals,
+    /// magnitudes that overflow when summed, infinities, and NaNs with
+    /// distinct payloads and signs (one signalling).
+    const SPECIALS: [f32; 14] = [
+        0.0,
+        -0.0,
+        1.0e-45,
+        -1.0e-40,
+        f32::MIN_POSITIVE,
+        3.0e38,
+        -2.5e38,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7fc0_1234),
+        f32::from_bits(0xffc0_0042),
+        f32::from_bits(0x7f80_0007),
+    ];
+
+    /// `len` components, about one in `1 << sparsity` drawn from the
+    /// first `specials` of `SPECIALS` and the rest from `-100..100`.
+    fn mixed(len: usize, sparsity: u32, specials: usize, rng: &mut TestRng) -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                let r = rng.next_u64();
+                if r.is_multiple_of(1 << sparsity) {
+                    SPECIALS[(r >> 8) as usize % specials]
+                } else {
+                    (rng.unit_f64() * 200.0 - 100.0) as f32
+                }
+            })
+            .collect()
+    }
+
+    /// The bits of each component, every NaN folded to one pattern when
+    /// `fold_nan`. Where two NaNs meet in one operation Rust leaves the
+    /// result's payload unspecified, so the compiler may pick either
+    /// input's for the same source on two paths.
+    fn bits(xs: &[f32], fold_nan: bool) -> Vec<u32> {
+        let nan = f32::NAN.to_bits();
+        xs.iter()
+            .map(|x| {
+                if fold_nan && x.is_nan() {
+                    nan
+                } else {
+                    x.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    /// The twins at any length, through the kernels' own `dispatch!`:
+    /// the portable bodies again on a CPU without AVX2.
+    mod twin {
+        use super::super::*;
+
+        pub fn lincomb_step(row: &mut [f32], acc: &mut [f32], s: f32, x: &[f32], t: f32) {
+            dispatch!(
+                usize::MAX,
+                avx2::lincomb_step(row, acc, s, x, t),
+                portable::lincomb_step(row, acc, s, x, t)
+            )
+        }
+
+        pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+            dispatch!(usize::MAX, avx2::dot(a, b), portable::dot(a, b))
+        }
+    }
+
+    /// Every twinned kernel against its portable body: the twin itself
+    /// (at every length) and the public kernel (the twin from
+    /// `TWIN_MIN_LEN` up, on an AVX2 CPU). `x` may hold NaNs, the other
+    /// inputs none; with `fold_nan` false, NaN payloads must match too.
+    fn twins_match_portable([x, y, z]: &[Vec<f32>; 3], (s, t): (f32, f32), fold_nan: bool) {
+        let bits = |v: &[f32]| bits(v, fold_nan);
+        let ctx = format!("len {}, s {s}, t {t}", x.len());
+        for forced in [true, false] {
+            let ctx = format!("{ctx}, twin forced {forced}");
+
+            let (mut ra, mut aa, mut rb, mut ab) = (x.clone(), z.clone(), x.clone(), z.clone());
+            if forced {
+                twin::lincomb_step(&mut ra, &mut aa, s, y, t);
+            } else {
+                lincomb_step(&mut ra, &mut aa, s, y, t);
+            }
+            portable::lincomb_step(&mut rb, &mut ab, s, y, t);
+            assert_eq!(
+                (bits(&ra), bits(&aa)),
+                (bits(&rb), bits(&ab)),
+                "lincomb_step, {ctx}"
+            );
+
+            let d = if forced { twin::dot(x, y) } else { dot(x, y) };
+            assert_eq!(bits(&[d]), bits(&[portable::dot(x, y)]), "dot, {ctx}");
+        }
+    }
+
+    /// Inputs of `len` components from `seed`: every special anywhere,
+    /// so NaNs meet and are compared as NaN.
+    fn any_specials(len: usize, seed: u64) {
+        let mut rng = TestRng::deterministic(&format!("any/{len}/{seed}"));
+        let sparsity = [1, 3, 6, 30][(seed % 4) as usize];
+        let n = SPECIALS.len();
+        let xyz = [(); 3].map(|_| mixed(len, sparsity, n, &mut rng));
+        let st = (
+            SPECIALS[(seed / 4) as usize % n],
+            (rng.unit_f64() - 0.5) as f32,
+        );
+        twins_match_portable(&xyz, st, true);
+    }
+
+    /// Inputs of `len` components from `seed` holding one NaN (random
+    /// payload and sign) in `x` and none of the infinities or huge
+    /// values that could make a second: its payload must come out of
+    /// both paths alike.
+    fn one_nan(len: usize, seed: u64) {
+        let mut rng = TestRng::deterministic(&format!("nan/{len}/{seed}"));
+        let [mut x, y, z] = [(); 3].map(|_| mixed(len, 2, 5, &mut rng));
+        if len > 0 {
+            let payload = (rng.next_u64() as u32 & 0x803f_ffff) | 0x7fc0_0000;
+            x[rng.below(len as u64) as usize] = f32::from_bits(payload);
+        }
+        let st = (
+            (rng.unit_f64() * 4.0 - 2.0) as f32,
+            (rng.unit_f64() - 0.5) as f32,
+        );
+        twins_match_portable(&[x, y, z], st, false);
+    }
+
+    /// Each length once, so every `len % 8` on both sides of
+    /// `TWIN_MIN_LEN`.
+    #[test]
+    fn twins_match_portable_at_every_length_to_1100() {
+        for len in 0..=1100 {
+            any_specials(len, len as u64);
+            one_nan(len, len as u64);
+        }
+    }
+
     proptest! {
         #[test]
         fn dot_is_deterministic_and_length_safe(a in slice_strategy(40)) {
@@ -304,6 +591,12 @@ mod tests {
             let d = dist_sq(&a, &b);
             prop_assert!(d >= 0.0);
             prop_assert_eq!(d.to_bits(), dist_sq(&b, &a).to_bits());
+        }
+
+        #[test]
+        fn twins_match_portable_bit_for_bit(len in 0usize..1101, seed in any::<u64>()) {
+            any_specials(len, seed);
+            one_nan(len, seed);
         }
     }
 }

@@ -23,8 +23,9 @@
 //! * [`Values`] / [`KeySet`] — the flat, shared payload buffer and the
 //!   compressed key-range set the batched data plane ships (the messages
 //!   carrying them are AgileML's);
-//! * [`kernels`] — explicit-width chunked slice kernels (the
-//!   autovectorized hot loops behind [`DenseVec`] and the ML apps);
+//! * [`kernels`] — explicit-width chunked slice kernels (the hot loops
+//!   behind [`DenseVec`] and the ML apps), with AVX2 twins picked at
+//!   run time and bit-identical to the portable loops;
 //! * [`snapshot`] — the durable, bit-exact checkpoint encoding of a
 //!   full parameter map (used by session-level restart-from-checkpoint).
 //!
