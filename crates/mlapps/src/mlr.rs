@@ -70,8 +70,14 @@ impl Mlr {
         probs
     }
 
-    /// [`Mlr::softmax`] into a caller-owned buffer.
-    fn softmax_into(&self, features: &[f32], params: &dyn ParamReader, probs: &mut Vec<f64>) {
+    /// [`Mlr::softmax`] into a caller-owned buffer. Generic so that
+    /// `process` reads the worker cache's rows by a static call.
+    fn softmax_into<R: ParamReader + ?Sized>(
+        &self,
+        features: &[f32],
+        params: &R,
+        probs: &mut Vec<f64>,
+    ) {
         probs.clear();
         probs.extend((0..self.config.classes).map(|k| {
             let w = params.row(ParamKey(u64::from(k)));
