@@ -102,6 +102,15 @@ if grep -rn "counter_add(" crates/*/src --include="*.rs" | grep -v "^crates/obs/
   exit 1
 fi
 
+# The AVX2 row kernels equal the portable loops bit for bit only because
+# nothing fuses a multiply into an add: a fused multiply-add rounds once
+# where the portable loop rounds twice.
+echo "==> no fused multiply-add in crates/ps or crates/mlapps"
+if grep -rn 'fmadd\|fmsub\|fnmadd\|fnmsub\|mul_add\|enable = "[^"]*fma' crates/ps/src crates/mlapps/src; then
+  echo "error: fused multiply-add in a row-kernel path (the twins must stay bit-identical)" >&2
+  exit 1
+fi
+
 # A manifest edge must name a crate the owning package's sources mention.
 echo "==> no [dependencies] edge onto a crate the package never names"
 for m in Cargo.toml crates/*/Cargo.toml; do
