@@ -2,8 +2,8 @@
 //!
 //! A worker processes its assigned input-data blocks once per clock:
 //! it reads the parameters its data needs from the serving PSs, runs the
-//! application's `process` over every datum (buffering updates in the
-//! write-back cache), flushes coalesced update batches to the partition
+//! application's `process` over each block's data as one run (buffering
+//! updates in the write-back cache), flushes coalesced update batches to the partition
 //! owners, and reports `ClockDone` to the controller. Progress is gated
 //! by the SSP condition against the controller-broadcast global minimum
 //! clock.
@@ -412,10 +412,11 @@ impl<A: MlApp> WorkerState<A> {
 
     /// Processes all local data and emits update batches + `ClockDone`.
     fn finish_iteration(&mut self, topology: &Topology) -> Outbox {
-        // Process every datum in place, buffering updates in the cache.
-        for datum in self.local.values_mut().flatten() {
+        // Process every block as one run, in place, buffering updates in
+        // the cache.
+        for block in self.local.values_mut() {
             self.app
-                .process(datum, &mut self.scratch, &mut self.cache, &mut self.rng);
+                .process(block, &mut self.scratch, &mut self.cache, &mut self.rng);
         }
 
         // Flush coalesced batches to partition owners. Each batch is one

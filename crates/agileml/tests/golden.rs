@@ -174,11 +174,11 @@ fn mf_problem() -> (MatrixFactorization, Vec<Rating>) {
     (app, data)
 }
 
-fn mlr_problem() -> (Mlr, Vec<Example>) {
+fn mlr_problem(dim: usize) -> (Mlr, Vec<Example>) {
     let data = imagenet_like(
         &MlrDataConfig {
             examples: 120,
-            dim: 19,
+            dim,
             classes: 5,
             separation: 2.0,
             noise: 0.4,
@@ -186,7 +186,7 @@ fn mlr_problem() -> (Mlr, Vec<Example>) {
         13,
     );
     let app = Mlr::new(MlrConfig {
-        dim: 19,
+        dim,
         classes: 5,
         learning_rate: 0.1,
         reg: 1e-3,
@@ -211,8 +211,17 @@ fn mf_one_worker_fingerprint() {
 
 #[test]
 fn mlr_one_worker_fingerprint() {
-    let (app, data) = mlr_problem();
+    let (app, data) = mlr_problem(19);
     assert_eq!(replay_hash(app, data, 13), MLR_TEN_CLOCKS);
+}
+
+/// Width 75 = nine 8-lane chunks plus a 3-float tail, past the kernels'
+/// 64-float twin floor: on an AVX2 CPU this runs the twins. Recorded on
+/// the commit before MLR's pass fused each step with the next logits.
+#[test]
+fn mlr_wide_one_worker_fingerprint() {
+    let (app, data) = mlr_problem(75);
+    assert_eq!(replay_hash(app, data, 13), MLR_WIDE_TEN_CLOCKS);
 }
 
 /// A live one-machine job equals the replay at the clock waited for.
@@ -248,9 +257,10 @@ fn mf_live_one_machine_job_equals_the_replay_at_clock_ten() {
 
 #[test]
 fn mlr_live_one_machine_job_equals_the_replay_at_clock_ten() {
-    let (app, data) = mlr_problem();
+    let (app, data) = mlr_problem(19);
     live_job_matches_replay(app, data, 13);
 }
 
 const MF_TEN_CLOCKS: u64 = 0xd8ce_18d1_cd28_d527;
 const MLR_TEN_CLOCKS: u64 = 0x8eee_5ba1_9158_c6e4;
+const MLR_WIDE_TEN_CLOCKS: u64 = 0xae9c_ac3d_2929_98cc;

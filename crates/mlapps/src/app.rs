@@ -35,7 +35,7 @@ pub trait MlApp: Send + Sync + 'static {
     type Datum: Clone + Send + Sync + 'static;
 
     /// Reusable buffers for [`process`](MlApp::process): one per
-    /// executing runtime, carrying no meaning from one datum to the next,
+    /// executing runtime, carrying no meaning from one call to the next,
     /// so steady-state processing need not allocate.
     type Scratch: Default + Send + 'static;
 
@@ -51,18 +51,23 @@ pub trait MlApp: Send + Sync + 'static {
     /// The parameter keys needed to process `datum`.
     fn keys_for(&self, datum: &Self::Datum) -> Vec<ParamKey>;
 
-    /// Processes one datum against the current parameters, adding its
-    /// (commutative, additive) updates to `params` in place: reads see
-    /// every delta added so far, and the cache buffers the deltas for
-    /// write-back. Both runtimes keep their parameters in a
-    /// [`WorkerCache`], so the call is static and the app's steps inline
-    /// into the cache's loops.
+    /// Processes a run of data in order against the current parameters,
+    /// adding each datum's (commutative, additive) updates to `params` in
+    /// place: reads see every delta added so far, and the cache buffers
+    /// the deltas for write-back. Both runtimes call it once per data
+    /// block, and keep their parameters in a [`WorkerCache`], so the
+    /// call is static and the app's steps inline into the cache's loops.
+    ///
+    /// The result must equal processing the data one at a time, in
+    /// order, bit for bit: a run is the unit an app may pipeline across
+    /// (MLR computes one example's logits inside the previous example's
+    /// step), never a reordering.
     ///
     /// `rng` supplies any sampling the algorithm needs (Gibbs sampling,
-    /// dropout, ...); `datum` is mutable for per-datum scratch state.
+    /// dropout, ...); the data are mutable for per-datum scratch state.
     fn process(
         &self,
-        datum: &mut Self::Datum,
+        data: &mut [Self::Datum],
         scratch: &mut Self::Scratch,
         params: &mut WorkerCache,
         rng: &mut StdRng,

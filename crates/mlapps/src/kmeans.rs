@@ -122,20 +122,23 @@ impl MlApp for KMeans {
 
     fn process(
         &self,
-        datum: &mut Point,
+        data: &mut [Point],
         delta: &mut Vec<f32>,
         params: &mut WorkerCache,
         _rng: &mut StdRng,
     ) {
-        let k = self.assign(&datum.coords, &*params);
+        for datum in data {
+            let k = self.assign(&datum.coords, &*params);
 
-        // Pure accumulation: add the point to its cluster's running sum
-        // and bump the count. The centroid sum/count then tracks the
-        // mean of every assignment so far (an implicit 1/n step size).
-        delta.clear();
-        delta.extend_from_slice(&datum.coords);
-        delta.push(1.0);
-        params.update(ParamKey(u64::from(k)), delta);
+            // Pure accumulation: add the point to its cluster's running
+            // sum and bump the count. The centroid sum/count then tracks
+            // the mean of every assignment so far (an implicit 1/n step
+            // size).
+            delta.clear();
+            delta.extend_from_slice(&datum.coords);
+            delta.push(1.0);
+            params.update(ParamKey(u64::from(k)), delta);
+        }
     }
 
     /// Mean squared distance of each point to its assigned centroid
@@ -294,10 +297,10 @@ mod tests {
         for k in (0..app.key_count()).map(ParamKey) {
             params.refresh(k, app.init_value(k, &mut rng).as_slice());
         }
-        let mut p = Point {
+        let mut points = [Point {
             coords: vec![0.5; 4],
-        };
-        app.process(&mut p, &mut Vec::new(), &mut params, &mut rng);
+        }];
+        app.process(&mut points, &mut Vec::new(), &mut params, &mut rng);
         let flushed = params.flush();
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].1.len(), 1, "one point updates one cluster");

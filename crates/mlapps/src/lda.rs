@@ -144,7 +144,7 @@ impl MlApp for Lda {
 
     fn process(
         &self,
-        doc: &mut LdaDoc,
+        docs: &mut [LdaDoc],
         _scratch: &mut (),
         params: &mut WorkerCache,
         rng: &mut StdRng,
@@ -154,64 +154,66 @@ impl MlApp for Lda {
         let beta = self.config.beta;
         let v = f64::from(self.config.vocab);
 
-        // Local mutable copies of the counts this document touches; deltas
-        // are added at the end, so every read below sees the counts as
-        // they stood when the document was picked up.
-        let totals = params.row(self.totals_key());
-        let mut totals_now: Vec<f64> = totals.iter().map(|&x| f64::from(x)).collect();
-        let mut delta_totals = vec![0.0f32; k_topics];
-        let mut word_deltas: std::collections::HashMap<u32, Vec<f32>> =
-            std::collections::HashMap::new();
+        for doc in docs {
+            // Local mutable copies of the counts this document touches;
+            // deltas are added at the end, so every read below sees the
+            // counts as they stood when the document was picked up.
+            let totals = params.row(self.totals_key());
+            let mut totals_now: Vec<f64> = totals.iter().map(|&x| f64::from(x)).collect();
+            let mut delta_totals = vec![0.0f32; k_topics];
+            let mut word_deltas: std::collections::HashMap<u32, Vec<f32>> =
+                std::collections::HashMap::new();
 
-        // Scratch buffers reused across tokens; allocating them per token
-        // dominates the sweep cost for short vocab vectors.
-        let mut base = vec![0.0f64; k_topics];
-        let mut weights = vec![0.0f64; k_topics];
+            // Scratch buffers reused across tokens; allocating them per
+            // token dominates the sweep cost for short vocab vectors.
+            let mut base = vec![0.0f64; k_topics];
+            let mut weights = vec![0.0f64; k_topics];
 
-        for t in 0..doc.words.len() {
-            let w = doc.words[t];
-            for (b, &x) in base.iter_mut().zip(params.row(self.word_key(w))) {
-                *b = f64::from(x);
+            for t in 0..doc.words.len() {
+                let w = doc.words[t];
+                for (b, &x) in base.iter_mut().zip(params.row(self.word_key(w))) {
+                    *b = f64::from(x);
+                }
+                let wd = word_deltas.entry(w).or_insert_with(|| vec![0.0; k_topics]);
+
+                // Remove the token's current assignment (if initialized).
+                let old = doc.assignments[t];
+                if old != u32::MAX {
+                    let k = old as usize;
+                    doc.doc_topics[k] -= 1;
+                    wd[k] -= 1.0;
+                    delta_totals[k] -= 1.0;
+                    totals_now[k] -= 1.0;
+                }
+
+                // Collapsed Gibbs conditional:
+                //   p(z=k) ∝ (n_dk + α) (n_wk + β) / (n_k + Vβ)
+                for (k, weight) in weights.iter_mut().enumerate() {
+                    let n_dk = f64::from(doc.doc_topics[k]) + alpha;
+                    let n_wk = (base[k] + f64::from(wd[k]) + beta).max(beta);
+                    let n_k = (totals_now[k] + v * beta).max(v * beta);
+                    *weight = n_dk * n_wk / n_k;
+                }
+                let k = Self::sample_topic(&weights, rng);
+
+                doc.assignments[t] = k as u32;
+                doc.doc_topics[k] += 1;
+                wd[k] += 1.0;
+                delta_totals[k] += 1.0;
+                totals_now[k] += 1.0;
             }
-            let wd = word_deltas.entry(w).or_insert_with(|| vec![0.0; k_topics]);
 
-            // Remove the token's current assignment (if initialized).
-            let old = doc.assignments[t];
-            if old != u32::MAX {
-                let k = old as usize;
-                doc.doc_topics[k] -= 1;
-                wd[k] -= 1.0;
-                delta_totals[k] -= 1.0;
-                totals_now[k] -= 1.0;
+            let mut changed: Vec<(u32, Vec<f32>)> = word_deltas
+                .into_iter()
+                .filter(|(_, d)| d.iter().any(|&x| x != 0.0))
+                .collect();
+            changed.sort_by_key(|(w, _)| *w);
+            for (w, d) in &changed {
+                params.update(self.word_key(*w), d);
             }
-
-            // Collapsed Gibbs conditional:
-            //   p(z=k) ∝ (n_dk + α) (n_wk + β) / (n_k + Vβ)
-            for (k, weight) in weights.iter_mut().enumerate() {
-                let n_dk = f64::from(doc.doc_topics[k]) + alpha;
-                let n_wk = (base[k] + f64::from(wd[k]) + beta).max(beta);
-                let n_k = (totals_now[k] + v * beta).max(v * beta);
-                *weight = n_dk * n_wk / n_k;
+            if delta_totals.iter().any(|&x| x != 0.0) {
+                params.update(self.totals_key(), &delta_totals);
             }
-            let k = Self::sample_topic(&weights, rng);
-
-            doc.assignments[t] = k as u32;
-            doc.doc_topics[k] += 1;
-            wd[k] += 1.0;
-            delta_totals[k] += 1.0;
-            totals_now[k] += 1.0;
-        }
-
-        let mut changed: Vec<(u32, Vec<f32>)> = word_deltas
-            .into_iter()
-            .filter(|(_, d)| d.iter().any(|&x| x != 0.0))
-            .collect();
-        changed.sort_by_key(|(w, _)| *w);
-        for (w, d) in &changed {
-            params.update(self.word_key(*w), d);
-        }
-        if delta_totals.iter().any(|&x| x != 0.0) {
-            params.update(self.totals_key(), &delta_totals);
         }
     }
 
@@ -265,9 +267,7 @@ mod tests {
     }
 
     fn sweep(app: &Lda, docs: &mut [LdaDoc], params: &mut WorkerCache, rng: &mut StdRng) {
-        for doc in docs.iter_mut() {
-            app.process(doc, &mut (), params, rng);
-        }
+        app.process(docs, &mut (), params, rng);
     }
 
     fn count_state(params: &WorkerCache, app: &Lda) -> (Vec<f32>, f32) {

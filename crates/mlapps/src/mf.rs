@@ -114,24 +114,26 @@ impl MlApp for MatrixFactorization {
 
     fn process(
         &self,
-        datum: &mut Rating,
+        data: &mut [Rating],
         _scratch: &mut (),
         params: &mut WorkerCache,
         _rng: &mut StdRng,
     ) {
         let lr = self.config.learning_rate;
         let reg = self.config.reg;
-        // dL_i = -lr (err · R_j + reg · L_i) and
-        // dR_j = -lr (err · L_i + reg · R_j), both of the rows as read.
-        params.add_lincomb_pair(
-            self.row_key(datum.row),
-            self.col_key(datum.col),
-            self.config.rank,
-            |li, rj| {
-                let err = kernels::dot(li, rj) - datum.value;
-                (-lr * err, -lr * reg)
-            },
-        );
+        for datum in data {
+            // dL_i = -lr (err · R_j + reg · L_i) and
+            // dR_j = -lr (err · L_i + reg · R_j), both of the rows as read.
+            params.add_lincomb_pair(
+                self.row_key(datum.row),
+                self.col_key(datum.col),
+                self.config.rank,
+                |li, rj| {
+                    let err = kernels::dot(li, rj) - datum.value;
+                    (-lr * err, -lr * reg)
+                },
+            );
+        }
     }
 
     fn objective(&self, data: &[Rating], params: &dyn ParamReader) -> f64 {
@@ -192,16 +194,16 @@ mod tests {
         for k in [ParamKey(0), ParamKey(1)] {
             params.refresh(k, app.init_value(k, &mut rng).as_slice());
         }
-        let mut datum = Rating {
+        let mut data = [Rating {
             row: 0,
             col: 0,
             value: 1.0,
-        };
+        }];
 
         let mut last = f64::INFINITY;
         for _ in 0..200 {
-            app.process(&mut datum, &mut (), &mut params, &mut rng);
-            let obj = app.objective(&[datum], &params);
+            app.process(&mut data, &mut (), &mut params, &mut rng);
+            let obj = app.objective(&data, &params);
             assert!(
                 obj <= last + 1e-6,
                 "objective must not increase: {obj} > {last}"
@@ -227,13 +229,13 @@ mod tests {
         let mut params = empty_params();
         params.refresh(ParamKey(0), &[1.0, 2.0]);
         params.refresh(ParamKey(1), &[3.0, 4.0]);
-        let mut datum = Rating {
+        let mut data = [Rating {
             row: 0,
             col: 0,
             value: 10.0,
-        };
+        }];
         // err = 1·3 + 2·4 − 10 = 1.
-        app.process(&mut datum, &mut (), &mut params, &mut seeded(1));
+        app.process(&mut data, &mut (), &mut params, &mut seeded(1));
         assert_eq!(params.row(ParamKey(0)), &[1.0 - 3.0, 2.0 - 4.0]);
         assert_eq!(params.row(ParamKey(1)), &[3.0 - 1.0, 4.0 - 2.0]);
     }

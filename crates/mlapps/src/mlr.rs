@@ -70,27 +70,26 @@ impl Mlr {
         probs
     }
 
-    /// [`Mlr::softmax`] into a caller-owned buffer. Generic so that
-    /// `process` reads the worker cache's rows by a static call.
-    fn softmax_into<R: ParamReader + ?Sized>(
+    /// [`Mlr::softmax`] into a caller-owned buffer.
+    fn softmax_into(&self, features: &[f32], params: &dyn ParamReader, probs: &mut Vec<f64>) {
+        self.logits_into(features, params, probs);
+        normalize(probs);
+    }
+
+    /// The per-class logits `w_k · x` into a caller-owned buffer.
+    /// Generic so that `process` reads the worker cache's rows by a
+    /// static call.
+    fn logits_into<R: ParamReader + ?Sized>(
         &self,
         features: &[f32],
         params: &R,
-        probs: &mut Vec<f64>,
+        logits: &mut Vec<f64>,
     ) {
-        probs.clear();
-        probs.extend((0..self.config.classes).map(|k| {
+        logits.clear();
+        logits.extend((0..self.config.classes).map(|k| {
             let w = params.row(ParamKey(u64::from(k)));
             f64::from(kernels::dot(w, features))
         }));
-        let max = probs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for p in probs.iter_mut() {
-            *p = (*p - max).exp();
-        }
-        let sum: f64 = probs.iter().sum();
-        for p in probs.iter_mut() {
-            *p /= sum;
-        }
     }
 
     /// The predicted class (argmax probability).
@@ -105,9 +104,21 @@ impl Mlr {
     }
 }
 
+/// Turns logits into class probabilities, in place.
+fn normalize(probs: &mut [f64]) {
+    let max = probs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    for p in probs.iter_mut() {
+        *p = (*p - max).exp();
+    }
+    let sum: f64 = probs.iter().sum();
+    for p in probs.iter_mut() {
+        *p /= sum;
+    }
+}
+
 impl MlApp for Mlr {
     type Datum = Example;
-    /// The class probabilities of the datum in hand.
+    /// The logits, then the class probabilities, of the example in hand.
     type Scratch = Vec<f64>;
 
     fn key_count(&self) -> u64 {
@@ -130,28 +141,43 @@ impl MlApp for Mlr {
         (0..u64::from(self.config.classes)).map(ParamKey).collect()
     }
 
+    /// Software-pipelined: the step on `w_k` for example `i` also
+    /// returns `w_k`'s logit for example `i + 1`, so each example reads
+    /// each row once. Class `k`'s logit reads only `w_k`, and only after
+    /// every earlier step on it, so this is the per-example loop's
+    /// arithmetic in its order, bit for bit.
     fn process(
         &self,
-        datum: &mut Example,
+        data: &mut [Example],
         probs: &mut Vec<f64>,
         params: &mut WorkerCache,
         _rng: &mut StdRng,
     ) {
-        self.softmax_into(&datum.features, &*params, probs);
+        let Some(first) = data.first() else {
+            return;
+        };
+        self.logits_into(&first.features, &*params, probs);
         let lr = self.config.learning_rate;
         let reg = self.config.reg;
-        for k in 0..self.config.classes {
-            let indicator = if k == datum.label { 1.0 } else { 0.0 };
-            // Gradient of cross-entropy: (p_k − 1{k=y}) x + reg·w_k,
-            // scaled by −lr. Each step reads only its own w_k, so the
-            // in-place order cannot matter.
-            let coeff = (probs[k as usize] as f32) - indicator;
-            params.add_lincomb(
-                ParamKey(u64::from(k)),
-                -lr * coeff,
-                &datum.features,
-                -lr * reg,
-            );
+        for (i, datum) in data.iter().enumerate() {
+            normalize(probs);
+            let next = data.get(i + 1).map(|e| e.features.as_slice());
+            for k in 0..self.config.classes {
+                let key = ParamKey(u64::from(k));
+                let indicator = if k == datum.label { 1.0 } else { 0.0 };
+                // Gradient of cross-entropy: (p_k − 1{k=y}) x + reg·w_k,
+                // scaled by −lr. Each step reads only its own w_k, so the
+                // in-place order cannot matter.
+                let coeff = (probs[k as usize] as f32) - indicator;
+                let (s, t) = (-lr * coeff, -lr * reg);
+                match next {
+                    Some(next) => {
+                        let logit = params.add_lincomb_dot(key, s, &datum.features, t, next);
+                        probs[k as usize] = f64::from(logit);
+                    }
+                    None => params.add_lincomb(key, s, &datum.features, t),
+                }
+            }
         }
     }
 
@@ -174,6 +200,7 @@ impl MlApp for Mlr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::{imagenet_like, MlrDataConfig};
     use proteus_ps::{PartitionMap, WorkerCache};
     use proteus_simtime::rng::seeded;
 
@@ -242,14 +269,108 @@ mod tests {
         let mut data = two_blob_data();
         let mut probs = Vec::new();
         for _ in 0..50 {
-            for datum in &mut data {
-                app.process(datum, &mut probs, &mut params, &mut rng);
-            }
+            app.process(&mut data, &mut probs, &mut params, &mut rng);
         }
         for e in &data {
             assert_eq!(app.predict(&e.features, &params), e.label);
         }
         assert!(app.objective(&data, &params) < 0.2);
+    }
+
+    /// The per-example pass the run pass replaced, written out: the
+    /// softmax of the rows as they stand, then one step per class.
+    fn step_one(app: &Mlr, e: &Example, params: &mut WorkerCache) {
+        let probs = app.softmax(&e.features, &*params);
+        let MlrConfig {
+            learning_rate: lr,
+            reg,
+            classes,
+            ..
+        } = *app.config();
+        for k in 0..classes {
+            let indicator = if k == e.label { 1.0 } else { 0.0 };
+            let coeff = (probs[k as usize] as f32) - indicator;
+            params.add_lincomb(ParamKey(u64::from(k)), -lr * coeff, &e.features, -lr * reg);
+        }
+    }
+
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every row of the model, as bits.
+    fn rows_bits(app: &Mlr, params: &WorkerCache) -> Vec<Vec<u32>> {
+        (0..app.key_count())
+            .map(|k| bits(params.row(ParamKey(k))))
+            .collect()
+    }
+
+    /// Flushes `params`: each flushed row's partition, key and bits, in
+    /// the order the batches hold them.
+    fn flushed_bits(params: &mut WorkerCache) -> Vec<(u32, u64, Vec<u32>)> {
+        let flushed = params.flush();
+        let rows = flushed
+            .iter()
+            .flat_map(|(p, batch)| batch.iter().map(|(k, row)| (p.0, k.0, bits(row))));
+        rows.collect()
+    }
+
+    #[test]
+    fn run_pass_equals_the_per_example_loop_bit_for_bit() {
+        // Widths on both sides of the kernels' 64-float twin floor; rows
+        // that start reserved (zeros, never refreshed) or refreshed; runs
+        // that start on rows flushed, dirty or never stepped.
+        for dim in [19, 75] {
+            let (classes, examples) = (5, 40);
+            let app = Mlr::new(MlrConfig {
+                dim,
+                classes,
+                learning_rate: 0.1,
+                reg: 1e-3,
+            });
+            let data = imagenet_like(
+                &MlrDataConfig {
+                    examples,
+                    dim,
+                    classes,
+                    separation: 2.0,
+                    noise: 0.4,
+                },
+                3,
+            );
+            for len in [0, 1, 2, examples] {
+                for refreshed in [false, true] {
+                    let start = || {
+                        let mut params = init_params(&app, 5);
+                        if !refreshed {
+                            params.clear();
+                            for k in (0..app.key_count()).map(ParamKey) {
+                                params.reserve(k, dim);
+                            }
+                        }
+                        params
+                    };
+                    let (mut run, mut looped) = (start(), start());
+                    let (mut probs, mut rng) = (Vec::new(), seeded(1));
+                    for pass in 0..3 {
+                        let mut chunk = data[..len].to_vec();
+                        app.process(&mut chunk, &mut probs, &mut run, &mut rng);
+                        for e in &data[..len] {
+                            step_one(&app, e, &mut looped);
+                        }
+                        let case =
+                            format!("dim {dim}, len {len}, refreshed {refreshed}, pass {pass}");
+                        assert_eq!(rows_bits(&app, &run), rows_bits(&app, &looped), "{case}");
+                        // No flush after the first pass: the second runs on
+                        // dirty rows, the third on flushed ones.
+                        if pass > 0 {
+                            let flushed = flushed_bits(&mut run);
+                            assert_eq!(flushed, flushed_bits(&mut looped), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -281,9 +402,7 @@ mod tests {
         let before = app.objective(&data, &params);
         let mut probs = Vec::new();
         for _ in 0..20 {
-            for datum in &mut data {
-                app.process(datum, &mut probs, &mut params, &mut rng);
-            }
+            app.process(&mut data, &mut probs, &mut params, &mut rng);
         }
         let after = app.objective(&data, &params);
         assert!(

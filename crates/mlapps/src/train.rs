@@ -50,10 +50,12 @@ impl<A: MlApp> SequentialTrainer<A> {
 
     /// Runs one full pass over the data.
     pub fn run_iteration(&mut self) {
-        for datum in &mut self.data {
-            self.app
-                .process(datum, &mut self.scratch, &mut self.params, &mut self.rng);
-        }
+        self.app.process(
+            &mut self.data,
+            &mut self.scratch,
+            &mut self.params,
+            &mut self.rng,
+        );
         self.iterations_done += 1;
     }
 

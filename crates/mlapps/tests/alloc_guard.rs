@@ -1,7 +1,8 @@
 //! Allocation guard for the in-place data path: over a warmed worker
-//! cache, `process` allocates nothing for MF and MLR (the two gradient
-//! apps the training benchmarks run) and a small stated number of times
-//! per datum for LDA and K-means. A counting global allocator makes the
+//! cache, the run pass `process` that both runtimes call allocates
+//! nothing for MF and MLR (the two gradient apps the training
+//! benchmarks run) and a small stated number of times per datum for LDA
+//! and K-means. A counting global allocator makes the
 //! property a test instead of a profile someone has to re-read.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -55,9 +56,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations one pass of `process` over `data` makes, after a first
-/// pass and a flush have warmed the cache, the scratch and the dirty
-/// list — the state a worker is in from its second clock on.
+/// Allocations one run pass of `process` over `data` makes, after a
+/// first pass and a flush have warmed the cache, the scratch and the
+/// dirty list — the state a worker is in from its second clock on.
 fn allocations_per_pass<A: MlApp>(app: &A, mut data: Vec<A::Datum>, seed: u64) -> u64 {
     let mut rng = seeded(seed);
     let mut params = WorkerCache::new(PartitionMap::new(4).expect("nonzero"));
@@ -65,15 +66,11 @@ fn allocations_per_pass<A: MlApp>(app: &A, mut data: Vec<A::Datum>, seed: u64) -
         params.refresh(k, app.init_value(k, &mut rng).as_slice());
     }
     let mut scratch = A::Scratch::default();
-    for datum in &mut data {
-        app.process(datum, &mut scratch, &mut params, &mut rng);
-    }
+    app.process(&mut data, &mut scratch, &mut params, &mut rng);
     drop(params.flush());
 
     let before = ALLOCATIONS.with(Cell::get);
-    for datum in &mut data {
-        app.process(datum, &mut scratch, &mut params, &mut rng);
-    }
+    app.process(&mut data, &mut scratch, &mut params, &mut rng);
     ALLOCATIONS.with(Cell::get) - before
 }
 

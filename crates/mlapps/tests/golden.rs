@@ -66,12 +66,12 @@ fn mf_sequential_fingerprint() {
     );
 }
 
-#[test]
-fn mlr_sequential_fingerprint() {
+/// MLR on 200 examples of width `dim` in 5 classes, after 4 passes.
+fn mlr_fingerprint(dim: usize) -> (u64, u64) {
     let data = imagenet_like(
         &MlrDataConfig {
             examples: 200,
-            dim: 19,
+            dim,
             classes: 5,
             separation: 2.0,
             noise: 0.4,
@@ -79,14 +79,27 @@ fn mlr_sequential_fingerprint() {
         7,
     );
     let app = Mlr::new(MlrConfig {
-        dim: 19,
+        dim,
         classes: 5,
         learning_rate: 0.1,
         reg: 1e-3,
     });
+    fingerprint(app, data, 7, 4)
+}
+
+#[test]
+fn mlr_sequential_fingerprint() {
+    assert_eq!(mlr_fingerprint(19), (MLR_OBJECTIVE_BITS, MLR_MODEL_HASH));
+}
+
+/// Width 75 = nine 8-lane chunks plus a 3-float tail, past the kernels'
+/// 64-float twin floor: on an AVX2 CPU this runs the twins. Recorded on
+/// the commit before MLR's pass fused each step with the next logits.
+#[test]
+fn mlr_wide_sequential_fingerprint() {
     assert_eq!(
-        fingerprint(app, data, 7, 4),
-        (MLR_OBJECTIVE_BITS, MLR_MODEL_HASH)
+        mlr_fingerprint(75),
+        (MLR_WIDE_OBJECTIVE_BITS, MLR_WIDE_MODEL_HASH)
     );
 }
 
@@ -133,6 +146,8 @@ const MF_OBJECTIVE_BITS: u64 = 0x3fa0_0148_e442_425e;
 const MF_MODEL_HASH: u64 = 0x8952_d674_206e_6b17;
 const MLR_OBJECTIVE_BITS: u64 = 0x3f68_9fab_8260_8fdb;
 const MLR_MODEL_HASH: u64 = 0x9edc_2049_8528_c30b;
+const MLR_WIDE_OBJECTIVE_BITS: u64 = 0x3f35_9189_3d49_435f;
+const MLR_WIDE_MODEL_HASH: u64 = 0xa6df_1e68_7516_eafd;
 const LDA_OBJECTIVE_BITS: u64 = 0x400b_c61d_bc37_d555;
 const LDA_MODEL_HASH: u64 = 0x6d2a_d6c3_5c65_b041;
 const KM_OBJECTIVE_BITS: u64 = 0x3fce_bdfc_9193_1ec1;

@@ -210,12 +210,35 @@ impl WorkerCache<DenseVec> {
         if was_dirty {
             kernels::lincomb_step(row, acc, s, x, t);
         } else {
-            kernels::lincomb(acc, s, x, t, row);
-            if was_present {
-                kernels::add_assign(row, acc);
-            } else {
-                row.copy_from_slice(acc);
-            }
+            first_step(row, acc, s, x, t, was_present);
+        }
+    }
+
+    /// [`WorkerCache::add_lincomb`], then returns `dot(row(key), next)`
+    /// of the row just updated: MLR's step on `w_k` and the next
+    /// example's logit for class `k`, in one pass over the row once the
+    /// key is dirty. Bit-identical to the two calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `next` differs in dimension from the key's row.
+    #[inline]
+    pub fn add_lincomb_dot(
+        &mut self,
+        key: ParamKey,
+        s: f32,
+        x: &[f32],
+        t: f32,
+        next: &[f32],
+    ) -> f32 {
+        let slot = self.slot_or_reserve(key, x.len());
+        let (was_present, was_dirty) = self.touch(slot);
+        let (row, acc) = self.rows_mut(slot);
+        if was_dirty {
+            kernels::lincomb_step_dot(row, acc, s, x, t, next)
+        } else {
+            first_step(row, acc, s, x, t, was_present);
+            kernels::dot(row, next)
         }
     }
 
@@ -313,6 +336,20 @@ impl WorkerCache<DenseVec> {
         self.cached.clear();
         self.buffer.clear();
         self.dirty.clear();
+    }
+}
+
+/// The step `s·x + t·row` on a key with no delta buffered since the
+/// last flush: the delta is written into `acc` (and into `row`, if it
+/// holds no value yet) rather than added, so a `-0.0` survives. Once
+/// per key per clock.
+#[inline]
+fn first_step(row: &mut [f32], acc: &mut [f32], s: f32, x: &[f32], t: f32, present: bool) {
+    kernels::lincomb(acc, s, x, t, row);
+    if present {
+        kernels::add_assign(row, acc);
+    } else {
+        row.copy_from_slice(acc);
     }
 }
 

@@ -11,22 +11,26 @@
 //! target (SSE2) a chunk compiles to two 4-wide SSE ops and on `aarch64`
 //! to two NEON ops.
 //!
-//! The two kernels MLR's worker pass is made of — [`dot`] (the logits)
-//! and [`lincomb_step`] (the step) — also have an *AVX2 twin* on
-//! `x86_64`, written with `std::arch::x86_64` intrinsics: one 256-bit
-//! register per chunk. On a row of at least `TWIN_MIN_LEN` (64) floats,
-//! each asks `is_x86_feature_detected!("avx2")` (std detects once per
-//! process and caches the answer) and calls the twin when the CPU has
-//! AVX2. Shorter rows, CPUs without AVX2 and other architectures run
-//! the portable body; other architectures compile no twin. No build
-//! flag, cargo feature or environment variable is involved.
+//! The three kernels MLR's worker pass is made of also have an *AVX2
+//! twin* on `x86_64`, written with `std::arch::x86_64` intrinsics: one
+//! 256-bit register per chunk. The pass is software-pipelined over a
+//! run of examples: [`dot`] gives the run's first logits,
+//! [`lincomb_step_dot`] applies example `i`'s step to `w_k` and returns
+//! the updated `w_k`'s logit for example `i + 1` (one read of the row
+//! for both), and [`lincomb_step`] is the run's last step. On a row of
+//! at least `TWIN_MIN_LEN` (64) floats, each asks
+//! `is_x86_feature_detected!("avx2")` (std detects once per process and
+//! caches the answer) and calls the twin when the CPU has AVX2. Shorter
+//! rows, CPUs without AVX2 and other architectures run the portable
+//! body; other architectures compile no twin. No build flag, cargo
+//! feature or environment variable is involved.
 //!
 //! The length floor exists because a twin is an out-of-line call: code
 //! compiled for the baseline cannot inline an AVX2 function. At MLR's
 //! 512-wide rows the wider chunks repay the call many times over; at
 //! MF's 16-wide rows they do not, so those keep the inlined portable
-//! loop they had. The two twinned kernels are `#[inline(always)]` for
-//! the same reason: with the dispatch in its body LLVM stopped inlining
+//! loop they had. The twinned kernels are `#[inline(always)]` for the
+//! same reason: with the dispatch in its body LLVM stopped inlining
 //! `dot` into MF's step, which cost `train_mf` about 3 %. Every other
 //! kernel, and the worker cache's two-key step, is portable only: off
 //! MLR's pass, or measured no faster end to end as a twin (`lincomb`;
@@ -42,11 +46,14 @@
 //! same inputs, whatever the register width. The reductions keep `LANES`
 //! accumulators (lane `i` sums elements `i`, `i + 8`, … in order) folded
 //! by the one `reduce` tree; a twin holds the same eight accumulators in
-//! one register and calls the same `reduce`. The unit tests compare each
-//! twin with its portable body bit for bit (every `len % 8`, signed
-//! zeros, subnormals, huge magnitudes, NaN payloads). The one exception
-//! is a NaN's payload where two NaNs meet in one operation: Rust leaves
-//! it unspecified, for the portable loop alone too.
+//! one register and calls the same `reduce`. The fused kernel is the
+//! step's lanes, then the dot's accumulator on each chunk just stored;
+//! its portable body is the portable step followed by the portable dot.
+//! The unit tests compare each twin with its portable body bit for bit,
+//! and the fused kernel with the two portable calls (every `len % 8`,
+//! signed zeros, subnormals, huge magnitudes, NaN payloads). The one
+//! exception is a NaN's payload where two NaNs meet in one operation:
+//! Rust leaves it unspecified, for the portable loop alone too.
 //!
 //! The element-wise kernels are bit-identical to plain scalar loops. The
 //! reductions reorder the sum relative to a sequential fold —
@@ -186,6 +193,32 @@ pub fn lincomb_step(row: &mut [f32], acc: &mut [f32], s: f32, x: &[f32], t: f32)
     )
 }
 
+/// [`lincomb_step`], then the [`dot`] of the updated `row` with `next`,
+/// in one pass over `row`: MLR's step on `w_k` fused with the next
+/// example's logit for class `k`. Bit-identical to the two calls.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+#[inline(always)]
+pub fn lincomb_step_dot(
+    row: &mut [f32],
+    acc: &mut [f32],
+    s: f32,
+    x: &[f32],
+    t: f32,
+    next: &[f32],
+) -> f32 {
+    assert_eq!(row.len(), x.len(), "length mismatch in lincomb_step_dot");
+    assert_eq!(acc.len(), x.len(), "length mismatch in lincomb_step_dot");
+    assert_eq!(next.len(), x.len(), "length mismatch in lincomb_step_dot");
+    dispatch!(
+        row.len(),
+        avx2::lincomb_step_dot(row, acc, s, x, t, next),
+        portable::lincomb_step_dot(row, acc, s, x, t, next)
+    )
+}
+
 /// Folds `LANES` partial accumulators with a fixed pairwise tree so the
 /// reduction order is deterministic and independent of slice length.
 #[inline]
@@ -289,6 +322,19 @@ mod portable {
         }
         reduce(acc) + tail
     }
+
+    #[inline]
+    pub fn lincomb_step_dot(
+        row: &mut [f32],
+        acc: &mut [f32],
+        s: f32,
+        x: &[f32],
+        t: f32,
+        next: &[f32],
+    ) -> f32 {
+        lincomb_step(row, acc, s, x, t);
+        dot(row, next)
+    }
 }
 
 /// The AVX2 twins: each is its portable body with one 256-bit register
@@ -348,6 +394,43 @@ mod avx2 {
         }
         let mut lanes = [0.0f32; LANES];
         store(&mut lanes, acc);
+        reduce(lanes) + tail
+    }
+
+    /// `lincomb_step`'s chunk, then `dot`'s on the chunk just stored:
+    /// lane `i` of `sum` adds `row[i] * next[i]` of the updated row, in
+    /// chunk order, as `dot`'s accumulator does.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn lincomb_step_dot(
+        row: &mut [f32],
+        acc: &mut [f32],
+        s: f32,
+        x: &[f32],
+        t: f32,
+        next: &[f32],
+    ) -> f32 {
+        let (vs, vt) = (_mm256_set1_ps(s), _mm256_set1_ps(t));
+        let (cr, rr) = row.as_chunks_mut::<LANES>();
+        let (ca, ra) = acc.as_chunks_mut::<LANES>();
+        let (cx, rx) = x.as_chunks::<LANES>();
+        let (cn, rn) = next.as_chunks::<LANES>();
+        let mut sum = _mm256_setzero_ps();
+        for (((xr, xa), xx), xn) in cr.iter_mut().zip(ca.iter_mut()).zip(cx).zip(cn) {
+            let r = load(xr);
+            let d = _mm256_add_ps(_mm256_mul_ps(vs, load(xx)), _mm256_mul_ps(vt, r));
+            let r = _mm256_add_ps(r, d);
+            store(xr, r);
+            store(xa, _mm256_add_ps(load(xa), d));
+            sum = _mm256_add_ps(sum, _mm256_mul_ps(r, load(xn)));
+        }
+        super::portable::lincomb_step(rr, ra, s, rx, t);
+        let mut tail = 0.0f32;
+        for (r, n) in rr.iter().zip(rn) {
+            tail += r * n;
+        }
+        let mut lanes = [0.0f32; LANES];
+        store(&mut lanes, sum);
         reduce(lanes) + tail
     }
 }
@@ -496,13 +579,30 @@ mod tests {
         pub fn dot(a: &[f32], b: &[f32]) -> f32 {
             dispatch!(usize::MAX, avx2::dot(a, b), portable::dot(a, b))
         }
+
+        pub fn lincomb_step_dot(
+            row: &mut [f32],
+            acc: &mut [f32],
+            s: f32,
+            x: &[f32],
+            t: f32,
+            next: &[f32],
+        ) -> f32 {
+            dispatch!(
+                usize::MAX,
+                avx2::lincomb_step_dot(row, acc, s, x, t, next),
+                portable::lincomb_step_dot(row, acc, s, x, t, next)
+            )
+        }
     }
 
     /// Every twinned kernel against its portable body: the twin itself
     /// (at every length) and the public kernel (the twin from
-    /// `TWIN_MIN_LEN` up, on an AVX2 CPU). `x` may hold NaNs, the other
-    /// inputs none; with `fold_nan` false, NaN payloads must match too.
-    fn twins_match_portable([x, y, z]: &[Vec<f32>; 3], (s, t): (f32, f32), fold_nan: bool) {
+    /// `TWIN_MIN_LEN` up, on an AVX2 CPU). The fused step is checked
+    /// against the two portable calls it stands for. `x` may hold NaNs,
+    /// the other inputs none; with `fold_nan` false, NaN payloads must
+    /// match too.
+    fn twins_match_portable([x, y, z, w]: &[Vec<f32>; 4], (s, t): (f32, f32), fold_nan: bool) {
         let bits = |v: &[f32]| bits(v, fold_nan);
         let ctx = format!("len {}, s {s}, t {t}", x.len());
         for forced in [true, false] {
@@ -523,6 +623,20 @@ mod tests {
 
             let d = if forced { twin::dot(x, y) } else { dot(x, y) };
             assert_eq!(bits(&[d]), bits(&[portable::dot(x, y)]), "dot, {ctx}");
+
+            let (mut ra, mut aa, mut rb, mut ab) = (x.clone(), z.clone(), x.clone(), z.clone());
+            let da = if forced {
+                twin::lincomb_step_dot(&mut ra, &mut aa, s, y, t, w)
+            } else {
+                lincomb_step_dot(&mut ra, &mut aa, s, y, t, w)
+            };
+            portable::lincomb_step(&mut rb, &mut ab, s, y, t);
+            let db = portable::dot(&rb, w);
+            assert_eq!(
+                (bits(&[da]), bits(&ra), bits(&aa)),
+                (bits(&[db]), bits(&rb), bits(&ab)),
+                "lincomb_step_dot, {ctx}"
+            );
         }
     }
 
@@ -532,12 +646,13 @@ mod tests {
         let mut rng = TestRng::deterministic(&format!("any/{len}/{seed}"));
         let sparsity = [1, 3, 6, 30][(seed % 4) as usize];
         let n = SPECIALS.len();
-        let xyz = [(); 3].map(|_| mixed(len, sparsity, n, &mut rng));
+        let [x, y, z] = [(); 3].map(|_| mixed(len, sparsity, n, &mut rng));
         let st = (
             SPECIALS[(seed / 4) as usize % n],
             (rng.unit_f64() - 0.5) as f32,
         );
-        twins_match_portable(&xyz, st, true);
+        let w = mixed(len, sparsity, n, &mut rng);
+        twins_match_portable(&[x, y, z, w], st, true);
     }
 
     /// Inputs of `len` components from `seed` holding one NaN (random
@@ -555,7 +670,8 @@ mod tests {
             (rng.unit_f64() * 4.0 - 2.0) as f32,
             (rng.unit_f64() - 0.5) as f32,
         );
-        twins_match_portable(&[x, y, z], st, false);
+        let w = mixed(len, 2, 5, &mut rng);
+        twins_match_portable(&[x, y, z, w], st, false);
     }
 
     /// Each length once, so every `len % 8` on both sides of

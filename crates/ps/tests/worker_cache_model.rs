@@ -2,14 +2,14 @@
 //! hash-map cache it replaced. `Model` below is that old implementation
 //! (two `HashMap`s of owned rows, scalar loops), kept only here as the
 //! reference; any interleaving of update / add_lincomb /
-//! add_lincomb_pair / refresh / flush / clear must leave both with the
-//! same reads and hand the servers the same batches, down to the sign of
-//! a zero.
+//! add_lincomb_dot / add_lincomb_pair / refresh / flush / clear must
+//! leave both with the same reads and hand the servers the same batches,
+//! down to the sign of a zero.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use proteus_ps::{ParamKey, PartitionId, PartitionMap, Values, WorkerCache};
+use proteus_ps::{kernels, ParamKey, PartitionId, PartitionMap, Values, WorkerCache};
 
 /// Keys on both sides of the dense-index limit (`1 << 22`), with gaps.
 /// The last dense key itself costs a 32 MB index per case, so it gets a
@@ -32,9 +32,10 @@ const KEYS: [u64; 12] = [
 ];
 
 /// Per-key dimensions (K-means rows are `dim + 1`, so nothing may assume
-/// one width): below, at and past the kernels' 8-lane chunk.
+/// one width): below, at and past the kernels' 8-lane chunk, and one
+/// (key 1's) past their 64-float twin floor.
 fn dim_of(key: u64) -> usize {
-    [1, 2, 5, 8, 11, 17][(key % 6) as usize]
+    [1, 75, 5, 8, 11, 17][(key % 6) as usize]
 }
 
 /// Components that stress copy-versus-add: signed zeros, subnormals,
@@ -93,6 +94,13 @@ impl Model {
         let current = self.cached.get(&key).unwrap_or(&zeros);
         let delta: Vec<f32> = x.iter().zip(current).map(|(x, y)| s * x + t * y).collect();
         self.update(key, &delta);
+    }
+
+    /// What MLR did before its step returned the next logit:
+    /// `add_lincomb`, then the dot of the updated row with `next`.
+    fn add_lincomb_dot(&mut self, key: ParamKey, s: f32, x: &[f32], t: f32, next: &[f32]) -> f32 {
+        self.add_lincomb(key, s, x, t);
+        kernels::dot(&self.cached[&key], next)
     }
 
     /// What matrix factorization did before the two-key step: copy both
@@ -172,7 +180,7 @@ proptest! {
         partitions in 1u32..5,
         reserved in 0usize..KEYS.len(),
         ops in proptest::collection::vec(
-            (0u8..19, 0usize..KEYS.len(), any::<u64>(), -2.0f32..2.0),
+            (0u8..21, 0usize..KEYS.len(), any::<u64>(), -2.0f32..2.0),
             0..80,
         ),
     ) {
@@ -208,6 +216,13 @@ proptest! {
                 13 | 14 => {
                     prop_assert_eq!(flushed_bits(slab.flush()), model.flush());
                     prop_assert!(!slab.has_pending());
+                }
+                19 | 20 => {
+                    let (x, next) = (row(k, seed), row(k, seed / 3));
+                    let t = POOL[(seed % POOL.len() as u64) as usize];
+                    let logit = slab.add_lincomb_dot(key, scalar, &x, t, &next);
+                    let expect = model.add_lincomb_dot(key, scalar, &x, t, &next);
+                    prop_assert_eq!(logit.to_bits(), expect.to_bits(), "key {}", k);
                 }
                 16..=18 => {
                     // Pairs `key` with a key of its width (none for the
@@ -388,6 +403,49 @@ fn pair_step_matches_two_add_lincombs_in_every_state() {
                         }
                         assert_eq!(flushed_bits(slab.flush()), model.flush(), "{case}");
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The fused step against `add_lincomb` then `dot` on the model, from
+/// every route to each `(present, dirty)` state, at widths on both sides
+/// of the kernels' 64-float twin floor.
+#[test]
+fn lincomb_dot_step_matches_add_lincomb_then_dot_in_every_state() {
+    let layout = PartitionMap::new(3).expect("nonzero");
+    let dims = (1..=17).chain([63, 64, 65, 72, 75, 512]);
+    for dim in dims {
+        for (p, &key) in [3, 500, (1 << 22) + 7, u64::MAX / 3].iter().enumerate() {
+            let key = ParamKey(key);
+            for (i, &before) in BEFORE.iter().enumerate() {
+                for (c, &(s, t)) in COEFFS.iter().enumerate() {
+                    let case = format!("dim {dim}, {key:?} {before:?}, {:?}", (s, t));
+                    let seed = (dim * 131 + p * 37 + i * 11 + c) as u64;
+                    let pick = |salt: u64| -> Vec<f32> {
+                        (0..dim as u64)
+                            .map(|j| POOL[((seed + salt) * 13 + j * 3) as usize % POOL.len()])
+                            .collect()
+                    };
+                    let mut slab: WorkerCache = WorkerCache::new(layout);
+                    let mut model = Model {
+                        layout,
+                        cached: HashMap::new(),
+                        buffer: HashMap::new(),
+                    };
+                    for flushing in [true, false] {
+                        set_up(&mut slab, &mut model, (key, dim, seed), before, flushing);
+                        if flushing {
+                            assert_eq!(flushed_bits(slab.flush()), model.flush(), "{case}");
+                        }
+                    }
+                    let (x, next) = (pick(5), pick(7));
+                    let logit = slab.add_lincomb_dot(key, s, &x, t, &next);
+                    let expect = model.add_lincomb_dot(key, s, &x, t, &next);
+                    assert_eq!(logit.to_bits(), expect.to_bits(), "{case}: logit");
+                    assert_eq!(bits(slab.row(key)), bits(&model.cached[&key]), "{case}");
+                    assert_eq!(flushed_bits(slab.flush()), model.flush(), "{case}");
                 }
             }
         }

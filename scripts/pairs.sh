@@ -1,0 +1,118 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of one benchmark workload: the house
+# protocol for a change that claims a gain (ROADMAP.md, item 4).
+#
+#   scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD SEED N SECONDS
+#
+# PARENT_BIN and CHANGE_BIN are two builds of the benchmark binary
+# (`cargo build --release --offline --manifest-path benchmark/Cargo.toml`
+# in each checkout leaves it at benchmark/target/release/proteus-benchmark).
+# Runs N pairs of `--workload WORKLOAD --seed SEED --seconds SECONDS
+# --trace 0`, one fresh process per run, the parent first in odd pairs
+# and the change first in even ones. Prints each run's
+# `wall_us_per_unit`, both medians with the parent's quartiles, the
+# change/parent ratio of the medians, how many pairs the change won,
+# and both sides' median `peak_rss_mb` and `setup_s`.
+#
+# Exits non-zero if a run fails, reports an incorrect result or a failed
+# operation, or if `outcome_ratio` differs between any two runs. Each
+# binary writes its detail file under the `benchmark/out` of the
+# checkout it was built from, as any run of it does.
+set -euo pipefail
+
+if [ $# -ne 6 ]; then
+  echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD SEED N SECONDS" >&2
+  exit 2
+fi
+parent=$1 change=$2 workload=$3 seed=$4 n=$5 seconds=$6
+
+# One line per run: "side pair wall outcome_ratio correct failed
+# peak_rss_mb setup_s".
+runs=""
+
+# Runs one side once and adds its line to $runs, read off the result
+# object the benchmark prints last.
+run() {
+  local side=$1 pair=$2 bin out
+  bin=$parent
+  [ "$side" = change ] && bin=$change
+  if ! out=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0); then
+    echo "error: $side run of pair $pair failed" >&2
+    exit 1
+  fi
+  runs+=$(awk -v side="$side" -v pair="$pair" '
+    function get(key, value,   s) {
+      if (!match($0, "\"" key "\": *" value)) return "?"
+      s = substr($0, RSTART, RLENGTH); sub(/.*: */, "", s)
+      return s
+    }
+    { last = $0 }
+    END {
+      $0 = last; num = "[{]\"value\": *[^,}]*"
+      print side, pair, get("wall_us_per_unit", num), get("outcome_ratio", num),
+        get("correct", "[a-z]*"), get("failed", "[0-9]*"),
+        get("peak_rss_mb", num), get("setup_s", num)
+    }' <<<"$out")$'\n'
+}
+
+for ((pair = 1; pair <= n; pair++)); do
+  if ((pair % 2 == 1)); then
+    run parent "$pair"
+    run change "$pair"
+  else
+    run change "$pair"
+    run parent "$pair"
+  fi
+  awk -v p="$pair" '$2 == p { w[$1] = $3 }
+    END { printf "pair %2d: parent %12.2f  change %12.2f  ratio %.3f\n",
+          p, w["parent"], w["change"], w["change"] / w["parent"] }' <<<"$runs"
+done
+
+# Median and quartiles by linear interpolation between order statistics.
+awk -v workload="$workload" -v seed="$seed" '
+  function quantile(v, k, q,   h, i) {
+    h = (k - 1) * q + 1; i = int(h)
+    return i >= k ? v[k] : v[i] + (h - i) * (v[i + 1] - v[i])
+  }
+  # Column `col` of the runs of `side`, sorted into v[1..k]; returns k.
+  function sorted(side, col, v,   k, i, j, t) {
+    k = 0
+    for (i = 1; i <= nr; i++) if (s[i] == side) v[++k] = c[i, col]
+    for (i = 2; i <= k; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) {
+      t = v[j]; v[j] = v[j - 1]; v[j - 1] = t
+    }
+    return k
+  }
+  function median(side, col,   v) { return quantile(v, sorted(side, col, v), 0.5) }
+  NF { nr++; s[nr] = $1; w[$1, $2] = $3; for (i = 3; i <= NF; i++) c[nr, i] = $i }
+  END {
+    kp = sorted("parent", 3, pv); kc = sorted("change", 3, cv)
+    mp = quantile(pv, kp, 0.5); mc = quantile(cv, kc, 0.5)
+    for (p = 1; p <= kp; p++) won += w["change", p] < w["parent", p]
+    printf "%s seed %s, %d pairs, wall_us_per_unit:\n", workload, seed, kp
+    printf "  parent median %.2f [%.2f, %.2f]\n", mp, quantile(pv, kp, 0.25), quantile(pv, kp, 0.75)
+    printf "  change median %.2f [%.2f, %.2f]\n", mc, quantile(cv, kc, 0.25), quantile(cv, kc, 0.75)
+    printf "  change/parent %.4f (%+.1f %%), change faster in %d/%d pairs\n",
+      mc / mp, (mc / mp - 1) * 100, won, kp
+    printf "  peak_rss_mb median %.2f -> %.2f, setup_s median %.4f -> %.4f\n",
+      median("parent", 7), median("change", 7), median("parent", 8), median("change", 8)
+  }' <<<"$runs"
+
+# The verdict: one outcome_ratio across every run, every result correct,
+# no operation failed.
+awk '
+  NF && !seen[$4]++ { ratios++ }
+  NF { runs++ }
+  NF && ($5 != "true" || $6 != 0) {
+    bad++
+    printf "error: %s pair %s: correct %s, failed %s\n", $1, $2, $5, $6 > "/dev/stderr"
+  }
+  END {
+    if (ratios != 1) {
+      print "error: outcome_ratio differs between runs:" > "/dev/stderr"
+      for (r in seen) printf "  %s in %d runs\n", r, seen[r] > "/dev/stderr"
+      exit 1
+    }
+    for (r in seen) printf "  outcome_ratio %s in all %d runs\n", r, runs
+    exit bad > 0
+  }' <<<"$runs"
