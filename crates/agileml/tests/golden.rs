@@ -194,10 +194,10 @@ fn mlr_problem(dim: usize) -> (Mlr, Vec<Example>) {
     (app, data)
 }
 
-fn replay_hash<A: MlApp>(app: A, data: Vec<A::Datum>, seed: u64) -> u64 {
+fn replay_hash<A: MlApp>(app: A, data: Vec<A::Datum>, seed: u64, clocks: u64) -> u64 {
     let model = init_model(&app, seed);
     let mut r = Replay::new(app, data, &model, 3, 4);
-    for _ in 0..10 {
+    for _ in 0..clocks {
         r.step();
     }
     model_hash(&r.model())
@@ -206,13 +206,37 @@ fn replay_hash<A: MlApp>(app: A, data: Vec<A::Datum>, seed: u64) -> u64 {
 #[test]
 fn mf_one_worker_fingerprint() {
     let (app, data) = mf_problem();
-    assert_eq!(replay_hash(app, data, 11), MF_TEN_CLOCKS);
+    assert_eq!(replay_hash(app, data, 11, 10), MF_TEN_CLOCKS);
+}
+
+/// `train_mf`'s shape: 600 × 400 with 60 000 ratings at rank 16, two
+/// whole 8-lane chunks and no tail, for three clocks. Recorded on the
+/// commit before MF's pass read its rows through resolved offsets.
+#[test]
+fn mf_rank16_one_worker_fingerprint() {
+    let data = netflix_like(
+        &MfDataConfig {
+            rows: 600,
+            cols: 400,
+            true_rank: 8,
+            observed: 60_000,
+            noise: 0.05,
+        },
+        16,
+    );
+    let app = MatrixFactorization::new(MfConfig {
+        rows: 600,
+        cols: 400,
+        rank: 16,
+        ..MfConfig::default()
+    });
+    assert_eq!(replay_hash(app, data, 16, 3), MF16_THREE_CLOCKS);
 }
 
 #[test]
 fn mlr_one_worker_fingerprint() {
     let (app, data) = mlr_problem(19);
-    assert_eq!(replay_hash(app, data, 13), MLR_TEN_CLOCKS);
+    assert_eq!(replay_hash(app, data, 13, 10), MLR_TEN_CLOCKS);
 }
 
 /// Width 75 = nine 8-lane chunks plus a 3-float tail, past the kernels'
@@ -221,7 +245,7 @@ fn mlr_one_worker_fingerprint() {
 #[test]
 fn mlr_wide_one_worker_fingerprint() {
     let (app, data) = mlr_problem(75);
-    assert_eq!(replay_hash(app, data, 13), MLR_WIDE_TEN_CLOCKS);
+    assert_eq!(replay_hash(app, data, 13, 10), MLR_WIDE_TEN_CLOCKS);
 }
 
 /// A live one-machine job equals the replay at the clock waited for.
@@ -262,5 +286,6 @@ fn mlr_live_one_machine_job_equals_the_replay_at_clock_ten() {
 }
 
 const MF_TEN_CLOCKS: u64 = 0xd8ce_18d1_cd28_d527;
+const MF16_THREE_CLOCKS: u64 = 0x2079_9095_703e_ff22;
 const MLR_TEN_CLOCKS: u64 = 0x8eee_5ba1_9158_c6e4;
 const MLR_WIDE_TEN_CLOCKS: u64 = 0xae9c_ac3d_2929_98cc;

@@ -66,6 +66,34 @@ fn mf_sequential_fingerprint() {
     );
 }
 
+/// `train_mf`'s shape: 600 × 400 with 60 000 ratings at rank 16, the
+/// app's default step sizes. Rank 16 is two whole 8-lane chunks and no
+/// tail, which the rank-11 problem above never runs. Recorded on the
+/// commit before MF's pass read its rows through resolved offsets.
+#[test]
+fn mf_rank16_sequential_fingerprint() {
+    let data = netflix_like(
+        &MfDataConfig {
+            rows: 600,
+            cols: 400,
+            true_rank: 8,
+            observed: 60_000,
+            noise: 0.05,
+        },
+        16,
+    );
+    let app = MatrixFactorization::new(MfConfig {
+        rows: 600,
+        cols: 400,
+        rank: 16,
+        ..MfConfig::default()
+    });
+    assert_eq!(
+        fingerprint(app, data, 16, 3),
+        (MF16_OBJECTIVE_BITS, MF16_MODEL_HASH)
+    );
+}
+
 /// MLR on 200 examples of width `dim` in 5 classes, after 4 passes.
 fn mlr_fingerprint(dim: usize) -> (u64, u64) {
     let data = imagenet_like(
@@ -144,6 +172,8 @@ fn kmeans_sequential_fingerprint() {
 
 const MF_OBJECTIVE_BITS: u64 = 0x3fa0_0148_e442_425e;
 const MF_MODEL_HASH: u64 = 0x8952_d674_206e_6b17;
+const MF16_OBJECTIVE_BITS: u64 = 0x3f8e_2961_8d00_ecf0;
+const MF16_MODEL_HASH: u64 = 0xb833_8a0b_0974_9a33;
 const MLR_OBJECTIVE_BITS: u64 = 0x3f68_9fab_8260_8fdb;
 const MLR_MODEL_HASH: u64 = 0x9edc_2049_8528_c30b;
 const MLR_WIDE_OBJECTIVE_BITS: u64 = 0x3f35_9189_3d49_435f;
