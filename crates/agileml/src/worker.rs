@@ -8,6 +8,11 @@
 //! by the SSP condition against the controller-broadcast global minimum
 //! clock.
 //!
+//! A clock recomputes nothing its inputs did not change: the read round
+//! is rebuilt only when the blocks or the partition owners move, and a
+//! block's rows are resolved in the cache on its first pass after it is
+//! loaded or the cache is cleared.
+//!
 //! [`WorkerState`] is a pure state machine: it *returns* the messages to
 //! send instead of sending them, so iteration logic is unit-testable
 //! without a cluster; `node.rs` performs the actual I/O.
@@ -16,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
 use proteus_mlapps::app::MlApp;
-use proteus_ps::{KeySet, ParamKey, PartitionId, PartitionMap, WorkerCache};
+use proteus_ps::{KeySet, ParamKey, PartitionMap, RunRows, WorkerCache};
 use proteus_simnet::NodeId;
 use rand::rngs::StdRng;
 
@@ -112,6 +117,45 @@ impl KeyRefs {
     }
 }
 
+/// A loaded data block.
+struct Block<D> {
+    /// The block's data, with its scratch state.
+    data: Vec<D>,
+    /// Where that data's rows sit in the worker's cache, once a pass
+    /// has resolved them.
+    rows: RunRows,
+}
+
+/// One read round's requests, kept from clock to clock.
+struct ReadPlan {
+    /// The `partition_owner` table it routes by.
+    owners: Vec<NodeId>,
+    /// Each owner asked and the keys it serves, in owner order.
+    reads: Vec<(NodeId, KeySet)>,
+}
+
+impl ReadPlan {
+    /// Groups `keys` (sorted) by the owner `topology` routes each to.
+    fn new(keys: &[ParamKey], layout: PartitionMap, topology: &Topology) -> Self {
+        let mut by_owner: BTreeMap<NodeId, Vec<ParamKey>> = BTreeMap::new();
+        for &k in keys {
+            let owner = topology.owner_of(layout.partition_of(k));
+            by_owner.entry(owner).or_default().push(k);
+        }
+        // Per-owner keys are sorted (global sort + stable owner
+        // grouping) and near-arithmetic under the modulo layout, so they
+        // compress into a handful of strided runs.
+        let reads = by_owner
+            .into_iter()
+            .map(|(owner, keys)| (owner, KeySet::from_sorted(&keys)))
+            .collect();
+        ReadPlan {
+            owners: topology.partition_owner.clone(),
+            reads,
+        }
+    }
+}
+
 /// The worker half of an AgileML node.
 pub struct WorkerState<A: MlApp> {
     app: Arc<A>,
@@ -120,7 +164,7 @@ pub struct WorkerState<A: MlApp> {
     /// Block ranges and per-block key lists, shared across the job.
     block_keys: Arc<BlockKeys>,
     /// Loaded blocks with their (mutable, scratch-bearing) data.
-    local: BTreeMap<BlockId, Vec<A::Datum>>,
+    local: BTreeMap<BlockId, Block<A::Datum>>,
     /// Sorted union of the loaded blocks' key lists — what every clock
     /// reads. A function of the loaded blocks alone, so only
     /// `assign_blocks` touches it.
@@ -130,6 +174,8 @@ pub struct WorkerState<A: MlApp> {
     key_refs: KeyRefs,
     /// Row elements one pass over the loaded blocks touches.
     work: u64,
+    /// The read round of `read_keys`, if built since they last changed.
+    read_plan: Option<ReadPlan>,
     layout: PartitionMap,
     cache: WorkerCache,
     scratch: A::Scratch,
@@ -150,7 +196,7 @@ pub struct WorkerState<A: MlApp> {
     /// Responses are counted per *owner*, not per message, so a
     /// duplicated `ReadResp` (fault injection) cannot complete a round
     /// while another owner's values are still missing.
-    read_sources: BTreeSet<NodeId>,
+    read_sources: Vec<NodeId>,
     next_token: u64,
     controller: NodeId,
 }
@@ -177,6 +223,7 @@ impl<A: MlApp> WorkerState<A> {
             local: BTreeMap::new(),
             read_keys: Vec::new(),
             work: 0,
+            read_plan: None,
             layout,
             cache: WorkerCache::new(layout),
             scratch: A::Scratch::default(),
@@ -187,7 +234,7 @@ impl<A: MlApp> WorkerState<A> {
             epoch: 0,
             started: false,
             reading: None,
-            read_sources: BTreeSet::new(),
+            read_sources: Vec::new(),
             next_token: 0,
             controller,
         }
@@ -247,6 +294,7 @@ impl<A: MlApp> WorkerState<A> {
             let refs = &mut self.key_refs;
             self.read_keys.retain(|k| *refs.of(*k) > 0);
             refs.spilled.retain(|_, refs| *refs > 0);
+            self.read_plan = None;
         }
         let held = self.read_keys.len();
         for b in wanted {
@@ -254,7 +302,11 @@ impl<A: MlApp> WorkerState<A> {
                 continue;
             }
             let (lo, hi) = self.block_keys.range(b);
-            self.local.insert(b, self.dataset[lo..hi].to_vec());
+            let block = Block {
+                data: self.dataset[lo..hi].to_vec(),
+                rows: RunRows::default(),
+            };
+            self.local.insert(b, block);
             let reads = self.block_keys.reads(&*self.app, &self.dataset, b);
             self.work += reads.work;
             for &k in &reads.keys {
@@ -269,6 +321,7 @@ impl<A: MlApp> WorkerState<A> {
         if self.read_keys.len() > held {
             // A few sorted runs: the stable sort merges them.
             self.read_keys.sort();
+            self.read_plan = None;
         }
     }
 
@@ -347,34 +400,33 @@ impl<A: MlApp> WorkerState<A> {
         self.begin_reads(topology)
     }
 
-    /// Issues the read requests for this iteration.
+    /// Issues the read requests for this iteration: the kept read
+    /// round, rebuilt first if the keys or the partition owners moved.
     fn begin_reads(&mut self, topology: &Topology) -> Outbox {
-        // The keys all local data needs, grouped by owner.
-        let mut by_owner: BTreeMap<NodeId, Vec<ParamKey>> = BTreeMap::new();
-        for &k in &self.read_keys {
-            let p = self.layout.partition_of(k);
-            let owner = topology.owner_of(PartitionId(p.0));
-            by_owner.entry(owner).or_default().push(k);
-        }
-
+        let plan = match self.read_plan.take() {
+            Some(plan) if plan.owners == topology.partition_owner => plan,
+            _ => ReadPlan::new(&self.read_keys, self.layout, topology),
+        };
         let token = self.next_token;
         self.next_token += 1;
-        self.read_sources = by_owner.keys().copied().collect();
-        if self.read_sources.is_empty() {
+        self.read_sources.clear();
+        self.read_sources
+            .extend(plan.reads.iter().map(|(owner, _)| *owner));
+        let out: Outbox = plan
+            .reads
+            .iter()
+            .map(|(owner, keys)| {
+                let keys = keys.clone();
+                (*owner, AgileMsg::ReadReq { token, keys })
+            })
+            .collect();
+        self.read_plan = Some(plan);
+        if out.is_empty() {
             // No parameters needed (degenerate); complete immediately.
             return self.finish_iteration(topology);
         }
         self.reading = Some(token);
-        by_owner
-            .into_iter()
-            .map(|(owner, keys)| {
-                // Per-owner keys are sorted (global sort + stable owner
-                // grouping) and near-arithmetic under the modulo layout,
-                // so they compress into a handful of strided runs.
-                let keys = KeySet::from_sorted(&keys);
-                (owner, AgileMsg::ReadReq { token, keys })
-            })
-            .collect()
+        out
     }
 
     /// Handles a read response from `from`; when the last outstanding
@@ -390,9 +442,11 @@ impl<A: MlApp> WorkerState<A> {
         // A response to an earlier round, a duplicate from an owner that
         // already answered, or one from a sender never asked: nothing
         // new to count.
-        if self.reading != Some(token) || !self.read_sources.remove(&from) {
+        let source = self.read_sources.iter().position(|&owner| owner == from);
+        let (Some(source), true) = (source, self.reading == Some(token)) else {
             return Vec::new();
-        }
+        };
+        self.read_sources.swap_remove(source);
         for (k, v) in &values {
             self.cache.refresh(k, v);
         }
@@ -415,8 +469,13 @@ impl<A: MlApp> WorkerState<A> {
         // Process every block as one run, in place, buffering updates in
         // the cache.
         for block in self.local.values_mut() {
-            self.app
-                .process(block, &mut self.scratch, &mut self.cache, &mut self.rng);
+            self.app.process(
+                &mut block.data,
+                &mut block.rows,
+                &mut self.scratch,
+                &mut self.cache,
+                &mut self.rng,
+            );
         }
 
         // Flush coalesced batches to partition owners. Each batch is one
@@ -453,6 +512,7 @@ impl<A: MlApp> WorkerState<A> {
 mod tests {
     use super::*;
     use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
+    use proteus_ps::PartitionId;
     use proteus_simtime::rng::seeded;
     use std::sync::Arc;
 
@@ -690,7 +750,7 @@ mod tests {
         let mut keys: Vec<ParamKey> = w
             .local
             .values()
-            .flatten()
+            .flat_map(|b| &b.data)
             .flat_map(|d| w.app.keys_for(d))
             .collect();
         keys.sort();
@@ -763,6 +823,179 @@ mod tests {
         assert_eq!(all, recomputed_keys(&w));
     }
 
+    /// A worker over 50 ratings of a 12 × 9 matrix at rank 3, cut into
+    /// six blocks on a three-partition layout.
+    fn mf_worker() -> WorkerState<MatrixFactorization> {
+        use proteus_mlapps::data::{netflix_like, MfDataConfig};
+        let app = MatrixFactorization::new(MfConfig {
+            rows: 12,
+            cols: 9,
+            rank: 3,
+            learning_rate: 0.1,
+            reg: 0.01,
+            init_scale: 0.1,
+        });
+        let data = Arc::new(netflix_like(
+            &MfDataConfig {
+                rows: 12,
+                cols: 9,
+                true_rank: 2,
+                observed: 50,
+                noise: 0.01,
+            },
+            4,
+        ));
+        WorkerState::new(
+            Arc::new(app),
+            Arc::clone(&data),
+            Arc::new(BlockKeys::new(data.len(), 6)),
+            PartitionMap::new(3).unwrap(),
+            0,
+            seeded(1),
+            NodeId(0),
+        )
+    }
+
+    fn topo3(owners: [u32; 3]) -> Topology {
+        Topology {
+            partition_owner: owners.iter().map(|&o| NodeId(o)).collect(),
+            backup_owner: vec![None; 3],
+            ..topo(NodeId(1))
+        }
+    }
+
+    /// Read requests as `(owner, keys)`.
+    type Reads = Vec<(NodeId, Vec<ParamKey>)>;
+
+    /// The read round built from nothing: `keys_for` over every loaded
+    /// datum, grouped by the owner `t` routes each key's partition to.
+    fn rebuilt_reads(w: &WorkerState<MatrixFactorization>, t: &Topology) -> Reads {
+        let mut by_owner: BTreeMap<NodeId, Vec<ParamKey>> = BTreeMap::new();
+        for k in recomputed_keys(w) {
+            let owner = t.partition_owner[w.layout.partition_of(k).0 as usize];
+            by_owner.entry(owner).or_default().push(k);
+        }
+        by_owner.into_iter().collect()
+    }
+
+    /// The `ReadReq`s of `out` as `(owner, keys)`, in outbox order.
+    fn reads_of(out: &Outbox) -> Reads {
+        out.iter()
+            .filter_map(|(dst, m)| match m {
+                AgileMsg::ReadReq { keys, .. } => Some((*dst, keys.to_vec())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A server row for `key`: nonzero, different per key.
+    fn served(key: ParamKey) -> Vec<f32> {
+        let k = key.0 as f32;
+        vec![0.05 * (k + 1.0), -0.02 * k, 0.3 - 0.01 * k]
+    }
+
+    /// Runs one clock, answering each `ReadReq` with [`served`] rows;
+    /// returns the reads asked and the update batches flushed.
+    fn served_clock(
+        w: &mut WorkerState<MatrixFactorization>,
+        t: &Topology,
+    ) -> (Reads, Vec<(PartitionId, Values)>) {
+        let reads = w.poll(t);
+        let mut flushed = Vec::new();
+        for (dst, msg) in &reads {
+            let AgileMsg::ReadReq { token, keys } = msg else {
+                continue;
+            };
+            let values: Values = keys.iter().map(|k| (k, served(k))).collect();
+            for (_, m) in w.on_read_resp(*dst, *token, values, t) {
+                match m {
+                    AgileMsg::UpdateBatch {
+                        partition, updates, ..
+                    } => flushed.push((partition, updates)),
+                    AgileMsg::ClockDone { clock, epoch } => w.on_global_clock(clock, epoch),
+                    _ => {}
+                }
+            }
+        }
+        (reads_of(&reads), flushed)
+    }
+
+    fn batch_bits(batches: &[(PartitionId, Values)]) -> Vec<(PartitionId, ParamKey, Vec<u32>)> {
+        batches
+            .iter()
+            .flat_map(|(p, values)| {
+                values
+                    .iter()
+                    .map(|(k, v)| (*p, k, v.iter().map(|x| x.to_bits()).collect()))
+            })
+            .collect()
+    }
+
+    /// The clock of [`served_clock`] on a plain cache, with every rating
+    /// a keyed `add_lincomb_pair` — what MF's pass did before it
+    /// resolved its rows.
+    fn keyed_clock(
+        w: &WorkerState<MatrixFactorization>,
+        cache: &mut WorkerCache,
+    ) -> Vec<(PartitionId, Values)> {
+        let cfg = *w.app.config();
+        for &k in &w.read_keys {
+            cache.refresh(k, &served(k));
+        }
+        for d in w.local.values().flat_map(|b| &b.data) {
+            let (a, b) = (w.app.row_key(d.row), w.app.col_key(d.col));
+            cache.add_lincomb_pair(a, b, cfg.rank, |li, rj| {
+                let err = proteus_ps::kernels::dot(li, rj) - d.value;
+                (-cfg.learning_rate * err, -cfg.learning_rate * cfg.reg)
+            });
+        }
+        cache.flush()
+    }
+
+    #[test]
+    fn read_round_equals_a_rebuild_after_reassignment_and_owner_moves() {
+        let mut w = mf_worker();
+        let mut t = topo3([1, 2, 1]);
+        w.assign_blocks(&[BlockId(0), BlockId(2), BlockId(3)]);
+        w.start();
+        for step in 0..6 {
+            match step {
+                2 => w.assign_blocks(&[BlockId(2), BlockId(5)]),
+                3 => t = topo3([1, 3, 1]),
+                4 => w.assign_blocks(&[BlockId(0), BlockId(1), BlockId(2), BlockId(5)]),
+                5 => t = topo3([4, 3, 1]),
+                _ => {}
+            }
+            let (reads, _) = served_clock(&mut w, &t);
+            assert_eq!(reads, rebuilt_reads(&w, &t), "step {step}");
+        }
+    }
+
+    #[test]
+    fn resolved_pass_matches_the_keyed_step_through_restart_and_reassignment() {
+        let mut w = mf_worker();
+        let t = topo3([1, 2, 1]);
+        let mut keyed = WorkerCache::new(w.layout);
+        w.assign_blocks(&[BlockId(1), BlockId(4)]);
+        w.start();
+        for step in 0..8 {
+            match step {
+                2 => w.assign_blocks(&[BlockId(0), BlockId(1), BlockId(3)]),
+                4 | 6 => {
+                    w.restart_from(w.clock(), step);
+                    keyed.clear();
+                    w.start();
+                }
+                5 => w.assign_blocks(&[BlockId(3), BlockId(5)]),
+                _ => {}
+            }
+            let (_, flushed) = served_clock(&mut w, &t);
+            let expect = keyed_clock(&w, &mut keyed);
+            assert!(!flushed.is_empty(), "step {step}");
+            assert_eq!(batch_bits(&flushed), batch_bits(&expect), "step {step}");
+        }
+    }
+
     #[test]
     fn key_refs_past_the_table_cost_an_entry_not_a_resize() {
         let mut refs = KeyRefs {
@@ -785,7 +1018,7 @@ mod tests {
         let all: Vec<ParamKey> = w
             .local
             .values()
-            .flatten()
+            .flat_map(|b| &b.data)
             .flat_map(|d| w.app.keys_for(d))
             .collect();
         let work = all.iter().map(|k| w.app.value_dim(*k) as u64).sum();

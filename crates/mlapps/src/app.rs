@@ -1,6 +1,6 @@
 //! The contract between an ML application and the training runtime.
 
-use proteus_ps::{DenseVec, ParamKey, WorkerCache};
+use proteus_ps::{DenseVec, ParamKey, RunRows, WorkerCache};
 use rand::rngs::StdRng;
 
 /// A read-only view of the current parameter state, supplied by whichever
@@ -63,11 +63,18 @@ pub trait MlApp: Send + Sync + 'static {
     /// (MLR computes one example's logits inside the previous example's
     /// step), never a reordering.
     ///
+    /// `rows` is the run's own: the runtime keeps one beside each run of
+    /// data, for as long as it holds that run, and passes it on every
+    /// pass. An app whose step reads the same keys every pass resolves
+    /// them into it ([`WorkerCache::resolve_pairs`]) and reads its rows
+    /// from there; the others leave it empty.
+    ///
     /// `rng` supplies any sampling the algorithm needs (Gibbs sampling,
     /// dropout, ...); the data are mutable for per-datum scratch state.
     fn process(
         &self,
         data: &mut [Self::Datum],
+        rows: &mut RunRows,
         scratch: &mut Self::Scratch,
         params: &mut WorkerCache,
         rng: &mut StdRng,

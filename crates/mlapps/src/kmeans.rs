@@ -14,7 +14,7 @@
 //! no combination of concurrent updates can drive a cluster's mass
 //! negative.
 
-use proteus_ps::{kernels, DenseVec, ParamKey, WorkerCache};
+use proteus_ps::{kernels, DenseVec, ParamKey, RunRows, WorkerCache};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -123,6 +123,7 @@ impl MlApp for KMeans {
     fn process(
         &self,
         data: &mut [Point],
+        _rows: &mut RunRows,
         delta: &mut Vec<f32>,
         params: &mut WorkerCache,
         _rng: &mut StdRng,
@@ -300,7 +301,13 @@ mod tests {
         let mut points = [Point {
             coords: vec![0.5; 4],
         }];
-        app.process(&mut points, &mut Vec::new(), &mut params, &mut rng);
+        app.process(
+            &mut points,
+            &mut RunRows::default(),
+            &mut Vec::new(),
+            &mut params,
+            &mut rng,
+        );
         let flushed = params.flush();
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].1.len(), 1, "one point updates one cluster");

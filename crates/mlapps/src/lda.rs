@@ -16,7 +16,7 @@
 //! data partition rebuilds after an eviction, keeping workers stateless
 //! with respect to *solution* state.
 
-use proteus_ps::{DenseVec, ParamKey, WorkerCache};
+use proteus_ps::{DenseVec, ParamKey, RunRows, WorkerCache};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -145,6 +145,7 @@ impl MlApp for Lda {
     fn process(
         &self,
         docs: &mut [LdaDoc],
+        _rows: &mut RunRows,
         _scratch: &mut (),
         params: &mut WorkerCache,
         rng: &mut StdRng,
@@ -267,7 +268,7 @@ mod tests {
     }
 
     fn sweep(app: &Lda, docs: &mut [LdaDoc], params: &mut WorkerCache, rng: &mut StdRng) {
-        app.process(docs, &mut (), params, rng);
+        app.process(docs, &mut RunRows::default(), &mut (), params, rng);
     }
 
     fn count_state(params: &WorkerCache, app: &Lda) -> (Vec<f32>, f32) {

@@ -7,7 +7,7 @@
 //! L2 regularization. `L` rows occupy keys `0..rows` and `R` columns keys
 //! `rows..rows+cols`.
 
-use proteus_ps::{kernels, DenseVec, ParamKey, WorkerCache};
+use proteus_ps::{kernels, DenseVec, ParamKey, RunRows, WorkerCache};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -112,27 +112,28 @@ impl MlApp for MatrixFactorization {
         vec![self.row_key(datum.row), self.col_key(datum.col)]
     }
 
+    /// Each rating is one two-key step on `L_i` and `R_j`, whose rows
+    /// are resolved into `rows` on the run's first pass (and again after
+    /// the cache is cleared) and read from there on every other.
     fn process(
         &self,
         data: &mut [Rating],
+        rows: &mut RunRows,
         _scratch: &mut (),
         params: &mut WorkerCache,
         _rng: &mut StdRng,
     ) {
-        let lr = self.config.learning_rate;
-        let reg = self.config.reg;
-        for datum in data {
+        let (lr, reg, rank) = (self.config.learning_rate, self.config.reg, self.config.rank);
+        let keys = |d: &Rating| (self.row_key(d.row), self.col_key(d.col));
+        let at = params.resolve_pairs(rows, rank, data.iter().map(keys));
+        assert_eq!(at.len(), data.len(), "rows resolved for another run");
+        for (datum, at) in data.iter().zip(at) {
             // dL_i = -lr (err · R_j + reg · L_i) and
             // dR_j = -lr (err · L_i + reg · R_j), both of the rows as read.
-            params.add_lincomb_pair(
-                self.row_key(datum.row),
-                self.col_key(datum.col),
-                self.config.rank,
-                |li, rj| {
-                    let err = kernels::dot(li, rj) - datum.value;
-                    (-lr * err, -lr * reg)
-                },
-            );
+            params.add_lincomb_pair_at(keys(datum), at, rank, |li, rj| {
+                let err = kernels::dot(li, rj) - datum.value;
+                (-lr * err, -lr * reg)
+            });
         }
     }
 
@@ -201,8 +202,9 @@ mod tests {
         }];
 
         let mut last = f64::INFINITY;
+        let mut rows = RunRows::default();
         for _ in 0..200 {
-            app.process(&mut data, &mut (), &mut params, &mut rng);
+            app.process(&mut data, &mut rows, &mut (), &mut params, &mut rng);
             let obj = app.objective(&data, &params);
             assert!(
                 obj <= last + 1e-6,
@@ -235,7 +237,13 @@ mod tests {
             value: 10.0,
         }];
         // err = 1·3 + 2·4 − 10 = 1.
-        app.process(&mut data, &mut (), &mut params, &mut seeded(1));
+        app.process(
+            &mut data,
+            &mut RunRows::default(),
+            &mut (),
+            &mut params,
+            &mut seeded(1),
+        );
         assert_eq!(params.row(ParamKey(0)), &[1.0 - 3.0, 2.0 - 4.0]);
         assert_eq!(params.row(ParamKey(1)), &[3.0 - 1.0, 4.0 - 2.0]);
     }

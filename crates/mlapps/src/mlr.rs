@@ -7,7 +7,7 @@
 //! every gradient step updates the **full model** — all `K` vectors — as
 //! in the paper's MLR setup, which is what makes MLR network-heavy.
 
-use proteus_ps::{kernels, DenseVec, ParamKey, WorkerCache};
+use proteus_ps::{kernels, DenseVec, ParamKey, RunRows, WorkerCache};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -149,6 +149,7 @@ impl MlApp for Mlr {
     fn process(
         &self,
         data: &mut [Example],
+        _rows: &mut RunRows,
         probs: &mut Vec<f64>,
         params: &mut WorkerCache,
         _rng: &mut StdRng,
@@ -269,7 +270,13 @@ mod tests {
         let mut data = two_blob_data();
         let mut probs = Vec::new();
         for _ in 0..50 {
-            app.process(&mut data, &mut probs, &mut params, &mut rng);
+            app.process(
+                &mut data,
+                &mut RunRows::default(),
+                &mut probs,
+                &mut params,
+                &mut rng,
+            );
         }
         for e in &data {
             assert_eq!(app.predict(&e.features, &params), e.label);
@@ -354,7 +361,13 @@ mod tests {
                     let (mut probs, mut rng) = (Vec::new(), seeded(1));
                     for pass in 0..3 {
                         let mut chunk = data[..len].to_vec();
-                        app.process(&mut chunk, &mut probs, &mut run, &mut rng);
+                        app.process(
+                            &mut chunk,
+                            &mut RunRows::default(),
+                            &mut probs,
+                            &mut run,
+                            &mut rng,
+                        );
                         for e in &data[..len] {
                             step_one(&app, e, &mut looped);
                         }
@@ -402,7 +415,13 @@ mod tests {
         let before = app.objective(&data, &params);
         let mut probs = Vec::new();
         for _ in 0..20 {
-            app.process(&mut data, &mut probs, &mut params, &mut rng);
+            app.process(
+                &mut data,
+                &mut RunRows::default(),
+                &mut probs,
+                &mut params,
+                &mut rng,
+            );
         }
         let after = app.objective(&data, &params);
         assert!(

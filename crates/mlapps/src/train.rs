@@ -6,7 +6,7 @@
 //! showing it reaches comparable objective values on the same data and
 //! seeds.
 
-use proteus_ps::{ParamKey, PartitionMap, WorkerCache};
+use proteus_ps::{ParamKey, PartitionMap, RunRows, WorkerCache};
 use proteus_simtime::rng::seeded_stream;
 use rand::rngs::StdRng;
 
@@ -20,6 +20,8 @@ pub struct SequentialTrainer<A: MlApp> {
     /// has no server to go to and is simply never flushed.
     params: WorkerCache,
     data: Vec<A::Datum>,
+    /// The data's rows in `params`, resolved by the first pass.
+    rows: RunRows,
     scratch: A::Scratch,
     rng: StdRng,
     iterations_done: u64,
@@ -42,6 +44,7 @@ impl<A: MlApp> SequentialTrainer<A> {
             app,
             params,
             data,
+            rows: RunRows::default(),
             scratch: A::Scratch::default(),
             rng: seeded_stream(seed, 2),
             iterations_done: 0,
@@ -52,6 +55,7 @@ impl<A: MlApp> SequentialTrainer<A> {
     pub fn run_iteration(&mut self) {
         self.app.process(
             &mut self.data,
+            &mut self.rows,
             &mut self.scratch,
             &mut self.params,
             &mut self.rng,

@@ -16,7 +16,7 @@ use proteus_mlapps::lda::{Lda, LdaConfig};
 use proteus_mlapps::mf::{MatrixFactorization, MfConfig};
 use proteus_mlapps::mlr::{Mlr, MlrConfig};
 use proteus_mlapps::MlApp;
-use proteus_ps::{ParamKey, PartitionMap, WorkerCache};
+use proteus_ps::{ParamKey, PartitionMap, RunRows, WorkerCache};
 use proteus_simtime::rng::seeded;
 
 thread_local! {
@@ -66,11 +66,12 @@ fn allocations_per_pass<A: MlApp>(app: &A, mut data: Vec<A::Datum>, seed: u64) -
         params.refresh(k, app.init_value(k, &mut rng).as_slice());
     }
     let mut scratch = A::Scratch::default();
-    app.process(&mut data, &mut scratch, &mut params, &mut rng);
+    let mut rows = RunRows::default();
+    app.process(&mut data, &mut rows, &mut scratch, &mut params, &mut rng);
     drop(params.flush());
 
     let before = ALLOCATIONS.with(Cell::get);
-    app.process(&mut data, &mut scratch, &mut params, &mut rng);
+    app.process(&mut data, &mut rows, &mut scratch, &mut params, &mut rng);
     ALLOCATIONS.with(Cell::get) - before
 }
 

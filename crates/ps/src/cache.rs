@@ -7,19 +7,38 @@
 //! and accumulate in a write-back buffer that is flushed to the server
 //! shards once per clock.
 //!
-//! # Layout: two flat slabs behind one index
+//! # Layout: one slab behind one index
 //!
-//! Every key the cache has seen owns a *slot*: the same `start..start +
-//! dim` range of two flat `f32` vectors, `cached` (server value as of the
-//! last refresh plus this worker's own unflushed deltas) and `buffer`
-//! (those unflushed deltas alone). Keys index a dense slot table (a hash
-//! spill takes keys past `ShardStore`'s dense limit), so the per-datum
-//! path is an array index and an in-place kernel — no hashing, no
-//! allocation.
+//! Every key the cache has seen owns a *slot*: `2 · dim` floats of one
+//! flat `f32` slab from an offset `start`, the cached row (server value
+//! as of the last refresh plus this worker's own unflushed deltas)
+//! followed by the buffered delta (those unflushed deltas alone). A
+//! slot's `present` and `dirty` flags are one byte of a table with a
+//! byte per two slab floats, at `start / 2`, so the offset alone finds
+//! a slot's rows and its flags. Keys index a dense slot table (a hash
+//! spill takes keys past `ShardStore`'s dense limit), so a keyed step is
+//! an array index and an in-place kernel — no hashing, no allocation.
+//!
+//! # Resolved runs
+//!
+//! A slot's offset never moves until [`WorkerCache::clear`], so a run of
+//! data whose keys never change can look them up once: a [`RunRows`]
+//! holds each datum's two [`RowPos`]es (slab offsets, 4 bytes a key),
+//! filled by [`WorkerCache::resolve_pairs`] on the run's first
+//! pass and on its first pass after a `clear`, and read back by
+//! [`WorkerCache::add_lincomb_pair_at`] with no index or slot load on
+//! the way to the rows.
+//!
+//! # Flush order
+//!
+//! `flush` emits in `(partition, key)` order. It walks a list of every
+//! slot in that order, sorted again only when slots were added since,
+//! and takes the dirty ones, so a clock's flush sorts nothing.
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::kernels;
 use crate::partition::{ParamKey, PartitionId, PartitionMap};
@@ -29,18 +48,61 @@ use crate::values::{Rows, Values};
 
 const NO_SLOT: usize = usize::MAX;
 
-/// One key's place in the slabs.
+/// A slot's flag bit: the cached row holds a value. A reserved row reads
+/// as zeros until its first refresh or delta, which is *copied* in.
+const PRESENT: u8 = 1;
+/// A slot's flag bit: the buffered delta is unflushed (then `PRESENT`
+/// too).
+const DIRTY: u8 = 2;
+
+/// The source of cache generations: every cache, and every `clear`, takes
+/// a number no other cache has held, so a [`RunRows`] resolved elsewhere
+/// or before a `clear` never reads as current.
+static GENERATIONS: AtomicU64 = AtomicU64::new(1);
+
+fn next_generation() -> u64 {
+    // Relaxed: the number publishes no other data; it need only be new.
+    GENERATIONS.fetch_add(1, Ordering::Relaxed)
+}
+
+/// One key's place in the slab.
 #[derive(Debug, Clone)]
 struct Slot {
     /// Destination partition, then key: the order `flush` emits in.
     order: (PartitionId, ParamKey),
+    /// Where the cached row starts; the buffered delta follows it.
     start: usize,
     dim: usize,
-    /// Whether `cached` holds a value. A reserved row reads as zeros
-    /// until its first refresh or delta, which is *copied* in.
-    present: bool,
-    /// Whether `buffer` holds an unflushed delta (then `present` too).
-    dirty: bool,
+}
+
+/// Where one key's rows sit in a cache: their slab offset. Valid until
+/// that cache's next [`WorkerCache::clear`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowPos(u32);
+
+impl RowPos {
+    /// The slab offset.
+    #[inline]
+    fn start(self) -> usize {
+        self.0 as usize
+    }
+
+    /// The slab range of the cached row and the buffered delta.
+    #[inline]
+    fn span(self, dim: usize) -> Range<usize> {
+        self.start()..self.start() + 2 * dim
+    }
+}
+
+/// A run of data's two-key steps, resolved: each datum's pair of
+/// [`RowPos`]es in one cache. It carries the cache generation it was
+/// resolved under, so it is filled on the run's first pass and again
+/// only after that cache's `clear`.
+#[derive(Debug, Clone, Default)]
+pub struct RunRows {
+    /// Zero until first resolved.
+    generation: u64,
+    pairs: Vec<[RowPos; 2]>,
 }
 
 /// A worker's local view of the parameter state. `V` is the value type
@@ -53,11 +115,19 @@ pub struct WorkerCache<V = DenseVec> {
     /// `key → slot` for the rest.
     spill: HashMap<u64, usize>,
     slots: Vec<Slot>,
-    cached: Vec<f32>,
-    buffer: Vec<f32>,
-    /// `(order, slot)` of the slots with `dirty` set, in first-touch
-    /// order.
-    dirty: Vec<((PartitionId, ParamKey), usize)>,
+    /// `PRESENT | DIRTY` bits of the slot at slab offset `start`, at
+    /// `start / 2`: a slot spans two floats or more, so no two share a
+    /// byte.
+    flags: Vec<u8>,
+    /// Per slot, the cached row and then the buffered delta.
+    slab: Vec<f32>,
+    /// How many slots have `DIRTY` set.
+    pending: usize,
+    /// Slots in `(partition, key)` order; the slots past its length were
+    /// added since it was last sorted.
+    order: Vec<usize>,
+    /// Which [`RunRows`] are current: changed by `clear`.
+    generation: u64,
     _wire: PhantomData<fn() -> V>,
 }
 
@@ -69,9 +139,11 @@ impl WorkerCache<DenseVec> {
             index: Vec::new(),
             spill: HashMap::new(),
             slots: Vec::new(),
-            cached: Vec::new(),
-            buffer: Vec::new(),
-            dirty: Vec::new(),
+            flags: Vec::new(),
+            slab: Vec::new(),
+            pending: 0,
+            order: Vec::new(),
+            generation: next_generation(),
             _wire: PhantomData,
         }
     }
@@ -108,45 +180,34 @@ impl WorkerCache<DenseVec> {
         } else {
             self.spill.insert(key.0, slot);
         }
-        let start = self.cached.len();
-        self.cached.resize(start + dim, 0.0);
-        self.buffer.resize(start + dim, 0.0);
+        // Two floats at least, so even an empty row has flags of its own.
+        let start = self.slab.len();
+        self.slab.resize(start + 2 * dim.max(1), 0.0);
+        self.flags.resize(self.slab.len() / 2, 0);
         self.slots.push(Slot {
             order: (self.layout.partition_of(key), key),
             start,
             dim,
-            present: false,
-            dirty: false,
         });
         slot
     }
 
-    /// Marks `slot` as holding a value and a pending delta; returns
-    /// whether it held each before.
+    /// Marks the slot at slab offset `start` as holding a value and a
+    /// pending delta; returns whether it held each before.
     #[inline]
-    fn touch(&mut self, slot: usize) -> (bool, bool) {
-        let s = &mut self.slots[slot];
-        let was = (s.present, s.dirty);
-        s.present = true;
-        if !s.dirty {
-            s.dirty = true;
-            self.dirty.push((s.order, slot));
-        }
-        was
-    }
-
-    /// Where `slot`'s rows sit in the slabs.
-    #[inline]
-    fn range(&self, slot: usize) -> Range<usize> {
-        let s = &self.slots[slot];
-        s.start..s.start + s.dim
+    fn touch(&mut self, start: usize) -> (bool, bool) {
+        let flags = &mut self.flags[start / 2];
+        let was = *flags;
+        *flags = PRESENT | DIRTY;
+        self.pending += usize::from(was & DIRTY == 0);
+        (was & PRESENT != 0, was & DIRTY != 0)
     }
 
     /// The cached and buffered rows of `slot`.
     #[inline]
     fn rows_mut(&mut self, slot: usize) -> (&mut [f32], &mut [f32]) {
-        let range = self.range(slot);
-        (&mut self.cached[range.clone()], &mut self.buffer[range])
+        let Slot { start, dim, .. } = self.slots[slot];
+        self.slab[start..start + 2 * dim].split_at_mut(dim)
     }
 
     /// Gives `key` a zero row of `dim` components without marking it
@@ -161,7 +222,10 @@ impl WorkerCache<DenseVec> {
     #[inline]
     pub fn row(&self, key: ParamKey) -> &[f32] {
         match self.slot(key) {
-            Some(slot) => &self.cached[self.range(slot)],
+            Some(slot) => {
+                let Slot { start, dim, .. } = self.slots[slot];
+                &self.slab[start..start + dim]
+            }
             None => &[],
         }
     }
@@ -180,7 +244,7 @@ impl WorkerCache<DenseVec> {
     pub fn update(&mut self, key: ParamKey, delta: &(impl AsRef<[f32]> + ?Sized)) {
         let delta = delta.as_ref();
         let slot = self.slot_or_reserve(key, delta.len());
-        let (was_present, was_dirty) = self.touch(slot);
+        let (was_present, was_dirty) = self.touch(self.slots[slot].start);
         let (row, acc) = self.rows_mut(slot);
         if was_present {
             kernels::add_assign(row, delta);
@@ -205,7 +269,7 @@ impl WorkerCache<DenseVec> {
     #[inline]
     pub fn add_lincomb(&mut self, key: ParamKey, s: f32, x: &[f32], t: f32) {
         let slot = self.slot_or_reserve(key, x.len());
-        let (was_present, was_dirty) = self.touch(slot);
+        let (was_present, was_dirty) = self.touch(self.slots[slot].start);
         let (row, acc) = self.rows_mut(slot);
         if was_dirty {
             kernels::lincomb_step(row, acc, s, x, t);
@@ -232,7 +296,7 @@ impl WorkerCache<DenseVec> {
         next: &[f32],
     ) -> f32 {
         let slot = self.slot_or_reserve(key, x.len());
-        let (was_present, was_dirty) = self.touch(slot);
+        let (was_present, was_dirty) = self.touch(self.slots[slot].start);
         let (row, acc) = self.rows_mut(slot);
         if was_dirty {
             kernels::lincomb_step_dot(row, acc, s, x, t, next)
@@ -247,15 +311,12 @@ impl WorkerCache<DenseVec> {
     /// B)`, adds `s·B + t·A` to `a` and `s·A + t·B` to `b` (matrix
     /// factorization's step on `L_i` and `R_j`). Bit-identical to
     /// copying both rows and calling [`WorkerCache::add_lincomb`] on `a`
-    /// with `B`, then on `b` with `A` — and `a` is touched first, as
-    /// there — but each key is looked up once and nothing is copied.
+    /// with `B`, then on `b` with `A` — but each key is looked up once
+    /// and nothing is copied.
     ///
-    /// Each key's first-delta rule (a delta is copied into a row never
-    /// refreshed and into a buffer flushed since, so a `-0.0` survives)
-    /// is a select inside the one loop. Branching on the flags outside
-    /// it would take one loop per combination of them, each to be kept
-    /// bit-equal to the others by hand. A key not seen before gets a
-    /// row of `dim` zeros first, as under [`WorkerCache::reserve`].
+    /// This is [`WorkerCache::resolve_pairs`] and
+    /// [`WorkerCache::add_lincomb_pair_at`] for one pair; a run of data
+    /// that repeats its pairs every pass resolves them once instead.
     ///
     /// # Panics
     ///
@@ -268,19 +329,104 @@ impl WorkerCache<DenseVec> {
         dim: usize,
         coeffs: impl FnOnce(&[f32], &[f32]) -> (f32, f32),
     ) {
-        assert_ne!(a, b, "add_lincomb_pair needs two distinct keys");
-        let (slot_a, slot_b) = (self.slot_or_reserve(a, dim), self.slot_or_reserve(b, dim));
-        let (range_a, range_b) = (self.range(slot_a), self.range(slot_b));
+        let at = self.resolve_pair(a, b, dim);
+        self.add_lincomb_pair_at((a, b), &at, dim, coeffs);
+    }
+
+    /// Where `key`'s rows sit, reserving `dim` zeros for a key not seen
+    /// before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key's row is not `dim` wide, or if the slab has
+    /// outgrown 32-bit offsets.
+    fn resolve(&mut self, key: ParamKey, dim: usize) -> RowPos {
+        let slot = self.slot_or_reserve(key, dim);
+        let Slot {
+            start, dim: width, ..
+        } = self.slots[slot];
+        assert_eq!(width, dim, "width mismatch in add_lincomb_pair");
         assert!(
-            range_a.len() == dim && range_b.len() == dim,
-            "width mismatch in add_lincomb_pair"
+            u32::try_from(start + 2 * dim).is_ok(),
+            "worker cache slab past 32-bit offsets"
         );
-        let st = coeffs(&self.cached[range_a.clone()], &self.cached[range_b.clone()]);
-        let was_a = self.touch(slot_a);
-        let was_b = self.touch(slot_b);
-        let (row_a, row_b) = disjoint_mut(&mut self.cached, range_a.clone(), range_b.clone());
-        let (acc_a, acc_b) = disjoint_mut(&mut self.buffer, range_a, range_b);
+        RowPos(start as u32)
+    }
+
+    fn resolve_pair(&mut self, a: ParamKey, b: ParamKey, dim: usize) -> [RowPos; 2] {
+        assert_ne!(a, b, "add_lincomb_pair needs two distinct keys");
+        [self.resolve(a, dim), self.resolve(b, dim)]
+    }
+
+    /// The resolved rows of a run of two-key steps: `rows` as it stands
+    /// if it was resolved in this cache since its last `clear`, or else
+    /// `pairs` resolved into it now (in order, reserving `dim` zeros for
+    /// each key not seen before, as [`WorkerCache::add_lincomb_pair`]
+    /// does). A run's pairs must be the same on every pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics, when resolving, if a pair's keys are equal or either row
+    /// is not `dim` wide.
+    pub fn resolve_pairs<'r>(
+        &mut self,
+        rows: &'r mut RunRows,
+        dim: usize,
+        pairs: impl IntoIterator<Item = (ParamKey, ParamKey)>,
+    ) -> &'r [[RowPos; 2]] {
+        if rows.generation != self.generation {
+            let pairs = pairs.into_iter();
+            rows.pairs.clear();
+            rows.pairs.reserve_exact(pairs.size_hint().0);
+            for (a, b) in pairs {
+                rows.pairs.push(self.resolve_pair(a, b, dim));
+            }
+            rows.generation = self.generation;
+        }
+        &rows.pairs
+    }
+
+    /// [`WorkerCache::add_lincomb_pair`] on rows already resolved by
+    /// [`WorkerCache::resolve_pairs`]: no index or slot lookup on the
+    /// way to the rows. `keys` are the pair's keys, checked against `at`
+    /// in debug builds only.
+    ///
+    /// Each key's first-delta rule (a delta is copied into a row never
+    /// refreshed and into a buffer flushed since, so a `-0.0` survives)
+    /// is a select inside the one loop. Branching on the flags outside
+    /// it would take one loop per combination of them, each to be kept
+    /// bit-equal to the others by hand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` does not address two rows of this cache's slab.
+    #[inline]
+    pub fn add_lincomb_pair_at(
+        &mut self,
+        keys: (ParamKey, ParamKey),
+        &[at_a, at_b]: &[RowPos; 2],
+        dim: usize,
+        coeffs: impl FnOnce(&[f32], &[f32]) -> (f32, f32),
+    ) {
+        debug_assert!(
+            self.is_at(keys.0, at_a, dim) && self.is_at(keys.1, at_b, dim),
+            "stale resolved rows for {keys:?}"
+        );
+        let was_a = self.touch(at_a.start());
+        let was_b = self.touch(at_b.start());
+        let (rows_a, rows_b) = disjoint_mut(&mut self.slab, at_a.span(dim), at_b.span(dim));
+        let (row_a, acc_a) = rows_a.split_at_mut(dim);
+        let (row_b, acc_b) = rows_b.split_at_mut(dim);
+        let st = coeffs(row_a, row_b);
         lincomb_pair_step(row_a, row_b, acc_a, acc_b, st, was_a, was_b);
+    }
+
+    /// Whether `at` is where `key`'s `dim`-wide rows sit now.
+    fn is_at(&self, key: ParamKey, at: RowPos, dim: usize) -> bool {
+        self.slot(key).is_some_and(|slot| {
+            let s = &self.slots[slot];
+            s.start == at.start() && s.dim == dim
+        })
     }
 
     /// Installs a fresh server value, *preserving* any still-buffered local
@@ -291,8 +437,9 @@ impl WorkerCache<DenseVec> {
     /// Panics if `server_row`'s dimension differs from the key's row.
     pub fn refresh(&mut self, key: ParamKey, server_row: &[f32]) {
         let slot = self.slot_or_reserve(key, server_row.len());
-        self.slots[slot].present = true;
-        let dirty = self.slots[slot].dirty;
+        let flags = &mut self.flags[self.slots[slot].start / 2];
+        *flags |= PRESENT;
+        let dirty = *flags & DIRTY != 0;
         let (row, acc) = self.rows_mut(slot);
         row.copy_from_slice(server_row);
         if dirty {
@@ -304,38 +451,78 @@ impl WorkerCache<DenseVec> {
     /// partition, sorted by key, each sized exactly and written in one
     /// copy per row.
     pub fn flush(&mut self) -> Vec<(PartitionId, Values)> {
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.sort_unstable_by_key(|&(order, _)| order);
         let mut out = Vec::new();
-        for batch in dirty.chunk_by(|a, b| a.0 .0 == b.0 .0) {
-            let floats = batch.iter().map(|&(_, slot)| self.slots[slot].dim).sum();
-            let mut rows = Rows::with_capacity(batch.len(), floats);
-            for &((_, key), slot) in batch {
-                let s = &mut self.slots[slot];
-                s.dirty = false;
-                rows.push(key, &self.buffer[s.start..s.start + s.dim]);
-            }
-            out.push((batch[0].0 .0, Values::from_rows(rows)));
+        if self.pending == 0 {
+            return out;
         }
-        dirty.clear();
-        self.dirty = dirty; // Emptied; handed back for its allocation.
+        self.sort_order();
+        let WorkerCache {
+            slots,
+            flags,
+            slab,
+            order,
+            ..
+        } = self;
+        let mut left = self.pending;
+        for group in order.chunk_by(|&x, &y| slots[x].order.0 == slots[y].order.0) {
+            let dirty = || {
+                group
+                    .iter()
+                    .map(|&slot| &slots[slot])
+                    .filter(|s| flags[s.start / 2] & DIRTY != 0)
+            };
+            let (rows, floats) = dirty().fold((0, 0), |(n, f), s| (n + 1, f + s.dim));
+            if rows == 0 {
+                continue;
+            }
+            let mut batch = Rows::with_capacity(rows, floats);
+            for &slot in group {
+                let Slot { order, start, dim } = slots[slot];
+                let flags = &mut flags[start / 2];
+                if *flags & DIRTY != 0 {
+                    *flags &= !DIRTY;
+                    batch.push(order.1, &slab[start + dim..start + 2 * dim]);
+                }
+            }
+            out.push((slots[group[0]].order.0, Values::from_rows(batch)));
+            left -= rows;
+            if left == 0 {
+                break;
+            }
+        }
+        self.pending = 0;
         out
+    }
+
+    /// Brings `order` up to date: appends the slots added since it was
+    /// last sorted and sorts again. The sorted prefix is one run, so the
+    /// stable sort merges it with the new slots in about linear time.
+    fn sort_order(&mut self) {
+        if self.order.len() == self.slots.len() {
+            return;
+        }
+        self.order.extend(self.order.len()..self.slots.len());
+        let slots = &self.slots;
+        self.order.sort_by_key(|&slot| slots[slot].order);
     }
 
     /// Whether unflushed updates exist.
     pub fn has_pending(&self) -> bool {
-        !self.dirty.is_empty()
+        self.pending > 0
     }
 
     /// Drops all cached values and pending updates (used when a worker's
-    /// assignment is rolled back to a recovered snapshot).
+    /// assignment is rolled back to a recovered snapshot). Every
+    /// [`RunRows`] resolved here goes stale.
     pub fn clear(&mut self) {
         self.index.clear();
         self.spill.clear();
         self.slots.clear();
-        self.cached.clear();
-        self.buffer.clear();
-        self.dirty.clear();
+        self.flags.clear();
+        self.slab.clear();
+        self.pending = 0;
+        self.order.clear();
+        self.generation = next_generation();
     }
 }
 
@@ -353,7 +540,7 @@ fn first_step(row: &mut [f32], acc: &mut [f32], s: f32, x: &[f32], t: f32, prese
     }
 }
 
-/// The loop of [`WorkerCache::add_lincomb_pair`], given the two keys'
+/// The loop of [`WorkerCache::add_lincomb_pair_at`], given the two keys'
 /// cached and buffered rows and what `touch` returned for each. Kept
 /// out of line on purpose: as a call's four `&mut` arguments the rows
 /// are known not to overlap, so LLVM vectorizes the loop without the

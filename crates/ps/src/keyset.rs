@@ -12,6 +12,8 @@
 //! equivalent per-key list would ship (`len × 8`), so switching the
 //! read path to ranged requests cannot shift network-volume counters.
 
+use std::sync::Arc;
+
 use crate::partition::ParamKey;
 
 /// One arithmetic run of keys: `start, start+stride, …` (`count` keys).
@@ -46,7 +48,8 @@ impl KeyRun {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct KeySet {
-    runs: Vec<KeyRun>,
+    /// Shared, so a read round sent again clones a reference, not runs.
+    runs: Arc<[KeyRun]>,
     len: usize,
 }
 
@@ -93,7 +96,7 @@ impl KeySet {
             }
         }
         KeySet {
-            runs,
+            runs: runs.into(),
             len: keys.len(),
         }
     }

@@ -47,7 +47,7 @@ pub mod snapshot;
 pub mod value;
 pub mod values;
 
-pub use cache::WorkerCache;
+pub use cache::{RowPos, RunRows, WorkerCache};
 pub use clock::ClockTable;
 pub use keyset::KeySet;
 pub use partition::{ParamKey, PartitionId, PartitionMap};

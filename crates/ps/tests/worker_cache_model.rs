@@ -4,12 +4,14 @@
 //! reference; any interleaving of update / add_lincomb /
 //! add_lincomb_dot / add_lincomb_pair / refresh / flush / clear must
 //! leave both with the same reads and hand the servers the same batches,
-//! down to the sign of a zero.
+//! down to the sign of a zero. A twin cache takes every two-key step
+//! through rows resolved once per pair and kept across flushes and
+//! clears, and must match the keyed one.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use proteus_ps::{kernels, ParamKey, PartitionId, PartitionMap, Values, WorkerCache};
+use proteus_ps::{kernels, ParamKey, PartitionId, PartitionMap, RunRows, Values, WorkerCache};
 
 /// Keys on both sides of the dense-index limit (`1 << 22`), with gaps.
 /// The last dense key itself costs a 32 MB index per case, so it gets a
@@ -187,10 +189,15 @@ proptest! {
         let layout = PartitionMap::new(partitions).expect("nonzero");
         let mut slab: WorkerCache = WorkerCache::new(layout);
         let mut model = Model { layout, cached: HashMap::new(), buffer: HashMap::new() };
+        // `slab` as a worker running resolved runs drives it: one
+        // `RunRows` per pair, resolved on first use and after a clear.
+        let mut twin: WorkerCache = WorkerCache::new(layout);
+        let mut runs: HashMap<(u64, u64), RunRows> = HashMap::new();
         // A worker reserves the rows its data reads; the rest of KEYS
         // stand for keys only a read response or an update ever names.
         for &k in &KEYS[..reserved] {
             slab.reserve(ParamKey(k), dim_of(k));
+            twin.reserve(ParamKey(k), dim_of(k));
         }
 
         for &(op, key_index, seed, scalar) in &ops {
@@ -200,27 +207,33 @@ proptest! {
                 0..=4 => {
                     let delta = row(k, seed);
                     slab.update(key, &delta);
+                    twin.update(key, &delta);
                     model.update(key, &delta);
                 }
                 5..=9 => {
                     let x = row(k, seed);
                     let t = POOL[(seed % POOL.len() as u64) as usize];
                     slab.add_lincomb(key, scalar, &x, t);
+                    twin.add_lincomb(key, scalar, &x, t);
                     model.add_lincomb(key, scalar, &x, t);
                 }
                 10..=12 => {
                     let server = row(k, seed);
                     slab.refresh(key, &server);
+                    twin.refresh(key, &server);
                     model.refresh(key, server);
                 }
                 13 | 14 => {
-                    prop_assert_eq!(flushed_bits(slab.flush()), model.flush());
+                    let flushed = model.flush();
+                    prop_assert_eq!(flushed_bits(twin.flush()), flushed.clone());
+                    prop_assert_eq!(flushed_bits(slab.flush()), flushed);
                     prop_assert!(!slab.has_pending());
                 }
                 19 | 20 => {
                     let (x, next) = (row(k, seed), row(k, seed / 3));
                     let t = POOL[(seed % POOL.len() as u64) as usize];
                     let logit = slab.add_lincomb_dot(key, scalar, &x, t, &next);
+                    twin.add_lincomb_dot(key, scalar, &x, t, &next);
                     let expect = model.add_lincomb_dot(key, scalar, &x, t, &next);
                     prop_assert_eq!(logit.to_bits(), expect.to_bits(), "key {}", k);
                 }
@@ -235,18 +248,25 @@ proptest! {
                     if let Some(&p) = partners.get(seed as usize % partners.len().max(1)) {
                         let t = POOL[(seed % POOL.len() as u64) as usize];
                         pair_step(&mut slab, &mut model, (key, ParamKey(p)), dim_of(k), (scalar, t));
+                        let run = runs.entry((k, p)).or_default();
+                        let pair = (key, ParamKey(p));
+                        let at = twin.resolve_pairs(run, dim_of(k), [pair]);
+                        twin.add_lincomb_pair_at(pair, &at[0], dim_of(k), |_, _| (scalar, t));
                     }
                 }
                 _ => {
                     slab.clear();
+                    twin.clear();
                     model.cached.clear();
                     model.buffer.clear();
                     // `clear` forgets reservations too; a worker re-reserves.
                     for &k in &KEYS[..reserved] {
                         slab.reserve(ParamKey(k), dim_of(k));
+                        twin.reserve(ParamKey(k), dim_of(k));
                     }
                 }
             }
+            prop_assert_eq!(twin.has_pending(), slab.has_pending());
             prop_assert_eq!(slab.has_pending(), !model.buffer.is_empty());
             for (i, &k) in KEYS.iter().enumerate() {
                 let expect = match model.cached.get(&ParamKey(k)) {
@@ -258,10 +278,61 @@ proptest! {
                         continue;
                     }
                 };
-                prop_assert_eq!(bits(slab.row(ParamKey(k))), expect, "key {}", k);
+                prop_assert_eq!(bits(slab.row(ParamKey(k))), expect.clone(), "key {}", k);
+                prop_assert_eq!(bits(twin.row(ParamKey(k))), expect, "resolved, key {}", k);
             }
         }
-        prop_assert_eq!(flushed_bits(slab.flush()), model.flush());
+        let flushed = model.flush();
+        prop_assert_eq!(flushed_bits(twin.flush()), flushed.clone());
+        prop_assert_eq!(flushed_bits(slab.flush()), flushed);
+    }
+
+    /// The flush walk against sorting the dirty list, on a cache that
+    /// gains slots between flushes (reserved ahead, or made by a
+    /// delta), is cleared, and is touched sparsely: a few dirty rows
+    /// among up to forty slots, dense and spilled, of five widths.
+    #[test]
+    fn flush_walk_emits_what_sorting_the_dirty_list_emits(
+        partitions in 1u32..6,
+        rounds in proptest::collection::vec(
+            (
+                proptest::collection::vec(0usize..40, 0..8),
+                proptest::collection::vec((0usize..40, any::<u64>()), 0..6),
+                0u8..8,
+            ),
+            1..16,
+        ),
+    ) {
+        // Twenty dense keys and twenty from the dense limit up.
+        let key = |i: usize| match i {
+            0..20 => ParamKey(i as u64 * 5 + i as u64 % 3),
+            _ => ParamKey((1 << 22) + (i as u64 - 20) * 3),
+        };
+        let width = |k: ParamKey| [1, 2, 8, 11, 16][(k.0 % 5) as usize];
+        let layout = PartitionMap::new(partitions).expect("nonzero");
+        let mut slab: WorkerCache = WorkerCache::new(layout);
+        let mut model = Model { layout, cached: HashMap::new(), buffer: HashMap::new() };
+        for (reserve, touches, cleared) in &rounds {
+            if *cleared == 0 {
+                slab.clear();
+                model.cached.clear();
+                model.buffer.clear();
+            }
+            for &i in reserve {
+                slab.reserve(key(i), width(key(i)));
+            }
+            for &(i, seed) in touches {
+                let (k, salt) = (key(i), seed % POOL.len() as u64);
+                let delta: Vec<f32> = (0..width(k) as u64)
+                    .map(|j| POOL[((salt + j * 3) % POOL.len() as u64) as usize])
+                    .collect();
+                slab.update(k, &delta);
+                model.update(k, &delta);
+            }
+            prop_assert_eq!(slab.has_pending(), !model.buffer.is_empty());
+            prop_assert_eq!(flushed_bits(slab.flush()), model.flush());
+            prop_assert!(!slab.has_pending());
+        }
     }
 }
 
@@ -383,25 +454,47 @@ fn pair_step_matches_two_add_lincombs_in_every_state() {
                             cached: HashMap::new(),
                             buffer: HashMap::new(),
                         };
+                        let mut twin: WorkerCache = WorkerCache::new(layout);
+                        let mut unused = Model {
+                            layout,
+                            cached: HashMap::new(),
+                            buffer: HashMap::new(),
+                        };
                         for flushing in [true, false] {
-                            set_up(&mut slab, &mut model, (a, dim, seed), before_a, flushing);
-                            set_up(
-                                &mut slab,
-                                &mut model,
-                                (b, dim, seed + 3),
-                                before_b,
-                                flushing,
-                            );
+                            for (cache, model) in
+                                [(&mut slab, &mut model), (&mut twin, &mut unused)]
+                            {
+                                set_up(cache, model, (a, dim, seed), before_a, flushing);
+                                set_up(cache, model, (b, dim, seed + 3), before_b, flushing);
+                            }
                             if flushing {
-                                assert_eq!(flushed_bits(slab.flush()), model.flush(), "{case}");
+                                let flushed = model.flush();
+                                assert_eq!(flushed_bits(twin.flush()), flushed, "{case}");
+                                assert_eq!(flushed_bits(slab.flush()), flushed, "{case}");
                             }
                         }
-                        pair_step(&mut slab, &mut model, (a, b), dim, st);
-                        for key in [a, b] {
-                            let expect = bits(&model.cached[&key]);
-                            assert_eq!(bits(slab.row(key)), expect, "{case}: {key:?}");
+                        // The twin's pass resolves its run, then reuses it,
+                        // and after a clear resolves it again.
+                        let mut run = RunRows::default();
+                        for pass in ["resolving", "reusing", "after clear"] {
+                            if pass == "after clear" {
+                                slab.clear();
+                                twin.clear();
+                                model.cached.clear();
+                                model.buffer.clear();
+                            }
+                            pair_step(&mut slab, &mut model, (a, b), dim, st);
+                            let at = twin.resolve_pairs(&mut run, dim, [(a, b)]);
+                            twin.add_lincomb_pair_at((a, b), &at[0], dim, |_, _| st);
+                            for key in [a, b] {
+                                let expect = bits(&model.cached[&key]);
+                                assert_eq!(bits(slab.row(key)), expect, "{case}: {key:?}");
+                                assert_eq!(bits(twin.row(key)), expect, "{case}, {pass}");
+                            }
+                            let flushed = model.flush();
+                            assert_eq!(flushed_bits(twin.flush()), flushed, "{case}, {pass}");
+                            assert_eq!(flushed_bits(slab.flush()), flushed, "{case}");
                         }
-                        assert_eq!(flushed_bits(slab.flush()), model.flush(), "{case}");
                     }
                 }
             }

@@ -9,6 +9,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# A syntax error in a helper script surfaces here, not mid-measurement.
+echo "==> bash -n scripts/*.sh"
+for script in scripts/*.sh; do
+  bash -n "$script"
+done
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -12,7 +12,10 @@
 # and the change first in even ones. Prints each run's
 # `wall_us_per_unit`, both medians with the parent's quartiles, the
 # change/parent ratio of the medians, how many pairs the change won,
-# and both sides' median `peak_rss_mb` and `setup_s`.
+# both sides' median `peak_rss_mb` (and its change in %) and `setup_s`,
+# and the verdict on a claimed gain: the change must win at least nine
+# tenths of the pairs (a tie counts for neither side), and the medians
+# must differ by more than the parent's interquartile range.
 #
 # Exits non-zero if a run fails, reports an incorrect result or a failed
 # operation, or if `outcome_ratio` differs between any two runs. Each
@@ -88,14 +91,25 @@ awk -v workload="$workload" -v seed="$seed" '
   END {
     kp = sorted("parent", 3, pv); kc = sorted("change", 3, cv)
     mp = quantile(pv, kp, 0.5); mc = quantile(cv, kc, 0.5)
-    for (p = 1; p <= kp; p++) won += w["change", p] < w["parent", p]
+    for (p = 1; p <= kp; p++) {
+      won += w["change", p] < w["parent", p]
+      lost += w["change", p] > w["parent", p]
+    }
+    q1 = quantile(pv, kp, 0.25); q3 = quantile(pv, kp, 0.75)
     printf "%s seed %s, %d pairs, wall_us_per_unit:\n", workload, seed, kp
-    printf "  parent median %.2f [%.2f, %.2f]\n", mp, quantile(pv, kp, 0.25), quantile(pv, kp, 0.75)
+    printf "  parent median %.2f [%.2f, %.2f]\n", mp, q1, q3
     printf "  change median %.2f [%.2f, %.2f]\n", mc, quantile(cv, kc, 0.25), quantile(cv, kc, 0.75)
     printf "  change/parent %.4f (%+.1f %%), change faster in %d/%d pairs\n",
       mc / mp, (mc / mp - 1) * 100, won, kp
-    printf "  peak_rss_mb median %.2f -> %.2f, setup_s median %.4f -> %.4f\n",
-      median("parent", 7), median("change", 7), median("parent", 8), median("change", 8)
+    rp = median("parent", 7); rc = median("change", 7)
+    printf "  peak_rss_mb median %.2f -> %.2f (%+.1f %%), setup_s median %.4f -> %.4f\n",
+      rp, rc, (rc / rp - 1) * 100, median("parent", 8), median("change", 8)
+    # A gain needs nine tenths of the pairs, and a median gap wider than
+    # the parent'"'"'s own spread.
+    wins = won * 10 >= kp * 9; gap = mp - mc; wide = gap > q3 - q1
+    printf "  claim: won %d, lost %d, tied %d of %d pairs (nine tenths %s); median gap %.2f vs parent IQR %.2f (%s): %s\n",
+      won, lost, kp - won - lost, kp, wins ? "met" : "not met", gap, q3 - q1,
+      wide ? "wider" : "not wider", wins && wide ? "GAIN" : "NO GAIN"
   }' <<<"$runs"
 
 # The verdict: one outcome_ratio across every run, every result correct,
