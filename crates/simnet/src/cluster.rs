@@ -438,6 +438,74 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    /// The benchmark's probe in miniature: a root broadcasts a token to
+    /// three peers and waits for their acks, round after round; then
+    /// `abort_all` wakes every peer still blocked in `recv`.
+    #[test]
+    fn broadcast_rounds_collect_every_ack_and_abort_all_wakes_blocked_peers() {
+        const PEERS: u32 = 3;
+        const ROUNDS: u32 = 5;
+        let mut cluster: Cluster<u32> = Cluster::new();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (woke_tx, woke_rx) = std::sync::mpsc::channel();
+        let root = cluster.spawn(NodeClass::Reliable, move |ctx| {
+            let mut acks = 0;
+            let mut round = 0;
+            // The harness's inject starts round 0; every other message
+            // is an ack.
+            while let Ok(Incoming::App(env)) = ctx.recv() {
+                if env.from != NodeId::HARNESS {
+                    acks += 1;
+                    if acks < PEERS {
+                        continue;
+                    }
+                    acks = 0;
+                    round += 1;
+                    if round == ROUNDS {
+                        break;
+                    }
+                }
+                for peer in 1..=PEERS {
+                    ctx.send(NodeId(peer), round).unwrap();
+                }
+            }
+            done_tx.send(round).unwrap();
+        });
+        for _ in 0..PEERS {
+            let woke = woke_tx.clone();
+            cluster.spawn(NodeClass::Transient, move |ctx| loop {
+                match ctx.recv() {
+                    Ok(Incoming::App(env)) => ctx.send(root, env.msg).unwrap(),
+                    Ok(Incoming::Control(_)) => {}
+                    Err(e) => {
+                        woke.send(e).unwrap();
+                        break;
+                    }
+                }
+            });
+        }
+        cluster.handle().send_as_harness(root, 0).unwrap();
+        assert_eq!(done_rx.recv_timeout(Duration::from_secs(30)), Ok(ROUNDS));
+        // The inject, then a token out and an ack back per peer a round.
+        assert_eq!(
+            cluster.stats(),
+            NetStats {
+                messages: 1 + u64::from(ROUNDS * PEERS * 2),
+                dropped: 0
+            }
+        );
+        let (abort_tx, abort_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            cluster.abort_all();
+            abort_tx.send(()).unwrap();
+        });
+        abort_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("abort_all returns once every node thread has ended");
+        let woke: Vec<_> = woke_rx.try_iter().collect();
+        assert_eq!(woke, vec![crate::RecvError::Killed; PEERS as usize]);
+    }
+
     #[test]
     fn messages_round_trip_between_nodes() {
         let mut cluster: Cluster<String> = Cluster::new();

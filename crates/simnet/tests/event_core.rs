@@ -1,13 +1,11 @@
 //! Integration suite for the discrete-event core: fault injection at
-//! enqueue time, run-to-run determinism, obs sim-clock driving, and
-//! semantic parity with the thread-per-node cluster.
+//! enqueue time and its boundary cases, run-to-run determinism, node
+//! controls, traffic accounting and obs sim-clock driving.
 
 use std::sync::{Arc, Mutex};
 
 use proteus_obs::Recorder;
-use proteus_simnet::{
-    Cluster, Control, FaultPlan, FnNode, Incoming, NodeClass, NodeId, SimCluster,
-};
+use proteus_simnet::{Control, FaultPlan, FnNode, NetStats, NodeClass, NodeId, SimCluster};
 use proteus_simtime::{SimDuration, SimTime};
 
 /// Builds an N-node ring where each node forwards a hop-countdown token
@@ -46,86 +44,68 @@ fn ring_broadcast_converges_and_is_deterministic() {
     assert_eq!((end_a, stats_a, traffic_a), (end_b, stats_b, traffic_b));
 }
 
-#[test]
-fn faults_apply_at_enqueue_with_the_same_seeded_streams_as_the_thread_core() {
-    // The same plan over the same per-pair send sequence must produce
-    // identical fault verdicts on both cores: drop/dup/delay decisions
-    // are a pure function of (seed, pair, send index).
-    let plan = |seed| {
-        FaultPlan::new(seed).with_rule(proteus_simnet::FaultRule {
-            from: Some(NodeId::HARNESS),
-            to: Some(NodeId(0)),
-            drop: 0.3,
-            duplicate: 0.3,
-            delay: 0.2,
-            filter: None,
-        })
-    };
-    const SENDS: u64 = 200;
+/// A fault plan that drops, duplicates and delays harness → node 0.
+fn harness_chaos(seed: u64) -> FaultPlan<u64> {
+    FaultPlan::new(seed).with_rule(proteus_simnet::FaultRule {
+        from: Some(NodeId::HARNESS),
+        to: Some(NodeId(0)),
+        drop: 0.3,
+        duplicate: 0.3,
+        delay: 0.2,
+        filter: None,
+    })
+}
 
-    // Event core: count what actually arrives.
+/// A one-node cluster whose node records every payload it handles.
+fn recording_sink() -> (SimCluster<u64>, NodeId, Arc<Mutex<Vec<u64>>>) {
     let mut sim: SimCluster<u64> = SimCluster::new();
-    let sink = sim.add_node(NodeClass::Reliable, FnNode::new(|_, _, _| {}));
-    sim.set_faults(plan(42));
-    for i in 0..SENDS {
-        let _ = sim.send_as_harness(sink, i);
-    }
-    sim.run_until_idle();
-    let event_stats = sim.fault_stats();
-    let event_delivered = sim.stats().messages;
-
-    // Thread core: same sends, same seed, from the single harness thread
-    // (so the pair's send order is identical).
-    let mut cluster: Cluster<u64> = Cluster::new();
-    let t_sink = cluster.spawn(NodeClass::Reliable, |ctx| while ctx.recv().is_ok() {});
-    assert_eq!(t_sink, sink);
-    cluster.set_faults(plan(42));
-    let h = cluster.handle();
-    for i in 0..SENDS {
-        let _ = h.send_as_harness(t_sink, i);
-    }
-    let thread_stats = cluster.fault_stats();
-
-    assert_eq!(event_stats, thread_stats);
-    // Delivered = sends - dropped - still-held + duplicated extras.
-    let held = if sim.flush_delayed() > 0 { 1 } else { 0 };
-    assert_eq!(
-        event_delivered,
-        SENDS - event_stats.dropped + event_stats.duplicated - held
+    let got: Arc<Mutex<Vec<u64>>> = Default::default();
+    let sink_got = Arc::clone(&got);
+    let sink = sim.add_node(
+        NodeClass::Reliable,
+        FnNode::new(move |_, _, msg| sink_got.lock().unwrap().push(msg)),
     );
-    cluster.abort_all();
+    (sim, sink, got)
+}
+
+#[test]
+fn faults_apply_at_enqueue_and_replay_from_the_seed() {
+    // Drop/dup/delay decisions are a pure function of (seed, pair, send
+    // index): the same sends under the same seed on a second cluster
+    // meet the same fate, message for message.
+    const SENDS: u64 = 200;
+    let run = || {
+        let (mut sim, sink, got) = recording_sink();
+        sim.set_faults(harness_chaos(42));
+        let results: Vec<_> = (0..SENDS).map(|i| sim.send_as_harness(sink, i)).collect();
+        sim.run_until_idle();
+        let held = sim.flush_delayed();
+        let stats = (sim.fault_stats(), sim.stats());
+        let got = got.lock().unwrap().clone();
+        (results, held, stats, got)
+    };
+    let (results, held, (faults, net), got) = run();
+    assert_eq!((results.clone(), held, (faults, net), got.clone()), run());
+    assert!(results.iter().all(Result::is_ok), "absorbed sends succeed");
+    assert!(faults.dropped > 0 && faults.duplicated > 0 && faults.delayed > 0);
+    // Delivered = sends - dropped - still-held + duplicated extras.
+    assert_eq!(
+        net.messages,
+        SENDS - faults.dropped + faults.duplicated - held as u64
+    );
+    assert_eq!(got.len() as u64, net.messages);
 }
 
 #[test]
 fn set_faults_mid_run_keeps_the_earlier_drops_duplicates_and_delays() {
-    let plan = |seed| {
-        FaultPlan::new(seed).with_rule(proteus_simnet::FaultRule {
-            from: Some(NodeId::HARNESS),
-            to: Some(NodeId(0)),
-            drop: 0.3,
-            duplicate: 0.3,
-            delay: 0.2,
-            filter: None,
-        })
-    };
-    let mut sim: SimCluster<u64> = SimCluster::new();
-    let sink = sim.add_node(NodeClass::Reliable, FnNode::new(|_, _, _| {}));
-    let mut cluster: Cluster<u64> = Cluster::new();
-    assert_eq!(
-        cluster.spawn(NodeClass::Reliable, |ctx| while ctx.recv().is_ok() {}),
-        sink
-    );
-    let h = cluster.handle();
+    let (mut sim, sink, _) = recording_sink();
     let mut totals = Vec::new();
     for seed in [42, 43] {
-        sim.set_faults(plan(seed));
-        cluster.set_faults(plan(seed));
+        sim.set_faults(harness_chaos(seed));
         for i in 0..100 {
             let _ = sim.send_as_harness(sink, i);
-            let _ = h.send_as_harness(sink, i);
         }
         totals.push(sim.fault_stats());
-        assert_eq!(cluster.fault_stats(), sim.fault_stats(), "cores agree");
     }
     let (first, both) = (totals[0], totals[1]);
     assert!(first.dropped > 0 && first.duplicated > 0 && first.delayed > 0);
@@ -136,10 +116,58 @@ fn set_faults_mid_run_keeps_the_earlier_drops_duplicates_and_delays() {
         "the second plan's faults add to the first's: {first:?} then {both:?}"
     );
     sim.clear_faults();
-    cluster.clear_faults();
     assert_eq!(sim.fault_stats(), both, "clearing keeps the totals");
-    assert_eq!(cluster.fault_stats(), both);
-    cluster.abort_all();
+}
+
+/// Regression: a sender's result reflects its own message only. A send
+/// the network absorbed (here: delayed) succeeds even when the held
+/// message it releases is bound for a node that has died since.
+#[test]
+fn absorbed_send_succeeds_even_if_released_held_message_is_dead() {
+    let (mut sim, victim, got) = recording_sink();
+    sim.set_faults(FaultPlan::new(1).delay_between(NodeId::HARNESS, victim, 1.0));
+    // First send: held back (absorbed), the sender sees Ok.
+    assert_eq!(sim.send_as_harness(victim, 1), Ok(()));
+    sim.kill(victim);
+    // Second send: also delayed — it releases the first, whose delivery
+    // now fails. That failure is the held message's (a counted drop),
+    // not this sender's.
+    let before = sim.stats().dropped;
+    assert_eq!(sim.send_as_harness(victim, 2), Ok(()));
+    assert_eq!(sim.stats().dropped, before + 1);
+    sim.run_until_idle();
+    assert!(got.lock().unwrap().is_empty());
+}
+
+/// Regression: success means at least one copy of *my* message was
+/// scheduled (or the network absorbed it). A duplicated message to a
+/// dead target schedules neither copy, so the sender sees `Unreachable`
+/// and both copies count as drops.
+#[test]
+fn duplicated_send_to_dead_target_reports_unreachable() {
+    let (mut sim, victim, _) = recording_sink();
+    sim.set_faults(FaultPlan::new(1).duplicate_between(NodeId::HARNESS, victim, 1.0));
+    sim.kill(victim);
+    assert_eq!(
+        sim.send_as_harness(victim, 1),
+        Err(proteus_simnet::SendError::Unreachable(victim))
+    );
+    assert_eq!(sim.fault_stats().duplicated, 1);
+    assert_eq!(sim.stats().dropped, 2);
+}
+
+/// Regression: a held message that a plan replacement flushes toward a
+/// node that has died is counted in `NetStats::dropped`, not lost.
+#[test]
+fn replacing_fault_layer_counts_undeliverable_held_as_dropped() {
+    let (mut sim, victim, _) = recording_sink();
+    sim.set_faults(FaultPlan::new(5).delay_between(NodeId::HARNESS, victim, 1.0));
+    sim.send_as_harness(victim, 1).unwrap();
+    sim.kill(victim);
+    let before = sim.stats().dropped;
+    sim.set_faults(FaultPlan::new(6));
+    assert_eq!(sim.stats().dropped, before + 1);
+    assert_eq!(sim.pending_events(), 0);
 }
 
 #[test]
@@ -261,13 +289,11 @@ fn stopped_node_stops_handling_but_keeps_its_class() {
     assert_eq!(sim.stats().dropped, 1);
 }
 
-/// A two-node request/reply protocol driven through both cores must
-/// produce the same traffic matrix and delivered counts.
+/// A two-node request/reply protocol: every request and every reply is
+/// one delivery, counted on its (sender, receiver) pair.
 #[test]
-fn thread_shim_and_event_core_agree_on_a_simple_protocol() {
+fn request_reply_counts_every_delivery_and_pair() {
     const N: u64 = 25;
-
-    // Event core.
     let mut sim: SimCluster<u64> = SimCluster::new();
     let server = sim.add_node(
         NodeClass::Reliable,
@@ -281,33 +307,18 @@ fn thread_shim_and_event_core_agree_on_a_simple_protocol() {
     }
     sim.run_until_idle();
 
-    // Thread core.
-    let mut cluster: Cluster<u64> = Cluster::new();
-    let t_server = cluster.spawn(NodeClass::Reliable, move |ctx| {
-        for _ in 0..N {
-            if let Ok(Incoming::App(env)) = ctx.recv() {
-                let _ = ctx.send(env.from, env.msg * 2);
-            }
+    assert_eq!((server, client), (NodeId(0), NodeId(1)));
+    assert_eq!(
+        sim.stats(),
+        NetStats {
+            messages: 50,
+            dropped: 0
         }
-    });
-    let (done_tx, done_rx) = crossbeam::channel::bounded(1);
-    let t_client = cluster.spawn(NodeClass::Transient, move |ctx| {
-        for i in 0..N {
-            ctx.send(t_server, i).unwrap();
-        }
-        for _ in 0..N {
-            let _ = ctx.recv();
-        }
-        done_tx.send(()).unwrap();
-    });
-    done_rx
-        .recv_timeout(std::time::Duration::from_secs(30))
-        .unwrap();
-
-    assert_eq!((server, client), (t_server, t_client));
-    assert_eq!(sim.stats(), cluster.stats());
-    assert_eq!(sim.traffic_matrix(), cluster.traffic_matrix());
-    cluster.join();
+    );
+    assert_eq!(
+        sim.traffic_matrix(),
+        vec![((NodeId(0), NodeId(1)), 25), ((NodeId(1), NodeId(0)), 25)]
+    );
 }
 
 #[test]
