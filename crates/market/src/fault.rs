@@ -23,13 +23,13 @@
 //!
 //! # Determinism
 //!
-//! The plan owns one root SplitMix64 stream (the same generator simnet's
-//! message `FaultPlan` uses) seeded from
-//! `plan.seed`. The provider is single-threaded and requests arrive in
-//! program order, so the n-th spot request always consumes the same
-//! draws: a chaos failure replays from the printed seed alone. Every
-//! regime is off by default, and a provider with no plan installed
-//! draws nothing — existing traces and benches are bit-identical.
+//! The plan owns one root [`SplitMix64`] stream (the generator simnet's
+//! message `FaultPlan` draws from too) seeded from `plan.seed`. The
+//! provider is single-threaded and requests arrive in program order, so
+//! the n-th spot request always consumes the same draws: a chaos failure
+//! replays from the printed seed alone. Every regime is off by default,
+//! and a provider with no plan installed draws nothing — existing traces
+//! and benches are bit-identical.
 //!
 //! Multi-tenant callers (the fleet scheduler) tag requests with a
 //! [`TenantId`]: each tenant draws from its own stream, seeded from
@@ -41,6 +41,7 @@
 
 use std::collections::BTreeMap;
 
+use proteus_simtime::rng::SplitMix64;
 use proteus_simtime::{SimDuration, SimTime};
 
 use crate::instance::MarketKey;
@@ -57,32 +58,6 @@ pub struct TenantId(pub u64);
 impl TenantId {
     /// The root stream every non-fleet caller draws from.
     pub const DEFAULT: TenantId = TenantId(0);
-}
-
-/// SplitMix64 — tiny, seedable, and identical to the stream generator
-/// used by simnet's message-fault plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    pub(crate) fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 /// A per-market cap on live spot instances during a time window.

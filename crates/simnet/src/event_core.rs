@@ -1,10 +1,10 @@
 //! The discrete-event simnet core: one timestamp-ordered queue, nodes as
 //! event-handler components, same-instant handlers run in parallel.
 //!
-//! The thread-per-node [`Cluster`](crate::Cluster) is faithful but
-//! hopeless at fleet scale: a thousand simulated machines means a
-//! thousand OS threads fighting the scheduler. [`SimCluster`] is the
-//! DSLab-style alternative: a single driver owning one [`EventQueue`],
+//! A thread per simulated machine is hopeless at fleet scale: a thousand
+//! machines means a thousand OS threads fighting the scheduler.
+//! [`SimCluster`] is the DSLab-style alternative: a single driver owning
+//! one [`EventQueue`],
 //! with every node implemented as a [`SimNode`] component whose
 //! `on_message` / `on_control` / `on_timer` handlers run when their
 //! events pop. A send is not a channel push but a **scheduled delivery
@@ -44,21 +44,19 @@
 //!
 //! # Fault injection at enqueue time
 //!
-//! The same [`FaultPlan`] chaos layer the thread
-//! cluster uses is applied when a message is **enqueued** (at commit),
-//! not when it is dispatched: the n-th send on a (sender, receiver)
-//! pair consumes the n-th draw of that pair's seeded stream, exactly as
-//! on the thread cluster. A chaos run is therefore reproducible from
-//! the plan seed alone, and fault verdicts are identical across the two
-//! cores for the same per-pair send sequence.
+//! A [`FaultPlan`] is applied when a message is **enqueued** (at
+//! commit, on the driver's thread), not when it is dispatched: the n-th
+//! send on a (sender, receiver) pair consumes the n-th draw of that
+//! pair's seeded stream, and the commit order fixes which send is the
+//! n-th. A chaos run is therefore reproducible from the plan seed alone.
 //!
 //! # Kill semantics
 //!
-//! [`SimCluster::kill`] pins the same semantic as the thread cluster's
-//! [`NodeCtx::recv`](crate::NodeCtx::recv): a killed node never handles
-//! another event. Deliveries already scheduled to it are discarded at
-//! dispatch and counted in [`NetStats::dropped`] — the event-queue
-//! analogue of a killed mailbox losing its queued messages. A node that
+//! A node killed by [`SimCluster::kill`] or a scheduled
+//! [`Control::Kill`] never handles another event, and its state is
+//! dropped. Deliveries already scheduled to it are discarded at dispatch
+//! and counted in [`NetStats::dropped`], as a revoked machine loses the
+//! data in flight to it. A node that
 //! stops *within* a batch still looks alive to its peers in that batch
 //! (their sends report success); those messages are counted drops at
 //! commit, exactly like mail in flight to a machine that just died.
@@ -69,10 +67,18 @@ use std::sync::{Arc, Mutex};
 use proteus_obs::Recorder;
 use proteus_simtime::{EventQueue, Pool, SimDuration, SimTime};
 
-use crate::cluster::NetStats;
 use crate::fault::{Applied, FaultLayer, FaultPlan, FaultStats};
 use crate::message::{Control, SendError};
 use crate::node::{NodeClass, NodeId};
+
+/// Aggregate traffic counters for the whole cluster.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct NetStats {
+    /// Application messages successfully delivered.
+    pub messages: u64,
+    /// Messages dropped because the destination was dead or absent.
+    pub dropped: u64,
+}
 
 /// Identifies one timer a component set for itself; the component picks
 /// the value and gets it back in [`SimNode::on_timer`].
@@ -95,8 +101,7 @@ pub trait SimNode<M> {
     fn on_message(&mut self, ctx: &mut SimCtx<'_, M>, from: NodeId, msg: M);
 
     /// A harness control signal arrived ([`Control::Kill`] is never seen
-    /// here — the core retires the node instead, like the thread
-    /// cluster's context converting `Kill` into `RecvError::Killed`).
+    /// here — the core retires the node instead).
     fn on_control(&mut self, _ctx: &mut SimCtx<'_, M>, _ctrl: Control) {}
 
     /// A timer this component set via [`SimCtx::set_timer`] fired.
@@ -293,9 +298,9 @@ impl<M: Clone> CoreState<M> {
     /// schedules the surviving copies as delivery events at
     /// `sent + latency`.
     ///
-    /// Mirrors [`ClusterInner::deliver`](crate::cluster::ClusterInner):
-    /// success iff the message was absorbed by the fault layer or the
-    /// destination was alive to schedule at least one copy toward.
+    /// The result is the sender's own message's: success iff the fault
+    /// layer absorbed it or the destination was alive to schedule a copy
+    /// toward, whatever becomes of a held message this send releases.
     /// Copies aimed at a dead destination are counted as drops
     /// immediately; copies scheduled toward a then-alive destination
     /// that dies before dispatch are counted as drops at dispatch.
@@ -306,7 +311,7 @@ impl<M: Clone> CoreState<M> {
         to: NodeId,
         msg: M,
     ) -> Result<(), SendError> {
-        let applied = match &self.faults {
+        let applied = match &mut self.faults {
             None => Applied::passthrough(msg),
             Some(layer) => layer.apply(from, to, msg),
         };
@@ -347,7 +352,7 @@ impl<M: Clone> CoreState<M> {
 }
 
 /// The per-handler handle a [`SimNode`] interacts with the cluster
-/// through — the event-core analogue of [`NodeCtx`](crate::NodeCtx).
+/// through.
 ///
 /// Private to the node for the length of a batch: it reads liveness as
 /// of the start of the batch and collects sends, timers and the stop
@@ -398,7 +403,7 @@ impl<M> SimCtx<'_, M> {
             return Err(SendError::SelfDead);
         }
         // Queued even toward a dead target, so the commit step counts
-        // the drop where the thread core's router would have.
+        // the drop.
         self.out.effects.push(Effect::Send { delay, to, msg });
         if self.peer_alive(to) {
             Ok(())
@@ -604,8 +609,8 @@ impl<M: Clone + Send> SimCluster<M> {
 
     /// Abruptly kills `node`, effective immediately: it handles no
     /// further events, deliveries already in flight toward it are
-    /// discarded at dispatch (counted in [`NetStats::dropped`]), and its
-    /// own sends fail — the same semantic the thread cluster pins.
+    /// discarded at dispatch (counted in [`NetStats::dropped`]), and
+    /// sends from it fail with [`SendError::SelfDead`].
     ///
     /// Idempotent; killing an unknown node is a no-op.
     pub fn kill(&mut self, node: NodeId) {
@@ -636,7 +641,7 @@ impl<M: Clone + Send> SimCluster<M> {
     /// Schedules every delayed (held-back) message for delivery at
     /// `now + latency`; returns how many were released.
     pub fn flush_delayed(&mut self) -> usize {
-        let Some(layer) = self.state.faults.as_ref() else {
+        let Some(layer) = self.state.faults.as_mut() else {
             return 0;
         };
         let held = layer.drain_held();

@@ -7,20 +7,23 @@
 //! after the *next* message on the same pair, producing a one-message
 //! reorder). Node-level faults — crash-without-warning, warning-with-no-
 //! eviction, warning-then-crash-before-drain, eviction storms — are
-//! scripted directly through [`Cluster::revoke`](crate::Cluster::revoke)
-//! and [`Cluster::kill`](crate::Cluster::kill); this module only covers
+//! scripted directly through
+//! [`SimCluster::schedule_control`](crate::SimCluster::schedule_control),
+//! [`SimCluster::revoke`](crate::SimCluster::revoke) and
+//! [`SimCluster::kill`](crate::SimCluster::kill); this module only covers
 //! the message plane.
 //!
 //! # Determinism
 //!
-//! Each (sender, receiver) pair gets its own SplitMix64 stream seeded from
-//! `plan.seed` and the two node ids. Because simnet delivery runs on the
-//! *sender's* thread and per-pair message order is FIFO, the n-th message
-//! on a pair always consumes the n-th random draw of that pair's stream —
-//! so the set of dropped/duplicated/delayed messages is a pure function of
-//! `(plan, per-pair message sequence)` no matter how threads interleave
-//! across pairs. A chaos failure is therefore reproducible from the plan
-//! seed alone, given a deterministic protocol above.
+//! Each (sender, receiver) pair gets its own
+//! [`SplitMix64`] stream seeded from `plan.seed` and the two node ids.
+//! The [`SimCluster`](crate::SimCluster) applies the plan when it commits
+//! a batch, on the driver's thread, in ascending `(NodeId, send order)`:
+//! the n-th message on a pair always consumes the n-th draw of that
+//! pair's stream, so the set of dropped/duplicated/delayed messages is a
+//! pure function of `(plan, per-pair message sequence)`. A chaos failure
+//! is therefore reproducible from the plan seed alone, given a
+//! deterministic protocol above.
 //!
 //! # Delay without deadlock
 //!
@@ -28,14 +31,14 @@
 //! If the held message was the *last* traffic on the pair (e.g. the
 //! `ClockDone` the whole barrier is waiting on), nothing would ever flush
 //! it — so drivers call
-//! [`ClusterHandle::flush_delayed`](crate::ClusterHandle::flush_delayed)
-//! before (or while) blocking on progress.
+//! [`SimCluster::flush_delayed`](crate::SimCluster::flush_delayed)
+//! before waiting on progress.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use crate::lock;
+use proteus_simtime::rng::SplitMix64;
+
 use crate::node::NodeId;
 
 /// Predicate selecting which payloads a rule applies to.
@@ -157,25 +160,6 @@ impl std::ops::Add for FaultStats {
     }
 }
 
-/// SplitMix64 — tiny, seedable, and good enough for fault coin flips.
-#[derive(Clone, Copy, Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// What the fault layer decided to do with one message.
 enum Verdict {
     Deliver,
@@ -227,35 +211,28 @@ struct PairState<M> {
 /// The installed fault layer: plan + per-pair streams + counters.
 pub(crate) struct FaultLayer<M> {
     plan: FaultPlan<M>,
-    pairs: Mutex<HashMap<(NodeId, NodeId), PairState<M>>>,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    delayed: AtomicU64,
+    /// Ordered by pair, so a flush releases in a fixed order.
+    pairs: BTreeMap<(NodeId, NodeId), PairState<M>>,
+    stats: FaultStats,
 }
 
 impl<M: Clone> FaultLayer<M> {
     pub(crate) fn new(plan: FaultPlan<M>) -> Self {
         FaultLayer {
             plan,
-            pairs: Mutex::new(HashMap::new()),
-            dropped: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-            delayed: AtomicU64::new(0),
+            pairs: BTreeMap::new(),
+            stats: FaultStats::default(),
         }
     }
 
     pub(crate) fn stats(&self) -> FaultStats {
-        FaultStats {
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-        }
+        self.stats
     }
 
     /// Applies the plan to one message, returning what to deliver *now*:
     /// the current message's copies (empty when it was absorbed) plus any
     /// previously-held message this traffic releases.
-    pub(crate) fn apply(&self, from: NodeId, to: NodeId, msg: M) -> Applied<M> {
+    pub(crate) fn apply(&mut self, from: NodeId, to: NodeId, msg: M) -> Applied<M> {
         let rule = match self.plan.rules.iter().find(|r| r.matches(from, to, &msg)) {
             Some(r) => r,
             // Untouched traffic still flushes anything held on its pair so
@@ -264,16 +241,15 @@ impl<M: Clone> FaultLayer<M> {
                 return Applied {
                     copies: vec![msg],
                     absorbed: false,
-                    released: self.take_held(from, to),
+                    released: self.pairs.get_mut(&(from, to)).and_then(|p| p.held.take()),
                 };
             }
         };
         let (drop_p, dup_p, delay_p) = (rule.drop, rule.duplicate, rule.delay);
-        let mut pairs = lock(&self.pairs);
-        let pair = pairs.entry((from, to)).or_insert_with(|| PairState {
-            rng: SplitMix64(
-                self.plan.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    ^ ((from.0 as u64) << 32 | to.0 as u64),
+        let seed = self.plan.seed;
+        let pair = self.pairs.entry((from, to)).or_insert_with(|| PairState {
+            rng: SplitMix64::new(
+                seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ ((from.0 as u64) << 32 | to.0 as u64),
             ),
             held: None,
         });
@@ -287,33 +263,32 @@ impl<M: Clone> FaultLayer<M> {
         } else {
             Verdict::Deliver
         };
+        // Released first, so at most one message per pair is ever held.
+        let released = pair.held.take();
         match verdict {
             Verdict::Deliver => Applied {
                 copies: vec![msg],
                 absorbed: false,
-                released: pair.held.take(),
+                released,
             },
             Verdict::Drop => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
+                self.stats.dropped += 1;
                 Applied {
                     copies: Vec::new(),
                     absorbed: true,
-                    released: pair.held.take(),
+                    released,
                 }
             }
             Verdict::Duplicate => {
-                self.duplicated.fetch_add(1, Ordering::Relaxed);
+                self.stats.duplicated += 1;
                 Applied {
                     copies: vec![msg.clone(), msg],
                     absorbed: false,
-                    released: pair.held.take(),
+                    released,
                 }
             }
             Verdict::Delay => {
-                self.delayed.fetch_add(1, Ordering::Relaxed);
-                // Release anything already held first so at most one
-                // message per pair is ever in flight "late".
-                let released = pair.held.take();
+                self.stats.delayed += 1;
                 pair.held = Some(msg);
                 Applied {
                     copies: Vec::new(),
@@ -324,23 +299,13 @@ impl<M: Clone> FaultLayer<M> {
         }
     }
 
-    fn take_held(&self, from: NodeId, to: NodeId) -> Option<M> {
-        lock(&self.pairs)
-            .get_mut(&(from, to))
-            .and_then(|p| p.held.take())
-    }
-
-    /// Drains every held-back message, returning them with their pair so
-    /// the cluster can deliver them directly (bypassing re-injection).
-    pub(crate) fn drain_held(&self) -> Vec<(NodeId, NodeId, M)> {
-        let mut pairs = lock(&self.pairs);
-        let mut out: Vec<(NodeId, NodeId, M)> = pairs
+    /// Drains every held-back message, in pair order, so the cluster can
+    /// deliver them directly (bypassing re-injection).
+    pub(crate) fn drain_held(&mut self) -> Vec<(NodeId, NodeId, M)> {
+        self.pairs
             .iter_mut()
             .filter_map(|(&(f, t), p)| p.held.take().map(|m| (f, t, m)))
-            .collect();
-        // Deterministic flush order.
-        out.sort_by_key(|(f, t, _)| (*f, *t));
-        out
+            .collect()
     }
 }
 
@@ -371,8 +336,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_verdicts() {
-        let a = FaultLayer::new(plan_all(42, 0.3, 0.3, 0.3));
-        let b = FaultLayer::new(plan_all(42, 0.3, 0.3, 0.3));
+        let mut a = FaultLayer::new(plan_all(42, 0.3, 0.3, 0.3));
+        let mut b = FaultLayer::new(plan_all(42, 0.3, 0.3, 0.3));
         for i in 0..200u32 {
             assert_eq!(
                 a.apply(NodeId(1), NodeId(2), i).in_order(),
@@ -383,8 +348,8 @@ mod tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let a = FaultLayer::new(plan_all(1, 0.5, 0.0, 0.0));
-        let b = FaultLayer::new(plan_all(2, 0.5, 0.0, 0.0));
+        let mut a = FaultLayer::new(plan_all(1, 0.5, 0.0, 0.0));
+        let mut b = FaultLayer::new(plan_all(2, 0.5, 0.0, 0.0));
         let va: Vec<_> = (0..100u32)
             .map(|i| a.apply(NodeId(1), NodeId(2), i).in_order())
             .collect();
@@ -398,8 +363,8 @@ mod tests {
     fn pairs_are_independent_streams() {
         // Interleaving traffic on another pair must not perturb the
         // verdicts on this one.
-        let a = FaultLayer::new(plan_all(7, 0.4, 0.2, 0.2));
-        let b = FaultLayer::new(plan_all(7, 0.4, 0.2, 0.2));
+        let mut a = FaultLayer::new(plan_all(7, 0.4, 0.2, 0.2));
+        let mut b = FaultLayer::new(plan_all(7, 0.4, 0.2, 0.2));
         let mut va = Vec::new();
         let mut vb = Vec::new();
         for i in 0..100u32 {
@@ -412,7 +377,7 @@ mod tests {
 
     #[test]
     fn drop_absorbs_the_message() {
-        let layer = FaultLayer::new(plan_all(0, 1.0, 0.0, 0.0));
+        let mut layer = FaultLayer::new(plan_all(0, 1.0, 0.0, 0.0));
         let applied = layer.apply(NodeId(1), NodeId(2), 9);
         assert!(applied.copies.is_empty());
         assert!(applied.absorbed);
@@ -421,7 +386,7 @@ mod tests {
 
     #[test]
     fn duplicate_delivers_twice() {
-        let layer = FaultLayer::new(plan_all(0, 0.0, 1.0, 0.0));
+        let mut layer = FaultLayer::new(plan_all(0, 0.0, 1.0, 0.0));
         let applied = layer.apply(NodeId(1), NodeId(2), 9);
         assert_eq!(applied.copies, vec![9, 9]);
         assert!(!applied.absorbed);
@@ -439,7 +404,7 @@ mod tests {
             delay: 1.0,
             filter: None,
         });
-        let layer = FaultLayer::new(plan);
+        let mut layer = FaultLayer::new(plan);
         let first = layer.apply(NodeId(1), NodeId(2), 1);
         assert!(first.copies.is_empty() && first.absorbed);
         // Second message is also "delayed": releases the first, holds self.
@@ -461,7 +426,7 @@ mod tests {
             delay: 0.0,
             filter: Some(Arc::new(|m: &u32| m.is_multiple_of(2))),
         });
-        let layer = FaultLayer::new(plan);
+        let mut layer = FaultLayer::new(plan);
         assert!(layer.apply(NodeId(1), NodeId(2), 4).absorbed); // dropped
         assert_eq!(layer.apply(NodeId(1), NodeId(2), 5).in_order(), vec![5]); // untouched
     }
@@ -476,7 +441,7 @@ mod tests {
             delay: 0.0,
             filter: None,
         });
-        let layer = FaultLayer::new(plan);
+        let mut layer = FaultLayer::new(plan);
         assert!(layer.apply(NodeId(1), NodeId(2), 1).absorbed);
         assert_eq!(layer.apply(NodeId(2), NodeId(1), 1).in_order(), vec![1]);
         assert_eq!(layer.apply(NodeId(1), NodeId(3), 1).in_order(), vec![1]);

@@ -25,12 +25,15 @@ pub enum Control {
     },
     /// Cooperative shutdown request (end of job).
     Shutdown,
-    /// Abrupt termination. Behaviors never observe this variant directly:
-    /// the context converts it into [`RecvError::Killed`].
+    /// Abrupt termination. No node ever handles it: the event core
+    /// retires the node instead, and a thread node's `recv` returns
+    /// [`RecvError::Killed`].
     Kill,
 }
 
-/// What a node receives: either a peer's message or a control signal.
+/// What a thread node's [`recv`](crate::NodeCtx::recv) returns. Only
+/// `App` reaches a behavior: the one control the thread core sends is
+/// the `Kill` that wakes a node as [`RecvError::Killed`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Incoming<M> {
     /// Application traffic.
@@ -59,17 +62,13 @@ impl fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// Failures when receiving.
+/// Failures when a thread node receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvError {
     /// This node has been killed.
     Killed,
     /// All senders are gone (cluster shut down).
     Disconnected,
-    /// `recv_timeout` elapsed.
-    Timeout,
-    /// `try_recv` found nothing pending.
-    Empty,
 }
 
 impl fmt::Display for RecvError {
@@ -77,8 +76,6 @@ impl fmt::Display for RecvError {
         match self {
             RecvError::Killed => write!(f, "node killed"),
             RecvError::Disconnected => write!(f, "mailbox disconnected"),
-            RecvError::Timeout => write!(f, "receive timed out"),
-            RecvError::Empty => write!(f, "mailbox empty"),
         }
     }
 }
