@@ -11,13 +11,24 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 
 use crate::event_core::NetStats;
 use crate::message::{Control, Envelope, Incoming, RecvError, SendError};
 use crate::node::{NodeClass, NodeId};
-use crate::{read, write};
+
+// The mailbox table stays consistent whatever a panicking node behavior
+// did, so a poisoned lock is recovered, never propagated into every
+// other node.
+
+fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One node's mailbox.
 struct Mailbox<M> {
@@ -42,8 +53,8 @@ impl<M> Shared<M> {
             return Err(SendError::SelfDead);
         }
         if let Some(mailbox) = mailboxes.get(to.0 as usize).filter(|m| !m.dead) {
-            // Counted before the push, so whoever the message wakes
-            // already sees it counted.
+            // Counted before the push: the channel orders the count
+            // before the pop, so anything the message wakes sees it.
             self.messages.fetch_add(1, Ordering::Relaxed);
             if mailbox
                 .tx
@@ -296,13 +307,14 @@ mod tests {
             }
         );
         let (abort_tx, abort_rx) = channel();
-        std::thread::spawn(move || {
+        let aborter = std::thread::spawn(move || {
             cluster.abort_all();
             abort_tx.send(()).unwrap();
         });
         abort_rx
             .recv_timeout(Duration::from_secs(30))
             .expect("abort_all returns once every node thread has ended");
+        aborter.join().unwrap();
         let woke: Vec<_> = woke_rx.try_iter().collect();
         assert_eq!(woke, vec![RecvError::Killed; PEERS as usize]);
     }

@@ -46,17 +46,3 @@ pub use event_core::{FnNode, NetStats, SimCluster, SimCtx, SimNode, TimerId};
 pub use fault::{FaultPlan, FaultRule, FaultStats, MsgFilter};
 pub use message::{Control, Envelope, Incoming, RecvError, SendError};
 pub use node::{NodeClass, NodeId};
-
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-// The thread cluster's lock guards a plain table that stays consistent
-// whatever a panicking node behavior did, so a poisoned lock is
-// recovered, never propagated into every other node.
-
-fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
-}
