@@ -320,26 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn messages_round_trip_between_nodes() {
-        let mut cluster: Cluster<String> = Cluster::new();
-        let (done_tx, done_rx) = channel();
-        let server = cluster.spawn(NodeClass::Reliable, |ctx| {
-            if let Ok(Incoming::App(env)) = ctx.recv() {
-                let _ = ctx.send(env.from, format!("re:{}", env.msg));
-            }
-        });
-        cluster.spawn(NodeClass::Transient, move |ctx| {
-            ctx.send(server, "hello".to_string()).unwrap();
-            if let Ok(Incoming::App(env)) = ctx.recv() {
-                done_tx.send(env.msg).unwrap();
-            }
-        });
-        let reply = done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(reply, "re:hello");
-        cluster.abort_all();
-    }
-
-    #[test]
     fn kill_makes_node_unreachable_and_wakes_it() {
         let mut cluster: Cluster<u32> = Cluster::new();
         let (obs_tx, obs_rx) = channel();
@@ -420,26 +400,6 @@ mod tests {
             from_rx.recv_timeout(Duration::from_secs(5)),
             Ok(NodeId::HARNESS)
         );
-        cluster.abort_all();
-    }
-
-    #[test]
-    fn stats_count_delivered_messages() {
-        let mut cluster: Cluster<u32> = Cluster::new();
-        let (done_tx, done_rx) = channel();
-        let sink = cluster.spawn(NodeClass::Reliable, move |ctx| {
-            for _ in 0..10 {
-                let _ = ctx.recv();
-            }
-            done_tx.send(()).unwrap();
-        });
-        cluster.spawn(NodeClass::Transient, move |ctx| {
-            for i in 0..10 {
-                ctx.send(sink, i).unwrap();
-            }
-        });
-        done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(cluster.stats().messages, 10);
         cluster.abort_all();
     }
 }

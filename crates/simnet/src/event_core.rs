@@ -684,15 +684,6 @@ impl<M: Clone + Send> SimCluster<M> {
         self.state.meta.get(node.0 as usize).map(|m| m.class)
     }
 
-    /// Ids of all currently-alive nodes, sorted.
-    pub fn live_nodes(&self) -> Vec<NodeId> {
-        (0u32..)
-            .zip(&self.state.meta)
-            .filter(|(_, m)| !m.dead)
-            .map(|(id, _)| NodeId(id))
-            .collect()
-    }
-
     /// Aggregate traffic counters.
     pub fn stats(&self) -> NetStats {
         NetStats {

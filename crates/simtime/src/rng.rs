@@ -46,11 +46,13 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// A stream starting from `seed`.
+    #[inline]
     pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// The next 64 random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         let mut z = self.state;
@@ -60,6 +62,7 @@ impl SplitMix64 {
     }
 
     /// Uniform draw in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }

@@ -135,4 +135,24 @@ for dep in $(awk '/^\[/{on=($0=="[workspace.dependencies]")} on&&/^[a-z]/{sub(/[
     || { echo "error: [workspace.dependencies] lists $dep but no manifest inherits it" >&2; exit 1; }
 done
 
+# A vendored stub lives only as long as the workspace edge onto it: one
+# whose last user left must go as files too.
+echo "==> every vendor/ stub is a [workspace.dependencies] path"
+for v in vendor/*/; do
+  v=${v%/}
+  awk '/^\[/{on=($0=="[workspace.dependencies]")} on' Cargo.toml | grep -qF "path = \"$v\"" \
+    || { echo "error: $v is no [workspace.dependencies] path (delete the stub)" >&2; exit 1; }
+done
+
+# The thread-per-node Cluster is only the yardstick the benchmark times
+# a hop against; everything else runs on SimCluster. Nothing in the
+# workspace outside simnet's own sources may build on it (benchmark/ is
+# a package of its own, and its probe is the yardstick's one caller).
+echo "==> no thread Cluster, ClusterHandle or NodeCtx outside crates/simnet/src"
+if grep -rnE --include="*.rs" '\bCluster(::|<)|\bClusterHandle\b|\bNodeCtx\b' crates src tests examples \
+    | grep -v "^crates/simnet/src/"; then
+  echo "error: the thread Cluster used outside crates/simnet/src (use SimCluster)" >&2
+  exit 1
+fi
+
 echo "==> all checks passed"
