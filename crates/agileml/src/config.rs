@@ -53,6 +53,11 @@ impl AgileConfig {
         if !(0.0..=1.0).contains(&self.activeps_fraction) {
             return Err("activeps_fraction must be in [0, 1]".into());
         }
+        // A NaN threshold compares false both ways: the job would
+        // silently stay in stage 1.
+        if !self.stage2_threshold.is_finite() || !self.stage3_threshold.is_finite() {
+            return Err("stage thresholds must be finite".into());
+        }
         if self.stage3_threshold < self.stage2_threshold {
             return Err("stage3_threshold must be >= stage2_threshold".into());
         }
@@ -88,6 +93,11 @@ mod tests {
         assert!(c.validate().is_err());
         c.activeps_fraction = 0.5;
         c.stage3_threshold = 0.5;
+        assert!(c.validate().is_err());
+        c.stage3_threshold = f64::NAN;
+        assert!(c.validate().is_err());
+        c.stage3_threshold = 15.0;
+        c.stage2_threshold = f64::NAN;
         assert!(c.validate().is_err());
     }
 }

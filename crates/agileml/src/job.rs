@@ -695,13 +695,6 @@ impl<A: MlApp> AgileMlJob<A> {
         self.engine.borrow_mut().cluster.clear_faults();
     }
 
-    /// Releases every delayed message currently held by the fault layer;
-    /// returns how many were released. Waits do this on their own when
-    /// the queue runs dry.
-    pub fn flush_delayed(&self) -> usize {
-        self.engine.borrow_mut().cluster.flush_delayed()
-    }
-
     /// Counts of faults injected so far by every plan this incarnation
     /// of the job ran, a replaced or cleared one's included.
     pub fn fault_stats(&self) -> FaultStats {

@@ -15,7 +15,7 @@
 //!   whose background backup traffic otherwise turns those workers into
 //!   stragglers (beyond ~15:1 ratios).
 //!
-//! The [`ElasticityController`](controller) tracks membership, assigns
+//! The elasticity controller (the `controller` module) tracks membership, assigns
 //! input-data blocks to workers, picks the stage from the
 //! transient:reliable ratio, and orchestrates bulk scale-up, warned
 //! evictions (drain-to-backup within the warning window), and failures
@@ -25,28 +25,31 @@
 //! core: every simulated machine is a message handler on one
 //! timestamp-ordered queue, message passing only, faults injected by
 //! the harness, and a job is a pure function of its inputs and the
-//! calls made on it. The entry point is [`job::AgileMlJob`].
+//! calls made on it. The entry point is [`AgileMlJob`].
 
 // Controller/node/topology logic must report faults through the event
 // channel, never panic; any retained expect documents a real invariant
 // at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod config;
-pub mod controller;
-pub mod error;
-pub mod events;
-pub mod job;
-pub mod msg;
-pub mod node;
-pub mod server;
-pub mod stage;
-pub mod topology;
-pub mod worker;
+mod config;
+mod controller;
+mod error;
+mod events;
+mod job;
+mod msg;
+mod node;
+mod server;
+mod stage;
+mod topology;
+mod worker;
 
 pub use config::AgileConfig;
 pub use error::{JobError, JobFault};
-pub use events::JobEvent;
-pub use job::{AgileMlJob, ModelSnapshot};
-pub use stage::Stage;
-pub use topology::Topology;
+pub use events::{JobEvent, JobStatus};
+pub use job::{AgileMlJob, ModelSnapshot, SnapshotReader};
+pub use msg::AgileMsg;
+pub use server::ServerState;
+pub use stage::{select_stage, Stage};
+pub use topology::{BlockId, Topology};
+pub use worker::{BlockKeys, WorkerState};

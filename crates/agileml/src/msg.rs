@@ -44,7 +44,7 @@ pub enum AgileMsg {
     Stop,
     /// Node → controller: the provider delivered an eviction warning to
     /// this node (simnet `Control::EvictionWarning`). The controller
-    /// treats it like a driver-issued [`Command::EvictWarned`] so warned
+    /// treats it like a driver-issued `Command::EvictWarned` so warned
     /// nodes drain even when no driver relays the warning.
     EvictionNotice {
         /// Milliseconds the provider granted before termination.

@@ -718,8 +718,14 @@ mod tests {
             let received = Arc::new(Mutex::new(Vec::new()));
             let recorder = || {
                 let received = Arc::clone(&received);
-                FnNode::new(move |ctx: &mut SimCtx<'_, AgileMsg>, _, msg| {
-                    received.lock().unwrap().push(show(ctx.id(), &msg));
+                // What the harness sends it, the node relays to the node
+                // under test as its own; everything else it records.
+                FnNode::new(move |ctx: &mut SimCtx<'_, AgileMsg>, from, msg| {
+                    if from == NodeId::HARNESS {
+                        let _ = ctx.send(NODE, msg);
+                    } else {
+                        received.lock().unwrap().push(show(ctx.id(), &msg));
+                    }
                 })
             };
             let mut sim = SimCluster::new();
@@ -756,7 +762,7 @@ mod tests {
         /// the node then sent exactly the step's lines, in order.
         fn run(&mut self, steps: &[(NodeId, AgileMsg, &[&str])]) {
             for (i, (from, msg, want)) in steps.iter().enumerate() {
-                self.sim.send_from(*from, NODE, msg.clone()).unwrap();
+                self.sim.send_as_harness(*from, msg.clone()).unwrap();
                 self.sim.run_until_idle();
                 assert_eq!(self.sent(), *want, "step {i}: {msg:?}");
             }

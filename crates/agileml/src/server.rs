@@ -72,11 +72,6 @@ impl ServerState {
         self.layout
     }
 
-    /// Whether this node serves `partition`.
-    pub fn serves(&self, partition: PartitionId) -> bool {
-        self.serve_set.contains(&partition)
-    }
-
     /// Whether this node backs up `partition`.
     pub fn backs_up(&self, partition: PartitionId) -> bool {
         self.backup_meta.contains_key(&partition)
@@ -282,12 +277,7 @@ impl ServerState {
         self.backup.export_partition(partition)
     }
 
-    /// Test/diagnostic helper: a serving-side value.
-    pub fn read_serving(&self, key: ParamKey) -> Option<RowRef<'_>> {
-        self.serving.read(key)
-    }
-
-    /// Test/diagnostic helper: a backup-side value.
+    /// A backup-side value (the figures' role check reads it).
     pub fn read_backup(&self, key: ParamKey) -> Option<RowRef<'_>> {
         self.backup.read(key)
     }
@@ -317,7 +307,7 @@ mod tests {
         let mut s = ServerState::new(layout());
         s.reconfigure(&[PartitionId(0)], &[], false);
         s.install_image(PartitionId(0), image(&[(0, 1.0), (4, 2.0)]), 0);
-        assert!(s.serves(PartitionId(0)));
+        assert!(s.serve_set.contains(&PartitionId(0)));
         assert!(s.handle_updates(PartitionId(0), &image(&[(0, 0.5)])));
         let keys = KeySet::from_sorted(&[ParamKey(0), ParamKey(1), ParamKey(4)]);
         let vals = s.handle_read(&keys);
@@ -364,12 +354,12 @@ mod tests {
         b.install_image(PartitionId(2), image(&[(2, 7.0)]), 0);
         // Promote: the backup becomes the serving ParamServ.
         b.reconfigure(&[PartitionId(2)], &[], false);
-        assert!(b.serves(PartitionId(2)));
-        assert_eq!(b.read_serving(ParamKey(2)).unwrap().as_slice(), &[7.0]);
+        assert!(b.serve_set.contains(&PartitionId(2)));
+        assert_eq!(b.serving.read(ParamKey(2)).unwrap().as_slice(), &[7.0]);
         assert!(b.read_backup(ParamKey(2)).is_none());
         // A straggler push for the promoted partition still lands.
         b.apply_push(PartitionId(2), 3, image(&[(2, 1.0)]), true);
-        assert_eq!(b.read_serving(ParamKey(2)).unwrap().as_slice(), &[8.0]);
+        assert_eq!(b.serving.read(ParamKey(2)).unwrap().as_slice(), &[8.0]);
     }
 
     #[test]
@@ -380,10 +370,10 @@ mod tests {
         // Stage 1→2: this reliable node hands off serving and becomes
         // the backup for the same partition.
         s.reconfigure(&[], &[PartitionId(1)], false);
-        assert!(!s.serves(PartitionId(1)));
+        assert!(!s.serve_set.contains(&PartitionId(1)));
         assert!(s.backs_up(PartitionId(1)));
         assert_eq!(s.read_backup(ParamKey(1)).unwrap().as_slice(), &[3.0]);
-        assert!(s.read_serving(ParamKey(1)).is_none());
+        assert!(s.serving.read(ParamKey(1)).is_none());
     }
 
     #[test]
@@ -394,8 +384,8 @@ mod tests {
         // Recovery install replaces wholesale (old key 4 disappears if
         // absent from the new image).
         s.install_image(PartitionId(0), image(&[(0, 9.0)]), 0);
-        assert_eq!(s.read_serving(ParamKey(0)).unwrap().as_slice(), &[9.0]);
-        assert!(s.read_serving(ParamKey(4)).is_none());
+        assert_eq!(s.serving.read(ParamKey(0)).unwrap().as_slice(), &[9.0]);
+        assert!(s.serving.read(ParamKey(4)).is_none());
     }
 
     #[test]
@@ -438,7 +428,7 @@ mod tests {
         s.discard_dirty(PartitionId(0));
         // Serving state keeps the applied update; the push aggregate
         // does not resend it.
-        assert_eq!(s.read_serving(ParamKey(0)).unwrap().as_slice(), &[4.0]);
+        assert_eq!(s.serving.read(ParamKey(0)).unwrap().as_slice(), &[4.0]);
         assert!(s.take_push().is_empty());
     }
 

@@ -75,11 +75,6 @@ impl DataAssignment {
         Some(DataAssignment { history })
     }
 
-    /// The current owner of a block.
-    pub fn owner_of(&self, block: BlockId) -> Option<NodeId> {
-        self.history.get(&block).and_then(|h| h.last().copied())
-    }
-
     /// Blocks currently owned by `worker`, sorted.
     pub fn blocks_of(&self, worker: NodeId) -> Vec<BlockId> {
         self.history
@@ -250,6 +245,11 @@ mod tests {
         NodeId(i)
     }
 
+    /// The block's current owner: the last entry of its history.
+    fn current_owner(a: &DataAssignment, block: BlockId) -> Option<NodeId> {
+        a.history.get(&block).and_then(|h| h.last().copied())
+    }
+
     #[test]
     fn initial_assignment_is_balanced() {
         let a = DataAssignment::new(10, &[n(1), n(2), n(3)]).unwrap();
@@ -271,7 +271,7 @@ mod tests {
         assert!(moves.iter().all(|(_, _, to)| *to == n(3)));
         // Every block still has exactly one owner among the three.
         for b in 0..8 {
-            assert!(a.owner_of(BlockId(b)).is_some());
+            assert!(current_owner(&a, BlockId(b)).is_some());
         }
     }
 
@@ -288,7 +288,7 @@ mod tests {
         assert_eq!(moves.len(), taken.len());
         for (b, new_owner) in moves {
             assert!(new_owner == n(1) || new_owner == n(2));
-            assert_eq!(a.owner_of(b), Some(new_owner));
+            assert_eq!(current_owner(&a, b), Some(new_owner));
         }
         assert!(a.blocks_of(n(3)).is_empty());
     }
@@ -339,7 +339,7 @@ mod tests {
             prop_assert!(loads.iter().max().unwrap() - loads.iter().min().unwrap() <= 1);
             // Blocks owned by retired workers are all reassigned.
             for b in 0..blocks {
-                let owner = a.owner_of(BlockId(b)).unwrap();
+                let owner = current_owner(&a, BlockId(b)).unwrap();
                 prop_assert!(later_workers.contains(&owner));
             }
         }
@@ -357,7 +357,7 @@ mod tests {
                 alive.retain(|w| *w != victim);
                 a.remove_worker(victim, &alive).unwrap();
                 for b in 0..blocks {
-                    let owner = a.owner_of(BlockId(b)).unwrap();
+                    let owner = current_owner(&a, BlockId(b)).unwrap();
                     prop_assert!(alive.contains(&owner));
                 }
             }

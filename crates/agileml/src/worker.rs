@@ -240,11 +240,6 @@ impl<A: MlApp> WorkerState<A> {
         }
     }
 
-    /// Completed iterations.
-    pub fn clock(&self) -> u64 {
-        self.clock
-    }
-
     /// Current epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -643,7 +638,7 @@ mod tests {
                 got: format!("{:?}", out.iter().map(|(_, m)| m).collect::<Vec<_>>()),
             })?;
         assert_eq!(clock_done.0, NodeId(0));
-        assert_eq!(w.clock(), 1);
+        assert_eq!(w.clock, 1);
         Ok(())
     }
 
@@ -656,7 +651,7 @@ mod tests {
         // Complete iteration 0.
         let (dst, token) = find_read_req(&w.poll(&t))?;
         w.on_read_resp(dst, token, Values::new(), &t);
-        assert_eq!(w.clock(), 1);
+        assert_eq!(w.clock, 1);
         // Slack 0: cannot start clock 1 until global min reaches 1.
         assert!(w.poll(&t).is_empty());
         w.on_global_clock(1, 0);
@@ -674,7 +669,7 @@ mod tests {
         assert!(w
             .on_read_resp(dst, token + 99, Values::new(), &t)
             .is_empty());
-        assert_eq!(w.clock(), 0);
+        assert_eq!(w.clock, 0);
         assert!(!w.on_read_resp(dst, token, Values::new(), &t).is_empty());
         Ok(())
     }
@@ -704,12 +699,12 @@ mod tests {
         assert!(w
             .on_read_resp(NodeId(1), token, Values::new(), &t)
             .is_empty());
-        assert_eq!(w.clock(), 0, "round must not complete on a duplicate");
+        assert_eq!(w.clock, 0, "round must not complete on a duplicate");
         // Owner 2's (unique) response completes the round.
         assert!(!w
             .on_read_resp(NodeId(2), token, Values::new(), &t)
             .is_empty());
-        assert_eq!(w.clock(), 1);
+        assert_eq!(w.clock, 1);
         Ok(())
     }
 
@@ -721,9 +716,9 @@ mod tests {
         w.start();
         let (dst, token) = find_read_req(&w.poll(&t))?;
         w.on_read_resp(dst, token, Values::new(), &t);
-        assert_eq!(w.clock(), 1);
+        assert_eq!(w.clock, 1);
         w.restart_from(0, 1);
-        assert_eq!(w.clock(), 0);
+        assert_eq!(w.clock, 0);
         assert_eq!(w.epoch(), 1);
         assert!(w.poll(&t).is_empty(), "paused until Start");
         // Old-epoch clock broadcasts are ignored after restart.
@@ -776,7 +771,7 @@ mod tests {
     fn one_clock(w: &mut WorkerState<MatrixFactorization>, t: &Topology) -> Vec<ParamKey> {
         let reads = w.poll(t);
         let asked = requested_keys(&reads);
-        let before = w.clock();
+        let before = w.clock;
         for (dst, msg) in &reads {
             if let AgileMsg::ReadReq { token, .. } = msg {
                 let out = w.on_read_resp(*dst, *token, Values::new(), t);
@@ -787,7 +782,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(w.clock(), before + 1);
+        assert_eq!(w.clock, before + 1);
         asked
     }
 
@@ -982,7 +977,7 @@ mod tests {
             match step {
                 2 => w.assign_blocks(&[BlockId(0), BlockId(1), BlockId(3)]),
                 4 | 6 => {
-                    w.restart_from(w.clock(), step);
+                    w.restart_from(w.clock, step);
                     keyed.clear();
                     w.start();
                 }

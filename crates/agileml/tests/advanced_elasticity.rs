@@ -199,7 +199,8 @@ fn kmeans_trains_distributed_with_elasticity() {
     // The fourth application (paper Sec. 3.2 lists K-means among the
     // stateless-worker workloads): distributed mini-batch K-means must
     // keep reducing distortion through an add/evict cycle.
-    use proteus_mlapps::kmeans::{blobs, KMeans, KmConfig};
+    use proteus_mlapps::data::blobs;
+    use proteus_mlapps::{KMeans, KmConfig};
     let dim = 2;
     let data = blobs(180, dim, 3, 4.0, 0.3, 25);
     let app = KMeans::new(KmConfig {

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use proteus_agileml::msg::AgileMsg;
+use proteus_agileml::AgileMsg;
 use proteus_agileml::{AgileConfig, AgileMlJob, JobError, JobEvent, JobFault, Stage};
 use proteus_mlapps::data::{netflix_like, MfDataConfig};
 use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
@@ -671,7 +671,7 @@ proptest! {
         let mut model: BTreeMap<u32, u64> = BTreeMap::new();
         let mut broadcast = 0u64;
         for w in 0..5u32 {
-            table.register(w);
+            table.register_at(w, 0);
             model.insert(w, 0);
         }
         for (w, op, dc) in ops {

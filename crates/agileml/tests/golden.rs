@@ -14,16 +14,15 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use proteus_agileml::msg::{AgileMsg, Values};
-use proteus_agileml::server::ServerState;
-use proteus_agileml::topology::BlockId;
-use proteus_agileml::worker::{BlockKeys, WorkerState};
-use proteus_agileml::{AgileConfig, AgileMlJob, Stage, Topology};
+use proteus_agileml::{
+    AgileConfig, AgileMlJob, AgileMsg, BlockId, BlockKeys, ServerState, Stage, Topology,
+    WorkerState,
+};
 use proteus_mlapps::data::{imagenet_like, netflix_like, MfDataConfig, MlrDataConfig};
 use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
 use proteus_mlapps::mlr::{Example, Mlr, MlrConfig};
 use proteus_mlapps::MlApp;
-use proteus_ps::{DenseVec, ParamKey, PartitionId, PartitionMap};
+use proteus_ps::{DenseVec, ParamKey, PartitionId, PartitionMap, Values};
 use proteus_simnet::NodeId;
 use proteus_simtime::rng::seeded_stream;
 
@@ -76,6 +75,8 @@ struct Replay<A: MlApp> {
     server: ServerState,
     topology: Topology,
     partitions: u32,
+    /// Clocks the worker has reported done.
+    clock: u64,
 }
 
 impl<A: MlApp> Replay<A> {
@@ -116,12 +117,13 @@ impl<A: MlApp> Replay<A> {
             server,
             topology,
             partitions,
+            clock: 0,
         }
     }
 
     /// Runs exactly one clock: reads, process, flush, apply.
     fn step(&mut self) {
-        let before = self.worker.clock();
+        let before = self.clock;
         let mut outbox = self.worker.poll(&self.topology);
         while let Some((_, msg)) = outbox.pop() {
             match msg {
@@ -136,12 +138,13 @@ impl<A: MlApp> Replay<A> {
                     partition, updates, ..
                 } => assert!(self.server.handle_updates(partition, &updates)),
                 AgileMsg::ClockDone { clock, epoch } => {
+                    self.clock = clock;
                     self.worker.on_global_clock(clock, epoch);
                 }
                 other => panic!("unexpected worker message {other:?}"),
             }
         }
-        assert_eq!(self.worker.clock(), before + 1, "one clock per step");
+        assert_eq!(self.clock, before + 1, "one clock per step");
     }
 
     fn model(&self) -> Model {

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use proteus_agileml::msg::AgileMsg;
+use proteus_agileml::AgileMsg;
 use proteus_agileml::{AgileConfig, AgileMlJob, JobEvent};
 use proteus_mlapps::data::{netflix_like, MfDataConfig};
 use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};

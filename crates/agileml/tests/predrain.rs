@@ -15,7 +15,7 @@
 
 use std::time::Duration;
 
-use proteus_agileml::job::ModelSnapshot;
+use proteus_agileml::ModelSnapshot;
 use proteus_agileml::{AgileConfig, AgileMlJob, JobError, JobEvent, Stage};
 use proteus_mlapps::data::{netflix_like, MfDataConfig};
 use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};

@@ -7,8 +7,8 @@ use proteus_costsim::{
     run_gce_job, run_job, run_study, GceRunConfig, JobSpec, Scheme, SchemeKind, StudyEnv,
     StudyResult,
 };
-use proteus_market::gce::{GceMarket, GCE_DISCOUNT};
 use proteus_market::MarketModel;
+use proteus_market::{GceMarket, GCE_DISCOUNT};
 use proteus_simtime::SimDuration;
 
 use crate::{standard_study, Out, Table};

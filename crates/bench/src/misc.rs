@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::io;
 
-use proteus_agileml::server::ServerState;
+use proteus_agileml::ServerState;
 use proteus_bidbrain::{AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig};
 use proteus_costsim::{run_job, Scheme, SchemeKind, StudyEnv};
 use proteus_market::{catalog, MarketKey, MarketModel, TraceGenerator, Zone};

@@ -133,7 +133,7 @@ impl MarketBackoff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_market::instance::{catalog, Zone};
+    use proteus_market::{catalog, Zone};
 
     fn key(zone: u8) -> MarketKey {
         MarketKey::new(catalog::c4_xlarge(), Zone(zone))

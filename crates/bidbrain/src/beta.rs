@@ -28,8 +28,8 @@ pub struct BetaPoint {
 pub struct BetaTable {
     /// Points ordered by increasing delta.
     points: Vec<BetaPoint>,
-    /// Per point, [`hour_row`](Self::hour_row) at its delta, resolved
-    /// once: what a bid-delta sweep reads for an on-grid delta.
+    /// Per point, the hour row at its delta, resolved once: what a
+    /// bid-delta sweep reads for an on-grid delta.
     rows: Vec<(f64, f64)>,
 }
 
@@ -54,22 +54,15 @@ impl BetaTable {
         Some(table)
     }
 
-    /// `(β, min(median time-to-eviction, 1 h) in hours)` at `delta`:
-    /// what Eqs. 1–2 read for a holding with a whole billing hour ahead.
-    /// A sampled delta reads the row resolved when the table was built
-    /// (matched by value; duplicates resolve alike); any other delta is
-    /// interpolated. Either way the bits are those of
-    /// [`beta`](Self::beta) and [`median_tte`](Self::median_tte).
-    pub fn hour_row(&self, delta: f64) -> (f64, f64) {
-        let mut row = [(0.0, 0.0)];
-        self.hour_rows(&[delta], &mut row);
-        row[0]
-    }
-
-    /// [`hour_row`](Self::hour_row) of each of `deltas` into the same
-    /// place of `rows`. The match walks the grid: an ascending list
-    /// (every configured sweep) passes over it once, and a step back
-    /// starts the walk over.
+    /// The hour row of each of `deltas` into the same place of `rows`:
+    /// `(β, min(median time-to-eviction, 1 h) in hours)`, what Eqs. 1–2
+    /// read for a holding with a whole billing hour ahead. A sampled
+    /// delta reads the row resolved when the table was built (matched by
+    /// value; duplicates resolve alike); any other delta is interpolated.
+    /// Either way the bits are those of [`beta`](Self::beta) and
+    /// [`median_tte`](Self::median_tte). The match walks the grid: an
+    /// ascending list (every configured sweep) passes over it once, and
+    /// a step back starts the walk over.
     pub(crate) fn hour_rows(&self, deltas: &[f64], rows: &mut [(f64, f64)]) {
         let pts = &self.points;
         let mut i = 0;
@@ -286,7 +279,7 @@ impl<'a> From<&'a BetaEstimator> for std::borrow::Cow<'a, BetaEstimator> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_market::instance::{catalog, Zone};
+    use proteus_market::{catalog, Zone};
     use proteus_market::{MarketModel, TraceGenerator};
 
     fn key() -> MarketKey {
@@ -366,7 +359,9 @@ mod tests {
         for points in &tables {
             let table = BetaTable::new(points.clone()).expect("non-empty");
             for d in points.iter().map(|p| p.delta).chain([0.001, 0.03, 0.5]) {
-                assert_eq!(bits(table.hour_row(d)), interpolated(&table, d), "δ {d}");
+                let mut row = [(0.0, 0.0)];
+                table.hour_rows(&[d], &mut row);
+                assert_eq!(bits(row[0]), interpolated(&table, d), "δ {d}");
             }
         }
         let table = BetaTable::new(tables[0].clone()).expect("non-empty");

@@ -29,9 +29,9 @@
 //! The four signals combine noisy-or into one hazard in `[0, 1]`;
 //! hysteresis (alert / re-arm thresholds) keeps one approach from
 //! emitting an alert storm. Calibration is validated empirically: the
-//! [`ForecastScorer`] replays traces and reports precision / recall /
-//! lead time against ground-truth evictions (gated by the replay test at
-//! the bottom of this file).
+//! tests' `ForecastScorer` replays traces and reports precision /
+//! recall / lead time against ground-truth evictions (gated by the
+//! replay test at the bottom of this file).
 
 use proteus_market::MarketKey;
 use proteus_simtime::{SimDuration, SimTime};
@@ -84,7 +84,7 @@ impl ForecastConfig {
         if !(0.0..=1.0).contains(&self.alert_threshold) || !self.alert_threshold.is_finite() {
             return Err("alert_threshold must lie in [0, 1]".into());
         }
-        if self.rearm_threshold < 0.0 || self.rearm_threshold >= self.alert_threshold {
+        if !(0.0..self.alert_threshold).contains(&self.rearm_threshold) {
             return Err("rearm_threshold must lie in [0, alert_threshold)".into());
         }
         if self.horizon.is_zero() {
@@ -249,7 +249,7 @@ impl PreemptionForecaster {
     }
 
     /// Young's-rule checkpoint interval for the current fleet-wide
-    /// pressure: [`adaptive_interval`] at the rate [`hazard_to_rate`]
+    /// pressure: `adaptive_interval` at the rate `hazard_to_rate`
     /// derives from [`max_hazard`](Self::max_hazard) over the forecast
     /// horizon, clamped to `[min, max]`.
     pub fn checkpoint_interval(
@@ -439,132 +439,132 @@ pub fn hazard_to_rate(hazard: f64, horizon: SimDuration) -> f64 {
     -(1.0 - h).ln() / horizon_hours
 }
 
-/// One alert or eviction observation for offline scoring.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Stamp {
-    market: MarketKey,
-    at: SimTime,
-}
-
-/// Replay scorer: pairs recorded alerts with ground-truth evictions and
-/// reports precision / recall / lead time.
-///
-/// An alert is a *true positive* when an eviction in the same market
-/// lands within `match_window` after it; each eviction consumes at most
-/// one alert (the earliest unmatched one). Remaining alerts are false
-/// positives; remaining evictions are misses.
-#[derive(Debug, Clone)]
-pub struct ForecastScorer {
-    match_window: SimDuration,
-    alerts: Vec<Stamp>,
-    evictions: Vec<Stamp>,
-}
-
-/// Aggregate forecast accuracy over one replay.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ForecastScore {
-    /// Alerts emitted.
-    pub alerts: usize,
-    /// Ground-truth evictions observed.
-    pub evictions: usize,
-    /// Alerts matched to a following eviction.
-    pub true_positives: usize,
-    /// Alerts with no eviction inside the match window.
-    pub false_positives: usize,
-    /// Evictions no alert preceded.
-    pub misses: usize,
-    /// `TP / (TP + FP)`; 1.0 when no alerts fired.
-    pub precision: f64,
-    /// `TP / (TP + FN)`; 1.0 when nothing was evicted.
-    pub recall: f64,
-    /// Mean alert-to-eviction lead over true positives.
-    pub mean_lead: SimDuration,
-}
-
-impl ForecastScorer {
-    /// A scorer matching alerts to evictions within `match_window`.
-    pub fn new(match_window: SimDuration) -> Self {
-        ForecastScorer {
-            match_window,
-            alerts: Vec::new(),
-            evictions: Vec::new(),
-        }
-    }
-
-    /// Records an emitted alert.
-    pub fn record_alert(&mut self, market: MarketKey, at: SimTime) {
-        self.alerts.push(Stamp { market, at });
-    }
-
-    /// Records a ground-truth eviction.
-    pub fn record_eviction(&mut self, market: MarketKey, at: SimTime) {
-        self.evictions.push(Stamp { market, at });
-    }
-
-    /// Matches and scores everything recorded so far.
-    pub fn score(&self) -> ForecastScore {
-        let mut alerts = self.alerts.clone();
-        alerts.sort_by_key(|s| (s.at, s.market));
-        let mut evictions = self.evictions.clone();
-        evictions.sort_by_key(|s| (s.at, s.market));
-
-        let mut used = vec![false; alerts.len()];
-        let mut tp = 0usize;
-        let mut misses = 0usize;
-        let mut lead_sum = SimDuration::ZERO;
-        for ev in &evictions {
-            let hit = alerts.iter().enumerate().find(|(i, a)| {
-                !used[*i]
-                    && a.market == ev.market
-                    && a.at <= ev.at
-                    && ev.at - a.at <= self.match_window
-            });
-            match hit {
-                Some((i, a)) => {
-                    used[i] = true;
-                    tp += 1;
-                    lead_sum += ev.at - a.at;
-                }
-                None => misses += 1,
-            }
-        }
-        let fp = used.iter().filter(|u| !**u).count();
-        let precision = if alerts.is_empty() {
-            1.0
-        } else {
-            tp as f64 / alerts.len() as f64
-        };
-        let recall = if evictions.is_empty() {
-            1.0
-        } else {
-            tp as f64 / evictions.len() as f64
-        };
-        let mean_lead = if tp == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_secs_f64(lead_sum.as_secs_f64() / tp as f64)
-        };
-        ForecastScore {
-            alerts: alerts.len(),
-            evictions: evictions.len(),
-            true_positives: tp,
-            false_positives: fp,
-            misses,
-            precision,
-            recall,
-            mean_lead,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_market::instance::{catalog, Zone};
+    use proteus_market::{catalog, Zone};
     use proteus_market::{MarketModel, TraceGenerator};
 
     fn key() -> MarketKey {
         MarketKey::new(catalog::c4_xlarge(), Zone(0))
+    }
+
+    /// One alert or eviction observation for offline scoring.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Stamp {
+        market: MarketKey,
+        at: SimTime,
+    }
+
+    /// Replay scorer: pairs recorded alerts with ground-truth evictions and
+    /// reports precision / recall / lead time.
+    ///
+    /// An alert is a *true positive* when an eviction in the same market
+    /// lands within `match_window` after it; each eviction consumes at most
+    /// one alert (the earliest unmatched one). Remaining alerts are false
+    /// positives; remaining evictions are misses.
+    #[derive(Debug, Clone)]
+    struct ForecastScorer {
+        match_window: SimDuration,
+        alerts: Vec<Stamp>,
+        evictions: Vec<Stamp>,
+    }
+
+    /// Aggregate forecast accuracy over one replay.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct ForecastScore {
+        /// Alerts emitted.
+        alerts: usize,
+        /// Ground-truth evictions observed.
+        evictions: usize,
+        /// Alerts matched to a following eviction.
+        true_positives: usize,
+        /// Alerts with no eviction inside the match window.
+        false_positives: usize,
+        /// Evictions no alert preceded.
+        misses: usize,
+        /// `TP / (TP + FP)`; 1.0 when no alerts fired.
+        precision: f64,
+        /// `TP / (TP + FN)`; 1.0 when nothing was evicted.
+        recall: f64,
+        /// Mean alert-to-eviction lead over true positives.
+        mean_lead: SimDuration,
+    }
+
+    impl ForecastScorer {
+        /// A scorer matching alerts to evictions within `match_window`.
+        fn new(match_window: SimDuration) -> Self {
+            ForecastScorer {
+                match_window,
+                alerts: Vec::new(),
+                evictions: Vec::new(),
+            }
+        }
+
+        /// Records an emitted alert.
+        fn record_alert(&mut self, market: MarketKey, at: SimTime) {
+            self.alerts.push(Stamp { market, at });
+        }
+
+        /// Records a ground-truth eviction.
+        fn record_eviction(&mut self, market: MarketKey, at: SimTime) {
+            self.evictions.push(Stamp { market, at });
+        }
+
+        /// Matches and scores everything recorded so far.
+        fn score(&self) -> ForecastScore {
+            let mut alerts = self.alerts.clone();
+            alerts.sort_by_key(|s| (s.at, s.market));
+            let mut evictions = self.evictions.clone();
+            evictions.sort_by_key(|s| (s.at, s.market));
+
+            let mut used = vec![false; alerts.len()];
+            let mut tp = 0usize;
+            let mut misses = 0usize;
+            let mut lead_sum = SimDuration::ZERO;
+            for ev in &evictions {
+                let hit = alerts.iter().enumerate().find(|(i, a)| {
+                    !used[*i]
+                        && a.market == ev.market
+                        && a.at <= ev.at
+                        && ev.at - a.at <= self.match_window
+                });
+                match hit {
+                    Some((i, a)) => {
+                        used[i] = true;
+                        tp += 1;
+                        lead_sum += ev.at - a.at;
+                    }
+                    None => misses += 1,
+                }
+            }
+            let fp = used.iter().filter(|u| !**u).count();
+            let precision = if alerts.is_empty() {
+                1.0
+            } else {
+                tp as f64 / alerts.len() as f64
+            };
+            let recall = if evictions.is_empty() {
+                1.0
+            } else {
+                tp as f64 / evictions.len() as f64
+            };
+            let mean_lead = if tp == 0 {
+                SimDuration::ZERO
+            } else {
+                SimDuration::from_secs_f64(lead_sum.as_secs_f64() / tp as f64)
+            };
+            ForecastScore {
+                alerts: alerts.len(),
+                evictions: evictions.len(),
+                true_positives: tp,
+                false_positives: fp,
+                misses,
+                precision,
+                recall,
+                mean_lead,
+            }
+        }
     }
 
     fn step() -> SimDuration {
@@ -585,6 +585,11 @@ mod tests {
         assert!(c.validate().is_err());
         c = ForecastConfig {
             rearm_threshold: 0.9,
+            ..ForecastConfig::default()
+        };
+        assert!(c.validate().is_err());
+        c = ForecastConfig {
+            rearm_threshold: f64::NAN,
             ..ForecastConfig::default()
         };
         assert!(c.validate().is_err());

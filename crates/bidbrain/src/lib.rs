@@ -6,11 +6,11 @@
 //!
 //! * it estimates the probability β that an allocation at a given *bid
 //!   delta* (bid minus market price) is evicted within its billing hour,
-//!   by replaying historical price traces ([`beta`]);
+//!   by replaying historical price traces ([`BetaEstimator`]);
 //! * it computes the expected cost of a footprint with eviction refunds
 //!   priced in (Eq. 1), the expected useful compute time net of eviction
 //!   and scaling overheads (Eq. 2), the expected work (Eq. 3), and their
-//!   ratio (Eq. 4) ([`policy`]);
+//!   ratio (Eq. 4) ([`BidBrain`]);
 //! * it acquires a new allocation only when doing so lowers the
 //!   footprint's expected cost-per-work, and terminates allocations
 //!   before their next billing hour when renewal would raise it;
@@ -19,7 +19,7 @@
 //!   why moderately aggressive bids beat both timid (never-evicted) and
 //!   reckless (constantly-evicted) ones.
 //!
-//! [`standard`] implements the baseline the paper compares against:
+//! [`StandardStrategy`] implements the baseline the paper compares against:
 //! always pick the currently cheapest market and bid the on-demand price
 //! (the EC2 Spot Fleet default policy).
 
@@ -27,20 +27,17 @@
 // expect must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod acquire;
-pub mod beta;
-pub mod forecast;
-pub mod objective;
-pub mod params;
-pub mod policy;
-pub mod standard;
+mod acquire;
+mod beta;
+mod forecast;
+mod objective;
+mod params;
+mod policy;
+mod standard;
 
 pub use acquire::{Acquisition, MarketBackoff};
 pub use beta::{BetaEstimator, BetaPoint, BetaTable};
-pub use forecast::{
-    adaptive_interval, hazard_to_rate, EvictionAlert, ForecastConfig, ForecastScore,
-    ForecastScorer, PreemptionForecaster,
-};
+pub use forecast::{EvictionAlert, ForecastConfig, PreemptionForecaster};
 pub use objective::Objective;
 pub use params::{phi, AppParams};
 pub use policy::{AllocView, AllocationRequest, BidBrain, BidBrainConfig, Expiring, FootprintEval};

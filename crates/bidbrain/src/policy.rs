@@ -609,7 +609,7 @@ impl<'a> BidBrain<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_market::instance::{catalog, Zone};
+    use proteus_market::{catalog, Zone};
     use proteus_simtime::SimDuration;
 
     fn mk(type_index: usize) -> MarketKey {

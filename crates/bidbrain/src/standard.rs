@@ -58,7 +58,7 @@ impl StandardStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_market::instance::{catalog, Zone};
+    use proteus_market::{catalog, Zone};
 
     fn mk(i: usize, z: u8) -> MarketKey {
         MarketKey::new(i, Zone(z))

@@ -14,7 +14,7 @@
 //! read back off durable media.
 
 use proteus_agileml::{ModelSnapshot, Stage};
-use proteus_ps::snapshot::{decode_model, encode_model, SnapshotError};
+use proteus_ps::{decode_model, encode_model, SnapshotError};
 use proteus_simtime::SimTime;
 
 /// One durable checkpoint: the encoded model plus resume metadata.

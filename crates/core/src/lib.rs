@@ -43,13 +43,12 @@
 // retained `expect` must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod checkpoint;
-pub mod config;
-pub mod error;
-pub mod report;
-pub mod session;
+mod checkpoint;
+mod config;
+mod error;
+mod report;
+mod session;
 
-pub use checkpoint::CheckpointStore;
 pub use config::ProteusConfig;
 pub use error::ProteusError;
 pub use report::ProteusReport;

@@ -134,7 +134,7 @@ impl<A: MlApp> Proteus<A> {
     ) -> Result<Self, ProteusError> {
         // `PROTEUS_OBS_OUT` turns recording on; `finish` then exports
         // the timeline as JSONL to that path.
-        let obs = proteus_obs::jsonl::export_path().map(|_| Arc::new(Recorder::new()));
+        let obs = proteus_obs::export_path().map(|_| Arc::new(Recorder::new()));
         Self::launch_inner(app, dataset, config, obs)
     }
 
@@ -851,7 +851,7 @@ impl<A: MlApp> Proteus<A> {
         self.tally
             .emit(self.obs.as_deref(), now, Event::Session(finished));
         if let Some(rec) = self.obs.as_deref() {
-            if let Some(path) = proteus_obs::jsonl::export_path() {
+            if let Some(path) = proteus_obs::export_path() {
                 if let Err(e) = std::fs::write(&path, rec.to_jsonl()) {
                     // The report is still valid; only the export failed.
                     eprintln!("warning: could not write {}: {e}", path);

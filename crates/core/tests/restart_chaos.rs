@@ -20,8 +20,8 @@ mod common;
 use std::sync::Arc;
 
 use proteus::bidbrain::ForecastConfig;
-use proteus::session::ReliableRecovery;
 use proteus::simtime::SimDuration;
+use proteus::ReliableRecovery;
 use proteus::{Proteus, ProteusConfig};
 use proteus_mlapps::data::{netflix_like, MfDataConfig};
 use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};

@@ -9,8 +9,6 @@
 //! every floating-point sum — is identical to the serial loop regardless
 //! of thread count.
 
-pub use proteus_simtime::pool::THREADS_ENV;
-
 /// A `Copy` thread-count handle for index-addressed task fan-out:
 /// `new` / `serial` / `from_env` / `threads` / `run_indexed`.
 pub type StudyExecutor = proteus_simtime::Pool;

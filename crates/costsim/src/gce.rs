@@ -9,8 +9,8 @@
 //! so the EC2-vs-GCE comparison is a tested library capability.
 
 use proteus_bidbrain::phi;
-use proteus_market::gce::{GceMarket, PreemptionModel};
 use proteus_market::MarketKey;
+use proteus_market::{GceMarket, PreemptionModel};
 use proteus_simtime::rng::seeded;
 use proteus_simtime::SimDuration;
 use rand::Rng;

@@ -15,9 +15,9 @@
 //!   every market, hour-end renewal decisions, and free-compute
 //!   exploitation.
 //!
-//! [`sim::run_job`] executes one job under one scheme against the
+//! [`run_job`] executes one job under one scheme against the
 //! (synthetic) price traces via the full [`proteus_market`] billing
-//! engine and [`proteus_bidbrain`] policy code; [`study`] aggregates
+//! engine and [`proteus_bidbrain`] policy code; [`run_study`] aggregates
 //! across many random start times exactly like the paper's methodology
 //! (1000 random day/time starting points, cost normalized to the
 //! on-demand baseline, final partial billing hours not charged to the
@@ -27,18 +27,18 @@
 // retained expect documents a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod executor;
-pub mod gce;
-pub mod queue;
-pub mod scheme;
-pub mod sim;
-pub mod study;
+mod executor;
+mod gce;
+mod queue;
+mod scheme;
+mod sim;
+mod study;
 
 pub use executor::StudyExecutor;
 pub use gce::{run_gce_job, GceOutcome, GceRunConfig};
 pub use queue::{run_job_queue, QueueOutcome};
 pub use scheme::{youngs_interval, JobSpec, Scheme, SchemeKind};
-pub use sim::{run_job, run_job_observed, run_job_with_faults, SimOutcome};
+pub use sim::{run_job, SimOutcome};
 pub use study::{run_study, run_study_with, StudyConfig, StudyEnv, StudyResult};
 
 /// The bid-delta sweep the paper's BidBrain evaluates: `[$0.0001, $0.4]`

@@ -199,7 +199,7 @@ pub struct Scheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_market::instance::{catalog, Zone};
+    use proteus_market::{catalog, Zone};
 
     #[test]
     fn cluster_b_job_scales_with_hours() {

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proteus_market::{
-    catalog, AllocationId, CloudProvider, MarketFaultPlan, MarketKey, ProviderEvent, TraceSet,
+    AllocationId, CloudProvider, MarketFaultPlan, MarketKey, ProviderEvent, TraceSet,
     UsageBreakdown,
 };
 use proteus_obs::{CostEvent, Event, MarketEvent, Recorder};
@@ -63,24 +63,12 @@ pub fn run_job(
     start: SimTime,
     horizon: SimDuration,
 ) -> SimOutcome {
-    run_job_with_faults(scheme, traces, beta, start, horizon, None)
+    run_job_observed(scheme, traces, beta, start, horizon, None, None)
 }
 
-/// Runs one job under one scheme with provider-side fault regimes
-/// installed — the fault-regime ablation axis. `faults: None` is
-/// exactly [`run_job`].
-pub fn run_job_with_faults(
-    scheme: &Scheme,
-    traces: &TraceSet,
-    beta: &BetaEstimator,
-    start: SimTime,
-    horizon: SimDuration,
-    faults: Option<&MarketFaultPlan>,
-) -> SimOutcome {
-    run_job_observed(scheme, traces, beta, start, horizon, faults, None)
-}
-
-/// Runs one job with an optional observability recorder attached.
+/// Runs one job with optional provider-side fault regimes (the
+/// fault-regime ablation axis) and an optional observability recorder
+/// attached.
 ///
 /// With a recorder, the run additionally emits `market.*` provider
 /// events, `bid.*` candidate rankings, change-only `market.price_move`
@@ -796,9 +784,13 @@ impl<'a> JobSim<'a> {
     }
 }
 
-/// The c4.xlarge market in zone 0 — the default on-demand anchor.
-pub fn default_on_demand_market() -> MarketKey {
-    MarketKey::new(catalog::c4_xlarge(), proteus_market::Zone(0))
+/// The c4.xlarge market in zone 0, the unit tests' on-demand anchor.
+#[cfg(test)]
+pub(crate) fn default_on_demand_market() -> MarketKey {
+    MarketKey::new(
+        proteus_market::catalog::c4_xlarge(),
+        proteus_market::Zone(0),
+    )
 }
 
 #[cfg(test)]

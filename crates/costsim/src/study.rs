@@ -340,7 +340,7 @@ pub fn run_study(config: StudyConfig) -> Vec<StudyResult> {
 /// aggregation always happens in (scheme, start) order.
 pub fn run_study_with(config: StudyConfig, exec: &StudyExecutor) -> Vec<StudyResult> {
     let env = StudyEnv::new(config);
-    match proteus_obs::jsonl::export_path() {
+    match proteus_obs::export_path() {
         Some(path) => {
             let (results, jsonl) = env.run_comparison_recorded(exec);
             if let Err(e) = std::fs::write(&path, jsonl) {

@@ -11,8 +11,8 @@
 //! shortest round-trip decimal, so equal fingerprints mean equal bits.
 //! The values are the same in debug and release builds.
 
-use proteus_costsim::study::{StudyConfig, StudyEnv};
 use proteus_costsim::StudyExecutor;
+use proteus_costsim::{StudyConfig, StudyEnv};
 use proteus_market::{MarketFaultPlan, MarketModel};
 use proteus_simtime::{SimDuration, SimTime};
 

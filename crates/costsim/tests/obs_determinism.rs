@@ -6,8 +6,8 @@
 //! the simulation itself (recording is passive — it never feeds back
 //! into decisions or RNG draws).
 
-use proteus_costsim::study::{StudyConfig, StudyEnv};
 use proteus_costsim::StudyExecutor;
+use proteus_costsim::{StudyConfig, StudyEnv};
 use proteus_market::MarketModel;
 
 /// A deliberately small study: 4 schemes × 6 starts = 24 recorded jobs.

@@ -9,7 +9,6 @@
 //! machines the moment they empty.
 
 use proteus_market::{AllocationId, CloudProvider, MarketError, MarketKey};
-use proteus_simtime::SimDuration;
 
 /// One shared on-demand machine and its slot occupancy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,19 +117,13 @@ impl ReliablePool {
         }
         credit
     }
-
-    /// Machine-hours a full fleet of `machines` machines would have
-    /// held over `span` — the amortization denominator for reporting.
-    pub fn machine_hours(machines: usize, span: SimDuration) -> f64 {
-        machines as f64 * span.as_hours_f64()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proteus_market::{catalog, PriceTrace, TraceSet, Zone};
-    use proteus_simtime::SimTime;
+    use proteus_simtime::{SimDuration, SimTime};
 
     fn key() -> MarketKey {
         MarketKey::new(catalog::c4_xlarge(), Zone(0))

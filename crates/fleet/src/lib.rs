@@ -13,13 +13,12 @@
 //!   atomically or queues whole — never a half-launched, money-bleeding
 //!   gang), and **global** Eq. 4 ranking across jobs with value-ordered
 //!   preemption of low-value preemptible gangs.
-//! - [`ReliablePool`] — bin-packs every job's
+//! - `ReliablePool` — bin-packs every job's
 //!   reliable (parameter-server) slots onto shared on-demand machines,
 //!   amortizing the reliable tier the paper pays per job.
-//! - [`sweep`] — a SpotTune-style hyperparameter sweep driver:
+//! - [`run_sweep`] — a SpotTune-style hyperparameter sweep driver:
 //!   asynchronous successive halving over fleet trials, early-killing
-//!   laggards and losers, promoting the winner into a real
-//!   [`proteus::Proteus`] training session.
+//!   laggards and losers.
 //!
 //! Determinism is load-bearing throughout: market fault draws come from
 //! per-tenant seed-split streams ([`proteus_market::TenantId`]), Eq. 4
@@ -32,16 +31,13 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
-pub mod binpack;
-pub mod job;
-pub mod scheduler;
-pub mod sim;
-pub mod sweep;
+mod binpack;
+mod job;
+mod scheduler;
+mod sim;
+mod sweep;
 
-pub use binpack::ReliablePool;
 pub use job::{FleetJobSpec, JobId, JobState, JobSummary};
-pub use scheduler::{FairnessConfig, RankEntry};
+pub use scheduler::FairnessConfig;
 pub use sim::{FleetConfig, FleetOutcome, FleetSim, FleetTiming};
-pub use sweep::{
-    promote_winner, run_sweep, run_sweep_on, RungCutoff, SweepConfig, SweepOutcome, TrialResult,
-};
+pub use sweep::{run_sweep, run_sweep_on, RungCutoff, SweepConfig, SweepOutcome, TrialResult};

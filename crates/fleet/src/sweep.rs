@@ -12,8 +12,7 @@
 //!
 //! Trial quality is a pure function of `(sweep seed, trial id, rung)` —
 //! seed-stable, so the whole sweep is bit-identical across scheduler
-//! thread counts. The winning configuration can be handed to a real
-//! [`proteus::Proteus`] training session via [`promote_winner`].
+//! thread counts.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -324,45 +323,6 @@ pub fn run_sweep_on(
     ))
 }
 
-/// Promotes the sweep winner to a real (tiny) Proteus training session:
-/// the fleet found the configuration, the production stack trains it.
-/// Returns `None` when no trial finished.
-pub fn promote_winner(
-    outcome: &SweepOutcome,
-) -> Option<Result<proteus::ProteusReport, proteus::ProteusError>> {
-    let _best = outcome.best?;
-    let app = proteus_mlapps::mf::MatrixFactorization::new(proteus_mlapps::mf::MfConfig {
-        rows: 30,
-        cols: 20,
-        rank: 3,
-        learning_rate: 0.05,
-        reg: 1e-4,
-        init_scale: 0.2,
-    });
-    let data = proteus_mlapps::data::netflix_like(
-        &proteus_mlapps::data::MfDataConfig {
-            rows: 30,
-            cols: 20,
-            true_rank: 2,
-            observed: 500,
-            noise: 0.02,
-        },
-        7,
-    );
-    let config = proteus::ProteusConfig {
-        max_machines: 4,
-        reliable_machines: 1,
-        ..proteus::ProteusConfig::default()
-    };
-    let run = || {
-        let mut session = proteus::Proteus::launch(app, data, config)?;
-        session.run_market_hours(0.5)?;
-        session.wait_clock(5)?;
-        session.finish()
-    };
-    Some(run())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,21 +424,5 @@ mod tests {
         assert_eq!(trial_score(1, 3, 0), trial_score(1, 3, 0));
         assert_ne!(trial_score(1, 3, 0), trial_score(2, 3, 0));
         assert_ne!(trial_score(1, 3, 0), trial_score(1, 4, 0));
-    }
-
-    #[test]
-    fn promote_winner_trains_through_the_production_stack() {
-        let traces = traces();
-        let beta = BetaEstimator::new();
-        let (out, _) = run_sweep(
-            &traces,
-            &beta,
-            FleetConfig::paper_defaults(vec![key()]),
-            &sweep_cfg(),
-            &StudyExecutor::serial(),
-        )
-        .expect("sweep");
-        let report = promote_winner(&out).expect("winner exists").expect("run");
-        assert!(report.final_objective.is_finite());
     }
 }

@@ -48,19 +48,6 @@ pub enum MarketError {
     },
 }
 
-impl MarketError {
-    /// Whether retrying the same request later could succeed without
-    /// any change on the caller's side. Capacity refusals and API
-    /// throttling are transient; bad bids, unknown markets, and
-    /// protocol misuse are not.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            MarketError::InsufficientCapacity { .. } | MarketError::RequestLimitExceeded { .. }
-        )
-    }
-}
-
 impl fmt::Display for MarketError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

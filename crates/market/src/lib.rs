@@ -16,16 +16,16 @@
 //! * a bid cannot be changed once the resource is granted.
 //!
 //! Since real 2016 AWS price traces are unavailable offline, the
-//! [`gen`] module synthesizes price traces with the qualitative character
+//! [`TraceGenerator`] synthesizes price traces with the qualitative character
 //! of the paper's Fig. 3 — long stretches of cheap, mildly-jittering prices
 //! punctuated by sharp spikes above the on-demand price — and the
-//! [`trace`] module also supports fully scripted traces for tests.
+//! [`PriceTrace`] also supports fully scripted traces for tests.
 //!
-//! [`gce`] models Google Compute Engine preemptible instances (fixed 70 %
+//! [`GceMarket`] models Google Compute Engine preemptible instances (fixed 70 %
 //! discount, Poisson preemptions) to demonstrate that the allocation
 //! machinery is not EC2-specific.
 //!
-//! The [`fault`] module adds seed-deterministic provider-side fault
+//! A [`MarketFaultPlan`] adds seed-deterministic provider-side fault
 //! regimes (capacity droughts, API throttling, boot delays, infant
 //! mortality); all are off by default.
 
@@ -33,16 +33,16 @@
 // retained `expect`s document real invariants at their use sites.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod billing;
-pub mod error;
-pub mod fault;
-pub mod gce;
-pub mod gen;
-pub mod instance;
-pub mod provider;
-pub mod spot;
+mod billing;
+mod error;
+mod fault;
+mod gce;
+mod gen;
+mod instance;
+mod provider;
+mod spot;
 mod tally;
-pub mod trace;
+mod trace;
 
 pub use billing::{BillingAccount, LedgerEntry, LedgerKind, UsageBreakdown};
 pub use error::MarketError;
@@ -50,10 +50,11 @@ pub use fault::{
     BootDelayRule, CapacityRule, InfantMortalityRule, MarketFaultPlan, MarketFaultStats, TenantId,
     ThrottleRule,
 };
+pub use gce::{GceMarket, PreemptionModel, GCE_DISCOUNT};
 pub use gen::{MarketModel, TraceGenerator};
 pub use instance::{catalog, InstanceType, MarketKey, Zone};
 pub use provider::{AllocationId, CloudProvider, ProviderEvent, SpotGrant};
-pub use spot::SpotAllocation;
+pub use spot::{SpotAllocation, SpotState};
 pub use tally::MarketTally;
 pub use trace::{PriceTrace, TraceSet};
 

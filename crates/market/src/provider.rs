@@ -65,13 +65,6 @@ pub struct SpotGrant {
     pub usable_at: SimTime,
 }
 
-impl SpotGrant {
-    /// Whether the market granted fewer instances than requested.
-    pub fn is_partial(&self) -> bool {
-        self.granted < self.requested
-    }
-}
-
 /// An on-demand allocation (never evicted by the provider).
 #[derive(Debug, Clone, PartialEq)]
 struct OnDemandLease {
@@ -856,7 +849,7 @@ mod tests {
         let mut p = provider_with(vec![(SimTime::EPOCH, 0.05)]);
         let grant = p.request_spot(key(), 4, 0.10).expect("granted");
         assert_eq!(grant.granted, 4);
-        assert!(!grant.is_partial());
+        assert_eq!(grant.granted, grant.requested);
         assert_eq!(grant.usable_at, SimTime::EPOCH);
         let id = grant.id;
         assert!((p.account().total_cost() - 0.20).abs() < 1e-12);
@@ -1019,7 +1012,6 @@ mod tests {
             3,
         ));
         let grant = p.request_spot(key(), 5, 0.10).expect("partial grant");
-        assert!(grant.is_partial());
         assert_eq!(grant.granted, 3);
         assert_eq!(grant.requested, 5);
         // Only the granted instances were billed.
@@ -1030,7 +1022,6 @@ mod tests {
             err,
             MarketError::InsufficientCapacity { available: 0, .. }
         ));
-        assert!(err.is_transient());
         let stats = p.fault_stats().expect("plan installed");
         assert_eq!(stats.partial_grants, 1);
         assert_eq!(stats.capacity_refusals, 1);
@@ -1048,7 +1039,7 @@ mod tests {
             0,
         ));
         let grant = p.request_spot(key(), 8, 0.10).expect("granted");
-        assert!(!grant.is_partial());
+        assert_eq!(grant.granted, grant.requested);
     }
 
     #[test]
@@ -1061,7 +1052,6 @@ mod tests {
             err,
             MarketError::RequestLimitExceeded { retry_after: retry }
         );
-        assert!(err.is_transient());
         assert_eq!(p.fault_stats().expect("plan").throttled, 1);
         // Throttling happens before billing: nothing charged.
         assert_eq!(p.account().total_cost(), 0.0);
@@ -1217,7 +1207,7 @@ mod tests {
             .request_spot_gang(TenantId(1), key(), 3, 0.10)
             .expect("granted");
         assert_eq!(grant.granted, 3);
-        assert!(!grant.is_partial());
+        assert_eq!(grant.granted, grant.requested);
     }
 
     #[test]

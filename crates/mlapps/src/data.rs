@@ -11,6 +11,7 @@
 use proteus_simtime::rng::seeded_stream;
 use rand::Rng;
 
+use crate::kmeans::Point;
 use crate::lda::LdaDoc;
 use crate::mf::Rating;
 use crate::mlr::Example;
@@ -201,6 +202,40 @@ fn approx_gaussian(rng: &mut rand::rngs::StdRng) -> f32 {
     s
 }
 
+/// K-means points: `points` samples from `clusters` well-separated
+/// Gaussian-ish blobs.
+pub fn blobs(
+    points: usize,
+    dim: usize,
+    clusters: u32,
+    separation: f32,
+    noise: f32,
+    seed: u64,
+) -> Vec<Point> {
+    let mut rng = seeded_stream(seed, 0xB10B);
+    let centers: Vec<Vec<f32>> = (0..clusters)
+        .map(|_| {
+            (0..dim)
+                .map(|_| rng.gen_range(-1.0..1.0) * separation)
+                .collect()
+        })
+        .collect();
+    (0..points)
+        .map(|i| {
+            let c = &centers[(i as u32 % clusters) as usize];
+            Point {
+                coords: c
+                    .iter()
+                    .map(|x| {
+                        let g: f32 = (0..6).map(|_| rng.gen_range(-0.5f32..0.5)).sum();
+                        x + g * noise
+                    })
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,7 +282,7 @@ mod tests {
         for d in &docs {
             assert_eq!(d.words.len(), cfg.doc_len);
             assert!(d.words.iter().all(|&w| w < cfg.vocab));
-            assert!(!d.initialized());
+            assert!(d.assignments.iter().all(|&z| z == u32::MAX));
             assert_eq!(d.doc_topics.len(), 5);
         }
     }

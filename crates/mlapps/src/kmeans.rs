@@ -162,42 +162,10 @@ impl MlApp for KMeans {
     }
 }
 
-/// Samples points from `clusters` well-separated Gaussian-ish blobs.
-pub fn blobs(
-    points: usize,
-    dim: usize,
-    clusters: u32,
-    separation: f32,
-    noise: f32,
-    seed: u64,
-) -> Vec<Point> {
-    let mut rng = proteus_simtime::rng::seeded_stream(seed, 0xB10B);
-    let centers: Vec<Vec<f32>> = (0..clusters)
-        .map(|_| {
-            (0..dim)
-                .map(|_| rng.gen_range(-1.0..1.0) * separation)
-                .collect()
-        })
-        .collect();
-    (0..points)
-        .map(|i| {
-            let c = &centers[(i as u32 % clusters) as usize];
-            Point {
-                coords: c
-                    .iter()
-                    .map(|x| {
-                        let g: f32 = (0..6).map(|_| rng.gen_range(-0.5f32..0.5)).sum();
-                        x + g * noise
-                    })
-                    .collect(),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::blobs;
     use crate::SequentialTrainer;
     use proteus_ps::{PartitionMap, WorkerCache};
     use proteus_simtime::rng::seeded;

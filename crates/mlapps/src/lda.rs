@@ -45,11 +45,6 @@ impl LdaDoc {
             doc_topics: vec![0; topics],
         }
     }
-
-    /// Whether the first Gibbs sweep has happened.
-    pub fn initialized(&self) -> bool {
-        self.assignments.iter().all(|&z| z != u32::MAX)
-    }
 }
 
 /// Configuration for [`Lda`].
@@ -303,7 +298,7 @@ mod tests {
         assert_eq!(word_sum as usize, total_tokens);
         // Per-document histograms also match.
         for d in &docs {
-            assert!(d.initialized());
+            assert!(d.assignments.iter().all(|&z| z != u32::MAX));
             let hist_sum: u32 = d.doc_topics.iter().sum();
             assert_eq!(hist_sum as usize, d.words.len());
         }

@@ -28,7 +28,7 @@
 
 pub mod app;
 pub mod data;
-pub mod kmeans;
+mod kmeans;
 pub mod lda;
 pub mod mf;
 pub mod mlr;

@@ -8,14 +8,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use proteus_mlapps::data::blobs;
 use proteus_mlapps::data::{
     imagenet_like, netflix_like, nytimes_like, LdaDataConfig, MfDataConfig, MlrDataConfig,
 };
-use proteus_mlapps::kmeans::{blobs, KMeans, KmConfig};
 use proteus_mlapps::lda::{Lda, LdaConfig};
 use proteus_mlapps::mf::{MatrixFactorization, MfConfig};
 use proteus_mlapps::mlr::{Mlr, MlrConfig};
 use proteus_mlapps::MlApp;
+use proteus_mlapps::{KMeans, KmConfig};
 use proteus_ps::{ParamKey, PartitionMap, RunRows, WorkerCache};
 use proteus_simtime::rng::seeded;
 

@@ -4,13 +4,14 @@
 //! of the data path must keep the arithmetic and its per-datum order,
 //! so every bit of the objective and of every parameter must survive.
 
+use proteus_mlapps::data::blobs;
 use proteus_mlapps::data::{
     imagenet_like, netflix_like, nytimes_like, LdaDataConfig, MfDataConfig, MlrDataConfig,
 };
-use proteus_mlapps::kmeans::{blobs, KMeans, KmConfig};
 use proteus_mlapps::lda::{Lda, LdaConfig};
 use proteus_mlapps::mf::{MatrixFactorization, MfConfig};
 use proteus_mlapps::mlr::{Mlr, MlrConfig};
+use proteus_mlapps::{KMeans, KmConfig};
 use proteus_mlapps::{MlApp, SequentialTrainer};
 use proteus_ps::ParamKey;
 

@@ -12,8 +12,6 @@
 //! export, and floats are rendered with Rust's shortest-roundtrip
 //! `Display`, so identical timelines serialize to identical bytes.
 
-use crate::timeline::Timeline;
-
 /// Appends `,"name":"escaped-value"`.
 pub(crate) fn push_str(out: &mut String, name: &str, value: &str) {
     out.push_str(",\"");
@@ -84,11 +82,6 @@ fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Serializes a timeline to JSONL, appending to `out`.
-pub fn write_timeline(tl: &Timeline, out: &mut String) {
-    write_events(&tl.events, out);
-}
-
 /// Serializes a slice of timed events to JSONL, appending to `out`.
 pub(crate) fn write_events(events: &[crate::timeline::TimedEvent], out: &mut String) {
     for e in events {
@@ -102,13 +95,6 @@ pub(crate) fn write_events(events: &[crate::timeline::TimedEvent], out: &mut Str
         e.event.write_fields(out);
         out.push_str("}\n");
     }
-}
-
-/// Renders a timeline to a standalone JSONL string.
-pub fn to_string(tl: &Timeline) -> String {
-    let mut out = String::new();
-    write_timeline(tl, &mut out);
-    out
 }
 
 /// The export path named by [`crate::OBS_OUT_ENV`], if set and
@@ -129,26 +115,25 @@ mod tests {
 
     #[test]
     fn serializes_one_object_per_line() {
-        let tl = Timeline {
-            events: vec![
-                TimedEvent {
-                    t: SimTime::from_millis(1000),
-                    seq: 0,
-                    event: Event::Market(MarketEvent::SpotGranted {
-                        market: "us-east-1a/c4.xlarge".into(),
-                        allocation: 3,
-                        count: 4,
-                        bid: 0.5,
-                    }),
-                },
-                TimedEvent {
-                    t: SimTime::from_millis(2000),
-                    seq: 1,
-                    event: Event::Market(MarketEvent::Evicted { allocation: 3 }),
-                },
-            ],
-        };
-        let s = to_string(&tl);
+        let events = vec![
+            TimedEvent {
+                t: SimTime::from_millis(1000),
+                seq: 0,
+                event: Event::Market(MarketEvent::SpotGranted {
+                    market: "us-east-1a/c4.xlarge".into(),
+                    allocation: 3,
+                    count: 4,
+                    bid: 0.5,
+                }),
+            },
+            TimedEvent {
+                t: SimTime::from_millis(2000),
+                seq: 1,
+                event: Event::Market(MarketEvent::Evicted { allocation: 3 }),
+            },
+        ];
+        let mut s = String::new();
+        write_events(&events, &mut s);
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(

@@ -20,8 +20,8 @@
 //!   path.
 //! - [`Timeline`] — an owned snapshot queryable from tests, replacing
 //!   brittle stdout assertions.
-//! - [`jsonl`] — a hand-rolled JSONL exporter; `PROTEUS_OBS_OUT` names
-//!   the export file.
+//! - JSONL export ([`Recorder::to_jsonl`]), hand-rolled;
+//!   `PROTEUS_OBS_OUT` ([`export_path`]) names the export file.
 //!
 //! # Counted once: folds always, the recorder when attached
 //!
@@ -50,21 +50,16 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
-pub mod event;
-pub mod jsonl;
-pub mod recorder;
-pub mod timeline;
+mod event;
+mod jsonl;
+mod recorder;
+mod timeline;
 
 pub use event::{AgileEvent, BidEvent, CostEvent, Event, FleetEvent, MarketEvent, SessionEvent};
+pub use jsonl::export_path;
 pub use recorder::Recorder;
 pub use timeline::{TimedEvent, Timeline};
 
 /// Environment variable naming the JSONL export file for study/session
 /// timelines. Unset means "do not export".
 pub const OBS_OUT_ENV: &str = "PROTEUS_OBS_OUT";
-
-/// A new recorder behind an [`Arc`](std::sync::Arc), ready to hand to
-/// several subsystems at once.
-pub fn shared() -> std::sync::Arc<Recorder> {
-    std::sync::Arc::new(Recorder::new())
-}

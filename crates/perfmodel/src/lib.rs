@@ -27,11 +27,11 @@
 // retained expect documents a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod autotune;
-pub mod layout;
+mod autotune;
+mod layout;
 pub mod presets;
-pub mod series;
-pub mod workload;
+mod series;
+mod workload;
 
 pub use autotune::{auto_thresholds, StageThresholds};
 pub use layout::{time_per_iteration, ClusterSpec, Layout};

@@ -21,12 +21,12 @@ use std::collections::BTreeMap;
 /// use proteus_ps::ClockTable;
 ///
 /// let mut clocks = ClockTable::new(1); // slack of 1 clock
-/// clocks.register(0);
-/// clocks.register(1);
+/// clocks.register_at(0, 0);
+/// clocks.register_at(1, 0);
 /// clocks.advance(0, 2);
 /// // Worker 0 at clock 2 may not start clock 3 while worker 1 is at 0.
 /// assert!(!clocks.may_proceed(2));
-/// assert_eq!(clocks.consistent_clock(), Some(0));
+/// assert_eq!(clocks.min_clock(), Some(0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClockTable {
@@ -48,22 +48,12 @@ impl ClockTable {
         self.slack
     }
 
-    /// Registers a worker starting at clock 0.
-    ///
-    /// Only for workers joining a *fresh* job: re-adding a worker to a
-    /// job whose clocks have advanced must use
-    /// [`ClockTable::register_at`], or the newcomer drags
-    /// [`ClockTable::consistent_clock`] — the rollback target — back to
-    /// zero.
-    pub fn register(&mut self, worker: u32) {
-        self.register_at(worker, 0);
-    }
-
-    /// Registers a worker starting at `clock`.
+    /// Registers a worker starting at `clock` (0 for a fresh job).
     ///
     /// Controllers re-adding workers after an eviction or rescale seed
     /// them with the last broadcast minimum so the consistent clock (and
-    /// with it the recovery rollback target) never regresses. If the
+    /// with it the recovery rollback target) never regresses: a
+    /// newcomer registered at 0 would drag it back to zero. If the
     /// worker is already registered its clock only moves forward.
     pub fn register_at(&mut self, worker: u32, clock: u64) {
         let entry = self.clocks.entry(worker).or_insert(clock);
@@ -91,7 +81,9 @@ impl ClockTable {
         }
     }
 
-    /// The slowest registered clock, or `None` when no workers exist.
+    /// The slowest registered clock — the latest clock all workers have
+    /// completed, the consistent snapshot point recovery rolls back to.
+    /// `None` with no workers.
     pub fn min_clock(&self) -> Option<u64> {
         self.clocks.values().copied().min()
     }
@@ -105,17 +97,6 @@ impl ClockTable {
             Some(min) => clock.saturating_sub(min) <= self.slack,
             None => true,
         }
-    }
-
-    /// The latest clock all workers have completed — the consistent
-    /// snapshot point recovery rolls back to. `None` with no workers.
-    pub fn consistent_clock(&self) -> Option<u64> {
-        self.min_clock()
-    }
-
-    /// Current clock of one worker.
-    pub fn clock_of(&self, worker: u32) -> Option<u64> {
-        self.clocks.get(&worker).copied()
     }
 
     /// Number of registered workers.
@@ -132,8 +113,8 @@ mod tests {
     #[test]
     fn bsp_blocks_until_all_advance() {
         let mut t = ClockTable::new(0);
-        t.register(0);
-        t.register(1);
+        t.register_at(0, 0);
+        t.register_at(1, 0);
         assert!(t.may_proceed(0));
         t.advance(0, 1);
         // Worker 0 at clock 1 must wait for worker 1 (still at 0).
@@ -145,8 +126,8 @@ mod tests {
     #[test]
     fn slack_allows_bounded_lead() {
         let mut t = ClockTable::new(2);
-        t.register(0);
-        t.register(1);
+        t.register_at(0, 0);
+        t.register_at(1, 0);
         t.advance(0, 2);
         assert!(t.may_proceed(2)); // Lead of 2 ≤ slack.
         t.advance(0, 3);
@@ -156,54 +137,54 @@ mod tests {
     #[test]
     fn clocks_never_move_backwards() {
         let mut t = ClockTable::new(0);
-        t.register(0);
+        t.register_at(0, 0);
         t.advance(0, 5);
         t.advance(0, 3);
-        assert_eq!(t.clock_of(0), Some(5));
+        assert_eq!(t.clocks.get(&0).copied(), Some(5));
     }
 
     #[test]
     fn deregister_unblocks_stragglers_waiters() {
         let mut t = ClockTable::new(0);
-        t.register(0);
-        t.register(1);
+        t.register_at(0, 0);
+        t.register_at(1, 0);
         t.advance(0, 4);
         assert!(!t.may_proceed(4));
         // Worker 1 is evicted; worker 0 may proceed.
         t.deregister(1);
         assert!(t.may_proceed(4));
-        assert_eq!(t.consistent_clock(), Some(4));
+        assert_eq!(t.min_clock(), Some(4));
     }
 
     #[test]
     fn register_at_does_not_regress_consistent_clock() {
         let mut t = ClockTable::new(1);
-        t.register(0);
-        t.register(1);
+        t.register_at(0, 0);
+        t.register_at(1, 0);
         t.advance(0, 7);
         t.advance(1, 7);
         t.deregister(1); // evicted
-        assert_eq!(t.consistent_clock(), Some(7));
+        assert_eq!(t.min_clock(), Some(7));
         // `register` would pin the rejoiner at 0 and drag the rollback
         // target back to the start of the job:
         let mut naive = t.clone();
-        naive.register(2);
-        assert_eq!(naive.consistent_clock(), Some(0));
+        naive.register_at(2, 0);
+        assert_eq!(naive.min_clock(), Some(0));
         // `register_at` seeds it with the current consistent clock:
         t.register_at(2, 7);
-        assert_eq!(t.consistent_clock(), Some(7));
+        assert_eq!(t.min_clock(), Some(7));
         // Re-registering an existing worker never moves it backwards.
         t.register_at(0, 3);
-        assert_eq!(t.clock_of(0), Some(7));
+        assert_eq!(t.clocks.get(&0).copied(), Some(7));
         t.register_at(0, 9);
-        assert_eq!(t.clock_of(0), Some(9));
+        assert_eq!(t.clocks.get(&0).copied(), Some(9));
     }
 
     #[test]
     fn empty_table_never_blocks() {
         let t = ClockTable::new(0);
         assert!(t.may_proceed(100));
-        assert_eq!(t.consistent_clock(), None);
+        assert_eq!(t.min_clock(), None);
         assert_eq!(t.min_clock(), None);
     }
 
@@ -212,10 +193,10 @@ mod tests {
         fn consistent_clock_is_min(clocks in proptest::collection::vec(0u64..50, 1..8)) {
             let mut t = ClockTable::new(1);
             for (i, c) in clocks.iter().enumerate() {
-                t.register(i as u32);
+                t.register_at(i as u32, 0);
                 t.advance(i as u32, *c);
             }
-            prop_assert_eq!(t.consistent_clock(), clocks.iter().copied().min());
+            prop_assert_eq!(t.min_clock(), clocks.iter().copied().min());
             prop_assert_eq!(t.worker_count(), clocks.len());
         }
 
@@ -224,8 +205,8 @@ mod tests {
             let mut lo = ClockTable::new(1);
             let mut hi = ClockTable::new(5);
             for t in [&mut lo, &mut hi] {
-                t.register(0);
-                t.register(1);
+                t.register_at(0, 0);
+                t.register_at(1, 0);
                 t.advance(0, lead);
             }
             // Anything admitted under the tight bound is admitted under

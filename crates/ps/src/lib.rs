@@ -26,8 +26,9 @@
 //! * [`kernels`] — explicit-width chunked slice kernels (the hot loops
 //!   behind [`DenseVec`] and the ML apps), with AVX2 twins picked at
 //!   run time and bit-identical to the portable loops;
-//! * [`snapshot`] — the durable, bit-exact checkpoint encoding of a
-//!   full parameter map (used by session-level restart-from-checkpoint).
+//! * [`encode_model`] / [`decode_model`] — the durable, bit-exact
+//!   checkpoint encoding of a full parameter map (used by session-level
+//!   restart-from-checkpoint).
 //!
 //! The elastic tiering logic (ActivePS/BackupPS, stages, recovery) lives
 //! one layer up in `proteus-agileml`; everything here is deliberately
@@ -37,15 +38,15 @@
 // expect must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod cache;
-pub mod clock;
+mod cache;
+mod clock;
 pub mod kernels;
-pub mod keyset;
-pub mod partition;
-pub mod shard;
-pub mod snapshot;
-pub mod value;
-pub mod values;
+mod keyset;
+mod partition;
+mod shard;
+mod snapshot;
+mod value;
+mod values;
 
 pub use cache::{RowPos, RunRows, WorkerCache};
 pub use clock::ClockTable;

@@ -34,7 +34,7 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// A typed decode failure. Encoding is infallible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The blob does not start with [`SNAPSHOT_MAGIC`].
+    /// The blob does not start with the `PSNP` magic.
     BadMagic,
     /// The blob's version is not one this build can decode.
     BadVersion(u32),

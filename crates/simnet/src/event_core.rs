@@ -6,11 +6,11 @@
 //! [`SimCluster`] is the DSLab-style alternative: a single driver owning
 //! one [`EventQueue`],
 //! with every node implemented as a [`SimNode`] component whose
-//! `on_message` / `on_control` / `on_timer` handlers run when their
-//! events pop. A send is not a channel push but a **scheduled delivery
-//! event** at `now + link latency`; time advances only by popping the
-//! queue, so a simulation costs its handlers — no thread spawn, park,
-//! or context switch per message.
+//! `on_message` / `on_control` handlers run when their events pop. A
+//! send is not a channel push but a **scheduled delivery event** at
+//! `now + link latency`; time advances only by popping the queue, so a
+//! simulation costs its handlers — no thread spawn, park, or context
+//! switch per message.
 //!
 //! # Batches
 //!
@@ -18,7 +18,7 @@
 //! event at the head timestamp that is in the queue when the batch
 //! forms, grouped by destination node in queue order. Each node's group
 //! runs against a private [`SimCtx`]: liveness as of the start of the
-//! batch, and its own outbox, timers and stop flag. Groups of distinct
+//! batch, and its own outbox and stop flag. Groups of distinct
 //! nodes share nothing, so they run on the persistent
 //! [`proteus_simtime::Pool`] when they announce enough computation to
 //! be worth waking a thread for ([`SimNode::compute_hint`]) and inline
@@ -52,7 +52,7 @@
 //!
 //! # Kill semantics
 //!
-//! A node killed by [`SimCluster::kill`] or a scheduled
+//! A node killed by [`SimCluster::kill`] or a delivered
 //! [`Control::Kill`] never handles another event, and its state is
 //! dropped. Deliveries already scheduled to it are discarded at dispatch
 //! and counted in [`NetStats::dropped`], as a revoked machine loses the
@@ -80,19 +80,14 @@ pub struct NetStats {
     pub dropped: u64,
 }
 
-/// Identifies one timer a component set for itself; the component picks
-/// the value and gets it back in [`SimNode::on_timer`].
-pub type TimerId = u64;
-
 /// A node as an event-handler component.
 ///
 /// Handlers of one node run one at a time, in queue order; handlers of
 /// distinct nodes due at the same instant may run on different threads
 /// (hence the `Send` bound on [`SimCluster::add_node`]). They interact
-/// with the cluster (sending, timers, introspection) only through the
+/// with the cluster (sending, introspection) only through the
 /// [`SimCtx`] they are handed. Handlers must not block — in a
-/// discrete-event world, "waiting" is setting a timer or waiting for
-/// the next message.
+/// discrete-event world, "waiting" is waiting for the next message.
 pub trait SimNode<M> {
     /// Called once, synchronously, when the node is added to the cluster.
     fn on_start(&mut self, _ctx: &mut SimCtx<'_, M>) {}
@@ -103,9 +98,6 @@ pub trait SimNode<M> {
     /// A harness control signal arrived ([`Control::Kill`] is never seen
     /// here — the core retires the node instead).
     fn on_control(&mut self, _ctx: &mut SimCtx<'_, M>, _ctrl: Control) {}
-
-    /// A timer this component set via [`SimCtx::set_timer`] fired.
-    fn on_timer(&mut self, _ctx: &mut SimCtx<'_, M>, _timer: TimerId) {}
 
     /// Roughly how many multiply-adds handling `msg` will take, when it
     /// is real computation rather than bookkeeping (zero). A hint, asked
@@ -119,46 +111,28 @@ pub trait SimNode<M> {
     }
 }
 
-/// Boxed handler closure taking the node's [`SimCtx`] plus an event
-/// payload `E` (sender + message, a control, or a timer id).
-type Handler<M, E> = Box<dyn FnMut(&mut SimCtx<'_, M>, E) + Send>;
+/// A boxed message handler: the node's [`SimCtx`], the sender, the
+/// message.
+type Handler<M> = Box<dyn FnMut(&mut SimCtx<'_, M>, NodeId, M) + Send>;
 
-/// Closure-based [`SimNode`] for tests, benches, and simple protocols.
+/// Closure-based [`SimNode`] for tests, benches, and simple protocols:
+/// it handles application messages and ignores controls.
 pub struct FnNode<M> {
-    on_message: Handler<M, (NodeId, M)>,
-    on_control: Option<Handler<M, Control>>,
+    on_message: Handler<M>,
 }
 
 impl<M> FnNode<M> {
-    /// A component handling application messages with `f`. It ignores
-    /// timers, and controls until [`with_control`](Self::with_control)
-    /// attaches a handler.
-    pub fn new(mut f: impl FnMut(&mut SimCtx<'_, M>, NodeId, M) + Send + 'static) -> Self {
+    /// A component handling application messages with `f`.
+    pub fn new(f: impl FnMut(&mut SimCtx<'_, M>, NodeId, M) + Send + 'static) -> Self {
         FnNode {
-            on_message: Box::new(move |ctx, (from, msg)| f(ctx, from, msg)),
-            on_control: None,
+            on_message: Box::new(f),
         }
-    }
-
-    /// Attaches a control handler; builder style.
-    pub fn with_control(
-        mut self,
-        f: impl FnMut(&mut SimCtx<'_, M>, Control) + Send + 'static,
-    ) -> Self {
-        self.on_control = Some(Box::new(f));
-        self
     }
 }
 
 impl<M> SimNode<M> for FnNode<M> {
     fn on_message(&mut self, ctx: &mut SimCtx<'_, M>, from: NodeId, msg: M) {
-        (self.on_message)(ctx, (from, msg));
-    }
-
-    fn on_control(&mut self, ctx: &mut SimCtx<'_, M>, ctrl: Control) {
-        if let Some(f) = self.on_control.as_mut() {
-            f(ctx, ctrl);
-        }
+        (self.on_message)(ctx, from, msg);
     }
 }
 
@@ -176,8 +150,6 @@ enum SimEvent<M> {
     Deliver { from: NodeId, to: NodeId, msg: M },
     /// A harness control signal due at `to`.
     Control { to: NodeId, ctrl: Control },
-    /// A component timer firing.
-    Timer { node: NodeId, timer: TimerId },
 }
 
 /// Per-node registry metadata, indexed by `NodeId.0` (ids are handed
@@ -188,30 +160,18 @@ struct NodeMeta {
     dead: bool,
 }
 
-/// What a handler asked the cluster to do, in program order.
-enum Effect<M> {
-    Send {
-        delay: SimDuration,
-        to: NodeId,
-        msg: M,
-    },
-    Timer {
-        delay: SimDuration,
-        timer: TimerId,
-    },
-}
-
 /// Everything one node's handlers produced during a batch; committed by
 /// the driver afterwards.
 struct Outbox<M> {
-    effects: Vec<Effect<M>>,
+    /// Sends, in program order.
+    sends: Vec<(NodeId, M)>,
     stopped: bool,
 }
 
 impl<M> Default for Outbox<M> {
     fn default() -> Self {
         Outbox {
-            effects: Vec::new(),
+            sends: Vec::new(),
             stopped: false,
         }
     }
@@ -221,7 +181,6 @@ impl<M> Default for Outbox<M> {
 enum Due<M> {
     Deliver { from: NodeId, msg: M },
     Control(Control),
-    Timer(TimerId),
 }
 
 /// A live node: its component, and its share of the batch in flight —
@@ -262,7 +221,6 @@ impl<M> Group<M> {
                 }
                 Due::Control(Control::Kill) => self.out.stopped = true,
                 Due::Control(ctrl) => self.node.on_control(&mut ctx, ctrl),
-                Due::Timer(timer) => self.node.on_timer(&mut ctx, timer),
             }
         }
     }
@@ -333,20 +291,11 @@ impl<M: Clone> CoreState<M> {
         }
     }
 
-    /// Commits what one node's handlers asked for, in program order, at
-    /// the current instant.
-    fn commit(&mut self, id: NodeId, effects: impl Iterator<Item = Effect<M>>) {
-        let now = self.now;
-        for effect in effects {
-            match effect {
-                Effect::Send { delay, to, msg } => {
-                    let _ = self.enqueue(now + delay, id, to, msg);
-                }
-                Effect::Timer { delay, timer } => {
-                    self.queue
-                        .schedule(now + delay, SimEvent::Timer { node: id, timer });
-                }
-            }
+    /// Commits one node's sends, in program order, at the current
+    /// instant.
+    fn commit(&mut self, id: NodeId, sends: impl Iterator<Item = (NodeId, M)>) {
+        for (to, msg) in sends {
+            let _ = self.enqueue(self.now, id, to, msg);
         }
     }
 }
@@ -355,8 +304,8 @@ impl<M: Clone> CoreState<M> {
 /// through.
 ///
 /// Private to the node for the length of a batch: it reads liveness as
-/// of the start of the batch and collects sends, timers and the stop
-/// flag for the driver to commit afterwards.
+/// of the start of the batch and collects sends and the stop flag for
+/// the driver to commit afterwards.
 pub struct SimCtx<'a, M> {
     id: NodeId,
     now: SimTime,
@@ -393,33 +342,17 @@ impl<M> SimCtx<'_, M> {
     /// batch — reports success here and the copy is dropped and counted
     /// instead: exactly a packet in flight to a revoked machine.
     pub fn send(&mut self, to: NodeId, msg: M) -> Result<(), SendError> {
-        self.send_after(SimDuration::ZERO, to, msg)
-    }
-
-    /// Like [`SimCtx::send`] with an extra sender-side delay before the
-    /// message enters the link.
-    pub fn send_after(&mut self, delay: SimDuration, to: NodeId, msg: M) -> Result<(), SendError> {
         if self.out.stopped {
             return Err(SendError::SelfDead);
         }
         // Queued even toward a dead target, so the commit step counts
         // the drop.
-        self.out.effects.push(Effect::Send { delay, to, msg });
-        if self.peer_alive(to) {
+        self.out.sends.push((to, msg));
+        if is_alive(self.meta, to) {
             Ok(())
         } else {
             Err(SendError::Unreachable(to))
         }
-    }
-
-    /// Schedules [`SimNode::on_timer`] for this node at `now + delay`.
-    pub fn set_timer(&mut self, delay: SimDuration, timer: TimerId) {
-        self.out.effects.push(Effect::Timer { delay, timer });
-    }
-
-    /// Whether a peer node was alive when the current batch began.
-    pub fn peer_alive(&self, node: NodeId) -> bool {
-        is_alive(self.meta, node)
     }
 
     /// Retires this node cooperatively: no further events are dispatched
@@ -436,7 +369,7 @@ impl<M> SimCtx<'_, M> {
 /// # Examples
 ///
 /// ```
-/// use proteus_simnet::{FnNode, NodeClass, SimCluster};
+/// use proteus_simnet::{FnNode, NodeClass, NodeId, SimCluster};
 /// use proteus_simtime::SimDuration;
 ///
 /// let mut sim: SimCluster<u64> = SimCluster::new();
@@ -447,14 +380,21 @@ impl<M> SimCtx<'_, M> {
 ///         let _ = ctx.send(from, msg * 2);
 ///     }),
 /// );
+/// // The harness asks the probe to send 21 to the echo node.
 /// let probe = sim.add_node(
 ///     NodeClass::Transient,
-///     FnNode::new(|_ctx, _from, msg| assert_eq!(msg, 42)),
+///     FnNode::new(move |ctx, from, msg| {
+///         if from == NodeId::HARNESS {
+///             let _ = ctx.send(echo, msg);
+///         } else {
+///             assert_eq!(msg, 42);
+///         }
+///     }),
 /// );
-/// sim.send_from(probe, echo, 21).unwrap();
+/// sim.send_as_harness(probe, 21).unwrap();
 /// let end = sim.run_until_idle();
-/// assert_eq!(end, proteus_simtime::SimTime::from_millis(10));
-/// assert_eq!(sim.stats().messages, 2);
+/// assert_eq!(end, proteus_simtime::SimTime::from_millis(15));
+/// assert_eq!(sim.stats().messages, 3);
 /// ```
 pub struct SimCluster<M> {
     state: CoreState<M>,
@@ -542,7 +482,7 @@ impl<M: Clone + Send> SimCluster<M> {
     /// Commits a group's outbox and files the node back for the next
     /// batch unless it stopped (the caller has marked it dead by then).
     fn settle(&mut self, mut group: Group<M>) {
-        self.state.commit(group.id, group.out.effects.drain(..));
+        self.state.commit(group.id, group.out.sends.drain(..));
         if !group.out.stopped {
             let slot = group.id.0 as usize;
             self.components[slot] = Some(group);
@@ -555,8 +495,8 @@ impl<M: Clone + Send> SimCluster<M> {
         NodeId(u32::try_from(self.components.len()).unwrap_or(u32::MAX))
     }
 
-    /// The current simulated instant (the timestamp of the last
-    /// dispatched batch, or where [`SimCluster::run_until`] left it).
+    /// The current simulated instant: the timestamp of the last
+    /// dispatched batch.
     pub fn now(&self) -> SimTime {
         self.state.now
     }
@@ -565,15 +505,6 @@ impl<M: Clone + Send> SimCluster<M> {
     /// to the reserved [`NodeId::HARNESS`].
     pub fn send_as_harness(&mut self, to: NodeId, msg: M) -> Result<(), SendError> {
         self.state.enqueue(self.state.now, NodeId::HARNESS, to, msg)
-    }
-
-    /// Sends an application message attributed to `from` (which must be
-    /// alive) — lets a harness script traffic between specific nodes.
-    pub fn send_from(&mut self, from: NodeId, to: NodeId, msg: M) -> Result<(), SendError> {
-        if !self.alive(from) {
-            return Err(SendError::SelfDead);
-        }
-        self.state.enqueue(self.state.now, from, to, msg)
     }
 
     /// Delivers a control signal to `to` at the current instant.
@@ -585,16 +516,6 @@ impl<M: Clone + Send> SimCluster<M> {
             .queue
             .schedule(self.state.now, SimEvent::Control { to, ctrl });
         Ok(())
-    }
-
-    /// Schedules a control signal for the absolute instant `at` (clamped
-    /// to no earlier than now) — the chaos-scripting primitive:
-    /// `schedule_control(t, n, Control::Kill)` is a scripted crash,
-    /// `Control::EvictionWarning` a scripted two-minute notice.
-    pub fn schedule_control(&mut self, at: SimTime, to: NodeId, ctrl: Control) {
-        self.state
-            .queue
-            .schedule(at.max(self.state.now), SimEvent::Control { to, ctrl });
     }
 
     /// Delivers an eviction warning to `node` at the current instant.
@@ -679,11 +600,6 @@ impl<M: Clone + Send> SimCluster<M> {
         is_alive(&self.state.meta, node)
     }
 
-    /// The reliability class `node` was added with, if it exists.
-    pub fn class_of(&self, node: NodeId) -> Option<NodeClass> {
-        self.state.meta.get(node.0 as usize).map(|m| m.class)
-    }
-
     /// Aggregate traffic counters.
     pub fn stats(&self) -> NetStats {
         NetStats {
@@ -700,11 +616,6 @@ impl<M: Clone + Send> SimCluster<M> {
     /// Messages delivered from `from` to `to`.
     pub fn traffic_between(&self, from: NodeId, to: NodeId) -> u64 {
         self.state.traffic.get(&(from, to)).copied().unwrap_or(0)
-    }
-
-    /// Number of events still pending in the queue.
-    pub fn pending_events(&self) -> usize {
-        self.state.queue.len()
     }
 
     /// Dispatches the next batch — every event at the earliest pending
@@ -725,27 +636,12 @@ impl<M: Clone + Send> SimCluster<M> {
         self.state.now
     }
 
-    /// Dispatches every batch due at or before `t`, then advances the
-    /// clock to exactly `t` (if it is not already past it).
-    pub fn run_until(&mut self, t: SimTime) -> SimTime {
-        while let Some(at) = self.state.queue.peek_time().filter(|at| *at <= t) {
-            self.dispatch(at);
-        }
-        self.state.now = self.state.now.max(t);
-        self.drive_recorder_clock();
-        self.state.now
-    }
-
-    fn drive_recorder_clock(&self) {
-        if let Some(rec) = self.state.recorder.as_deref() {
-            rec.set_now(self.state.now);
-        }
-    }
-
     /// Forms, runs and commits the batch at `at` (see the module docs).
     fn dispatch(&mut self, at: SimTime) {
         self.state.now = at;
-        self.drive_recorder_clock();
+        if let Some(rec) = self.state.recorder.as_deref() {
+            rec.set_now(at);
+        }
 
         // Form: every event at `at` that is queued right now.
         let mut groups: Vec<Group<M>> = Vec::new();
@@ -753,7 +649,6 @@ impl<M: Clone + Send> SimCluster<M> {
             let (to, due) = match ev {
                 SimEvent::Deliver { from, to, msg } => (to, Due::Deliver { from, msg }),
                 SimEvent::Control { to, ctrl } => (to, Due::Control(ctrl)),
-                SimEvent::Timer { node, timer } => (node, Due::Timer(timer)),
             };
             let slot = to.0 as usize;
             let group = match self.group_at.get(slot).copied().flatten() {
@@ -843,10 +738,18 @@ mod tests {
                 let _ = ctx.send(from, msg + 1);
             }),
         );
-        let sink = sim.add_node(NodeClass::Transient, FnNode::new(|_, _, _| {}));
-        sim.send_from(sink, echo, 1).unwrap();
-        assert_eq!(sim.run_until_idle(), SimTime::from_millis(6));
-        assert_eq!(sim.stats().messages, 2);
+        // The sink relays the harness's message to the echo node.
+        let sink = sim.add_node(
+            NodeClass::Transient,
+            FnNode::new(move |ctx, from, msg| {
+                if from == NodeId::HARNESS {
+                    let _ = ctx.send(echo, msg);
+                }
+            }),
+        );
+        sim.send_as_harness(sink, 1).unwrap();
+        assert_eq!(sim.run_until_idle(), SimTime::from_millis(9));
+        assert_eq!(sim.stats().messages, 3);
         assert_eq!(sim.traffic_between(echo, sink), 1);
     }
 
@@ -888,32 +791,6 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_at_their_instant() {
-        let mut sim: SimCluster<u32> = SimCluster::new();
-        let fired: Arc<Mutex<Vec<(u64, u64)>>> = Default::default();
-        let f = Arc::clone(&fired);
-        struct Ticker {
-            fired: Arc<Mutex<Vec<(u64, u64)>>>,
-        }
-        impl SimNode<u32> for Ticker {
-            fn on_start(&mut self, ctx: &mut SimCtx<'_, u32>) {
-                ctx.set_timer(SimDuration::from_millis(5), 1);
-                ctx.set_timer(SimDuration::from_millis(2), 2);
-            }
-            fn on_message(&mut self, _: &mut SimCtx<'_, u32>, _: NodeId, _: u32) {}
-            fn on_timer(&mut self, ctx: &mut SimCtx<'_, u32>, timer: TimerId) {
-                self.fired
-                    .lock()
-                    .unwrap()
-                    .push((ctx.now().as_millis(), timer));
-            }
-        }
-        sim.add_node(NodeClass::Reliable, Ticker { fired: f });
-        sim.run_until_idle();
-        assert_eq!(*fired.lock().unwrap(), vec![(2, 2), (5, 1)]);
-    }
-
-    #[test]
     fn harness_id_is_reserved() {
         let mut sim: SimCluster<u32> = SimCluster::new();
         let sink = sim.add_node(NodeClass::Reliable, FnNode::new(|_, _, _| {}));
@@ -922,23 +799,5 @@ mod tests {
         sim.send_as_harness(sink, 1).unwrap();
         sim.run_until_idle();
         assert_eq!(sim.traffic_between(NodeId::HARNESS, sink), 1);
-    }
-
-    #[test]
-    fn run_until_stops_at_the_requested_instant() {
-        let mut sim: SimCluster<u32> = SimCluster::new();
-        sim.set_link_latency(SimDuration::from_millis(10));
-        let sink = sim.add_node(NodeClass::Reliable, FnNode::new(|_, _, _| {}));
-        sim.send_as_harness(sink, 1).unwrap();
-        assert_eq!(
-            sim.run_until(SimTime::from_millis(4)),
-            SimTime::from_millis(4)
-        );
-        assert_eq!(sim.stats().messages, 0);
-        assert_eq!(
-            sim.run_until(SimTime::from_millis(20)),
-            SimTime::from_millis(20)
-        );
-        assert_eq!(sim.stats().messages, 1);
     }
 }

@@ -8,10 +8,10 @@
 //! reorder). Node-level faults — crash-without-warning, warning-with-no-
 //! eviction, warning-then-crash-before-drain, eviction storms — are
 //! scripted directly through
-//! [`SimCluster::schedule_control`](crate::SimCluster::schedule_control),
 //! [`SimCluster::revoke`](crate::SimCluster::revoke) and
-//! [`SimCluster::kill`](crate::SimCluster::kill); this module only covers
-//! the message plane.
+//! [`SimCluster::kill`](crate::SimCluster::kill) between
+//! [`SimCluster::step`](crate::SimCluster::step)s; this module only
+//! covers the message plane.
 //!
 //! # Determinism
 //!
@@ -109,31 +109,6 @@ impl<M> FaultPlan<M> {
     pub fn with_rule(mut self, rule: FaultRule<M>) -> Self {
         self.rules.push(rule);
         self
-    }
-
-    /// Duplicates messages from `from` to `to` with probability `p`.
-    pub fn duplicate_between(self, from: NodeId, to: NodeId, p: f64) -> Self {
-        self.with_rule(FaultRule {
-            from: Some(from),
-            to: Some(to),
-            drop: 0.0,
-            duplicate: p,
-            delay: 0.0,
-            filter: None,
-        })
-    }
-
-    /// Delays (reorders by one) messages from `from` to `to` with
-    /// probability `p`.
-    pub fn delay_between(self, from: NodeId, to: NodeId, p: f64) -> Self {
-        self.with_rule(FaultRule {
-            from: Some(from),
-            to: Some(to),
-            drop: 0.0,
-            duplicate: 0.0,
-            delay: p,
-            filter: None,
-        })
     }
 }
 

@@ -18,7 +18,7 @@
 //!
 //! All of it runs on the **discrete-event** [`SimCluster`]: one
 //! timestamp-ordered [`proteus_simtime::EventQueue`] drives [`SimNode`]
-//! components via `on_message` / `on_control` / `on_timer` handlers,
+//! components via `on_message` / `on_control` handlers,
 //! with link latency as scheduled delivery events and same-instant
 //! handlers of distinct nodes dispatched in parallel under a fixed
 //! commit order. AgileML, and everything above it, runs here: a job
@@ -36,13 +36,13 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 mod cluster;
-pub mod event_core;
-pub mod fault;
-pub mod message;
-pub mod node;
+mod event_core;
+mod fault;
+mod message;
+mod node;
 
 pub use cluster::{Cluster, ClusterHandle, NodeCtx};
-pub use event_core::{FnNode, NetStats, SimCluster, SimCtx, SimNode, TimerId};
+pub use event_core::{FnNode, NetStats, SimCluster, SimCtx, SimNode};
 pub use fault::{FaultPlan, FaultRule, FaultStats, MsgFilter};
 pub use message::{Control, Envelope, Incoming, RecvError, SendError};
 pub use node::{NodeClass, NodeId};

@@ -5,7 +5,9 @@
 use std::sync::{Arc, Mutex};
 
 use proteus_obs::Recorder;
-use proteus_simnet::{Control, FaultPlan, FnNode, NetStats, NodeClass, NodeId, SimCluster};
+use proteus_simnet::{
+    Control, FaultPlan, FaultRule, FnNode, NetStats, NodeClass, NodeId, SimCluster, SimCtx, SimNode,
+};
 use proteus_simtime::{SimDuration, SimTime};
 
 /// Builds an N-node ring where each node forwards a hop-countdown token
@@ -46,12 +48,33 @@ fn ring_broadcast_converges_and_is_deterministic() {
 
 /// A fault plan that drops, duplicates and delays harness → node 0.
 fn harness_chaos(seed: u64) -> FaultPlan<u64> {
-    FaultPlan::new(seed).with_rule(proteus_simnet::FaultRule {
+    FaultPlan::new(seed).with_rule(FaultRule {
         from: Some(NodeId::HARNESS),
         to: Some(NodeId(0)),
         drop: 0.3,
         duplicate: 0.3,
         delay: 0.2,
+        filter: None,
+    })
+}
+
+enum Fault {
+    Duplicate,
+    Delay,
+}
+
+/// A plan that duplicates or delays every harness → `to` message.
+fn harness_always(seed: u64, to: NodeId, fault: Fault) -> FaultPlan<u64> {
+    let (duplicate, delay) = match fault {
+        Fault::Duplicate => (1.0, 0.0),
+        Fault::Delay => (0.0, 1.0),
+    };
+    FaultPlan::new(seed).with_rule(FaultRule {
+        from: Some(NodeId::HARNESS),
+        to: Some(to),
+        drop: 0.0,
+        duplicate,
+        delay,
         filter: None,
     })
 }
@@ -125,7 +148,7 @@ fn set_faults_mid_run_keeps_the_earlier_drops_duplicates_and_delays() {
 #[test]
 fn absorbed_send_succeeds_even_if_released_held_message_is_dead() {
     let (mut sim, victim, got) = recording_sink();
-    sim.set_faults(FaultPlan::new(1).delay_between(NodeId::HARNESS, victim, 1.0));
+    sim.set_faults(harness_always(1, victim, Fault::Delay));
     // First send: held back (absorbed), the sender sees Ok.
     assert_eq!(sim.send_as_harness(victim, 1), Ok(()));
     sim.kill(victim);
@@ -146,7 +169,7 @@ fn absorbed_send_succeeds_even_if_released_held_message_is_dead() {
 #[test]
 fn duplicated_send_to_dead_target_reports_unreachable() {
     let (mut sim, victim, _) = recording_sink();
-    sim.set_faults(FaultPlan::new(1).duplicate_between(NodeId::HARNESS, victim, 1.0));
+    sim.set_faults(harness_always(1, victim, Fault::Duplicate));
     sim.kill(victim);
     assert_eq!(
         sim.send_as_harness(victim, 1),
@@ -161,13 +184,13 @@ fn duplicated_send_to_dead_target_reports_unreachable() {
 #[test]
 fn replacing_fault_layer_counts_undeliverable_held_as_dropped() {
     let (mut sim, victim, _) = recording_sink();
-    sim.set_faults(FaultPlan::new(5).delay_between(NodeId::HARNESS, victim, 1.0));
+    sim.set_faults(harness_always(5, victim, Fault::Delay));
     sim.send_as_harness(victim, 1).unwrap();
     sim.kill(victim);
     let before = sim.stats().dropped;
     sim.set_faults(FaultPlan::new(6));
     assert_eq!(sim.stats().dropped, before + 1);
-    assert_eq!(sim.pending_events(), 0);
+    assert!(!sim.step(), "nothing left to dispatch");
 }
 
 #[test]
@@ -179,7 +202,7 @@ fn delayed_messages_reorder_by_one_and_flush_releases_the_tail() {
         NodeClass::Reliable,
         FnNode::new(move |_, _, msg| sink_got.lock().unwrap().push(msg)),
     );
-    sim.set_faults(FaultPlan::new(5).delay_between(NodeId::HARNESS, sink, 1.0));
+    sim.set_faults(harness_always(5, sink, Fault::Delay));
     for i in [1u64, 2, 3] {
         sim.send_as_harness(sink, i).unwrap();
     }
@@ -199,7 +222,7 @@ fn replacing_fault_plan_flushes_held_messages_into_the_queue() {
         NodeClass::Reliable,
         FnNode::new(move |_, _, msg| sink_got.lock().unwrap().push(msg)),
     );
-    sim.set_faults(FaultPlan::new(5).delay_between(NodeId::HARNESS, sink, 1.0));
+    sim.set_faults(harness_always(5, sink, Fault::Delay));
     sim.send_as_harness(sink, 7).unwrap();
     // Replacing the plan must schedule the held message, not destroy it.
     sim.set_faults(FaultPlan::new(6));
@@ -209,20 +232,25 @@ fn replacing_fault_plan_flushes_held_messages_into_the_queue() {
     assert_eq!(sim.stats().dropped, 0);
 }
 
+/// A node that records every control it is handed.
+struct ControlLog(Arc<Mutex<Vec<Control>>>);
+
+impl SimNode<u64> for ControlLog {
+    fn on_message(&mut self, _: &mut SimCtx<'_, u64>, _: NodeId, _: u64) {}
+
+    fn on_control(&mut self, _: &mut SimCtx<'_, u64>, ctrl: Control) {
+        self.0.lock().unwrap().push(ctrl);
+    }
+}
+
 #[test]
 fn eviction_warning_and_shutdown_reach_handlers_kill_does_not() {
     let mut sim: SimCluster<u64> = SimCluster::new();
     let seen: Arc<Mutex<Vec<Control>>> = Default::default();
-    let node_seen = Arc::clone(&seen);
-    let node = sim.add_node(
-        NodeClass::Transient,
-        FnNode::new(|_, _, _: u64| {}).with_control(move |_, ctrl| {
-            node_seen.lock().unwrap().push(ctrl);
-        }),
-    );
+    let node = sim.add_node(NodeClass::Transient, ControlLog(Arc::clone(&seen)));
     sim.revoke(node, 120_000).unwrap();
     sim.shutdown(node).unwrap();
-    sim.schedule_control(SimTime::from_millis(10), node, Control::Kill);
+    sim.send_control(node, Control::Kill).unwrap();
     sim.run_until_idle();
     assert_eq!(
         *seen.lock().unwrap(),
@@ -233,8 +261,12 @@ fn eviction_warning_and_shutdown_reach_handlers_kill_does_not() {
             Control::Shutdown,
         ]
     );
-    // The scheduled Kill retired the node without a handler call.
+    // The Kill retired the node without a handler call.
     assert!(!sim.alive(node));
+    assert_eq!(
+        sim.send_control(node, Control::Shutdown),
+        Err(proteus_simnet::SendError::Unreachable(node))
+    );
 }
 
 #[test]
@@ -244,8 +276,11 @@ fn scheduled_kill_scripts_a_crash_mid_protocol() {
     let nodes = ring(&mut sim, 8);
     // Token does 4 laps (32 hops), but node 5 dies at t=10ms: the token
     // reaches it once (t=6ms) and dies in flight the second time.
-    sim.schedule_control(SimTime::from_millis(10), nodes[5], Control::Kill);
     sim.send_as_harness(nodes[0], 32).unwrap();
+    while sim.now() < SimTime::from_millis(10) {
+        assert!(sim.step());
+    }
+    sim.kill(nodes[5]);
     sim.run_until_idle();
     assert_eq!(sim.stats().dropped, 1);
     assert_eq!(sim.traffic_between(nodes[4], nodes[5]), 1);
@@ -264,12 +299,10 @@ fn recorder_clock_tracks_event_time() {
     sim.send_as_harness(sink, 1).unwrap();
     sim.run_until_idle();
     assert_eq!(rec.now(), SimTime::from_millis(7));
-    sim.run_until(SimTime::from_millis(30));
-    assert_eq!(rec.now(), SimTime::from_millis(30));
 }
 
 #[test]
-fn stopped_node_stops_handling_but_keeps_its_class() {
+fn stopped_node_stops_handling() {
     let mut sim: SimCluster<u64> = SimCluster::new();
     let count: Arc<Mutex<u64>> = Default::default();
     let node_count = Arc::clone(&count);
@@ -285,12 +318,12 @@ fn stopped_node_stops_handling_but_keeps_its_class() {
     sim.run_until_idle();
     assert_eq!(*count.lock().unwrap(), 1);
     assert!(!sim.alive(node));
-    assert_eq!(sim.class_of(node), Some(NodeClass::Reliable));
     assert_eq!(sim.stats().dropped, 1);
 }
 
 /// A two-node request/reply protocol: every request and every reply is
-/// one delivery, counted on its (sender, receiver) pair.
+/// one delivery, counted on its (sender, receiver) pair. The client
+/// sends each request when the harness hands it one.
 #[test]
 fn request_reply_counts_every_delivery_and_pair() {
     const N: u64 = 25;
@@ -301,9 +334,16 @@ fn request_reply_counts_every_delivery_and_pair() {
             let _ = ctx.send(from, msg * 2);
         }),
     );
-    let client = sim.add_node(NodeClass::Transient, FnNode::new(|_, _, _| {}));
+    let client = sim.add_node(
+        NodeClass::Transient,
+        FnNode::new(move |ctx, from, msg| {
+            if from == NodeId::HARNESS {
+                let _ = ctx.send(server, msg);
+            }
+        }),
+    );
     for i in 0..N {
-        sim.send_from(client, server, i).unwrap();
+        sim.send_as_harness(client, i).unwrap();
     }
     sim.run_until_idle();
 
@@ -311,13 +351,17 @@ fn request_reply_counts_every_delivery_and_pair() {
     assert_eq!(
         sim.stats(),
         NetStats {
-            messages: 50,
+            messages: 75,
             dropped: 0
         }
     );
     assert_eq!(
         sim.traffic_matrix(),
-        vec![((NodeId(0), NodeId(1)), 25), ((NodeId(1), NodeId(0)), 25)]
+        vec![
+            ((NodeId(0), NodeId(1)), 25),
+            ((NodeId(1), NodeId(0)), 25),
+            ((NodeId::HARNESS, NodeId(1)), 25)
+        ]
     );
 }
 
@@ -342,7 +386,7 @@ fn a_node_that_stops_within_a_batch_still_looks_alive_to_that_batch() {
     assert_eq!(*results.lock().unwrap(), vec![Ok(())]);
     assert!(!sim.alive(quitter));
     // ...and the message was a counted drop at commit, never queued.
-    assert_eq!(sim.pending_events(), 0);
+    assert!(!sim.step(), "nothing left to dispatch");
     assert_eq!(sim.stats().dropped, 1);
     assert_eq!(sim.stats().messages, 2);
     // From the next batch on, the sender is told.

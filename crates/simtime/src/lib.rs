@@ -19,10 +19,10 @@
 // at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod event;
-pub mod pool;
+mod event;
+mod pool;
 pub mod rng;
-pub mod time;
+mod time;
 
 pub use event::EventQueue;
 pub use pool::Pool;

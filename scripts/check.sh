@@ -155,4 +155,22 @@ if grep -rnE --include="*.rs" '\bCluster(::|<)|\bClusterHandle\b|\bNodeCtx\b' cr
   exit 1
 fi
 
+# A crate's interface is its lib.rs re-export list: modules are private,
+# so rustc's dead_code lint sees every item nothing outside tests uses.
+# A module stays `pub` only where a caller names it by its path:
+#   mlapps::{app, data, lda, mf, mlr, train}  benchmark/ names these paths
+#   simtime::rng, perfmodel::presets          benchmark/ names these paths
+#   ps::kernels                               mlapps calls the kernels through it
+echo "==> no pub mod in a crate's lib.rs outside the listed ones"
+allowed="mlapps:app mlapps:data mlapps:lda mlapps:mf mlapps:mlr mlapps:train simtime:rng perfmodel:presets ps:kernels"
+for lib in crates/*/src/lib.rs; do
+  crate=$(basename "$(dirname "$(dirname "$lib")")")
+  for m in $(sed -n 's/^ *pub mod \([a-z_0-9]*\).*/\1/p' "$lib"); do
+    case " $allowed " in
+      *" $crate:$m "*) ;;
+      *) echo "error: $lib declares pub mod $m (make it private and re-export what callers name)" >&2; exit 1 ;;
+    esac
+  done
+done
+
 echo "==> all checks passed"

@@ -185,7 +185,7 @@ fn perfmodel_and_stage_selection_agree() {
     );
     assert!(s2 < s1);
     assert_eq!(
-        proteus_agileml::stage::select_stage(60, 4, 1.0, 15.0),
+        proteus_agileml::select_stage(60, 4, 1.0, 15.0),
         proteus_agileml::Stage::Stage2
     );
 
@@ -211,7 +211,7 @@ fn perfmodel_and_stage_selection_agree() {
     );
     assert!(s3_hi < s2_hi);
     assert_eq!(
-        proteus_agileml::stage::select_stage(63, 1, 1.0, 15.0),
+        proteus_agileml::select_stage(63, 1, 1.0, 15.0),
         proteus_agileml::Stage::Stage3
     );
 
@@ -237,7 +237,7 @@ fn perfmodel_and_stage_selection_agree() {
     );
     assert!(s2_lo < s3_lo);
     assert_eq!(
-        proteus_agileml::stage::select_stage(8, 8, 1.0, 15.0),
+        proteus_agileml::select_stage(8, 8, 1.0, 15.0),
         proteus_agileml::Stage::Stage1
     );
 }
