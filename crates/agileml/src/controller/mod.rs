@@ -134,7 +134,7 @@ impl<A: MlApp> Controller<A> {
             keyspace,
             layout: Layout::new(cfg),
             helloed: BTreeSet::new(),
-            clock: ClockTable::new(cfg.slack),
+            clock: ClockTable::default(),
             epoch: resume_epoch,
             started: false,
             last_min_broadcast: resume_clock,

@@ -199,7 +199,7 @@ impl<A: MlApp> Controller<A> {
         // Data blocks of dead workers fall back, and every surviving
         // worker resumes from the target.
         self.layout.release_blocks(&failed, false);
-        self.clock = ClockTable::new(self.cfg.slack);
+        self.clock = ClockTable::default();
         self.last_min_broadcast = target;
         self.resync_worker_clocks();
 

@@ -41,8 +41,9 @@ use crate::node::NodeState;
 use crate::stage::Stage;
 use crate::worker::BlockKeys;
 
-/// Wall-clock bound on waits that take none of their own: reached only
-/// by a job that keeps training yet never reports the awaited event.
+/// Wall-clock bound on every wait, counted from where the wait starts:
+/// reached only by a job that keeps training yet never reports the
+/// awaited event.
 const WAIT: Duration = Duration::from_secs(60);
 
 /// Where the controller leaves its [`Report`]s for the driver.
@@ -209,9 +210,9 @@ impl Engine {
         &mut self,
         mut seen: impl FnMut(&JobEvent) -> bool,
         mut done: impl FnMut(&Engine) -> bool,
-        deadline: Instant,
         waiting_for: &'static str,
     ) -> Result<(), JobError> {
+        let deadline = Instant::now() + WAIT;
         loop {
             while let Some(e) = self.next_event() {
                 if seen(e) {
@@ -232,10 +233,9 @@ impl Engine {
     fn await_event(
         &mut self,
         pred: impl FnMut(&JobEvent) -> bool,
-        deadline: Instant,
         waiting_for: &'static str,
     ) -> Result<(), JobError> {
-        self.await_state(pred, |_| false, deadline, waiting_for)
+        self.await_state(pred, |_| false, waiting_for)
     }
 
     /// Sends `cmd` and runs the queue until the controller's reply to it
@@ -295,7 +295,7 @@ impl<A: MlApp> AgileMlJob<A> {
         reliable: usize,
         transient: usize,
     ) -> Result<Self, JobError> {
-        Self::launch_inner(app, dataset, cfg, reliable, transient, None, None)
+        Self::launch_inner(app, dataset, cfg, reliable, transient, None)
     }
 
     /// Like [`AgileMlJob::launch`] but installs a [`FaultPlan`] at the
@@ -309,31 +309,7 @@ impl<A: MlApp> AgileMlJob<A> {
         transient: usize,
         faults: FaultPlan<AgileMsg>,
     ) -> Result<Self, JobError> {
-        Self::launch_inner(app, dataset, cfg, reliable, transient, None, Some(faults))
-    }
-
-    /// Like [`AgileMlJob::launch`] but restores parameter state from a
-    /// checkpointed [`ModelSnapshot`] instead of random initialization —
-    /// the paper's Sec. 3.3 checkpointing of reliable resources, which
-    /// in stage 3 costs no training throughput because no workers run on
-    /// those machines.
-    pub fn launch_from_checkpoint(
-        app: A,
-        dataset: Vec<A::Datum>,
-        cfg: AgileConfig,
-        reliable: usize,
-        transient: usize,
-        checkpoint: ModelSnapshot,
-    ) -> Result<Self, JobError> {
-        Self::launch_inner(
-            app,
-            dataset,
-            cfg,
-            reliable,
-            transient,
-            Some(checkpoint),
-            None,
-        )
+        Self::launch_inner(app, dataset, cfg, reliable, transient, Some(faults))
     }
 
     fn launch_inner(
@@ -342,14 +318,13 @@ impl<A: MlApp> AgileMlJob<A> {
         cfg: AgileConfig,
         reliable: usize,
         transient: usize,
-        checkpoint: Option<ModelSnapshot>,
         faults: Option<FaultPlan<AgileMsg>>,
     ) -> Result<Self, JobError> {
         cfg.validate().map_err(JobError::InvalidConfig)?;
         let app = Arc::new(app);
         let block_keys = Arc::new(BlockKeys::new(dataset.len(), cfg.data_blocks));
         let mut job = AgileMlJob {
-            engine: RefCell::new(Engine::new(&app, cfg, checkpoint, faults)),
+            engine: RefCell::new(Engine::new(&app, cfg, None, faults)),
             app,
             dataset: Arc::new(dataset),
             block_keys,
@@ -377,11 +352,7 @@ impl<A: MlApp> AgileMlJob<A> {
         nodes.extend(self.add_nodes(NodeClass::Transient, transient));
         let engine = self.engine.get_mut();
         engine.send_cmd(Command::AddNodes { nodes })?;
-        engine.await_event(
-            |e| matches!(e, JobEvent::Started { .. }),
-            Instant::now() + WAIT,
-            waiting_for,
-        )
+        engine.await_event(|e| matches!(e, JobEvent::Started { .. }), waiting_for)
     }
 
     /// Adds `count` machines of `class` to the cluster; each announces
@@ -473,7 +444,6 @@ impl<A: MlApp> AgileMlJob<A> {
         engine.send_cmd(Command::AddNodes { nodes })?;
         engine.await_event(
             |e| matches!(e, JobEvent::NodesAdded { nodes } if *nodes == ids),
-            Instant::now() + WAIT,
             "node addition",
         )?;
         Ok(ids)
@@ -500,7 +470,6 @@ impl<A: MlApp> AgileMlJob<A> {
                 matches!(e, JobEvent::NodesEvicted { nodes: gone }
                 if gone.iter().all(|n| nodes.contains(n)))
             },
-            Instant::now() + WAIT,
             "eviction drain",
         )
     }
@@ -523,7 +492,6 @@ impl<A: MlApp> AgileMlJob<A> {
                 matches!(e, JobEvent::NodesPreDrained { nodes: demoted, .. }
                 if demoted.iter().all(|n| nodes.contains(n)))
             },
-            Instant::now() + WAIT,
             "pre-drain demotion",
         )
     }
@@ -574,7 +542,6 @@ impl<A: MlApp> AgileMlJob<A> {
                 }
                 _ => false,
             },
-            Instant::now() + WAIT,
             "failure recovery",
         )?;
         Ok(rolled)
@@ -604,7 +571,6 @@ impl<A: MlApp> AgileMlJob<A> {
                 JobEvent::NodesFailedRecovered { nodes: failed, .. } if failed == nodes => true,
                 _ => false,
             },
-            Instant::now() + WAIT,
             "reliable repair",
         )?;
         Ok(repaired)
@@ -624,7 +590,6 @@ impl<A: MlApp> AgileMlJob<A> {
     pub fn wait_event(
         &mut self,
         mut pred: impl FnMut(&JobEvent) -> bool,
-        timeout: Duration,
         waiting_for: &'static str,
     ) -> Result<(), JobError> {
         let engine = self.engine.get_mut();
@@ -633,27 +598,21 @@ impl<A: MlApp> AgileMlJob<A> {
         if engine.event_log.iter().any(&mut pred) {
             return Ok(());
         }
-        engine.await_event(pred, Instant::now() + timeout, waiting_for)
+        engine.await_event(pred, waiting_for)
     }
 
     /// Trains until the global minimum clock reaches `clock`.
-    pub fn wait_clock(&mut self, clock: u64) -> Result<(), JobError> {
-        self.wait_clock_for(clock, WAIT)
-    }
-
-    /// Like [`AgileMlJob::wait_clock`] with an explicit wall-clock bound.
     ///
     /// The clock waited on is the job's *current* consistent clock: a
     /// rollback winds it back, so a clock reached before a failure does
     /// not count once recovery has undone it.
-    pub fn wait_clock_for(&mut self, clock: u64, timeout: Duration) -> Result<(), JobError> {
+    pub fn wait_clock(&mut self, clock: u64) -> Result<(), JobError> {
         // Judged only once everything reported has been logged, so an
         // advance with a rollback queued right behind it is not taken
         // for progress.
         self.engine.get_mut().await_state(
             |_| false,
             |engine| engine.clock >= clock,
-            Instant::now() + timeout,
             "clock advance",
         )
     }
@@ -682,12 +641,6 @@ impl<A: MlApp> AgileMlJob<A> {
                 Report::Status(status) => Ok(status),
                 other => Err(other),
             })
-    }
-
-    /// Installs (or replaces) the seed-deterministic fault plan applied
-    /// to every subsequently sent message.
-    pub fn set_faults(&self, plan: FaultPlan<AgileMsg>) {
-        self.engine.borrow_mut().cluster.set_faults(plan);
     }
 
     /// Removes the fault plan, first releasing any held-back messages.
@@ -736,11 +689,6 @@ impl<A: MlApp> AgileMlJob<A> {
     /// toward reliable machines only).
     pub fn traffic_matrix(&self) -> Vec<((NodeId, NodeId), u64)> {
         self.engine.borrow().cluster.traffic_matrix()
-    }
-
-    /// Messages delivered from `from` to `to`.
-    pub fn traffic_between(&self, from: NodeId, to: NodeId) -> u64 {
-        self.engine.borrow().cluster.traffic_between(from, to)
     }
 
     /// Aggregate delivered/dropped counters for the whole cluster.

@@ -31,6 +31,7 @@
 // channel, never panic; any retained expect documents a real invariant
 // at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unnameable_types)]
 
 mod config;
 mod controller;
@@ -48,7 +49,7 @@ pub use config::AgileConfig;
 pub use error::{JobError, JobFault};
 pub use events::{JobEvent, JobStatus};
 pub use job::{AgileMlJob, ModelSnapshot, SnapshotReader};
-pub use msg::AgileMsg;
+pub use msg::{AgileMsg, Command, NodeAssignment};
 pub use server::ServerState;
 pub use stage::{select_stage, Stage};
 pub use topology::{BlockId, Topology};

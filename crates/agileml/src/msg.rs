@@ -253,12 +253,12 @@ pub enum Command {
         /// Failed nodes.
         nodes: Vec<NodeId>,
     },
-    /// Report a full model snapshot ([`Report::Snapshot`]) once state is
+    /// Report a full model snapshot (`Report::Snapshot`) once state is
     /// quiescent enough.
     Snapshot,
-    /// Report controller status ([`Report::Status`]).
+    /// Report controller status (`Report::Status`).
     Status,
-    /// Stop all nodes gracefully and acknowledge ([`Report::Stopping`]).
+    /// Stop all nodes gracefully and acknowledge (`Report::Stopping`).
     Shutdown,
 }
 

@@ -660,6 +660,27 @@ mod tests {
     }
 
     #[test]
+    fn slack_allows_bounded_lead() -> Result<(), ProtocolError> {
+        let mut w = worker();
+        w.slack = 2;
+        let t = topo(NodeId(1));
+        w.assign_blocks(&[BlockId(0)]);
+        w.start();
+        // Leads of 0, 1 and 2 ≤ slack: three iterations run while the
+        // global minimum stays at 0.
+        for _ in 0..3 {
+            let (dst, token) = find_read_req(&w.poll(&t))?;
+            w.on_read_resp(dst, token, Values::new(), &t);
+        }
+        assert_eq!(w.clock, 3);
+        // A lead of 3 > slack waits for the minimum to move.
+        assert!(w.poll(&t).is_empty());
+        w.on_global_clock(1, 0);
+        assert!(!w.poll(&t).is_empty());
+        Ok(())
+    }
+
+    #[test]
     fn stale_read_responses_are_ignored() -> Result<(), ProtocolError> {
         let mut w = worker();
         let t = topo(NodeId(1));

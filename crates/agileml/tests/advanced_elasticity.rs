@@ -308,9 +308,10 @@ fn full_transient_loss_without_warning_promotes_backups() {
 #[test]
 fn checkpoint_restores_across_job_launches() {
     // Sec. 3.3: reliable-resource checkpointing. Train, checkpoint,
-    // tear the whole job down (simulating a reliable-tier failure or a
-    // job-sequence boundary), relaunch from the checkpoint, and verify
-    // the model picks up where it left off.
+    // drop the whole cluster (simulating a reliable-tier failure or a
+    // job-sequence boundary), relaunch from the checkpoint in a fresh
+    // one (the session's restart path), and verify the model picks up
+    // where it left off.
     let data = mf_data();
     let cfg = AgileConfig {
         partitions: 4,
@@ -322,14 +323,12 @@ fn checkpoint_restores_across_job_launches() {
     job.wait_clock(15).expect("train");
     let trained_obj = job.objective(&data).expect("objective");
     let checkpoint = job.snapshot().expect("checkpoint");
-    job.shutdown().expect("shutdown");
 
     // Relaunch from the checkpoint: the restored model must score the
     // same objective immediately (no retraining).
-    let mut job2 =
-        AgileMlJob::launch_from_checkpoint(mf_app(), data.clone(), cfg, 1, 2, checkpoint)
-            .expect("relaunch");
-    let restored_obj = job2.objective(&data).expect("objective");
+    job.relaunch_from_checkpoint(1, 2, Some(checkpoint))
+        .expect("relaunch");
+    let restored_obj = job.objective(&data).expect("objective");
     assert!(
         (restored_obj - trained_obj).abs() < trained_obj * 0.35 + 1e-3,
         "restored model matches (workers may have applied a first \
@@ -339,10 +338,10 @@ fn checkpoint_restores_across_job_launches() {
         restored_obj < 0.2,
         "restored model is trained, not random: {restored_obj}"
     );
-    job2.wait_clock(5).expect("continues training");
-    let continued = job2.objective(&data).expect("objective");
+    job.wait_clock(5).expect("continues training");
+    let continued = job.objective(&data).expect("objective");
     assert!(continued <= restored_obj * 1.1, "keeps converging");
-    job2.shutdown().expect("shutdown");
+    job.shutdown().expect("shutdown");
 }
 
 #[test]

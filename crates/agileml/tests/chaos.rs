@@ -11,10 +11,7 @@
 //! (A message the fault layer holds back cannot starve a wait: the job's
 //! waits release held messages whenever the queue runs dry.)
 //!
-//! Each run prints `chaos: scenario=<name> seed=<seed>` *before* doing
-//! anything, so a failure in CI is reproducible from the printed seed
-//! alone: `PROTEUS_CHAOS_SEEDS=<seed> cargo test -p proteus-agileml
-//! --test chaos <name>`. `PROTEUS_CHAOS_FULL=1` widens the sweep.
+//! The job, the seed sweep and the fault-free oracle are `common`'s.
 //!
 //! The named tests double as regression tests for bugs this harness
 //! found: the `expect("partial eviction leaves surviving actives")`
@@ -22,117 +19,22 @@
 //! panic on duplicated traffic, and rejoining workers dragging the
 //! consistent clock back to zero.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use proteus_agileml::AgileMsg;
 use proteus_agileml::{AgileConfig, AgileMlJob, JobError, JobEvent, JobFault, Stage};
-use proteus_mlapps::data::{netflix_like, MfDataConfig};
-use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
+use proteus_mlapps::mf::MatrixFactorization;
 use proteus_ps::ClockTable;
 use proteus_simnet::{FaultPlan, FaultRule, NodeClass, NodeId};
 
-/// Clock every scenario trains to before judging the objective.
-const TARGET: u64 = 20;
-/// Generous per-wait deadline; hit only when a schedule wedges the job.
-const STEP: Duration = Duration::from_secs(60);
+use common::{chaos_cfg, mf_app, mf_data, sweep, TARGET};
+
 /// Controller node; machines are numbered from 1 in spawn order.
 const CTRL: NodeId = NodeId(0);
-
-fn mf_app() -> MatrixFactorization {
-    MatrixFactorization::new(MfConfig {
-        rows: 30,
-        cols: 20,
-        rank: 3,
-        learning_rate: 0.05,
-        reg: 1e-4,
-        init_scale: 0.2,
-    })
-}
-
-fn mf_data() -> Vec<Rating> {
-    netflix_like(
-        &MfDataConfig {
-            rows: 30,
-            cols: 20,
-            true_rank: 2,
-            observed: 500,
-            noise: 0.02,
-        },
-        3,
-    )
-}
-
-/// The canonical chaos shape: stage 2 with every transient node hosting
-/// an ActivePS, so storms can revoke 100% of the serving tier at once.
-fn chaos_cfg(model_seed: u64) -> AgileConfig {
-    AgileConfig {
-        slack: 1,
-        partitions: 4,
-        data_blocks: 8,
-        activeps_fraction: 1.0,
-        force_stage: Some(Stage::Stage2),
-        seed: model_seed,
-        ..AgileConfig::default()
-    }
-}
-
-/// Seeds to sweep. Chaos seeds double as model seeds so the fault-free
-/// baseline for a seed is the exact job the faulted run perturbs.
-fn seeds() -> Vec<u64> {
-    if let Ok(s) = std::env::var("PROTEUS_CHAOS_SEEDS") {
-        return s.split(',').filter_map(|t| t.trim().parse().ok()).collect();
-    }
-    if std::env::var("PROTEUS_CHAOS_FULL").is_ok() {
-        return vec![3, 5, 7, 11, 13, 17, 19, 23];
-    }
-    vec![3, 11]
-}
-
-/// Fault-free objective for `chaos_cfg(seed)` at [`TARGET`], cached per
-/// seed across scenarios.
-fn baseline(seed: u64) -> f64 {
-    static CACHE: Mutex<BTreeMap<u64, f64>> = Mutex::new(BTreeMap::new());
-    if let Some(v) = CACHE.lock().unwrap().get(&seed) {
-        return *v;
-    }
-    let data = mf_data();
-    let mut job =
-        AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 1, 3).expect("baseline launch");
-    job.wait_clock(TARGET).expect("baseline progress");
-    let obj = job.objective(&data).expect("baseline objective");
-    job.shutdown().expect("baseline shutdown");
-    CACHE.lock().unwrap().insert(seed, obj);
-    obj
-}
-
-fn assert_converged(name: &str, seed: u64, obj: f64) {
-    let base = baseline(seed);
-    let bar = (2.0 * base).max(0.15);
-    assert!(
-        obj <= bar,
-        "chaos: scenario={name} seed={seed}: objective {obj} above fault-free bar {bar} \
-         (baseline {base})"
-    );
-}
-
-/// Runs `scenario` across the seed sweep. `hard` scenarios must recover
-/// and converge; soft ones may instead surface any typed [`JobError`]
-/// (the no-panic contract is enforced by the test harness itself).
-fn sweep(name: &str, hard: bool, scenario: impl Fn(u64) -> Result<f64, JobError>) {
-    for seed in seeds() {
-        println!("chaos: scenario={name} seed={seed}");
-        match scenario(seed) {
-            Ok(obj) => assert_converged(name, seed, obj),
-            Err(e) if !hard => {
-                println!("chaos: scenario={name} seed={seed} surfaced typed error: {e}");
-            }
-            Err(e) => panic!("chaos: scenario={name} seed={seed}: expected recovery, got: {e}"),
-        }
-    }
-}
 
 /// Waits until `NodesEvicted` events have covered all of `want`.
 fn wait_all_evicted(
@@ -148,7 +50,6 @@ fn wait_all_evicted(
             }
             want.is_subset(&gone)
         },
-        STEP,
         "storm drain",
     )
 }
@@ -163,13 +64,13 @@ fn wait_all_evicted(
 fn storm_all_actives(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
     let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 1, 3)?;
-    job.wait_clock_for(8, STEP)?;
+    job.wait_clock(8)?;
     job.evict_with_warning(&[NodeId(2), NodeId(3), NodeId(4)])?;
     let st = job.status()?;
     assert_eq!(st.stage, Stage::Stage1, "total storm falls back to stage 1");
     assert_eq!(st.transient, 0, "every transient node drained out");
     assert_eq!(st.active_ps, 0, "no ActivePS survives the storm");
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -181,7 +82,7 @@ fn storm_all_actives(seed: u64) -> Result<f64, JobError> {
 fn storm_mid_migration(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
     let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 1, 4)?;
-    job.wait_clock_for(6, STEP)?;
+    job.wait_clock(6)?;
     // Provider-style warnings, no driver waiting in between: the second
     // wave races the first victim's drain.
     job.warn_only(&[NodeId(2)], 120_000)?;
@@ -190,7 +91,7 @@ fn storm_mid_migration(seed: u64) -> Result<f64, JobError> {
     let st = job.status()?;
     assert_eq!(st.transient, 0);
     assert_eq!(st.stage, Stage::Stage1);
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -203,11 +104,11 @@ fn storm_mid_migration(seed: u64) -> Result<f64, JobError> {
 fn warn_then_crash(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
     let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 1, 3)?;
-    job.wait_clock_for(6, STEP)?;
+    job.wait_clock(6)?;
     job.warn_only(&[NodeId(4)], 120_000)?;
     // No drain window: the kill races the EvictionNotice itself.
     job.fail_nodes(&[NodeId(4)])?;
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -231,10 +132,10 @@ fn warning_no_eviction(seed: u64) -> Result<f64, JobError> {
     });
     let mut job =
         AgileMlJob::launch_with_faults(mf_app(), data.clone(), chaos_cfg(seed), 1, 3, plan)?;
-    job.wait_clock_for(6, STEP)?;
+    job.wait_clock(6)?;
     job.warn_only(&[NodeId(4)], 120_000)?;
     // The warning is lost; the job keeps training at full membership.
-    job.wait_clock_for(10, STEP)?;
+    job.wait_clock(10)?;
     assert!(
         job.events()
             .iter()
@@ -244,7 +145,7 @@ fn warning_no_eviction(seed: u64) -> Result<f64, JobError> {
     assert_eq!(job.status()?.transient, 3);
     assert!(job.fault_stats().dropped >= 1, "the notice was dropped");
     job.fail_nodes(&[NodeId(4)])?;
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -256,7 +157,7 @@ fn warning_no_eviction(seed: u64) -> Result<f64, JobError> {
 fn crash_mid_rollback(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
     let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 1, 4)?;
-    job.wait_clock_for(6, STEP)?;
+    job.wait_clock(6)?;
     job.fail_nodes_async(&[NodeId(2)])?;
     job.fail_nodes_async(&[NodeId(3)])?;
     let mut recovered = BTreeSet::new();
@@ -267,10 +168,9 @@ fn crash_mid_rollback(seed: u64) -> Result<f64, JobError> {
             }
             recovered.contains(&NodeId(2)) && recovered.contains(&NodeId(3))
         },
-        STEP,
         "back-to-back rollbacks",
     )?;
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -282,14 +182,14 @@ fn crash_mid_rollback(seed: u64) -> Result<f64, JobError> {
 fn storm_during_scale_up(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
     let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 1, 3)?;
-    job.wait_clock_for(6, STEP)?;
+    job.wait_clock(6)?;
     job.warn_only(&[NodeId(2), NodeId(3), NodeId(4)], 120_000)?;
     let added = job.add_machines(NodeClass::Transient, 2)?;
     assert_eq!(added.len(), 2);
     wait_all_evicted(&mut job, &[NodeId(2), NodeId(3), NodeId(4)])?;
     let st = job.status()?;
     assert_eq!(st.transient, 2, "only the fresh machines remain");
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -358,11 +258,11 @@ fn message_chaos(seed: u64) -> Result<f64, JobError> {
         });
     let mut job =
         AgileMlJob::launch_with_faults(mf_app(), data.clone(), chaos_cfg(seed), 1, 3, plan)?;
-    job.wait_clock_for(8, STEP)?;
+    job.wait_clock(8)?;
     job.add_machines(NodeClass::Transient, 1)?;
-    job.wait_clock_for(12, STEP)?;
+    job.wait_clock(12)?;
     job.evict_with_warning(&[NodeId(2)])?;
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let stats = job.fault_stats();
     assert!(
         stats.duplicated + stats.delayed > 0,
@@ -416,9 +316,9 @@ fn batched_dataplane_storm(seed: u64) -> Result<f64, JobError> {
         });
     let mut job =
         AgileMlJob::launch_with_faults(mf_app(), data.clone(), chaos_cfg(seed), 1, 3, plan)?;
-    job.wait_clock_for(8, STEP)?;
+    job.wait_clock(8)?;
     job.evict_with_warning(&[NodeId(2)])?;
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let stats = job.fault_stats();
     assert!(
         stats.duplicated + stats.delayed > 0,
@@ -436,46 +336,46 @@ fn batched_dataplane_storm(seed: u64) -> Result<f64, JobError> {
 
 #[test]
 fn total_activeps_eviction_storm_promotes_backups() {
-    sweep("storm_all_actives", true, storm_all_actives);
+    sweep("storm_all_actives", true, 1, storm_all_actives);
 }
 
 #[test]
 fn eviction_storm_mid_migration_revokes_every_activeps() {
-    sweep("storm_mid_migration", true, storm_mid_migration);
+    sweep("storm_mid_migration", true, 1, storm_mid_migration);
 }
 
 #[test]
 fn warning_then_crash_before_drain_recovers() {
-    sweep("warn_then_crash", true, warn_then_crash);
+    sweep("warn_then_crash", true, 1, warn_then_crash);
 }
 
 #[test]
 fn warning_with_no_eviction_keeps_training_then_survives_crash() {
-    sweep("warning_no_eviction", true, warning_no_eviction);
+    sweep("warning_no_eviction", true, 1, warning_no_eviction);
 }
 
 #[test]
 fn crash_mid_rollback_runs_back_to_back_recoveries() {
-    sweep("crash_mid_rollback", true, crash_mid_rollback);
+    sweep("crash_mid_rollback", true, 1, crash_mid_rollback);
 }
 
 #[test]
 fn eviction_storm_during_scale_up_is_serialized() {
-    sweep("storm_during_scale_up", true, storm_during_scale_up);
+    sweep("storm_during_scale_up", true, 1, storm_during_scale_up);
 }
 
 #[test]
 fn message_plane_chaos_duplicates_and_delays() {
     // Soft: heavy reordering may legitimately end in a typed error, but
     // never a panic or a wedge past the driver timeout.
-    sweep("message_chaos", false, message_chaos);
+    sweep("message_chaos", false, 1, message_chaos);
 }
 
 #[test]
 fn batched_data_plane_survives_duplicate_and_delay_storm() {
     // Soft for the same reason as `message_chaos`; the no-panic contract
     // is what the zero-copy payloads are on trial for here.
-    sweep("batched_dataplane_storm", false, batched_dataplane_storm);
+    sweep("batched_dataplane_storm", false, 1, batched_dataplane_storm);
 }
 
 // ---------------------------------------------------------------------
@@ -498,7 +398,7 @@ fn node_added_after_recovery_joins_the_new_epoch() {
     // The replacement arrives in the post-recovery epoch; before the
     // fix its clock entry never advanced and this wait timed out.
     job.add_machines(NodeClass::Transient, 1).expect("add");
-    job.wait_clock_for(TARGET, STEP)
+    job.wait_clock(TARGET)
         .expect("the cluster must keep clocking with the new node");
     job.shutdown().expect("shutdown");
 }
@@ -575,7 +475,6 @@ fn rejoining_reliable_worker_does_not_regress_the_clock() {
                 }
             )
         },
-        STEP,
         "stage 3 transition",
     )
     .expect("reaches stage 3");
@@ -594,7 +493,6 @@ fn rejoining_reliable_worker_does_not_regress_the_clock() {
                 }
             )
         },
-        STEP,
         "stage 2 transition",
     )
     .expect("returns to stage 2");
@@ -667,7 +565,7 @@ proptest! {
     fn consistent_clock_never_exceeds_min_completed_under_churn(
         ops in proptest::collection::vec((0u32..5, 0u8..3, 1u64..4), 1..200)
     ) {
-        let mut table = ClockTable::new(1);
+        let mut table = ClockTable::default();
         let mut model: BTreeMap<u32, u64> = BTreeMap::new();
         let mut broadcast = 0u64;
         for w in 0..5u32 {

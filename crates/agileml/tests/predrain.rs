@@ -8,82 +8,15 @@
 //! pre-drain (alert, then no eviction) must cost only the migration:
 //! membership, clocks, and the committed model trajectory are untouched.
 //!
-//! Each run prints `chaos: scenario=<name> seed=<seed>` before doing
-//! anything; replay with `PROTEUS_CHAOS_SEEDS=<seed> cargo test -p
-//! proteus-agileml --test predrain <name>`. `PROTEUS_CHAOS_FULL=1`
-//! widens the sweep.
+//! The job, the seed sweep and the fault-free oracle are `common`'s.
 
-use std::time::Duration;
+mod common;
 
 use proteus_agileml::ModelSnapshot;
 use proteus_agileml::{AgileConfig, AgileMlJob, JobError, JobEvent, Stage};
-use proteus_mlapps::data::{netflix_like, MfDataConfig};
-use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
 use proteus_simnet::NodeId;
 
-const TARGET: u64 = 20;
-const STEP: Duration = Duration::from_secs(60);
-
-fn mf_app() -> MatrixFactorization {
-    MatrixFactorization::new(MfConfig {
-        rows: 30,
-        cols: 20,
-        rank: 3,
-        learning_rate: 0.05,
-        reg: 1e-4,
-        init_scale: 0.2,
-    })
-}
-
-fn mf_data() -> Vec<Rating> {
-    netflix_like(
-        &MfDataConfig {
-            rows: 30,
-            cols: 20,
-            true_rank: 2,
-            observed: 500,
-            noise: 0.02,
-        },
-        3,
-    )
-}
-
-/// Stage-2 shape where every transient node hosts an ActivePS, so a
-/// pre-drain always has partitions to move.
-fn cfg(seed: u64) -> AgileConfig {
-    AgileConfig {
-        slack: 1,
-        partitions: 4,
-        data_blocks: 8,
-        activeps_fraction: 1.0,
-        force_stage: Some(Stage::Stage2),
-        seed,
-        ..AgileConfig::default()
-    }
-}
-
-fn seeds() -> Vec<u64> {
-    if let Ok(s) = std::env::var("PROTEUS_CHAOS_SEEDS") {
-        return s.split(',').filter_map(|t| t.trim().parse().ok()).collect();
-    }
-    if std::env::var("PROTEUS_CHAOS_FULL").is_ok() {
-        return vec![3, 5, 7, 11, 13, 17, 19, 23];
-    }
-    vec![3, 11]
-}
-
-fn sweep(name: &str, scenario: impl Fn(u64) -> Result<f64, JobError>) {
-    for seed in seeds() {
-        println!("chaos: scenario={name} seed={seed}");
-        match scenario(seed) {
-            Ok(obj) => assert!(
-                obj.is_finite() && obj < 0.15,
-                "chaos: scenario={name} seed={seed}: objective {obj} did not converge"
-            ),
-            Err(e) => panic!("chaos: scenario={name} seed={seed}: expected recovery, got: {e}"),
-        }
-    }
-}
+use common::{chaos_cfg, mf_app, mf_data, sweep, TARGET};
 
 // ---------------------------------------------------------------------
 // Scenarios
@@ -94,8 +27,8 @@ fn sweep(name: &str, scenario: impl Fn(u64) -> Result<f64, JobError>) {
 /// training never sees an eviction.
 fn predrain_demotes_one(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
-    let mut job = AgileMlJob::launch(mf_app(), data.clone(), cfg(seed), 1, 3)?;
-    job.wait_clock_for(6, STEP)?;
+    let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 1, 3)?;
+    job.wait_clock(6)?;
     let before = job.status()?;
     job.pre_drain(&[NodeId(2)])?;
     let st = job.status()?;
@@ -115,7 +48,7 @@ fn predrain_demotes_one(seed: u64) -> Result<f64, JobError> {
             .all(|e| !matches!(e, JobEvent::NodesEvicted { .. })),
         "a pre-drain must not register as an eviction"
     );
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -127,13 +60,13 @@ fn predrain_demotes_one(seed: u64) -> Result<f64, JobError> {
 /// with every suspect still alive and working.
 fn predrain_storm_all_actives(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
-    let mut job = AgileMlJob::launch(mf_app(), data.clone(), cfg(seed), 1, 3)?;
-    job.wait_clock_for(6, STEP)?;
+    let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 1, 3)?;
+    job.wait_clock(6)?;
     job.pre_drain(&[NodeId(2), NodeId(3), NodeId(4)])?;
     let st = job.status()?;
     assert_eq!(st.active_ps, 0, "every ActivePS role drained to backup");
     assert_eq!(st.transient, 3, "all suspects keep computing as workers");
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -144,20 +77,19 @@ fn predrain_storm_all_actives(seed: u64) -> Result<f64, JobError> {
 /// behind the busy transition instead of interleaving topology edits.
 fn alert_mid_migration(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
-    let mut job = AgileMlJob::launch(mf_app(), data.clone(), cfg(seed), 1, 4)?;
-    job.wait_clock_for(6, STEP)?;
+    let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 1, 4)?;
+    job.wait_clock(6)?;
     // Provider-style warning with no driver wait: the drain of node 2
     // races the pre-drain of node 3.
     job.warn_only(&[NodeId(2)], 120_000)?;
     job.pre_drain(&[NodeId(3)])?;
     job.wait_event(
         |e| matches!(e, JobEvent::NodesEvicted { nodes } if nodes.contains(&NodeId(2))),
-        STEP,
         "warned drain",
     )?;
     let st = job.status()?;
     assert_eq!(st.transient, 3, "only the warned node left");
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -168,11 +100,11 @@ fn alert_mid_migration(seed: u64) -> Result<f64, JobError> {
 /// crash loses only worker state and rollback recovery runs routinely.
 fn predrain_then_crash(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
-    let mut job = AgileMlJob::launch(mf_app(), data.clone(), cfg(seed), 1, 3)?;
-    job.wait_clock_for(6, STEP)?;
+    let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 1, 3)?;
+    job.wait_clock(6)?;
     job.pre_drain(&[NodeId(2)])?;
     job.fail_nodes(&[NodeId(2)])?;
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -182,13 +114,13 @@ fn predrain_then_crash(seed: u64) -> Result<f64, JobError> {
 /// no-op report, not a hang or a panic.
 fn alert_for_dead_node(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
-    let mut job = AgileMlJob::launch(mf_app(), data.clone(), cfg(seed), 1, 3)?;
-    job.wait_clock_for(6, STEP)?;
+    let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 1, 3)?;
+    job.wait_clock(6)?;
     job.fail_nodes(&[NodeId(3)])?;
     // `pre_drain` waits for the controller's (empty) report; a hang here
     // is the bug this scenario guards against.
     job.pre_drain(&[NodeId(3)])?;
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -200,8 +132,8 @@ fn alert_for_dead_node(seed: u64) -> Result<f64, JobError> {
 /// worst, never a panic.
 fn gce_short_warning(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
-    let mut job = AgileMlJob::launch(mf_app(), data.clone(), cfg(seed), 1, 3)?;
-    job.wait_clock_for(6, STEP)?;
+    let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 1, 3)?;
+    job.wait_clock(6)?;
     job.warn_only(&[NodeId(4)], 30_000)?;
     // The 30-second window expires before any drain completes: the
     // provider takes the machine regardless.
@@ -213,7 +145,7 @@ fn gce_short_warning(seed: u64) -> Result<f64, JobError> {
     // Rollback ran (possibly to clock 0 early in the run) instead of a
     // completed drain — the warning was unusable by construction.
     let _ = rolled;
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -225,32 +157,37 @@ fn gce_short_warning(seed: u64) -> Result<f64, JobError> {
 
 #[test]
 fn predrain_demotes_without_eviction() {
-    sweep("predrain_demotes_one", predrain_demotes_one);
+    sweep("predrain_demotes_one", true, 1, predrain_demotes_one);
 }
 
 #[test]
 fn predrain_storm_drains_every_active_to_backup() {
-    sweep("predrain_storm_all_actives", predrain_storm_all_actives);
+    sweep(
+        "predrain_storm_all_actives",
+        true,
+        1,
+        predrain_storm_all_actives,
+    );
 }
 
 #[test]
 fn alert_mid_migration_queues_behind_the_drain() {
-    sweep("alert_mid_migration", alert_mid_migration);
+    sweep("alert_mid_migration", true, 1, alert_mid_migration);
 }
 
 #[test]
 fn predrain_then_crash_loses_only_worker_state() {
-    sweep("predrain_then_crash", predrain_then_crash);
+    sweep("predrain_then_crash", true, 1, predrain_then_crash);
 }
 
 #[test]
 fn stale_alert_for_dead_node_is_a_no_op() {
-    sweep("alert_for_dead_node", alert_for_dead_node);
+    sweep("alert_for_dead_node", true, 1, alert_for_dead_node);
 }
 
 #[test]
 fn gce_short_warning_degrades_to_rollback() {
-    sweep("gce_short_warning", gce_short_warning);
+    sweep("gce_short_warning", true, 1, gce_short_warning);
 }
 
 // ---------------------------------------------------------------------
@@ -267,10 +204,13 @@ fn gce_short_warning_degrades_to_rollback() {
 /// is sim-time deterministic.)
 #[test]
 fn false_positive_predrain_never_loses_committed_work() {
-    let bsp = AgileConfig { slack: 0, ..cfg(3) };
+    let bsp = AgileConfig {
+        slack: 0,
+        ..chaos_cfg(3)
+    };
     let data = mf_data();
     let mut job = AgileMlJob::launch(mf_app(), data.clone(), bsp, 1, 3).expect("launch");
-    job.wait_clock_for(4, STEP).expect("warmup");
+    job.wait_clock(4).expect("warmup");
     let snap_before: ModelSnapshot = job.snapshot().expect("pre-drain snapshot");
     // The forecaster cried wolf: demote a healthy ActivePS host.
     job.pre_drain(&[NodeId(2)]).expect("pre-drain");
@@ -281,7 +221,7 @@ fn false_positive_predrain_never_loses_committed_work() {
         snap_before.clock,
         snap_after.clock
     );
-    job.wait_clock_for(TARGET, STEP).expect("progress");
+    job.wait_clock(TARGET).expect("progress");
     // The event log must show monotone clock advances and no recovery
     // or eviction machinery — a wrong forecast is a pure topology move.
     let mut last_min = 0;
@@ -318,13 +258,13 @@ fn false_positive_predrain_never_loses_committed_work() {
 fn predrained_nodes_keep_clocking_under_bsp() {
     let bsp = AgileConfig {
         slack: 0,
-        ..cfg(11)
+        ..chaos_cfg(11)
     };
     let mut job = AgileMlJob::launch(mf_app(), mf_data(), bsp, 1, 3).expect("launch");
-    job.wait_clock_for(4, STEP).expect("warmup");
+    job.wait_clock(4).expect("warmup");
     job.pre_drain(&[NodeId(2), NodeId(3), NodeId(4)])
         .expect("storm pre-drain");
-    job.wait_clock_for(TARGET, STEP)
+    job.wait_clock(TARGET)
         .expect("BSP must keep clocking with every suspect demoted");
     job.shutdown().expect("shutdown");
 }

@@ -131,7 +131,6 @@ fn a_reconfiguration_keeps_awaiting_images_still_in_flight() {
             }
             gone.len() == 3
         },
-        std::time::Duration::from_secs(60),
         "three drains",
     )
     .expect("all three evicted");

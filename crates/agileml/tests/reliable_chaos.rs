@@ -12,117 +12,15 @@
 //!   [`JobError`] (never a panic, never a wedge past a driver timeout)
 //!   so the session layer can restart from a durable checkpoint.
 //!
-//! Each run prints `chaos: scenario=<name> seed=<seed>` before doing
-//! anything; replay one seed with
-//! `PROTEUS_CHAOS_SEEDS=<seed> cargo test -p proteus-agileml --test
-//! reliable_chaos <name>`. `PROTEUS_CHAOS_FULL=1` widens the sweep.
+//! The job, the seed sweep and the fault-free oracle are `common`'s; the
+//! oracle's baseline runs on three reliable machines like the scenarios.
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-use std::time::Duration;
+mod common;
 
-use proteus_agileml::{AgileConfig, AgileMlJob, JobError, JobEvent, Stage};
-use proteus_mlapps::data::{netflix_like, MfDataConfig};
-use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
+use proteus_agileml::{AgileMlJob, JobError, JobEvent};
 use proteus_simnet::NodeId;
 
-/// Clock every scenario trains to before judging the objective.
-const TARGET: u64 = 20;
-/// Generous per-wait deadline; hit only when a schedule wedges the job.
-const STEP: Duration = Duration::from_secs(60);
-
-fn mf_app() -> MatrixFactorization {
-    MatrixFactorization::new(MfConfig {
-        rows: 30,
-        cols: 20,
-        rank: 3,
-        learning_rate: 0.05,
-        reg: 1e-4,
-        init_scale: 0.2,
-    })
-}
-
-fn mf_data() -> Vec<Rating> {
-    netflix_like(
-        &MfDataConfig {
-            rows: 30,
-            cols: 20,
-            true_rank: 2,
-            observed: 500,
-            noise: 0.02,
-        },
-        3,
-    )
-}
-
-/// Stage 2 with every transient node hosting an ActivePS and multiple
-/// reliable machines sharing the BackupPS partitions — the shape where
-/// a reliable death orphans backups that a survivor can re-host.
-fn cfg(model_seed: u64) -> AgileConfig {
-    AgileConfig {
-        slack: 1,
-        partitions: 4,
-        data_blocks: 8,
-        activeps_fraction: 1.0,
-        force_stage: Some(Stage::Stage2),
-        seed: model_seed,
-        ..AgileConfig::default()
-    }
-}
-
-fn seeds() -> Vec<u64> {
-    if let Ok(s) = std::env::var("PROTEUS_CHAOS_SEEDS") {
-        return s.split(',').filter_map(|t| t.trim().parse().ok()).collect();
-    }
-    if std::env::var("PROTEUS_CHAOS_FULL").is_ok() {
-        return vec![3, 5, 7, 11, 13, 17, 19, 23];
-    }
-    vec![3, 11]
-}
-
-/// Fault-free objective for `cfg(seed)` at [`TARGET`], cached per seed.
-/// Reliable count matches the scenarios (3 machines) so the baseline
-/// job is the exact job the faulted runs perturb.
-fn baseline(seed: u64) -> f64 {
-    static CACHE: Mutex<BTreeMap<u64, f64>> = Mutex::new(BTreeMap::new());
-    if let Some(v) = CACHE.lock().unwrap().get(&seed) {
-        return *v;
-    }
-    let data = mf_data();
-    let mut job =
-        AgileMlJob::launch(mf_app(), data.clone(), cfg(seed), 3, 3).expect("baseline launch");
-    job.wait_clock(TARGET).expect("baseline progress");
-    let obj = job.objective(&data).expect("baseline objective");
-    job.shutdown().expect("baseline shutdown");
-    CACHE.lock().unwrap().insert(seed, obj);
-    obj
-}
-
-fn assert_converged(name: &str, seed: u64, obj: f64) {
-    let base = baseline(seed);
-    let bar = (2.0 * base).max(0.15);
-    assert!(
-        obj <= bar,
-        "chaos: scenario={name} seed={seed}: objective {obj} above fault-free bar {bar} \
-         (baseline {base})"
-    );
-}
-
-/// Runs `scenario` across the seed sweep. `hard` scenarios must repair
-/// and converge; soft ones may instead surface any typed [`JobError`]
-/// (the session layer's restart path picks those up).
-fn sweep(name: &str, hard: bool, scenario: impl Fn(u64) -> Result<f64, JobError>) {
-    for seed in seeds() {
-        println!("chaos: scenario={name} seed={seed}");
-        match scenario(seed) {
-            Ok(obj) => assert_converged(name, seed, obj),
-            Err(e) if !hard => {
-                println!("chaos: scenario={name} seed={seed} surfaced typed error: {e}");
-            }
-            Err(e) => panic!("chaos: scenario={name} seed={seed}: expected repair, got: {e}"),
-        }
-    }
-}
+use common::{chaos_cfg, mf_app, mf_data, sweep, TARGET};
 
 // Machines are numbered from 1 in spawn order: reliable first, then
 // transient. With `launch(.., 3, 3)`: reliable = 1..=3, transient = 4..=6.
@@ -140,12 +38,12 @@ const T2: NodeId = NodeId(5);
 /// training — the core tentpole contract.
 fn reliable_kill_steady_state(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
-    let mut job = AgileMlJob::launch(mf_app(), data.clone(), cfg(seed), 3, 3)?;
-    job.wait_clock_for(8, STEP)?;
+    let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 3, 3)?;
+    job.wait_clock(8)?;
     job.fail_reliable_nodes(&[R3])?;
     // Repair keeps the incarnation: no epoch-rolling restart, training
     // reaches the target on the surviving membership.
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let repaired = job
         .events()
         .iter()
@@ -161,6 +59,7 @@ fn reliable_kill_steady_state_repairs_in_job() {
     sweep(
         "reliable_kill_steady_state",
         true,
+        3,
         reliable_kill_steady_state,
     );
 }
@@ -171,10 +70,10 @@ fn reliable_kill_steady_state_repairs_in_job() {
 /// warn-only-to-reliable short circuit raising a terminal fault.
 fn reliable_warned_drain(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
-    let mut job = AgileMlJob::launch(mf_app(), data.clone(), cfg(seed), 3, 3)?;
-    job.wait_clock_for(8, STEP)?;
+    let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 3, 3)?;
+    job.wait_clock(8)?;
     job.evict_with_warning(&[R3])?;
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let repaired = job
         .events()
         .iter()
@@ -187,7 +86,7 @@ fn reliable_warned_drain(seed: u64) -> Result<f64, JobError> {
 
 #[test]
 fn warned_reliable_machine_drains_without_fault() {
-    sweep("reliable_warned_drain", true, reliable_warned_drain);
+    sweep("reliable_warned_drain", true, 3, reliable_warned_drain);
 }
 
 // ---------------------------------------------------------------------
@@ -199,13 +98,13 @@ fn warned_reliable_machine_drains_without_fault() {
 /// migrations are still in flight.
 fn reliable_kill_mid_migration(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
-    let mut job = AgileMlJob::launch(mf_app(), data.clone(), cfg(seed), 3, 3)?;
-    job.wait_clock_for(6, STEP)?;
+    let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 3, 3)?;
+    job.wait_clock(6)?;
     // Provider-style warning starts the drain; the reliable kill races
     // the resulting migrations without waiting for them.
     job.warn_only(&[T1], 120_000)?;
     job.fail_reliable_nodes(&[R3])?;
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -216,6 +115,7 @@ fn reliable_kill_mid_migration_repairs_or_faults() {
     sweep(
         "reliable_kill_mid_migration",
         false,
+        3,
         reliable_kill_mid_migration,
     );
 }
@@ -225,11 +125,11 @@ fn reliable_kill_mid_migration_repairs_or_faults() {
 /// all overlap.
 fn reliable_kill_during_storm(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
-    let mut job = AgileMlJob::launch(mf_app(), data.clone(), cfg(seed), 3, 3)?;
-    job.wait_clock_for(6, STEP)?;
+    let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 3, 3)?;
+    job.wait_clock(6)?;
     job.warn_only(&[T1, T2, NodeId(6)], 120_000)?;
     job.fail_reliable_nodes(&[R3])?;
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -240,6 +140,7 @@ fn reliable_kill_during_eviction_storm_never_panics() {
     sweep(
         "reliable_kill_during_storm",
         false,
+        3,
         reliable_kill_during_storm,
     );
 }
@@ -251,10 +152,10 @@ fn reliable_kill_during_eviction_storm_never_panics() {
 /// repair is also acceptable if the state allows it.
 fn correlated_reliable_transient_kill(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
-    let mut job = AgileMlJob::launch(mf_app(), data.clone(), cfg(seed), 3, 3)?;
-    job.wait_clock_for(6, STEP)?;
+    let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 3, 3)?;
+    job.wait_clock(6)?;
     job.fail_reliable_nodes(&[R3, T1])?;
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -265,6 +166,7 @@ fn correlated_reliable_transient_kill_is_typed() {
     sweep(
         "correlated_reliable_transient_kill",
         false,
+        3,
         correlated_reliable_transient_kill,
     );
 }
@@ -275,11 +177,11 @@ fn correlated_reliable_transient_kill_is_typed() {
 /// dead fill source pass silently.
 fn double_reliable_kill(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
-    let mut job = AgileMlJob::launch(mf_app(), data.clone(), cfg(seed), 3, 3)?;
-    job.wait_clock_for(6, STEP)?;
+    let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 3, 3)?;
+    job.wait_clock(6)?;
     job.fail_reliable_nodes(&[R3])?;
     job.fail_reliable_nodes(&[R1])?;
-    job.wait_clock_for(TARGET, STEP)?;
+    job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
     Ok(obj)
@@ -287,5 +189,5 @@ fn double_reliable_kill(seed: u64) -> Result<f64, JobError> {
 
 #[test]
 fn double_reliable_kill_repairs_or_faults() {
-    sweep("double_reliable_kill", false, double_reliable_kill);
+    sweep("double_reliable_kill", false, 3, double_reliable_kill);
 }

@@ -8,6 +8,7 @@
 
 // Entries return their failures through `io::Result`, never panic.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unnameable_types)]
 
 mod cost;
 mod misc;

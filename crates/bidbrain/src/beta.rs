@@ -331,7 +331,7 @@ mod tests {
         assert_eq!(table.beta(0.5), 0.2); // Clamp high.
         let mid = table.beta(0.055);
         assert!((mid - 0.5).abs() < 1e-9, "midpoint interpolates: {mid}");
-        assert_eq!(table.median_tte(0.055).as_mins(), 25);
+        assert_eq!(table.median_tte(0.055), SimDuration::from_mins(25));
     }
 
     /// A row is the interpolation it stands for, bit for bit: at the
@@ -378,7 +378,7 @@ mod tests {
     fn training_rejects_a_non_finite_delta() {
         BetaEstimator::new().train(
             key(),
-            &PriceTrace::constant(0.05),
+            &PriceTrace::from_points(vec![(SimTime::EPOCH, 0.05)]).expect("flat trace"),
             SimTime::EPOCH,
             SimTime::from_hours(10),
             SimDuration::from_mins(30),

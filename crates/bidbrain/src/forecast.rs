@@ -56,11 +56,12 @@ pub struct ForecastConfig {
     /// Relative margin below which the distance signal starts ramping
     /// (e.g. 0.15 → prices within 15 % of the bid raise hazard).
     pub margin_band: f64,
-    /// Single-step relative price jump treated as a spike-regime onset.
-    /// Calm-regime steps are bounded by jitter plus mean reversion
-    /// (≲ ±20 %); spike onsets multiply the price several-fold.
-    pub regime_jump: f64,
 }
+
+/// Single-step relative price jump treated as a spike-regime onset.
+/// Calm-regime steps are bounded by jitter plus mean reversion
+/// (≲ ±20 %); spike onsets multiply the price several-fold.
+const REGIME_JUMP: f64 = 0.5;
 
 impl Default for ForecastConfig {
     fn default() -> Self {
@@ -70,7 +71,6 @@ impl Default for ForecastConfig {
             rearm_threshold: 0.25,
             horizon: SimDuration::from_mins(10),
             margin_band: 0.15,
-            regime_jump: 0.5,
         }
     }
 }
@@ -92,9 +92,6 @@ impl ForecastConfig {
         }
         if self.margin_band <= 0.0 || !self.margin_band.is_finite() {
             return Err("margin_band must be positive".into());
-        }
-        if self.regime_jump <= 0.0 || !self.regime_jump.is_finite() {
-            return Err("regime_jump must be positive".into());
         }
         Ok(())
     }
@@ -285,11 +282,6 @@ impl PreemptionForecaster {
             self.clear(market, bid);
         }
     }
-
-    /// Number of holdings currently tracked.
-    pub fn tracked(&self) -> usize {
-        self.states.len()
-    }
 }
 
 /// Combines the four signals noisy-or into `(hazard, expected lead)`.
@@ -340,7 +332,7 @@ fn combined_hazard(
     // onset; unless the spike already cleared the bid (handled above),
     // the price is climbing regions the calm model never visits.
     let h_regime = match prev_price {
-        Some(prev) if prev > 0.0 && (price - prev) / prev >= cfg.regime_jump => {
+        Some(prev) if prev > 0.0 && (price - prev) / prev >= REGIME_JUMP => {
             lead = lead.min(SimDuration::from_mins(2));
             0.95
         }
@@ -698,11 +690,9 @@ mod tests {
         let other = MarketKey::new(catalog::c4_xlarge(), Zone(1));
         fc.observe(key(), 0.10, SimTime::EPOCH, 0.05);
         fc.observe(other, 0.20, SimTime::EPOCH, 0.199);
-        assert_eq!(fc.tracked(), 2);
         assert!(fc.hazard(other, 0.20) > fc.hazard(key(), 0.10));
         assert!((fc.max_hazard() - fc.hazard(other, 0.20)).abs() < 1e-12);
         fc.clear(other, 0.20);
-        assert_eq!(fc.tracked(), 1);
         assert_eq!(fc.hazard(other, 0.20), 0.0);
     }
 
@@ -716,12 +706,19 @@ mod tests {
         // Two holdings share `(key(), bid)`; the first goes, the second
         // and one elsewhere stay live.
         fc.forget(key(), bid, [(key(), bid), (other, bid)].into_iter());
-        assert_eq!(fc.tracked(), 1, "the sibling's trajectory survives");
-        assert_eq!(fc.hazard(key(), bid), hazard);
+        assert_eq!(
+            fc.hazard(key(), bid),
+            hazard,
+            "the sibling's trajectory survives"
+        );
         // The sibling goes too. What stays shares the market or the bid,
         // never both.
         fc.forget(key(), bid, [(key(), 0.11), (other, bid)].into_iter());
-        assert_eq!(fc.tracked(), 0, "no live holding shares the pair");
+        assert_eq!(
+            fc.hazard(key(), bid),
+            0.0,
+            "no live holding shares the pair"
+        );
     }
 
     #[test]

@@ -26,6 +26,7 @@
 // Decision paths must return typed values, never panic; any retained
 // expect must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unnameable_types)]
 
 mod acquire;
 mod beta;

@@ -235,11 +235,6 @@ impl<'a> BidBrain<'a> {
         &self.params
     }
 
-    /// The β estimator in use.
-    pub fn beta_estimator(&self) -> &BetaEstimator {
-        &self.beta
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &BidBrainConfig {
         &self.config
@@ -698,7 +693,8 @@ mod tests {
         .unwrap();
         // Inject via train path: easiest is to rebuild estimator.
         let _ = table;
-        let trace = proteus_market::PriceTrace::constant(0.05);
+        let trace = proteus_market::PriceTrace::from_points(vec![(SimTime::EPOCH, 0.05)])
+            .expect("flat trace");
         beta.train(
             market,
             &trace,

@@ -91,7 +91,13 @@ fn view(raw: u64) -> AllocView {
 }
 
 /// A policy engine and a price list from one raw draw.
-fn scenario(raw: u64) -> (BidBrain<'static>, Vec<(MarketKey, f64)>) {
+fn scenario(
+    raw: u64,
+) -> (
+    BidBrain<'static>,
+    &'static BetaEstimator,
+    Vec<(MarketKey, f64)>,
+) {
     // λ and σ up to hours, so Δt clamps at zero.
     let overheads = [
         SimDuration::ZERO,
@@ -131,12 +137,17 @@ fn scenario(raw: u64) -> (BidBrain<'static>, Vec<(MarketKey, f64)>) {
         .map(|(i, m)| (m, 0.02 + ((raw >> (34 + 3 * i)) % 8) as f64 * 0.03))
         .collect();
     let beta = &estimators()[(raw % 3) as usize];
-    (BidBrain::new(params, beta, config), prices)
+    (BidBrain::new(params, beta, config), beta, prices)
 }
 
-/// Eqs. 1–3 as `evaluate` spelled them before the terms/finish split.
-fn oracle(brain: &BidBrain<'_>, footprint: &[AllocView], changing: bool) -> FootprintEval {
-    let est = brain.beta_estimator();
+/// Eqs. 1–3 as `evaluate` spelled them before the terms/finish split,
+/// over `est`, the estimator `brain` was built from.
+fn oracle(
+    brain: &BidBrain<'_>,
+    est: &BetaEstimator,
+    footprint: &[AllocView],
+    changing: bool,
+) -> FootprintEval {
     let params = brain.params();
     let beta_of = |a: &AllocView| a.bid_delta.map_or(0.0, |d| est.beta(a.market, d));
     if footprint.is_empty() {
@@ -176,11 +187,12 @@ type Ranked = Vec<(f64, AllocationRequest, FootprintEval)>;
 /// per-market strict-< best, the improvement gate, a stable sort.
 fn brute_force(
     brain: &BidBrain<'_>,
+    est: &BetaEstimator,
     footprint: &[AllocView],
     markets: &[(MarketKey, f64)],
 ) -> (f64, Ranked) {
     let cfg = brain.config();
-    let current_score = cfg.objective.score(&oracle(brain, footprint, false));
+    let current_score = cfg.objective.score(&oracle(brain, est, footprint, false));
     let current_cores = BidBrain::footprint_cores(footprint);
     let mut ranked: Ranked = Vec::new();
     if current_cores >= cfg.target_cores {
@@ -203,7 +215,7 @@ fn brute_force(
                 time_remaining: SimDuration::from_hours(1),
                 work_rate: f64::from(vcpus),
             });
-            let eval = oracle(brain, &with, true);
+            let eval = oracle(brain, est, &with, true);
             let score = cfg.objective.score(&eval);
             if best.as_ref().is_none_or(|(b, _, _)| score < *b) {
                 let req = AllocationRequest {
@@ -237,18 +249,18 @@ proptest! {
         raw in any::<u64>(),
     ) {
         let footprint: Vec<AllocView> = holdings.into_iter().map(view).collect();
-        let (brain, markets) = scenario(raw);
+        let (brain, est, markets) = scenario(raw);
         let now = SimTime::from_hours(7);
 
         // `evaluate` itself is the oracle's arithmetic.
         for changing in [false, true] {
             prop_assert_eq!(
                 bits(&brain.evaluate(&footprint, changing)),
-                bits(&oracle(&brain, &footprint, changing))
+                bits(&oracle(&brain, est, &footprint, changing))
             );
         }
 
-        let (want_score, want) = brute_force(&brain, &footprint, &markets);
+        let (want_score, want) = brute_force(&brain, est, &footprint, &markets);
         let rec = Recorder::new();
         let got = brain.ranked_acquisitions_obs(&footprint, &markets, now, Some(&rec));
         prop_assert_eq!(&got, &brain.ranked_acquisitions(&footprint, &markets, now));
@@ -293,7 +305,7 @@ proptest! {
     ) {
         let mut rest: Vec<AllocView> = holdings.into_iter().map(view).collect();
         let alloc = rest.remove(0);
-        let (brain, _) = scenario(raw);
+        let (brain, est, _) = scenario(raw);
         let renew_price = 0.01 + (raw >> 40) as f64 % 300.0 * 0.002;
 
         let mut with = rest.clone();
@@ -303,8 +315,8 @@ proptest! {
             ..alloc.clone()
         });
         let want = alloc.bid_delta.is_none()
-            || oracle(&brain, &with, false).cost_per_work()
-                <= oracle(&brain, &rest, true).cost_per_work();
+            || oracle(&brain, est, &with, false).cost_per_work()
+                <= oracle(&brain, est, &rest, true).cost_per_work();
         prop_assert_eq!(brain.should_renew(&alloc, &rest, renew_price), want);
     }
 }

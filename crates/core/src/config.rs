@@ -18,8 +18,6 @@ pub struct ProteusConfig {
     pub reliable_machines: u32,
     /// On-demand anchor market (instance type + zone).
     pub on_demand_market: MarketKey,
-    /// Spot markets BidBrain watches and bids in.
-    pub spot_markets: Vec<MarketKey>,
     /// Synthetic market statistics for the session's provider.
     pub market_model: MarketModel,
     /// Price-history horizon to synthesize (covers β-training plus the
@@ -79,7 +77,6 @@ impl Default for ProteusConfig {
             params: AppParams::default(),
             reliable_machines: 1,
             on_demand_market: MarketKey::new(catalog::c4_xlarge(), proteus_market::Zone(0)),
-            spot_markets: catalog::paper_markets(),
             market_model: MarketModel::default(),
             market_horizon: SimDuration::from_hours(24 * 21),
             beta_training: SimDuration::from_hours(24 * 14),
@@ -102,9 +99,6 @@ impl ProteusConfig {
         self.agile.validate()?;
         if self.reliable_machines == 0 {
             return Err("Proteus needs at least one reliable machine".into());
-        }
-        if self.spot_markets.is_empty() {
-            return Err("BidBrain needs at least one spot market".into());
         }
         if self.beta_training + SimDuration::from_hours(1) > self.market_horizon {
             return Err("market horizon must extend beyond the β-training window".into());
@@ -146,9 +140,6 @@ mod tests {
             reliable_machines: 0,
             ..ProteusConfig::default()
         };
-        assert!(c.validate().is_err());
-        c.reliable_machines = 1;
-        c.spot_markets.clear();
         assert!(c.validate().is_err());
         c = ProteusConfig {
             beta_training: SimDuration::from_hours(100),

@@ -42,6 +42,7 @@
 // Fault- and refusal-reachable paths must return typed errors; any
 // retained `expect` must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unnameable_types)]
 
 mod checkpoint;
 mod config;

@@ -25,7 +25,7 @@ use proteus_bidbrain::{
     DECISION_STEP,
 };
 use proteus_market::{
-    AllocationId, CloudProvider, MarketError, MarketKey, ProviderEvent, TraceGenerator,
+    catalog, AllocationId, CloudProvider, MarketError, MarketKey, ProviderEvent, TraceGenerator,
 };
 use proteus_mlapps::app::MlApp;
 use proteus_obs::{BidEvent, Event, Recorder, SessionEvent};
@@ -86,6 +86,8 @@ pub struct Proteus<A: MlApp> {
     provider: CloudProvider<'static>,
     brain: BidBrain<'static>,
     job: AgileMlJob<A>,
+    /// Spot markets BidBrain watches and bids in: the paper's set.
+    spot_markets: Vec<MarketKey>,
     /// One entry per spot grant or on-demand fallback the session holds
     /// (not the reliable tier). An entry leaves through `remove_holding`,
     /// or through `terminate_all` at a restart or `finish`.
@@ -161,9 +163,10 @@ impl<A: MlApp> Proteus<A> {
         // Synthesize the market and train β on its early window — the
         // analogue of loading historical AWS price data (Sec. 5).
         let gen = TraceGenerator::new(config.agile.seed, config.market_model.clone());
-        let traces = gen.generate_set(&config.spot_markets, config.market_horizon);
+        let spot_markets = catalog::paper_markets();
+        let traces = gen.generate_set(&spot_markets, config.market_horizon);
         let mut beta = BetaEstimator::new();
-        for m in &config.spot_markets {
+        for m in &spot_markets {
             let trace = traces
                 .get(m)
                 .ok_or(ProteusError::Market(MarketError::UnknownMarket(*m)))?;
@@ -211,6 +214,7 @@ impl<A: MlApp> Proteus<A> {
             provider,
             brain,
             job,
+            spot_markets,
             held: BTreeMap::new(),
             job_start,
             backoff,
@@ -568,7 +572,6 @@ impl<A: MlApp> Proteus<A> {
             return Ok(());
         }
         let prices: Vec<_> = self
-            .config
             .spot_markets
             .iter()
             .filter(|m| !self.backoff.is_blocked(**m, now))
@@ -882,19 +885,29 @@ mod tests {
     use proteus_mlapps::data::{netflix_like, MfDataConfig};
     use proteus_mlapps::mf::{MatrixFactorization, MfConfig};
 
-    /// The table agrees with the provider, and the forecaster holds a
-    /// trajectory for exactly the distinct `(market, bid)` pairs of the
-    /// holdings it tracks.
-    fn assert_table_agrees(s: &Proteus<MatrixFactorization>) {
-        assert!(s.table_agrees(), "the holding table left the provider");
-        let pairs: BTreeSet<(MarketKey, u64)> = s
-            .held
+    /// The distinct `(market, bid)` pairs of the holdings the forecaster
+    /// tracks.
+    fn tracked_pairs(s: &Proteus<MatrixFactorization>) -> BTreeSet<(MarketKey, u64)> {
+        s.held
             .values()
             .filter_map(|h| h.tracked)
             .map(|(market, bid)| (market, bid.to_bits()))
-            .collect();
+            .collect()
+    }
+
+    /// The table agrees with the provider, and the forecaster keeps no
+    /// trajectory for a pair of `seen` that no tracked holding shares:
+    /// such a pair reads the hazard of a pair never observed.
+    fn assert_table_agrees(s: &Proteus<MatrixFactorization>, seen: &BTreeSet<(MarketKey, u64)>) {
+        assert!(s.table_agrees(), "the holding table left the provider");
         let fc = s.forecaster.as_ref().expect("forecasting on");
-        assert_eq!(fc.tracked(), pairs.len(), "trajectories of dead holdings");
+        for &(market, bid) in seen.difference(&tracked_pairs(s)) {
+            assert_eq!(
+                fc.hazard(market, f64::from_bits(bid)),
+                0.0,
+                "the trajectory of a dead holding"
+            );
+        }
     }
 
     fn session(config: ProteusConfig) -> Proteus<MatrixFactorization> {
@@ -946,20 +959,21 @@ mod tests {
         let victim = session.held.keys().copied().find(|id| {
             session
                 .provider
-                .spot_allocation(*id)
+                .live_spot()
+                .find(|a| a.id == *id)
                 .is_some_and(|a| !a.is_warned())
         });
         let killed = session.inject_failure().expect("failure path");
         assert_eq!(killed.is_some(), victim.is_some());
         if let Some(victim) = victim {
-            assert!(session.provider.spot_allocation(victim).is_none());
+            assert!(!session.provider.live_spot().any(|a| a.id == victim));
             assert!(!session.held.contains_key(&victim));
         }
         assert!(
-            session.provider.spot_allocation(warned).is_some(),
+            session.provider.live_spot().any(|a| a.id == warned),
             "the kill took a holding its warning had already drained"
         );
-        while session.provider.spot_allocation(warned).is_some() {
+        while session.provider.live_spot().any(|a| a.id == warned) {
             session
                 .run_market_hours(DECISION_STEP.as_hours_f64())
                 .expect("market step");
@@ -983,15 +997,27 @@ mod tests {
                 .run_market_hours(DECISION_STEP.as_hours_f64())
                 .expect("market step");
         }
-        let tracked = session.held.values().filter(|h| h.tracked.is_some());
-        assert!(tracked.count() > 0, "no holding was tracked");
-        assert_table_agrees(&session);
+        let seen = tracked_pairs(&session);
+        assert!(!seen.is_empty(), "no holding was tracked");
+        // A price just under each bid gives every trajectory a hazard a
+        // forgotten one cannot read.
+        let now = session.market_now();
+        let fc = session.forecaster.as_mut().expect("forecasting on");
+        for &(market, bid) in &seen {
+            let bid = f64::from_bits(bid);
+            fc.observe(market, bid, now, bid * 0.99);
+            assert!(
+                fc.hazard(market, bid) > 0.0,
+                "a near-bid price reads no hazard"
+            );
+        }
+        assert_table_agrees(&session, &seen);
 
         session.inject_total_reliable_failure().expect("restart");
-        assert_table_agrees(&session);
+        assert_table_agrees(&session, &seen);
         session
             .run_market_hours(DECISION_STEP.as_hours_f64())
             .expect("market step");
-        assert_table_agrees(&session);
+        assert_table_agrees(&session, &seen);
     }
 }

@@ -1,10 +1,50 @@
-//! The report ⇄ export cross-check shared by the session suites.
+//! What the session suites share: the MF job they train and the
+//! report ⇄ export cross-check.
 
 use std::collections::BTreeSet;
 
 use proteus::obs::{Event, MarketEvent, SessionEvent, Timeline};
 use proteus::simtime::{SimDuration, SimTime};
 use proteus::ProteusReport;
+use proteus_mlapps::data::{netflix_like, MfDataConfig};
+use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
+
+/// An MF training job: a `rows × cols` model at `rank`, fitted to
+/// `observed` Netflix-like ratings of a rank-`rank - 1` truth drawn from
+/// `seed`.
+pub struct MfJob {
+    pub rows: u32,
+    pub cols: u32,
+    pub rank: usize,
+    pub observed: usize,
+    pub seed: u64,
+}
+
+impl MfJob {
+    pub fn app(&self) -> MatrixFactorization {
+        MatrixFactorization::new(MfConfig {
+            rows: self.rows,
+            cols: self.cols,
+            rank: self.rank,
+            learning_rate: 0.05,
+            reg: 1e-4,
+            init_scale: 0.2,
+        })
+    }
+
+    pub fn data(&self) -> Vec<Rating> {
+        netflix_like(
+            &MfDataConfig {
+                rows: self.rows,
+                cols: self.cols,
+                true_rank: self.rank - 1,
+                observed: self.observed,
+                noise: 0.02,
+            },
+            self.seed,
+        )
+    }
+}
 
 /// Rebuilds every event-determined field of `report` from the session's
 /// recorded `timeline` — counts and sums by event kind, independently of

@@ -10,38 +10,28 @@
 //! and the defense never touches the bill (forecasting, pre-draining,
 //! and adaptive checkpointing perform no market operations).
 
+mod common;
+
+use std::sync::Arc;
+
 use proteus::bidbrain::ForecastConfig;
+use proteus::obs::Recorder;
 use proteus::simtime::SimDuration;
 use proteus::{Proteus, ProteusConfig};
-use proteus_mlapps::data::{netflix_like, MfDataConfig};
-use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
+
+use common::MfJob;
 
 /// Training clock every scenario must reach.
 const TARGET: u64 = 10;
 
-fn app() -> MatrixFactorization {
-    MatrixFactorization::new(MfConfig {
-        rows: 30,
-        cols: 20,
-        rank: 3,
-        learning_rate: 0.05,
-        reg: 1e-4,
-        init_scale: 0.2,
-    })
-}
-
-fn data() -> Vec<Rating> {
-    netflix_like(
-        &MfDataConfig {
-            rows: 30,
-            cols: 20,
-            true_rank: 2,
-            observed: 500,
-            noise: 0.02,
-        },
-        7,
-    )
-}
+/// The MF job every scenario trains.
+const MF: MfJob = MfJob {
+    rows: 30,
+    cols: 20,
+    rank: 3,
+    observed: 500,
+    seed: 7,
+};
 
 /// A forecaster tuned to cry wolf: hair-trigger thresholds and a wide
 /// margin band make routine calm-market jitter look dangerous, maximizing
@@ -59,7 +49,8 @@ fn hair_trigger() -> ForecastConfig {
 /// fires repeatedly — anticipatory alerts on spike onsets, crossing
 /// alerts at worst — and every alert pre-drains live ActivePS state.
 /// The session must absorb the storm of demotions plus the real
-/// evictions behind them, and still converge.
+/// evictions behind them, and still converge, and its report must be
+/// what its export records.
 #[test]
 fn alert_storm_on_volatile_market_converges() {
     let config = ProteusConfig {
@@ -68,10 +59,13 @@ fn alert_storm_on_volatile_market_converges() {
         forecast: Some(ForecastConfig::default()),
         ..ProteusConfig::default()
     };
-    let mut session = Proteus::launch(app(), data(), config).expect("launch");
+    let rec = Arc::new(Recorder::new());
+    let mut session =
+        Proteus::launch_observed(MF.app(), MF.data(), config, Arc::clone(&rec)).expect("launch");
     session.run_market_hours(6.0).expect("market run");
     session.wait_clock(TARGET).expect("training progress");
     let report = session.finish().expect("finish");
+    common::assert_report_matches_export(&report, &rec.timeline());
     assert!(
         report.forecast_alerts >= 1,
         "a volatile market must trip the forecaster: {report:?}"
@@ -98,7 +92,7 @@ fn eviction_without_alert_falls_back_to_rollback() {
         forecast: Some(ForecastConfig::default()),
         ..ProteusConfig::default()
     };
-    let mut session = Proteus::launch(app(), data(), config).expect("launch");
+    let mut session = Proteus::launch(MF.app(), MF.data(), config).expect("launch");
     assert!(session.transient_machines() > 0);
     session.wait_clock(5).expect("warm-up");
     let rolled = session
@@ -132,7 +126,7 @@ fn false_alerts_never_change_the_bill() {
             forecast,
             ..ProteusConfig::default()
         };
-        let mut session = Proteus::launch(app(), data(), config).expect("launch");
+        let mut session = Proteus::launch(MF.app(), MF.data(), config).expect("launch");
         session.run_market_hours(4.0).expect("market run");
         session.wait_clock(TARGET).expect("training progress");
         session.finish().expect("finish")
@@ -173,7 +167,7 @@ fn gce_short_warning_lead_survives_volatile_market() {
         warning_lead: SimDuration::from_secs(30),
         ..ProteusConfig::default()
     };
-    let mut session = Proteus::launch(app(), data(), config).expect("launch");
+    let mut session = Proteus::launch(MF.app(), MF.data(), config).expect("launch");
     session.run_market_hours(6.0).expect("market run");
     session.wait_clock(TARGET).expect("training progress");
     let report = session.finish().expect("finish");

@@ -29,34 +29,19 @@ use proteus::obs::Recorder;
 use proteus::simtime::{SimDuration, SimTime};
 use proteus::{Proteus, ProteusConfig, ProteusReport};
 use proteus_bidbrain::ForecastConfig;
-use proteus_mlapps::data::{netflix_like, MfDataConfig};
-use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
+
+use common::MfJob;
 
 const HOURS: u64 = 72;
 
-fn app() -> MatrixFactorization {
-    MatrixFactorization::new(MfConfig {
-        rows: 60,
-        cols: 40,
-        rank: 4,
-        learning_rate: 0.05,
-        reg: 1e-4,
-        init_scale: 0.2,
-    })
-}
-
-fn data() -> Vec<Rating> {
-    netflix_like(
-        &MfDataConfig {
-            rows: 60,
-            cols: 40,
-            true_rank: 3,
-            observed: 1_500,
-            noise: 0.02,
-        },
-        17,
-    )
-}
+/// The MF job every scenario trains.
+const MF: MfJob = MfJob {
+    rows: 60,
+    cols: 40,
+    rank: 4,
+    observed: 1500,
+    seed: 17,
+};
 
 fn config(churn: bool) -> ProteusConfig {
     let mut cfg = ProteusConfig {
@@ -88,7 +73,8 @@ fn config(churn: bool) -> ProteusConfig {
 fn session(churn: bool) -> (ProteusReport, String) {
     let rec = Arc::new(Recorder::new());
     let mut session =
-        Proteus::launch_observed(app(), data(), config(churn), Arc::clone(&rec)).expect("launch");
+        Proteus::launch_observed(MF.app(), MF.data(), config(churn), Arc::clone(&rec))
+            .expect("launch");
     for day in 1..=HOURS / 24 {
         session.run_market_hours(24.0).expect("market day");
         session.wait_clock(5 * day).expect("training");

@@ -25,36 +25,22 @@ use proteus::market::MarketFaultPlan;
 use proteus::obs::Recorder;
 use proteus::simtime::{SimDuration, SimTime};
 use proteus::{Proteus, ProteusConfig, ProteusError, ProteusReport};
-use proteus_mlapps::data::{netflix_like, MfDataConfig};
-use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
+use proteus_mlapps::mf::MatrixFactorization;
+
+use common::MfJob;
 
 /// Training clock every scenario must reach — modest, because a
 /// drought-starved session trains on the reliable tier alone.
 const TARGET: u64 = 10;
 
-fn app() -> MatrixFactorization {
-    MatrixFactorization::new(MfConfig {
-        rows: 30,
-        cols: 20,
-        rank: 3,
-        learning_rate: 0.05,
-        reg: 1e-4,
-        init_scale: 0.2,
-    })
-}
-
-fn data() -> Vec<Rating> {
-    netflix_like(
-        &MfDataConfig {
-            rows: 30,
-            cols: 20,
-            true_rank: 2,
-            observed: 500,
-            noise: 0.02,
-        },
-        7,
-    )
-}
+/// The MF job every scenario trains.
+const MF: MfJob = MfJob {
+    rows: 30,
+    cols: 20,
+    rank: 3,
+    observed: 500,
+    seed: 7,
+};
 
 /// Session shape shared by every scenario: laptop-sized cluster, a
 /// short watchdog window and backoff cap so wedge → degrade → recover
@@ -86,7 +72,8 @@ fn launch(
     plan: MarketFaultPlan,
 ) -> Result<(Proteus<MatrixFactorization>, Arc<Recorder>), ProteusError> {
     let rec = Arc::new(Recorder::new());
-    let session = Proteus::launch_observed(app(), data(), chaos_config(plan), Arc::clone(&rec))?;
+    let session =
+        Proteus::launch_observed(MF.app(), MF.data(), chaos_config(plan), Arc::clone(&rec))?;
     Ok((session, rec))
 }
 
@@ -294,7 +281,7 @@ fn resilience_config_is_validated() {
         watchdog_window: SimDuration::from_secs(30),
         ..ProteusConfig::default()
     };
-    let err = match Proteus::launch(app(), data(), bad) {
+    let err = match Proteus::launch(MF.app(), MF.data(), bad) {
         Err(e) => e,
         Ok(_) => panic!("sub-step watchdog must be rejected"),
     };
@@ -305,7 +292,7 @@ fn resilience_config_is_validated() {
         backoff_cap: SimDuration::from_mins(10),
         ..ProteusConfig::default()
     };
-    let err = match Proteus::launch(app(), data(), bad) {
+    let err = match Proteus::launch(MF.app(), MF.data(), bad) {
         Err(e) => e,
         Ok(_) => panic!("inverted backoff must be rejected"),
     };

@@ -23,33 +23,18 @@ use proteus::bidbrain::ForecastConfig;
 use proteus::simtime::SimDuration;
 use proteus::ReliableRecovery;
 use proteus::{Proteus, ProteusConfig};
-use proteus_mlapps::data::{netflix_like, MfDataConfig};
-use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
 use proteus_obs::Recorder;
 
-fn app() -> MatrixFactorization {
-    MatrixFactorization::new(MfConfig {
-        rows: 30,
-        cols: 20,
-        rank: 3,
-        learning_rate: 0.05,
-        reg: 1e-4,
-        init_scale: 0.2,
-    })
-}
+use common::MfJob;
 
-fn data() -> Vec<Rating> {
-    netflix_like(
-        &MfDataConfig {
-            rows: 30,
-            cols: 20,
-            true_rank: 2,
-            observed: 500,
-            noise: 0.02,
-        },
-        7,
-    )
-}
+/// The MF job every scenario trains.
+const MF: MfJob = MfJob {
+    rows: 30,
+    cols: 20,
+    rank: 3,
+    observed: 500,
+    seed: 7,
+};
 
 fn cfg(reliable: u32) -> ProteusConfig {
     ProteusConfig {
@@ -67,7 +52,7 @@ fn cfg(reliable: u32) -> ProteusConfig {
 fn total_reliable_loss_restarts_from_last_checkpoint() {
     let rec = Arc::new(Recorder::new());
     let mut session =
-        Proteus::launch_observed(app(), data(), cfg(2), Arc::clone(&rec)).expect("launch");
+        Proteus::launch_observed(MF.app(), MF.data(), cfg(2), Arc::clone(&rec)).expect("launch");
     session.run_market_hours(1.0).expect("market warm-up");
     session.wait_clock(8).expect("pre-checkpoint progress");
     let ck = session.checkpoint_now().expect("forced checkpoint");
@@ -124,7 +109,7 @@ fn total_reliable_loss_restarts_from_last_checkpoint() {
 /// is accounted as lost work. The session still converges.
 #[test]
 fn total_loss_without_checkpoint_restarts_from_scratch() {
-    let mut session = Proteus::launch(app(), data(), cfg(2)).expect("launch");
+    let mut session = Proteus::launch(MF.app(), MF.data(), cfg(2)).expect("launch");
     session.run_market_hours(0.5).expect("market warm-up");
     session.wait_clock(6).expect("progress");
     let resumed = session
@@ -148,7 +133,7 @@ fn total_loss_without_checkpoint_restarts_from_scratch() {
 /// outcome.
 #[test]
 fn partial_reliable_loss_prefers_in_job_repair() {
-    let mut session = Proteus::launch(app(), data(), cfg(3)).expect("launch");
+    let mut session = Proteus::launch(MF.app(), MF.data(), cfg(3)).expect("launch");
     session.run_market_hours(0.5).expect("market warm-up");
     session.wait_clock(6).expect("progress");
     session.checkpoint_now().expect("safety checkpoint");
@@ -172,7 +157,7 @@ fn partial_reliable_loss_prefers_in_job_repair() {
 /// the same checkpoint and the clock still never regresses below it.
 #[test]
 fn repeated_total_loss_keeps_clock_monotone() {
-    let mut session = Proteus::launch(app(), data(), cfg(2)).expect("launch");
+    let mut session = Proteus::launch(MF.app(), MF.data(), cfg(2)).expect("launch");
     session.run_market_hours(0.5).expect("market warm-up");
     session.wait_clock(5).expect("progress");
     let ck = session.checkpoint_now().expect("checkpoint");
@@ -210,7 +195,7 @@ fn fault_free_checkpointing_is_deterministic_and_billing_neutral() {
             checkpoint_cost: SimDuration::from_secs(1),
             ..ProteusConfig::default()
         };
-        let mut session = Proteus::launch(app(), data(), config).expect("launch");
+        let mut session = Proteus::launch(MF.app(), MF.data(), config).expect("launch");
         session.run_market_hours(4.0).expect("market run");
         session.wait_clock(10).expect("progress");
         session.finish().expect("finish")
@@ -240,7 +225,7 @@ fn fault_free_checkpointing_is_deterministic_and_billing_neutral() {
 /// never be restored because the store swaps whole encoded snapshots).
 #[test]
 fn checkpoint_interrupted_by_kill_restores_cleanly() {
-    let mut session = Proteus::launch(app(), data(), cfg(2)).expect("launch");
+    let mut session = Proteus::launch(MF.app(), MF.data(), cfg(2)).expect("launch");
     session.run_market_hours(0.5).expect("market warm-up");
     session.wait_clock(6).expect("progress");
     let ck = session.checkpoint_now().expect("checkpoint");

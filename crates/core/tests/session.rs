@@ -4,32 +4,17 @@
 mod common;
 
 use proteus::{Proteus, ProteusConfig};
-use proteus_mlapps::data::{netflix_like, MfDataConfig};
-use proteus_mlapps::mf::{MatrixFactorization, MfConfig};
 
-fn app() -> MatrixFactorization {
-    MatrixFactorization::new(MfConfig {
-        rows: 40,
-        cols: 30,
-        rank: 4,
-        learning_rate: 0.05,
-        reg: 1e-4,
-        init_scale: 0.2,
-    })
-}
+use common::MfJob;
 
-fn data() -> Vec<proteus_mlapps::mf::Rating> {
-    netflix_like(
-        &MfDataConfig {
-            rows: 40,
-            cols: 30,
-            true_rank: 3,
-            observed: 800,
-            noise: 0.02,
-        },
-        42,
-    )
-}
+/// The MF job every scenario trains.
+const MF: MfJob = MfJob {
+    rows: 40,
+    cols: 30,
+    rank: 4,
+    observed: 800,
+    seed: 42,
+};
 
 #[test]
 fn full_session_trains_under_market_churn() {
@@ -37,7 +22,7 @@ fn full_session_trains_under_market_churn() {
         max_machines: 8,
         ..ProteusConfig::default()
     };
-    let mut session = Proteus::launch(app(), data(), config).expect("launch");
+    let mut session = Proteus::launch(MF.app(), MF.data(), config).expect("launch");
 
     // BidBrain should have bought spot capacity immediately: the spot
     // discount makes acquisition a clear cost-per-work win.
@@ -85,7 +70,7 @@ fn session_survives_injected_failure() {
     };
     let rec = Arc::new(Recorder::new());
     let mut session =
-        Proteus::launch_observed(app(), data(), config, Arc::clone(&rec)).expect("launch");
+        Proteus::launch_observed(MF.app(), MF.data(), config, Arc::clone(&rec)).expect("launch");
     assert!(session.transient_machines() > 0);
     session.wait_clock(5).expect("warm-up");
 
@@ -134,7 +119,7 @@ fn session_with_a_forced_serving_stage_launches_and_runs() {
         ..ProteusConfig::default()
     };
     config.agile.force_stage = Some(Stage::Stage2);
-    let mut session = Proteus::launch(app(), data(), config).expect("launch");
+    let mut session = Proteus::launch(MF.app(), MF.data(), config).expect("launch");
     assert!(session.transient_machines() > 0);
     session.run_market_hours(6.0).expect("market run");
     session.wait_clock(10).expect("training progress");
@@ -148,7 +133,7 @@ fn session_rejects_invalid_config() {
         reliable_machines: 0,
         ..ProteusConfig::default()
     };
-    assert!(Proteus::launch(app(), data(), bad).is_err());
+    assert!(Proteus::launch(MF.app(), MF.data(), bad).is_err());
 }
 
 /// An observed session puts every subsystem on one timeline: market
@@ -166,7 +151,7 @@ fn observed_session_records_every_subsystem() {
     };
     let rec = Arc::new(Recorder::new());
     let mut session =
-        Proteus::launch_observed(app(), data(), config, Arc::clone(&rec)).expect("launch");
+        Proteus::launch_observed(MF.app(), MF.data(), config, Arc::clone(&rec)).expect("launch");
     session.run_market_hours(2.0).expect("market run");
     session.wait_clock(10).expect("training progress");
     // Drain pending job events onto the timeline before finishing.

@@ -26,6 +26,7 @@
 // Study/simulation code returns typed outcomes, never panics; any
 // retained expect documents a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unnameable_types)]
 
 mod executor;
 mod gce;
@@ -37,7 +38,7 @@ mod study;
 pub use executor::StudyExecutor;
 pub use gce::{run_gce_job, GceOutcome, GceRunConfig};
 pub use queue::{run_job_queue, QueueOutcome};
-pub use scheme::{youngs_interval, JobSpec, Scheme, SchemeKind};
+pub use scheme::{JobSpec, Scheme, SchemeKind};
 pub use sim::{run_job, SimOutcome};
 pub use study::{run_study, run_study_with, StudyConfig, StudyEnv, StudyResult};
 

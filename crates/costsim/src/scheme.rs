@@ -167,26 +167,6 @@ impl SchemeKind {
     }
 }
 
-/// Young's approximation for the optimal checkpoint interval:
-/// `τ* = sqrt(2 · C · MTTF)` where `C` is the time to write one
-/// checkpoint. Returns the interval and the resulting steady-state
-/// overhead fraction `C / τ*` — the paper's MTTF-derived frequency with
-/// its observed ~17 % overhead corresponds to frequent spot evictions
-/// and a checkpoint cost of a few minutes.
-///
-/// # Panics
-///
-/// Panics if either argument is non-positive.
-pub fn youngs_interval(checkpoint_cost: SimDuration, mttf: SimDuration) -> (SimDuration, f64) {
-    assert!(
-        !checkpoint_cost.is_zero() && !mttf.is_zero(),
-        "Young's formula needs positive checkpoint cost and MTTF"
-    );
-    let c = checkpoint_cost.as_hours_f64();
-    let tau = (2.0 * c * mttf.as_hours_f64()).sqrt();
-    (SimDuration::from_hours_f64(tau), c / tau)
-}
-
 /// A scheme bound to a job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scheme {
@@ -208,26 +188,6 @@ mod tests {
         let j20 = JobSpec::cluster_b_job(20.0, mk);
         assert!((j20.work_core_hours / j2.work_core_hours - 10.0).abs() < 1e-9);
         assert_eq!(j2.on_demand_count, 3);
-    }
-
-    #[test]
-    fn youngs_formula_matches_hand_arithmetic() {
-        // C = 2 min, MTTF = 100 min → τ* = sqrt(2·2·100) = 20 min,
-        // overhead = 2/20 = 10 %.
-        let (tau, overhead) =
-            youngs_interval(SimDuration::from_mins(2), SimDuration::from_mins(100));
-        assert_eq!(tau.as_mins(), 20);
-        assert!((overhead - 0.10).abs() < 1e-9);
-        // The paper's 17 % corresponds to spot-market MTTFs of tens of
-        // minutes with multi-minute checkpoints.
-        let (_, heavy) = youngs_interval(SimDuration::from_mins(3), SimDuration::from_mins(52));
-        assert!((0.15..0.20).contains(&heavy), "got {heavy}");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive checkpoint cost")]
-    fn youngs_formula_rejects_zero() {
-        youngs_interval(SimDuration::ZERO, SimDuration::from_mins(1));
     }
 
     #[test]

@@ -801,7 +801,10 @@ mod tests {
 
     fn flat_traces(price: f64) -> TraceSet {
         let mut set = TraceSet::new();
-        set.insert(default_on_demand_market(), PriceTrace::constant(price));
+        set.insert(
+            default_on_demand_market(),
+            PriceTrace::from_points(vec![(SimTime::EPOCH, price)]).expect("flat trace"),
+        );
         set
     }
 

@@ -29,6 +29,7 @@
 // Scheduler code returns typed outcomes, never panics; any retained
 // expect must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unnameable_types)]
 #![warn(missing_docs)]
 
 mod binpack;
@@ -38,6 +39,5 @@ mod sim;
 mod sweep;
 
 pub use job::{FleetJobSpec, JobId, JobState, JobSummary};
-pub use scheduler::FairnessConfig;
 pub use sim::{FleetConfig, FleetOutcome, FleetSim, FleetTiming};
 pub use sweep::{run_sweep, run_sweep_on, RungCutoff, SweepConfig, SweepOutcome, TrialResult};

@@ -4,46 +4,32 @@
 //! cost-per-work advantage (Eq. 4 across jobs). The weight starts from
 //! the job's priority tier and grows with every scheduling round the
 //! job spends waiting, so a low tier is cheap to delay but impossible
-//! to starve: past [`FairnessConfig::max_wait_rounds`] the job is
+//! to starve: past `MAX_WAIT_ROUNDS` (16) the job is
 //! *starved* and jumps to the front of the launch walk regardless of
 //! value, with preemption rights over any preemptible gang.
 
-/// Tuning for the weighted fair queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FairnessConfig {
-    /// Weight ratio between adjacent tiers: tier `t` has base weight
-    /// `tier_base^-t`.
-    pub tier_base: f64,
-    /// Fractional weight gained per round spent waiting — the aging
-    /// term `1 + aging_boost × rounds`.
-    pub aging_boost: f64,
-    /// Rounds after which a waiting job is declared starved and served
-    /// ahead of everything, whatever its tier.
-    pub max_wait_rounds: u32,
+/// Weight ratio between adjacent tiers: tier `t` has base weight
+/// `TIER_BASE^-t`.
+const TIER_BASE: f64 = 2.0;
+
+/// Fractional weight gained per round spent waiting — the aging term
+/// `1 + AGING_BOOST × rounds`.
+const AGING_BOOST: f64 = 0.25;
+
+/// Rounds after which a waiting job is declared starved and served
+/// ahead of everything, whatever its tier.
+const MAX_WAIT_ROUNDS: u32 = 16;
+
+/// The aged weight of a job on priority `tier` that has waited
+/// `rounds_waiting` scheduling rounds.
+pub(crate) fn effective_weight(tier: u32, rounds_waiting: u32) -> f64 {
+    let base = TIER_BASE.powi(-(tier.min(64) as i32));
+    base * (1.0 + AGING_BOOST * f64::from(rounds_waiting))
 }
 
-impl Default for FairnessConfig {
-    fn default() -> Self {
-        FairnessConfig {
-            tier_base: 2.0,
-            aging_boost: 0.25,
-            max_wait_rounds: 16,
-        }
-    }
-}
-
-impl FairnessConfig {
-    /// The aged weight of a job on priority `tier` that has waited
-    /// `rounds_waiting` scheduling rounds.
-    pub fn effective_weight(&self, tier: u32, rounds_waiting: u32) -> f64 {
-        let base = self.tier_base.powi(-(tier.min(64) as i32));
-        base * (1.0 + self.aging_boost * f64::from(rounds_waiting))
-    }
-
-    /// Whether a job that has waited `rounds_waiting` rounds is starved.
-    pub fn is_starved(&self, rounds_waiting: u32) -> bool {
-        rounds_waiting >= self.max_wait_rounds
-    }
+/// Whether a job that has waited `rounds_waiting` rounds is starved.
+pub(crate) fn is_starved(rounds_waiting: u32) -> bool {
+    rounds_waiting >= MAX_WAIT_ROUNDS
 }
 
 /// One pending gang's place in the launch walk.
@@ -75,18 +61,16 @@ mod tests {
 
     #[test]
     fn higher_tier_number_means_lower_weight() {
-        let f = FairnessConfig::default();
-        assert!(f.effective_weight(0, 0) > f.effective_weight(1, 0));
-        assert!(f.effective_weight(1, 0) > f.effective_weight(3, 0));
+        assert!(effective_weight(0, 0) > effective_weight(1, 0));
+        assert!(effective_weight(1, 0) > effective_weight(3, 0));
     }
 
     #[test]
     fn aging_eventually_overtakes_a_fresh_higher_tier() {
-        let f = FairnessConfig::default();
         // A tier-3 job that has waited long enough outweighs a fresh
         // tier-0 job: weight ratio 8 needs (w-1)/0.25 > 7 → 28 rounds.
         let mut rounds = 0;
-        while f.effective_weight(3, rounds) <= f.effective_weight(0, 0) {
+        while effective_weight(3, rounds) <= effective_weight(0, 0) {
             rounds += 1;
             assert!(rounds < 100, "aging never overtook the higher tier");
         }
@@ -124,8 +108,19 @@ mod tests {
 
     #[test]
     fn starvation_threshold() {
-        let f = FairnessConfig::default();
-        assert!(!f.is_starved(f.max_wait_rounds - 1));
-        assert!(f.is_starved(f.max_wait_rounds));
+        assert!(!is_starved(MAX_WAIT_ROUNDS - 1));
+        assert!(is_starved(MAX_WAIT_ROUNDS));
+    }
+
+    #[test]
+    fn aging_weight_is_monotone_in_rounds_waiting() {
+        let mut last = 0.0;
+        for rounds in 0..64 {
+            let w = effective_weight(3, rounds);
+            assert!(w > last, "aging regressed at round {rounds}");
+            last = w;
+        }
+        // Sanity: an aged tier-3 eventually outweighs a fresh tier-0.
+        assert!(effective_weight(3, 64) > effective_weight(0, 0));
     }
 }

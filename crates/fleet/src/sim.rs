@@ -39,7 +39,7 @@ use proteus_simtime::{SimDuration, SimTime};
 
 use crate::binpack::ReliablePool;
 use crate::job::{FleetJobSpec, JobId, JobState, JobSummary};
-use crate::scheduler::{rank, FairnessConfig, RankEntry};
+use crate::scheduler::{effective_weight, is_starved, rank, RankEntry};
 
 /// Fleet-wide tuning.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,17 +48,12 @@ pub struct FleetConfig {
     pub max_active_jobs: usize,
     /// Reliable-slot density per shared on-demand machine.
     pub slots_per_machine: u32,
-    /// Weighted-fair-queue tuning.
-    pub fairness: FairnessConfig,
     /// Per-job progress pause after an eviction or preemption (λ).
     pub eviction_pause: SimDuration,
     /// Per-job progress pause after a (re)launch (σ).
     pub scale_pause: SimDuration,
     /// Bid deltas swept per candidate market.
     pub bid_deltas: Vec<f64>,
-    /// A pending gang preempts a victim only when its value exceeds
-    /// `preemption_margin ×` the victim's (starved gangs ignore this).
-    pub preemption_margin: f64,
     /// Market backing the shared reliable pool.
     pub on_demand_market: MarketKey,
     /// Candidate spot markets for gang acquisition.
@@ -72,16 +67,18 @@ impl FleetConfig {
         FleetConfig {
             max_active_jobs: 64,
             slots_per_machine: 8,
-            fairness: FairnessConfig::default(),
             eviction_pause: SimDuration::from_secs(240),
             scale_pause: SimDuration::from_secs(30),
             bid_deltas: vec![0.0001, 0.01, 0.05, 0.4],
-            preemption_margin: 1.5,
             on_demand_market: markets[0],
             markets,
         }
     }
 }
+
+/// A pending gang preempts a victim only when its value exceeds
+/// `PREEMPTION_MARGIN ×` the victim's (starved gangs ignore this).
+const PREEMPTION_MARGIN: f64 = 1.5;
 
 /// A job's live gang: the spot allocation and the footprint it was
 /// bought at.
@@ -794,15 +791,12 @@ impl<'a> FleetSim<'a> {
                 self.queue_gang(idx, now);
                 continue;
             }
-            let weight = self
-                .cfg
-                .fairness
-                .effective_weight(self.jobs[idx].spec.tier, self.jobs[idx].rounds_waiting);
+            let weight = effective_weight(self.jobs[idx].spec.tier, self.jobs[idx].rounds_waiting);
             candidates.insert(idx, cand);
             entries.push(RankEntry {
                 job_idx: idx,
                 value: weight / cand.cost_per_work,
-                starved: self.cfg.fairness.is_starved(self.jobs[idx].rounds_waiting),
+                starved: is_starved(self.jobs[idx].rounds_waiting),
             });
         }
         // Victim value: aged weight over its *current* footprint's Eq. 4
@@ -811,10 +805,7 @@ impl<'a> FleetSim<'a> {
         for (slot, &idx) in victims.iter().enumerate() {
             if let Some(c) = evals(pending.len() + slot) {
                 if c.cost_per_work.is_finite() && c.cost_per_work > 0.0 {
-                    let weight = self
-                        .cfg
-                        .fairness
-                        .effective_weight(self.jobs[idx].spec.tier, 0);
+                    let weight = effective_weight(self.jobs[idx].spec.tier, 0);
                     victim_value.insert(idx, weight / c.cost_per_work);
                 }
             }
@@ -907,7 +898,7 @@ impl<'a> FleetSim<'a> {
             if freed >= needed {
                 break;
             }
-            let worthwhile = entry.starved || entry.value > self.cfg.preemption_margin * value;
+            let worthwhile = entry.starved || entry.value > PREEMPTION_MARGIN * value;
             if !worthwhile {
                 break; // pool is value-sorted: nothing further qualifies
             }

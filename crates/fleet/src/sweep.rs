@@ -4,7 +4,7 @@
 //! budget between them with asynchronous successive halving (ASHA):
 //! each trial runs to a **rung** (a cumulative work milestone), reports
 //! a score, and is **promoted** to the next rung only if it ranks in the
-//! configured keep-fraction of everything seen at that rung so far —
+//! `KEEP_FRACTION` (half) of everything seen at that rung so far —
 //! otherwise it is killed early and its budget flows to the survivors.
 //! A lag rule additionally kills trials whose realized throughput falls
 //! far behind nominal (stuck in a starved market), so a drought cannot
@@ -26,6 +26,16 @@ use proteus_simtime::{SimDuration, SimTime};
 use crate::job::{FleetJobSpec, JobId, JobState};
 use crate::sim::{FleetConfig, FleetOutcome, FleetSim, FleetTiming};
 
+/// Fraction of trials seen at a rung that get promoted past it.
+const KEEP_FRACTION: f64 = 0.5;
+
+/// Kill a running trial whose realized work is below `LAG_FACTOR ×`
+/// nominal after the grace period.
+const LAG_FACTOR: f64 = 0.25;
+
+/// How long a trial may run before the lag rule applies.
+const LAG_GRACE: SimDuration = SimDuration::from_mins(30);
+
 /// Sweep parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
@@ -38,13 +48,6 @@ pub struct SweepConfig {
     /// Cumulative work milestones in φ-scaled core-hours, strictly
     /// increasing; a trial completing the last rung is a finisher.
     pub rungs: Vec<f64>,
-    /// Fraction of trials seen at a rung that get promoted past it.
-    pub keep_fraction: f64,
-    /// Kill a running trial whose realized work is below `lag_factor ×`
-    /// nominal after the grace period.
-    pub lag_factor: f64,
-    /// How long a trial may run before the lag rule applies.
-    pub lag_grace: SimDuration,
     /// Sweep seed: trial qualities derive from it, nothing else.
     pub seed: u64,
     /// Submission stagger between consecutive trials.
@@ -60,9 +63,6 @@ impl Default for SweepConfig {
             gang: 2,
             tier: 2,
             rungs: vec![2.0, 4.0, 8.0],
-            keep_fraction: 0.5,
-            lag_factor: 0.25,
-            lag_grace: SimDuration::from_mins(30),
             seed: 1,
             submit_every: SimDuration::from_secs(120),
             horizon: SimDuration::from_hours(48),
@@ -231,7 +231,7 @@ pub fn run_sweep_on(
         .collect();
     // The ASHA ledger: each rung's cutoff over the scores seen so far,
     // in completion order.
-    let mut cutoffs = vec![RungCutoff::new(cfg.keep_fraction); cfg.rungs.len()];
+    let mut cutoffs = vec![RungCutoff::new(KEEP_FRACTION); cfg.rungs.len()];
     let mut remaining = cfg.trials;
 
     let end = SimTime::EPOCH + cfg.horizon;
@@ -258,8 +258,8 @@ pub fn run_sweep_on(
                 JobState::Running => {
                     let first = *trials[i].first_ran_at.get_or_insert(now);
                     let elapsed = now.since(first).as_hours_f64();
-                    let lagging = now.since(first) > cfg.lag_grace
-                        && fleet.work_done(id) < cfg.lag_factor * nominal_rate * elapsed;
+                    let lagging = now.since(first) > LAG_GRACE
+                        && fleet.work_done(id) < LAG_FACTOR * nominal_rate * elapsed;
                     if lagging {
                         fleet.kill(id);
                     }
@@ -347,9 +347,6 @@ mod tests {
             gang: 2,
             tier: 2,
             rungs: vec![1.0, 2.0],
-            keep_fraction: 0.5,
-            lag_factor: 0.25,
-            lag_grace: SimDuration::from_mins(30),
             seed: 11,
             submit_every: SimDuration::from_secs(120),
             horizon: SimDuration::from_hours(12),

@@ -32,6 +32,7 @@
 // Fault- and refusal-reachable paths must return typed errors; the few
 // retained `expect`s document real invariants at their use sites.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unnameable_types)]
 
 mod billing;
 mod error;

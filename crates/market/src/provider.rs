@@ -235,14 +235,6 @@ impl<'a> CloudProvider<'a> {
         self.cursor.prices()
     }
 
-    /// The spot price of `market` at an arbitrary instant.
-    pub fn spot_price_at(&self, market: MarketKey, t: SimTime) -> Result<f64, MarketError> {
-        self.traces
-            .get(&market)
-            .map(|trace| trace.price_at(t))
-            .ok_or(MarketError::UnknownMarket(market))
-    }
-
     /// The registered price traces (read-only; used by β estimation).
     pub fn traces(&self) -> &TraceSet {
         &self.traces
@@ -262,11 +254,6 @@ impl<'a> CloudProvider<'a> {
     /// step that only scans or sums its holdings copies nothing.
     pub fn live_spot(&self) -> impl Iterator<Item = &SpotAllocation> + '_ {
         self.spot.values().map(|l| &l.alloc)
-    }
-
-    /// Look up one live spot allocation.
-    pub fn spot_allocation(&self, id: AllocationId) -> Option<&SpotAllocation> {
-        self.spot.get(&id).map(|l| &l.alloc)
     }
 
     /// Dollars of `id`'s current billing hour paid for but not yet used
@@ -853,7 +840,7 @@ mod tests {
         assert_eq!(grant.usable_at, SimTime::EPOCH);
         let id = grant.id;
         assert!((p.account().total_cost() - 0.20).abs() < 1e-12);
-        assert_eq!(p.spot_allocation(id).unwrap().count, 4);
+        assert_eq!(p.live_spot().find(|a| a.id == id).unwrap().count, 4);
     }
 
     #[test]
@@ -927,7 +914,7 @@ mod tests {
         // 32 minutes of free usage × 2 instances.
         let free = p.account().usage().free_hours;
         assert!((free - 2.0 * (32.0 / 60.0)).abs() < 1e-9, "free={free}");
-        assert!(p.spot_allocation(id).is_none());
+        assert!(!p.live_spot().any(|a| a.id == id));
     }
 
     #[test]
@@ -1083,7 +1070,7 @@ mod tests {
         assert_eq!(grant.usable_at, SimTime::EPOCH + delay);
         // Nothing billed while booting.
         assert_eq!(p.account().total_cost(), 0.0);
-        let view = p.spot_allocation(grant.id).expect("live");
+        let view = p.live_spot().find(|a| a.id == grant.id).expect("live");
         assert!(view.is_booting());
 
         let events = p.advance_to(SimTime::from_hours(2)).expect("advance");
@@ -1093,7 +1080,7 @@ mod tests {
         ));
         // Billing hours anchor at launch: the next boundary is 10 min
         // past the first wall-clock hour.
-        let view = p.spot_allocation(grant.id).expect("live");
+        let view = p.live_spot().find(|a| a.id == grant.id).expect("live");
         assert!(!view.is_booting());
         assert_eq!(
             view.hour_start,
@@ -1122,7 +1109,7 @@ mod tests {
         );
         assert_eq!(p.account().total_cost(), 0.0);
         assert_eq!(p.account().usage().free_hours, 0.0);
-        assert!(p.spot_allocation(grant.id).is_none());
+        assert!(!p.live_spot().any(|a| a.id == grant.id));
         assert_eq!(p.fault_stats().expect("plan").launch_failures, 1);
     }
 
@@ -1221,7 +1208,7 @@ mod tests {
         assert!(p.account().total_cost().abs() < 1e-12);
         assert!((p.account().usage().free_hours - 1.0).abs() < 1e-9);
         assert_eq!(p.account().usage().spot_paid_hours, 0.0);
-        assert!(p.spot_allocation(id).is_none());
+        assert!(!p.live_spot().any(|a| a.id == id));
         assert!(p.revoke(id).is_err(), "double revoke rejected");
     }
 

@@ -54,13 +54,6 @@ impl PriceTrace {
         Some(PriceTrace { points })
     }
 
-    /// A trace that holds one price forever (useful in tests).
-    pub fn constant(price: f64) -> Self {
-        PriceTrace {
-            points: vec![(SimTime::EPOCH, price)],
-        }
-    }
-
     /// The price in effect at instant `t`.
     pub fn price_at(&self, t: SimTime) -> f64 {
         self.points[self.index_at(t)].1
@@ -85,13 +78,6 @@ impl PriceTrace {
             [_, (after, _), ..] if *after > t => from + 1,
             _ => from + rest.partition_point(|(pt, _)| *pt <= t),
         }
-    }
-
-    /// The first instant strictly after `t` at which the price changes,
-    /// with the new price; `None` if the price never changes again.
-    pub fn next_change_after(&self, t: SimTime) -> Option<(SimTime, f64)> {
-        let idx = self.points.partition_point(|(pt, _)| *pt <= t);
-        self.points.get(idx).copied()
     }
 
     /// The first instant in `(after, horizon]` at which the price strictly
@@ -353,16 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn next_change_after_walks_points() {
-        let t = stepped();
-        assert_eq!(
-            t.next_change_after(SimTime::EPOCH),
-            Some((SimTime::from_hours(1), 0.10))
-        );
-        assert_eq!(t.next_change_after(SimTime::from_hours(3)), None);
-    }
-
-    #[test]
     fn first_crossing_detects_spike() {
         let t = stepped();
         // Bid 0.2: crossed when price jumps to 0.5 at hour 2.
@@ -407,7 +383,10 @@ mod tests {
         let mut set = TraceSet::new();
         let key = MarketKey::new(catalog::c4_xlarge(), Zone(0));
         assert!(set.is_empty());
-        set.insert(key, PriceTrace::constant(0.05));
+        set.insert(
+            key,
+            PriceTrace::from_points(vec![(SimTime::EPOCH, 0.05)]).unwrap(),
+        );
         assert_eq!(set.len(), 1);
         assert_eq!(set.get(&key).unwrap().price_at(SimTime::EPOCH), 0.05);
         assert!(set.markets().any(|k| *k == key));

@@ -38,6 +38,12 @@ fn three_markets(seed: u64) -> (Vec<MarketKey>, CloudProvider<'static>) {
     (markets, CloudProvider::new(traces))
 }
 
+/// `m`'s price at `t` read off the provider's trace: the oracle its
+/// price cursor and its billed hours are checked against.
+fn trace_price(p: &CloudProvider<'_>, m: MarketKey, t: SimTime) -> f64 {
+    p.traces().get(&m).expect("registered").price_at(t)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -81,7 +87,7 @@ proptest! {
         let price = p.spot_price(market()).expect("covered");
         let id = p.request_spot(market(), count, price + delta).expect("granted").id;
         p.advance_to(SimTime::from_hours(hold_hours)).expect("forward");
-        if p.spot_allocation(id).is_some() {
+        if p.live_spot().any(|a| a.id == id) {
             p.terminate(id).expect("live allocation terminates");
         }
 
@@ -143,7 +149,7 @@ proptest! {
         hours in 1u64..12,
     ) {
         let mut set = TraceSet::new();
-        set.insert(market(), PriceTrace::constant(price));
+        set.insert(market(), PriceTrace::from_points(vec![(SimTime::EPOCH, price)]).expect("flat trace"));
         let mut p = CloudProvider::new(set);
         let _ = p.request_spot(market(), count, price + 1.0).expect("granted");
         p.advance_to(SimTime::from_hours(hours)).expect("forward");
@@ -206,7 +212,7 @@ proptest! {
                     prop_assert_eq!(a.hour_price, 0.0);
                     continue;
                 }
-                let billed = p.spot_price_at(a.market, a.hour_start).expect("traced");
+                let billed = trace_price(&p, a.market, a.hour_start);
                 prop_assert_eq!(a.hour_price.to_bits(), billed.to_bits(), "{:?}", a);
                 let charged = p
                     .account()
@@ -227,7 +233,7 @@ proptest! {
     /// jumps landing exactly on a price change, multi-day jumps),
     /// terminations and revocations — with boot delays, infant deaths
     /// and warned evictions — `spot_price` and `spot_prices` equal
-    /// `spot_price_at(m, now())` bit for bit after every call; every
+    /// the trace's price at `now()` bit for bit after every call; every
     /// hour the ledger charged was priced at its own instant (the
     /// cursor read mid-advance); and every warning or failed launch
     /// fired at a price above its bid.
@@ -256,7 +262,7 @@ proptest! {
             let to = match kind {
                 2 => Some(p.now() + SimDuration::from_mins(2)),
                 3 => Some(p.now() + SimDuration::from_mins(mins)),
-                4 => p.traces().get(&m).and_then(|t| t.next_change_after(p.now())).map(|(t, _)| t),
+                4 => p.traces().get(&m).and_then(|t| t.points().iter().find(|(at, _)| *at > p.now())).map(|(t, _)| *t),
                 5 => Some(p.now() + SimDuration::from_hours(24 * (1 + mins % 3))),
                 _ => None,
             };
@@ -277,7 +283,7 @@ proptest! {
                             .iter()
                             .find(|(id, _, _)| *id == allocation)
                             .expect("granted here");
-                        prop_assert!(p.spot_price_at(m, t).expect("registered") > bid);
+                        prop_assert!(trace_price(&p, m, t) > bid);
                     }
                 }
                 (6, _) => {
@@ -294,7 +300,7 @@ proptest! {
             }
             let want: Vec<(MarketKey, u64)> = markets
                 .iter()
-                .map(|&m| (m, p.spot_price_at(m, p.now()).expect("registered").to_bits()))
+                .map(|&m| (m, trace_price(&p, m, p.now()).to_bits()))
                 .collect();
             let got: Vec<(MarketKey, u64)> =
                 p.spot_prices().iter().map(|&(m, price)| (m, price.to_bits())).collect();
@@ -308,7 +314,7 @@ proptest! {
                 .iter()
                 .find(|(id, _, _)| *id == e.allocation)
                 .expect("granted here");
-            let price = p.spot_price_at(m, e.time).expect("registered");
+            let price = trace_price(&p, m, e.time);
             prop_assert_eq!(e.amount.to_bits(), (price * f64::from(e.instances)).to_bits());
         }
         let unknown = MarketKey::new(catalog::c4_2xlarge(), Zone(3));
@@ -354,7 +360,11 @@ fn unused_hour_credit_table() {
 
     // Spot, warned: still credits the rest of its paid hour.
     at(&mut p, 151);
-    assert!(p.spot_allocation(id).expect("still live").is_warned());
+    assert!(p
+        .live_spot()
+        .find(|a| a.id == id)
+        .expect("still live")
+        .is_warned());
     assert_eq!(p.unused_hour_credit(id), 0.08 * 2.0 * (29.0 / 60.0));
 
     // Spot, booting: nothing was charged, nothing is credited.
@@ -362,7 +372,11 @@ fn unused_hour_credit_table() {
     p.set_fault_plan(MarketFaultPlan::new(1).with_boot_delay(min(10), min(10)));
     let id = p.request_spot(market(), 2, 0.20).expect("granted").id;
     at(&mut p, 5);
-    assert!(p.spot_allocation(id).expect("live").is_booting());
+    assert!(p
+        .live_spot()
+        .find(|a| a.id == id)
+        .expect("live")
+        .is_booting());
     assert_eq!(p.unused_hour_credit(id), 0.0);
 
     // On-demand at its grant instant: one full hour; later, the rest.

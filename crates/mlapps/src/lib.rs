@@ -25,6 +25,7 @@
 // Application code returns typed errors or totals-ordered comparisons;
 // any retained expect must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unnameable_types)]
 
 pub mod app;
 pub mod data;

@@ -24,7 +24,6 @@ pub struct SequentialTrainer<A: MlApp> {
     rows: RunRows,
     scratch: A::Scratch,
     rng: StdRng,
-    iterations_done: u64,
 }
 
 impl<A: MlApp> SequentialTrainer<A> {
@@ -47,7 +46,6 @@ impl<A: MlApp> SequentialTrainer<A> {
             rows: RunRows::default(),
             scratch: A::Scratch::default(),
             rng: seeded_stream(seed, 2),
-            iterations_done: 0,
         }
     }
 
@@ -60,7 +58,6 @@ impl<A: MlApp> SequentialTrainer<A> {
             &mut self.params,
             &mut self.rng,
         );
-        self.iterations_done += 1;
     }
 
     /// Runs `n` passes over the data.
@@ -68,11 +65,6 @@ impl<A: MlApp> SequentialTrainer<A> {
         for _ in 0..n {
             self.run_iteration();
         }
-    }
-
-    /// Completed iteration count.
-    pub fn iterations_done(&self) -> u64 {
-        self.iterations_done
     }
 
     /// The current objective value over the training data.
@@ -130,7 +122,6 @@ mod tests {
         let after = t.objective();
         assert!(after < before * 0.2, "MF should fit: {before} -> {after}");
         assert!(after < 0.05, "residual close to noise floor, got {after}");
-        assert_eq!(t.iterations_done(), 30);
     }
 
     #[test]

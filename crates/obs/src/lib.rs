@@ -48,6 +48,7 @@
 // Observability must never panic a run it is passively watching; any
 // retained expect must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unnameable_types)]
 #![warn(missing_docs)]
 
 mod event;

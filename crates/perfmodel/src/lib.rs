@@ -26,6 +26,7 @@
 // Model arithmetic returns values or typed errors, never panics; any
 // retained expect documents a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unnameable_types)]
 
 mod autotune;
 mod layout;

@@ -2,15 +2,16 @@
 //!
 //! Parameter-server systems typically bound how stale the values a worker
 //! reads may be: a worker at clock `c` may proceed only while the slowest
-//! worker is at clock `c - slack` or later. The *consistent state* used by
-//! AgileML's recovery (Sec. 3.3, footnote 6) corresponds to the latest
-//! clock every worker has passed — it reflects all updates up to that
-//! clock and none after.
+//! worker is at clock `c - slack` or later. AgileML's workers apply that
+//! gate themselves against the minimum the controller broadcasts; this
+//! table is where the controller keeps that minimum. The *consistent
+//! state* used by AgileML's recovery (Sec. 3.3, footnote 6) corresponds to
+//! the latest clock every worker has passed — it reflects all updates up
+//! to that clock and none after.
 
 use std::collections::BTreeMap;
 
-/// Tracks per-worker clocks and derives SSP admission and the globally
-/// consistent clock.
+/// Tracks per-worker clocks and derives the globally consistent clock.
 ///
 /// Workers are identified by opaque `u32` ids (AgileML maps its worker
 /// threads onto them).
@@ -20,34 +21,21 @@ use std::collections::BTreeMap;
 /// ```
 /// use proteus_ps::ClockTable;
 ///
-/// let mut clocks = ClockTable::new(1); // slack of 1 clock
+/// let mut clocks = ClockTable::default();
 /// clocks.register_at(0, 0);
 /// clocks.register_at(1, 0);
 /// clocks.advance(0, 2);
-/// // Worker 0 at clock 2 may not start clock 3 while worker 1 is at 0.
-/// assert!(!clocks.may_proceed(2));
+/// // Worker 1 has completed nothing, so nothing is consistent past 0.
 /// assert_eq!(clocks.min_clock(), Some(0));
+/// clocks.advance(1, 1);
+/// assert_eq!(clocks.min_clock(), Some(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClockTable {
-    slack: u64,
     clocks: BTreeMap<u32, u64>,
 }
 
 impl ClockTable {
-    /// Creates a table with the given staleness bound (0 = BSP).
-    pub fn new(slack: u64) -> Self {
-        ClockTable {
-            slack,
-            clocks: BTreeMap::new(),
-        }
-    }
-
-    /// The staleness bound.
-    pub fn slack(&self) -> u64 {
-        self.slack
-    }
-
     /// Registers a worker starting at `clock` (0 for a fresh job).
     ///
     /// Controllers re-adding workers after an eviction or rescale seed
@@ -88,17 +76,6 @@ impl ClockTable {
         self.clocks.values().copied().min()
     }
 
-    /// Whether a worker currently *at* `clock` may begin `clock + 1`
-    /// under the staleness bound.
-    ///
-    /// With no registered workers this returns true (nothing to wait on).
-    pub fn may_proceed(&self, clock: u64) -> bool {
-        match self.min_clock() {
-            Some(min) => clock.saturating_sub(min) <= self.slack,
-            None => true,
-        }
-    }
-
     /// Number of registered workers.
     pub fn worker_count(&self) -> usize {
         self.clocks.len()
@@ -112,31 +89,20 @@ mod tests {
 
     #[test]
     fn bsp_blocks_until_all_advance() {
-        let mut t = ClockTable::new(0);
+        let mut t = ClockTable::default();
         t.register_at(0, 0);
         t.register_at(1, 0);
-        assert!(t.may_proceed(0));
+        assert_eq!(t.min_clock(), Some(0));
         t.advance(0, 1);
-        // Worker 0 at clock 1 must wait for worker 1 (still at 0).
-        assert!(!t.may_proceed(1));
+        // Worker 0 at clock 1 still waits on worker 1 (at 0).
+        assert_eq!(t.min_clock(), Some(0));
         t.advance(1, 1);
-        assert!(t.may_proceed(1));
-    }
-
-    #[test]
-    fn slack_allows_bounded_lead() {
-        let mut t = ClockTable::new(2);
-        t.register_at(0, 0);
-        t.register_at(1, 0);
-        t.advance(0, 2);
-        assert!(t.may_proceed(2)); // Lead of 2 ≤ slack.
-        t.advance(0, 3);
-        assert!(!t.may_proceed(3)); // Lead of 3 > slack.
+        assert_eq!(t.min_clock(), Some(1));
     }
 
     #[test]
     fn clocks_never_move_backwards() {
-        let mut t = ClockTable::new(0);
+        let mut t = ClockTable::default();
         t.register_at(0, 0);
         t.advance(0, 5);
         t.advance(0, 3);
@@ -145,20 +111,19 @@ mod tests {
 
     #[test]
     fn deregister_unblocks_stragglers_waiters() {
-        let mut t = ClockTable::new(0);
+        let mut t = ClockTable::default();
         t.register_at(0, 0);
         t.register_at(1, 0);
         t.advance(0, 4);
-        assert!(!t.may_proceed(4));
-        // Worker 1 is evicted; worker 0 may proceed.
+        assert_eq!(t.min_clock(), Some(0));
+        // Worker 1 is evicted; worker 0 no longer waits on it.
         t.deregister(1);
-        assert!(t.may_proceed(4));
         assert_eq!(t.min_clock(), Some(4));
     }
 
     #[test]
     fn register_at_does_not_regress_consistent_clock() {
-        let mut t = ClockTable::new(1);
+        let mut t = ClockTable::default();
         t.register_at(0, 0);
         t.register_at(1, 0);
         t.advance(0, 7);
@@ -182,38 +147,21 @@ mod tests {
 
     #[test]
     fn empty_table_never_blocks() {
-        let t = ClockTable::new(0);
-        assert!(t.may_proceed(100));
+        let t = ClockTable::default();
         assert_eq!(t.min_clock(), None);
-        assert_eq!(t.min_clock(), None);
+        assert_eq!(t.worker_count(), 0);
     }
 
     proptest! {
         #[test]
         fn consistent_clock_is_min(clocks in proptest::collection::vec(0u64..50, 1..8)) {
-            let mut t = ClockTable::new(1);
+            let mut t = ClockTable::default();
             for (i, c) in clocks.iter().enumerate() {
                 t.register_at(i as u32, 0);
                 t.advance(i as u32, *c);
             }
             prop_assert_eq!(t.min_clock(), clocks.iter().copied().min());
             prop_assert_eq!(t.worker_count(), clocks.len());
-        }
-
-        #[test]
-        fn may_proceed_monotone_in_slack(lead in 0u64..10) {
-            let mut lo = ClockTable::new(1);
-            let mut hi = ClockTable::new(5);
-            for t in [&mut lo, &mut hi] {
-                t.register_at(0, 0);
-                t.register_at(1, 0);
-                t.advance(0, lead);
-            }
-            // Anything admitted under the tight bound is admitted under
-            // the loose one.
-            if lo.may_proceed(lead) {
-                prop_assert!(hi.may_proceed(lead));
-            }
         }
     }
 }

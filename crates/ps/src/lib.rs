@@ -37,6 +37,7 @@
 // Storage primitives return typed errors, never panic; any retained
 // expect must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unnameable_types)]
 
 mod cache;
 mod clock;
@@ -55,4 +56,4 @@ pub use partition::{ParamKey, PartitionId, PartitionMap};
 pub use shard::{KeyedRow, RowRef, ShardStore};
 pub use snapshot::{decode_model, encode_model, SnapshotError};
 pub use value::DenseVec;
-pub use values::Values;
+pub use values::{Values, ValuesIter};

@@ -21,8 +21,8 @@ use crate::kernels;
 /// use proteus_ps::DenseVec;
 ///
 /// let mut row = DenseVec::zeros(3);
-/// row.merge(&DenseVec::from(vec![1.0, 2.0, 3.0]));
-/// row.merge(&DenseVec::from(vec![0.5, 0.0, -1.0]));
+/// row.axpy(1.0, &DenseVec::from(vec![1.0, 2.0, 3.0]));
+/// row.axpy(1.0, &DenseVec::from(vec![0.5, 0.0, -1.0]));
 /// assert_eq!(row.as_slice(), &[1.5, 2.0, 2.0]);
 ///
 /// // Clones share the buffer until one side writes.
@@ -98,21 +98,6 @@ impl DenseVec {
         kernels::norm_sq(&self.0)
     }
 
-    /// Folds a delta into this row: component-wise addition, so updates
-    /// from different workers may be applied in any order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn merge(&mut self, delta: &DenseVec) {
-        kernels::add_assign(Arc::make_mut(&mut self.0).as_mut_slice(), &delta.0);
-    }
-
-    /// The additive identity with the same shape as `self`.
-    pub fn zero_like(&self) -> Self {
-        DenseVec::zeros(self.0.len())
-    }
-
     /// Logical wire size in bytes: what shipping this row over a real
     /// network would cost, independent of in-memory representation.
     pub fn wire_bytes(&self) -> usize {
@@ -143,19 +128,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn merge_is_componentwise_add() {
-        let mut a = DenseVec::from(vec![1.0, -2.0]);
-        a.merge(&DenseVec::from(vec![0.5, 2.0]));
-        assert_eq!(a.as_slice(), &[1.5, 0.0]);
+    /// Folds `delta` into `row` the way the shard store folds an update
+    /// into a stored row: component-wise addition through the row's
+    /// copy-on-write slice, so updates from different workers may be
+    /// applied in any order.
+    fn merge(row: &mut DenseVec, delta: &DenseVec) {
+        kernels::add_assign(row.as_mut_slice(), delta.as_slice());
     }
 
     #[test]
-    fn zero_like_preserves_shape() {
-        let a = DenseVec::from(vec![3.0; 7]);
-        let z = a.zero_like();
-        assert_eq!(z.dim(), 7);
-        assert!(z.as_slice().iter().all(|&x| x == 0.0));
+    fn merge_is_componentwise_add() {
+        let mut a = DenseVec::from(vec![1.0, -2.0]);
+        merge(&mut a, &DenseVec::from(vec![0.5, 2.0]));
+        assert_eq!(a.as_slice(), &[1.5, 0.0]);
     }
 
     #[test]
@@ -178,7 +163,7 @@ mod tests {
         let a = DenseVec::from(vec![1.0, 2.0]);
         let mut b = a.clone();
         assert!(a.shares_buffer(&b), "clone must be zero-copy");
-        b.merge(&DenseVec::from(vec![1.0, 1.0]));
+        merge(&mut b, &DenseVec::from(vec![1.0, 1.0]));
         assert!(!a.shares_buffer(&b), "write must unshare");
         assert_eq!(a.as_slice(), &[1.0, 2.0], "original untouched");
         assert_eq!(b.as_slice(), &[2.0, 3.0]);
@@ -188,7 +173,7 @@ mod tests {
     fn unique_merge_mutates_in_place() {
         let mut a = DenseVec::from(vec![1.0; 16]);
         let before = a.as_slice().as_ptr();
-        a.merge(&DenseVec::from(vec![2.0; 16]));
+        merge(&mut a, &DenseVec::from(vec![2.0; 16]));
         assert_eq!(
             a.as_slice().as_ptr(),
             before,
@@ -200,7 +185,7 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn merge_rejects_shape_mismatch() {
         let mut a = DenseVec::zeros(2);
-        a.merge(&DenseVec::zeros(3));
+        merge(&mut a, &DenseVec::zeros(3));
     }
 
     fn vec_strategy(dim: usize) -> impl Strategy<Value = DenseVec> {
@@ -211,9 +196,9 @@ mod tests {
         #[test]
         fn merge_commutes(a in vec_strategy(8), b in vec_strategy(8)) {
             let mut ab = a.clone();
-            ab.merge(&b);
+            merge(&mut ab, &b);
             let mut ba = b.clone();
-            ba.merge(&a);
+            merge(&mut ba, &a);
             for (x, y) in ab.as_slice().iter().zip(ba.as_slice()) {
                 prop_assert!((x - y).abs() <= f32::EPSILON * x.abs().max(1.0));
             }
@@ -226,12 +211,12 @@ mod tests {
             // three f32s in either grouping differs by at most one ulp of
             // the result; allow a tolerance.
             let mut left = a.clone();
-            left.merge(&b);
-            left.merge(&c);
+            merge(&mut left, &b);
+            merge(&mut left, &c);
             let mut bc = b.clone();
-            bc.merge(&c);
+            merge(&mut bc, &c);
             let mut right = a.clone();
-            right.merge(&bc);
+            merge(&mut right, &bc);
             for (x, y) in left.as_slice().iter().zip(right.as_slice()) {
                 prop_assert!((x - y).abs() <= 1e-3 * x.abs().max(1.0));
             }
@@ -240,7 +225,7 @@ mod tests {
         #[test]
         fn zero_is_identity(a in vec_strategy(8)) {
             let mut merged = a.clone();
-            merged.merge(&a.zero_like());
+            merge(&mut merged, &DenseVec::zeros(a.dim()));
             prop_assert_eq!(merged.as_slice(), a.as_slice());
         }
     }

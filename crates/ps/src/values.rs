@@ -101,8 +101,8 @@ impl Values<DenseVec> {
 
     /// Iterates the pairs in push order, each row borrowed from the one
     /// buffer.
-    pub fn iter(&self) -> Iter<'_> {
-        Iter {
+    pub fn iter(&self) -> ValuesIter<'_> {
+        ValuesIter {
             rows: &self.0,
             next: 0,
             start: 0,
@@ -177,22 +177,22 @@ impl IntoIterator for Values<DenseVec> {
 
 impl<'a> IntoIterator for &'a Values<DenseVec> {
     type Item = (ParamKey, &'a [f32]);
-    type IntoIter = Iter<'a>;
+    type IntoIter = ValuesIter<'a>;
 
-    fn into_iter(self) -> Iter<'a> {
+    fn into_iter(self) -> ValuesIter<'a> {
         self.iter()
     }
 }
 
 /// The pairs of a [`Values`], in push order.
 #[derive(Debug, Clone)]
-pub struct Iter<'a> {
+pub struct ValuesIter<'a> {
     rows: &'a Rows,
     next: usize,
     start: usize,
 }
 
-impl<'a> Iterator for Iter<'a> {
+impl<'a> Iterator for ValuesIter<'a> {
     type Item = (ParamKey, &'a [f32]);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -210,7 +210,7 @@ impl<'a> Iterator for Iter<'a> {
     }
 }
 
-impl ExactSizeIterator for Iter<'_> {}
+impl ExactSizeIterator for ValuesIter<'_> {}
 
 #[cfg(test)]
 mod tests {

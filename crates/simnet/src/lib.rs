@@ -34,6 +34,7 @@
 // Fault- and teardown-reachable paths must return typed errors; any
 // retained expect must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unnameable_types)]
 
 mod cluster;
 mod event_core;

@@ -35,22 +35,9 @@ pub enum NodeClass {
     Transient,
 }
 
-impl NodeClass {
-    /// Whether this is the reliable tier.
-    pub fn is_reliable(self) -> bool {
-        matches!(self, NodeClass::Reliable)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn node_class_predicates() {
-        assert!(NodeClass::Reliable.is_reliable());
-        assert!(!NodeClass::Transient.is_reliable());
-    }
 
     #[test]
     fn node_id_display() {

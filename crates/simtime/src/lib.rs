@@ -18,6 +18,7 @@
 // values, never panic; any retained expect documents a real invariant
 // at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unnameable_types)]
 
 mod event;
 mod pool;

@@ -84,11 +84,6 @@ impl SimDuration {
         self.0 / MILLIS_PER_SEC
     }
 
-    /// Total length in whole minutes (truncating).
-    pub const fn as_mins(self) -> u64 {
-        self.0 / MILLIS_PER_MIN
-    }
-
     /// Total length in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / MILLIS_PER_SEC as f64
@@ -203,7 +198,7 @@ impl fmt::Display for SimDuration {
 /// use proteus_simtime::{SimDuration, SimTime};
 ///
 /// let t = SimTime::EPOCH + SimDuration::from_mins(95);
-/// assert_eq!((t - SimTime::from_hours(1)).as_mins(), 35);
+/// assert_eq!(t - SimTime::from_hours(1), SimDuration::from_mins(35));
 /// // `since` saturates instead of running before the epoch.
 /// assert_eq!(SimTime::EPOCH.since(t), SimDuration::ZERO);
 /// ```
@@ -312,7 +307,7 @@ mod tests {
     #[test]
     fn fractional_hours_round_trip() {
         let d = SimDuration::from_hours_f64(1.5);
-        assert_eq!(d.as_mins(), 90);
+        assert_eq!(d, SimDuration::from_mins(90));
         assert!((d.as_hours_f64() - 1.5).abs() < 1e-9);
     }
 

@@ -173,4 +173,61 @@ for lib in crates/*/src/lib.rs; do
   done
 done
 
+# A public function is interface only if non-test code calls it: a
+# `pub fn` in the non-test part of a crates/*/src file (before its first
+# `#[cfg(test)]`) must have its name as a word somewhere else in non-test
+# code (crates/*/src, benchmark/src, examples/; comments and `use` lines
+# do not count), or be listed below with its reason. The check is a
+# floor, not a proof: a test-only function that shares its name with a
+# called one (a second `new`, `len` or `set_faults`) passes it.
+echo "==> no pub fn that only tests call, outside the listed ones"
+test_only_api='
+launch_with_faults             fault door: a job born under a message-fault plan (chaos suites)
+warn_only                      fault door: a provider warning with no driver wait
+fail_nodes_async               fault door: a crash that does not wait for its recovery
+wait_event                     fault door: awaits what warn_only and fail_nodes_async start
+clear_faults                   fault door: releases held messages before a model is judged
+fault_stats                    fault door: proves a chaos plan injected something
+inject_failure                 fault door: kills a spot holding under a running session
+inject_reliable_failure        fault door: kills a reliable machine under a running session
+inject_total_reliable_failure  fault door: kills the whole reliable tier under a session
+has_dirty                      observation hook: the store model suite reads dirty state
+has_pending                    observation hook: the cache model suite reads unflushed state
+helpers_started                observation hook: the parallel-dispatch suites see helpers wake
+run_count                      observation hook: KeySet tests check the runs compress
+add_lincomb_pair               reference step the fused slab path is checked against
+with_rule                      builds the message faults every chaos suite injects
+wire_bytes                     DenseVec, KeySet and Values message sizes, kept for sized messages
+blobs                          K-means data, the fourth app, for its fingerprint and tests
+'
+allowed=" $(awk 'NF { printf "%s ", $1 }' <<< "$test_only_api")"
+corpus=$(mktemp)
+trap 'rm -f "$corpus"' EXIT
+for f in $(find crates/*/src benchmark/src examples -name '*.rs' | sort); do
+  awk '/#\[cfg\(test\)\]/ { exit }
+       /^[[:space:]]*\/\// { next }
+       in_use { in_use = !/;/; next }
+       /^[[:space:]]*(pub(\([a-z]+\))? )?use / { in_use = !/;/; next }
+       { print }' "$f"
+done > "$corpus"
+test_only=0
+for f in $(find crates/*/src -name '*.rs' | sort); do
+  for name in $(awk '/#\[cfg\(test\)\]/ { exit }
+      match($0, /^[[:space:]]*pub (const |unsafe )*fn [a-z_0-9]+/) {
+        s = substr($0, RSTART, RLENGTH); sub(/.* fn /, "", s); print s
+      }' "$f"); do
+    # One line is the definition itself.
+    if [ "$(grep -cw -- "$name" "$corpus")" -le 1 ]; then
+      case "$allowed" in
+        *" $name "*) ;;
+        *) echo "error: $f: pub fn $name has no caller outside tests" >&2; test_only=1 ;;
+      esac
+    fi
+  done
+done
+if [ "$test_only" -ne 0 ]; then
+  echo "error: delete each function above, or list it with its reason" >&2
+  exit 1
+fi
+
 echo "==> all checks passed"
