@@ -12,8 +12,10 @@
 //! # Architecture
 //!
 //! - [`Event`] — one typed enum per subsystem ([`MarketEvent`],
-//!   [`BidEvent`], [`AgileEvent`], [`SessionEvent`], [`CostEvent`]),
-//!   primitive-only payloads so the JSONL schema is stable.
+//!   [`BidEvent`], [`AgileEvent`], [`SessionEvent`], [`CostEvent`],
+//!   [`FleetEvent`]), primitive-only payloads so the JSONL schema is
+//!   stable. One table declares them all: a kind's string, JSONL keys
+//!   and fields are its one entry.
 //! - [`Recorder`] — the shared sink: an append-only event log and a few
 //!   named counters behind one cheap mutex, and an embedded sim clock
 //!   for components that cannot thread a `SimTime` through their call
