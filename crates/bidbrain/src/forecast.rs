@@ -37,6 +37,14 @@ use proteus_market::MarketKey;
 use proteus_simtime::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
+/// Floor on the adaptive checkpoint cadence (never snapshot more often
+/// than every other decision step, whatever the hazard says).
+const CHECKPOINT_MIN: SimDuration = SimDuration::from_mins(4);
+
+/// Ceiling on the adaptive checkpoint cadence — the relaxed interval a
+/// hazard-free market earns.
+const CHECKPOINT_MAX: SimDuration = SimDuration::from_hours(4);
+
 /// Tuning knobs for the online forecaster.
 ///
 /// Defaults are calibrated against the synthetic generator's regimes
@@ -248,18 +256,14 @@ impl PreemptionForecaster {
     /// Young's-rule checkpoint interval for the current fleet-wide
     /// pressure: `adaptive_interval` at the rate `hazard_to_rate`
     /// derives from [`max_hazard`](Self::max_hazard) over the forecast
-    /// horizon, clamped to `[min, max]`.
-    pub fn checkpoint_interval(
-        &self,
-        cost: SimDuration,
-        min: SimDuration,
-        max: SimDuration,
-    ) -> SimDuration {
+    /// horizon, clamped to 4 min–4 h. A forecaster that has seen nothing
+    /// gives the 4 h calm-market cadence.
+    pub fn checkpoint_interval(&self, cost: SimDuration) -> SimDuration {
         adaptive_interval(
             cost,
             hazard_to_rate(self.max_hazard(), self.cfg.horizon),
-            min,
-            max,
+            CHECKPOINT_MIN,
+            CHECKPOINT_MAX,
         )
     }
 

@@ -51,14 +51,6 @@ pub enum ReliableRecovery {
     Restarted,
 }
 
-/// Floor on the adaptive checkpoint cadence (never snapshot more often
-/// than every other decision step, whatever the hazard says).
-const CHECKPOINT_MIN: SimDuration = SimDuration::from_mins(4);
-
-/// Ceiling on the adaptive checkpoint cadence — the relaxed interval a
-/// hazard-free market earns.
-const CHECKPOINT_MAX: SimDuration = SimDuration::from_hours(4);
-
 /// What the session holds of one spot grant or on-demand fallback: only
 /// the facts the provider cannot answer.
 #[derive(Default)]
@@ -479,8 +471,7 @@ impl<A: MlApp> Proteus<A> {
             return Ok(());
         };
         let now = self.provider.now();
-        let interval =
-            fc.checkpoint_interval(self.config.checkpoint_cost, CHECKPOINT_MIN, CHECKPOINT_MAX);
+        let interval = fc.checkpoint_interval(self.config.checkpoint_cost);
         if now.since(self.last_checkpoint) < interval {
             return Ok(());
         }

@@ -43,14 +43,6 @@ pub struct SimOutcome {
     pub market_mix: BTreeMap<String, u32>,
 }
 
-/// Tightest cadence adaptive checkpointing will accept — below this the
-/// `C/τ` throughput tax exceeds what any plausible eviction would lose.
-const ADAPTIVE_CKPT_MIN: SimDuration = SimDuration::from_mins(5);
-
-/// Loosest adaptive cadence (calm markets); bounds the worst-case loss
-/// of an eviction the forecaster never saw coming.
-const ADAPTIVE_CKPT_MAX: SimDuration = SimDuration::from_hours(2);
-
 /// Runs one job under one scheme.
 ///
 /// `traces` must cover `[start, start + horizon]`; `beta` should be
@@ -191,8 +183,18 @@ impl<'a> JobSim<'a> {
                 ..BidBrainConfig::default()
             },
         );
-        let forecaster = matches!(scheme.kind, SchemeKind::AdaptiveCheckpoint { .. })
-            .then(|| PreemptionForecaster::new(ForecastConfig::default()));
+        // Only the adaptive-checkpoint scheme forecasts; it starts at the
+        // calm-market cadence of a forecaster that has seen nothing.
+        let (forecaster, adaptive_tau) = match scheme.kind {
+            SchemeKind::AdaptiveCheckpoint {
+                checkpoint_cost, ..
+            } => {
+                let fc = PreemptionForecaster::new(ForecastConfig::default());
+                let tau = fc.checkpoint_interval(checkpoint_cost);
+                (Some(fc), tau)
+            }
+            _ => (None, SimDuration::ZERO),
+        };
         JobSim {
             kind: scheme.kind.clone(),
             job: scheme.job,
@@ -211,8 +213,8 @@ impl<'a> JobSim<'a> {
             fallback_launches: 0,
             forecaster,
             fc_tracked: BTreeMap::new(),
-            adaptive_tau: ADAPTIVE_CKPT_MAX,
-            next_checkpoint: start + ADAPTIVE_CKPT_MAX,
+            adaptive_tau,
+            next_checkpoint: start + adaptive_tau,
             prices: Vec::new(),
             obs: None,
             obs_last_prices: Vec::new(),
@@ -445,8 +447,7 @@ impl<'a> JobSim<'a> {
                 alerted = true;
             }
         }
-        self.adaptive_tau =
-            fc.checkpoint_interval(checkpoint_cost, ADAPTIVE_CKPT_MIN, ADAPTIVE_CKPT_MAX);
+        self.adaptive_tau = fc.checkpoint_interval(checkpoint_cost);
         if alerted {
             // Proactive save: everything accrued so far survives the
             // predicted eviction; one checkpoint write is paid now.
