@@ -40,4 +40,4 @@ mod sweep;
 
 pub use job::{FleetJobSpec, JobId, JobState, JobSummary};
 pub use sim::{FleetConfig, FleetOutcome, FleetSim, FleetTiming};
-pub use sweep::{run_sweep, run_sweep_on, RungCutoff, SweepConfig, SweepOutcome, TrialResult};
+pub use sweep::{run_sweep, run_sweep_on, SweepConfig, SweepOutcome, TrialResult};

@@ -132,7 +132,7 @@ impl Ord for Total {
 /// never shrinks as `n` grows, so the `keep` smallest sit in a max-heap
 /// whose top is the cutoff and the rest wait in a min-heap.
 #[derive(Debug, Clone)]
-pub struct RungCutoff {
+struct RungCutoff {
     keep_fraction: f64,
     kept: BinaryHeap<Total>,
     rest: BinaryHeap<Reverse<Total>>,
@@ -140,7 +140,7 @@ pub struct RungCutoff {
 
 impl RungCutoff {
     /// An empty rung promoting `keep_fraction` of what it sees.
-    pub fn new(keep_fraction: f64) -> Self {
+    fn new(keep_fraction: f64) -> Self {
         RungCutoff {
             keep_fraction,
             kept: BinaryHeap::new(),
@@ -149,7 +149,7 @@ impl RungCutoff {
     }
 
     /// Records `score` and returns the cutoff over everything recorded.
-    pub fn push(&mut self, score: f64) -> f64 {
+    fn push(&mut self, score: f64) -> f64 {
         let n = self.kept.len() + self.rest.len() + 1;
         let keep = ((n as f64 * self.keep_fraction).ceil() as usize).clamp(1, n);
         // Through `rest`, so `kept` only ever takes the smallest outside
@@ -326,6 +326,8 @@ pub fn run_sweep_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use proteus_market::{catalog, MarketKey, PriceTrace, Zone};
 
     fn key() -> MarketKey {
@@ -421,5 +423,61 @@ mod tests {
         assert_eq!(trial_score(1, 3, 0), trial_score(1, 3, 0));
         assert_ne!(trial_score(1, 3, 0), trial_score(2, 3, 0));
         assert_ne!(trial_score(1, 3, 0), trial_score(1, 4, 0));
+    }
+
+    // The incremental rung cutoff against the sort it replaced.
+    // `run_sweep` used to clone and sort every score seen at a rung to
+    // read one order statistic. `RungCutoff` keeps that statistic across
+    // pushes; a promotion decision flips on a single bit of it, so the
+    // comparison here is on bits, over streams built to be awkward under
+    // `f64::total_cmp`: duplicates, both zeros, subnormals, infinities
+    // and NaNs.
+
+    /// One score from two raw draws: a class, then a value inside it.
+    fn score(class: u8, raw: u64) -> f64 {
+        match class % 6 {
+            0 => 0.0,
+            1 => -0.0,
+            // Subnormals of either sign.
+            2 => f64::from_bits((raw & ((1 << 52) - 1)) | (raw & (1 << 63))),
+            // A handful of values, so streams are full of duplicates.
+            3 => (raw % 5) as f64 * 0.25,
+            // Scores shaped like the sweep's own, in [0, 1).
+            4 => (raw >> 11) as f64 / (1u64 << 53) as f64,
+            // Any bit pattern at all, NaNs and infinities included.
+            _ => f64::from_bits(raw),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn cutoff_is_bitwise_the_sort_oracle(
+            draws in vec((any::<u8>(), any::<u64>()), 1..160),
+            below_one in 0.0f64..1.0,
+        ) {
+            let keep_fraction = 1.0 - below_one; // (0, 1]
+            let mut cutoff = RungCutoff::new(keep_fraction);
+            let mut seen: Vec<f64> = Vec::new();
+            for (class, raw) in draws {
+                let x = score(class, raw);
+                seen.push(x);
+                let keep = ((seen.len() as f64 * keep_fraction).ceil() as usize).max(1);
+                let mut sorted = seen.clone();
+                sorted.sort_by(f64::total_cmp);
+                let got = cutoff.push(x);
+                prop_assert_eq!(
+                    got.to_bits(),
+                    sorted[keep - 1].to_bits(),
+                    "n={} keep={} fraction={}: got {:?}, oracle {:?}",
+                    seen.len(),
+                    keep,
+                    keep_fraction,
+                    got,
+                    sorted[keep - 1]
+                );
+            }
+        }
     }
 }
