@@ -62,6 +62,20 @@ impl Default for StudyConfig {
     }
 }
 
+impl StudyConfig {
+    /// Validates the sampling: a study draws at least one start, from an
+    /// evaluation window at least a day long.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.starts == 0 {
+            return Err("a study needs at least one start".into());
+        }
+        if self.eval_days == 0 {
+            return Err("the evaluation window must span at least one day".into());
+        }
+        Ok(())
+    }
+}
+
 /// Aggregated result of one scheme across all starts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StudyResult {
@@ -104,7 +118,15 @@ pub struct StudyEnv {
 
 impl StudyEnv {
     /// Builds the environment for a configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`StudyConfig::validate`]'s message on an invalid
+    /// configuration.
     pub fn new(config: StudyConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("invalid study config: {e}");
+        }
         let keys = catalog::paper_markets();
         let total_days = config.train_days + config.eval_days;
         let horizon = SimDuration::from_hours(24 * total_days + config.max_job_hours as u64 + 1);
@@ -330,6 +352,11 @@ fn paper_schemes() -> [SchemeKind; 4] {
 
 /// Runs the full four-scheme comparison (the paper's Figs. 8/9 setup)
 /// on the calling thread.
+///
+/// # Panics
+///
+/// Panics with [`StudyConfig::validate`]'s message on an invalid
+/// configuration.
 pub fn run_study(config: StudyConfig) -> Vec<StudyResult> {
     run_study_with(config, &StudyExecutor::serial())
 }
@@ -338,6 +365,11 @@ pub fn run_study(config: StudyConfig) -> Vec<StudyResult> {
 /// is identical to [`run_study`] for any thread count: each `(scheme,
 /// start)` simulation is an independent deterministic task, and
 /// aggregation always happens in (scheme, start) order.
+///
+/// # Panics
+///
+/// Panics with [`StudyConfig::validate`]'s message on an invalid
+/// configuration.
 pub fn run_study_with(config: StudyConfig, exec: &StudyExecutor) -> Vec<StudyResult> {
     let env = StudyEnv::new(config);
     match proteus_obs::export_path() {
@@ -370,6 +402,26 @@ mod tests {
             max_job_hours: 48.0,
             market_faults: None,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid study config: a study needs at least one start")]
+    fn a_study_without_starts_is_refused() {
+        run_study(StudyConfig {
+            starts: 0,
+            ..small_config()
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid study config: the evaluation window must span at least one day"
+    )]
+    fn a_study_without_an_evaluation_window_is_refused() {
+        run_study(StudyConfig {
+            eval_days: 0,
+            ..small_config()
+        });
     }
 
     #[test]
