@@ -16,22 +16,6 @@ use crate::lda::LdaDoc;
 use crate::mf::Rating;
 use crate::mlr::Example;
 
-/// Dataset-size multiplier read from the `PROTEUS_DATA_SCALE`
-/// environment variable (default 1, minimum 1).
-///
-/// The default corpora are laptop-scale so the test suite stays fast;
-/// benchmarks and soak runs set `PROTEUS_DATA_SCALE=N` to grow every
-/// generator's *count* dimension (observed ratings, examples, documents)
-/// N-fold without touching the statistical structure. Generators stay
-/// deterministic for a fixed `(seed, scale)` pair.
-pub fn data_scale() -> usize {
-    std::env::var("PROTEUS_DATA_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
-}
-
 /// Parameters for the Netflix-like sparse rating matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MfDataConfig {
@@ -53,7 +37,7 @@ impl Default for MfDataConfig {
             rows: 200,
             cols: 100,
             true_rank: 4,
-            observed: 4000 * data_scale(),
+            observed: 4000,
             noise: 0.05,
         }
     }
@@ -111,7 +95,7 @@ pub struct MlrDataConfig {
 impl Default for MlrDataConfig {
     fn default() -> Self {
         MlrDataConfig {
-            examples: 600 * data_scale(),
+            examples: 600,
             dim: 16,
             classes: 4,
             separation: 2.0,
@@ -161,7 +145,7 @@ pub struct LdaDataConfig {
 impl Default for LdaDataConfig {
     fn default() -> Self {
         LdaDataConfig {
-            docs: 60 * data_scale(),
+            docs: 60,
             vocab: 100,
             true_topics: 5,
             doc_len: 40,

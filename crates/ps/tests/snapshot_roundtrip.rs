@@ -3,23 +3,11 @@
 //! arbitrary key layouts (clustered, sparse, extreme ids), arbitrary
 //! dimensions including zero, and every f32 bit pattern including NaN
 //! payloads, infinities, subnormals, and signed zeros.
-//!
-//! Sizes scale with `PROTEUS_DATA_SCALE` like the dataset generators:
-//! soak runs get proportionally larger models without changing the
-//! structure of the cases.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use proteus_ps::{decode_model, encode_model, DenseVec, ParamKey, SnapshotError};
-
-fn data_scale() -> usize {
-    std::env::var("PROTEUS_DATA_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
-}
 
 /// Arbitrary f32 *bit patterns* — uniform over the whole 2^32 space, so
 /// NaNs (quiet and signaling, any payload), infinities, subnormals, and
@@ -49,7 +37,7 @@ proptest! {
     /// The round trip is the identity on bit patterns, whatever the
     /// layout or contents.
     #[test]
-    fn export_restore_is_bit_identical(model in arb_model(24 * data_scale(), 16)) {
+    fn export_restore_is_bit_identical(model in arb_model(24, 16)) {
         let decoded = decode_model(&encode_model(&model)).expect("decode");
         prop_assert_eq!(bits(&model), bits(&decoded));
     }
@@ -57,7 +45,7 @@ proptest! {
     /// Equal models encode to byte-identical blobs (the BTreeMap order
     /// is canonical), so checkpoint artifacts are reproducible.
     #[test]
-    fn encoding_is_canonical(model in arb_model(12 * data_scale(), 8)) {
+    fn encoding_is_canonical(model in arb_model(12, 8)) {
         prop_assert_eq!(encode_model(&model), encode_model(&model.clone()));
     }
 
