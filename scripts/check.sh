@@ -6,6 +6,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Run in a known environment, as `benchmark/src/sys.rs::scrub_env` does:
+# each step below sets the PROTEUS_* variables it means. An ambient one
+# would make every session test write one export (PROTEUS_OBS_OUT) or
+# change what the gate runs (PROTEUS_CHAOS_FULL, PROTEUS_THREADS).
+for var in $(compgen -e); do
+  case "$var" in PROTEUS_*) unset "$var" ;; esac
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
