@@ -28,21 +28,22 @@ use rand::rngs::StdRng;
 use crate::msg::{AgileMsg, Values};
 use crate::topology::{block_ranges, BlockId, Topology};
 
-/// The widest [`KeyRefs`] table: 4 MiB of counts per worker.
+/// Keys below this bound (and below the app's `key_count`) are bits of
+/// a block's key set: 128 KiB of words per block at most. Keys past it
+/// are listed one by one.
 const DENSE_KEY_REFS: u64 = 1 << 20;
 
 /// Messages a worker wants sent, as `(destination, message)` pairs.
 pub type Outbox = Vec<(NodeId, AgileMsg)>;
 
 /// The job's input-data blocks: each block's index range and, once some
-/// worker has loaded it, the sorted, deduplicated parameter keys its
-/// data reads.
+/// worker has loaded it, the set of parameter keys its data reads.
 ///
-/// A block's key list is a pure function of app, dataset and block
+/// A block's key set is a pure function of app, dataset and block
 /// range, so it is built once per job — by whichever worker first needs
 /// it — and shared by all of the job's workers. A reassignment then
-/// costs the blocks that moved, not a `keys_for` pass over every datum
-/// the worker holds.
+/// costs the blocks that moved, in words of their key sets, not a
+/// `keys_for` pass over every datum the worker holds.
 #[derive(Debug)]
 pub struct BlockKeys {
     /// Block → index range of the dataset, fixed at job start.
@@ -53,10 +54,35 @@ pub struct BlockKeys {
 /// What one pass over a block reads.
 #[derive(Debug)]
 struct BlockReads {
-    /// The distinct keys, sorted.
-    keys: Vec<ParamKey>,
+    /// Bit `k % 64` of word `k / 64` is set iff key `k` is read, for the
+    /// keys below [`dense_keys`].
+    words: Vec<u64>,
+    /// The keys read from [`dense_keys`] up, sorted and distinct: a
+    /// spill list no bundled app fills.
+    spill: Vec<ParamKey>,
     /// Row elements touched: every datum's every key, times its width.
     work: u64,
+}
+
+/// How many keys of `app` a key set holds as bits.
+fn dense_keys<A: MlApp>(app: &A) -> u64 {
+    app.key_count().min(DENSE_KEY_REFS)
+}
+
+/// The bitset words of `app`'s dense keys.
+fn dense_words<A: MlApp>(app: &A) -> usize {
+    dense_keys(app).div_ceil(64) as usize
+}
+
+/// The keys whose bits are set in `words`, in increasing order.
+fn set_keys(words: impl Iterator<Item = u64>) -> impl Iterator<Item = ParamKey> {
+    words.enumerate().flat_map(|(i, word)| {
+        let base = 64 * i as u64;
+        // Each step clears the lowest set bit, until none is left.
+        let lowest_first = |&w: &u64| Some(w & (w - 1)).filter(|&w| w != 0);
+        std::iter::successors((word != 0).then_some(word), lowest_first)
+            .map(move |w| ParamKey(base + u64::from(w.trailing_zeros())))
+    })
 }
 
 impl BlockKeys {
@@ -76,7 +102,8 @@ impl BlockKeys {
     /// What one pass over `block` reads (nothing for an unknown block).
     fn reads<A: MlApp>(&self, app: &A, dataset: &[A::Datum], block: BlockId) -> &BlockReads {
         static NOTHING: BlockReads = BlockReads {
-            keys: Vec::new(),
+            words: Vec::new(),
+            spill: Vec::new(),
             work: 0,
         };
         let Some(cell) = self.reads.get(block.0 as usize) else {
@@ -84,36 +111,25 @@ impl BlockKeys {
         };
         cell.get_or_init(|| {
             let (lo, hi) = self.range(block);
-            let mut keys = Vec::new();
+            let dense = dense_keys(app);
+            let mut words = vec![0u64; dense_words(app)];
+            let mut spill = Vec::new();
             let mut work = 0;
             for datum in &dataset[lo..hi] {
                 for key in app.keys_for(datum) {
                     work += app.value_dim(key) as u64;
-                    keys.push(key);
+                    if key.0 < dense {
+                        words[(key.0 / 64) as usize] |= 1 << (key.0 % 64);
+                    } else {
+                        spill.push(key);
+                    }
                 }
             }
-            keys.sort_unstable();
-            keys.dedup();
-            keys.shrink_to_fit();
-            BlockReads { keys, work }
+            spill.sort_unstable();
+            spill.dedup();
+            spill.shrink_to_fit();
+            BlockReads { words, spill, work }
         })
-    }
-}
-
-/// A count per parameter key: a table over the app's declared key space
-/// (what every key of the in-repo apps falls in) and a map for any key
-/// beyond it, so memory follows the keys held, never the largest key id.
-struct KeyRefs {
-    dense: Vec<u32>,
-    spilled: BTreeMap<ParamKey, u32>,
-}
-
-impl KeyRefs {
-    fn of(&mut self, key: ParamKey) -> &mut u32 {
-        match self.dense.get_mut(key.0 as usize) {
-            Some(refs) => refs,
-            None => self.spilled.entry(key).or_insert(0),
-        }
     }
 }
 
@@ -135,19 +151,27 @@ struct ReadPlan {
 }
 
 impl ReadPlan {
-    /// Groups `keys` (sorted) by the owner `topology` routes each to.
+    /// Groups `keys` (sorted) by the owner `topology` routes each to:
+    /// each key's owner is looked up once, then each owner's keys are
+    /// collected straight into its `KeySet`, in owner order.
     fn new(keys: &[ParamKey], layout: PartitionMap, topology: &Topology) -> Self {
-        let mut by_owner: BTreeMap<NodeId, Vec<ParamKey>> = BTreeMap::new();
-        for &k in keys {
-            let owner = topology.owner_of(layout.partition_of(k));
-            by_owner.entry(owner).or_default().push(k);
-        }
-        // Per-owner keys are sorted (global sort + stable owner
-        // grouping) and near-arithmetic under the modulo layout, so they
-        // compress into a handful of strided runs.
-        let reads = by_owner
-            .into_iter()
-            .map(|(owner, keys)| (owner, KeySet::from_sorted(&keys)))
+        let owner_of: Vec<NodeId> = (keys.iter())
+            .map(|&k| topology.owner_of(layout.partition_of(k)))
+            .collect();
+        let mut owners = topology.partition_owner.clone();
+        owners.sort_unstable();
+        owners.dedup();
+        // Per-owner keys are sorted (a filter of sorted keys) and
+        // near-arithmetic under the modulo layout, so they compress into
+        // a handful of strided runs.
+        let reads = (owners.into_iter())
+            .filter_map(|owner| {
+                let owned: KeySet = (keys.iter().zip(&owner_of))
+                    .filter(|&(_, &o)| o == owner)
+                    .map(|(&k, _)| k)
+                    .collect();
+                (!owned.is_empty()).then_some((owner, owned))
+            })
             .collect();
         ReadPlan {
             owners: topology.partition_owner.clone(),
@@ -165,13 +189,17 @@ pub struct WorkerState<A: MlApp> {
     block_keys: Arc<BlockKeys>,
     /// Loaded blocks with their (mutable, scratch-bearing) data.
     local: BTreeMap<BlockId, Block<A::Datum>>,
-    /// Sorted union of the loaded blocks' key lists — what every clock
+    /// Sorted union of the loaded blocks' key sets — what every clock
     /// reads. A function of the loaded blocks alone, so only
     /// `assign_blocks` touches it.
     read_keys: Vec<ParamKey>,
-    /// How many loaded blocks read each key; a key is in `read_keys`
-    /// exactly while its count is nonzero.
-    key_refs: KeyRefs,
+    /// The dense part of that union: the OR of the loaded blocks' words.
+    union: Vec<u64>,
+    /// `union` as it stood before the current `assign_blocks`: scratch,
+    /// kept so an assignment allocates nothing.
+    before: Vec<u64>,
+    /// The spilled part of that union.
+    spilled: BTreeSet<ParamKey>,
     /// Row elements one pass over the loaded blocks touches.
     work: u64,
     /// The read round of `read_keys`, if built since they last changed.
@@ -201,6 +229,13 @@ pub struct WorkerState<A: MlApp> {
     controller: NodeId,
 }
 
+/// ORs `words` into `union`, which is at least as long.
+fn or_into(union: &mut [u64], words: &[u64]) {
+    for (u, w) in union.iter_mut().zip(words) {
+        *u |= w;
+    }
+}
+
 impl<A: MlApp> WorkerState<A> {
     /// Creates an idle worker.
     pub fn new(
@@ -213,10 +248,9 @@ impl<A: MlApp> WorkerState<A> {
         controller: NodeId,
     ) -> Self {
         WorkerState {
-            key_refs: KeyRefs {
-                dense: vec![0; app.key_count().min(DENSE_KEY_REFS) as usize],
-                spilled: BTreeMap::new(),
-            },
+            union: vec![0; dense_words(&*app)],
+            before: Vec::new(),
+            spilled: BTreeSet::new(),
             app,
             dataset,
             block_keys,
@@ -264,58 +298,54 @@ impl<A: MlApp> WorkerState<A> {
 
     /// Applies a (re)assignment of data blocks: loads newly assigned
     /// blocks from the dataset, drops removed ones (keeping scratch state
-    /// of retained blocks), and moves `read_keys` by the key lists of the
-    /// blocks that came or went.
+    /// of retained blocks), and moves `read_keys` to the union of the
+    /// held blocks' key sets, reserving a cache row for each key that
+    /// joined it.
+    ///
+    /// An assignment that only adds ORs the new blocks' words into the
+    /// union; one that drops a block ORs the held blocks' words afresh.
+    /// Either way it costs words, not keys, and `read_keys` is rebuilt
+    /// from the union's bits only when the union moved.
     pub fn assign_blocks(&mut self, blocks: &[BlockId]) {
         let wanted: BTreeSet<BlockId> = blocks.iter().copied().collect();
-        let gone: Vec<BlockId> = self
-            .local
-            .keys()
-            .filter(|b| !wanted.contains(b))
-            .copied()
-            .collect();
-        let mut orphaned = false;
-        for b in gone {
-            self.local.remove(&b);
-            let reads = self.block_keys.reads(&*self.app, &self.dataset, b);
-            self.work -= reads.work;
-            for k in &reads.keys {
-                let refs = self.key_refs.of(*k);
-                *refs -= 1;
-                orphaned |= *refs == 0;
+        let held = self.local.len();
+        self.local.retain(|b, _| wanted.contains(b));
+        let (app, dataset, block_keys) = (&*self.app, &*self.dataset, &*self.block_keys);
+        self.before.clone_from(&self.union);
+        if self.local.len() < held {
+            self.union.fill(0);
+            for &b in self.local.keys() {
+                or_into(&mut self.union, &block_keys.reads(app, dataset, b).words);
             }
         }
-        if orphaned {
-            let refs = &mut self.key_refs;
-            self.read_keys.retain(|k| *refs.of(*k) > 0);
-            refs.spilled.retain(|_, refs| *refs > 0);
-            self.read_plan = None;
-        }
-        let held = self.read_keys.len();
         for b in wanted {
             if self.local.contains_key(&b) {
                 continue;
             }
-            let (lo, hi) = self.block_keys.range(b);
+            let (lo, hi) = block_keys.range(b);
             let block = Block {
-                data: self.dataset[lo..hi].to_vec(),
+                data: dataset[lo..hi].to_vec(),
                 rows: RunRows::default(),
             };
             self.local.insert(b, block);
-            let reads = self.block_keys.reads(&*self.app, &self.dataset, b);
-            self.work += reads.work;
-            for &k in &reads.keys {
-                let refs = self.key_refs.of(k);
-                if *refs == 0 {
-                    self.cache.reserve(k, self.app.value_dim(k));
-                    self.read_keys.push(k);
-                }
-                *refs += 1;
-            }
+            or_into(&mut self.union, &block_keys.reads(app, dataset, b).words);
         }
-        if self.read_keys.len() > held {
-            // A few sorted runs: the stable sort merges them.
-            self.read_keys.sort();
+        let reads = || {
+            self.local
+                .keys()
+                .map(|&b| block_keys.reads(app, dataset, b))
+        };
+        self.work = reads().map(|r| r.work).sum();
+        let spilled: BTreeSet<ParamKey> = reads().flat_map(|r| &r.spill).copied().collect();
+
+        let gained = (self.union.iter().zip(&self.before)).map(|(now, was)| now & !was);
+        let fresh = set_keys(gained).chain(spilled.difference(&self.spilled).copied());
+        self.cache.reserve(fresh.map(|k| (k, app.value_dim(k))));
+        if self.union != self.before || spilled != self.spilled {
+            self.read_keys.clear();
+            self.read_keys
+                .extend(set_keys(self.union.iter().copied()).chain(spilled.iter().copied()));
+            self.spilled = spilled;
             self.read_plan = None;
         }
     }
@@ -325,9 +355,9 @@ impl<A: MlApp> WorkerState<A> {
     /// length. `assign_blocks` reserves as keys arrive; a rollback
     /// clears the cache and calls this to reserve them all again.
     fn reserve_rows(&mut self) {
-        for &key in &self.read_keys {
-            self.cache.reserve(key, self.app.value_dim(key));
-        }
+        let app = &*self.app;
+        self.cache
+            .reserve(self.read_keys.iter().map(|&k| (k, app.value_dim(k))));
     }
 
     /// Sets the clock to resume from (first configuration or recovery).
@@ -1012,21 +1042,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn key_refs_past_the_table_cost_an_entry_not_a_resize() {
-        let mut refs = KeyRefs {
-            dense: vec![0; 2],
-            spilled: BTreeMap::new(),
-        };
-        *refs.of(ParamKey(1)) += 1;
-        *refs.of(ParamKey(u64::MAX)) += 2;
-        assert_eq!((refs.dense.len(), refs.spilled.len()), (2, 1));
-        assert_eq!(
-            (*refs.of(ParamKey(1)), *refs.of(ParamKey(u64::MAX))),
-            (1, 2)
-        );
-    }
-
     /// What `assign_blocks` rebuilt from scratch before block key lists
     /// were shared: `keys_for` over every local datum, sorted, deduped —
     /// and the row elements all those reads touch.
@@ -1046,8 +1061,10 @@ mod tests {
 
     /// Drives one worker through `script` — block sets to hold, each
     /// optionally followed by a rollback — checking after every step
-    /// that the incrementally kept union is the from-scratch one and
-    /// that every key in it has a row of the app's width to read.
+    /// that the incrementally kept union is the from-scratch one, and
+    /// that every key in it reads as zeros of the app's width until
+    /// refreshed (each step refreshes the union's first key, and a
+    /// rollback forgets what was refreshed).
     fn union_matches_rebuild<A: MlApp>(app: A, data: Vec<A::Datum>, script: &[(Vec<u32>, bool)]) {
         const BLOCKS: u32 = 6;
         let data = Arc::new(data);
@@ -1060,19 +1077,111 @@ mod tests {
             seeded(1),
             NodeId(0),
         );
+        let mut refreshed: BTreeSet<ParamKey> = BTreeSet::new();
+        let served = |k: ParamKey, dim: usize| vec![k.0 as f32 + 0.5; dim];
         for (step, (blocks, rollback)) in script.iter().enumerate() {
             let blocks: Vec<BlockId> = blocks.iter().map(|b| BlockId(*b)).collect();
             w.assign_blocks(&blocks);
             if *rollback {
                 w.restart_from(0, step as u64 + 1);
+                refreshed.clear();
             }
             let (keys, work) = rebuilt(&w);
             assert_eq!(w.read_keys, keys, "step {step}");
             assert_eq!(w.work, work, "step {step}");
-            for k in &keys {
-                assert_eq!(w.cache.row(*k).len(), w.app.value_dim(*k));
+            for &k in &keys {
+                let dim = w.app.value_dim(k);
+                let want = if refreshed.contains(&k) {
+                    served(k, dim)
+                } else {
+                    vec![0.0; dim]
+                };
+                assert_eq!(w.cache.row(k), &want[..], "step {step}, key {k:?}");
+            }
+            if let Some(&k) = keys.first() {
+                w.cache.refresh(k, &served(k, w.app.value_dim(k)));
+                refreshed.insert(k);
             }
         }
+    }
+
+    /// An app that declares fewer keys than its data reads, so the keys
+    /// past its `key_count` take the spill path of a block's key set.
+    struct Undeclared<A>(A, u64);
+
+    impl<A: MlApp> MlApp for Undeclared<A> {
+        type Datum = A::Datum;
+        type Scratch = A::Scratch;
+        fn key_count(&self) -> u64 {
+            self.1
+        }
+        fn value_dim(&self, key: ParamKey) -> usize {
+            self.0.value_dim(key)
+        }
+        fn init_value(&self, key: ParamKey, rng: &mut StdRng) -> proteus_ps::DenseVec {
+            self.0.init_value(key, rng)
+        }
+        fn keys_for(&self, datum: &A::Datum) -> Vec<ParamKey> {
+            self.0.keys_for(datum)
+        }
+        fn process(
+            &self,
+            data: &mut [A::Datum],
+            rows: &mut RunRows,
+            scratch: &mut A::Scratch,
+            params: &mut WorkerCache,
+            rng: &mut StdRng,
+        ) {
+            self.0.process(data, rows, scratch, params, rng);
+        }
+        fn objective(
+            &self,
+            data: &[A::Datum],
+            params: &dyn proteus_mlapps::app::ParamReader,
+        ) -> f64 {
+            self.0.objective(data, params)
+        }
+    }
+
+    fn mf_12x9() -> (MatrixFactorization, Vec<Rating>) {
+        use proteus_mlapps::data::{netflix_like, MfDataConfig};
+        let mf = MatrixFactorization::new(MfConfig {
+            rows: 12,
+            cols: 9,
+            rank: 3,
+            learning_rate: 0.1,
+            reg: 0.0,
+            init_scale: 0.1,
+        });
+        let ratings = netflix_like(
+            &MfDataConfig {
+                rows: 12,
+                cols: 9,
+                true_rank: 2,
+                observed: 50,
+                noise: 0.01,
+            },
+            4,
+        );
+        (mf, ratings)
+    }
+
+    #[test]
+    fn union_follows_gains_losses_regains_and_reshuffles() {
+        let script = [
+            (vec![0, 1], false),
+            (vec![0, 1, 2], false), // gained
+            (vec![2], false),       // lost
+            (vec![2], true),        // a rollback forgets the lost rows
+            (vec![0, 2], false),    // re-gained: its rows come back
+            (vec![], false),        // the empty assignment
+            (vec![3, 4, 5], false), // a full reshuffle
+            (vec![5, 0], true),
+        ];
+        let (mf, ratings) = mf_12x9();
+        union_matches_rebuild(mf, ratings.clone(), &script);
+        let (mf, _) = mf_12x9();
+        union_matches_rebuild(Undeclared(mf, 10), ratings, &script);
     }
 
     proptest::proptest! {
@@ -1085,26 +1194,15 @@ mod tests {
                 1..12,
             )
         ) {
-            use proteus_mlapps::data::{
-                imagenet_like, netflix_like, nytimes_like, LdaDataConfig, MfDataConfig,
-                MlrDataConfig,
-            };
+            use proteus_mlapps::data::{imagenet_like, nytimes_like, LdaDataConfig, MlrDataConfig};
             use proteus_mlapps::lda::{Lda, LdaConfig};
             use proteus_mlapps::mlr::{Mlr, MlrConfig};
 
-            let mf = MatrixFactorization::new(MfConfig {
-                rows: 12,
-                cols: 9,
-                rank: 3,
-                learning_rate: 0.1,
-                reg: 0.0,
-                init_scale: 0.1,
-            });
-            let ratings = netflix_like(
-                &MfDataConfig { rows: 12, cols: 9, true_rank: 2, observed: 50, noise: 0.01 },
-                4,
-            );
-            union_matches_rebuild(mf, ratings, &script);
+            let (mf, ratings) = mf_12x9();
+            union_matches_rebuild(mf, ratings.clone(), &script);
+            // Keys 7 up (most of the rows, every column) spill.
+            let (mf, _) = mf_12x9();
+            union_matches_rebuild(Undeclared(mf, 7), ratings, &script);
 
             let mlr = Mlr::new(MlrConfig { dim: 7, classes: 4, learning_rate: 0.1, reg: 0.0 });
             let examples = imagenet_like(

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! The first argument is the JSONL path (defaults to `PROTEUS_OBS_OUT`
-//! if unset); the optional second argument writes a CSV with one row
+//! if that is set and not empty); the optional second argument writes a CSV with one row
 //! per `costsim.sample` record — cumulative cost, cumulative work, and
 //! footprint by tier over sim time, keyed by run index — ready for a
 //! Fig. 9/10-style plot.
@@ -43,7 +43,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let path = args
         .next()
-        .or_else(|| std::env::var("PROTEUS_OBS_OUT").ok())
+        .or_else(proteus_obs::export_path)
         .unwrap_or_else(|| {
             eprintln!("usage: obs_timeline <export.jsonl> [samples.csv]");
             std::process::exit(2);

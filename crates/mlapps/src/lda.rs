@@ -256,9 +256,7 @@ mod tests {
     /// All-zero counts, every row reserved at the app's dimension.
     fn zero_counts(app: &Lda) -> WorkerCache {
         let mut params = WorkerCache::new(PartitionMap::new(1).expect("nonzero"));
-        for k in (0..app.key_count()).map(ParamKey) {
-            params.reserve(k, app.value_dim(k));
-        }
+        params.reserve((0..app.key_count()).map(|k| (ParamKey(k), app.value_dim(ParamKey(k)))));
         params
     }
 

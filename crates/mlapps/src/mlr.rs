@@ -351,9 +351,7 @@ mod tests {
                         let mut params = init_params(&app, 5);
                         if !refreshed {
                             params.clear();
-                            for k in (0..app.key_count()).map(ParamKey) {
-                                params.reserve(k, dim);
-                            }
+                            params.reserve((0..app.key_count()).map(|k| (ParamKey(k), dim)));
                         }
                         params
                     };

@@ -171,24 +171,7 @@ impl WorkerCache<DenseVec> {
     #[cold]
     fn new_slot(&mut self, key: ParamKey, dim: usize) -> usize {
         let slot = self.slots.len();
-        if key.0 < DENSE_SLOT_LIMIT {
-            let k = key.0 as usize;
-            if k >= self.index.len() {
-                self.index.resize(k + 1, NO_SLOT);
-            }
-            self.index[k] = slot;
-        } else {
-            self.spill.insert(key.0, slot);
-        }
-        // Two floats at least, so even an empty row has flags of its own.
-        let start = self.slab.len();
-        self.slab.resize(start + 2 * dim.max(1), 0.0);
-        self.flags.resize(self.slab.len() / 2, 0);
-        self.slots.push(Slot {
-            order: (self.layout.partition_of(key), key),
-            start,
-            dim,
-        });
+        self.reserve([(key, dim)]);
         slot
     }
 
@@ -210,11 +193,40 @@ impl WorkerCache<DenseVec> {
         self.slab[start..start + 2 * dim].split_at_mut(dim)
     }
 
-    /// Gives `key` a zero row of `dim` components without marking it
-    /// cached, so [`WorkerCache::row`] has a row of the right shape to
-    /// return before the first refresh. A key already seen is left alone.
-    pub fn reserve(&mut self, key: ParamKey, dim: usize) {
-        self.slot_or_reserve(key, dim);
+    /// Gives each `(key, dim)` of `rows` a zero row of `dim` components
+    /// without marking it cached, so [`WorkerCache::row`] has a row of
+    /// the right shape to return before the first refresh. A key already
+    /// seen (earlier in `rows` too) is left alone. The new slots are
+    /// placed in `rows` order, and the slab and its flags grow once for
+    /// them all.
+    pub fn reserve(&mut self, rows: impl IntoIterator<Item = (ParamKey, usize)>) {
+        let rows = rows.into_iter();
+        self.slots.reserve(rows.size_hint().0);
+        let mut end = self.slab.len();
+        for (key, dim) in rows {
+            if self.slot(key).is_some() {
+                continue;
+            }
+            let slot = self.slots.len();
+            if key.0 < DENSE_SLOT_LIMIT {
+                let k = key.0 as usize;
+                if k >= self.index.len() {
+                    self.index.resize(k + 1, NO_SLOT);
+                }
+                self.index[k] = slot;
+            } else {
+                self.spill.insert(key.0, slot);
+            }
+            self.slots.push(Slot {
+                order: (self.layout.partition_of(key), key),
+                start: end,
+                dim,
+            });
+            // Two floats at least, so even an empty row has flags of its own.
+            end += 2 * dim.max(1);
+        }
+        self.slab.resize(end, 0.0);
+        self.flags.resize(end / 2, 0);
     }
 
     /// The local view of `key`: its cached row, zeros for a key only
@@ -646,7 +658,7 @@ mod tests {
     #[test]
     fn reserved_rows_read_as_zeros_until_touched() {
         let mut c = cache(2);
-        c.reserve(ParamKey(3), 2);
+        c.reserve([(ParamKey(3), 2)]);
         assert_eq!(c.row(ParamKey(3)), &[0.0, 0.0]);
         assert!(!c.has_pending());
         // The first delta is copied in, sign of zero included.

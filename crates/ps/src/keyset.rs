@@ -7,6 +7,9 @@
 //! `ParamKey` per entry. A [`KeySet`] stores exactly those runs, built
 //! greedily from a sorted key list, turning an O(keys) message payload
 //! into an O(runs) one while iterating back the identical key sequence.
+//! The server answering a read walks the runs themselves
+//! (`ShardStore::read_rows`): a run's keys step through the partitions
+//! by a fixed amount, so locating each row costs no division.
 //!
 //! Wire accounting is **logical**: a `KeySet` reports the bytes the
 //! equivalent per-key list would ship (`len × 8`), so switching the
@@ -16,12 +19,13 @@ use std::sync::Arc;
 
 use crate::partition::ParamKey;
 
-/// One arithmetic run of keys: `start, start+stride, …` (`count` keys).
+/// One arithmetic run of keys: `start, start+stride, …` (`count` keys,
+/// one or more; a run of one has stride 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct KeyRun {
-    start: u64,
-    stride: u64,
-    count: u64,
+pub(crate) struct KeyRun {
+    pub(crate) start: u64,
+    pub(crate) stride: u64,
+    pub(crate) count: u64,
 }
 
 impl KeyRun {
@@ -67,38 +71,7 @@ impl KeySet {
     /// dedup before grouping keys by owner, so an unsorted list here is
     /// a protocol bug, not an input condition.
     pub fn from_sorted(keys: &[ParamKey]) -> Self {
-        let mut runs: Vec<KeyRun> = Vec::new();
-        for &ParamKey(k) in keys {
-            match runs.last_mut() {
-                Some(run) if run.count == 1 => {
-                    assert!(k > run.start, "KeySet::from_sorted requires sorted keys");
-                    run.stride = k - run.start;
-                    run.count = 2;
-                }
-                Some(run) => {
-                    let last = run.last();
-                    assert!(k > last, "KeySet::from_sorted requires sorted keys");
-                    if k - last == run.stride {
-                        run.count += 1;
-                    } else {
-                        runs.push(KeyRun {
-                            start: k,
-                            stride: 0,
-                            count: 1,
-                        });
-                    }
-                }
-                None => runs.push(KeyRun {
-                    start: k,
-                    stride: 0,
-                    count: 1,
-                }),
-            }
-        }
-        KeySet {
-            runs: runs.into(),
-            len: keys.len(),
-        }
+        keys.iter().copied().collect()
     }
 
     /// Number of keys in the set.
@@ -115,6 +88,11 @@ impl KeySet {
     /// point of the representation).
     pub fn run_count(&self) -> usize {
         self.runs.len()
+    }
+
+    /// The runs, in increasing key order: what a batched read walks.
+    pub(crate) fn runs(&self) -> &[KeyRun] {
+        &self.runs
     }
 
     /// Iterates the keys in increasing order.
@@ -146,10 +124,39 @@ impl From<&[ParamKey]> for KeySet {
 
 impl FromIterator<ParamKey> for KeySet {
     /// Collects from an iterator that must already yield sorted,
-    /// duplicate-free keys (see [`KeySet::from_sorted`]).
+    /// duplicate-free keys (see [`KeySet::from_sorted`]), extending the
+    /// last run or starting a new one per key: no key list is kept.
     fn from_iter<I: IntoIterator<Item = ParamKey>>(iter: I) -> Self {
-        let keys: Vec<ParamKey> = iter.into_iter().collect();
-        KeySet::from_sorted(&keys)
+        let mut runs: Vec<KeyRun> = Vec::new();
+        let mut len = 0;
+        for ParamKey(k) in iter {
+            len += 1;
+            match runs.last_mut() {
+                Some(run) if run.count == 1 => {
+                    assert!(k > run.start, "KeySet::from_sorted requires sorted keys");
+                    run.stride = k - run.start;
+                    run.count = 2;
+                }
+                Some(run) if k > run.last() && k - run.last() == run.stride => run.count += 1,
+                Some(run) => {
+                    assert!(k > run.last(), "KeySet::from_sorted requires sorted keys");
+                    runs.push(KeyRun {
+                        start: k,
+                        stride: 0,
+                        count: 1,
+                    });
+                }
+                None => runs.push(KeyRun {
+                    start: k,
+                    stride: 0,
+                    count: 1,
+                }),
+            }
+        }
+        KeySet {
+            runs: runs.into(),
+            len,
+        }
     }
 }
 

@@ -263,12 +263,33 @@ impl ShardStore<DenseVec> {
     /// holds, copied into one payload in key order (missing keys
     /// omitted). The buffer is sized from the first row found, exactly
     /// when every key is present at one width.
+    ///
+    /// Each strided run of `keys` is walked in its own terms: a key
+    /// `stride` further on sits `stride % count` partitions and
+    /// `stride / count` slots further (one more slot when the partition
+    /// wraps), so after the run's first key no key costs a division.
     pub fn read_rows(&self, keys: &KeySet) -> Values {
+        let count = u64::from(self.layout.count());
         let mut out = Rows::with_capacity(keys.len(), 0);
-        for key in keys.iter() {
-            if let Some(row) = self.read(key) {
-                out.reserve_floats(keys.len() * row.0.len());
-                out.push(key, row.0);
+        for run in keys.runs() {
+            let (step_p, step_slot) = (run.stride % count, run.stride / count);
+            let (mut p, mut slot) = (run.start % count, run.start / count);
+            let mut key = run.start;
+            for _ in 0..run.count {
+                let slab = &self.slabs[p as usize];
+                if let Some(row) = slab.row(slot) {
+                    let row = &slab.values[slab.range(row)];
+                    out.reserve_floats(keys.len() * row.len());
+                    out.push(ParamKey(key), row);
+                }
+                // Past the run's last key these may wrap; they are unused.
+                key = key.wrapping_add(run.stride);
+                slot = slot.wrapping_add(step_slot);
+                p += step_p;
+                if p >= count {
+                    p -= count;
+                    slot = slot.wrapping_add(1);
+                }
             }
         }
         Values::from_rows(out)

@@ -16,6 +16,9 @@ use crate::kernels;
 use crate::partition::ParamKey;
 use crate::value::DenseVec;
 
+/// The widest row [`Rows::push`] copies in a loop of its own.
+const SHORT_ROW: usize = 32;
+
 /// The rows of one payload, built in place by the crate's producers
 /// (`WorkerCache::flush`, the `ShardStore` exports) at their exact size.
 #[derive(Debug, Clone, Default)]
@@ -36,10 +39,18 @@ impl Rows {
         }
     }
 
-    /// Appends one row.
+    /// Appends one row. A short row is copied as an iterator, which
+    /// LLVM makes an inline vector loop; `extend_from_slice` would make
+    /// it a libc `memcpy` call, dearer than the copy. A long row takes
+    /// the `memcpy`.
+    #[inline]
     pub(crate) fn push(&mut self, key: ParamKey, row: &[f32]) {
         self.keys.push(key);
-        self.data.extend_from_slice(row);
+        if row.len() <= SHORT_ROW {
+            self.data.extend(row.iter().copied());
+        } else {
+            self.data.extend_from_slice(row);
+        }
         self.ends.push(self.data.len());
     }
 

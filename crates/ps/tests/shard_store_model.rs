@@ -6,14 +6,18 @@
 //! aggregate, key order of every image — down to the sign of a zero and
 //! the payload of a NaN.
 //!
-//! A second property pins the payload type itself: [`Values`] iterates
+//! A second property holds the batched read to the per-key one: a
+//! `read_rows` that walks its `KeySet`'s strided runs returns what a
+//! `read` of each key returns, bit for bit and in key order.
+//!
+//! A third property pins the payload type itself: [`Values`] iterates
 //! in push order, reports the per-pair wire size and shares its buffer
 //! with its clones.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use proteus_ps::{kernels, ParamKey, PartitionId, PartitionMap, ShardStore, Values};
+use proteus_ps::{kernels, KeySet, ParamKey, PartitionId, PartitionMap, ShardStore, Values};
 
 /// Keys on both sides of the dense slot limit (`1 << 22`) at every
 /// partition count drawn below (1–4): `5 << 22` and up spill.
@@ -244,6 +248,44 @@ proptest! {
             }
             same_state(&store, &model);
         }
+    }
+
+    /// Strides below, equal to and above the partition count; runs that
+    /// wrap round the partitions many times; runs of small keys, of keys
+    /// past the dense slot limit and up to `u64::MAX`; rows 1 to 40
+    /// wide; a third of the keys never stored.
+    #[test]
+    fn run_walked_reads_equal_per_key_reads(
+        partitions in 1u32..7,
+        runs in proptest::collection::vec((0u8..3, 0u64..40, 0u64..64, 1u64..24), 1..6),
+        seed in any::<u64>(),
+    ) {
+        let count = u64::from(partitions);
+        let layout = PartitionMap::new(partitions).expect("nonzero");
+        let mut keys: BTreeSet<u64> = BTreeSet::new();
+        for &(region, offset, stride, len) in &runs {
+            let stride = 1 + stride % (3 * count + 3);
+            let start = match region {
+                0 => offset,
+                // Slots from the dense limit up: the hash-map spill.
+                1 => (1 << 22) * count + offset,
+                _ => u64::MAX - len * stride - offset,
+            };
+            keys.extend((0..len).filter_map(|i| start.checked_add(i * stride)));
+        }
+        let mut store: ShardStore = ShardStore::new(layout);
+        let mix = |k: u64| (k ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+        for &k in &keys {
+            if mix(k) % 3 != 0 {
+                store.install(ParamKey(k), row(1 + (mix(k) % 40) as usize, seed ^ k));
+            }
+        }
+        let sorted: Vec<ParamKey> = keys.iter().copied().map(ParamKey).collect();
+        let per_key: Image = (sorted.iter())
+            .filter_map(|&k| store.read(k).map(|r| (k.0, bits(r.as_slice()))))
+            .collect();
+        let set = KeySet::from_sorted(&sorted);
+        prop_assert_eq!(image_bits(&store.read_rows(&set)), per_key);
     }
 
     #[test]

@@ -195,10 +195,9 @@ proptest! {
         let mut runs: HashMap<(u64, u64), RunRows> = HashMap::new();
         // A worker reserves the rows its data reads; the rest of KEYS
         // stand for keys only a read response or an update ever names.
-        for &k in &KEYS[..reserved] {
-            slab.reserve(ParamKey(k), dim_of(k));
-            twin.reserve(ParamKey(k), dim_of(k));
-        }
+        let rows = || KEYS[..reserved].iter().map(|&k| (ParamKey(k), dim_of(k)));
+        slab.reserve(rows());
+        twin.reserve(rows());
 
         for &(op, key_index, seed, scalar) in &ops {
             let k = KEYS[key_index];
@@ -260,10 +259,8 @@ proptest! {
                     model.cached.clear();
                     model.buffer.clear();
                     // `clear` forgets reservations too; a worker re-reserves.
-                    for &k in &KEYS[..reserved] {
-                        slab.reserve(ParamKey(k), dim_of(k));
-                        twin.reserve(ParamKey(k), dim_of(k));
-                    }
+                    slab.reserve(rows());
+                    twin.reserve(rows());
                 }
             }
             prop_assert_eq!(twin.has_pending(), slab.has_pending());
@@ -318,9 +315,8 @@ proptest! {
                 model.cached.clear();
                 model.buffer.clear();
             }
-            for &i in reserve {
-                slab.reserve(key(i), width(key(i)));
-            }
+            // One batch, duplicates and keys seen before included.
+            slab.reserve(reserve.iter().map(|&i| (key(i), width(key(i)))));
             for &(i, seed) in touches {
                 let (k, salt) = (key(i), seed % POOL.len() as u64);
                 let delta: Vec<f32> = (0..width(k) as u64)
@@ -424,7 +420,7 @@ fn set_up(
         _ => return,
     };
     if reserve {
-        slab.reserve(key, dim);
+        slab.reserve([(key, dim)]);
     }
     if refresh {
         slab.refresh(key, &value(1));
