@@ -75,7 +75,7 @@ fn dense_words<A: MlApp>(app: &A) -> usize {
 }
 
 /// The keys whose bits are set in `words`, in increasing order.
-fn set_keys(words: impl Iterator<Item = u64>) -> impl Iterator<Item = ParamKey> {
+fn set_keys(words: impl Iterator<Item = u64> + Clone) -> impl Iterator<Item = ParamKey> + Clone {
     words.enumerate().flat_map(|(i, word)| {
         let base = 64 * i as u64;
         // Each step clears the lowest set bit, until none is left.

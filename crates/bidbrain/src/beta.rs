@@ -131,6 +131,10 @@ pub(crate) const HOUR: SimDuration = SimDuration::from_hours(1);
 #[derive(Debug, Clone, Default)]
 pub struct BetaEstimator {
     tables: BTreeMap<MarketKey, BetaTable>,
+    /// The δ grid every trained table was built on, ascending, when they
+    /// all share one: a sweep over exactly this list reads each table's
+    /// `rows` as they stand.
+    grid: Option<Vec<f64>>,
 }
 
 impl BetaEstimator {
@@ -172,15 +176,18 @@ impl BetaEstimator {
         deltas.sort_by(f64::total_cmp);
         deltas.dedup();
         let mut points = Vec::with_capacity(deltas.len());
-        for delta in deltas {
+        for &delta in &deltas {
             let mut evictions = 0usize;
             let mut trials = 0usize;
             let mut ttes: Vec<SimDuration> = Vec::new();
             let mut t = from;
+            // The trace point in effect at `t`, moved forward with it.
+            let mut at = 0;
             while t + HOUR <= to {
-                let bid = trace.price_at(t) + delta;
+                at = trace.seek(at, t);
+                let bid = trace.points()[at].1 + delta;
                 trials += 1;
-                if let Some(cross) = trace.first_crossing_above(bid, t, t + HOUR) {
+                if let Some(cross) = trace.crossing_from(at, bid, t, t + HOUR) {
                     if cross > t {
                         evictions += 1;
                         ttes.push(cross - t);
@@ -223,6 +230,16 @@ impl BetaEstimator {
         #[allow(clippy::expect_used)]
         self.tables
             .insert(market, BetaTable::new(points).expect("non-empty deltas"));
+        let on = |t: &BetaTable| t.points.iter().map(|p| p.delta).eq(deltas.iter().copied());
+        self.grid = self.tables.values().all(on).then_some(deltas);
+    }
+
+    /// Whether `deltas` is the grid every trained table was built on,
+    /// in its order: then [`sweep_rows`](Self::sweep_rows) may read a
+    /// table's rows as they stand. A trained estimator answers this in
+    /// O(δ), whatever its market count.
+    pub(crate) fn is_grid(&self, deltas: &[f64]) -> bool {
+        self.grid.as_deref() == Some(deltas)
     }
 
     /// β for `market` at `delta`; conservative default (0.5) for
@@ -252,6 +269,26 @@ impl BetaEstimator {
         match table {
             Some(t) => t.hour_rows(deltas, rows),
             None => rows[..deltas.len()].fill((UNTRAINED.0, UNTRAINED.1.min(HOUR).as_hours_f64())),
+        }
+    }
+
+    /// The hour rows of `deltas` in `table`, the same bits as
+    /// [`hour_rows`](Self::hour_rows). `grid_at` is where `deltas`
+    /// starts in the estimator's grid when the sweep's δ list
+    /// [`is_grid`](Self::is_grid): a trained table then lends its own
+    /// rows, with no walk. Anything else is written into `scratch`.
+    pub(crate) fn sweep_rows<'r>(
+        table: Option<&'r BetaTable>,
+        grid_at: Option<usize>,
+        deltas: &[f64],
+        scratch: &'r mut [(f64, f64)],
+    ) -> &'r [(f64, f64)] {
+        match (table, grid_at) {
+            (Some(t), Some(at)) => &t.rows[at..at + deltas.len()],
+            _ => {
+                Self::hour_rows(table, deltas, scratch);
+                &scratch[..deltas.len()]
+            }
         }
     }
 
@@ -407,6 +444,69 @@ mod tests {
         let twice = train(&[0.05, 0.001, 0.05, 0.001]);
         assert_eq!(twice.table(key()), once.table(key()));
         assert_eq!(twice.table(key()).map(|t| t.points().len()), Some(2));
+    }
+
+    /// Training by a walk that steps one trace point forward with time
+    /// trains, bit for bit, the table that a search for the price and
+    /// the crossing at every stride trains: that per-stride loop is the
+    /// oracle here, on calm, default and volatile traces, with strides
+    /// shorter and longer than the gaps between price changes, from an
+    /// instant that is no change point.
+    #[test]
+    fn forward_walk_trains_the_per_stride_table() {
+        let horizon = SimDuration::from_hours(24 * 6);
+        let deltas = BetaEstimator::default_deltas();
+        let models = [
+            (3, MarketModel::volatile(), 7),
+            (8, MarketModel::default(), 30),
+            (13, MarketModel::calm(), 95),
+        ];
+        for (seed, model, stride_mins) in models {
+            let trace = TraceGenerator::new(seed, model).generate(key(), horizon);
+            let (from, to) = (
+                SimTime::EPOCH + SimDuration::from_mins(317),
+                SimTime::EPOCH + horizon,
+            );
+            let stride = SimDuration::from_mins(stride_mins);
+            let mut est = BetaEstimator::new();
+            est.train(key(), &trace, from, to, stride, &deltas);
+
+            let mut run_min = f64::INFINITY;
+            let oracle: Vec<BetaPoint> = deltas
+                .iter()
+                .map(|&delta| {
+                    let (mut trials, mut ttes) = (0usize, Vec::new());
+                    let mut t = from;
+                    while t + HOUR <= to {
+                        let bid = trace.price_at(t) + delta;
+                        trials += 1;
+                        if let Some(cross) = trace.first_crossing_above(bid, t, t + HOUR) {
+                            ttes.push(cross - t);
+                        }
+                        t += stride;
+                    }
+                    let evictions = ttes.len();
+                    ttes.sort();
+                    run_min = run_min.min(evictions as f64 / trials as f64);
+                    BetaPoint {
+                        delta,
+                        beta: run_min,
+                        median_tte: ttes.get(ttes.len() / 2).copied().unwrap_or(HOUR),
+                    }
+                })
+                .collect();
+            let bits = |p: &BetaPoint| (p.delta.to_bits(), p.beta.to_bits(), p.median_tte);
+            let trained = est.table(key()).expect("trained").points();
+            assert!(
+                oracle.iter().any(|p| p.beta > 0.0),
+                "seed {seed} sees evictions"
+            );
+            assert_eq!(
+                trained.iter().map(bits).collect::<Vec<_>>(),
+                oracle.iter().map(bits).collect::<Vec<_>>(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

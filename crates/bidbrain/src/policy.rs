@@ -7,7 +7,7 @@ use proteus_simtime::{SimDuration, SimTime};
 
 use crate::beta::{BetaEstimator, BetaTable, HOUR};
 use crate::objective::Objective;
-use crate::params::AppParams;
+use crate::params::{AppParams, PhiMemo};
 
 /// BidBrain's view of one live or hypothetical allocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -213,6 +213,11 @@ pub struct BidBrain<'a> {
     params: AppParams,
     beta: std::borrow::Cow<'a, BetaEstimator>,
     config: BidBrainConfig,
+    /// Eq. 3's φ of the core counts decisions last asked for.
+    phis: PhiMemo,
+    /// Whether `config.bid_deltas` is the grid `beta` was trained on, so
+    /// a sweep reads each table's hour rows as they stand.
+    on_grid: bool,
 }
 
 impl<'a> BidBrain<'a> {
@@ -223,9 +228,12 @@ impl<'a> BidBrain<'a> {
         beta: impl Into<std::borrow::Cow<'a, BetaEstimator>>,
         config: BidBrainConfig,
     ) -> Self {
+        let beta = beta.into();
         BidBrain {
+            phis: PhiMemo::new(params.phi_per_doubling),
+            on_grid: beta.is_grid(&config.bid_deltas),
             params,
-            beta: beta.into(),
+            beta,
             config,
         }
     }
@@ -238,6 +246,14 @@ impl<'a> BidBrain<'a> {
     /// The configuration in use.
     pub fn config(&self) -> &BidBrainConfig {
         &self.config
+    }
+
+    /// Eq. 3's φ for a footprint of `cores` total cores: the bits of
+    /// [`AppParams::phi`], computed only when the count was not among
+    /// the last few asked for.
+    #[inline]
+    pub fn phi(&self, cores: f64) -> f64 {
+        self.phis.get(cores)
     }
 
     /// `a`'s eviction inputs to Eqs. 1–2 — `β`, and the median time to
@@ -356,13 +372,7 @@ impl<'a> BidBrain<'a> {
     /// [`finish`](Self::finish) with no candidate.
     fn finish_as_held(&self, terms: &Terms, changing: bool) -> FootprintEval {
         let mut eval = [FootprintEval::UNWRITTEN];
-        self.finish(
-            terms,
-            &[],
-            self.params.phi(terms.cores),
-            changing,
-            &mut eval,
-        );
+        self.finish(terms, &[], self.phi(terms.cores), changing, &mut eval);
         eval[0]
     }
 
@@ -437,11 +447,11 @@ impl<'a> BidBrain<'a> {
 
         let mut ranked: Vec<(f64, AllocationRequest, FootprintEval)> =
             Vec::with_capacity(markets.len());
-        let mut rows = [(0.0, 0.0); LANES];
+        let mut scratch = [(0.0, 0.0); LANES];
         let mut candidates = [Term::default(); LANES];
         let mut evals = [FootprintEval::UNWRITTEN; LANES];
         // φ of the last market's combined core count: markets of one
-        // instance type at one count share it.
+        // instance type at one count share it, with no memo scan.
         let mut phi_at = (f64::NAN, f64::NAN);
         for &(market, price) in markets {
             let vcpus = market.instance_type().vcpus;
@@ -453,15 +463,16 @@ impl<'a> BidBrain<'a> {
             let table = self.beta.table(market);
             let cores = terms.cores + f64::from(count) * f64::from(vcpus);
             if cores != phi_at.0 {
-                phi_at = (cores, self.params.phi(cores));
+                phi_at = (cores, self.phi(cores));
             }
             let phi = phi_at.1;
             let mut best: Option<(f64, AllocationRequest, FootprintEval)> = None;
-            for deltas in self.config.bid_deltas.chunks(LANES) {
+            for (chunk, deltas) in self.config.bid_deltas.chunks(LANES).enumerate() {
                 // A fresh hour-long holding at each δ reads the table's
                 // row: the `eviction` inputs, resolved once per table.
-                BetaEstimator::hour_rows(table, deltas, &mut rows);
-                for ((c, &delta), &row) in candidates.iter_mut().zip(deltas).zip(&rows) {
+                let grid_at = self.on_grid.then_some(chunk * LANES);
+                let rows = BetaEstimator::sweep_rows(table, grid_at, deltas, &mut scratch);
+                for ((c, &delta), &row) in candidates.iter_mut().zip(deltas).zip(rows) {
                     let view = AllocView {
                         market,
                         count,
@@ -553,7 +564,7 @@ impl<'a> BidBrain<'a> {
             &renewed,
             Self::eviction(&renewed, self.beta.table(alloc.market)),
         );
-        let phi_with = self.params.phi(terms.cores + renewed.cores);
+        let phi_with = self.phi(terms.cores + renewed.cores);
         let mut with = [FootprintEval::UNWRITTEN];
         self.finish(&terms, &[renewed], phi_with, false, &mut with);
         let ea_with = with[0].cost_per_work();
@@ -604,7 +615,7 @@ impl<'a> BidBrain<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_market::{catalog, Zone};
+    use proteus_market::{catalog, MarketModel, TraceGenerator, Zone};
     use proteus_simtime::SimDuration;
 
     fn mk(type_index: usize) -> MarketKey {
@@ -902,5 +913,81 @@ mod tests {
         // 4× the instances yields < 4× the work.
         assert!(large.expected_work < small.expected_work * 4.0);
         assert!(large.expected_work > small.expected_work * 2.0);
+    }
+
+    /// β trained for the first two paper markets, each on its own grid;
+    /// the third stays untrained.
+    fn trained_on(grids: [&[f64]; 2]) -> (BetaEstimator, [MarketKey; 3]) {
+        let markets = catalog::paper_markets();
+        let markets = [markets[0], markets[1], markets[2]];
+        let horizon = SimDuration::from_hours(24 * 4);
+        let traces =
+            TraceGenerator::new(31, MarketModel::volatile()).generate_set(&markets, horizon);
+        let mut est = BetaEstimator::new();
+        for (m, grid) in markets.iter().zip(grids) {
+            let trace = traces.get(m).expect("generated");
+            let end = SimTime::EPOCH + horizon;
+            est.train(
+                *m,
+                trace,
+                SimTime::EPOCH,
+                end,
+                SimDuration::from_mins(30),
+                grid,
+            );
+        }
+        (est, markets)
+    }
+
+    /// A sweep over the δ grid β was trained on lends each table's rows
+    /// as they stand, and they are the walk's bits, in every chunk of a
+    /// grid wider than one. A reordered, a duplicated, an off-grid and a
+    /// partial list, and any list once two tables disagree on their
+    /// grid, take the walk; an untrained market reads the defaults.
+    #[test]
+    fn grid_rows_are_the_walk() {
+        let bits = |rows: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            rows.iter()
+                .map(|(b, t)| (b.to_bits(), t.to_bits()))
+                .collect()
+        };
+        let default = BetaEstimator::default_deltas();
+        let wide: Vec<f64> = (1..=40).map(|i| f64::from(i) * 0.005).collect();
+        let mut reordered = default.clone();
+        reordered.swap(2, 5);
+        let mut duplicated = default.clone();
+        duplicated.insert(4, default[4]);
+        let mut off_grid = default.clone();
+        off_grid[3] = 0.03;
+        let (on_default, on_wide) = ([&default[..]; 2], [&wide[..]; 2]);
+        let cases = [
+            (trained_on(on_default), default.clone(), true),
+            (trained_on(on_wide), wide.clone(), true),
+            (trained_on(on_default), reordered, false),
+            (trained_on(on_default), duplicated, false),
+            (trained_on(on_default), off_grid, false),
+            (trained_on(on_wide), wide[..20].to_vec(), false),
+            (trained_on([&default, &wide]), default.clone(), false),
+            (trained_on([&default, &wide]), wide.clone(), false),
+        ];
+        for ((est, markets), deltas, on_grid) in cases {
+            let config = BidBrainConfig {
+                bid_deltas: deltas.clone(),
+                ..BidBrainConfig::default()
+            };
+            let brain = BidBrain::new(AppParams::default(), &est, config);
+            assert_eq!(brain.on_grid, on_grid, "{deltas:?}");
+            for market in markets {
+                let table = est.table(market);
+                for (chunk, ds) in deltas.chunks(LANES).enumerate() {
+                    let mut scratch = [(f64::NAN, f64::NAN); LANES];
+                    let grid_at = brain.on_grid.then_some(chunk * LANES);
+                    let got = bits(BetaEstimator::sweep_rows(table, grid_at, ds, &mut scratch));
+                    let mut want = [(f64::NAN, f64::NAN); LANES];
+                    BetaEstimator::hour_rows(table, ds, &mut want);
+                    assert_eq!(got, bits(&want[..ds.len()]), "{market} chunk {chunk}");
+                }
+            }
+        }
     }
 }

@@ -78,8 +78,9 @@ pub struct Proteus<A: MlApp> {
     provider: CloudProvider<'static>,
     brain: BidBrain<'static>,
     job: AgileMlJob<A>,
-    /// Spot markets BidBrain watches and bids in: the paper's set.
-    spot_markets: Vec<MarketKey>,
+    /// Spot markets BidBrain watches and bids in, the paper's set in its
+    /// order, as slots of the provider's [`CloudProvider::spot_prices`].
+    spot_slots: Vec<usize>,
     /// One entry per spot grant or on-demand fallback the session holds
     /// (not the reliable tier). An entry leaves through `remove_holding`,
     /// or through `terminate_all` at a restart or `finish`.
@@ -183,6 +184,13 @@ impl<A: MlApp> Proteus<A> {
             provider.set_recorder(Arc::clone(rec));
         }
         provider.advance_to(job_start)?;
+        let spot_slots = spot_markets
+            .iter()
+            .map(|m| {
+                let slot = provider.spot_prices().iter().position(|(k, _)| k == m);
+                slot.ok_or(ProteusError::Market(MarketError::UnknownMarket(*m)))
+            })
+            .collect::<Result<_, _>>()?;
         let reliable_alloc =
             provider.request_on_demand(config.on_demand_market, config.reliable_machines)?;
 
@@ -206,7 +214,7 @@ impl<A: MlApp> Proteus<A> {
             provider,
             brain,
             job,
-            spot_markets,
+            spot_slots,
             held: BTreeMap::new(),
             job_start,
             backoff,
@@ -415,7 +423,7 @@ impl<A: MlApp> Proteus<A> {
             if a.is_booting() {
                 continue;
             }
-            let Ok(price) = self.provider.spot_price(a.market) else {
+            let Some(price) = self.price_now(a.market) else {
                 continue;
             };
             let (Some(h), Some(fc)) = (self.held.get_mut(&a.id), self.forecaster.as_mut()) else {
@@ -562,11 +570,12 @@ impl<A: MlApp> Proteus<A> {
         if headroom == 0 {
             return Ok(());
         }
+        let spot = self.provider.spot_prices();
         let prices: Vec<_> = self
-            .spot_markets
+            .spot_slots
             .iter()
-            .filter(|m| !self.backoff.is_blocked(**m, now))
-            .filter_map(|m| self.provider.spot_price(*m).ok().map(|p| (*m, p)))
+            .map(|&slot| spot[slot])
+            .filter(|(m, _)| !self.backoff.is_blocked(*m, now))
             .collect();
         let footprint = self.footprint();
         let walk = self.brain.acquire(
@@ -784,6 +793,13 @@ impl<A: MlApp> Proteus<A> {
         Ok(resumed)
     }
 
+    /// `market`'s spot price now: a scan of the provider's price list,
+    /// a handful of markets compared by equality.
+    fn price_now(&self, market: MarketKey) -> Option<f64> {
+        let spot = self.provider.spot_prices();
+        spot.iter().find(|(m, _)| *m == market).map(|&(_, p)| p)
+    }
+
     /// Hour-end renewal decisions: allocations not worth renewing are
     /// released (machines leave gracefully — a voluntary drain).
     fn renewals(&mut self) -> Result<(), ProteusError> {
@@ -791,9 +807,7 @@ impl<A: MlApp> Proteus<A> {
         let expiring: Vec<Expiring> = self
             .provider
             .live_spot()
-            .filter_map(|a| {
-                Expiring::due(a, now, self.provider.spot_price(a.market).unwrap_or(a.bid))
-            })
+            .filter_map(|a| Expiring::due(a, now, self.price_now(a.market).unwrap_or(a.bid)))
             .collect();
         if expiring.is_empty() {
             return Ok(());

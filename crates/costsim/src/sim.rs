@@ -381,7 +381,7 @@ impl<'a> JobSim<'a> {
         if cores <= 0.0 {
             return 0.0;
         }
-        let mut rate = cores * self.brain.params().phi(cores);
+        let mut rate = cores * self.brain.phi(cores);
         if let SchemeKind::StandardCheckpoint {
             checkpoint_overhead,
             ..

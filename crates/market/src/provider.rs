@@ -41,6 +41,9 @@ impl fmt::Display for AllocationId {
 #[derive(Debug)]
 struct SpotLease {
     alloc: SpotAllocation,
+    /// Its market's slot in the trace set (and the price cursor),
+    /// resolved at grant.
+    slot: usize,
     /// Scheduled warning-less death (the infant-mortality fault
     /// regime), if this grant is doomed.
     dies_at: Option<SimTime>,
@@ -223,9 +226,14 @@ impl<'a> CloudProvider<'a> {
 
     /// The spot price of `market` at the current time.
     pub fn spot_price(&self, market: MarketKey) -> Result<f64, MarketError> {
+        self.market_slot(market)
+            .map(|slot| self.cursor.prices()[slot].1)
+    }
+
+    /// `market`'s slot: its position in [`spot_prices`](Self::spot_prices).
+    fn market_slot(&self, market: MarketKey) -> Result<usize, MarketError> {
         self.traces
             .slot(&market)
-            .map(|slot| self.cursor.prices()[slot].1)
             .map_err(|_| MarketError::UnknownMarket(market))
     }
 
@@ -347,7 +355,8 @@ impl<'a> CloudProvider<'a> {
             );
             return Err(MarketError::RequestLimitExceeded { retry_after });
         }
-        let price = self.spot_price(market)?;
+        let slot = self.market_slot(market)?;
+        let price = self.cursor.prices()[slot].1;
         if bid < price {
             self.emit(self.now, Happened::BidRejected { market, bid, price });
             return Err(MarketError::BidBelowMarket {
@@ -431,7 +440,11 @@ impl<'a> CloudProvider<'a> {
                 SpotState::Running
             },
         };
-        let lease = SpotLease { alloc, dies_at };
+        let lease = SpotLease {
+            alloc,
+            slot,
+            dies_at,
+        };
         self.spot.insert(id, lease);
         self.emit(
             self.now,
@@ -580,16 +593,13 @@ impl<'a> CloudProvider<'a> {
     /// Opens a billing hour now for spot allocation `id`: anchors it,
     /// prices it at the market price now, and charges it. Returns the
     /// charge.
-    // Every caller holds the id of a live lease, and traces are never
-    // unregistered, so any market that granted still prices.
+    // Every caller holds the id of a live lease.
     #[allow(clippy::expect_used)]
     fn open_spot_hour(&mut self, id: AllocationId) -> f64 {
         let t = self.now;
-        let market = self.spot.get(&id).expect("lease exists").alloc.market;
-        let price = self
-            .spot_price(market)
-            .expect("trace existed at grant time");
-        let a = &mut self.spot.get_mut(&id).expect("lease exists").alloc;
+        let lease = self.spot.get_mut(&id).expect("lease exists");
+        let price = self.cursor.prices()[lease.slot].1;
+        let a = &mut lease.alloc;
         a.hour_start = t;
         a.hour_price = price;
         let charge = a.hour_charge();
@@ -638,17 +648,11 @@ impl<'a> CloudProvider<'a> {
         self.cursor.advance(&self.traces, t);
     }
 
-    /// The first instant in `(now, horizon]` at which `market`'s price
-    /// exceeds `bid` (`now` if it already does).
-    fn first_crossing_above(
-        &self,
-        market: MarketKey,
-        bid: f64,
-        horizon: SimTime,
-    ) -> Option<SimTime> {
-        let slot = self.traces.slot(&market).ok()?;
+    /// The first instant in `(now, horizon]` at which `lease`'s market
+    /// price exceeds its bid (`now` if it already does).
+    fn first_crossing_above(&self, lease: &SpotLease, horizon: SimTime) -> Option<SimTime> {
         self.cursor
-            .first_crossing_above(&self.traces, slot, bid, horizon)
+            .first_crossing_above(&self.traces, lease.slot, lease.alloc.bid, horizon)
     }
 
     fn fresh_id(&mut self) -> AllocationId {
@@ -685,7 +689,7 @@ impl<'a> CloudProvider<'a> {
                 consider(a.usable_at, Happening::Launch(a.id));
                 // A crossing during boot aborts the launch (unbilled).
                 let horizon = target.min(a.usable_at);
-                if let Some(ct) = self.first_crossing_above(a.market, a.bid, horizon) {
+                if let Some(ct) = self.first_crossing_above(lease, horizon) {
                     consider(ct, Happening::Crossing(a.id));
                 }
                 continue;
@@ -702,7 +706,7 @@ impl<'a> CloudProvider<'a> {
             // the target and the hour end (crossings after the hour end
             // are found after the hour boundary is processed).
             let horizon = target.min(a.hour_end());
-            if let Some(ct) = self.first_crossing_above(a.market, a.bid, horizon) {
+            if let Some(ct) = self.first_crossing_above(lease, horizon) {
                 consider(ct, Happening::Crossing(a.id));
             }
         }

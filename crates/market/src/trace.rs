@@ -67,16 +67,45 @@ impl PriceTrace {
             .saturating_sub(1)
     }
 
-    /// [`index_at`](Self::index_at) for a `t` no earlier than point
-    /// `from`: one compare while the price has not changed since, two
-    /// when it changed once, a binary search over the rest of the trace
-    /// when it changed more often (a multi-day jump).
-    fn seek(&self, from: usize, t: SimTime) -> usize {
-        let rest = &self.points[from + 1..];
-        match rest {
+    /// The index of the change point in effect at `t` (the last one at
+    /// or before it), searched forward from point `from`, which must be
+    /// at or before `t`. One compare while the price has not changed
+    /// since `from`, two when it changed once; past that, windows of
+    /// doubling width are skipped until one ends after `t`, and a binary
+    /// search runs inside that window. A walk that moves forward by a few
+    /// points at a time pays a few compares, not a search of the whole
+    /// rest of the trace. Past `GALLOP_POINTS` points the jump is a long
+    /// one (a job's first multi-day move), and the binary search takes
+    /// all the rest at once: doubling on would cost twice its probes.
+    #[inline]
+    pub fn seek(&self, from: usize, t: SimTime) -> usize {
+        match &self.points[from + 1..] {
             [(next, _), ..] if *next > t => from,
             [_, (after, _), ..] if *after > t => from + 1,
-            _ => from + rest.partition_point(|(pt, _)| *pt <= t),
+            _ => self.gallop(from, t),
+        }
+    }
+
+    /// [`seek`](Self::seek) past its two one-compare cases: out of line,
+    /// so the common cases inline into a caller's loop.
+    #[inline(never)]
+    fn gallop(&self, from: usize, t: SimTime) -> usize {
+        let rest = &self.points[from + 1..];
+        // Every point of `rest[..lo]` is at or before `t`.
+        let mut lo = rest.len().min(2);
+        let mut width = 2;
+        loop {
+            let hi = if lo < GALLOP_POINTS {
+                (lo + width).min(rest.len())
+            } else {
+                rest.len()
+            };
+            if hi == rest.len() || rest[hi - 1].0 > t {
+                let window = &rest[lo..hi];
+                return from + lo + window.partition_point(|(pt, _)| *pt <= t);
+            }
+            lo = hi;
+            width *= 2;
         }
     }
 
@@ -94,8 +123,9 @@ impl PriceTrace {
     }
 
     /// [`first_crossing_above`](Self::first_crossing_above) with the
-    /// search already done: point `from` is the one in effect at `after`.
-    pub(crate) fn crossing_from(
+    /// search already done: point `from` is the one in effect at `after`
+    /// (what [`seek`](Self::seek) returns for it).
+    pub fn crossing_from(
         &self,
         from: usize,
         bid: f64,
@@ -175,6 +205,10 @@ impl PriceTrace {
         )
     }
 }
+
+/// How far past its start [`PriceTrace::seek`] searches in doubling
+/// windows before it searches the rest of the trace at once.
+const GALLOP_POINTS: usize = 32;
 
 /// One price trace per market.
 #[derive(Debug, Clone, Default)]
@@ -390,6 +424,65 @@ mod tests {
         assert_eq!(set.len(), 1);
         assert_eq!(set.get(&key).unwrap().price_at(SimTime::EPOCH), 0.05);
         assert!(set.markets().any(|k| *k == key));
+    }
+
+    /// A trace whose change points sit `gaps` minutes apart, each price
+    /// distinct.
+    fn with_gaps(gaps: &[u64]) -> PriceTrace {
+        let mut t = SimTime::EPOCH;
+        let mut points = vec![(t, 0.05)];
+        for (i, gap) in gaps.iter().enumerate() {
+            t += SimDuration::from_mins(*gap);
+            points.push((t, 0.06 + 0.01 * i as f64));
+        }
+        PriceTrace::from_points(points).expect("strictly increasing")
+    }
+
+    /// From every point, to every instant at or after it (each change
+    /// point, the millisecond before it, and past the end), `seek` lands
+    /// where a fresh search does: no point left, one point left, a jump
+    /// of exactly two points and every longer jump, in windows of every
+    /// width the search doubles through and past them.
+    #[test]
+    fn seek_from_every_point_is_index_at() {
+        let gaps: Vec<u64> = (0..90).map(|i| 1 + (i * 7) % 11).collect();
+        let trace = with_gaps(&gaps);
+        let points = trace.points();
+        let mut instants: Vec<SimTime> = points.iter().map(|(t, _)| *t).collect();
+        instants.extend(
+            points[1..]
+                .iter()
+                .map(|(t, _)| *t - SimDuration::from_millis(1)),
+        );
+        instants.push(points[points.len() - 1].0 + SimDuration::from_hours(24 * 3));
+        for (from, (at, _)) in points.iter().enumerate() {
+            for &t in instants.iter().filter(|&&t| t >= *at) {
+                assert_eq!(
+                    trace.seek(from, t),
+                    trace.index_at(t),
+                    "from {from} to {t:?}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Walking a random trace through random non-decreasing instants
+        /// (repeats, small steps and multi-day jumps), each `seek` from
+        /// the last result is `index_at`.
+        #[test]
+        fn seek_walk_is_index_at(
+            gaps in proptest::collection::vec(1u64..120, 0..200),
+            steps in proptest::collection::vec(0u64..5_000, 1..48),
+        ) {
+            let trace = with_gaps(&gaps);
+            let (mut t, mut at) = (SimTime::EPOCH, 0);
+            for step in steps {
+                t += SimDuration::from_mins(step);
+                at = trace.seek(at, t);
+                proptest::prop_assert_eq!(at, trace.index_at(t));
+            }
+        }
     }
 
     #[test]

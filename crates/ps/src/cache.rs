@@ -197,11 +197,30 @@ impl WorkerCache<DenseVec> {
     /// without marking it cached, so [`WorkerCache::row`] has a row of
     /// the right shape to return before the first refresh. A key already
     /// seen (earlier in `rows` too) is left alone. The new slots are
-    /// placed in `rows` order, and the slab and its flags grow once for
-    /// them all.
-    pub fn reserve(&mut self, rows: impl IntoIterator<Item = (ParamKey, usize)>) {
+    /// placed in `rows` order. A first pass over `rows` counts the keys
+    /// and finds the largest, so the slots, the key index, the spill
+    /// map, the slab and its flags each grow once for them all.
+    pub fn reserve<I>(&mut self, rows: I)
+    where
+        I: IntoIterator<Item = (ParamKey, usize)>,
+        I::IntoIter: Clone,
+    {
         let rows = rows.into_iter();
-        self.slots.reserve(rows.size_hint().0);
+        // At most this many slots are new (a key seen before counts too).
+        let (mut fresh, mut spilled, mut top) = (0, 0, None);
+        for (key, _) in rows.clone() {
+            fresh += 1;
+            if key.0 < DENSE_SLOT_LIMIT {
+                top = top.max(Some(key.0 as usize));
+            } else {
+                spilled += 1;
+            }
+        }
+        self.slots.reserve(fresh);
+        self.spill.reserve(spilled);
+        if let Some(top) = top.filter(|&top| top >= self.index.len()) {
+            self.index.resize(top + 1, NO_SLOT);
+        }
         let mut end = self.slab.len();
         for (key, dim) in rows {
             if self.slot(key).is_some() {
@@ -209,11 +228,7 @@ impl WorkerCache<DenseVec> {
             }
             let slot = self.slots.len();
             if key.0 < DENSE_SLOT_LIMIT {
-                let k = key.0 as usize;
-                if k >= self.index.len() {
-                    self.index.resize(k + 1, NO_SLOT);
-                }
-                self.index[k] = slot;
+                self.index[key.0 as usize] = slot;
             } else {
                 self.spill.insert(key.0, slot);
             }

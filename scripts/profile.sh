@@ -22,6 +22,21 @@
 # each listed function whose name matches, the callers its inclusive
 # samples came through.
 #
+# With PROFILE_INLINE=1, each address expands into its inline chain,
+# innermost first, and each frame is named with its source line
+# (`function @ crate/src/file.rs:line`), so a function inlined into its
+# caller shows up as itself. This needs line tables in BIN: build it
+# into a target directory of its own so the normal build stays as it
+# is, e.g. for the benchmark
+#
+#   CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo build --release \
+#       --offline --manifest-path benchmark/Cargo.toml --target-dir target/lines
+#   PROFILE_INLINE=1 scripts/profile.sh target/lines/release/proteus-benchmark \
+#       --workload cost_study --seed 555 --seconds 8 --trace 0
+#
+# (building the benchmark rewrites `benchmark/Cargo.lock`; check it out
+# again afterwards).
+#
 # BIN's own output goes to stderr, so the table is all that stdout
 # holds. Example, a benchmark workload from the repository root:
 #
@@ -132,10 +147,10 @@ gcc -O2 -shared -fPIC -o "$dir/sampler.so" "$dir/sampler.c"
 mkdir "$dir/out"
 PROFILE_DIR="$dir/out" LD_PRELOAD="$dir/sampler.so" "$@" >&2
 
-python3 - "$dir/out" "${PROFILE_TOP:-40}" <<'EOF'
+python3 - "$dir/out" "${PROFILE_TOP:-40}" "${PROFILE_INLINE:-0}" <<'EOF'
 import bisect, collections, glob, os, re, subprocess, sys
 
-out_dir, top = sys.argv[1], int(sys.argv[2])
+out_dir, top, inline = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"
 FOLDED = re.compile(r"^(libc[.-]|ld-linux|libm[.-]|libgcc_s|libpthread)")
 MANGLE = [("$LT$", "<"), ("$GT$", ">"), ("$RF$", "&"), ("$BP$", "*"), ("$C$", ","),
           ("$u20$", " "), ("$u27$", "'"), ("$u5b$", "["), ("$u5d$", "]"),
@@ -201,18 +216,27 @@ for dump in glob.glob(os.path.join(out_dir, "samples.*")):
             wanted[module].add(vaddr)
         stacks.append(stack)
 
-names = {}
+def frame(fn, loc, base):
+    """One frame's name: the function, and with PROFILE_INLINE its line."""
+    if fn == "??":
+        return "[%s]" % base
+    path, line = (loc.split(":") + ["0"])[:2]
+    if not inline or path == "??":
+        return clean(fn)
+    return "%s @ %s:%s" % (clean(fn), "/".join(path.split("/")[-3:]), line)
+
+names = {}  # per address, its frames, innermost first
 for module, addrs in wanted.items():
     addrs = sorted(addrs)
+    args = ["llvm-symbolizer", "--obj=" + module, "--functions=linkage", "--demangle"]
     text = subprocess.run(
-        ["llvm-symbolizer", "--obj=" + module, "--functions=linkage", "--demangle",
-         "--no-inlines"],
+        args + ([] if inline else ["--no-inlines"]),
         input="".join("0x%x\n" % a for a in addrs), capture_output=True, text=True).stdout
     blocks = [b for b in text.split("\n\n") if b.strip()]
     base = os.path.basename(module)
     for a, block in zip(addrs, blocks):
-        fn = block.strip().splitlines()[0]
-        names[(module, a)] = ("[%s]" % base) if fn == "??" else clean(fn)
+        lines = block.strip().splitlines()
+        names[(module, a)] = [frame(fn, loc, base) for fn, loc in zip(lines[::2], lines[1::2])]
 
 self_count, incl = collections.Counter(), collections.Counter()
 callers = collections.defaultdict(collections.Counter)
@@ -223,10 +247,11 @@ for stack in stacks:
         self_count[where] += 1
         incl[where] += 1
         continue
-    self_count[names[own[0]]] += 1
-    for fn in {names[f] for f in own}:
+    chain = [fn for f in own for fn in names[f]]
+    self_count[chain[0]] += 1
+    for fn in set(chain):
         incl[fn] += 1
-    chain = [names[f] for f in own] + ["[root]"]
+    chain.append("[root]")
     for fn in set(chain[:-1]):
         # The outermost call of a recursive function names its caller.
         callers[fn][chain[len(chain) - chain[::-1].index(fn)]] += 1
