@@ -10,7 +10,8 @@
 //! list remain fair game. Throttling (a provider-wide signal) blocks all
 //! markets until the provider's suggested retry time.
 //!
-//! [`BidBrain::acquire`] is the walk itself: request the ranked
+//! [`BidBrain::acquire`] is the walk itself: rank the markets the
+//! caller admits for the footprint the provider holds, request the
 //! candidates in order until one grants, and report what happened for
 //! the caller to apply to its own counters and backoff.
 
@@ -20,7 +21,7 @@ use proteus_market::{CloudProvider, MarketError, MarketKey, SpotGrant};
 use proteus_obs::Recorder;
 use proteus_simtime::{SimDuration, SimTime};
 
-use crate::policy::{AllocView, AllocationRequest, BidBrain};
+use crate::policy::{holdings, AllocView, AllocationRequest, BidBrain};
 
 /// What one walk down the ranked acquisitions came to.
 #[derive(Debug, Default)]
@@ -36,21 +37,36 @@ pub struct Acquisition {
 }
 
 impl BidBrain<'_> {
-    /// Walks [`ranked_acquisitions`](BidBrain::ranked_acquisitions) for
-    /// `footprint` at the provider's current time, requesting each
-    /// candidate's count capped at `cap` (at least 1): a grant stops the
-    /// walk; a capacity refusal or a bid the price moved past between
-    /// ranking and requesting falls through to the next-best market; any
-    /// other refusal — a throttle is provider-wide — stops it.
+    /// The acquisition pass of a decision step: walks
+    /// [`ranked_acquisitions`](BidBrain::ranked_acquisitions) for the
+    /// caller's on-demand `tiers` plus every launched spot allocation
+    /// `provider` holds, over the provider's current prices of the
+    /// markets `admit` accepts, requesting each candidate's count capped
+    /// at `cap` (at least 1): a grant stops the walk; a capacity refusal
+    /// or a bid the price moved past between ranking and requesting
+    /// falls through to the next-best market; any other refusal — a
+    /// throttle is provider-wide — stops it.
     pub fn acquire(
         &self,
         provider: &mut CloudProvider<'_>,
-        footprint: &[AllocView],
-        prices: &[(MarketKey, f64)],
+        tiers: &[AllocView],
+        admit: impl Fn(MarketKey) -> bool,
         cap: u32,
         obs: Option<&Recorder>,
     ) -> Acquisition {
-        let ranked = self.ranked_acquisitions_obs(footprint, prices, provider.now(), obs);
+        let footprint: Vec<AllocView> = holdings(provider, tiers).map(|(_, view)| view).collect();
+        // A step that admits every market ranks the provider's list as it
+        // stands, with no copy: an allocation is a sizeable share of a
+        // cost-study step.
+        let spot = provider.spot_prices();
+        let admitted: Vec<(MarketKey, f64)>;
+        let prices = if spot.iter().all(|&(market, _)| admit(market)) {
+            spot
+        } else {
+            admitted = spot.iter().copied().filter(|&(m, _)| admit(m)).collect();
+            &admitted
+        };
+        let ranked = self.ranked_acquisitions_obs(&footprint, prices, provider.now(), obs);
         let mut out = Acquisition::default();
         for req in ranked {
             match provider.request_spot(req.market, req.count.min(cap), req.bid) {

@@ -33,7 +33,7 @@
 //! recall / lead time against ground-truth evictions (gated by the
 //! replay test at the bottom of this file).
 
-use proteus_market::MarketKey;
+use proteus_market::{AllocationId, CloudProvider, MarketKey, SpotAllocation};
 use proteus_simtime::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -148,12 +148,14 @@ type HoldingKey = (MarketKey, u64);
 
 /// Online per-(market, bid) preemption forecaster.
 ///
-/// Feed it one price sample per holding per step via [`observe`]; it
+/// Feed it one price sample per holding per step via [`observe`] — or
+/// let [`watch`] feed every launched holding of a provider — and it
 /// returns an [`EvictionAlert`] at most once per hazard excursion.
-/// Deterministic: state lives in a `BTreeMap` and every computation is a
+/// Deterministic: state lives in `BTreeMap`s and every computation is a
 /// pure function of the observed samples.
 ///
 /// [`observe`]: PreemptionForecaster::observe
+/// [`watch`]: PreemptionForecaster::watch
 ///
 /// # Examples
 ///
@@ -177,6 +179,9 @@ type HoldingKey = (MarketKey, u64);
 pub struct PreemptionForecaster {
     cfg: ForecastConfig,
     states: BTreeMap<HoldingKey, HoldingState>,
+    /// The `(market, bid)` each holding [`watch`](Self::watch) observed
+    /// was exposed at, so its leaving can forget the trajectory.
+    watched: BTreeMap<AllocationId, (MarketKey, f64)>,
 }
 
 impl PreemptionForecaster {
@@ -185,6 +190,7 @@ impl PreemptionForecaster {
         PreemptionForecaster {
             cfg,
             states: BTreeMap::new(),
+            watched: BTreeMap::new(),
         }
     }
 
@@ -272,19 +278,56 @@ impl PreemptionForecaster {
         self.states.remove(&(market, bid.to_bits()));
     }
 
-    /// The forget rule for a holding that was released or evicted: its
-    /// `(market, bid)` trajectory is dropped only when none of the
-    /// `live` holdings' pairs shares it — a sibling at the same market
-    /// and bid keeps observing the same price against the same bid.
-    pub fn forget(
+    /// The forecasting pass of a decision step. First forgets every
+    /// watched holding `provider` no longer holds, then feeds every
+    /// launched spot allocation's price now to [`observe`](Self::observe)
+    /// and returns the alerts, in allocation id order.
+    pub fn watch(
         &mut self,
-        market: MarketKey,
-        bid: f64,
-        mut live: impl Iterator<Item = (MarketKey, f64)>,
-    ) {
-        if !live.any(|(m, b)| m == market && b.to_bits() == bid.to_bits()) {
+        provider: &CloudProvider<'_>,
+        now: SimTime,
+    ) -> Vec<(AllocationId, EvictionAlert)> {
+        let left = |id: &&AllocationId| !provider.live_spot().any(|a| a.id == **id);
+        let gone: Vec<AllocationId> = self.watched.keys().filter(left).copied().collect();
+        for id in gone {
+            self.release(id, provider);
+        }
+        let mut alerts = Vec::new();
+        for a in provider.live_spot().filter(|a| !a.is_booting()) {
+            let Ok(price) = provider.spot_price(a.market) else {
+                continue;
+            };
+            self.watched.insert(a.id, (a.market, a.bid));
+            if let Some(alert) = self.observe(a.market, a.bid, now, price) {
+                alerts.push((a.id, alert));
+            }
+        }
+        alerts
+    }
+
+    /// The forget rule, for the holding `id` as it leaves: its
+    /// `(market, bid)` trajectory is dropped unless another live holding
+    /// of `provider`, booting or not, shares the pair and so keeps
+    /// observing the same price against the same bid. A caller that can
+    /// re-grant the pair within the step releases the old holding first,
+    /// so the new one starts afresh.
+    pub fn release(&mut self, id: AllocationId, provider: &CloudProvider<'_>) {
+        let Some((market, bid)) = self.watched.remove(&id) else {
+            return;
+        };
+        let same = |a: &SpotAllocation| a.market == market && a.bid.to_bits() == bid.to_bits();
+        if !provider.live_spot().any(|a| a.id != id && same(a)) {
             self.clear(market, bid);
         }
+    }
+
+    /// The holdings [`watch`](Self::watch) has observed and not yet
+    /// forgotten, with the `(market, bid)` each is exposed at, in id
+    /// order.
+    pub fn watched(&self) -> impl Iterator<Item = (AllocationId, MarketKey, f64)> + '_ {
+        self.watched
+            .iter()
+            .map(|(id, &(market, bid))| (*id, market, bid))
     }
 }
 
@@ -438,7 +481,7 @@ pub fn hazard_to_rate(hazard: f64, horizon: SimDuration) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_market::{catalog, Zone};
+    use proteus_market::{catalog, MarketFaultPlan, PriceTrace, TraceSet, Zone};
     use proteus_market::{MarketModel, TraceGenerator};
 
     fn key() -> MarketKey {
@@ -700,29 +743,62 @@ mod tests {
         assert_eq!(fc.hazard(other, 0.20), 0.0);
     }
 
+    /// `watch` forgets a holding gone since its last call, and `release`
+    /// one leaving now, unless a live holding — booting or not — shares
+    /// its `(market, bid)`. A kept trajectory stays disarmed after its
+    /// alert, so the sibling that reads it on does not alert again; a
+    /// forgotten one reads no hazard.
     #[test]
     fn forgetting_a_holding_keeps_a_pair_a_live_sibling_shares() {
+        // Two flat markets a cent under the 0.10 bid: every watch of a
+        // holding bid there reads a hazard above the alert threshold.
+        let other = MarketKey::new(catalog::c4_xlarge(), Zone(1));
+        let mut set = TraceSet::new();
+        for m in [key(), other] {
+            let flat = PriceTrace::from_points(vec![(SimTime::EPOCH, 0.099)]).expect("flat");
+            set.insert(m, flat);
+        }
+        let mut p = CloudProvider::new(set);
         let mut fc = PreemptionForecaster::new(ForecastConfig::default());
-        let (bid, other) = (0.10, MarketKey::new(catalog::c4_xlarge(), Zone(1)));
-        fc.observe(key(), bid, SimTime::EPOCH, 0.099);
-        let hazard = fc.hazard(key(), bid);
-        assert!(hazard > 0.0);
-        // Two holdings share `(key(), bid)`; the first goes, the second
-        // and one elsewhere stay live.
-        fc.forget(key(), bid, [(key(), bid), (other, bid)].into_iter());
-        assert_eq!(
-            fc.hazard(key(), bid),
-            hazard,
-            "the sibling's trajectory survives"
-        );
-        // The sibling goes too. What stays shares the market or the bid,
-        // never both.
-        fc.forget(key(), bid, [(key(), 0.11), (other, bid)].into_iter());
+        let bid = 0.10;
+        let grant =
+            |p: &mut CloudProvider<'_>, m, bid| p.request_spot(m, 1, bid).expect("grant").id;
+        let watch = |fc: &mut PreemptionForecaster, p: &mut CloudProvider<'_>, mins| {
+            let now = SimTime::EPOCH + SimDuration::from_mins(mins);
+            p.advance_to(now).expect("forward");
+            let alerts = fc.watch(p, now);
+            alerts.into_iter().map(|(id, _)| id).collect::<Vec<_>>()
+        };
+        let a = grant(&mut p, key(), bid);
+        let b = grant(&mut p, key(), bid);
+        let c = grant(&mut p, other, bid);
+        let e = grant(&mut p, key(), 0.11);
+        // One alert per pair: `b` reads on the trajectory `a` disarmed.
+        assert_eq!(watch(&mut fc, &mut p, 0), [a, c]);
+        // `a` leaves unannounced; its sibling `b` keeps the pair.
+        p.terminate(a).expect("live");
+        assert_eq!(watch(&mut fc, &mut p, 2), []);
+        // `b` leaves, released at once, while `d` boots at the pair.
+        let boot = SimDuration::from_mins(5);
+        p.set_fault_plan(MarketFaultPlan::new(1).with_boot_delay(boot, boot));
+        let d = grant(&mut p, key(), bid);
+        p.terminate(b).expect("live");
+        fc.release(b, &p);
+        assert!(fc.hazard(key(), bid) > 0.6, "the booting sibling keeps it");
+        // Launched, `d` reads on without a second alert.
+        assert_eq!(watch(&mut fc, &mut p, 10), []);
+        let watched: Vec<_> = fc.watched().map(|(id, ..)| id).collect();
+        assert_eq!(watched, [c, e, d]);
+        // `d` leaves unannounced. What stays shares the market or the
+        // bid, never both.
+        p.terminate(d).expect("live");
+        watch(&mut fc, &mut p, 12);
         assert_eq!(
             fc.hazard(key(), bid),
             0.0,
             "no live holding shares the pair"
         );
+        assert_eq!(fc.watched().map(|(id, ..)| id).collect::<Vec<_>>(), [c, e]);
     }
 
     #[test]

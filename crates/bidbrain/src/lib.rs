@@ -31,7 +31,6 @@
 mod acquire;
 mod beta;
 mod forecast;
-mod objective;
 mod params;
 mod policy;
 mod standard;
@@ -39,9 +38,8 @@ mod standard;
 pub use acquire::{Acquisition, MarketBackoff};
 pub use beta::{BetaEstimator, BetaPoint, BetaTable};
 pub use forecast::{EvictionAlert, ForecastConfig, PreemptionForecaster};
-pub use objective::Objective;
 pub use params::{phi, AppParams};
-pub use policy::{AllocView, AllocationRequest, BidBrain, BidBrainConfig, Expiring, FootprintEval};
+pub use policy::{AllocView, AllocationRequest, BidBrain, BidBrainConfig, FootprintEval};
 pub use standard::StandardStrategy;
 
 use proteus_simtime::SimDuration;
@@ -49,5 +47,5 @@ use proteus_simtime::SimDuration;
 /// BidBrain's decision cadence (Sec. 5: decisions "every two minutes
 /// and just before billing hours end"). Every lifecycle loop steps by
 /// it, and a holding whose hour has no more than this left is due for
-/// its renewal decision ([`Expiring::due`]).
+/// its renewal decision ([`BidBrain::release_due`]).
 pub const DECISION_STEP: SimDuration = SimDuration::from_secs(120);

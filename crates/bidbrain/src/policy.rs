@@ -1,12 +1,11 @@
 //! BidBrain's cost-per-work objective and allocation decisions
 //! (Eqs. 1–4 of the paper).
 
-use proteus_market::{AllocationId, MarketKey, SpotAllocation};
+use proteus_market::{AllocationId, CloudProvider, MarketKey, SpotAllocation};
 use proteus_obs::{BidEvent, Event, Recorder};
 use proteus_simtime::{SimDuration, SimTime};
 
 use crate::beta::{BetaEstimator, BetaTable, HOUR};
-use crate::objective::Objective;
 use crate::params::{AppParams, PhiMemo};
 
 /// BidBrain's view of one live or hypothetical allocation.
@@ -101,19 +100,19 @@ pub struct AllocationRequest {
 
 /// A spot holding whose billing hour is about to end: renew or release.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Expiring {
+struct Expiring {
     /// The allocation in question.
-    pub id: AllocationId,
+    id: AllocationId,
     /// Its market.
-    pub market: MarketKey,
+    market: MarketKey,
     /// Instance count.
-    pub count: u32,
+    count: u32,
     /// Its immutable bid per instance-hour.
-    pub bid: f64,
+    bid: f64,
     /// The market price now — what the next hour would be billed at.
-    pub renew_price: f64,
+    renew_price: f64,
     /// Time left in the current billing hour.
-    pub time_remaining: SimDuration,
+    time_remaining: SimDuration,
 }
 
 impl Expiring {
@@ -122,7 +121,7 @@ impl Expiring {
     /// last decision before the next hour is charged. A warned holding
     /// is leaving anyway and a booting one has no hour open yet, so
     /// neither is due.
-    pub fn due(a: &SpotAllocation, now: SimTime, renew_price: f64) -> Option<Expiring> {
+    fn due(a: &SpotAllocation, now: SimTime, renew_price: f64) -> Option<Expiring> {
         let time_remaining = a.time_to_hour_end(now);
         (time_remaining <= crate::DECISION_STEP && !a.is_warned() && !a.is_booting()).then_some(
             Expiring {
@@ -149,9 +148,6 @@ pub struct BidBrainConfig {
     /// Required relative improvement in cost-per-work before acting
     /// (hysteresis against churning on noise).
     pub min_improvement: f64,
-    /// How candidate footprints are ranked (cost-per-work by default;
-    /// see [`Objective`] for the deadline-oriented alternative).
-    pub objective: Objective,
 }
 
 impl Default for BidBrainConfig {
@@ -161,7 +157,6 @@ impl Default for BidBrainConfig {
             max_alloc_instances: 64,
             bid_deltas: crate::beta::BetaEstimator::default_deltas(),
             min_improvement: 0.02,
-            objective: Objective::CostPerWork,
         }
     }
 }
@@ -440,10 +435,7 @@ impl<'a> BidBrain<'a> {
         // candidate's count, hence the combined core count, does not
         // depend on δ); per market, one finish scores the δ row.
         let terms = self.terms(footprint);
-        let current_score = self
-            .config
-            .objective
-            .score(&self.finish_as_held(&terms, false));
+        let current_score = self.finish_as_held(&terms, false).cost_per_work();
 
         let mut ranked: Vec<(f64, AllocationRequest, FootprintEval)> =
             Vec::with_capacity(markets.len());
@@ -485,7 +477,7 @@ impl<'a> BidBrain<'a> {
                 }
                 self.finish(&terms, &candidates[..deltas.len()], phi, true, &mut evals);
                 for (&delta, &eval) in deltas.iter().zip(&evals) {
-                    let score = self.config.objective.score(&eval);
+                    let score = eval.cost_per_work();
                     if best.as_ref().is_none_or(|(b, _, _)| score < *b) {
                         best = Some((
                             score,
@@ -500,18 +492,13 @@ impl<'a> BidBrain<'a> {
                     }
                 }
             }
-            // The improvement gate is monotone in the score, so
-            // filtering per candidate is equivalent to gating only the
-            // global best (as the single-result path did).
-            if let Some((score, req, eval)) = best {
-                if self
-                    .config
-                    .objective
-                    .improves(score, current_score, self.config.min_improvement)
-                {
-                    ranked.push((score, req, eval));
-                }
-            }
+            // The improvement gate (anything beats a footprint that does
+            // no work) is monotone in the score, so filtering per
+            // candidate is equivalent to gating only the global best (as
+            // the single-result path did).
+            let gate = current_score * (1.0 - self.config.min_improvement);
+            ranked
+                .extend(best.filter(|(score, _, _)| current_score.is_infinite() || *score < gate));
         }
         // Stable sort: equal scores keep market order, matching the
         // strict-< first-wins tie-break of the single-result sweep.
@@ -572,16 +559,37 @@ impl<'a> BidBrain<'a> {
         ea_with <= ea_without
     }
 
-    /// The hour-end renewal pass: decides every `expiring` holding in
-    /// turn against the rest of `holdings` and returns the ones to
-    /// release (not worth their next hour, or outbid by the market).
+    /// The hour-end pass of a decision step: every launched spot
+    /// allocation `provider` holds whose billing hour is due
+    /// ([`DECISION_STEP`](crate::DECISION_STEP)), priced at the market
+    /// now, decided against `tiers` plus the other holdings. Returns the
+    /// ones to release, in id order; the caller releases them.
+    pub fn release_due(
+        &self,
+        provider: &CloudProvider<'_>,
+        tiers: &[AllocView],
+    ) -> Vec<AllocationId> {
+        let now = provider.now();
+        let expiring: Vec<Expiring> = provider
+            .live_spot()
+            .filter_map(|a| Expiring::due(a, now, provider.spot_price(a.market).unwrap_or(a.bid)))
+            .collect();
+        if expiring.is_empty() {
+            return Vec::new();
+        }
+        self.renewals(holdings(provider, tiers), &expiring)
+    }
+
+    /// Decides every `expiring` holding in turn against the rest of
+    /// `holdings` and returns the ones to release (not worth their next
+    /// hour, or outbid by the market).
     ///
     /// `holdings` is the whole footprint, each view with the allocation
     /// it describes (`None` for on-demand tiers). "The rest" excludes a
     /// holding by id — two holdings of one market and size are still
     /// two holdings — and a released holding stays out for the
     /// decisions after it.
-    pub fn renewals(
+    fn renewals(
         &self,
         holdings: impl IntoIterator<Item = (Option<AllocationId>, AllocView)>,
         expiring: &[Expiring],
@@ -612,10 +620,28 @@ impl<'a> BidBrain<'a> {
     }
 }
 
+/// A decision step's footprint: the caller's on-demand `tiers`, then
+/// every launched spot allocation `provider` holds (booting instances
+/// are not billed and not computing until launch), each spot view with
+/// its allocation's id.
+pub(crate) fn holdings<'p>(
+    provider: &'p CloudProvider<'_>,
+    tiers: &'p [AllocView],
+) -> impl Iterator<Item = (Option<AllocationId>, AllocView)> + 'p {
+    let now = provider.now();
+    let spot = provider
+        .live_spot()
+        .filter(|a| !a.is_booting())
+        .map(move |a| (Some(a.id), AllocView::held(a, now)));
+    tiers.iter().map(|view| (None, view.clone())).chain(spot)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_market::{catalog, MarketModel, TraceGenerator, Zone};
+    use proteus_market::{
+        catalog, MarketFaultPlan, MarketModel, PriceTrace, TraceGenerator, TraceSet, Zone,
+    };
     use proteus_simtime::SimDuration;
 
     fn mk(type_index: usize) -> MarketKey {
@@ -637,7 +663,6 @@ mod tests {
                 max_alloc_instances: 8,
                 bid_deltas: vec![0.4],
                 min_improvement: 0.0,
-                objective: Objective::CostPerWork,
             },
         )
     }
@@ -854,6 +879,132 @@ mod tests {
         // Outbid by the market: released whatever Eq. 4 says.
         let release = brain.renewals(holdings, &[expiring(sibling, 12.0)]);
         assert_eq!(release, [sibling]);
+    }
+
+    /// The hour-end pass reads the provider: of a two-market provider's
+    /// four spot holdings — one due, one not yet due, one warned and one
+    /// booting — only the due one is decided, priced at its market now,
+    /// against the tiers and the launched holdings. That is `renewals`
+    /// over the hand-built list.
+    #[test]
+    fn release_due_is_renewals_over_the_due_holdings() {
+        let brain = ideal();
+        let (a, b) = (
+            mk(catalog::c4_xlarge()),
+            MarketKey::new(catalog::c4_xlarge(), Zone(1)),
+        );
+        let mins = |m| SimTime::EPOCH + SimDuration::from_mins(m);
+        let mut set = TraceSet::new();
+        set.insert(
+            a,
+            PriceTrace::from_points(vec![(mins(0), 0.05)]).expect("flat"),
+        );
+        // `b` climbs past the warned holding's bid at 55 min.
+        let climb = vec![(mins(0), 0.05), (mins(55), 0.08)];
+        set.insert(b, PriceTrace::from_points(climb).expect("sorted"));
+        let mut p = CloudProvider::with_warning_lead(set, SimDuration::from_mins(10));
+        let due = p.request_spot(a, 2, 1.0).expect("grant").id;
+        let warned = p.request_spot(b, 1, 0.06).expect("grant").id;
+        p.advance_to(mins(30)).expect("forward");
+        let later = p.request_spot(b, 2, 1.0).expect("grant").id;
+        p.advance_to(mins(58)).expect("forward");
+        let boot = SimDuration::from_mins(10);
+        p.set_fault_plan(MarketFaultPlan::new(1).with_boot_delay(boot, boot));
+        let booting = p.request_spot(a, 1, 1.0).expect("grant").id;
+        p.advance_to(mins(59)).expect("forward");
+        let live: Vec<_> = p
+            .live_spot()
+            .map(|h| (h.id, h.is_warned(), h.is_booting()))
+            .collect();
+        let want_live = [
+            (due, false, false),
+            (warned, true, false),
+            (later, false, false),
+            (booting, false, true),
+        ];
+        assert_eq!(live, want_live);
+
+        let tiers = [AllocView::on_demand(a, 3, 0.0)];
+        let now = p.now();
+        let held = |id| AllocView::held(p.live_spot().find(|h| h.id == id).expect("live"), now);
+        let holdings = vec![
+            (None, tiers[0].clone()),
+            (Some(due), held(due)),
+            (Some(warned), held(warned)),
+            (Some(later), held(later)),
+        ];
+        let expiring = Expiring {
+            id: due,
+            market: a,
+            count: 2,
+            bid: 1.0,
+            renew_price: 0.05,
+            time_remaining: SimDuration::from_mins(1),
+        };
+        let release = brain.release_due(&p, &tiers);
+        assert_eq!(release, brain.renewals(holdings.clone(), &[expiring]));
+        // Renewed at the market's $0.05 it is worth its next hour; at
+        // its $1.00 bid it would not be.
+        assert_eq!(release, []);
+        let at_bid = Expiring {
+            renew_price: 1.0,
+            ..expiring
+        };
+        assert_eq!(brain.renewals(holdings, &[at_bid]), [due]);
+    }
+
+    /// Eq. 4 is the score, and a footprint that does no work scores
+    /// worst.
+    #[test]
+    fn cost_per_work_scores_by_ratio() {
+        let eval = |expected_cost, expected_work| FootprintEval {
+            expected_cost,
+            expected_work,
+        };
+        assert!(eval(1.0, 10.0).cost_per_work() < eval(1.0, 5.0).cost_per_work());
+        assert!(eval(0.0, 0.0).cost_per_work().is_infinite());
+    }
+
+    /// A candidate is ranked only when it lowers cost-per-work by the
+    /// configured margin, and anything beats a footprint that does no
+    /// work.
+    #[test]
+    fn hysteresis_gates_acquisitions() {
+        let market = mk(catalog::c4_xlarge());
+        let with_margin = |min_improvement| {
+            let config = BidBrainConfig {
+                min_improvement,
+                ..ideal().config().clone()
+            };
+            BidBrain::new(*ideal().params(), BetaEstimator::new(), config)
+        };
+        let held = AllocView::on_demand(market, 4, 4.0);
+        let prices = [(market, 0.04)];
+        let brain = with_margin(0.0);
+        let best = brain.ranked_acquisitions(std::slice::from_ref(&held), &prices, SimTime::EPOCH);
+        let best = best.first().expect("cheaper than on-demand");
+        let candidate = AllocView {
+            market,
+            count: best.count,
+            hourly_price: 0.04,
+            bid_delta: Some(best.delta),
+            time_remaining: SimDuration::from_hours(1),
+            work_rate: 4.0,
+        };
+        let before = brain.evaluate(std::slice::from_ref(&held), false);
+        let after = brain.evaluate(&[held.clone(), candidate], true);
+        let gain = 1.0 - after.cost_per_work() / before.cost_per_work();
+        assert!(gain > 0.0);
+        for (margin, ranked) in [(gain * 0.99, true), (gain * 1.01, false)] {
+            let got = with_margin(margin).ranked_acquisitions(
+                std::slice::from_ref(&held),
+                &prices,
+                SimTime::EPOCH,
+            );
+            assert_eq!(!got.is_empty(), ranked, "margin {margin} of gain {gain}");
+        }
+        let idle = with_margin(1.0).ranked_acquisitions(&[], &prices, SimTime::EPOCH);
+        assert!(!idle.is_empty(), "anything beats nothing");
     }
 
     #[test]

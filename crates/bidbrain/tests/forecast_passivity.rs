@@ -59,7 +59,7 @@ proptest! {
             let now = SimTime::from_hours(h);
             let price = watched.spot_price(market()).expect("trace covers");
             let bid = price + delta;
-            for a in watched.spot_allocations() {
+            for a in watched.live_spot() {
                 prop_assert!((0.0..=1.0).contains(&fc.hazard(a.market, a.bid)));
                 // Alerts may or may not fire; neither matters below.
                 let _ = fc.observe(a.market, a.bid, now, price);

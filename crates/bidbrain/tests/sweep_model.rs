@@ -15,8 +15,7 @@ use std::sync::OnceLock;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proteus_bidbrain::{
-    AllocView, AllocationRequest, AppParams, BetaEstimator, BidBrain, BidBrainConfig,
-    FootprintEval, Objective,
+    AllocView, AllocationRequest, AppParams, BetaEstimator, BidBrain, BidBrainConfig, FootprintEval,
 };
 use proteus_market::{catalog, MarketKey, MarketModel, TraceGenerator};
 use proteus_obs::{BidEvent, Event, Recorder};
@@ -123,12 +122,6 @@ fn scenario(
             _ => vec![0.4, 0.0001, 0.4, 0.02],
         },
         min_improvement: [0.0, 0.02][(raw >> 23) as usize % 2],
-        objective: match (raw >> 12) % 3 {
-            2 => Objective::ThroughputUnderBudget {
-                max_dollars_per_hour: 0.5 + ((raw >> 14) % 100) as f64,
-            },
-            _ => Objective::CostPerWork,
-        },
     };
     let prices = catalog::paper_markets()
         .into_iter()
@@ -192,7 +185,7 @@ fn brute_force(
     markets: &[(MarketKey, f64)],
 ) -> (f64, Ranked) {
     let cfg = brain.config();
-    let current_score = cfg.objective.score(&oracle(brain, est, footprint, false));
+    let current_score = oracle(brain, est, footprint, false).cost_per_work();
     let current_cores = BidBrain::footprint_cores(footprint);
     let mut ranked: Ranked = Vec::new();
     if current_cores >= cfg.target_cores {
@@ -216,7 +209,7 @@ fn brute_force(
                 work_rate: f64::from(vcpus),
             });
             let eval = oracle(brain, est, &with, true);
-            let score = cfg.objective.score(&eval);
+            let score = eval.cost_per_work();
             if best.as_ref().is_none_or(|(b, _, _)| score < *b) {
                 let req = AllocationRequest {
                     market,
@@ -227,9 +220,9 @@ fn brute_force(
                 best = Some((score, req, eval));
             }
         }
+        // Anything beats a footprint that does no work.
         ranked.extend(best.filter(|(s, _, _)| {
-            cfg.objective
-                .improves(*s, current_score, cfg.min_improvement)
+            current_score.is_infinite() || *s < current_score * (1.0 - cfg.min_improvement)
         }));
     }
     ranked.sort_by(|a, b| a.0.total_cmp(&b.0));

@@ -21,11 +21,10 @@ use std::sync::Arc;
 
 use proteus_agileml::{AgileMlJob, JobError};
 use proteus_bidbrain::{
-    AllocView, BetaEstimator, BidBrain, Expiring, MarketBackoff, PreemptionForecaster,
-    DECISION_STEP,
+    AllocView, BetaEstimator, BidBrain, MarketBackoff, PreemptionForecaster, DECISION_STEP,
 };
 use proteus_market::{
-    catalog, AllocationId, CloudProvider, MarketError, MarketKey, ProviderEvent, TraceGenerator,
+    catalog, AllocationId, CloudProvider, MarketError, ProviderEvent, TraceGenerator,
 };
 use proteus_mlapps::app::MlApp;
 use proteus_obs::{BidEvent, Event, Recorder, SessionEvent};
@@ -65,8 +64,6 @@ struct Holding {
     warned: bool,
     /// When its outstanding forecast alert turns false positive.
     alert: Option<SimTime>,
-    /// Its forecaster trajectory, once observed; removal forgets it.
-    tracked: Option<(MarketKey, f64)>,
 }
 
 /// A live Proteus session over one training job.
@@ -78,9 +75,6 @@ pub struct Proteus<A: MlApp> {
     provider: CloudProvider<'static>,
     brain: BidBrain<'static>,
     job: AgileMlJob<A>,
-    /// Spot markets BidBrain watches and bids in, the paper's set in its
-    /// order, as slots of the provider's [`CloudProvider::spot_prices`].
-    spot_slots: Vec<usize>,
     /// One entry per spot grant or on-demand fallback the session holds
     /// (not the reliable tier). An entry leaves through `remove_holding`,
     /// or through `terminate_all` at a restart or `finish`.
@@ -154,7 +148,9 @@ impl<A: MlApp> Proteus<A> {
         config.validate()?;
 
         // Synthesize the market and train β on its early window — the
-        // analogue of loading historical AWS price data (Sec. 5).
+        // analogue of loading historical AWS price data (Sec. 5). The
+        // paper's markets are in market order, so BidBrain ranks them in
+        // the provider's price order.
         let gen = TraceGenerator::new(config.agile.seed, config.market_model.clone());
         let spot_markets = catalog::paper_markets();
         let traces = gen.generate_set(&spot_markets, config.market_horizon);
@@ -184,13 +180,6 @@ impl<A: MlApp> Proteus<A> {
             provider.set_recorder(Arc::clone(rec));
         }
         provider.advance_to(job_start)?;
-        let spot_slots = spot_markets
-            .iter()
-            .map(|m| {
-                let slot = provider.spot_prices().iter().position(|(k, _)| k == m);
-                slot.ok_or(ProteusError::Market(MarketError::UnknownMarket(*m)))
-            })
-            .collect::<Result<_, _>>()?;
         let reliable_alloc =
             provider.request_on_demand(config.on_demand_market, config.reliable_machines)?;
 
@@ -214,7 +203,6 @@ impl<A: MlApp> Proteus<A> {
             provider,
             brain,
             job,
-            spot_slots,
             held: BTreeMap::new(),
             job_start,
             backoff,
@@ -273,16 +261,19 @@ impl<A: MlApp> Proteus<A> {
 
     /// Whether the table and the provider agree: the spot entries are
     /// exactly the live spot allocations, an entry has no nodes exactly
-    /// while its allocation boots, and the provider's other instances
-    /// are the reliable tier's plus the fallback entries'.
+    /// while its allocation boots, the provider's other instances are
+    /// the reliable tier's plus the fallback entries', and the
+    /// forecaster watches no holding the table has let go.
     fn table_agrees(&self) -> bool {
         let spot = self.provider.live_spot();
         let entries = self.held.iter().filter(|(_, h)| !h.fallback);
         let instances: u32 = self.held.values().map(|h| h.count).sum();
+        let mut watched = self.forecaster.iter().flat_map(|fc| fc.watched());
         spot.map(|a| (a.id, a.count, a.is_booting()))
             .eq(entries.map(|(id, h)| (*id, h.count, h.nodes.is_none())))
             && self.held.values().all(|h| !h.fallback || h.nodes.is_some())
             && self.provider.live_instance_count() == self.config.reliable_machines + instances
+            && watched.all(|(id, ..)| self.held.contains_key(&id))
     }
 
     /// The smallest-id holding `pred` accepts.
@@ -391,13 +382,12 @@ impl<A: MlApp> Proteus<A> {
     }
 
     /// Removes `id`'s entry, the way a single holding leaves the table,
-    /// and forgets its forecaster trajectory against the holdings the
-    /// provider still has live, less this one.
+    /// and has the forecaster forget it at once: the step may re-grant
+    /// its market at its bid, and the new holding starts afresh.
     fn remove_holding(&mut self, id: AllocationId) -> Option<Holding> {
         let h = self.held.remove(&id)?;
-        if let (Some((market, bid)), Some(fc)) = (h.tracked, self.forecaster.as_mut()) {
-            let live = self.provider.live_spot().filter(|a| a.id != id);
-            fc.forget(market, bid, live.map(|a| (a.market, a.bid)));
+        if let Some(fc) = self.forecaster.as_mut() {
+            fc.release(id, &self.provider);
         }
         Some(h)
     }
@@ -411,46 +401,36 @@ impl<A: MlApp> Proteus<A> {
         self.emit(self.provider.now(), Event::Session(hit));
     }
 
-    /// One forecasting sweep: feed live prices for every held spot
-    /// allocation, pre-drain on fresh alerts, and age out expired ones as
-    /// false positives. A no-op (and allocation-free) with forecasting off.
+    /// One forecasting sweep: the forecaster watches every launched spot
+    /// holding; fresh alerts pre-drain, and expired ones age out as false
+    /// positives. A no-op (and allocation-free) with forecasting off.
     fn forecast_step(&mut self) -> Result<(), ProteusError> {
-        if self.forecaster.is_none() {
+        let Some(fc) = self.forecaster.as_mut() else {
             return Ok(());
-        }
+        };
         let now = self.provider.now();
-        for a in self.provider.spot_allocations() {
-            if a.is_booting() {
-                continue;
-            }
-            let Some(price) = self.price_now(a.market) else {
+        let expiry = now + fc.config().horizon + self.config.warning_lead + DECISION_STEP;
+        for (id, alert) in fc.watch(&self.provider, now) {
+            let Some(h) = self.held.get_mut(&id) else {
                 continue;
             };
-            let (Some(h), Some(fc)) = (self.held.get_mut(&a.id), self.forecaster.as_mut()) else {
-                continue;
-            };
-            h.tracked = Some((a.market, a.bid));
-            let Some(alert) = fc.observe(a.market, a.bid, now, price) else {
-                continue;
-            };
-            let expiry = now + fc.config().horizon + self.config.warning_lead + DECISION_STEP;
             // One outstanding alert per allocation; a holding the
             // provider already warned is mid-drain and needs no help.
-            let fresh = h.alert.is_none() && !a.is_warned();
+            let fresh = h.alert.is_none() && !h.warned;
             h.alert = h.alert.or(fresh.then_some(expiry));
             let drain = h.nodes.clone().filter(|_| fresh);
             // Rendered, not interned: the fold needs the event with no
             // recorder attached, and interning takes a global lock.
             let alert = BidEvent::ForecastAlert {
-                market: a.market.to_string().into(),
-                bid: a.bid,
+                market: alert.market.to_string().into(),
+                bid: alert.bid,
                 hazard: alert.confidence,
                 horizon_ms: alert.horizon.as_millis(),
             };
             self.emit(now, Event::Bid(alert));
             if let Some(nodes) = drain {
                 self.job.pre_drain(&nodes)?;
-                let drained = SessionEvent::PreDrained { allocation: a.id.0 };
+                let drained = SessionEvent::PreDrained { allocation: id.0 };
                 self.emit(now, Event::Session(drained));
             }
         }
@@ -515,33 +495,16 @@ impl<A: MlApp> Proteus<A> {
         Ok(())
     }
 
-    /// BidBrain's view of current holdings, each spot view with the
-    /// allocation it describes (`None` for the on-demand tiers).
-    fn holdings(&self) -> impl Iterator<Item = (Option<AllocationId>, AllocView)> + '_ {
-        let now = self.provider.now();
+    /// BidBrain's view of the on-demand tiers: the reliable tier, then
+    /// any degraded-mode fallback, whose machines compute, unlike the
+    /// reliable tier's serving-only role.
+    fn tiers(&self) -> Vec<AllocView> {
         let market = self.config.on_demand_market;
         let reliable = AllocView::on_demand(market, self.config.reliable_machines, 0.0);
-        // Degraded-mode fallback machines compute, unlike the reliable
-        // tier's serving-only role.
-        let fallback = self.held.values().filter(|h| h.fallback).map(move |h| {
+        let fallback = self.held.values().filter(|h| h.fallback).map(|h| {
             AllocView::on_demand(market, h.count, f64::from(market.instance_type().vcpus))
         });
-        // Booting instances are not billed and not computing until
-        // launch.
-        let spot = self
-            .provider
-            .live_spot()
-            .filter(|a| !a.is_booting())
-            .map(move |a| (Some(a.id), AllocView::held(a, now)));
-        std::iter::once(reliable)
-            .chain(fallback)
-            .map(|view| (None, view))
-            .chain(spot)
-    }
-
-    /// BidBrain's footprint view of current holdings.
-    fn footprint(&self) -> Vec<AllocView> {
-        self.holdings().map(|(_, view)| view).collect()
+        std::iter::once(reliable).chain(fallback).collect()
     }
 
     /// One acquisition sweep: walk BidBrain's ranked candidates until a
@@ -570,18 +533,11 @@ impl<A: MlApp> Proteus<A> {
         if headroom == 0 {
             return Ok(());
         }
-        let spot = self.provider.spot_prices();
-        let prices: Vec<_> = self
-            .spot_slots
-            .iter()
-            .map(|&slot| spot[slot])
-            .filter(|(m, _)| !self.backoff.is_blocked(*m, now))
-            .collect();
-        let footprint = self.footprint();
+        let tiers = self.tiers();
         let walk = self.brain.acquire(
             &mut self.provider,
-            &footprint,
-            &prices,
+            &tiers,
+            |market| !self.backoff.is_blocked(market, now),
             headroom,
             self.obs.as_deref(),
         );
@@ -793,26 +749,10 @@ impl<A: MlApp> Proteus<A> {
         Ok(resumed)
     }
 
-    /// `market`'s spot price now: a scan of the provider's price list,
-    /// a handful of markets compared by equality.
-    fn price_now(&self, market: MarketKey) -> Option<f64> {
-        let spot = self.provider.spot_prices();
-        spot.iter().find(|(m, _)| *m == market).map(|&(_, p)| p)
-    }
-
     /// Hour-end renewal decisions: allocations not worth renewing are
     /// released (machines leave gracefully — a voluntary drain).
     fn renewals(&mut self) -> Result<(), ProteusError> {
-        let now = self.provider.now();
-        let expiring: Vec<Expiring> = self
-            .provider
-            .live_spot()
-            .filter_map(|a| Expiring::due(a, now, self.price_now(a.market).unwrap_or(a.bid)))
-            .collect();
-        if expiring.is_empty() {
-            return Ok(());
-        }
-        for id in self.brain.renewals(self.holdings(), &expiring) {
+        for id in self.brain.release_due(&self.provider, &self.tiers()) {
             if let Some(nodes) = self.remove_holding(id).and_then(|h| h.nodes) {
                 self.job.evict_with_warning(&nodes)?;
             }
@@ -887,16 +827,17 @@ impl<A: MlApp> Proteus<A> {
 mod tests {
     use super::*;
     use proteus_bidbrain::ForecastConfig;
+    use proteus_market::MarketKey;
     use proteus_mlapps::data::{netflix_like, MfDataConfig};
     use proteus_mlapps::mf::{MatrixFactorization, MfConfig};
 
-    /// The distinct `(market, bid)` pairs of the holdings the forecaster
-    /// tracks.
+    /// The distinct `(market, bid)` pairs of the held holdings the
+    /// forecaster tracks.
     fn tracked_pairs(s: &Proteus<MatrixFactorization>) -> BTreeSet<(MarketKey, u64)> {
-        s.held
-            .values()
-            .filter_map(|h| h.tracked)
-            .map(|(market, bid)| (market, bid.to_bits()))
+        let watched = s.forecaster.iter().flat_map(|fc| fc.watched());
+        watched
+            .filter(|(id, ..)| s.held.contains_key(id))
+            .map(|(_, market, bid)| (market, bid.to_bits()))
             .collect()
     }
 
@@ -995,7 +936,7 @@ mod tests {
         };
         let mut session = session(config);
         for _ in 0..30 {
-            if session.held.values().any(|h| h.tracked.is_some()) {
+            if !tracked_pairs(&session).is_empty() {
                 break;
             }
             session

@@ -8,7 +8,7 @@
 //! hurt cost-per-work, and considers acquisitions.
 
 use proteus_bidbrain::{
-    AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig, Expiring, ForecastConfig,
+    AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig, ForecastConfig,
     PreemptionForecaster, StandardStrategy, DECISION_STEP,
 };
 use std::collections::BTreeMap;
@@ -94,7 +94,6 @@ pub(crate) struct JobSim<'a> {
     kind: SchemeKind,
     job: JobSpec,
     provider: CloudProvider<'a>,
-    markets: Vec<MarketKey>,
     brain: BidBrain<'a>,
     standard: StandardStrategy,
     start: SimTime,
@@ -123,23 +122,19 @@ pub(crate) struct JobSim<'a> {
     /// Live preemption forecaster (adaptive-checkpoint scheme only);
     /// `None` for every other scheme keeps their steps untouched.
     forecaster: Option<PreemptionForecaster>,
-    /// Holdings the forecaster is watching, so an eviction or
-    /// termination frees its per-(market, bid) state.
-    fc_tracked: BTreeMap<AllocationId, (MarketKey, f64)>,
     /// Current Young's-rule interval from the forecasted hazard.
     adaptive_tau: SimDuration,
     /// Next scheduled adaptive checkpoint commit.
     next_checkpoint: SimTime,
-    /// The per-step price list's buffer, parked here between steps.
-    prices: Vec<(MarketKey, f64)>,
     /// Observability recorder; `None` keeps every step allocation-free.
     obs: Option<Arc<Recorder>>,
     /// Last prices emitted, in market order, for change-only
     /// `PriceMove` events; a slice compare keeps the no-change step on a
     /// branch-only fast path.
     obs_last_prices: Vec<(MarketKey, f64)>,
-    /// Interned market names, parallel to `markets`, so emitting a
-    /// `PriceMove` is an `Arc` clone rather than a `Display` render.
+    /// Interned market names, in the provider's price order, so
+    /// emitting a `PriceMove` is an `Arc` clone rather than a `Display`
+    /// render.
     obs_market_names: Vec<Arc<str>>,
     /// Next instant a periodic `costsim.sample` record is due.
     obs_next_sample: SimTime,
@@ -152,7 +147,6 @@ impl<'a> JobSim<'a> {
         beta: &'a BetaEstimator,
         start: SimTime,
     ) -> Self {
-        let markets: Vec<MarketKey> = traces.markets().copied().collect();
         let params = AppParams {
             phi_per_doubling: scheme.job.phi_per_doubling,
             sigma: match scheme.kind {
@@ -199,7 +193,6 @@ impl<'a> JobSim<'a> {
             kind: scheme.kind.clone(),
             job: scheme.job,
             provider: CloudProvider::new(traces),
-            markets,
             brain,
             standard: StandardStrategy::new(scheme.job.standard_cores),
             start,
@@ -212,10 +205,8 @@ impl<'a> JobSim<'a> {
             fallback: None,
             fallback_launches: 0,
             forecaster,
-            fc_tracked: BTreeMap::new(),
             adaptive_tau,
             next_checkpoint: start + adaptive_tau,
-            prices: Vec::new(),
             obs: None,
             obs_last_prices: Vec::new(),
             obs_market_names: Vec::new(),
@@ -235,7 +226,8 @@ impl<'a> JobSim<'a> {
         // Intern the market names once: `PriceMove` is the hottest
         // event, and rendering a `MarketKey` through `Display` per
         // emission would dominate the recording overhead.
-        self.obs_market_names = self.markets.iter().map(MarketKey::interned_name).collect();
+        let prices = self.provider.spot_prices();
+        self.obs_market_names = prices.iter().map(|(m, _)| m.interned_name()).collect();
         self.obs = Some(rec);
     }
 
@@ -248,18 +240,15 @@ impl<'a> JobSim<'a> {
     /// anyway) at a fraction of the recording cost. Market-plane truth
     /// (grants, evictions, charges) is still mirrored exactly,
     /// per-event, by the provider.
-    fn obs_step(&mut self, now: SimTime, prices: &[(MarketKey, f64)]) {
+    fn obs_step(&mut self, now: SimTime) {
         let Some(rec) = self.obs.as_deref() else {
             return;
         };
         if now >= self.obs_next_sample {
+            let prices = self.provider.spot_prices();
             for (i, (m, p)) in prices.iter().enumerate() {
                 if self.obs_last_prices.get(i) != Some(&(*m, *p)) {
-                    let name = self
-                        .markets
-                        .iter()
-                        .position(|k| k == m)
-                        .and_then(|j| self.obs_market_names.get(j));
+                    let name = self.obs_market_names.get(i);
                     rec.record(
                         now,
                         Event::Market(MarketEvent::PriceMove {
@@ -403,50 +392,25 @@ impl<'a> JobSim<'a> {
 
     /// Adaptive-checkpoint forecasting pass, run once per decision step.
     ///
-    /// Feeds every live holding's spot price to the forecaster, rederives
-    /// the Young's-rule interval from the worst forecasted hazard, commits
-    /// scheduled checkpoints, and — on a fresh eviction alert — takes one
-    /// immediate out-of-schedule checkpoint (paying its write cost as a
-    /// pause) so the predicted eviction loses at most a step of work.
-    /// No-op for every other scheme.
-    fn forecast_step(&mut self, now: SimTime, prices: &[(MarketKey, f64)]) {
+    /// The forecaster watches every launched holding (forgetting the ones
+    /// gone since the last step, so a stale spike cannot pin the cadence
+    /// at its tightest forever); this rederives the Young's-rule interval
+    /// from the worst forecasted hazard, commits scheduled checkpoints,
+    /// and — on a fresh eviction alert — takes one immediate
+    /// out-of-schedule checkpoint (paying its write cost as a pause) so
+    /// the predicted eviction loses at most a step of work. No-op for
+    /// every other scheme.
+    fn forecast_step(&mut self, now: SimTime) {
         let SchemeKind::AdaptiveCheckpoint {
             checkpoint_cost, ..
         } = self.kind
         else {
             return;
         };
-        let allocs: Vec<_> = self.provider.live_spot().collect();
         let Some(fc) = self.forecaster.as_mut() else {
             return;
         };
-        // Forget holdings that are gone (evicted or terminated) so a
-        // stale spike cannot pin the cadence at its tightest forever.
-        let live: std::collections::BTreeSet<_> = allocs.iter().map(|a| a.id).collect();
-        let gone: Vec<_> = self
-            .fc_tracked
-            .keys()
-            .filter(|id| !live.contains(id))
-            .copied()
-            .collect();
-        for id in gone {
-            if let Some((m, b)) = self.fc_tracked.remove(&id) {
-                fc.forget(m, b, allocs.iter().map(|a| (a.market, a.bid)));
-            }
-        }
-        let mut alerted = false;
-        for a in &allocs {
-            if a.is_booting() {
-                continue;
-            }
-            let Some(price) = Self::price_in(prices, a.market) else {
-                continue;
-            };
-            self.fc_tracked.insert(a.id, (a.market, a.bid));
-            if fc.observe(a.market, a.bid, now, price).is_some() {
-                alerted = true;
-            }
-        }
+        let alerted = !fc.watch(&self.provider, now).is_empty();
         self.adaptive_tau = fc.checkpoint_interval(checkpoint_cost);
         if alerted {
             // Proactive save: everything accrued so far survives the
@@ -460,42 +424,16 @@ impl<'a> JobSim<'a> {
         }
     }
 
-    /// BidBrain's view of the current holdings, each spot view with the
-    /// allocation it describes (`None` for the on-demand tier).
-    fn holdings(&self) -> impl Iterator<Item = (Option<AllocationId>, AllocView)> + '_ {
-        let now = self.provider.now();
-        let on_demand = (self.job.on_demand_count > 0
-            && !matches!(self.kind, SchemeKind::AllOnDemand { .. }))
-        .then(|| {
-            let view = AllocView::on_demand(
-                self.job.on_demand_market,
-                self.job.on_demand_count,
-                if self.job.on_demand_works {
-                    f64::from(self.job.on_demand_market.instance_type().vcpus)
-                } else {
-                    0.0
-                },
-            );
-            (None, view)
-        });
-        // Booting instances are not billed and not computing until
-        // launch.
-        let spot = self
-            .provider
-            .live_spot()
-            .filter(|a| !a.is_booting())
-            .map(move |a| (Some(a.id), AllocView::held(a, now)));
-        on_demand.into_iter().chain(spot)
-    }
-
-    /// Builds BidBrain's view of the current footprint.
-    fn footprint(&self) -> Vec<AllocView> {
-        self.holdings().map(|(_, view)| view).collect()
-    }
-
-    /// Looks a market's price up in a memoized per-step price list.
-    fn price_in(prices: &[(MarketKey, f64)], market: MarketKey) -> Option<f64> {
-        prices.iter().find(|(m, _)| *m == market).map(|(_, p)| *p)
+    /// BidBrain's view of the on-demand tier, when the job holds one.
+    fn on_demand_tier(&self) -> Option<AllocView> {
+        let market = self.job.on_demand_market;
+        let work_rate = if self.job.on_demand_works {
+            f64::from(market.instance_type().vcpus)
+        } else {
+            0.0
+        };
+        (self.job.on_demand_count > 0 && !matches!(self.kind, SchemeKind::AllOnDemand { .. }))
+            .then(|| AllocView::on_demand(market, self.job.on_demand_count, work_rate))
     }
 
     fn pause(&mut self, d: SimDuration) {
@@ -556,30 +494,20 @@ impl<'a> JobSim<'a> {
     }
 
     /// Renewal decisions shortly before billing-hour ends.
-    fn renewals(&mut self, prices: &[(MarketKey, f64)]) {
+    fn renewals(&mut self) {
         // Standard strategies hold until evicted; renewal is automatic
         // while the bid covers the market.
         if !matches!(self.kind, SchemeKind::Proteus { .. }) {
             return;
         }
-        let now = self.provider.now();
-        let expiring: Vec<Expiring> = self
-            .provider
-            .live_spot()
-            .filter_map(|a| {
-                Expiring::due(a, now, Self::price_in(prices, a.market).unwrap_or(a.bid))
-            })
-            .collect();
-        if expiring.is_empty() {
-            return;
-        }
-        for id in self.brain.renewals(self.holdings(), &expiring) {
+        let tier = self.on_demand_tier();
+        for id in self.brain.release_due(&self.provider, tier.as_slice()) {
             let _ = self.provider.terminate(id);
         }
     }
 
     /// Acquisition decisions.
-    fn acquisitions(&mut self, prices: &[(MarketKey, f64)]) {
+    fn acquisitions(&mut self) {
         if self.work_remaining() <= 0.0 {
             return;
         }
@@ -595,7 +523,7 @@ impl<'a> JobSim<'a> {
                 // counts its cores). A refusal retries naturally:
                 // spot_cores stays zero, so the next step asks again.
                 if self.spot_cores() == 0 && !self.provider.live_spot().any(|a| a.is_booting()) {
-                    if let Some(req) = self.standard.acquire(prices) {
+                    if let Some(req) = self.standard.acquire(self.provider.spot_prices()) {
                         if let Ok(grant) =
                             self.provider.request_spot(req.market, req.count, req.bid)
                         {
@@ -607,11 +535,11 @@ impl<'a> JobSim<'a> {
             SchemeKind::Proteus { scale_pause, .. } => {
                 // Uncapped: BidBrain's own target bounds the request. A
                 // refusal that stops the walk retries next step.
-                let footprint = self.footprint();
+                let tier = self.on_demand_tier();
                 let walk = self.brain.acquire(
                     &mut self.provider,
-                    &footprint,
-                    prices,
+                    tier.as_slice(),
+                    |_| true,
                     u32::MAX,
                     self.obs.as_deref(),
                 );
@@ -661,16 +589,10 @@ impl<'a> JobSim<'a> {
         let mut now = self.provider.now().max(self.start);
         let mut completed = false;
         while now < deadline {
-            // The provider's prices at `now`, copied once per step so
-            // the decision passes can hold them while they move it.
-            let mut prices = std::mem::take(&mut self.prices);
-            prices.clear();
-            prices.extend_from_slice(self.provider.spot_prices());
-            self.obs_step(now, &prices);
-            self.forecast_step(now, &prices);
-            self.renewals(&prices);
-            self.acquisitions(&prices);
-            self.prices = prices;
+            self.obs_step(now);
+            self.forecast_step(now);
+            self.renewals();
+            self.acquisitions();
 
             let rate = self.work_rate();
             let next = (now + DECISION_STEP).min(deadline);

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proteus_bidbrain::{
-    phi, AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig, Objective, DECISION_STEP,
+    phi, AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig, DECISION_STEP,
 };
 use proteus_costsim::StudyExecutor;
 use proteus_market::{
@@ -988,7 +988,6 @@ fn evaluate_task(
         max_alloc_instances: task.gang,
         bid_deltas: deltas.to_vec(),
         min_improvement: 0.0,
-        objective: Objective::CostPerWork,
     };
     let brain = BidBrain::new(params, beta, config);
     // A pending gang takes the head of BidBrain's own (market × delta)

@@ -211,6 +211,15 @@ mod tests {
         assert!((big.work_rate() - 2.0 * small.work_rate()).abs() < 1e-9);
     }
 
+    /// A session ranks the paper's markets in the provider's price
+    /// order (`TraceSet`'s, sorted by key), on which Eq. 4's tie-breaks
+    /// depend: the two must be one order.
+    #[test]
+    fn paper_markets_are_in_market_order() {
+        let markets = catalog::paper_markets();
+        assert!(markets.windows(2).all(|w| w[0] < w[1]), "{markets:?}");
+    }
+
     #[test]
     fn market_key_display_names_type_and_zone() {
         let key = MarketKey::new(catalog::c4_xlarge(), Zone(2));

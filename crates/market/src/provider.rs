@@ -253,11 +253,6 @@ impl<'a> CloudProvider<'a> {
         &self.account
     }
 
-    /// Copies of all live spot allocations, in id order.
-    pub fn spot_allocations(&self) -> Vec<SpotAllocation> {
-        self.live_spot().cloned().collect()
-    }
-
     /// Every live spot allocation, in id order, borrowed: a decision
     /// step that only scans or sums its holdings copies nothing.
     pub fn live_spot(&self) -> impl Iterator<Item = &SpotAllocation> + '_ {

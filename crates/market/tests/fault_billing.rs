@@ -74,7 +74,7 @@ proptest! {
             let now = SimTime::from_hours(h);
             let price = p.spot_price(market()).expect("trace covers the run");
             let before = p.account().entries().len();
-            let live_before: u32 = p.spot_allocations().iter().map(|a| a.count).sum();
+            let live_before: u32 = p.live_spot().map(|a| a.count).sum();
             match p.request_spot(market(), count, price + delta) {
                 Ok(grant) => {
                     prop_assert!(grant.granted >= 1 && grant.granted <= count);
@@ -114,8 +114,9 @@ proptest! {
             }
             p.advance_to(SimTime::from_hours(h + 1)).expect("forward");
         }
-        for a in p.spot_allocations() {
-            p.terminate(a.id).expect("live allocation terminates");
+        let live: Vec<AllocationId> = p.live_spot().map(|a| a.id).collect();
+        for id in live {
+            p.terminate(id).expect("live allocation terminates");
         }
 
         // No allocation billed before its launch; refunds covered by

@@ -180,7 +180,7 @@ events! {
             markets: u64,
             /// Candidates that beat the hysteresis gate.
             candidates: u64,
-            /// Objective score of the current footprint.
+            /// Eq. 4 score (cost per work) of the current footprint.
             current_score: f64,
         },
         /// The preemption forecaster predicted an imminent eviction for a
@@ -208,7 +208,7 @@ events! {
             bid: f64,
             /// Delta above the current price that produced the bid.
             delta: f64,
-            /// Objective score of the footprint with this candidate added.
+            /// Eq. 4 score of the footprint with this candidate added.
             score: f64,
             /// Eq. 4 numerator: expected cost of the augmented footprint.
             expected_cost: f64,

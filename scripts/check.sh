@@ -47,6 +47,12 @@ PROTEUS_CHAOS_SEEDS=3 cargo test -q
 echo "==> cargo test -q --release (ps, mlapps)"
 cargo test -q --release -p proteus-ps -p proteus-mlapps
 
+# The decision-step goldens (the cost study's, the session's and the
+# fleet's) claim the same bits in debug and release, so a debug run alone
+# cannot back that claim: run them optimised too.
+echo "==> cargo test -q --release (costsim, session and fleet goldens)"
+cargo test -q --release -p proteus-costsim -p proteus -p proteus-fleet --test golden
+
 # AgileML's chaos, pre-drain and reliable-tier chaos suites over their
 # whole seed sweep (3-23): optimised, the sweep takes about two seconds
 # once built on a 2-core host, so the fixed seed above buys nothing here.
