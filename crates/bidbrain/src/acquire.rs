@@ -46,29 +46,47 @@ impl BidBrain<'_> {
     /// or a bid the price moved past between ranking and requesting
     /// falls through to the next-best market; any other refusal — a
     /// throttle is provider-wide — stops it.
+    ///
+    /// The footprint, its terms, the admitted prices and the ranked list
+    /// live in buffers the engine keeps from step to step, and the walk
+    /// reads the ranked list where it lies: a step allocates nothing
+    /// once those have grown to fit.
     pub fn acquire(
-        &self,
+        &mut self,
         provider: &mut CloudProvider<'_>,
         tiers: &[AllocView],
         admit: impl Fn(MarketKey) -> bool,
         cap: u32,
         obs: Option<&Recorder>,
     ) -> Acquisition {
-        let footprint: Vec<AllocView> = holdings(provider, tiers).map(|(_, view)| view).collect();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.footprint.clear();
+        scratch
+            .footprint
+            .extend(holdings(provider, tiers).map(|(_, view)| view));
         // A step that admits every market ranks the provider's list as it
-        // stands, with no copy: an allocation is a sizeable share of a
-        // cost-study step.
+        // stands, with no copy.
         let spot = provider.spot_prices();
-        let admitted: Vec<(MarketKey, f64)>;
         let prices = if spot.iter().all(|&(market, _)| admit(market)) {
             spot
         } else {
-            admitted = spot.iter().copied().filter(|&(m, _)| admit(m)).collect();
-            &admitted
+            scratch.admitted.clear();
+            scratch
+                .admitted
+                .extend(spot.iter().copied().filter(|&(m, _)| admit(m)));
+            &scratch.admitted
         };
-        let ranked = self.ranked_acquisitions_obs(&footprint, prices, provider.now(), obs);
+        let now = provider.now();
+        self.rank(
+            &scratch.footprint,
+            prices,
+            now,
+            obs,
+            &mut scratch.terms,
+            &mut scratch.ranked,
+        );
         let mut out = Acquisition::default();
-        for req in ranked {
+        for &(_, req, _) in &scratch.ranked {
             match provider.request_spot(req.market, req.count.min(cap), req.bid) {
                 Ok(grant) => {
                     out.granted = Some((req, grant));
@@ -82,6 +100,7 @@ impl BidBrain<'_> {
                 }
             }
         }
+        self.scratch = scratch;
         out
     }
 }

@@ -68,12 +68,6 @@ pub struct FootprintEval {
 }
 
 impl FootprintEval {
-    /// A lane [`BidBrain::finish`] has not written yet.
-    const UNWRITTEN: FootprintEval = FootprintEval {
-        expected_cost: 0.0,
-        expected_work: 0.0,
-    };
-
     /// Expected cost per unit work `E_A = C_A / W_A` (Eq. 4); infinite
     /// when the footprint produces no work.
     pub fn cost_per_work(&self) -> f64 {
@@ -116,23 +110,27 @@ struct Expiring {
 }
 
 impl Expiring {
-    /// `a` up for renewal at `renew_price`, if its billing hour ends
+    /// `a` up for renewal at `renew_price()`, if its billing hour ends
     /// within one [`DECISION_STEP`](crate::DECISION_STEP) of `now` — the
     /// last decision before the next hour is charged. A warned holding
     /// is leaving anyway and a booting one has no hour open yet, so
-    /// neither is due.
-    fn due(a: &SpotAllocation, now: SimTime, renew_price: f64) -> Option<Expiring> {
+    /// neither is due. Only a due holding reads its price.
+    fn due(
+        a: &SpotAllocation,
+        now: SimTime,
+        renew_price: impl FnOnce() -> f64,
+    ) -> Option<Expiring> {
         let time_remaining = a.time_to_hour_end(now);
-        (time_remaining <= crate::DECISION_STEP && !a.is_warned() && !a.is_booting()).then_some(
+        (time_remaining <= crate::DECISION_STEP && !a.is_warned() && !a.is_booting()).then(|| {
             Expiring {
                 id: a.id,
                 market: a.market,
                 count: a.count,
                 bid: a.bid,
-                renew_price,
+                renew_price: renew_price(),
                 time_remaining,
-            },
-        )
+            }
+        })
     }
 }
 
@@ -163,7 +161,7 @@ impl Default for BidBrainConfig {
 
 /// One allocation's share of Eqs. 1–3 that depends on nothing but the
 /// allocation itself.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Term {
     /// `1 − β`.
     survive: f64,
@@ -179,22 +177,80 @@ struct Term {
     cores: f64,
 }
 
-/// Candidates [`BidBrain::finish`] scores in one pass: a market's
+/// Candidates one pass of [`BidBrain::lanes`] scores: a market's
 /// bid-delta row is swept in chunks of this many.
 const LANES: usize = 16;
 
 /// A standing footprint's [`Term`]s with their running survival
 /// product, cost sum and core sum, and λ and σ in hours: everything in
-/// Eqs. 1–3 that one more allocation cannot change. Built once per
-/// decision and dropped with it.
-#[derive(Debug)]
-struct Terms {
+/// Eqs. 1–3 that one more allocation cannot change.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Terms {
     each: Vec<Term>,
     survive: f64,
     cost: f64,
     cores: f64,
     lambda: f64,
     sigma: f64,
+}
+
+/// `N` candidate allocations that differ only in their eviction inputs:
+/// one market's count, price, hours and ν, with each lane's `β` and
+/// time to eviction in hours (already capped at `hours`).
+#[derive(Debug, Clone, Copy)]
+struct Candidates<const N: usize> {
+    beta: [f64; N],
+    tte: [f64; N],
+    price: f64,
+    count: f64,
+    work_rate: f64,
+    hours: f64,
+}
+
+impl Candidates<1> {
+    /// A candidate that adds nothing: no eviction, no instances, no
+    /// work and no time. Its lane is the footprint alone, bit for bit:
+    /// `× (1 − 0)` and `+ 0` change no bits of a survival product or of
+    /// a sum that starts at `+0.0` (such a sum is never `-0.0`).
+    const NONE: Candidates<1> = Candidates {
+        beta: [0.0],
+        tte: [0.0],
+        price: 0.0,
+        count: 0.0,
+        work_rate: 0.0,
+        hours: 0.0,
+    };
+}
+
+/// [`BidBrain::lanes`]' result: lane `l`'s Eq. 1 cost and Eq. 3 work.
+#[derive(Debug, Clone, Copy)]
+struct Scored<const N: usize> {
+    cost: [f64; N],
+    work: [f64; N],
+}
+
+impl<const N: usize> Scored<N> {
+    fn eval(&self, l: usize) -> FootprintEval {
+        FootprintEval {
+            expected_cost: self.cost[l],
+            expected_work: self.work[l],
+        }
+    }
+}
+
+/// What one ranking produces, per market with a candidate past the
+/// gate: its score, the request and the evaluation behind the score.
+pub(crate) type Ranked = (f64, AllocationRequest, FootprintEval);
+
+/// Buffers a decision step fills and the next one reuses, so a step
+/// that keeps its shape allocates nothing: the footprint, its terms,
+/// the admitted prices and the ranked candidates.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch {
+    pub(crate) footprint: Vec<AllocView>,
+    pub(crate) terms: Terms,
+    pub(crate) admitted: Vec<(MarketKey, f64)>,
+    pub(crate) ranked: Vec<Ranked>,
 }
 
 /// The allocation policy engine.
@@ -213,6 +269,8 @@ pub struct BidBrain<'a> {
     /// Whether `config.bid_deltas` is the grid `beta` was trained on, so
     /// a sweep reads each table's hour rows as they stand.
     on_grid: bool,
+    /// [`acquire`](Self::acquire)'s buffers, kept from step to step.
+    pub(crate) scratch: Scratch,
 }
 
 impl<'a> BidBrain<'a> {
@@ -230,6 +288,7 @@ impl<'a> BidBrain<'a> {
             params,
             beta,
             config,
+            scratch: Scratch::default(),
         }
     }
 
@@ -284,17 +343,15 @@ impl<'a> BidBrain<'a> {
         }
     }
 
-    /// The candidate-independent half of an evaluation: every
-    /// allocation's [`Term`], folded in footprint order.
-    fn terms(&self, footprint: &[AllocView]) -> Terms {
-        let mut terms = Terms {
-            each: Vec::with_capacity(footprint.len()),
-            survive: 1.0,
-            cost: 0.0,
-            cores: 0.0,
-            lambda: self.params.lambda.as_hours_f64(),
-            sigma: self.params.sigma.as_hours_f64(),
-        };
+    /// The candidate-independent half of an evaluation, written into
+    /// `terms`: every allocation's [`Term`], folded in footprint order.
+    fn fill_terms(&self, footprint: &[AllocView], terms: &mut Terms) {
+        terms.each.clear();
+        terms.survive = 1.0;
+        terms.cost = 0.0;
+        terms.cores = 0.0;
+        terms.lambda = self.params.lambda.as_hours_f64();
+        terms.sigma = self.params.sigma.as_hours_f64();
         for a in footprint {
             let t = Self::term(a, Self::eviction(a, self.beta.table(a.market)));
             terms.survive *= t.survive;
@@ -302,56 +359,60 @@ impl<'a> BidBrain<'a> {
             terms.cores += t.cores;
             terms.each.push(t);
         }
+    }
+
+    /// [`fill_terms`](Self::fill_terms) into a fresh [`Terms`].
+    fn terms(&self, footprint: &[AllocView]) -> Terms {
+        let mut terms = Terms::default();
+        self.fill_terms(footprint, &mut terms);
         terms
     }
 
-    /// Finishes an evaluation of `terms` plus each of `candidates` (at
-    /// most [`LANES`]) into the same lane of `evals`; with no
-    /// candidates, `terms` alone into lane 0. Lane `l` is `footprint +
-    /// [candidates[l]]` with the candidate folded in **last** — the
-    /// order [`evaluate`](Self::evaluate) walks such a footprint — so
-    /// every lane has exactly those bits: lanes share the walk over the
-    /// held terms, never an operation. `phi` is Eq. 3's φ at the
-    /// combined core count, the same in every lane.
-    fn finish(
-        &self,
+    /// Eqs. 1–3 of `terms` plus each candidate lane of `c`, every lane
+    /// at once. Lane `l` is `footprint + [candidate l]` with the
+    /// candidate folded in **last** — the order
+    /// [`evaluate`](Self::evaluate) walks such a footprint — so every
+    /// lane has exactly those bits: the lanes share the walk over the
+    /// held terms, never an operation, and each runs one candidate
+    /// [`term`](Self::term)'s own sequence. `phi` is Eq. 3's φ at the
+    /// combined core count, the same in every lane. All `N` lanes are
+    /// computed; a caller reads those it filled.
+    fn lanes<const N: usize>(
         terms: &Terms,
-        candidates: &[Term],
+        c: &Candidates<N>,
         phi: f64,
         changing: bool,
-        evals: &mut [FootprintEval],
-    ) {
-        debug_assert!(candidates.len() <= LANES, "one chunk of a δ row");
-        let evals = &mut evals[..candidates.len().max(1)];
-        // Group eviction probability: 1 − Π(1 − βj).
-        let mut p_any_eviction = [0.0; LANES];
-        for (l, (p, eval)) in p_any_eviction.iter_mut().zip(&mut *evals).enumerate() {
-            let c = candidates.get(l);
-            *p = 1.0 - c.map_or(terms.survive, |c| terms.survive * c.survive);
-            *eval = FootprintEval {
-                expected_cost: c.map_or(terms.cost, |c| terms.cost + c.cost),
-                expected_work: 0.0,
-            };
+    ) -> Scored<N> {
+        let mut p_any_eviction = [0.0; N];
+        let mut cost = [0.0; N];
+        let mut omega = [0.0; N];
+        for l in 0..N {
+            let survive = 1.0 - c.beta[l];
+            // Group eviction probability: 1 − Π(1 − βj).
+            p_any_eviction[l] = 1.0 - terms.survive * survive;
+            // Eq. 1: evicted hours are refunded.
+            cost[l] = terms.cost + survive * c.price * c.count * c.hours;
+            omega[l] = survive * c.hours + c.beta[l] * c.tte[l];
         }
         // Eq. 2: Δtᵢ = ωᵢ − P(any eviction)·λ − σ, σ only while
         // changing (`x − 0.0` is `x`, bit for bit); as work, `k·Δt·ν`.
         let sigma = if changing { terms.sigma } else { 0.0 };
-        let work = |t: &Term, p_any_eviction: f64| {
-            let dt = t.omega - p_any_eviction * terms.lambda - sigma;
-            t.count * dt.max(0.0) * t.work_rate
+        let work = |count: f64, omega: f64, work_rate: f64, p_any_eviction: f64| {
+            let dt = omega - p_any_eviction * terms.lambda - sigma;
+            count * dt.max(0.0) * work_rate
         };
+        let mut sum = [0.0; N];
         for t in &terms.each {
-            for (eval, &p) in evals.iter_mut().zip(&p_any_eviction) {
-                eval.expected_work += work(t, p);
+            for l in 0..N {
+                sum[l] += work(t.count, t.omega, t.work_rate, p_any_eviction[l]);
             }
         }
-        for ((eval, &p), c) in evals.iter_mut().zip(&p_any_eviction).zip(candidates) {
-            eval.expected_work += work(c, p);
-        }
-        for eval in evals {
+        for l in 0..N {
+            sum[l] += work(c.count, omega[l], c.work_rate, p_any_eviction[l]);
             // Eq. 3: scale by the application's scalability coefficient φ.
-            eval.expected_work *= phi;
+            sum[l] *= phi;
         }
+        Scored { cost, work: sum }
     }
 
     /// Evaluates a footprint (Eqs. 1–3).
@@ -364,11 +425,9 @@ impl<'a> BidBrain<'a> {
         self.finish_as_held(&self.terms(footprint), changing)
     }
 
-    /// [`finish`](Self::finish) with no candidate.
+    /// [`lanes`](Self::lanes) of `terms` alone.
     fn finish_as_held(&self, terms: &Terms, changing: bool) -> FootprintEval {
-        let mut eval = [FootprintEval::UNWRITTEN];
-        self.finish(terms, &[], self.phi(terms.cores), changing, &mut eval);
-        eval[0]
+        Self::lanes(terms, &Candidates::NONE, self.phi(terms.cores), changing).eval(0)
     }
 
     /// Total vCPUs in a footprint.
@@ -427,21 +486,40 @@ impl<'a> BidBrain<'a> {
         now: SimTime,
         obs: Option<&Recorder>,
     ) -> Vec<AllocationRequest> {
+        let (mut terms, mut ranked) = (Terms::default(), Vec::new());
+        self.rank(footprint, markets, now, obs, &mut terms, &mut ranked);
+        ranked.into_iter().map(|(_, req, _)| req).collect()
+    }
+
+    /// [`ranked_acquisitions_obs`](Self::ranked_acquisitions_obs) into
+    /// `ranked`, with the footprint's terms built in `terms`: both are
+    /// overwritten, so buffers kept across decisions allocate nothing
+    /// once grown.
+    pub(crate) fn rank(
+        &self,
+        footprint: &[AllocView],
+        markets: &[(MarketKey, f64)],
+        now: SimTime,
+        obs: Option<&Recorder>,
+        terms: &mut Terms,
+        ranked: &mut Vec<Ranked>,
+    ) {
+        ranked.clear();
         let current_cores = Self::footprint_cores(footprint);
         if current_cores >= self.config.target_cores {
-            return Vec::new();
+            return;
         }
         // Terms once per decision, β table and φ once per market (the
         // candidate's count, hence the combined core count, does not
-        // depend on δ); per market, one finish scores the δ row.
-        let terms = self.terms(footprint);
-        let current_score = self.finish_as_held(&terms, false).cost_per_work();
+        // depend on δ); per market, one lane pass per chunk of its δ row.
+        self.fill_terms(footprint, terms);
+        let current_score = self.finish_as_held(terms, false).cost_per_work();
+        // The improvement gate (anything beats a footprint that does no
+        // work) is monotone in the score, so filtering per market's best
+        // is equivalent to gating only the global best.
+        let gate = current_score * (1.0 - self.config.min_improvement);
 
-        let mut ranked: Vec<(f64, AllocationRequest, FootprintEval)> =
-            Vec::with_capacity(markets.len());
         let mut scratch = [(0.0, 0.0); LANES];
-        let mut candidates = [Term::default(); LANES];
-        let mut evals = [FootprintEval::UNWRITTEN; LANES];
         // φ of the last market's combined core count: markets of one
         // instance type at one count share it, with no memo scan.
         let mut phi_at = (f64::NAN, f64::NAN);
@@ -457,46 +535,40 @@ impl<'a> BidBrain<'a> {
             if cores != phi_at.0 {
                 phi_at = (cores, self.phi(cores));
             }
-            let phi = phi_at.1;
-            let mut best: Option<(f64, AllocationRequest, FootprintEval)> = None;
+            // A fresh hour-long holding at each δ of the row.
+            let mut candidates = Candidates {
+                beta: [0.0; LANES],
+                tte: [0.0; LANES],
+                price,
+                count: f64::from(count),
+                work_rate: f64::from(vcpus),
+                hours: HOUR.as_hours_f64(),
+            };
+            let mut best: Option<Ranked> = None;
             for (chunk, deltas) in self.config.bid_deltas.chunks(LANES).enumerate() {
-                // A fresh hour-long holding at each δ reads the table's
-                // row: the `eviction` inputs, resolved once per table.
+                // The `eviction` inputs of the row, resolved once per table.
                 let grid_at = self.on_grid.then_some(chunk * LANES);
                 let rows = BetaEstimator::sweep_rows(table, grid_at, deltas, &mut scratch);
-                for ((c, &delta), &row) in candidates.iter_mut().zip(deltas).zip(rows) {
-                    let view = AllocView {
-                        market,
-                        count,
-                        hourly_price: price,
-                        bid_delta: Some(delta),
-                        time_remaining: HOUR,
-                        work_rate: f64::from(vcpus),
-                    };
-                    *c = Self::term(&view, row);
+                for (l, &(beta, tte)) in rows.iter().enumerate() {
+                    candidates.beta[l] = beta;
+                    candidates.tte[l] = tte;
                 }
-                self.finish(&terms, &candidates[..deltas.len()], phi, true, &mut evals);
-                for (&delta, &eval) in deltas.iter().zip(&evals) {
+                let scored = Self::lanes(terms, &candidates, phi_at.1, true);
+                for (l, &delta) in deltas.iter().enumerate() {
+                    let eval = scored.eval(l);
                     let score = eval.cost_per_work();
                     if best.as_ref().is_none_or(|(b, _, _)| score < *b) {
-                        best = Some((
-                            score,
-                            AllocationRequest {
-                                market,
-                                count,
-                                bid: price + delta,
-                                delta,
-                            },
-                            eval,
-                        ));
+                        let bid = price + delta;
+                        let req = AllocationRequest {
+                            market,
+                            count,
+                            bid,
+                            delta,
+                        };
+                        best = Some((score, req, eval));
                     }
                 }
             }
-            // The improvement gate (anything beats a footprint that does
-            // no work) is monotone in the score, so filtering per
-            // candidate is equivalent to gating only the global best (as
-            // the single-result path did).
-            let gate = current_score * (1.0 - self.config.min_improvement);
             ranked
                 .extend(best.filter(|(score, _, _)| current_score.is_infinite() || *score < gate));
         }
@@ -528,7 +600,6 @@ impl<'a> BidBrain<'a> {
                 );
             }
         }
-        ranked.into_iter().map(|(_, req, _)| req).collect()
     }
 
     /// Decides, just before an allocation's billing hour ends, whether to
@@ -537,24 +608,26 @@ impl<'a> BidBrain<'a> {
     ///
     /// `rest` is the footprint excluding the allocation in question.
     pub fn should_renew(&self, alloc: &AllocView, rest: &[AllocView], renew_price: f64) -> bool {
-        if alloc.bid_delta.is_none() {
+        let Some(delta) = alloc.bid_delta else {
             // On-demand resources are never terminated by BidBrain.
             return true;
-        }
-        let renewed = AllocView {
-            hourly_price: renew_price,
-            time_remaining: HOUR,
-            ..alloc.clone()
+        };
+        // The holding renewed: a fresh hour at `renew_price`.
+        let (beta, tte) = BetaEstimator::point(self.beta.table(alloc.market), delta);
+        let renewed = Candidates {
+            beta: [beta],
+            tte: [tte.min(HOUR).as_hours_f64()],
+            price: renew_price,
+            count: f64::from(alloc.count),
+            work_rate: alloc.work_rate,
+            hours: HOUR.as_hours_f64(),
         };
         let terms = self.terms(rest);
-        let renewed = Self::term(
-            &renewed,
-            Self::eviction(&renewed, self.beta.table(alloc.market)),
-        );
-        let phi_with = self.phi(terms.cores + renewed.cores);
-        let mut with = [FootprintEval::UNWRITTEN];
-        self.finish(&terms, &[renewed], phi_with, false, &mut with);
-        let ea_with = with[0].cost_per_work();
+        let cores = f64::from(alloc.count) * f64::from(alloc.market.instance_type().vcpus);
+        let phi_with = self.phi(terms.cores + cores);
+        let ea_with = Self::lanes(&terms, &renewed, phi_with, false)
+            .eval(0)
+            .cost_per_work();
         let ea_without = self.finish_as_held(&terms, true).cost_per_work();
         ea_with <= ea_without
     }
@@ -570,9 +643,10 @@ impl<'a> BidBrain<'a> {
         tiers: &[AllocView],
     ) -> Vec<AllocationId> {
         let now = provider.now();
+        let prices = provider.spot_prices();
         let expiring: Vec<Expiring> = provider
-            .live_spot()
-            .filter_map(|a| Expiring::due(a, now, provider.spot_price(a.market).unwrap_or(a.bid)))
+            .live_spot_slots()
+            .filter_map(|(a, slot)| Expiring::due(a, now, || prices[slot].1))
             .collect();
         if expiring.is_empty() {
             return Vec::new();

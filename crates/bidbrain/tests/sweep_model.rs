@@ -21,16 +21,22 @@ use proteus_market::{catalog, MarketKey, MarketModel, TraceGenerator};
 use proteus_obs::{BidEvent, Event, Recorder};
 use proteus_simtime::{SimDuration, SimTime};
 
+/// A 17-point δ grid: one full chunk of sweep lanes and one more.
+fn wide_deltas() -> Vec<f64> {
+    (0..17).map(|i| 0.0001 * 1.65f64.powi(i)).collect()
+}
+
 /// Untrained, half-trained (every other market) and fully trained
-/// estimators over the eight paper markets.
-fn estimators() -> &'static [BetaEstimator; 3] {
-    static CELL: OnceLock<[BetaEstimator; 3]> = OnceLock::new();
+/// estimators over the eight paper markets, the last also trained on
+/// [`wide_deltas`].
+fn estimators() -> &'static [BetaEstimator; 4] {
+    static CELL: OnceLock<[BetaEstimator; 4]> = OnceLock::new();
     CELL.get_or_init(|| {
         let markets = catalog::paper_markets();
         let horizon = SimDuration::from_hours(72);
         let traces =
             TraceGenerator::new(5, MarketModel::volatile()).generate_set(&markets, horizon);
-        let trained = |keep: fn(usize) -> bool| {
+        let trained = |keep: fn(usize) -> bool, grid: &[f64]| {
             let mut est = BetaEstimator::new();
             for (i, k) in markets.iter().enumerate().filter(|(i, _)| keep(*i)) {
                 est.train(
@@ -39,16 +45,18 @@ fn estimators() -> &'static [BetaEstimator; 3] {
                     SimTime::EPOCH,
                     SimTime::EPOCH + horizon,
                     SimDuration::from_mins(30),
-                    &BetaEstimator::default_deltas(),
+                    grid,
                 );
                 assert!(est.beta(*k, 0.0001) > 0.0, "market {i} never evicts");
             }
             est
         };
+        let paper = BetaEstimator::default_deltas();
         [
-            trained(|_| false),
-            trained(|i| i & 1 == 0),
-            trained(|_| true),
+            trained(|_| false, &paper),
+            trained(|i| i & 1 == 0, &paper),
+            trained(|_| true, &paper),
+            trained(|_| true, &wide_deltas()),
         ]
     })
 }
@@ -114,12 +122,19 @@ fn scenario(
         max_alloc_instances: [1, 8, 64][(raw >> 24) as usize % 3],
         // The training grid; fleet's on-grid subset (a row aligned by
         // position, not value, misreads it); off the grid; unsorted
-        // with a duplicate.
-        bid_deltas: match (raw >> 2) & 1 | (raw >> 61) & 2 {
+        // with a duplicate; one δ (`proteus_fixed_delta`'s ablation),
+        // on the grid and off it; one full chunk of lanes; one chunk
+        // and one lane more (the wide grid, on it when the estimator is
+        // the wide one).
+        bid_deltas: match (raw >> 2) & 1 | (raw >> 60) & 6 {
             0 => BetaEstimator::default_deltas(),
             1 => vec![0.00005, 0.003, 0.07, 0.33, 0.9],
             2 => vec![0.0001, 0.01, 0.05, 0.4],
-            _ => vec![0.4, 0.0001, 0.4, 0.02],
+            3 => vec![0.4, 0.0001, 0.4, 0.02],
+            4 => vec![0.01],
+            5 => vec![0.0003],
+            6 => wide_deltas()[..16].to_vec(),
+            _ => wide_deltas(),
         },
         min_improvement: [0.0, 0.02][(raw >> 23) as usize % 2],
     };
@@ -129,7 +144,7 @@ fn scenario(
         .filter(|(i, _)| (raw >> (26 + i)) & 1 == 1)
         .map(|(i, m)| (m, 0.02 + ((raw >> (34 + 3 * i)) % 8) as f64 * 0.03))
         .collect();
-    let beta = &estimators()[(raw % 3) as usize];
+    let beta = &estimators()[(raw % 4) as usize];
     (BidBrain::new(params, beta, config), beta, prices)
 }
 

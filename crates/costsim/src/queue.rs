@@ -15,7 +15,7 @@
 //! allocations to their billing-hour ends hoping for eviction refunds.
 
 use proteus_bidbrain::BetaEstimator;
-use proteus_market::{AllocationId, TraceSet, UsageBreakdown};
+use proteus_market::{AllocationId, CloudProvider, TraceSet, UsageBreakdown};
 use proteus_simtime::{SimDuration, SimTime};
 
 use crate::scheme::Scheme;
@@ -53,7 +53,7 @@ pub fn run_job_queue(
     per_job_horizon: SimDuration,
 ) -> QueueOutcome {
     assert!(n_jobs > 0, "a queue needs at least one job");
-    let mut sim = JobSim::new(scheme, traces, beta, start);
+    let mut sim = JobSim::new(scheme, CloudProvider::new(traces), beta, start);
     sim.provision_base();
 
     let mut job_runtimes = Vec::with_capacity(n_jobs);

@@ -15,10 +15,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proteus_market::{
-    AllocationId, CloudProvider, MarketFaultPlan, MarketKey, ProviderEvent, TraceSet,
-    UsageBreakdown,
+    AllocationId, CloudProvider, MarketKey, ProviderEvent, TraceSet, UsageBreakdown,
 };
-use proteus_obs::{CostEvent, Event, MarketEvent, Recorder};
+use proteus_obs::{CostEvent, Event, MarketEvent, Recorder, Unshared};
 use proteus_simtime::{SimDuration, SimTime};
 
 use crate::scheme::{JobSpec, Scheme, SchemeKind};
@@ -55,30 +54,34 @@ pub fn run_job(
     start: SimTime,
     horizon: SimDuration,
 ) -> SimOutcome {
-    run_job_observed(scheme, traces, beta, start, horizon, None, None)
+    run_positioned(
+        scheme,
+        CloudProvider::new(traces),
+        beta,
+        start,
+        horizon,
+        None,
+    )
 }
 
-/// Runs one job with optional provider-side fault regimes (the
-/// fault-regime ablation axis) and an optional observability recorder
-/// attached.
+/// Runs one job on `market`, a provider with any fault plan installed
+/// that has made no request: at the epoch, or already advanced to
+/// `start` (a study positions one per start and hands each scheme's job
+/// a clone of it).
 ///
 /// With a recorder, the run additionally emits `market.*` provider
 /// events, `bid.*` candidate rankings, change-only `market.price_move`
 /// records, and hourly `costsim.sample` records — without one the run
 /// is byte-for-byte the unobserved simulation (recording is passive).
-pub fn run_job_observed(
+pub(crate) fn run_positioned<'a>(
     scheme: &Scheme,
-    traces: &TraceSet,
-    beta: &BetaEstimator,
+    market: CloudProvider<'a>,
+    beta: &'a BetaEstimator,
     start: SimTime,
     horizon: SimDuration,
-    faults: Option<&MarketFaultPlan>,
     obs: Option<Arc<Recorder>>,
 ) -> SimOutcome {
-    let mut sim = JobSim::new(scheme, traces, beta, start);
-    if let Some(plan) = faults {
-        sim.set_fault_plan(plan.clone());
-    }
+    let mut sim = JobSim::new(scheme, market, beta, start);
     if let Some(rec) = obs {
         sim.set_recorder(rec);
     }
@@ -90,6 +93,10 @@ pub fn run_job_observed(
 /// Borrows the trace set and β estimator for its whole lifetime: a
 /// study spawns thousands of `JobSim`s against one shared history, and
 /// cloning either per run dominated study wall-clock time.
+///
+/// A clone is a fork: it runs on exactly as the original would from
+/// the same instant, with no recorder.
+#[derive(Clone)]
 pub(crate) struct JobSim<'a> {
     kind: SchemeKind,
     job: JobSpec,
@@ -127,7 +134,7 @@ pub(crate) struct JobSim<'a> {
     /// Next scheduled adaptive checkpoint commit.
     next_checkpoint: SimTime,
     /// Observability recorder; `None` keeps every step allocation-free.
-    obs: Option<Arc<Recorder>>,
+    obs: Unshared,
     /// Last prices emitted, in market order, for change-only
     /// `PriceMove` events; a slice compare keeps the no-change step on a
     /// branch-only fast path.
@@ -141,9 +148,11 @@ pub(crate) struct JobSim<'a> {
 }
 
 impl<'a> JobSim<'a> {
+    /// A job of `scheme` from `start` on `provider`, which has made no
+    /// request yet.
     pub(crate) fn new(
         scheme: &Scheme,
-        traces: &'a TraceSet,
+        provider: CloudProvider<'a>,
         beta: &'a BetaEstimator,
         start: SimTime,
     ) -> Self {
@@ -192,7 +201,7 @@ impl<'a> JobSim<'a> {
         JobSim {
             kind: scheme.kind.clone(),
             job: scheme.job,
-            provider: CloudProvider::new(traces),
+            provider,
             brain,
             standard: StandardStrategy::new(scheme.job.standard_cores),
             start,
@@ -207,7 +216,7 @@ impl<'a> JobSim<'a> {
             forecaster,
             adaptive_tau,
             next_checkpoint: start + adaptive_tau,
-            obs: None,
+            obs: Unshared::default(),
             obs_last_prices: Vec::new(),
             obs_market_names: Vec::new(),
             obs_next_sample: start,
@@ -228,7 +237,7 @@ impl<'a> JobSim<'a> {
         // emission would dominate the recording overhead.
         let prices = self.provider.spot_prices();
         self.obs_market_names = prices.iter().map(|(m, _)| m.interned_name()).collect();
-        self.obs = Some(rec);
+        self.obs = Unshared(Some(rec));
     }
 
     /// Emits the periodic sample plus change-only price moves, both at
@@ -241,7 +250,7 @@ impl<'a> JobSim<'a> {
     /// (grants, evictions, charges) is still mirrored exactly,
     /// per-event, by the provider.
     fn obs_step(&mut self, now: SimTime) {
-        let Some(rec) = self.obs.as_deref() else {
+        let Some(rec) = self.obs.0.as_deref() else {
             return;
         };
         if now >= self.obs_next_sample {
@@ -303,12 +312,6 @@ impl<'a> JobSim<'a> {
     /// Mutable provider access (teardown orchestration).
     pub(crate) fn provider_mut(&mut self) -> &mut CloudProvider<'a> {
         &mut self.provider
-    }
-
-    /// Installs provider-side fault regimes (capacity caps, throttling,
-    /// boot delays, infant mortality).
-    pub(crate) fn set_fault_plan(&mut self, plan: MarketFaultPlan) {
-        self.provider.set_fault_plan(plan);
     }
 
     /// Starts a fresh work quota for the next job in a queue.
@@ -541,7 +544,7 @@ impl<'a> JobSim<'a> {
                     tier.as_slice(),
                     |_| true,
                     u32::MAX,
-                    self.obs.as_deref(),
+                    self.obs.0.as_deref(),
                 );
                 if let Some((req, grant)) = walk.granted {
                     self.note_acquisition(req.market, grant.granted);
@@ -654,7 +657,12 @@ impl<'a> JobSim<'a> {
     /// Runs to completion (or the horizon), returning the outcome.
     fn run(&mut self, deadline: SimTime) -> SimOutcome {
         self.provision_base();
+        self.run_to(deadline)
+    }
 
+    /// [`run`](Self::run) once the base is provisioned: from the
+    /// current step to completion (or `deadline`), then the settlement.
+    fn run_to(&mut self, deadline: SimTime) -> SimOutcome {
         let (now, completed) = self.run_until_done(deadline);
 
         // Job done: release everything. The paper's accounting does not
@@ -691,7 +699,7 @@ impl<'a> JobSim<'a> {
                 .map(|(market, count)| (market.to_string(), count))
                 .collect(),
         };
-        if let Some(rec) = self.obs.as_deref() {
+        if let Some(rec) = self.obs.0.as_deref() {
             rec.set_now(now);
             rec.record(
                 now,
@@ -720,7 +728,7 @@ pub(crate) fn default_on_demand_market() -> MarketKey {
 mod tests {
     use super::*;
     use crate::scheme::{JobSpec, Scheme, SchemeKind};
-    use proteus_market::{MarketModel, PriceTrace, TraceGenerator};
+    use proteus_market::{MarketFaultPlan, MarketModel, PriceTrace, TraceGenerator};
 
     fn flat_traces(price: f64) -> TraceSet {
         let mut set = TraceSet::new();
@@ -889,6 +897,96 @@ mod tests {
         // Evictions roll back to checkpointed work and the job still
         // finishes inside the horizon.
         assert!(out.completed, "{out:?}");
+    }
+
+    /// A small study's history and trained β, shared by every case.
+    fn study_env() -> &'static crate::study::StudyEnv {
+        static ENV: std::sync::OnceLock<crate::study::StudyEnv> = std::sync::OnceLock::new();
+        ENV.get_or_init(|| {
+            crate::study::StudyEnv::new(crate::study::StudyConfig {
+                seed: 9,
+                train_days: 3,
+                eval_days: 4,
+                starts: 1,
+                ..crate::study::StudyConfig::default()
+            })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A clone of a study job at any decision step is a fork: it and
+        /// its original run on to equal outcomes and byte-equal obs
+        /// timelines (each recorded from the fork on), and the original
+        /// ends as a job never cloned ends, its timeline untouched by
+        /// the fork — with or without market faults, whose draw streams
+        /// the fork must carry too.
+        #[test]
+        fn a_forked_job_runs_on_as_its_original(raw in proptest::prelude::any::<u64>()) {
+            let env = study_env();
+            let kind = match raw % 5 {
+                0 => SchemeKind::AllOnDemand { machines: 128 },
+                1 => SchemeKind::paper_checkpoint(),
+                2 => SchemeKind::paper_adaptive_checkpoint(),
+                3 => SchemeKind::paper_standard_agileml(),
+                _ => SchemeKind::paper_proteus(),
+            };
+            let scheme = Scheme {
+                kind,
+                job: JobSpec::cluster_b_job(2.0, env.on_demand_market),
+            };
+            let start =
+                SimTime::from_hours(24 * 3) + SimDuration::from_mins((raw >> 3) % (24 * 60 * 3));
+            let faults = (raw >> 20 & 1 == 1).then(|| {
+                MarketFaultPlan::new(raw >> 21)
+                    .with_throttle(0.2, SimDuration::from_mins(3))
+                    .with_boot_delay(SimDuration::from_secs(30), SimDuration::from_mins(5))
+                    .with_infant_mortality(0.2, SimDuration::from_hours(1))
+            });
+            let job = || {
+                let mut market = CloudProvider::new(&env.traces);
+                if let Some(plan) = &faults {
+                    market.set_fault_plan(plan.clone());
+                }
+                let mut sim = JobSim::new(&scheme, market, &env.beta, start);
+                sim.provision_base();
+                sim
+            };
+            let record = |sim: &mut JobSim<'_>| {
+                let rec = Arc::new(Recorder::new());
+                sim.set_recorder(Arc::clone(&rec));
+                rec
+            };
+            let deadline = start + SimDuration::from_hours(48);
+            let mut whole = job();
+            let whole_rec = record(&mut whole);
+            let whole = whole.run_to(deadline);
+            let steps = whole.runtime.as_millis() / DECISION_STEP.as_millis();
+            let fork_at = start
+                + SimDuration::from_millis(DECISION_STEP.as_millis() * (1 + (raw >> 40) % (steps - 1)));
+
+            // Fork, then record both from the fork on.
+            let mut original = job();
+            let (now, done) = original.run_until_done(fork_at);
+            proptest::prop_assert_eq!((now, done), (fork_at, false));
+            let mut fork = original.clone();
+            let (original_rec, fork_rec) = (record(&mut original), record(&mut fork));
+            let forked = fork.run_to(deadline);
+            let continued = original.run_to(deadline);
+            proptest::prop_assert_eq!(&forked, &continued);
+            proptest::prop_assert_eq!(fork_rec.to_jsonl(), original_rec.to_jsonl());
+            proptest::prop_assert_eq!(&continued, &whole);
+
+            // Recorded from its start, an original whose fork ran to the
+            // end first has the timeline of a job never cloned.
+            let mut original = job();
+            let original_rec = record(&mut original);
+            original.run_until_done(fork_at);
+            original.clone().run_to(deadline);
+            proptest::prop_assert_eq!(&original.run_to(deadline), &whole);
+            proptest::prop_assert_eq!(original_rec.to_jsonl(), whole_rec.to_jsonl());
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use proteus_bidbrain::BetaEstimator;
 use proteus_market::{
-    catalog, MarketFaultPlan, MarketModel, TraceGenerator, TraceSet, UsageBreakdown,
+    catalog, CloudProvider, MarketFaultPlan, MarketModel, TraceGenerator, TraceSet, UsageBreakdown,
 };
 use proteus_simtime::rng::seeded_stream;
 use proteus_simtime::{SimDuration, SimTime};
@@ -20,7 +20,7 @@ use proteus_obs::{CostEvent, Event, Recorder};
 
 use crate::executor::StudyExecutor;
 use crate::scheme::{JobSpec, Scheme, SchemeKind};
-use crate::sim::{run_job_observed, SimOutcome};
+use crate::sim::{run_positioned, SimOutcome};
 use std::sync::{Arc, OnceLock};
 
 /// Study parameters.
@@ -186,12 +186,17 @@ impl StudyEnv {
                 kind: SchemeKind::AllOnDemand { machines: 128 },
                 job: self.job(),
             };
-            self.run_one(&scheme, self.starts[0], None)
+            let start = self.starts[0];
+            self.run_from(&scheme, self.market_at(start), start, None)
         })
     }
 
     /// Aggregates per-start outcomes (in start order) into a result.
-    fn aggregate(&self, kind: &SchemeKind, outcomes: &[SimOutcome]) -> StudyResult {
+    fn aggregate<'o>(
+        &self,
+        kind: &SchemeKind,
+        outcomes: impl ExactSizeIterator<Item = &'o SimOutcome>,
+    ) -> StudyResult {
         let baseline = self.on_demand_baseline().cost;
         let mut costs: Vec<f64> = Vec::with_capacity(outcomes.len());
         let mut runtime_sum = 0.0;
@@ -205,7 +210,7 @@ impl StudyEnv {
             usage.accumulate(&out.usage);
             completed += usize::from(out.completed);
         }
-        let n = outcomes.len() as f64;
+        let n = costs.len() as f64;
         let cost_sum: f64 = costs.iter().sum();
         // Costs come from the billing account, which only ever adds
         // finite trace prices.
@@ -238,18 +243,17 @@ impl StudyEnv {
     /// start order, so the output is identical to [`Self::run_scheme`]
     /// whatever the thread count.
     pub fn run_scheme_with(&self, kind: SchemeKind, exec: &StudyExecutor) -> StudyResult {
-        let (mut results, ()) = self.fan_out(&[kind], exec, |scheme, start, _| {
-            (self.run_one(scheme, start, None), ())
+        let (mut results, ()) = self.fan_out(&[kind], exec, |scheme, market, start, _| {
+            (self.run_from(scheme, market, start, None), ())
         });
         results.remove(0)
     }
 
-    /// Runs the four-scheme comparison, fanning every `(scheme, start)`
-    /// pair over `exec`'s pool as one flat task set so the pool stays
-    /// saturated across scheme boundaries.
+    /// Runs the four-scheme comparison, fanning the starts over `exec`'s
+    /// pool: one task per start runs its four schemes' jobs.
     pub fn run_comparison_with(&self, exec: &StudyExecutor) -> Vec<StudyResult> {
-        let (results, ()) = self.fan_out(&paper_schemes(), exec, |scheme, start, _| {
-            (self.run_one(scheme, start, None), ())
+        let (results, ()) = self.fan_out(&paper_schemes(), exec, |scheme, market, start, _| {
+            (self.run_from(scheme, market, start, None), ())
         });
         results
     }
@@ -263,7 +267,7 @@ impl StudyEnv {
         &self,
         exec: &StudyExecutor,
     ) -> (Vec<StudyResult>, Vec<Arc<Recorder>>) {
-        self.fan_out(&paper_schemes(), exec, |scheme, start, t| {
+        self.fan_out(&paper_schemes(), exec, |scheme, market, start, t| {
             let rec = Arc::new(Recorder::new());
             rec.record(
                 start,
@@ -273,20 +277,25 @@ impl StudyEnv {
                     start_ms: start.as_millis(),
                 }),
             );
-            (self.run_one(scheme, start, Some(Arc::clone(&rec))), rec)
+            (
+                self.run_from(scheme, market, start, Some(Arc::clone(&rec))),
+                rec,
+            )
         })
     }
 
-    /// Simulates every `(scheme, start)` pair over `exec`'s pool as one
-    /// flat task set, task `t` being scheme `t / starts` from start
-    /// `t % starts`, and aggregates each scheme's outcomes in start
-    /// order. `run` simulates one task; what it returns beside the
-    /// outcome comes back in task order.
+    /// Simulates every `(scheme, start)` pair over `exec`'s pool, one
+    /// task per start: the start's market is positioned once and each
+    /// scheme's job runs on a clone of it. Task `t` is scheme
+    /// `t / starts` from start `t % starts`; each scheme's outcomes are
+    /// aggregated in start order. `run` simulates one task on its
+    /// market; what it returns beside the outcome comes back in task
+    /// order.
     fn fan_out<T: Send + Sync, C: Default + Extend<T>>(
         &self,
         kinds: &[SchemeKind],
         exec: &StudyExecutor,
-        run: impl Fn(&Scheme, SimTime, usize) -> (SimOutcome, T) + Sync,
+        run: impl Fn(&Scheme, CloudProvider<'_>, SimTime, usize) -> (SimOutcome, T) + Sync,
     ) -> (Vec<StudyResult>, C) {
         // Warm the shared baseline before fanning out so workers never
         // race to simulate it.
@@ -299,27 +308,53 @@ impl StudyEnv {
             })
             .collect();
         let n = self.starts.len();
-        let tasks = exec.run_indexed(kinds.len() * n, |t| {
-            run(&schemes[t / n], self.starts[t % n], t)
+        let per_start = exec.run_indexed(n, |i| {
+            let start = self.starts[i];
+            let market = self.market_at(start);
+            (schemes.iter().enumerate())
+                .map(|(s, scheme)| run(scheme, market.clone(), start, s * n + i))
+                .collect::<Vec<_>>()
         });
-        let (outcomes, kept): (Vec<SimOutcome>, C) = tasks.into_iter().unzip();
         let results = (kinds.iter().enumerate())
-            .map(|(s, kind)| self.aggregate(kind, &outcomes[s * n..(s + 1) * n]))
+            .map(|(s, kind)| self.aggregate(kind, per_start.iter().map(|jobs| &jobs[s].0)))
             .collect();
+        // Task order: every start of the first scheme, then the next.
+        let mut columns: Vec<_> = (per_start.into_iter())
+            .map(|jobs| jobs.into_iter().map(|(_, kept)| kept))
+            .collect();
+        let mut kept = C::default();
+        for _ in kinds {
+            kept.extend(columns.iter_mut().filter_map(Iterator::next));
+        }
         (results, kept)
     }
 
-    /// Simulates one job of this study, recording onto `rec` if given.
-    fn run_one(&self, scheme: &Scheme, start: SimTime, rec: Option<Arc<Recorder>>) -> SimOutcome {
-        run_job_observed(
-            scheme,
-            &self.traces,
-            &self.beta,
-            start,
-            self.horizon(),
-            self.config.market_faults.as_ref(),
-            rec,
-        )
+    /// Simulates one job of this study from `start` on `market`,
+    /// [`market_at`](Self::market_at)`(start)` or a clone of it,
+    /// recording onto `rec` if given.
+    fn run_from(
+        &self,
+        scheme: &Scheme,
+        market: CloudProvider<'_>,
+        start: SimTime,
+        rec: Option<Arc<Recorder>>,
+    ) -> SimOutcome {
+        run_positioned(scheme, market, &self.beta, start, self.horizon(), rec)
+    }
+
+    /// This study's market at `start`, with its fault plan installed:
+    /// what every scheme's job sees until its first request, since
+    /// nothing before a request draws from the plan's streams.
+    fn market_at(&self, start: SimTime) -> CloudProvider<'_> {
+        let mut market = CloudProvider::new(&self.traces);
+        if let Some(plan) = &self.config.market_faults {
+            market.set_fault_plan(plan.clone());
+        }
+        // The provider starts at the epoch, and a start is not earlier;
+        // `advance_to` only errors on time moving backwards.
+        #[allow(clippy::expect_used)]
+        market.advance_to(start).expect("time moves forward");
+        market
     }
 
     /// [`Self::run_comparison_recorders`] plus the export: the per-job

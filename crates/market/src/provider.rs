@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use proteus_obs::{Event, MarketEvent, Recorder};
+use proteus_obs::{Event, MarketEvent, Recorder, Unshared};
 use proteus_simtime::{SimDuration, SimTime};
 
 use crate::billing::{BillingAccount, LedgerEntry, LedgerKind};
@@ -38,7 +38,7 @@ impl fmt::Display for AllocationId {
 
 /// The provider's own record of a spot allocation: the tenant-visible
 /// view plus its fault fate, which a tenant must never see.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SpotLease {
     alloc: SpotAllocation,
     /// Its market's slot in the trace set (and the price cursor),
@@ -124,6 +124,11 @@ pub enum ProviderEvent {
 /// cost-study engine runs thousands of simulations against a single
 /// generated history) or an owned `TraceSet` for a self-contained
 /// provider.
+///
+/// A clone is a fork: the same instant, prices, leases, ledger, tally
+/// and fault draw streams, so it goes on exactly as the original would,
+/// with no recorder.
+#[derive(Clone)]
 pub struct CloudProvider<'a> {
     traces: std::borrow::Cow<'a, TraceSet>,
     now: SimTime,
@@ -142,7 +147,7 @@ pub struct CloudProvider<'a> {
     /// Observability sink; `None` (the default) records nothing and
     /// costs one branch per decision point. Recording is passive — it
     /// never changes a grant, a draw, or a bill.
-    obs: Option<Arc<Recorder>>,
+    obs: Unshared,
 }
 
 impl<'a> CloudProvider<'a> {
@@ -170,7 +175,7 @@ impl<'a> CloudProvider<'a> {
             warning_lead,
             faults: None,
             tally: MarketTally::default(),
-            obs: None,
+            obs: Unshared::default(),
         }
     }
 
@@ -178,14 +183,14 @@ impl<'a> CloudProvider<'a> {
     /// refusals, evictions, billing line items) is mirrored onto its
     /// timeline.
     pub fn set_recorder(&mut self, rec: Arc<Recorder>) {
-        self.obs = Some(rec);
+        self.obs = Unshared(Some(rec));
     }
 
     /// Emits one happening at `t`: always applied to the tally, then
     /// mirrored to the recorder if one is attached.
     fn emit(&mut self, t: SimTime, h: Happened) {
         self.tally.apply(&h);
-        if let Some(rec) = self.obs.as_deref() {
+        if let Some(rec) = self.obs.0.as_deref() {
             rec.record(t, Event::Market(h.to_obs()));
         }
     }
@@ -257,6 +262,13 @@ impl<'a> CloudProvider<'a> {
     /// step that only scans or sums its holdings copies nothing.
     pub fn live_spot(&self) -> impl Iterator<Item = &SpotAllocation> + '_ {
         self.spot.values().map(|l| &l.alloc)
+    }
+
+    /// [`live_spot`](Self::live_spot), each allocation with its market's
+    /// slot: its position in [`spot_prices`](Self::spot_prices), so a
+    /// caller reads its price now with no market lookup.
+    pub fn live_spot_slots(&self) -> impl Iterator<Item = (&SpotAllocation, usize)> + '_ {
+        self.spot.values().map(|l| (&l.alloc, l.slot))
     }
 
     /// Dollars of `id`'s current billing hour paid for but not yet used
@@ -575,7 +587,7 @@ impl<'a> CloudProvider<'a> {
         amount: f64,
         events: &mut Vec<(SimTime, ProviderEvent)>,
     ) {
-        if let Some(rec) = self.obs.as_deref() {
+        if let Some(rec) = self.obs.0.as_deref() {
             let charged = MarketEvent::HourCharged {
                 allocation: allocation.0,
                 amount,

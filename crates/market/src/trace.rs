@@ -272,30 +272,43 @@ pub(crate) struct PriceCursor {
     prices: Vec<(MarketKey, f64)>,
     /// Per slot, the index of the trace point `prices` holds.
     points: Vec<usize>,
+    /// Per slot, when its price next changes: the time of the point
+    /// after `points[slot]`, or [`NEVER`] past the trace's last one.
+    /// Contiguous, so a step that moves no market reads one line.
+    next: Vec<SimTime>,
 }
+
+/// A "next change" that never comes: the slot is on its trace's last
+/// point.
+const NEVER: SimTime = SimTime::from_millis(u64::MAX);
 
 impl PriceCursor {
     /// A cursor at the epoch.
     pub(crate) fn new(set: &TraceSet) -> Self {
+        let traces = || set.traces.iter().map(|(k, t)| (k, &t.points));
         PriceCursor {
             at: SimTime::EPOCH,
-            prices: set
-                .traces
-                .iter()
-                .map(|(k, t)| (*k, t.points[0].1))
-                .collect(),
+            prices: traces().map(|(k, points)| (*k, points[0].1)).collect(),
             points: vec![0; set.traces.len()],
+            next: traces().map(|(_, points)| next_change(points, 0)).collect(),
         }
     }
 
     /// Moves every market forward to `t` (not earlier than the cursor).
+    /// Only a slot whose next change is due at `t` seeks its trace; any
+    /// other costs one compare.
     pub(crate) fn advance(&mut self, set: &TraceSet, t: SimTime) {
         debug_assert!(t >= self.at, "a price cursor only moves forward");
         self.at = t;
-        let slots = self.prices.iter_mut().zip(&mut self.points);
-        for ((_, trace), ((_, price), point)) in set.traces.iter().zip(slots) {
-            *point = trace.seek(*point, t);
-            *price = trace.points[*point].1;
+        for (slot, next) in self.next.iter_mut().enumerate() {
+            if *next > t {
+                continue;
+            }
+            let trace = &set.traces[slot].1;
+            let point = trace.seek(self.points[slot], t);
+            self.points[slot] = point;
+            self.prices[slot].1 = trace.points[point].1;
+            *next = next_change(&trace.points, point);
         }
     }
 
@@ -317,6 +330,11 @@ impl PriceCursor {
             .1
             .crossing_from(self.points[slot], bid, self.at, horizon)
     }
+}
+
+/// When the price of `points` next changes after point `point`.
+fn next_change(points: &[(SimTime, f64)], point: usize) -> SimTime {
+    points.get(point + 1).map_or(NEVER, |&(t, _)| t)
 }
 
 // Borrow-or-own conversions so consumers (notably `CloudProvider`) can
@@ -481,6 +499,52 @@ mod tests {
                 t += SimDuration::from_mins(step);
                 at = trace.seek(at, t);
                 proptest::prop_assert_eq!(at, trace.index_at(t));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// A cursor over several random traces, walked forward by random
+        /// moves (small steps, multi-day jumps, and jumps landing exactly
+        /// on some slot's next change point), holds every slot's
+        /// `price_at` and scans each slot's crossings as a fresh search
+        /// does.
+        #[test]
+        fn cursor_walk_is_price_at(
+            gaps in proptest::collection::vec(proptest::collection::vec(1u64..180, 0..120), 1..6),
+            moves in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..64),
+        ) {
+            let mut set = TraceSet::new();
+            for (i, gaps) in gaps.iter().enumerate() {
+                set.insert(MarketKey::new(i, Zone(0)), with_gaps(gaps));
+            }
+            let traces: Vec<&PriceTrace> = set.traces.iter().map(|(_, t)| t).collect();
+            let mut cursor = PriceCursor::new(&set);
+            let mut t = SimTime::EPOCH;
+            for raw in moves {
+                t = match raw % 4 {
+                    0 => t + SimDuration::from_millis(raw >> 2 & 0xfffff),
+                    1 => t + SimDuration::from_hours(24 + (raw >> 2) % 72),
+                    // The next change of slot `raw >> 2`, if it has one.
+                    _ => {
+                        let points = traces[(raw >> 2) as usize % traces.len()].points();
+                        points.iter().map(|&(ct, _)| ct).find(|&ct| ct > t).unwrap_or(t)
+                    }
+                };
+                cursor.advance(&set, t);
+                for (slot, trace) in traces.iter().enumerate() {
+                    proptest::prop_assert_eq!(cursor.prices()[slot].1, trace.price_at(t));
+                    // Each slot knows its next change, so only a due one
+                    // is sought at the next move.
+                    let next = trace.points().iter().map(|&(ct, _)| ct).find(|&ct| ct > t);
+                    proptest::prop_assert_eq!(cursor.next[slot], next.unwrap_or(NEVER));
+                    let bid = 0.055 + (raw >> 8) as f64 % 40.0 * 0.01;
+                    let horizon = t + SimDuration::from_hours(raw >> 20 & 7);
+                    proptest::prop_assert_eq!(
+                        cursor.first_crossing_above(&set, slot, bid, horizon),
+                        trace.first_crossing_above(bid, t, horizon)
+                    );
+                }
             }
         }
     }

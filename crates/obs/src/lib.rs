@@ -60,7 +60,7 @@ mod timeline;
 
 pub use event::{AgileEvent, BidEvent, CostEvent, Event, FleetEvent, MarketEvent, SessionEvent};
 pub use jsonl::export_path;
-pub use recorder::Recorder;
+pub use recorder::{Recorder, Unshared};
 pub use timeline::{TimedEvent, Timeline};
 
 /// Environment variable naming the JSONL export file for study/session

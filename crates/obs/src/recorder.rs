@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use proteus_simtime::SimTime;
 
@@ -30,6 +30,19 @@ pub struct Recorder {
     /// Sim "now" in millis, advanced by whoever owns the sim clock and
     /// read by components that only see wall time.
     clock: AtomicU64,
+}
+
+/// A simulation's optional recorder, which a clone does not inherit: a
+/// clone of the state that holds it is a fork, and what a fork does is
+/// not its original's timeline. A fork starts with none; a caller that
+/// wants it recorded attaches a fresh recorder.
+#[derive(Default)]
+pub struct Unshared(pub Option<Arc<Recorder>>);
+
+impl Clone for Unshared {
+    fn clone(&self) -> Self {
+        Unshared(None)
+    }
 }
 
 impl Recorder {

@@ -23,6 +23,16 @@ for script in scripts/*.sh; do
   bash -n "$script"
 done
 
+# The profiler's layer fold, on a canned stack set: rustc's
+# `library/stdarch/crates/` and a sibling checkout are not crates, a
+# `std` frame goes to its nearest repository caller, `benchmark/src`
+# is the harness.
+echo "==> scripts/layers.py on scripts/fixtures/layers.stacks"
+for mode in crate file; do
+  python3 scripts/layers.py /work/repo "$mode" <scripts/fixtures/layers.stacks |
+    diff -u "scripts/fixtures/layers.$mode.txt" -
+done
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

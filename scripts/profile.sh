@@ -37,6 +37,16 @@
 # (building the benchmark rewrites `benchmark/Cargo.lock`; check it out
 # again afterwards).
 #
+# With PROFILE_LAYERS=crate (or =file), it first prints the layer table
+# of `scripts/layers.py`: each sample goes to the innermost frame whose
+# source file lies under the repository's `crates/<name>/src/` (its
+# crate, or its file), `benchmark/src` frames are the `harness`, and the
+# sample count heads the table. The repository is the nearest directory
+# above BIN that holds a `crates/` directory (this script's own
+# otherwise), so a parent's build in another checkout folds against
+# that checkout. It reads the same line tables as PROFILE_INLINE: with
+# none, every sample is `[outside]`.
+#
 # BIN's own output goes to stderr, so the table is all that stdout
 # holds. Example, a benchmark workload from the repository root:
 #
@@ -54,6 +64,13 @@ for tool in gcc llvm-symbolizer readelf python3; do
     exit 2
   fi
 done
+
+scripts=$(cd "$(dirname "$0")" && pwd)
+root=$(dirname "$(readlink -f "$(command -v "$1")")")
+while [ "$root" != / ] && [ ! -d "$root/crates" ]; do
+  root=$(dirname "$root")
+done
+[ "$root" = / ] && root=$(dirname "$scripts")
 
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
@@ -147,10 +164,15 @@ gcc -O2 -shared -fPIC -o "$dir/sampler.so" "$dir/sampler.c"
 mkdir "$dir/out"
 PROFILE_DIR="$dir/out" LD_PRELOAD="$dir/sampler.so" "$@" >&2
 
-python3 - "$dir/out" "${PROFILE_TOP:-40}" "${PROFILE_INLINE:-0}" <<'EOF'
+python3 - "$dir/out" "${PROFILE_TOP:-40}" "${PROFILE_INLINE:-0}" "${PROFILE_LAYERS:-}" \
+  "$root" "$scripts" <<'EOF'
 import bisect, collections, glob, os, re, subprocess, sys
 
 out_dir, top, inline = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"
+layers, root = sys.argv[4], sys.argv[5]
+if layers not in ("", "crate", "file"):
+    sys.exit("error: PROFILE_LAYERS is crate or file, not %r" % layers)
+sys.path.insert(0, sys.argv[6])
 FOLDED = re.compile(r"^(libc[.-]|ld-linux|libm[.-]|libgcc_s|libpthread)")
 MANGLE = [("$LT$", "<"), ("$GT$", ">"), ("$RF$", "&"), ("$BP$", "*"), ("$C$", ","),
           ("$u20$", " "), ("$u27$", "'"), ("$u5b$", "["), ("$u5d$", "]"),
@@ -226,17 +248,21 @@ def frame(fn, loc, base):
     return "%s @ %s:%s" % (clean(fn), "/".join(path.split("/")[-3:]), line)
 
 names = {}  # per address, its frames, innermost first
+files = {}  # per address, its frames' source files, innermost first
 for module, addrs in wanted.items():
     addrs = sorted(addrs)
     args = ["llvm-symbolizer", "--obj=" + module, "--functions=linkage", "--demangle"]
     text = subprocess.run(
-        args + ([] if inline else ["--no-inlines"]),
+        args + ([] if inline or layers else ["--no-inlines"]),
         input="".join("0x%x\n" % a for a in addrs), capture_output=True, text=True).stdout
     blocks = [b for b in text.split("\n\n") if b.strip()]
     base = os.path.basename(module)
     for a, block in zip(addrs, blocks):
         lines = block.strip().splitlines()
-        names[(module, a)] = [frame(fn, loc, base) for fn, loc in zip(lines[::2], lines[1::2])]
+        chain = list(zip(lines[::2], lines[1::2]))
+        files[(module, a)] = [loc.rsplit(":", 2)[0] for _, loc in chain]
+        # Without PROFILE_INLINE an address is its physical function.
+        names[(module, a)] = [frame(fn, loc, base) for fn, loc in (chain if inline else chain[-1:])]
 
 self_count, incl = collections.Counter(), collections.Counter()
 callers = collections.defaultdict(collections.Counter)
@@ -259,6 +285,12 @@ for stack in stacks:
 total = len(stacks)
 if total == 0:
     sys.exit("error: no samples (did the program run long enough?)")
+if layers:
+    sys.dont_write_bytecode = True
+    import layers as fold
+    paths = [[p for f in stack for p in files[f]] for stack in stacks]
+    print(fold.render(*fold.fold(paths, root, layers), layers))
+    print()
 print("%d samples, %.1f %% with a call stack" % (total, 100.0 * unwound / total))
 print("%8s %8s  %s" % ("incl %", "self %", "function"))
 for fn, n in incl.most_common(top):
