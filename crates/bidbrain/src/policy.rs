@@ -181,6 +181,10 @@ struct Term {
 /// bid-delta row is swept in chunks of this many.
 const LANES: usize = 16;
 
+/// [`Bound`]'s slack on the gate: `1 + 2⁻⁴⁰`, exact in binary and far
+/// above the `(1 − 2⁻⁵³)⁻²` that two roundings need.
+const PRUNE_K: f64 = 1.0 + 1.0 / (1u64 << 40) as f64;
+
 /// A standing footprint's [`Term`]s with their running survival
 /// product, cost sum and core sum, and λ and σ in hours: everything in
 /// Eqs. 1–3 that one more allocation cannot change.
@@ -194,17 +198,146 @@ pub(crate) struct Terms {
     sigma: f64,
 }
 
-/// `N` candidate allocations that differ only in their eviction inputs:
-/// one market's count, price, hours and ν, with each lane's `β` and
-/// time to eviction in hours (already capped at `hours`).
+/// What every candidate of one market shares: its count, price, hours
+/// and ν.
 #[derive(Debug, Clone, Copy)]
-struct Candidates<const N: usize> {
-    beta: [f64; N],
-    tte: [f64; N],
+struct Fresh {
     price: f64,
     count: f64,
     work_rate: f64,
     hours: f64,
+}
+
+impl Fresh {
+    /// One lane's own share of Eqs. 1–2 beside `terms`, at eviction
+    /// inputs `beta` and `tte`: the group's eviction probability, the
+    /// combined Eq. 1 cost and the candidate's ω. [`BidBrain::lanes`]
+    /// and [`Bound::cannot_pass`] both run it, so they agree bit for
+    /// bit.
+    #[inline(always)]
+    fn lane(&self, terms: &Terms, beta: f64, tte: f64) -> (f64, f64, f64) {
+        let survive = 1.0 - beta;
+        // Group eviction probability: 1 − Π(1 − βj).
+        let p_any_eviction = 1.0 - terms.survive * survive;
+        // Eq. 1: evicted hours are refunded.
+        let cost = terms.cost + survive * self.price * self.count * self.hours;
+        let omega = survive * self.hours + beta * tte;
+        (p_any_eviction, cost, omega)
+    }
+}
+
+/// Eq. 2 and 3's work of one allocation of `count` instances at `ν =
+/// work_rate`: `k·Δt·ν` with `Δt = ω − P(any eviction)·λ − σ`, clamped
+/// at zero.
+#[inline(always)]
+fn work(
+    count: f64,
+    omega: f64,
+    work_rate: f64,
+    p_any_eviction: f64,
+    (lambda, sigma): (f64, f64),
+) -> f64 {
+    let dt = omega - p_any_eviction * lambda - sigma;
+    count * dt.max(0.0) * work_rate
+}
+
+/// A lower bound on every sweep lane's Eq. 4 score, against which a δ
+/// chunk whose lanes all score at or above the gate is skipped unscored.
+/// One per decision: `bar = fl(gate·K)` with `K` = [`PRUNE_K`], and
+/// `held`, the held terms' Eq. 2–3 work folded at the incumbent's own
+/// eviction probability `p₀ = 1 − S`, with σ, in footprint order.
+///
+/// **Held work from above.** With `S ≥ 0`, `p = 1 − S·(1 − β)` is
+/// non-decreasing in β under IEEE rounding, so a lane with `β ≥ 0` has
+/// `p_l ≥ p₀`. Each step of a held term's work — `p·λ` (λ ≥ 0), `ω − ·`,
+/// `− σ`, `max(·, 0)` (which maps NaN to zero, the least value), `k·` and
+/// `·ν` (k ≥ 0, ν finite and ≥ 0) — is monotone under round-to-nearest,
+/// so each term's work at `p₀` is at least its work at `p_l`, and so is
+/// `held`, folded in the same order, at least the lane's held sum `H_l`.
+/// `p₀` is finite, so `p₀·λ` is never the NaN that `max` would clamp.
+///
+/// **The candidate exactly.** A lane's cost, `p_l` and candidate work
+/// `C_l` run [`Fresh::lane`] and [`work`], `lanes`' own steps, so they
+/// are its bits. Then `w_l = fl(held + C_l) ≥ fl(H_l + C_l) = s_l` and
+/// `U_l = fl(w_l·φ) ≥ fl(s_l·φ) = W_l`, the lane's Eq. 3 work.
+///
+/// **The gate without dividing.** If `w_l ≤ 0` then `W_l ≤ 0` and the
+/// lane scores +∞. Otherwise the test is `cost_l ≥ t` with `t =
+/// fl(bar·U_l)` normal and `cost_l` finite. Each of the two roundings
+/// (`bar`'s and `t`'s) loses at most a factor `1 − 2⁻⁵³` in the normal
+/// range and `K·(1 − 2⁻⁵³)² > 1`, so `cost_l ≥ t ≥ gate·U_l ≥ gate·W_l`
+/// as real numbers. Then `cost_l / W_l ≥ gate` exactly, and rounding the
+/// quotient cannot take it below the representable `gate`: the lane's
+/// score is finite and at least the gate. `U_l` rounds the product
+/// `W_l` rounds, from a larger operand, so it needs no slack, and no
+/// floor against subnormals either, which a `fl(gate·φ·K)·w_l` form
+/// would. A NaN anywhere fails a comparison and means "might pass".
+///
+/// Folding at the row's least β instead of at β = 0 is tighter, but
+/// costs a fold per market: at seed 555 of `cost_study` it skipped 92.0 %
+/// of the market passes where this skips 90.6 %.
+#[derive(Debug, Clone, Copy)]
+struct Bound {
+    bar: f64,
+    held: f64,
+}
+
+impl Bound {
+    /// The bound of a decision whose footprint is `terms`, or `None`
+    /// where the argument does not hold: an incumbent that is not finite
+    /// (then anything passes), a `gate·K` outside the positive normal
+    /// range, a survival product outside `[0, ∞)`, or a held ν that is.
+    fn new(terms: &Terms, current_score: f64, gate: f64) -> Option<Bound> {
+        let bar = gate * PRUNE_K;
+        let sound = current_score.is_finite()
+            && (f64::MIN_POSITIVE..f64::INFINITY).contains(&bar)
+            && (0.0..f64::INFINITY).contains(&terms.survive)
+            && terms
+                .each
+                .iter()
+                .all(|t| (0.0..f64::INFINITY).contains(&t.work_rate));
+        if !sound {
+            return None;
+        }
+        let p0 = 1.0 - terms.survive;
+        let mut held = 0.0;
+        for t in &terms.each {
+            held += work(
+                t.count,
+                t.omega,
+                t.work_rate,
+                p0,
+                (terms.lambda, terms.sigma),
+            );
+        }
+        Some(Bound { bar, held })
+    }
+
+    /// Whether no lane of `rows` can pass the gate: each `(β, tte)` as a
+    /// candidate of `fresh` at φ `phi`, as [`BidBrain::lanes`] scores it
+    /// with `changing` beside `terms`, the footprint the bound was made
+    /// for. Stops at the first lane that might pass.
+    fn cannot_pass(&self, terms: &Terms, fresh: &Fresh, rows: &[(f64, f64)], phi: f64) -> bool {
+        phi > 0.0
+            && rows.iter().all(|&(beta, tte)| {
+                let (p, cost, omega) = fresh.lane(terms, beta, tte);
+                let overheads = (terms.lambda, terms.sigma);
+                let w = self.held + work(fresh.count, omega, fresh.work_rate, p, overheads);
+                let t = self.bar * (w * phi);
+                beta >= 0.0
+                    && (w <= 0.0 || (t >= f64::MIN_POSITIVE && cost >= t && cost < f64::INFINITY))
+            })
+    }
+}
+
+/// `N` candidate allocations that differ only in their eviction inputs:
+/// one [`Fresh`] holding, with each lane's `β` and time to eviction in
+/// hours (already capped at `hours`).
+#[derive(Debug, Clone, Copy)]
+struct Candidates<const N: usize> {
+    beta: [f64; N],
+    tte: [f64; N],
+    fresh: Fresh,
 }
 
 impl Candidates<1> {
@@ -215,10 +348,12 @@ impl Candidates<1> {
     const NONE: Candidates<1> = Candidates {
         beta: [0.0],
         tte: [0.0],
-        price: 0.0,
-        count: 0.0,
-        work_rate: 0.0,
-        hours: 0.0,
+        fresh: Fresh {
+            price: 0.0,
+            count: 0.0,
+            work_rate: 0.0,
+            hours: 0.0,
+        },
     };
 }
 
@@ -387,28 +522,19 @@ impl<'a> BidBrain<'a> {
         let mut cost = [0.0; N];
         let mut omega = [0.0; N];
         for l in 0..N {
-            let survive = 1.0 - c.beta[l];
-            // Group eviction probability: 1 − Π(1 − βj).
-            p_any_eviction[l] = 1.0 - terms.survive * survive;
-            // Eq. 1: evicted hours are refunded.
-            cost[l] = terms.cost + survive * c.price * c.count * c.hours;
-            omega[l] = survive * c.hours + c.beta[l] * c.tte[l];
+            (p_any_eviction[l], cost[l], omega[l]) = c.fresh.lane(terms, c.beta[l], c.tte[l]);
         }
-        // Eq. 2: Δtᵢ = ωᵢ − P(any eviction)·λ − σ, σ only while
-        // changing (`x − 0.0` is `x`, bit for bit); as work, `k·Δt·ν`.
-        let sigma = if changing { terms.sigma } else { 0.0 };
-        let work = |count: f64, omega: f64, work_rate: f64, p_any_eviction: f64| {
-            let dt = omega - p_any_eviction * terms.lambda - sigma;
-            count * dt.max(0.0) * work_rate
-        };
+        // Eq. 2's σ only while changing (`x − 0.0` is `x`, bit for bit).
+        let overheads = (terms.lambda, if changing { terms.sigma } else { 0.0 });
         let mut sum = [0.0; N];
         for t in &terms.each {
             for l in 0..N {
-                sum[l] += work(t.count, t.omega, t.work_rate, p_any_eviction[l]);
+                sum[l] += work(t.count, t.omega, t.work_rate, p_any_eviction[l], overheads);
             }
         }
+        let f = &c.fresh;
         for l in 0..N {
-            sum[l] += work(c.count, omega[l], c.work_rate, p_any_eviction[l]);
+            sum[l] += work(f.count, omega[l], f.work_rate, p_any_eviction[l], overheads);
             // Eq. 3: scale by the application's scalability coefficient φ.
             sum[l] *= phi;
         }
@@ -518,6 +644,7 @@ impl<'a> BidBrain<'a> {
         // work) is monotone in the score, so filtering per market's best
         // is equivalent to gating only the global best.
         let gate = current_score * (1.0 - self.config.min_improvement);
+        let bound = Bound::new(terms, current_score, gate);
 
         let mut scratch = [(0.0, 0.0); LANES];
         // φ of the last market's combined core count: markets of one
@@ -539,16 +666,36 @@ impl<'a> BidBrain<'a> {
             let mut candidates = Candidates {
                 beta: [0.0; LANES],
                 tte: [0.0; LANES],
-                price,
-                count: f64::from(count),
-                work_rate: f64::from(vcpus),
-                hours: HOUR.as_hours_f64(),
+                fresh: Fresh {
+                    price,
+                    count: f64::from(count),
+                    work_rate: f64::from(vcpus),
+                    hours: HOUR.as_hours_f64(),
+                },
             };
             let mut best: Option<Ranked> = None;
             for (chunk, deltas) in self.config.bid_deltas.chunks(LANES).enumerate() {
                 // The `eviction` inputs of the row, resolved once per table.
                 let grid_at = self.on_grid.then_some(chunk * LANES);
                 let rows = BetaEstimator::sweep_rows(table, grid_at, deltas, &mut scratch);
+                if bound.is_some_and(|b| b.cannot_pass(terms, &candidates.fresh, rows, phi_at.1)) {
+                    // Every lane scores at or above the gate, none NaN. A
+                    // later lane below the gate replaces this +∞ as it
+                    // would have replaced them, one at or above it goes
+                    // unranked either way, and the gate drops +∞.
+                    let stand_in = FootprintEval {
+                        expected_cost: f64::INFINITY,
+                        expected_work: 0.0,
+                    };
+                    let req = AllocationRequest {
+                        market,
+                        count,
+                        bid: price + deltas[0],
+                        delta: deltas[0],
+                    };
+                    best.get_or_insert((f64::INFINITY, req, stand_in));
+                    continue;
+                }
                 for (l, &(beta, tte)) in rows.iter().enumerate() {
                     candidates.beta[l] = beta;
                     candidates.tte[l] = tte;
@@ -617,10 +764,12 @@ impl<'a> BidBrain<'a> {
         let renewed = Candidates {
             beta: [beta],
             tte: [tte.min(HOUR).as_hours_f64()],
-            price: renew_price,
-            count: f64::from(alloc.count),
-            work_rate: alloc.work_rate,
-            hours: HOUR.as_hours_f64(),
+            fresh: Fresh {
+                price: renew_price,
+                count: f64::from(alloc.count),
+                work_rate: alloc.work_rate,
+                hours: HOUR.as_hours_f64(),
+            },
         };
         let terms = self.terms(rest);
         let cores = f64::from(alloc.count) * f64::from(alloc.market.instance_type().vcpus);
@@ -713,6 +862,8 @@ pub(crate) fn holdings<'p>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use proteus_market::{
         catalog, MarketFaultPlan, MarketModel, PriceTrace, TraceGenerator, TraceSet, Zone,
     };
@@ -1214,5 +1365,139 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A number in `[0, 1]`, both ends included, from 16 bits of `raw`
+    /// at `shift`.
+    fn unit(raw: u64, shift: u32) -> f64 {
+        ((raw >> shift) & 0xFFFF) as f64 / 65_535.0
+    }
+
+    /// Held terms, one per raw draw, each a [`BidBrain::term`] folded in
+    /// order as `fill_terms` folds them: β zero or inside `[0, 1]`, the
+    /// whole hour left or part of it, ν zero or not.
+    fn held_terms(held: &[u64], lambda: f64, sigma: f64) -> Terms {
+        let mut terms = Terms {
+            survive: 1.0,
+            lambda,
+            sigma,
+            ..Terms::default()
+        };
+        for &raw in held {
+            let beta = if raw & 1 == 0 { 0.0 } else { unit(raw, 1) };
+            let hours = if (raw >> 17) & 1 == 0 {
+                1.0
+            } else {
+                unit(raw, 18)
+            };
+            let view = AllocView {
+                market: mk(catalog::c4_xlarge()),
+                count: 1 + (raw >> 34) as u32 % 63,
+                hourly_price: 0.01 + unit(raw, 42) * 0.99,
+                bid_delta: Some(0.01),
+                time_remaining: SimDuration::from_millis((hours * 3_600_000.0) as u64),
+                work_rate: [0.0, 4.0, 8.0][(raw >> 40) as usize % 3],
+            };
+            let tte = hours * ((raw >> 58) as f64 / 63.0);
+            let t = BidBrain::term(&view, (beta, tte));
+            terms.survive *= t.survive;
+            terms.cost += t.cost;
+            terms.cores += t.cores;
+            terms.each.push(t);
+        }
+        terms
+    }
+
+    /// A sweep lane's eviction inputs from one raw draw: β at both ends,
+    /// inside, and now and then NaN or below zero; time to eviction zero,
+    /// the whole hour, or inside it.
+    fn lane_inputs(raw: u64) -> (f64, f64) {
+        let beta = match raw % 13 {
+            0..=2 => 0.0,
+            3 | 4 => 1.0,
+            5 => f64::NAN,
+            6 => -unit(raw, 4),
+            _ => unit(raw, 4),
+        };
+        let tte = match (raw >> 20) % 3 {
+            0 => 0.0,
+            1 => 1.0,
+            _ => unit(raw, 24),
+        };
+        (beta, tte)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The bound skips a row only if every lane `lanes` scores is at
+        /// or above the gate: with the gate on a lane's own score and one
+        /// and two ULPs either side, over held footprints, rows of 1–16
+        /// lanes, λ and σ up to hours, and now and then a NaN price or φ.
+        #[test]
+        fn the_bound_skips_only_rows_no_lane_of_which_passes(
+            held in vec(any::<u64>(), 0..6),
+            lanes in vec(any::<u64>(), 1..LANES + 1),
+            knobs in (any::<u64>(), any::<u64>()),
+        ) {
+            let (c, g) = knobs;
+            let hours = [0.0, 0.025, 1.0 / 120.0, 0.5, 3.0];
+            let terms = held_terms(&held, hours[(g % 5) as usize], hours[(g >> 3) as usize % 5]);
+            let fresh = Fresh {
+                price: if c % 21 == 0 { f64::NAN } else { 0.001 + unit(c, 1) * 2.0 },
+                count: f64::from(1 + (c >> 17) as u32 % 63),
+                work_rate: [2.0, 4.0, 8.0, 36.0][(c >> 23) as usize % 4],
+                hours: 1.0,
+            };
+            let phi = if (c >> 25) % 21 == 0 { f64::NAN } else { 0.3 + 0.7 * unit(c, 30) };
+            let row: Vec<(f64, f64)> = lanes.into_iter().map(lane_inputs).collect();
+            let mut candidates = Candidates { beta: [0.0; LANES], tte: [0.0; LANES], fresh };
+            for (l, &(beta, tte)) in row.iter().enumerate() {
+                candidates.beta[l] = beta;
+                candidates.tte[l] = tte;
+            }
+            let scored = BidBrain::lanes(&terms, &candidates, phi, true);
+            let scores: Vec<f64> = (0..row.len()).map(|l| scored.eval(l).cost_per_work()).collect();
+            let mut gate = scores[(g >> 6) as usize % row.len()];
+            if !(gate.is_finite() && gate > 0.0) {
+                gate = 0.05;
+            }
+            let ulps = (g >> 12) % 5;
+            for _ in 0..ulps.abs_diff(2) {
+                gate = if ulps > 2 { gate.next_up() } else { gate.next_down() };
+            }
+            let skips = Bound::new(&terms, gate, gate)
+                .is_some_and(|b| b.cannot_pass(&terms, &fresh, &row, phi));
+            if skips {
+                for (l, score) in scores.iter().enumerate() {
+                    prop_assert!(*score >= gate, "lane {l}: {score} below the gate {gate}");
+                }
+            }
+        }
+    }
+
+    /// The bound is not vacuous: a row priced far above the gate is
+    /// skipped, one priced at it is not, and nothing is skipped against a
+    /// footprint that does no work or a gate of zero.
+    #[test]
+    fn the_bound_skips_a_row_priced_far_above_the_gate() {
+        // One on-hour instance at $0.01 that works at ν = 4, β = 0.
+        let terms = held_terms(&[1 << 40], 0.025, 1.0 / 120.0);
+        let current = BidBrain::lanes(&terms, &Candidates::NONE, 1.0, false)
+            .eval(0)
+            .cost_per_work();
+        let gate = current * 0.98;
+        let row = [(0.0, 0.0), (0.2, 0.5), (0.9, 0.1)];
+        let at = |price| Fresh {
+            price,
+            count: 8.0,
+            work_rate: 4.0,
+            hours: 1.0,
+        };
+        let bound = Bound::new(&terms, current, gate).expect("a finite incumbent");
+        assert!(bound.cannot_pass(&terms, &at(1.0), &row, 0.9));
+        assert!(!bound.cannot_pass(&terms, &at(0.001), &row, 0.9));
+        assert!(Bound::new(&terms, f64::INFINITY, gate).is_none());
+        assert!(Bound::new(&terms, current, 0.0).is_none());
     }
 }

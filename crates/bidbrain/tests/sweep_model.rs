@@ -136,7 +136,15 @@ fn scenario(
             6 => wide_deltas()[..16].to_vec(),
             _ => wide_deltas(),
         },
-        min_improvement: [0.0, 0.02][(raw >> 23) as usize % 2],
+        // The paper's margin and none; and, a quarter of the time,
+        // margins a few ULPs either side of none, where the gate sits on
+        // the incumbent's own score. Bits 58–60 and 63 select no other
+        // field, so every margin meets every instance cap.
+        min_improvement: match (raw >> 58) & 3 {
+            0 => [f64::EPSILON, -f64::EPSILON, 1e-12, -1e-9]
+                [((raw >> 60) & 1 | (raw >> 62) & 2) as usize],
+            _ => [0.0, 0.02][(raw >> 23) as usize % 2],
+        },
     };
     let prices = catalog::paper_markets()
         .into_iter()

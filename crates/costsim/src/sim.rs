@@ -345,20 +345,26 @@ impl<'a> JobSim<'a> {
         *self.market_mix.entry(market).or_insert(0) += count;
     }
 
-    /// Current total vCPUs across live spot allocations (booting
-    /// instances produce no work yet).
-    fn spot_cores(&self) -> u32 {
+    /// The live spot allocations in one walk: their total vCPUs
+    /// (booting instances produce no work yet) and whether any is still
+    /// booting.
+    fn spot_footprint(&self) -> (u32, bool) {
         self.provider
             .live_spot()
-            .filter(|a| !a.is_booting())
-            .map(|a| a.count * a.market.instance_type().vcpus)
-            .sum()
+            .fold((0, false), |(cores, booting), a| {
+                if a.is_booting() {
+                    (cores, true)
+                } else {
+                    (cores + a.count * a.market.instance_type().vcpus, booting)
+                }
+            })
     }
 
     /// Work produced per hour by the current footprint (φ-scaled
-    /// core-hours per hour), including checkpointing overhead.
-    fn work_rate(&self) -> f64 {
-        let mut cores = f64::from(self.spot_cores());
+    /// core-hours per hour), including checkpointing overhead, given
+    /// the launched spot holdings' `spot_cores`.
+    fn work_rate(&self, spot_cores: u32) -> f64 {
+        let mut cores = f64::from(spot_cores);
         let od_cores =
             f64::from(self.job.on_demand_count * self.job.on_demand_market.instance_type().vcpus);
         if self.job.on_demand_works {
@@ -509,23 +515,24 @@ impl<'a> JobSim<'a> {
         }
     }
 
-    /// Acquisition decisions.
-    fn acquisitions(&mut self) {
+    /// Acquisition decisions. Returns whether a capacity refusal met
+    /// the Proteus scheme's walk, when it ran one.
+    fn acquisitions(&mut self) -> Option<bool> {
         if self.work_remaining() <= 0.0 {
-            return;
+            return None;
         }
         // Bindings are `Copy` fields only, so no clone of the variant's
         // heap state (the Proteus bid-delta vector) is needed.
         match self.kind {
-            SchemeKind::AllOnDemand { .. } => {}
+            SchemeKind::AllOnDemand { .. } => None,
             SchemeKind::StandardCheckpoint { .. }
             | SchemeKind::AdaptiveCheckpoint { .. }
             | SchemeKind::StandardAgileML { .. } => {
                 // Re-acquire the full fleet whenever empty (initially and
                 // after evictions complete — a warned allocation still
                 // counts its cores). A refusal retries naturally:
-                // spot_cores stays zero, so the next step asks again.
-                if self.spot_cores() == 0 && !self.provider.live_spot().any(|a| a.is_booting()) {
+                // the spot cores stay zero, so the next step asks again.
+                if self.spot_footprint() == (0, false) {
                     if let Some(req) = self.standard.acquire(self.provider.spot_prices()) {
                         if let Ok(grant) =
                             self.provider.request_spot(req.market, req.count, req.bid)
@@ -534,6 +541,7 @@ impl<'a> JobSim<'a> {
                         }
                     }
                 }
+                None
             }
             SchemeKind::Proteus { scale_pause, .. } => {
                 // Uncapped: BidBrain's own target bounds the request. A
@@ -550,7 +558,7 @@ impl<'a> JobSim<'a> {
                     self.note_acquisition(req.market, grant.granted);
                     self.pause(scale_pause);
                 }
-                self.manage_fallback(!walk.refused.is_empty());
+                Some(!walk.refused.is_empty())
             }
         }
     }
@@ -561,15 +569,16 @@ impl<'a> JobSim<'a> {
     /// on-demand machines so the job keeps moving; hand the cores back
     /// the moment usable spot capacity returns. The fallback is kept
     /// out of BidBrain's footprint so the brain keeps probing spot.
-    fn manage_fallback(&mut self, capacity_refused: bool) {
-        if self.spot_cores() > 0 {
+    /// `spot` is the step's [`spot_footprint`](Self::spot_footprint).
+    fn manage_fallback(&mut self, capacity_refused: bool, spot: (u32, bool)) {
+        let (spot_cores, booting) = spot;
+        if spot_cores > 0 {
             if let Some((id, _)) = self.fallback.take() {
                 let _ = self.provider.terminate(id);
             }
             return;
         }
-        let booting = self.provider.live_spot().any(|a| a.is_booting());
-        if capacity_refused && !booting && self.fallback.is_none() && self.work_rate() <= 0.0 {
+        if capacity_refused && !booting && self.fallback.is_none() && self.work_rate(0) <= 0.0 {
             let vcpus = self.job.on_demand_market.instance_type().vcpus.max(1);
             let count = self.job.standard_cores.div_ceil(vcpus);
             if count > 0 {
@@ -595,9 +604,15 @@ impl<'a> JobSim<'a> {
             self.obs_step(now);
             self.forecast_step(now);
             self.renewals();
-            self.acquisitions();
+            let refused = self.acquisitions();
+            // The spot holdings stand as the step leaves them: the
+            // fallback's on-demand machines are not among them.
+            let spot = self.spot_footprint();
+            if let Some(capacity_refused) = refused {
+                self.manage_fallback(capacity_refused, spot);
+            }
 
-            let rate = self.work_rate();
+            let rate = self.work_rate(spot.0);
             let next = (now + DECISION_STEP).min(deadline);
             // `next > now` by construction; `advance_to` only errors on
             // time moving backwards.

@@ -80,13 +80,14 @@ impl FleetConfig {
 /// `PREEMPTION_MARGIN ×` the victim's (starved gangs ignore this).
 const PREEMPTION_MARGIN: f64 = 1.5;
 
-/// A job's live gang: the spot allocation and the footprint it was
-/// bought at.
+/// A job's live gang: the spot allocation, the footprint it was bought
+/// at, and the φ of its cores, fixed for the gang's life.
 #[derive(Debug, Clone, Copy)]
 struct Gang {
     id: AllocationId,
     market: MarketKey,
     delta: f64,
+    phi: f64,
 }
 
 /// Why a job's run ends; [`FleetSim::end`] settles each one.
@@ -141,8 +142,7 @@ impl JobRec {
             if upto > from {
                 let cores =
                     f64::from(self.spec.min_gang) * f64::from(gang.market.instance_type().vcpus);
-                let phi = phi(self.spec.phi_per_doubling, cores);
-                self.work_done += upto.since(from).as_hours_f64() * cores * phi;
+                self.work_done += upto.since(from).as_hours_f64() * cores * gang.phi;
             }
         }
         self.accrued_until = upto.max(self.accrued_until);
@@ -926,10 +926,12 @@ impl<'a> FleetSim<'a> {
         self.alloc_owner.insert(alloc, idx);
         let waited = now.since(self.jobs[idx].queued_since);
         let job = &mut self.jobs[idx];
+        let cores = f64::from(job.spec.min_gang) * f64::from(cand.market.instance_type().vcpus);
         job.gang = Some(Gang {
             id: alloc,
             market: cand.market,
             delta: cand.delta,
+            phi: phi(job.spec.phi_per_doubling, cores),
         });
         job.launches += 1;
         job.max_rounds_waited = job.max_rounds_waited.max(job.rounds_waiting);
