@@ -179,8 +179,9 @@ type HoldingKey = (MarketKey, u64);
 pub struct PreemptionForecaster {
     cfg: ForecastConfig,
     states: BTreeMap<HoldingKey, HoldingState>,
-    /// The `(market, bid)` each holding [`watch`](Self::watch) observed
-    /// was exposed at, so its leaving can forget the trajectory.
+    /// The `(market, bid)` each holding [`watch`](Self::watch) observed,
+    /// or [`release`](Self::release) handed over, is exposed at, so its
+    /// leaving can forget the trajectory.
     watched: BTreeMap<AllocationId, (MarketKey, f64)>,
 }
 
@@ -308,22 +309,27 @@ impl PreemptionForecaster {
     /// The forget rule, for the holding `id` as it leaves: its
     /// `(market, bid)` trajectory is dropped unless another live holding
     /// of `provider`, booting or not, shares the pair and so keeps
-    /// observing the same price against the same bid. A caller that can
-    /// re-grant the pair within the step releases the old holding first,
-    /// so the new one starts afresh.
+    /// observing the same price against the same bid. That holding takes
+    /// over the watched entry, so the pair is forgotten when it leaves
+    /// too, launched or not. A caller that can re-grant the pair within
+    /// the step releases the old holding first, so the new one starts
+    /// afresh.
     pub fn release(&mut self, id: AllocationId, provider: &CloudProvider<'_>) {
         let Some((market, bid)) = self.watched.remove(&id) else {
             return;
         };
         let same = |a: &SpotAllocation| a.market == market && a.bid.to_bits() == bid.to_bits();
-        if !provider.live_spot().any(|a| a.id != id && same(a)) {
-            self.clear(market, bid);
+        match provider.live_spot().find(|a| a.id != id && same(a)) {
+            Some(heir) => {
+                self.watched.insert(heir.id, (market, bid));
+            }
+            None => self.clear(market, bid),
         }
     }
 
-    /// The holdings [`watch`](Self::watch) has observed and not yet
-    /// forgotten, with the `(market, bid)` each is exposed at, in id
-    /// order.
+    /// The holdings [`watch`](Self::watch) has observed, or a leaving
+    /// sibling handed its pair to, and not yet forgotten, with the
+    /// `(market, bid)` each is exposed at, in id order.
     pub fn watched(&self) -> impl Iterator<Item = (AllocationId, MarketKey, f64)> + '_ {
         self.watched
             .iter()
@@ -799,6 +805,31 @@ mod tests {
             "no live holding shares the pair"
         );
         assert_eq!(fc.watched().map(|(id, ..)| id).collect::<Vec<_>>(), [c, e]);
+    }
+
+    /// A pair kept for a booting sibling is forgotten when that sibling
+    /// leaves without ever launching.
+    #[test]
+    fn a_pair_kept_for_a_sibling_that_never_launches_is_forgotten() {
+        let mut set = TraceSet::new();
+        let flat = PriceTrace::from_points(vec![(SimTime::EPOCH, 0.099)]).expect("flat");
+        set.insert(key(), flat);
+        let mut p = CloudProvider::new(set);
+        let mut fc = PreemptionForecaster::new(ForecastConfig::default());
+        let bid = 0.10;
+        let launched = p.request_spot(key(), 1, bid).expect("grant").id;
+        assert_eq!(fc.watch(&p, SimTime::EPOCH).len(), 1);
+        let boot = SimDuration::from_mins(5);
+        p.set_fault_plan(MarketFaultPlan::new(1).with_boot_delay(boot, boot));
+        let booting = p.request_spot(key(), 1, bid).expect("grant").id;
+        p.terminate(launched).expect("live");
+        fc.release(launched, &p);
+        assert!(fc.max_hazard() > 0.6, "the booting sibling keeps the pair");
+        p.terminate(booting).expect("live");
+        assert!(fc.watch(&p, SimTime::EPOCH).is_empty());
+        assert_eq!(p.live_spot().count(), 0);
+        assert_eq!(fc.max_hazard(), 0.0, "no live holding shares the pair");
+        assert_eq!(fc.watched().count(), 0);
     }
 
     #[test]

@@ -41,25 +41,13 @@ impl Default for AppParams {
 }
 
 impl AppParams {
-    /// Parameters for a checkpoint/restart application (the baseline
-    /// scheme): evictions force a restart from the last checkpoint, so λ
-    /// is many minutes, and any footprint change requires a restart too.
-    pub fn checkpointing(restart_cost: SimDuration) -> Self {
-        AppParams {
-            phi_per_doubling: 0.97,
-            sigma: restart_cost,
-            lambda: restart_cost,
-        }
-    }
-
     /// The scaling efficiency φ for a footprint of `cores` total cores
     /// ([`phi`] of this application's `phi_per_doubling`).
     pub fn phi(&self, cores: f64) -> f64 {
         phi(self.phi_per_doubling, cores)
     }
 
-    /// Renders the Table 2 glossary (used by the `tab02_params` bench
-    /// binary).
+    /// Renders the Table 2 glossary (printed by `figs tab02`).
     pub fn table2() -> Vec<(&'static str, &'static str)> {
         vec![
             ("β", "Probability that allocation is evicted (0-1)"),
@@ -167,14 +155,6 @@ mod tests {
                 assert_eq!(memo.get(c).to_bits(), want(c), "{per_doubling} at {c}");
             }
         }
-    }
-
-    #[test]
-    fn checkpointing_params_have_heavy_overheads() {
-        let cp = AppParams::checkpointing(SimDuration::from_mins(5));
-        assert_eq!(cp.lambda, SimDuration::from_mins(5));
-        assert_eq!(cp.sigma, SimDuration::from_mins(5));
-        assert!(cp.lambda > AppParams::default().lambda);
     }
 
     #[test]

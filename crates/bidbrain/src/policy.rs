@@ -567,7 +567,9 @@ impl<'a> BidBrain<'a> {
     /// Considers acquiring one new allocation (paper Sec. 4.2): sweeps
     /// `(instance type, bid delta)` candidates and returns the best
     /// request if it lowers expected cost-per-work by at least the
-    /// configured hysteresis margin.
+    /// configured hysteresis margin, with the evaluation behind its
+    /// score — the bits of [`evaluate`](Self::evaluate) of `footprint`
+    /// plus the request held for an hour, changing.
     ///
     /// `markets` supplies each candidate market's *current* spot price.
     pub fn consider_acquisition(
@@ -575,10 +577,10 @@ impl<'a> BidBrain<'a> {
         footprint: &[AllocView],
         markets: &[(MarketKey, f64)],
         now: SimTime,
-    ) -> Option<AllocationRequest> {
-        self.ranked_acquisitions(footprint, markets, now)
-            .into_iter()
-            .next()
+    ) -> Option<(AllocationRequest, FootprintEval)> {
+        let (mut terms, mut ranked) = (Terms::default(), Vec::new());
+        self.rank(footprint, markets, now, None, &mut terms, &mut ranked);
+        ranked.into_iter().next().map(|(_, req, eval)| (req, eval))
     }
 
     /// Every acquisition that would improve the objective by the
@@ -985,7 +987,7 @@ mod tests {
     fn acquisition_fills_toward_target_when_cheap() {
         let brain = ideal();
         let market = mk(catalog::c4_xlarge());
-        let req = brain
+        let (req, _) = brain
             .consider_acquisition(&[], &[(market, 0.05)], SimTime::EPOCH)
             .expect("empty footprint produces no work, so anything helps");
         assert_eq!(req.market, market);

@@ -256,6 +256,10 @@ fn bits(e: &FootprintEval) -> (u64, u64) {
     (e.expected_cost.to_bits(), e.expected_work.to_bits())
 }
 
+fn request_bits(r: &AllocationRequest) -> (MarketKey, u32, u64, u64) {
+    (r.market, r.count, r.bid.to_bits(), r.delta.to_bits())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -282,12 +286,15 @@ proptest! {
         prop_assert_eq!(&got, &brain.ranked_acquisitions(&footprint, &markets, now));
         prop_assert_eq!(got.len(), want.len());
         for (g, (_, w, _)) in got.iter().zip(&want) {
-            prop_assert_eq!((g.market, g.count), (w.market, w.count));
-            prop_assert_eq!(
-                (g.bid.to_bits(), g.delta.to_bits()),
-                (w.bid.to_bits(), w.delta.to_bits())
-            );
+            prop_assert_eq!(request_bits(g), request_bits(w));
         }
+        // The head comes with the evaluation behind its score.
+        prop_assert_eq!(
+            brain
+                .consider_acquisition(&footprint, &markets, now)
+                .map(|(req, eval)| (request_bits(&req), bits(&eval))),
+            want.first().map(|(_, req, eval)| (request_bits(req), bits(eval)))
+        );
 
         // The recorder saw the incumbent's score and every ranked
         // candidate's score and Eq. 4 terms.

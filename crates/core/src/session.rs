@@ -236,11 +236,6 @@ impl<A: MlApp> Proteus<A> {
         &mut self.job
     }
 
-    /// The attached observability recorder, if the session records.
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.obs.as_ref()
-    }
-
     /// Current simulated market time.
     pub fn market_now(&self) -> SimTime {
         self.provider.now()

@@ -47,8 +47,6 @@ pub struct FleetJobSpec {
     /// job's parameter-server / controller footprint, bin-packed with
     /// other tenants' slots onto shared machines.
     pub reliable_slots: u32,
-    /// Scalability coefficient per core-count doubling (the φ model).
-    pub phi_per_doubling: f64,
 }
 
 impl FleetJobSpec {
@@ -61,7 +59,6 @@ impl FleetJobSpec {
             tier,
             preemptible: true,
             reliable_slots: 1,
-            phi_per_doubling: 0.97,
         }
     }
 }

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proteus_bidbrain::{
-    phi, AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig, DECISION_STEP,
+    AllocView, AllocationRequest, AppParams, BetaEstimator, BidBrain, BidBrainConfig, DECISION_STEP,
 };
 use proteus_costsim::StudyExecutor;
 use proteus_market::{
@@ -46,33 +46,41 @@ use crate::scheduler::{effective_weight, is_starved, rank, RankEntry};
 pub struct FleetConfig {
     /// Most jobs allowed past admission at once (Waiting + Running).
     pub max_active_jobs: usize,
-    /// Reliable-slot density per shared on-demand machine.
-    pub slots_per_machine: u32,
-    /// Per-job progress pause after an eviction or preemption (λ).
-    pub eviction_pause: SimDuration,
-    /// Per-job progress pause after a (re)launch (σ).
-    pub scale_pause: SimDuration,
-    /// Bid deltas swept per candidate market.
-    pub bid_deltas: Vec<f64>,
     /// Market backing the shared reliable pool.
     pub on_demand_market: MarketKey,
-    /// Candidate spot markets for gang acquisition.
-    pub markets: Vec<MarketKey>,
 }
 
 impl FleetConfig {
-    /// Paper-cadence defaults over the given markets, with the first
-    /// market anchoring the reliable pool.
+    /// Paper-cadence defaults for a fleet over `markets`, the trace
+    /// set's markets in market order: the first anchors the reliable
+    /// pool. A round prices every market of the trace set.
     pub fn paper_defaults(markets: Vec<MarketKey>) -> Self {
         FleetConfig {
             max_active_jobs: 64,
-            slots_per_machine: 8,
-            eviction_pause: SimDuration::from_secs(240),
-            scale_pause: SimDuration::from_secs(30),
-            bid_deltas: vec![0.0001, 0.01, 0.05, 0.4],
             on_demand_market: markets[0],
-            markets,
         }
+    }
+}
+
+/// Reliable-slot density per shared on-demand machine.
+const SLOTS_PER_MACHINE: u32 = 8;
+
+/// Per-job progress pause after an eviction or preemption (λ).
+const EVICTION_PAUSE: SimDuration = SimDuration::from_secs(240);
+
+/// Per-job progress pause after a (re)launch (σ).
+const SCALE_PAUSE: SimDuration = SimDuration::from_secs(30);
+
+/// Bid deltas swept per candidate market.
+const BID_DELTAS: [f64; 4] = [0.0001, 0.01, 0.05, 0.4];
+
+/// The fleet's Table 2 parameters: the paper's φ and σ, with λ the
+/// fleet's eviction pause.
+pub(crate) fn app_params() -> AppParams {
+    AppParams {
+        sigma: SCALE_PAUSE,
+        lambda: EVICTION_PAUSE,
+        ..AppParams::default()
     }
 }
 
@@ -207,20 +215,10 @@ pub struct FleetTiming {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EvalTask {
     gang: u32,
-    phi_bits: u64,
     /// `Some((market, delta bits))` pins the evaluation to a live
     /// gang's current footprint (victim valuation); `None` sweeps every
     /// `(market, delta)` candidate (pending gang).
     pinned: Option<(MarketKey, u64)>,
-}
-
-/// The best acquisition candidate for a pending gang.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    market: MarketKey,
-    price: f64,
-    delta: f64,
-    cost_per_work: f64,
 }
 
 /// The multi-tenant fleet scheduler (see the module docs for the round
@@ -262,7 +260,7 @@ pub struct FleetSim<'a> {
 impl<'a> FleetSim<'a> {
     /// A fleet over shared price history and a shared trained β.
     pub fn new(traces: &'a TraceSet, beta: &'a BetaEstimator, cfg: FleetConfig) -> Self {
-        let pool = ReliablePool::new(cfg.on_demand_market, cfg.slots_per_machine);
+        let pool = ReliablePool::new(cfg.on_demand_market, SLOTS_PER_MACHINE);
         FleetSim {
             cfg,
             provider: CloudProvider::new(traces),
@@ -560,16 +558,15 @@ impl<'a> FleetSim<'a> {
                 }
             }
         }
-        let lambda = self.cfg.eviction_pause;
         let job = &mut self.jobs[idx];
         let (to, usable_from) = match why {
             End::Evicted => {
                 job.evictions += 1;
-                (JobState::Waiting, Some(t + lambda))
+                (JobState::Waiting, Some(t + EVICTION_PAUSE))
             }
             End::Preempted { .. } => {
                 job.preemptions += 1;
-                (JobState::Waiting, Some(t + lambda))
+                (JobState::Waiting, Some(t + EVICTION_PAUSE))
             }
             // The grant never ran: nothing to pause for.
             End::LaunchFailed => (JobState::Waiting, Some(t)),
@@ -710,16 +707,9 @@ impl<'a> FleetSim<'a> {
         self.sched_nanos += t0.elapsed().as_nanos();
 
         // --- Eq. 4 evaluation fan-out (untimed: a per-job baseline pays
-        // these same evaluations). Prices are sampled once, serially,
-        // then the pure evaluations fan across the pool and come back in
+        // these same evaluations). The pure evaluations read the prices
+        // at `now` off the provider, fan across the pool and come back in
         // index order — bit-identical for any thread count. ---
-        let prices: Vec<(MarketKey, f64)> = self
-            .cfg
-            .markets
-            .iter()
-            .filter_map(|&m| self.provider.spot_price(m).ok().map(|p| (m, p)))
-            .collect();
-
         let pending: Vec<usize> = self
             .admitted
             .iter()
@@ -748,7 +738,6 @@ impl<'a> FleetSim<'a> {
 
         let task_of = |i: usize, pinned: Option<(MarketKey, u64)>| EvalTask {
             gang: self.jobs[i].spec.min_gang,
-            phi_bits: self.jobs[i].spec.phi_per_doubling.to_bits(),
             pinned,
         };
         let tasks: Vec<EvalTask> = pending
@@ -766,12 +755,9 @@ impl<'a> FleetSim<'a> {
         let mut distinct = tasks.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        let beta = self.beta;
-        let deltas = &self.cfg.bid_deltas;
-        let sigma = self.cfg.scale_pause;
-        let lambda = self.cfg.eviction_pause;
-        let results: Vec<Option<Candidate>> = exec.run_indexed(distinct.len(), |ti| {
-            evaluate_task(&distinct[ti], beta, &prices, deltas, sigma, lambda)
+        let (beta, prices) = (self.beta, self.provider.spot_prices());
+        let results: Vec<Option<Scored>> = exec.run_indexed(distinct.len(), |ti| {
+            evaluate_task(&distinct[ti], beta, prices)
         });
         let evals = |slot: usize| {
             let found = distinct.binary_search(&tasks[slot]).ok()?;
@@ -781,21 +767,21 @@ impl<'a> FleetSim<'a> {
         // --- Ranking + launch walk (timed bookkeeping). ---
         let t1 = std::time::Instant::now();
         let mut entries: Vec<RankEntry> = Vec::with_capacity(pending.len());
-        let mut candidates: BTreeMap<usize, Candidate> = BTreeMap::new();
+        let mut requests: BTreeMap<usize, AllocationRequest> = BTreeMap::new();
         for (slot, &idx) in pending.iter().enumerate() {
-            let Some(cand) = evals(slot) else {
+            let Some((Some(req), score)) = evals(slot) else {
                 self.queue_gang(idx, now);
                 continue;
             };
-            if !cand.cost_per_work.is_finite() || cand.cost_per_work <= 0.0 {
+            if !score.is_finite() || score <= 0.0 {
                 self.queue_gang(idx, now);
                 continue;
             }
             let weight = effective_weight(self.jobs[idx].spec.tier, self.jobs[idx].rounds_waiting);
-            candidates.insert(idx, cand);
+            requests.insert(idx, req);
             entries.push(RankEntry {
                 job_idx: idx,
-                value: weight / cand.cost_per_work,
+                value: weight / score,
                 starved: is_starved(self.jobs[idx].rounds_waiting),
             });
         }
@@ -803,10 +789,10 @@ impl<'a> FleetSim<'a> {
         // score — what the fleet gives up by revoking it.
         let mut victim_value: BTreeMap<usize, f64> = BTreeMap::new();
         for (slot, &idx) in victims.iter().enumerate() {
-            if let Some(c) = evals(pending.len() + slot) {
-                if c.cost_per_work.is_finite() && c.cost_per_work > 0.0 {
+            if let Some((_, score)) = evals(pending.len() + slot) {
+                if score.is_finite() && score > 0.0 {
                     let weight = effective_weight(self.jobs[idx].spec.tier, 0);
-                    victim_value.insert(idx, weight / c.cost_per_work);
+                    victim_value.insert(idx, weight / score);
                 }
             }
         }
@@ -822,10 +808,10 @@ impl<'a> FleetSim<'a> {
             if self.jobs[idx].state != JobState::Waiting {
                 continue;
             }
-            let Some(cand) = candidates.get(&idx).copied() else {
+            let Some(req) = requests.get(&idx).copied() else {
                 continue;
             };
-            let launched = self.try_launch(idx, cand, entry, &victim_value, now);
+            let launched = self.try_launch(idx, req, entry, &victim_value, now);
             if !launched {
                 self.queue_gang(idx, now);
             }
@@ -838,7 +824,7 @@ impl<'a> FleetSim<'a> {
     fn try_launch(
         &mut self,
         idx: usize,
-        cand: Candidate,
+        req: AllocationRequest,
         entry: RankEntry,
         victim_value: &BTreeMap<usize, f64>,
         now: SimTime,
@@ -847,24 +833,23 @@ impl<'a> FleetSim<'a> {
         let request = |fleet: &mut Self| {
             let m = std::time::Instant::now();
             let tenant = JobId(idx as u64).tenant();
-            let bid = cand.price + cand.delta;
             let got = fleet
                 .provider
-                .request_spot_gang(tenant, cand.market, gang, bid);
+                .request_spot_gang(tenant, req.market, gang, req.bid);
             fleet.market_credit_nanos += m.elapsed().as_nanos();
             got
         };
         let mut got = request(self);
         if let Err(MarketError::InsufficientCapacity { available, .. }) = got {
             let needed = gang.saturating_sub(available);
-            if self.preempt_for(idx, cand.market, needed, entry, victim_value, now) {
+            if self.preempt_for(idx, req.market, needed, entry, victim_value, now) {
                 got = request(self); // capacity was freed; one retry
             }
         }
         let Ok(grant) = got else {
             return false;
         };
-        self.commit_launch(idx, cand, grant.id, grant.usable_at, now);
+        self.commit_launch(idx, req, grant.id, grant.usable_at, now);
         true
     }
 
@@ -918,7 +903,7 @@ impl<'a> FleetSim<'a> {
     fn commit_launch(
         &mut self,
         idx: usize,
-        cand: Candidate,
+        req: AllocationRequest,
         alloc: AllocationId,
         usable_at: SimTime,
         now: SimTime,
@@ -926,27 +911,27 @@ impl<'a> FleetSim<'a> {
         self.alloc_owner.insert(alloc, idx);
         let waited = now.since(self.jobs[idx].queued_since);
         let job = &mut self.jobs[idx];
-        let cores = f64::from(job.spec.min_gang) * f64::from(cand.market.instance_type().vcpus);
+        let cores = f64::from(job.spec.min_gang) * f64::from(req.market.instance_type().vcpus);
         job.gang = Some(Gang {
             id: alloc,
-            market: cand.market,
-            delta: cand.delta,
-            phi: phi(job.spec.phi_per_doubling, cores),
+            market: req.market,
+            delta: req.delta,
+            phi: app_params().phi(cores),
         });
         job.launches += 1;
         job.max_rounds_waited = job.max_rounds_waited.max(job.rounds_waiting);
         job.rounds_waiting = 0;
         job.accrued_until = now;
-        job.usable_from = usable_at.max(now) + self.cfg.scale_pause;
+        job.usable_from = usable_at.max(now) + SCALE_PAUSE;
         self.set_state(idx, JobState::Running);
         if let Some(rec) = self.obs.as_deref() {
             rec.record(
                 now,
                 Event::Fleet(FleetEvent::GangLaunched {
                     job: idx as u64,
-                    market: cand.market.interned_name(),
+                    market: req.market.interned_name(),
                     count: u64::from(self.jobs[idx].spec.min_gang),
-                    bid: cand.price + cand.delta,
+                    bid: req.bid,
                     waited_ms: waited.as_millis(),
                 }),
             );
@@ -970,54 +955,42 @@ impl<'a> FleetSim<'a> {
     }
 }
 
-/// Pure Eq. 4 evaluation of one task: best `(market, delta)` candidate
-/// for a pending gang, or the pinned current footprint for a victim.
+/// What one task's evaluation gives: a pending gang's request (none for
+/// a victim) and the Eq. 4 score of the gang it would hold.
+type Scored = (Option<AllocationRequest>, f64);
+
+/// Pure Eq. 4 evaluation of one task: a pending gang's best `(market,
+/// delta)` request, or a victim's pinned current footprint.
 fn evaluate_task(
     task: &EvalTask,
     beta: &BetaEstimator,
     prices: &[(MarketKey, f64)],
-    deltas: &[f64],
-    sigma: SimDuration,
-    lambda: SimDuration,
-) -> Option<Candidate> {
-    let params = AppParams {
-        phi_per_doubling: f64::from_bits(task.phi_bits),
-        sigma,
-        lambda,
-    };
+) -> Option<Scored> {
     let config = BidBrainConfig {
         target_cores: u32::MAX,
         max_alloc_instances: task.gang,
-        bid_deltas: deltas.to_vec(),
+        bid_deltas: BID_DELTAS.to_vec(),
         min_improvement: 0.0,
     };
-    let brain = BidBrain::new(params, beta, config);
-    // A pending gang takes the head of BidBrain's own (market × delta)
-    // sweep over an empty footprint: nothing to improve on, so every
-    // market passes the gate and the strict-< first-wins best is ranked
-    // first. Either way the task's score is Eq. 4 of that one gang.
-    let (market, delta, changing) = match task.pinned {
-        Some((market, delta_bits)) => (market, f64::from_bits(delta_bits), false),
-        None => {
-            let req = brain.consider_acquisition(&[], prices, SimTime::EPOCH)?;
-            (req.market, req.delta, true)
-        }
+    let brain = BidBrain::new(app_params(), beta, config);
+    let Some((market, delta_bits)) = task.pinned else {
+        // A pending gang takes the head of BidBrain's own (market × delta)
+        // sweep over an empty footprint, scored as the sweep scored it:
+        // nothing to improve on, so every market passes the gate and the
+        // strict-< first-wins best is ranked first.
+        let (req, eval) = brain.consider_acquisition(&[], prices, SimTime::EPOCH)?;
+        return Some((Some(req), eval.cost_per_work()));
     };
     let price = prices.iter().find(|(m, _)| *m == market).map(|(_, p)| *p)?;
     let view = AllocView {
         market,
         count: task.gang,
         hourly_price: price,
-        bid_delta: Some(delta),
+        bid_delta: Some(f64::from_bits(delta_bits)),
         time_remaining: SimDuration::from_hours(1),
         work_rate: f64::from(market.instance_type().vcpus),
     };
-    Some(Candidate {
-        market,
-        price,
-        delta,
-        cost_per_work: brain.evaluate(&[view], changing).cost_per_work(),
-    })
+    Some((None, brain.evaluate(&[view], false).cost_per_work()))
 }
 
 #[cfg(test)]

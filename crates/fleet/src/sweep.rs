@@ -17,14 +17,14 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use proteus_bidbrain::{phi, BetaEstimator, DECISION_STEP};
+use proteus_bidbrain::{BetaEstimator, DECISION_STEP};
 use proteus_costsim::StudyExecutor;
 use proteus_market::{MarketError, TraceSet};
 use proteus_simtime::rng::derive_seed;
 use proteus_simtime::{SimDuration, SimTime};
 
 use crate::job::{FleetJobSpec, JobId, JobState};
-use crate::sim::{FleetConfig, FleetOutcome, FleetSim, FleetTiming};
+use crate::sim::{app_params, FleetConfig, FleetOutcome, FleetSim, FleetTiming};
 
 /// Fraction of trials seen at a rung that get promoted past it.
 const KEEP_FRACTION: f64 = 0.5;
@@ -36,6 +36,9 @@ const LAG_FACTOR: f64 = 0.25;
 /// How long a trial may run before the lag rule applies.
 const LAG_GRACE: SimDuration = SimDuration::from_mins(30);
 
+/// Priority tier trials run at.
+const TRIAL_TIER: u32 = 2;
+
 /// Sweep parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
@@ -43,8 +46,6 @@ pub struct SweepConfig {
     pub trials: usize,
     /// Gang size per trial.
     pub gang: u32,
-    /// Priority tier trials run at.
-    pub tier: u32,
     /// Cumulative work milestones in φ-scaled core-hours, strictly
     /// increasing; a trial completing the last rung is a finisher.
     pub rungs: Vec<f64>,
@@ -61,7 +62,6 @@ impl Default for SweepConfig {
         SweepConfig {
             trials: 32,
             gang: 2,
-            tier: 2,
             rungs: vec![2.0, 4.0, 8.0],
             seed: 1,
             submit_every: SimDuration::from_secs(120),
@@ -203,16 +203,17 @@ pub fn run_sweep_on(
     exec: &StudyExecutor,
 ) -> Result<(SweepOutcome, FleetTiming), MarketError> {
     let nominal_rate = {
-        // Work a healthy gang produces per hour on the first market.
-        let vcpus = f64::from(fleet.config().markets[0].instance_type().vcpus);
+        // Work a healthy gang produces per hour on the reliable pool's
+        // market (the first of `FleetConfig::paper_defaults`' markets).
+        let vcpus = f64::from(fleet.config().on_demand_market.instance_type().vcpus);
         let cores = f64::from(cfg.gang) * vcpus;
-        cores * phi(0.97, cores)
+        cores * app_params().phi(cores)
     };
     let first_rung = cfg.rungs.first().copied().unwrap_or(1.0);
     let ids: Vec<JobId> = (0..cfg.trials)
         .map(|i| {
             fleet.submit(
-                FleetJobSpec::trial(first_rung, cfg.gang, cfg.tier),
+                FleetJobSpec::trial(first_rung, cfg.gang, TRIAL_TIER),
                 SimTime::EPOCH + SimDuration::from_millis(cfg.submit_every.as_millis() * i as u64),
             )
         })
@@ -347,7 +348,6 @@ mod tests {
         SweepConfig {
             trials: 12,
             gang: 2,
-            tier: 2,
             rungs: vec![1.0, 2.0],
             seed: 11,
             submit_every: SimDuration::from_secs(120),

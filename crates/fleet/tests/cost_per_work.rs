@@ -37,7 +37,6 @@ fn a_500_trial_sweep_beats_per_job_trials_on_cost_per_work() {
         submit_every: SimDuration::from_secs(60),
         horizon,
         seed: 17,
-        ..SweepConfig::default()
     };
     let mut fleet_cfg = FleetConfig::paper_defaults(markets.clone());
     fleet_cfg.max_active_jobs = 64;

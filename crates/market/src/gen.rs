@@ -109,11 +109,6 @@ impl TraceGenerator {
         TraceGenerator { seed, model }
     }
 
-    /// The model parameters in use.
-    pub fn model(&self) -> &MarketModel {
-        &self.model
-    }
-
     /// Generates the price trace for one market over `[0, horizon]`.
     ///
     /// The RNG stream is derived from the market key, so each market's

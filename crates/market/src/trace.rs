@@ -242,11 +242,6 @@ impl TraceSet {
         self.traces.binary_search_by(|(k, _)| k.cmp(key))
     }
 
-    /// Every registered market key, in market order.
-    pub fn markets(&self) -> impl Iterator<Item = &MarketKey> {
-        self.traces.iter().map(|(k, _)| k)
-    }
-
     /// Number of registered markets.
     pub fn len(&self) -> usize {
         self.traces.len()
@@ -441,7 +436,9 @@ mod tests {
         );
         assert_eq!(set.len(), 1);
         assert_eq!(set.get(&key).unwrap().price_at(SimTime::EPOCH), 0.05);
-        assert!(set.markets().any(|k| *k == key));
+        assert!(set
+            .get(&MarketKey::new(catalog::c4_xlarge(), Zone(1)))
+            .is_none());
     }
 
     /// A trace whose change points sit `gaps` minutes apart, each price

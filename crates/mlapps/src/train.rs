@@ -81,11 +81,6 @@ impl<A: MlApp> SequentialTrainer<A> {
     pub fn app(&self) -> &A {
         &self.app
     }
-
-    /// The training data.
-    pub fn data(&self) -> &[A::Datum] {
-        &self.data
-    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,14 @@
 #
 #   scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD SEED N SECONDS
 #
-# PARENT_BIN and CHANGE_BIN are two builds of the benchmark binary
-# (`cargo build --release --offline --manifest-path benchmark/Cargo.toml`
-# in each checkout leaves it at benchmark/target/release/proteus-benchmark).
+# PARENT_BIN and CHANGE_BIN are two builds of the benchmark binary, each
+# built in a fresh checkout of its own, the two checkouts siblings
+# (`git archive REV | tar -x -C DIR`, then `cargo build --release
+# --offline --manifest-path benchmark/Cargo.toml` in DIR leaves it at
+# DIR/benchmark/target/release/proteus-benchmark). Where a binary is
+# built moves `peak_rss_mb` by itself: the same code built in a working
+# checkout read about 0.8 MB (a tenth) more on `fleet_sweep` than built
+# in a fresh copy. The header prints each binary's path and size.
 # Runs N pairs of `--workload WORKLOAD --seed SEED --seconds SECONDS
 # --trace 0`, one fresh process per run, the parent first in odd pairs
 # and the change first in even ones. Prints each run's
@@ -28,6 +33,8 @@ if [ $# -ne 6 ]; then
   exit 2
 fi
 parent=$1 change=$2 workload=$3 seed=$4 n=$5 seconds=$6
+printf 'parent %s (%s bytes)\nchange %s (%s bytes)\n' \
+  "$parent" "$(wc -c <"$parent")" "$change" "$(wc -c <"$change")"
 
 # One line per run: "side pair wall outcome_ratio correct failed
 # peak_rss_mb setup_s".
