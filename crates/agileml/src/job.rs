@@ -19,13 +19,13 @@
 //! handled — and a job is a pure function of its inputs and the calls
 //! made on it. A wait gives up with a typed [`JobError::Timeout`] the
 //! moment the queue runs dry (after releasing anything the fault layer
-//! was holding back), or when its wall-clock deadline passes while the
-//! job keeps training without ever reporting what was asked for.
+//! was holding back), or once it has dispatched its bound of batches
+//! while the job keeps training without ever reporting what was asked
+//! for — on any host, after the same batch.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use proteus_mlapps::app::{MlApp, ParamReader};
 use proteus_obs::{Event, Recorder};
@@ -41,10 +41,12 @@ use crate::node::NodeState;
 use crate::stage::Stage;
 use crate::worker::BlockKeys;
 
-/// Wall-clock bound on every wait, counted from where the wait starts:
-/// reached only by a job that keeps training yet never reports the
-/// awaited event.
-const WAIT: Duration = Duration::from_secs(60);
+/// Bound on the batches one wait dispatches, counted from where the
+/// wait starts: reached only by a job that keeps training yet never
+/// reports the awaited event. The longest wait measured took 600
+/// batches (a `wait_clock` of the benchmark's `train_mf`; 120 in the
+/// test suites and the examples), under a sixteenth of the bound.
+const WAIT_BATCHES: u64 = 10_000;
 
 /// Where the controller leaves its [`Report`]s for the driver.
 pub(crate) type ReportSink = Arc<Mutex<VecDeque<Report>>>;
@@ -190,11 +192,13 @@ impl Engine {
         self.event_log.last()
     }
 
-    /// Dispatches one more batch, or says why the wait is over: the
-    /// deadline passed, or the queue is dry even after releasing what
+    /// Dispatches one more batch of a wait that has dispatched
+    /// `batches`, or says why the wait is over: it reached
+    /// [`WAIT_BATCHES`], or the queue is dry even after releasing what
     /// the fault layer held back.
-    fn advance(&mut self, deadline: Instant, waiting_for: &'static str) -> Result<(), JobError> {
-        if Instant::now() < deadline && (self.cluster.step() || self.cluster.flush_delayed() > 0) {
+    fn advance(&mut self, batches: &mut u64, waiting_for: &'static str) -> Result<(), JobError> {
+        *batches += 1;
+        if *batches <= WAIT_BATCHES && (self.cluster.step() || self.cluster.flush_delayed() > 0) {
             Ok(())
         } else {
             Err(JobError::Timeout { waiting_for })
@@ -212,7 +216,7 @@ impl Engine {
         mut done: impl FnMut(&Engine) -> bool,
         waiting_for: &'static str,
     ) -> Result<(), JobError> {
-        let deadline = Instant::now() + WAIT;
+        let mut batches = 0;
         loop {
             while let Some(e) = self.next_event() {
                 if seen(e) {
@@ -225,7 +229,7 @@ impl Engine {
             if done(self) {
                 return Ok(());
             }
-            self.advance(deadline, waiting_for)?;
+            self.advance(&mut batches, waiting_for)?;
         }
     }
 
@@ -248,7 +252,7 @@ impl Engine {
         mut reply: impl FnMut(Report) -> Result<T, Report>,
     ) -> Result<T, JobError> {
         self.send_cmd(cmd)?;
-        let deadline = Instant::now() + WAIT;
+        let mut batches = 0;
         loop {
             let found = {
                 let mut reports = self.reports();
@@ -259,7 +263,7 @@ impl Engine {
                 Some(Ok(answer)) => return Ok(answer),
                 // A reply to an earlier call that gave up: discard.
                 Some(Err(_)) => {}
-                None => self.advance(deadline, waiting_for)?,
+                None => self.advance(&mut batches, waiting_for)?,
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Driver-API edge cases: invalid launches, no-op elasticity commands,
 //! and well-behaved shutdown.
 
-use proteus_agileml::{AgileConfig, AgileMlJob, Stage};
+use proteus_agileml::{AgileConfig, AgileMlJob, JobError, Stage};
 use proteus_mlapps::data::{netflix_like, MfDataConfig};
 use proteus_mlapps::mf::{MatrixFactorization, MfConfig};
 use proteus_simnet::NodeId;
@@ -62,6 +62,27 @@ fn evicting_unknown_nodes_is_a_noop() {
     assert_eq!(before.transient, after.transient);
     assert_eq!(before.reliable, after.reliable);
     job.shutdown().expect("shutdown");
+}
+
+/// A wait for an event that never comes, on a job that keeps training,
+/// gives up after its bound of dispatched batches rather than a
+/// wall-clock deadline: it fails typed, naming what it waited for, and
+/// every run gives up at the same clock.
+#[test]
+fn a_hung_wait_times_out_at_the_same_clock_on_every_run() {
+    let run = || {
+        let mut job = AgileMlJob::launch(app(), data(), cfg(), 1, 2).expect("launch");
+        let hung = job.wait_event(|_| false, "an event that never comes");
+        let waiting_for = "an event that never comes";
+        assert_eq!(hung, Err(JobError::Timeout { waiting_for }));
+        job.status().expect("status").min_clock
+    };
+    let clock = run();
+    assert!(
+        clock > 100,
+        "the wait ran dry instead of training on: {clock}"
+    );
+    assert_eq!(clock, run(), "the bound fell at another clock");
 }
 
 #[test]

@@ -45,65 +45,49 @@ const CHECKPOINT_MIN: SimDuration = SimDuration::from_mins(4);
 /// hazard-free market earns.
 const CHECKPOINT_MAX: SimDuration = SimDuration::from_hours(4);
 
-/// Tuning knobs for the online forecaster.
-///
-/// Defaults are calibrated against the synthetic generator's regimes
-/// (calm ±10 % multiplicative jitter, spikes ≥ 1.1× on-demand) and
-/// validated by the replay test at the bottom of this file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForecastConfig {
-    /// Price samples retained per holding (sliding window).
-    pub window: usize,
-    /// Hazard at or above this emits an alert (when armed).
-    pub alert_threshold: f64,
-    /// Hazard must fall below this before the holding re-arms; the gap
-    /// between the two thresholds is the anti-storm hysteresis band.
-    pub rearm_threshold: f64,
-    /// Forecast horizon: alerts mean "eviction expected within this".
-    pub horizon: SimDuration,
-    /// Relative margin below which the distance signal starts ramping
-    /// (e.g. 0.15 → prices within 15 % of the bid raise hazard).
-    pub margin_band: f64,
-}
+/// Turns online forecasting on where a caller holds it as an option
+/// (`ProteusConfig::forecast`). The forecaster's tuning is fixed: the
+/// constants below are calibrated against the synthetic generator's
+/// regimes (calm ±10 % multiplicative jitter, spikes ≥ 1.1× on-demand)
+/// and validated by the replay test at the bottom of this file.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ForecastConfig {}
+
+/// Price samples retained per holding (sliding window).
+const WINDOW: usize = 16;
+
+/// Hazard at or above this emits an alert (when armed).
+const ALERT_THRESHOLD: f64 = 0.6;
+
+/// Hazard must fall below this before the holding re-arms; the gap
+/// between the two thresholds is the anti-storm hysteresis band.
+const REARM_THRESHOLD: f64 = 0.25;
+
+/// Forecast horizon: alerts mean "eviction expected within this".
+pub const FORECAST_HORIZON: SimDuration = SimDuration::from_mins(10);
+
+/// Relative margin below which the distance signal starts ramping
+/// (0.15: prices within 15 % of the bid raise hazard).
+const MARGIN_BAND: f64 = 0.15;
+
+const _: () = assert!(
+    WINDOW >= 2,
+    "the trend and volatility signals need two samples"
+);
+const _: () = assert!(
+    0.0 <= REARM_THRESHOLD && REARM_THRESHOLD < ALERT_THRESHOLD && ALERT_THRESHOLD <= 1.0,
+    "hysteresis needs 0 <= rearm < alert <= 1"
+);
+const _: () = assert!(
+    !FORECAST_HORIZON.is_zero(),
+    "the forecast horizon must be positive"
+);
+const _: () = assert!(MARGIN_BAND > 0.0, "the margin band must be positive");
 
 /// Single-step relative price jump treated as a spike-regime onset.
 /// Calm-regime steps are bounded by jitter plus mean reversion
 /// (≲ ±20 %); spike onsets multiply the price several-fold.
 const REGIME_JUMP: f64 = 0.5;
-
-impl Default for ForecastConfig {
-    fn default() -> Self {
-        ForecastConfig {
-            window: 16,
-            alert_threshold: 0.6,
-            rearm_threshold: 0.25,
-            horizon: SimDuration::from_mins(10),
-            margin_band: 0.15,
-        }
-    }
-}
-
-impl ForecastConfig {
-    /// Validates threshold ordering and signal bands.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.window < 2 {
-            return Err("forecast window must hold at least 2 samples".into());
-        }
-        if !(0.0..=1.0).contains(&self.alert_threshold) || !self.alert_threshold.is_finite() {
-            return Err("alert_threshold must lie in [0, 1]".into());
-        }
-        if !(0.0..self.alert_threshold).contains(&self.rearm_threshold) {
-            return Err("rearm_threshold must lie in [0, alert_threshold)".into());
-        }
-        if self.horizon.is_zero() {
-            return Err("forecast horizon must be positive".into());
-        }
-        if self.margin_band <= 0.0 || !self.margin_band.is_finite() {
-            return Err("margin_band must be positive".into());
-        }
-        Ok(())
-    }
-}
 
 /// A typed preemption warning emitted ahead of any provider signal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,7 +99,7 @@ pub struct EvictionAlert {
     /// Simulated instant the alert fired.
     pub at: SimTime,
     /// Expected time until the eviction lands (the pre-warning budget
-    /// available for draining). Bounded by the configured horizon.
+    /// available for draining). Bounded by the forecast horizon.
     pub horizon: SimDuration,
     /// Calibrated hazard estimate in `[0, 1]` at fire time.
     pub confidence: f64,
@@ -177,7 +161,6 @@ type HoldingKey = (MarketKey, u64);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PreemptionForecaster {
-    cfg: ForecastConfig,
     states: BTreeMap<HoldingKey, HoldingState>,
     /// The `(market, bid)` each holding [`watch`](Self::watch) observed,
     /// or [`release`](Self::release) handed over, is exposed at, so its
@@ -186,18 +169,12 @@ pub struct PreemptionForecaster {
 }
 
 impl PreemptionForecaster {
-    /// A forecaster with the given configuration.
-    pub fn new(cfg: ForecastConfig) -> Self {
+    /// A forecaster with the fixed tuning (see [`ForecastConfig`]).
+    pub fn new(_: ForecastConfig) -> Self {
         PreemptionForecaster {
-            cfg,
             states: BTreeMap::new(),
             watched: BTreeMap::new(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ForecastConfig {
-        &self.cfg
     }
 
     /// Feeds one price sample for a held (market, bid) pair and returns
@@ -222,16 +199,16 @@ impl PreemptionForecaster {
             Some(last) if last.0 == now => *last = (now, price),
             _ => state.samples.push((now, price)),
         }
-        if state.samples.len() > self.cfg.window {
-            let excess = state.samples.len() - self.cfg.window;
+        if state.samples.len() > WINDOW {
+            let excess = state.samples.len() - WINDOW;
             state.samples.drain(..excess);
         }
 
-        let (hazard, lead) = combined_hazard(&self.cfg, &state.samples, bid, prev_price, price);
+        let (hazard, lead) = combined_hazard(&state.samples, bid, prev_price, price);
         state.hazard = hazard;
 
         // Hysteresis: one alert per excursion above the threshold.
-        if state.armed && hazard >= self.cfg.alert_threshold {
+        if state.armed && hazard >= ALERT_THRESHOLD {
             state.armed = false;
             return Some(EvictionAlert {
                 market,
@@ -241,7 +218,7 @@ impl PreemptionForecaster {
                 confidence: hazard,
             });
         }
-        if !state.armed && hazard < self.cfg.rearm_threshold {
+        if !state.armed && hazard < REARM_THRESHOLD {
             state.armed = true;
         }
         None
@@ -268,7 +245,7 @@ impl PreemptionForecaster {
     pub fn checkpoint_interval(&self, cost: SimDuration) -> SimDuration {
         adaptive_interval(
             cost,
-            hazard_to_rate(self.max_hazard(), self.cfg.horizon),
+            hazard_to_rate(self.max_hazard(), FORECAST_HORIZON),
             CHECKPOINT_MIN,
             CHECKPOINT_MAX,
         )
@@ -339,7 +316,6 @@ impl PreemptionForecaster {
 
 /// Combines the four signals noisy-or into `(hazard, expected lead)`.
 fn combined_hazard(
-    cfg: &ForecastConfig,
     samples: &[(SimTime, f64)],
     bid: f64,
     prev_price: Option<f64>,
@@ -353,12 +329,12 @@ fn combined_hazard(
     let margin = (bid - price) / bid;
 
     // Distance-to-bid: ramps from 0 at the band edge to ~1 at the bid.
-    let h_margin = ((cfg.margin_band - margin) / cfg.margin_band).clamp(0.0, 1.0);
+    let h_margin = ((MARGIN_BAND - margin) / MARGIN_BAND).clamp(0.0, 1.0);
 
     // Trend: project the least-squares slope to a crossing time.
-    let horizon_hours = cfg.horizon.as_secs_f64() / 3600.0;
+    let horizon_hours = FORECAST_HORIZON.as_secs_f64() / 3600.0;
     let slope = ls_slope_per_hour(samples);
-    let mut lead = cfg.horizon;
+    let mut lead = FORECAST_HORIZON;
     let h_trend = if slope > 1e-12 {
         let ttc_hours = (bid - price) / slope;
         if ttc_hours <= horizon_hours {
@@ -375,7 +351,7 @@ fn combined_hazard(
     // horizon, via a one-sided large-deviation proxy exp(−margin / σ√n).
     let h_vol = match step_return_sigma(samples) {
         Some(sigma) if sigma > 1e-9 => {
-            let steps = steps_in_horizon(cfg, samples).max(1.0);
+            let steps = steps_in_horizon(samples).max(1.0);
             (-margin / (sigma * steps.sqrt())).exp().clamp(0.0, 1.0)
         }
         _ => 0.0,
@@ -439,7 +415,7 @@ fn step_return_sigma(samples: &[(SimTime, f64)]) -> Option<f64> {
 }
 
 /// How many observation steps fit in the horizon, from sample spacing.
-fn steps_in_horizon(cfg: &ForecastConfig, samples: &[(SimTime, f64)]) -> f64 {
+fn steps_in_horizon(samples: &[(SimTime, f64)]) -> f64 {
     let span = match (samples.first(), samples.last()) {
         (Some(&(a, _)), Some(&(b, _))) if b > a => (b - a).as_secs_f64(),
         _ => return 1.0,
@@ -448,7 +424,7 @@ fn steps_in_horizon(cfg: &ForecastConfig, samples: &[(SimTime, f64)]) -> f64 {
     if step <= 0.0 {
         1.0
     } else {
-        cfg.horizon.as_secs_f64() / step
+        FORECAST_HORIZON.as_secs_f64() / step
     }
 }
 
@@ -614,35 +590,6 @@ mod tests {
 
     fn step() -> SimDuration {
         SimDuration::from_secs(120)
-    }
-
-    #[test]
-    fn default_config_is_valid() {
-        assert!(ForecastConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn bad_configs_are_rejected() {
-        let mut c = ForecastConfig {
-            window: 1,
-            ..ForecastConfig::default()
-        };
-        assert!(c.validate().is_err());
-        c = ForecastConfig {
-            rearm_threshold: 0.9,
-            ..ForecastConfig::default()
-        };
-        assert!(c.validate().is_err());
-        c = ForecastConfig {
-            rearm_threshold: f64::NAN,
-            ..ForecastConfig::default()
-        };
-        assert!(c.validate().is_err());
-        c = ForecastConfig {
-            horizon: SimDuration::ZERO,
-            ..ForecastConfig::default()
-        };
-        assert!(c.validate().is_err());
     }
 
     #[test]

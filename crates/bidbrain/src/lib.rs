@@ -37,7 +37,7 @@ mod standard;
 
 pub use acquire::{Acquisition, MarketBackoff};
 pub use beta::{BetaEstimator, BetaPoint, BetaTable};
-pub use forecast::{EvictionAlert, ForecastConfig, PreemptionForecaster};
+pub use forecast::{EvictionAlert, ForecastConfig, PreemptionForecaster, FORECAST_HORIZON};
 pub use params::{phi, AppParams};
 pub use policy::{AllocView, AllocationRequest, BidBrain, BidBrainConfig, FootprintEval};
 pub use standard::StandardStrategy;

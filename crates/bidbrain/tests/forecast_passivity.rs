@@ -32,26 +32,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Drive two identical providers through the same hourly request
-    /// loop; feed every price sample of one into a forecaster with
-    /// arbitrary (valid) tuning. Alert or no alert, the bills, ledgers,
-    /// and usage breakdowns must match exactly.
+    /// loop; feed every price sample of one into a forecaster. Alert or
+    /// no alert, the bills, ledgers, and usage breakdowns must match
+    /// exactly.
     #[test]
     fn forecasting_never_bends_the_ledger(
         trace_seed in 0u64..200,
         count in 1u32..6,
         delta in 0.001f64..0.3,
         hold_hours in 2u64..14,
-        alert_threshold in 0.31f64..0.9,
-        margin_band in 0.05f64..0.5,
     ) {
-        let cfg = ForecastConfig {
-            alert_threshold,
-            rearm_threshold: 0.3,
-            margin_band,
-            ..ForecastConfig::default()
-        };
-        prop_assert!(cfg.validate().is_ok(), "generated config invalid");
-        let mut fc = PreemptionForecaster::new(cfg);
+        let mut fc = PreemptionForecaster::new(ForecastConfig::default());
 
         let mut watched = provider(trace_seed);
         let mut plain = provider(trace_seed);

@@ -4,6 +4,8 @@ use proteus_market::UsageBreakdown;
 use proteus_obs::{BidEvent, Event, Recorder, SessionEvent};
 use proteus_simtime::{SimDuration, SimTime};
 
+use crate::session::FALLBACK_ON_DEMAND;
+
 /// What a finished [`Proteus`](crate::Proteus) session spent and
 /// achieved.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -73,22 +75,11 @@ impl ProteusReport {
 pub(crate) struct SessionTally {
     /// The fields folded so far; the rest stay at their defaults.
     pub(crate) report: ProteusReport,
-    /// Machines one degraded-mode fallback provisions — the count the
-    /// `market.on_demand_granted` beside each `session.fallback_launched`
-    /// carries.
-    fallback_size: u32,
     /// Start of the degraded episode still open, if any.
     degraded_since: Option<SimTime>,
 }
 
 impl SessionTally {
-    pub(crate) fn new(fallback_size: u32) -> Self {
-        SessionTally {
-            fallback_size,
-            ..SessionTally::default()
-        }
-    }
-
     /// Emits one session event at `t`: always applied to the fold, then
     /// mirrored to `rec` if a recorder is attached.
     pub(crate) fn emit(&mut self, rec: Option<&Recorder>, t: SimTime, event: Event) {
@@ -116,7 +107,9 @@ impl SessionTally {
                         r.degraded_time += t.since(since);
                     }
                 }
-                SessionEvent::FallbackLaunched { .. } => r.fallback_on_demand += self.fallback_size,
+                // One fallback provisions the count the
+                // `market.on_demand_granted` beside it carries.
+                SessionEvent::FallbackLaunched { .. } => r.fallback_on_demand += FALLBACK_ON_DEMAND,
                 SessionEvent::PreDrained { .. } => r.pre_drains += 1,
                 SessionEvent::ForecastHit { .. } => r.forecast_hits += 1,
                 SessionEvent::ForecastFalseAlert { .. } => r.false_alerts += 1,

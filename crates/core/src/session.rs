@@ -21,7 +21,8 @@ use std::sync::Arc;
 
 use proteus_agileml::{AgileMlJob, JobError};
 use proteus_bidbrain::{
-    AllocView, BetaEstimator, BidBrain, MarketBackoff, PreemptionForecaster, DECISION_STEP,
+    AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig, MarketBackoff,
+    PreemptionForecaster, DECISION_STEP, FORECAST_HORIZON,
 };
 use proteus_market::{
     catalog, AllocationId, CloudProvider, MarketError, ProviderEvent, TraceGenerator,
@@ -35,6 +36,43 @@ use crate::checkpoint::CheckpointStore;
 use crate::config::ProteusConfig;
 use crate::error::ProteusError;
 use crate::report::{ProteusReport, SessionTally};
+
+/// vCPUs BidBrain provisions toward: twelve c4.xlarge instances.
+const TARGET_CORES: u32 = 48;
+
+/// Most instances one allocation request asks for.
+const MAX_ALLOC_INSTANCES: u32 = 4;
+
+/// How long the acquisition loop may go with refusals and no grant
+/// before the watchdog declares it wedged and degrades to the reliable
+/// tier (plus [`FALLBACK_ON_DEMAND`] machines). While degraded, the
+/// spot sweep is re-probed once per window.
+const WATCHDOG_WINDOW: SimDuration = SimDuration::from_mins(20);
+
+/// On-demand machines provisioned when the watchdog degrades, so
+/// forward progress never depends on a drought ending.
+pub(crate) const FALLBACK_ON_DEMAND: u32 = 1;
+
+/// Backoff after a market refuses a request; it doubles per
+/// consecutive refusal, up to [`BACKOFF_CAP`].
+const BACKOFF_BASE: SimDuration = SimDuration::from_mins(2);
+
+/// Cap on the per-market backoff delay.
+const BACKOFF_CAP: SimDuration = SimDuration::from_mins(30);
+
+/// Modelled wall time one model snapshot takes: the `C` in the
+/// Young's-rule interval `τ* = √(2·C·MTTF)` adaptive checkpointing uses.
+const CHECKPOINT_COST: SimDuration = SimDuration::from_mins(2);
+
+const _: () = assert!(
+    WATCHDOG_WINDOW.as_millis() >= DECISION_STEP.as_millis(),
+    "the watchdog window must cover at least one decision step"
+);
+const _: () = assert!(
+    BACKOFF_BASE.as_millis() <= BACKOFF_CAP.as_millis(),
+    "the backoff base must not exceed its cap"
+);
+const _: () = assert!(!CHECKPOINT_COST.is_zero(), "a checkpoint must cost time");
 
 /// How [`Proteus::inject_reliable_failure`] recovered the job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,7 +206,12 @@ impl<A: MlApp> Proteus<A> {
                 &BetaEstimator::default_deltas(),
             );
         }
-        let brain = BidBrain::new(config.params, beta, config.brain.clone());
+        let policy = BidBrainConfig {
+            target_cores: TARGET_CORES,
+            max_alloc_instances: MAX_ALLOC_INSTANCES,
+            ..BidBrainConfig::default()
+        };
+        let brain = BidBrain::new(AppParams::default(), beta, policy);
 
         let mut provider = CloudProvider::with_warning_lead(traces, config.warning_lead);
         if let Some(plan) = config.market_faults.clone() {
@@ -194,9 +237,8 @@ impl<A: MlApp> Proteus<A> {
             job.attach_recorder(Arc::clone(rec));
         }
 
-        let backoff = MarketBackoff::new(config.backoff_base, config.backoff_cap);
-        let forecaster = config.forecast.clone().map(PreemptionForecaster::new);
-        let tally = SessionTally::new(config.fallback_on_demand);
+        let backoff = MarketBackoff::new(BACKOFF_BASE, BACKOFF_CAP);
+        let forecaster = config.forecast.map(PreemptionForecaster::new);
         let reliable = u64::from(config.reliable_machines);
         let mut session = Proteus {
             config,
@@ -215,7 +257,7 @@ impl<A: MlApp> Proteus<A> {
             reliable_alloc,
             dead_reliable: BTreeSet::new(),
             last_known_clock: 0,
-            tally,
+            tally: SessionTally::default(),
             obs,
         };
         session.emit(
@@ -404,7 +446,7 @@ impl<A: MlApp> Proteus<A> {
             return Ok(());
         };
         let now = self.provider.now();
-        let expiry = now + fc.config().horizon + self.config.warning_lead + DECISION_STEP;
+        let expiry = now + FORECAST_HORIZON + self.config.warning_lead + DECISION_STEP;
         for (id, alert) in fc.watch(&self.provider, now) {
             let Some(h) = self.held.get_mut(&id) else {
                 continue;
@@ -454,7 +496,7 @@ impl<A: MlApp> Proteus<A> {
             return Ok(());
         };
         let now = self.provider.now();
-        let interval = fc.checkpoint_interval(self.config.checkpoint_cost);
+        let interval = fc.checkpoint_interval(CHECKPOINT_COST);
         if now.since(self.last_checkpoint) < interval {
             return Ok(());
         }
@@ -517,7 +559,7 @@ impl<A: MlApp> Proteus<A> {
             if now < *next_probe {
                 return Ok(());
             }
-            *next_probe = now + self.config.watchdog_window;
+            *next_probe = now + WATCHDOG_WINDOW;
         }
         // Booting grants count: their machines are on the way.
         let headroom = self
@@ -578,14 +620,14 @@ impl<A: MlApp> Proteus<A> {
     fn maybe_degrade(&mut self, now: SimTime) -> Result<(), ProteusError> {
         if self.degraded.is_some()
             || self.refusals_since_grant == 0
-            || now.since(self.last_grant) < self.config.watchdog_window
+            || now.since(self.last_grant) < WATCHDOG_WINDOW
         {
             return Ok(());
         }
-        self.degraded = Some((now, now + self.config.watchdog_window));
+        self.degraded = Some((now, now + WATCHDOG_WINDOW));
         self.emit(now, Event::Session(SessionEvent::Degraded));
-        let count = self.config.fallback_on_demand;
-        if count > 0 && self.first_held(|h| h.fallback).is_none() {
+        let count = FALLBACK_ON_DEMAND;
+        if self.first_held(|h| h.fallback).is_none() {
             let id = self
                 .provider
                 .request_on_demand(self.config.on_demand_market, count)?;
@@ -721,7 +763,7 @@ impl<A: MlApp> Proteus<A> {
         // No holding survives, so no trajectory may either: a stale one
         // would keep its hazard in `max_hazard` and the checkpoint
         // cadence for the rest of the session.
-        self.forecaster = self.config.forecast.clone().map(PreemptionForecaster::new);
+        self.forecaster = self.config.forecast.map(PreemptionForecaster::new);
         self.dead_reliable.clear();
 
         // The reliable hosts are dead too: release the old allocation

@@ -42,16 +42,12 @@ const MF: MfJob = MfJob {
     seed: 7,
 };
 
-/// Session shape shared by every scenario: laptop-sized cluster, a
-/// short watchdog window and backoff cap so wedge → degrade → recover
-/// all fits inside a two-hour market run.
+/// Session shape shared by every scenario: a laptop-sized cluster under
+/// `plan`.
 fn chaos_config(plan: MarketFaultPlan) -> ProteusConfig {
     ProteusConfig {
         max_machines: 8,
         market_faults: Some(plan),
-        watchdog_window: SimDuration::from_mins(10),
-        backoff_base: SimDuration::from_mins(2),
-        backoff_cap: SimDuration::from_mins(10),
         ..ProteusConfig::default()
     }
 }
@@ -274,27 +270,27 @@ fn launch_then_die_rolls_back_and_converges() {
 }
 
 /// Misconfigured resilience knobs surface as typed config errors, not
-/// panics deep in the loop.
+/// panics deep in the loop. (The watchdog and backoff timings are
+/// constants whose rules are checked at compile time.)
 #[test]
 fn resilience_config_is_validated() {
     let bad = ProteusConfig {
-        watchdog_window: SimDuration::from_secs(30),
+        warning_lead: SimDuration::ZERO,
         ..ProteusConfig::default()
     };
     let err = match Proteus::launch(MF.app(), MF.data(), bad) {
         Err(e) => e,
-        Ok(_) => panic!("sub-step watchdog must be rejected"),
+        Ok(_) => panic!("a warning lead with no time to drain must be rejected"),
     };
     assert!(matches!(err, ProteusError::Config(_)), "got: {err:?}");
 
     let bad = ProteusConfig {
-        backoff_base: SimDuration::from_mins(40),
-        backoff_cap: SimDuration::from_mins(10),
+        max_machines: 1,
         ..ProteusConfig::default()
     };
     let err = match Proteus::launch(MF.app(), MF.data(), bad) {
         Err(e) => e,
-        Ok(_) => panic!("inverted backoff must be rejected"),
+        Ok(_) => panic!("a cap with no room for transient machines must be rejected"),
     };
     assert!(matches!(err, ProteusError::Config(_)), "got: {err:?}");
 }

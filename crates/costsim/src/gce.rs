@@ -8,24 +8,23 @@
 //! short pause rather than a restart. This module simulates such a job
 //! so the EC2-vs-GCE comparison is a tested library capability.
 
-use proteus_bidbrain::phi;
+use proteus_bidbrain::{phi, AppParams};
 use proteus_market::MarketKey;
 use proteus_market::{GceMarket, PreemptionModel};
 use proteus_simtime::rng::seeded;
 use proteus_simtime::SimDuration;
 use rand::Rng;
 
-use crate::scheme::JobSpec;
+use crate::scheme::{JobSpec, ON_DEMAND_COUNT};
+
+/// Progress pause per preemption (AgileML λ, the Proteus scheme's).
+const EVICTION_PAUSE: SimDuration = SimDuration::from_secs(240);
 
 /// Parameters of a GCE run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GceRunConfig {
-    /// Preemptible instances held (replaced immediately on preemption).
-    pub fleet: u32,
     /// Preemption statistics.
     pub preemption: PreemptionModel,
-    /// Progress pause per preemption (AgileML λ).
-    pub eviction_pause: SimDuration,
     /// Simulation seed.
     pub seed: u64,
     /// Give up after this much simulated time.
@@ -35,9 +34,7 @@ pub struct GceRunConfig {
 impl Default for GceRunConfig {
     fn default() -> Self {
         GceRunConfig {
-            fleet: 384,
             preemption: PreemptionModel::default(),
-            eviction_pause: SimDuration::from_secs(240),
             seed: 0,
             max_hours: 96.0,
         }
@@ -57,21 +54,23 @@ pub struct GceOutcome {
     pub completed: bool,
 }
 
-/// Runs a job on a GCE-style provider: fixed-price preemptible fleet
-/// plus the job's on-demand tier, Poisson preemptions, immediate
-/// replacement (no bidding), λ pauses.
+/// Runs a job on a GCE-style provider: a fixed-price preemptible fleet
+/// of `market` instances covering the job's `target_cores` plus its
+/// on-demand tier, Poisson preemptions, immediate replacement (no
+/// bidding), λ pauses.
 pub fn run_gce_job(job: &JobSpec, market: MarketKey, config: &GceRunConfig) -> GceOutcome {
     let gce = GceMarket::new(config.preemption);
     let od_price = market.instance_type().on_demand_price;
     let preemptible_price = gce.price(market);
-    let vcpus = f64::from(market.instance_type().vcpus);
+    let vcpus = market.instance_type().vcpus;
 
-    let fleet = f64::from(config.fleet);
-    let mut cores = fleet * vcpus;
+    let fleet = f64::from(job.target_cores / vcpus);
+    let mut cores = fleet * f64::from(vcpus);
     if job.on_demand_works {
-        cores += f64::from(job.on_demand_count) * vcpus;
+        cores += f64::from(ON_DEMAND_COUNT * vcpus);
     }
-    let rate = cores * phi(job.phi_per_doubling, cores); // φ-scaled core-hours per hour.
+    // φ-scaled core-hours per hour.
+    let rate = cores * phi(AppParams::default().phi_per_doubling, cores);
 
     let fleet_rate_per_hour = fleet * config.preemption.preemptions_per_day / 24.0;
     let mut rng = seeded(config.seed);
@@ -93,7 +92,7 @@ pub fn run_gce_job(job: &JobSpec, market: MarketKey, config: &GceRunConfig) -> G
     while t < config.max_hours {
         if t >= next_preempt {
             preemptions += 1;
-            paused_until = paused_until.max(t + config.eviction_pause.as_hours_f64());
+            paused_until = paused_until.max(t + EVICTION_PAUSE.as_hours_f64());
             next_preempt = t + exp_interval();
         }
         if t >= paused_until {
@@ -106,7 +105,7 @@ pub fn run_gce_job(job: &JobSpec, market: MarketKey, config: &GceRunConfig) -> G
         }
     }
 
-    let cost = fleet * preemptible_price * t + f64::from(job.on_demand_count) * od_price * t;
+    let cost = fleet * preemptible_price * t + f64::from(ON_DEMAND_COUNT) * od_price * t;
     GceOutcome {
         cost,
         runtime_hours: t,

@@ -30,16 +30,14 @@
 
 mod executor;
 mod gce;
-mod queue;
 mod scheme;
 mod sim;
 mod study;
 
 pub use executor::StudyExecutor;
 pub use gce::{run_gce_job, GceOutcome, GceRunConfig};
-pub use queue::{run_job_queue, QueueOutcome};
 pub use scheme::{JobSpec, Scheme, SchemeKind};
-pub use sim::{run_job, SimOutcome};
+pub use sim::{run_job, run_job_queue, QueueOutcome, SimOutcome};
 pub use study::{run_study, run_study_with, StudyConfig, StudyEnv, StudyResult};
 
 /// The bid-delta sweep the paper's BidBrain evaluates: `[$0.0001, $0.4]`

@@ -1,18 +1,26 @@
 //! Job specifications and the four evaluated schemes.
 
+use proteus_bidbrain::{phi, AppParams};
 use proteus_market::MarketKey;
 use proteus_simtime::SimDuration;
+
+/// On-demand machines every job holds for its whole life: the reliable
+/// tier of the AgileML schemes (the paper's Proteus runs used 3).
+pub(crate) const ON_DEMAND_COUNT: u32 = 3;
+
+/// vCPU budget of the standard-bidding schemes, which replace the
+/// 128-machine on-demand fleet like-for-like (Spot Fleet semantics),
+/// and of the Proteus scheme's degraded-mode on-demand fallback.
+pub(crate) const STANDARD_CORES: u32 = 512;
 
 /// What the job needs and which reliable base it keeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSpec {
     /// Useful work required, in core-hours at perfect scaling (φ = 1).
     pub work_core_hours: f64,
-    /// Market whose instance type is used for on-demand machines.
+    /// Market whose instance type is used for on-demand machines (the
+    /// job holds `ON_DEMAND_COUNT`, three, of them).
     pub on_demand_market: MarketKey,
-    /// On-demand machines held for the whole job (the reliable tier for
-    /// the AgileML schemes; the paper's Proteus runs used 3).
-    pub on_demand_count: u32,
     /// Whether the on-demand machines contribute compute (they do not in
     /// stage 3, the common configuration at high transient ratios — and
     /// the paper's Fig. 6 toy likewise counts their work as zero).
@@ -22,28 +30,20 @@ pub struct JobSpec {
     /// cheap — the paper ran up to 189 spot + 3 on-demand machines
     /// against a 128-machine on-demand baseline.
     pub target_cores: u32,
-    /// vCPU budget of the standard-bidding schemes, which replace the
-    /// on-demand fleet like-for-like (Spot Fleet semantics).
-    pub standard_cores: u32,
-    /// Scalability coefficient per doubling (the φ model).
-    pub phi_per_doubling: f64,
 }
 
 impl JobSpec {
     /// A job sized like the paper's Cluster-B runs: `hours` of work for
-    /// 128 c4.xlarge machines (512 cores).
+    /// 128 c4.xlarge machines (`STANDARD_CORES`, 512), scaling with
+    /// [`AppParams::default`]'s φ.
     pub fn cluster_b_job(hours: f64, on_demand_market: MarketKey) -> Self {
-        let phi = 0.97f64;
-        let cores = 512.0;
+        let cores = f64::from(STANDARD_CORES);
         JobSpec {
             // Work the 128-machine on-demand fleet finishes in `hours`.
-            work_core_hours: cores * hours * proteus_bidbrain::phi(phi, cores),
+            work_core_hours: cores * hours * phi(AppParams::default().phi_per_doubling, cores),
             on_demand_market,
-            on_demand_count: 3,
             on_demand_works: false,
             target_cores: 1_536, // Proteus over-provisions when cheap.
-            standard_cores: 512, // Standard schemes replace like-for-like.
-            phi_per_doubling: phi,
         }
     }
 }
@@ -187,7 +187,7 @@ mod tests {
         let j2 = JobSpec::cluster_b_job(2.0, mk);
         let j20 = JobSpec::cluster_b_job(20.0, mk);
         assert!((j20.work_core_hours / j2.work_core_hours - 10.0).abs() < 1e-9);
-        assert_eq!(j2.on_demand_count, 3);
+        assert_eq!(ON_DEMAND_COUNT, 3, "the paper's Proteus runs held three");
     }
 
     #[test]

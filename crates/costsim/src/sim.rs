@@ -20,7 +20,11 @@ use proteus_market::{
 use proteus_obs::{CostEvent, Event, MarketEvent, Recorder, Unshared};
 use proteus_simtime::{SimDuration, SimTime};
 
-use crate::scheme::{JobSpec, Scheme, SchemeKind};
+use crate::scheme::{JobSpec, Scheme, SchemeKind, ON_DEMAND_COUNT, STANDARD_CORES};
+
+mod queue;
+
+pub use queue::{run_job_queue, QueueOutcome};
 
 /// Outcome of one simulated job.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,7 +101,7 @@ pub(crate) fn run_positioned<'a>(
 /// A clone is a fork: it runs on exactly as the original would from
 /// the same instant, with no recorder.
 #[derive(Clone)]
-pub(crate) struct JobSim<'a> {
+struct JobSim<'a> {
     kind: SchemeKind,
     job: JobSpec,
     provider: CloudProvider<'a>,
@@ -150,14 +154,13 @@ pub(crate) struct JobSim<'a> {
 impl<'a> JobSim<'a> {
     /// A job of `scheme` from `start` on `provider`, which has made no
     /// request yet.
-    pub(crate) fn new(
+    fn new(
         scheme: &Scheme,
         provider: CloudProvider<'a>,
         beta: &'a BetaEstimator,
         start: SimTime,
     ) -> Self {
         let params = AppParams {
-            phi_per_doubling: scheme.job.phi_per_doubling,
             sigma: match scheme.kind {
                 SchemeKind::Proteus { scale_pause, .. } => scale_pause,
                 SchemeKind::StandardCheckpoint { restart_delay, .. }
@@ -171,6 +174,7 @@ impl<'a> JobSim<'a> {
                 | SchemeKind::AdaptiveCheckpoint { restart_delay, .. } => restart_delay,
                 SchemeKind::AllOnDemand { .. } => SimDuration::ZERO,
             },
+            ..AppParams::default()
         };
         let bid_deltas = match &scheme.kind {
             SchemeKind::Proteus { bid_deltas, .. } => bid_deltas.clone(),
@@ -203,7 +207,7 @@ impl<'a> JobSim<'a> {
             job: scheme.job,
             provider,
             brain,
-            standard: StandardStrategy::new(scheme.job.standard_cores),
+            standard: StandardStrategy::new(STANDARD_CORES),
             start,
             work_done: 0.0,
             checkpointed_work: 0.0,
@@ -229,7 +233,7 @@ impl<'a> JobSim<'a> {
     /// change-only price moves and a periodic cumulative cost/work
     /// sample (the Fig. 9/10 axes). Recording is passive — it never
     /// feeds back into decisions.
-    pub(crate) fn set_recorder(&mut self, rec: Arc<Recorder>) {
+    fn set_recorder(&mut self, rec: Arc<Recorder>) {
         rec.set_now(self.provider.now().max(self.start));
         self.provider.set_recorder(Arc::clone(&rec));
         // Intern the market names once: `PriceMove` is the hottest
@@ -277,7 +281,7 @@ impl<'a> JobSim<'a> {
                 .sum();
             let on_demand = match self.kind {
                 SchemeKind::AllOnDemand { machines } => u64::from(machines),
-                _ => u64::from(self.job.on_demand_count),
+                _ => u64::from(ON_DEMAND_COUNT),
             };
             rec.record(
                 now,
@@ -295,49 +299,9 @@ impl<'a> JobSim<'a> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Crate-internal accessors for the queue runner (`queue.rs`).
-    // ------------------------------------------------------------------
-
-    /// Current provider time.
-    pub(crate) fn now(&self) -> SimTime {
-        self.provider.now()
-    }
-
-    /// The provider (its tally counts the run's evictions).
-    pub(crate) fn provider(&self) -> &CloudProvider<'a> {
-        &self.provider
-    }
-
-    /// Mutable provider access (teardown orchestration).
-    pub(crate) fn provider_mut(&mut self) -> &mut CloudProvider<'a> {
-        &mut self.provider
-    }
-
-    /// Starts a fresh work quota for the next job in a queue.
-    pub(crate) fn reset_work_quota(&mut self) {
-        self.work_done = 0.0;
-        self.checkpointed_work = 0.0;
-    }
-
     /// Net billed dollars so far, minus queue-accounting credits.
-    pub(crate) fn account_cost(&self) -> f64 {
+    fn account_cost(&self) -> f64 {
         (self.provider.account().total_cost() - self.credits).max(0.0)
-    }
-
-    /// Total provider refunds so far.
-    pub(crate) fn account_refunds(&self) -> f64 {
-        self.provider.account().total_refunds()
-    }
-
-    /// Machine-hour usage so far.
-    pub(crate) fn account_usage(&self) -> UsageBreakdown {
-        *self.provider.account().usage()
-    }
-
-    /// Applies an accounting credit (a charged-but-unused fresh hour).
-    pub(crate) fn credit(&mut self, dollars: f64) {
-        self.credits += dollars;
     }
 
     /// Records a granted spot allocation in the market mix.
@@ -365,8 +329,7 @@ impl<'a> JobSim<'a> {
     /// the launched spot holdings' `spot_cores`.
     fn work_rate(&self, spot_cores: u32) -> f64 {
         let mut cores = f64::from(spot_cores);
-        let od_cores =
-            f64::from(self.job.on_demand_count * self.job.on_demand_market.instance_type().vcpus);
+        let od_cores = f64::from(ON_DEMAND_COUNT * self.job.on_demand_market.instance_type().vcpus);
         if self.job.on_demand_works {
             cores += od_cores;
         }
@@ -441,8 +404,8 @@ impl<'a> JobSim<'a> {
         } else {
             0.0
         };
-        (self.job.on_demand_count > 0 && !matches!(self.kind, SchemeKind::AllOnDemand { .. }))
-            .then(|| AllocView::on_demand(market, self.job.on_demand_count, work_rate))
+        (!matches!(self.kind, SchemeKind::AllOnDemand { .. }))
+            .then(|| AllocView::on_demand(market, ON_DEMAND_COUNT, work_rate))
     }
 
     fn pause(&mut self, d: SimDuration) {
@@ -580,13 +543,11 @@ impl<'a> JobSim<'a> {
         }
         if capacity_refused && !booting && self.fallback.is_none() && self.work_rate(0) <= 0.0 {
             let vcpus = self.job.on_demand_market.instance_type().vcpus.max(1);
-            let count = self.job.standard_cores.div_ceil(vcpus);
-            if count > 0 {
-                let market = self.job.on_demand_market;
-                if let Ok(id) = self.provider.request_on_demand(market, count) {
-                    self.fallback = Some((id, count));
-                    self.fallback_launches += 1;
-                }
+            let count = STANDARD_CORES.div_ceil(vcpus);
+            let market = self.job.on_demand_market;
+            if let Ok(id) = self.provider.request_on_demand(market, count) {
+                self.fallback = Some((id, count));
+                self.fallback_launches += 1;
             }
         }
     }
@@ -597,7 +558,7 @@ impl<'a> JobSim<'a> {
 
     /// Runs decision steps until the current work quota completes or
     /// `deadline` passes; returns the stop instant and completion flag.
-    pub(crate) fn run_until_done(&mut self, deadline: SimTime) -> (SimTime, bool) {
+    fn run_until_done(&mut self, deadline: SimTime) -> (SimTime, bool) {
         let mut now = self.provider.now().max(self.start);
         let mut completed = false;
         while now < deadline {
@@ -634,7 +595,7 @@ impl<'a> JobSim<'a> {
     }
 
     /// Provisions the reliable (on-demand) base at the start instant.
-    pub(crate) fn provision_base(&mut self) {
+    fn provision_base(&mut self) {
         // The provider starts at `SimTime::EPOCH <= self.start`;
         // `advance_to` only errors on time moving backwards.
         #[allow(clippy::expect_used)]
@@ -649,23 +610,11 @@ impl<'a> JobSim<'a> {
                     .ok();
             }
             _ => {
-                if self.job.on_demand_count > 0 {
-                    self.od_alloc = self
-                        .provider
-                        .request_on_demand(self.job.on_demand_market, self.job.on_demand_count)
-                        .ok();
-                }
+                self.od_alloc = self
+                    .provider
+                    .request_on_demand(self.job.on_demand_market, ON_DEMAND_COUNT)
+                    .ok();
             }
-        }
-    }
-
-    /// Releases the on-demand tier (queue teardown).
-    pub(crate) fn release_on_demand(&mut self) {
-        if let Some(id) = self.od_alloc.take() {
-            let _ = self.provider.terminate(id);
-        }
-        if let Some((id, _)) = self.fallback.take() {
-            let _ = self.provider.terminate(id);
         }
     }
 

@@ -18,8 +18,8 @@ use proteus_bidbrain::BetaEstimator;
 use proteus_market::{AllocationId, CloudProvider, TraceSet, UsageBreakdown};
 use proteus_simtime::{SimDuration, SimTime};
 
+use super::JobSim;
 use crate::scheme::Scheme;
-use crate::sim::JobSim;
 
 /// Outcome of a queue of sequentially executed jobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,8 +60,10 @@ pub fn run_job_queue(
     let mut completed = true;
     let mut last_end = start;
     for _ in 0..n_jobs {
-        let job_start = sim.now().max(start);
-        sim.reset_work_quota();
+        let job_start = sim.provider.now().max(start);
+        // A fresh work quota for the next job.
+        sim.work_done = 0.0;
+        sim.checkpointed_work = 0.0;
         let (end, done) = sim.run_until_done(job_start + per_job_horizon);
         job_runtimes.push(end - job_start);
         completed &= done;
@@ -70,28 +72,32 @@ pub fn run_job_queue(
 
     // Sec. 5 teardown: on-demand released immediately; spot allocations
     // idle to the ends of their billing hours hoping for evictions.
-    let refunds_before = sim.account_refunds();
+    let refunds_before = sim.provider.account().total_refunds();
     sim.hopeful_teardown();
-    let teardown_refunds = sim.account_refunds() - refunds_before;
+    let teardown_refunds = sim.provider.account().total_refunds() - refunds_before;
 
     QueueOutcome {
         job_runtimes,
         total_cost: sim.account_cost(),
         makespan: last_end - start,
-        evictions: sim.provider().tally().evictions,
-        usage: sim.account_usage(),
+        evictions: sim.provider.tally().evictions,
+        usage: *sim.provider.account().usage(),
         completed,
         teardown_refunds,
     }
 }
 
-/// Internal teardown helpers surfaced by [`JobSim`] for the queue
-/// runner; implemented here to keep `sim.rs` focused on the per-job
-/// loop.
+/// The queue's teardown, kept here so `sim.rs` stays the per-job loop.
 impl JobSim<'_> {
-    /// The Sec. 5 hopeful teardown.
-    pub(crate) fn hopeful_teardown(&mut self) {
-        self.release_on_demand();
+    /// The Sec. 5 hopeful teardown: the on-demand tier (and any
+    /// degraded-mode fallback) goes at once.
+    fn hopeful_teardown(&mut self) {
+        if let Some(id) = self.od_alloc.take() {
+            let _ = self.provider.terminate(id);
+        }
+        if let Some((id, _)) = self.fallback.take() {
+            let _ = self.provider.terminate(id);
+        }
         // Idle each spot allocation to its billing-hour end; the
         // provider evicts (and refunds) any whose market spikes first.
         // A warned allocation stops billing new hours (its hour boundary
@@ -99,7 +105,7 @@ impl JobSim<'_> {
         // warning issued just before an hour end pins `next_end` in
         // place and the loop never advances.
         while let Some(next_end) = self
-            .provider_mut()
+            .provider
             .live_spot()
             .map(|a| a.evict_at().unwrap_or(a.hour_end()))
             .min()
@@ -107,7 +113,7 @@ impl JobSim<'_> {
             // `next_end` is a future hour boundary or eviction instant;
             // `advance_to` only errors on time moving backwards.
             #[allow(clippy::expect_used)]
-            self.provider_mut()
+            self.provider
                 .advance_to(next_end)
                 .expect("time moves forward");
             // Terminate every allocation whose hour just ended: we
@@ -115,15 +121,14 @@ impl JobSim<'_> {
             // Terminating at once uses none of that fresh hour, which is
             // credited whole like the per-job accounting does.
             let renewed: Vec<AllocationId> = self
-                .provider_mut()
+                .provider
                 .live_spot()
                 .filter(|a| a.hour_start >= next_end)
                 .map(|a| a.id)
                 .collect();
             for id in renewed {
-                let credit = self.provider_mut().unused_hour_credit(id);
-                self.credit(credit);
-                let _ = self.provider_mut().terminate(id);
+                self.credits += self.provider.unused_hour_credit(id);
+                let _ = self.provider.terminate(id);
             }
         }
     }

@@ -2,8 +2,8 @@
 //! a hyperparameter sweep run through one fleet pays less per unit of
 //! useful work than the same trials run as independent jobs, because the
 //! shared pool bin-packs reliable slots that a per-job run must each
-//! hold whole. Both sides are sim-time deterministic (measured: $0.0204
-//! against $0.0716 per core-hour).
+//! hold whole. Both sides are sim-time deterministic (measured: $0.0193
+//! against $0.1063 per core-hour).
 
 use proteus_bidbrain::BetaEstimator;
 use proteus_costsim::{run_job, JobSpec, Scheme, SchemeKind, StudyExecutor};
@@ -46,11 +46,14 @@ fn a_500_trial_sweep_beats_per_job_trials_on_cost_per_work() {
 
     // The per-job baseline: each trial reruns as its own Proteus job
     // (the same BidBrain stack and AgileML overheads) sized to the work
-    // the fleet accrued for it, holding one dedicated reliable machine
-    // for its whole life, over the same start and window so neither side
-    // gets a cheaper stretch of the price history.
+    // the fleet accrued for it, holding the three dedicated reliable
+    // machines every costsim job holds for its whole life, over the same
+    // start and window so neither side gets a cheaper stretch of the
+    // price history. BidBrain counts the reliable tier's cores toward
+    // its target, so the target adds them to the gang's.
     let od = markets[0];
     let gang_cores = cfg.gang * od.instance_type().vcpus;
+    let reliable_cores = 3 * od.instance_type().vcpus;
     let (mut per_job_cost, mut per_job_work) = (0.0, 0.0);
     for work in sweep.trials.iter().map(|t| t.work_done) {
         if work <= 1e-6 {
@@ -59,11 +62,8 @@ fn a_500_trial_sweep_beats_per_job_trials_on_cost_per_work() {
         let job = JobSpec {
             work_core_hours: work,
             on_demand_market: od,
-            on_demand_count: 1,
             on_demand_works: false,
-            target_cores: gang_cores,
-            standard_cores: gang_cores,
-            phi_per_doubling: 0.97,
+            target_cores: reliable_cores + gang_cores,
         };
         let kind = SchemeKind::paper_proteus();
         let scheme = Scheme { kind, job };

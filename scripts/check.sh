@@ -256,4 +256,23 @@ if [ "$test_only" -ne 0 ]; then
   exit 1
 fi
 
+# Every settable value is an option a reader has to understand. Count
+# the `pub` fields of every `pub struct` named *Config, *Spec, *Params
+# or *Model in the non-test part of crates/*/src (before each file's
+# first `#[cfg(test)]`). A value no caller turns is a `const` beside its
+# one user, not a field. A new knob changes this pin, and CHANGES.md
+# records its reason.
+echo "==> settable values in config structs are pinned at 95"
+settable=$(for f in $(find crates/*/src -name '*.rs' | sort); do
+  awk '/#\[cfg\(test\)\]/ { exit }
+       /^[[:space:]]*pub struct [A-Za-z0-9_]*(Config|Spec|Params|Model)[[:space:]<{]/ { on = !/\}/; next }
+       on && /^[[:space:]]*\}/ { on = 0; next }
+       on && /^[[:space:]]*pub [a-z_0-9]+:/' "$f"
+done | wc -l)
+if [ "$settable" -ne 95 ]; then
+  echo "error: $settable pub fields in *Config/*Spec/*Params/*Model structs, pinned at 95" >&2
+  echo "error: make an unturned value a const, or move the pin and record why in CHANGES.md" >&2
+  exit 1
+fi
+
 echo "==> all checks passed"
