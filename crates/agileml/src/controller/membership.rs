@@ -77,10 +77,13 @@ impl<A: MlApp> Controller<A> {
     /// checkpoint when one was provided (the paper's Sec. 3.3
     /// reliable-resource checkpointing), the app's random initialization
     /// otherwise. Keys absent from a checkpoint fall back to the
-    /// initializer so model-shape growth stays possible.
+    /// initializer so model-shape growth stays possible. Every partition
+    /// has an image, empty if no key maps to it: each holder awaits one.
     fn initial_images(&self) -> BTreeMap<PartitionId, Values> {
         let mut rng = seeded_stream(self.cfg.seed, 0x1217);
-        let mut images: BTreeMap<PartitionId, Values> = BTreeMap::new();
+        let mut images: BTreeMap<PartitionId, Values> = (self.keyspace.partitions())
+            .map(|p| (p, Values::new()))
+            .collect();
         for k in 0..self.app.key_count() {
             let key = ParamKey(k);
             let value: DenseVec = self

@@ -631,10 +631,15 @@ impl<A: MlApp> AgileMlJob<A> {
             })
     }
 
-    /// The training objective of the current model over `data`.
+    /// The training objective of the current model over `data`, read
+    /// with a fresh run state: the model is the job's, the per-run state
+    /// the workers' own.
     pub fn objective(&self, data: &[A::Datum]) -> Result<f64, JobError> {
         let snap = self.snapshot()?;
-        Ok(self.app.objective(data, &snap.reader(self.app.as_ref())))
+        let fresh = A::RunState::default();
+        Ok(self
+            .app
+            .objective(data, &fresh, &snap.reader(self.app.as_ref())))
     }
 
     /// Controller status (stage, counts, clock).

@@ -2,7 +2,8 @@
 //!
 //! A worker processes its assigned input-data blocks once per clock:
 //! it reads the parameters its data needs from the serving PSs, runs the
-//! application's `process` over each block's data as one run (buffering
+//! application's `process` over each block's data as one run, read in
+//! place from the job's shared dataset with the block's run state (buffering
 //! updates in the write-back cache), flushes coalesced update batches to the partition
 //! owners, and reports `ClockDone` to the controller. Progress is gated
 //! by the SSP condition against the controller-broadcast global minimum
@@ -18,10 +19,11 @@
 //! without a cluster; `node.rs` performs the actual I/O.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use proteus_mlapps::app::MlApp;
-use proteus_ps::{KeySet, ParamKey, PartitionMap, RunRows, WorkerCache};
+use proteus_ps::{KeySet, ParamKey, PartitionMap, WorkerCache};
 use proteus_simnet::NodeId;
 use rand::rngs::StdRng;
 
@@ -133,13 +135,12 @@ impl BlockKeys {
     }
 }
 
-/// A loaded data block.
-struct Block<D> {
-    /// The block's data, with its scratch state.
-    data: Vec<D>,
-    /// Where that data's rows sit in the worker's cache, once a pass
-    /// has resolved them.
-    rows: RunRows,
+/// A loaded data block: a range of the job's dataset, read in place,
+/// and the app's state of that run.
+struct Block<S> {
+    range: Range<usize>,
+    /// Fresh when the block is loaded; kept while the worker holds it.
+    state: S,
 }
 
 /// One read round's requests, kept from clock to clock.
@@ -183,12 +184,13 @@ impl ReadPlan {
 /// The worker half of an AgileML node.
 pub struct WorkerState<A: MlApp> {
     app: Arc<A>,
-    /// The full dataset ("S3"); blocks are loaded (cloned) from here.
+    /// The full dataset ("S3"), shared by the job's workers: a loaded
+    /// block is a range of it, which `process` reads in place.
     dataset: Arc<Vec<A::Datum>>,
     /// Block ranges and per-block key lists, shared across the job.
     block_keys: Arc<BlockKeys>,
-    /// Loaded blocks with their (mutable, scratch-bearing) data.
-    local: BTreeMap<BlockId, Block<A::Datum>>,
+    /// Loaded blocks with their run states.
+    local: BTreeMap<BlockId, Block<A::RunState>>,
     /// Sorted union of the loaded blocks' key sets — what every clock
     /// reads. A function of the loaded blocks alone, so only
     /// `assign_blocks` touches it.
@@ -297,8 +299,9 @@ impl<A: MlApp> WorkerState<A> {
     }
 
     /// Applies a (re)assignment of data blocks: loads newly assigned
-    /// blocks from the dataset, drops removed ones (keeping scratch state
-    /// of retained blocks), and moves `read_keys` to the union of the
+    /// blocks (a dataset range and a fresh run state each, no datum
+    /// copied), drops removed ones (keeping the run states of retained
+    /// blocks), and moves `read_keys` to the union of the
     /// held blocks' key sets, reserving a cache row for each key that
     /// joined it.
     ///
@@ -324,8 +327,8 @@ impl<A: MlApp> WorkerState<A> {
             }
             let (lo, hi) = block_keys.range(b);
             let block = Block {
-                data: dataset[lo..hi].to_vec(),
-                rows: RunRows::default(),
+                range: lo..hi,
+                state: A::RunState::default(),
             };
             self.local.insert(b, block);
             or_into(&mut self.union, &block_keys.reads(app, dataset, b).words);
@@ -491,12 +494,11 @@ impl<A: MlApp> WorkerState<A> {
 
     /// Processes all local data and emits update batches + `ClockDone`.
     fn finish_iteration(&mut self, topology: &Topology) -> Outbox {
-        // Process every block as one run, in place, buffering updates in
-        // the cache.
+        // Process every block as one run, buffering updates in the cache.
         for block in self.local.values_mut() {
             self.app.process(
-                &mut block.data,
-                &mut block.rows,
+                &self.dataset[block.range.clone()],
+                &mut block.state,
                 &mut self.scratch,
                 &mut self.cache,
                 &mut self.rng,
@@ -780,6 +782,14 @@ mod tests {
         Ok(())
     }
 
+    impl<A: MlApp> WorkerState<A> {
+        /// Every datum of the loaded blocks, block by block.
+        fn loaded(&self) -> impl Iterator<Item = &A::Datum> {
+            let dataset = &self.dataset;
+            (self.local.values()).flat_map(move |b| &dataset[b.range.clone()])
+        }
+    }
+
     #[test]
     fn block_reassignment_preserves_loaded_blocks() {
         let mut w = worker();
@@ -793,12 +803,7 @@ mod tests {
 
     /// The union `begin_reads` rebuilt every clock before it was kept.
     fn recomputed_keys(w: &WorkerState<MatrixFactorization>) -> Vec<ParamKey> {
-        let mut keys: Vec<ParamKey> = w
-            .local
-            .values()
-            .flat_map(|b| &b.data)
-            .flat_map(|d| w.app.keys_for(d))
-            .collect();
+        let mut keys: Vec<ParamKey> = w.loaded().flat_map(|d| w.app.keys_for(d)).collect();
         keys.sort();
         keys.dedup();
         keys
@@ -819,7 +824,7 @@ mod tests {
     }
 
     /// Runs one clock against owners that answer with no values.
-    fn one_clock(w: &mut WorkerState<MatrixFactorization>, t: &Topology) -> Vec<ParamKey> {
+    fn one_clock<A: MlApp>(w: &mut WorkerState<A>, t: &Topology) -> Vec<ParamKey> {
         let reads = w.poll(t);
         let asked = requested_keys(&reads);
         let before = w.clock;
@@ -867,6 +872,60 @@ mod tests {
         w.start();
         assert_eq!(one_clock(&mut w, &t), all);
         assert_eq!(all, recomputed_keys(&w));
+    }
+
+    #[test]
+    fn a_reloaded_lda_block_restarts_from_a_fresh_run_state() {
+        use proteus_mlapps::data::{nytimes_like, LdaDataConfig};
+        use proteus_mlapps::lda::{Lda, LdaConfig, LdaRun};
+
+        let app = Lda::new(LdaConfig {
+            vocab: 30,
+            topics: 3,
+            ..LdaConfig::default()
+        });
+        let docs = Arc::new(nytimes_like(
+            &LdaDataConfig {
+                docs: 12,
+                vocab: 30,
+                true_topics: 3,
+                doc_len: 8,
+                topic_purity: 0.8,
+            },
+            6,
+            3,
+        ));
+        let mut w = WorkerState::new(
+            Arc::new(app),
+            Arc::clone(&docs),
+            Arc::new(BlockKeys::new(docs.len(), 2)),
+            PartitionMap::new(2).unwrap(),
+            0,
+            seeded(1),
+            NodeId(0),
+        );
+        let t = topo(NodeId(1));
+        let state = |w: &WorkerState<Lda>, b: u32| w.local[&BlockId(b)].state.clone();
+        w.assign_blocks(&[BlockId(0), BlockId(1)]);
+        w.start();
+        one_clock(&mut w, &t);
+        let (kept, swept) = (state(&w, 0), state(&w, 1));
+        assert_ne!(kept, LdaRun::default(), "a sweep assigns every token");
+        assert_ne!(swept, LdaRun::default(), "a sweep assigns every token");
+
+        // Block 1 is evicted and comes back: like a document cloned
+        // afresh from the dataset, it starts unassigned. Block 0, held
+        // throughout, keeps its assignments.
+        w.assign_blocks(&[BlockId(0)]);
+        w.assign_blocks(&[BlockId(0), BlockId(1)]);
+        assert_eq!(state(&w, 1), LdaRun::default());
+        assert_eq!(state(&w, 0), kept);
+        assert!(
+            Arc::ptr_eq(&w.dataset, &docs),
+            "the blocks read the job's data"
+        );
+        one_clock(&mut w, &t);
+        assert_ne!(state(&w, 1), LdaRun::default());
     }
 
     /// A worker over 50 ratings of a 12 × 9 matrix at rank 3, cut into
@@ -988,7 +1047,7 @@ mod tests {
         for &k in &w.read_keys {
             cache.refresh(k, &served(k));
         }
-        for d in w.local.values().flat_map(|b| &b.data) {
+        for d in w.loaded() {
             let (a, b) = (w.app.row_key(d.row), w.app.col_key(d.col));
             cache.add_lincomb_pair(a, b, cfg.rank, |li, rj| {
                 let err = proteus_ps::kernels::dot(li, rj) - d.value;
@@ -1046,12 +1105,7 @@ mod tests {
     /// were shared: `keys_for` over every local datum, sorted, deduped —
     /// and the row elements all those reads touch.
     fn rebuilt<A: MlApp>(w: &WorkerState<A>) -> (Vec<ParamKey>, u64) {
-        let all: Vec<ParamKey> = w
-            .local
-            .values()
-            .flat_map(|b| &b.data)
-            .flat_map(|d| w.app.keys_for(d))
-            .collect();
+        let all: Vec<ParamKey> = w.loaded().flat_map(|d| w.app.keys_for(d)).collect();
         let work = all.iter().map(|k| w.app.value_dim(*k) as u64).sum();
         let mut keys = all;
         keys.sort();
@@ -1111,6 +1165,7 @@ mod tests {
 
     impl<A: MlApp> MlApp for Undeclared<A> {
         type Datum = A::Datum;
+        type RunState = A::RunState;
         type Scratch = A::Scratch;
         fn key_count(&self) -> u64 {
             self.1
@@ -1126,20 +1181,21 @@ mod tests {
         }
         fn process(
             &self,
-            data: &mut [A::Datum],
-            rows: &mut RunRows,
+            data: &[A::Datum],
+            state: &mut A::RunState,
             scratch: &mut A::Scratch,
             params: &mut WorkerCache,
             rng: &mut StdRng,
         ) {
-            self.0.process(data, rows, scratch, params, rng);
+            self.0.process(data, state, scratch, params, rng);
         }
         fn objective(
             &self,
             data: &[A::Datum],
+            state: &A::RunState,
             params: &dyn proteus_mlapps::app::ParamReader,
         ) -> f64 {
-            self.0.objective(data, params)
+            self.0.objective(data, state, params)
         }
     }
 

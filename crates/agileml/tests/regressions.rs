@@ -1,12 +1,15 @@
-//! Named regressions for two defects the thread core's timing hid.
+//! Named regressions: defects the thread core's timing hid, and job
+//! shapes that once could not start.
 //!
 //! On the discrete-event core nothing runs between driver calls, so
 //! the scripts below are deterministic: each either always passes or
 //! always fails.
 
 use proteus_agileml::{AgileConfig, AgileMlJob, JobEvent, Stage};
+use proteus_mlapps::data::{imagenet_like, MlrDataConfig};
 use proteus_mlapps::data::{netflix_like, MfDataConfig};
 use proteus_mlapps::mf::{MatrixFactorization, MfConfig, Rating};
+use proteus_mlapps::mlr::{Mlr, MlrConfig};
 use proteus_mlapps::MlApp;
 use proteus_simnet::{NodeClass, NodeId};
 
@@ -182,5 +185,44 @@ fn forced_stage_without_a_transient_machine_starts_in_stage_one() {
     let status = job.status().expect("status");
     assert_eq!((status.stage, status.active_ps), (Stage::Stage2, 1));
     job.wait_clock(4).expect("training continues in stage 2");
+    job.shutdown().expect("shutdown");
+}
+
+/// A model of fewer keys than partitions: the initial images were built
+/// from the keys alone, so a partition no key maps to got no install,
+/// its holders awaited one forever and the launch timed out waiting for
+/// the job start. The rollback recovery path has no such gap (each
+/// backup exports every partition it is named, empty ones too), which
+/// the failure below walks through.
+#[test]
+fn a_job_with_more_partitions_than_keys_starts_and_recovers() {
+    let (dim, classes) = (8, 4);
+    let data = imagenet_like(
+        &MlrDataConfig {
+            examples: 200,
+            dim,
+            classes,
+            separation: 2.0,
+            noise: 0.4,
+        },
+        5,
+    );
+    let app = Mlr::new(MlrConfig {
+        dim,
+        classes,
+        learning_rate: 0.1,
+        reg: 1e-4,
+    });
+    let cfg = AgileConfig {
+        partitions: 8,
+        ..cfg()
+    };
+    let mut job = AgileMlJob::launch(app, data, cfg, 1, 3).expect("launch");
+    job.wait_clock(2).expect("two clocks");
+
+    let rolled = job.fail_nodes(&[NodeId(2)]).expect("rollback recovery");
+    job.wait_clock(rolled + 2).expect("training resumes");
+    let snap = job.snapshot().expect("snapshot");
+    assert_eq!(snap.params.len() as u64, job.app().key_count());
     job.shutdown().expect("shutdown");
 }

@@ -817,8 +817,7 @@ impl<A: MlApp> Proteus<A> {
     /// for a refund — the simulated equivalent simply terminates them,
     /// since their current hours are already paid either way.
     pub fn finish(mut self) -> Result<ProteusReport, ProteusError> {
-        let dataset: Vec<A::Datum> = self.job.dataset().to_vec();
-        let final_objective = self.job.objective(&dataset)?;
+        let final_objective = self.job.objective(self.job.dataset())?;
         let status = self.job.status()?;
         self.terminate_all();
         let market_time = self.provider.now() - self.job_start;

@@ -1,6 +1,6 @@
 //! The contract between an ML application and the training runtime.
 
-use proteus_ps::{DenseVec, ParamKey, RunRows, WorkerCache};
+use proteus_ps::{DenseVec, ParamKey, WorkerCache};
 use rand::rngs::StdRng;
 
 /// A read-only view of the current parameter state, supplied by whichever
@@ -25,14 +25,23 @@ impl ParamReader for WorkerCache {
 /// An iterative-convergent ML application runnable by Proteus.
 ///
 /// Solution state lives entirely in the parameter server (the paper's
-/// stateless-worker design, Sec. 7); each datum may carry mutable
-/// *scratch* state (e.g. LDA's per-token topic assignments) that is cheap
-/// to reconstruct when a data partition is re-loaded after an eviction.
+/// stateless-worker design, Sec. 7), and the data are read-only: every
+/// runtime reads its runs of data where they already are (a worker its
+/// block ranges of the job's one shared dataset, like S3). What an app
+/// keeps from one pass over a run to the next (e.g. LDA's per-token
+/// topic assignments) is its [`RunState`](MlApp::RunState), which the
+/// runtime keeps beside the run and which starts fresh whenever the run
+/// is loaded again after an eviction.
 pub trait MlApp: Send + Sync + 'static {
     /// One training item. `Sync` because the full dataset is shared
-    /// (read-only, like S3) across node threads; workers mutate only
-    /// their loaded copies.
+    /// (read-only, like S3) across node threads.
     type Datum: Clone + Send + Sync + 'static;
+
+    /// What the app keeps beside one run of data from pass to pass: the
+    /// runtime holds one per run, for as long as it holds that run, and
+    /// passes it on every pass. `Default` is a fresh state, the one a
+    /// never-processed run has.
+    type RunState: Default + Send + 'static;
 
     /// Reusable buffers for [`process`](MlApp::process): one per
     /// executing runtime, carrying no meaning from one call to the next,
@@ -63,24 +72,28 @@ pub trait MlApp: Send + Sync + 'static {
     /// (MLR computes one example's logits inside the previous example's
     /// step), never a reordering.
     ///
-    /// `rows` is the run's own: the runtime keeps one beside each run of
-    /// data, for as long as it holds that run, and passes it on every
-    /// pass. An app whose step reads the same keys every pass resolves
-    /// them into it ([`WorkerCache::resolve_pairs`]) and reads its rows
-    /// from there; the others leave it empty.
-    ///
-    /// `rng` supplies any sampling the algorithm needs (Gibbs sampling,
-    /// dropout, ...); the data are mutable for per-datum scratch state.
+    /// `state` is the run's own [`RunState`](MlApp::RunState): MF
+    /// resolves the rows its steps read into it
+    /// ([`WorkerCache::resolve_pairs`]) and reads them from there, LDA
+    /// keeps its topic assignments and document-topic histograms in it,
+    /// MLR and K-means keep nothing. `rng` supplies any sampling the
+    /// algorithm needs (Gibbs sampling, dropout, ...).
     fn process(
         &self,
-        data: &mut [Self::Datum],
-        rows: &mut RunRows,
+        data: &[Self::Datum],
+        state: &mut Self::RunState,
         scratch: &mut Self::Scratch,
         params: &mut WorkerCache,
         rng: &mut StdRng,
     );
 
-    /// The goodness-of-solution objective over a dataset — *lower is
+    /// The goodness-of-solution objective over a run of data with its
+    /// `state` (a fresh one for data no pass has processed) — *lower is
     /// better* for every bundled app (loss or negative log-likelihood).
-    fn objective(&self, data: &[Self::Datum], params: &dyn ParamReader) -> f64;
+    fn objective(
+        &self,
+        data: &[Self::Datum],
+        state: &Self::RunState,
+        params: &dyn ParamReader,
+    ) -> f64;
 }

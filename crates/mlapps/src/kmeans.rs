@@ -14,7 +14,7 @@
 //! no combination of concurrent updates can drive a cluster's mass
 //! negative.
 
-use proteus_ps::{kernels, DenseVec, ParamKey, RunRows, WorkerCache};
+use proteus_ps::{kernels, DenseVec, ParamKey, WorkerCache};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -97,6 +97,7 @@ impl KMeans {
 
 impl MlApp for KMeans {
     type Datum = Point;
+    type RunState = ();
     /// The accumulation delta `[coords.., 1]` of the datum in hand.
     type Scratch = Vec<f32>;
 
@@ -122,8 +123,8 @@ impl MlApp for KMeans {
 
     fn process(
         &self,
-        data: &mut [Point],
-        _rows: &mut RunRows,
+        data: &[Point],
+        _state: &mut (),
         delta: &mut Vec<f32>,
         params: &mut WorkerCache,
         _rng: &mut StdRng,
@@ -144,7 +145,7 @@ impl MlApp for KMeans {
 
     /// Mean squared distance of each point to its assigned centroid
     /// (the K-means distortion; lower is better).
-    fn objective(&self, data: &[Point], params: &dyn ParamReader) -> f64 {
+    fn objective(&self, data: &[Point], _state: &(), params: &dyn ParamReader) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
@@ -266,16 +267,10 @@ mod tests {
         for k in (0..app.key_count()).map(ParamKey) {
             params.refresh(k, app.init_value(k, &mut rng).as_slice());
         }
-        let mut points = [Point {
+        let points = [Point {
             coords: vec![0.5; 4],
         }];
-        app.process(
-            &mut points,
-            &mut RunRows::default(),
-            &mut Vec::new(),
-            &mut params,
-            &mut rng,
-        );
+        app.process(&points, &mut (), &mut Vec::new(), &mut params, &mut rng);
         let flushed = params.flush();
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].1.len(), 1, "one point updates one cluster");

@@ -12,39 +12,35 @@
 //! * key `vocab` — the global topic totals `n_·` (dim `K`).
 //!
 //! Per-document state (topic assignments `z` and the doc-topic histogram)
-//! lives in the [`LdaDoc`] datum itself: it is scratch that a re-loaded
-//! data partition rebuilds after an eviction, keeping workers stateless
-//! with respect to *solution* state.
+//! lives in the run's [`LdaRun`], beside the read-only [`LdaDoc`]s: a
+//! re-loaded data partition starts it afresh after an eviction, keeping
+//! workers stateless with respect to *solution* state.
 
-use proteus_ps::{DenseVec, ParamKey, RunRows, WorkerCache};
+use proteus_ps::{DenseVec, ParamKey, WorkerCache};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::app::{MlApp, ParamReader};
 
-/// One document: its tokens and their current topic assignments.
+/// One document: its tokens.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LdaDoc {
     /// Word id of each token.
     pub words: Vec<u32>,
-    /// Current topic assignment per token; `None` markers are encoded as
-    /// `u32::MAX` before the first sweep.
-    pub assignments: Vec<u32>,
-    /// Document-topic histogram `n_{d,·}` (dim `K`), kept consistent with
-    /// `assignments`.
-    pub doc_topics: Vec<u32>,
 }
 
-impl LdaDoc {
-    /// A fresh document with unassigned tokens.
-    pub fn new(words: Vec<u32>, topics: usize) -> Self {
-        let n = words.len();
-        LdaDoc {
-            words,
-            assignments: vec![u32::MAX; n],
-            doc_topics: vec![0; topics],
-        }
-    }
+/// The state of one run of documents: each token's current topic and
+/// each document's topic histogram, in the run's order. A fresh run (the
+/// default) has neither; its first sweep sizes them, every token
+/// unassigned.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LdaRun {
+    /// Topic assignment per token, the run's documents end to end;
+    /// `u32::MAX` marks a token no sweep has assigned yet.
+    assignments: Vec<u32>,
+    /// Document-topic histograms `n_{d,·}`, `K` counts per document,
+    /// kept consistent with `assignments`.
+    doc_topics: Vec<u32>,
 }
 
 /// Configuration for [`Lda`].
@@ -114,6 +110,7 @@ impl Lda {
 
 impl MlApp for Lda {
     type Datum = LdaDoc;
+    type RunState = LdaRun;
     type Scratch = ();
 
     fn key_count(&self) -> u64 {
@@ -139,8 +136,8 @@ impl MlApp for Lda {
 
     fn process(
         &self,
-        docs: &mut [LdaDoc],
-        _rows: &mut RunRows,
+        docs: &[LdaDoc],
+        run: &mut LdaRun,
         _scratch: &mut (),
         params: &mut WorkerCache,
         rng: &mut StdRng,
@@ -150,7 +147,21 @@ impl MlApp for Lda {
         let beta = self.config.beta;
         let v = f64::from(self.config.vocab);
 
-        for doc in docs {
+        if run.doc_topics.is_empty() {
+            let tokens = docs.iter().map(|d| d.words.len()).sum();
+            run.assignments = vec![u32::MAX; tokens];
+            run.doc_topics = vec![0; docs.len() * k_topics];
+        }
+        assert_eq!(
+            run.doc_topics.len(),
+            docs.len() * k_topics,
+            "state of another run"
+        );
+        let mut assignments = run.assignments.as_mut_slice();
+        let histograms = run.doc_topics.chunks_exact_mut(k_topics);
+        for (doc, doc_topics) in docs.iter().zip(histograms) {
+            let (doc_assignments, rest) = assignments.split_at_mut(doc.words.len());
+            assignments = rest;
             // Local mutable copies of the counts this document touches;
             // deltas are added at the end, so every read below sees the
             // counts as they stood when the document was picked up.
@@ -165,18 +176,17 @@ impl MlApp for Lda {
             let mut base = vec![0.0f64; k_topics];
             let mut weights = vec![0.0f64; k_topics];
 
-            for t in 0..doc.words.len() {
-                let w = doc.words[t];
+            for (&w, z) in doc.words.iter().zip(doc_assignments.iter_mut()) {
                 for (b, &x) in base.iter_mut().zip(params.row(self.word_key(w))) {
                     *b = f64::from(x);
                 }
                 let wd = word_deltas.entry(w).or_insert_with(|| vec![0.0; k_topics]);
 
                 // Remove the token's current assignment (if initialized).
-                let old = doc.assignments[t];
+                let old = *z;
                 if old != u32::MAX {
                     let k = old as usize;
-                    doc.doc_topics[k] -= 1;
+                    doc_topics[k] -= 1;
                     wd[k] -= 1.0;
                     delta_totals[k] -= 1.0;
                     totals_now[k] -= 1.0;
@@ -185,15 +195,15 @@ impl MlApp for Lda {
                 // Collapsed Gibbs conditional:
                 //   p(z=k) ∝ (n_dk + α) (n_wk + β) / (n_k + Vβ)
                 for (k, weight) in weights.iter_mut().enumerate() {
-                    let n_dk = f64::from(doc.doc_topics[k]) + alpha;
+                    let n_dk = f64::from(doc_topics[k]) + alpha;
                     let n_wk = (base[k] + f64::from(wd[k]) + beta).max(beta);
                     let n_k = (totals_now[k] + v * beta).max(v * beta);
                     *weight = n_dk * n_wk / n_k;
                 }
                 let k = Self::sample_topic(&weights, rng);
 
-                doc.assignments[t] = k as u32;
-                doc.doc_topics[k] += 1;
+                *z = k as u32;
+                doc_topics[k] += 1;
                 wd[k] += 1.0;
                 delta_totals[k] += 1.0;
                 totals_now[k] += 1.0;
@@ -214,24 +224,29 @@ impl MlApp for Lda {
     }
 
     /// Per-token negative log-likelihood of the corpus under the current
-    /// count state (lower is better).
-    fn objective(&self, data: &[LdaDoc], params: &dyn ParamReader) -> f64 {
+    /// count state and the run's document-topic histograms (lower is
+    /// better); a fresh run's are all zeros.
+    fn objective(&self, data: &[LdaDoc], run: &LdaRun, params: &dyn ParamReader) -> f64 {
         let k_topics = self.config.topics;
         let alpha = self.config.alpha;
         let beta = self.config.beta;
         let v = f64::from(self.config.vocab);
         let totals = params.row(self.totals_key());
+        let unassigned = vec![0; k_topics];
 
         let mut nll = 0.0f64;
         let mut tokens = 0usize;
-        for doc in data {
-            let doc_len: f64 = doc.doc_topics.iter().map(|&c| f64::from(c)).sum();
+        for (d, doc) in data.iter().enumerate() {
+            let doc_topics = (run.doc_topics)
+                .get(d * k_topics..(d + 1) * k_topics)
+                .unwrap_or(&unassigned);
+            let doc_len: f64 = doc_topics.iter().map(|&c| f64::from(c)).sum();
             for &w in &doc.words {
                 let wk = params.row(self.word_key(w));
                 let mut p = 0.0f64;
                 for k in 0..k_topics {
-                    let theta = (f64::from(doc.doc_topics[k]) + alpha)
-                        / (doc_len + alpha * k_topics as f64);
+                    let theta =
+                        (f64::from(doc_topics[k]) + alpha) / (doc_len + alpha * k_topics as f64);
                     let phi = (f64::from(wk[k]) + beta) / (f64::from(totals[k]) + v * beta);
                     p += theta * phi;
                 }
@@ -260,8 +275,23 @@ mod tests {
         params
     }
 
-    fn sweep(app: &Lda, docs: &mut [LdaDoc], params: &mut WorkerCache, rng: &mut StdRng) {
-        app.process(docs, &mut RunRows::default(), &mut (), params, rng);
+    fn sweep(
+        app: &Lda,
+        docs: &[LdaDoc],
+        run: &mut LdaRun,
+        params: &mut WorkerCache,
+        rng: &mut StdRng,
+    ) {
+        app.process(docs, run, &mut (), params, rng);
+    }
+
+    fn doc(words: Vec<u32>) -> LdaDoc {
+        LdaDoc { words }
+    }
+
+    /// Each document's topic histogram in `run`.
+    fn histograms<'a>(app: &Lda, run: &'a LdaRun) -> impl Iterator<Item = &'a [u32]> {
+        run.doc_topics.chunks_exact(app.config().topics)
     }
 
     fn count_state(params: &WorkerCache, app: &Lda) -> (Vec<f32>, f32) {
@@ -279,13 +309,11 @@ mod tests {
             ..LdaConfig::default()
         });
         let mut rng = seeded(7);
-        let mut docs = vec![
-            LdaDoc::new(vec![0, 1, 2, 3, 0, 1], 3),
-            LdaDoc::new(vec![10, 11, 12, 10], 3),
-        ];
+        let docs = vec![doc(vec![0, 1, 2, 3, 0, 1]), doc(vec![10, 11, 12, 10])];
+        let mut run = LdaRun::default();
         let mut params = zero_counts(&app);
         for _ in 0..5 {
-            sweep(&app, &mut docs, &mut params, &mut rng);
+            sweep(&app, &docs, &mut run, &mut params, &mut rng);
         }
         let (totals, word_sum) = count_state(&params, &app);
         let total_tokens: usize = docs.iter().map(|d| d.words.len()).sum();
@@ -295,9 +323,10 @@ mod tests {
         assert_eq!(totals_sum as usize, total_tokens);
         assert_eq!(word_sum as usize, total_tokens);
         // Per-document histograms also match.
-        for d in &docs {
-            assert!(d.assignments.iter().all(|&z| z != u32::MAX));
-            let hist_sum: u32 = d.doc_topics.iter().sum();
+        assert!(run.assignments.iter().all(|&z| z != u32::MAX));
+        assert_eq!(run.assignments.len(), total_tokens);
+        for (d, doc_topics) in docs.iter().zip(histograms(&app, &run)) {
+            let hist_sum: u32 = doc_topics.iter().sum();
             assert_eq!(hist_sum as usize, d.words.len());
         }
         // No negative counts anywhere.
@@ -319,29 +348,30 @@ mod tests {
         let mut docs = Vec::new();
         for i in 0..10 {
             let words: Vec<u32> = (0..20).map(|j| (i + j) % 5).collect();
-            docs.push(LdaDoc::new(words, 2));
+            docs.push(doc(words));
         }
         for i in 0..10 {
             let words: Vec<u32> = (0..20).map(|j| 10 + (i + j) % 5).collect();
-            docs.push(LdaDoc::new(words, 2));
+            docs.push(doc(words));
         }
+        let mut run = LdaRun::default();
         let mut params = zero_counts(&app);
         for _ in 0..30 {
-            sweep(&app, &mut docs, &mut params, &mut rng);
+            sweep(&app, &docs, &mut run, &mut params, &mut rng);
         }
-        let dominant = |d: &LdaDoc| -> usize {
-            d.doc_topics
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, c)| **c)
-                .map(|(k, _)| k)
-                .unwrap()
-        };
-        let group_a = dominant(&docs[0]);
+        let dominant: Vec<usize> = histograms(&app, &run)
+            .map(|doc_topics| {
+                (doc_topics.iter().enumerate())
+                    .max_by_key(|(_, c)| **c)
+                    .map(|(k, _)| k)
+                    .unwrap()
+            })
+            .collect();
+        let group_a = dominant[0];
         // Group A documents agree with each other…
-        let a_agree = docs[..10].iter().filter(|d| dominant(d) == group_a).count();
+        let a_agree = dominant[..10].iter().filter(|&&d| d == group_a).count();
         // …and group B mostly uses the other topic.
-        let b_other = docs[10..].iter().filter(|d| dominant(d) != group_a).count();
+        let b_other = dominant[10..].iter().filter(|&&d| d != group_a).count();
         assert!(a_agree >= 8, "group A coherence: {a_agree}/10");
         assert!(b_other >= 8, "group B separation: {b_other}/10");
     }
@@ -354,19 +384,20 @@ mod tests {
             ..LdaConfig::default()
         });
         let mut rng = seeded(13);
-        let mut docs: Vec<LdaDoc> = (0..12)
+        let docs: Vec<LdaDoc> = (0..12)
             .map(|i| {
                 let base = (i % 3) * 10;
-                LdaDoc::new((0..15).map(|j| base + j % 10).collect(), 3)
+                doc((0..15).map(|j| base + j % 10).collect())
             })
             .collect();
+        let mut run = LdaRun::default();
         let mut params = zero_counts(&app);
-        sweep(&app, &mut docs, &mut params, &mut rng);
-        let early = app.objective(&docs, &params);
+        sweep(&app, &docs, &mut run, &mut params, &mut rng);
+        let early = app.objective(&docs, &run, &params);
         for _ in 0..20 {
-            sweep(&app, &mut docs, &mut params, &mut rng);
+            sweep(&app, &docs, &mut run, &mut params, &mut rng);
         }
-        let late = app.objective(&docs, &params);
+        let late = app.objective(&docs, &run, &params);
         assert!(
             late < early,
             "Gibbs sweeps should improve likelihood: {late} >= {early}"
@@ -380,8 +411,7 @@ mod tests {
             topics: 2,
             ..LdaConfig::default()
         });
-        let doc = LdaDoc::new(vec![3, 3, 3, 5], 2);
-        let keys = app.keys_for(&doc);
+        let keys = app.keys_for(&doc(vec![3, 3, 3, 5]));
         // Words 3 and 5 plus the totals key.
         assert_eq!(keys.len(), 3);
         assert!(keys.contains(&app.totals_key()));

@@ -14,9 +14,10 @@
 //! corpora with the same statistical structure at laptop scale (documented
 //! substitution in `DESIGN.md`). Each application implements the
 //! [`MlApp`] contract consumed by AgileML's workers: stateless with
-//! respect to *solution* state (which lives in the parameter server), with
-//! per-datum scratch state (LDA's topic assignments) carried in the datum
-//! itself so a re-loaded data partition can always be re-processed.
+//! respect to *solution* state (which lives in the parameter server), and
+//! reading the data in place, with what an app keeps between passes
+//! (LDA's topic assignments) in a per-run state beside the data, which a
+//! re-loaded data partition starts afresh.
 //!
 //! [`train::SequentialTrainer`] runs any `MlApp` single-threaded against a
 //! plain [`ShardStore`](proteus_ps::ShardStore) — the convergence oracle
@@ -37,7 +38,7 @@ pub mod train;
 
 pub use app::MlApp;
 pub use kmeans::{KMeans, KmConfig, Point};
-pub use lda::{Lda, LdaConfig, LdaDoc};
+pub use lda::{Lda, LdaConfig, LdaDoc, LdaRun};
 pub use mf::{MatrixFactorization, MfConfig, Rating};
 pub use mlr::{Example, Mlr, MlrConfig};
 pub use train::SequentialTrainer;

@@ -89,6 +89,8 @@ impl MatrixFactorization {
 
 impl MlApp for MatrixFactorization {
     type Datum = Rating;
+    /// Where the run's rows sit in the worker cache.
+    type RunState = RunRows;
     type Scratch = ();
 
     fn key_count(&self) -> u64 {
@@ -117,7 +119,7 @@ impl MlApp for MatrixFactorization {
     /// the cache is cleared) and read from there on every other.
     fn process(
         &self,
-        data: &mut [Rating],
+        data: &[Rating],
         rows: &mut RunRows,
         _scratch: &mut (),
         params: &mut WorkerCache,
@@ -137,7 +139,7 @@ impl MlApp for MatrixFactorization {
         }
     }
 
-    fn objective(&self, data: &[Rating], params: &dyn ParamReader) -> f64 {
+    fn objective(&self, data: &[Rating], _rows: &RunRows, params: &dyn ParamReader) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
@@ -195,7 +197,7 @@ mod tests {
         for k in [ParamKey(0), ParamKey(1)] {
             params.refresh(k, app.init_value(k, &mut rng).as_slice());
         }
-        let mut data = [Rating {
+        let data = [Rating {
             row: 0,
             col: 0,
             value: 1.0,
@@ -204,8 +206,8 @@ mod tests {
         let mut last = f64::INFINITY;
         let mut rows = RunRows::default();
         for _ in 0..200 {
-            app.process(&mut data, &mut rows, &mut (), &mut params, &mut rng);
-            let obj = app.objective(&data, &params);
+            app.process(&data, &mut rows, &mut (), &mut params, &mut rng);
+            let obj = app.objective(&data, &rows, &params);
             assert!(
                 obj <= last + 1e-6,
                 "objective must not increase: {obj} > {last}"
@@ -231,14 +233,14 @@ mod tests {
         let mut params = empty_params();
         params.refresh(ParamKey(0), &[1.0, 2.0]);
         params.refresh(ParamKey(1), &[3.0, 4.0]);
-        let mut data = [Rating {
+        let data = [Rating {
             row: 0,
             col: 0,
             value: 10.0,
         }];
         // err = 1·3 + 2·4 − 10 = 1.
         app.process(
-            &mut data,
+            &data,
             &mut RunRows::default(),
             &mut (),
             &mut params,
@@ -263,6 +265,9 @@ mod tests {
     #[test]
     fn objective_of_empty_dataset_is_zero() {
         let app = MatrixFactorization::new(MfConfig::default());
-        assert_eq!(app.objective(&[], &empty_params()), 0.0);
+        assert_eq!(
+            app.objective(&[], &RunRows::default(), &empty_params()),
+            0.0
+        );
     }
 }

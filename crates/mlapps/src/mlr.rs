@@ -7,7 +7,7 @@
 //! every gradient step updates the **full model** — all `K` vectors — as
 //! in the paper's MLR setup, which is what makes MLR network-heavy.
 
-use proteus_ps::{kernels, DenseVec, ParamKey, RunRows, WorkerCache};
+use proteus_ps::{kernels, DenseVec, ParamKey, WorkerCache};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -118,6 +118,7 @@ fn normalize(probs: &mut [f64]) {
 
 impl MlApp for Mlr {
     type Datum = Example;
+    type RunState = ();
     /// The logits, then the class probabilities, of the example in hand.
     type Scratch = Vec<f64>;
 
@@ -148,8 +149,8 @@ impl MlApp for Mlr {
     /// arithmetic in its order, bit for bit.
     fn process(
         &self,
-        data: &mut [Example],
-        _rows: &mut RunRows,
+        data: &[Example],
+        _state: &mut (),
         probs: &mut Vec<f64>,
         params: &mut WorkerCache,
         _rng: &mut StdRng,
@@ -182,7 +183,7 @@ impl MlApp for Mlr {
         }
     }
 
-    fn objective(&self, data: &[Example], params: &dyn ParamReader) -> f64 {
+    fn objective(&self, data: &[Example], _state: &(), params: &dyn ParamReader) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
@@ -267,21 +268,15 @@ mod tests {
         });
         let mut rng = seeded(3);
         let mut params = init_params(&app, 3);
-        let mut data = two_blob_data();
+        let data = two_blob_data();
         let mut probs = Vec::new();
         for _ in 0..50 {
-            app.process(
-                &mut data,
-                &mut RunRows::default(),
-                &mut probs,
-                &mut params,
-                &mut rng,
-            );
+            app.process(&data, &mut (), &mut probs, &mut params, &mut rng);
         }
         for e in &data {
             assert_eq!(app.predict(&e.features, &params), e.label);
         }
-        assert!(app.objective(&data, &params) < 0.2);
+        assert!(app.objective(&data, &(), &params) < 0.2);
     }
 
     /// The per-example pass the run pass replaced, written out: the
@@ -358,14 +353,7 @@ mod tests {
                     let (mut run, mut looped) = (start(), start());
                     let (mut probs, mut rng) = (Vec::new(), seeded(1));
                     for pass in 0..3 {
-                        let mut chunk = data[..len].to_vec();
-                        app.process(
-                            &mut chunk,
-                            &mut RunRows::default(),
-                            &mut probs,
-                            &mut run,
-                            &mut rng,
-                        );
+                        app.process(&data[..len], &mut (), &mut probs, &mut run, &mut rng);
                         for e in &data[..len] {
                             step_one(&app, e, &mut looped);
                         }
@@ -409,19 +397,13 @@ mod tests {
         });
         let mut rng = seeded(4);
         let mut params = init_params(&app, 4);
-        let mut data = two_blob_data();
-        let before = app.objective(&data, &params);
+        let data = two_blob_data();
+        let before = app.objective(&data, &(), &params);
         let mut probs = Vec::new();
         for _ in 0..20 {
-            app.process(
-                &mut data,
-                &mut RunRows::default(),
-                &mut probs,
-                &mut params,
-                &mut rng,
-            );
+            app.process(&data, &mut (), &mut probs, &mut params, &mut rng);
         }
-        let after = app.objective(&data, &params);
+        let after = app.objective(&data, &(), &params);
         assert!(
             after < before,
             "training should reduce loss: {after} >= {before}"

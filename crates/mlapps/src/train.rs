@@ -6,7 +6,7 @@
 //! showing it reaches comparable objective values on the same data and
 //! seeds.
 
-use proteus_ps::{ParamKey, PartitionMap, RunRows, WorkerCache};
+use proteus_ps::{ParamKey, PartitionMap, WorkerCache};
 use proteus_simtime::rng::seeded_stream;
 use rand::rngs::StdRng;
 
@@ -20,8 +20,8 @@ pub struct SequentialTrainer<A: MlApp> {
     /// has no server to go to and is simply never flushed.
     params: WorkerCache,
     data: Vec<A::Datum>,
-    /// The data's rows in `params`, resolved by the first pass.
-    rows: RunRows,
+    /// The data's run state, kept from pass to pass.
+    state: A::RunState,
     scratch: A::Scratch,
     rng: StdRng,
 }
@@ -43,7 +43,7 @@ impl<A: MlApp> SequentialTrainer<A> {
             app,
             params,
             data,
-            rows: RunRows::default(),
+            state: A::RunState::default(),
             scratch: A::Scratch::default(),
             rng: seeded_stream(seed, 2),
         }
@@ -52,8 +52,8 @@ impl<A: MlApp> SequentialTrainer<A> {
     /// Runs one full pass over the data.
     pub fn run_iteration(&mut self) {
         self.app.process(
-            &mut self.data,
-            &mut self.rows,
+            &self.data,
+            &mut self.state,
             &mut self.scratch,
             &mut self.params,
             &mut self.rng,
@@ -69,7 +69,7 @@ impl<A: MlApp> SequentialTrainer<A> {
 
     /// The current objective value over the training data.
     pub fn objective(&self) -> f64 {
-        self.app.objective(&self.data, &self.params)
+        self.app.objective(&self.data, &self.state, &self.params)
     }
 
     /// The current model (diagnostics/tests).

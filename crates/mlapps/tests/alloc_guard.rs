@@ -17,7 +17,7 @@ use proteus_mlapps::mf::{MatrixFactorization, MfConfig};
 use proteus_mlapps::mlr::{Mlr, MlrConfig};
 use proteus_mlapps::MlApp;
 use proteus_mlapps::{KMeans, KmConfig};
-use proteus_ps::{ParamKey, PartitionMap, RunRows, WorkerCache};
+use proteus_ps::{ParamKey, PartitionMap, WorkerCache};
 use proteus_simtime::rng::seeded;
 
 thread_local! {
@@ -58,21 +58,21 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations one run pass of `process` over `data` makes, after a
-/// first pass and a flush have warmed the cache, the scratch and the
-/// dirty list — the state a worker is in from its second clock on.
-fn allocations_per_pass<A: MlApp>(app: &A, mut data: Vec<A::Datum>, seed: u64) -> u64 {
+/// first pass and a flush have warmed the cache, the run state, the
+/// scratch and the dirty list — the state a worker is in from its second clock on.
+fn allocations_per_pass<A: MlApp>(app: &A, data: Vec<A::Datum>, seed: u64) -> u64 {
     let mut rng = seeded(seed);
     let mut params = WorkerCache::new(PartitionMap::new(4).expect("nonzero"));
     for k in (0..app.key_count()).map(ParamKey) {
         params.refresh(k, app.init_value(k, &mut rng).as_slice());
     }
     let mut scratch = A::Scratch::default();
-    let mut rows = RunRows::default();
-    app.process(&mut data, &mut rows, &mut scratch, &mut params, &mut rng);
+    let mut state = A::RunState::default();
+    app.process(&data, &mut state, &mut scratch, &mut params, &mut rng);
     drop(params.flush());
 
     let before = ALLOCATIONS.with(Cell::get);
-    app.process(&mut data, &mut rows, &mut scratch, &mut params, &mut rng);
+    app.process(&data, &mut state, &mut scratch, &mut params, &mut rng);
     ALLOCATIONS.with(Cell::get) - before
 }
 

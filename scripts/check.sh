@@ -83,6 +83,20 @@ PROTEUS_CHAOS_FULL=1 cargo test -q --release -p proteus --test market_chaos
 echo "==> cargo test -q --release (fleet_chaos, full chaos seed sweep)"
 PROTEUS_CHAOS_FULL=1 cargo test -q --release -p proteus-fleet --test fleet_chaos
 
+# The root examples drive the public API end to end, and several
+# implement or train an `MlApp`: each must run to the end. Optimised,
+# each takes 3-13 ms once built.
+echo "==> root examples run to the end (release)"
+cargo build -q --release --examples
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  if ! out=$(cargo run -q --release --example "$name" 2>&1); then
+    echo "$out" >&2
+    echo "error: example $name exited non-zero" >&2
+    exit 1
+  fi
+done
+
 # benchmark/ is a package of its own that a gain-claiming change may not
 # edit: build it, so a public-API change that breaks it fails here and
 # not at the next benchmark run. (The build rewrites the tracked
