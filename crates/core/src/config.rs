@@ -73,6 +73,11 @@ impl ProteusConfig {
         if self.max_machines <= self.reliable_machines {
             return Err("max_machines must leave room for transient machines".into());
         }
+        // A job whose machines outnumber its data blocks stops its clock,
+        // so a session must never be allowed to grow to that shape.
+        if self.max_machines > self.agile.data_blocks {
+            return Err("max_machines must not exceed the data blocks".into());
+        }
         if self.warning_lead.is_zero() {
             return Err("warning lead must be positive (EC2 120s, GCE 30s)".into());
         }
@@ -111,6 +116,15 @@ mod tests {
             warning_lead: SimDuration::ZERO,
             ..ProteusConfig::default()
         };
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn more_machines_than_data_blocks_are_rejected() {
+        let mut c = ProteusConfig::default();
+        c.max_machines = c.agile.data_blocks;
+        assert!(c.validate().is_ok());
+        c.max_machines += 1;
         assert!(c.validate().is_err());
     }
 

@@ -37,6 +37,8 @@ pub(crate) fn is_starved(rounds_waiting: u32) -> bool {
 pub struct RankEntry {
     /// Index into the caller's job table.
     pub job_idx: usize,
+    /// Index into the caller's per-round request table.
+    pub slot: usize,
     /// Aged weight × Eq. 4 advantage; higher launches first.
     pub value: f64,
     /// Starved jobs sort ahead of everything.
@@ -82,21 +84,25 @@ mod tests {
         let mut e = vec![
             RankEntry {
                 job_idx: 0,
+                slot: 0,
                 value: 5.0,
                 starved: false,
             },
             RankEntry {
                 job_idx: 1,
+                slot: 1,
                 value: 1.0,
                 starved: true,
             },
             RankEntry {
                 job_idx: 2,
+                slot: 2,
                 value: 5.0,
                 starved: false,
             },
             RankEntry {
                 job_idx: 3,
+                slot: 3,
                 value: 9.0,
                 starved: false,
             },

@@ -221,6 +221,34 @@ struct EvalTask {
     pinned: Option<(MarketKey, u64)>,
 }
 
+/// Buffers one scheduling round fills and the next reuses, so a round
+/// that keeps its shape allocates nothing of its own.
+#[derive(Default)]
+struct Round {
+    /// Jobs at or past their target, ascending, for
+    /// [`FleetSim::settle_completions`].
+    completers: Vec<usize>,
+    /// `Waiting` jobs whose pause is over, ascending.
+    pending: Vec<usize>,
+    /// Running preemptible jobs, ascending; priced only under a
+    /// capacity rule.
+    victims: Vec<usize>,
+    /// Each pending gang's task, then each victim's.
+    tasks: Vec<EvalTask>,
+    /// `tasks` sorted and deduplicated: what the fan-out evaluates.
+    distinct: Vec<EvalTask>,
+    /// The gangs that have a candidate, in launch-walk order once ranked.
+    entries: Vec<RankEntry>,
+    /// Each entry's request, at the entry's `slot`.
+    requests: Vec<AllocationRequest>,
+    /// Each victim's value, at its slot in `victims`; `None` if its
+    /// footprint did not score.
+    victim_value: Vec<Option<f64>>,
+}
+
+/// A round's victims beside their values, slot for slot.
+type Valued<'r> = (&'r [usize], &'r [Option<f64>]);
+
 /// The multi-tenant fleet scheduler (see the module docs for the round
 /// structure).
 pub struct FleetSim<'a> {
@@ -229,25 +257,33 @@ pub struct FleetSim<'a> {
     beta: &'a BetaEstimator,
     pool: ReliablePool,
     jobs: Vec<JobRec>,
-    /// Every gang ever → job index (ledger attribution; never pruned). A
-    /// provider event acts on its job only while that job's live gang
-    /// has the event's id.
-    alloc_owner: BTreeMap<AllocationId, usize>,
+    /// The job that minted each gang, indexed by `AllocationId.0`
+    /// (ledger attribution; never pruned). The provider numbers every
+    /// allocation from one counter, so the ids of the reliable pool's
+    /// machines are holes (`None`: no owner). A provider event acts on
+    /// its job only while that job's live gang has the event's id.
+    alloc_owner: Vec<Option<u32>>,
     obs: Option<Arc<Recorder>>,
     rounds: u64,
     /// Jobs awaiting admission, FIFO by (submission time, id). Entries
     /// are lazily discarded if the job was killed while queued, so the
     /// admission pass costs O(admitted) per round, not O(all jobs).
     admission_queue: BTreeSet<(SimTime, usize)>,
-    /// Jobs currently past admission (`Waiting` or `Running`), in
-    /// ascending id order, maintained by [`Self::set_state`]. Every
-    /// per-round pass iterates this, not `jobs`.
-    admitted: BTreeSet<usize>,
+    /// Jobs currently past admission (`Waiting` or `Running`), sorted
+    /// ascending, maintained by [`Self::set_state`]. Every per-round
+    /// pass iterates this, not `jobs`. Admission fills it to
+    /// `max_active_jobs` and no further (only [`Self::set_target`]
+    /// reopening a job can pass that), so a sorted insert or removal is
+    /// a short shift.
+    admitted: Vec<usize>,
     /// Jobs that turned terminal (or completed a re-set target without
-    /// reopening) since the last [`Self::drain_departed`]. Grows by one
-    /// entry per such job until drained: a caller that never drains
-    /// holds at most one `usize` per job it submitted.
-    departed: BTreeSet<usize>,
+    /// reopening) since the last [`Self::drain_departed`], sorted
+    /// ascending, each once. Grows by one entry per such job until
+    /// drained: a caller that never drains holds at most one `usize` per
+    /// job it submitted.
+    departed: Vec<usize>,
+    /// The round's buffers, kept from one round to the next.
+    round: Round,
     sched_nanos: u128,
     /// Time spent inside provider calls (gang acquisition, revocation,
     /// reliable-pool requests) while a scheduler timer was running.
@@ -267,12 +303,13 @@ impl<'a> FleetSim<'a> {
             beta,
             pool,
             jobs: Vec::new(),
-            alloc_owner: BTreeMap::new(),
+            alloc_owner: Vec::new(),
             obs: None,
             rounds: 0,
             admission_queue: BTreeSet::new(),
-            admitted: BTreeSet::new(),
-            departed: BTreeSet::new(),
+            admitted: Vec::new(),
+            departed: Vec::new(),
+            round: Round::default(),
             sched_nanos: 0,
             market_credit_nanos: 0,
         }
@@ -312,6 +349,22 @@ impl<'a> FleetSim<'a> {
     pub fn drain_departed(&mut self) -> Vec<JobId> {
         let departed = std::mem::take(&mut self.departed);
         departed.into_iter().map(|idx| JobId(idx as u64)).collect()
+    }
+
+    /// The job gang `allocation` was minted for, if it was a gang: an
+    /// observation hook over the owner table (a reliable machine's id
+    /// has no owner).
+    pub fn gang_owner(&self, allocation: AllocationId) -> Option<JobId> {
+        self.owner(allocation).map(|idx| JobId(idx as u64))
+    }
+
+    /// Routes `event` at the current time as if the provider had sent
+    /// it: a fault door for events naming an allocation the provider no
+    /// longer holds (a job's previous gang, a reliable machine), which
+    /// must leave every job as it is. An event naming a live gang would
+    /// end it behind the provider's back.
+    pub fn inject_provider_event(&mut self, event: &ProviderEvent) {
+        self.route_event(self.now(), event);
     }
 
     /// Current simulated time.
@@ -388,7 +441,7 @@ impl<'a> FleetSim<'a> {
             self.set_state(idx, JobState::Waiting);
             self.assign_reliable_slot(idx); // completing released it
         } else {
-            self.departed.insert(idx);
+            insert_sorted(&mut self.departed, idx);
         }
     }
 
@@ -452,7 +505,7 @@ impl<'a> FleetSim<'a> {
         // `alloc_owner` remembers which job minted each gang.
         let mut per_job_cost = vec![0.0f64; self.jobs.len()];
         for entry in self.provider.account().entries() {
-            if let Some(&idx) = self.alloc_owner.get(&entry.allocation) {
+            if let Some(idx) = self.owner(entry.allocation) {
                 per_job_cost[idx] += entry.amount;
             }
         }
@@ -506,7 +559,7 @@ impl<'a> FleetSim<'a> {
             | ProviderEvent::HourCharged { .. }
             | ProviderEvent::Launched { .. } => return,
         };
-        let Some(&idx) = self.alloc_owner.get(allocation) else {
+        let Some(idx) = self.owner(*allocation) else {
             return;
         };
         if self.jobs[idx].gang.is_some_and(|g| g.id == *allocation) {
@@ -514,20 +567,36 @@ impl<'a> FleetSim<'a> {
         }
     }
 
-    /// Completes every admitted job that reached its target. A `Waiting`
-    /// job evicted in the step that carried it past its target completes
-    /// too, instead of relaunching for work it has.
+    /// The job that minted gang `id`, if it was a gang.
+    fn owner(&self, id: AllocationId) -> Option<usize> {
+        let slot = usize::try_from(id.0).ok()?;
+        self.alloc_owner
+            .get(slot)
+            .copied()
+            .flatten()
+            .map(|idx| idx as usize)
+    }
+
+    /// Completes every admitted job that reached its target, in
+    /// ascending id order. A `Waiting` job evicted in the step that
+    /// carried it past its target completes too, instead of relaunching
+    /// for work it has.
     fn settle_completions(&mut self) {
         let now = self.now();
-        // A cursor, not an iterator: completing a job removes it from
-        // the index being walked.
-        let mut cursor = 0;
-        while let Some(&idx) = self.admitted.range(cursor..).next() {
-            cursor = idx + 1;
-            if self.jobs[idx].work_done >= self.jobs[idx].target {
-                self.end(idx, now, End::Completed);
-            }
+        // Collect, then end: completing a job removes it from the index
+        // being walked, and one job's end moves no other job's work.
+        let mut done = std::mem::take(&mut self.round.completers);
+        done.clear();
+        done.extend(
+            self.admitted
+                .iter()
+                .copied()
+                .filter(|&idx| self.jobs[idx].work_done >= self.jobs[idx].target),
+        );
+        for &idx in &done {
+            self.end(idx, now, End::Completed);
         }
+        self.round.completers = done;
     }
 
     /// Ends job `idx`'s run at `t`, the one way a gang ends. It accrues
@@ -640,9 +709,10 @@ impl<'a> FleetSim<'a> {
         live.eq(gangs.iter().map(|(&id, &(count, _))| (id, count)))
             && gangs
                 .iter()
-                .all(|(id, &(_, idx))| self.alloc_owner.get(id) == Some(&idx))
+                .all(|(&id, &(_, idx))| self.owner(id) == Some(idx))
+            && self.admitted.windows(2).all(|w| w[0] < w[1])
             && self.jobs.iter().enumerate().all(|(idx, job)| {
-                job.state.is_admitted() == self.admitted.contains(&idx)
+                job.state.is_admitted() == self.admitted.binary_search(&idx).is_ok()
                     && job.gang.is_some() == (job.state == JobState::Running)
                     && !(job.state == JobState::Waiting && job.work_done >= job.target)
             })
@@ -653,12 +723,12 @@ impl<'a> FleetSim<'a> {
     fn set_state(&mut self, idx: usize, to: JobState) {
         let was = std::mem::replace(&mut self.jobs[idx].state, to);
         if to.is_admitted() {
-            self.admitted.insert(idx);
-        } else {
-            self.admitted.remove(&idx);
+            insert_sorted(&mut self.admitted, idx);
+        } else if let Ok(at) = self.admitted.binary_search(&idx) {
+            self.admitted.remove(at);
         }
         if to.is_terminal() && !was.is_terminal() {
-            self.departed.insert(idx);
+            insert_sorted(&mut self.departed, idx);
         }
     }
 
@@ -706,16 +776,37 @@ impl<'a> FleetSim<'a> {
         }
         self.sched_nanos += t0.elapsed().as_nanos();
 
+        let mut round = std::mem::take(&mut self.round);
+        self.launch_round(&mut round, now, exec);
+        self.round = round;
+    }
+
+    /// The round after admission: evaluate, rank and launch the pending
+    /// gangs, in `round`'s kept buffers.
+    fn launch_round(&mut self, round: &mut Round, now: SimTime, exec: &StudyExecutor) {
+        let Round {
+            completers: _,
+            pending,
+            victims,
+            tasks,
+            distinct,
+            entries,
+            requests,
+            victim_value,
+        } = round;
+
         // --- Eq. 4 evaluation fan-out (untimed: a per-job baseline pays
         // these same evaluations). The pure evaluations read the prices
         // at `now` off the provider, fan across the pool and come back in
         // index order — bit-identical for any thread count. ---
-        let pending: Vec<usize> = self
-            .admitted
-            .iter()
-            .copied()
-            .filter(|&i| self.jobs[i].state == JobState::Waiting && self.jobs[i].usable_from <= now)
-            .collect();
+        let jobs = &self.jobs;
+        pending.clear();
+        pending.extend(
+            self.admitted
+                .iter()
+                .copied()
+                .filter(|&i| jobs[i].state == JobState::Waiting && jobs[i].usable_from <= now),
+        );
         // Preemption can only trigger where a capacity rule can refuse a
         // gang; an uncapped market never needs victim valuations, so
         // skip pricing the running fleet entirely.
@@ -723,36 +814,35 @@ impl<'a> FleetSim<'a> {
             .provider
             .fault_plan()
             .is_some_and(|p| !p.capacity.is_empty());
-        let victims: Vec<usize> = if capacity_limited {
-            self.admitted
-                .iter()
-                .copied()
-                .filter(|&i| self.jobs[i].spec.preemptible && self.jobs[i].gang.is_some())
-                .collect()
-        } else {
-            Vec::new()
-        };
+        victims.clear();
+        if capacity_limited {
+            victims.extend(
+                self.admitted
+                    .iter()
+                    .copied()
+                    .filter(|&i| jobs[i].spec.preemptible && jobs[i].gang.is_some()),
+            );
+        }
         if pending.is_empty() {
             return;
         }
 
         let task_of = |i: usize, pinned: Option<(MarketKey, u64)>| EvalTask {
-            gang: self.jobs[i].spec.min_gang,
+            gang: jobs[i].spec.min_gang,
             pinned,
         };
-        let tasks: Vec<EvalTask> = pending
-            .iter()
-            .map(|&i| task_of(i, None))
-            .chain(
-                victims
-                    .iter()
-                    .map(|&i| task_of(i, self.jobs[i].gang.map(|g| (g.market, g.delta.to_bits())))),
-            )
-            .collect();
+        tasks.clear();
+        tasks.extend(pending.iter().map(|&i| task_of(i, None)));
+        tasks.extend(
+            victims
+                .iter()
+                .map(|&i| task_of(i, jobs[i].gang.map(|g| (g.market, g.delta.to_bits())))),
+        );
         // Sweep trials share one gang shape, so most rounds hold one
         // distinct task however many gangs are pending: evaluate each
         // distinct task once and let every job look its result up.
-        let mut distinct = tasks.clone();
+        distinct.clear();
+        distinct.extend_from_slice(tasks);
         distinct.sort_unstable();
         distinct.dedup();
         let (beta, prices) = (self.beta, self.provider.spot_prices());
@@ -766,8 +856,8 @@ impl<'a> FleetSim<'a> {
 
         // --- Ranking + launch walk (timed bookkeeping). ---
         let t1 = std::time::Instant::now();
-        let mut entries: Vec<RankEntry> = Vec::with_capacity(pending.len());
-        let mut requests: BTreeMap<usize, AllocationRequest> = BTreeMap::new();
+        entries.clear();
+        requests.clear();
         for (slot, &idx) in pending.iter().enumerate() {
             let Some((Some(req), score)) = evals(slot) else {
                 self.queue_gang(idx, now);
@@ -778,40 +868,36 @@ impl<'a> FleetSim<'a> {
                 continue;
             }
             let weight = effective_weight(self.jobs[idx].spec.tier, self.jobs[idx].rounds_waiting);
-            requests.insert(idx, req);
             entries.push(RankEntry {
                 job_idx: idx,
+                slot: requests.len(),
                 value: weight / score,
                 starved: is_starved(self.jobs[idx].rounds_waiting),
             });
+            requests.push(req);
         }
         // Victim value: aged weight over its *current* footprint's Eq. 4
         // score — what the fleet gives up by revoking it.
-        let mut victim_value: BTreeMap<usize, f64> = BTreeMap::new();
-        for (slot, &idx) in victims.iter().enumerate() {
-            if let Some((_, score)) = evals(pending.len() + slot) {
-                if score.is_finite() && score > 0.0 {
-                    let weight = effective_weight(self.jobs[idx].spec.tier, 0);
-                    victim_value.insert(idx, weight / score);
-                }
-            }
-        }
-        rank(&mut entries);
+        victim_value.clear();
+        victim_value.extend(victims.iter().enumerate().map(|(slot, &idx)| {
+            let (_, score) = evals(pending.len() + slot)?;
+            let weight = effective_weight(self.jobs[idx].spec.tier, 0);
+            (score.is_finite() && score > 0.0).then(|| weight / score)
+        }));
+        rank(entries);
         self.sched_nanos += t1.elapsed().as_nanos();
 
         // One timer pair for the whole walk: per-attempt timers would
         // cost more clock reads than the decisions they measure.
         let t2 = std::time::Instant::now();
-        for entry in entries {
+        let valued = (&victims[..], &victim_value[..]);
+        for &entry in entries.iter() {
             let idx = entry.job_idx;
             // A victim revoked earlier in this walk is no longer Running.
             if self.jobs[idx].state != JobState::Waiting {
                 continue;
             }
-            let Some(req) = requests.get(&idx).copied() else {
-                continue;
-            };
-            let launched = self.try_launch(idx, req, entry, &victim_value, now);
+            let launched = self.try_launch(idx, requests[entry.slot], entry, valued, now);
             if !launched {
                 self.queue_gang(idx, now);
             }
@@ -826,7 +912,7 @@ impl<'a> FleetSim<'a> {
         idx: usize,
         req: AllocationRequest,
         entry: RankEntry,
-        victim_value: &BTreeMap<usize, f64>,
+        valued: Valued<'_>,
         now: SimTime,
     ) -> bool {
         let gang = self.jobs[idx].spec.min_gang;
@@ -842,7 +928,7 @@ impl<'a> FleetSim<'a> {
         let mut got = request(self);
         if let Err(MarketError::InsufficientCapacity { available, .. }) = got {
             let needed = gang.saturating_sub(available);
-            if self.preempt_for(idx, req.market, needed, entry, victim_value, now) {
+            if self.preempt_for(idx, req.market, needed, entry, valued, now) {
                 got = request(self); // capacity was freed; one retry
             }
         }
@@ -864,15 +950,16 @@ impl<'a> FleetSim<'a> {
         market: MarketKey,
         needed: u32,
         entry: RankEntry,
-        victim_value: &BTreeMap<usize, f64>,
+        (victims, values): Valued<'_>,
         now: SimTime,
     ) -> bool {
-        let mut pool: Vec<(f64, usize)> = victim_value
+        let mut pool: Vec<(f64, usize)> = victims
             .iter()
-            .filter(|&(&v_idx, _)| {
+            .zip(values)
+            .filter_map(|(&v_idx, &value)| Some((value?, v_idx)))
+            .filter(|&(_, v_idx)| {
                 v_idx != for_idx && self.jobs[v_idx].gang.is_some_and(|g| g.market == market)
             })
-            .map(|(&v_idx, &value)| (value, v_idx))
             .collect();
         pool.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
 
@@ -908,7 +995,11 @@ impl<'a> FleetSim<'a> {
         usable_at: SimTime,
         now: SimTime,
     ) {
-        self.alloc_owner.insert(alloc, idx);
+        let slot = alloc.0 as usize;
+        if self.alloc_owner.len() <= slot {
+            self.alloc_owner.resize(slot + 1, None);
+        }
+        self.alloc_owner[slot] = Some(idx as u32);
         let waited = now.since(self.jobs[idx].queued_since);
         let job = &mut self.jobs[idx];
         let cores = f64::from(job.spec.min_gang) * f64::from(req.market.instance_type().vcpus);
@@ -952,6 +1043,13 @@ impl<'a> FleetSim<'a> {
                 }),
             );
         }
+    }
+}
+
+/// Inserts `idx` into the ascending `list` unless it is there already.
+fn insert_sorted(list: &mut Vec<usize>, idx: usize) {
+    if let Err(at) = list.binary_search(&idx) {
+        list.insert(at, idx);
     }
 }
 

@@ -235,6 +235,8 @@ pub fn run_sweep_on(
     let mut cutoffs = vec![RungCutoff::new(KEEP_FRACTION); cfg.rungs.len()];
     let mut remaining = cfg.trials;
 
+    // The jobs a round must look at, kept across rounds.
+    let mut visit: Vec<JobId> = Vec::new();
     let end = SimTime::EPOCH + cfg.horizon;
     while fleet.now() < end {
         let target = (fleet.now() + DECISION_STEP).min(end);
@@ -243,11 +245,12 @@ pub fn run_sweep_on(
 
         // Only live trials and trials that just turned terminal can
         // need a decision. Ascending id order is the ledger's order.
-        let mut visit = fleet.drain_departed();
+        visit.clear();
+        visit.extend(fleet.drain_departed());
         visit.extend(fleet.active_jobs());
         visit.sort_unstable();
         visit.dedup();
-        for id in visit {
+        for &id in &visit {
             let i = id.0 as usize;
             if trials[i].done {
                 continue;

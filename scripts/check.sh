@@ -33,6 +33,31 @@ for mode in crate file; do
     diff -u "scripts/fixtures/layers.$mode.txt" -
 done
 
+# The benchmark trajectory (scripts/trajectory.sh) is append-only JSON
+# lines: each must parse and carry every key a later reader compares.
+echo "==> BENCH_history.jsonl lines parse and carry their keys"
+python3 - BENCH_history.jsonl <<'PY'
+import json, sys
+
+keys = {
+    "commit", "worktree", "workload", "seed", "pairs", "seconds",
+    "parent_median", "parent_q1", "parent_q3",
+    "change_median", "change_q1", "change_q3",
+    "ratio", "won", "lost", "tied", "gain",
+    "peak_rss_mb_parent", "peak_rss_mb_change",
+    "setup_s_parent", "setup_s_change", "outcome_ratio",
+}
+with open(sys.argv[1]) as history:
+    for n, line in enumerate(history, 1):
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as e:
+            sys.exit(f"error: {sys.argv[1]}:{n} is not JSON: {e}")
+        missing = keys - row.keys() if isinstance(row, dict) else keys
+        if missing:
+            sys.exit(f"error: {sys.argv[1]}:{n} lacks {sorted(missing)}")
+PY
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -236,6 +261,8 @@ has_dirty                      observation hook: the store model suite reads dir
 has_pending                    observation hook: the cache model suite reads unflushed state
 helpers_started                observation hook: the parallel-dispatch suites see helpers wake
 run_count                      observation hook: KeySet tests check the runs compress
+gang_owner                     observation hook: the active-set suite checks the fleet owner table against its model
+inject_provider_event          fault door: the active-set suite routes events naming an old gang or a reliable machine
 hazard                         observation hook: the forecast and session tests read one pair
 counter                        observation hook: obs tests read a counter (goes with counter_add)
 params                         observation hook: the sweep oracle reads the engine φ, σ and λ; trainer tests read the model

@@ -22,8 +22,19 @@
 # tenths of the pairs (a tie counts for neither side), and the medians
 # must differ by more than the parent's interquartile range.
 #
+# The last line of the output is one JSON object summing it all up:
+#   {"workload": "fleet_sweep", "seed": 4242, "pairs": 10, "seconds": 3,
+#    "parent_median": ..., "parent_q1": ..., "parent_q3": ...,
+#    "change_median": ..., "change_q1": ..., "change_q3": ...,
+#    "ratio": ..., "won": 10, "lost": 0, "tied": 0, "gain": true,
+#    "peak_rss_mb_parent": ..., "peak_rss_mb_change": ...,
+#    "setup_s_parent": ..., "setup_s_change": ..., "outcome_ratio": ...}
+# (`ratio` is change/parent of the medians, `gain` the verdict);
+# `scripts/trajectory.sh` appends it to `BENCH_history.jsonl`.
+#
 # Exits non-zero if a run fails, reports an incorrect result or a failed
-# operation, or if `outcome_ratio` differs between any two runs. Each
+# operation, or if `outcome_ratio` differs between any two runs; then no
+# JSON line is printed. Each
 # binary writes its detail file under the `benchmark/out` of the
 # checkout it was built from, as any run of it does.
 set -euo pipefail
@@ -79,7 +90,8 @@ for ((pair = 1; pair <= n; pair++)); do
 done
 
 # Median and quartiles by linear interpolation between order statistics.
-awk -v workload="$workload" -v seed="$seed" '
+# The summary's last line is the JSON object, less `outcome_ratio`.
+summary=$(awk -v workload="$workload" -v seed="$seed" -v seconds="$seconds" '
   function quantile(v, k, q,   h, i) {
     h = (k - 1) * q + 1; i = int(h)
     return i >= k ? v[k] : v[i] + (h - i) * (v[i + 1] - v[i])
@@ -117,7 +129,16 @@ awk -v workload="$workload" -v seed="$seed" '
     printf "  claim: won %d, lost %d, tied %d of %d pairs (nine tenths %s); median gap %.2f vs parent IQR %.2f (%s): %s\n",
       won, lost, kp - won - lost, kp, wins ? "met" : "not met", gap, q3 - q1,
       wide ? "wider" : "not wider", wins && wide ? "GAIN" : "NO GAIN"
-  }' <<<"$runs"
+    printf "{\"workload\": \"%s\", \"seed\": %s, \"pairs\": %d, \"seconds\": %s, ", workload, seed, kp, seconds
+    printf "\"parent_median\": %.4f, \"parent_q1\": %.4f, \"parent_q3\": %.4f, ", mp, q1, q3
+    printf "\"change_median\": %.4f, \"change_q1\": %.4f, \"change_q3\": %.4f, ",
+      mc, quantile(cv, kc, 0.25), quantile(cv, kc, 0.75)
+    printf "\"ratio\": %.4f, \"won\": %d, \"lost\": %d, \"tied\": %d, \"gain\": %s, ",
+      mc / mp, won, lost, kp - won - lost, wins && wide ? "true" : "false"
+    printf "\"peak_rss_mb_parent\": %.4f, \"peak_rss_mb_change\": %.4f, ", rp, rc
+    printf "\"setup_s_parent\": %.6f, \"setup_s_change\": %.6f\n", median("parent", 8), median("change", 8)
+  }' <<<"$runs")
+sed '$d' <<<"$summary"
 
 # The verdict: one outcome_ratio across every run, every result correct,
 # no operation failed.
@@ -137,3 +158,5 @@ awk '
     for (r in seen) printf "  outcome_ratio %s in all %d runs\n", r, runs
     exit bad > 0
   }' <<<"$runs"
+
+printf '%s, "outcome_ratio": %s}\n' "$(tail -n 1 <<<"$summary")" "$(awk 'NF { print $4; exit }' <<<"$runs")"
