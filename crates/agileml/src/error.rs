@@ -18,8 +18,16 @@ pub enum JobError {
     InvalidConfig(String),
     /// The controller node is gone; no command can be delivered.
     ControllerUnreachable(String),
-    /// A driver-side wait elapsed without the expected event.
+    /// A driver-side wait dispatched its bound of batches while the job
+    /// kept training without ever reporting the expected event.
     Timeout {
+        /// What the driver was waiting for.
+        waiting_for: &'static str,
+    },
+    /// A driver-side wait found the event queue dry before the expected
+    /// event was reported: nothing left to run can report it, so the
+    /// job is deadlocked, not slow.
+    Stalled {
         /// What the driver was waiting for.
         waiting_for: &'static str,
     },
@@ -87,6 +95,12 @@ impl fmt::Display for JobError {
             JobError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
             JobError::ControllerUnreachable(why) => write!(f, "controller unreachable: {why}"),
             JobError::Timeout { waiting_for } => write!(f, "timed out waiting for {waiting_for}"),
+            JobError::Stalled { waiting_for } => {
+                write!(
+                    f,
+                    "stalled waiting for {waiting_for}: the event queue ran dry"
+                )
+            }
             JobError::Fault(fault) => write!(f, "job fault: {fault}"),
         }
     }

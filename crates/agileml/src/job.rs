@@ -17,11 +17,12 @@
 //! call. Training therefore advances when the driver waits for it
 //! ([`AgileMlJob::wait_clock`]) or, incidentally, while a transition is
 //! handled — and a job is a pure function of its inputs and the calls
-//! made on it. A wait gives up with a typed [`JobError::Timeout`] the
-//! moment the queue runs dry (after releasing anything the fault layer
-//! was holding back), or once it has dispatched its bound of batches
-//! while the job keeps training without ever reporting what was asked
-//! for — on any host, after the same batch.
+//! made on it. A wait gives up with a typed error in two ways:
+//! [`JobError::Stalled`] the moment the queue runs dry (after releasing
+//! anything the fault layer was holding back), since nothing left to run
+//! can report what was asked for; and [`JobError::Timeout`] once it has
+//! dispatched its bound of batches while the job keeps training without
+//! ever reporting it — on any host, after the same batch.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -194,14 +195,17 @@ impl Engine {
 
     /// Dispatches one more batch of a wait that has dispatched
     /// `batches`, or says why the wait is over: it reached
-    /// [`WAIT_BATCHES`], or the queue is dry even after releasing what
-    /// the fault layer held back.
+    /// [`WAIT_BATCHES`] ([`JobError::Timeout`]), or the queue is dry even
+    /// after releasing what the fault layer held back
+    /// ([`JobError::Stalled`]).
     fn advance(&mut self, batches: &mut u64, waiting_for: &'static str) -> Result<(), JobError> {
         *batches += 1;
-        if *batches <= WAIT_BATCHES && (self.cluster.step() || self.cluster.flush_delayed() > 0) {
+        if *batches > WAIT_BATCHES {
+            Err(JobError::Timeout { waiting_for })
+        } else if self.cluster.step() || self.cluster.flush_delayed() > 0 {
             Ok(())
         } else {
-            Err(JobError::Timeout { waiting_for })
+            Err(JobError::Stalled { waiting_for })
         }
     }
 

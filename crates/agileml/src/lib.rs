@@ -32,6 +32,7 @@
 // at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(unnameable_types)]
+#![forbid(unsafe_code)]
 
 mod config;
 mod controller;

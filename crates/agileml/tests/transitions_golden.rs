@@ -308,7 +308,7 @@ fn failure_reported_while_an_add_is_pending() -> Result<String, JobError> {
     // raise the target to three hosts and node 4 is next in line.
     job.kill_silent(&[NodeId(4)]);
     match job.add_machines(NodeClass::Transient, 2) {
-        Err(JobError::Timeout { .. }) => {}
+        Err(JobError::Stalled { .. }) => {}
         other => panic!("the add should wedge on the dead host, got {other:?}"),
     }
     job.fail_nodes(&[NodeId(4)])?;

@@ -170,7 +170,6 @@ pub fn ablate_checkpoint_period(out: Out) -> io::Result<()> {
         let kind = SchemeKind::StandardCheckpoint {
             checkpoint_overhead: overhead,
             checkpoint_interval_core_hours: interval,
-            restart_delay: SimDuration::from_mins(8),
         };
         let label = format!("ckpt every {interval} c-h ({:.0}%)", overhead * 100.0);
         config(label, kind)?;

@@ -9,6 +9,7 @@
 // Entries return their failures through `io::Result`, never panic.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(unnameable_types)]
+#![forbid(unsafe_code)]
 
 mod cost;
 mod misc;

@@ -27,20 +27,36 @@ pub struct AppParams {
     pub lambda: SimDuration,
 }
 
+/// AgileML's Table 2 values, [`AppParams::default`].
+const TABLE2: AppParams = AppParams {
+    phi_per_doubling: 0.97,
+    // AgileML incorporates machines in the background (Sec. 6.6): σ is
+    // small. Evictions cost roughly one iteration blip plus recovery
+    // coordination.
+    sigma: SimDuration::from_secs(30),
+    lambda: SimDuration::from_secs(90),
+};
+
 impl Default for AppParams {
     fn default() -> Self {
-        AppParams {
-            phi_per_doubling: 0.97,
-            // AgileML incorporates machines in the background (Sec. 6.6):
-            // σ is small. Evictions cost roughly one iteration blip plus
-            // recovery coordination.
-            sigma: SimDuration::from_secs(30),
-            lambda: SimDuration::from_secs(90),
-        }
+        TABLE2
     }
 }
 
 impl AppParams {
+    /// AgileML's transitions as the analytic cost loops charge them end
+    /// to end: Table 2's φ and σ, with λ the few minutes the paper
+    /// measures for a whole eviction — the one-iteration blip plus
+    /// data reassignment and, for bulk evictions, the drain/promotion
+    /// transition. That price is what keeps BidBrain from bidding
+    /// recklessly close to the market purely to farm free compute
+    /// (Sec. 6.3 reports that always bidding just above market ran 3–4×
+    /// slower).
+    pub const END_TO_END: AppParams = AppParams {
+        lambda: SimDuration::from_secs(240),
+        ..TABLE2
+    };
+
     /// The scaling efficiency φ for a footprint of `cores` total cores
     /// ([`phi`] of this application's `phi_per_doubling`).
     pub fn phi(&self, cores: f64) -> f64 {

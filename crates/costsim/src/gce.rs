@@ -8,17 +8,13 @@
 //! short pause rather than a restart. This module simulates such a job
 //! so the EC2-vs-GCE comparison is a tested library capability.
 
-use proteus_bidbrain::{phi, AppParams};
+use proteus_bidbrain::AppParams;
 use proteus_market::MarketKey;
 use proteus_market::{GceMarket, PreemptionModel};
 use proteus_simtime::rng::seeded;
-use proteus_simtime::SimDuration;
 use rand::Rng;
 
 use crate::scheme::{JobSpec, ON_DEMAND_COUNT};
-
-/// Progress pause per preemption (AgileML λ, the Proteus scheme's).
-const EVICTION_PAUSE: SimDuration = SimDuration::from_secs(240);
 
 /// Parameters of a GCE run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,7 +53,8 @@ pub struct GceOutcome {
 /// Runs a job on a GCE-style provider: a fixed-price preemptible fleet
 /// of `market` instances covering the job's `target_cores` plus its
 /// on-demand tier, Poisson preemptions, immediate replacement (no
-/// bidding), λ pauses.
+/// bidding), a pause of [`AppParams::END_TO_END`]'s λ (the Proteus
+/// scheme's) per preemption.
 pub fn run_gce_job(job: &JobSpec, market: MarketKey, config: &GceRunConfig) -> GceOutcome {
     let gce = GceMarket::new(config.preemption);
     let od_price = market.instance_type().on_demand_price;
@@ -70,7 +67,8 @@ pub fn run_gce_job(job: &JobSpec, market: MarketKey, config: &GceRunConfig) -> G
         cores += f64::from(ON_DEMAND_COUNT * vcpus);
     }
     // φ-scaled core-hours per hour.
-    let rate = cores * phi(AppParams::default().phi_per_doubling, cores);
+    let params = AppParams::END_TO_END;
+    let rate = cores * params.phi(cores);
 
     let fleet_rate_per_hour = fleet * config.preemption.preemptions_per_day / 24.0;
     let mut rng = seeded(config.seed);
@@ -92,7 +90,7 @@ pub fn run_gce_job(job: &JobSpec, market: MarketKey, config: &GceRunConfig) -> G
     while t < config.max_hours {
         if t >= next_preempt {
             preemptions += 1;
-            paused_until = paused_until.max(t + EVICTION_PAUSE.as_hours_f64());
+            paused_until = paused_until.max(t + params.lambda.as_hours_f64());
             next_preempt = t + exp_interval();
         }
         if t >= paused_until {

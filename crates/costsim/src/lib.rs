@@ -27,6 +27,7 @@
 // retained expect documents a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(unnameable_types)]
+#![forbid(unsafe_code)]
 
 mod executor;
 mod gce;

@@ -48,7 +48,13 @@ impl JobSpec {
     }
 }
 
-/// Which policy stack runs the job.
+/// Delay to restart on fresh machines after an eviction, for both
+/// checkpoint schemes: their σ and λ.
+const RESTART_DELAY: SimDuration = SimDuration::from_mins(8);
+
+/// Which policy stack runs the job. Its transition costs are its
+/// [`app_params`](SchemeKind::app_params); a variant holds only what a
+/// caller turns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchemeKind {
     /// All on-demand machines, no spot (the 100 % cost baseline).
@@ -56,7 +62,9 @@ pub enum SchemeKind {
         /// Machines to run.
         machines: u32,
     },
-    /// Standard bidding + checkpoint/restart elasticity.
+    /// Standard bidding + checkpoint/restart elasticity: an eviction
+    /// loses the work since the last checkpoint and pays the restart
+    /// delay.
     StandardCheckpoint {
         /// Steady-state throughput lost to producing/storing checkpoints
         /// (paper observes 17 % with MTTF-derived frequency).
@@ -64,8 +72,6 @@ pub enum SchemeKind {
         /// Work interval between checkpoints, in core-hours; work since
         /// the last checkpoint is lost on eviction.
         checkpoint_interval_core_hours: f64,
-        /// Delay to restart on fresh machines after an eviction.
-        restart_delay: SimDuration,
     },
     /// Standard bidding + checkpoint/restart with the checkpoint cadence
     /// re-derived every decision step from a live preemption forecast:
@@ -74,25 +80,13 @@ pub enum SchemeKind {
     /// markets' price trajectories. Calm markets stretch the interval
     /// (shrinking the `C/τ` throughput tax); a climbing price tightens
     /// it, and an eviction alert triggers one immediate checkpoint so
-    /// the predicted eviction loses almost nothing.
-    AdaptiveCheckpoint {
-        /// Wall time one checkpoint write takes (the `C` in Young's
-        /// rule); also the pause paid for an alert-triggered checkpoint.
-        checkpoint_cost: SimDuration,
-        /// Delay to restart on fresh machines after an eviction.
-        restart_delay: SimDuration,
-    },
+    /// the predicted eviction loses almost nothing. Same restart delay
+    /// as [`StandardCheckpoint`](SchemeKind::StandardCheckpoint).
+    AdaptiveCheckpoint,
     /// Standard bidding + AgileML elasticity.
-    StandardAgileML {
-        /// Progress pause per eviction (AgileML λ).
-        eviction_pause: SimDuration,
-    },
+    StandardAgileML,
     /// Full Proteus: BidBrain bidding + AgileML elasticity.
     Proteus {
-        /// Progress pause per eviction (AgileML λ).
-        eviction_pause: SimDuration,
-        /// Progress pause per footprint change (AgileML σ).
-        scale_pause: SimDuration,
         /// Candidate bid deltas BidBrain sweeps; pin to one value for
         /// the fixed-delta ablation (paper Sec. 6.3 reports that always
         /// bidding just above market ran 3–4× slower).
@@ -107,41 +101,22 @@ impl SchemeKind {
             checkpoint_overhead: 0.17,
             // ≈20 minutes of 512-core progress between checkpoints.
             checkpoint_interval_core_hours: 170.0,
-            restart_delay: SimDuration::from_mins(8),
         }
     }
 
-    /// The adaptive arm of the checkpointing baseline: same restart
-    /// delay, same per-checkpoint cost the fixed baseline's 17 %
-    /// overhead implies (0.17 × ≈20 min of fleet progress ≈ 3.4 min),
-    /// but the interval floats with the forecasted hazard instead of
-    /// being pinned to the MTTF-derived constant.
+    /// The adaptive arm of the checkpointing baseline.
     pub fn paper_adaptive_checkpoint() -> Self {
-        SchemeKind::AdaptiveCheckpoint {
-            checkpoint_cost: SimDuration::from_secs(204),
-            restart_delay: SimDuration::from_mins(8),
-        }
+        SchemeKind::AdaptiveCheckpoint
     }
 
     /// Standard bidding with AgileML's cheap elasticity.
     pub fn paper_standard_agileml() -> Self {
-        SchemeKind::StandardAgileML {
-            eviction_pause: SimDuration::from_secs(90),
-        }
+        SchemeKind::StandardAgileML
     }
 
-    /// Full Proteus with AgileML overheads.
-    ///
-    /// The eviction pause covers the λ the paper measures end-to-end:
-    /// the one-iteration blip plus data-reassignment and (for bulk
-    /// evictions) the drain/promotion transition — a few minutes, which
-    /// is what keeps BidBrain from bidding recklessly close to the
-    /// market price purely to farm free compute (Sec. 6.3 reports that
-    /// always bidding just above market ran 3–4× slower).
+    /// Full Proteus, sweeping the paper's bid deltas.
     pub fn paper_proteus() -> Self {
         SchemeKind::Proteus {
-            eviction_pause: SimDuration::from_secs(240),
-            scale_pause: SimDuration::from_secs(30),
             bid_deltas: crate::default_bid_deltas(),
         }
     }
@@ -149,9 +124,31 @@ impl SchemeKind {
     /// Proteus pinned to a single bid delta (ablation).
     pub fn proteus_fixed_delta(delta: f64) -> Self {
         SchemeKind::Proteus {
-            eviction_pause: SimDuration::from_secs(240),
-            scale_pause: SimDuration::from_secs(30),
             bid_deltas: vec![delta],
+        }
+    }
+
+    /// The job's transition costs under this scheme, which its BidBrain
+    /// prices with and its loop pauses by: σ after a Proteus grant, λ
+    /// after an eviction.
+    ///
+    /// * Proteus: AgileML's [`AppParams::END_TO_END`] (λ 240 s).
+    /// * Standard+AgileML: Table 2's [`AppParams::default`] (λ 90 s).
+    /// * Both checkpoint schemes: σ = λ = the 8 min restart delay.
+    /// * AllOnDemand: Table 2's with λ 0 (it holds no spot).
+    pub fn app_params(&self) -> AppParams {
+        match self {
+            SchemeKind::Proteus { .. } => AppParams::END_TO_END,
+            SchemeKind::StandardAgileML => AppParams::default(),
+            SchemeKind::StandardCheckpoint { .. } | SchemeKind::AdaptiveCheckpoint => AppParams {
+                sigma: RESTART_DELAY,
+                lambda: RESTART_DELAY,
+                ..AppParams::default()
+            },
+            SchemeKind::AllOnDemand { .. } => AppParams {
+                lambda: SimDuration::ZERO,
+                ..AppParams::default()
+            },
         }
     }
 
@@ -160,8 +157,8 @@ impl SchemeKind {
         match self {
             SchemeKind::AllOnDemand { .. } => "AllOnDemand",
             SchemeKind::StandardCheckpoint { .. } => "Standard+Checkpoint",
-            SchemeKind::AdaptiveCheckpoint { .. } => "Adaptive+Checkpoint",
-            SchemeKind::StandardAgileML { .. } => "Standard+AgileML",
+            SchemeKind::AdaptiveCheckpoint => "Adaptive+Checkpoint",
+            SchemeKind::StandardAgileML => "Standard+AgileML",
             SchemeKind::Proteus { .. } => "Proteus",
         }
     }
@@ -188,6 +185,42 @@ mod tests {
         let j20 = JobSpec::cluster_b_job(20.0, mk);
         assert!((j20.work_core_hours / j2.work_core_hours - 10.0).abs() < 1e-9);
         assert_eq!(ON_DEMAND_COUNT, 3, "the paper's Proteus runs held three");
+    }
+
+    /// Each scheme's transition costs, pinned: Proteus and its
+    /// fixed-delta ablation charge AgileML end to end, Standard+AgileML
+    /// Table 2's, the checkpoint schemes their 8 min restart for both σ
+    /// and λ, and AllOnDemand no eviction.
+    #[test]
+    fn app_params_are_pinned() {
+        let (secs, mins) = (SimDuration::from_secs, SimDuration::from_mins);
+        let params = |phi_per_doubling, sigma, lambda| AppParams {
+            phi_per_doubling,
+            sigma,
+            lambda,
+        };
+        assert_eq!(AppParams::default(), params(0.97, secs(30), secs(90)));
+        assert_eq!(AppParams::END_TO_END, params(0.97, secs(30), secs(240)));
+        let pinned = [
+            (
+                SchemeKind::AllOnDemand { machines: 128 },
+                secs(30),
+                SimDuration::ZERO,
+            ),
+            (SchemeKind::paper_checkpoint(), mins(8), mins(8)),
+            (SchemeKind::paper_adaptive_checkpoint(), mins(8), mins(8)),
+            (SchemeKind::paper_standard_agileml(), secs(30), secs(90)),
+            (SchemeKind::paper_proteus(), secs(30), secs(240)),
+            (SchemeKind::proteus_fixed_delta(0.01), secs(30), secs(240)),
+        ];
+        for (kind, sigma, lambda) in pinned {
+            assert_eq!(
+                kind.app_params(),
+                params(0.97, sigma, lambda),
+                "{}",
+                kind.label()
+            );
+        }
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! hour charges, eviction warnings, and evictions; at each step the
 //! scheme's policy reacts: accrues work, applies eviction/scale pauses
 //! or checkpoint rollbacks, terminates allocations whose renewal would
-//! hurt cost-per-work, and considers acquisitions.
+//! hurt cost-per-work, and considers acquisitions. The pauses are the
+//! scheme's [`SchemeKind::app_params`], the σ and λ its BidBrain prices
+//! with, held once by that BidBrain.
 
 use proteus_bidbrain::{
-    AllocView, AppParams, BetaEstimator, BidBrain, BidBrainConfig, ForecastConfig,
-    PreemptionForecaster, StandardStrategy, DECISION_STEP,
+    AllocView, BetaEstimator, BidBrain, BidBrainConfig, ForecastConfig, PreemptionForecaster,
+    StandardStrategy, DECISION_STEP,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -25,6 +27,12 @@ use crate::scheme::{JobSpec, Scheme, SchemeKind, ON_DEMAND_COUNT, STANDARD_CORES
 mod queue;
 
 pub use queue::{run_job_queue, QueueOutcome};
+
+/// Wall time one checkpoint write takes under the adaptive-checkpoint
+/// scheme: the `C` in Young's rule, and the pause an alert-triggered
+/// checkpoint pays. It is the per-checkpoint cost the fixed baseline's
+/// 17 % overhead implies (0.17 × ≈20 min of fleet progress ≈ 3.4 min).
+const CHECKPOINT_COST: SimDuration = SimDuration::from_secs(204);
 
 /// Outcome of one simulated job.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,28 +168,12 @@ impl<'a> JobSim<'a> {
         beta: &'a BetaEstimator,
         start: SimTime,
     ) -> Self {
-        let params = AppParams {
-            sigma: match scheme.kind {
-                SchemeKind::Proteus { scale_pause, .. } => scale_pause,
-                SchemeKind::StandardCheckpoint { restart_delay, .. }
-                | SchemeKind::AdaptiveCheckpoint { restart_delay, .. } => restart_delay,
-                _ => SimDuration::from_secs(30),
-            },
-            lambda: match scheme.kind {
-                SchemeKind::Proteus { eviction_pause, .. } => eviction_pause,
-                SchemeKind::StandardAgileML { eviction_pause } => eviction_pause,
-                SchemeKind::StandardCheckpoint { restart_delay, .. }
-                | SchemeKind::AdaptiveCheckpoint { restart_delay, .. } => restart_delay,
-                SchemeKind::AllOnDemand { .. } => SimDuration::ZERO,
-            },
-            ..AppParams::default()
-        };
         let bid_deltas = match &scheme.kind {
-            SchemeKind::Proteus { bid_deltas, .. } => bid_deltas.clone(),
+            SchemeKind::Proteus { bid_deltas } => bid_deltas.clone(),
             _ => BidBrainConfig::default().bid_deltas,
         };
         let brain = BidBrain::new(
-            params,
+            scheme.kind.app_params(),
             beta,
             BidBrainConfig {
                 target_cores: scheme.job.target_cores,
@@ -193,11 +185,9 @@ impl<'a> JobSim<'a> {
         // Only the adaptive-checkpoint scheme forecasts; it starts at the
         // calm-market cadence of a forecaster that has seen nothing.
         let (forecaster, adaptive_tau) = match scheme.kind {
-            SchemeKind::AdaptiveCheckpoint {
-                checkpoint_cost, ..
-            } => {
+            SchemeKind::AdaptiveCheckpoint => {
                 let fc = PreemptionForecaster::new(ForecastConfig::default());
-                let tau = fc.checkpoint_interval(checkpoint_cost);
+                let tau = fc.checkpoint_interval(CHECKPOINT_COST);
                 (Some(fc), tau)
             }
             _ => (None, SimDuration::ZERO),
@@ -350,14 +340,11 @@ impl<'a> JobSim<'a> {
         {
             rate *= 1.0 - checkpoint_overhead;
         }
-        if let SchemeKind::AdaptiveCheckpoint {
-            checkpoint_cost, ..
-        } = self.kind
-        {
+        if matches!(self.kind, SchemeKind::AdaptiveCheckpoint) {
             // Dynamic throughput tax C/τ: vanishes on calm markets where
             // the forecaster lets τ stretch to its cap.
             let tau = self.adaptive_tau.as_hours_f64().max(1e-9);
-            rate *= (1.0 - checkpoint_cost.as_hours_f64() / tau).max(0.0);
+            rate *= (1.0 - CHECKPOINT_COST.as_hours_f64() / tau).max(0.0);
         }
         rate
     }
@@ -373,23 +360,17 @@ impl<'a> JobSim<'a> {
     /// the predicted eviction loses at most a step of work. No-op for
     /// every other scheme.
     fn forecast_step(&mut self, now: SimTime) {
-        let SchemeKind::AdaptiveCheckpoint {
-            checkpoint_cost, ..
-        } = self.kind
-        else {
-            return;
-        };
         let Some(fc) = self.forecaster.as_mut() else {
             return;
         };
         let alerted = !fc.watch(&self.provider, now).is_empty();
-        self.adaptive_tau = fc.checkpoint_interval(checkpoint_cost);
+        self.adaptive_tau = fc.checkpoint_interval(CHECKPOINT_COST);
         if alerted {
             // Proactive save: everything accrued so far survives the
             // predicted eviction; one checkpoint write is paid now.
             self.checkpointed_work = self.work_done;
             self.next_checkpoint = now + self.adaptive_tau;
-            self.pause(checkpoint_cost);
+            self.pause(CHECKPOINT_COST);
         } else if now >= self.next_checkpoint {
             self.checkpointed_work = self.work_done;
             self.next_checkpoint = now + self.adaptive_tau;
@@ -421,19 +402,16 @@ impl<'a> JobSim<'a> {
             match ev {
                 ProviderEvent::Evicted { .. } => {
                     match self.kind {
-                        SchemeKind::StandardCheckpoint { restart_delay, .. }
-                        | SchemeKind::AdaptiveCheckpoint { restart_delay, .. } => {
-                            // Lose progress back to the last checkpoint
-                            // and pay the restart delay.
+                        // It holds no spot to lose.
+                        SchemeKind::AllOnDemand { .. } => continue,
+                        // Restarting loses progress back to the last
+                        // checkpoint; λ is the restart delay.
+                        SchemeKind::StandardCheckpoint { .. } | SchemeKind::AdaptiveCheckpoint => {
                             self.work_done = self.checkpointed_work;
-                            self.pause(restart_delay);
                         }
-                        SchemeKind::StandardAgileML { eviction_pause }
-                        | SchemeKind::Proteus { eviction_pause, .. } => {
-                            self.pause(eviction_pause);
-                        }
-                        SchemeKind::AllOnDemand { .. } => {}
+                        SchemeKind::StandardAgileML | SchemeKind::Proteus { .. } => {}
                     }
+                    self.pause(self.brain.params().lambda);
                 }
                 // Warning and launch state are read from the allocation
                 // views each step; a failed launch billed nothing and
@@ -484,13 +462,11 @@ impl<'a> JobSim<'a> {
         if self.work_remaining() <= 0.0 {
             return None;
         }
-        // Bindings are `Copy` fields only, so no clone of the variant's
-        // heap state (the Proteus bid-delta vector) is needed.
         match self.kind {
             SchemeKind::AllOnDemand { .. } => None,
             SchemeKind::StandardCheckpoint { .. }
-            | SchemeKind::AdaptiveCheckpoint { .. }
-            | SchemeKind::StandardAgileML { .. } => {
+            | SchemeKind::AdaptiveCheckpoint
+            | SchemeKind::StandardAgileML => {
                 // Re-acquire the full fleet whenever empty (initially and
                 // after evictions complete — a warned allocation still
                 // counts its cores). A refusal retries naturally:
@@ -506,7 +482,7 @@ impl<'a> JobSim<'a> {
                 }
                 None
             }
-            SchemeKind::Proteus { scale_pause, .. } => {
+            SchemeKind::Proteus { .. } => {
                 // Uncapped: BidBrain's own target bounds the request. A
                 // refusal that stops the walk retries next step.
                 let tier = self.on_demand_tier();
@@ -519,7 +495,7 @@ impl<'a> JobSim<'a> {
                 );
                 if let Some((req, grant)) = walk.granted {
                     self.note_acquisition(req.market, grant.granted);
-                    self.pause(scale_pause);
+                    self.pause(self.brain.params().sigma);
                 }
                 Some(!walk.refused.is_empty())
             }
@@ -950,6 +926,76 @@ mod tests {
             original.clone().run_to(deadline);
             proptest::prop_assert_eq!(&original.run_to(deadline), &whole);
             proptest::prop_assert_eq!(original_rec.to_jsonl(), whole_rec.to_jsonl());
+        }
+    }
+
+    /// Every pause is the scheme's `app_params()`. On a flat market that
+    /// prices every bid out at one instant, the step that sees a spot
+    /// scheme's eviction holds its progress for exactly λ from the
+    /// step's end (the checkpoint schemes also roll back to their last
+    /// checkpoint), and each step in which Proteus is granted capacity
+    /// holds it for exactly σ from the grant.
+    #[test]
+    fn pauses_are_the_schemes_app_params() {
+        let market = default_on_demand_market();
+        let start = SimTime::from_hours(24);
+        let spike = start + SimDuration::from_mins(75);
+        let mut traces = TraceSet::new();
+        let points = vec![(SimTime::EPOCH, 0.05), (spike, 5.0)];
+        traces.insert(market, PriceTrace::from_points(points).expect("trace"));
+        let mut beta = BetaEstimator::new();
+        beta.train(
+            market,
+            traces.get(&market).expect("trace"),
+            SimTime::EPOCH,
+            start,
+            SimDuration::from_mins(60),
+            &BetaEstimator::default_deltas(),
+        );
+        for kind in [
+            SchemeKind::paper_checkpoint(),
+            SchemeKind::paper_adaptive_checkpoint(),
+            SchemeKind::paper_standard_agileml(),
+            SchemeKind::paper_proteus(),
+        ] {
+            let label = kind.label();
+            let params = kind.app_params();
+            let proteus = matches!(kind, SchemeKind::Proteus { .. });
+            let scheme = Scheme {
+                kind,
+                job: job(20.0),
+            };
+            let mut sim = JobSim::new(&scheme, CloudProvider::new(&traces), &beta, start);
+            sim.provision_base();
+            let (mut evictions, mut grants) = (0, 0);
+            let mut now = start;
+            while now < spike + SimDuration::from_mins(30) {
+                let evicted = sim.provider.tally().evictions;
+                let granted: u32 = sim.market_mix.values().sum();
+                let (next, done) = sim.run_until_done(now + DECISION_STEP);
+                assert!(!done, "{label}");
+                if sim.provider.tally().evictions > evicted {
+                    evictions += 1;
+                    assert_eq!(
+                        sim.paused_until,
+                        next + params.lambda,
+                        "{label} at {next:?}"
+                    );
+                    if !matches!(
+                        scheme.kind,
+                        SchemeKind::StandardAgileML | SchemeKind::Proteus { .. }
+                    ) {
+                        assert_eq!(sim.work_done, sim.checkpointed_work, "{label} rolls back");
+                    }
+                } else if proteus && next <= spike && sim.market_mix.values().sum::<u32>() > granted
+                {
+                    grants += 1;
+                    assert_eq!(sim.paused_until, now + params.sigma, "{label} at {now:?}");
+                }
+                now = next;
+            }
+            assert_eq!(evictions, 1, "{label}: one step sees the spike's eviction");
+            assert!(!proteus || grants >= 1, "{label}: a grant before the spike");
         }
     }
 

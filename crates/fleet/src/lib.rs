@@ -22,7 +22,7 @@
 //!
 //! Determinism is load-bearing throughout: market fault draws come from
 //! per-tenant seed-split streams ([`proteus_market::TenantId`]), Eq. 4
-//! evaluations fan out over the study executor and return in index
+//! evaluations fan out over `proteus_simtime::Pool` and return in index
 //! order, and all mutation is serial — so a fleet outcome is
 //! bit-identical for any `PROTEUS_THREADS` setting.
 
@@ -30,6 +30,7 @@
 // expect must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(unnameable_types)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod binpack;

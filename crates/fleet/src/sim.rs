@@ -8,9 +8,9 @@
 //! 1. **admits** submitted jobs while the active set has room,
 //!    assigning each a bin-packed slot on the shared reliable pool;
 //! 2. **evaluates** every pending gang's best `(market, bid-delta)`
-//!    candidate by Eq. 4 cost-per-work — a pure fan-out over the study
-//!    executor, collected in index order so results are bit-identical
-//!    whatever the thread count;
+//!    candidate by Eq. 4 cost-per-work — a pure fan-out over the
+//!    helper [`Pool`], collected in index order so results are
+//!    bit-identical whatever the thread count;
 //! 3. **ranks** pending gangs globally by aged fairness weight ×
 //!    marginal Eq. 4 value and walks the ranking, acquiring each gang
 //!    atomically ([`CloudProvider::request_spot_gang`]) — a capacity
@@ -29,13 +29,12 @@ use std::sync::Arc;
 use proteus_bidbrain::{
     AllocView, AllocationRequest, AppParams, BetaEstimator, BidBrain, BidBrainConfig, DECISION_STEP,
 };
-use proteus_costsim::StudyExecutor;
 use proteus_market::{
     AllocationId, CloudProvider, MarketError, MarketFaultPlan, MarketKey, ProviderEvent, TraceSet,
     UsageBreakdown,
 };
 use proteus_obs::{Event, FleetEvent, Recorder};
-use proteus_simtime::{SimDuration, SimTime};
+use proteus_simtime::{Pool, SimDuration, SimTime};
 
 use crate::binpack::ReliablePool;
 use crate::job::{FleetJobSpec, JobId, JobState, JobSummary};
@@ -65,24 +64,8 @@ impl FleetConfig {
 /// Reliable-slot density per shared on-demand machine.
 const SLOTS_PER_MACHINE: u32 = 8;
 
-/// Per-job progress pause after an eviction or preemption (λ).
-const EVICTION_PAUSE: SimDuration = SimDuration::from_secs(240);
-
-/// Per-job progress pause after a (re)launch (σ).
-const SCALE_PAUSE: SimDuration = SimDuration::from_secs(30);
-
 /// Bid deltas swept per candidate market.
 const BID_DELTAS: [f64; 4] = [0.0001, 0.01, 0.05, 0.4];
-
-/// The fleet's Table 2 parameters: the paper's φ and σ, with λ the
-/// fleet's eviction pause.
-pub(crate) fn app_params() -> AppParams {
-    AppParams {
-        sigma: SCALE_PAUSE,
-        lambda: EVICTION_PAUSE,
-        ..AppParams::default()
-    }
-}
 
 /// A pending gang preempts a victim only when its value exceeds
 /// `PREEMPTION_MARGIN ×` the victim's (starved gangs ignore this).
@@ -463,7 +446,7 @@ impl<'a> FleetSim<'a> {
 
     /// Runs scheduling rounds, one per [`DECISION_STEP`], until the
     /// clock reaches `until`.
-    pub fn run_to(&mut self, until: SimTime, exec: &StudyExecutor) -> Result<(), MarketError> {
+    pub fn run_to(&mut self, until: SimTime, exec: &Pool) -> Result<(), MarketError> {
         while self.now() < until {
             let target = (self.now() + DECISION_STEP).min(until);
             self.step_to(target, exec)?;
@@ -473,7 +456,7 @@ impl<'a> FleetSim<'a> {
 
     /// One scheduling round: advance the market to `target`, route its
     /// events, accrue work, settle completions, then admit/rank/launch.
-    fn step_to(&mut self, target: SimTime, exec: &StudyExecutor) -> Result<(), MarketError> {
+    fn step_to(&mut self, target: SimTime, exec: &Pool) -> Result<(), MarketError> {
         let events = self.provider.advance_to(target)?;
         for (t, ev) in events {
             self.route_event(t, &ev);
@@ -631,11 +614,11 @@ impl<'a> FleetSim<'a> {
         let (to, usable_from) = match why {
             End::Evicted => {
                 job.evictions += 1;
-                (JobState::Waiting, Some(t + EVICTION_PAUSE))
+                (JobState::Waiting, Some(t + AppParams::END_TO_END.lambda))
             }
             End::Preempted { .. } => {
                 job.preemptions += 1;
-                (JobState::Waiting, Some(t + EVICTION_PAUSE))
+                (JobState::Waiting, Some(t + AppParams::END_TO_END.lambda))
             }
             // The grant never ran: nothing to pause for.
             End::LaunchFailed => (JobState::Waiting, Some(t)),
@@ -733,7 +716,7 @@ impl<'a> FleetSim<'a> {
     }
 
     /// One admission + evaluation + ranking + launch pass.
-    fn schedule_round(&mut self, exec: &StudyExecutor) {
+    fn schedule_round(&mut self, exec: &Pool) {
         let now = self.now();
 
         // --- Admission (timed bookkeeping). ---
@@ -783,7 +766,7 @@ impl<'a> FleetSim<'a> {
 
     /// The round after admission: evaluate, rank and launch the pending
     /// gangs, in `round`'s kept buffers.
-    fn launch_round(&mut self, round: &mut Round, now: SimTime, exec: &StudyExecutor) {
+    fn launch_round(&mut self, round: &mut Round, now: SimTime, exec: &Pool) {
         let Round {
             completers: _,
             pending,
@@ -1007,13 +990,13 @@ impl<'a> FleetSim<'a> {
             id: alloc,
             market: req.market,
             delta: req.delta,
-            phi: app_params().phi(cores),
+            phi: AppParams::END_TO_END.phi(cores),
         });
         job.launches += 1;
         job.max_rounds_waited = job.max_rounds_waited.max(job.rounds_waiting);
         job.rounds_waiting = 0;
         job.accrued_until = now;
-        job.usable_from = usable_at.max(now) + SCALE_PAUSE;
+        job.usable_from = usable_at.max(now) + AppParams::END_TO_END.sigma;
         self.set_state(idx, JobState::Running);
         if let Some(rec) = self.obs.as_deref() {
             rec.record(
@@ -1070,7 +1053,7 @@ fn evaluate_task(
         bid_deltas: BID_DELTAS.to_vec(),
         min_improvement: 0.0,
     };
-    let brain = BidBrain::new(app_params(), beta, config);
+    let brain = BidBrain::new(AppParams::END_TO_END, beta, config);
     let Some((market, delta_bits)) = task.pinned else {
         // A pending gang takes the head of BidBrain's own (market × delta)
         // sweep over an empty footprint, scored as the sweep scored it:
@@ -1118,7 +1101,7 @@ mod tests {
         let traces = traces();
         let beta = BetaEstimator::new();
         let mut fleet = FleetSim::new(&traces, &beta, cfg());
-        let exec = StudyExecutor::serial();
+        let exec = Pool::serial();
         let _ = fleet.submit(FleetJobSpec::trial(2.0, 2, 0), SimTime::EPOCH);
         let _ = fleet.submit(FleetJobSpec::trial(1.0, 2, 1), SimTime::EPOCH);
         fleet.run_to(SimTime::from_hours(4), &exec).expect("run");
@@ -1150,7 +1133,7 @@ mod tests {
                     SimTime::EPOCH + SimDuration::from_mins(2 * i),
                 );
             }
-            let exec = StudyExecutor::new(threads);
+            let exec = Pool::new(threads);
             fleet.run_to(SimTime::from_hours(6), &exec).expect("run");
             fleet.finish().0
         };
@@ -1170,7 +1153,7 @@ mod tests {
         let ids: Vec<JobId> = (0..4)
             .map(|_| fleet.submit(FleetJobSpec::trial(50.0, 2, 0), SimTime::EPOCH))
             .collect();
-        let exec = StudyExecutor::serial();
+        let exec = Pool::serial();
         fleet
             .run_to(SimTime::EPOCH + SimDuration::from_mins(10), &exec)
             .expect("run");
@@ -1192,7 +1175,7 @@ mod tests {
         let beta = BetaEstimator::new();
         let mut fleet = FleetSim::new(&traces, &beta, cfg());
         let id = fleet.submit(FleetJobSpec::trial(100.0, 2, 0), SimTime::EPOCH);
-        let exec = StudyExecutor::serial();
+        let exec = Pool::serial();
         fleet
             .run_to(SimTime::EPOCH + SimDuration::from_mins(30), &exec)
             .expect("run");
@@ -1225,7 +1208,7 @@ mod tests {
         let beta = BetaEstimator::new();
         let mut fleet = FleetSim::new(&traces, &beta, cfg());
         let id = fleet.submit(FleetJobSpec::trial(1.0, 2, 0), SimTime::EPOCH);
-        let exec = StudyExecutor::serial();
+        let exec = Pool::serial();
         fleet.run_to(SimTime::from_hours(2), &exec).expect("run");
         assert_eq!(fleet.state(id), Some(JobState::Completed));
         let w1 = fleet.work_done(id);
@@ -1255,7 +1238,7 @@ mod tests {
         let beta = BetaEstimator::new();
         let mut fleet = FleetSim::new(&traces, &beta, cfg());
         let id = fleet.submit(FleetJobSpec::trial(0.5, 2, 0), SimTime::EPOCH);
-        let exec = StudyExecutor::serial();
+        let exec = Pool::serial();
         fleet.run_to(mins(8), &exec).expect("run");
         assert_eq!(fleet.state(id), Some(JobState::Completed));
         fleet.run_to(mins(30), &exec).expect("run");
@@ -1277,7 +1260,7 @@ mod tests {
         let boot = SimDuration::from_mins(4);
         fleet.set_fault_plan(MarketFaultPlan::new(1).with_boot_delay(boot, boot));
         let id = fleet.submit(FleetJobSpec::trial(5.0, 2, 0), SimTime::EPOCH);
-        let exec = StudyExecutor::serial();
+        let exec = Pool::serial();
         fleet.run_to(mins(4), &exec).expect("run");
         assert_eq!(fleet.state(id), Some(JobState::Running));
         let (out, _) = fleet.finish();
@@ -1291,7 +1274,7 @@ mod tests {
         let beta = BetaEstimator::new();
         let mut fleet = FleetSim::new(&traces, &beta, cfg());
         let id = fleet.submit(FleetJobSpec::trial(1e6, 2, 0), SimTime::EPOCH);
-        let exec = StudyExecutor::serial();
+        let exec = Pool::serial();
         fleet.run_to(SimTime::from_hours(1), &exec).expect("run");
         let (out, _) = fleet.finish();
         assert_eq!(out.jobs[0].state, JobState::Unfinished);

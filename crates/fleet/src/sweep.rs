@@ -17,14 +17,13 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use proteus_bidbrain::{BetaEstimator, DECISION_STEP};
-use proteus_costsim::StudyExecutor;
+use proteus_bidbrain::{AppParams, BetaEstimator, DECISION_STEP};
 use proteus_market::{MarketError, TraceSet};
 use proteus_simtime::rng::derive_seed;
-use proteus_simtime::{SimDuration, SimTime};
+use proteus_simtime::{Pool, SimDuration, SimTime};
 
 use crate::job::{FleetJobSpec, JobId, JobState};
-use crate::sim::{app_params, FleetConfig, FleetOutcome, FleetSim, FleetTiming};
+use crate::sim::{FleetConfig, FleetOutcome, FleetSim, FleetTiming};
 
 /// Fraction of trials seen at a rung that get promoted past it.
 const KEEP_FRACTION: f64 = 0.5;
@@ -189,7 +188,7 @@ pub fn run_sweep(
     beta: &BetaEstimator,
     fleet_cfg: FleetConfig,
     cfg: &SweepConfig,
-    exec: &StudyExecutor,
+    exec: &Pool,
 ) -> Result<(SweepOutcome, FleetTiming), MarketError> {
     run_sweep_on(FleetSim::new(traces, beta, fleet_cfg), cfg, exec)
 }
@@ -200,14 +199,14 @@ pub fn run_sweep(
 pub fn run_sweep_on(
     mut fleet: FleetSim<'_>,
     cfg: &SweepConfig,
-    exec: &StudyExecutor,
+    exec: &Pool,
 ) -> Result<(SweepOutcome, FleetTiming), MarketError> {
     let nominal_rate = {
         // Work a healthy gang produces per hour on the reliable pool's
         // market (the first of `FleetConfig::paper_defaults`' markets).
         let vcpus = f64::from(fleet.config().on_demand_market.instance_type().vcpus);
         let cores = f64::from(cfg.gang) * vcpus;
-        cores * app_params().phi(cores)
+        cores * AppParams::END_TO_END.phi(cores)
     };
     let first_rung = cfg.rungs.first().copied().unwrap_or(1.0);
     let ids: Vec<JobId> = (0..cfg.trials)
@@ -367,7 +366,7 @@ mod tests {
             &beta,
             FleetConfig::paper_defaults(vec![key()]),
             &sweep_cfg(),
-            &StudyExecutor::serial(),
+            &Pool::serial(),
         )
         .expect("sweep");
         assert_eq!(out.trials.len(), 12);
@@ -410,7 +409,7 @@ mod tests {
                 &beta,
                 FleetConfig::paper_defaults(vec![key()]),
                 &sweep_cfg(),
-                &StudyExecutor::new(threads),
+                &Pool::new(threads),
             )
             .expect("sweep")
             .0

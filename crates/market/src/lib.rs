@@ -33,6 +33,7 @@
 // retained `expect`s document real invariants at their use sites.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(unnameable_types)]
+#![forbid(unsafe_code)]
 
 mod billing;
 mod error;

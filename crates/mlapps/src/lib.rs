@@ -27,6 +27,7 @@
 // any retained expect must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(unnameable_types)]
+#![forbid(unsafe_code)]
 
 pub mod app;
 pub mod data;

@@ -38,9 +38,14 @@
 // expect must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(unnameable_types)]
+#![deny(unsafe_code)]
 
 mod cache;
 mod clock;
+#[allow(
+    unsafe_code,
+    reason = "the AVX2 twins: a call after runtime feature detection, and their unaligned load and store"
+)]
 pub mod kernels;
 mod keyset;
 mod partition;

@@ -35,6 +35,7 @@
 // retained expect must document a real invariant at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(unnameable_types)]
+#![forbid(unsafe_code)]
 
 mod cluster;
 mod event_core;

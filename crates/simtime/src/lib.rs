@@ -19,8 +19,13 @@
 // at its use site.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(unnameable_types)]
+#![deny(unsafe_code)]
 
 mod event;
+#[allow(
+    unsafe_code,
+    reason = "parked helpers run a submitter's borrowed closure: its lifetime is erased, and `DrainPtr` is `Send`"
+)]
 mod pool;
 pub mod rng;
 mod time;
