@@ -241,15 +241,21 @@ impl<A: MlApp> Controller<A> {
     }
 
     /// Brings the clock table in line with the layout's worker set:
-    /// workers (re-)register at the broadcast floor — never at zero, so
-    /// a stage flip or a rejoin cannot regress the consistent clock —
-    /// and everyone else is deregistered, as is a corpse awaiting its
-    /// queued `NodesFailed`, which would pin the minimum forever.
+    /// workers holding a data block (re-)register at the broadcast
+    /// floor — never at zero, so a stage flip, a rejoin or a first block
+    /// cannot regress the consistent clock — and everyone else is
+    /// deregistered: a worker with no block starts no iteration, and a
+    /// corpse awaiting its queued `NodesFailed` sends no clock, so
+    /// either would pin the minimum forever.
     fn resync_worker_clocks(&mut self) {
         let workers: BTreeSet<NodeId> =
             (self.layout.workers(self.layout.stage).into_iter()).collect();
+        let assignment = self.layout.assignment.as_ref();
         for n in self.layout.members.keys() {
-            if workers.contains(n) && !self.layout.known_dead.contains(n) {
+            if workers.contains(n)
+                && !self.layout.known_dead.contains(n)
+                && assignment.is_some_and(|a| a.has_blocks(*n))
+            {
                 self.clock.register_at(n.0, self.last_min_broadcast);
             } else {
                 self.clock.deregister(n.0);

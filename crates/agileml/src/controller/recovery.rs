@@ -115,8 +115,10 @@ impl<A: MlApp> Controller<A> {
         self.migrations.retain(|src, _| !victims.contains(src));
 
         if !owners_lost {
-            // Workers only: reassign data, continue without rollback.
+            // Workers only: reassign data, continue without rollback. A
+            // survivor the data falls to may hold its first block.
             self.layout.release_blocks(&victims, false);
+            self.resync_worker_clocks();
             let topo = self.reconfigure(ctx, &Awaits::new());
             self.resume(ctx, topo);
             self.emit(JobEvent::NodesFailedRecovered {

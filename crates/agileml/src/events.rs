@@ -124,7 +124,8 @@ pub struct JobStatus {
     pub transient: usize,
     /// Number of nodes currently hosting an ActivePS (0 in stage 1).
     pub active_ps: usize,
-    /// Number of live workers.
+    /// Number of live workers holding a data block: the ones the
+    /// minimum clock waits on.
     pub workers: usize,
     /// Minimum completed clock across workers.
     pub min_clock: u64,

@@ -687,11 +687,6 @@ impl<A: MlApp> AgileMlJob<A> {
         &engine.event_log
     }
 
-    /// The application under training.
-    pub fn app(&self) -> &A {
-        &self.app
-    }
-
     /// The training dataset.
     pub fn dataset(&self) -> &[A::Datum] {
         &self.dataset

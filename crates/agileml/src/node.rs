@@ -575,7 +575,7 @@ impl<A: MlApp> SimNode<AgileMsg> for NodeState<A> {
             Control::EvictionWarning { deadline_ms } => {
                 let _ = ctx.send(self.controller, AgileMsg::EvictionNotice { deadline_ms });
             }
-            Control::Shutdown | Control::Kill => ctx.stop(),
+            Control::Kill => ctx.stop(),
         }
     }
 }

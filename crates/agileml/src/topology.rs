@@ -84,6 +84,11 @@ impl DataAssignment {
             .collect()
     }
 
+    /// Whether `worker` currently owns any block.
+    pub fn has_blocks(&self, worker: NodeId) -> bool {
+        self.history.values().any(|h| h.last() == Some(&worker))
+    }
+
     /// Rebalances blocks across `workers` so loads differ by at most one,
     /// moving as few blocks as possible. Returns the moved blocks as
     /// `(block, from, to)`.

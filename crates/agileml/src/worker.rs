@@ -814,7 +814,7 @@ mod tests {
         let mut keys: Vec<ParamKey> = out
             .iter()
             .filter_map(|(_, m)| match m {
-                AgileMsg::ReadReq { keys, .. } => Some(keys.to_vec()),
+                AgileMsg::ReadReq { keys, .. } => Some(keys.iter().collect::<Vec<_>>()),
                 _ => None,
             })
             .flatten()
@@ -928,18 +928,21 @@ mod tests {
         assert_ne!(state(&w, 1), LdaRun::default());
     }
 
-    /// A worker over 50 ratings of a 12 × 9 matrix at rank 3, cut into
-    /// six blocks on a three-partition layout.
+    /// [`mf_worker`]'s app: a 12 × 9 matrix at rank 3.
+    const MF_WORKER: MfConfig = MfConfig {
+        rows: 12,
+        cols: 9,
+        rank: 3,
+        learning_rate: 0.1,
+        reg: 0.01,
+        init_scale: 0.1,
+    };
+
+    /// A worker over 50 ratings of [`MF_WORKER`]'s matrix, cut into six
+    /// blocks on a three-partition layout.
     fn mf_worker() -> WorkerState<MatrixFactorization> {
         use proteus_mlapps::data::{netflix_like, MfDataConfig};
-        let app = MatrixFactorization::new(MfConfig {
-            rows: 12,
-            cols: 9,
-            rank: 3,
-            learning_rate: 0.1,
-            reg: 0.01,
-            init_scale: 0.1,
-        });
+        let app = MatrixFactorization::new(MF_WORKER);
         let data = Arc::new(netflix_like(
             &MfDataConfig {
                 rows: 12,
@@ -987,7 +990,7 @@ mod tests {
     fn reads_of(out: &Outbox) -> Reads {
         out.iter()
             .filter_map(|(dst, m)| match m {
-                AgileMsg::ReadReq { keys, .. } => Some((*dst, keys.to_vec())),
+                AgileMsg::ReadReq { keys, .. } => Some((*dst, keys.iter().collect())),
                 _ => None,
             })
             .collect()
@@ -1043,7 +1046,7 @@ mod tests {
         w: &WorkerState<MatrixFactorization>,
         cache: &mut WorkerCache,
     ) -> Vec<(PartitionId, Values)> {
-        let cfg = *w.app.config();
+        let cfg = MF_WORKER;
         for &k in &w.read_keys {
             cache.refresh(k, &served(k));
         }

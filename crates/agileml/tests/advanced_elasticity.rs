@@ -243,7 +243,7 @@ fn snapshots_are_complete_during_churn() {
     };
     let mut job = AgileMlJob::launch(mf_app(), data, cfg, 1, 3).expect("launch");
     job.wait_clock(5).expect("warm-up");
-    let key_count = job.app().key_count();
+    let key_count = mf_app().key_count();
     // Snapshot while training runs (workers mid-iteration).
     let snap = job.snapshot().expect("snapshot");
     assert_eq!(
@@ -405,6 +405,7 @@ fn five_hundred_machines_train_and_survive_a_bulk_eviction() {
         seed: 3,
         ..AgileConfig::default()
     };
+    let keys = app.key_count();
     let mut job = AgileMlJob::launch(app, data.clone(), cfg, 20, 480).expect("launch");
     let status = job.status().expect("status");
     assert_eq!(
@@ -427,7 +428,7 @@ fn five_hundred_machines_train_and_survive_a_bulk_eviction() {
     job.wait_clock(clock + 2).expect("training continues");
 
     let snap = job.snapshot().expect("snapshot");
-    assert_eq!(snap.params.len() as u64, job.app().key_count());
+    assert_eq!(snap.params.len() as u64, keys);
     let after = job.objective(&data).expect("objective");
     assert!(after < before, "still converging: {before} -> {after}");
     assert!(job

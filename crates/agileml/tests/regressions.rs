@@ -95,7 +95,7 @@ fn add_right_behind_a_warned_eviction_of_an_active_host_completes() {
 
     // Nothing was lost on the way: every parameter is still served.
     let snap = job.snapshot().expect("snapshot");
-    assert_eq!(snap.params.len() as u64, job.app().key_count());
+    assert_eq!(snap.params.len() as u64, mf_app().key_count());
     assert!(job
         .events()
         .iter()
@@ -146,7 +146,7 @@ fn a_reconfiguration_keeps_awaiting_images_still_in_flight() {
     let snap = job.snapshot().expect("snapshot");
     assert_eq!(
         snap.params.len() as u64,
-        job.app().key_count(),
+        mf_app().key_count(),
         "a partition was handed on before its image had arrived"
     );
     let after = job.objective(&data).expect("objective");
@@ -217,12 +217,47 @@ fn a_job_with_more_partitions_than_keys_starts_and_recovers() {
         partitions: 8,
         ..cfg()
     };
+    let keys = app.key_count();
     let mut job = AgileMlJob::launch(app, data, cfg, 1, 3).expect("launch");
     job.wait_clock(2).expect("two clocks");
 
     let rolled = job.fail_nodes(&[NodeId(2)]).expect("rollback recovery");
     job.wait_clock(rolled + 2).expect("training resumes");
     let snap = job.snapshot().expect("snapshot");
-    assert_eq!(snap.params.len() as u64, job.app().key_count());
+    assert_eq!(snap.params.len() as u64, keys);
+    job.shutdown().expect("shutdown");
+}
+
+/// More workers than data blocks: a worker that holds no block never
+/// starts an iteration, so it must not hold the minimum clock back.
+/// 3 reliable + 7 transient machines over 8 blocks run in stage 2; an
+/// addition hands blocks to none of the new workers, and a warned
+/// eviction of those takes none away.
+#[test]
+fn more_workers_than_data_blocks_train_through_an_add_and_an_eviction() {
+    let mut job = AgileMlJob::launch(mf_app(), mf_data(), cfg(), 3, 7).expect("launch");
+    assert_eq!(job.status().expect("status").stage, Stage::Stage2);
+    job.wait_clock(4).expect("four clocks");
+    let added = job.add_machines(NodeClass::Transient, 2).expect("addition");
+    job.wait_clock(8).expect("eight clocks");
+    job.evict_with_warning(&added).expect("eviction");
+    job.wait_clock(12).expect("twelve clocks");
+    job.shutdown().expect("shutdown");
+}
+
+/// The same shape in stage 3: 1 reliable + 20 transient machines, 20
+/// workers, 8 blocks. When a worker holding a block fails, its block
+/// falls to a worker that held none, which from then on is waited on.
+#[test]
+fn more_workers_than_data_blocks_train_in_stage3() {
+    let mut job = AgileMlJob::launch(mf_app(), mf_data(), cfg(), 1, 20).expect("launch");
+    assert_eq!(job.status().expect("status").stage, Stage::Stage3);
+    job.wait_clock(4).expect("four clocks");
+    // The eight block holders are what the clock waits on.
+    assert_eq!(job.status().expect("status").workers, 8);
+    // Node 6 works and hosts no ActivePS: a failure without rollback.
+    assert_eq!(job.fail_nodes(&[NodeId(6)]).expect("recovery"), 4);
+    assert_eq!(job.status().expect("status").workers, 8);
+    job.wait_clock(8).expect("eight clocks");
     job.shutdown().expect("shutdown");
 }

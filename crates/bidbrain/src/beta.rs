@@ -242,23 +242,10 @@ impl BetaEstimator {
         self.grid.as_deref() == Some(deltas)
     }
 
-    /// β for `market` at `delta`; conservative default (0.5) for
-    /// untrained markets.
-    pub fn beta(&self, market: MarketKey, delta: f64) -> f64 {
-        self.table(market).map_or(UNTRAINED.0, |t| t.beta(delta))
-    }
-
-    /// Median time-to-eviction for `market` at `delta`; half an hour for
-    /// untrained markets.
-    pub fn median_tte(&self, market: MarketKey, delta: f64) -> SimDuration {
-        self.table(market)
-            .map_or(UNTRAINED.1, |t| t.median_tte(delta))
-    }
-
     /// `(β, median time-to-eviction)` at `delta` in an already resolved
-    /// [`table`](Self::table) — the untrained defaults for `None` — so
-    /// a caller sweeping many deltas of one market pays the market
-    /// lookup once.
+    /// [`table`](Self::table) — for `None`, the untrained defaults: a
+    /// conservative β of 0.5 and half an hour — so a caller sweeping
+    /// many deltas of one market pays the market lookup once.
     pub fn point(table: Option<&BetaTable>, delta: f64) -> (f64, SimDuration) {
         table.map_or(UNTRAINED, |t| (t.beta(delta), t.median_tte(delta)))
     }
@@ -342,8 +329,8 @@ mod tests {
     #[test]
     fn beta_decreases_with_bid_delta() {
         let est = trained();
-        let lo = est.beta(key(), 0.0001);
-        let hi = est.beta(key(), 0.4);
+        let lo = BetaEstimator::point(est.table(key()), 0.0001).0;
+        let hi = BetaEstimator::point(est.table(key()), 0.4).0;
         assert!(lo >= hi, "higher bids evict less: β({lo}) vs β({hi})");
         assert!(lo > 0.0, "tiny deltas must see evictions in a spiky market");
         assert!(hi < 0.5, "bidding $0.40 over market should usually survive");
@@ -480,7 +467,8 @@ mod tests {
                     while t + HOUR <= to {
                         let bid = trace.price_at(t) + delta;
                         trials += 1;
-                        if let Some(cross) = trace.first_crossing_above(bid, t, t + HOUR) {
+                        if let Some(cross) = trace.crossing_from(trace.seek(0, t), bid, t, t + HOUR)
+                        {
                             ttes.push(cross - t);
                         }
                         t += stride;
@@ -512,8 +500,10 @@ mod tests {
     #[test]
     fn untrained_market_uses_conservative_defaults() {
         let est = BetaEstimator::new();
-        assert_eq!(est.beta(key(), 0.1), 0.5);
-        assert_eq!(est.median_tte(key(), 0.1), SimDuration::from_mins(30));
+        assert_eq!(
+            BetaEstimator::point(est.table(key()), 0.1),
+            (0.5, SimDuration::from_mins(30))
+        );
     }
 
     #[test]
@@ -545,11 +535,8 @@ mod tests {
             SimDuration::from_mins(30),
             &[0.01],
         );
-        assert!(
-            calm.beta(mk, 0.01) < wild.beta(mk, 0.01),
-            "calm {} < volatile {}",
-            calm.beta(mk, 0.01),
-            wild.beta(mk, 0.01)
-        );
+        let calm = BetaEstimator::point(calm.table(mk), 0.01).0;
+        let wild = BetaEstimator::point(wild.table(mk), 0.01).0;
+        assert!(calm < wild, "calm {calm} < volatile {wild}");
     }
 }

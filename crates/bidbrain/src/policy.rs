@@ -432,11 +432,6 @@ impl<'a> BidBrain<'a> {
         &self.params
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &BidBrainConfig {
-        &self.config
-    }
-
     /// Eq. 3's φ for a footprint of `cores` total cores: the bits of
     /// [`AppParams::phi`], computed only when the count was not among
     /// the last few asked for.
@@ -875,23 +870,27 @@ mod tests {
         MarketKey::new(type_index, Zone(0))
     }
 
-    /// A BidBrain with no overheads and perfect scaling, so Eq. 1–4
-    /// arithmetic can be checked by hand.
+    /// No overheads and perfect scaling, so Eq. 1–4 arithmetic can be
+    /// checked by hand.
+    const IDEAL: AppParams = AppParams {
+        phi_per_doubling: 1.0,
+        sigma: SimDuration::ZERO,
+        lambda: SimDuration::ZERO,
+    };
+
+    /// [`ideal`]'s configuration.
+    fn ideal_config() -> BidBrainConfig {
+        BidBrainConfig {
+            target_cores: 64,
+            max_alloc_instances: 8,
+            bid_deltas: vec![0.4],
+            min_improvement: 0.0,
+        }
+    }
+
+    /// A BidBrain over [`IDEAL`] and [`ideal_config`].
     fn ideal() -> BidBrain<'static> {
-        BidBrain::new(
-            AppParams {
-                phi_per_doubling: 1.0,
-                sigma: SimDuration::ZERO,
-                lambda: SimDuration::ZERO,
-            },
-            BetaEstimator::new(),
-            BidBrainConfig {
-                target_cores: 64,
-                max_alloc_instances: 8,
-                bid_deltas: vec![0.4],
-                min_improvement: 0.0,
-            },
-        )
+        BidBrain::new(IDEAL, BetaEstimator::new(), ideal_config())
     }
 
     /// Reproduces the toy arithmetic of the paper's Fig. 6, phases 1–2
@@ -913,7 +912,10 @@ mod tests {
         };
         // [1]: 2 m4.xlarge spot at $0.05 each, ν = 1 work/hour.
         let spot1 = AllocView {
-            market: mk(catalog::find("m4.xlarge").unwrap()),
+            market: mk(catalog::all()
+                .iter()
+                .position(|t| t.name == "m4.xlarge")
+                .unwrap()),
             count: 2,
             hourly_price: 0.05,
             bid_delta: None, // β pinned to 0 for hand arithmetic.
@@ -967,7 +969,7 @@ mod tests {
             &[0.01],
         );
         // Constant trace: never evicted, β=0.
-        assert_eq!(beta.beta(market, 0.01), 0.0);
+        assert_eq!(BetaEstimator::point(beta.table(market), 0.01).0, 0.0);
 
         let brain = BidBrain::new(AppParams::default(), beta, BidBrainConfig::default());
         let spot = AllocView {
@@ -1201,9 +1203,9 @@ mod tests {
         let with_margin = |min_improvement| {
             let config = BidBrainConfig {
                 min_improvement,
-                ..ideal().config().clone()
+                ..ideal_config()
             };
-            BidBrain::new(*ideal().params(), BetaEstimator::new(), config)
+            BidBrain::new(IDEAL, BetaEstimator::new(), config)
         };
         let held = AllocView::on_demand(market, 4, 4.0);
         let prices = [(market, 0.04)];

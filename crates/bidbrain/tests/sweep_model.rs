@@ -47,7 +47,10 @@ fn estimators() -> &'static [BetaEstimator; 4] {
                     SimDuration::from_mins(30),
                     grid,
                 );
-                assert!(est.beta(*k, 0.0001) > 0.0, "market {i} never evicts");
+                assert!(
+                    BetaEstimator::point(est.table(*k), 0.0001).0 > 0.0,
+                    "market {i} never evicts"
+                );
             }
             est
         };
@@ -97,12 +100,14 @@ fn view(raw: u64) -> AllocView {
     }
 }
 
-/// A policy engine and a price list from one raw draw.
+/// A policy engine, the configuration it was built with and a price
+/// list from one raw draw.
 fn scenario(
     raw: u64,
 ) -> (
     BidBrain<'static>,
     &'static BetaEstimator,
+    BidBrainConfig,
     Vec<(MarketKey, f64)>,
 ) {
     // λ and σ up to hours, so Δt clamps at zero.
@@ -153,7 +158,12 @@ fn scenario(
         .map(|(i, m)| (m, 0.02 + ((raw >> (34 + 3 * i)) % 8) as f64 * 0.03))
         .collect();
     let beta = &estimators()[(raw % 4) as usize];
-    (BidBrain::new(params, beta, config), beta, prices)
+    (
+        BidBrain::new(params, beta, config.clone()),
+        beta,
+        config,
+        prices,
+    )
 }
 
 /// Eqs. 1–3 as `evaluate` spelled them before the terms/finish split,
@@ -165,7 +175,10 @@ fn oracle(
     changing: bool,
 ) -> FootprintEval {
     let params = brain.params();
-    let beta_of = |a: &AllocView| a.bid_delta.map_or(0.0, |d| est.beta(a.market, d));
+    let beta_of = |a: &AllocView| {
+        a.bid_delta
+            .map_or(0.0, |d| BetaEstimator::point(est.table(a.market), d).0)
+    };
     if footprint.is_empty() {
         return FootprintEval {
             expected_cost: 0.0,
@@ -181,7 +194,9 @@ fn oracle(
         cost += (1.0 - beta) * a.hourly_price * f64::from(a.count) * tr;
         let tte = match a.bid_delta {
             None => a.time_remaining,
-            Some(d) => est.median_tte(a.market, d).min(a.time_remaining),
+            Some(d) => BetaEstimator::point(est.table(a.market), d)
+                .1
+                .min(a.time_remaining),
         };
         let omega = (1.0 - beta) * tr + beta * tte.as_hours_f64();
         let mut dt = omega - p_any_eviction * params.lambda.as_hours_f64();
@@ -204,10 +219,10 @@ type Ranked = Vec<(f64, AllocationRequest, FootprintEval)>;
 fn brute_force(
     brain: &BidBrain<'_>,
     est: &BetaEstimator,
+    cfg: &BidBrainConfig,
     footprint: &[AllocView],
     markets: &[(MarketKey, f64)],
 ) -> (f64, Ranked) {
-    let cfg = brain.config();
     let current_score = oracle(brain, est, footprint, false).cost_per_work();
     let current_cores = BidBrain::footprint_cores(footprint);
     let mut ranked: Ranked = Vec::new();
@@ -269,7 +284,7 @@ proptest! {
         raw in any::<u64>(),
     ) {
         let footprint: Vec<AllocView> = holdings.into_iter().map(view).collect();
-        let (brain, est, markets) = scenario(raw);
+        let (brain, est, cfg, markets) = scenario(raw);
         let now = SimTime::from_hours(7);
 
         // `evaluate` itself is the oracle's arithmetic.
@@ -280,7 +295,7 @@ proptest! {
             );
         }
 
-        let (want_score, want) = brute_force(&brain, est, &footprint, &markets);
+        let (want_score, want) = brute_force(&brain, est, &cfg, &footprint, &markets);
         let rec = Recorder::new();
         let got = brain.ranked_acquisitions_obs(&footprint, &markets, now, Some(&rec));
         prop_assert_eq!(&got, &brain.ranked_acquisitions(&footprint, &markets, now));
@@ -312,7 +327,7 @@ proptest! {
                 _ => {}
             }
         }
-        let at_target = BidBrain::footprint_cores(&footprint) >= brain.config().target_cores;
+        let at_target = BidBrain::footprint_cores(&footprint) >= cfg.target_cores;
         prop_assert_eq!(timeline.count("bid.evaluated"), usize::from(!at_target));
         let want_seen: Vec<_> = want
             .iter()
@@ -328,7 +343,7 @@ proptest! {
     ) {
         let mut rest: Vec<AllocView> = holdings.into_iter().map(view).collect();
         let alloc = rest.remove(0);
-        let (brain, est, _) = scenario(raw);
+        let (brain, est, _, _) = scenario(raw);
         let renew_price = 0.01 + (raw >> 40) as f64 % 300.0 * 0.002;
 
         let mut with = rest.clone();

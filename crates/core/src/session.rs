@@ -283,14 +283,6 @@ impl<A: MlApp> Proteus<A> {
         self.provider.now()
     }
 
-    /// Aggregate simnet delivery counters for the job's cluster —
-    /// delivered and dropped message totals, accounted identically by
-    /// both simnet cores. Useful for post-run network-health asserts in
-    /// session tests without reaching into the job's cluster.
-    pub fn net_stats(&self) -> proteus_simnet::NetStats {
-        self.job.net_stats()
-    }
-
     /// Live transient machine count.
     pub fn transient_machines(&self) -> usize {
         self.held.values().flat_map(|h| &h.nodes).flatten().count()
@@ -398,7 +390,6 @@ impl<A: MlApp> Proteus<A> {
                 // immediately after evictions (Sec. 5).
                 self.consider_acquisition()?;
             }
-            ProviderEvent::HourCharged { .. } => {}
             ProviderEvent::Launched { allocation } => {
                 // A boot-delayed grant came up: its machines join now.
                 if let Some(h) = self.held.get_mut(&allocation) {

@@ -417,7 +417,6 @@ impl<'a> JobSim<'a> {
                 // views each step; a failed launch billed nothing and
                 // computed nothing, so none of these need bookkeeping.
                 ProviderEvent::EvictionWarning { .. }
-                | ProviderEvent::HourCharged { .. }
                 | ProviderEvent::Launched { .. }
                 | ProviderEvent::LaunchFailed { .. } => {}
             }

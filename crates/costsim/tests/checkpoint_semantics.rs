@@ -75,7 +75,7 @@ fn one_eviction_costs_checkpoint_scheme_more_than_agileml() {
         agile.runtime
     );
     // The runtime gap exceeds the pure restart delay: work was lost too.
-    let gap = ckpt.runtime.saturating_sub(agile.runtime);
+    let gap = ckpt.runtime - agile.runtime;
     assert!(
         gap > SimDuration::from_mins(5),
         "rollback loss visible in the runtime gap: {gap}"

@@ -355,11 +355,6 @@ impl<'a> FleetSim<'a> {
         self.provider.now()
     }
 
-    /// The provider's billing account (read-only).
-    pub fn account(&self) -> &proteus_market::BillingAccount {
-        self.provider.account()
-    }
-
     /// Submits a job; it competes for admission from `submit_at` (or
     /// the current time, if later).
     pub fn submit(&mut self, spec: FleetJobSpec, submit_at: SimTime) -> JobId {
@@ -394,11 +389,6 @@ impl<'a> FleetSim<'a> {
     /// φ-scaled core-hours the job has accrued.
     pub fn work_done(&self, id: JobId) -> f64 {
         self.jobs.get(id.0 as usize).map_or(0.0, |j| j.work_done)
-    }
-
-    /// The job's current work target.
-    pub fn target(&self, id: JobId) -> f64 {
-        self.jobs.get(id.0 as usize).map_or(0.0, |j| j.target)
     }
 
     /// Raises (or lowers) a job's work target. Raising the target of a
@@ -535,12 +525,10 @@ impl<'a> FleetSim<'a> {
         let (why, allocation) = match ev {
             ProviderEvent::Evicted { allocation } => (End::Evicted, allocation),
             ProviderEvent::LaunchFailed { allocation } => (End::LaunchFailed, allocation),
-            // Warnings, hour charges, and delayed launches need no job
-            // action: billing flows through the ledger and work accrual
-            // anchors on `usable_from`.
-            ProviderEvent::EvictionWarning { .. }
-            | ProviderEvent::HourCharged { .. }
-            | ProviderEvent::Launched { .. } => return,
+            // Warnings and delayed launches need no job action: billing
+            // flows through the ledger and work accrual anchors on
+            // `usable_from`.
+            ProviderEvent::EvictionWarning { .. } | ProviderEvent::Launched { .. } => return,
         };
         let Some(idx) = self.owner(*allocation) else {
             return;

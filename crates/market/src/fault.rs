@@ -45,7 +45,6 @@ use proteus_simtime::rng::SplitMix64;
 use proteus_simtime::{SimDuration, SimTime};
 
 use crate::instance::MarketKey;
-use crate::tally::MarketTally;
 
 /// Identifies one tenant (job) of a shared provider for fault draws.
 ///
@@ -212,27 +211,8 @@ impl MarketFaultPlan {
     }
 }
 
-/// Fault-regime activity since a plan was installed, for reports and
-/// assertions ([`CloudProvider::fault_stats`](crate::CloudProvider::fault_stats)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MarketFaultStats {
-    /// Requests rejected by the throttle regime.
-    pub throttled: u64,
-    /// Requests refused outright for lack of capacity.
-    pub capacity_refusals: u64,
-    /// Requests granted below the asked count.
-    pub partial_grants: u64,
-    /// Grants whose launch was delayed.
-    pub boot_delays: u64,
-    /// Launches aborted by a price crossing during boot.
-    pub launch_failures: u64,
-    /// Allocations killed by the infant-mortality regime.
-    pub infant_deaths: u64,
-}
-
-/// Live fault state a provider carries: the plan, its draw streams
-/// (the root stream plus lazily-split per-tenant streams), and what its
-/// activity is measured from.
+/// Live fault state a provider carries: the plan and its draw streams
+/// (the root stream plus lazily-split per-tenant streams).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FaultState {
     pub(crate) plan: MarketFaultPlan,
@@ -241,13 +221,6 @@ pub(crate) struct FaultState {
     /// from `(plan.seed, tenant)` on first use. [`TenantId::DEFAULT`]
     /// never lands here — it draws from the root `rng` above.
     tenant_rngs: BTreeMap<u64, SplitMix64>,
-    /// Grants whose launch was delayed. The only fault counted here: no
-    /// event marks a delay (the grant's `market.spot_granted` does not
-    /// say whether it boots).
-    boot_delays: u64,
-    /// The provider's tally when this plan was installed: fault activity
-    /// is what it has emitted since.
-    installed_at: MarketTally,
 }
 
 /// Seeds a tenant's draw stream from the plan's root seed: one
@@ -258,29 +231,12 @@ fn tenant_seed(root: u64, tenant: u64) -> u64 {
 }
 
 impl FaultState {
-    pub(crate) fn new(plan: MarketFaultPlan, installed_at: MarketTally) -> Self {
+    pub(crate) fn new(plan: MarketFaultPlan) -> Self {
         let rng = SplitMix64::new(plan.seed);
         FaultState {
             plan,
             rng,
             tenant_rngs: BTreeMap::new(),
-            boot_delays: 0,
-            installed_at,
-        }
-    }
-
-    /// Fault activity since installation, given the provider's tally
-    /// `now`.
-    pub(crate) fn stats_since(&self, now: &MarketTally) -> MarketFaultStats {
-        let was = &self.installed_at;
-        let since = |now: u32, was: u32| u64::from(now - was);
-        MarketFaultStats {
-            throttled: since(now.throttled, was.throttled),
-            capacity_refusals: since(now.capacity_refusals, was.capacity_refusals),
-            partial_grants: since(now.partial_grants, was.partial_grants),
-            boot_delays: self.boot_delays,
-            launch_failures: since(now.launch_failures, was.launch_failures),
-            infant_deaths: since(now.infant_deaths, was.infant_deaths),
         }
     }
 
@@ -317,11 +273,7 @@ impl FaultState {
         };
         let span = rule.max.as_millis().saturating_sub(rule.min.as_millis());
         let extra = (self.rng_for(tenant).next_f64() * span as f64) as u64;
-        let delay = rule.min + SimDuration::from_millis(extra);
-        if delay > SimDuration::ZERO {
-            self.boot_delays += 1;
-        }
-        delay
+        rule.min + SimDuration::from_millis(extra)
     }
 
     /// Draws the infant-mortality fate for `tenant`'s grant that
@@ -355,7 +307,7 @@ mod tests {
     }
 
     fn state(plan: MarketFaultPlan) -> FaultState {
-        FaultState::new(plan, MarketTally::default())
+        FaultState::new(plan)
     }
 
     #[test]
@@ -414,7 +366,6 @@ mod tests {
             let d = fs.draw_boot_delay(TenantId::DEFAULT);
             assert!(d >= SimDuration::from_secs(60) && d <= SimDuration::from_secs(300));
         }
-        assert_eq!(fs.boot_delays, 100);
     }
 
     #[test]
@@ -440,7 +391,6 @@ mod tests {
             fs.draw_infant_death(TenantId::DEFAULT, SimTime::EPOCH),
             None
         );
-        assert_eq!(fs.boot_delays, 0);
     }
 
     /// The satellite contract: one tenant's draws are a pure function of

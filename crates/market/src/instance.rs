@@ -24,14 +24,6 @@ pub struct InstanceType {
     pub on_demand_price: f64,
 }
 
-impl InstanceType {
-    /// The work produced per hour by one instance of this type, in
-    /// core-hours (the paper's ν, proportional to vCPU count).
-    pub fn work_rate(&self) -> f64 {
-        f64::from(self.vcpus)
-    }
-}
-
 impl fmt::Display for InstanceType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name)
@@ -80,7 +72,7 @@ impl MarketKey {
     /// # Panics
     ///
     /// Panics if `type_index` is out of range for the catalog; keys built
-    /// via [`catalog::find`] or enumeration are always in range.
+    /// from a `catalog` index are always in range.
     pub fn instance_type(&self) -> &'static InstanceType {
         &catalog::all()[self.type_index]
     }
@@ -163,11 +155,6 @@ pub mod catalog {
         &CATALOG
     }
 
-    /// Looks up a type index by name.
-    pub fn find(name: &str) -> Option<usize> {
-        CATALOG.iter().position(|t| t.name == name)
-    }
-
     /// Convenience: the catalog index of `c4.xlarge`.
     pub fn c4_xlarge() -> usize {
         0
@@ -196,19 +183,20 @@ mod tests {
 
     #[test]
     fn catalog_lookup_by_name() {
-        let idx = catalog::find("c4.2xlarge").expect("present");
-        let t = &catalog::all()[idx];
+        let by_name = |name| catalog::all().iter().position(|t| t.name == name);
+        let t = &catalog::all()[by_name("c4.2xlarge").expect("present")];
         assert_eq!(t.vcpus, 8);
         assert!((t.on_demand_price - 0.419).abs() < 1e-9);
-        assert!(catalog::find("z9.mega").is_none());
+        assert!(by_name("z9.mega").is_none());
     }
 
     #[test]
     fn work_rate_proportional_to_cores() {
         let small = &catalog::all()[catalog::c4_xlarge()];
         let big = &catalog::all()[catalog::c4_2xlarge()];
-        // Paper footnote 7: ν(c4.2xlarge) = 2 × ν(c4.xlarge).
-        assert!((big.work_rate() - 2.0 * small.work_rate()).abs() < 1e-9);
+        // Paper footnote 7: ν(c4.2xlarge) = 2 × ν(c4.xlarge), ν being
+        // proportional to vCPU count.
+        assert_eq!(big.vcpus, 2 * small.vcpus);
     }
 
     /// A session ranks the paper's markets in the provider's price

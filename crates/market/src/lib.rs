@@ -49,8 +49,7 @@ mod trace;
 pub use billing::{BillingAccount, LedgerEntry, LedgerKind, UsageBreakdown};
 pub use error::MarketError;
 pub use fault::{
-    BootDelayRule, CapacityRule, InfantMortalityRule, MarketFaultPlan, MarketFaultStats, TenantId,
-    ThrottleRule,
+    BootDelayRule, CapacityRule, InfantMortalityRule, MarketFaultPlan, TenantId, ThrottleRule,
 };
 pub use gce::{GceMarket, PreemptionModel, GCE_DISCOUNT};
 pub use gen::{MarketModel, TraceGenerator};

@@ -20,7 +20,7 @@ use proteus_simtime::{SimDuration, SimTime};
 
 use crate::billing::{BillingAccount, LedgerEntry, LedgerKind};
 use crate::error::MarketError;
-use crate::fault::{FaultState, MarketFaultPlan, MarketFaultStats, TenantId};
+use crate::fault::{FaultState, MarketFaultPlan, TenantId};
 use crate::instance::MarketKey;
 use crate::spot::{billing_hour_end, SpotAllocation, SpotState};
 use crate::tally::{Happened, MarketTally};
@@ -94,13 +94,6 @@ pub enum ProviderEvent {
     Evicted {
         /// Affected allocation.
         allocation: AllocationId,
-    },
-    /// A new billing hour started (and was charged) for an allocation.
-    HourCharged {
-        /// Affected allocation.
-        allocation: AllocationId,
-        /// Total dollars charged for the hour across all instances.
-        amount: f64,
     },
     /// A boot-delayed allocation's instances came up; billing starts
     /// now (only emitted under a boot-delay fault regime).
@@ -208,20 +201,14 @@ impl<'a> CloudProvider<'a> {
 
     /// Installs a fault plan (capacity caps, throttling, boot delay,
     /// infant mortality). Replaces any existing plan and resets its
-    /// draw stream; [`fault_stats`](Self::fault_stats) starts over.
+    /// draw stream.
     pub fn set_fault_plan(&mut self, plan: MarketFaultPlan) {
-        self.faults = Some(FaultState::new(plan, self.tally));
+        self.faults = Some(FaultState::new(plan));
     }
 
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<&MarketFaultPlan> {
         self.faults.as_ref().map(|f| &f.plan)
-    }
-
-    /// Fault-regime activity since the installed plan was installed, if
-    /// one is: what the tally gained since then.
-    pub fn fault_stats(&self) -> Option<MarketFaultStats> {
-        self.faults.as_ref().map(|fs| fs.stats_since(&self.tally))
     }
 
     /// Current simulated time.
@@ -246,11 +233,6 @@ impl<'a> CloudProvider<'a> {
     /// market order.
     pub fn spot_prices(&self) -> &[(MarketKey, f64)] {
         self.cursor.prices()
-    }
-
-    /// The registered price traces (read-only; used by β estimation).
-    pub fn traces(&self) -> &TraceSet {
-        &self.traces
     }
 
     /// The billing account.
@@ -578,15 +560,9 @@ impl<'a> CloudProvider<'a> {
         self.account.add_free_usage(used * f64::from(a.count));
     }
 
-    /// Reports an hour charged at `t`. Its `market.hour_charged` record
-    /// is trail no tally reads, so it is built only for a recorder.
-    fn hour_charged(
-        &self,
-        t: SimTime,
-        allocation: AllocationId,
-        amount: f64,
-        events: &mut Vec<(SimTime, ProviderEvent)>,
-    ) {
+    /// Records an hour charged at `t`: trail no tally or loop reads (the
+    /// ledger holds the charge), so it is built only for a recorder.
+    fn hour_charged(&self, t: SimTime, allocation: AllocationId, amount: f64) {
         if let Some(rec) = self.obs.0.as_deref() {
             let charged = MarketEvent::HourCharged {
                 allocation: allocation.0,
@@ -594,7 +570,6 @@ impl<'a> CloudProvider<'a> {
             };
             rec.record(t, Event::Market(charged));
         }
-        events.push((t, ProviderEvent::HourCharged { allocation, amount }));
     }
 
     /// Opens a billing hour now for spot allocation `id`: anchors it,
@@ -742,7 +717,7 @@ impl<'a> CloudProvider<'a> {
                 let count = self.spot.get(&id).expect("lease exists").alloc.count;
                 self.account.add_spot_usage(f64::from(count));
                 let charge = self.open_spot_hour(id);
-                self.hour_charged(t, id, charge, events);
+                self.hour_charged(t, id, charge);
             }
             Happening::OnDemandHour(id) => {
                 let lease = self.on_demand.get_mut(&id).expect("lease exists");
@@ -758,13 +733,13 @@ impl<'a> CloudProvider<'a> {
                     amount: charge,
                     instances: count,
                 });
-                self.hour_charged(t, id, charge, events);
+                self.hour_charged(t, id, charge);
             }
             Happening::Launch(id) => {
                 self.spot.get_mut(&id).expect("lease exists").alloc.state = SpotState::Running;
                 // Billing hours re-anchor at the actual launch. Like the
-                // immediate-grant charge, the first hour is not reported
-                // as HourCharged; Launched marks it.
+                // immediate-grant charge, the first hour is not recorded
+                // as `market.hour_charged`; Launched marks it.
                 self.open_spot_hour(id);
                 self.emit_step(t, Happened::Launched(id), events);
             }
@@ -882,19 +857,21 @@ mod tests {
             (SimTime::from_millis(30 * 60 * 1000), 0.08),
         ]);
         let id = p.request_spot(key(), 1, 0.10).expect("granted").id;
-        let events = p.advance_to(SimTime::from_hours(2)).expect("advance");
-        // Two hour boundaries at t=1h (price 0.08) and t=2h (price 0.08).
-        let charges: Vec<f64> = events
-            .iter()
-            .filter_map(|(_, e)| match e {
-                ProviderEvent::HourCharged { allocation, amount } if *allocation == id => {
-                    Some(*amount)
-                }
-                _ => None,
-            })
+        p.advance_to(SimTime::from_hours(2)).expect("advance");
+        // The grant's hour at t=0 (price 0.05), then two hour boundaries
+        // at t=1h (price 0.08) and t=2h (price 0.08).
+        let charges: Vec<(SimTime, f64)> = (p.account().entries().iter())
+            .filter(|e| e.allocation == id && e.kind == LedgerKind::SpotHour)
+            .map(|e| (e.time, e.amount))
             .collect();
-        assert_eq!(charges.len(), 2);
-        assert!((charges[0] - 0.08).abs() < 1e-12);
+        assert_eq!(
+            charges,
+            vec![
+                (SimTime::EPOCH, 0.05),
+                (SimTime::from_hours(1), 0.08),
+                (SimTime::from_hours(2), 0.08)
+            ]
+        );
         // Total: 0.05 (grant) + 0.08 + 0.08.
         assert!((p.account().total_cost() - 0.21).abs() < 1e-12);
         // Two full spot hours were used and paid.
@@ -935,13 +912,11 @@ mod tests {
         let cross = SimTime::EPOCH + SimDuration::from_mins(59);
         let mut p = provider_with(vec![(SimTime::EPOCH, 0.05), (cross, 0.50)]);
         let _id = p.request_spot(key(), 1, 0.10).expect("granted");
-        let events = p.advance_to(SimTime::from_hours(2)).expect("advance");
-        assert!(
-            !events
-                .iter()
-                .any(|(_, e)| matches!(e, ProviderEvent::HourCharged { .. })),
-            "no hour recharge after a warning: {events:?}"
-        );
+        p.advance_to(SimTime::from_hours(2)).expect("advance");
+        let hours = (p.account().entries().iter())
+            .filter(|e| e.kind == LedgerKind::SpotHour)
+            .count();
+        assert_eq!(hours, 1, "no hour recharge after a warning");
         // Net cost: first hour charged then refunded → zero.
         assert!(p.account().total_cost().abs() < 1e-12);
     }
@@ -1020,7 +995,7 @@ mod tests {
             err,
             MarketError::InsufficientCapacity { available: 0, .. }
         ));
-        let stats = p.fault_stats().expect("plan installed");
+        let stats = p.tally();
         assert_eq!(stats.partial_grants, 1);
         assert_eq!(stats.capacity_refusals, 1);
         // Capacity frees up once the allocation terminates.
@@ -1050,26 +1025,9 @@ mod tests {
             err,
             MarketError::RequestLimitExceeded { retry_after: retry }
         );
-        assert_eq!(p.fault_stats().expect("plan").throttled, 1);
+        assert_eq!(p.tally().throttled, 1);
         // Throttling happens before billing: nothing charged.
         assert_eq!(p.account().total_cost(), 0.0);
-    }
-
-    #[test]
-    fn fault_stats_start_over_with_a_new_plan_while_the_tally_keeps_counting() {
-        let mut p = provider_with(vec![(SimTime::EPOCH, 0.05)]);
-        assert_eq!(p.fault_stats(), None);
-        let throttle = || MarketFaultPlan::new(3).with_throttle(1.0, SimDuration::from_mins(1));
-        p.set_fault_plan(throttle());
-        for _ in 0..2 {
-            assert!(p.request_spot(key(), 1, 0.10).is_err());
-        }
-        assert_eq!(p.fault_stats().expect("plan").throttled, 2);
-        p.set_fault_plan(throttle());
-        assert_eq!(p.fault_stats(), Some(MarketFaultStats::default()));
-        assert!(p.request_spot(key(), 1, 0.10).is_err());
-        assert_eq!(p.fault_stats().expect("plan").throttled, 1);
-        assert_eq!(p.tally().throttled, 3);
     }
 
     #[test]
@@ -1121,7 +1079,7 @@ mod tests {
         assert_eq!(p.account().total_cost(), 0.0);
         assert_eq!(p.account().usage().free_hours, 0.0);
         assert!(!p.live_spot().any(|a| a.id == grant.id));
-        assert_eq!(p.fault_stats().expect("plan").launch_failures, 1);
+        assert_eq!(p.tally().launch_failures, 1);
     }
 
     #[test]
@@ -1152,7 +1110,7 @@ mod tests {
         assert!(p.account().total_cost().abs() < 1e-12);
         let expect_free = dies_at.since(SimTime::EPOCH).as_hours_f64() * 2.0;
         assert!((p.account().usage().free_hours - expect_free).abs() < 1e-9);
-        assert_eq!(p.fault_stats().expect("plan").infant_deaths, 1);
+        assert_eq!(p.tally().infant_deaths, 1);
     }
 
     #[test]
@@ -1169,7 +1127,7 @@ mod tests {
             for _ in 0..20 {
                 outcomes.push(p.request_spot(key(), 1, 0.10));
             }
-            (outcomes, p.fault_stats().expect("plan"))
+            (outcomes, *p.tally())
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42).0, run(43).0, "different seeds should diverge");
@@ -1199,7 +1157,7 @@ mod tests {
         assert_eq!(p.account().total_cost(), 0.0);
         assert!(p.account().entries().is_empty());
         assert_eq!(p.live_instance_count(), 0);
-        assert_eq!(p.fault_stats().expect("plan").capacity_refusals, 1);
+        assert_eq!(p.tally().capacity_refusals, 1);
         // A gang that fits is granted in full.
         let grant = p
             .request_spot_gang(TenantId(1), key(), 3, 0.10)
@@ -1293,9 +1251,13 @@ mod tests {
         let _ = p.request_spot(key(), 1, 0.10).expect("granted");
         let events = p.advance_to(SimTime::from_hours(3)).expect("advance");
         let kinds: Vec<&ProviderEvent> = events.iter().map(|(_, e)| e).collect();
-        assert!(matches!(kinds[0], ProviderEvent::HourCharged { .. }));
-        assert!(matches!(kinds[1], ProviderEvent::EvictionWarning { .. }));
-        assert!(matches!(kinds[2], ProviderEvent::Evicted { .. }));
+        assert!(matches!(kinds[0], ProviderEvent::EvictionWarning { .. }));
+        assert!(matches!(kinds[1], ProviderEvent::Evicted { .. }));
+        let hours: Vec<SimTime> = (p.account().entries().iter())
+            .filter(|e| e.kind == LedgerKind::SpotHour)
+            .map(|e| e.time)
+            .collect();
+        assert_eq!(hours, vec![SimTime::EPOCH, SimTime::from_hours(1)]);
         // Hour 0 paid (0.05), hour 1 charged then refunded → total 0.05.
         assert!((p.account().total_cost() - 0.05).abs() < 1e-12);
         // Hour 0 fully paid usage; 32 minutes free in hour 1.

@@ -110,21 +110,10 @@ impl PriceTrace {
     }
 
     /// The first instant in `(after, horizon]` at which the price strictly
-    /// exceeds `bid`; `None` if the price stays at or below `bid`.
-    ///
-    /// If the price already exceeds `bid` at `after`, returns `after`.
-    pub fn first_crossing_above(
-        &self,
-        bid: f64,
-        after: SimTime,
-        horizon: SimTime,
-    ) -> Option<SimTime> {
-        self.crossing_from(self.index_at(after), bid, after, horizon)
-    }
-
-    /// [`first_crossing_above`](Self::first_crossing_above) with the
-    /// search already done: point `from` is the one in effect at `after`
-    /// (what [`seek`](Self::seek) returns for it).
+    /// exceeds `bid`; `None` if the price stays at or below `bid`. If the
+    /// price already exceeds `bid` at `after`, returns `after`. Point
+    /// `from` is the one in effect at `after` (what [`seek`](Self::seek)
+    /// returns for it).
     pub fn crossing_from(
         &self,
         from: usize,
@@ -241,16 +230,6 @@ impl TraceSet {
     pub(crate) fn slot(&self, key: &MarketKey) -> Result<usize, usize> {
         self.traces.binary_search_by(|(k, _)| k.cmp(key))
     }
-
-    /// Number of registered markets.
-    pub fn len(&self) -> usize {
-        self.traces.len()
-    }
-
-    /// Whether no markets are registered.
-    pub fn is_empty(&self) -> bool {
-        self.traces.is_empty()
-    }
 }
 
 /// Every market's price at one instant, with the trace point each came
@@ -312,8 +291,8 @@ impl PriceCursor {
         &self.prices
     }
 
-    /// [`PriceTrace::first_crossing_above`] of market `slot` from the
-    /// cursor's instant.
+    /// [`PriceTrace::crossing_from`] of market `slot` from the cursor's
+    /// instant.
     pub(crate) fn first_crossing_above(
         &self,
         set: &TraceSet,
@@ -390,22 +369,42 @@ mod tests {
         let t = stepped();
         // Bid 0.2: crossed when price jumps to 0.5 at hour 2.
         assert_eq!(
-            t.first_crossing_above(0.2, SimTime::EPOCH, SimTime::from_hours(10)),
+            t.crossing_from(
+                t.seek(0, SimTime::EPOCH),
+                0.2,
+                SimTime::EPOCH,
+                SimTime::from_hours(10)
+            ),
             Some(SimTime::from_hours(2))
         );
         // Bid 1.0: never crossed.
         assert_eq!(
-            t.first_crossing_above(1.0, SimTime::EPOCH, SimTime::from_hours(10)),
+            t.crossing_from(
+                t.seek(0, SimTime::EPOCH),
+                1.0,
+                SimTime::EPOCH,
+                SimTime::from_hours(10)
+            ),
             None
         );
         // Already above bid at query time.
         assert_eq!(
-            t.first_crossing_above(0.2, SimTime::from_hours(2), SimTime::from_hours(10)),
+            t.crossing_from(
+                t.seek(0, SimTime::from_hours(2)),
+                0.2,
+                SimTime::from_hours(2),
+                SimTime::from_hours(10)
+            ),
             Some(SimTime::from_hours(2))
         );
         // Horizon cuts off the crossing.
         assert_eq!(
-            t.first_crossing_above(0.2, SimTime::EPOCH, SimTime::from_hours(1)),
+            t.crossing_from(
+                t.seek(0, SimTime::EPOCH),
+                0.2,
+                SimTime::EPOCH,
+                SimTime::from_hours(1)
+            ),
             None
         );
     }
@@ -429,12 +428,12 @@ mod tests {
     fn trace_set_round_trip() {
         let mut set = TraceSet::new();
         let key = MarketKey::new(catalog::c4_xlarge(), Zone(0));
-        assert!(set.is_empty());
+        assert!(set.get(&key).is_none());
         set.insert(
             key,
             PriceTrace::from_points(vec![(SimTime::EPOCH, 0.05)]).unwrap(),
         );
-        assert_eq!(set.len(), 1);
+        assert_eq!(set.traces.len(), 1);
         assert_eq!(set.get(&key).unwrap().price_at(SimTime::EPOCH), 0.05);
         assert!(set
             .get(&MarketKey::new(catalog::c4_xlarge(), Zone(1)))
@@ -539,7 +538,7 @@ mod tests {
                     let horizon = t + SimDuration::from_hours(raw >> 20 & 7);
                     proptest::prop_assert_eq!(
                         cursor.first_crossing_above(&set, slot, bid, horizon),
-                        trace.first_crossing_above(bid, t, horizon)
+                        trace.crossing_from(trace.seek(0, t), bid, t, horizon)
                     );
                 }
             }

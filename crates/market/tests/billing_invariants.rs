@@ -15,6 +15,11 @@ fn market() -> MarketKey {
 
 /// A provider over a generated trace for the given seed/model.
 fn provider(seed: u64, volatile: bool) -> CloudProvider<'static> {
+    CloudProvider::new(one_market(seed, volatile))
+}
+
+/// The one generated trace [`provider`] runs on.
+fn one_market(seed: u64, volatile: bool) -> TraceSet {
     let model = if volatile {
         MarketModel::volatile()
     } else {
@@ -26,22 +31,22 @@ fn provider(seed: u64, volatile: bool) -> CloudProvider<'static> {
         market(),
         gen.generate(market(), SimDuration::from_hours(24 * 3)),
     );
-    CloudProvider::new(set)
+    set
 }
 
 /// Three volatile markets over ten days, so multi-day jumps stay inside
 /// the generated history.
-fn three_markets(seed: u64) -> (Vec<MarketKey>, CloudProvider<'static>) {
+fn three_markets(seed: u64) -> (Vec<MarketKey>, TraceSet) {
     let markets: Vec<MarketKey> = catalog::paper_markets().into_iter().step_by(3).collect();
     let traces = TraceGenerator::new(seed, MarketModel::volatile())
         .generate_set(&markets, SimDuration::from_hours(24 * 10));
-    (markets, CloudProvider::new(traces))
+    (markets, traces)
 }
 
-/// `m`'s price at `t` read off the provider's trace: the oracle its
-/// price cursor and its billed hours are checked against.
-fn trace_price(p: &CloudProvider<'_>, m: MarketKey, t: SimTime) -> f64 {
-    p.traces().get(&m).expect("registered").price_at(t)
+/// `m`'s price at `t` read off the trace a provider runs on: the oracle
+/// its price cursor and its billed hours are checked against.
+fn trace_price(traces: &TraceSet, m: MarketKey, t: SimTime) -> f64 {
+    traces.get(&m).expect("registered").price_at(t)
 }
 
 proptest! {
@@ -177,7 +182,8 @@ proptest! {
             1..40,
         ),
     ) {
-        let mut p = provider(seed, true);
+        let traces = one_market(seed, true);
+        let mut p = CloudProvider::new(&traces);
         p.set_fault_plan(
             MarketFaultPlan::new(fault_seed)
                 .with_boot_delay(SimDuration::ZERO, SimDuration::from_mins(boot_max_mins))
@@ -212,7 +218,7 @@ proptest! {
                     prop_assert_eq!(a.hour_price, 0.0);
                     continue;
                 }
-                let billed = trace_price(&p, a.market, a.hour_start);
+                let billed = trace_price(&traces, a.market, a.hour_start);
                 prop_assert_eq!(a.hour_price.to_bits(), billed.to_bits(), "{:?}", a);
                 let charged = p
                     .account()
@@ -248,7 +254,8 @@ proptest! {
             1..60,
         ),
     ) {
-        let (markets, mut p) = three_markets(seed);
+        let (markets, traces) = three_markets(seed);
+        let mut p = CloudProvider::new(&traces);
         p.set_fault_plan(
             MarketFaultPlan::new(fault_seed)
                 .with_boot_delay(SimDuration::ZERO, SimDuration::from_mins(boot_max_mins))
@@ -262,7 +269,7 @@ proptest! {
             let to = match kind {
                 2 => Some(p.now() + SimDuration::from_mins(2)),
                 3 => Some(p.now() + SimDuration::from_mins(mins)),
-                4 => p.traces().get(&m).and_then(|t| t.points().iter().find(|(at, _)| *at > p.now())).map(|(t, _)| *t),
+                4 => traces.get(&m).and_then(|t| t.points().iter().find(|(at, _)| *at > p.now())).map(|(t, _)| *t),
                 5 => Some(p.now() + SimDuration::from_hours(24 * (1 + mins % 3))),
                 _ => None,
             };
@@ -283,7 +290,7 @@ proptest! {
                             .iter()
                             .find(|(id, _, _)| *id == allocation)
                             .expect("granted here");
-                        prop_assert!(trace_price(&p, m, t) > bid);
+                        prop_assert!(trace_price(&traces, m, t) > bid);
                     }
                 }
                 (6, _) => {
@@ -300,7 +307,7 @@ proptest! {
             }
             let want: Vec<(MarketKey, u64)> = markets
                 .iter()
-                .map(|&m| (m, trace_price(&p, m, p.now()).to_bits()))
+                .map(|&m| (m, trace_price(&traces, m, p.now()).to_bits()))
                 .collect();
             let got: Vec<(MarketKey, u64)> =
                 p.spot_prices().iter().map(|&(m, price)| (m, price.to_bits())).collect();
@@ -314,7 +321,7 @@ proptest! {
                 .iter()
                 .find(|(id, _, _)| *id == e.allocation)
                 .expect("granted here");
-            let price = trace_price(&p, m, e.time);
+            let price = trace_price(&traces, m, e.time);
             prop_assert_eq!(e.amount.to_bits(), (price * f64::from(e.instances)).to_bits());
         }
         let unknown = MarketKey::new(catalog::c4_2xlarge(), Zone(3));

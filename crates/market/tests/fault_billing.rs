@@ -68,8 +68,8 @@ proptest! {
         p.set_fault_plan(plan.clone());
 
         let mut usable: BTreeMap<AllocationId, SimTime> = BTreeMap::new();
-        let mut seen_capacity = 0u64;
-        let mut seen_throttle = 0u64;
+        let mut seen_capacity = 0u32;
+        let mut seen_throttle = 0u32;
         for h in 0..hold_hours {
             let now = SimTime::from_hours(h);
             let price = p.spot_price(market()).expect("trace covers the run");
@@ -145,7 +145,7 @@ proptest! {
         prop_assert!(account.total_refunds() <= charges + 1e-9);
 
         // Typed errors and fault counters tell the same story.
-        let stats = p.fault_stats().expect("plan installed");
+        let stats = p.tally();
         prop_assert_eq!(stats.capacity_refusals, seen_capacity);
         prop_assert_eq!(stats.throttled, seen_throttle);
     }

@@ -60,11 +60,6 @@ impl KMeans {
         KMeans { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &KmConfig {
-        &self.config
-    }
-
     /// The centroid encoded in a stored value (`None` when the cluster
     /// has no accumulated mass yet).
     pub fn centroid(value: &[f32]) -> Option<Vec<f32>> {
@@ -228,14 +223,14 @@ mod tests {
             clusters: 3,
             init_scale: 3.0,
         });
-        let mut t = SequentialTrainer::new(app, data.clone(), 9);
+        let mut t = SequentialTrainer::new(app.clone(), data.clone(), 9);
         t.run(25);
         // Points generated round-robin: i % 3 is the true blob. Check
         // that learned assignments respect the true partition (up to
         // label permutation): points of the same blob share a label.
         let labels: Vec<u32> = data
             .iter()
-            .map(|p| t.app().assign(&p.coords, t.params()))
+            .map(|p| app.assign(&p.coords, t.params()))
             .collect();
         for blob in 0..3usize {
             let blob_labels: Vec<u32> = labels

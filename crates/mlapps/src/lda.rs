@@ -79,11 +79,6 @@ impl Lda {
         Lda { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &LdaConfig {
-        &self.config
-    }
-
     /// Key of word `w`'s topic-count vector.
     pub fn word_key(&self, word: u32) -> ParamKey {
         ParamKey(u64::from(word))
@@ -291,11 +286,11 @@ mod tests {
 
     /// Each document's topic histogram in `run`.
     fn histograms<'a>(app: &Lda, run: &'a LdaRun) -> impl Iterator<Item = &'a [u32]> {
-        run.doc_topics.chunks_exact(app.config().topics)
+        run.doc_topics.chunks_exact(app.config.topics)
     }
 
     fn count_state(params: &WorkerCache, app: &Lda) -> (Vec<f32>, f32) {
-        let word_sum: f32 = (0..app.config().vocab)
+        let word_sum: f32 = (0..app.config.vocab)
             .flat_map(|w| params.row(app.word_key(w)).iter().copied())
             .sum();
         (params.row(app.totals_key()).to_vec(), word_sum)

@@ -66,11 +66,6 @@ impl MatrixFactorization {
         MatrixFactorization { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &MfConfig {
-        &self.config
-    }
-
     /// Key of row factor `L_i`.
     pub fn row_key(&self, row: u32) -> ParamKey {
         ParamKey(u64::from(row))
@@ -255,11 +250,11 @@ mod tests {
         let app = MatrixFactorization::new(MfConfig::default());
         let mut rng = seeded(2);
         let v = app.init_value(ParamKey(0), &mut rng);
-        assert_eq!(v.dim(), app.config().rank);
+        assert_eq!(v.dim(), app.config.rank);
         assert!(v
             .as_slice()
             .iter()
-            .all(|x| x.abs() <= app.config().init_scale));
+            .all(|x| x.abs() <= app.config.init_scale));
     }
 
     #[test]

@@ -58,20 +58,14 @@ impl Mlr {
         Mlr { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &MlrConfig {
-        &self.config
-    }
-
-    /// Class probabilities for one example under the given parameters.
-    pub fn softmax(&self, features: &[f32], params: &dyn ParamReader) -> Vec<f64> {
-        let mut probs = Vec::new();
-        self.softmax_into(features, params, &mut probs);
-        probs
-    }
-
-    /// [`Mlr::softmax`] into a caller-owned buffer.
-    fn softmax_into(&self, features: &[f32], params: &dyn ParamReader, probs: &mut Vec<f64>) {
+    /// Class probabilities for one example under the given parameters,
+    /// into a caller-owned buffer.
+    pub(crate) fn softmax_into(
+        &self,
+        features: &[f32],
+        params: &dyn ParamReader,
+        probs: &mut Vec<f64>,
+    ) {
         self.logits_into(features, params, probs);
         normalize(probs);
     }
@@ -90,17 +84,6 @@ impl Mlr {
             let w = params.row(ParamKey(u64::from(k)));
             f64::from(kernels::dot(w, features))
         }));
-    }
-
-    /// The predicted class (argmax probability).
-    pub fn predict(&self, features: &[f32], params: &dyn ParamReader) -> u32 {
-        let probs = self.softmax(features, params);
-        probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(k, _)| k as u32)
-            .unwrap_or(0)
     }
 }
 
@@ -246,6 +229,13 @@ mod tests {
         ]
     }
 
+    /// Class probabilities for one example, in a buffer of their own.
+    fn softmax(app: &Mlr, features: &[f32], params: &dyn ParamReader) -> Vec<f64> {
+        let mut probs = Vec::new();
+        app.softmax_into(features, params, &mut probs);
+        probs
+    }
+
     #[test]
     fn softmax_sums_to_one() {
         let app = Mlr::new(MlrConfig {
@@ -253,7 +243,7 @@ mod tests {
             classes: 3,
             ..MlrConfig::default()
         });
-        let p = app.softmax(&[0.3, -0.7], &init_params(&app, 1));
+        let p = softmax(&app, &[0.3, -0.7], &init_params(&app, 1));
         assert_eq!(p.len(), 3);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
@@ -274,7 +264,9 @@ mod tests {
             app.process(&data, &mut (), &mut probs, &mut params, &mut rng);
         }
         for e in &data {
-            assert_eq!(app.predict(&e.features, &params), e.label);
+            // The label is the most probable class.
+            let probs = softmax(&app, &e.features, &params);
+            assert!(probs.iter().all(|&p| p <= probs[e.label as usize]));
         }
         assert!(app.objective(&data, &(), &params) < 0.2);
     }
@@ -282,13 +274,13 @@ mod tests {
     /// The per-example pass the run pass replaced, written out: the
     /// softmax of the rows as they stand, then one step per class.
     fn step_one(app: &Mlr, e: &Example, params: &mut WorkerCache) {
-        let probs = app.softmax(&e.features, &*params);
+        let probs = softmax(app, &e.features, &*params);
         let MlrConfig {
             learning_rate: lr,
             reg,
             classes,
             ..
-        } = *app.config();
+        } = app.config;
         for k in 0..classes {
             let indicator = if k == e.label { 1.0 } else { 0.0 };
             let coeff = (probs[k as usize] as f32) - indicator;

@@ -15,16 +15,16 @@ use proteus_mlapps::{KMeans, KmConfig};
 use proteus_mlapps::{MlApp, SequentialTrainer};
 use proteus_ps::ParamKey;
 
-/// FNV-1a over the little-endian bit patterns of every parameter, in
-/// key order, with each row's length mixed in.
-fn model_hash<A: MlApp>(t: &SequentialTrainer<A>) -> u64 {
+/// FNV-1a over the little-endian bit patterns of every one of the
+/// `keys` parameters, in key order, with each row's length mixed in.
+fn model_hash<A: MlApp>(t: &SequentialTrainer<A>, keys: u64) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
         for b in bytes {
             h = (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
         }
     };
-    for k in 0..t.app().key_count() {
+    for k in 0..keys {
         let row = t.params().row(ParamKey(k));
         eat(&(row.len() as u64).to_le_bytes());
         for x in row {
@@ -35,9 +35,10 @@ fn model_hash<A: MlApp>(t: &SequentialTrainer<A>) -> u64 {
 }
 
 fn fingerprint<A: MlApp>(app: A, data: Vec<A::Datum>, seed: u64, passes: u64) -> (u64, u64) {
+    let keys = app.key_count();
     let mut t = SequentialTrainer::new(app, data, seed);
     t.run(passes);
-    (t.objective().to_bits(), model_hash(&t))
+    (t.objective().to_bits(), model_hash(&t, keys))
 }
 
 #[test]

@@ -48,13 +48,6 @@ impl Timeline {
         self.of_kind(prefix).count()
     }
 
-    /// First event matching `prefix`, if any.
-    pub fn first<'a>(&'a self, prefix: &str) -> Option<&'a TimedEvent> {
-        self.events
-            .iter()
-            .find(|e| e.event.kind().starts_with(prefix))
-    }
-
     /// True when sim-time stamps never decrease in append order — the
     /// monotonicity the exporter's schema promises.
     pub fn is_monotone(&self) -> bool {
@@ -88,7 +81,7 @@ mod tests {
         assert_eq!(tl.count("market."), 2);
         assert_eq!(tl.count("market.evicted"), 1);
         assert_eq!(tl.count("bid."), 0);
-        assert!(tl.first("session.").is_some());
+        assert!(tl.of_kind("session.").next().is_some());
         assert!(tl.is_monotone());
     }
 

@@ -112,26 +112,6 @@ pub fn add_assign(a: &mut [f32], b: &[f32]) {
     }
 }
 
-/// `a[i] += s * b[i]` for all `i`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn axpy(a: &mut [f32], s: f32, b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "length mismatch in axpy");
-    let mut ca = a.chunks_exact_mut(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-        for i in 0..LANES {
-            xa[i] += s * xb[i];
-        }
-    }
-    for (x, y) in ca.into_remainder().iter_mut().zip(cb.remainder()) {
-        *x += s * y;
-    }
-}
-
 /// `a[i] *= s` for all `i`.
 #[inline]
 pub fn scale(a: &mut [f32], s: f32) {
@@ -147,8 +127,8 @@ pub fn scale(a: &mut [f32], s: f32) {
 }
 
 /// The fused linear combination `out[i] = s * x[i] + t * y[i]`, written
-/// into `out` — one pass where `clone` + `scale` + `axpy` would take
-/// three, and no temporary.
+/// into `out` — one pass where a copy, a scale and a scaled add would
+/// take three, and no temporary.
 ///
 /// # Panics
 ///
@@ -241,23 +221,6 @@ fn reduce(acc: [f32; LANES]) -> f32 {
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "length mismatch in dot");
     dispatch!(a.len(), avx2::dot(a, b), portable::dot(a, b))
-}
-
-/// The squared L2 norm `Σ a[i]²`.
-#[inline]
-pub fn norm_sq(a: &[f32]) -> f32 {
-    let mut acc = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    for xa in ca.by_ref() {
-        for i in 0..LANES {
-            acc[i] += xa[i] * xa[i];
-        }
-    }
-    let mut tail = 0.0f32;
-    for x in ca.remainder() {
-        tail += x * x;
-    }
-    reduce(acc) + tail
 }
 
 /// The squared Euclidean distance `Σ (a[i] - b[i])²`, accumulated in
@@ -457,11 +420,6 @@ mod tests {
         assert_eq!(a, expect, "add_assign must be bit-identical to scalar");
 
         let mut a = a0.clone();
-        axpy(&mut a, 2.5, &b);
-        let expect: Vec<f32> = a0.iter().zip(&b).map(|(x, y)| x + 2.5 * y).collect();
-        assert_eq!(a, expect, "axpy must be bit-identical to scalar");
-
-        let mut a = a0.clone();
         scale(&mut a, -1.5);
         let expect: Vec<f32> = a0.iter().map(|x| x * -1.5).collect();
         assert_eq!(a, expect, "scale must be bit-identical to scalar");
@@ -492,8 +450,6 @@ mod tests {
         let b: Vec<f32> = (0..100).map(|i| (i as f32).cos()).collect();
         let seq_dot: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         assert!((dot(&a, &b) - seq_dot).abs() <= 1e-3 * seq_dot.abs().max(1.0));
-        let seq_norm: f32 = a.iter().map(|x| x * x).sum();
-        assert!((norm_sq(&a) - seq_norm).abs() <= 1e-3 * seq_norm.max(1.0));
         let seq_dist: f64 = a
             .iter()
             .zip(&b)
@@ -689,7 +645,6 @@ mod tests {
         fn dot_is_deterministic_and_length_safe(a in slice_strategy(40)) {
             let b: Vec<f32> = a.iter().map(|x| x * 0.5 + 1.0).collect();
             prop_assert_eq!(dot(&a, &b).to_bits(), dot(&a, &b).to_bits());
-            prop_assert_eq!(norm_sq(&a).to_bits(), norm_sq(&a).to_bits());
         }
 
         #[test]

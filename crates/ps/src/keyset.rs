@@ -58,11 +58,6 @@ pub struct KeySet {
 }
 
 impl KeySet {
-    /// The empty key set.
-    pub fn new() -> Self {
-        KeySet::default()
-    }
-
     /// Compresses a sorted, duplicate-free key list into strided runs.
     ///
     /// # Panics
@@ -100,11 +95,6 @@ impl KeySet {
         self.runs
             .iter()
             .flat_map(|run| (0..run.count).map(move |i| ParamKey(run.start + run.stride * i)))
-    }
-
-    /// Materializes the sorted key list.
-    pub fn to_vec(&self) -> Vec<ParamKey> {
-        self.iter().collect()
     }
 
     /// Logical wire size: the bytes of the *equivalent per-key list*
@@ -171,7 +161,7 @@ mod tests {
 
     #[test]
     fn empty_set_is_empty() {
-        let s = KeySet::new();
+        let s = KeySet::default();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert_eq!(s.run_count(), 0);
@@ -184,7 +174,7 @@ mod tests {
         let ks = keys(&[3, 7, 11, 15, 19]);
         let s = KeySet::from_sorted(&ks);
         assert_eq!(s.run_count(), 1);
-        assert_eq!(s.to_vec(), ks);
+        assert_eq!(s.iter().collect::<Vec<_>>(), ks);
     }
 
     #[test]
@@ -206,14 +196,14 @@ mod tests {
             s.run_count(),
             ks.len()
         );
-        assert_eq!(s.to_vec(), ks);
+        assert_eq!(s.iter().collect::<Vec<_>>(), ks);
     }
 
     #[test]
     fn singletons_and_irregular_gaps_round_trip() {
         let ks = keys(&[0, 1, 5, 6, 7, 100]);
         let s = KeySet::from_sorted(&ks);
-        assert_eq!(s.to_vec(), ks);
+        assert_eq!(s.iter().collect::<Vec<_>>(), ks);
         assert_eq!(s.len(), 6);
     }
 
@@ -241,7 +231,7 @@ mod tests {
             raw.dedup();
             let ks: Vec<ParamKey> = raw.into_iter().map(ParamKey).collect();
             let s = KeySet::from_sorted(&ks);
-            prop_assert_eq!(s.to_vec(), ks.clone());
+            prop_assert_eq!(s.iter().collect::<Vec<_>>(), ks.clone());
             prop_assert_eq!(s.len(), ks.len());
             prop_assert_eq!(s.wire_bytes(), ks.len() * 8);
         }
@@ -269,7 +259,7 @@ mod tests {
             if !ks.is_empty() {
                 let parsed: Vec<ParamKey> = ks.iter().copied().map(ParamKey).collect();
                 let s = KeySet::from_sorted(&parsed);
-                prop_assert_eq!(s.to_vec(), parsed.clone());
+                prop_assert_eq!(s.iter().collect::<Vec<_>>(), parsed.clone());
                 // Periodic pattern: at most one run per (partition, period
                 // boundary) pair, far below the key count for long lists.
                 prop_assert!(s.run_count() <= 2 * owned.len() + 2 || s.run_count() < parsed.len());

@@ -317,16 +317,6 @@ impl ShardStore<DenseVec> {
         }
     }
 
-    /// Number of materialized keys.
-    pub fn len(&self) -> usize {
-        self.slabs.iter().map(|s| s.rows.len()).sum()
-    }
-
-    /// Whether the shard holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.slabs.iter().all(|s| s.rows.is_empty())
-    }
-
     /// Exports every `(key, value)` belonging to `partition` as one
     /// payload, sorted by key for deterministic wire images. Walks
     /// exactly one slab.
@@ -441,7 +431,7 @@ mod tests {
         s.apply_update(ParamKey(1), &dv(&[1.0, 2.0]));
         s.apply_update(ParamKey(1), &dv(&[0.5, -2.0]));
         assert_eq!(s.read(ParamKey(1)).unwrap().as_slice(), &[1.5, 0.0]);
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.keys().len(), 1);
         assert!(s.read(ParamKey(2)).is_none());
     }
 
@@ -482,7 +472,7 @@ mod tests {
         assert_eq!(dropped, 2); // Keys 2 and 6.
         assert!(s.read(ParamKey(2)).is_none());
         assert!(s.read(ParamKey(6)).is_none());
-        assert_eq!(s.len(), 6);
+        assert_eq!(s.keys().len(), 6);
     }
 
     #[test]
@@ -561,12 +551,12 @@ mod tests {
         s.apply_update(huge, &dv(&[1.0]));
         s.install(ParamKey(0), dv(&[1.0]));
         assert_eq!(s.read(huge).unwrap().as_slice(), &[8.0]);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.keys().len(), 2);
         // Exports keep global key order across the dense/spill boundary.
         let image = s.export_partition(PartitionId(0));
         let keys: Vec<ParamKey> = image.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![ParamKey(0), huge]);
         assert_eq!(s.drop_partition(PartitionId(0)), 2);
-        assert!(s.is_empty());
+        assert!(s.keys().is_empty());
     }
 }

@@ -3,8 +3,6 @@
 
 use std::sync::Arc;
 
-use crate::kernels;
-
 /// A dense `f32` vector with component-wise-add aggregation.
 ///
 /// This is the owned row of a model snapshot, an app's initial values
@@ -20,17 +18,15 @@ use crate::kernels;
 /// ```
 /// use proteus_ps::DenseVec;
 ///
-/// let mut row = DenseVec::zeros(3);
-/// row.axpy(1.0, &DenseVec::from(vec![1.0, 2.0, 3.0]));
-/// row.axpy(1.0, &DenseVec::from(vec![0.5, 0.0, -1.0]));
-/// assert_eq!(row.as_slice(), &[1.5, 2.0, 2.0]);
+/// let mut row = DenseVec::from(vec![1.5, 2.0, 2.0]);
 ///
 /// // Clones share the buffer until one side writes.
 /// let snapshot = row.clone();
 /// assert!(row.shares_buffer(&snapshot));
-/// row.scale(2.0);
+/// row.as_mut_slice()[0] = 3.0;
 /// assert!(!row.shares_buffer(&snapshot));
 /// assert_eq!(snapshot.as_slice(), &[1.5, 2.0, 2.0]);
+/// assert_eq!(row.as_slice(), &[3.0, 2.0, 2.0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DenseVec(Arc<Vec<f32>>);
@@ -56,46 +52,11 @@ impl DenseVec {
         Arc::make_mut(&mut self.0).as_mut_slice()
     }
 
-    /// Consumes the vector, returning its components (copying only if
-    /// the buffer is still shared with another clone).
-    pub fn into_inner(self) -> Vec<f32> {
-        Arc::try_unwrap(self.0).unwrap_or_else(|shared| (*shared).clone())
-    }
-
     /// Whether `self` and `other` share one underlying buffer (i.e. one
     /// is a zero-copy clone of the other). Diagnostic/test helper for
     /// the zero-copy messaging invariants.
     pub fn shares_buffer(&self, other: &DenseVec) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
-    }
-
-    /// Adds `scale * other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ — mixing shapes under one key is a
-    /// programming error in the application.
-    pub fn axpy(&mut self, scale: f32, other: &DenseVec) {
-        kernels::axpy(Arc::make_mut(&mut self.0).as_mut_slice(), scale, &other.0);
-    }
-
-    /// Scales every component in place.
-    pub fn scale(&mut self, factor: f32) {
-        kernels::scale(Arc::make_mut(&mut self.0).as_mut_slice(), factor);
-    }
-
-    /// The dot product with another vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn dot(&self, other: &DenseVec) -> f32 {
-        kernels::dot(&self.0, &other.0)
-    }
-
-    /// The squared L2 norm.
-    pub fn norm_sq(&self) -> f32 {
-        kernels::norm_sq(&self.0)
     }
 
     /// Logical wire size in bytes: what shipping this row over a real
@@ -126,6 +87,7 @@ impl PartialEq for DenseVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels;
     use proptest::prelude::*;
 
     /// Folds `delta` into `row` the way the shard store folds an update
@@ -146,16 +108,6 @@ mod tests {
     #[test]
     fn wire_bytes_scales_with_dim() {
         assert_eq!(DenseVec::zeros(100).wire_bytes(), 400);
-    }
-
-    #[test]
-    fn axpy_and_dot() {
-        let mut a = DenseVec::from(vec![1.0, 2.0]);
-        let b = DenseVec::from(vec![3.0, 4.0]);
-        a.axpy(2.0, &b);
-        assert_eq!(a.as_slice(), &[7.0, 10.0]);
-        assert_eq!(a.dot(&b), 61.0);
-        assert_eq!(b.norm_sq(), 25.0);
     }
 
     #[test]

@@ -62,9 +62,8 @@
 //! commit, exactly like mail in flight to a machine that just died.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use proteus_obs::Recorder;
 use proteus_simtime::{EventQueue, Pool, SimDuration, SimTime};
 
 use crate::fault::{Applied, FaultLayer, FaultPlan, FaultStats};
@@ -200,7 +199,7 @@ struct Group<M> {
 }
 
 impl<M> Group<M> {
-    fn run(&mut self, now: SimTime, meta: &[NodeMeta]) {
+    fn run(&mut self, meta: &[NodeMeta]) {
         for ev in self.events.drain(..) {
             if self.out.stopped {
                 if matches!(ev, Due::Deliver { .. }) {
@@ -210,7 +209,6 @@ impl<M> Group<M> {
             }
             let mut ctx = SimCtx {
                 id: self.id,
-                now,
                 meta,
                 out: &mut self.out,
             };
@@ -227,7 +225,7 @@ impl<M> Group<M> {
 }
 
 /// The routing core the commit step mutates: clock, queue, registry
-/// metadata, fault layer, counters, recorder.
+/// metadata, fault layer, counters.
 struct CoreState<M> {
     now: SimTime,
     queue: EventQueue<SimEvent<M>>,
@@ -243,8 +241,6 @@ struct CoreState<M> {
     /// Delivered-message counts per (sender, receiver) pair; a BTreeMap
     /// so iteration order is deterministic for free.
     traffic: BTreeMap<(NodeId, NodeId), u64>,
-    /// A recorder whose sim clock follows this cluster's.
-    recorder: Option<Arc<Recorder>>,
 }
 
 fn is_alive(meta: &[NodeMeta], node: NodeId) -> bool {
@@ -308,7 +304,6 @@ impl<M: Clone> CoreState<M> {
 /// the driver to commit afterwards.
 pub struct SimCtx<'a, M> {
     id: NodeId,
-    now: SimTime,
     meta: &'a [NodeMeta],
     out: &'a mut Outbox<M>,
 }
@@ -325,11 +320,6 @@ impl<M> SimCtx<'_, M> {
             .get(self.id.0 as usize)
             .map(|m| m.class)
             .unwrap_or(NodeClass::Transient)
-    }
-
-    /// The current simulated instant.
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// Sends an application message to `to`: a delivery event scheduled
@@ -431,7 +421,6 @@ impl<M: Clone + Send> SimCluster<M> {
                 messages: 0,
                 dropped: 0,
                 traffic: BTreeMap::new(),
-                recorder: None,
             },
             components: Vec::new(),
             pool: Pool::from_env(),
@@ -469,7 +458,6 @@ impl<M: Clone + Send> SimCluster<M> {
         };
         group.node.on_start(&mut SimCtx {
             id,
-            now: self.state.now,
             meta: &self.state.meta,
             out: &mut group.out,
         });
@@ -495,12 +483,6 @@ impl<M: Clone + Send> SimCluster<M> {
         NodeId(u32::try_from(self.components.len()).unwrap_or(u32::MAX))
     }
 
-    /// The current simulated instant: the timestamp of the last
-    /// dispatched batch.
-    pub fn now(&self) -> SimTime {
-        self.state.now
-    }
-
     /// Sends an application message on behalf of the harness, attributed
     /// to the reserved [`NodeId::HARNESS`].
     pub fn send_as_harness(&mut self, to: NodeId, msg: M) -> Result<(), SendError> {
@@ -521,11 +503,6 @@ impl<M: Clone + Send> SimCluster<M> {
     /// Delivers an eviction warning to `node` at the current instant.
     pub fn revoke(&mut self, node: NodeId, deadline_ms: u64) -> Result<(), SendError> {
         self.send_control(node, Control::EvictionWarning { deadline_ms })
-    }
-
-    /// Politely asks `node` to shut down (end-of-job).
-    pub fn shutdown(&mut self, node: NodeId) -> Result<(), SendError> {
-        self.send_control(node, Control::Shutdown)
     }
 
     /// Abruptly kills `node`, effective immediately: it handles no
@@ -587,14 +564,6 @@ impl<M: Clone + Send> SimCluster<M> {
         self.state.retired_faults + current.unwrap_or_default()
     }
 
-    /// Attaches an observability recorder: its sim clock is driven to
-    /// each batch's timestamp before dispatch, so component-recorded
-    /// events are sim-time stamped.
-    pub fn set_recorder(&mut self, rec: Arc<Recorder>) {
-        rec.set_now(self.state.now);
-        self.state.recorder = Some(rec);
-    }
-
     /// Whether `node` is alive (added and not killed or stopped).
     pub fn alive(&self, node: NodeId) -> bool {
         is_alive(&self.state.meta, node)
@@ -634,9 +603,6 @@ impl<M: Clone + Send> SimCluster<M> {
     /// Forms, runs and commits the batch at `at` (see the module docs).
     fn dispatch(&mut self, at: SimTime) {
         self.state.now = at;
-        if let Some(rec) = self.state.recorder.as_deref() {
-            rec.set_now(at);
-        }
 
         // Form: every event at `at` that is queued right now.
         let mut groups: Vec<Group<M>> = Vec::new();
@@ -684,7 +650,7 @@ impl<M: Clone + Send> SimCluster<M> {
                 // Each index is claimed once, so the lock is uncontended
                 // and, as a panic would have left this call, unpoisoned.
                 if let Ok(mut group) = shared[i].lock() {
-                    group.run(at, meta);
+                    group.run(meta);
                 }
             });
             groups = shared
@@ -693,7 +659,7 @@ impl<M: Clone + Send> SimCluster<M> {
                 .collect();
         } else {
             for group in &mut groups {
-                group.run(at, meta);
+                group.run(meta);
             }
         }
 
@@ -722,6 +688,7 @@ impl<M: Clone + Send> SimCluster<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn echo_round_trip_advances_sim_time() {

@@ -23,8 +23,6 @@ pub enum Control {
         /// Remaining milliseconds before forced termination.
         deadline_ms: u64,
     },
-    /// Cooperative shutdown request (end of job).
-    Shutdown,
     /// Abrupt termination. No node ever handles it: the event core
     /// retires the node instead, and a thread node's `recv` returns
     /// [`RecvError::Killed`].

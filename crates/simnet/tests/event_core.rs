@@ -4,7 +4,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use proteus_obs::Recorder;
 use proteus_simnet::{
     Control, FaultPlan, FaultRule, FnNode, NetStats, NodeClass, NodeId, SimCluster, SimCtx, SimNode,
 };
@@ -244,27 +243,23 @@ impl SimNode<u64> for ControlLog {
 }
 
 #[test]
-fn eviction_warning_and_shutdown_reach_handlers_kill_does_not() {
+fn eviction_warning_reaches_handlers_kill_does_not() {
     let mut sim: SimCluster<u64> = SimCluster::new();
     let seen: Arc<Mutex<Vec<Control>>> = Default::default();
     let node = sim.add_node(NodeClass::Transient, ControlLog(Arc::clone(&seen)));
     sim.revoke(node, 120_000).unwrap();
-    sim.shutdown(node).unwrap();
     sim.send_control(node, Control::Kill).unwrap();
     sim.run_until_idle();
     assert_eq!(
         *seen.lock().unwrap(),
-        vec![
-            Control::EvictionWarning {
-                deadline_ms: 120_000
-            },
-            Control::Shutdown,
-        ]
+        vec![Control::EvictionWarning {
+            deadline_ms: 120_000
+        }]
     );
     // The Kill retired the node without a handler call.
     assert!(!sim.alive(node));
     assert_eq!(
-        sim.send_control(node, Control::Shutdown),
+        sim.revoke(node, 1),
         Err(proteus_simnet::SendError::Unreachable(node))
     );
 }
@@ -277,7 +272,8 @@ fn scheduled_kill_scripts_a_crash_mid_protocol() {
     // Token does 4 laps (32 hops), but node 5 dies at t=10ms: the token
     // reaches it once (t=6ms) and dies in flight the second time.
     sim.send_as_harness(nodes[0], 32).unwrap();
-    while sim.now() < SimTime::from_millis(10) {
+    // One hop per batch, a millisecond apart: ten batches reach t=10ms.
+    for _ in 0..10 {
         assert!(sim.step());
     }
     sim.kill(nodes[5]);
@@ -287,18 +283,6 @@ fn scheduled_kill_scripts_a_crash_mid_protocol() {
     // The ring is broken after 13 deliveries (the inject at t=1ms plus
     // 12 forward hops); the 14th, bound for dead node 5, is the drop.
     assert_eq!(sim.stats().messages, 13);
-}
-
-#[test]
-fn recorder_clock_tracks_event_time() {
-    let mut sim: SimCluster<u64> = SimCluster::new();
-    sim.set_link_latency(SimDuration::from_millis(7));
-    let rec = Arc::new(Recorder::new());
-    sim.set_recorder(Arc::clone(&rec));
-    let sink = sim.add_node(NodeClass::Reliable, FnNode::new(|_, _, _| {}));
-    sim.send_as_harness(sink, 1).unwrap();
-    sim.run_until_idle();
-    assert_eq!(rec.now(), SimTime::from_millis(7));
 }
 
 #[test]

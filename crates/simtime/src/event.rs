@@ -99,21 +99,6 @@ impl<E> EventQueue<E> {
             _ => None,
         }
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops every pending event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 #[cfg(test)]
@@ -151,16 +136,7 @@ mod tests {
             Some((SimTime::from_millis(10), "early"))
         );
         assert_eq!(q.pop_due(SimTime::from_millis(15)), None);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::EPOCH, ());
-        assert!(!q.is_empty());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(30), "late")));
+        assert_eq!(q.pop(), None);
     }
 }

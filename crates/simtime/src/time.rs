@@ -104,11 +104,6 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Subtraction clamping at zero instead of panicking on underflow.
-    pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
     /// The smaller of two durations.
     pub fn min(self, other: SimDuration) -> SimDuration {
         if self.0 <= other.0 {
@@ -147,8 +142,7 @@ impl Sub for SimDuration {
 
     /// # Panics
     ///
-    /// Panics in debug builds on underflow; use
-    /// [`SimDuration::saturating_sub`] when the operands may be unordered.
+    /// Panics in debug builds on underflow.
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 - rhs.0)
     }
@@ -315,14 +309,6 @@ mod tests {
     fn negative_fractional_inputs_saturate() {
         assert_eq!(SimDuration::from_hours_f64(-3.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(-0.1), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn saturating_sub_clamps() {
-        let a = SimDuration::from_secs(1);
-        let b = SimDuration::from_secs(2);
-        assert_eq!(a.saturating_sub(b), SimDuration::ZERO);
-        assert_eq!(b.saturating_sub(a), SimDuration::from_secs(1));
     }
 
     #[test]

@@ -180,13 +180,20 @@ if grep -rn 'fmadd\|fmsub\|fnmadd\|fnmsub\|mul_add\|enable = "[^"]*fma' crates/p
   exit 1
 fi
 
-# A manifest edge must name a crate the owning package's sources mention.
-echo "==> no [dependencies] edge onto a crate the package never names"
+# A manifest edge must name a crate the owning package's sources mention:
+# a [dependencies] edge its library or binaries (src/), a
+# [dev-dependencies] edge its src/, tests/ or examples/. A normal edge
+# only tests use belongs under [dev-dependencies].
+echo "==> no dependency edge onto a crate the package never names"
 for m in Cargo.toml crates/*/Cargo.toml; do
   d=$(dirname "$m")
-  for dep in $(awk '/^\[/{on=($0=="[dependencies]"||$0=="[dev-dependencies]")} on&&/^[a-z]/{sub(/[. =].*/,"");print}' "$m"); do
-    grep -rqw --include="*.rs" "${dep//-/_}" "$d/src" $(ls -d "$d/tests" "$d/examples" 2>/dev/null) \
-      || { echo "error: $m lists $dep but $d never mentions it" >&2; exit 1; }
+  for section in dependencies dev-dependencies; do
+    dirs=$d/src
+    [ "$section" = dev-dependencies ] && dirs="$dirs $(ls -d "$d/tests" "$d/examples" 2>/dev/null || true)"
+    for dep in $(awk -v s="[$section]" '/^\[/{on=($0==s)} on&&/^[a-z]/{sub(/[. =].*/,"");print}' "$m"); do
+      grep -rqw --include="*.rs" "${dep//-/_}" $dirs \
+        || { echo "error: $m lists $dep under [$section] but nothing in $dirs names it" >&2; exit 1; }
+    done
   done
 done
 
@@ -236,66 +243,16 @@ for lib in crates/*/src/lib.rs; do
   done
 done
 
-# A public function is interface only if non-test code calls it: a
-# `pub fn` in the non-test part of a crates/*/src file (before its first
-# `#[cfg(test)]`) must be called (`name(`, `.name(`, `name::<T>(`) or
-# named by path (`::name`) somewhere in non-test code (crates/*/src,
-# benchmark/src, examples/; comments, `use` lines and definitions do not
-# count), or be listed below with its reason. A bare word does not count:
-# a field or a local of the same name (`self.params`) would hide the
-# function. The check is a floor, not a proof: a test-only function that
-# shares its name with a called one (a second `new`, `len` or
-# `set_faults`) passes it.
-echo "==> no pub fn that only tests call, outside the listed ones"
-test_only_api='
-launch_with_faults             fault door: a job born under a message-fault plan (chaos suites)
-warn_only                      fault door: a provider warning with no driver wait
-fail_nodes_async               fault door: a crash that does not wait for its recovery
-wait_event                     fault door: awaits what warn_only and fail_nodes_async start
-clear_faults                   fault door: releases held messages before a model is judged
-fault_stats                    fault door: proves a chaos plan injected something
-inject_failure                 fault door: kills a spot holding under a running session
-inject_reliable_failure        fault door: kills a reliable machine under a running session
-inject_total_reliable_failure  fault door: kills the whole reliable tier under a session
-has_dirty                      observation hook: the store model suite reads dirty state
-has_pending                    observation hook: the cache model suite reads unflushed state
-helpers_started                observation hook: the parallel-dispatch suites see helpers wake
-run_count                      observation hook: KeySet tests check the runs compress
-gang_owner                     observation hook: the active-set suite checks the fleet owner table against its model
-inject_provider_event          fault door: the active-set suite routes events naming an old gang or a reliable machine
-hazard                         observation hook: the forecast and session tests read one pair
-counter                        observation hook: obs tests read a counter (goes with counter_add)
-params                         observation hook: trainer tests read the model (costsim calls BidBrain::params)
-add_lincomb_pair               reference step the fused slab path is checked against
-with_rule                      builds the message faults every chaos suite injects
-wire_bytes                     DenseVec, KeySet and Values message sizes, kept for sized messages
-blobs                          K-means data, the fourth app, for its fingerprint and tests
-'
-allowed=" $(awk 'NF { printf "%s ", $1 }' <<< "$test_only_api")"
-referenced=$(for f in $(find crates/*/src benchmark/src examples -name '*.rs' | sort); do
-  awk '/#\[cfg\(test\)\]/ { exit }
-       /^[[:space:]]*\/\// { next }
-       in_use { in_use = !/;/; next }
-       /^[[:space:]]*(pub(\([a-z]+\))? )?use / { in_use = !/;/; next }
-       { gsub(/fn +[a-z_0-9]+/, ""); print }' "$f"
-done | grep -oE '::[a-z_0-9]+|\b[a-z_0-9]+(::<[^>]*>)?\(' | sed -E 's/^:://; s/(::<.*)?\($//' | sort -u)
-referenced=" $(tr '\n' ' ' <<< "$referenced")"
-test_only=0
-for f in $(find crates/*/src -name '*.rs' | sort); do
-  for name in $(awk '/#\[cfg\(test\)\]/ { exit }
-      match($0, /^[[:space:]]*pub (const |unsafe )*fn [a-z_0-9]+/) {
-        s = substr($0, RSTART, RLENGTH); sub(/.* fn /, "", s); print s
-      }' "$f"); do
-    case "$referenced$allowed" in
-      *" $name "*) ;;
-      *) echo "error: $f: pub fn $name has no caller outside tests" >&2; test_only=1 ;;
-    esac
-  done
-done
-if [ "$test_only" -ne 0 ]; then
-  echo "error: delete each function above, or list it with its reason" >&2
-  exit 1
-fi
+# A public function is interface only if non-test code calls it. The
+# compiler decides: scripts/pub_audit.sh deprecates every `pub fn` of a
+# crate's non-test code in a scratch copy of the sources, checks the
+# workspace and benchmark/ there, and fails on each function no
+# deprecation warning names, unless its list gives the function's file,
+# name and reason (a fault door, an observation hook a model, chaos or
+# golden suite reads, or a reference implementation a test compares
+# against).
+echo "==> no pub fn that only tests call, outside the listed ones (compiler-checked)"
+scripts/pub_audit.sh
 
 # Every settable value is an option a reader has to understand. Count
 # the `pub` fields of every `pub struct` named *Config, *Spec, *Params

@@ -32,7 +32,7 @@ fn beta_estimate_matches_provider_eviction_frequency() {
         SimDuration::from_mins(45),
         &[delta],
     );
-    let beta = est.beta(market(), delta);
+    let beta = BetaEstimator::point(est.table(market()), delta).0;
 
     // Replay the same experiment through the provider.
     let mut evicted = 0usize;
