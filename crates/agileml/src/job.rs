@@ -283,8 +283,8 @@ pub struct AgileMlJob<A: MlApp> {
     dataset: Arc<Vec<A::Datum>>,
     block_keys: Arc<BlockKeys>,
     cfg: AgileConfig,
-    /// Worker machines added on the reliable tier (the controller host,
-    /// also reliable, is node 0).
+    /// Worker machines added on the reliable tier in this incarnation,
+    /// alive or not (the controller host, also reliable, is node 0).
     reliable_machines: Vec<NodeId>,
 }
 
@@ -386,11 +386,14 @@ impl<A: MlApp> AgileMlJob<A> {
         out
     }
 
-    /// Worker machines added on the reliable tier so far. Includes
-    /// machines that have since died or been evicted — the list records
-    /// what was *provisioned* reliable, not what is still alive.
-    pub fn reliable_machines(&self) -> &[NodeId] {
-        &self.reliable_machines
+    /// The reliable-tier worker machines still alive: killed, failed
+    /// and drained ones are gone from the list (the controller host,
+    /// node 0, is never in it).
+    pub fn reliable_machines(&self) -> Vec<NodeId> {
+        let engine = self.engine.borrow();
+        let mut alive = self.reliable_machines.clone();
+        alive.retain(|n| engine.cluster.alive(*n));
+        alive
     }
 
     /// The node id hosting the controller (reliable tier by construction).
@@ -533,55 +536,30 @@ impl<A: MlApp> AgileMlJob<A> {
         })
     }
 
-    /// Kills `nodes` abruptly (no warning) and runs the queue until
-    /// rollback recovery completes. Returns the clock the job rolled
-    /// back to.
+    /// Kills `nodes` abruptly (no warning) and runs the queue until the
+    /// controller has recovered: by rolling back to the BackupPS copies,
+    /// or, for a loss on the reliable tier, by repairing it in-job
+    /// (re-replicating the dead machines' BackupPS partitions onto
+    /// surviving reliable machines). Returns the clock training
+    /// continues from: the rollback target, or after a repair the
+    /// consistent clock, which a repair does not move.
+    /// `Err(JobError::Fault(_))` means no in-job protocol can save this
+    /// incarnation — the caller restarts from a durable checkpoint.
     pub fn fail_nodes(&mut self, nodes: &[NodeId]) -> Result<u64, JobError> {
         self.kill_and_report(nodes)?;
-        let mut rolled = 0;
-        self.engine.get_mut().await_event(
+        let engine = self.engine.get_mut();
+        engine.await_event(
             |e| match e {
-                JobEvent::NodesFailedRecovered {
-                    nodes: failed,
-                    rolled_back_to,
-                } if failed == nodes => {
-                    rolled = *rolled_back_to;
-                    true
+                JobEvent::NodesFailedRecovered { nodes: failed, .. } => failed == nodes,
+                JobEvent::ReliableRepaired { nodes: lost, .. } => {
+                    lost.iter().any(|n| nodes.contains(n))
                 }
                 _ => false,
             },
             "failure recovery",
         )?;
-        Ok(rolled)
-    }
-
-    /// Kills reliable-tier `nodes` abruptly and runs the queue until the
-    /// controller either repairs the loss in-job (re-replicating the
-    /// dead nodes' BackupPS partitions onto surviving reliable machines)
-    /// or declares it unrepairable with a typed fault. Returns the
-    /// number of re-replicated partitions on repair.
-    /// `Err(JobError::Fault(_))` means no in-job protocol can save this
-    /// incarnation — the caller restarts from a durable checkpoint.
-    pub fn fail_reliable_nodes(&mut self, nodes: &[NodeId]) -> Result<u64, JobError> {
-        self.kill_and_report(nodes)?;
-        let mut repaired = 0;
-        self.engine.get_mut().await_event(
-            |e| match e {
-                JobEvent::ReliableRepaired {
-                    nodes: lost,
-                    partitions,
-                } if lost.iter().any(|n| nodes.contains(n)) => {
-                    repaired = *partitions;
-                    true
-                }
-                // A report that named no reliable machines falls through
-                // to ordinary rollback recovery.
-                JobEvent::NodesFailedRecovered { nodes: failed, .. } if failed == nodes => true,
-                _ => false,
-            },
-            "reliable repair",
-        )?;
-        Ok(repaired)
+        // A logged rollback wound the clock back; a repair left it.
+        Ok(engine.clock)
     }
 
     /// Like [`AgileMlJob::fail_nodes`] but returns immediately after the

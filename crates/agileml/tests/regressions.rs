@@ -261,3 +261,166 @@ fn more_workers_than_data_blocks_train_in_stage3() {
     job.wait_clock(8).expect("eight clocks");
     job.shutdown().expect("shutdown");
 }
+
+/// The chaos suites' shape, stage 2 with every transient machine an
+/// ActivePS host, on 3 reliable + 3 transient machines (reliable
+/// nodes 1–3), trained to clock 8.
+fn three_reliable_at_clock_eight() -> AgileMlJob<MatrixFactorization> {
+    let chaos = AgileConfig {
+        slack: 1,
+        activeps_fraction: 1.0,
+        force_stage: Some(Stage::Stage2),
+        ..cfg()
+    };
+    let mut job = AgileMlJob::launch(mf_app(), mf_data(), chaos, 3, 3).expect("launch");
+    job.wait_clock(8).expect("eight clocks");
+    job
+}
+
+/// A reliable machine that dies is repaired in-job: its backup
+/// partitions re-replicate onto the other reliable machines, and no
+/// rollback is reported. The wait used to accept only a rollback, so it
+/// trained on for its whole batch bound (to min clock 5 008) and then
+/// reported a timeout for a recovery that had succeeded.
+#[test]
+fn fail_nodes_on_a_reliable_machine_returns_once_the_repair_lands() {
+    let mut job = three_reliable_at_clock_eight();
+    let before = job.status().expect("status").min_clock;
+    let resumed = job
+        .fail_nodes(&[NodeId(3)])
+        .expect("the repair is a recovery");
+    assert!(
+        resumed.abs_diff(before) <= 2,
+        "fail_nodes returned clock {resumed} from clock {before}"
+    );
+    assert!(job.events().iter().any(|e| matches!(
+        e,
+        JobEvent::ReliableRepaired { nodes, .. } if nodes.contains(&NodeId(3))
+    )));
+    assert_eq!(job.status().expect("status").reliable, 2);
+    job.shutdown().expect("shutdown");
+}
+
+/// The job answers which reliable machines are alive: a killed one
+/// leaves the list, so a caller needs no ledger of its own.
+#[test]
+fn reliable_machines_lists_only_the_live_ones() {
+    let mut job = three_reliable_at_clock_eight();
+    assert_eq!(job.reliable_machines(), [NodeId(1), NodeId(2), NodeId(3)]);
+    job.fail_nodes(&[NodeId(3)]).expect("repair");
+    assert_eq!(job.reliable_machines(), [NodeId(1), NodeId(2)]);
+    job.shutdown().expect("shutdown");
+}
+
+/// Trains two clocks past where `job` is.
+fn train_two<A: MlApp>(job: &mut AgileMlJob<A>) -> Result<(), proteus_agileml::JobError> {
+    let clock = job.status()?.min_clock;
+    job.wait_clock(clock + 2)
+}
+
+/// One of ROADMAP item 25(c)'s command sequences in forced stage 3.
+#[derive(Clone, Copy, Debug)]
+enum Sequence {
+    /// Add a transient machine, pre-drain it, fail it.
+    AddPreDrainFail,
+    /// Add a reliable machine, fail every original transient machine.
+    AddReliableFailTransients,
+}
+
+/// Runs `sequence` in forced stage 3 on an MLR job of `keys` classes
+/// over `examples` examples with ActivePS `fraction`, on `partitions`,
+/// `blocks`, `reliable` and `transient` machines, training two more
+/// clocks after the launch and after every command.
+fn run_sequence(
+    sequence: Sequence,
+    (keys, examples, fraction): (u32, usize, f64),
+    (partitions, blocks, reliable, transient): (u32, u32, usize, usize),
+) -> Result<(), proteus_agileml::JobError> {
+    let dim = 4;
+    let data = imagenet_like(
+        &MlrDataConfig {
+            examples,
+            dim,
+            classes: keys,
+            separation: 2.0,
+            noise: 0.4,
+        },
+        5,
+    );
+    let app = Mlr::new(MlrConfig {
+        dim,
+        classes: keys,
+        learning_rate: 0.1,
+        reg: 1e-4,
+    });
+    let cfg = AgileConfig {
+        partitions,
+        data_blocks: blocks,
+        activeps_fraction: fraction,
+        force_stage: Some(Stage::Stage3),
+        ..cfg()
+    };
+    let mut job = AgileMlJob::launch(app, data, cfg, reliable, transient)?;
+    train_two(&mut job)?;
+    match sequence {
+        Sequence::AddPreDrainFail => {
+            let added = job.add_machines(NodeClass::Transient, 1)?;
+            train_two(&mut job)?;
+            job.pre_drain(&added)?;
+            train_two(&mut job)?;
+            job.fail_nodes(&added)?;
+        }
+        Sequence::AddReliableFailTransients => {
+            job.add_machines(NodeClass::Reliable, 1)?;
+            train_two(&mut job)?;
+            // Machines are numbered from 1, reliable first.
+            let first = 1 + reliable as u32;
+            let transients: Vec<NodeId> = (first..first + transient as u32).map(NodeId).collect();
+            if !transients.is_empty() {
+                job.fail_nodes(&transients)?;
+            }
+        }
+    }
+    train_two(&mut job)?;
+    job.shutdown()
+}
+
+/// ROADMAP item 25(c) reported that forced stage 3 stopped training
+/// after these two sequences. Over the box below neither does: the
+/// stalls it saw came at shapes whose machines outnumber their data
+/// blocks (item 25(b)), which this box includes.
+#[test]
+fn forced_stage3_trains_through_an_add_with_a_pre_drain_or_a_failure() {
+    let mut stalled = Vec::new();
+    for sequence in [
+        Sequence::AddPreDrainFail,
+        Sequence::AddReliableFailTransients,
+    ] {
+        for keys in [2, 5] {
+            for examples in [3, 40] {
+                for fraction in [0.5, 1.0] {
+                    for partitions in [1, 3, 8] {
+                        for blocks in [2, 16] {
+                            for reliable in [1, 2] {
+                                for transient in [0, 1, 3] {
+                                    let app = (keys, examples, fraction);
+                                    let shape = (partitions, blocks, reliable, transient);
+                                    if let Err(e) = run_sequence(sequence, app, shape) {
+                                        stalled
+                                            .push(format!("{sequence:?} {app:?} {shape:?}: {e}"));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        stalled.is_empty(),
+        "{} runs stopped:\n{}",
+        stalled.len(),
+        stalled.join("\n")
+    );
+}

@@ -40,7 +40,7 @@ fn reliable_kill_steady_state(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
     let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 3, 3)?;
     job.wait_clock(8)?;
-    job.fail_reliable_nodes(&[R3])?;
+    job.fail_nodes(&[R3])?;
     // Repair keeps the incarnation: no epoch-rolling restart, training
     // reaches the target on the surviving membership.
     job.wait_clock(TARGET)?;
@@ -103,7 +103,7 @@ fn reliable_kill_mid_migration(seed: u64) -> Result<f64, JobError> {
     // Provider-style warning starts the drain; the reliable kill races
     // the resulting migrations without waiting for them.
     job.warn_only(&[T1], 120_000)?;
-    job.fail_reliable_nodes(&[R3])?;
+    job.fail_nodes(&[R3])?;
     job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
@@ -128,7 +128,7 @@ fn reliable_kill_during_storm(seed: u64) -> Result<f64, JobError> {
     let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 3, 3)?;
     job.wait_clock(6)?;
     job.warn_only(&[T1, T2, NodeId(6)], 120_000)?;
-    job.fail_reliable_nodes(&[R3])?;
+    job.fail_nodes(&[R3])?;
     job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
@@ -154,7 +154,7 @@ fn correlated_reliable_transient_kill(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
     let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 3, 3)?;
     job.wait_clock(6)?;
-    job.fail_reliable_nodes(&[R3, T1])?;
+    job.fail_nodes(&[R3, T1])?;
     job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;
@@ -179,8 +179,8 @@ fn double_reliable_kill(seed: u64) -> Result<f64, JobError> {
     let data = mf_data();
     let mut job = AgileMlJob::launch(mf_app(), data.clone(), chaos_cfg(seed), 3, 3)?;
     job.wait_clock(6)?;
-    job.fail_reliable_nodes(&[R3])?;
-    job.fail_reliable_nodes(&[R1])?;
+    job.fail_nodes(&[R3])?;
+    job.fail_nodes(&[R1])?;
     job.wait_clock(TARGET)?;
     let obj = job.objective(&data)?;
     job.shutdown()?;

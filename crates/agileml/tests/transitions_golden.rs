@@ -266,7 +266,7 @@ fn workers_only_failure() -> Result<String, JobError> {
 fn reliable_kill_repaired_in_job() -> Result<String, JobError> {
     let mut job = AgileMlJob::launch(mf_app(), mf_data(), all_active(), 3, 3)?;
     train(&mut job, 8)?;
-    job.fail_reliable_nodes(&[NodeId(3)])?;
+    job.fail_nodes(&[NodeId(3)])?;
     train(&mut job, 4)?;
     fingerprint(job)
 }

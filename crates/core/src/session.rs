@@ -16,7 +16,7 @@
 //! * allocations whose renewal would raise cost-per-work are released
 //!   just before their next billing hour.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proteus_agileml::{AgileMlJob, JobError};
@@ -137,9 +137,6 @@ pub struct Proteus<A: MlApp> {
     /// The reliable tier's on-demand allocation — re-acquired when a
     /// restart replaces the tier that was never supposed to fail.
     reliable_alloc: AllocationId,
-    /// Reliable machines already killed by chaos injection in the
-    /// current job incarnation (cleared on restart).
-    dead_reliable: BTreeSet<NodeId>,
     /// Highest training clock the session has observed — the baseline
     /// for `work_lost_to_restart` accounting.
     last_known_clock: u64,
@@ -255,7 +252,6 @@ impl<A: MlApp> Proteus<A> {
             last_checkpoint: job_start,
             checkpoint_store: CheckpointStore::new(),
             reliable_alloc,
-            dead_reliable: BTreeSet::new(),
             last_known_clock: 0,
             tally: SessionTally::default(),
             obs,
@@ -690,14 +686,8 @@ impl<A: MlApp> Proteus<A> {
         if let Ok(st) = self.job.status() {
             self.last_known_clock = self.last_known_clock.max(st.min_clock);
         }
-        let victims: Vec<NodeId> = self
-            .job
-            .reliable_machines()
-            .iter()
-            .copied()
-            .filter(|n| !self.dead_reliable.contains(n))
-            .take(count)
-            .collect();
+        let mut victims = self.job.reliable_machines();
+        victims.truncate(count);
         if victims.is_empty() {
             return Ok(ReliableRecovery::NoOp);
         }
@@ -705,8 +695,7 @@ impl<A: MlApp> Proteus<A> {
             machines: victims.len() as u64,
         };
         self.emit(self.provider.now(), Event::Session(lost));
-        self.dead_reliable.extend(victims.iter().copied());
-        match self.job.fail_reliable_nodes(&victims) {
+        match self.job.fail_nodes(&victims) {
             Ok(_) => Ok(ReliableRecovery::Repaired),
             Err(JobError::Fault(_)) => {
                 self.restart_from_checkpoint()?;
@@ -716,17 +705,18 @@ impl<A: MlApp> Proteus<A> {
         }
     }
 
-    /// Chaos injection: the **entire** reliable tier — every reliable
-    /// worker machine and the controller host itself — vanishes at
-    /// once. No in-job protocol can survive this (there is nobody left
-    /// to run one), so the session restarts from the last durable
-    /// checkpoint: tear down, re-acquire reliable capacity, relaunch.
+    /// Chaos injection: the **entire** reliable tier — every live
+    /// reliable worker machine and the controller host itself —
+    /// vanishes at once. No in-job protocol can survive this (there is
+    /// nobody left to run one), so the session restarts from the last
+    /// durable checkpoint: tear down, re-acquire reliable capacity,
+    /// relaunch.
     /// Returns the clock the restarted job resumed from.
     pub fn inject_total_reliable_failure(&mut self) -> Result<u64, ProteusError> {
         if let Ok(st) = self.job.status() {
             self.last_known_clock = self.last_known_clock.max(st.min_clock);
         }
-        let mut doomed: Vec<NodeId> = self.job.reliable_machines().to_vec();
+        let mut doomed = self.job.reliable_machines();
         let lost = SessionEvent::ReliableLost {
             machines: doomed.len() as u64,
         };
@@ -755,7 +745,6 @@ impl<A: MlApp> Proteus<A> {
         // would keep its hazard in `max_hazard` and the checkpoint
         // cadence for the rest of the session.
         self.forecaster = self.config.forecast.map(PreemptionForecaster::new);
-        self.dead_reliable.clear();
 
         // The reliable hosts are dead too: release the old allocation
         // and provision a fresh tier for the relaunch.
@@ -857,6 +846,7 @@ mod tests {
     use proteus_market::MarketKey;
     use proteus_mlapps::data::{netflix_like, MfDataConfig};
     use proteus_mlapps::mf::{MatrixFactorization, MfConfig};
+    use std::collections::BTreeSet;
 
     /// The distinct `(market, bid)` pairs of the held holdings the
     /// forecaster tracks.

@@ -20,6 +20,7 @@ mod common;
 use std::sync::Arc;
 
 use proteus::bidbrain::ForecastConfig;
+use proteus::obs::{Event, SessionEvent};
 use proteus::ReliableRecovery;
 use proteus::{Proteus, ProteusConfig};
 use proteus_obs::Recorder;
@@ -149,6 +150,32 @@ fn partial_reliable_loss_prefers_in_job_repair() {
         ReliableRecovery::NoOp => unreachable!(),
     }
     assert!(report.final_objective < 0.15);
+}
+
+/// A total loss after a repaired partial one counts the machines still
+/// alive: the one lost and repaired earlier in the same incarnation is
+/// not lost twice.
+#[test]
+fn total_loss_after_a_repair_counts_only_live_machines() {
+    let rec = Arc::new(Recorder::new());
+    let mut session =
+        Proteus::launch_observed(MF.app(), MF.data(), cfg(3), Arc::clone(&rec)).expect("launch");
+    session.run_market_hours(0.5).expect("market warm-up");
+    session.wait_clock(6).expect("progress");
+    let outcome = session.inject_reliable_failure(1).expect("injection");
+    assert_eq!(outcome, ReliableRecovery::Repaired);
+    session
+        .inject_total_reliable_failure()
+        .expect("restart path");
+    let lost: Vec<u64> = rec
+        .timeline()
+        .of_kind("session.reliable_lost")
+        .map(|e| match e.event {
+            Event::Session(SessionEvent::ReliableLost { machines }) => machines,
+            _ => unreachable!("{:?}", e.event),
+        })
+        .collect();
+    assert_eq!(lost, [1, 2], "the total loss counts the two live machines");
 }
 
 /// Back-to-back disasters: a second total loss lands right after the

@@ -35,6 +35,8 @@ done
 
 # The benchmark trajectory (scripts/trajectory.sh) is append-only JSON
 # lines: each must parse and carry every key a later reader compares.
+# A line's `facts` (scripts/facts.sh) must carry theirs too; lines
+# written before the trajectory recorded facts have none.
 echo "==> BENCH_history.jsonl lines parse and carry their keys"
 python3 - BENCH_history.jsonl <<'PY'
 import json, sys
@@ -47,6 +49,9 @@ keys = {
     "peak_rss_mb_parent", "peak_rss_mb_change",
     "setup_s_parent", "setup_s_change", "outcome_ratio",
 }
+fact_keys = {
+    "crate_lines", "crate_lines_total", "loops", "loops_total", "settable", "pub_mod",
+}
 with open(sys.argv[1]) as history:
     for n, line in enumerate(history, 1):
         try:
@@ -54,8 +59,51 @@ with open(sys.argv[1]) as history:
         except json.JSONDecodeError as e:
             sys.exit(f"error: {sys.argv[1]}:{n} is not JSON: {e}")
         missing = keys - row.keys() if isinstance(row, dict) else keys
+        if not missing and "facts" in row:
+            facts = row["facts"] if isinstance(row["facts"], dict) else {}
+            missing = {f"facts.{k}" for k in fact_keys - facts.keys()}
         if missing:
             sys.exit(f"error: {sys.argv[1]}:{n} lacks {sorted(missing)}")
+PY
+
+# A doc that names `Type::name` must name code that exists: a type and
+# an item (fn, const, static, associated type, field or variant)
+# defined under crates/*/src or benchmark/src. The match is by name, not
+# by owner: a rename or deletion is caught, an item moved between types
+# is not. The list holds the exact strings that name something else on
+# purpose: std items, and a deleted item that a sentence names as
+# history.
+echo "==> every \`Type::name\` in README.md and DESIGN.md names a defined item"
+python3 - README.md DESIGN.md <<'PY'
+import glob, re, sys
+
+allowed = {
+    "Arc::new", "Arc::make_mut",  # std
+    "Objective::ThroughputUnderBudget",  # DESIGN.md: a deleted objective, as history
+}
+types, items = set(), set()
+for path in glob.glob("crates/*/src/**/*.rs", recursive=True) + glob.glob(
+    "benchmark/src/**/*.rs", recursive=True
+):
+    for line in open(path):
+        types.update(re.findall(r"\b(?:struct|enum|trait|type|union)\s+([A-Za-z_]\w*)", line))
+        items.update(re.findall(r"\b(?:fn|const|static|type)\s+([A-Za-z_]\w*)", line))
+        field = re.match(r"\s*(?:pub(?:\([^)]*\))?\s+)?([a-z_]\w*)\s*:[^:]", line)
+        variant = re.match(r"\s*([A-Z]\w*)\s*(?:[({,=]|$)", line)
+        items.update(m.group(1) for m in (field, variant) if m)
+unknown = []
+for doc in sys.argv[1:]:
+    for n, line in enumerate(open(doc), 1):
+        for span in re.findall(r"`([^`]+)`", line):
+            # `Type::name`, or `Type::{a, b}` naming several.
+            for ty, rest in re.findall(r"\b([A-Z]\w*)::(\{[^}]*\}|[A-Za-z_]\w*)", span):
+                for part in rest.strip("{}").split(","):
+                    name = re.match(r"\s*(\w*)", part).group(1)
+                    path = f"{ty}::{name}"
+                    if path not in allowed and (ty not in types or name not in items):
+                        unknown.append(f"{doc}:{n}: `{path}`")
+if unknown:
+    sys.exit("error: these docs name no defined item:\n" + "\n".join(unknown))
 PY
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
@@ -254,23 +302,15 @@ done
 echo "==> no pub fn that only tests call, outside the listed ones (compiler-checked)"
 scripts/pub_audit.sh
 
-# Every settable value is an option a reader has to understand. Count
-# the `pub` fields of every `pub struct` named *Config, *Spec, *Params
-# or *Model, and the fields of every struct variant of a `pub enum`
-# named *Kind, in the non-test part of crates/*/src (before each file's
-# first `#[cfg(test)]`). A value no caller turns is a `const` beside its
-# one user, not a field. A new knob changes this pin, and CHANGES.md
-# records its reason.
+# Every settable value is an option a reader has to understand.
+# scripts/facts.sh counts them: the `pub` fields of every `pub struct`
+# named *Config, *Spec, *Params or *Model, and the fields of every struct
+# variant of a `pub enum` named *Kind, in the non-test part of
+# crates/*/src. A value no caller turns is a `const` beside its one user,
+# not a field. A new knob changes this pin, and CHANGES.md records its
+# reason.
 echo "==> settable values in config structs and kind enums are pinned at 99"
-settable=$(for f in $(find crates/*/src -name '*.rs' | sort); do
-  awk '/#\[cfg\(test\)\]/ { exit }
-       /^[[:space:]]*pub struct [A-Za-z0-9_]*(Config|Spec|Params|Model)[[:space:]<{]/ { on = !/\}/; next }
-       on && /^[[:space:]]*\}/ { on = 0; next }
-       on && /^[[:space:]]*pub [a-z_0-9]+:/
-       /^pub enum [A-Za-z0-9_]*Kind[[:space:]<{]/ { kind = !/\}/; next }
-       kind && /^\}/ { kind = 0; next }
-       kind && /^[[:space:]]*[a-z_][a-z_0-9]*:/' "$f"
-done | wc -l)
+settable=$(scripts/facts.sh | python3 -c 'import json, sys; print(json.load(sys.stdin)["settable"])')
 if [ "$settable" -ne 99 ]; then
   echo "error: $settable settable fields in *Config/*Spec/*Params/*Model structs and *Kind enums, pinned at 99" >&2
   echo "error: make an unturned value a const, or move the pin and record why in CHANGES.md" >&2

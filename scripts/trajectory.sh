@@ -10,7 +10,9 @@
 # `commit`, the repository's HEAD when the line was written, and
 # `worktree`, `modified` when the working tree differed from HEAD (a
 # change measured before it was committed: its line names its parent)
-# or `clean`. The file is append-only, one line per workload per
+# or `clean`; and one key behind, `facts`, the working tree's structural
+# facts as `scripts/facts.sh` prints them (computed once, before the
+# first workload). The file is append-only, one line per workload per
 # measured change; `scripts/check.sh` checks that every line parses and
 # carries its keys. Stops at the first workload whose pairs fail
 # (`pairs.sh` exits non-zero), appending nothing for it.
@@ -31,10 +33,13 @@ if ! git -C "$repo" diff --quiet HEAD --; then
   worktree=modified
 fi
 
+facts=$("$scripts/facts.sh")
+
 for workload in "$@"; do
   out=$("$scripts/pairs.sh" "$parent" "$change" "$workload" "$seed" "$n" "$seconds")
   echo "$out"
   summary=$(tail -n 1 <<<"$out")
-  printf '{"commit": "%s", "worktree": "%s", %s\n' "$commit" "$worktree" "${summary#\{}" \
-    >>"$repo/BENCH_history.jsonl"
+  summary=${summary#\{}
+  printf '{"commit": "%s", "worktree": "%s", %s, "facts": %s}\n' \
+    "$commit" "$worktree" "${summary%\}}" "$facts" >>"$repo/BENCH_history.jsonl"
 done
