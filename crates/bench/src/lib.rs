@@ -51,7 +51,7 @@ pub static FIGS: [Fig; 20] = [
     Fig { id: "ablate_activeps_ratio", run: perf::ablate_activeps_ratio, caption: "Ablation: fraction of transient machines hosting an ActivePS (stage 2, MF)" },
     Fig { id: "ablate_bid_delta", run: cost::ablate_bid_delta, caption: "Ablation: fixed bid delta vs BidBrain's adaptive delta sweep (2-hour jobs)" },
     Fig { id: "ablate_checkpoint_period", run: cost::ablate_checkpoint_period, caption: "Ablation: checkpoint interval vs cost/runtime (2-hour jobs, volatile market)" },
-    Fig { id: "ablate_gce", run: cost::ablate_gce, caption: "Extension: cost-per-work on GCE preemptible instances vs EC2 spot (2-hour jobs)" },
+    Fig { id: "ablate_gce", run: cost::ablate_gce, caption: "Extension: Proteus on EC2 spot, GCE preemptible, and both (2-hour jobs)" },
     Fig { id: "ablate_objective", run: cost::ablate_objective, caption: "Ablation: cost-per-work objective vs minimal-footprint (raw cost) provisioning" },
     Fig { id: "ablate_stage_thresholds", run: perf::ablate_stage_thresholds, caption: "Ablation: best stage per transient:reliable ratio (MF, 64 machines)" },
     Fig { id: "extra_market_mix", run: misc::extra_market_mix, caption: "Extra: where 20-hour jobs buy capacity: Proteus vs the standard strategy" },

@@ -8,7 +8,7 @@
 //! historical start instants it asks "had I bid `market price + delta`
 //! here, would the price have crossed my bid within the hour, and when?".
 
-use proteus_market::{MarketKey, PriceTrace};
+use proteus_market::{MarketKey, PreemptionModel, PriceTrace};
 use proteus_simtime::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -225,8 +225,29 @@ impl BetaEstimator {
             run_min = run_min.min(p.beta);
             p.beta = run_min;
         }
-        // `points` mirrors the non-empty, finite delta grid asserted
-        // above, so the table constructor cannot refuse it.
+        self.insert(market, points, deltas);
+    }
+
+    /// Registers `market` as preemptible: on the default δ grid, β is
+    /// `model`'s one-hour preemption probability and the median time to
+    /// eviction its median inside the hour. Eq. 1 refunds an evicted hour
+    /// and this market does not: its hour is under-priced by 1 − β.
+    pub fn insert_preemptible(&mut self, market: MarketKey, model: &PreemptionModel) {
+        let beta = model.preemption_probability(HOUR);
+        let median_tte = model.median_preemption_within(HOUR);
+        let deltas = Self::default_deltas();
+        let point = |&delta: &f64| BetaPoint {
+            delta,
+            beta,
+            median_tte,
+        };
+        self.insert(market, deltas.iter().map(point).collect(), deltas);
+    }
+
+    /// Installs `market`'s `points` on `deltas`, noting a shared grid.
+    fn insert(&mut self, market: MarketKey, points: Vec<BetaPoint>, deltas: Vec<f64>) {
+        // `points` mirrors a non-empty, finite delta grid, so the table
+        // constructor cannot refuse it.
         #[allow(clippy::expect_used)]
         self.tables
             .insert(market, BetaTable::new(points).expect("non-empty deltas"));
@@ -495,6 +516,27 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    /// A preemptible market's β is the model's, flat across δ, on the
+    /// default grid: a trained spot market beside it keeps the sweep on
+    /// the grid.
+    #[test]
+    fn a_preemptible_market_reads_its_model_at_every_delta() {
+        let gce = MarketKey::new(catalog::c4_xlarge(), Zone::GCE);
+        let model = PreemptionModel {
+            preemptions_per_day: 2.4,
+        };
+        let mut est = trained();
+        est.insert_preemptible(gce, &model);
+        let table = est.table(gce).expect("registered");
+        for p in table.points() {
+            assert_eq!(p.beta, model.preemption_probability(HOUR));
+            assert_eq!(p.median_tte, model.median_preemption_within(HOUR));
+        }
+        assert!(est.is_grid(&BetaEstimator::default_deltas()));
+        let beta = BetaEstimator::point(Some(table), 0.05).0;
+        assert!((beta - (1.0 - (-0.1f64).exp())).abs() < 1e-12, "{beta}");
     }
 
     #[test]

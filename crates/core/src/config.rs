@@ -35,7 +35,8 @@ pub struct ProteusConfig {
     /// keeps every session trajectory bit-identical to earlier builds.
     pub forecast: Option<ForecastConfig>,
     /// Provider warning lead between a bid crossing and the eviction
-    /// landing. EC2 gives two minutes, GCE thirty seconds.
+    /// landing: EC2 gives two minutes. A GCE preemptible market's thirty
+    /// seconds are that market's own; tests set 30 s here to model them.
     pub warning_lead: SimDuration,
 }
 

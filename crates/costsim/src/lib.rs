@@ -30,19 +30,13 @@
 #![forbid(unsafe_code)]
 
 mod executor;
+#[cfg(test)]
 mod gce;
 mod scheme;
 mod sim;
 mod study;
 
 pub use executor::StudyExecutor;
-pub use gce::{run_gce_job, GceOutcome, GceRunConfig};
 pub use scheme::{JobSpec, Scheme, SchemeKind};
 pub use sim::{run_job, run_job_queue, QueueOutcome, SimOutcome};
 pub use study::{run_study, run_study_with, StudyConfig, StudyEnv, StudyResult};
-
-/// The bid-delta sweep the paper's BidBrain evaluates: `[$0.0001, $0.4]`
-/// above the market price.
-pub fn default_bid_deltas() -> Vec<f64> {
-    proteus_bidbrain::BetaEstimator::default_deltas()
-}

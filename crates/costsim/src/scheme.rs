@@ -117,7 +117,7 @@ impl SchemeKind {
     /// Full Proteus, sweeping the paper's bid deltas.
     pub fn paper_proteus() -> Self {
         SchemeKind::Proteus {
-            bid_deltas: crate::default_bid_deltas(),
+            bid_deltas: proteus_bidbrain::BetaEstimator::default_deltas(),
         }
     }
 

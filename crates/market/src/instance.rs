@@ -40,10 +40,17 @@ pub struct Zone(pub u8);
 impl Zone {
     /// The four zones of the simulated US-EAST-1-like region.
     pub const ALL: [Zone; 4] = [Zone(0), Zone(1), Zone(2), Zone(3)];
+
+    /// The simulated GCE region's one zone, for preemptible markets
+    /// ([`TraceSet::insert_preemptible`](crate::TraceSet::insert_preemptible)).
+    pub const GCE: Zone = Zone(u8::MAX);
 }
 
 impl fmt::Display for Zone {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if *self == Zone::GCE {
+            return f.write_str("gce-us-east1");
+        }
         // Render like EC2 zone suffixes: us-east-1a, -1b, ...
         write!(f, "us-east-1{}", (b'a' + self.0) as char)
     }
@@ -212,5 +219,7 @@ mod tests {
     fn market_key_display_names_type_and_zone() {
         let key = MarketKey::new(catalog::c4_xlarge(), Zone(2));
         assert_eq!(key.to_string(), "c4.xlarge@us-east-1c");
+        let key = MarketKey::new(catalog::c4_2xlarge(), Zone::GCE);
+        assert_eq!(key.to_string(), "c4.2xlarge@gce-us-east1");
     }
 }

@@ -21,9 +21,9 @@
 //! punctuated by sharp spikes above the on-demand price — and the
 //! [`PriceTrace`] also supports fully scripted traces for tests.
 //!
-//! [`GceMarket`] models Google Compute Engine preemptible instances (fixed 70 %
-//! discount, Poisson preemptions) to demonstrate that the allocation
-//! machinery is not EC2-specific.
+//! [`TraceSet::insert_preemptible`] serves a GCE preemptible market too:
+//! a fixed 70 % discount, lifetimes a [`PreemptionModel`] draws (capped
+//! at 24 h), a 30-second warning and no refund.
 //!
 //! A [`MarketFaultPlan`] adds seed-deterministic provider-side fault
 //! regimes (capacity droughts, API throttling, boot delays, infant
@@ -51,7 +51,7 @@ pub use error::MarketError;
 pub use fault::{
     BootDelayRule, CapacityRule, InfantMortalityRule, MarketFaultPlan, TenantId, ThrottleRule,
 };
-pub use gce::{GceMarket, PreemptionModel, GCE_DISCOUNT};
+pub use gce::{PreemptionModel, GCE_DISCOUNT};
 pub use gen::{MarketModel, TraceGenerator};
 pub use instance::{catalog, InstanceType, MarketKey, Zone};
 pub use provider::{AllocationId, CloudProvider, ProviderEvent, SpotGrant};

@@ -5,7 +5,8 @@
 //! on-demand allocations, charges a [`BillingAccount`] at hourly
 //! granularity, and — when a market price crosses above an allocation's
 //! bid — issues a two-minute [`ProviderEvent::EvictionWarning`] followed by
-//! [`ProviderEvent::Evicted`] with the current hour refunded.
+//! [`ProviderEvent::Evicted`] with the current hour refunded (a
+//! preemptible market's lease instead meets the fate drawn at its grant).
 //!
 //! Time is advanced explicitly with [`CloudProvider::advance_to`], which
 //! returns every event that fired in order; the caller (BidBrain's driver
@@ -37,16 +38,23 @@ impl fmt::Display for AllocationId {
 }
 
 /// The provider's own record of a spot allocation: the tenant-visible
-/// view plus its fault fate, which a tenant must never see.
+/// view plus its fate, which a tenant must never see.
 #[derive(Debug, Clone)]
 struct SpotLease {
     alloc: SpotAllocation,
     /// Its market's slot in the trace set (and the price cursor),
     /// resolved at grant.
     slot: usize,
-    /// Scheduled warning-less death (the infant-mortality fault
-    /// regime), if this grant is doomed.
-    dies_at: Option<SimTime>,
+    /// A drawn instant, and what happens then, if a draw ends the lease.
+    fate: Option<(SimTime, Fate)>,
+}
+
+/// What a lease's fate does at its instant: a warning-less death (the
+/// infant-mortality regime), or a preemptible market's warning.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    Dies,
+    Preempted { evict_at: SimTime },
 }
 
 /// What a successful [`CloudProvider::request_spot`] granted.
@@ -150,8 +158,9 @@ impl<'a> CloudProvider<'a> {
         Self::with_warning_lead(traces, crate::EC2_EVICTION_WARNING)
     }
 
-    /// Creates a provider with a custom warning lead (e.g. 30 s for a
-    /// GCE-style provider, or zero to model warning-less revocation).
+    /// Creates a provider with a custom lead from a price crossing to
+    /// its eviction (zero models warning-less revocation). A preemptible
+    /// market keeps its own thirty seconds, whatever this lead.
     pub fn with_warning_lead(
         traces: impl Into<std::borrow::Cow<'a, TraceSet>>,
         warning_lead: SimDuration,
@@ -402,6 +411,14 @@ impl<'a> CloudProvider<'a> {
             }
         };
         let id = self.fresh_id();
+        // A preemptible lease's revocation is drawn now, from its launch;
+        // the earlier of it and an infant death is the lease's fate.
+        let preempted = self.traces.preemption(slot).map(|model| {
+            let [warn_at, evict_at] = model.fate(id, self.now, usable_at);
+            (warn_at, Fate::Preempted { evict_at })
+        });
+        let dies = dies_at.map(|at| (at, Fate::Dies));
+        let fate = dies.into_iter().chain(preempted).min_by_key(|&(at, _)| at);
         // A delayed launch bills nothing until the instances come up;
         // the Launch happening charges the first hour at the price then.
         let booting = usable_at > self.now;
@@ -429,11 +446,7 @@ impl<'a> CloudProvider<'a> {
                 SpotState::Running
             },
         };
-        let lease = SpotLease {
-            alloc,
-            slot,
-            dies_at,
-        };
+        let lease = SpotLease { alloc, slot, fate };
         self.spot.insert(id, lease);
         self.emit(
             self.now,
@@ -528,13 +541,13 @@ impl<'a> CloudProvider<'a> {
     /// hold identically for market evictions and fleet preemptions.
     /// Revoking a still-booting allocation is free (nothing was billed).
     pub fn revoke(&mut self, id: AllocationId) -> Result<(), MarketError> {
-        let Some(SpotLease { alloc: a, .. }) = self.spot.remove(&id) else {
+        let Some(lease) = self.spot.remove(&id) else {
             return Err(MarketError::UnknownAllocation(id));
         };
         // A booting allocation billed nothing and computed nothing: a
         // free cancel.
-        if !a.is_booting() {
-            self.settle_eviction(self.now, &a);
+        if !lease.alloc.is_booting() {
+            self.settle_eviction(self.now, &lease);
         }
         self.emit(
             self.now,
@@ -546,9 +559,16 @@ impl<'a> CloudProvider<'a> {
         Ok(())
     }
 
-    /// Eviction settlement of a removed, launched allocation at `t`:
-    /// the current billing hour is refunded and its usage was free.
-    fn settle_eviction(&mut self, t: SimTime, a: &SpotAllocation) {
+    /// Eviction settlement of a removed, launched lease at `t`: the
+    /// current billing hour is refunded and its usage was free. A
+    /// preemptible market refunds nothing: the usage was paid.
+    fn settle_eviction(&mut self, t: SimTime, lease: &SpotLease) {
+        let a = &lease.alloc;
+        let used = t.since(a.hour_start).as_hours_f64() * f64::from(a.count);
+        if self.traces.preemption(lease.slot).is_some() {
+            self.account.add_spot_usage(used);
+            return;
+        }
         self.account.record(LedgerEntry {
             time: t,
             allocation: a.id,
@@ -556,8 +576,7 @@ impl<'a> CloudProvider<'a> {
             amount: -a.hour_charge(),
             instances: a.count,
         });
-        let used = t.since(a.hour_start).as_hours_f64();
-        self.account.add_free_usage(used * f64::from(a.count));
+        self.account.add_free_usage(used);
     }
 
     /// Records an hour charged at `t`: trail no tally or loop reads (the
@@ -676,11 +695,11 @@ impl<'a> CloudProvider<'a> {
                 }
                 continue;
             }
-            // Scheduled warning-less death (infant mortality), considered
-            // before a same-instant hour boundary so a dying lease never
+            // Scheduled death or preemption warning, considered before a
+            // same-instant hour boundary so a dying or warned lease never
             // opens a fresh billing hour first.
-            if let Some(dies_at) = lease.dies_at {
-                consider(dies_at, Happening::InfantDeath(a.id));
+            if let Some((at, fate)) = lease.fate {
+                consider(at, Happening::Fate(a.id, fate));
             }
             // Next hour boundary.
             consider(a.hour_end(), Happening::SpotHour(a.id));
@@ -761,19 +780,28 @@ impl<'a> CloudProvider<'a> {
                 };
                 self.emit_step(t, warning, events);
             }
-            Happening::InfantDeath(id) => {
+            Happening::Fate(id, Fate::Dies) => {
                 // A warning-less death settles exactly like an eviction.
                 let lease = self.spot.remove(&id).expect("lease exists");
-                self.settle_eviction(t, &lease.alloc);
+                self.settle_eviction(t, &lease);
                 let death = Happened::Evicted {
                     allocation: id,
                     infant: true,
                 };
                 self.emit_step(t, death, events);
             }
+            Happening::Fate(id, Fate::Preempted { evict_at }) => {
+                let a = &mut self.spot.get_mut(&id).expect("lease exists").alloc;
+                a.state = SpotState::WarningIssued { evict_at };
+                let warning = Happened::EvictionWarning {
+                    allocation: id,
+                    evict_at,
+                };
+                self.emit_step(t, warning, events);
+            }
             Happening::Evict(id) => {
                 let lease = self.spot.remove(&id).expect("lease exists");
-                self.settle_eviction(t, &lease.alloc);
+                self.settle_eviction(t, &lease);
                 let eviction = Happened::Evicted {
                     allocation: id,
                     infant: false,
@@ -797,8 +825,9 @@ enum Happening {
     Evict(AllocationId),
     /// A boot-delayed lease's instances came up (billing starts).
     Launch(AllocationId),
-    /// A doomed lease reached its scheduled warning-less death.
-    InfantDeath(AllocationId),
+    /// A lease reached its fate: a warning-less death, or a preemptible
+    /// market's warning.
+    Fate(AllocationId, Fate),
 }
 
 #[cfg(test)]
@@ -1092,7 +1121,8 @@ mod tests {
         let dies_at = p
             .spot
             .get(&grant.id)
-            .and_then(|l| l.dies_at)
+            .and_then(|l| l.fate)
+            .map(|(at, _)| at)
             .expect("doomed");
         assert!(dies_at > SimTime::EPOCH);
         assert!(dies_at <= SimTime::EPOCH + SimDuration::from_mins(30));

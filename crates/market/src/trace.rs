@@ -6,6 +6,7 @@
 
 use proteus_simtime::{SimDuration, SimTime};
 
+use crate::gce::{PreemptionModel, GCE_DISCOUNT};
 use crate::instance::MarketKey;
 
 /// A step-function price history for a single market.
@@ -203,8 +204,8 @@ const GALLOP_POINTS: usize = 32;
 #[derive(Debug, Clone, Default)]
 pub struct TraceSet {
     /// Sorted by market, one entry per market: a market's position is
-    /// its slot in a `PriceCursor`.
-    traces: Vec<(MarketKey, PriceTrace)>,
+    /// its slot in a `PriceCursor`; a preemptible one carries its model.
+    traces: Vec<(MarketKey, PriceTrace, Option<PreemptionModel>)>,
 }
 
 impl TraceSet {
@@ -215,9 +216,23 @@ impl TraceSet {
 
     /// Registers (or replaces) the trace for `key`.
     pub fn insert(&mut self, key: MarketKey, trace: PriceTrace) {
+        self.put(key, trace, None);
+    }
+
+    /// Registers (or replaces) `key` as a preemptible market: a flat price
+    /// no bid crosses, each lease revoked as `model` fates it.
+    pub fn insert_preemptible(&mut self, key: MarketKey, model: PreemptionModel) {
+        let price = key.instance_type().on_demand_price * (1.0 - GCE_DISCOUNT);
+        let flat = PriceTrace {
+            points: vec![(SimTime::EPOCH, price)],
+        };
+        self.put(key, flat, Some(model));
+    }
+
+    fn put(&mut self, key: MarketKey, trace: PriceTrace, model: Option<PreemptionModel>) {
         match self.slot(&key) {
-            Ok(i) => self.traces[i].1 = trace,
-            Err(i) => self.traces.insert(i, (key, trace)),
+            Ok(i) => self.traces[i] = (key, trace, model),
+            Err(i) => self.traces.insert(i, (key, trace, model)),
         }
     }
 
@@ -226,9 +241,14 @@ impl TraceSet {
         self.slot(key).ok().map(|i| &self.traces[i].1)
     }
 
+    /// The model of the market in `slot`, if a preemptible one.
+    pub(crate) fn preemption(&self, slot: usize) -> Option<&PreemptionModel> {
+        self.traces[slot].2.as_ref()
+    }
+
     /// `key`'s position in market order, or where it would go.
     pub(crate) fn slot(&self, key: &MarketKey) -> Result<usize, usize> {
-        self.traces.binary_search_by(|(k, _)| k.cmp(key))
+        self.traces.binary_search_by(|(k, _, _)| k.cmp(key))
     }
 }
 
@@ -259,7 +279,7 @@ const NEVER: SimTime = SimTime::from_millis(u64::MAX);
 impl PriceCursor {
     /// A cursor at the epoch.
     pub(crate) fn new(set: &TraceSet) -> Self {
-        let traces = || set.traces.iter().map(|(k, t)| (k, &t.points));
+        let traces = || set.traces.iter().map(|(k, t, _)| (k, &t.points));
         PriceCursor {
             at: SimTime::EPOCH,
             prices: traces().map(|(k, points)| (*k, points[0].1)).collect(),
@@ -514,7 +534,7 @@ mod tests {
             for (i, gaps) in gaps.iter().enumerate() {
                 set.insert(MarketKey::new(i, Zone(0)), with_gaps(gaps));
             }
-            let traces: Vec<&PriceTrace> = set.traces.iter().map(|(_, t)| t).collect();
+            let traces: Vec<&PriceTrace> = set.traces.iter().map(|(_, t, _)| t).collect();
             let mut cursor = PriceCursor::new(&set);
             let mut t = SimTime::EPOCH;
             for raw in moves {
