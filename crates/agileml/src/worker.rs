@@ -30,11 +30,6 @@ use rand::rngs::StdRng;
 use crate::msg::{AgileMsg, Values};
 use crate::topology::{block_ranges, BlockId, Topology};
 
-/// Keys below this bound (and below the app's `key_count`) are bits of
-/// a block's key set: 128 KiB of words per block at most. Keys past it
-/// are listed one by one.
-const DENSE_KEY_REFS: u64 = 1 << 20;
-
 /// Messages a worker wants sent, as `(destination, message)` pairs.
 pub type Outbox = Vec<(NodeId, AgileMsg)>;
 
@@ -56,24 +51,16 @@ pub struct BlockKeys {
 /// What one pass over a block reads.
 #[derive(Debug)]
 struct BlockReads {
-    /// Bit `k % 64` of word `k / 64` is set iff key `k` is read, for the
-    /// keys below [`dense_keys`].
+    /// Bit `k % 64` of word `k / 64` is set iff key `k` is read: one bit
+    /// for each of the app's `key_count` keys.
     words: Vec<u64>,
-    /// The keys read from [`dense_keys`] up, sorted and distinct: a
-    /// spill list no bundled app fills.
-    spill: Vec<ParamKey>,
     /// Row elements touched: every datum's every key, times its width.
     work: u64,
 }
 
-/// How many keys of `app` a key set holds as bits.
-fn dense_keys<A: MlApp>(app: &A) -> u64 {
-    app.key_count().min(DENSE_KEY_REFS)
-}
-
-/// The bitset words of `app`'s dense keys.
-fn dense_words<A: MlApp>(app: &A) -> usize {
-    dense_keys(app).div_ceil(64) as usize
+/// The bitset words of `app`'s key space.
+fn key_words<A: MlApp>(app: &A) -> usize {
+    app.key_count().div_ceil(64) as usize
 }
 
 /// The keys whose bits are set in `words`, in increasing order.
@@ -102,10 +89,15 @@ impl BlockKeys {
     }
 
     /// What one pass over `block` reads (nothing for an unknown block).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys_for` gives a key outside `0..app.key_count()`:
+    /// the controller seeds exactly those keys, and nothing else has a
+    /// row to read.
     fn reads<A: MlApp>(&self, app: &A, dataset: &[A::Datum], block: BlockId) -> &BlockReads {
         static NOTHING: BlockReads = BlockReads {
             words: Vec::new(),
-            spill: Vec::new(),
             work: 0,
         };
         let Some(cell) = self.reads.get(block.0 as usize) else {
@@ -113,24 +105,21 @@ impl BlockKeys {
         };
         cell.get_or_init(|| {
             let (lo, hi) = self.range(block);
-            let dense = dense_keys(app);
-            let mut words = vec![0u64; dense_words(app)];
-            let mut spill = Vec::new();
+            let count = app.key_count();
+            let mut words = vec![0u64; key_words(app)];
             let mut work = 0;
             for datum in &dataset[lo..hi] {
                 for key in app.keys_for(datum) {
+                    assert!(
+                        key.0 < count,
+                        "key {} is outside the app's key space: its key_count is {count}",
+                        key.0
+                    );
                     work += app.value_dim(key) as u64;
-                    if key.0 < dense {
-                        words[(key.0 / 64) as usize] |= 1 << (key.0 % 64);
-                    } else {
-                        spill.push(key);
-                    }
+                    words[(key.0 / 64) as usize] |= 1 << (key.0 % 64);
                 }
             }
-            spill.sort_unstable();
-            spill.dedup();
-            spill.shrink_to_fit();
-            BlockReads { words, spill, work }
+            BlockReads { words, work }
         })
     }
 }
@@ -195,13 +184,11 @@ pub struct WorkerState<A: MlApp> {
     /// reads. A function of the loaded blocks alone, so only
     /// `assign_blocks` touches it.
     read_keys: Vec<ParamKey>,
-    /// The dense part of that union: the OR of the loaded blocks' words.
+    /// That union as bits: the OR of the loaded blocks' words.
     union: Vec<u64>,
     /// `union` as it stood before the current `assign_blocks`: scratch,
     /// kept so an assignment allocates nothing.
     before: Vec<u64>,
-    /// The spilled part of that union.
-    spilled: BTreeSet<ParamKey>,
     /// Row elements one pass over the loaded blocks touches.
     work: u64,
     /// The read round of `read_keys`, if built since they last changed.
@@ -250,9 +237,8 @@ impl<A: MlApp> WorkerState<A> {
         controller: NodeId,
     ) -> Self {
         WorkerState {
-            union: vec![0; dense_words(&*app)],
+            union: vec![0; key_words(&*app)],
             before: Vec::new(),
-            spilled: BTreeSet::new(),
             app,
             dataset,
             block_keys,
@@ -333,22 +319,16 @@ impl<A: MlApp> WorkerState<A> {
             self.local.insert(b, block);
             or_into(&mut self.union, &block_keys.reads(app, dataset, b).words);
         }
-        let reads = || {
-            self.local
-                .keys()
-                .map(|&b| block_keys.reads(app, dataset, b))
-        };
-        self.work = reads().map(|r| r.work).sum();
-        let spilled: BTreeSet<ParamKey> = reads().flat_map(|r| &r.spill).copied().collect();
+        self.work = (self.local.keys())
+            .map(|&b| block_keys.reads(app, dataset, b).work)
+            .sum();
 
         let gained = (self.union.iter().zip(&self.before)).map(|(now, was)| now & !was);
-        let fresh = set_keys(gained).chain(spilled.difference(&self.spilled).copied());
-        self.cache.reserve(fresh.map(|k| (k, app.value_dim(k))));
-        if self.union != self.before || spilled != self.spilled {
+        self.cache
+            .reserve(set_keys(gained).map(|k| (k, app.value_dim(k))));
+        if self.union != self.before {
             self.read_keys.clear();
-            self.read_keys
-                .extend(set_keys(self.union.iter().copied()).chain(spilled.iter().copied()));
-            self.spilled = spilled;
+            self.read_keys.extend(set_keys(self.union.iter().copied()));
             self.read_plan = None;
         }
     }
@@ -1162,8 +1142,7 @@ mod tests {
         }
     }
 
-    /// An app that declares fewer keys than its data reads, so the keys
-    /// past its `key_count` take the spill path of a block's key set.
+    /// An app that declares fewer keys than its data reads.
     struct Undeclared<A>(A, u64);
 
     impl<A: MlApp> MlApp for Undeclared<A> {
@@ -1238,9 +1217,17 @@ mod tests {
             (vec![5, 0], true),
         ];
         let (mf, ratings) = mf_12x9();
-        union_matches_rebuild(mf, ratings.clone(), &script);
-        let (mf, _) = mf_12x9();
-        union_matches_rebuild(Undeclared(mf, 10), ratings, &script);
+        union_matches_rebuild(mf, ratings, &script);
+    }
+
+    /// A key past the app's `key_count` has no seeded row: the block
+    /// that reads it is refused on load. Keys 10 up lie in the key set's
+    /// one word, so only the contract, not an index, can catch them.
+    #[test]
+    #[should_panic(expected = "is outside the app's key space: its key_count is 10")]
+    fn a_key_past_the_apps_key_count_is_refused() {
+        let (mf, ratings) = mf_12x9();
+        union_matches_rebuild(Undeclared(mf, 10), ratings, &[((0..6).collect(), false)]);
     }
 
     proptest::proptest! {
@@ -1258,10 +1245,7 @@ mod tests {
             use proteus_mlapps::mlr::{Mlr, MlrConfig};
 
             let (mf, ratings) = mf_12x9();
-            union_matches_rebuild(mf, ratings.clone(), &script);
-            // Keys 7 up (most of the rows, every column) spill.
-            let (mf, _) = mf_12x9();
-            union_matches_rebuild(Undeclared(mf, 7), ratings, &script);
+            union_matches_rebuild(mf, ratings, &script);
 
             let mlr = Mlr::new(MlrConfig { dim: 7, classes: 4, learning_rate: 0.1, reg: 0.0 });
             let examples = imagenet_like(

@@ -48,7 +48,8 @@ pub trait MlApp: Send + Sync + 'static {
     /// so steady-state processing need not allocate.
     type Scratch: Default + Send + 'static;
 
-    /// Total number of parameter keys used by the model.
+    /// Total number of parameter keys used by the model: its keys are
+    /// `0..key_count`, the runtime's one key space.
     fn key_count(&self) -> u64;
 
     /// The dimension of the value stored under `key`.
@@ -57,7 +58,8 @@ pub trait MlApp: Send + Sync + 'static {
     /// The initial value for `key` (called once at job start).
     fn init_value(&self, key: ParamKey, rng: &mut StdRng) -> DenseVec;
 
-    /// The parameter keys needed to process `datum`.
+    /// The parameter keys needed to process `datum`, each below
+    /// [`key_count`](MlApp::key_count).
     fn keys_for(&self, datum: &Self::Datum) -> Vec<ParamKey>;
 
     /// Processes a run of data in order against the current parameters,

@@ -15,9 +15,10 @@
 //! followed by the buffered delta (those unflushed deltas alone). A
 //! slot's `present` and `dirty` flags are one byte of a table with a
 //! byte per two slab floats, at `start / 2`, so the offset alone finds
-//! a slot's rows and its flags. Keys index a dense slot table (a hash
-//! spill takes keys past `ShardStore`'s dense limit), so a keyed step is
-//! an array index and an in-place kernel — no hashing, no allocation.
+//! a slot's rows and its flags. Keys are the app's, `0..key_count`, and
+//! index a dense slot table with a word per key up to the largest the
+//! cache holds, so a keyed step is an array index and an in-place
+//! kernel — no hashing, no allocation.
 //!
 //! # Resolved runs
 //!
@@ -35,14 +36,12 @@
 //! slot in that order, sorted again only when slots were added since,
 //! and takes the dirty ones, so a clock's flush sorts nothing.
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::kernels;
 use crate::partition::{ParamKey, PartitionId, PartitionMap};
-use crate::shard::DENSE_SLOT_LIMIT;
 use crate::value::DenseVec;
 use crate::values::{Rows, Values};
 
@@ -110,10 +109,8 @@ pub struct RunRows {
 #[derive(Debug, Clone)]
 pub struct WorkerCache<V = DenseVec> {
     layout: PartitionMap,
-    /// `key → slot` for keys below `DENSE_SLOT_LIMIT`.
+    /// `key → slot`, `NO_SLOT` for a key with none.
     index: Vec<usize>,
-    /// `key → slot` for the rest.
-    spill: HashMap<u64, usize>,
     slots: Vec<Slot>,
     /// `PRESENT | DIRTY` bits of the slot at slab offset `start`, at
     /// `start / 2`: a slot spans two floats or more, so no two share a
@@ -137,7 +134,6 @@ impl WorkerCache<DenseVec> {
         WorkerCache {
             layout,
             index: Vec::new(),
-            spill: HashMap::new(),
             slots: Vec::new(),
             flags: Vec::new(),
             slab: Vec::new(),
@@ -150,11 +146,7 @@ impl WorkerCache<DenseVec> {
 
     #[inline]
     fn slot(&self, key: ParamKey) -> Option<usize> {
-        let slot = if key.0 < DENSE_SLOT_LIMIT {
-            *self.index.get(key.0 as usize)?
-        } else {
-            *self.spill.get(&key.0)?
-        };
+        let slot = *self.index.get(key.0 as usize)?;
         (slot != NO_SLOT).then_some(slot)
     }
 
@@ -198,8 +190,8 @@ impl WorkerCache<DenseVec> {
     /// the right shape to return before the first refresh. A key already
     /// seen (earlier in `rows` too) is left alone. The new slots are
     /// placed in `rows` order. A first pass over `rows` counts the keys
-    /// and finds the largest, so the slots, the key index, the spill
-    /// map, the slab and its flags each grow once for them all.
+    /// and finds the largest, so the slots, the key index, the slab and
+    /// its flags each grow once for them all.
     pub fn reserve<I>(&mut self, rows: I)
     where
         I: IntoIterator<Item = (ParamKey, usize)>,
@@ -207,17 +199,12 @@ impl WorkerCache<DenseVec> {
     {
         let rows = rows.into_iter();
         // At most this many slots are new (a key seen before counts too).
-        let (mut fresh, mut spilled, mut top) = (0, 0, None);
+        let (mut fresh, mut top) = (0, None);
         for (key, _) in rows.clone() {
             fresh += 1;
-            if key.0 < DENSE_SLOT_LIMIT {
-                top = top.max(Some(key.0 as usize));
-            } else {
-                spilled += 1;
-            }
+            top = top.max(Some(key.0 as usize));
         }
         self.slots.reserve(fresh);
-        self.spill.reserve(spilled);
         if let Some(top) = top.filter(|&top| top >= self.index.len()) {
             self.index.resize(top + 1, NO_SLOT);
         }
@@ -227,11 +214,7 @@ impl WorkerCache<DenseVec> {
                 continue;
             }
             let slot = self.slots.len();
-            if key.0 < DENSE_SLOT_LIMIT {
-                self.index[key.0 as usize] = slot;
-            } else {
-                self.spill.insert(key.0, slot);
-            }
+            self.index[key.0 as usize] = slot;
             self.slots.push(Slot {
                 order: (self.layout.partition_of(key), key),
                 start: end,
@@ -543,7 +526,6 @@ impl WorkerCache<DenseVec> {
     /// [`RunRows`] resolved here goes stale.
     pub fn clear(&mut self) {
         self.index.clear();
-        self.spill.clear();
         self.slots.clear();
         self.flags.clear();
         self.slab.clear();

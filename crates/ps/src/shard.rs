@@ -13,16 +13,17 @@
 //! Under the modulo key layout (`partition = key % count`) each
 //! partition's keys form the arithmetic progression `p, p+count,
 //! p+2·count, …`, so `key / count` is a dense slot index within the
-//! partition. The store keeps a `Slab` per partition: a slot-indexed
-//! row table (with a hash-map spill for pathologically large keys) over
-//! two flat `f32` vectors, the live values and the dirty aggregate, in
-//! which each row owns the same `start..start + dim` range — the layout
-//! `WorkerCache` uses. Applying a delta is an in-place add into a slice
-//! (or a copy, the first time), reads and exports copy rows into one
-//! payload buffer in key order, and partition export/drop walk exactly
-//! one slab.
+//! partition. The store keeps a `Slab` per partition: a dense
+//! slot-indexed row table over two flat `f32` vectors, the live values
+//! and the dirty aggregate, in which each row owns the same
+//! `start..start + dim` range — the layout `WorkerCache` uses. The
+//! keys are the app's, `0..key_count`, so a slab's table has a word per
+//! slot up to its largest key's: memory proportional to the largest
+//! key held. Applying a delta is an in-place add into a slice (or a
+//! copy, the first time), reads and exports copy rows into one payload
+//! buffer in key order, and partition export/drop walk exactly one
+//! slab.
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::ops::Range;
 
@@ -31,12 +32,6 @@ use crate::keyset::KeySet;
 use crate::partition::{ParamKey, PartitionId, PartitionMap};
 use crate::value::DenseVec;
 use crate::values::{Rows, Values};
-
-/// Slots below this index live in the dense table; larger ones (keys
-/// beyond ~4 billion × partition-count, which no bundled app produces)
-/// spill to a hash map so arbitrary `u64` keys still work without
-/// unbounded allocation.
-pub(crate) const DENSE_SLOT_LIMIT: u64 = 1 << 22;
 
 const NO_ROW: usize = usize::MAX;
 
@@ -52,12 +47,8 @@ struct Row {
 /// One partition: a slot table over the values and the dirty aggregate.
 #[derive(Debug, Clone, Default)]
 struct Slab {
-    /// `slot → row` for slots below [`DENSE_SLOT_LIMIT`].
+    /// `slot → row`, `NO_ROW` for a slot with none.
     index: Vec<usize>,
-    /// `slot → row` for the rest only — keeping the two ranges disjoint
-    /// means "dense in slot order, then spill sorted" enumerates all
-    /// keys in increasing order.
-    spill: HashMap<u64, usize>,
     rows: Vec<Row>,
     values: Vec<f32>,
     deltas: Vec<f32>,
@@ -70,11 +61,7 @@ struct Slab {
 impl Slab {
     #[inline]
     fn row(&self, slot: u64) -> Option<usize> {
-        let row = if slot < DENSE_SLOT_LIMIT {
-            *self.index.get(slot as usize)?
-        } else {
-            *self.spill.get(&slot)?
-        };
+        let row = *self.index.get(slot as usize)?;
         (row != NO_ROW).then_some(row)
     }
 
@@ -103,15 +90,11 @@ impl Slab {
         }
         let row = self.rows.len();
         self.rows.push(fresh);
-        if slot < DENSE_SLOT_LIMIT {
-            let i = slot as usize;
-            if i >= self.index.len() {
-                self.index.resize(i + 1, NO_ROW);
-            }
-            self.index[i] = row;
-        } else {
-            self.spill.insert(slot, row);
+        let i = slot as usize;
+        if i >= self.index.len() {
+            self.index.resize(i + 1, NO_ROW);
         }
+        self.index[i] = row;
         row
     }
 
@@ -163,14 +146,9 @@ impl Slab {
 
     /// `(slot, row)` of every row, in increasing slot order.
     fn sorted(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        let mut spilled: Vec<(u64, usize)> = self.spill.iter().map(|(&s, &r)| (s, r)).collect();
-        spilled.sort_unstable();
-        self.index
-            .iter()
-            .enumerate()
+        (self.index.iter().enumerate())
             .filter(|&(_, &r)| r != NO_ROW)
             .map(|(s, &r)| (s as u64, r))
-            .chain(spilled)
     }
 }
 
@@ -541,22 +519,5 @@ mod tests {
             s.keys(),
             vec![ParamKey(1), ParamKey(3), ParamKey(7), ParamKey(9)]
         );
-    }
-
-    #[test]
-    fn huge_keys_spill_without_unbounded_allocation() {
-        let mut s = store(2);
-        let huge = ParamKey(u64::MAX - 1); // Even → partition 0, giant slot.
-        s.install(huge, dv(&[7.0]));
-        s.apply_update(huge, &dv(&[1.0]));
-        s.install(ParamKey(0), dv(&[1.0]));
-        assert_eq!(s.read(huge).unwrap().as_slice(), &[8.0]);
-        assert_eq!(s.keys().len(), 2);
-        // Exports keep global key order across the dense/spill boundary.
-        let image = s.export_partition(PartitionId(0));
-        let keys: Vec<ParamKey> = image.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![ParamKey(0), huge]);
-        assert_eq!(s.drop_partition(PartitionId(0)), 2);
-        assert!(s.keys().is_empty());
     }
 }

@@ -19,9 +19,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use proptest::prelude::*;
 use proteus_ps::{kernels, KeySet, ParamKey, PartitionId, PartitionMap, ShardStore, Values};
 
-/// Keys on both sides of the dense slot limit (`1 << 22`) at every
-/// partition count drawn below (1–4): `5 << 22` and up spill.
-const KEYS: [u64; 10] = [0, 1, 2, 3, 8, 21, 500, 5 << 22, (5 << 22) + 7, u64::MAX / 3];
+/// Keys of an app's space `0..key_count`, near and far apart: from 5 012
+/// up, a slab's slot table grows past slots it never fills at every
+/// partition count drawn below (1–4).
+const KEYS: [u64; 10] = [0, 1, 2, 3, 8, 21, 500, 5012, 5019, 12257];
 
 /// Per-key widths from 1 to 17: below, at, and past the kernels' 8-lane
 /// chunk.
@@ -250,9 +251,10 @@ proptest! {
     }
 
     /// Strides below, equal to and above the partition count; runs that
-    /// wrap round the partitions many times; runs of small keys, of keys
-    /// past the dense slot limit and up to `u64::MAX`; rows 1 to 40
-    /// wide; a third of the keys never stored.
+    /// wrap round the partitions many times; runs of small keys, of far
+    /// ones, and up to `u64::MAX`; rows 1 to 40 wide; a third of the
+    /// keys never stored. The runs up to `u64::MAX` lie outside any
+    /// app's key space: they are read, never stored, and read as absent.
     #[test]
     fn run_walked_reads_equal_per_key_reads(
         partitions in 1u32..7,
@@ -266,15 +268,15 @@ proptest! {
             let stride = 1 + stride % (3 * count + 3);
             let start = match region {
                 0 => offset,
-                // Slots from the dense limit up: the hash-map spill.
-                1 => (1 << 22) * count + offset,
+                // Slots from 4 096 up: a slot table with a long gap.
+                1 => (1 << 12) * count + offset,
                 _ => u64::MAX - len * stride - offset,
             };
             keys.extend((0..len).filter_map(|i| start.checked_add(i * stride)));
         }
         let mut store: ShardStore = ShardStore::new(layout);
         let mix = |k: u64| (k ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
-        for &k in &keys {
+        for &k in keys.range(..u64::MAX / 2) {
             if mix(k) % 3 != 0 {
                 store.install(ParamKey(k), row(1 + (mix(k) % 40) as usize, seed ^ k));
             }

@@ -13,25 +13,11 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use proteus_ps::{kernels, ParamKey, PartitionId, PartitionMap, RunRows, Values, WorkerCache};
 
-/// Keys on both sides of the dense-index limit (`1 << 22`), with gaps.
-/// The last dense key itself costs a 32 MB index per case, so it gets a
-/// test of its own below. Widths 5, 8, 11 and 17 have two keys or more
-/// (11 and 17 on both sides of the limit), so the two-key step has
-/// partners to pair.
-const KEYS: [u64; 12] = [
-    0,
-    1,
-    2,
-    3,
-    5,
-    8,
-    21,
-    40,
-    500,
-    1 << 22,
-    (1 << 22) + 7,
-    u64::MAX / 3,
-];
+/// Keys of an app's space `0..key_count`, near and far apart, with
+/// gaps: the index grows past slots it never fills. Widths 5, 8, 11 and
+/// 17 have two keys or more (11 and 17 on both sides of 1 000), so the
+/// two-key step has partners to pair.
+const KEYS: [u64; 12] = [0, 1, 2, 3, 5, 8, 21, 40, 500, 1 << 10, (1 << 10) + 7, 4085];
 
 /// Per-key dimensions (K-means rows are `dim + 1`, so nothing may assume
 /// one width): below, at and past the kernels' 8-lane chunk, and one
@@ -287,7 +273,7 @@ proptest! {
     /// The flush walk against sorting the dirty list, on a cache that
     /// gains slots between flushes (reserved ahead, or made by a
     /// delta), is cleared, and is touched sparsely: a few dirty rows
-    /// among up to forty slots, dense and spilled, of five widths.
+    /// among up to forty slots, near and far apart, of five widths.
     #[test]
     fn flush_walk_emits_what_sorting_the_dirty_list_emits(
         partitions in 1u32..6,
@@ -300,10 +286,10 @@ proptest! {
             1..16,
         ),
     ) {
-        // Twenty dense keys and twenty from the dense limit up.
+        // Twenty keys below 100 and twenty from 1 024 up.
         let key = |i: usize| match i {
             0..20 => ParamKey(i as u64 * 5 + i as u64 % 3),
-            _ => ParamKey((1 << 22) + (i as u64 - 20) * 3),
+            _ => ParamKey((1 << 10) + (i as u64 - 20) * 3),
         };
         let width = |k: ParamKey| [1, 2, 8, 11, 16][(k.0 % 5) as usize];
         let layout = PartitionMap::new(partitions).expect("nonzero");
@@ -330,19 +316,6 @@ proptest! {
             prop_assert!(!slab.has_pending());
         }
     }
-}
-
-#[test]
-fn keys_either_side_of_the_dense_limit_keep_separate_rows() {
-    let mut slab: WorkerCache = WorkerCache::new(PartitionMap::new(3).expect("nonzero"));
-    let (last_dense, first_spilled) = (ParamKey((1 << 22) - 1), ParamKey(1 << 22));
-    slab.update(last_dense, &[1.0]);
-    slab.update(first_spilled, &[2.0, 3.0]);
-    slab.update(last_dense, &[0.5]);
-    assert_eq!(slab.row(last_dense), &[1.5]);
-    assert_eq!(slab.row(first_spilled), &[2.0, 3.0]);
-    let flushed: usize = slab.flush().iter().map(|(_, batch)| batch.len()).sum();
-    assert_eq!(flushed, 2);
 }
 
 /// How a key stands just before a two-key step: each (present, dirty)
@@ -388,12 +361,12 @@ const COEFFS: [(f32, f32); 6] = [
     (-0.1, f32::MIN_POSITIVE / 2.0),
 ];
 
-/// Dense with dense, dense with spilled either way, spilled with spilled.
+/// Two near keys, a near and a far one either way, two far ones.
 const PAIRS: [(u64, u64); 4] = [
     (3, 500),
-    (3, (1 << 22) + 7),
-    ((1 << 22) + 7, 3),
-    ((1 << 22) + 7, u64::MAX / 3),
+    (3, (1 << 10) + 7),
+    ((1 << 10) + 7, 3),
+    ((1 << 10) + 7, 4085),
 ];
 
 /// Brings `key` to `before` on both sides; `flushing` is the phase
@@ -506,7 +479,7 @@ fn lincomb_dot_step_matches_add_lincomb_then_dot_in_every_state() {
     let layout = PartitionMap::new(3).expect("nonzero");
     let dims = (1..=17).chain([63, 64, 65, 72, 75, 512]);
     for dim in dims {
-        for (p, &key) in [3, 500, (1 << 22) + 7, u64::MAX / 3].iter().enumerate() {
+        for (p, &key) in [3, 500, (1 << 10) + 7, 4085].iter().enumerate() {
             let key = ParamKey(key);
             for (i, &before) in BEFORE.iter().enumerate() {
                 for (c, &(s, t)) in COEFFS.iter().enumerate() {

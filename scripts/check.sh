@@ -66,94 +66,20 @@ with open(sys.argv[1]) as history:
             sys.exit(f"error: {sys.argv[1]}:{n} lacks {sorted(missing)}")
 PY
 
-# A doc must name code and files that exist. Three kinds of name in
-# README.md and DESIGN.md are checked:
-# - `Type::name`: a type and an item (fn, const, static, associated
-#   type, field or variant) defined under crates/*/src or benchmark/src.
-#   The match is by name, not by owner: a rename or deletion is caught,
-#   an item moved between types is not;
-# - `module::item` (lower-case head, any depth, `{a, b}` for several):
-#   the head is a crate (`market`, `proteus_market`, `proteus-market`) or
-#   a module (`name.rs`, `name/`, or an inline `mod name {`), the next
-#   segment is an item, type or `mod` defined in the head's files, and
-#   any later one is that or a field or variant there;
-# - repo file paths (`dir/file.rs`, `dir/`): they resolve at the root,
-#   under crates/, or under crates/*/ or crates/*/src/ (a path a sentence
-#   gives inside one crate).
-# The list holds the exact strings that name something else on purpose:
-# std items, and a deleted item that a sentence names as history.
-echo "==> every \`Type::name\`, \`module::item\` and file path in README.md and DESIGN.md exists"
-python3 - README.md DESIGN.md <<'PY'
-import glob, re, sys
-
-allowed = {
-    "Arc::new", "Arc::make_mut",  # std
-    "std::sync", "std::sync::mpsc", "std::time", "std::arch::x86_64",  # std
-    "f64::total_cmp", "u32::MAX",  # std
-    "Objective::ThroughputUnderBudget",  # DESIGN.md: a deleted objective, as history
-}
-sources = glob.glob("crates/*/src/**/*.rs", recursive=True)
-sources += glob.glob("benchmark/src/**/*.rs", recursive=True)
-types, items, text = set(), set(), {}
-declared, members = {}, {}  # per file: items, types and mods; fields and variants
-for path in sources:
-    text[path] = open(path).read()
-    names, inner = declared[path], members[path] = set(), set()
-    for line in text[path].splitlines():
-        types.update(re.findall(r"\b(?:struct|enum|trait|type|union)\s+([A-Za-z_]\w*)", line))
-        items.update(re.findall(r"\b(?:fn|const|static|type)\s+([A-Za-z_]\w*)", line))
-        field = re.match(r"\s*(?:pub(?:\([^)]*\))?\s+)?([a-z_]\w*)\s*:[^:]", line)
-        variant = re.match(r"\s*([A-Z]\w*)\s*(?:[({,=]|$)", line)
-        items.update(m.group(1) for m in (field, variant) if m)
-        kinds = r"fn|const|static|type|struct|enum|trait|union|mod"
-        names.update(re.findall(rf"\b(?:{kinds})\s+([A-Za-z_]\w*)", line))
-        inner.update(m.group(1) for m in (field, variant) if m)
-
-
-def scope(head):
-    """The files a lower-case path head names: a crate's, or a module's."""
-    crate = re.sub(r"^proteus[_-]", "", head)
-    if glob.glob(f"crates/{crate}/src"):
-        return [p for p in sources if p.startswith(f"crates/{crate}/src/")]
-    inline = re.compile(rf"\bmod\s+{head}\s*\{{")
-    return [p for p in sources if re.search(rf"/{head}(\.rs$|/)", p) or inline.search(text[p])]
-
-
-def parts(segment):
-    return [re.match(r"\s*(\w*)", p).group(1) for p in segment.strip("{}").split(",")]
-
-
-unknown = []
-for doc in sys.argv[1:]:
-    for n, line in enumerate(open(doc), 1):
-        for span in re.findall(r"`([^`]+)`", line):
-            # `Type::name`, or `Type::{a, b}` naming several.
-            for ty, rest in re.findall(r"\b([A-Z]\w*)::(\{[^}]*\}|[A-Za-z_]\w*)", span):
-                for name in parts(rest):
-                    path = f"{ty}::{name}"
-                    if path not in allowed and (ty not in types or name not in items):
-                        unknown.append(f"{doc}:{n}: `{path}`")
-            # `module::item`, `crate::module::Type::item`, `module::{a, b}`.
-            segment = r"(?:[A-Za-z_]\w*|\{[^}]*\})"
-            for m in re.finditer(rf"(?<![\w:./-])([a-z_][\w-]*)((?:::{segment})+)", span):
-                path = m.group(0)
-                if path in allowed:
-                    continue
-                files = scope(m.group(1))
-                names = set().union(*(declared[p] for p in files))
-                first, *rest = re.findall(segment, m.group(2))
-                found = files and all(name in names for name in parts(first))
-                names |= set().union(*(members[p] for p in files))
-                if not found or any(name not in names for s in rest for name in parts(s)):
-                    unknown.append(f"{doc}:{n}: `{path}`")
-            # Repo paths: lower-case directories, then a file or nothing.
-            for m in re.finditer(r"(?<![\w./-])(?:[a-z0-9_.*-]+/)+[A-Za-z0-9_.-]*", span):
-                bases = ["", "crates/", "crates/*/", "crates/*/src/"]
-                if not any(glob.glob(base + m.group(0)) for base in bases):
-                    unknown.append(f"{doc}:{n}: `{m.group(0)}`")
-if unknown:
-    sys.exit("error: these docs name no defined item or file:\n" + "\n".join(unknown))
-PY
+# A doc must name code and files that exist: every backticked
+# `Type::name`, `module::item` and repo file path in README.md, DESIGN.md
+# and benchmark/README.md names a defined item, module or file, or an
+# allow-listed string (scripts/docnames.py says how each kind resolves).
+# The check runs on its fixture first: one good and one bad name of each
+# kind, whose flags must be exactly the recorded ones.
+echo "==> scripts/docnames.py on scripts/fixtures/docnames.md"
+{ python3 scripts/docnames.py scripts/fixtures/docnames.md || true; } |
+  diff -u scripts/fixtures/docnames.txt -
+echo "==> every \`Type::name\`, \`module::item\` and file path in the docs exists"
+if ! python3 scripts/docnames.py README.md DESIGN.md benchmark/README.md; then
+  echo "error: these docs name no defined item or file" >&2
+  exit 1
+fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
